@@ -25,6 +25,11 @@
 #                      obs pipeline (trace + metrics + fingerprint history
 #                      + accounting) vs REPRO_OBS=off on Figure 12 Q1/Q2,
 #                      <= 5% (appends to benchmarks/results/BENCH_obs.json)
+#   make bench-layers - the repository's declared benchmark (BENCHMARK.json):
+#                      five workloads served over TCP, end-to-end metrics
+#                      per workload; exits non-zero on a wrong answer
+#                      (appends to benchmarks/layers/results/BENCH_layers.jsonl;
+#                      see benchmarks/layers/README.md for --trace 1)
 #   make coverage    - the tier-1 suite under coverage with the CI ratchet
 #                      (needs pytest-cov: pip install -r requirements-dev.txt)
 #   make bench       - the full benchmark suite (slow)
@@ -36,7 +41,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 #: Measured ~91% today; raise as coverage grows, never lower.
 COVERAGE_FLOOR ?= 85
 
-.PHONY: test coverage bench-smoke bench-serve bench-ingest bench-conf bench-obs bench
+.PHONY: test coverage bench-smoke bench-serve bench-ingest bench-conf bench-obs bench-layers bench
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -58,6 +63,9 @@ bench-conf:
 
 bench-obs:
 	$(PYTHON) -m pytest benchmarks/bench_obs.py -q --benchmark-disable-gc
+
+bench-layers:
+	python3 benchmarks/layers/run.py
 
 # bench_*.py does not match pytest's default test-file pattern, so the
 # files must be passed explicitly (directory collection finds nothing)

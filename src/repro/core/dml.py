@@ -11,12 +11,17 @@ immutable segments plus, per statement,
 * a widened delete vector (DELETE, and the superseded tuples of UPDATE),
 
 then swaps the partition set in the catalog
-(:meth:`UDatabase.replace_partitions`).  In-flight plans and pinned
-session snapshots keep reading the old relation objects untouched;
-``SnapshotChanged`` semantics carry over unchanged because every swap
-moves ``catalog_version`` through the same ``bump_relation`` epochs index
-DDL already uses — which also evicts exactly the cached plans that
-scanned the replaced partitions.
+(:meth:`UDatabase.replace_partitions`).  The derivation itself
+(:meth:`Relation.with_appended` / :meth:`Relation.with_deleted`) carries
+whatever the old relation had built — indexes, column vectors,
+statistics — onto the new one along the statement's delta, so a write
+costs Python work in proportion to the rows it writes, not to the
+partition, and the first read after it rebuilds nothing.  In-flight
+plans and pinned session snapshots keep reading the old relation objects
+untouched; ``SnapshotChanged`` semantics carry over unchanged because
+every swap moves ``catalog_version`` through the same ``bump_relation``
+epochs index DDL already uses — which also evicts exactly the cached
+plans that scanned the replaced partitions.
 
 Uncertain inserts follow Section 2's "new variable with a fresh domain"
 construction: a value cell listing k alternatives mints one fresh
@@ -37,11 +42,12 @@ descriptors and tuple ids; DELETE removes the tuple from every partition
 from __future__ import annotations
 
 import functools
+from itertools import compress
+from operator import itemgetter
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..obs import counter as _counter
 from ..relational.expressions import Expression, Param
-from ..relational.index import carry_index_defs, carry_indexes_appended
 from .descriptor import Descriptor, encode_descriptor
 from .query import Rel, USelect
 from .urelation import URelation, tid_column
@@ -317,7 +323,6 @@ def _stage_insert(
     new_parts = []
     for part, rows in zip(parts, appends):
         relation = part.relation.with_appended(rows)
-        carry_indexes_appended(part.relation, relation, len(rows))
         new_parts.append(
             URelation(relation, part.d_width, part.tid_names, part.value_names)
         )
@@ -342,6 +347,14 @@ def _matching_tids(udb, name: str, condition: Optional[Expression]) -> set:
     result = execute_query(USelect(Rel(name), condition), udb)
     position = result.relation.schema.resolve(result.tid_names[0])
     return {row[position] for row in result.relation.rows}
+
+
+def _positions_of(relation, name: str, tids: set) -> List[int]:
+    """Live positions of the rows of ``relation`` carrying one of ``tids``
+    (one C-level pass: the statement's Python work follows its matches)."""
+    tid_of = itemgetter(relation.schema.resolve(tid_column(name)))
+    held = map(tids.__contains__, map(tid_of, relation.rows))
+    return list(compress(range(len(relation.rows)), held))
 
 
 @_counted
@@ -385,10 +398,7 @@ def update_where(
             new_parts.append(part)
             continue
         relation = part.relation
-        tid_position = relation.schema.resolve(tid_column(name))
-        positions = [
-            i for i, row in enumerate(relation.rows) if row[tid_position] in tids
-        ]
+        positions = _positions_of(relation, name, tids)
         if not positions:
             new_parts.append(part)
             continue
@@ -401,7 +411,6 @@ def update_where(
                     row[value_base + offset] = updates[attr]
             rewritten.append(tuple(row))
         derived = relation.with_deleted(positions).with_appended(rewritten)
-        carry_index_defs(relation, derived)
         new_parts.append(
             URelation(derived, part.d_width, part.tid_names, part.value_names)
         )
@@ -427,15 +436,10 @@ def delete_where(
     new_parts = []
     for part in udb.partitions(name):
         relation = part.relation
-        tid_position = relation.schema.resolve(tid_column(name))
-        positions = [
-            i for i, row in enumerate(relation.rows) if row[tid_position] in tids
-        ]
-        derived = relation.with_deleted(positions)
+        derived = relation.with_deleted(_positions_of(relation, name, tids))
         if derived is relation:
             new_parts.append(part)
             continue
-        carry_index_defs(relation, derived)
         new_parts.append(
             URelation(derived, part.d_width, part.tid_names, part.value_names)
         )

@@ -35,7 +35,6 @@ from ..relational.index import (
     attach_index,
     build_index,
     built_indexes_on,
-    carry_index_defs,
     defer_index,
     ensure_index,
     indexes_on,
@@ -190,7 +189,7 @@ def _merge_index_partition(name: str, part: URelation) -> None:
     target = _merge_tid_index_name(name, part)
     for index in built_indexes_on(part.relation):
         if index.name == target:
-            return  # carried over incrementally by the write path
+            return  # carried over by the write path
     index = build_index(
         part.relation, [tid_column(name)], kind="sorted", name=target
     )
@@ -357,8 +356,7 @@ class UDatabase:
                 bump_relation(part.relation)
         if self.auto_index == "merge":
             # keep the presorted-merge access path alive across writes:
-            # append-derived relations carried the extended sorted index
-            # (no-op here); delete/update-derived ones rebuild it eagerly
+            # a no-op when the derivation carried the sorted index along
             for part in partitions:
                 _merge_index_partition(name, part)
 
@@ -427,11 +425,11 @@ class UDatabase:
         and swap it in through :meth:`replace_partitions` under the write
         lock.  Readers and pinned snapshots keep the old immutable
         relation objects; the swap is one catalog bump per rewritten
-        partition, indistinguishable from any other write.  Index
-        definitions carry over (re-deferred — compaction renumbers
-        ordinals, so structures rebuild lazily on next planner access) and
-        statistics recompute lazily for the new relation objects.  The
-        world table is never touched.
+        partition, indistinguishable from any other write.  Compaction
+        leaves the live rows identical, so built indexes, column vectors
+        and statistics are re-pointed at the new relation objects as they
+        are (still-deferred index definitions stay deferred).  The world
+        table is never touched.
 
         Emits ``compactions_total`` (per rewritten relation) and observes
         ``compaction_seconds``.
@@ -467,9 +465,6 @@ class UDatabase:
                     bytes_reclaimed += dropped_here * (
                         56 + 8 * len(relation.schema)
                     )
-                    # ordinals changed wholesale: carry the definitions,
-                    # rebuild the structures lazily on first planner access
-                    carry_index_defs(relation, rewritten)
                     replacements.append(
                         URelation(
                             rewritten, part.d_width, part.tid_names, part.value_names

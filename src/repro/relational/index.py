@@ -35,7 +35,7 @@ import threading
 from bisect import bisect_left, bisect_right
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .relation import Relation
+from .relation import Relation, _without
 
 __all__ = [
     "Index",
@@ -51,8 +51,7 @@ __all__ = [
     "attached_index_defs",
     "default_index_name",
     "ensure_index",
-    "carry_indexes_appended",
-    "carry_index_defs",
+    "carry_indexes",
 ]
 
 Row = Tuple[Any, ...]
@@ -97,9 +96,9 @@ class Index:
     def _derived_shell(self, relation: Relation) -> "Index":
         """A structure-less clone of this index over a replacement relation.
 
-        Incremental maintenance (:func:`carry_indexes_appended`) fills the
-        access structure in without re-running :meth:`_build`; the target
-        relation must share the source relation's schema.
+        :meth:`derived` fills the access structure in without re-running
+        :meth:`_build`; the target relation must share the source
+        relation's schema.
         """
         clone = type(self).__new__(type(self))
         clone.relation = relation
@@ -109,12 +108,22 @@ class Index:
         clone._single = self._single
         return clone
 
-    def extended(self, relation: Relation, start: int, appended: Sequence[Row]) -> "Index":
-        """This index plus ``appended`` rows (live ordinals from ``start``).
+    def derived(
+        self,
+        relation: Relation,
+        removed: Sequence[Row],
+        removed_labels: Sequence[int],
+        appended: Sequence[Row],
+        first_label: int,
+    ) -> "Index":
+        """This index over ``relation``, a write-path successor of its own.
 
-        Used when ``relation`` was derived from this index's relation by a
-        pure segment append: existing entries are carried over without
-        touching the old rows, only the appended segment is indexed.
+        ``relation`` holds this index's rows minus the ``removed`` row
+        objects plus the ``appended`` rows at the end (neither: a
+        compaction, and the structure is shared as it is); the labels are
+        the rows' :func:`row_labels`.  Only the delta is indexed, entries
+        of unchanged rows move by C-level copies, and this index is never
+        mutated.
         """
         raise NotImplementedError
 
@@ -159,33 +168,55 @@ class HashIndex(Index):
         self._table = table
         self._count = count
 
-    def extended(self, relation: Relation, start: int, appended: Sequence[Row]) -> "HashIndex":
-        """Incremental append maintenance: O(existing keys + new rows).
-
-        The bucket dict is copied shallowly (pointer copy, no re-hashing of
-        old rows); a bucket is deep-copied only when an appended row lands
-        in it, so the old index's buckets are never mutated.
+    def derived(self, relation, removed, removed_labels, appended, first_label) -> "HashIndex":
+        """O(existing keys + delta): the bucket dict (and the probe dict of
+        :meth:`mixed_table`, once built) is copied shallowly, without
+        re-hashing old rows, and a bucket is copied only when the delta
+        lands in it, so the old index's buckets are never mutated.
         """
         clone = self._derived_shell(relation)
-        table = dict(self._table)
-        copied: set = set()
+        clone._count = self._count
+        mixed = getattr(self, "_mixed", None)
+        if not removed and not appended:
+            clone._table = self._table
+            clone._mixed = mixed
+            return clone
+        table = clone._table = dict(self._table)
         key_of = clone.key_of
-        count = self._count
-        for row in appended:
+        owned: Dict[Any, List[Row]] = {}
+
+        def own(row: Row) -> Optional[List[Row]]:
             key = key_of(row)
             if key is None:
-                continue
-            bucket = table.get(key)
+                return None
+            bucket = owned.get(key)
             if bucket is None:
-                table[key] = [row]
-            elif key in copied:
+                bucket = owned[key] = list(table.get(key, ()))
+            return bucket
+
+        for row in removed:
+            bucket = own(row)
+            if bucket is not None:
+                # by identity: an equal row elsewhere in the bucket stays
+                del bucket[list(map(id, bucket)).index(id(row))]
+                clone._count -= 1
+        for row in appended:
+            bucket = own(row)
+            if bucket is not None:
                 bucket.append(row)
+                clone._count += 1
+        if mixed is not None:
+            mixed = dict(mixed)
+        for key, bucket in owned.items():
+            if bucket:
+                table[key] = bucket
+                if mixed is not None:
+                    mixed[key] = bucket[0] if len(bucket) == 1 else bucket
             else:
-                table[key] = bucket + [row]
-                copied.add(key)
-            count += 1
-        clone._table = table
-        clone._count = count
+                table.pop(key, None)
+                if mixed is not None:
+                    mixed.pop(key, None)
+        clone._mixed = mixed
         return clone
 
     def lookup(self, key: Any) -> Sequence[Row]:
@@ -233,14 +264,15 @@ class SortedIndex(Index):
     def _build(self) -> None:
         key_of = self.key_of
         entries = [
-            (key, ordinal, row)
-            for ordinal, row in enumerate(self.relation.rows)
+            (key, label, row)
+            for label, row in zip(row_labels(self.relation), self.relation.rows)
             if (key := key_of(row)) is not None
         ]
         entries.sort(key=lambda e: e[0])
         self._keys: List[Any] = [k for k, _, _ in entries]
-        #: Original row ordinal per entry — range results are restored to
-        #: relation order so downstream operators keep their locality.
+        #: The row's :func:`row_labels` label per entry — range results
+        #: are restored to relation order so downstream operators keep
+        #: their locality.  Ascending within a run of equal keys.
         self._ordinals: List[int] = [o for _, o, _ in entries]
         self._rows: List[Row] = [r for _, _, r in entries]
         #: First key column only, for range bisection on multi-column keys.
@@ -248,50 +280,54 @@ class SortedIndex(Index):
             self._keys if self._single else [k[0] for k in self._keys]
         )
 
-    def extended(self, relation: Relation, start: int, appended: Sequence[Row]) -> "SortedIndex":
-        """Incremental append maintenance: sort only the new rows, then
-        merge the two key-sorted runs in one linear pass.
+    def derived(self, relation, removed, removed_labels, appended, first_label) -> "SortedIndex":
+        """O(log n) per row of the delta plus slice copies of the rest.
 
-        Raises ``TypeError`` when an appended key does not compare against
-        the existing keys (mixed types); callers fall back to a deferred
-        rebuild in that case, like the eager auto-index policy does.
+        A removed row's entry is found by bisecting its key, then its
+        label within the run of equal keys; an appended row's place by
+        bisecting its key.  Raises ``TypeError`` when an appended key does
+        not compare against the existing keys (mixed types); the caller
+        falls back to a deferred rebuild in that case, like the eager
+        auto-index policy does.
         """
         clone = self._derived_shell(relation)
         key_of = clone.key_of
-        fresh = [
-            (key, start + offset, row)
-            for offset, row in enumerate(appended)
-            if (key := key_of(row)) is not None
-        ]
-        fresh.sort(key=lambda e: e[0])
-        old_keys, old_ordinals, old_rows = self._keys, self._ordinals, self._rows
-        keys: List[Any] = []
-        ordinals: List[int] = []
-        rows: List[Row] = []
-        i = j = 0
-        n, m = len(old_keys), len(fresh)
-        while i < n and j < m:
-            if fresh[j][0] < old_keys[i]:  # may raise TypeError: caller rebuilds
-                key, ordinal, row = fresh[j]
-                j += 1
-            else:
-                key, ordinal, row = old_keys[i], old_ordinals[i], old_rows[i]
-                i += 1
-            keys.append(key)
-            ordinals.append(ordinal)
-            rows.append(row)
-        if i < n:
-            keys.extend(old_keys[i:])
-            ordinals.extend(old_ordinals[i:])
-            rows.extend(old_rows[i:])
-        for key, ordinal, row in fresh[j:]:
-            keys.append(key)
-            ordinals.append(ordinal)
-            rows.append(row)
-        clone._keys = keys
-        clone._ordinals = ordinals
-        clone._rows = rows
-        clone._first = keys if clone._single else [k[0] for k in keys]
+        keys = self._keys
+        columns = [keys, self._ordinals, self._rows]
+        if not self._single:
+            columns.append(self._first)
+        if removed:
+            gone = []
+            for row, label in zip(removed, removed_labels):
+                key = key_of(row)
+                if key is not None:
+                    low = bisect_left(keys, key)
+                    gone.append(
+                        bisect_left(self._ordinals, label, low, bisect_right(keys, key, low))
+                    )
+            gone.sort()
+            columns = [_without(column, gone) for column in columns]
+            keys = columns[0]
+        if appended:
+            fresh = sorted(
+                (
+                    (key, first_label + offset, row)
+                    for offset, row in enumerate(appended)
+                    if (key := key_of(row)) is not None
+                ),
+                key=lambda e: e[0],
+            )
+            if fresh:
+                # after every equal key: labels stay ascending within the run
+                places = [bisect_right(keys, key) for key, _, _ in fresh]
+                values = list(zip(*fresh))
+                if not self._single:
+                    values.append(tuple(key[0] for key in values[0]))
+                columns = [
+                    _with(column, places, new) for column, new in zip(columns, values)
+                ]
+        clone._keys, clone._ordinals, clone._rows = columns[:3]
+        clone._first = columns[0] if self._single else columns[3]
         return clone
 
     def lookup(self, key: Any) -> Sequence[Row]:
@@ -542,47 +578,78 @@ def ensure_index(
 # ----------------------------------------------------------------------
 # write-path maintenance: carry access paths onto a derived relation
 # ----------------------------------------------------------------------
-def carry_indexes_appended(old: Relation, new: Relation, appended_count: int) -> None:
-    """Maintain ``old``'s indexes incrementally onto an append-derived ``new``.
+def row_labels(relation: Relation) -> Sequence[int]:
+    """One label per live row, ascending in ``rows`` order, never renumbered.
 
-    ``new`` must be ``old`` plus ``appended_count`` rows at the end of
-    ``new.rows`` (a pure segment append: same delete vector, same live
-    prefix).  Built indexes are *extended* — per appended segment, never a
-    rebuild over the old rows; still-pending (deferred) definitions are
-    copied over as pending.  An index whose new keys do not merge
-    (``TypeError``) degrades to a deferred rebuild of just that index.
+    Sorted indexes sort range results back into relation order by these.
+    A row keeps its label through every write-path derivation (deleting
+    other rows leaves gaps, compaction keeps them, an append continues
+    past the last live label), which is what lets a delete drop index
+    entries without touching the rest.  Until a delete makes the two
+    differ, a row's label is its position and no list is kept.
+    """
+    labels = getattr(relation, "_labels", None)
+    return range(len(relation.rows)) if labels is None else labels
+
+
+def _with(sequence: Sequence[Any], places: Sequence[int], values: Sequence[Any]) -> List[Any]:
+    """``sequence`` with ``values[i]`` put in before its position
+    ``places[i]`` (ascending), by slice copies alone."""
+    out: List[Any] = []
+    start = 0
+    for place, value in zip(places, values):
+        out.extend(sequence[start:place])
+        out.append(value)
+        start = place
+    out.extend(sequence[start:])
+    return out
+
+
+def carry_indexes(
+    old: Relation, new: Relation, removed: Sequence[int], appended: Sequence[Row]
+) -> None:
+    """Carry ``old``'s access paths onto ``new``, derived from it by a write.
+
+    ``new`` is ``old`` minus the rows at its live positions ``removed``
+    plus ``appended`` at the end (:meth:`Relation._derive`).  Built
+    indexes follow the delta (:meth:`Index.derived`), never a rebuild
+    over unchanged rows; still-pending (deferred) definitions are copied
+    over as pending.  An index whose new keys do not merge (``TypeError``)
+    degrades to a deferred rebuild of just that index.
 
     No plan-cache bump happens here: ``new`` is a fresh, unpublished
     relation object, so no cached plan can depend on it yet.  The caller
     bumps ``old`` when it swaps the catalog entry.
     """
-    start = len(new.rows) - appended_count
-    appended = new.rows[start:]
     with _ATTACH_LOCK:
         built = list(getattr(old, "_indexes", None) or ())
         pending = list(getattr(old, "_pending_indexes", None) or ())
+    labels = row_labels(old)
+    removed_labels = [labels[p] for p in removed]
+    first_label = len(old.rows)
+    # positions stop being labels at the first delete under a sorted index
+    if removed and (
+        isinstance(labels, list) or any(index.kind == "sorted" for index in built)
+    ):
+        labels = _without(labels, removed)
+    if isinstance(labels, list):
+        first_label = labels[-1] + 1 if labels else 0
+        if appended:
+            labels = labels + list(range(first_label, first_label + len(appended)))
+        new._labels = labels
+    removed_rows = [old.rows[p] for p in removed]
     derived: List[Index] = []
     for index in built:
         try:
-            derived.append(index.extended(new, start, appended))
+            derived.append(
+                index.derived(new, removed_rows, removed_labels, appended, first_label)
+            )
         except (TypeError, NotImplementedError):
             pending.append((index.columns, index.kind, index.name))
-    with _ATTACH_LOCK:
-        if derived:
-            new._indexes = derived
-        if pending:
-            new._pending_indexes = pending
-
-
-def carry_index_defs(old: Relation, new: Relation) -> None:
-    """Re-defer every index of ``old`` (built or pending) onto ``new``.
-
-    The fallback for derivations that invalidate stored ordinals (delete
-    vectors, updates): definitions survive, structures rebuild lazily on
-    the next planner access, serialized on the build lock as usual.
-    """
-    for columns, kind, name in attached_index_defs(old):
-        defer_index(new, columns, kind=kind, name=name)
+    if derived:
+        new._indexes = derived
+    if pending:
+        new._pending_indexes = pending
 
 
 # ----------------------------------------------------------------------

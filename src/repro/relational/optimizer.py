@@ -53,6 +53,7 @@ from .statistics import (
     TableStats,
     join_cardinality,
     selectivity,
+    table_stats,
 )
 
 __all__ = [
@@ -238,29 +239,17 @@ def _iter_slots(expr: Expression):
 # ======================================================================
 # cardinality estimation
 # ======================================================================
-_stats_cache: Dict[int, TableStats] = {}
-
-
-def _table_stats(scan: Scan) -> TableStats:
-    key = id(scan.relation)
-    stats = _stats_cache.get(key)
-    if stats is None or stats.relation is not scan.relation:
-        stats = TableStats(scan.relation)
-        _stats_cache[key] = stats
-    return stats
-
-
 def scan_stats(scan: Scan) -> TableStats:
-    """Cached per-table statistics for a base-relation scan.
+    """Per-table statistics for a base-relation scan, kept on the relation.
 
     Public so the planner's access-path selection shares the optimizer's
-    statistics cache when costing candidate index scans.
+    statistics when costing candidate index scans.
     """
-    return _table_stats(scan)
+    return table_stats(scan.relation)
 
 
 def refresh_statistics(relation) -> None:
-    """Drop cached statistics for a relation (the ``ANALYZE`` analogue).
+    """Drop a relation's statistics (the ``ANALYZE`` analogue).
 
     A statistics refresh is a catalog mutation for plan-caching purposes:
     cached plans were costed against the old estimates, so the relation's
@@ -270,7 +259,7 @@ def refresh_statistics(relation) -> None:
     """
     from .plancache import bump_relation
 
-    _stats_cache.pop(id(relation), None)
+    relation._stats = None
     bump_relation(relation)
 
 
@@ -279,7 +268,7 @@ def _column_stats(plan: Plan, reference: str) -> Optional[ColumnStats]:
     if isinstance(plan, Scan):
         if plan.schema.has(reference):
             idx = plan.schema.resolve(reference)
-            return _table_stats(plan).column(plan.relation.schema.names[idx])
+            return scan_stats(plan).column(plan.relation.schema.names[idx])
         return None
     if isinstance(plan, Rename):
         inverse = {new: old for old, new in plan.mapping.items()}

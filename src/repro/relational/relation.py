@@ -12,6 +12,8 @@ a SQL engine; convenience set-style helpers are provided for tests.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from itertools import chain
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .schema import Attribute, Schema, SchemaError
@@ -63,6 +65,11 @@ class Relation:
     # the relation object so their lifetime is automatic.  All are
     # planner-visible state, not part of the relation's value (equality
     # and repr ignore them).
+    # ``_labels`` (the sorted indexes' per-row sort labels once deletes
+    # part them from positions, managed by :mod:`repro.relational.index`)
+    # and ``_stats`` (the optimizer's
+    # :class:`~repro.relational.statistics.TableStats`) complete the
+    # derived state that :meth:`_derive` carries from version to version.
     # ``_segments``/``_deleted`` carry the write path's log-structured
     # form (immutable appended segments plus a delete vector of global
     # ordinals); when unset the relation is its own single base segment.
@@ -71,8 +78,10 @@ class Relation:
         "rows",
         "_indexes",
         "_pending_indexes",
+        "_labels",
         "_columns",
         "_has_null",
+        "_stats",
         "_plan_epoch",
         "_plan_watchers",
         "_segments",
@@ -146,15 +155,10 @@ class Relation:
             schema = Schema(schema)
         deleted = frozenset(deleted)
         live: List[Tuple[Any, ...]] = []
-        ordinal = 0
         for segment in segments:
-            if deleted:
-                for row in segment.rows:
-                    if ordinal not in deleted:
-                        live.append(row)
-                    ordinal += 1
-            else:
-                live.extend(segment.rows)
+            live.extend(segment.rows)
+        if deleted:
+            live = _without(live, sorted(deleted))
         relation = cls.from_trusted(schema, live)
         relation._segments = tuple(segments)
         relation._deleted = deleted
@@ -176,12 +180,6 @@ class Relation:
         """Global ordinals (over concatenated segment rows) marked deleted."""
         return getattr(self, "_deleted", None) or frozenset()
 
-    def live_ordinals(self) -> List[int]:
-        """Global ordinal of each live row, in ``rows`` order."""
-        deleted = self.deleted_ordinals()
-        total = sum(len(s.rows) for s in self.segments())
-        return [o for o in range(total) if o not in deleted]
-
     def segment_boundaries(self) -> List[int]:
         """Offsets into ``rows`` where each segment's live run begins.
 
@@ -189,24 +187,73 @@ class Relation:
         never straddles a segment (its slice stays within one cached
         per-segment column run).
         """
-        deleted = self.deleted_ordinals()
+        vector = sorted(self.deleted_ordinals())
         boundaries: List[int] = []
-        live = 0
-        ordinal = 0
+        start = 0
         for segment in self.segments():
-            boundaries.append(live)
-            for _ in segment.rows:
-                if ordinal not in deleted:
-                    live += 1
-                ordinal += 1
+            boundaries.append(start - bisect_left(vector, start))
+            start += len(segment.rows)
         return boundaries
+
+    def _derive(
+        self,
+        segments: Tuple[Segment, ...],
+        deleted: frozenset,
+        removed: Sequence[int] = (),
+        appended: Sequence[Tuple[Any, ...]] = (),
+    ) -> "Relation":
+        """The next version of this relation, its derived state carried.
+
+        The write path's only three derivations come through here:
+        delete (``removed``: ascending live positions), append
+        (``appended``: rows at the end) and compact (neither: the live
+        view is identical).  Whatever this version has already *built* -
+        column vectors, NULL facts, statistics, and through
+        :func:`~repro.relational.index.carry_indexes` the indexes - is
+        carried by applying that delta; unchanged rows are only ever
+        moved by C-level slice copies, and the receiver is never mutated
+        (pinned snapshots and in-flight plans keep reading it).  State
+        not built yet stays unbuilt, so write-only pipelines pay nothing.
+        """
+        rows = self.rows
+        if removed:
+            rows = _without(rows, removed)
+        if appended:
+            rows = rows + appended
+        new = Relation.from_trusted(self.schema, rows)
+        new._segments = segments
+        new._deleted = deleted
+        columns = getattr(self, "_columns", None)
+        if columns is not None:
+            if removed:
+                columns = [tuple(_without(column, removed)) for column in columns]
+            if appended:
+                fresh = segments[-1].column_store(len(columns))
+                columns = [column + tail for column, tail in zip(columns, fresh)]
+            new._columns = columns
+        has_null = getattr(self, "_has_null", None)
+        if has_null:
+            # a removal may have taken a column's last NULL: only the
+            # NULL-free verdicts survive it; an append can only add one
+            new._has_null = {
+                position: known or any(row[position] is None for row in appended)
+                for position, known in has_null.items()
+                if not (known and removed)
+            }
+        stats = getattr(self, "_stats", None)
+        if stats is not None:
+            new._stats = stats.inherited(new, len(removed) + len(appended))
+        from .index import carry_indexes
+
+        carry_indexes(self, new, removed, appended)
+        return new
 
     def with_appended(self, rows: Iterable[Sequence[Any]]) -> "Relation":
         """A new relation value with one fresh segment appended.
 
         The receiver is untouched (in-flight plans and pinned snapshots
         keep reading the old value); existing segments are shared by
-        identity, so their cached column vectors carry over.
+        identity, and built derived state follows (:meth:`_derive`).
         """
         width = len(self.schema)
         appended: List[Tuple[Any, ...]] = []
@@ -219,10 +266,10 @@ class Relation:
             appended.append(row_t)
         segments = self.segments()
         next_id = max(s.segment_id for s in segments) + 1 if segments else 0
-        return Relation.from_segments(
-            self.schema,
+        return self._derive(
             segments + (Segment(next_id, appended),),
             self.deleted_ordinals(),
+            appended=appended,
         )
 
     def compacted(self) -> "Relation":
@@ -231,7 +278,9 @@ class Relation:
         The write path's merge step: the segment stack and delete vector
         collapse into a single segment holding exactly ``rows``.  Returns
         ``self`` when already compact (one segment, nothing deleted), so
-        callers can detect no-ops by identity.
+        callers can detect no-ops by identity.  The live view does not
+        change, so the row list and all built derived state are shared
+        with the receiver as they are.
 
         The base segment takes a *fresh* id (one past the highest existing
         id) rather than restarting at 0: persistence names segment files by
@@ -242,12 +291,10 @@ class Relation:
         segments = self.segments()
         if len(segments) == 1 and not self.deleted_ordinals():
             return self
-        base = Segment(max(s.segment_id for s in segments) + 1, tuple(self.rows))
-        cached = getattr(self, "_columns", None)
-        if cached is not None:
-            # the live-row column vectors ARE the new base's columns
-            base._columns = cached
-        return Relation.from_segments(self.schema, (base,), ())
+        base = Segment(max(s.segment_id for s in segments) + 1, self.rows)
+        # the live-row column vectors ARE the new base's columns
+        base._columns = getattr(self, "_columns", None)
+        return self._derive((base,), frozenset())
 
     def with_deleted(self, live_positions: Iterable[int]) -> "Relation":
         """A new relation value with the given live rows marked deleted.
@@ -256,12 +303,18 @@ class Relation:
         global ordinals and merged into the delete vector.  Segments are
         shared untouched.
         """
-        mapping = self.live_ordinals()
-        extra = {mapping[i] for i in live_positions}
-        if not extra:
+        removed = sorted(set(live_positions))
+        if not removed:
             return self
-        return Relation.from_segments(
-            self.schema, self.segments(), self.deleted_ordinals() | extra
+        if removed[0] < 0 or removed[-1] >= len(self.rows):
+            raise IndexError(f"live position out of range: {removed}")
+        # live rows ahead of each deleted ordinal, ascending: a live
+        # position lies past every deleted ordinal with at most that many
+        vector = sorted(self.deleted_ordinals())
+        ahead = [ordinal - i for i, ordinal in enumerate(vector)]
+        extra = {p + bisect_right(ahead, p) for p in removed}
+        return self._derive(
+            self.segments(), self.deleted_ordinals() | extra, removed=removed
         )
 
     # ------------------------------------------------------------------
@@ -309,32 +362,21 @@ class Relation:
         store = getattr(self, "_columns", None)
         if store is None:
             segments = getattr(self, "_segments", None)
+            width = len(self.schema)
             if segments is None:
                 if self.rows:
                     store = list(zip(*self.rows))
                 else:
-                    store = [() for _ in range(len(self.schema))]
+                    store = [() for _ in range(width)]
             else:
-                width = len(self.schema)
-                deleted = self.deleted_ordinals()
-                runs: List[List[tuple]] = [[] for _ in range(width)]
-                base = 0
-                for segment in segments:
-                    cols = segment.column_store(width)
-                    count = len(segment.rows)
-                    if deleted:
-                        keep = [
-                            i for i in range(count) if base + i not in deleted
-                        ]
-                        if len(keep) != count:
-                            cols = [tuple(c[i] for i in keep) for c in cols]
-                    for run, col in zip(runs, cols):
-                        run.append(col)
-                    base += count
+                runs = list(zip(*(s.column_store(width) for s in segments)))
                 store = [
-                    run[0] if len(run) == 1 else tuple(v for part in run for v in part)
+                    run[0] if len(run) == 1 else tuple(chain.from_iterable(run))
                     for run in runs
-                ]
+                ] or [() for _ in range(width)]
+                vector = sorted(self.deleted_ordinals())
+                if vector:
+                    store = [tuple(_without(column, vector)) for column in store]
             self._columns = store
         return store
 
@@ -463,6 +505,17 @@ class Relation:
         if len(self.rows) > limit:
             lines.append(f"... ({len(self.rows)} rows total)")
         return "\n".join(lines)
+
+
+def _without(sequence: Sequence[Any], positions: Sequence[int]) -> List[Any]:
+    """``sequence`` minus its ascending ``positions``, by slice copies alone."""
+    out: List[Any] = []
+    start = 0
+    for position in positions:
+        out.extend(sequence[start:position])
+        start = position + 1
+    out.extend(sequence[start:])
+    return out
 
 
 def _sort_key(row: Tuple[Any, ...]) -> Tuple:

@@ -7,9 +7,11 @@ A deliberately simple, PostgreSQL-flavoured cost model:
 * equi-joins: ``|L| * |R| / max(ndistinct_L, ndistinct_R)``,
 * unknown predicates: a fixed default selectivity.
 
-Statistics are computed lazily per relation and cached.  The estimates only
-need to be good enough to order joins sensibly, which (as the paper reports
-for PostgreSQL) is what makes translated U-relation queries run well.
+Statistics are computed lazily per relation and kept on it; the write path
+hands them on to the relation's next version until enough rows have changed
+(:data:`ANALYZE_THRESHOLD`).  The estimates only need to be good enough to
+order joins sensibly, which (as the paper reports for PostgreSQL) is what
+makes translated U-relation queries run well.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .relation import Relation
 __all__ = [
     "ColumnStats",
     "TableStats",
+    "table_stats",
     "selectivity",
     "DEFAULT_SELECTIVITY",
     "use_index_scan",
@@ -88,6 +91,12 @@ def use_index_join(
 
 #: Number of quantile boundaries kept per column (PostgreSQL keeps 100).
 HISTOGRAM_BINS = 128
+
+#: Inherited statistics are recomputed once the rows written since their
+#: computation exceed ``ANALYZE_THRESHOLD + ANALYZE_SCALE_FACTOR * rows``
+#: (PostgreSQL's autovacuum analyze trigger, with its defaults).
+ANALYZE_THRESHOLD = 50
+ANALYZE_SCALE_FACTOR = 0.1
 
 
 class ColumnStats:
@@ -179,23 +188,53 @@ class ColumnStats:
 
 
 class TableStats:
-    """Lazily computed per-column statistics for a relation."""
+    """Lazily computed per-column statistics for a relation.
+
+    Holds the relation's schema and row list, not the relation: the
+    relation holds its statistics (:func:`table_stats`), and a reference
+    back would keep superseded versions alive until a cycle collection.
+    """
 
     def __init__(self, relation: Relation):
-        self.relation = relation
+        self._schema = relation.schema
+        self._rows = relation.rows
         self.row_count = len(relation)
         self._columns: Dict[str, ColumnStats] = {}
+        #: Rows that may still be written before the column statistics
+        #: count as stale (spent through :meth:`inherited`).
+        self._slack = ANALYZE_THRESHOLD + ANALYZE_SCALE_FACTOR * self.row_count
 
     def column(self, reference: str) -> Optional[ColumnStats]:
         """Stats for one column, or ``None`` if the reference is unknown."""
         if reference in self._columns:
             return self._columns[reference]
-        if not self.relation.schema.has(reference):
+        if not self._schema.has(reference):
             return None
-        i = self.relation.schema.resolve(reference)
-        stats = ColumnStats([row[i] for row in self.relation.rows])
+        i = self._schema.resolve(reference)
+        stats = ColumnStats([row[i] for row in self._rows])
         self._columns[reference] = stats
         return stats
+
+    def inherited(self, relation: Relation, changed: int) -> "TableStats":
+        """Statistics for ``relation``, a successor ``changed`` rows away.
+
+        The row count is the successor's own; the column statistics are
+        handed on as they are until the writes since their computation
+        cross the analyze threshold, and recomputed lazily from then on.
+        """
+        stats = TableStats(relation)
+        if changed <= self._slack:
+            stats._columns = dict(self._columns)
+            stats._slack = self._slack - changed
+        return stats
+
+
+def table_stats(relation: Relation) -> TableStats:
+    """The statistics kept on ``relation``, created on first use."""
+    stats = getattr(relation, "_stats", None)
+    if stats is None:
+        stats = relation._stats = TableStats(relation)
+    return stats
 
 
 def selectivity(
