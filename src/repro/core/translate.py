@@ -36,7 +36,7 @@ partitions and needs no precondition.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..relational.algebra import (
     ConfCompute,
@@ -52,13 +52,17 @@ from ..relational.algebra import (
     Union,
 )
 from ..relational.expressions import (
+    Between,
     Comparison,
     Expression,
+    InList,
     Lit,
     Or,
     col,
     columns_of,
     conjunction,
+    exact_leaf,
+    structural_key,
 )
 from ..relational.relation import Relation
 from .descriptor import descriptor_columns
@@ -82,6 +86,7 @@ __all__ = [
     "translate",
     "execute_query",
     "explain_query",
+    "query_key",
     "query_structure_key",
     "query_cache_key",
     "query_fingerprint",
@@ -427,161 +432,55 @@ def _pad_branch(
 
 
 # ----------------------------------------------------------------------
-# normalized query keys (for the prepared-plan cache)
+# normalized query keys: one walker, one leaf policy per use
 # ----------------------------------------------------------------------
+def query_key(query: UQuery, leaf=exact_leaf, conf_knobs: bool = True) -> Tuple:
+    """A hashable key of a logical query tree under a leaf policy.
+
+    The one node-type walk behind the plan-cache key
+    (:func:`query_structure_key`), the workload fingerprint
+    (:func:`query_fingerprint`) and the ad-hoc statement shape
+    (:func:`repro.core.prepared.lift_literals`); they differ only in how
+    ``leaf`` keys a literal or ``$n`` slot (see
+    :func:`~repro.relational.expressions.structural_key`) and in whether
+    a ``conf`` node's ``epsilon``/``delta``/``seed`` count as structure
+    (``conf_knobs``) or as bindings.  Relation leaves key by (name,
+    alias) — the owning database is part of every cache key built from
+    this, so names resolve identically on every lookup.  Raises
+    ``TypeError`` for unknown node or expression shapes.
+    """
+    if isinstance(query, Rel):
+        return ("rel", query.name, query.alias)
+    children = tuple(query_key(child, leaf, conf_knobs) for child in query.children)
+    if isinstance(query, (USelect, UJoin)):
+        tag = "uselect" if isinstance(query, USelect) else "ujoin"
+        return (tag,) + children + (structural_key(query.predicate, leaf),)
+    if isinstance(query, UProject):
+        return ("uproject",) + children + (query.attributes,)
+    if isinstance(query, (UUnion, UMerge, Poss, Certain)):
+        return (type(query).__name__.lower(),) + children
+    if isinstance(query, Conf):
+        knobs = (query.epsilon, query.delta, query.seed) if conf_knobs else ()
+        return ("conf",) + children + (query.method,) + knobs
+    raise TypeError(f"no structural key for {type(query).__name__}")
+
+
 def query_structure_key(query: UQuery) -> Tuple:
     """A hashable key identifying a logical query tree up to structure.
 
-    Relation leaves key by (name, alias) — the owning
-    :class:`~repro.core.udatabase.UDatabase` is part of the cache key, so
-    names resolve identically on every lookup — and predicates use
-    :func:`~repro.relational.expressions.structural_key`, under which
-    ``$n`` parameter slots key by slot (not value): every binding of a
-    prepared query shares one cached plan.  Raises ``TypeError`` for
-    unknown node or expression shapes, which callers treat as "plan
-    uncached".
+    Literals key by value and ``$n`` parameter slots by slot (not value):
+    every binding of a prepared query shares one cached plan.  Raises
+    ``TypeError`` for unknown node or expression shapes, which callers
+    treat as "plan uncached".
     """
-    from ..relational.expressions import structural_key
-
-    if isinstance(query, Rel):
-        return ("rel", query.name, query.alias)
-    if isinstance(query, USelect):
-        return (
-            "uselect",
-            query_structure_key(query.child),
-            structural_key(query.predicate),
-        )
-    if isinstance(query, UProject):
-        return ("uproject", query_structure_key(query.child), query.attributes)
-    if isinstance(query, UJoin):
-        return (
-            "ujoin",
-            query_structure_key(query.left),
-            query_structure_key(query.right),
-            structural_key(query.predicate),
-        )
-    if isinstance(query, UUnion):
-        return (
-            "uunion",
-            query_structure_key(query.left),
-            query_structure_key(query.right),
-        )
-    if isinstance(query, UMerge):
-        return (
-            "umerge",
-            query_structure_key(query.left),
-            query_structure_key(query.right),
-        )
-    if isinstance(query, Poss):
-        return ("poss", query_structure_key(query.child))
-    if isinstance(query, Certain):
-        return ("certain", query_structure_key(query.child))
-    if isinstance(query, Conf):
-        return (
-            "conf",
-            query_structure_key(query.child),
-            query.method,
-            query.epsilon,
-            query.delta,
-            query.seed,
-        )
-    raise TypeError(f"no plan-cache key for {type(query).__name__}")
+    return query_key(query)
 
 
-# ----------------------------------------------------------------------
-# workload fingerprints (for the obs workload history)
-# ----------------------------------------------------------------------
-def _fingerprint_expression_key(expression) -> Tuple:
-    """Like :func:`~repro.relational.expressions.structural_key`, but with
-    literal values and ``$n`` parameter identity erased: ``x = 5``,
-    ``x = 7``, and ``x = $1`` all key identically.  Raises ``TypeError``
-    for unknown expression shapes (callers treat as "no fingerprint").
-    """
-    from ..relational.expressions import (
-        And,
-        Arithmetic,
-        Between,
-        Col,
-        Comparison,
-        InList,
-        IsNull,
-        Not,
-        Or,
-        Param,
-    )
-
-    e = expression
-    if isinstance(e, Col):
-        return ("col", e.name)
-    if isinstance(e, (Lit, Param)):
-        return ("?",)
-    if isinstance(e, Comparison):
-        return (
-            "cmp",
-            e.op,
-            _fingerprint_expression_key(e.left),
-            _fingerprint_expression_key(e.right),
-        )
-    if isinstance(e, Arithmetic):
-        return (
-            "arith",
-            e.op,
-            _fingerprint_expression_key(e.left),
-            _fingerprint_expression_key(e.right),
-        )
-    if isinstance(e, And):
-        return ("and",) + tuple(_fingerprint_expression_key(op) for op in e.operands)
-    if isinstance(e, Or):
-        return ("or",) + tuple(_fingerprint_expression_key(op) for op in e.operands)
-    if isinstance(e, Not):
-        return ("not", _fingerprint_expression_key(e.operand))
-    if isinstance(e, IsNull):
-        return ("isnull", _fingerprint_expression_key(e.operand))
-    if isinstance(e, InList):
-        return ("in", _fingerprint_expression_key(e.operand), "?")
-    if isinstance(e, Between):
-        return ("between", _fingerprint_expression_key(e.operand), "?", "?")
-    raise TypeError(f"no fingerprint for {type(e).__name__}")
-
-
-def _fingerprint_query_key(query: UQuery) -> Tuple:
-    """The normalized structural key a fingerprint digests.
-
-    Mirrors :func:`query_structure_key`, with predicates normalized by
-    :func:`_fingerprint_expression_key` and confidence knobs
-    (``epsilon``/``delta``/``seed``) treated as bindings.
-    """
-    if isinstance(query, Rel):
-        return ("rel", query.name, query.alias)
-    if isinstance(query, USelect):
-        return (
-            "uselect",
-            _fingerprint_query_key(query.child),
-            _fingerprint_expression_key(query.predicate),
-        )
-    if isinstance(query, UProject):
-        return ("uproject", _fingerprint_query_key(query.child), query.attributes)
-    if isinstance(query, UJoin):
-        return (
-            "ujoin",
-            _fingerprint_query_key(query.left),
-            _fingerprint_query_key(query.right),
-            _fingerprint_expression_key(query.predicate),
-        )
-    if isinstance(query, (UUnion, UMerge)):
-        tag = "uunion" if isinstance(query, UUnion) else "umerge"
-        return (
-            tag,
-            _fingerprint_query_key(query.left),
-            _fingerprint_query_key(query.right),
-        )
-    if isinstance(query, Poss):
-        return ("poss", _fingerprint_query_key(query.child))
-    if isinstance(query, Certain):
-        return ("certain", _fingerprint_query_key(query.child))
-    if isinstance(query, Conf):
-        return ("conf", _fingerprint_query_key(query.child), query.method)
-    raise TypeError(f"no fingerprint for {type(query).__name__}")
+def _erased_leaf(node, parent) -> Any:
+    """The fingerprint's leaf policy: ``x = 5``, ``x = 7`` and ``x = $1``
+    all key identically (``IN`` lists and ``BETWEEN`` bounds as a bare
+    ``"?"`` — the digests recorded in workload histories depend on it)."""
+    return "?" if isinstance(parent, (InList, Between)) else ("?",)
 
 
 def key_digest(key) -> str:
@@ -602,7 +501,7 @@ def query_fingerprint(query: UQuery) -> Optional[str]:
     workload history.
     """
     try:
-        return key_digest(_fingerprint_query_key(query))
+        return key_digest(query_key(query, _erased_leaf, conf_knobs=False))
     except TypeError:
         return None
 
@@ -613,7 +512,7 @@ def _indexable_shape(conjunct) -> Optional[Tuple[str, str]]:
     Mirrors the planner's ``_classify_conjuncts``: a column compared to a
     literal or parameter with ``= < <= > >=``, ``BETWEEN``, or ``IN``.
     """
-    from ..relational.expressions import Between, Col, InList, Param
+    from ..relational.expressions import Col, Param
 
     if isinstance(conjunct, Comparison) and conjunct.op in ("=", "<", "<=", ">", ">="):
         left, right = conjunct.left, conjunct.right

@@ -228,10 +228,16 @@ class UDatabase:
         #: any mutation of a partition relation (index DDL, deferred
         #: auto-index builds, statistics refreshes).
         self._catalog_version = 0
-        #: Prepared statements keyed by SQL text (``repro.sql.prepare`` /
-        #: ``execute_sql`` fill this so re-issued statements skip parsing
-        #: *and* planning).
+        #: Statement maps (:func:`repro.core.prepared.text_statement`).
+        #: ``execute_sql`` remembers its statements by exact SQL text, so a
+        #: re-issued text skips parsing, and ``repro.sql.prepare`` its own
+        #: (literals kept) likewise.  ``_statement_shapes`` holds one
+        #: statement per ad-hoc query shape, shared by ``execute_sql`` and
+        #: every session: texts that differ only in equality literals run
+        #: one planned statement whichever connection sends them.
         self._statements: Dict[str, Any] = {}
+        self._prepared_statements: Dict[str, Any] = {}
+        self._statement_shapes: Dict[tuple, Any] = {}
         #: Next tuple id to hand out per relation, computed lazily from
         #: the partitions' tid columns on first INSERT and invalidated on
         #: :meth:`add_relation` (external replacement may renumber).

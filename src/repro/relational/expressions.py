@@ -75,6 +75,7 @@ __all__ = [
     "compile_expression",
     "compile_pair_expression",
     "structural_key",
+    "exact_leaf",
     "cached_kernel",
     "compile_cache_stats",
     "reset_compile_cache",
@@ -724,7 +725,28 @@ def _is_atom(source: str) -> bool:
 # ----------------------------------------------------------------------
 # structural keys and the compile cache
 # ----------------------------------------------------------------------
-def structural_key(expression: Expression) -> Tuple:
+def exact_leaf(node: Any, parent: Optional[Expression]) -> Any:
+    """The default leaf policy of :func:`structural_key`: keys by value.
+
+    A ``$n`` slot keys by store identity, not value: every binding of a
+    prepared query shares one compiled kernel / cached plan.  The id is
+    sound because cached artifacts capture the store (kernels close over
+    it, plan-cache entries pin the query tree that holds it), so it
+    cannot be recycled while a keyed entry is alive.
+    """
+    if isinstance(node, Param):
+        return ("param", node.index, id(node.store))
+    if isinstance(node, Lit):
+        hash(node.value)  # may raise TypeError: unhashable literal
+        return ("lit", type(node.value).__name__, node.value)
+    hash(node)  # the value set of an IN list
+    return node
+
+
+def structural_key(
+    expression: Expression,
+    leaf: Callable[[Any, Optional[Expression]], Any] = exact_leaf,
+) -> Tuple:
     """A hashable key identifying an expression tree up to structure.
 
     Two expressions with equal keys compile to identical code against the
@@ -732,53 +754,45 @@ def structural_key(expression: Expression) -> Tuple:
     ``TypeError`` for unknown :class:`Expression` subclasses or unhashable
     literal values — callers treat that as "not cacheable" and fall back
     to direct compilation.
+
+    ``leaf(node, parent)`` keys the value-carrying leaves — a
+    :class:`Lit`, a :class:`Param`, or the value set of an ``IN`` list
+    (``parent`` is the expression holding it, ``None`` at the root).
+    The default keys them exactly; the workload fingerprint and the
+    ad-hoc statement shape (:mod:`repro.core.translate`,
+    :mod:`repro.core.prepared`) erase some of them instead.
     """
-    if isinstance(expression, Col):
-        return ("col", expression.name)
-    if isinstance(expression, Param):
-        # keyed by store identity, not value: every binding of a prepared
-        # query shares one compiled kernel / cached plan.  The id is sound
-        # because cached artifacts capture the store (kernels close over
-        # it, plan-cache entries pin the query tree that holds it), so it
-        # cannot be recycled while a keyed entry is alive.
-        return ("param", expression.index, id(expression.store))
-    if isinstance(expression, Lit):
-        value = expression.value
-        hash(value)  # may raise TypeError: unhashable literal
-        return ("lit", type(value).__name__, value)
-    if isinstance(expression, Comparison):
-        return (
-            "cmp",
-            expression.op,
-            structural_key(expression.left),
-            structural_key(expression.right),
-        )
-    if isinstance(expression, Arithmetic):
-        return (
-            "arith",
-            expression.op,
-            structural_key(expression.left),
-            structural_key(expression.right),
-        )
-    if isinstance(expression, And):
-        return ("and",) + tuple(structural_key(op) for op in expression.operands)
-    if isinstance(expression, Or):
-        return ("or",) + tuple(structural_key(op) for op in expression.operands)
-    if isinstance(expression, Not):
-        return ("not", structural_key(expression.operand))
-    if isinstance(expression, IsNull):
-        return ("isnull", structural_key(expression.operand))
-    if isinstance(expression, InList):
-        hash(expression.values)  # may raise TypeError
-        return ("in", structural_key(expression.operand), expression.values)
-    if isinstance(expression, Between):
+    return _structural_key(expression, None, leaf)
+
+
+def _structural_key(e: Expression, parent: Optional[Expression], leaf) -> Tuple:
+    # a module-level recursion, not a closure inside structural_key: a
+    # self-referencing closure is cyclic garbage on every call, and this
+    # runs twice per served request
+    if isinstance(e, Col):
+        return ("col", e.name)
+    if isinstance(e, (Lit, Param)):
+        return leaf(e, parent)
+    if isinstance(e, (Comparison, Arithmetic)):
+        tag = "cmp" if isinstance(e, Comparison) else "arith"
+        return (tag, e.op, _structural_key(e.left, e, leaf), _structural_key(e.right, e, leaf))
+    if isinstance(e, (And, Or)):
+        tag = "and" if isinstance(e, And) else "or"
+        return (tag,) + tuple(_structural_key(op, e, leaf) for op in e.operands)
+    if isinstance(e, Not):
+        return ("not", _structural_key(e.operand, e, leaf))
+    if isinstance(e, IsNull):
+        return ("isnull", _structural_key(e.operand, e, leaf))
+    if isinstance(e, InList):
+        return ("in", _structural_key(e.operand, e, leaf), leaf(e.values, e))
+    if isinstance(e, Between):
         return (
             "between",
-            structural_key(expression.operand),
-            structural_key(expression.low),
-            structural_key(expression.high),
+            _structural_key(e.operand, e, leaf),
+            _structural_key(e.low, e, leaf),
+            _structural_key(e.high, e, leaf),
         )
-    raise TypeError(f"no structural key for {type(expression).__name__}")
+    raise TypeError(f"no structural key for {type(e).__name__}")
 
 
 #: Compiled-kernel cache: (flavor, schema names, structural key, extras) ->

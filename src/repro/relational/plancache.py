@@ -632,7 +632,9 @@ def cost_class_of(physical: Any) -> str:
     """Classify a physical plan for admission control.
 
     * ``point`` — no joins and either an index point/range access or a
-      tiny estimated answer: the cached-point-lookup class a server can
+      tiny estimated answer, or an indexed point access whose every join
+      is an index probe (the tuple-id merges of a partitioned relation)
+      with a tiny estimate: the cached-point-lookup class a server can
       admit by the hundreds,
     * ``scan``  — a join-free pipeline over one relation,
     * ``join``  — up to :data:`_HEAVY_JOIN_COUNT` joins with a moderate
@@ -661,7 +663,9 @@ def cost_class_of(physical: Any) -> str:
     if isinstance(physical, Confidence):
         return "conf"
     joins = 0
+    probe_joins = 0
     indexed_access = False
+    point_access = False
     stack = [physical]
     while stack:
         node = stack.pop()
@@ -669,18 +673,22 @@ def cost_class_of(physical: Any) -> str:
             node, (HashJoin, IndexNestedLoopJoin, MergeJoin, NestedLoopJoin, SemiJoinOp)
         ):
             joins += 1
-        if isinstance(node, IndexScan) and not node.probe and (
-            node.point is not _NO_POINT
-            or node.lower is not None
-            or node.upper is not None
-        ):
-            indexed_access = True
+            probe_joins += isinstance(node, IndexNestedLoopJoin)
+        if isinstance(node, IndexScan) and not node.probe:
+            if node.point is not _NO_POINT:
+                indexed_access = point_access = True
+            elif node.lower is not None or node.upper is not None:
+                indexed_access = True
         stack.extend(node.children)
     estimate = float(getattr(physical, "estimated_rows", 0.0) or 0.0)
     if joins == 0:
         if indexed_access or estimate <= _POINT_ROWS_LIMIT:
             return "point"
         return "scan"
+    if joins == probe_joins and point_access and estimate <= _POINT_ROWS_LIMIT:
+        # a point lookup reassembled from its vertical partitions: every
+        # join is a tuple-id probe per looked-up row, however many there are
+        return "point"
     if joins <= _HEAVY_JOIN_COUNT and estimate <= _HEAVY_ROWS_LIMIT:
         return "join"
     return "heavy"

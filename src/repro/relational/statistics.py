@@ -31,6 +31,7 @@ from .expressions import (
     Lit,
     Not,
     Or,
+    Param,
 )
 from .relation import Relation
 
@@ -305,10 +306,17 @@ def _comparison_selectivity(cmp: Comparison, stats: Optional[TableStats]) -> flo
 
 
 def _column_vs_literal(cmp: Comparison) -> Tuple[Optional[Col], Any]:
-    if isinstance(cmp.left, Col) and isinstance(cmp.right, Lit):
-        return cmp.left, cmp.right.value
-    if isinstance(cmp.right, Col) and isinstance(cmp.left, Lit):
-        return cmp.right, cmp.left.value
+    """``(column, value)`` of a column-vs-constant comparison, else Nones.
+
+    A ``$n`` slot is a constant whose value is unknown at plan time
+    (``None``): equality never reads the value — so ``x = $1`` estimates
+    exactly like ``x = 5`` — and a range falls back to ``RANGE_DEFAULT``.
+    """
+    column, other = cmp.left, cmp.right
+    if isinstance(other, Col):
+        column, other = other, column
+    if isinstance(column, Col) and isinstance(other, (Lit, Param)):
+        return column, other.value if isinstance(other, Lit) else None
     return None, None
 
 

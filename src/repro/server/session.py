@@ -4,15 +4,20 @@ A :class:`Session` is the unit of client state on a shared
 :class:`~repro.core.udatabase.UDatabase`.  It owns:
 
 * **a prepared-statement namespace** — ``PREPARE``-style named statements
-  (:meth:`Session.prepare`) plus a transparent by-text statement cache
-  (:meth:`Session.execute`).  Each session *parses its own statements*,
-  which is not a nicety but the concurrency mechanism: every parse gets
-  its own ``$n`` binding store, so two sessions running ``where x = $1``
-  with different bindings never touch each other's parameters.  (The
-  physical plan is still shared across sessions for parameter-free
-  statements — structural keys are equal — while parameterized statements
-  plan once per session, keyed by store identity, and then go
-  executor-only for every binding.)
+  (:meth:`Session.prepare`) plus a transparent statement cache for ad-hoc
+  texts (:meth:`Session.execute`).  Each session *parses its own
+  statements*, which is not a nicety but the concurrency mechanism: every
+  parse gets its own ``$n`` binding store, so two sessions running
+  ``where x = $1`` with different bindings never touch each other's
+  parameters, and each plans that statement once, keyed by store
+  identity.  A text without slots shares its physical plan across
+  sessions (structural keys are equal), and so does an ad-hoc text with
+  equality literals: those are lifted into ``$n`` slots of one statement
+  per query *shape* kept on the database, so the same lookup with another
+  key inlined, from this session or any other, runs the plan the first
+  one built (:func:`repro.core.prepared.text_statement`; a session that
+  finds the shared statement running binds a copy of it instead of
+  waiting; named statements keep their literals).
 * **read consistency via catalog-version snapshots** — within one
   statement, consistency is automatic (a plan embeds the immutable
   relation objects it was planned over, so a concurrent table
@@ -43,7 +48,7 @@ import threading
 import time
 from typing import Any, Dict, Optional, Sequence, Tuple
 
-from ..core.prepared import PreparedDML, PreparedQuery
+from ..core.prepared import PreparedDML, PreparedQuery, text_statement
 from ..core.txn import Transaction, TxnResult
 from ..core.udatabase import UDatabase
 from ..obs import counter as obs_counter
@@ -52,9 +57,9 @@ from ..obs import span as obs_span
 
 __all__ = ["Session", "SnapshotChanged"]
 
-#: Per-session by-text statement cap (mirrors the per-udb cap in
-#: :mod:`repro.sql`): ad-hoc texts with inline literals must not grow the
-#: namespace without bound.
+#: Per-session cap of the ad-hoc by-text map, and of the database's
+#: by-shape map it fills (mirrors the per-udb cap in :mod:`repro.sql`):
+#: ad-hoc texts must not grow the namespace without bound.
 _SESSION_STATEMENT_LIMIT = 256
 
 
@@ -116,7 +121,7 @@ class Session:
         self.use_indexes = use_indexes
         self.parallel = parallel
         self._named: Dict[str, PreparedQuery] = {}
-        self._by_text: Dict[str, PreparedQuery] = {}
+        self._by_text: Dict[str, Tuple[PreparedQuery, Tuple[Any, ...]]] = {}
         #: Serializes this session's statements (a session models one
         #: connection; its requests are a sequence, not a pool).
         self._lock = threading.RLock()
@@ -134,29 +139,6 @@ class Session:
     # ------------------------------------------------------------------
     # statement namespace
     # ------------------------------------------------------------------
-    def _parse(self, sql: str) -> PreparedQuery:
-        """Parse SQL into a session-owned statement (own ``$n`` store).
-
-        Queries become :class:`PreparedQuery`, DML becomes
-        :class:`PreparedDML` — both session-owned, so concurrent sessions
-        binding ``$n`` slots of identical texts never share state.
-        """
-        from ..core.dml import Delete, Insert, Update
-        from ..core.txn import Begin, Commit, Rollback
-        from ..sql.parser import CreateIndex, DropIndex, Vacuum, parse
-
-        statement = parse(sql)
-        if isinstance(statement, (CreateIndex, DropIndex)):
-            raise ValueError("cannot prepare DDL; use Session.execute_ddl")
-        if isinstance(statement, (Vacuum, Begin, Commit, Rollback)):
-            raise ValueError(
-                "cannot prepare VACUUM or transaction control; "
-                "pass it to Session.execute"
-            )
-        if isinstance(statement, (Insert, Update, Delete)):
-            return PreparedDML(statement, self.udb, sql=sql)
-        return PreparedQuery(statement, self.udb, sql=sql)
-
     def prepare(self, name: str, sql: str) -> PreparedQuery:
         """Register a named prepared statement in this session's namespace.
 
@@ -165,7 +147,12 @@ class Session:
         loop and costs nothing).  The statement belongs to this session:
         its ``$n`` bindings are invisible to every other session.
         """
-        prepared = self._parse(sql)
+        prepared, _ = text_statement(sql, self.udb, None, False, 0)  # literals kept
+        if not isinstance(prepared, (PreparedQuery, PreparedDML)):
+            raise ValueError(
+                "cannot prepare DDL, VACUUM, or transaction control; "
+                "pass it to Session.execute"
+            )
         with self._lock:
             self._named[name] = prepared
         return prepared
@@ -186,17 +173,14 @@ class Session:
                     f"have {sorted(self._named)}"
                 ) from None
 
-    def _by_text_statement(self, sql: str) -> PreparedQuery:
+    def _by_text_statement(self, sql: str) -> Tuple[PreparedQuery, Tuple[Any, ...]]:
+        """The statement of an ad-hoc text and the literals lifted out of it
+        (bound after the text's own ``$n`` values).  With lifted literals
+        it is the database's statement of that shape, else session-owned."""
         with self._lock:
-            with obs_span("parse") as sp:
-                cached = self._by_text.get(sql)
-                sp.set(cached=cached is not None)
-                if cached is None:
-                    cached = self._parse(sql)
-                    if len(self._by_text) >= _SESSION_STATEMENT_LIMIT:
-                        self._by_text.clear()
-                    self._by_text[sql] = cached
-                return cached
+            return text_statement(
+                sql, self.udb, self._by_text, True, _SESSION_STATEMENT_LIMIT
+            )
 
     # ------------------------------------------------------------------
     # snapshots
@@ -301,9 +285,14 @@ class Session:
     def execute(self, sql: str, params: Sequence[Any] = ()):
         """Run a SQL statement (queries, DML, index DDL), returning its result.
 
-        Queries and DML are prepared transparently (cached by text in
-        this session) and routed through the server's admission + executor
-        layers when the session is server-bound.  DDL executes inline;
+        Queries and DML are prepared transparently and routed through
+        the server's admission + executor layers when the session is
+        server-bound.  A query is cached on the database by shape, with
+        its equality literals lifted into ``$n`` slots: a text that differs
+        from an earlier one (of any session) only in those literals pays
+        lex + parse and runs the earlier text's cached plan; translate +
+        optimize + plan are paid once per shape.  Other texts are cached
+        in this session by text.  DDL executes inline;
         DDL and DML are rejected inside a snapshot block (the session's
         own write would break the snapshot's guarantee).
 
@@ -342,8 +331,8 @@ class Session:
                         if isinstance(statement, Commit):
                             return self.commit()
                         return self.rollback()
-                prepared = self._by_text_statement(sql)
-                return self._run(prepared, tuple(params))
+                prepared, lifted = self._by_text_statement(sql)
+                return self._run(prepared, tuple(params) + lifted)
 
     def execute_prepared(self, name: str, *params: Any):
         """Run a named prepared statement with the given bindings."""

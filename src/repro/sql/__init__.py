@@ -23,12 +23,11 @@ uncertainty-specific operators in the engine.
 from typing import Optional, Sequence, Union
 
 from ..core.dml import Delete, DMLResult, Insert, UncertainValue, Update
-from ..core.prepared import PreparedDML, PreparedQuery
-from ..core.translate import execute_query
+from ..core.prepared import PreparedDML, PreparedQuery, text_statement
+from ..core.query import UQuery
 from ..core.txn import Begin, Commit, Rollback, Transaction, TransactionConflict, TxnResult
 from ..core.udatabase import UDatabase
 from ..obs import request_trace
-from ..obs import span as obs_span
 from .lexer import SqlSyntaxError, tokenize
 from .parser import CreateIndex, DropIndex, Vacuum, parse
 
@@ -57,23 +56,11 @@ __all__ = [
     "PreparedDML",
 ]
 
-#: Statement records the write path executes (rather than the query path).
-_DML_TYPES = (Insert, Update, Delete)
-
-#: Statement records applied immediately (parsed every time, never cached).
-_IMMEDIATE_TYPES = (CreateIndex, DropIndex, Vacuum, Begin, Commit, Rollback)
-
-#: Per-database prepared-statement cap.  Ad-hoc workloads that inline
-#: literals produce a distinct text per query; bounding the per-udb map by
-#: wholesale clearing (the plan/compile cache policy) keeps such workloads
-#: flat while real prepared statements re-enter the cache on next use.
+#: Per-database cap of each ad-hoc statement map (by exact text, by
+#: shape).  Ad-hoc workloads produce a distinct text per query; bounding
+#: the maps by wholesale clearing (the plan/compile cache policy) keeps
+#: such workloads flat while real statements re-enter on next use.
 _STATEMENT_CACHE_LIMIT = 256
-
-
-def _cache_statement(udb: UDatabase, sql: str, prepared: PreparedQuery) -> None:
-    if len(udb._statements) >= _STATEMENT_CACHE_LIMIT:
-        udb._statements.clear()
-    udb._statements[sql] = prepared
 
 
 def fingerprint_sql(sql: str) -> Optional[str]:
@@ -89,9 +76,7 @@ def fingerprint_sql(sql: str) -> Optional[str]:
     from ..core.translate import query_fingerprint
 
     statement = parse(sql)
-    if isinstance(statement, _IMMEDIATE_TYPES + _DML_TYPES):
-        return None
-    return query_fingerprint(statement)
+    return query_fingerprint(statement) if isinstance(statement, UQuery) else None
 
 
 def prepare(sql: str, udb: UDatabase) -> Union[PreparedQuery, PreparedDML]:
@@ -107,22 +92,14 @@ def prepare(sql: str, udb: UDatabase) -> Union[PreparedQuery, PreparedDML]:
     the same way, and its WHERE matching rides the same plan cache.  DDL
     cannot be prepared.
     """
-    cached = udb._statements.get(sql)
-    if cached is not None:
-        return cached
-    statement = parse(sql)
-    if isinstance(statement, _IMMEDIATE_TYPES):
+    prepared, _ = text_statement(
+        sql, udb, udb._prepared_statements, False, _STATEMENT_CACHE_LIMIT
+    )
+    if not isinstance(prepared, (PreparedQuery, PreparedDML)):
         raise ValueError(
             "cannot prepare DDL, VACUUM, or transaction control; "
             "pass it to execute_sql instead"
         )
-    if isinstance(statement, _DML_TYPES):
-        prepared: Union[PreparedQuery, PreparedDML] = PreparedDML(
-            statement, udb, sql=sql
-        )
-    else:
-        prepared = PreparedQuery(statement, udb, sql=sql)
-    _cache_statement(udb, sql, prepared)
     return prepared
 
 
@@ -143,11 +120,20 @@ def execute_sql(
     re-execute on every call — the statement cache skips only their
     parsing).
 
-    Queries are prepared transparently: the parsed statement is cached on
-    the database by SQL text and its physical plan in the prepared-plan
-    cache, so re-issuing the same text (with the same or different
-    ``params`` bound to its ``$n`` slots) skips parsing, translation,
-    optimization, and planning.
+    Queries are prepared transparently, once per *shape*: the non-NULL
+    literals of ``column = literal`` comparisons are lifted into ``$n``
+    slots after the text's own, and the statement is cached on the
+    database under the query structure that remains (see
+    :func:`repro.core.prepared.text_statement`).  A text that differs from
+    an earlier one only in such literals — the same lookup with another
+    key inlined — therefore pays lex + parse and one walk over its tree,
+    then runs the earlier statement's cached plan with its own values
+    bound (a thread that finds the statement running binds a copy rather
+    than wait); a re-issued text skips the parse as well.  Translation,
+    optimization and planning are paid once per shape (and again after a
+    write to a scanned relation evicts the plan).  Range, ``BETWEEN`` and
+    ``IN`` literals are part of the shape, because the planner's estimates
+    read their values: such texts plan once per literal, as before.
 
     Index DDL (``CREATE INDEX name ON rel (cols) [USING HASH|SORTED]``,
     ``DROP INDEX name``) addresses the representation relations (the
@@ -168,27 +154,18 @@ def execute_sql(
     immediately and never cached.
     """
     with request_trace(sql=sql):
-        with obs_span("parse") as sp:
-            prepared = udb._statements.get(sql)
-            sp.set(cached=prepared is not None)
-            if prepared is None:
-                statement = parse(sql)
-                if isinstance(statement, _IMMEDIATE_TYPES):
-                    prepared = None
-                elif isinstance(statement, _DML_TYPES):
-                    prepared = PreparedDML(statement, udb, sql=sql)
-                else:
-                    prepared = PreparedQuery(statement, udb, sql=sql)
-                if prepared is not None:
-                    _cache_statement(udb, sql, prepared)
-        if prepared is None:  # DDL & friends: applied immediately, never cached
-            return _execute_immediate(statement, udb)
+        prepared, lifted = text_statement(
+            sql, udb, udb._statements, True, _STATEMENT_CACHE_LIMIT
+        )
+        if not isinstance(prepared, (PreparedQuery, PreparedDML)):
+            return _execute_immediate(prepared, udb)  # DDL & friends, never cached
+        bound = tuple(params or ()) + lifted
         if isinstance(prepared, PreparedDML):
             txn = udb._active_txn
             if txn is not None and txn.status == "open":
                 # an open database-level transaction: stage, don't publish
-                return txn.run(prepared, tuple(params or ()))
-        return prepared.run(*(params or ()), optimize=optimize)
+                return txn.run(prepared, bound)
+        return prepared.run(*bound, optimize=optimize)
 
 
 def _execute_immediate(statement, udb: UDatabase):

@@ -157,6 +157,48 @@ class TestPreparedQuery:
         assert got == reference
 
 
+def test_explain_and_run_never_see_each_others_bindings():
+    """One statement shared by two threads: ``run`` of one key in a loop
+    beside ``explain(analyze=True)`` of another.  Both bind under the
+    statement's lock, so each executes with its own key."""
+    import sys
+    import threading
+
+    udb = build_vehicles_udb()
+    stmt = PreparedQuery(parse("possible (select id from r where type = $1)"), udb)
+    tanks = sorted(stmt.run("Tank").rows)
+    assert len(tanks) == 4
+    stmt.run("Jeep")  # no vehicle is a Jeep: explain must report 0 actual rows
+    wrong, stop = [], threading.Event()
+
+    def runner():
+        while not stop.is_set():
+            got = sorted(stmt.run("Tank").rows)
+            if got != tanks:
+                wrong.append(("run", got))
+
+    def explainer():
+        for _ in range(300):
+            top = stmt.explain("Jeep", analyze=True).splitlines()[0]
+            if "actual rows=0 " not in top:
+                wrong.append(("explain", top))
+        stop.set()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=runner), threading.Thread(target=explainer)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not wrong, wrong[:3]
+
+
 class TestParamPointLookup:
     """Parameterized equality predicates become index point lookups that
     resolve the bound value per execution."""

@@ -86,6 +86,26 @@ def test_distinct_structure_distinct_fingerprint():
     assert all(len(f) == 16 for f in (a, b, c))
 
 
+def test_fingerprint_digests_are_pinned():
+    """Digests recorded in workload histories must survive refactors of
+    the key walker: these were taken before the three query-key walks
+    (structure key, fingerprint, ad-hoc shape) became one."""
+    assert fingerprint_sql(
+        "possible (select o.orderdate, o.totalprice from orders o where o.orderkey = 7)"
+    ) == "fc008c4df9d54ef7"
+    assert fingerprint_sql(
+        "possible (select extendedprice from lineitem "
+        "where shipdate between '1994-01-01' and '1996-01-01' "
+        "and discount between 0.05 and 0.08 and quantity < 24 "
+        "and shipmode in ('AIR', 'RAIL') and not (tax = 0.02 or comment is null))"
+    ) == "6ee8ef633bbbfa7a"
+    assert fingerprint_sql(
+        "conf (select l.shipmode from lineitem l, orders o where l.orderkey = o.orderkey "
+        "and o.orderstatus = 'F') method approx epsilon 0.1 seed 7"
+    ) == "8a75454e1d00c8bf"
+    assert fingerprint_sql("certain (select id from r where 5 = id)") == "855c01c3fb6dbeaf"
+
+
 def test_fingerprint_sql_is_none_for_non_queries():
     assert fingerprint_sql("insert into r values (1, 2)") is None
     assert fingerprint_sql("vacuum") is None

@@ -101,7 +101,7 @@ class TestClassification:
         udb = build_vehicles_udb()
         session = udb.session()
         sql = "possible (select id, type from r where type = 'Tank')"
-        prepared = session._by_text_statement(sql)
+        prepared, _ = session._by_text_statement(sql)
         key = query_cache_key(prepared.query, udb)
         assert cached_cost_class(key) is None  # never planned: cold
         session.execute(sql)

@@ -481,13 +481,19 @@ def test_metrics_are_exact_under_concurrency():
     counters = snap["counters"]
 
     assert sum(counters["queries_total"].values()) == queries
-    # the 4 distinct texts plan exactly once each across all threads
+    # plans are shared across sessions: the literal-free text plans once,
+    # and the other three are two shapes (type = <str>, faction = <str>)
+    # whose statements live on the database; each of those plans once, plus
+    # once per copy a session bound because the statement was running
     cold = sum(
         count
         for labels, count in counters["queries_total"].items()
         if "cached=false" in labels
     )
-    assert cold == len(statements)
+    shapes = list(udb._statement_shapes.values())
+    assert len(shapes) == 2
+    assert cold == 1 + sum(1 + len(statement._idle) for statement in shapes)
+    assert cold <= 1 + 2 * 4  # never more of a shape in flight than workers
     assert "sessions_opened_total" not in counters  # all opened pre-reset
     assert counters["dml_statements_total"] == {"op=insert": THREADS}
     assert counters["dml_rows_total"] == {"op=insert": THREADS}

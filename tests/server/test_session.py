@@ -59,9 +59,9 @@ class TestNamespace:
     def test_by_text_cache_reuses_statements(self, udb):
         session = udb.session()
         sql = "possible (select id from r)"
-        first = session._by_text_statement(sql)
+        first, _ = session._by_text_statement(sql)
         session.execute(sql)
-        assert session._by_text_statement(sql) is first
+        assert session._by_text_statement(sql)[0] is first
 
 
 class TestBindings:
@@ -69,8 +69,8 @@ class TestBindings:
         sql = "possible (select id from r where type = $1)"
         a = udb.session()
         b = udb.session()
-        stmt_a = a._by_text_statement(sql)
-        stmt_b = b._by_text_statement(sql)
+        stmt_a, _ = a._by_text_statement(sql)
+        stmt_b, _ = b._by_text_statement(sql)
         assert stmt_a is not stmt_b
         assert stmt_a._store is not stmt_b._store
 
