@@ -28,7 +28,6 @@ import pathlib
 import socket
 import threading
 import time
-from collections import Counter
 
 from repro.server import QueryServer
 
@@ -188,18 +187,3 @@ def test_serve_throughput_scales_with_clients():
     append_serve_run(payload)
     print("\nserving throughput:", json.dumps(per_query, indent=2))
     assert min(speedups) >= 2.0, f"a query fell below 2x at 4 clients: {per_query}"
-
-
-def test_parallel_scans_identical_answers_through_server():
-    """Partition-parallel scans answer byte-identically through the stack:
-    the same Figure 12 query via a parallel=4 server session equals the
-    serial session's answer."""
-    bundle = uncertain_db(BASE_SCALE, SERVE_X, SERVE_Z)
-    with QueryServer(bundle.udb, workers=4) as server:
-        serial = server.session(parallel=0)
-        parallel = server.session(parallel=4)
-        for name, sql in SERVE_QUERIES.items():
-            a = serial.execute(sql)
-            b = parallel.execute(sql)
-            assert Counter(a.rows) == Counter(b.rows), name
-            assert a.schema.names == b.schema.names

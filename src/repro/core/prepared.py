@@ -180,8 +180,6 @@ class PreparedQuery:
         prefer_merge_join: bool = False,
         mode: str = "columns",
         use_indexes: bool = True,
-        batch_size: Optional[int] = None,
-        parallel: int = 0,
     ):
         """Bind parameters and execute.
 
@@ -203,8 +201,6 @@ class PreparedQuery:
                 prefer_merge_join=prefer_merge_join,
                 mode=mode,
                 use_indexes=use_indexes,
-                batch_size=batch_size,
-                parallel=parallel,
             )
 
     def explain(

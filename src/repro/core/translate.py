@@ -650,7 +650,6 @@ def query_cache_key(
     prefer_merge_join: bool = False,
     mode: str = "columns",
     use_indexes: bool = True,
-    parallel: int = 0,
 ):
     """The prepared-plan cache key this query would plan under, or None.
 
@@ -671,7 +670,6 @@ def query_cache_key(
             prefer_merge_join,
             use_indexes,
             fuse,
-            parallel,
         )
     )
 
@@ -683,7 +681,6 @@ def _cached_physical(
     prefer_merge_join: bool,
     mode: str,
     use_indexes: bool,
-    parallel: int = 0,
 ):
     """The fully planned physical tree for a logical query, via the cache.
 
@@ -698,8 +695,8 @@ def _cached_physical(
     A hit skips translation, optimization, and physical planning — the
     repeated-query path is executor-only.  The cache key is the normalized
     query structure, the owning database, and every knob that shapes the
-    plan (``rows`` and ``blocks`` share one unfused plan; ``columns``
-    caches its fused plan separately).  Invalidation is exact: any catalog
+    plan (the executor's fused plan and the reference's unfused one are
+    cached separately).  Invalidation is exact: any catalog
     mutation of a relation the plan scans evicts the entry (see
     :mod:`repro.relational.plancache`).  Entries record planning time
     (the eviction weight) and the plan's admission cost class.
@@ -717,9 +714,7 @@ def _cached_physical(
     from ..relational.planner import plan_physical
 
     fuse = mode == "columns"
-    key = query_cache_key(
-        query, udb, optimize, prefer_merge_join, mode, use_indexes, parallel
-    )
+    key = query_cache_key(query, udb, optimize, prefer_merge_join, mode, use_indexes)
     # captured before translation resolves any relation: the store below
     # only commits if no catalog *swap* landed in between (see cache_store).
     # Identity, not version: this planning's own lazy index builds bump the
@@ -776,7 +771,6 @@ def _cached_physical(
             prefer_merge_join=prefer_merge_join,
             use_indexes=use_indexes,
             fuse=fuse,
-            parallel=parallel,
         )
         cost_class = cost_class_of(physical)
         profile = _workload_profile(query, plan, physical, key, cost_class)
@@ -806,19 +800,17 @@ def execute_query(
     prefer_merge_join: bool = False,
     mode: str = "columns",
     use_indexes: bool = True,
-    batch_size: Optional[int] = None,
-    parallel: int = 0,
 ):
     """Translate and run a query against a U-relational database.
 
     Returns a plain :class:`Relation` for top-level ``Poss``/``Certain``
     queries, a :class:`~repro.core.probability.ConfidenceAnswer` (a
     relation plus the computation summary) for ``Conf``, and a
-    :class:`URelation` otherwise.  ``mode`` selects the
-    executor: ``"columns"`` (columnar batches over a fused plan, the
-    default), ``"blocks"`` (row-batch vectorized, the PR 1/2 baseline), or
-    ``"rows"`` (legacy tuple-at-a-time); ``use_indexes=False`` disables
-    access-path selection, which is the benchmarks' pre-index baseline.
+    :class:`URelation` otherwise.  ``mode="columns"`` (the default) runs
+    the executor — columnar batches over a fused plan; ``mode="rows"``
+    runs the tuple-at-a-time reference over the unfused plan, which with
+    ``use_indexes=False`` (no access-path selection) is what tests and
+    benchmarks compare served answers against.
 
     The physical plan is served from the prepared-plan cache when the same
     query structure ran before against an unchanged catalog, so repeated
@@ -828,30 +820,21 @@ def execute_query(
 
     from ..obs import counter, current_span, current_trace
     from ..obs import workload as obs_workload
-    from ..relational.physical import BATCH_SIZE, Confidence, execute
+    from ..relational.physical import Confidence, execute
     from ..relational.plancache import cost_class_of, record_observed_rows
 
     if isinstance(query, Certain):
         from .certain import certain_answers
 
         inner = execute_query(
-            query.child,
-            udb,
-            optimize,
-            prefer_merge_join,
-            mode,
-            use_indexes,
-            batch_size,
-            parallel,
+            query.child, udb, optimize, prefer_merge_join, mode, use_indexes
         )
         return certain_answers(inner, udb.world_table)
     (physical, wrap, profile), was_cached, key = _cached_physical(
-        query, udb, optimize, prefer_merge_join, mode, use_indexes, parallel
+        query, udb, optimize, prefer_merge_join, mode, use_indexes
     )
     started = time.perf_counter()
-    relation = execute(
-        physical, mode=mode, batch_size=BATCH_SIZE if batch_size is None else batch_size
-    )
+    relation = execute(physical, mode=mode)
     elapsed = time.perf_counter() - started
     # feed the estimate-vs-actual loop and the trace from the accounting
     # the batch iterators already did — no re-run, no extra measurement
@@ -899,7 +882,6 @@ def explain_query(
     mode: str = "columns",
     use_indexes: bool = True,
     analyze: bool = False,
-    parallel: int = 0,
     trace: bool = False,
 ):
     """EXPLAIN output for a logical query against a U-relational database.
@@ -928,11 +910,10 @@ def explain_query(
             mode,
             use_indexes,
             analyze,
-            parallel,
             trace,
         )
     (physical, _wrap, _profile), was_cached, _key = _cached_physical(
-        query, udb, optimize, prefer_merge_join, mode, use_indexes, parallel
+        query, udb, optimize, prefer_merge_join, mode, use_indexes
     )
     if analyze and trace:
         _result, text, data = explain_analyze(physical, mode=mode, trace=True)

@@ -690,7 +690,7 @@ class UDatabase:
             **knobs,
         )
 
-    def session(self, **knobs):
+    def session(self):
         """Open a standalone :class:`~repro.server.session.Session` here.
 
         The session owns its prepared-statement namespace and ``$n``
@@ -702,13 +702,13 @@ class UDatabase:
         """
         from ..server.session import Session
 
-        return Session(self, **knobs)
+        return Session(self)
 
     def serve(self, **knobs):
         """A :class:`~repro.server.server.QueryServer` over this database.
 
         Keyword arguments are the server's (``workers``, ``policy``,
-        ``coalesce``, ``mode``, ``use_indexes``, ``parallel``).
+        ``coalesce``, ``auto_compact``).
         """
         from ..server import QueryServer
 

@@ -23,6 +23,7 @@ executions entirely.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from .expressions import (
@@ -37,6 +38,7 @@ from .schema import Schema
 
 __all__ = [
     "ColumnBatch",
+    "row_projector",
     "selection_kernel",
     "map_kernel",
     "pipeline_kernel",
@@ -47,35 +49,77 @@ __all__ = [
 Row = Tuple[Any, ...]
 
 
+def row_projector(positions: Sequence[int]) -> Callable[[Row], Row]:
+    """A row -> tuple projection onto ``positions`` (always returns tuples)."""
+    if len(positions) == 1:
+        i = positions[0]
+        return lambda row: (row[i],)
+    if not positions:
+        return lambda row: ()
+    return itemgetter(*positions)
+
+
 class ColumnBatch:
     """A batch of rows stored column-wise: one vector per schema column.
 
     ``columns`` holds one sequence (list or tuple) per column, all of
     ``length`` elements.  Zero-width schemas are represented by an empty
     ``columns`` list with an explicit ``length``.
+
+    A batch built :meth:`from_rows` keeps the row list and transposes only
+    when ``columns`` is first read, so between two operators that both
+    work on row tuples (a sort under a merge join, a nested loop under a
+    set difference) the exchange costs no transpose at all.
     """
 
-    __slots__ = ("columns", "length")
+    __slots__ = ("_columns", "_rows", "length")
 
     def __init__(self, columns: Sequence[Sequence[Any]], length: int):
-        self.columns = list(columns)
+        self._columns: Optional[List[Sequence[Any]]] = list(columns)
+        self._rows: Optional[Sequence[Row]] = None
         self.length = length
 
     def __len__(self) -> int:
         return self.length
 
+    @property
+    def columns(self) -> List[Sequence[Any]]:
+        columns = self._columns
+        if columns is None:
+            columns = self._columns = list(zip(*self._rows))  # C-speed transpose
+        return columns
+
     @classmethod
     def from_rows(cls, rows: Sequence[Row], width: int) -> "ColumnBatch":
-        """Transpose a list of row tuples (C-speed via ``zip``)."""
+        """A batch over row tuples; the caller must not mutate ``rows``."""
         if not rows:
             return cls([[] for _ in range(width)], 0)
-        return cls(list(zip(*rows)), len(rows))
+        batch = cls.__new__(cls)
+        batch._columns = None
+        batch._rows = rows
+        batch.length = len(rows)
+        return batch
 
-    def to_rows(self) -> List[Row]:
-        """Transpose back to row tuples (C-speed via ``zip``)."""
-        if not self.columns:
+    def to_rows(self) -> Sequence[Row]:
+        """The batch as row tuples (one C-speed ``zip`` unless built from rows)."""
+        if self._rows is not None:
+            return self._rows
+        if not self._columns:
             return [()] * self.length
-        return list(zip(*self.columns))
+        return list(zip(*self._columns))
+
+    def select(self, positions: Sequence[int]) -> "ColumnBatch":
+        """The batch projected onto ``positions`` (repeats allowed).
+
+        Column re-selection — no per-row work — unless the batch still
+        only has its rows: then the rows are projected and stay rows, so a
+        projection between two row-shaped operators adds no transposes.
+        """
+        if self._columns is not None:
+            return ColumnBatch([self._columns[p] for p in positions], self.length)
+        return ColumnBatch.from_rows(
+            list(map(row_projector(positions), self._rows)), len(positions)
+        )
 
     def __repr__(self) -> str:
         return f"ColumnBatch({len(self.columns)} cols x {self.length} rows)"

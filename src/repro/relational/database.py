@@ -48,7 +48,7 @@ from .plancache import (
     watch_relation,
 )
 from .planner import Planner
-from .physical import BATCH_SIZE, PhysicalPlan, execute
+from .physical import PhysicalPlan, execute
 from .relation import Relation
 
 __all__ = ["Database"]
@@ -211,7 +211,6 @@ class Database:
         prefer_merge_join: bool,
         use_indexes: bool,
         fuse: bool,
-        parallel: int = 0,
     ) -> Tuple[PhysicalPlan, bool, Optional[Tuple]]:
         """The physical plan for a logical plan, via the prepared-plan cache.
 
@@ -234,7 +233,6 @@ class Database:
                 prefer_merge_join,
                 use_indexes,
                 fuse,
-                parallel,
             )
         )
         with obs_span("plan") as sp:
@@ -249,7 +247,6 @@ class Database:
                 prefer_merge_join=prefer_merge_join,
                 use_indexes=use_indexes,
                 fuse=fuse,
-                parallel=parallel,
             ).compile(logical)
             cache_store(
                 key,
@@ -267,22 +264,19 @@ class Database:
         optimize_first: bool = True,
         prefer_merge_join: bool = False,
         mode: str = "columns",
-        batch_size: int = BATCH_SIZE,
         use_indexes: bool = True,
-        parallel: int = 0,
     ) -> Relation:
         """Optimize, compile, and execute a logical plan.
 
-        ``mode="columns"`` (default) runs the columnar executor over a
-        fused plan; ``mode="blocks"`` the row-batch vectorized executor
-        (unfused, the PR 1/2 baseline); ``mode="rows"`` the legacy
-        tuple-at-a-time iterators.  ``use_indexes=False`` disables
-        access-path selection (sequential scans and hash joins only).
+        ``mode="columns"`` (default) runs the executor over a fused plan;
+        ``mode="rows"`` the tuple-at-a-time reference over the unfused
+        one.  ``use_indexes=False`` disables access-path selection
+        (sequential scans and hash joins only).
 
         Repeated runs of a structurally identical plan skip optimization
         and planning entirely: the physical tree comes from the
-        prepared-plan cache (``rows`` and ``blocks`` share one unfused
-        plan; ``columns`` caches its fused plan separately).
+        prepared-plan cache (the fused and the unfused plan are cached
+        separately).
         """
         from ..obs import current_span
         from .plancache import record_observed_rows
@@ -293,9 +287,8 @@ class Database:
             prefer_merge_join,
             use_indexes,
             fuse=mode == "columns",
-            parallel=parallel,
         )
-        result = execute(physical, mode=mode, batch_size=batch_size)
+        result = execute(physical, mode=mode)
         record_observed_rows(key, physical.estimated_rows, physical.actual_rows)
         current_span().set(operators=physical.actuals())
         return result
@@ -306,19 +299,17 @@ class Database:
         optimize_first: bool = True,
         prefer_merge_join: bool = False,
         analyze: bool = False,
-        batch_size: int = BATCH_SIZE,
         use_indexes: bool = True,
         mode: str = "columns",
-        parallel: int = 0,
     ) -> str:
         """EXPLAIN output for a logical plan (after optimization).
 
         ``mode`` selects the plan flavor shown: ``"columns"`` (default)
         displays the fused plan — ``Fused Pipeline`` nodes and joins with
-        folded ``Output:`` lines — while ``"blocks"``/``"rows"`` show the
-        classic operator tree.  With ``analyze=True`` the plan is executed
-        in that mode first and each operator line reports the rows and
-        batches it actually produced (fused pipelines report per-pipeline
+        folded ``Output:`` lines — while ``"rows"`` shows the unfused
+        operator tree.  With ``analyze=True`` the executor runs that tree
+        first and each operator line reports the rows and batches it
+        actually produced (fused pipelines report per-pipeline
         counts, since their fused-away operators no longer exist).
 
         A plan served from the prepared-plan cache is marked ``(cached)``
@@ -331,10 +322,9 @@ class Database:
             prefer_merge_join,
             use_indexes,
             fuse=mode == "columns",
-            parallel=parallel,
         )
         if analyze:
-            _result, text = _explain_analyze(physical, batch_size=batch_size, mode=mode)
+            _result, text = _explain_analyze(physical, mode=mode)
         else:
             text = _explain(physical)
         return mark_cached(text) if was_cached else text

@@ -13,7 +13,7 @@ Example output::
             Filter: ((l_shipdate > '1994-01-01') AND ...)
       ->  Seq Scan on u_l_quantity  (rows=2362101)
 
-:func:`explain_analyze` additionally *runs* the plan through the block
+:func:`explain_analyze` additionally *runs* the plan through the
 executor and annotates every operator with the rows and batches it actually
 produced (the analogue of ``EXPLAIN ANALYZE``)::
 
@@ -49,8 +49,9 @@ def explain_analyze(
     """Execute a physical plan and render it with actual row counts.
 
     Returns ``(result, text)`` where every operator line carries the rows
-    and batch count it produced during this execution.  ``mode`` selects
-    the executor (``"columns"`` default, or ``"blocks"``); for a fused
+    and batch count it produced during this execution.  The counters
+    belong to the executor, so ``mode="rows"`` (whose reference iterators
+    keep none) runs the executor over the given tree as well; for a fused
     plan the counts are *per pipeline* — a ``Fused Pipeline`` line reports
     the rows surviving its entire scan→filter→project chain, and a join
     with a folded ``Output:`` projection reports post-projection rows —
@@ -69,7 +70,7 @@ def explain_analyze(
     from ..obs import start_trace
 
     if mode == "rows":
-        mode = "blocks"  # rows mode keeps no counters; blocks is equivalent
+        mode = "columns"  # rows() keeps no counters; the executor does
     if trace:
         with start_trace("explain_analyze", force=True) as trace_obj:
             with obs_span("execute") as exec_span:

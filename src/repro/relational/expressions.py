@@ -73,7 +73,6 @@ __all__ = [
     "columns_of",
     "equijoin_pairs",
     "compile_expression",
-    "compile_pair_expression",
     "structural_key",
     "exact_leaf",
     "cached_kernel",
@@ -934,39 +933,6 @@ def _compile_expression_uncached(expression: Expression, schema: Schema) -> RowP
         return eval(compile(source, "<compiled-expression>", "eval"), generator.context)
     except SyntaxError:  # pragma: no cover - safety net for odd reprs
         return expression.bind(schema)
-
-
-def compile_pair_expression(
-    expression: Expression, left: Schema, right: Schema
-) -> Callable[[Tuple[Any, ...], Tuple[Any, ...]], Any]:
-    """Compile an expression over a concatenated schema into ``f(lrow, rrow)``.
-
-    Join operators with fused output projections use this to evaluate
-    residual predicates without materializing the concatenated row tuple.
-    """
-    combined = left.concat(right)
-    key = expression_cache_key("pair", expression, combined, len(left))
-    return cached_kernel(
-        key, lambda: _compile_pair_uncached(expression, combined, len(left))
-    )
-
-
-def _compile_pair_uncached(
-    expression: Expression, combined: Schema, split: int
-) -> Callable[[Tuple[Any, ...], Tuple[Any, ...]], Any]:
-    def ref(position: int) -> str:
-        if position < split:
-            return f"_l[{position}]"
-        return f"_r[{position - split}]"
-
-    generator = _CodeGen(combined, ref=ref)
-    body = generator.emit(expression)
-    source = f"lambda _l, _r: {body}"
-    try:
-        return eval(compile(source, "<compiled-pair-expression>", "eval"), generator.context)
-    except SyntaxError:  # pragma: no cover - safety net for odd reprs
-        bound = expression.bind(combined)
-        return lambda _l, _r: bound(_l + _r)
 
 
 def _as_equi_pair(

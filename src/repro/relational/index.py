@@ -32,6 +32,7 @@ equality or range lookup can never return it).
 from __future__ import annotations
 
 import threading
+import weakref
 from bisect import bisect_left, bisect_right
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -66,7 +67,7 @@ class Index:
     kind = "index"
 
     def __init__(self, relation: Relation, columns: Sequence[str], name: Optional[str] = None):
-        self.relation = relation
+        self._relation = weakref.ref(relation)
         positions = tuple(relation.schema.resolve(c) for c in columns)
         if len(set(positions)) != len(positions):
             raise ValueError(f"duplicate columns in index definition: {list(columns)}")
@@ -78,6 +79,19 @@ class Index:
         self.name = name or default_index_name(self.columns)
         self._single = len(positions) == 1
         self._build()
+
+    @property
+    def relation(self) -> Optional[Relation]:
+        """The covered relation, or None once nothing else holds it.
+
+        Held weakly: a relation owns its indexes (``_indexes``), and a
+        strong reference back would close a cycle that keeps every
+        superseded relation version of the write path — rows, column
+        vectors, index tables — alive until the cycle collector's next
+        full pass.  Whoever needs the relation while holding an index (a
+        plan's ``IndexScan``) holds it too.
+        """
+        return self._relation()
 
     # ------------------------------------------------------------------
     def key_of(self, row: Row) -> Any:
@@ -101,7 +115,7 @@ class Index:
         relation's schema.
         """
         clone = type(self).__new__(type(self))
-        clone.relation = relation
+        clone._relation = weakref.ref(relation)
         clone.positions = self.positions
         clone.columns = self.columns
         clone.name = self.name

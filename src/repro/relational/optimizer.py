@@ -390,22 +390,24 @@ def order_joins(plan: Plan) -> Plan:
 
 
 def _flatten_joins(plan: Plan) -> Tuple[List[Plan], List[Expression]]:
-    """Collect the leaf inputs and all join conjuncts of a join/product tree."""
+    """Collect the leaf inputs and all join conjuncts of a join/product tree.
+
+    A loop, not a recursive inner function: a closure that calls itself is
+    a reference cycle, and this one would hold ``leaves`` - hence every
+    scanned relation version - until the cycle collector's next full pass.
+    """
     leaves: List[Plan] = []
     predicates: List[Expression] = []
-
-    def walk(node: Plan) -> None:
-        if isinstance(node, Join):
-            predicates.extend(split_conjuncts(node.predicate))
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, Product):
-            walk(node.left)
-            walk(node.right)
+    stack = [plan]
+    while stack:  # pre-order, left before right
+        node = stack.pop()
+        if isinstance(node, (Join, Product)):
+            if isinstance(node, Join):
+                predicates.extend(split_conjuncts(node.predicate))
+            stack.append(node.right)
+            stack.append(node.left)
         else:
             leaves.append(node)
-
-    walk(plan)
     return leaves, predicates
 
 

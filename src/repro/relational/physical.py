@@ -1,4 +1,4 @@
-"""Physical operators and plan execution (block-at-a-time, vectorized).
+"""Physical operators and plan execution (columnar, batch-at-a-time).
 
 Physical plans mirror the logical nodes but carry concrete algorithms:
 
@@ -14,39 +14,43 @@ Physical plans mirror the logical nodes but carry concrete algorithms:
 * ``Append``         — bag union
 * ``Except``         — set difference
 * ``Sort``           — explicit sort (used under MergeJoin)
-* ``Materialize``    — caches child output (inner of nested loops)
 * ``Confidence``     — per-value-tuple confidence over a U-relation input
 
 Execution model
 ---------------
-Three execution modes share one operator tree:
+Every operator speaks exactly two protocols:
 
-* ``mode="columns"`` (the default) exchanges
+* ``column_batches(size)`` is the executor (``mode="columns"``, the
+  default, and the only path a served request runs).  Operators exchange
   :class:`~repro.relational.columnar.ColumnBatch` values — per-column
-  ``list``/``tuple`` vectors.  Scans slice a cached column store of the
-  base relation, filters run one generated loop per batch (the predicate
-  inlined into a single comprehension), projections re-select column
-  vectors without touching rows, and joins emit output columns directly by
-  gathering from their inputs — a downstream-folded projection means
-  dropped columns are never materialized at all.  Operators without a
-  native columnar implementation transpose their row batches at the
-  boundary (``zip`` is C-speed), so the mode is total.
-* ``mode="blocks"`` exchanges *batches* — plain lists of row tuples, at
-  most :data:`BATCH_SIZE` (1024) rows each.  Work inside a batch is tight
-  list comprehensions over *compiled* expressions
-  (:meth:`Expression.compile` collapses a predicate tree into a single
-  generated Python callable) and ``operator.itemgetter`` projections.
-* ``mode="rows"`` is the legacy tuple-at-a-time iterator path
-  (``rows()``), kept as the PR 1 measurement baseline.
+  ``list``/``tuple`` vectors of at most ``size`` (:data:`BATCH_SIZE`,
+  1024) rows.  Scans slice a cached column store of the base relation,
+  filters run one generated loop per batch (the predicate inlined into a
+  single comprehension), projections re-select column vectors without
+  touching rows, and joins emit output columns directly by gathering
+  from their inputs — a downstream-folded projection means dropped
+  columns are never materialized at all.  Six operators work on row
+  tuples because their inputs or algorithms are row-shaped (index
+  buckets hold row tuples; merge, nested-loop, semi-join and set
+  difference compare whole rows): ``IndexScan``, ``FusedPipeline`` over
+  an ``IndexScan``, ``SemiJoinOp``, ``MergeJoin``, ``NestedLoopJoin`` and
+  ``Except`` read their children through :func:`_row_batches` and emit
+  :meth:`ColumnBatch.from_rows`, which transposes (one C-speed ``zip``)
+  only when a consumer reads the columns: between two such operators the
+  rows pass through untouched.
+* ``rows()`` (``mode="rows"``) is the *reference*: a tuple-at-a-time
+  iterator in which every body calls only its children's ``rows()`` and
+  *bound* (interpreted, never generated) expressions, so it shares no
+  kernel, no batch boundary and — planned with ``use_indexes=False``,
+  ``fuse=False`` — no access path with the executor.  It exists to be
+  compared against: the tests and the declared benchmark check every
+  served answer against it.  It is not meant to be fast.
 
-Every operator implements ``_batches(size)`` (and optionally
-``_column_batches(size)``); the inherited wrappers
-:meth:`PhysicalPlan.batches` / :meth:`PhysicalPlan.column_batches` track
-the ``actual_rows`` / ``actual_batches`` counters that ``EXPLAIN ANALYZE``
+Every operator implements ``rows()`` and ``_column_batches(size)``; the
+inherited wrapper :meth:`PhysicalPlan.column_batches` tracks the
+``actual_rows`` / ``actual_batches`` counters that ``EXPLAIN ANALYZE``
 reports — for a fused pipeline the counters are per-pipeline, not
-per-fused-away-operator.  All modes produce identical relations (property
-tests assert this on randomized plans) and the benchmarks report their
-head-to-head speedups.
+per-fused-away-operator.  ``rows()`` keeps no counters.
 
 The planner can additionally *fuse* maximal scan→filter→project chains
 into single :class:`FusedPipeline` operators and fold projections into
@@ -58,21 +62,19 @@ EXPLAIN output.
 
 from __future__ import annotations
 
-import bisect
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from operator import itemgetter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .columnar import (
     ColumnBatch,
+    map_kernel,
     pipeline_kernel,
     probe_kernel,
+    row_projector,
     selection_kernel,
     side_kernel,
 )
-from .expressions import Expression, Param, cached_kernel, compile_pair_expression
+from .expressions import Expression, Param, has_null_literal
 from .index import HashIndex, Index, SortedIndex, built_indexes_on
 from .relation import Relation, _sort_key
 from .schema import Schema
@@ -85,7 +87,6 @@ __all__ = [
     "SeqScan",
     "IndexScan",
     "FusedPipeline",
-    "ParallelScan",
     "Filter",
     "Projection",
     "ProjectionAs",
@@ -99,7 +100,6 @@ __all__ = [
     "Append",
     "Except",
     "Sort",
-    "Materialize",
     "Confidence",
     "execute",
 ]
@@ -109,16 +109,6 @@ Batch = List[Row]
 
 #: Default number of rows per exchanged batch.
 BATCH_SIZE = 1024
-
-
-def _projector(positions: Sequence[int]) -> Callable[[Row], Row]:
-    """A row -> tuple projection onto ``positions`` (always returns tuples)."""
-    if len(positions) == 1:
-        i = positions[0]
-        return lambda row: (row[i],)
-    if not positions:
-        return lambda row: ()
-    return itemgetter(*positions)
 
 
 def _keyer(positions: Sequence[int]) -> Callable[[Row], Any]:
@@ -135,31 +125,13 @@ def _key_is_null(key: Any, single: bool) -> bool:
     return None in key
 
 
-def _pair_emitter(
-    positions: Sequence[int], split: int
-) -> Callable[[Row, Row], Row]:
-    """A generated ``f(lrow, rrow) -> output tuple`` for folded projections.
-
-    ``positions`` index the concatenated (left ++ right) schema; ``split``
-    is the left width.  Joins with a folded downstream projection use this
-    to emit output rows without materializing the concatenated tuple.
-    """
-    parts = ", ".join(
-        f"_l[{p}]" if p < split else f"_r[{p - split}]" for p in positions
-    )
-    source = f"lambda _l, _r: ({parts},)" if positions else "lambda _l, _r: ()"
-    return cached_kernel(
-        ("pair-emit", split, tuple(positions)),
-        lambda: eval(compile(source, "<pair-emitter>", "eval"), {"__builtins__": {}}),
-    )
-
-
 class PhysicalPlan:
     """Base class for physical operators."""
 
     schema: Schema
     estimated_rows: float = 0.0
-    #: Runtime statistics, populated when a ``batches()`` scan completes.
+    #: Runtime statistics, populated when a ``column_batches()`` scan
+    #: completes.
     actual_rows: Optional[int] = None
     actual_batches: Optional[int] = None
     #: True for operators that pass rows through unchanged (schema-only
@@ -172,41 +144,15 @@ class PhysicalPlan:
         return ()
 
     def rows(self) -> Iterator[Row]:
-        """Legacy tuple-at-a-time iterator (``mode="rows"``)."""
+        """The reference tuple-at-a-time iterator (``mode="rows"``)."""
         raise NotImplementedError
 
-    def batches(self, size: int = BATCH_SIZE) -> Iterator[Batch]:
-        """Block-at-a-time iterator with runtime row/batch accounting.
-
-        Non-positive ``size`` degrades to 1 (tuple-at-a-time batches)
-        rather than erroring, so callers can sweep batch sizes freely.
-        """
-        if size <= 0:
-            size = 1
-        produced_rows = 0
-        produced_batches = 0
-        for batch in self._batches(size):
-            produced_rows += len(batch)
-            produced_batches += 1
-            yield batch
-        self.actual_rows = produced_rows
-        self.actual_batches = produced_batches
-
-    def _batches(self, size: int) -> Iterator[Batch]:
-        """Operator-specific batch production; default chunks ``rows()``."""
-        batch: Batch = []
-        append = batch.append
-        for row in self.rows():
-            append(row)
-            if len(batch) >= size:
-                yield batch
-                batch = []
-                append = batch.append
-        if batch:
-            yield batch
-
     def column_batches(self, size: int = BATCH_SIZE) -> Iterator[ColumnBatch]:
-        """Columnar iterator with the same runtime accounting as ``batches``."""
+        """The executor's iterator, with runtime row/batch accounting.
+
+        Non-positive ``size`` degrades to 1 (one-row batches) rather than
+        erroring, so callers can sweep batch sizes freely.
+        """
         if size <= 0:
             size = 1
         produced_rows = 0
@@ -219,15 +165,8 @@ class PhysicalPlan:
         self.actual_batches = produced_batches
 
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
-        """Operator-specific columnar production.
-
-        The default transposes the row-batch path at the boundary, so every
-        operator participates in ``mode="columns"``; hot operators override
-        this with native columnar implementations.
-        """
-        width = len(self.schema)
-        for batch in self._batches(size):
-            yield ColumnBatch.from_rows(batch, width)
+        """Operator-specific batch production."""
+        raise NotImplementedError
 
     def explain_label(self) -> str:
         return type(self).__name__
@@ -268,68 +207,51 @@ class PhysicalPlan:
         return True
 
 
-def _chunks(rows: List[Row], size: int) -> Iterator[Batch]:
-    """Slice a materialized row list into batches."""
-    for start in range(0, len(rows), size):
-        yield rows[start : start + size]
+def _row_batches(plan: PhysicalPlan, size: int) -> Iterator[Batch]:
+    """A child's output as row batches (at most one ``zip`` transpose each).
+
+    How the operators whose bodies work on row tuples read their inputs.
+    """
+    for cb in plan.column_batches(size):
+        yield cb.to_rows()
 
 
-def _drain(plan: PhysicalPlan, size: int) -> List[Row]:
-    """All rows of a plan via its batch interface (keeps stats accurate)."""
+def _all_rows(plan: PhysicalPlan, size: int) -> List[Row]:
+    """Every row of a child, for the operators that must hold an input."""
     out: List[Row] = []
-    for batch in plan.batches(size):
+    for batch in _row_batches(plan, size):
         out.extend(batch)
     return out
 
 
+def _column_chunks(rows: Sequence[Row], size: int, width: int) -> Iterator[ColumnBatch]:
+    """Emit a materialized row list as column batches of at most ``size``."""
+    for start in range(0, len(rows), size):
+        yield ColumnBatch.from_rows(rows[start : start + size], width)
+
+
 class SeqScan(PhysicalPlan):
-    """Sequential scan over a materialized base relation.
+    """Sequential scan over a materialized base relation."""
 
-    ``start``/``stop`` bound the scan to a contiguous row range — the
-    partition a :class:`ParallelScan` worker covers.  The default covers
-    the whole relation; bounded scans slice the same cached column store,
-    so the partitions of a parallel scan share one store.
-    """
-
-    def __init__(
-        self,
-        relation: Relation,
-        name: str = "relation",
-        alias: Optional[str] = None,
-        start: int = 0,
-        stop: Optional[int] = None,
-    ):
+    def __init__(self, relation: Relation, name: str = "relation", alias: Optional[str] = None):
         self.relation = relation
         self.name = name
         self.alias = alias
-        total = len(relation.rows)
-        self.start = max(0, start)
-        self.stop = total if stop is None else min(stop, total)
         self.schema = relation.schema.qualify(alias) if alias else relation.schema
-        self.estimated_rows = float(max(self.stop - self.start, 0))
+        self.estimated_rows = float(len(relation.rows))
 
     def rows(self) -> Iterator[Row]:
-        if self.start == 0 and self.stop == len(self.relation.rows):
-            return iter(self.relation.rows)
-        return iter(self.relation.rows[self.start : self.stop])
-
-    def _batches(self, size: int) -> Iterator[Batch]:
-        rows = self.relation.rows
-        for s in range(self.start, self.stop, size):
-            yield rows[s : min(s + size, self.stop)]
+        return iter(self.relation.rows)
 
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
         store = self.relation.column_store()
-        for s in range(self.start, self.stop, size):
-            e = min(s + size, self.stop)
+        total = len(self.relation.rows)
+        for s in range(0, total, size):
+            e = min(s + size, total)
             yield ColumnBatch([c[s:e] for c in store], e - s)
 
     def column_nullable(self, position: int) -> bool:
         return self.relation.column_has_null(position)
-
-    def bounded(self, start: int, stop: int) -> "SeqScan":
-        """A copy of this scan restricted to ``[start, stop)``."""
-        return SeqScan(self.relation, self.name, self.alias, start=start, stop=stop)
 
     def explain_label(self) -> str:
         if self.alias:
@@ -392,7 +314,10 @@ class IndexScan(PhysicalPlan):
         residual: Optional[Expression] = None,
         probe: bool = False,
     ):
-        if len(schema) != len(index.relation.schema):
+        #: The indexed relation, held here because the index holds it only
+        #: weakly: a plan keeps the relation version it was planned over.
+        self.relation = index.relation
+        if len(schema) != len(self.relation.schema):
             raise ValueError("IndexScan schema must mirror the indexed relation")
         ranged = lower is not None or upper is not None
         if point is not _NO_POINT and ranged:
@@ -446,14 +371,12 @@ class IndexScan(PhysicalPlan):
             return iter(self._matched())
         return (row for row in self._matched() if residual(row))
 
-    def _batches(self, size: int) -> Iterator[Batch]:
+    def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
         matched = self._matched()
         residual = self._compiled_residual
         if residual is not None:
             matched = [row for row in matched if residual(row)]
-        elif not isinstance(matched, list):
-            matched = list(matched)
-        return _chunks(matched, size)
+        return _column_chunks(matched, size, len(self.schema))
 
     def explain_label(self) -> str:
         target = f"{self.name} {self.alias}" if self.alias else self.name
@@ -469,7 +392,7 @@ class IndexScan(PhysicalPlan):
 
     def column_nullable(self, position: int) -> bool:
         # positions mirror the indexed base relation's schema
-        return self.index.relation.column_has_null(position)
+        return self.relation.column_has_null(position)
 
 
 class FusedPipeline(PhysicalPlan):
@@ -482,11 +405,12 @@ class FusedPipeline(PhysicalPlan):
     never move columns, so positions are stable) and ``positions`` are the
     output columns as source positions; either may be ``None``.
 
-    Row mode runs one generated list comprehension per batch — predicate
-    inlined, output tuple built in place, no per-row callable invocations.
-    Column mode evaluates the predicate as a vector kernel over the scan's
-    column store and gathers only the output columns, so dropped columns
-    are never materialized.
+    Over a ``SeqScan`` the predicate runs as a vector kernel over the
+    scan's column store and only the output columns are gathered, so
+    dropped columns are never materialized.  Over an ``IndexScan`` (whose
+    index buckets hold row tuples anyway) one generated list comprehension
+    per row batch does both — predicate inlined, output tuple built in
+    place — and the result is transposed once at the boundary.
     """
 
     def __init__(
@@ -503,46 +427,51 @@ class FusedPipeline(PhysicalPlan):
         self.positions = list(positions) if positions is not None else None
         self.schema = schema
         self.estimated_rows = source.estimated_rows
+        #: The generated selection kernel, looked up on first execution:
+        #: a function of the plan only (never of ``$n`` bindings), so
+        #: later executions of a cached plan skip the kernel-cache key.
+        self._select: Optional[Callable] = None
 
     @property
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.source,)
 
     def rows(self) -> Iterator[Row]:
-        kernel = pipeline_kernel(self.predicate, self.positions, self.source.schema)
-        for batch in self.source.batches(BATCH_SIZE):
-            yield from kernel(batch)
+        bound = (
+            self.predicate.bind(self.source.schema)
+            if self.predicate is not None
+            else None
+        )
+        positions = self.positions
+        for row in self.source.rows():
+            if bound is None or bound(row):
+                yield row if positions is None else tuple(row[p] for p in positions)
 
-    def _batches(self, size: int) -> Iterator[Batch]:
-        kernel = pipeline_kernel(self.predicate, self.positions, self.source.schema)
-        for batch in self.source.batches(size):
-            out = kernel(batch)
-            if out:
-                yield out
-
-    def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
-        if not isinstance(self.source, SeqScan):
-            # index scans materialize row tuples anyway; run the row kernel
-            # and transpose once at the boundary
-            width = len(self.schema)
-            for batch in self._batches(size):
-                yield ColumnBatch.from_rows(batch, width)
-            return
-        if self.predicate is not None:
+    def _selection(self) -> Callable:
+        select = self._select
+        if select is None:
             # the scan's base relation has cached per-column nullability:
             # provably NULL-free predicates run without NULL guards
-            from .expressions import has_null_literal
-
             relation = self.source.relation
             assume = not has_null_literal(self.predicate) and not any(
                 relation.column_has_null(self.source.schema.resolve(name))
                 for name in self.predicate.columns()
             )
-            select = selection_kernel(
+            select = self._select = selection_kernel(
                 self.predicate, self.source.schema, assume_non_null=assume
             )
-        else:
-            select = None
+        return select
+
+    def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
+        if not isinstance(self.source, SeqScan):
+            kernel = pipeline_kernel(self.predicate, self.positions, self.source.schema)
+            width = len(self.schema)
+            for batch in _row_batches(self.source, size):
+                out = kernel(batch)
+                if out:
+                    yield ColumnBatch.from_rows(out, width)
+            return
+        select = self._selection() if self.predicate is not None else None
         positions = self.positions
         for cb in self.source.column_batches(size):
             columns = cb.columns
@@ -583,146 +512,6 @@ class FusedPipeline(PhysicalPlan):
         return self.source.column_nullable(position)
 
 
-#: Shared worker pool for partition-parallel scans, created on first use.
-#: One process-wide pool (not per-plan): cached plans are executed by many
-#: sessions concurrently and must not each spin up threads.  Scan tasks
-#: are leaves — they never submit to the pool themselves — so the pool
-#: cannot deadlock on itself.
-_SCAN_POOL: Optional[ThreadPoolExecutor] = None
-_SCAN_POOL_LOCK = threading.Lock()
-
-#: A partition below this many rows is not worth a thread handoff.
-PARALLEL_MIN_PARTITION_ROWS = 256
-
-
-def _scan_pool() -> ThreadPoolExecutor:
-    global _SCAN_POOL
-    if _SCAN_POOL is None:
-        with _SCAN_POOL_LOCK:
-            if _SCAN_POOL is None:
-                workers = max(2, min(8, os.cpu_count() or 1))
-                _SCAN_POOL = ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="repro-scan"
-                )
-    return _SCAN_POOL
-
-
-class ParallelScan(PhysicalPlan):
-    """Partition-parallel scan: a gather over K range partitions.
-
-    The planner wraps a :class:`FusedPipeline` over a :class:`SeqScan` (or
-    a bare ``SeqScan``) when the scanned relation is large enough
-    (``Planner(parallel=K)``).  Execution splits the relation's row range
-    into K contiguous partitions, runs the *same* fused
-    scan→filter→project pipeline per partition on the shared worker pool
-    (each worker slices the one cached column store — no data is copied),
-    and concatenates the partitions' batch streams in partition order, so
-    output order is byte-identical to the serial scan.
-
-    The operator is re-entrant like every other: partition clones and
-    futures are per-execution state, so one cached plan serves N
-    concurrent sessions.  On a GIL build the win is overlap (a long scan
-    no longer monopolizes a serving thread between batches) rather than
-    CPU parallelism; on free-threaded builds the partitions genuinely run
-    in parallel.  Falls back to the serial pipeline when the relation is
-    too small to be worth the thread handoff.
-    """
-
-    def __init__(self, pipeline: PhysicalPlan, workers: int):
-        if isinstance(pipeline, FusedPipeline):
-            source = pipeline.source
-        else:
-            source = pipeline
-        if not isinstance(source, SeqScan):
-            raise ValueError("ParallelScan requires a (fused) sequential base scan")
-        self.pipeline = pipeline
-        self.source = source
-        self.workers = max(2, int(workers))
-        self.schema = pipeline.schema
-        self.estimated_rows = pipeline.estimated_rows
-
-    @property
-    def children(self) -> Tuple[PhysicalPlan, ...]:
-        return (self.pipeline,)
-
-    def _partitions(self) -> Optional[List[Tuple[int, int]]]:
-        """Contiguous ``[start, stop)`` ranges, or None for serial.
-
-        Cut points snap to the scanned relation's *segment boundaries*
-        (when one lies within half a partition step): a worker whose
-        slice starts at a segment start reads whole cached per-segment
-        column runs instead of straddling two appended segments.  The
-        snap is best-effort — a relation that is one giant base segment
-        still splits evenly rather than collapsing to a serial scan.
-        """
-        start, stop = self.source.start, self.source.stop
-        total = stop - start
-        k = min(self.workers, total // PARALLEL_MIN_PARTITION_ROWS)
-        if k <= 1:
-            return None
-        step = (total + k - 1) // k
-        cuts = list(range(start + step, stop, step))
-        boundaries = [
-            b for b in self.source.relation.segment_boundaries() if start < b < stop
-        ]
-        if boundaries:
-            snapped = []
-            for cut in cuts:
-                i = bisect.bisect_left(boundaries, cut)
-                near = boundaries[max(0, i - 1) : i + 1]
-                best = min(near, key=lambda b: abs(b - cut))
-                snapped.append(best if abs(best - cut) * 2 <= step else cut)
-            cuts = snapped
-        edges = [start] + sorted(set(cuts)) + [stop]
-        ranges = [(a, b) for a, b in zip(edges, edges[1:]) if b > a]
-        return ranges if len(ranges) > 1 else None
-
-    def _clone(self, start: int, stop: int) -> PhysicalPlan:
-        bounded = self.source.bounded(start, stop)
-        if isinstance(self.pipeline, FusedPipeline):
-            return FusedPipeline(
-                bounded,
-                self.pipeline.predicate,
-                self.pipeline.positions,
-                self.pipeline.schema,
-            )
-        return bounded
-
-    def _gather(self, size: int, method: str) -> Iterator[Any]:
-        """Run the per-partition pipelines on the pool, merge in order."""
-        ranges = self._partitions()
-        if ranges is None:
-            yield from getattr(self.pipeline, method)(size)
-            return
-        pool = _scan_pool()
-
-        def work(bounds: Tuple[int, int]) -> List[Any]:
-            clone = self._clone(*bounds)
-            return list(getattr(clone, method)(size))
-
-        futures = [pool.submit(work, bounds) for bounds in ranges]
-        for future in futures:  # partition order == relation order
-            yield from future.result()
-
-    def rows(self) -> Iterator[Row]:
-        return self.pipeline.rows()
-
-    def _batches(self, size: int) -> Iterator[Batch]:
-        return self._gather(size, "batches")
-
-    def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
-        return self._gather(size, "column_batches")
-
-    def column_nullable(self, position: int) -> bool:
-        return self.pipeline.column_nullable(position)
-
-    def explain_label(self) -> str:
-        return "Gather"
-
-    def explain_details(self) -> List[str]:
-        return [f"Workers Planned: {self.workers}"]
-
-
 class Filter(PhysicalPlan):
     """Row filter by a bound predicate."""
 
@@ -730,7 +519,6 @@ class Filter(PhysicalPlan):
         self.child = child
         self.predicate = predicate
         self._bound = predicate.bind(child.schema)
-        self._compiled = predicate.compile(child.schema)
         self.schema = child.schema
         self.estimated_rows = child.estimated_rows
 
@@ -743,13 +531,6 @@ class Filter(PhysicalPlan):
         for row in self.child.rows():
             if bound(row):
                 yield row
-
-    def _batches(self, size: int) -> Iterator[Batch]:
-        predicate = self._compiled
-        for batch in self.child.batches(size):
-            kept = [row for row in batch if predicate(row)]
-            if kept:
-                yield kept
 
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
         kernel = selection_kernel(self.predicate, self.child.schema)
@@ -793,16 +574,11 @@ class Projection(PhysicalPlan):
         for row in self.child.rows():
             yield tuple(row[i] for i in positions)
 
-    def _batches(self, size: int) -> Iterator[Batch]:
-        project = _projector(self.positions)
-        for batch in self.child.batches(size):
-            yield [project(row) for row in batch]
-
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
         # columnar projection is column re-selection: no per-row work at all
         positions = self.positions
         for batch in self.child.column_batches(size):
-            yield ColumnBatch([batch.columns[i] for i in positions], batch.length)
+            yield batch.select(positions)
 
     def explain_label(self) -> str:
         return "Project"
@@ -836,15 +612,10 @@ class ProjectionAs(PhysicalPlan):
         for row in self.child.rows():
             yield tuple(row[i] for i in positions)
 
-    def _batches(self, size: int) -> Iterator[Batch]:
-        project = _projector(self.positions)
-        for batch in self.child.batches(size):
-            yield [project(row) for row in batch]
-
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
         positions = self.positions
         for batch in self.child.column_batches(size):
-            yield ColumnBatch([batch.columns[i] for i in positions], batch.length)
+            yield batch.select(positions)
 
     def explain_label(self) -> str:
         return "Project"
@@ -863,7 +634,6 @@ class ExtendOp(PhysicalPlan):
         self.child = child
         self.items = list(items)
         self._bound = [expr.bind(child.schema) for _, expr in self.items]
-        self._compiled = [expr.compile(child.schema) for _, expr in self.items]
         attrs = list(child.schema.attributes)
         for name, _expr in self.items:
             attrs.append(child.schema.attributes[0].renamed(name))
@@ -879,23 +649,7 @@ class ExtendOp(PhysicalPlan):
         for row in self.child.rows():
             yield row + tuple(fn(row) for fn in bound)
 
-    def _batches(self, size: int) -> Iterator[Batch]:
-        fns = self._compiled
-        if len(fns) == 1:
-            f0 = fns[0]
-            for batch in self.child.batches(size):
-                yield [row + (f0(row),) for row in batch]
-        elif len(fns) == 2:
-            f0, f1 = fns
-            for batch in self.child.batches(size):
-                yield [row + (f0(row), f1(row)) for row in batch]
-        else:
-            for batch in self.child.batches(size):
-                yield [row + tuple(fn(row) for fn in fns) for row in batch]
-
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
-        from .columnar import map_kernel
-
         kernels = [map_kernel(expr, self.child.schema) for _, expr in self.items]
         for batch in self.child.column_batches(size):
             extended = list(batch.columns)
@@ -949,15 +703,14 @@ class HashJoin(PhysicalPlan):
         self.left_positions = [left.schema.resolve(l) for l, _ in self.pairs]
         self.right_positions = [right.schema.resolve(r) for _, r in self.pairs]
         self._bound_residual = residual.bind(self._combined) if residual is not None else None
-        self._compiled_residual = (
-            residual.compile(self._combined) if residual is not None else None
-        )
+        self._planned: Optional[Tuple] = None  # see _probe_plan
         self.estimated_rows = max(left.estimated_rows, right.estimated_rows)
 
     def set_output(self, positions: Sequence[int], schema: Schema) -> None:
         """Fold a downstream projection into the join's emit (fusion)."""
         self.output_positions = list(positions)
         self.schema = schema
+        self._planned = None
 
     @property
     def children(self) -> Tuple[PhysicalPlan, ...]:
@@ -983,7 +736,7 @@ class HashJoin(PhysicalPlan):
             table.setdefault(key, []).append(row)
         residual = self._bound_residual
         project = (
-            _projector(self.output_positions)
+            row_projector(self.output_positions)
             if self.output_positions is not None
             else None
         )
@@ -996,153 +749,48 @@ class HashJoin(PhysicalPlan):
                 if residual is None or residual(out):
                     yield out if project is None else project(out)
 
-    def _build_table(
-        self, size: int, columnar: bool = False
-    ) -> Dict[Any, List[Row]]:
+    def _build_table(self, size: int) -> Dict[Any, List[Row]]:
         """Hash the build side (NULL keys excluded, as NULLs never join).
 
-        ``columnar=True`` drains the build child through the column
-        protocol (keeping its pipeline columnar) and transposes each batch
-        at the boundary; buckets always hold row tuples.
+        Keys come straight off the build side's column vectors and the
+        bucketed rows from one C-speed transpose per batch.
         """
         single = len(self.pairs) == 1
-        build_left = self.build == "left"
         build_plan, build_positions = (
             (self.left, self.left_positions)
-            if build_left
+            if self.build == "left"
             else (self.right, self.right_positions)
         )
         table: Dict[Any, List[Row]] = {}
         setdefault = table.setdefault
-        if columnar:
-            # keys come straight off the build side's column vectors and
-            # rows from one C-speed transpose per batch
-            for cb in build_plan.column_batches(size):
-                rows = cb.to_rows()
-                if single:
-                    keys: Any = cb.columns[build_positions[0]]
-                else:
-                    keys = zip(*(cb.columns[p] for p in build_positions))
-                for key, row in zip(keys, rows):
-                    if _key_is_null(key, single):
-                        continue
-                    setdefault(key, []).append(row)
-            return table
-        bkey = _keyer(build_positions)
-        for batch in build_plan.batches(size):
-            for row in batch:
-                key = bkey(row)
+        for cb in build_plan.column_batches(size):
+            if single:
+                keys: Any = cb.columns[build_positions[0]]
+            else:
+                keys = zip(*(cb.columns[p] for p in build_positions))
+            for key, row in zip(keys, cb.to_rows()):
                 if _key_is_null(key, single):
                     continue
                 setdefault(key, []).append(row)
         return table
 
-    def _batches(self, size: int) -> Iterator[Batch]:
-        if self.output_positions is not None:
-            yield from self._batches_projected(size)
-            return
-        single = len(self.pairs) == 1
-        build_left = self.build == "left"
-        probe_plan, probe_positions = (
-            (self.right, self.right_positions)
-            if build_left
-            else (self.left, self.left_positions)
-        )
-        table = self._build_table(size)
-        pkey = _keyer(probe_positions)
-        residual = self._compiled_residual
-        get = table.get
-        out: Batch = []
-        for batch in probe_plan.batches(size):
-            for prow in batch:
-                key = pkey(prow)
-                if _key_is_null(key, single):
-                    continue
-                bucket = get(key)
-                if not bucket:
-                    continue
-                if residual is None:
-                    if build_left:
-                        out.extend(brow + prow for brow in bucket)
-                    else:
-                        out.extend(prow + brow for brow in bucket)
-                elif build_left:
-                    for brow in bucket:
-                        joined = brow + prow
-                        if residual(joined):
-                            out.append(joined)
-                else:
-                    for brow in bucket:
-                        joined = prow + brow
-                        if residual(joined):
-                            out.append(joined)
-                if len(out) >= size:
-                    yield out
-                    out = []
-        if out:
-            yield out
+    def _probe_plan(self) -> Tuple:
+        """-> (emit specs, fused kernel, its NULL-freedom flag, residual kernel).
 
-    def _batches_projected(self, size: int) -> Iterator[Batch]:
-        """Probe loop with a folded projection: emits output tuples directly
-        from the two input rows — the concatenated row never exists."""
-        single = len(self.pairs) == 1
-        build_left = self.build == "left"
-        probe_plan, probe_positions = (
-            (self.right, self.right_positions)
-            if build_left
-            else (self.left, self.left_positions)
+        Everything the probe loop needs besides the hash table is a
+        function of the plan only, never of ``$n`` bindings: it is derived
+        on the first execution (fusion has settled ``output_positions`` by
+        then) and held, so later executions of a cached plan skip the
+        kernel-cache lookups and their structural keys.
+        """
+        if self._planned is not None:
+            return self._planned
+        probe_is_left = self.build == "right"
+        probe_plan, build_plan = (
+            (self.left, self.right) if probe_is_left else (self.right, self.left)
         )
-        table = self._build_table(size)
-        pkey = _keyer(probe_positions)
+        probe_positions = self.left_positions if probe_is_left else self.right_positions
         split = len(self.left.schema)
-        emit = _pair_emitter(self.output_positions, split)
-        residual = (
-            compile_pair_expression(self.residual, self.left.schema, self.right.schema)
-            if self.residual is not None
-            else None
-        )
-        get = table.get
-        out: Batch = []
-        append = out.append
-        for batch in probe_plan.batches(size):
-            for prow in batch:
-                key = pkey(prow)
-                if _key_is_null(key, single):
-                    continue
-                bucket = get(key)
-                if not bucket:
-                    continue
-                if build_left:
-                    for brow in bucket:
-                        if residual is None or residual(brow, prow):
-                            append(emit(brow, prow))
-                else:
-                    for brow in bucket:
-                        if residual is None or residual(prow, brow):
-                            append(emit(prow, brow))
-                if len(out) >= size:
-                    yield out
-                    out = []
-                    append = out.append
-        if out:
-            yield out
-
-    def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
-        """Columnar probe: the probe input arrives as column vectors, and
-        output columns are gathered directly from the probe vectors and the
-        matched build rows — only the (possibly folded) output columns are
-        ever materialized."""
-        single = len(self.pairs) == 1
-        build_left = self.build == "left"
-        probe_positions = (
-            self.right_positions if build_left else self.left_positions
-        )
-        probe_plan = self.right if build_left else self.left
-        build_plan = self.left if build_left else self.right
-        split = len(self.left.schema)
-        probe_is_left = not build_left
-        table = self._build_table(size, columnar=True)
-        get = table.get
         positions = (
             self.output_positions
             if self.output_positions is not None
@@ -1151,9 +799,9 @@ class HashJoin(PhysicalPlan):
         specs = []  # (from_probe_vectors, side-local position)
         for p in positions:
             on_left = p < split
-            local = p if on_left else p - split
-            specs.append((on_left == probe_is_left, local))
-        if single:
+            specs.append((on_left == probe_is_left, p if on_left else p - split))
+        kernel = None
+        if len(self.pairs) == 1:
             # fully fused generated probe: C-speed hash resolution, the
             # residual inlined, and direct column emit in one loop
             kernel = probe_kernel(
@@ -1165,36 +813,47 @@ class HashJoin(PhysicalPlan):
                 (),
                 specs,
             )
-            if kernel is not None:
-                # columns the residual consults must be provably NULL-free
-                # (from the plan tree) for the kernel's guard-free body
-                fast = True
-                if self.residual is not None:
-                    for name in self.residual.columns():
-                        p = self._combined.resolve(name)
-                        on_left = p < split
-                        local = p if on_left else p - split
-                        side = (
-                            probe_plan if on_left == probe_is_left else build_plan
-                        )
-                        if side.column_nullable(local):
-                            fast = False
-                            break
-                for cb in probe_plan.column_batches(size):
-                    out_cols, count = kernel(get, cb.columns, fast)
-                    if count:
-                        yield ColumnBatch(list(out_cols), count)
-                return
-        residual_kernel = (
-            side_kernel(
+        fast = True
+        residual_kernel = None
+        if self.residual is not None and kernel is not None:
+            # columns the residual consults must be provably NULL-free
+            # (from the plan tree) for the kernel's guard-free body
+            for name in self.residual.columns():
+                p = self._combined.resolve(name)
+                on_left = p < split
+                side = probe_plan if on_left == probe_is_left else build_plan
+                if side.column_nullable(p if on_left else p - split):
+                    fast = False
+                    break
+        elif self.residual is not None:
+            residual_kernel = side_kernel(
                 self.residual,
                 self._combined,
                 split,
                 "left" if probe_is_left else "right",
             )
-            if self.residual is not None
-            else None
+        self._planned = (specs, kernel, fast, residual_kernel)
+        return self._planned
+
+    def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
+        """Columnar probe: the probe input arrives as column vectors, and
+        output columns are gathered directly from the probe vectors and the
+        matched build rows — only the (possibly folded) output columns are
+        ever materialized."""
+        specs, kernel, fast, residual_kernel = self._probe_plan()
+        single = len(self.pairs) == 1
+        probe_plan, probe_positions = (
+            (self.right, self.right_positions)
+            if self.build == "left"
+            else (self.left, self.left_positions)
         )
+        get = self._build_table(size).get
+        if kernel is not None:
+            for cb in probe_plan.column_batches(size):
+                out_cols, count = kernel(get, cb.columns, fast)
+                if count:
+                    yield ColumnBatch(list(out_cols), count)
+            return
         for cb in probe_plan.column_batches(size):
             pcols = cb.columns
             n = cb.length
@@ -1279,12 +938,11 @@ class IndexNestedLoopJoin(PhysicalPlan):
     schema (``inner + outer``).  ``pairs`` is ``(outer_col, inner_col)``
     per index column; ``residual`` filters the concatenated row.
 
-    ``inner_filters`` are compiled row predicates applied to every probed
-    inner row before concatenation — the planner moves the inner side's
-    pushed-down selections here, so a *filtered* partition scan can still
-    be replaced by index probes (the filter runs on the few matched rows
-    instead of the whole table).  ``inner_filter_exprs`` are the matching
-    expressions, kept for EXPLAIN only.
+    ``inner_filters`` are ``(predicate, schema it binds against)`` pairs
+    applied to every probed inner row before concatenation — the planner
+    moves the inner side's pushed-down selections here, so a *filtered*
+    partition scan can still be replaced by index probes (the filter runs
+    on the few matched rows instead of the whole table).
     """
 
     def __init__(
@@ -1296,25 +954,20 @@ class IndexNestedLoopJoin(PhysicalPlan):
         pairs: Sequence[Tuple[str, str]],
         residual: Optional[Expression] = None,
         flipped: bool = False,
-        inner_filters: Sequence[Callable[[Row], Any]] = (),
-        inner_filter_exprs: Sequence[Expression] = (),
-        inner_filter_schemas: Sequence[Schema] = (),
+        inner_filters: Sequence[Tuple[Expression, Schema]] = (),
     ):
         if len(outer_positions) != len(index.positions):
             raise ValueError("outer key width must match the index column count")
         self.outer = outer
         self.inner = inner
         self.index = index
+        self.relation = index.relation  # the index holds it only weakly
         self.outer_positions = list(outer_positions)
         self.pairs = list(pairs)
         self.residual = residual
         self.flipped = flipped
         self.inner_filters = list(inner_filters)
-        self.inner_filter_exprs = list(inner_filter_exprs)
-        #: Schemas the filter expressions were written against (parallel to
-        #: ``inner_filter_exprs``); lets the columnar executor inline the
-        #: filters into its generated probe kernel.
-        self.inner_filter_schemas = list(inner_filter_schemas)
+        self._bound_filters = [p.bind(s) for p, s in self.inner_filters]
         self._combined = (
             inner.schema.concat(outer.schema)
             if flipped
@@ -1325,15 +978,14 @@ class IndexNestedLoopJoin(PhysicalPlan):
         #: schema), set by the planner's fusion pass via :meth:`set_output`.
         self.output_positions: Optional[List[int]] = None
         self._bound_residual = residual.bind(self._combined) if residual is not None else None
-        self._compiled_residual = (
-            residual.compile(self._combined) if residual is not None else None
-        )
+        self._planned: Optional[Tuple] = None  # see _probe_plan
         self.estimated_rows = max(outer.estimated_rows, inner.estimated_rows)
 
     def set_output(self, positions: Sequence[int], schema: Schema) -> None:
         """Fold a downstream projection into the join's emit (fusion)."""
         self.output_positions = list(positions)
         self.schema = schema
+        self._planned = None
 
     @property
     def children(self) -> Tuple[PhysicalPlan, ...]:
@@ -1342,12 +994,9 @@ class IndexNestedLoopJoin(PhysicalPlan):
     def _probe(self, key: Any) -> Sequence[Row]:
         """Matched inner rows for a key, after the inner-side filters."""
         bucket = self.index.lookup(key)
-        if not bucket or not self.inner_filters:
+        filters = self._bound_filters
+        if not bucket or not filters:
             return bucket
-        filters = self.inner_filters
-        if len(filters) == 1:
-            predicate = filters[0]
-            return [row for row in bucket if predicate(row)]
         return [row for row in bucket if all(f(row) for f in filters)]
 
     def rows(self) -> Iterator[Row]:
@@ -1357,7 +1006,7 @@ class IndexNestedLoopJoin(PhysicalPlan):
         residual = self._bound_residual
         flipped = self.flipped
         project = (
-            _projector(self.output_positions)
+            row_projector(self.output_positions)
             if self.output_positions is not None
             else None
         )
@@ -1370,229 +1019,21 @@ class IndexNestedLoopJoin(PhysicalPlan):
                 if residual is None or residual(out):
                     yield out if project is None else project(out)
 
-    def _batches(self, size: int) -> Iterator[Batch]:
-        if self.output_positions is not None:
-            yield from self._batches_projected(size)
-            return
-        # hot path: everything hoisted out of the per-row loop (index
-        # lookup as a bare dict.get for hash indexes, single-column keys
-        # read by position, single compiled filter unwrapped, one-row
-        # buckets — the typical tid-index case — handled without a list
-        # comprehension allocation)
-        single = len(self.outer_positions) == 1
-        position = self.outer_positions[0] if single else -1
-        key = None if single else _keyer(self.outer_positions)
-        lookup = self.index.lookup_fn()
-        filters = self.inner_filters
-        only_filter = filters[0] if len(filters) == 1 else None
-        residual = self._compiled_residual
-        flipped = self.flipped
-        out: Batch = []
-        append = out.append
-        for batch in self.outer.batches(size):
-            for orow in batch:
-                if single:
-                    k = orow[position]
-                    if k is None:
-                        continue
-                else:
-                    k = key(orow)
-                    if None in k:
-                        continue
-                bucket = lookup(k)
-                if not bucket:
-                    continue
-                if only_filter is not None:
-                    if len(bucket) == 1:
-                        irow = bucket[0]
-                        if not only_filter(irow):
-                            continue
-                        joined = irow + orow if flipped else orow + irow
-                        if residual is None or residual(joined):
-                            append(joined)
-                            if len(out) >= size:
-                                yield out
-                                out = []
-                                append = out.append
-                        continue
-                    bucket = [irow for irow in bucket if only_filter(irow)]
-                    if not bucket:
-                        continue
-                elif filters:
-                    bucket = [
-                        irow for irow in bucket if all(f(irow) for f in filters)
-                    ]
-                    if not bucket:
-                        continue
-                if residual is None:
-                    if flipped:
-                        out.extend(irow + orow for irow in bucket)
-                    else:
-                        out.extend(orow + irow for irow in bucket)
-                elif flipped:
-                    for irow in bucket:
-                        joined = irow + orow
-                        if residual(joined):
-                            append(joined)
-                else:
-                    for irow in bucket:
-                        joined = orow + irow
-                        if residual(joined):
-                            append(joined)
-                if len(out) >= size:
-                    yield out
-                    out = []
-                    append = out.append
-        if out:
-            yield out
+    def _probe_plan(self) -> Tuple:
+        """-> (emit specs, fused kernel, lookup, NULL-freedom flag,
+        compiled inner filters, residual kernel).
 
-    def _batches_projected(self, size: int) -> Iterator[Batch]:
-        """Probe loop with a folded projection: output tuples are emitted
-        straight from (outer row, probed inner row) pairs."""
-        single = len(self.outer_positions) == 1
-        position = self.outer_positions[0] if single else -1
-        key = None if single else _keyer(self.outer_positions)
-        lookup = self.index.lookup_fn()
-        filters = self.inner_filters
-        only_filter = filters[0] if len(filters) == 1 else None
-        flipped = self.flipped
-        left_schema = self.inner.schema if flipped else self.outer.schema
-        right_schema = self.outer.schema if flipped else self.inner.schema
-        emit = _pair_emitter(self.output_positions, len(left_schema))
-        residual = (
-            compile_pair_expression(self.residual, left_schema, right_schema)
-            if self.residual is not None
-            else None
-        )
-        out: Batch = []
-        append = out.append
-        for batch in self.outer.batches(size):
-            for orow in batch:
-                if single:
-                    k = orow[position]
-                    if k is None:
-                        continue
-                else:
-                    k = key(orow)
-                    if None in k:
-                        continue
-                bucket = lookup(k)
-                if not bucket:
-                    continue
-                if only_filter is not None:
-                    if len(bucket) == 1:  # the typical tid-index case
-                        if not only_filter(bucket[0]):
-                            continue
-                    else:
-                        bucket = [irow for irow in bucket if only_filter(irow)]
-                        if not bucket:
-                            continue
-                elif filters:
-                    bucket = [
-                        irow
-                        for irow in bucket
-                        if all(f(irow) for f in filters)
-                    ]
-                    if not bucket:
-                        continue
-                if flipped:
-                    for irow in bucket:
-                        if residual is None or residual(irow, orow):
-                            append(emit(irow, orow))
-                else:
-                    for irow in bucket:
-                        if residual is None or residual(orow, irow):
-                            append(emit(orow, irow))
-                if len(out) >= size:
-                    yield out
-                    out = []
-                    append = out.append
-        if out:
-            yield out
-
-    def _fused_probe(self):
-        """-> (generated fused probe kernel, inner side NULL-free) or None."""
-        if len(self.outer_positions) != 1:
-            return None
-        if self.inner_filter_exprs and len(self.inner_filter_schemas) != len(
-            self.inner_filter_exprs
-        ):
-            return None  # filters came pre-compiled, schemas unknown
+        Everything the probe loop reads — schemas, residual,
+        ``output_positions``, the index and its relation's NULL facts — is
+        fixed once planning ends and never depends on ``$n`` bindings, so
+        it is derived on the first execution and held: later executions of
+        a cached plan skip the kernel-cache lookups and their structural
+        keys (three joins per point lookup made that the dominant cost).
+        """
+        if self._planned is not None:
+            return self._planned
         outer_is_left = not self.flipped
         split = len(self.inner.schema) if self.flipped else len(self.outer.schema)
-        positions = (
-            self.output_positions
-            if self.output_positions is not None
-            else range(len(self._combined))
-        )
-        specs = []
-        for p in positions:
-            on_left = p < split
-            local = p if on_left else p - split
-            specs.append((on_left == outer_is_left, local))
-        filter_specs = list(zip(self.inner_filter_exprs, self.inner_filter_schemas))
-        mixed = isinstance(self.index, HashIndex)
-        kernel = probe_kernel(
-            self._combined,
-            split,
-            outer_is_left,
-            self.outer_positions[0],
-            self.residual,
-            filter_specs,
-            specs,
-            mixed=mixed,
-        )
-        if kernel is None:
-            return None
-        # every column the conditions reference must be provably NULL-free
-        # for the kernel's guard-free body: inner refs consult the indexed
-        # base relation's cached nullability, outer refs the plan tree
-        inner_refs: set = set()
-        outer_refs: set = set()
-        for expr, schema in filter_specs:
-            for name in expr.columns():
-                inner_refs.add(schema.resolve(name))
-        if self.residual is not None:
-            for name in self.residual.columns():
-                p = self._combined.resolve(name)
-                on_left = p < split
-                local = p if on_left else p - split
-                if on_left == outer_is_left:
-                    outer_refs.add(local)
-                else:
-                    inner_refs.add(local)
-        relation = self.index.relation
-        fast = not any(
-            relation.column_has_null(q) for q in inner_refs
-        ) and not any(self.outer.column_nullable(q) for q in outer_refs)
-        lookup = (
-            self.index.mixed_table().get if mixed else self.index.lookup_fn()
-        )
-        return kernel, lookup, fast
-
-    def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
-        """Columnar probe loop: the outer input arrives as column vectors
-        (only its key columns are read per row), and output columns are
-        gathered from the outer vectors and the probed index rows.
-
-        Single-column keys run the fully fused generated kernel — lookup,
-        inlined filters and residual, and direct column emit in one loop."""
-        fused = self._fused_probe()
-        if fused is not None:
-            kernel, lookup, fast = fused
-            for cb in self.outer.column_batches(size):
-                out_cols, count = kernel(lookup, cb.columns, fast)
-                if count:
-                    yield ColumnBatch(list(out_cols), count)
-            return
-        single = len(self.outer_positions) == 1
-        lookup = self.index.lookup_fn()
-        filters = self.inner_filters
-        only_filter = filters[0] if len(filters) == 1 else None
-        flipped = self.flipped
-        outer_width = len(self.outer.schema)
-        split = len(self.inner.schema) if flipped else outer_width
-        outer_is_left = not flipped
         positions = (
             self.output_positions
             if self.output_positions is not None
@@ -1601,18 +1042,77 @@ class IndexNestedLoopJoin(PhysicalPlan):
         specs = []  # (from_outer_vectors, side-local position)
         for p in positions:
             on_left = p < split
-            local = p if on_left else p - split
-            specs.append((on_left == outer_is_left, local))
-        residual_kernel = (
-            side_kernel(
-                self.residual,
+            specs.append((on_left == outer_is_left, p if on_left else p - split))
+        mixed = isinstance(self.index, HashIndex)
+        kernel = None
+        if len(self.outer_positions) == 1:
+            # fully fused generated kernel — lookup, inlined filters and
+            # residual, and direct column emit in one loop
+            kernel = probe_kernel(
                 self._combined,
                 split,
-                "left" if outer_is_left else "right",
+                outer_is_left,
+                self.outer_positions[0],
+                self.residual,
+                self.inner_filters,
+                specs,
+                mixed=mixed,
             )
-            if self.residual is not None
-            else None
-        )
+        lookup = self.index.lookup_fn()
+        fast = False
+        filters: Sequence[Callable[[Row], Any]] = ()
+        residual_kernel = None
+        if kernel is None:
+            # the generic loop: compiled filters, residual as a second pass
+            filters = [p.compile(s) for p, s in self.inner_filters]
+            if self.residual is not None:
+                residual_kernel = side_kernel(
+                    self.residual,
+                    self._combined,
+                    split,
+                    "left" if outer_is_left else "right",
+                )
+        else:
+            # every column the conditions reference must be provably
+            # NULL-free for the kernel's guard-free body: inner refs consult
+            # the indexed base relation's cached nullability, outer refs
+            # the plan tree
+            inner_refs: set = set()
+            outer_refs: set = set()
+            for expr, schema in self.inner_filters:
+                for name in expr.columns():
+                    inner_refs.add(schema.resolve(name))
+            if self.residual is not None:
+                for name in self.residual.columns():
+                    p = self._combined.resolve(name)
+                    on_left = p < split
+                    local = p if on_left else p - split
+                    if on_left == outer_is_left:
+                        outer_refs.add(local)
+                    else:
+                        inner_refs.add(local)
+            relation = self.relation
+            fast = not any(
+                relation.column_has_null(q) for q in inner_refs
+            ) and not any(self.outer.column_nullable(q) for q in outer_refs)
+            if mixed:
+                lookup = self.index.mixed_table().get
+        self._planned = (specs, kernel, lookup, fast, filters, residual_kernel)
+        return self._planned
+
+    def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
+        """Columnar probe loop: the outer input arrives as column vectors
+        (only its key columns are read per row), and output columns are
+        gathered from the outer vectors and the probed index rows."""
+        specs, kernel, lookup, fast, filters, residual_kernel = self._probe_plan()
+        if kernel is not None:
+            for cb in self.outer.column_batches(size):
+                out_cols, count = kernel(lookup, cb.columns, fast)
+                if count:
+                    yield ColumnBatch(list(out_cols), count)
+            return
+        single = len(self.outer_positions) == 1
+        only_filter = filters[0] if len(filters) == 1 else None
         for cb in self.outer.column_batches(size):
             ocols = cb.columns
             n = cb.length
@@ -1680,7 +1180,7 @@ class IndexNestedLoopJoin(PhysicalPlan):
         local = position if on_left else position - split
         if on_left == (not self.flipped):
             return self.outer.column_nullable(local)
-        return self.index.relation.column_has_null(local)
+        return self.relation.column_has_null(local)
 
     def explain_label(self) -> str:
         return "Index Nested Loop Join"
@@ -1688,8 +1188,8 @@ class IndexNestedLoopJoin(PhysicalPlan):
     def explain_details(self) -> List[str]:
         cond = " AND ".join(f"({i} = {o})" for o, i in self.pairs)
         details = [f"Index Cond: {cond}"]
-        if self.inner_filter_exprs:
-            shown = " AND ".join(repr(e) for e in self.inner_filter_exprs)
+        if self.inner_filters:
+            shown = " AND ".join(repr(e) for e, _ in self.inner_filters)
             details.append(f"Probe Filter: {shown}")
         if self.residual is not None:
             details.append(f"Join Filter: {self.residual!r}")
@@ -1711,7 +1211,7 @@ class SemiJoinOp(PhysicalPlan):
         from .expressions import conjunction, equijoin_pairs
 
         self.left = left
-        self.right = Materialize(right)
+        self.right = right
         self.predicate = predicate
         self.schema = left.schema
         self.pairs, residual_list = equijoin_pairs(
@@ -1768,24 +1268,25 @@ class SemiJoinOp(PhysicalPlan):
 
     def _loop_rows(self) -> Iterator[Row]:
         bound = self._bound_full
+        right_rows = list(self.right.rows())
         for lrow in self.left.rows():
-            for rrow in self.right.rows():
+            for rrow in right_rows:
                 if bound(lrow + rrow):
                     yield lrow
                     break
 
-    def _batches(self, size: int) -> Iterator[Batch]:
-        if self.pairs:
-            yield from self._hash_batches(size)
-        else:
-            yield from self._loop_batches(size)
+    def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
+        width = len(self.schema)
+        kept = self._hash_kept(size) if self.pairs else self._loop_kept(size)
+        for out in kept:
+            yield ColumnBatch.from_rows(out, width)
 
-    def _hash_batches(self, size: int) -> Iterator[Batch]:
+    def _hash_kept(self, size: int) -> Iterator[Batch]:
         single = len(self.pairs) == 1
         rkey = _keyer(self.right_positions)
         table: Dict[Any, List[Row]] = {}
         setdefault = table.setdefault
-        for batch in self.right.batches(size):
+        for batch in _row_batches(self.right, size):
             for rrow in batch:
                 key = rkey(rrow)
                 if _key_is_null(key, single):
@@ -1794,7 +1295,7 @@ class SemiJoinOp(PhysicalPlan):
         lkey = _keyer(self.left_positions)
         residual = self._compiled_residual
         get = table.get
-        for batch in self.left.batches(size):
+        for batch in _row_batches(self.left, size):
             out: Batch = []
             for lrow in batch:
                 key = lkey(lrow)
@@ -1813,10 +1314,10 @@ class SemiJoinOp(PhysicalPlan):
             if out:
                 yield out
 
-    def _loop_batches(self, size: int) -> Iterator[Batch]:
+    def _loop_kept(self, size: int) -> Iterator[Batch]:
         bound = self._compiled_full
-        right_rows = _drain(self.right, size)
-        for batch in self.left.batches(size):
+        right_rows = _all_rows(self.right, size)
+        for batch in _row_batches(self.left, size):
             out: Batch = []
             for lrow in batch:
                 for rrow in right_rows:
@@ -1864,19 +1365,10 @@ class Sort(PhysicalPlan):
     def rows(self) -> Iterator[Row]:
         return iter(sorted(self.child.rows(), key=self._key()))
 
-    def _batches(self, size: int) -> Iterator[Batch]:
-        gathered = _drain(self.child, size)
-        gathered.sort(key=self._key())
-        return _chunks(gathered, size)
-
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
-        gathered: List[Row] = []
-        for batch in self.child.column_batches(size):
-            gathered.extend(batch.to_rows())
+        gathered = _all_rows(self.child, size)
         gathered.sort(key=self._key())
-        width = len(self.schema)
-        for chunk in _chunks(gathered, size):
-            yield ColumnBatch.from_rows(chunk, width)
+        return _column_chunks(gathered, size, len(self.schema))
 
     def column_nullable(self, position: int) -> bool:
         return self.child.column_nullable(position)
@@ -1946,7 +1438,7 @@ class MergeJoin(PhysicalPlan):
         lpos, rpos = self.left_positions, self.right_positions
         residual = self._bound_residual
         project = (
-            _projector(self.output_positions)
+            row_projector(self.output_positions)
             if self.output_positions is not None
             else None
         )
@@ -2041,7 +1533,7 @@ class MergeJoin(PhysicalPlan):
         right_rows = right_index.ordered()
         residual = self._compiled_residual
         project = (
-            _projector(self.output_positions)
+            row_projector(self.output_positions)
             if self.output_positions is not None
             else None
         )
@@ -2074,7 +1566,12 @@ class MergeJoin(PhysicalPlan):
         if out:
             yield out
 
-    def _batches(self, size: int) -> Iterator[Batch]:
+    def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
+        width = len(self.schema)
+        for out in self._merged(size):
+            yield ColumnBatch.from_rows(out, width)
+
+    def _merged(self, size: int) -> Iterator[Batch]:
         left_index = self._presorted_input(self.left)
         if left_index is not None:
             right_index = self._presorted_input(self.right)
@@ -2086,18 +1583,18 @@ class MergeJoin(PhysicalPlan):
                         left_index, lkeys, right_index, rkeys, size
                     )
                     return
-        left_rows = _drain(self.left, size)
-        right_rows = _drain(self.right, size)
+        left_rows = _all_rows(self.left, size)
+        right_rows = _all_rows(self.right, size)
         lpos, rpos = self.left_positions, self.right_positions
-        lproject = _projector(lpos)
-        rproject = _projector(rpos)
+        lproject = row_projector(lpos)
+        rproject = row_projector(rpos)
         # precompute sort keys once per row (the rows() path recomputes them
         # on every group-boundary probe)
         lkeys = [_sort_key(lproject(row)) for row in left_rows]
         rkeys = [_sort_key(rproject(row)) for row in right_rows]
         residual = self._compiled_residual
         project = (
-            _projector(self.output_positions)
+            row_projector(self.output_positions)
             if self.output_positions is not None
             else None
         )
@@ -2158,39 +1655,6 @@ class MergeJoin(PhysicalPlan):
         return details
 
 
-class Materialize(PhysicalPlan):
-    """Materializes (and caches) the child output for repeated scans."""
-
-    def __init__(self, child: PhysicalPlan):
-        self.child = child
-        self.schema = child.schema
-        self.estimated_rows = child.estimated_rows
-        self._cache: Optional[List[Row]] = None
-
-    @property
-    def children(self) -> Tuple[PhysicalPlan, ...]:
-        return (self.child,)
-
-    def _materialized(self, size: int = BATCH_SIZE) -> List[Row]:
-        if self._cache is None:
-            self._cache = _drain(self.child, size)
-        return self._cache
-
-    def rows(self) -> Iterator[Row]:
-        if self._cache is None:
-            self._cache = list(self.child.rows())
-        return iter(self._cache)
-
-    def _batches(self, size: int) -> Iterator[Batch]:
-        return _chunks(self._materialized(size), size)
-
-    def column_nullable(self, position: int) -> bool:
-        return self.child.column_nullable(position)
-
-    def explain_label(self) -> str:
-        return "Materialize"
-
-
 class NestedLoopJoin(PhysicalPlan):
     """Nested-loop join with an arbitrary predicate (or cross product)."""
 
@@ -2201,7 +1665,7 @@ class NestedLoopJoin(PhysicalPlan):
         predicate: Optional[Expression] = None,
     ):
         self.left = left
-        self.right = Materialize(right)
+        self.right = right
         self.predicate = predicate
         self.schema = left.schema.concat(right.schema)
         self._bound = predicate.bind(self.schema) if predicate is not None else None
@@ -2214,17 +1678,19 @@ class NestedLoopJoin(PhysicalPlan):
 
     def rows(self) -> Iterator[Row]:
         bound = self._bound
+        right_rows = list(self.right.rows())
         for lrow in self.left.rows():
-            for rrow in self.right.rows():
+            for rrow in right_rows:
                 out = lrow + rrow
                 if bound is None or bound(out):
                     yield out
 
-    def _batches(self, size: int) -> Iterator[Batch]:
+    def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
         predicate = self._compiled
-        right_rows = _drain(self.right, size)
+        width = len(self.schema)
+        right_rows = _all_rows(self.right, size)
         out: Batch = []
-        for batch in self.left.batches(size):
+        for batch in _row_batches(self.left, size):
             for lrow in batch:
                 if predicate is None:
                     out.extend(lrow + rrow for rrow in right_rows)
@@ -2234,10 +1700,10 @@ class NestedLoopJoin(PhysicalPlan):
                         if predicate(joined):
                             out.append(joined)
                 if len(out) >= size:
-                    yield out
+                    yield ColumnBatch.from_rows(out, width)
                     out = []
         if out:
-            yield out
+            yield ColumnBatch.from_rows(out, width)
 
     def explain_label(self) -> str:
         return "Nested Loop"
@@ -2266,14 +1732,6 @@ class HashDistinct(PhysicalPlan):
             if row not in seen:
                 seen.add(row)
                 yield row
-
-    def _batches(self, size: int) -> Iterator[Batch]:
-        seen: set = set()
-        add = seen.add
-        for batch in self.child.batches(size):
-            fresh = [row for row in batch if not (row in seen or add(row))]
-            if fresh:
-                yield fresh
 
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
         # dedup needs row identity: transpose at the boundary (C-speed zip),
@@ -2317,10 +1775,6 @@ class Append(PhysicalPlan):
         for row in self.right.rows():
             yield row
 
-    def _batches(self, size: int) -> Iterator[Batch]:
-        yield from self.left.batches(size)
-        yield from self.right.batches(size)
-
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
         yield from self.left.column_batches(size)
         yield from self.right.column_batches(size)
@@ -2353,15 +1807,16 @@ class Except(PhysicalPlan):
                 seen.add(row)
                 yield row
 
-    def _batches(self, size: int) -> Iterator[Batch]:
+    def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
+        width = len(self.schema)
         gone: set = set()
-        for batch in self.right.batches(size):
+        for batch in _row_batches(self.right, size):
             gone.update(batch)
         add = gone.add  # emitted rows join `gone`, deduplicating the output
-        for batch in self.left.batches(size):
+        for batch in _row_batches(self.left, size):
             fresh = [row for row in batch if not (row in gone or add(row))]
             if fresh:
-                yield fresh
+                yield ColumnBatch.from_rows(fresh, width)
 
     def column_nullable(self, position: int) -> bool:
         return self.left.column_nullable(position)
@@ -2430,18 +1885,13 @@ class Confidence(PhysicalPlan):
         return (self.child,)
 
     # -- grouping ------------------------------------------------------
-    def _grouped_rows(self, size: int) -> Dict[Row, set]:
-        """values tuple -> set of encoded descriptor prefixes (row path)."""
+    def _grouped_reference(self) -> Dict[Row, set]:
+        """values tuple -> set of encoded descriptor prefixes, row by row."""
         dend = 2 * self.d_width
         vstart = dend + self.tid_count
         groups: Dict[Row, set] = {}
-        for batch in self.child.batches(size):
-            for row in batch:
-                group = groups.get(row[vstart:])
-                if group is None:
-                    groups[row[vstart:]] = {row[:dend]}
-                else:
-                    group.add(row[:dend])
+        for row in self.child.rows():
+            groups.setdefault(row[vstart:], set()).add(row[:dend])
         return groups
 
     def _grouped_columns(self, size: int) -> Dict[Row, set]:
@@ -2521,17 +1971,14 @@ class Confidence(PhysicalPlan):
         }
         return out
 
-    # -- execution modes -----------------------------------------------
+    # -- the two protocols ---------------------------------------------
     def rows(self) -> Iterator[Row]:
-        yield from self._compute(self._grouped_rows(BATCH_SIZE))
-
-    def _batches(self, size: int) -> Iterator[Batch]:
-        yield from _chunks(self._compute(self._grouped_rows(size)), size)
+        return iter(self._compute(self._grouped_reference()))
 
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
-        width = len(self.schema)
-        for batch in _chunks(self._compute(self._grouped_columns(size)), size):
-            yield ColumnBatch.from_rows(batch, width)
+        return _column_chunks(
+            self._compute(self._grouped_columns(size)), size, len(self.schema)
+        )
 
     def column_nullable(self, position: int) -> bool:
         if position == len(self.schema) - 1:
@@ -2559,19 +2006,14 @@ def execute(
 ) -> Relation:
     """Run a physical plan to completion and materialize the result.
 
-    ``mode="columns"`` (the default) runs the columnar executor,
-    ``mode="blocks"`` the row-batch vectorized path, and ``mode="rows"``
-    the legacy tuple-at-a-time iterators.  All three produce identical
-    relations.
+    ``mode="columns"`` (the default) runs the executor in batches of at
+    most ``batch_size`` rows; ``mode="rows"`` runs the tuple-at-a-time
+    reference iterators.  Both produce identical relations.
     """
     if mode == "rows":
         return Relation(plan.schema, plan.rows())
-    if mode == "blocks":
-        return Relation.from_trusted(plan.schema, _drain(plan, batch_size))
     if mode != "columns":
-        raise ValueError(
-            f"unknown execution mode {mode!r} (use 'rows', 'blocks', or 'columns')"
-        )
+        raise ValueError(f"unknown execution mode {mode!r} (use 'rows' or 'columns')")
     rows: List[Row] = []
     extend = rows.extend
     for batch in plan.column_batches(batch_size):

@@ -63,7 +63,6 @@ from .expressions import (
 from .index import SortedIndex, indexes_on
 from .optimizer import estimate_rows, scan_stats
 from .physical import (
-    BATCH_SIZE,
     Append,
     Confidence,
     Except,
@@ -74,10 +73,8 @@ from .physical import (
     HashJoin,
     IndexNestedLoopJoin,
     IndexScan,
-    Materialize,
     MergeJoin,
     NestedLoopJoin,
-    ParallelScan,
     PhysicalPlan,
     Projection,
     ProjectionAs,
@@ -93,11 +90,7 @@ from .statistics import (
     use_index_scan,
 )
 
-__all__ = ["Planner", "plan_physical", "run", "PARALLEL_SCAN_MIN_ROWS"]
-
-#: A base scan estimated below this many rows is never parallelized —
-#: the thread handoffs would cost more than the scan.
-PARALLEL_SCAN_MIN_ROWS = 2048.0
+__all__ = ["Planner", "plan_physical", "run"]
 
 
 def _base_scan(plan: Plan) -> Optional[Scan]:
@@ -153,8 +146,8 @@ class Planner:
     (:meth:`~repro.relational.physical.HashJoin.set_output`) — the
     standalone ``Project`` reorders that bracket the partition merges of
     translated U-relation plans disappear into the join loops.  The
-    columnar execution mode enables fusion by default; the unfused tree is
-    kept for the blocks/rows baselines.
+    executor (``mode="columns"``) runs fused plans; the ``rows()``
+    reference runs the unfused tree.
     """
 
     def __init__(
@@ -162,27 +155,18 @@ class Planner:
         prefer_merge_join: bool = False,
         use_indexes: bool = True,
         fuse: bool = False,
-        parallel: int = 0,
     ):
         self.prefer_merge_join = prefer_merge_join
         # the merge-join profile reproduces the paper's PostgreSQL plans
         # verbatim, so it keeps the classic scan/join operators only
         self.use_indexes = use_indexes and not prefer_merge_join
         self.fuse = fuse
-        #: Partition-parallel scans: with ``parallel >= 2``, base scans
-        #: whose estimated cost clears :data:`PARALLEL_SCAN_MIN_ROWS` are
-        #: wrapped in a :class:`~repro.relational.physical.ParallelScan`
-        #: gather over that many range partitions.  0 (the default) keeps
-        #: plans serial.
-        self.parallel = int(parallel)
 
     def compile(self, plan: Plan) -> PhysicalPlan:
         """Compile a logical plan tree into a physical operator tree."""
         physical = self._compile(plan)
         if self.fuse:
             physical = _fuse_tree(physical)
-        if self.parallel >= 2:
-            physical = _parallelize_tree(physical, self.parallel)
         return physical
 
     # ------------------------------------------------------------------
@@ -525,9 +509,7 @@ class Planner:
             covered,
             residual=residual,
             flipped=flipped,
-            inner_filters=[p.compile(s) for p, s in inner_filters],
-            inner_filter_exprs=[p for p, _ in inner_filters],
-            inner_filter_schemas=[s for _, s in inner_filters],
+            inner_filters=inner_filters,
         )
 
 
@@ -615,9 +597,6 @@ class _RenameOp(PhysicalPlan):
     def rows(self):
         return self.child.rows()
 
-    def _batches(self, size):
-        return self.child.batches(size)
-
     def _column_batches(self, size):
         return self.child.column_batches(size)
 
@@ -686,14 +665,11 @@ def _fuse_children(node: PhysicalPlan) -> None:
         # fuse beneath the Sort wrappers the join inserted
         node.left.child = _fuse_tree(node.left.child)
         node.right.child = _fuse_tree(node.right.child)
-    elif isinstance(node, (HashJoin, Append, Except)):
+    elif isinstance(node, (HashJoin, Append, Except, NestedLoopJoin, SemiJoinOp)):
         node.left = _fuse_tree(node.left)
         node.right = _fuse_tree(node.right)
     elif isinstance(node, IndexNestedLoopJoin):
         node.outer = _fuse_tree(node.outer)
-    elif isinstance(node, (NestedLoopJoin, SemiJoinOp)):
-        node.left = _fuse_tree(node.left)
-        node.right.child = _fuse_tree(node.right.child)  # Materialize wrapper
 
 
 def _fuse_tree(node: PhysicalPlan) -> PhysicalPlan:
@@ -752,81 +728,16 @@ def _fuse_tree(node: PhysicalPlan) -> PhysicalPlan:
     return node
 
 
-# ======================================================================
-# partition-parallel scans (post-pass over the physical tree)
-# ======================================================================
-def _parallel_candidate(node: PhysicalPlan, workers: int) -> Optional[ParallelScan]:
-    """Wrap a fused pipeline / bare scan in a gather when it is worth it.
-
-    The decision is by estimated *scan* cost — the rows the base scan
-    reads, not the rows the pipeline emits: a highly selective filter over
-    a big relation still pays the full scan and parallelizes well.
-    """
-    if isinstance(node, FusedPipeline):
-        source = node.source
-        if isinstance(source, SeqScan) and source.estimated_rows >= PARALLEL_SCAN_MIN_ROWS:
-            return ParallelScan(node, workers)
-        return None
-    if isinstance(node, SeqScan) and node.estimated_rows >= PARALLEL_SCAN_MIN_ROWS:
-        return ParallelScan(node, workers)
-    return None
-
-
-def _parallelize_tree(node: PhysicalPlan, workers: int) -> PhysicalPlan:
-    """Insert :class:`ParallelScan` gathers over the large base pipelines.
-
-    Mirrors the fusion pass's traversal: children are rewritten in place
-    (schemas are preserved exactly), and each fused scan→filter→project
-    pipeline (or bare sequential scan) over a large relation becomes a
-    gather over ``workers`` range partitions.  Index scans and the
-    display-only inner sides of index joins are never touched.
-    """
-    wrapped = _parallel_candidate(node, workers)
-    if wrapped is not None:
-        return wrapped
-    if isinstance(
-        node,
-        (
-            Filter,
-            Projection,
-            ProjectionAs,
-            ExtendOp,
-            HashDistinct,
-            _RenameOp,
-            Materialize,
-            Confidence,
-        ),
-    ):
-        node.child = _parallelize_tree(node.child, workers)
-    elif isinstance(node, MergeJoin):
-        # merge-join inputs stay serial: wrapping the Sort children would
-        # hide the base scans from the presorted-index merge path, a worse
-        # trade than parallelizing a scan the Sort drains anyway
-        pass
-    elif isinstance(node, (HashJoin, Append, Except)):
-        node.left = _parallelize_tree(node.left, workers)
-        node.right = _parallelize_tree(node.right, workers)
-    elif isinstance(node, IndexNestedLoopJoin):
-        node.outer = _parallelize_tree(node.outer, workers)
-    elif isinstance(node, (NestedLoopJoin, SemiJoinOp)):
-        node.left = _parallelize_tree(node.left, workers)
-        node.right.child = _parallelize_tree(node.right.child, workers)
-    return node
-
-
 def plan_physical(
     plan: Plan,
     prefer_merge_join: bool = False,
     use_indexes: bool = True,
     fuse: bool = False,
-    parallel: int = 0,
 ) -> PhysicalPlan:
-    """Compile a logical plan with a default-configured planner."""
+    """Compile a logical plan: ``fuse=True`` for the executor, the unfused
+    tree for the ``rows()`` reference."""
     return Planner(
-        prefer_merge_join=prefer_merge_join,
-        use_indexes=use_indexes,
-        fuse=fuse,
-        parallel=parallel,
+        prefer_merge_join=prefer_merge_join, use_indexes=use_indexes, fuse=fuse
     ).compile(plan)
 
 
@@ -835,18 +746,14 @@ def run(
     optimize_first: bool = True,
     prefer_merge_join: bool = False,
     mode: str = "columns",
-    batch_size: int = BATCH_SIZE,
     use_indexes: bool = True,
-    parallel: int = 0,
 ) -> Relation:
     """Optimize, compile, and execute a logical plan.
 
-    ``mode`` selects the executor: ``"columns"`` (columnar + fused
-    pipelines, the default), ``"blocks"`` (row-batch vectorized, the PR 1/2
-    baseline — plans are compiled *without* fusion so the baseline stays
-    byte-for-byte comparable), or ``"rows"`` (legacy tuple-at-a-time).
-    ``use_indexes=False`` additionally disables access-path selection
-    (every scan sequential, every equi-join hashed).
+    ``mode="columns"`` (the default) runs the executor over a fused plan;
+    ``mode="rows"`` runs the tuple-at-a-time reference over the unfused
+    one.  ``use_indexes=False`` additionally disables access-path
+    selection (every scan sequential, every equi-join hashed).
     """
     from .optimizer import optimize
     from .physical import execute
@@ -858,6 +765,5 @@ def run(
         prefer_merge_join=prefer_merge_join,
         use_indexes=use_indexes,
         fuse=mode == "columns",
-        parallel=parallel,
     )
-    return execute(physical, mode=mode, batch_size=batch_size)
+    return execute(physical, mode=mode)

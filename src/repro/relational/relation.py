@@ -12,7 +12,7 @@ a SQL engine; convenience set-style helpers are provided for tests.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from itertools import chain
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -86,6 +86,7 @@ class Relation:
         "_plan_watchers",
         "_segments",
         "_deleted",
+        "__weakref__",
     )
 
     def __init__(self, schema, rows: Optional[Iterable[Sequence[Any]]] = None):
@@ -115,7 +116,7 @@ class Relation:
     def from_trusted(cls, schema: Schema, rows: List[Tuple[Any, ...]]) -> "Relation":
         """Adopt an already-validated list of row tuples without copying.
 
-        Fast path for the block executor, whose operators only ever emit
+        Fast path for the executor, whose operators only ever emit
         tuples of the correct arity; the caller must not mutate ``rows``
         afterwards.
         """
@@ -148,8 +149,8 @@ class Relation:
 
         ``deleted`` holds *global ordinals* over the concatenation of all
         segment rows (in segment order, before deletion).  ``rows`` is the
-        materialized live view, so every existing executor — row, block,
-        columnar, parallel scans — works on segmented relations unchanged.
+        materialized live view, so the executor and the ``rows()``
+        reference work on segmented relations unchanged.
         """
         if not isinstance(schema, Schema):
             schema = Schema(schema)
@@ -179,21 +180,6 @@ class Relation:
     def deleted_ordinals(self) -> frozenset:
         """Global ordinals (over concatenated segment rows) marked deleted."""
         return getattr(self, "_deleted", None) or frozenset()
-
-    def segment_boundaries(self) -> List[int]:
-        """Offsets into ``rows`` where each segment's live run begins.
-
-        Parallel scans snap partition cut points to these so one worker
-        never straddles a segment (its slice stays within one cached
-        per-segment column run).
-        """
-        vector = sorted(self.deleted_ordinals())
-        boundaries: List[int] = []
-        start = 0
-        for segment in self.segments():
-            boundaries.append(start - bisect_left(vector, start))
-            start += len(segment.rows)
-        return boundaries
 
     def _derive(
         self,

@@ -15,8 +15,9 @@ statements, catalog-version invalidation):
 * :class:`~repro.server.server.QueryServer` — the in-process API and the
   newline-JSON TCP frontend (``python -m repro.server``).
 
-Partition-parallel scans (``parallel=K``) plug in underneath through the
-planner's :class:`~repro.relational.physical.ParallelScan` operator.
+Every statement a session or server runs goes through the one executor
+(:func:`repro.relational.physical.execute`, ``mode="columns"``, indexes
+on); the server has no execution options of its own.
 
 Quick start::
 

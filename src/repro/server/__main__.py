@@ -23,7 +23,6 @@ def main() -> None:
     parser.add_argument("--uncertainty", type=float, default=0.01, help="uncertainty ratio x")
     parser.add_argument("--correlation", type=float, default=0.25, help="correlation ratio z")
     parser.add_argument("--workers", type=int, default=8, help="executor worker threads")
-    parser.add_argument("--parallel", type=int, default=0, help="partition-parallel scan fan-out (0 = serial)")
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
 
@@ -35,7 +34,7 @@ def main() -> None:
         scale=args.scale, x=args.uncertainty, z=args.correlation, seed=args.seed
     )
     bundle.udb.build_indexes()
-    server = QueryServer(bundle.udb, workers=args.workers, parallel=args.parallel)
+    server = QueryServer(bundle.udb, workers=args.workers)
     handle = server.serve_tcp(args.host, args.port)
     host, port = handle.address
     print(f"serving on {host}:{port} (newline-JSON protocol; Ctrl-C to stop)")

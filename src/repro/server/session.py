@@ -104,22 +104,12 @@ class SnapshotChanged(RuntimeError):
 class Session:
     """One client's statements, bindings, and snapshot on a shared UDatabase."""
 
-    def __init__(
-        self,
-        udb: UDatabase,
-        server: Optional[Any] = None,
-        mode: str = "columns",
-        use_indexes: bool = True,
-        parallel: int = 0,
-    ):
+    def __init__(self, udb: UDatabase, server: Optional[Any] = None):
         self.udb = udb
         #: The owning :class:`~repro.server.server.QueryServer`, or None
         #: for a standalone session (statements then execute inline on the
         #: calling thread, without admission control or coalescing).
         self.server = server
-        self.mode = mode
-        self.use_indexes = use_indexes
-        self.parallel = parallel
         self._named: Dict[str, PreparedQuery] = {}
         self._by_text: Dict[str, Tuple[PreparedQuery, Tuple[Any, ...]]] = {}
         #: Serializes this session's statements (a session models one
@@ -401,14 +391,9 @@ class Session:
                 return self._txn.run(prepared, params)
         started = time.perf_counter()
         if self.server is not None:
-            result = self.server.execute(prepared, params, session=self)
+            result = self.server.execute(prepared, params)
         else:
-            result = prepared.run(
-                *params,
-                mode=self.mode,
-                use_indexes=self.use_indexes,
-                parallel=self.parallel,
-            )
+            result = prepared.run(*params)
         trace = current_trace()
         record_statement(
             self.accounting_id,

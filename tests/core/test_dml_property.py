@@ -23,7 +23,7 @@ from repro.core.udatabase import UDatabase
 from repro.core.urelation import URelation, tid_column
 from repro.sql import execute_sql
 
-MODES = ["rows", "blocks", "columns"]
+MODES = ["rows", "columns"]
 
 ids = st.integers(min_value=0, max_value=6)
 types = st.sampled_from(["a", "b", "c"])

@@ -132,7 +132,7 @@ class TestPersistence:
 
 
 class TestIndexedExecutionAgrees:
-    @pytest.mark.parametrize("mode", ["rows", "blocks"])
+    @pytest.mark.parametrize("mode", ["rows", "columns"])
     def test_translated_query_same_answers(self, mode):
         from repro.core import execute_query
         from repro.sql import parse

@@ -1,11 +1,10 @@
 """Property tests: cached execute_query == fresh execution, all knobs.
 
-Mirrors ``tests/relational/test_columnar.py``'s mode-agreement properties
-one level up: for randomized logical queries over the vehicles database,
+For randomized logical queries over the vehicles database,
 executing through the (warm) prepared-plan cache must be tuple-identical
-to a fresh, cache-free translation across all three executor modes, batch
-sizes {0, 1, 1023, 1024, 1025}, ``use_indexes`` on/off, and fused (columns
-mode) vs unfused (blocks/rows) plans.
+to a fresh, cache-free translation for the executor and the ``rows``
+reference, ``use_indexes`` on/off, and fused (columns mode) vs unfused
+(rows) plans.
 """
 
 from __future__ import annotations
@@ -18,8 +17,7 @@ from repro.relational import col, lit, plan_cache_stats, reset_plan_cache
 
 from tests.conftest import build_vehicles_udb
 
-batch_sizes = st.sampled_from([0, 1, 1023, 1024, 1025])
-modes = st.sampled_from(["rows", "blocks", "columns"])
+modes = st.sampled_from(["rows", "columns"])
 
 
 @st.composite
@@ -63,21 +61,15 @@ def queries(draw) -> UQuery:
     )
 
 
-@given(queries(), batch_sizes, modes, st.booleans())
+@given(queries(), modes, st.booleans())
 @settings(max_examples=100, deadline=None)
-def test_cached_query_identical_to_fresh(query, batch_size, mode, use_indexes):
+def test_cached_query_identical_to_fresh(query, mode, use_indexes):
     udb = build_vehicles_udb()
     reset_plan_cache()
-    cold = execute_query(
-        query, udb, mode=mode, use_indexes=use_indexes, batch_size=batch_size
-    )
+    cold = execute_query(query, udb, mode=mode, use_indexes=use_indexes)
     misses = plan_cache_stats()["misses"]
-    warm = execute_query(
-        query, udb, mode=mode, use_indexes=use_indexes, batch_size=batch_size
-    )
-    warm_again = execute_query(
-        query, udb, mode=mode, use_indexes=use_indexes, batch_size=batch_size
-    )
+    warm = execute_query(query, udb, mode=mode, use_indexes=use_indexes)
+    warm_again = execute_query(query, udb, mode=mode, use_indexes=use_indexes)
     # the repeated runs were executor-only...
     assert plan_cache_stats()["misses"] == misses
     assert plan_cache_stats()["hits"] >= 2
@@ -87,17 +79,16 @@ def test_cached_query_identical_to_fresh(query, batch_size, mode, use_indexes):
     assert sorted(map(repr, warm.rows)) == sorted(map(repr, cold.rows))
 
 
-@given(queries(), batch_sizes)
+@given(queries())
 @settings(max_examples=40, deadline=None)
-def test_warm_modes_agree_with_each_other(query, batch_size):
-    """Fused (columns) and unfused (blocks/rows) cached plans agree."""
+def test_warm_modes_agree_with_each_other(query):
+    """Fused (columns) and unfused (rows) cached plans agree."""
     udb = build_vehicles_udb()
     results = {
-        mode: execute_query(query, udb, mode=mode, batch_size=batch_size)
-        for mode in ("rows", "blocks", "columns")
+        mode: execute_query(query, udb, mode=mode) for mode in ("rows", "columns")
     }
     # warm pass: every mode now runs from its cached plan
     for mode, cold in results.items():
-        warm = execute_query(query, udb, mode=mode, batch_size=batch_size)
+        warm = execute_query(query, udb, mode=mode)
         assert warm == cold
-    assert results["rows"] == results["blocks"] == results["columns"]
+    assert results["rows"] == results["columns"]

@@ -1,13 +1,13 @@
 """Property tests: indexed plans ≡ sequential plans.
 
 The access-path layer must be purely a physical choice: for any query,
-any batch size, and either execution mode, a plan compiled with indexes
+any batch size, and either protocol (executor or ``rows`` reference), a plan compiled with indexes
 available returns exactly the same bag of rows as the same plan compiled
 with ``use_indexes=False`` (all-sequential scans + hash joins).
 
 Randomized over predicates (equality / range / BETWEEN / IN / NULL
-tests), join shapes, both executor modes, and batch sizes around the
-block boundary including 0 and 1.
+tests), join shapes, both protocols, and batch sizes around the
+batch boundary including 0 and 1.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ values = st.one_of(st.integers(min_value=0, max_value=9), st.none())
 rows_r = st.lists(st.tuples(values, values), min_size=0, max_size=30)
 rows_s = st.lists(st.tuples(values, values), min_size=0, max_size=30)
 batch_sizes = st.sampled_from([0, 1, 2, 7, 1023, 1024, 1025])
-modes = st.sampled_from(["rows", "blocks"])
+modes = st.sampled_from(["rows", "columns"])
 
 
 @st.composite
@@ -97,8 +97,8 @@ def test_indexed_plans_equal_sequential_plans(plan, batch_size, mode, optimize_f
 
 @given(plans(), batch_sizes)
 @settings(max_examples=60, deadline=None)
-def test_indexed_blocks_equal_indexed_rows(plan, batch_size):
+def test_indexed_executor_equals_indexed_rows(plan, batch_size):
     physical = plan_physical(optimize(plan), use_indexes=True)
-    via_blocks = execute(physical, mode="blocks", batch_size=batch_size)
+    served = execute(physical, mode="columns", batch_size=batch_size)
     via_rows = execute(physical, mode="rows")
-    assert bag(via_blocks) == bag(via_rows)
+    assert bag(served) == bag(via_rows)

@@ -27,9 +27,9 @@ from repro.core import (
     execute_query,
 )
 from repro.core.probability import ConfidenceAnswer, confidence_relation
-from repro.core.translate import explain_query, query_cache_key
+from repro.core.translate import _cached_physical, explain_query, query_cache_key
 from repro.core.urelation import tid_column
-from repro.relational import col, lit
+from repro.relational import col, execute, lit
 from repro.relational.plancache import cached_cost_class
 
 # -- strategies (probabilistic twin of test_property_core's) -------------
@@ -102,7 +102,7 @@ def assert_rows_match(actual, expected):
 
 
 # -- the central equivalence --------------------------------------------
-@given(prob_udatabases(), queries(), st.sampled_from(["rows", "blocks", "columns"]))
+@given(prob_udatabases(), queries(), st.sampled_from(["rows", "columns"]))
 @settings(max_examples=60, deadline=None)
 def test_operator_matches_tuple_at_a_time(udb, query, mode):
     answer = execute_query(Conf(query, method="exact"), udb, mode=mode)
@@ -125,8 +125,11 @@ def test_operator_auto_matches_exact_on_small_worlds(udb, query):
 @given(prob_udatabases(), queries())
 @settings(max_examples=15, deadline=None)
 def test_small_batches_do_not_change_groups(udb, query):
-    whole = execute_query(Conf(query, method="exact"), udb)
-    chopped = execute_query(Conf(query, method="exact"), udb, batch_size=1)
+    (physical, _wrap, _profile), _cached, _key = _cached_physical(
+        Conf(query, method="exact"), udb, True, False, "columns", True
+    )
+    whole = execute(physical)
+    chopped = execute(physical, batch_size=1)
     assert_rows_match(list(chopped.rows), list(whole.rows))
 
 

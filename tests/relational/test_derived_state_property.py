@@ -130,21 +130,13 @@ def _assert_like_fresh(relation):
 
 
 def _assert_segments_agree(relation):
-    """The delete vector and boundaries describe exactly the live rows."""
+    """The delete vector describes exactly the live rows."""
     rebuilt = Relation.from_segments(
         SCHEMA, relation.segments(), relation.deleted_ordinals()
     )
     assert rebuilt.rows == relation.rows
-    deleted = relation.deleted_ordinals()
-    boundaries, live, ordinal = [], 0, 0
-    for segment in relation.segments():
-        boundaries.append(live)
-        for _ in segment.rows:
-            live += ordinal not in deleted
-            ordinal += 1
-    assert relation.segment_boundaries() == boundaries
     assert Relation.from_segments(
-        SCHEMA, relation.segments(), deleted
+        SCHEMA, relation.segments(), relation.deleted_ordinals()
     ).column_store() == Relation(SCHEMA, relation.rows).column_store()
 
 

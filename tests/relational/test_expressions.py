@@ -1,9 +1,11 @@
 """Tests for the scalar expression AST: evaluation, NULLs, analysis."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.relational.expressions import (
     And,
+    Arithmetic,
     Between,
     Col,
     Comparison,
@@ -15,6 +17,7 @@ from repro.relational.expressions import (
     Or,
     TRUE,
     col,
+    compile_expression,
     conjunction,
     disjunction,
     equijoin_pairs,
@@ -175,3 +178,59 @@ class TestRepr:
         e = (col("a").eq(lit("x"))) & (col("b") > lit(1))
         text = repr(e)
         assert "a" in text and "'x'" in text and "AND" in text
+
+
+# ----------------------------------------------------------------------
+# property tests: compiled expressions == bound closures
+# ----------------------------------------------------------------------
+values = st.integers(min_value=0, max_value=4)
+
+
+@st.composite
+def expressions(draw, depth=2):
+    leafs = [col("a"), col("b"), col("c"), lit(draw(values)), lit("x"), lit(None)]
+    if depth == 0:
+        return draw(st.sampled_from(leafs))
+    kind = draw(
+        st.sampled_from(
+            ["cmp", "and", "or", "not", "arith", "isnull", "inlist", "between"]
+        )
+    )
+    sub = expressions(depth=depth - 1)
+    if kind == "cmp":
+        op = draw(st.sampled_from(["=", "<>", "<", "<=", ">", ">="]))
+        return Comparison(op, draw(st.sampled_from(leafs[:4])), draw(st.sampled_from(leafs[:4])))
+    if kind == "and":
+        return draw(sub) & draw(sub)
+    if kind == "or":
+        return draw(sub) | draw(sub)
+    if kind == "not":
+        return ~draw(sub)
+    if kind == "arith":
+        op = draw(st.sampled_from(["+", "-", "*"]))
+        return Arithmetic(op, draw(st.sampled_from(leafs[:4])), draw(st.sampled_from(leafs[:4])))
+    if kind == "isnull":
+        return col(draw(st.sampled_from(["a", "b", "c"]))).is_null()
+    if kind == "inlist":
+        return col(draw(st.sampled_from(["a", "b", "c"]))).in_list([0, 2, 4])
+    return col(draw(st.sampled_from(["a", "b"]))).between(1, 3)
+
+
+maybe_values = st.one_of(values, st.none())
+
+
+@given(expressions(), st.lists(st.tuples(maybe_values, maybe_values, maybe_values), max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_compiled_expression_equals_bound(expr, rows):
+    schema = Schema(["a", "b", "c"])
+    bound = expr.bind(schema)
+    compiled = compile_expression(expr, schema)
+    for row in rows:
+        try:
+            expected = bound(row)
+        except TypeError:
+            # mixed-type comparisons raise identically on both paths
+            with pytest.raises(TypeError):
+                compiled(row)
+            continue
+        assert compiled(row) == expected, f"{expr!r} on {row}"

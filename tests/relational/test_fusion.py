@@ -9,9 +9,12 @@ make the second execution of a query structurally free of codegen.
 
 from __future__ import annotations
 
-from repro.core import UDatabase, execute_query
+import pytest
+
+from repro.core import PreparedQuery, UDatabase, execute_query
 from repro.core.query import Poss, Rel, UJoin, UProject, USelect
-from repro.relational import Relation
+from repro.core.translate import _cached_physical
+from repro.relational import Relation, expressions, physical
 from repro.relational.algebra import Join, Project, Rename, Scan, Select
 from repro.relational.expressions import (
     col,
@@ -22,6 +25,14 @@ from repro.relational.expressions import (
 from repro.relational.explain import explain, explain_analyze
 from repro.relational.physical import FusedPipeline, HashJoin, execute
 from repro.relational.planner import plan_physical
+from repro.sql import parse
+from repro.tpch import q1
+from repro.ugen import generate_uncertain
+
+POINT_LOOKUP = parse(
+    "possible (select o.orderdate, o.totalprice, o.orderstatus "
+    "from orders o where o.orderkey = $1)"
+)
 
 
 def small_udb() -> UDatabase:
@@ -108,6 +119,13 @@ class TestFusion:
         assert "Fused Pipeline" in first and "actual rows=5" in first
 
 
+@pytest.fixture(scope="module")
+def indexed_tpch():
+    udb = generate_uncertain(scale=0.001, x=0.05, z=0.25, seed=1).udb
+    udb.build_indexes()
+    return udb
+
+
 class TestCompileCache:
     def test_second_execution_pays_no_codegen(self):
         udb = small_udb()
@@ -117,8 +135,44 @@ class TestCompileCache:
         assert first["misses"] > 0  # the first run had to generate code
         execute_query(query(), udb)
         second = compile_cache_stats()
-        assert second["misses"] == first["misses"]  # all hits on run two
-        assert second["hits"] > first["hits"]
+        assert second["misses"] == first["misses"]  # no codegen on run two
+        # ... and no lookup either: the cached plan's operators hold their kernels
+        assert second["hits"] == first["hits"]
+
+    @pytest.mark.parametrize(
+        "query, params", [(POINT_LOOKUP, (1,)), (q1(), ())], ids=["point", "q1"]
+    )
+    def test_later_executions_of_a_cached_plan_derive_no_kernel_key(
+        self, query, params, indexed_tpch, monkeypatch
+    ):
+        """Counted, never timed: what an operator needs to pick its kernel
+        is fixed once planning ends, so only a plan's first execution may
+        derive a kernel-cache key (three index joins per point lookup once
+        made that the larger part of a 0.2 ms request)."""
+        calls = {"_structural_key": 0, "probe_kernel": 0}
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        counting(expressions, "_structural_key")
+        counting(physical, "probe_kernel")
+        udb = indexed_tpch
+        first = PreparedQuery(query, udb).run(*params)  # leaves params bound
+        assert len(first) > 0 and calls["probe_kernel"] > 0
+        (plan, _wrap, _profile), was_cached, _key = _cached_physical(
+            query, udb, True, False, "columns", True
+        )
+        assert was_cached
+        calls.update(_structural_key=0, probe_kernel=0)
+        for _ in range(3):
+            assert execute(plan) == first
+        assert calls == {"_structural_key": 0, "probe_kernel": 0}
 
     def test_cache_distinguishes_schemas(self):
         from repro.relational.expressions import compile_expression

@@ -319,7 +319,7 @@ class TestAccessPathSelection:
 
 class TestIndexScanExecution:
     @pytest.mark.parametrize("batch_size", [0, 1, 1023, 1024, 1025])
-    @pytest.mark.parametrize("mode", ["rows", "blocks"])
+    @pytest.mark.parametrize("mode", ["rows", "columns"])
     def test_modes_and_batch_sizes(self, batch_size, mode):
         rel = people(1030)
         idx = ensure_index(rel, ["dept"], kind="hash")
@@ -354,7 +354,7 @@ class TestIndexScanExecution:
 
 class TestIndexNestedLoopJoinExecution:
     @pytest.mark.parametrize("batch_size", [0, 1, 1023, 1024, 1025])
-    @pytest.mark.parametrize("mode", ["rows", "blocks"])
+    @pytest.mark.parametrize("mode", ["rows", "columns"])
     @pytest.mark.parametrize("use_indexes", [False, True])
     def test_join_modes_and_batch_sizes(self, batch_size, mode, use_indexes):
         left = Relation(["l.k", "l.v"], [(i % 37 if i % 5 else None, i) for i in range(300)])

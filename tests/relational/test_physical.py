@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.relational.expressions import col, lit
+from repro.relational.expressions import Param, col, lit
 from repro.relational.physical import (
     Append,
     Except,
@@ -10,11 +10,11 @@ from repro.relational.physical import (
     Filter,
     HashDistinct,
     HashJoin,
-    Materialize,
     MergeJoin,
     NestedLoopJoin,
     Projection,
     ProjectionAs,
+    SemiJoinOp,
     SeqScan,
     Sort,
     execute,
@@ -119,10 +119,16 @@ class TestSetOpsAndMisc:
         scan = SeqScan(Relation(["a", "b"], [(2, "x"), (1, "y")]), "t")
         assert execute(Sort(scan, ["a"])).rows == [(1, "y"), (2, "x")]
 
-    def test_materialize_caches(self):
-        scan = SeqScan(Relation(["a"], [(1,), (2,)]), "t")
-        mat = Materialize(scan)
-        assert list(mat.rows()) == list(mat.rows()) == [(1,), (2,)]
+    @pytest.mark.parametrize("predicate", [col("l.k").eq(col("r.k")), col("l.k") >= col("r.k")])
+    def test_semi_join_right_side_follows_each_binding(self, left, right, predicate):
+        # one plan object run under two bindings, as a cached plan is: the
+        # right side is drained per execution, never kept on the operator
+        store = [None]
+        semi = SemiJoinOp(left, Filter(right, col("r.w") > Param(0, store)), predicate)
+        for mode in ("rows", "columns"):
+            for bound, keys in ((5, [1, 2, 2]), (15, [2, 2]), (25, []), (5, [1, 2, 2])):
+                store[0] = bound
+                assert [row[0] for row in execute(semi, mode=mode).rows] == keys
 
     def test_explain_labels_present(self, left, right):
         join = HashJoin(left, right, [("l.k", "r.k")], residual=col("r.w") > lit(0))

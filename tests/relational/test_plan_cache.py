@@ -7,9 +7,8 @@ Three families:
 * invalidation — each catalog mutation evicts exactly the dependent
   entries (unrelated cached plans survive and keep hitting);
 * property tests (hypothesis) — cached-plan execution is tuple-identical
-  to fresh-plan execution across all three modes, batch sizes
-  {0, 1, 1023, 1024, 1025}, ``use_indexes`` on/off, and fused/unfused
-  plans, mirroring ``test_columnar.py``.
+  to fresh-plan execution for the executor and the ``rows`` reference,
+  ``use_indexes`` on/off, and fused/unfused plans.
 """
 
 from __future__ import annotations
@@ -88,8 +87,8 @@ class TestMechanics:
         db = make_db()
         plan = query(db)
         db.run(plan, mode="columns")
-        db.run(plan, mode="blocks")  # unfused: a separate plan
-        db.run(plan, mode="rows")  # shares the unfused blocks plan
+        db.run(plan, mode="rows")  # unfused: a separate plan
+        db.run(plan, mode="rows")
         stats = plan_cache_stats()
         assert stats["misses"] == 2 and stats["hits"] == 1
 
@@ -280,12 +279,11 @@ class TestInvalidation:
 
 
 # ----------------------------------------------------------------------
-# property tests: cached == fresh, all modes x batch sizes x knobs
+# property tests: cached == fresh, both modes x knobs
 # ----------------------------------------------------------------------
 values = st.one_of(st.integers(min_value=0, max_value=9), st.none())
 rows_r = st.lists(st.tuples(values, values), min_size=0, max_size=30)
 rows_s = st.lists(st.tuples(values, values), min_size=0, max_size=30)
-batch_sizes = st.sampled_from([0, 1, 1023, 1024, 1025])
 
 
 @st.composite
@@ -349,39 +347,26 @@ def bag(relation: Relation):
     return sorted(map(repr, relation.rows))
 
 
-@given(plans(), batch_sizes, st.booleans(), st.sampled_from(["rows", "blocks", "columns"]))
+@given(plans(), st.booleans(), st.sampled_from(["rows", "columns"]))
 @settings(max_examples=120, deadline=None)
-def test_cached_equals_fresh(plan, batch_size, use_indexes, mode):
+def test_cached_equals_fresh(plan, use_indexes, mode):
     """A plan served from the cache produces the same tuples a fresh
-    compilation does — across modes, batch sizes, and index knobs, and on
-    repeated executions of the same cached tree."""
+    compilation does — across modes and index knobs, and on repeated
+    executions of the same cached tree."""
     fuse = mode == "columns"
     fresh = execute(
-        plan_physical(optimize(plan), use_indexes=use_indexes, fuse=fuse),
-        mode=mode,
-        batch_size=batch_size,
+        plan_physical(optimize(plan), use_indexes=use_indexes, fuse=fuse), mode=mode
     )
     db = Database()
-    cold = db.run(plan, mode=mode, batch_size=batch_size, use_indexes=use_indexes)
-    warm = db.run(plan, mode=mode, batch_size=batch_size, use_indexes=use_indexes)
-    warm_again = db.run(plan, mode=mode, batch_size=batch_size, use_indexes=use_indexes)
+    cold = db.run(plan, mode=mode, use_indexes=use_indexes)
+    warm = db.run(plan, mode=mode, use_indexes=use_indexes)
+    warm_again = db.run(plan, mode=mode, use_indexes=use_indexes)
     assert bag(cold) == bag(fresh)
     assert bag(warm) == bag(fresh)
     assert bag(warm_again) == bag(fresh)
     assert warm.schema.names == fresh.schema.names
     assert cache_contains(
-        ("db-run", id(db), logical_plan_key(plan), True, False, use_indexes, fuse, 0)
+        ("db-run", id(db), logical_plan_key(plan), True, False, use_indexes, fuse)
     )
 
 
-@given(plans(), batch_sizes, st.booleans())
-@settings(max_examples=40, deadline=None)
-def test_cached_plan_shared_across_batch_sizes(plan, batch_size, use_indexes):
-    """Batch size is an execution knob, not a plan knob: one cached entry
-    serves every batch size with identical answers."""
-    db = Database()
-    reference = db.run(plan, batch_size=1024, use_indexes=use_indexes)
-    misses = plan_cache_stats()["misses"]
-    other = db.run(plan, batch_size=batch_size, use_indexes=use_indexes)
-    assert plan_cache_stats()["misses"] == misses
-    assert bag(other) == bag(reference)

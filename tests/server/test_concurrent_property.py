@@ -28,7 +28,7 @@ from repro.sql import execute_sql
 
 from tests.conftest import build_vehicles_udb
 
-MODES = ["rows", "blocks", "columns"]
+MODES = ["rows", "columns"]
 
 
 def _query_pool():
@@ -625,7 +625,7 @@ def test_compaction_races_readers_writers_and_snapshots():
         assert sorted(answers[mode]) == sorted(
             _rows_of(execute_query(query, twin, mode=mode))
         ), mode
-    assert answers["rows"] == answers["blocks"] == answers["columns"]
+    assert answers["rows"] == answers["columns"]
 
 
 def test_transactions_all_or_nothing_under_interleaving():
