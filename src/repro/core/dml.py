@@ -47,7 +47,7 @@ from operator import itemgetter
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..obs import counter as _counter
-from ..relational.expressions import Expression, Param
+from ..relational.expressions import Expression, Param, slot_count
 from .descriptor import Descriptor, encode_descriptor
 from .query import Rel, USelect
 from .urelation import URelation, tid_column
@@ -63,7 +63,7 @@ __all__ = [
     "update_where",
     "delete_where",
     "execute_dml",
-    "collect_dml_params",
+    "dml_slot_count",
 ]
 
 
@@ -146,7 +146,8 @@ class DMLResult(NamedTuple):
 
 
 def _resolve(value: Any) -> Any:
-    """Resolve a parser-produced value cell: ``$n`` slots read their store."""
+    """Resolve a parser-produced value cell: ``$n`` slots read the
+    executing frame."""
     if isinstance(value, Param):
         return value.value
     return value
@@ -201,34 +202,19 @@ def execute_dml(statement, udb) -> DMLResult:
     raise TypeError(f"not a DML statement: {type(statement).__name__}")
 
 
-def collect_dml_params(statement) -> List[Param]:
-    """Every ``$n`` slot of a DML statement, VALUES/SET cells included."""
-    from ..relational.expressions import iter_subexpressions
-
-    params: List[Param] = []
-
-    def walk_expression(expression) -> None:
-        if isinstance(expression, Param):
-            params.append(expression)
-            return
-        for child in iter_subexpressions(expression):
-            walk_expression(child)
-
+def dml_slot_count(statement) -> int:
+    """How many ``$n`` values a DML statement takes, VALUES/SET cells included."""
     if isinstance(statement, Insert):
-        for row in statement.rows:
-            params.extend(cell for cell in row if isinstance(cell, Param))
+        cells = [cell for row in statement.rows for cell in row]
     elif isinstance(statement, Update):
-        params.extend(
-            value for _, value in statement.assignments if isinstance(value, Param)
-        )
-        if statement.condition is not None:
-            walk_expression(statement.condition)
+        cells = [value for _, value in statement.assignments] + [statement.condition]
     elif isinstance(statement, Delete):
-        if statement.condition is not None:
-            walk_expression(statement.condition)
+        cells = [statement.condition]
     else:
         raise TypeError(f"not a DML statement: {type(statement).__name__}")
-    return params
+    return max(
+        (slot_count(cell) for cell in cells if isinstance(cell, Expression)), default=0
+    )
 
 
 @_counted

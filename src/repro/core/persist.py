@@ -6,13 +6,13 @@ list of **immutable segments** plus a **delete vector**, so saving after
 DML appends new segment files and rewrites the manifest — it never
 rewrites a base segment.
 
-Segment-log layout (manifest format v3)::
+Segment-log layout::
 
     <dir>/
       manifest.csv                  relation, attributes, partition_values,
                                     part, d_width, segments ("id:rows|..."),
                                     deleted ("ordinal|..." — the delete
-                                    vector, inline since v3)
+                                    vector, inline)
       indexes.csv                   secondary-index definitions
       w.csv                         the world table (Var, Rng[, P])
       u_<relation>_<attributes>/    one directory per partition
@@ -38,29 +38,26 @@ Write-path contract:
   place — POSIX-atomic, so :func:`load_udatabase` only ever sees the
   complete old manifest or the complete new one, never a torn file;
   (3) **garbage-collect**: delete segment files the *new* manifest no
-  longer references (compacted-away stacks) and stale v2 ``deleted.csv``
-  files — only after the rename, so a crash any time before phase 3
-  leaves every file the committed manifest needs, and a crash during
-  phase 3 merely leaves unreferenced files for the next save to sweep.
-* **Delete vectors live inside the manifest** (v3): the ``deleted``
-  column holds the global ordinals (over the concatenation of all
+  longer references (compacted-away stacks) — only after the rename, so
+  a crash any time before phase 3 leaves every file the committed
+  manifest needs, and a crash during phase 3 merely leaves unreferenced
+  files for the next save to sweep.
+* **Delete vectors live inside the manifest**: the ``deleted`` column
+  holds the global ordinals (over the concatenation of all
   segment rows in segment order) marked dead.  Inline storage is what
   makes the rename atomic for UPDATE/DELETE too — the new segment list
   and the new delete vector commit in the same ``os.replace``, so no
   intermediate "rows appended but predecessors not yet deleted" state is
   ever visible on disk.
-* **Older formats load unchanged.**  The manifest is versioned by its
-  header: v2 rows lack the ``deleted`` column and read their vector from
-  the partition's ``deleted.csv``; v1 directories — written before the
-  segment log existed, one whole-CSV ``file`` per partition — are
-  detected by their ``file`` column and load as single-base-segment
-  relations.  The next save upgrades either format to v3 in place
-  (sweeping ``deleted.csv`` files in its GC phase).
+* **One format.**  This program is the only producer of such
+  directories and writes exactly this layout; a manifest whose header
+  lacks one of the columns above is input from outside the program and
+  is refused with a ``ValueError``.
 
 ``indexes.csv`` records every secondary index *definition* — built or
-still pending from lazy auto-indexing — keyed by partition directory
-(v2+) or partition file (v1), plus the definitions on the ``w``
-world-table snapshot (recorded under ``w.csv``).  Saving never forces a
+still pending from lazy auto-indexing — keyed by partition directory,
+plus the definitions on the ``w`` world-table snapshot (recorded under
+``w.csv``).  Saving never forces a
 deferred index build, and loading defers every recorded definition
 again, so a save/load round trip costs no index construction at all.
 User-created world-table indexes are re-applied whenever
@@ -87,7 +84,7 @@ __all__ = ["save_udatabase", "load_udatabase"]
 
 PathLike = Union[str, pathlib.Path]
 
-_MANIFEST_HEADER_V3 = [
+_MANIFEST_HEADER = [
     "relation",
     "attributes",
     "partition_values",
@@ -200,27 +197,21 @@ def save_udatabase(udb: UDatabase, directory: PathLike) -> None:
     write_csv(world, world_tmp)
     _rename(world_tmp, directory / "w.csv")
 
-    _commit_rows(directory / "manifest.csv", _MANIFEST_HEADER_V3, manifest_rows)
+    _commit_rows(directory / "manifest.csv", _MANIFEST_HEADER, manifest_rows)
     _commit_rows(
         directory / "indexes.csv", ["file", "index", "columns", "kind"], index_rows
     )
 
     # -- GC phase: only now drop what the committed manifest no longer
-    # references (old segment stacks replaced by a compacted base, and
-    # v2 deleted.csv files superseded by the inline vectors)
+    # references (old segment stacks replaced by a compacted base)
     for part_dir, keep in referenced.items():
         for child in part_dir.glob("seg_*.csv"):
             if child.name not in keep:
                 child.unlink()
-        stale = part_dir / "deleted.csv"
-        if stale.exists():
-            stale.unlink()
 
 
-def _load_partition_segmented(
-    directory: pathlib.Path, entry: Dict[str, str]
-) -> Relation:
-    """Assemble one partition relation from its segment directory (v2/v3)."""
+def _load_partition(directory: pathlib.Path, entry: Dict[str, str]) -> Relation:
+    """Assemble one partition relation from its segment directory."""
     part_dir = directory / entry["part"]
     segments: List[Segment] = []
     schema = None
@@ -237,25 +228,16 @@ def _load_partition_segmented(
         segments.append(Segment(int(segment_id), tuple(loaded.rows)))
     if schema is None:
         raise ValueError(f"{part_dir}: manifest lists no segments")
-    if "deleted" in entry:  # v3: the delete vector is inline
-        spec = entry["deleted"]
-        deleted = [int(o) for o in spec.split("|")] if spec else []
-    else:  # v2: a sidecar file per partition
-        deleted_path = part_dir / "deleted.csv"
-        deleted = (
-            [row[0] for row in read_csv(deleted_path).rows]
-            if deleted_path.exists()
-            else []
-        )
+    spec = entry["deleted"]
+    deleted = [int(o) for o in spec.split("|")] if spec else []
     return Relation.from_segments(schema, segments, deleted)
 
 
 def load_udatabase(directory: PathLike) -> UDatabase:
     """Load a U-relational database saved by :func:`save_udatabase`.
 
-    Reads all three manifest formats: v3 (inline delete vectors), v2
-    (``deleted.csv`` sidecars), and the pre-segment v1 layout (one whole
-    CSV per partition), which loads as single-base-segment relations.
+    Raises ``ValueError`` for a manifest that is not in the layout
+    :func:`save_udatabase` writes (see the module docstring).
     """
     directory = pathlib.Path(directory)
     world_relation = read_csv(directory / "w.csv")
@@ -266,21 +248,20 @@ def load_udatabase(directory: PathLike) -> UDatabase:
         reader = csv.reader(handle)
         header = next(reader)
         entries = [dict(zip(header, row)) for row in reader]
+    missing = [column for column in _MANIFEST_HEADER if column not in header]
+    if missing:
+        raise ValueError(
+            f"{directory}: manifest.csv lacks the column(s) {', '.join(missing)}; "
+            f"not a directory save_udatabase wrote"
+        )
 
-    segmented = "segments" in header  # v2/v3; v1 has a whole-CSV "file" column
     grouped: Dict[str, Tuple[List[str], List[URelation]]] = {}
     by_key: Dict[str, Relation] = {}
     for entry in entries:
         name = entry["relation"]
         attributes = entry["attributes"].split("|")
         values = entry["partition_values"].split("|")
-        if segmented:
-            key = entry["part"]
-            relation = _load_partition_segmented(directory, entry)
-        else:
-            key = entry["file"]
-            relation = read_csv(directory / key)
-        by_key[key] = relation
+        relation = by_key[entry["part"]] = _load_partition(directory, entry)
         part = URelation(
             relation, int(entry["d_width"]), [tid_column(name)], values
         )

@@ -647,7 +647,6 @@ def query_cache_key(
     query: UQuery,
     udb: UDatabase,
     optimize: bool = True,
-    prefer_merge_join: bool = False,
     mode: str = "columns",
     use_indexes: bool = True,
 ):
@@ -667,7 +666,6 @@ def query_cache_key(
             id(udb),
             query_structure_key(query),
             optimize,
-            prefer_merge_join,
             use_indexes,
             fuse,
         )
@@ -678,7 +676,6 @@ def _cached_physical(
     query: UQuery,
     udb: UDatabase,
     optimize: bool,
-    prefer_merge_join: bool,
     mode: str,
     use_indexes: bool,
 ):
@@ -714,7 +711,7 @@ def _cached_physical(
     from ..relational.planner import plan_physical
 
     fuse = mode == "columns"
-    key = query_cache_key(query, udb, optimize, prefer_merge_join, mode, use_indexes)
+    key = query_cache_key(query, udb, optimize, mode, use_indexes)
     # captured before translation resolves any relation: the store below
     # only commits if no catalog *swap* landed in between (see cache_store).
     # Identity, not version: this planning's own lazy index builds bump the
@@ -766,22 +763,16 @@ def _cached_physical(
                 conf.delta,
                 conf.seed,
             )
-        physical = plan_physical(
-            plan,
-            prefer_merge_join=prefer_merge_join,
-            use_indexes=use_indexes,
-            fuse=fuse,
-        )
+        physical = plan_physical(plan, use_indexes=use_indexes, fuse=fuse)
         cost_class = cost_class_of(physical)
         profile = _workload_profile(query, plan, physical, key, cost_class)
         payload = (physical, wrap, profile)
-        # pin the query tree (it holds any $n parameter stores) and the udb
-        # (id-keyed owners must outlive their entries)
+        # pin the udb: an id-keyed owner must outlive its entries
         cache_store(
             key,
             payload,
             deps,
-            pins=(udb, query),
+            pins=(udb,),
             cost_class=cost_class,
             plan_cost=time.perf_counter() - started,
             guard=lambda: udb.catalog_identity() == catalog_before,
@@ -797,7 +788,6 @@ def execute_query(
     query: UQuery,
     udb: UDatabase,
     optimize: bool = True,
-    prefer_merge_join: bool = False,
     mode: str = "columns",
     use_indexes: bool = True,
 ):
@@ -826,19 +816,19 @@ def execute_query(
     if isinstance(query, Certain):
         from .certain import certain_answers
 
-        inner = execute_query(
-            query.child, udb, optimize, prefer_merge_join, mode, use_indexes
-        )
+        inner = execute_query(query.child, udb, optimize, mode, use_indexes)
         return certain_answers(inner, udb.world_table)
     (physical, wrap, profile), was_cached, key = _cached_physical(
-        query, udb, optimize, prefer_merge_join, mode, use_indexes
+        query, udb, optimize, mode, use_indexes
     )
     started = time.perf_counter()
     relation = execute(physical, mode=mode)
     elapsed = time.perf_counter() - started
     # feed the estimate-vs-actual loop and the trace from the accounting
-    # the batch iterators already did — no re-run, no extra measurement
-    record_observed_rows(key, physical.estimated_rows, physical.actual_rows)
+    # the batch iterators already did for this execution's frame — no
+    # re-run, no extra measurement
+    actual_rows = physical.actual_rows
+    record_observed_rows(key, physical.estimated_rows, actual_rows)
     cost_class = cost_class_of(physical)
     counter("queries_total", "Queries executed by class and plan-cache outcome").inc(
         cls=cost_class, cached=str(was_cached).lower()
@@ -858,14 +848,15 @@ def execute_query(
         rows=len(relation),
         cached=was_cached,
         estimated=physical.estimated_rows,
-        actual=physical.actual_rows,
+        actual=actual_rows,
         sql=trace.root.attrs.get("sql") if trace is not None else None,
     )
     if wrap is None:
-        if isinstance(physical, Confidence) and physical.last_summary is not None:
+        summary = physical.last_summary if isinstance(physical, Confidence) else None
+        if summary is not None:
             from .probability import ConfidenceAnswer
 
-            return ConfidenceAnswer.adopt(relation, physical.last_summary)
+            return ConfidenceAnswer.adopt(relation, summary)
         return relation
     d_width, tid_names, value_names, canonical = wrap
     # normalize output column names to the canonical U-relation layout
@@ -878,7 +869,6 @@ def explain_query(
     query: UQuery,
     udb: UDatabase,
     optimize: bool = True,
-    prefer_merge_join: bool = False,
     mode: str = "columns",
     use_indexes: bool = True,
     analyze: bool = False,
@@ -903,17 +893,10 @@ def explain_query(
 
     if isinstance(query, Certain):
         return explain_query(
-            query.child,
-            udb,
-            optimize,
-            prefer_merge_join,
-            mode,
-            use_indexes,
-            analyze,
-            trace,
+            query.child, udb, optimize, mode, use_indexes, analyze, trace
         )
     (physical, _wrap, _profile), was_cached, _key = _cached_physical(
-        query, udb, optimize, prefer_merge_join, mode, use_indexes
+        query, udb, optimize, mode, use_indexes
     )
     if analyze and trace:
         _result, text, data = explain_analyze(physical, mode=mode, trace=True)

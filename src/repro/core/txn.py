@@ -45,6 +45,7 @@ import threading
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..obs import counter
+from ..relational.expressions import executing
 from .dml import DMLResult, execute_dml
 
 __all__ = [
@@ -256,18 +257,12 @@ class Transaction:
             return result
 
     def run(self, prepared, params: Tuple[Any, ...] = ()) -> DMLResult:
-        """Stage a prepared DML statement, binding ``$n`` parameters.
-
-        Mirrors :meth:`~repro.core.prepared.PreparedDML.run`, holding the
-        prepared statement's binding lock so concurrent non-transactional
-        users of the same statement text never see torn parameters.
-        """
+        """Stage a prepared DML statement with ``params`` as its ``$n``
+        values: :meth:`~repro.core.prepared.PreparedDML.run` against the
+        overlay instead of the database."""
         with self._lock:
             self._require_open()
-            if prepared.parameter_count == 0 and not params:
-                return self.execute(prepared.statement)
-            with prepared._lock:
-                prepared.bind(params)
+            with executing(prepared.checked(params)):
                 return self.execute(prepared.statement)
 
     # ------------------------------------------------------------------

@@ -27,18 +27,10 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from ..relational.database import Database
-from ..relational.index import (
-    attach_index,
-    build_index,
-    built_indexes_on,
-    defer_index,
-    ensure_index,
-    indexes_on,
-)
+from ..relational.index import defer_index, ensure_index, indexes_on
 from ..relational.plancache import bump_relation, watch_relation
 from ..relational.relation import Relation
 from ..relational.schema import Schema
@@ -172,37 +164,13 @@ def _defer_index_partition(name: str, part: URelation) -> None:
         )
 
 
-def _merge_tid_index_name(name: str, part: URelation) -> str:
-    """Deterministic name of the ``auto_index="merge"`` sorted tid index."""
-    return f"idx_u_{name}_{'_'.join(part.value_names)}_tid_sorted"
-
-
-def _merge_index_partition(name: str, part: URelation) -> None:
-    """Eagerly build the sorted tuple-id index of the ``"merge"`` policy.
-
-    The merge-join profile (``prefer_merge_join=True``) consumes an
-    already-*built* sorted index on exactly the join columns — and never
-    triggers deferred builds — so this policy builds the index now rather
-    than deferring.  Checked against *built* indexes only (``ensure_index``
-    would force every pending lazy definition just to look).
-    """
-    target = _merge_tid_index_name(name, part)
-    for index in built_indexes_on(part.relation):
-        if index.name == target:
-            return  # carried over by the write path
-    index = build_index(
-        part.relation, [tid_column(name)], kind="sorted", name=target
-    )
-    attach_index(part.relation, index)
-
-
 class UDatabase:
     """A U-relational database (Definition 2.2)."""
 
     def __init__(
         self,
         world_table: Optional[WorldTable] = None,
-        auto_index: Union[bool, str] = True,
+        auto_index: bool = True,
     ):
         self.world_table = world_table or WorldTable()
         self._partitions: Dict[str, List[URelation]] = {}
@@ -210,12 +178,7 @@ class UDatabase:
         #: Mirror the paper's experiment setup: every vertical partition
         #: gets a hash index on its tuple-id column (and the world table
         #: one on Var), so the tid-equijoins that reassemble partitions
-        #: run as index probes.  ``"merge"`` extends the policy with an
-        #: eagerly built *sorted* tuple-id index per partition, so the
-        #: merge-join profile (``prefer_merge_join=True``, which never
-        #: builds deferred indexes) hits the presorted merge path without
-        #: manual ``CREATE INDEX`` — the paper's Figure 13 plans (merge
-        #: joins over tid order) then run sort-free.
+        #: run as index probes.
         self.auto_index = auto_index
         self._database: Optional[Database] = None
         self._database_world_version: Optional[int] = None
@@ -327,8 +290,6 @@ class UDatabase:
                     _auto_index_partition(name, part)
                 else:
                     _defer_index_partition(name, part)
-                if self.auto_index == "merge":
-                    _merge_index_partition(name, part)
 
     # ------------------------------------------------------------------
     # the write path (see :mod:`repro.core.dml`)
@@ -360,11 +321,6 @@ class UDatabase:
         for part in old:
             if id(part.relation) not in kept:
                 bump_relation(part.relation)
-        if self.auto_index == "merge":
-            # keep the presorted-merge access path alive across writes:
-            # a no-op when the derivation carried the sorted index along
-            for part in partitions:
-                _merge_index_partition(name, part)
 
     def allocate_tids(self, name: str, count: int) -> int:
         """Reserve ``count`` fresh tuple ids; returns the first.
@@ -693,9 +649,10 @@ class UDatabase:
     def session(self):
         """Open a standalone :class:`~repro.server.session.Session` here.
 
-        The session owns its prepared-statement namespace and ``$n``
-        binding stores (concurrent sessions never share parameter state)
-        and offers catalog-version snapshot reads.  Statements execute
+        The session owns its prepared-statement names (the statements
+        and their plans are this database's, shared by all its sessions;
+        ``$n`` values belong to each execution) and offers catalog-version
+        snapshot reads.  Statements execute
         inline on the calling thread; for pooled execution with admission
         control, open sessions through a
         :class:`~repro.server.server.QueryServer` instead.

@@ -27,6 +27,7 @@ from operator import itemgetter
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from .expressions import (
+    FRAME_PARAMS,
     Expression,
     _CodeGen,
     cached_kernel,
@@ -138,6 +139,14 @@ def _hoist(used: Sequence[int], vector: str, prefix: str) -> str:
     )
 
 
+def _hoist_params(*generators: _CodeGen) -> str:
+    """The prologue line reading the executing frame's ``$n`` vector into
+    ``_p``, once per kernel call, when a generated body uses it."""
+    if any(generator.params_used for generator in generators):
+        return f"    _p = {FRAME_PARAMS}\n"
+    return ""
+
+
 def selection_kernel(
     predicate: Expression, schema: Schema, assume_non_null: bool = False
 ) -> Callable[[Sequence[Sequence[Any]], int], List[int]]:
@@ -165,6 +174,7 @@ def _selection_uncached(predicate: Expression, schema: Schema, assume_non_null: 
     source = (
         "def _kernel(_cols, _n):\n"
         + _hoist(used, "_cols", "_c")
+        + _hoist_params(generator)
         + f"    return [_i for _i in range(_n) if {body}]\n"
     )
     try:
@@ -198,6 +208,7 @@ def _map_uncached(expression: Expression, schema: Schema):
     source = (
         "def _kernel(_cols, _n):\n"
         + _hoist(used, "_cols", "_c")
+        + _hoist_params(generator)
         + f"    return [{body} for _i in range(_n)]\n"
     )
     try:
@@ -245,13 +256,13 @@ def _pipeline_uncached(
     schema: Schema,
 ):
     emit = "row" if positions is None else _emit_tuple(positions)
-    if predicate is None:
-        generator = _CodeGen(schema)
-        condition = ""
-    else:
-        generator = _CodeGen(schema)
-        condition = f" if {generator.emit(predicate)}"
-    source = f"def _kernel(_rows):\n    return [{emit} for row in _rows{condition}]\n"
+    generator = _CodeGen(schema)
+    condition = "" if predicate is None else f" if {generator.emit(predicate)}"
+    source = (
+        "def _kernel(_rows):\n"
+        + _hoist_params(generator)
+        + f"    return [{emit} for row in _rows{condition}]\n"
+    )
     try:
         return _build_kernel(source, generator.context)
     except SyntaxError:  # pragma: no cover
@@ -344,6 +355,7 @@ def _probe_uncached(
     context["type"] = type
     context["list"] = list
     used: List[int] = []
+    generators: List[_CodeGen] = []
 
     def emit_conditions(assume_non_null: bool, tag: str) -> List[str]:
         def combined_ref(position: int) -> str:
@@ -368,6 +380,7 @@ def _probe_uncached(
             )
             conditions.append(generator.emit(expr))
             context.update(generator.context)
+            generators.append(generator)
         if residual is not None:
             generator = _CodeGen(
                 combined,
@@ -377,6 +390,7 @@ def _probe_uncached(
             )
             conditions.append(generator.emit(residual))
             context.update(generator.context)
+            generators.append(generator)
         return conditions
 
     checked = emit_conditions(False, "c")
@@ -391,6 +405,7 @@ def _probe_uncached(
     want_inner = any(not from_col for from_col, _ in emit_specs)
     hoisted = sorted(set(used))
     lines = ["def _kernel(_lookup, _cols, _fast):", f"    _kc = _cols[{key_position}]"]
+    lines.extend(_hoist_params(*generators).splitlines())
     for p in sorted(set(used) | {local for from_col, local in emit_specs if from_col}):
         lines.append(f"    _cc{p} = _cols[{p}]")
     # the probe loop only collects matches (two appends per match); the
@@ -494,6 +509,7 @@ def _side_uncached(predicate: Expression, combined: Schema, split: int, columnar
     source = (
         "def _kernel(_ccols, _ci, _rr, _n):\n"
         + _hoist(used, "_ccols", "_cc")
+        + _hoist_params(generator)
         + f"    return [_j for _j in range(_n) if {body}]\n"
     )
     try:

@@ -45,7 +45,9 @@ from __future__ import annotations
 import ast
 import math
 import operator
-from typing import Any, Callable, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+import threading
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .schema import Schema
 from .types import format_value
@@ -55,6 +57,8 @@ __all__ = [
     "Col",
     "Lit",
     "Param",
+    "executing",
+    "frame",
     "Comparison",
     "And",
     "Or",
@@ -74,6 +78,7 @@ __all__ = [
     "equijoin_pairs",
     "compile_expression",
     "structural_key",
+    "slot_count",
     "exact_leaf",
     "cached_kernel",
     "compile_cache_stats",
@@ -190,42 +195,70 @@ class Lit(Expression):
         return format_value(self.value)
 
 
+class _Frame(threading.local):
+    """What the calling thread's current execution owns, so that query
+    trees, plans and kernels hold none of it: the ``$n`` values (``params``,
+    ``$1`` first), the ``(rows, batches)`` each physical operator produced
+    (``counters``) and each ``Confidence`` operator's computation summary
+    (``summaries``).  No other thread can see it (thread-local state does
+    not cross a worker pool by itself).  Outside :func:`executing` a thread
+    has a standing empty frame, for callers that drive the layers by hand.
+    """
+
+    def __init__(self) -> None:
+        self.params: Tuple[Any, ...] = ()
+        self.counters: Dict[Any, Tuple[int, int]] = {}
+        self.summaries: Dict[Any, Dict[str, Any]] = {}
+
+
+frame = _Frame()
+
+
+@contextmanager
+def executing(params: Sequence[Any] = ()) -> Iterator[None]:
+    """Run the block as one execution with ``params`` as its ``$n`` values.
+
+    The calling thread's frame is fresh inside and what it was afterwards:
+    with its counters goes the last reference an execution holds to the
+    plan and to the relation versions the plan scans.  Nested use
+    (``certain`` over its inner query, DML over its matching query) is
+    sequential, under the one frame.
+    """
+    previous = frame.params, frame.counters, frame.summaries
+    frame.params, frame.counters, frame.summaries = tuple(params), {}, {}
+    try:
+        yield
+    finally:
+        frame.params, frame.counters, frame.summaries = previous
+
+
 class Param(Expression):
-    """A ``$n``-style runtime parameter slot.
+    """A ``$n``-style runtime parameter slot (``$1`` is index 0).
 
-    ``store`` is a mutable list shared by every parameter of one prepared
-    query; ``index`` is the zero-based slot (``$1`` is index 0).  The value
-    is read from the store *at evaluation time* — never inlined into
-    generated code — so a physical plan compiled once serves every
-    parameter binding: the prepared-plan cache keys parameters by store
-    identity (see :func:`structural_key`), not by value.
-
-    Rewrite passes that clone expression trees slot-by-slot (predicate
-    qualification, pushdown, re-anchoring) copy the ``store`` reference,
-    so clones inside a planned tree always see the current binding.
-    Because a parameter may be bound to NULL at any execution,
+    A slot holds no value: evaluation reads ``params[index]`` of the
+    calling thread's frame (:func:`executing`), and neither planning nor
+    generated code ever sees a value, so one tree, one plan and one kernel
+    serve every binding and every thread, keyed by the index alone
+    (:func:`exact_leaf`).  A parameter may be NULL in any execution, so
     :func:`has_null_literal` reports ``True`` for it and codegen keeps the
     NULL guards around every use.
     """
 
-    __slots__ = ("index", "store")
+    __slots__ = ("index",)
 
-    def __init__(self, index: int, store: List[Any]):
+    def __init__(self, index: int):
         if index < 0:
             raise ValueError(f"parameter index must be >= 0, got {index}")
         self.index = index
-        self.store = store
-        while len(store) <= index:
-            store.append(None)
 
     @property
     def value(self) -> Any:
-        """The currently bound value of this slot."""
-        return self.store[self.index]
+        """The value this slot has in the calling thread's execution."""
+        return frame.params[self.index]
 
     def bind(self, schema: Schema) -> RowPredicate:
-        store, index = self.store, self.index
-        return lambda row: store[index]
+        index = self.index
+        return lambda row: frame.params[index]
 
     def columns(self) -> FrozenSet[str]:
         return frozenset()
@@ -569,6 +602,10 @@ _PY_COMPARATORS = {
 }
 
 
+#: Generated source reading the calling thread's ``$n`` vector.
+FRAME_PARAMS = "_frame.params"
+
+
 class _CodeGen:
     """Emits a single Python expression string for an expression tree.
 
@@ -583,6 +620,11 @@ class _CodeGen:
     kernels, and the join operators two-row renderings.  Whatever ``ref``
     returns is treated as an atom (cheap and side-effect free to evaluate
     twice), which every subscript-chain rendering is.
+
+    A ``$n`` slot becomes ``<params>[n]``: by default ``_p[n]``, a local a
+    kernel's prologue assigns :data:`FRAME_PARAMS` once per call when
+    ``params_used`` says so; the row lambda has no prologue and reads
+    :data:`FRAME_PARAMS` per row (its callers filter index-matched rows only).
     """
 
     def __init__(
@@ -591,9 +633,12 @@ class _CodeGen:
         ref: Optional[Callable[[int], str]] = None,
         symbols: str = "",
         assume_non_null: bool = False,
+        params: str = "_p",
     ):
         self.schema = schema
-        self.context: dict = {"__builtins__": {}, "bool": bool}
+        self.context: dict = {"__builtins__": {}, "bool": bool, "_frame": frame}
+        self._params = params
+        self.params_used = False
         self._counter = 0
         self._ref = ref
         self._symbols = symbols
@@ -640,10 +685,10 @@ class _CodeGen:
         if isinstance(expr, Col):
             return self._emit_col(self.schema.resolve(expr.name))
         if isinstance(expr, Param):
-            # read the shared store at evaluation time — the value must
-            # never be baked into cached code (plans outlive bindings)
-            name = self._constant(expr.store)
-            return f"{name}[{expr.index}]"
+            # read the executing frame at evaluation time — a value must
+            # never be baked into cached code (kernels outlive executions)
+            self.params_used = True
+            return f"{self._params}[{expr.index}]"
         if isinstance(expr, Lit):
             value = expr.value
             if type(value) in _INLINE_LITERALS:
@@ -727,14 +772,12 @@ def _is_atom(source: str) -> bool:
 def exact_leaf(node: Any, parent: Optional[Expression]) -> Any:
     """The default leaf policy of :func:`structural_key`: keys by value.
 
-    A ``$n`` slot keys by store identity, not value: every binding of a
-    prepared query shares one compiled kernel / cached plan.  The id is
-    sound because cached artifacts capture the store (kernels close over
-    it, plan-cache entries pin the query tree that holds it), so it
-    cannot be recycled while a keyed entry is alive.
+    A ``$n`` slot keys by its index: it has no value outside an execution,
+    so every binding, statement and session of one shape shares one
+    compiled kernel and one cached plan.
     """
     if isinstance(node, Param):
-        return ("param", node.index, id(node.store))
+        return ("param", node.index)
     if isinstance(node, Lit):
         hash(node.value)  # may raise TypeError: unhashable literal
         return ("lit", type(node.value).__name__, node.value)
@@ -877,6 +920,13 @@ def iter_subexpressions(expression: Expression):
                         yield item
 
 
+def slot_count(expression: Expression) -> int:
+    """How many ``$n`` values evaluating an expression takes (``$3`` alone: 3)."""
+    if isinstance(expression, Param):
+        return expression.index + 1
+    return max(map(slot_count, iter_subexpressions(expression)), default=0)
+
+
 def has_null_literal(expression: Expression) -> bool:
     """Whether a NULL literal occurs anywhere in an expression tree.
 
@@ -926,7 +976,7 @@ def compile_expression(expression: Expression, schema: Schema) -> RowPredicate:
 
 
 def _compile_expression_uncached(expression: Expression, schema: Schema) -> RowPredicate:
-    generator = _CodeGen(schema)
+    generator = _CodeGen(schema, params=FRAME_PARAMS)
     body = generator.emit(expression)
     source = f"lambda row: {body}"
     try:

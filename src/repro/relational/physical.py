@@ -47,10 +47,21 @@ Every operator speaks exactly two protocols:
   served answer against it.  It is not meant to be fast.
 
 Every operator implements ``rows()`` and ``_column_batches(size)``; the
-inherited wrapper :meth:`PhysicalPlan.column_batches` tracks the
-``actual_rows`` / ``actual_batches`` counters that ``EXPLAIN ANALYZE``
-reports — for a fused pipeline the counters are per-pipeline, not
-per-fused-away-operator.  ``rows()`` keeps no counters.
+inherited wrapper :meth:`PhysicalPlan.column_batches` counts the rows and
+batches each operator produced — for a fused pipeline per pipeline, not
+per fused-away operator.  ``rows()`` keeps no counters.
+
+A plan is a value; an execution is an argument.  Plans are cached and run
+by any number of threads at once, so nothing an execution reads or
+produces lives on a node: the ``$n`` values, the per-operator ``(rows,
+batches)`` counters and the ``conf`` summary belong to the calling
+thread's frame (:func:`~repro.relational.expressions.executing`), and
+``actual_rows``, ``actual_batches``, :meth:`PhysicalPlan.actuals` and
+``Confidence.last_summary`` read that frame — ``None`` for an operator the
+thread's current execution did not run.  Outside ``__init__`` /
+``set_output`` a node is assigned only plan-only memos, whose values any
+execution derives equal: ``FusedPipeline._select`` and the joins'
+``_planned`` (kernels), and the entries of ``Confidence._decode_cache``.
 
 The planner can additionally *fuse* maximal scan→filter→project chains
 into single :class:`FusedPipeline` operators and fold projections into
@@ -74,7 +85,7 @@ from .columnar import (
     selection_kernel,
     side_kernel,
 )
-from .expressions import Expression, Param, has_null_literal
+from .expressions import Expression, Param, frame, has_null_literal
 from .index import HashIndex, Index, SortedIndex, built_indexes_on
 from .relation import Relation, _sort_key
 from .schema import Schema
@@ -130,10 +141,6 @@ class PhysicalPlan:
 
     schema: Schema
     estimated_rows: float = 0.0
-    #: Runtime statistics, populated when a ``column_batches()`` scan
-    #: completes.
-    actual_rows: Optional[int] = None
-    actual_batches: Optional[int] = None
     #: True for operators that pass rows through unchanged (schema-only
     #: wrappers, e.g. renames) — fusion and access-path matching look
     #: through them.
@@ -161,8 +168,18 @@ class PhysicalPlan:
             produced_rows += batch.length
             produced_batches += 1
             yield batch
-        self.actual_rows = produced_rows
-        self.actual_batches = produced_batches
+        frame.counters[self] = (produced_rows, produced_batches)
+
+    @property
+    def actual_rows(self) -> Optional[int]:
+        """Rows this operator produced in the calling thread's execution
+        (``None`` when that execution never drained it)."""
+        return frame.counters.get(self, (None, None))[0]
+
+    @property
+    def actual_batches(self) -> Optional[int]:
+        """Batches this operator produced in the calling thread's execution."""
+        return frame.counters.get(self, (None, None))[1]
 
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
         """Operator-specific batch production."""
@@ -178,12 +195,12 @@ class PhysicalPlan:
     def actuals(self) -> dict:
         """The operator tree's runtime accounting as a nested dict.
 
-        Reads the ``actual_rows``/``actual_batches`` counters the batch
-        iterators already maintain — free to call after an execution, no
-        re-run.  Nodes that never produced (e.g. the unexecuted branches
-        of an early-exited plan) report ``None``.  This is what query
-        traces attach under the ``operators`` attribute and what
-        ``explain_analyze(trace=True)`` returns structurally.
+        Reads the counters the batch iterators recorded in the calling
+        thread's frame — free to call after an execution on the thread
+        that ran it, no re-run.  Nodes that never produced (e.g. the
+        unexecuted branches of an early-exited plan) report ``None``.
+        This is what query traces attach under the ``operators`` attribute
+        and what ``explain_analyze(trace=True)`` returns structurally.
         """
         return {
             "operator": self.explain_label(),
@@ -267,8 +284,8 @@ def _resolve_key(point: Any) -> Any:
     """Resolve ``$n`` parameter slots in a point-lookup key at run time.
 
     The planner stores :class:`~repro.relational.expressions.Param`
-    objects (not their values) in cached plans; each execution reads the
-    currently bound value here, so one plan serves every binding.
+    slots in cached plans; each execution reads its own frame's value
+    here, so one plan serves every binding.
     """
     if isinstance(point, Param):
         return point.value
@@ -1841,8 +1858,9 @@ class Confidence(PhysicalPlan):
 
     ``method`` selects exact enumeration, the bounded-error ``(epsilon,
     delta)`` sampler, or per-component auto selection; the method actually
-    used, group counts, and error budget are recorded in ``last_summary``
-    (the serving layer returns it as the ``conf`` wire field) and in the
+    used, group counts, and error budget are recorded in the executing
+    frame and read back as ``last_summary`` (the serving layer returns it
+    as the ``conf`` wire field) and in the
     ``conf_groups_total`` / ``conf_method`` / ``conf_seconds`` metrics.
 
     Output rows are ``value columns + conf``, sorted by descending
@@ -1877,12 +1895,16 @@ class Confidence(PhysicalPlan):
         #: encoded descriptor prefix -> Descriptor, shared across executions
         #: of this (plan-cached) operator
         self._decode_cache: Dict[Tuple[Any, ...], Any] = {}
-        #: summary of the most recent execution (wire/trace metadata)
-        self.last_summary: Optional[Dict[str, Any]] = None
 
     @property
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.child,)
+
+    @property
+    def last_summary(self) -> Optional[Dict[str, Any]]:
+        """Summary of this operator's computation in the calling thread's
+        execution (wire/trace metadata), ``None`` when it did not run."""
+        return frame.summaries.get(self)
 
     # -- grouping ------------------------------------------------------
     def _grouped_reference(self) -> Dict[Row, set]:
@@ -1959,7 +1981,7 @@ class Confidence(PhysicalPlan):
         if approx:
             method_counter.inc(approx, method="approx")
         histogram("conf_seconds", "Confidence kernel wall time").observe(elapsed)
-        self.last_summary = {
+        frame.summaries[self] = {
             "method": self.method,
             "epsilon": self.epsilon,
             "delta": self.delta,
@@ -2008,8 +2030,11 @@ def execute(
 
     ``mode="columns"`` (the default) runs the executor in batches of at
     most ``batch_size`` rows; ``mode="rows"`` runs the tuple-at-a-time
-    reference iterators.  Both produce identical relations.
+    reference iterators.  Both produce identical relations.  What the run
+    counted replaces what the calling thread's frame held before.
     """
+    frame.counters.clear()
+    frame.summaries.clear()
     if mode == "rows":
         return Relation(plan.schema, plan.rows())
     if mode != "columns":

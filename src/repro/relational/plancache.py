@@ -32,10 +32,16 @@ Entries additionally record the per-relation *epoch* of each dependency at
 insert time and re-validate on lookup, so even a hypothetical missed bump
 cannot surface a stale plan — the belt to the eviction hooks' braces.
 
-Keys identify base relations by ``id()``.  That is sound precisely because
-every entry holds strong references to its dependency relations: an id can
-only be recycled after the object dies, and a dependency object cannot die
-while its entry is alive.
+Keys identify base relations and the owning catalog by ``id()``.  That is
+sound precisely because every entry holds strong references to them (its
+``deps`` and ``pins``): an id can only be recycled after the object dies,
+and neither can die while the entry is alive.  Nothing else in a key is an
+identity: a ``$n`` slot keys by its index, so a plan is shared by every
+statement, session and thread whose query has the same structure, and
+what differs between their executions (``$n`` values, operator counters,
+``conf`` summaries) lives in each execution's frame
+(:func:`~repro.relational.expressions.executing`), never on the cached
+tree.
 
 Serving-layer duties (PR 5):
 
@@ -256,8 +262,8 @@ class _Entry:
         #: probes.  The strong reference is what keeps ``id()``-based keys
         #: sound; the epoch is the lookup-time staleness backstop.
         self.deps = list(deps)
-        #: Extra strong references (the owning catalog, the query object —
-        #: which keeps parameter stores alive for ``$n`` plans).
+        #: Extra strong references: the owning catalog, which the key names
+        #: by ``id()``.
         self.pins = pins
         #: Admission cost class of the cached plan (see :data:`COST_CLASSES`).
         self.cost_class = cost_class
@@ -702,8 +708,8 @@ def logical_plan_key(plan: Plan) -> Tuple:
 
     Base relations are identified by object id (sound because cache
     entries pin them — see the module docstring); predicates use
-    :func:`~repro.relational.expressions.structural_key`, so ``$n``
-    parameter slots key by their store identity, not their current values.
+    :func:`~repro.relational.expressions.structural_key`, so a ``$n``
+    parameter slot keys by its index, never by a value.
     Raises ``TypeError`` for unknown node or expression shapes — callers
     treat that as "not cacheable" and plan uncached.
     """

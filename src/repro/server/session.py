@@ -1,23 +1,21 @@
-"""Per-connection sessions: statement namespaces, bindings, snapshots.
+"""Per-connection sessions: statement namespaces, snapshots, transactions.
 
 A :class:`Session` is the unit of client state on a shared
 :class:`~repro.core.udatabase.UDatabase`.  It owns:
 
 * **a prepared-statement namespace** — ``PREPARE``-style named statements
-  (:meth:`Session.prepare`) plus a transparent statement cache for ad-hoc
-  texts (:meth:`Session.execute`).  Each session *parses its own
-  statements*, which is not a nicety but the concurrency mechanism: every
-  parse gets its own ``$n`` binding store, so two sessions running
-  ``where x = $1`` with different bindings never touch each other's
-  parameters, and each plans that statement once, keyed by store
-  identity.  A text without slots shares its physical plan across
-  sessions (structural keys are equal), and so does an ad-hoc text with
-  equality literals: those are lifted into ``$n`` slots of one statement
-  per query *shape* kept on the database, so the same lookup with another
-  key inlined, from this session or any other, runs the plan the first
-  one built (:func:`repro.core.prepared.text_statement`; a session that
-  finds the shared statement running binds a copy of it instead of
-  waiting; named statements keep their literals).
+  (:meth:`Session.prepare`); ad-hoc texts (:meth:`Session.execute`) are
+  prepared transparently.  Only the *names* are the session's: the
+  statements behind them are the database's
+  (:func:`repro.core.prepared.text_statement`), parsed once per text and
+  planned once per structure whichever connection sends them.  Two
+  sessions running ``where x = $1`` with different values run one
+  statement and one cached plan at once, because a statement holds no
+  values — each execution's ``$n`` values live in its own frame
+  (:func:`repro.relational.expressions.executing`).  An ad-hoc text's
+  equality literals are lifted into ``$n`` slots of one statement per
+  query *shape*, so the same lookup with another key inlined runs the
+  plan the first one built; named statements keep their literals.
 * **read consistency via catalog-version snapshots** — within one
   statement, consistency is automatic (a plan embeds the immutable
   relation objects it was planned over, so a concurrent table
@@ -56,12 +54,6 @@ from ..obs import current_trace, record_statement, register_session, request_tra
 from ..obs import span as obs_span
 
 __all__ = ["Session", "SnapshotChanged"]
-
-#: Per-session cap of the ad-hoc by-text map, and of the database's
-#: by-shape map it fills (mirrors the per-udb cap in :mod:`repro.sql`):
-#: ad-hoc texts must not grow the namespace without bound.
-_SESSION_STATEMENT_LIMIT = 256
-
 
 def _result_rows(result: Any) -> int:
     """Row count of a statement result, for resource accounting.
@@ -102,7 +94,8 @@ class SnapshotChanged(RuntimeError):
 
 
 class Session:
-    """One client's statements, bindings, and snapshot on a shared UDatabase."""
+    """One client's statement names, snapshot, and transaction on a shared
+    UDatabase."""
 
     def __init__(self, udb: UDatabase, server: Optional[Any] = None):
         self.udb = udb
@@ -111,7 +104,6 @@ class Session:
         #: calling thread, without admission control or coalescing).
         self.server = server
         self._named: Dict[str, PreparedQuery] = {}
-        self._by_text: Dict[str, Tuple[PreparedQuery, Tuple[Any, ...]]] = {}
         #: Serializes this session's statements (a session models one
         #: connection; its requests are a sequence, not a pool).
         self._lock = threading.RLock()
@@ -134,10 +126,10 @@ class Session:
 
         Re-preparing a name replaces it (the PostgreSQL ``PREPARE``
         convention is an error; replacement is friendlier for a serving
-        loop and costs nothing).  The statement belongs to this session:
-        its ``$n`` bindings are invisible to every other session.
+        loop and costs nothing).  The name belongs to this session; the
+        statement is the database's for that text, literals kept.
         """
-        prepared, _ = text_statement(sql, self.udb, None, False, 0)  # literals kept
+        prepared, _ = text_statement(sql, self.udb, False)
         if not isinstance(prepared, (PreparedQuery, PreparedDML)):
             raise ValueError(
                 "cannot prepare DDL, VACUUM, or transaction control; "
@@ -162,15 +154,6 @@ class Session:
                     f"no prepared statement {name!r} in this session; "
                     f"have {sorted(self._named)}"
                 ) from None
-
-    def _by_text_statement(self, sql: str) -> Tuple[PreparedQuery, Tuple[Any, ...]]:
-        """The statement of an ad-hoc text and the literals lifted out of it
-        (bound after the text's own ``$n`` values).  With lifted literals
-        it is the database's statement of that shape, else session-owned."""
-        with self._lock:
-            return text_statement(
-                sql, self.udb, self._by_text, True, _SESSION_STATEMENT_LIMIT
-            )
 
     # ------------------------------------------------------------------
     # snapshots
@@ -321,11 +304,12 @@ class Session:
                         if isinstance(statement, Commit):
                             return self.commit()
                         return self.rollback()
-                prepared, lifted = self._by_text_statement(sql)
+                # the literals lifted out of the text go after its own $n values
+                prepared, lifted = text_statement(sql, self.udb, True)
                 return self._run(prepared, tuple(params) + lifted)
 
     def execute_prepared(self, name: str, *params: Any):
-        """Run a named prepared statement with the given bindings."""
+        """Run a named prepared statement with the given ``$n`` values."""
         with self._lock:
             self._check_snapshot()
             prepared = self.statement(name)
@@ -335,7 +319,7 @@ class Session:
                 return self._run(prepared, params)
 
     def run(self, prepared: PreparedQuery, *params: Any):
-        """Run a session-owned :class:`PreparedQuery` (from :meth:`prepare`)."""
+        """Run a :class:`PreparedQuery` (from :meth:`prepare`) in this session."""
         with self._lock:
             self._check_snapshot()
             with request_trace(sql=prepared.sql or ""):

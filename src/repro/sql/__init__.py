@@ -56,13 +56,6 @@ __all__ = [
     "PreparedDML",
 ]
 
-#: Per-database cap of each ad-hoc statement map (by exact text, by
-#: shape).  Ad-hoc workloads produce a distinct text per query; bounding
-#: the maps by wholesale clearing (the plan/compile cache policy) keeps
-#: such workloads flat while real statements re-enter on next use.
-_STATEMENT_CACHE_LIMIT = 256
-
-
 def fingerprint_sql(sql: str) -> Optional[str]:
     """The workload fingerprint of a SQL query text, or ``None``.
 
@@ -87,14 +80,15 @@ def prepare(sql: str, udb: UDatabase) -> Union[PreparedQuery, PreparedDML]:
     INSERT/UPDATE/DELETE, :class:`~repro.core.prepared.PreparedDML`)
     cached on the database by SQL text, so ``prepare`` is idempotent.  A
     prepared query's first ``run`` plans it and inserts the physical tree
-    into the prepared-plan cache, after which every execution — under any
-    parameter binding — is executor-only; prepared DML reuses its parse
+    into the prepared-plan cache, after which every execution — with any
+    parameter values, from any thread — is executor-only (a statement
+    holds no values; each ``run`` is one execution with its own
+    :func:`~repro.relational.expressions.executing` frame); prepared DML
+    reuses its parse
     the same way, and its WHERE matching rides the same plan cache.  DDL
     cannot be prepared.
     """
-    prepared, _ = text_statement(
-        sql, udb, udb._prepared_statements, False, _STATEMENT_CACHE_LIMIT
-    )
+    prepared, _ = text_statement(sql, udb, False)
     if not isinstance(prepared, (PreparedQuery, PreparedDML)):
         raise ValueError(
             "cannot prepare DDL, VACUUM, or transaction control; "
@@ -118,7 +112,7 @@ def execute_sql(
     :class:`~repro.core.urelation.URelation` for bare queries, and a
     :class:`~repro.core.dml.DMLResult` for INSERT/UPDATE/DELETE (which
     re-execute on every call — the statement cache skips only their
-    parsing).
+    parsing).  ``optimize`` applies to queries; DML takes no options.
 
     Queries are prepared transparently, once per *shape*: the non-NULL
     literals of ``column = literal`` comparisons are lifted into ``$n``
@@ -128,8 +122,9 @@ def execute_sql(
     an earlier one only in such literals — the same lookup with another
     key inlined — therefore pays lex + parse and one walk over its tree,
     then runs the earlier statement's cached plan with its own values
-    bound (a thread that finds the statement running binds a copy rather
-    than wait); a re-issued text skips the parse as well.  Translation,
+    (concurrent callers share the statement and the plan as they are:
+    each execution's values live in its own frame); a re-issued text
+    skips the parse as well.  Translation,
     optimization and planning are paid once per shape (and again after a
     write to a scanned relation evicts the plan).  Range, ``BETWEEN`` and
     ``IN`` literals are part of the shape, because the planner's estimates
@@ -154,18 +149,17 @@ def execute_sql(
     immediately and never cached.
     """
     with request_trace(sql=sql):
-        prepared, lifted = text_statement(
-            sql, udb, udb._statements, True, _STATEMENT_CACHE_LIMIT
-        )
+        prepared, lifted = text_statement(sql, udb, True)
         if not isinstance(prepared, (PreparedQuery, PreparedDML)):
             return _execute_immediate(prepared, udb)  # DDL & friends, never cached
-        bound = tuple(params or ()) + lifted
+        values = tuple(params or ()) + lifted
         if isinstance(prepared, PreparedDML):
             txn = udb._active_txn
             if txn is not None and txn.status == "open":
                 # an open database-level transaction: stage, don't publish
-                return txn.run(prepared, bound)
-        return prepared.run(*bound, optimize=optimize)
+                return txn.run(prepared, values)
+            return prepared.run(*values)
+        return prepared.run(*values, optimize=optimize)
 
 
 def _execute_immediate(statement, udb: UDatabase):

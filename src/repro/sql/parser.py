@@ -38,7 +38,7 @@ select-project-join queries with ``possible``), plus ``certain`` and
 String literals shaped like ISO dates are parsed as dates (the paper
 writes ``o.orderdate > '1995-03-15'``).  ``$n`` parameters (prepared
 statements) may stand anywhere a literal can, except inside IN lists;
-all slots of one statement share a single binding store.
+a slot carries its index only, its value arrives with each execution.
 
 The FROM list becomes a left-deep chain of :class:`UJoin` nodes with a
 trivially-true predicate; the WHERE clause sits above as one
@@ -150,10 +150,6 @@ class _Parser:
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
         self.index = 0
-        #: Shared store backing every ``$n`` slot of this statement — one
-        #: parse yields one store, which is what lets a prepared query's
-        #: plan be cached once and rebound per execution.
-        self.param_store: List[Any] = []
 
     # ------------------------------------------------------------------
     # token utilities
@@ -367,7 +363,7 @@ class _Parser:
         """One certain DML value: a literal, or a ``$n`` parameter slot."""
         if self.current.kind == TokenKind.PARAM:
             token = self.advance()
-            return Param(int(token.text[1:]) - 1, self.param_store)
+            return Param(int(token.text[1:]) - 1)
         return self._literal_value()
 
     def _update(self) -> Update:
@@ -522,7 +518,7 @@ class _Parser:
     def _literal(self) -> Expression:
         if self.current.kind == TokenKind.PARAM:
             token = self.advance()
-            return Param(int(token.text[1:]) - 1, self.param_store)
+            return Param(int(token.text[1:]) - 1)
         return lit(self._literal_value())
 
     def _literal_value(self) -> Any:

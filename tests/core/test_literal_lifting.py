@@ -28,14 +28,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import PreparedQuery
-from repro.core.prepared import lift_literals
+from repro.core.prepared import _STATEMENT_CACHE_LIMIT, lift_literals, text_statement
 from repro.core.udatabase import UDatabase
 from repro.core.urelation import URelation, tid_column
 from repro.obs import slow_queries
 from repro.relational import plan_cache_stats
 from repro.server import QueryServer
-from repro.server.session import _SESSION_STATEMENT_LIMIT
-from repro.sql import _STATEMENT_CACHE_LIMIT, execute_sql, parse, prepare
+from repro.sql import execute_sql, parse, prepare
 from tests.conftest import build_vehicles_udb
 
 LOOKUP = "possible (select kind, score from events where id = {key})"
@@ -250,7 +249,7 @@ def test_range_literals_still_plan_per_literal(planned):
         got = session.execute(f"possible (select id from events where id < {bound})")
         assert sorted(got.rows) == [(i,) for i in range(bound)]
     assert planned == {"translate": 5, "optimize": 5, "plan_physical": 5}
-    assert (len(session._by_text), len(udb._statement_shapes)) == (5, 0)
+    assert (len(udb._statements), len(udb._statement_shapes)) == (5, 0)
 
 
 # ----------------------------------------------------------------------
@@ -269,9 +268,10 @@ def test_a_session_per_request_shares_the_shapes_plan():
     assert set(execute_sql(LOOKUP.format(key=9), udb).rows) == _event_rows(9)
     stats = plan_cache_stats()
     assert (stats["misses"], stats["hits"], stats["evictions"]) == (1, 600, 0)
-    # one statement and equal bindings: identical texts in flight coalesce
-    one, other = (udb.session()._by_text_statement(LOOKUP.format(key=7)) for _ in "ab")
-    assert one[0] is other[0] and one[1] == other[1] == (7,)
+    # one statement whatever the key, the key as its value: identical texts
+    # in flight coalesce
+    one, other = (text_statement(LOOKUP.format(key=key), udb, True) for key in (7, 8))
+    assert one[0] is other[0] and (one[1], other[1]) == ((7,), (8,))
 
 
 def test_prepare_keeps_literals_whatever_ran_before():
@@ -285,33 +285,13 @@ def test_prepare_keeps_literals_whatever_ran_before():
     assert plan_cache_stats()["misses"] == misses  # still the lifted statement
 
 
-def test_a_running_statement_is_not_waited_for():
-    """A text whose shape's statement is executing (here: its lock is held,
-    as a slow query of the shape would hold it) runs a copy at once."""
-    udb = _events(50)
-    execute_sql(LOOKUP.format(key=1), udb)
-    (statement,) = udb._statement_shapes.values()
-    answers = []
-
-    def fast():
-        answers.append(set(execute_sql(LOOKUP.format(key=2), udb).rows))
-        answers.append(set(udb.session().execute(LOOKUP.format(key=3)).rows))
-
-    with statement._lock:
-        thread = threading.Thread(target=fast)
-        thread.start()
-        thread.join(timeout=30)
-        assert not thread.is_alive()
-    assert answers == [_event_rows(2), _event_rows(3)]
-    assert len(statement._idle) == 1  # built once, kept for the next busy moment
-    assert plan_cache_stats()["misses"] == 2
-
-
 def test_concurrent_execute_sql_threads_each_see_their_own_keys():
     """More threads than cores on one per-database statement, switching
-    every 10 us: no answer carries another thread's key, and the shape is
-    planned once per copy a concurrent caller needed, never per text."""
+    every 10 us: no answer carries another thread's key, and the shape's
+    one plan (built by the first text: threads that miss on one key
+    together would each plan) serves them all, whatever the overlap."""
     udb = _events(1000)
+    execute_sql(LOOKUP.format(key=0), udb)
     wrong, errors = [], []
 
     def client(offset):
@@ -336,9 +316,8 @@ def test_concurrent_execute_sql_threads_each_see_their_own_keys():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert not errors and not wrong
-    (statement,) = udb._statement_shapes.values()
-    assert len(statement._idle) < len(threads)
-    assert plan_cache_stats()["misses"] == 1 + len(statement._idle)
+    assert len(udb._statement_shapes) == 1
+    assert plan_cache_stats()["misses"] == 1
 
 
 def test_concurrent_sessions_each_see_their_own_keys():
@@ -389,14 +368,11 @@ def test_trace_and_slow_log_carry_the_requests_own_text():
 def test_statement_maps_are_bounded():
     udb = _events(50)
     session = udb.session()
-    for bound in range(_SESSION_STATEMENT_LIMIT + 10):  # a range literal: one shape each
-        session.execute(f"possible (select kind from events where id = 1 and score < {bound})")
-    assert len(udb._statement_shapes) <= _SESSION_STATEMENT_LIMIT
-    assert len(session._by_text) <= _SESSION_STATEMENT_LIMIT
-    for bound in range(_STATEMENT_CACHE_LIMIT + 10):
-        execute_sql(f"possible (select kind from events where id = 1 and score < {bound})", udb)
-    assert len(udb._statement_shapes) <= _STATEMENT_CACHE_LIMIT
-    assert len(udb._statements) <= _STATEMENT_CACHE_LIMIT
+    for run in (session.execute, lambda text: execute_sql(text, udb)):
+        for bound in range(_STATEMENT_CACHE_LIMIT + 10):  # a range literal: one shape each
+            run(f"possible (select kind from events where id = 1 and score < {bound})")
+        assert len(udb._statement_shapes) <= _STATEMENT_CACHE_LIMIT
+        assert len(udb._statements) <= _STATEMENT_CACHE_LIMIT
 
 
 # ----------------------------------------------------------------------
@@ -458,7 +434,7 @@ def test_partition_merged_point_lookup_admits_as_point(tpch):
     param.run(7)
     session = tpch.session()
     session.execute(ORDERS_LOOKUP.format(key=7))
-    lifted, values = session._by_text_statement(ORDERS_LOOKUP.format(key=8))
+    lifted, values = text_statement(ORDERS_LOOKUP.format(key=8), tpch, True)
     assert values == (8,) and lifted.parameter_count == 1
     for statement in (literal, param, lifted):
         assert "Index Nested Loop Join" in statement.explain(*([7] * statement.parameter_count))

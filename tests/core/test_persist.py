@@ -311,92 +311,18 @@ class TestCrashRecovery:
             assert len(part.relation.segments()) == 1
 
 
-class TestFormatBackCompat:
-    """v1 (whole-CSV) and v2 (deleted.csv sidecar) directories still load."""
+class TestForeignManifest:
+    """This program writes one layout; anything else is refused by name."""
 
-    def _downgrade_to_v2(self, target):
-        """Rewrite a v3 directory in the v2 layout it superseded."""
-        with open(target / "manifest.csv", newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            header = next(reader)
-            entries = [dict(zip(header, row)) for row in reader]
-        for entry in entries:
-            spec = entry.pop("deleted", "")
-            if spec:
-                with open(
-                    target / entry["part"] / "deleted.csv",
-                    "w",
-                    newline="",
-                    encoding="utf-8",
-                ) as handle:
-                    writer = csv.writer(handle)
-                    writer.writerow(["ordinal"])
-                    writer.writerows([o] for o in spec.split("|"))
-        v2_header = [c for c in header if c != "deleted"]
-        with open(
-            target / "manifest.csv", "w", newline="", encoding="utf-8"
-        ) as handle:
-            writer = csv.writer(handle)
-            writer.writerow(v2_header)
-            writer.writerows([e[c] for c in v2_header] for e in entries)
-
-    def _downgrade_to_v1(self, target):
-        """Rewrite a single-segment v3 directory in the pre-segment layout."""
-        import shutil
-
-        with open(target / "manifest.csv", newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            header = next(reader)
-            entries = [dict(zip(header, row)) for row in reader]
-        v1_rows = []
-        for entry in entries:
-            (segment_file,) = list((target / entry["part"]).glob("seg_*.csv"))
-            flat = entry["part"] + ".csv"
-            shutil.copy(segment_file, target / flat)
-            shutil.rmtree(target / entry["part"])
-            v1_rows.append(
-                (
-                    entry["relation"],
-                    entry["attributes"],
-                    entry["partition_values"],
-                    flat,
-                    entry["d_width"],
-                )
-            )
-        with open(
-            target / "manifest.csv", "w", newline="", encoding="utf-8"
-        ) as handle:
-            writer = csv.writer(handle)
-            writer.writerow(
-                ["relation", "attributes", "partition_values", "file", "d_width"]
-            )
-            writer.writerows(v1_rows)
-        (target / "indexes.csv").unlink(missing_ok=True)
-
-    def test_v2_directory_loads(self, vehicles_udb, tmp_path):
-        from repro.sql import execute_sql
-
-        execute_sql("insert into r values (9, 'Tank', 'Friend')", vehicles_udb)
-        execute_sql("delete from r where id = 1", vehicles_udb)
-        target = tmp_path / "v2"
+    @pytest.mark.parametrize("dropped", ["deleted", "segments"])
+    def test_manifest_without_a_column_is_a_value_error(self, vehicles_udb, tmp_path, dropped):
+        target = tmp_path / "foreign"
         save_udatabase(vehicles_udb, target)
-        self._downgrade_to_v2(target)
-        back = load_udatabase(target)
-        assert _poss_rows(back) == _poss_rows(vehicles_udb)
-        for a, b in zip(
-            sorted(vehicles_udb.partitions("r"), key=lambda p: p.value_names),
-            sorted(back.partitions("r"), key=lambda p: p.value_names),
-        ):
-            assert a.relation.deleted_ordinals() == b.relation.deleted_ordinals()
-        # the next save upgrades in place: sidecars swept, vector inline
-        save_udatabase(back, target)
-        assert not list(target.rglob("deleted.csv"))
-        assert _poss_rows(load_udatabase(target)) == _poss_rows(vehicles_udb)
-
-    def test_v1_directory_loads(self, vehicles_udb, tmp_path):
-        target = tmp_path / "v1"
-        save_udatabase(vehicles_udb, target)
-        self._downgrade_to_v1(target)
-        back = load_udatabase(target)
-        assert _poss_rows(back) == _poss_rows(vehicles_udb)
-        assert back.world_count() == vehicles_udb.world_count()
+        with open(target / "manifest.csv", newline="", encoding="utf-8") as handle:
+            header, *rows = list(csv.reader(handle))
+        keep = [i for i, column in enumerate(header) if column != dropped]
+        with open(target / "manifest.csv", "w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle).writerows([row[i] for i in keep] for row in [header] + rows)
+        with pytest.raises(ValueError) as error:
+            load_udatabase(target)
+        assert str(target) in str(error.value) and dropped in str(error.value)

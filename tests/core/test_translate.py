@@ -20,7 +20,7 @@ from repro.core import (
 )
 from repro.core.translate import alpha_condition, psi_condition
 from repro.core.urelation import tid_column
-from repro.relational import col, lit
+from repro.relational import col, execute, lit, optimize, plan_physical
 from tests.conftest import brute_force_poss
 
 
@@ -222,6 +222,8 @@ class TestReducedPreservation:
 
     def test_merge_join_planner_agrees(self, vehicles_udb):
         q = UProject(USelect(Rel("r"), col("faction").eq(lit("Enemy"))), ["id"])
-        a = execute_query(Poss(q), vehicles_udb, prefer_merge_join=False)
-        b = execute_query(Poss(q), vehicles_udb, prefer_merge_join=True)
+        a = execute_query(Poss(q), vehicles_udb)
+        inner = translate(q, vehicles_udb)
+        merge = plan_physical(optimize(inner.plan), prefer_merge_join=True)
+        b = execute(merge).project(inner.value_names)
         assert set(a.rows) == set(b.rows)

@@ -126,7 +126,7 @@ def test_operator_auto_matches_exact_on_small_worlds(udb, query):
 @settings(max_examples=15, deadline=None)
 def test_small_batches_do_not_change_groups(udb, query):
     (physical, _wrap, _profile), _cached, _key = _cached_physical(
-        Conf(query, method="exact"), udb, True, False, "columns", True
+        Conf(query, method="exact"), udb, True, "columns", True
     )
     whole = execute(physical)
     chopped = execute(physical, batch_size=1)

@@ -35,7 +35,7 @@ from repro.relational.algebra import (
 )
 from repro.relational.columnar import ColumnBatch
 from repro.relational.explain import explain_analyze
-from repro.relational.expressions import Param, col, lit
+from repro.relational.expressions import Param, col, executing, lit
 from repro.relational.index import ensure_index
 from repro.relational.optimizer import optimize
 from repro.relational.physical import (
@@ -206,14 +206,12 @@ CASES = {
     ),
     "fused_pipeline_over_index_scan": _fused_over_index_scan,
     "index_scan_point": lambda n: _index_scan(n, kind="hash", point=1),
-    "index_scan_point_param": lambda n: _index_scan(n, kind="hash", point=Param(0, [2])),
+    "index_scan_point_param": lambda n: _index_scan(n, kind="hash", point=Param(0)),
     "index_scan_range_residual": lambda n: _index_scan(
         n, lower=1, upper=3, upper_inclusive=False, residual=col("r.w") > lit(10)
     ),
-    "index_scan_range_params": lambda n: _index_scan(
-        n, lower=Param(0, [1, 4]), upper=Param(1, [1, 4])
-    ),
-    "index_scan_null_param_bound": lambda n: _index_scan(n, lower=Param(0, [None])),
+    "index_scan_range_params": lambda n: _index_scan(n, lower=Param(0), upper=Param(1)),
+    "index_scan_null_param_bound": lambda n: _index_scan(n, lower=Param(0)),
     "index_scan_full": _index_scan,
     "hash_join": lambda n: HashJoin(left(n), right(n), [("l.k", "r.k")]),
     "hash_join_empty_build": lambda n: HashJoin(left(n), right(0), [("l.k", "r.k")]),
@@ -268,24 +266,31 @@ CASES = {
 }
 
 
+#: The ``$n`` values the cases with parameter slots execute under.
+CASE_PARAMS = {
+    "index_scan_point_param": (2,),
+    "index_scan_range_params": (1, 4),
+    "index_scan_null_param_bound": (None,),
+}
+
+
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_operator_sweep(case, n):
-    assert_executor_matches_reference(CASES[case](n))
+    with executing(CASE_PARAMS.get(case, ())):
+        assert_executor_matches_reference(CASES[case](n))
 
 
 def test_param_bounds_follow_their_binding():
-    """One plan object, rebound between executions (no per-plan leftovers)."""
-    store = [1, 3]
+    """One plan object, executed under one binding after another (no
+    per-plan leftovers)."""
     relation = right_relation(8)
     index = ensure_index(relation, ["r.k"], kind="sorted")
-    scan = IndexScan(
-        index, "r", relation.schema, lower=Param(0, store), upper=Param(1, store)
-    )
+    scan = IndexScan(index, "r", relation.schema, lower=Param(0), upper=Param(1))
     for bounds in ([1, 3], [0, 0], [2, 4], [1, 3]):
-        store[:] = bounds
-        assert_executor_matches_reference(scan)
-        keys = {row[0] for row in execute(scan).rows}
+        with executing(bounds):
+            assert_executor_matches_reference(scan)
+            keys = {row[0] for row in execute(scan).rows}
         assert keys == {k for k in (0, 1, 2, 4) if bounds[0] <= k <= bounds[1]}
 
 

@@ -19,6 +19,7 @@ from repro.relational.algebra import Join, Project, Rename, Scan, Select
 from repro.relational.expressions import (
     col,
     compile_cache_stats,
+    executing,
     lit,
     reset_compile_cache,
 )
@@ -163,15 +164,16 @@ class TestCompileCache:
         counting(expressions, "_structural_key")
         counting(physical, "probe_kernel")
         udb = indexed_tpch
-        first = PreparedQuery(query, udb).run(*params)  # leaves params bound
+        first = PreparedQuery(query, udb).run(*params)
         assert len(first) > 0 and calls["probe_kernel"] > 0
         (plan, _wrap, _profile), was_cached, _key = _cached_physical(
-            query, udb, True, False, "columns", True
+            query, udb, True, "columns", True
         )
         assert was_cached
         calls.update(_structural_key=0, probe_kernel=0)
-        for _ in range(3):
-            assert execute(plan) == first
+        with executing(params):
+            for _ in range(3):
+                assert execute(plan) == first
         assert calls == {"_structural_key": 0, "probe_kernel": 0}
 
     def test_cache_distinguishes_schemas(self):

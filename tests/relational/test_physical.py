@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.relational.expressions import Param, col, lit
+from repro.relational.expressions import Param, col, executing, lit
 from repro.relational.physical import (
     Append,
     Except,
@@ -123,12 +123,11 @@ class TestSetOpsAndMisc:
     def test_semi_join_right_side_follows_each_binding(self, left, right, predicate):
         # one plan object run under two bindings, as a cached plan is: the
         # right side is drained per execution, never kept on the operator
-        store = [None]
-        semi = SemiJoinOp(left, Filter(right, col("r.w") > Param(0, store)), predicate)
+        semi = SemiJoinOp(left, Filter(right, col("r.w") > Param(0)), predicate)
         for mode in ("rows", "columns"):
             for bound, keys in ((5, [1, 2, 2]), (15, [2, 2]), (25, []), (5, [1, 2, 2])):
-                store[0] = bound
-                assert [row[0] for row in execute(semi, mode=mode).rows] == keys
+                with executing([bound]):
+                    assert [row[0] for row in execute(semi, mode=mode).rows] == keys
 
     def test_explain_labels_present(self, left, right):
         join = HashJoin(left, right, [("l.k", "r.k")], residual=col("r.w") > lit(0))

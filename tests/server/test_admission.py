@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from repro.core.prepared import text_statement
 from repro.core.translate import query_cache_key
 from repro.relational.plancache import cached_cost_class, cost_class_of
 from repro.server import AdmissionController, AdmissionPolicy, Overloaded
@@ -101,7 +102,7 @@ class TestClassification:
         udb = build_vehicles_udb()
         session = udb.session()
         sql = "possible (select id, type from r where type = 'Tank')"
-        prepared, _ = session._by_text_statement(sql)
+        prepared, _ = text_statement(sql, udb, True)
         key = query_cache_key(prepared.query, udb)
         assert cached_cost_class(key) is None  # never planned: cold
         session.execute(sql)

@@ -456,10 +456,14 @@ def test_metrics_are_exact_under_concurrency():
     from repro.relational import reset_plan_cache
 
     # drop the session-setup and baseline increments: count the workload
-    # only; empty the plan cache so "each text plans exactly once" is a
-    # property of the concurrent run, not of the serial baseline
+    # only, from an empty plan cache.  Each text is sent once before the
+    # threads start, because two requests that miss on one key at the same
+    # moment both plan (duplicated work, by design): what the concurrent
+    # run must show is that it builds no plan beyond these
     reset_metrics()
     reset_plan_cache()
+    for sql in statements:
+        sessions[0].execute(sql, ())
 
     # queries first, then writes — concurrent inserts would change the
     # expected answers out from under the readers
@@ -475,7 +479,7 @@ def test_metrics_are_exact_under_concurrency():
     assert not errors
     assert not mismatches
 
-    queries = THREADS * LOOPS
+    queries = THREADS * LOOPS + len(statements)
     requests = queries + THREADS  # + one insert per thread
     snap = metrics_snapshot()
     counters = snap["counters"]
@@ -483,8 +487,8 @@ def test_metrics_are_exact_under_concurrency():
     assert sum(counters["queries_total"].values()) == queries
     # plans are shared across sessions: the literal-free text plans once,
     # and the other three are two shapes (type = <str>, faction = <str>)
-    # whose statements live on the database; each of those plans once, plus
-    # once per copy a session bound because the statement was running
+    # whose statements live on the database; each of those plans once,
+    # however many sessions have it in flight
     cold = sum(
         count
         for labels, count in counters["queries_total"].items()
@@ -492,8 +496,7 @@ def test_metrics_are_exact_under_concurrency():
     )
     shapes = list(udb._statement_shapes.values())
     assert len(shapes) == 2
-    assert cold == 1 + sum(1 + len(statement._idle) for statement in shapes)
-    assert cold <= 1 + 2 * 4  # never more of a shape in flight than workers
+    assert cold == 1 + len(shapes)
     assert "sessions_opened_total" not in counters  # all opened pre-reset
     assert counters["dml_statements_total"] == {"op=insert": THREADS}
     assert counters["dml_rows_total"] == {"op=insert": THREADS}

@@ -1,13 +1,16 @@
-"""Sessions: statement namespaces, private bindings, snapshot reads."""
+"""Sessions: statement namespaces, shared statements, snapshot reads."""
 
 from __future__ import annotations
 
 import threading
+import time
 from collections import Counter
 
 import pytest
 
+from repro.relational import physical, plan_cache_stats, reset_plan_cache
 from repro.server import QueryServer, SnapshotChanged
+from repro.sql import execute_sql
 
 from tests.conftest import build_vehicles_udb
 
@@ -59,20 +62,74 @@ class TestNamespace:
     def test_by_text_cache_reuses_statements(self, udb):
         session = udb.session()
         sql = "possible (select id from r)"
-        first, _ = session._by_text_statement(sql)
         session.execute(sql)
-        assert session._by_text_statement(sql)[0] is first
+        first, _ = udb._statements[sql]
+        session.execute(sql)
+        # the memo is the database's: another connection skips the parse too
+        udb.session().execute(sql)
+        assert udb._statements[sql][0] is first
+        assert plan_cache_stats()["misses"] == 1
 
 
 class TestBindings:
-    def test_sessions_do_not_share_binding_stores(self, udb):
+    def test_sessions_preparing_one_text_build_one_plan(self, udb):
+        """8 connections PREPARE the same text under a name each and
+        execute it with their own value: one parse, one plan."""
         sql = "possible (select id from r where type = $1)"
-        a = udb.session()
-        b = udb.session()
-        stmt_a, _ = a._by_text_statement(sql)
-        stmt_b, _ = b._by_text_statement(sql)
-        assert stmt_a is not stmt_b
-        assert stmt_a._store is not stmt_b._store
+        sessions = [udb.session() for _ in range(8)]
+        for n, session in enumerate(sessions):
+            session.prepare(f"q{n}", sql)
+        reset_plan_cache()
+        for n, session in enumerate(sessions):
+            value = ("Tank", "Transport")[n % 2]
+            got = bag(session.execute_prepared(f"q{n}", value))
+            assert got == bag(execute_sql(sql.replace("$1", f"'{value}'"), udb))
+        stats = plan_cache_stats()
+        # the inlined references lift to the same structure: 8 named and 8
+        # ad-hoc executions of two statements, one plan
+        assert (stats["misses"], stats["hits"]) == (1, 15)
+        assert len({id(s.statement(f"q{n}")) for n, s in enumerate(sessions)}) == 1
+
+    def test_identical_requests_of_two_sessions_coalesce(self, udb, monkeypatch):
+        """The plan key holds no per-statement identity, so two sessions'
+        named statements of one text, in flight with equal values, are one
+        execution."""
+        sql = "possible (select id from r where type = $1)"
+        entered, release = threading.Event(), threading.Event()
+        real = physical.execute
+
+        def held(plan, **kwargs):
+            entered.set()
+            assert release.wait(timeout=30)
+            return real(plan, **kwargs)
+
+        with QueryServer(udb, workers=2) as server:
+            one, other = server.session(), server.session()
+            one.prepare("mine", sql)
+            other.prepare("yours", sql)
+            expected = bag(one.execute_prepared("mine", "Tank"))
+            monkeypatch.setattr(physical, "execute", held)
+            answers = []
+            leader = threading.Thread(
+                target=lambda: answers.append(one.execute_prepared("mine", "Tank"))
+            )
+            leader.start()
+            assert entered.wait(timeout=30)
+            follower = threading.Thread(
+                target=lambda: answers.append(other.execute_prepared("yours", "Tank"))
+            )
+            follower.start()
+            deadline = time.monotonic() + 30
+            while server.stats()["executor"]["coalesced"] < 1:
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            release.set()
+            for thread in (leader, follower):
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert [bag(answer) for answer in answers] == [expected, expected]
+            stats = server.stats()["executor"]
+            assert (stats["executed"], stats["coalesced"]) == (2, 1)
 
     def test_concurrent_sessions_with_different_bindings(self, udb):
         """Two server-bound sessions hammer the same $1 statement with
