@@ -17,10 +17,10 @@ whatever the old relation had built — indexes, column vectors,
 statistics — onto the new one along the statement's delta, so a write
 costs Python work in proportion to the rows it writes, not to the
 partition, and the first read after it rebuilds nothing.  In-flight
-plans and pinned session snapshots keep reading the old relation objects
-untouched; ``SnapshotChanged`` semantics carry over unchanged because
-every swap moves ``catalog_version`` through the same ``bump_relation``
-epochs index DDL already uses — which also evicts exactly the cached
+plans keep reading the old relation objects untouched; a session
+snapshot, which holds those objects, sees that the catalog no longer does
+and raises ``SnapshotChanged``; and every swap goes through the same
+``bump_relation`` epochs index DDL uses, which evicts exactly the cached
 plans that scanned the replaced partitions.
 
 Uncertain inserts follow Section 2's "new variable with a fresh domain"

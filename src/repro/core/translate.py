@@ -53,6 +53,7 @@ from ..relational.algebra import (
 )
 from ..relational.expressions import (
     Between,
+    Col,
     Comparison,
     Expression,
     InList,
@@ -62,6 +63,7 @@ from ..relational.expressions import (
     columns_of,
     conjunction,
     exact_leaf,
+    map_columns,
     structural_key,
 )
 from ..relational.relation import Relation
@@ -512,7 +514,7 @@ def _indexable_shape(conjunct) -> Optional[Tuple[str, str]]:
     Mirrors the planner's ``_classify_conjuncts``: a column compared to a
     literal or parameter with ``= < <= > >=``, ``BETWEEN``, or ``IN``.
     """
-    from ..relational.expressions import Col, Param
+    from ..relational.expressions import Param
 
     if isinstance(conjunct, Comparison) and conjunct.op in ("=", "<", "<=", ">", ">="):
         left, right = conjunct.left, conjunct.right
@@ -562,7 +564,7 @@ def _plan_predicates(plan) -> List[Tuple[str, str, str]]:
     attribute each side to its input subtree.
     """
     from ..relational.algebra import SemiJoin
-    from ..relational.expressions import Col, split_conjuncts
+    from ..relational.expressions import split_conjuncts
 
     out: List[Tuple[str, str, str]] = []
     stack = [plan]
@@ -941,23 +943,9 @@ def _needed_matches(attribute: str, needed: Set[str]) -> bool:
 
 def _qualify_predicate(predicate: Expression, available: Sequence[str]) -> Expression:
     """Rewrite predicate column refs to the exact available value-column names."""
-    from ..relational.expressions import Col
-
-    def rewrite(expr: Expression) -> Expression:
-        if isinstance(expr, Col):
-            return Col(_resolve_ref(expr.name, available))
-        clone = expr.__class__.__new__(expr.__class__)
-        for klass in type(expr).__mro__:
-            for slot in getattr(klass, "__slots__", ()):
-                value = getattr(expr, slot)
-                if isinstance(value, Expression):
-                    value = rewrite(value)
-                elif isinstance(value, tuple) and value and isinstance(value[0], Expression):
-                    value = tuple(rewrite(v) for v in value)
-                object.__setattr__(clone, slot, value)
-        return clone
-
-    return rewrite(predicate)
+    return map_columns(
+        predicate, lambda column: Col(_resolve_ref(column.name, available))
+    )
 
 
 def _cover(partitions: List[URelation], wanted: Set[str]) -> List[URelation]:

@@ -651,7 +651,7 @@ class UDatabase:
 
         The session owns its prepared-statement names (the statements
         and their plans are this database's, shared by all its sessions;
-        ``$n`` values belong to each execution) and offers catalog-version
+        ``$n`` values belong to each execution) and offers optimistic
         snapshot reads.  Statements execute
         inline on the calling thread; for pooled execution with admission
         control, open sessions through a
@@ -717,8 +717,8 @@ class UDatabase:
             world_relation = self.world_table.relation()
             db.create("w", world_relation, replace="w" in db)
             # index DDL and statistics refreshes on the world snapshot must
-            # move this database's catalog version too (session snapshot
-            # reads validate against it)
+            # move this database's catalog version too (the server's
+            # coalescing key carries it)
             watch_relation(world_relation, self)
             if self.auto_index:
                 db.create_index("idx_w_var", "w", ["var"], kind="hash", replace=True)

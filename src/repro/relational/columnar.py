@@ -43,7 +43,6 @@ __all__ = [
     "selection_kernel",
     "map_kernel",
     "pipeline_kernel",
-    "side_kernel",
     "probe_kernel",
 ]
 
@@ -282,28 +281,29 @@ def probe_kernel(
     combined: Schema,
     split: int,
     columnar_is_left: bool,
-    key_position: int,
+    key_positions: Sequence[int],
     residual: Optional[Expression],
     filters: Sequence[Tuple[Expression, Schema]],
-    emit_specs: Sequence[Tuple[bool, int]],
+    output_positions: Sequence[int],
     mixed: bool = False,
-) -> Optional[Callable[..., Tuple[Tuple[List[Any], ...], int]]]:
-    """A generated, fully fused probe loop for single-column-key joins.
+) -> Callable[..., Tuple[Tuple[List[Any], ...], int]]:
+    """The generated, fully fused probe loop of both equi-joins.
 
-    ``f(lookup, columnar_side_columns) -> (output column vectors, count)``.
-    One batch call runs the whole probe: the key vector is resolved
-    through ``map(lookup, key_column)`` at C speed, per-match row-side
-    filters and the join residual are *inlined* into the loop body, and
-    surviving matches append straight into the output column vectors — no
-    candidate index lists, no second residual pass, no gather step.
+    ``f(lookup, columnar_side_columns, fast) -> (output column vectors,
+    count)``.  One batch call runs the whole probe: the key vector (the
+    ``zip`` of its columns for a composite key) is resolved through
+    ``map(lookup, keys)`` at C speed, per-match row-side filters and the
+    join residual are *inlined* into the loop body, and surviving matches
+    append straight into the output column vectors — no candidate index
+    lists, no second residual pass, no gather step.  NULL and mis-typed
+    keys need no test: no hash table or index stores one, so they miss.
 
-    ``emit_specs`` entries are ``(from_columnar_side, side-local
-    position)``.  Filters run against the row-side tuple (each with the
-    schema it was written for — positions are rename-stable).  With
-    ``mixed=True`` the lookup values are a row *or* a list of rows (see
-    ``HashIndex.mixed_table``), and the generated loop skips the bucket
-    iterator for bare rows.  Returns ``None`` when any body cannot be
-    generated (the caller falls back to its generic loop).
+    ``combined`` is the join's ``left ++ right`` schema (``split`` columns
+    from the left), which the residual and ``output_positions`` refer to.
+    Filters run against the row-side tuple (each with the schema it was
+    written for — positions are rename-stable).  With ``mixed=True`` the
+    lookup values are a row *or* a list of rows (``HashIndex.mixed_table``)
+    and the generated loop skips the bucket iterator for bare rows.
     """
     try:
         key_parts: Optional[Tuple] = (
@@ -311,42 +311,39 @@ def probe_kernel(
             tuple(combined.names),
             split,
             columnar_is_left,
-            key_position,
+            tuple(key_positions),
             structural_key(residual) if residual is not None else None,
             tuple(
                 (structural_key(e), tuple(s.names)) for e, s in filters
             ),
-            tuple(emit_specs),
+            tuple(output_positions),
             mixed,
         )
     except TypeError:
         key_parts = None
-    try:
-        return cached_kernel(
-            key_parts,
-            lambda: _probe_uncached(
-                combined,
-                split,
-                columnar_is_left,
-                key_position,
-                residual,
-                filters,
-                emit_specs,
-                mixed,
-            ),
-        )
-    except SyntaxError:  # pragma: no cover - odd generated source
-        return None
+    return cached_kernel(
+        key_parts,
+        lambda: _probe_uncached(
+            combined,
+            split,
+            columnar_is_left,
+            key_positions,
+            residual,
+            filters,
+            output_positions,
+            mixed,
+        ),
+    )
 
 
 def _probe_uncached(
     combined: Schema,
     split: int,
     columnar_is_left: bool,
-    key_position: int,
+    key_positions: Sequence[int],
     residual: Optional[Expression],
     filters: Sequence[Tuple[Expression, Schema]],
-    emit_specs: Sequence[Tuple[bool, int]],
+    output_positions: Sequence[int],
     mixed: bool = False,
 ):
     context: dict = {"__builtins__": {}, "bool": bool, "range": range}
@@ -354,8 +351,14 @@ def _probe_uncached(
     context["map"] = map
     context["type"] = type
     context["list"] = list
+    context["zip"] = zip
     used: List[int] = []
     generators: List[_CodeGen] = []
+
+    def side_local(position: int) -> Tuple[bool, int]:
+        """-> (on the columnar side, side-local position)."""
+        on_left = position < split
+        return on_left == columnar_is_left, position if on_left else position - split
 
     def emit_conditions(assume_non_null: bool, tag: str) -> List[str]:
         def combined_ref(position: int) -> str:
@@ -363,9 +366,8 @@ def _probe_uncached(
             # (``_h<p>``) — residuals typically consult the same
             # descriptor columns in several clauses, and one local load
             # beats a vector subscript
-            on_left = position < split
-            local = position if on_left else position - split
-            if on_left == columnar_is_left:
+            from_col, local = side_local(position)
+            if from_col:
                 used.append(local)
                 return f"_h{local}"
             return f"_ir[{local}]"
@@ -401,10 +403,15 @@ def _probe_uncached(
     )
     fast = emit_conditions(True, "n") if (checked and no_null_literal) else None
 
+    emit_specs = [side_local(p) for p in output_positions]
     want_outer = any(from_col for from_col, _ in emit_specs)
     want_inner = any(not from_col for from_col, _ in emit_specs)
     hoisted = sorted(set(used))
-    lines = ["def _kernel(_lookup, _cols, _fast):", f"    _kc = _cols[{key_position}]"]
+    keys = ", ".join(f"_cols[{p}]" for p in key_positions)
+    lines = [
+        "def _kernel(_lookup, _cols, _fast):",
+        f"    _kc = {keys}" if len(key_positions) == 1 else f"    _kc = zip({keys})",
+    ]
     lines.extend(_hoist_params(*generators).splitlines())
     for p in sorted(set(used) | {local for from_col, local in emit_specs if from_col}):
         lines.append(f"    _cc{p} = _cols[{p}]")
@@ -471,60 +478,3 @@ def _probe_uncached(
     else:
         lines.append("    return (), len(_oi)")
     return _build_kernel("\n".join(lines) + "\n", context)
-
-
-def side_kernel(
-    predicate: Expression,
-    combined: Schema,
-    split: int,
-    columnar_side: str,
-) -> Callable[[Sequence[Sequence[Any]], Sequence[int], Sequence[Row], int], List[int]]:
-    """``f(col_vectors, col_idx, row_tuples, n) -> kept match indexes``.
-
-    Evaluates a join residual over ``n`` candidate matches where one join
-    side is columnar (accessed as ``vector[col_idx[j]]``) and the other is
-    a parallel list of row tuples (``row_tuples[j]``).  ``split`` is the
-    width of the combined schema's left part; ``columnar_side`` says which
-    part ("left" or "right") is the columnar one.
-    """
-    key = expression_cache_key("side", predicate, combined, split, columnar_side)
-    return cached_kernel(
-        key, lambda: _side_uncached(predicate, combined, split, columnar_side)
-    )
-
-
-def _side_uncached(predicate: Expression, combined: Schema, split: int, columnar_side: str):
-    used: List[int] = []
-
-    def ref(position: int) -> str:
-        on_left = position < split
-        local = position if on_left else position - split
-        if (columnar_side == "left") == on_left:
-            used.append(local)
-            return f"_cc{local}[_ci[_j]]"
-        return f"_rr[_j][{local}]"
-
-    generator = _CodeGen(combined, ref=ref)
-    body = generator.emit(predicate)
-    source = (
-        "def _kernel(_ccols, _ci, _rr, _n):\n"
-        + _hoist(used, "_ccols", "_cc")
-        + _hoist_params(generator)
-        + f"    return [_j for _j in range(_n) if {body}]\n"
-    )
-    try:
-        return _build_kernel(source, generator.context)
-    except SyntaxError:  # pragma: no cover
-        bound = predicate.bind(combined)
-        left_columnar = columnar_side == "left"
-
-        def fallback(ccols, ci, rr, n):
-            kept = []
-            for j in range(n):
-                crow = tuple(c[ci[j]] for c in ccols)
-                row = crow + tuple(rr[j]) if left_columnar else tuple(rr[j]) + crow
-                if bound(row):
-                    kept.append(j)
-            return kept
-
-        return fallback

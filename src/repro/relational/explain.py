@@ -56,8 +56,6 @@ def explain_analyze(
     the rows surviving its entire scan→filter→project chain, and a join
     with a folded ``Output:`` projection reports post-projection rows —
     because the fused-away operators no longer exist to count separately.
-    Operators that a presorted merge join skipped draining (its ``Sort``
-    children) report no actuals.
 
     With ``trace=True`` returns ``(result, text, data)`` where ``data`` is
     the structured span/operator form the observability layer uses: the

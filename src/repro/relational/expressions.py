@@ -732,7 +732,11 @@ class _CodeGen:
             return f"(False if {operand} is None else {body})"
         # unknown Expression subclass: fall back to its bound closure
         fallback = self._constant(expr.bind(self.schema))
-        return f"{fallback}(row)"
+        if self._ref is None:
+            return f"{fallback}(row)"
+        # a kernel has no row tuple in scope: build one from its own refs
+        row = "".join(f"{self._emit_col(p)}, " for p in range(len(self.schema)))
+        return f"{fallback}(({row}))"
 
     def _null_checked(
         self, left: Expression, right: Expression, op: str, on_null: str
@@ -900,24 +904,59 @@ def expression_cache_key(
         return None
 
 
+def _attributes(expression: Expression) -> Iterator[str]:
+    """The names a node keeps its state under: the ``__slots__`` of its
+    classes, then the ``__dict__`` of a subclass declared without them."""
+    for klass in type(expression).__mro__:
+        yield from getattr(klass, "__slots__", ())
+    yield from getattr(expression, "__dict__", ())
+
+
 def iter_subexpressions(expression: Expression):
     """Yield the direct :class:`Expression` children of a node.
 
-    Walks the node's ``__slots__`` (including inherited ones), looking
-    into tuple-valued slots — the one traversal every generic analysis
-    (:func:`has_null_literal`, prepared-statement parameter collection)
-    shares, so a future expression type with a new child container shape
-    needs exactly one fix.
+    Walks the node's attributes, looking into tuple-valued ones — the one
+    traversal every generic analysis (:func:`has_null_literal`,
+    prepared-statement parameter collection) and rewrite
+    (:func:`map_columns`) shares, so a future expression type with a new
+    child container shape needs exactly one fix.
     """
-    for klass in type(expression).__mro__:
-        for slot in getattr(klass, "__slots__", ()):
-            value = getattr(expression, slot, None)
-            if isinstance(value, Expression):
-                yield value
-            elif isinstance(value, tuple):
-                for item in value:
-                    if isinstance(item, Expression):
-                        yield item
+    for name in _attributes(expression):
+        value = getattr(expression, name, None)
+        if isinstance(value, Expression):
+            yield value
+        elif isinstance(value, tuple):
+            for item in value:
+                if isinstance(item, Expression):
+                    yield item
+
+
+def map_columns(
+    expression: Expression, fn: Callable[["Col"], Expression]
+) -> Expression:
+    """A copy of the tree with every :class:`Col` replaced by ``fn(col)``.
+
+    The one column-rewriting walk (re-anchoring a fused predicate,
+    pushing a selection through a rename or a union, qualifying a
+    translated predicate): every other node is cloned attribute by
+    attribute, so the input tree — which cached statements share — is
+    never touched.  A module-level recursion like :func:`_structural_key`,
+    for the same reason: a closure that calls itself is cyclic garbage on
+    every call.
+    """
+    if isinstance(expression, Col):
+        return fn(expression)
+    clone = expression.__class__.__new__(expression.__class__)
+    for name in _attributes(expression):
+        value = getattr(expression, name)
+        if isinstance(value, Expression):
+            value = map_columns(value, fn)
+        elif isinstance(value, tuple):
+            value = tuple(
+                map_columns(v, fn) if isinstance(v, Expression) else v for v in value
+            )
+        object.__setattr__(clone, name, value)
+    return clone
 
 
 def slot_count(expression: Expression) -> int:

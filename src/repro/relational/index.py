@@ -541,8 +541,8 @@ def indexes_on(relation: Relation) -> Tuple[Index, ...]:
 def built_indexes_on(relation: Relation) -> Tuple[Index, ...]:
     """Already-built attached indexes only — never triggers deferred builds.
 
-    Executor-side opportunistic consumers (e.g. the presorted merge-join
-    path) use this so an execution-time peek cannot force the lazy
+    For callers that inspect what a relation carries (the derived-state
+    tests read built indexes through it) without forcing the lazy
     auto-index builds that :func:`defer_index` postponed.
     """
     with _ATTACH_LOCK:

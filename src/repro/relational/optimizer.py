@@ -41,10 +41,12 @@ from .algebra import (
     Union,
 )
 from .expressions import (
+    Col,
     Expression,
     columns_of,
     conjunction,
     equijoin_pairs,
+    map_columns,
     split_conjuncts,
 )
 from .statistics import (
@@ -123,7 +125,9 @@ def _push_one(plan: Plan, conjunct: Expression) -> Optional[Plan]:
     if isinstance(plan, ProjectAs):
         mapping = {new: ref for ref, new in plan.items}
         if all(r in mapping for r in refs):
-            translated = _substitute_columns(conjunct, mapping)
+            translated = map_columns(
+                conjunct, lambda column: Col(mapping.get(column.name, column.name))
+            )
             return ProjectAs(_push_into(plan.child, translated), plan.items)
         return None
 
@@ -185,55 +189,17 @@ def _base_in(mapping: Dict[str, str], reference: str) -> bool:
 def _translate_positionally(conjunct: Expression, union_plan: Plan, right: Plan) -> Expression:
     """Rewrite column refs of a conjunct from the union's (left) names to the
     right child's names by position."""
-    from .expressions import Col
-
     left_names = union_plan.schema.names
     right_names = right.schema.names
     position = {name: i for i, name in enumerate(left_names)}
 
-    def rewrite(expr: Expression) -> Expression:
-        if isinstance(expr, Col):
-            idx = position.get(expr.name)
-            if idx is None:
-                idx = position[left_names[union_plan.schema.resolve(expr.name)]]
-            return Col(right_names[idx])
-        clone = expr.__class__.__new__(expr.__class__)
-        for slot in _iter_slots(expr):
-            value = getattr(expr, slot)
-            if isinstance(value, Expression):
-                value = rewrite(value)
-            elif isinstance(value, tuple) and value and isinstance(value[0], Expression):
-                value = tuple(rewrite(v) for v in value)
-            object.__setattr__(clone, slot, value)
-        return clone
+    def on_the_right(column: Col) -> Col:
+        idx = position.get(column.name)
+        if idx is None:
+            idx = position[left_names[union_plan.schema.resolve(column.name)]]
+        return Col(right_names[idx])
 
-    return rewrite(conjunct)
-
-
-def _substitute_columns(conjunct: Expression, mapping: Dict[str, str]) -> Expression:
-    """Rewrite column references through an output-name -> input-ref mapping."""
-    from .expressions import Col
-
-    def rewrite(expr: Expression) -> Expression:
-        if isinstance(expr, Col):
-            return Col(mapping.get(expr.name, expr.name))
-        clone = expr.__class__.__new__(expr.__class__)
-        for slot in _iter_slots(expr):
-            value = getattr(expr, slot)
-            if isinstance(value, Expression):
-                value = rewrite(value)
-            elif isinstance(value, tuple) and value and isinstance(value[0], Expression):
-                value = tuple(rewrite(v) for v in value)
-            object.__setattr__(clone, slot, value)
-        return clone
-
-    return rewrite(conjunct)
-
-
-def _iter_slots(expr: Expression):
-    for klass in type(expr).__mro__:
-        for slot in getattr(klass, "__slots__", ()):
-            yield slot
+    return map_columns(conjunct, on_the_right)
 
 
 # ======================================================================

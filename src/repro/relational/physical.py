@@ -4,12 +4,16 @@ Physical plans mirror the logical nodes but carry concrete algorithms:
 
 * ``SeqScan``        — iterate a base relation
 * ``IndexScan``      — point/range access through a secondary index
+* ``FusedPipeline``  — scan→filter→project fused into one generated loop
 * ``Filter``         — predicate filter
 * ``Projection``     — positional projection
+* ``ProjectionAs``   — projection with duplication and renaming
+* ``ExtendOp``       — pass-through plus computed columns
 * ``HashJoin``       — build/probe equi-join with residual filter
 * ``IndexNestedLoopJoin`` — probe a prebuilt inner-side index per outer row
 * ``MergeJoin``      — sort-merge equi-join with residual filter
 * ``NestedLoopJoin`` — general-predicate join (also cross product)
+* ``SemiJoinOp``     — left semijoin (hashed on its equi-pairs, if any)
 * ``HashDistinct``   — duplicate elimination
 * ``Append``         — bag union
 * ``Except``         — set difference
@@ -27,9 +31,13 @@ Every operator speaks exactly two protocols:
   1024) rows.  Scans slice a cached column store of the base relation,
   filters run one generated loop per batch (the predicate inlined into a
   single comprehension), projections re-select column vectors without
-  touching rows, and joins emit output columns directly by gathering
-  from their inputs — a downstream-folded projection means dropped
-  columns are never materialized at all.  Six operators work on row
+  touching rows, and the two probing equi-joins (``HashJoin``,
+  ``IndexNestedLoopJoin``) share one body, :func:`_probe_batches`: a
+  generated kernel per join, for a key of any width, that resolves a
+  batch's keys against the hash table or index, checks the residual and
+  emits output columns directly by gathering from both inputs — a
+  downstream-folded projection means dropped columns are never
+  materialized at all.  Six operators work on row
   tuples because their inputs or algorithms are row-shaped (index
   buckets hold row tuples; merge, nested-loop, semi-join and set
   difference compare whole rows): ``IndexScan``, ``FusedPipeline`` over
@@ -46,7 +54,9 @@ Every operator speaks exactly two protocols:
   compared against: the tests and the declared benchmark check every
   served answer against it.  It is not meant to be fast.
 
-Every operator implements ``rows()`` and ``_column_batches(size)``; the
+Every operator implements ``rows()`` and ``_column_batches(size)``, each
+with one body per algorithm — no operator chooses between a generated and
+a hand-written loop, or between a sorting and an index-reading merge.  The
 inherited wrapper :meth:`PhysicalPlan.column_batches` counts the rows and
 batches each operator produced — for a fused pipeline per pipeline, not
 per fused-away operator.  ``rows()`` keeps no counters.
@@ -83,10 +93,9 @@ from .columnar import (
     probe_kernel,
     row_projector,
     selection_kernel,
-    side_kernel,
 )
 from .expressions import Expression, Param, frame, has_null_literal
-from .index import HashIndex, Index, SortedIndex, built_indexes_on
+from .index import HashIndex, Index, SortedIndex
 from .relation import Relation, _sort_key
 from .schema import Schema
 
@@ -245,6 +254,20 @@ def _column_chunks(rows: Sequence[Row], size: int, width: int) -> Iterator[Colum
     """Emit a materialized row list as column batches of at most ``size``."""
     for start in range(0, len(rows), size):
         yield ColumnBatch.from_rows(rows[start : start + size], width)
+
+
+def _probe_batches(
+    streamed: PhysicalPlan, size: int, kernel: Callable, lookup: Callable, fast: bool
+) -> Iterator[ColumnBatch]:
+    """The executor body of both equi-joins: every batch of the streamed
+    side goes through the join's generated probe kernel
+    (:func:`~repro.relational.columnar.probe_kernel`) as column vectors,
+    and only the (possibly folded) output columns are ever materialized —
+    gathered from those vectors and the rows ``lookup`` matched."""
+    for cb in streamed.column_batches(size):
+        out_cols, count = kernel(lookup, cb.columns, fast)
+        if count:
+            yield ColumnBatch(list(out_cols), count)
 
 
 class SeqScan(PhysicalPlan):
@@ -792,13 +815,13 @@ class HashJoin(PhysicalPlan):
         return table
 
     def _probe_plan(self) -> Tuple:
-        """-> (emit specs, fused kernel, its NULL-freedom flag, residual kernel).
+        """-> (generated probe kernel, its NULL-freedom flag).
 
         Everything the probe loop needs besides the hash table is a
         function of the plan only, never of ``$n`` bindings: it is derived
         on the first execution (fusion has settled ``output_positions`` by
         then) and held, so later executions of a cached plan skip the
-        kernel-cache lookups and their structural keys.
+        kernel-cache lookup and its structural keys.
         """
         if self._planned is not None:
             return self._planned
@@ -806,33 +829,25 @@ class HashJoin(PhysicalPlan):
         probe_plan, build_plan = (
             (self.left, self.right) if probe_is_left else (self.right, self.left)
         )
-        probe_positions = self.left_positions if probe_is_left else self.right_positions
         split = len(self.left.schema)
         positions = (
             self.output_positions
             if self.output_positions is not None
             else range(len(self._combined))
         )
-        specs = []  # (from_probe_vectors, side-local position)
-        for p in positions:
-            on_left = p < split
-            specs.append((on_left == probe_is_left, p if on_left else p - split))
-        kernel = None
-        if len(self.pairs) == 1:
-            # fully fused generated probe: C-speed hash resolution, the
-            # residual inlined, and direct column emit in one loop
-            kernel = probe_kernel(
-                self._combined,
-                split,
-                probe_is_left,
-                probe_positions[0],
-                self.residual,
-                (),
-                specs,
-            )
+        # C-speed hash resolution, the residual inlined, and direct column
+        # emit in one loop
+        kernel = probe_kernel(
+            self._combined,
+            split,
+            probe_is_left,
+            self.left_positions if probe_is_left else self.right_positions,
+            self.residual,
+            (),
+            positions,
+        )
         fast = True
-        residual_kernel = None
-        if self.residual is not None and kernel is not None:
+        if self.residual is not None:
             # columns the residual consults must be provably NULL-free
             # (from the plan tree) for the kernel's guard-free body
             for name in self.residual.columns():
@@ -842,80 +857,15 @@ class HashJoin(PhysicalPlan):
                 if side.column_nullable(p if on_left else p - split):
                     fast = False
                     break
-        elif self.residual is not None:
-            residual_kernel = side_kernel(
-                self.residual,
-                self._combined,
-                split,
-                "left" if probe_is_left else "right",
-            )
-        self._planned = (specs, kernel, fast, residual_kernel)
+        self._planned = (kernel, fast)
         return self._planned
 
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
-        """Columnar probe: the probe input arrives as column vectors, and
-        output columns are gathered directly from the probe vectors and the
-        matched build rows — only the (possibly folded) output columns are
-        ever materialized."""
-        specs, kernel, fast, residual_kernel = self._probe_plan()
-        single = len(self.pairs) == 1
-        probe_plan, probe_positions = (
-            (self.right, self.right_positions)
-            if self.build == "left"
-            else (self.left, self.left_positions)
+        kernel, fast = self._probe_plan()
+        probe_plan = self.right if self.build == "left" else self.left
+        return _probe_batches(
+            probe_plan, size, kernel, self._build_table(size).get, fast
         )
-        get = self._build_table(size).get
-        if kernel is not None:
-            for cb in probe_plan.column_batches(size):
-                out_cols, count = kernel(get, cb.columns, fast)
-                if count:
-                    yield ColumnBatch(list(out_cols), count)
-            return
-        for cb in probe_plan.column_batches(size):
-            pcols = cb.columns
-            n = cb.length
-            pidx: List[int] = []
-            brows: List[Row] = []
-            add_i = pidx.append
-            add_b = brows.append
-            if single:
-                # C-speed probing: ``map(dict.get, kcol)`` resolves every
-                # key in one pass; NULL keys are never in the table
-                kcol = pcols[probe_positions[0]]
-                for i, bucket in enumerate(map(get, kcol)):
-                    if not bucket:
-                        continue
-                    for brow in bucket:
-                        add_i(i)
-                        add_b(brow)
-            else:
-                kcols = [pcols[p] for p in probe_positions]
-                for i in range(n):
-                    k = tuple(c[i] for c in kcols)
-                    if None in k:
-                        continue
-                    bucket = get(k)
-                    if not bucket:
-                        continue
-                    for brow in bucket:
-                        add_i(i)
-                        add_b(brow)
-            if not pidx:
-                continue
-            if residual_kernel is not None:
-                keep = residual_kernel(pcols, pidx, brows, len(pidx))
-                if not keep:
-                    continue
-                pidx = [pidx[j] for j in keep]
-                brows = [brows[j] for j in keep]
-            out_cols: List[List[Any]] = []
-            for from_probe, local in specs:
-                if from_probe:
-                    column = pcols[local]
-                    out_cols.append([column[i] for i in pidx])
-                else:
-                    out_cols.append([r[local] for r in brows])
-            yield ColumnBatch(out_cols, len(pidx))
 
     def column_nullable(self, position: int) -> bool:
         if self.output_positions is not None:
@@ -1037,14 +987,13 @@ class IndexNestedLoopJoin(PhysicalPlan):
                     yield out if project is None else project(out)
 
     def _probe_plan(self) -> Tuple:
-        """-> (emit specs, fused kernel, lookup, NULL-freedom flag,
-        compiled inner filters, residual kernel).
+        """-> (generated probe kernel, lookup, the kernel's NULL-freedom flag).
 
         Everything the probe loop reads — schemas, residual,
         ``output_positions``, the index and its relation's NULL facts — is
         fixed once planning ends and never depends on ``$n`` bindings, so
         it is derived on the first execution and held: later executions of
-        a cached plan skip the kernel-cache lookups and their structural
+        a cached plan skip the kernel-cache lookup and its structural
         keys (three joins per point lookup made that the dominant cost).
         """
         if self._planned is not None:
@@ -1056,138 +1005,47 @@ class IndexNestedLoopJoin(PhysicalPlan):
             if self.output_positions is not None
             else range(len(self._combined))
         )
-        specs = []  # (from_outer_vectors, side-local position)
-        for p in positions:
-            on_left = p < split
-            specs.append((on_left == outer_is_left, p if on_left else p - split))
         mixed = isinstance(self.index, HashIndex)
-        kernel = None
-        if len(self.outer_positions) == 1:
-            # fully fused generated kernel — lookup, inlined filters and
-            # residual, and direct column emit in one loop
-            kernel = probe_kernel(
-                self._combined,
-                split,
-                outer_is_left,
-                self.outer_positions[0],
-                self.residual,
-                self.inner_filters,
-                specs,
-                mixed=mixed,
-            )
-        lookup = self.index.lookup_fn()
-        fast = False
-        filters: Sequence[Callable[[Row], Any]] = ()
-        residual_kernel = None
-        if kernel is None:
-            # the generic loop: compiled filters, residual as a second pass
-            filters = [p.compile(s) for p, s in self.inner_filters]
-            if self.residual is not None:
-                residual_kernel = side_kernel(
-                    self.residual,
-                    self._combined,
-                    split,
-                    "left" if outer_is_left else "right",
-                )
-        else:
-            # every column the conditions reference must be provably
-            # NULL-free for the kernel's guard-free body: inner refs consult
-            # the indexed base relation's cached nullability, outer refs
-            # the plan tree
-            inner_refs: set = set()
-            outer_refs: set = set()
-            for expr, schema in self.inner_filters:
-                for name in expr.columns():
-                    inner_refs.add(schema.resolve(name))
-            if self.residual is not None:
-                for name in self.residual.columns():
-                    p = self._combined.resolve(name)
-                    on_left = p < split
-                    local = p if on_left else p - split
-                    if on_left == outer_is_left:
-                        outer_refs.add(local)
-                    else:
-                        inner_refs.add(local)
-            relation = self.relation
-            fast = not any(
-                relation.column_has_null(q) for q in inner_refs
-            ) and not any(self.outer.column_nullable(q) for q in outer_refs)
-            if mixed:
-                lookup = self.index.mixed_table().get
-        self._planned = (specs, kernel, lookup, fast, filters, residual_kernel)
+        # lookup, inlined filters and residual, and direct column emit in
+        # one loop
+        kernel = probe_kernel(
+            self._combined,
+            split,
+            outer_is_left,
+            self.outer_positions,
+            self.residual,
+            self.inner_filters,
+            positions,
+            mixed=mixed,
+        )
+        # every column the conditions reference must be provably NULL-free
+        # for the kernel's guard-free body: inner refs consult the indexed
+        # base relation's cached nullability, outer refs the plan tree
+        inner_refs: set = set()
+        outer_refs: set = set()
+        for expr, schema in self.inner_filters:
+            for name in expr.columns():
+                inner_refs.add(schema.resolve(name))
+        if self.residual is not None:
+            for name in self.residual.columns():
+                p = self._combined.resolve(name)
+                on_left = p < split
+                local = p if on_left else p - split
+                if on_left == outer_is_left:
+                    outer_refs.add(local)
+                else:
+                    inner_refs.add(local)
+        relation = self.relation
+        fast = not any(
+            relation.column_has_null(q) for q in inner_refs
+        ) and not any(self.outer.column_nullable(q) for q in outer_refs)
+        lookup = self.index.mixed_table().get if mixed else self.index.lookup_fn()
+        self._planned = (kernel, lookup, fast)
         return self._planned
 
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
-        """Columnar probe loop: the outer input arrives as column vectors
-        (only its key columns are read per row), and output columns are
-        gathered from the outer vectors and the probed index rows."""
-        specs, kernel, lookup, fast, filters, residual_kernel = self._probe_plan()
-        if kernel is not None:
-            for cb in self.outer.column_batches(size):
-                out_cols, count = kernel(lookup, cb.columns, fast)
-                if count:
-                    yield ColumnBatch(list(out_cols), count)
-            return
-        single = len(self.outer_positions) == 1
-        only_filter = filters[0] if len(filters) == 1 else None
-        for cb in self.outer.column_batches(size):
-            ocols = cb.columns
-            n = cb.length
-            oidx: List[int] = []
-            irows: List[Row] = []
-            add_i = oidx.append
-            add_r = irows.append
-            if single:
-                # the index lookup runs at C speed over the key vector:
-                # ``map(lookup, kcol)`` — NULL keys and misses both come
-                # back falsy, so the Python-level loop only touches hits
-                kcol = ocols[self.outer_positions[0]]
-                for i, bucket in enumerate(map(lookup, kcol)):
-                    if not bucket:
-                        continue
-                    if only_filter is not None:
-                        if len(bucket) == 1:
-                            irow = bucket[0]
-                            if only_filter(irow):
-                                add_i(i)
-                                add_r(irow)
-                            continue
-                        bucket = [r for r in bucket if only_filter(r)]
-                    elif filters:
-                        bucket = [r for r in bucket if all(f(r) for f in filters)]
-                    for irow in bucket:
-                        add_i(i)
-                        add_r(irow)
-            else:
-                kcols = [ocols[p] for p in self.outer_positions]
-                for i in range(n):
-                    k = tuple(c[i] for c in kcols)
-                    if None in k:
-                        continue
-                    bucket = lookup(k)
-                    if not bucket:
-                        continue
-                    if filters:
-                        bucket = [r for r in bucket if all(f(r) for f in filters)]
-                    for irow in bucket:
-                        add_i(i)
-                        add_r(irow)
-            if not oidx:
-                continue
-            if residual_kernel is not None:
-                keep = residual_kernel(ocols, oidx, irows, len(oidx))
-                if not keep:
-                    continue
-                oidx = [oidx[j] for j in keep]
-                irows = [irows[j] for j in keep]
-            out_cols: List[List[Any]] = []
-            for from_outer, local in specs:
-                if from_outer:
-                    column = ocols[local]
-                    out_cols.append([column[i] for i in oidx])
-                else:
-                    out_cols.append([r[local] for r in irows])
-            yield ColumnBatch(out_cols, len(oidx))
+        kernel, lookup, fast = self._probe_plan()
+        return _probe_batches(self.outer, size, kernel, lookup, fast)
 
     def column_nullable(self, position: int) -> bool:
         if self.output_positions is not None:
@@ -1401,18 +1259,11 @@ class MergeJoin(PhysicalPlan):
     """Sort-merge equi-join (inputs are sorted internally).
 
     Kept primarily for plan-shape parity with the PostgreSQL plans shown in
-    the paper (Figure 13 uses merge joins on tuple-id columns).
-
-    When *both* inputs are bare base scans (through renames) whose
-    relations carry an already-built
-    :class:`~repro.relational.index.SortedIndex` on exactly the join
-    columns, the join consumes ``SortedIndex.ordered()`` directly — no
-    per-execution drain-and-sort, and the per-row ``_sort_key`` wrappers
-    are computed once per index lifetime (cached) instead of per
-    execution.  NULL-keyed rows are absent from sorted indexes, which is
-    exactly the rows a merge join skips anyway; mixed-type key columns
-    (whose raw order differs from ``_sort_key`` order) fall back to the
-    sorting path, so answers never depend on whether an index exists.
+    the paper (Figure 13 uses merge joins on tuple-id columns).  Both
+    inputs are always drained and sorted under the type-tagged total order
+    of ``_sort_key`` (which keeps ``1`` and ``1.0`` apart), whatever
+    indexes their relations carry: answers never depend on whether an
+    index exists, and executing the join never builds a deferred one.
     """
 
     def __init__(
@@ -1492,114 +1343,8 @@ class MergeJoin(PhysicalPlan):
                                 yield out if project is None else project(out)
                 i, j = i2, j2
 
-    def _presorted_input(self, sort_op: "Sort") -> Optional[SortedIndex]:
-        """A SortedIndex serving one input's order, or None.
-
-        The input must be a base scan (through pass-through renames only)
-        whose relation has an already-*built* sorted index on exactly the
-        sort columns — this execution-time peek never triggers deferred
-        index builds (lazy auto-indexing would otherwise pay for every
-        pending index just because a merge join looked).
-        """
-        node = sort_op.child
-        while node.row_passthrough:
-            node = node.children[0]
-        if not isinstance(node, SeqScan):
-            return None
-        wanted = tuple(sort_op.positions)
-        for index in built_indexes_on(node.relation):
-            if isinstance(index, SortedIndex) and index.positions == wanted:
-                return index
-        return None
-
-    @staticmethod
-    def _monotone_sortkeys(index: SortedIndex) -> Optional[List[Tuple]]:
-        """The index keys wrapped as ``_sort_key`` tuples, or None.
-
-        Merge comparisons must use the same type-tagged total order as the
-        sorting path (raw keys would let ``1`` meet ``1.0``, which
-        ``_sort_key`` keeps apart — answers must not depend on whether an
-        index exists).  The wrapping is only usable when the index's raw
-        order is also monotone under ``_sort_key`` (false for mixed-type
-        columns); the result — or the rejection — is cached on the index,
-        so repeated executions pay nothing.
-        """
-        cached = getattr(index, "_sortkey_keys", None)
-        if cached is None:
-            if index._single:
-                wrapped = [_sort_key((k,)) for k in index._keys]
-            else:
-                wrapped = [_sort_key(tuple(k)) for k in index._keys]
-            monotone = all(
-                wrapped[i] <= wrapped[i + 1] for i in range(len(wrapped) - 1)
-            )
-            cached = wrapped if monotone else False
-            index._sortkey_keys = cached
-        return cached if cached is not False else None
-
-    def _merge_presorted(
-        self,
-        left_index: SortedIndex,
-        lkeys: List[Tuple],
-        right_index: SortedIndex,
-        rkeys: List[Tuple],
-        size: int,
-    ) -> Iterator[Batch]:
-        """Merge directly over both indexes' ordered rows, streaming."""
-        left_rows = left_index.ordered()
-        right_rows = right_index.ordered()
-        residual = self._compiled_residual
-        project = (
-            row_projector(self.output_positions)
-            if self.output_positions is not None
-            else None
-        )
-        out: Batch = []
-        i = j = 0
-        n, m = len(left_rows), len(right_rows)
-        while i < n and j < m:
-            lk, rk = lkeys[i], rkeys[j]
-            if lk < rk:
-                i += 1
-            elif lk > rk:
-                j += 1
-            else:
-                i2 = i
-                while i2 < n and lkeys[i2] == lk:
-                    i2 += 1
-                j2 = j
-                while j2 < m and rkeys[j2] == rk:
-                    j2 += 1
-                right_group = right_rows[j:j2]
-                for lrow in left_rows[i:i2]:
-                    for rrow in right_group:
-                        joined = lrow + rrow
-                        if residual is None or residual(joined):
-                            out.append(joined if project is None else project(joined))
-                    if len(out) >= size:
-                        yield out
-                        out = []
-                i, j = i2, j2
-        if out:
-            yield out
-
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
         width = len(self.schema)
-        for out in self._merged(size):
-            yield ColumnBatch.from_rows(out, width)
-
-    def _merged(self, size: int) -> Iterator[Batch]:
-        left_index = self._presorted_input(self.left)
-        if left_index is not None:
-            right_index = self._presorted_input(self.right)
-            if right_index is not None:
-                lkeys = self._monotone_sortkeys(left_index)
-                rkeys = self._monotone_sortkeys(right_index)
-                if lkeys is not None and rkeys is not None:
-                    yield from self._merge_presorted(
-                        left_index, lkeys, right_index, rkeys, size
-                    )
-                    return
         left_rows = _all_rows(self.left, size)
         right_rows = _all_rows(self.right, size)
         lpos, rpos = self.left_positions, self.right_positions
@@ -1645,11 +1390,11 @@ class MergeJoin(PhysicalPlan):
                                         joined if project is None else project(joined)
                                     )
                         if len(out) >= size:
-                            yield out
+                            yield ColumnBatch.from_rows(out, width)
                             out = []
                 i, j = i2, j2
         if out:
-            yield out
+            yield ColumnBatch.from_rows(out, width)
 
     def column_nullable(self, position: int) -> bool:
         if self.output_positions is not None:

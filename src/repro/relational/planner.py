@@ -58,6 +58,7 @@ from .expressions import (
     Param,
     conjunction,
     equijoin_pairs,
+    map_columns,
     split_conjuncts,
 )
 from .index import SortedIndex, indexes_on
@@ -631,24 +632,13 @@ def _reanchor(
     without it positions carry over unchanged (the rename case).
     """
 
-    def rewrite(expr: Expression) -> Expression:
-        if isinstance(expr, Col):
-            position = from_schema.resolve(expr.name)
-            if position_map is not None:
-                position = position_map[position]
-            return Col(to_schema.names[position])
-        clone = expr.__class__.__new__(expr.__class__)
-        for klass in type(expr).__mro__:
-            for slot in getattr(klass, "__slots__", ()):
-                value = getattr(expr, slot)
-                if isinstance(value, Expression):
-                    value = rewrite(value)
-                elif isinstance(value, tuple) and value and isinstance(value[0], Expression):
-                    value = tuple(rewrite(v) for v in value)
-                object.__setattr__(clone, slot, value)
-        return clone
+    def moved(column: Col) -> Col:
+        position = from_schema.resolve(column.name)
+        if position_map is not None:
+            position = position_map[position]
+        return Col(to_schema.names[position])
 
-    return rewrite(expression)
+    return map_columns(expression, moved)
 
 
 _FOLDABLE_JOINS = (HashJoin, IndexNestedLoopJoin, MergeJoin)

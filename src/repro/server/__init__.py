@@ -6,7 +6,7 @@ statements, catalog-version invalidation):
 
 * :class:`~repro.server.session.Session` — per-connection prepared
   statements and bindings on one shared UDatabase, with optimistic
-  catalog-version snapshot reads (no ``BEGIN`` needed),
+  snapshot reads (no ``BEGIN`` needed),
 * :class:`~repro.server.executor.ConcurrentExecutor` — cached plans on a
   worker pool, identical in-flight requests coalesced single-flight,
 * :class:`~repro.server.admission.AdmissionController` — per-cost-class

@@ -16,14 +16,22 @@ A :class:`Session` is the unit of client state on a shared
   equality literals are lifted into ``$n`` slots of one statement per
   query *shape*, so the same lookup with another key inlined runs the
   plan the first one built; named statements keep their literals.
-* **read consistency via catalog-version snapshots** — within one
+* **read consistency via relation-identity snapshots** — within one
   statement, consistency is automatic (a plan embeds the immutable
   relation objects it was planned over, so a concurrent table
   replacement cannot tear a running query).  *Across* statements,
-  :meth:`Session.snapshot` gives optimistic repeatable reads: it records
-  the catalog version, and every statement in the block verifies the
-  version is unchanged before executing, raising :class:`SnapshotChanged`
-  when concurrent DDL moved the catalog under the session.
+  :meth:`Session.snapshot` gives optimistic repeatable reads: it holds
+  the relation objects the catalog held when the block began, and every
+  statement in the block verifies, before and after it runs, that the
+  catalog still holds those very objects
+  (:meth:`~repro.core.udatabase.UDatabase.catalog_identity`), raising
+  :class:`SnapshotChanged` when a concurrent write (DML, a transaction's
+  COMMIT, VACUUM) replaced one.
+  Access-path work replaces no relation and cannot move an answer, so it
+  never conflicts a snapshot — neither the deferred index builds the
+  block's own first query triggers, nor ``CREATE`` / ``DROP INDEX`` by
+  another session (both move ``catalog_version``, which is why that is
+  not what a snapshot compares).
 * **multi-statement write atomicity** — ``BEGIN``/``COMMIT``/``ROLLBACK``
   (or :meth:`Session.begin` / :meth:`Session.commit` /
   :meth:`Session.rollback`) group this connection's DML into one
@@ -75,16 +83,14 @@ def _result_rows(result: Any) -> int:
 
 
 class SnapshotChanged(RuntimeError):
-    """Concurrent DDL moved the catalog under a snapshot read."""
+    """A snapshot block cannot go on: a concurrent write replaced a
+    relation under it, or the session asked to write inside it."""
 
-    def __init__(self, expected: int, current: int):
+    def __init__(self, what: str):
         super().__init__(
-            f"catalog version moved from {expected} to {current} during a "
-            f"snapshot read; re-issue the statement outside the snapshot "
-            f"or take a new one"
+            f"{what}; re-issue the statement outside the snapshot or take "
+            f"a new one"
         )
-        self.expected = expected
-        self.current = current
         # every optimistic-read conflict is constructed here, whichever
         # session method detects it — one counter covers them all
         obs_counter(
@@ -107,8 +113,10 @@ class Session:
         #: Serializes this session's statements (a session models one
         #: connection; its requests are a sequence, not a pool).
         self._lock = threading.RLock()
-        self._snapshot_version: Optional[int] = None
-        self._snapshot_identity: Optional[dict] = None
+        #: Inside ``with self.snapshot():``, the relation objects of every
+        #: partition as the block found them, by relation name (see
+        #: :meth:`_check_snapshot`); else ``None``.
+        self._snapshot_relations: Optional[Dict[str, Tuple[Any, ...]]] = None
         #: The open per-connection :class:`Transaction`, if any: while set,
         #: the session's DML stages against the transaction's overlay and
         #: publishes in one swap at COMMIT (see :mod:`repro.core.txn`).
@@ -161,29 +169,36 @@ class Session:
     def snapshot(self) -> "_Snapshot":
         """Optimistic repeatable reads: ``with session.snapshot(): ...``.
 
-        Statements inside the block verify the catalog version they
-        started under is still current; concurrent DDL raises
-        :class:`SnapshotChanged` instead of silently mixing pre- and
-        post-DDL answers across the block's statements.
+        Statements inside the block verify the catalog still holds the
+        relation objects the block started under; a concurrent write
+        raises :class:`SnapshotChanged` instead of silently mixing pre-
+        and post-write answers across the block's statements.
         """
         return _Snapshot(self)
 
     def _check_snapshot(self) -> None:
-        expected = self._snapshot_version
-        if expected is not None:
-            current = self.udb.catalog_version
-            if current != expected:
-                raise SnapshotChanged(expected, current)
+        """Raise when a relation was replaced since the snapshot began.
 
-    def _catalog_identity(self):
-        """The relation-object identity map snapshot validation compares.
-
-        Swaps (DML publishes, compaction) replace relation objects;
-        in-place access-path work (lazy index builds, statistics) does
-        not — so the identity map moves exactly when answers may move.
-        See :meth:`~repro.core.udatabase.UDatabase.catalog_identity`.
+        The one discriminator for "could an answer have moved", checked
+        before and after every statement of a block: swaps (DML publishes,
+        compaction) replace relation objects; in-place access-path work
+        (index builds, lazy or by DDL, and statistics) does not.  The
+        snapshot holds the objects and not just their ids, because an id
+        means something only while its object lives: a successor version
+        is routinely allocated at a superseded one's address (six inserts
+        into ``r`` bring the whole id map of the vehicles database back).
         """
-        return self.udb.catalog_identity()
+        held = self._snapshot_relations
+        if held is not None and self.udb.catalog_identity() != {
+            name: tuple(map(id, relations)) for name, relations in held.items()
+        }:
+            raise SnapshotChanged(
+                "a concurrent write replaced a relation during a snapshot read"
+            )
+
+    def _refuse_in_snapshot(self, what: str) -> None:
+        if self._snapshot_relations is not None:
+            raise SnapshotChanged(f"{what} cannot run inside a snapshot, which only reads")
 
     # ------------------------------------------------------------------
     # transactions
@@ -196,10 +211,7 @@ class Session:
         transaction is already open (they do not nest).
         """
         with self._lock:
-            if self._snapshot_version is not None:
-                raise SnapshotChanged(
-                    self._snapshot_version, self.udb.catalog_version
-                )
+            self._refuse_in_snapshot("BEGIN")
             if self._txn is not None and self._txn.status == "open":
                 raise ValueError(
                     "a transaction is already open on this session; "
@@ -236,13 +248,12 @@ class Session:
     def _apply_vacuum(self, table: Optional[str]):
         """Run ``VACUUM [table]`` (caller holds the session lock).
 
-        Refused inside snapshots (compaction moves the catalog version)
+        Refused inside snapshots (compaction replaces relations)
         and transactions (its swap would conflict with the transaction's
         own publish).  Server-bound sessions route through the server so
         compaction admits under the ``vacuum`` cost class.
         """
-        if self._snapshot_version is not None:
-            raise SnapshotChanged(self._snapshot_version, self.udb.catalog_version)
+        self._refuse_in_snapshot("VACUUM")
         if self._txn is not None and self._txn.status == "open":
             raise ValueError(
                 "VACUUM cannot run inside a transaction (its swap would "
@@ -344,8 +355,7 @@ class Session:
         """
         from ..sql.parser import CreateIndex
 
-        if self._snapshot_version is not None:
-            raise SnapshotChanged(self._snapshot_version, self.udb.catalog_version)
+        self._refuse_in_snapshot("DDL")
         if self._txn is not None and self._txn.status == "open":
             raise ValueError(
                 "DDL cannot run inside a transaction; COMMIT or ROLLBACK first"
@@ -362,10 +372,10 @@ class Session:
         return None
 
     def _run(self, prepared: PreparedQuery, params: Tuple[Any, ...]):
-        if isinstance(prepared, PreparedDML) and self._snapshot_version is not None:
+        if isinstance(prepared, PreparedDML):
             # a session's own write would invalidate the snapshot it is
-            # reading under — same contract as DDL
-            raise SnapshotChanged(self._snapshot_version, self.udb.catalog_version)
+            # reading under
+            self._refuse_in_snapshot("DML")
         self.statements_run += 1
         if isinstance(prepared, PreparedDML) and self._txn is not None:
             if self._txn.status == "open":
@@ -385,20 +395,11 @@ class Session:
             rows=_result_rows(result),
             seconds=time.perf_counter() - started,
         )
-        # optimistic validation closes on both sides: the version pre-check
-        # alone leaves a window where a swap lands after it but before the
-        # plan resolves its relations, silently answering from the new
-        # catalog inside a "repeatable" block.  The post-check compares
-        # relation *identities* — a read's own lazy index builds bump the
-        # version without moving answers, and must not conflict the
-        # snapshot that triggered them.
-        if (
-            self._snapshot_identity is not None
-            and self._catalog_identity() != self._snapshot_identity
-        ):
-            raise SnapshotChanged(
-                self._snapshot_version, self.udb.catalog_version
-            )
+        # optimistic validation closes on both sides: the pre-check alone
+        # leaves a window where a swap lands after it but before the plan
+        # resolves its relations, silently answering from the new catalog
+        # inside a "repeatable" block
+        self._check_snapshot()
         return result
 
     def __repr__(self) -> str:
@@ -410,7 +411,7 @@ class Session:
 
 
 class _Snapshot:
-    """Context manager recording/clearing a session's snapshot version."""
+    """Context manager recording/clearing a session's snapshot relations."""
 
     def __init__(self, session: Session):
         self._session = session
@@ -418,13 +419,15 @@ class _Snapshot:
     def __enter__(self) -> Session:
         session = self._session
         with session._lock:
-            if session._snapshot_version is not None:
+            if session._snapshot_relations is not None:
                 raise RuntimeError("session snapshots do not nest")
-            session._snapshot_version = session.udb.catalog_version
-            session._snapshot_identity = session._catalog_identity()
+            udb = session.udb
+            session._snapshot_relations = {
+                name: tuple(part.relation for part in udb.partitions(name))
+                for name in udb.relation_names()
+            }
         return session
 
     def __exit__(self, *exc: Any) -> None:
         with self._session._lock:
-            self._session._snapshot_version = None
-            self._session._snapshot_identity = None
+            self._session._snapshot_relations = None

@@ -35,7 +35,7 @@ from repro.relational.algebra import (
 )
 from repro.relational.columnar import ColumnBatch
 from repro.relational.explain import explain_analyze
-from repro.relational.expressions import Param, col, executing, lit
+from repro.relational.expressions import Expression, Param, col, executing, lit
 from repro.relational.index import ensure_index
 from repro.relational.optimizer import optimize
 from repro.relational.physical import (
@@ -146,20 +146,69 @@ def _index_join(n, flipped=False, kind="hash", **extra):
     )
 
 
-def _two_key_index_join(n):
-    inner = Relation(["r.k", "r.w"], [(i % 3, i % 2) for i in range(n)])
-    index = ensure_index(inner, ["r.k", "r.w"], kind="hash")
-    outer = SeqScan(Relation(["l.k", "l.w"], [(i % 4, i % 2) for i in range(n)]), "l")
+def _two_key_relation(side, n, mistyped=False):
+    # keys (k, w) repeat, either one is NULL on some row, and with
+    # ``mistyped`` two rows carry the string "s" where the other side of
+    # the join has ints (never the indexed side: sorted indexes need one
+    # key type)
+    rows = []
+    for i in range(n):
+        k = None if i % 5 == 3 else i % 3
+        w = None if i % 7 == 4 else i % 2
+        if mistyped and i % 4 == 1:
+            k = "s"
+        if mistyped and i == 6:
+            w = "s"
+        rows.append((k, w, i))
+    return Relation([f"{side}.k", f"{side}.w", f"{side}.v"], rows)
+
+
+TWO_KEYS = [("l.k", "r.k"), ("l.w", "r.w")]
+
+
+def _two_key_hash_join(n, build):
+    return HashJoin(
+        SeqScan(_two_key_relation("l", n, mistyped=True), "l"),
+        SeqScan(_two_key_relation("r", n), "r"),
+        TWO_KEYS,
+        residual=col("l.v") >= col("r.v"),
+        build=build,
+    )
+
+
+def _two_key_index_join(n, kind, flipped=False):
+    inner = _two_key_relation("r", n)
+    index = ensure_index(inner, ["r.k", "r.w"], kind=kind)
     probe = IndexScan(index, "r", inner.schema, probe=True)
     return IndexNestedLoopJoin(
-        outer,
+        SeqScan(_two_key_relation("l", n, mistyped=True), "l"),
         probe,
         index,
         [0, 1],
-        [("l.k", "r.k"), ("l.w", "r.w")],
-        residual=col("l.k") >= col("r.w"),
-        inner_filters=[(col("r.k") > lit(0), inner.schema)],
+        TWO_KEYS,
+        residual=col("l.v") >= col("r.v"),
+        flipped=flipped,
+        inner_filters=[(col("r.v") < lit(7), inner.schema)],
     )
+
+
+class Odd(Expression):
+    """An expression type the code generator has never heard of (declared
+    the plain way, without ``__slots__``): kernels reach it through its
+    bound closure."""
+
+    def __init__(self, operand):
+        self.operand = operand
+
+    def bind(self, schema):
+        operand = self.operand.bind(schema)
+        return lambda row: operand(row) is not None and operand(row) % 2 == 1
+
+    def columns(self):
+        return self.operand.columns()
+
+    def __repr__(self):
+        return f"odd({self.operand!r})"
 
 
 def _folded(join, positions, names):
@@ -190,6 +239,7 @@ CASES = {
     "seq_scan": left,
     "filter": lambda n: Filter(left(n), col("l.k") > lit(1)),
     "filter_all_rows_pass": lambda n: Filter(left(n), col("l.v").ne(lit("nope"))),
+    "filter_unknown_expression": lambda n: Filter(left(n), Odd(col("l.k"))),
     "projection": lambda n: Projection(left(n), ["l.v"]),
     "projection_as": lambda n: ProjectionAs(
         left(n), [("l.k", "k1"), ("l.k", "k2"), ("l.v", "v")]
@@ -197,6 +247,7 @@ CASES = {
     "extend": lambda n: ExtendOp(
         left(n), [("kk", col("l.k") + col("l.k")), ("one", lit(1))]
     ),
+    "extend_unknown_expression": lambda n: ExtendOp(left(n), [("odd", Odd(col("l.k")))]),
     "rename": lambda n: plan_physical(Rename(Scan(left_relation(n), "l"), {"l.k": "x.k"})),
     "fused_pipeline": lambda n: FusedPipeline(
         left(n), col("l.k") > lit(0), [1, 0], left(n).schema.project(["l.v", "l.k"])
@@ -205,6 +256,9 @@ CASES = {
         left(n), col("l.v").ne(lit("v1")), None, left(n).schema
     ),
     "fused_pipeline_over_index_scan": _fused_over_index_scan,
+    "fused_pipeline_unknown_expression": lambda n: plan_physical(
+        Project(Select(Scan(left_relation(n), "l"), Odd(col("l.k"))), ["l.v"]), fuse=True
+    ),
     "index_scan_point": lambda n: _index_scan(n, kind="hash", point=1),
     "index_scan_point_param": lambda n: _index_scan(n, kind="hash", point=Param(0)),
     "index_scan_range_residual": lambda n: _index_scan(
@@ -223,12 +277,13 @@ CASES = {
         [3, 1],
         ["r.w", "l.v"],
     ),
-    "hash_join_two_keys_build_left": lambda n: HashJoin(
-        SeqScan(Relation(["l.k", "l.w"], [(i % 3, i % 2) for i in range(n)]), "l"),
-        SeqScan(Relation(["r.k", "r.w"], [(i % 4, i % 2) for i in range(n)]), "r"),
-        [("l.k", "r.k"), ("l.w", "r.w")],
-        residual=col("l.k") >= col("r.w"),
-        build="left",
+    "hash_join_two_keys": lambda n: _two_key_hash_join(n, "right"),
+    "hash_join_two_keys_build_left": lambda n: _two_key_hash_join(n, "left"),
+    "hash_join_two_keys_folded_output": lambda n: _folded(
+        _two_key_hash_join(n, "right"), [5, 0, 2], ["r.v", "l.k", "l.v"]
+    ),
+    "hash_join_unknown_expression": lambda n: HashJoin(
+        left(n), right(n), [("l.k", "r.k")], residual=Odd(col("l.k") + col("r.w"))
     ),
     "index_join": _index_join,
     "index_join_folded_output": lambda n: _folded(
@@ -241,7 +296,16 @@ CASES = {
         residual=col("r.w") >= lit(10),
         inner_filters=[(col("r.w") < lit(60), right_relation(n).schema)],
     ),
-    "index_join_two_keys": _two_key_index_join,
+    "index_join_two_keys": lambda n: _two_key_index_join(n, "hash"),
+    "index_join_two_keys_sorted": lambda n: _two_key_index_join(n, "sorted"),
+    "index_join_two_keys_flipped_folded_output": lambda n: _folded(
+        _two_key_index_join(n, "sorted", flipped=True), [2, 3, 5], ["r.v", "l.k", "l.v"]
+    ),
+    "index_join_unknown_expression": lambda n: _index_join(
+        n,
+        residual=Odd(col("l.k")),
+        inner_filters=[(~Odd(col("r.w")), right_relation(n).schema)],
+    ),
     "merge_join": lambda n: MergeJoin(left(n), right(n), [("l.k", "r.k")]),
     "merge_join_residual": lambda n: MergeJoin(
         left(n), right(n), [("l.k", "r.k")], residual=col("r.w") > lit(10)
@@ -366,26 +430,9 @@ class TestBatchMechanics:
 
 
 class TestMergeJoinPresorted:
-    """Merge join consuming SortedIndex.ordered instead of re-sorting."""
-
-    def test_presorted_inputs_skip_the_sorts(self):
-        left = Relation(["l.k", "l.v"], [(i % 7, i) for i in range(40)])
-        right = Relation(["r.k", "r.w"], [(i % 5, i * 2) for i in range(30)])
-        ensure_index(left, ["l.k"], kind="sorted")
-        ensure_index(right, ["r.k"], kind="sorted")
-        join = MergeJoin(
-            SeqScan(left, "l"), SeqScan(right, "r"), [("l.k", "r.k")]
-        )
-        via_columns = execute(join, mode="columns")
-        # the Sort children were never drained: the join consumed the
-        # indexes' ordered rows directly
-        assert join.left.actual_rows is None
-        assert join.right.actual_rows is None
-        reference = MergeJoin(
-            SeqScan(left, "l"), SeqScan(right, "r"), [("l.k", "r.k")]
-        )
-        via_rows = execute(reference, mode="rows")
-        assert sorted(via_columns.rows) == sorted(via_rows.rows)
+    """Merge joins whose inputs carry a sorted index on the join column:
+    the join sorts its inputs all the same, and the answer is the one an
+    index-free merge join gives."""
 
     def test_presorted_with_nulls_matches_sorting_path(self):
         left = Relation(["l.k"], [(None,), (1,), (2,), (1,)])
@@ -394,17 +441,11 @@ class TestMergeJoinPresorted:
         ensure_index(right, ["r.k"], kind="sorted")
         join = MergeJoin(SeqScan(left, "l"), SeqScan(right, "r"), [("l.k", "r.k")])
         assert_executor_matches_reference(join)
-
-    def test_one_presorted_side_falls_back(self):
-        left = Relation(["l.k"], [(2,), (1,)])
-        ensure_index(left, ["l.k"], kind="sorted")
-        right = Relation(["r.k"], [(1,), (2,)])
-        join = MergeJoin(SeqScan(left, "l"), SeqScan(right, "r"), [("l.k", "r.k")])
-        assert len(execute(join, mode="columns")) == 2
+        assert sorted(execute(join).rows) == [(1, 1), (1, 1)]
 
     def test_cross_type_keys_match_sorting_path(self):
-        # 1 == 1.0 under raw comparison but not under _sort_key: the
-        # presorted path must agree with the index-free merge join
+        # 1 == 1.0 under raw comparison but not under _sort_key, whose
+        # order the indexes do not share
         left = Relation(["l.k", "l.v"], [(1, "l")])
         right = Relation(["r.k", "r.w"], [(1.0, "r")])
         ensure_index(left, ["l.k"], kind="sorted")
@@ -426,6 +467,7 @@ class TestMergeJoinPresorted:
         ensure_index(left, ["l.k"], kind="sorted")
         ensure_index(right, ["r.k"], kind="sorted")
         join = MergeJoin(SeqScan(left, "l"), SeqScan(right, "r"), [("l.k", "r.k")])
+        assert_executor_matches_reference(join)
         assert execute(join, mode="columns").rows == []
 
 

@@ -22,6 +22,7 @@ from repro.relational.expressions import (
     disjunction,
     equijoin_pairs,
     lit,
+    map_columns,
     split_conjuncts,
 )
 from repro.relational.schema import Schema
@@ -138,6 +139,20 @@ class TestAnalysis:
     def test_flipped(self):
         e = Comparison("<", col("a"), col("b")).flipped()
         assert e.op == ">" and e.left.name == "b"
+
+    def test_map_columns_rewrites_every_column_and_nothing_else(self):
+        e = (
+            (col("a") + col("b") > lit(1))
+            & ~col("c").in_list([1, 2])
+            & (col("a").between(col("b"), 9) | col("c").is_null())
+        )
+        before = repr(e)
+        mapped = map_columns(e, lambda column: Col(column.name.upper()))
+        assert repr(mapped) == before.replace("a", "A").replace("b", "B").replace("c", "C")
+        assert repr(e) == before  # the input tree is shared, never edited
+        upper = Schema(["A", "B", "C"])
+        for row in [(1, 2, 3), (None, 2, 1), (5, 1, None)]:
+            assert mapped.bind(upper)(row) == ev(e, row)
 
 
 class TestEquijoinPairs:
