@@ -30,6 +30,9 @@
 #                      per workload; exits non-zero on a wrong answer
 #                      (appends to benchmarks/layers/results/BENCH_layers.jsonl;
 #                      see benchmarks/layers/README.md for --trace 1)
+#   make loc         - source size: `wc -l` over src/repro/**/*.py in total
+#                      and for the files ROADMAP.md tracks (the command every
+#                      CHANGES.md entry quotes its before/after from)
 #   make coverage    - the tier-1 suite under coverage with the CI ratchet
 #                      (needs pytest-cov: pip install -r requirements-dev.txt)
 #   make bench       - the full benchmark suite (slow)
@@ -41,10 +44,17 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 #: Measured ~91% today; raise as coverage grows, never lower.
 COVERAGE_FLOOR ?= 85
 
-.PHONY: test coverage bench-smoke bench-serve bench-ingest bench-conf bench-obs bench-layers bench
+#: The files whose size ROADMAP.md tracks beside the src/repro total.
+LOC_FILES ?= src/repro/relational/physical.py src/repro/relational/columnar.py src/repro/relational/plancache.py
+
+.PHONY: test loc coverage bench-smoke bench-serve bench-ingest bench-conf bench-obs bench-layers bench
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+loc:
+	@find src/repro -name '*.py' -exec cat {} + | wc -l | sed 's|$$| src/repro/**/*.py|'
+	@wc -l $(LOC_FILES)
 
 coverage:
 	$(PYTHON) -m pytest -x -q --cov=src/repro --cov-report=term-missing:skip-covered --cov-fail-under=$(COVERAGE_FLOOR)

@@ -3,10 +3,11 @@
 A :class:`PreparedQuery` wraps a logical query tree (usually parsed from
 SQL with ``$1``-style parameter slots) bound to one
 :class:`~repro.core.udatabase.UDatabase`.  Its first ``run`` plans the
-query through :func:`~repro.core.translate.execute_query`, which inserts
+query through :func:`~repro.core.translate.execute_keyed`, which inserts
 the fully planned physical tree into the prepared-plan cache; every later
 ``run`` — with *any* parameter values, from *any* thread — hits that
-entry and goes straight to the executor.  A statement holds no values:
+entry under the key the statement derived once and goes straight to the
+executor.  A statement holds no values:
 ``run`` makes its arguments the ``$n`` values of one execution
 (:func:`~repro.relational.expressions.executing`), which generated
 kernels and index point lookups read from the calling thread's frame at
@@ -40,7 +41,13 @@ from ..relational.expressions import (
 )
 from .dml import Delete, DMLResult, Insert, Update, dml_slot_count, execute_dml
 from .query import UJoin, UQuery, USelect
-from .translate import execute_query, explain_query, query_key
+from .translate import (
+    execute_keyed,
+    explain_query,
+    query_cache_key,
+    query_key,
+    relational_core,
+)
 
 __all__ = [
     "PreparedQuery",
@@ -121,7 +128,11 @@ class PreparedQuery(_Prepared):
     """A logical query bound to a UDatabase, planned once, run many times.
 
     Immutable once built, and safe to run from any number of threads at
-    once: each ``run`` is one execution with its own frame.
+    once: each ``run`` is one execution with its own frame.  The statement
+    owns its plan-cache key (:meth:`plan_key`): a key is a function of the
+    tree, the database and the knobs, none of which change, so it is
+    derived on first use and every later ``run`` — and the server's
+    admission peek and coalescing key — read it back.
     """
 
     _kind = "prepared query"
@@ -131,6 +142,19 @@ class PreparedQuery(_Prepared):
         self.udb = udb
         self.sql = sql
         self.parameter_count = _query_slot_count(query)
+        #: What is planned and cached: the query under its ``Certain``
+        #: wrappers (a ``certain(q)`` statement runs ``q``'s plan).
+        self.core = relational_core(query)
+        self._keys: Dict[Tuple[bool, str, bool], Any] = {}
+
+    def plan_key(self, optimize: bool = True, mode: str = "columns", use_indexes: bool = True):
+        """The plan-cache key :attr:`core` plans under with these knobs
+        (``None``: uncacheable), derived once in the statement's lifetime.
+        Racing first callers derive equal keys; either assignment stands."""
+        knobs = (optimize, mode, use_indexes)
+        if knobs not in self._keys:
+            self._keys[knobs] = query_cache_key(self.core, self.udb, *knobs)
+        return self._keys[knobs]
 
     def bind(self, params: Tuple[Any, ...]) -> None:
         """Make ``params`` the calling thread's ``$n`` values (``$1`` first).
@@ -157,9 +181,8 @@ class PreparedQuery(_Prepared):
         otherwise.
         """
         with request_trace(sql=self.sql or ""), executing(self.checked(params)):
-            return execute_query(
-                self.query, self.udb, optimize=optimize, mode=mode, use_indexes=use_indexes
-            )
+            key = self.plan_key(optimize, mode, use_indexes)
+            return execute_keyed(self.query, self.udb, key, optimize, mode, use_indexes)
 
     def explain(
         self,

@@ -91,6 +91,8 @@ __all__ = [
     "query_key",
     "query_structure_key",
     "query_cache_key",
+    "relational_core",
+    "execute_keyed",
     "query_fingerprint",
     "psi_condition",
     "alpha_condition",
@@ -674,22 +676,29 @@ def query_cache_key(
     )
 
 
+def relational_core(query: UQuery) -> UQuery:
+    """The query under any ``Certain`` wrappers: what is planned and cached
+    (the Lemma 4.3 pipeline on top is not a relational plan)."""
+    while isinstance(query, Certain):
+        query = query.child
+    return query
+
+
 def _cached_physical(
     query: UQuery,
     udb: UDatabase,
+    key,
     optimize: bool,
     mode: str,
     use_indexes: bool,
 ):
     """The fully planned physical tree for a logical query, via the cache.
 
-    Returns ``((physical, wrap, profile), was_cached, key)`` where
-    ``wrap`` is ``None`` for a top-level ``Poss`` (the plan's output is
-    the answer relation) and otherwise the ``(d_width, tid_names,
-    value_names, canonical)`` U-relation column structure needed to wrap
-    the result, and ``profile`` is the plan-time workload shape
-    (fingerprint, predicate columns, access paths — see
-    :func:`_workload_profile`; ``None`` for unfingerprintable queries).
+    Returns ``(record, was_cached)``: a
+    :class:`~repro.relational.plancache.PlanRecord` and whether the cache
+    served it.  ``key`` is the query's :func:`query_cache_key` under the
+    same knobs, derived by the caller (once per statement, if it is a
+    :class:`~repro.core.prepared.PreparedQuery`).
 
     A hit skips translation, optimization, and physical planning — the
     repeated-query path is executor-only.  The cache key is the normalized
@@ -697,35 +706,24 @@ def _cached_physical(
     plan (the executor's fused plan and the reference's unfused one are
     cached separately).  Invalidation is exact: any catalog
     mutation of a relation the plan scans evicts the entry (see
-    :mod:`repro.relational.plancache`).  Entries record planning time
-    (the eviction weight) and the plan's admission cost class.
+    :mod:`repro.relational.plancache`).
     """
-    import time
-
-    from ..obs import span as obs_span
     from ..relational.optimizer import optimize as optimize_plan
     from ..relational.plancache import (
-        cache_lookup,
-        cache_store,
+        PlanRecord,
+        cached_plan,
         cost_class_of,
         plan_relations,
     )
     from ..relational.planner import plan_physical
 
-    fuse = mode == "columns"
-    key = query_cache_key(query, udb, optimize, mode, use_indexes)
-    # captured before translation resolves any relation: the store below
-    # only commits if no catalog *swap* landed in between (see cache_store).
-    # Identity, not version: this planning's own lazy index builds bump the
-    # version in place without making the plan stale, and must still store
-    catalog_before = udb.catalog_identity()
-    with obs_span("plan") as sp:
-        cached = cache_lookup(key)
-        if cached is not None:
-            sp.set(cached=True)
-            return cached, True, key
-        sp.set(cached=False)
-        started = time.perf_counter()
+    def build():
+        # captured before translation resolves any relation: the store
+        # only commits if no catalog *swap* landed in between (see
+        # cache_store).  Identity, not version: this planning's own lazy
+        # index builds bump the version in place without making the plan
+        # stale, and must still store
+        catalog_before = udb.catalog_identity()
         conf: Optional[Conf] = None
         if isinstance(query, Poss):
             inner = translate(query.child, udb)
@@ -765,22 +763,18 @@ def _cached_physical(
                 conf.delta,
                 conf.seed,
             )
-        physical = plan_physical(plan, use_indexes=use_indexes, fuse=fuse)
+        physical = plan_physical(plan, use_indexes=use_indexes, fuse=mode == "columns")
         cost_class = cost_class_of(physical)
         profile = _workload_profile(query, plan, physical, key, cost_class)
-        payload = (physical, wrap, profile)
         # pin the udb: an id-keyed owner must outlive its entries
-        cache_store(
-            key,
-            payload,
+        return (
+            PlanRecord(physical, wrap, profile, cost_class),
             deps,
-            pins=(udb,),
-            cost_class=cost_class,
-            plan_cost=time.perf_counter() - started,
-            guard=lambda: udb.catalog_identity() == catalog_before,
-            fingerprint=profile["fingerprint"] if profile else None,
+            (udb,),
+            lambda: udb.catalog_identity() == catalog_before,
         )
-    return payload, False, key
+
+    return cached_plan(key, build)
 
 
 # ----------------------------------------------------------------------
@@ -806,32 +800,42 @@ def execute_query(
 
     The physical plan is served from the prepared-plan cache when the same
     query structure ran before against an unchanged catalog, so repeated
-    executions skip translate → optimize → plan entirely.
+    executions skip translate → optimize → plan entirely.  The cache key
+    is derived from the tree here, on every call; a
+    :class:`~repro.core.prepared.PreparedQuery` derives it once and calls
+    :func:`execute_keyed`.
     """
+    key = query_cache_key(relational_core(query), udb, optimize, mode, use_indexes)
+    return execute_keyed(query, udb, key, optimize, mode, use_indexes)
+
+
+def execute_keyed(
+    query: UQuery,
+    udb: UDatabase,
+    key,
+    optimize: bool,
+    mode: str,
+    use_indexes: bool,
+):
+    """:func:`execute_query` for a caller that holds ``key``, the
+    :func:`query_cache_key` of the query's :func:`relational_core` under
+    these knobs."""
     import time
 
     from ..obs import counter, current_span, current_trace
     from ..obs import workload as obs_workload
     from ..relational.physical import Confidence, execute
-    from ..relational.plancache import cost_class_of, record_observed_rows
 
     if isinstance(query, Certain):
         from .certain import certain_answers
 
-        inner = execute_query(query.child, udb, optimize, mode, use_indexes)
+        inner = execute_keyed(query.child, udb, key, optimize, mode, use_indexes)
         return certain_answers(inner, udb.world_table)
-    (physical, wrap, profile), was_cached, key = _cached_physical(
-        query, udb, optimize, mode, use_indexes
-    )
+    record, was_cached = _cached_physical(query, udb, key, optimize, mode, use_indexes)
+    physical, wrap, profile, cost_class = record
     started = time.perf_counter()
     relation = execute(physical, mode=mode)
     elapsed = time.perf_counter() - started
-    # feed the estimate-vs-actual loop and the trace from the accounting
-    # the batch iterators already did for this execution's frame — no
-    # re-run, no extra measurement
-    actual_rows = physical.actual_rows
-    record_observed_rows(key, physical.estimated_rows, actual_rows)
-    cost_class = cost_class_of(physical)
     counter("queries_total", "Queries executed by class and plan-cache outcome").inc(
         cls=cost_class, cached=str(was_cached).lower()
     )
@@ -844,13 +848,15 @@ def execute_query(
             trace.root.attrs.setdefault("fingerprint", profile["fingerprint"])
             trace.root.attrs.setdefault("plan_key", profile["plan_key"])
         current_span().set(operators=physical.actuals())
+    # the estimate-vs-actual history reads the accounting the batch
+    # iterators already did for this execution's frame — no re-run
     obs_workload.record_execution(
         profile,
         seconds=elapsed,
         rows=len(relation),
         cached=was_cached,
         estimated=physical.estimated_rows,
-        actual=actual_rows,
+        actual=physical.actual_rows,
         sql=trace.root.attrs.get("sql") if trace is not None else None,
     )
     if wrap is None:
@@ -893,20 +899,16 @@ def explain_query(
     from ..relational.explain import explain_analyze
     from ..relational.plancache import mark_cached
 
-    if isinstance(query, Certain):
-        return explain_query(
-            query.child, udb, optimize, mode, use_indexes, analyze, trace
-        )
-    (physical, _wrap, _profile), was_cached, _key = _cached_physical(
-        query, udb, optimize, mode, use_indexes
-    )
+    query = relational_core(query)
+    key = query_cache_key(query, udb, optimize, mode, use_indexes)
+    record, was_cached = _cached_physical(query, udb, key, optimize, mode, use_indexes)
     if analyze and trace:
-        _result, text, data = explain_analyze(physical, mode=mode, trace=True)
+        _result, text, data = explain_analyze(record.physical, mode=mode, trace=True)
         return (mark_cached(text) if was_cached else text), data
     if analyze:
-        _result, text = explain_analyze(physical, mode=mode)
+        _result, text = explain_analyze(record.physical, mode=mode)
     else:
-        text = explain_physical(physical)
+        text = explain_physical(record.physical)
     return mark_cached(text) if was_cached else text
 
 

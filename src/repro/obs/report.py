@@ -1,7 +1,6 @@
 """Advisory index report: turn workload history into ranked advice.
 
 A pure-function analyzer over a :func:`repro.obs.workload.workload_snapshot`
-(plus, optionally, :func:`repro.relational.plancache.plan_cache_entries`)
 that emits:
 
 * **index recommendations** — ranked multi-column hash indexes over the
@@ -11,9 +10,10 @@ that emits:
   multi-column hash probes; sorted ranges bound on the leading column),
   expressed as ready-to-run ``CREATE INDEX`` statements against the
   representation relations; and
-* **drifting plans** — fingerprints/cache entries whose optimizer
-  estimate diverged more than 10x from observed actuals, the re-optimize
-  signal the ROADMAP's plan-feedback loop needs.
+* **drifting plans** — fingerprints whose optimizer estimate diverged
+  more than 10x from observed actuals: the workload history records
+  estimate vs actual per fingerprint on every execution, with the SQL
+  attached.
 
 Recommend-only in this PR: nothing here builds an index or re-plans a
 query; the output is a tested signal for the next PR to act on.  Served
@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from .workload import drift_ratio, workload_snapshot
+from .workload import workload_snapshot
 
 __all__ = ["advisory_report", "render_text", "main"]
 
@@ -123,22 +123,16 @@ def _entry_recommendations(entry: Mapping[str, Any]) -> List[Dict[str, Any]]:
 
 def advisory_report(
     history: Optional[List[Mapping[str, Any]]] = None,
-    plan_entries: Optional[List[Mapping[str, Any]]] = None,
     min_calls: int = MIN_CALLS,
     drift_threshold: float = DRIFT_THRESHOLD,
 ) -> Dict[str, Any]:
-    """The advisory report as a JSON-ready dict (pure over its inputs).
+    """The advisory report as a JSON-ready dict (pure over its input).
 
-    ``history`` defaults to the live workload snapshot and
-    ``plan_entries`` to the live plan-cache entries; pass explicit lists
-    to analyze a saved snapshot (the function reads nothing else).
+    ``history`` defaults to the live workload snapshot; pass an explicit
+    list to analyze a saved one (the function reads nothing else).
     """
     if history is None:
         history = workload_snapshot()
-    if plan_entries is None:
-        from ..relational.plancache import plan_cache_entries
-
-        plan_entries = plan_cache_entries()
 
     merged: Dict[Any, Dict[str, Any]] = {}
     for entry in history:
@@ -161,10 +155,8 @@ def advisory_report(
         rec["rank"] = rank
 
     drifting: List[Dict[str, Any]] = []
-    seen_fingerprints = set()
     for entry in history:
         if entry.get("max_drift", 1.0) > drift_threshold:
-            seen_fingerprints.add(entry["fingerprint"])
             drifting.append(
                 {
                     "fingerprint": entry["fingerprint"],
@@ -177,29 +169,6 @@ def advisory_report(
                     "calls": entry["calls"],
                 }
             )
-    for entry in plan_entries:
-        estimated = entry.get("estimated_rows")
-        observed = entry.get("observed_rows")
-        if not entry.get("observed_runs") or estimated is None or observed is None:
-            continue
-        drift = drift_ratio(estimated, observed)
-        if drift <= drift_threshold:
-            continue
-        fingerprint = entry.get("fingerprint")
-        if fingerprint is not None and fingerprint in seen_fingerprints:
-            continue  # history already reported it with richer context
-        drifting.append(
-            {
-                "fingerprint": fingerprint,
-                "sql": None,
-                "cost_class": entry.get("cost_class"),
-                "estimated_rows": estimated,
-                "actual_rows": observed,
-                "drift": drift,
-                "drift_runs": entry.get("observed_runs"),
-                "calls": entry.get("hits"),
-            }
-        )
     drifting.sort(key=lambda d: -(d["drift"] or 0))
 
     return {

@@ -58,16 +58,18 @@ def configure(capacity: Optional[int] = None, threshold: Optional[float] = None)
 def record(trace: Trace) -> None:
     """Offer a finished trace to the slow log (keep if among N slowest)."""
     seconds = trace.duration
-    payload: Dict[str, Any] = {
-        "duration_ms": round(seconds * 1000, 4),
-        **trace.to_dict(),
-    }
     with _lock:
         threshold = _threshold
-        if len(_heap) < _capacity:
-            heapq.heappush(_heap, (seconds, next(_tiebreak), payload))
-        elif _heap and seconds > _heap[0][0]:
-            heapq.heapreplace(_heap, (seconds, next(_tiebreak), payload))
+        full = len(_heap) >= _capacity
+        if not full or seconds > _heap[0][0]:
+            # serialized only now that the trace is known to be kept: in a
+            # steady state almost every request is faster than the root
+            payload: Dict[str, Any] = {
+                "duration_ms": round(seconds * 1000, 4),
+                **trace.to_dict(),
+            }
+            push = heapq.heapreplace if full else heapq.heappush
+            push(_heap, (seconds, next(_tiebreak), payload))
     if seconds >= threshold:
         attrs = trace.root.attrs
         logger.warning(

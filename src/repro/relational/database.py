@@ -37,10 +37,10 @@ from .explain import explain_analyze as _explain_analyze
 from .index import Index, IndexRegistry
 from .optimizer import optimize, refresh_statistics
 from .plancache import (
+    PlanRecord,
     build_key,
     bump_relation,
-    cache_lookup,
-    cache_store,
+    cached_plan,
     cost_class_of,
     logical_plan_key,
     mark_cached,
@@ -48,7 +48,7 @@ from .plancache import (
     watch_relation,
 )
 from .planner import Planner
-from .physical import PhysicalPlan, execute
+from .physical import execute
 from .relation import Relation
 
 __all__ = ["Database"]
@@ -211,19 +211,13 @@ class Database:
         prefer_merge_join: bool,
         use_indexes: bool,
         fuse: bool,
-    ) -> Tuple[PhysicalPlan, bool, Optional[Tuple]]:
-        """The physical plan for a logical plan, via the prepared-plan cache.
+    ) -> Tuple[PlanRecord, bool]:
+        """The plan's :class:`~repro.relational.plancache.PlanRecord`, via
+        the prepared-plan cache: ``(record, was_cached)``.
 
-        Returns ``(physical, was_cached, cache_key)``.  Uncacheable plan
-        shapes (an unknown node or expression subclass) compile fresh every
-        time under a ``None`` key.  The entry records how long planning
-        took (the cache's eviction weight) and the plan's admission cost
-        class.
+        Uncacheable plan shapes (an unknown node or expression subclass)
+        compile fresh every time under a ``None`` key.
         """
-        import time
-
-        from ..obs import span as obs_span
-
         key = build_key(
             lambda: (
                 "db-run",
@@ -235,28 +229,18 @@ class Database:
                 fuse,
             )
         )
-        with obs_span("plan") as sp:
-            cached = cache_lookup(key)
-            if cached is not None:
-                sp.set(cached=True)
-                return cached, True, key
-            sp.set(cached=False)
-            started = time.perf_counter()
+
+        def build():
             logical = optimize(plan) if optimize_first else plan
             physical = Planner(
                 prefer_merge_join=prefer_merge_join,
                 use_indexes=use_indexes,
                 fuse=fuse,
             ).compile(logical)
-            cache_store(
-                key,
-                physical,
-                deps=plan_relations(plan),
-                pins=(self, plan),
-                cost_class=cost_class_of(physical),
-                plan_cost=time.perf_counter() - started,
-            )
-        return physical, False, key
+            record = PlanRecord(physical, None, None, cost_class_of(physical))
+            return record, plan_relations(plan), (self, plan), None
+
+        return cached_plan(key, build)
 
     def run(
         self,
@@ -278,19 +262,18 @@ class Database:
         prepared-plan cache (the fused and the unfused plan are cached
         separately).
         """
-        from ..obs import current_span
-        from .plancache import record_observed_rows
+        from ..obs import current_span, current_trace
 
-        physical, _, key = self._cached_physical(
+        record, _ = self._cached_physical(
             plan,
             optimize_first,
             prefer_merge_join,
             use_indexes,
             fuse=mode == "columns",
         )
-        result = execute(physical, mode=mode)
-        record_observed_rows(key, physical.estimated_rows, physical.actual_rows)
-        current_span().set(operators=physical.actuals())
+        result = execute(record.physical, mode=mode)
+        if current_trace() is not None:  # else the span is the shared no-op
+            current_span().set(operators=record.physical.actuals())
         return result
 
     def explain(
@@ -316,7 +299,7 @@ class Database:
         on its top line; the explained plan is also *inserted* into the
         cache, so explaining then running a query plans it exactly once.
         """
-        physical, was_cached, _key = self._cached_physical(
+        record, was_cached = self._cached_physical(
             plan,
             optimize_first,
             prefer_merge_join,
@@ -324,7 +307,7 @@ class Database:
             fuse=mode == "columns",
         )
         if analyze:
-            _result, text = _explain_analyze(physical, mode=mode)
+            _result, text = _explain_analyze(record.physical, mode=mode)
         else:
-            text = _explain(physical)
+            text = _explain(record.physical)
         return mark_cached(text) if was_cached else text

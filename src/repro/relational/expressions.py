@@ -842,12 +842,14 @@ def _structural_key(e: Expression, parent: Optional[Expression], leaf) -> Tuple:
 
 
 #: Compiled-kernel cache: (flavor, schema names, structural key, extras) ->
-#: generated callable.  Bounded by the plan cache's LRU + hot-pin policy
-#: (:class:`~repro.relational.plancache.LruHotCache`): reaching capacity
+#: generated callable.  Held in the same
+#: :class:`~repro.relational.plancache.LruHotCache` the plan cache keeps
+#: its entries in — one eviction policy for both: reaching capacity
 #: evicts the least-recently-used cold kernel instead of clearing
 #: wholesale, and frequently hit kernels pin into a hot set — a burst of
 #: ad-hoc shapes no longer recompiles a serving workload's entire hot
-#: path.  Built lazily (plancache imports this module at load time).
+#: path.  Built lazily (plancache imports this module at load time), with
+#: the limit read then: ``reset_compile_cache`` rebuilds it.
 _KERNEL_CACHE: Optional[Any] = None
 _KERNEL_CACHE_LIMIT = 4096
 _cache_hits = 0

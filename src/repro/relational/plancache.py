@@ -1,15 +1,30 @@
 """The prepared-plan cache: repeated queries go executor-only.
 
 Translation + optimization + physical planning cost a few milliseconds per
-``execute_query`` — real money once the per-execution work is microseconds
-(the compile cache already removed codegen from repeated runs; this module
-removes *planning*).  The cache maps
+query — real money once the per-execution work is microseconds.  The cache
+maps
 
     (normalized query structure, owner catalog, planner knobs)
-        -> fully planned physical tree
+        -> PlanRecord
 
-so a repeated ``run``/``Database.run``/``execute_query`` skips the whole
+so a repeated ``Database.run`` / ``execute_query`` skips the whole
 translate -> optimize -> plan pipeline and goes straight to the executor.
+There is one of each thing here:
+
+* **One record.**  :class:`PlanRecord` holds the physical tree and every
+  other fact that is a function of the plan alone (the U-relation ``wrap``
+  structure, the workload ``profile``, the admission ``cost_class``).  It
+  is what :func:`cache_store` takes, what :func:`cache_lookup` returns to
+  every caller, and the only place such a fact lives: it is computed where
+  the plan is built and no execution derives it again.
+* **One eviction policy.**  Entries live in an :class:`LruHotCache`, the
+  bounded LRU with a pinned hot set that the expression kernel cache uses
+  too: recency picks the victim, and entries hit often enough are pinned
+  (up to half the capacity) so a burst of one-off ad-hoc shapes cannot
+  wash out the serving hot set.
+* **One lookup protocol.**  :func:`cached_plan` is the ``plan`` span ->
+  lookup -> build -> store sequence; ``Database`` and the U-relation
+  translation both call it with a key and a builder that runs on a miss.
 
 Soundness rests on two facts:
 
@@ -43,38 +58,26 @@ what differs between their executions (``$n`` values, operator counters,
 (:func:`~repro.relational.expressions.executing`), never on the cached
 tree.
 
-Serving-layer duties (PR 5):
-
-* **Thread safety.**  Every cache operation — lookup, store, invalidation,
-  stats — runs under one module lock, so N sessions executing cached plans
-  concurrently (and a DDL thread bumping relations under them) never see a
-  torn cache.  The lock is held for dict bookkeeping only, never during
-  planning or execution.
-* **LRU eviction with planning-cost weights and a hot-set pin.**  A full
-  cache no longer clears wholesale: the victim is the cheapest-to-replan
-  entry among the least-recently-used few (a GreedyDual-style compromise —
-  recency decides the candidate window, replan cost decides inside it),
-  and entries hit often enough are *pinned* (up to half the capacity) so a
-  burst of one-off ad-hoc shapes cannot wash out the serving hot set.
-* **Per-entry cost class.**  :func:`cost_class_of` classifies a physical
-  tree (``point`` / ``scan`` / ``join`` / ``heavy``) and the class is
-  stored on the entry; the admission layer reads it back through
-  :func:`cached_cost_class` to pick per-class concurrency limits before
-  executing (a cached point lookup is not rate-limited like a cold
-  six-way join).
-
-:func:`plan_cache_stats` / :func:`reset_plan_cache` mirror the expression
-compile cache's introspection hooks (tests and benchmarks use them to
-prove second-run queries are planning-free).
+Every cache operation — lookup, store, invalidation, stats — runs under
+one module lock, so N sessions executing cached plans concurrently (and a
+DDL thread bumping relations under them) never see a torn cache.  The lock
+is held for dict bookkeeping only, never during planning or execution.
+The admission layer peeks at a request's class through
+:func:`cached_cost_class`, which counts nothing and leaves the LRU order
+alone; :func:`plan_cache_stats` / :func:`reset_plan_cache` mirror the
+expression compile cache's introspection hooks (tests and benchmarks use
+them to prove second-run queries are planning-free).
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 from weakref import WeakSet
 
+from ..obs import gauge
+from ..obs import span as obs_span
 from .algebra import (
     ConfCompute,
     Difference,
@@ -96,17 +99,16 @@ from .relation import Relation
 
 __all__ = [
     "LruHotCache",
+    "PlanRecord",
     "plan_cache_stats",
     "reset_plan_cache",
     "bump_relation",
     "relation_epoch",
     "watch_relation",
+    "cached_plan",
     "cache_lookup",
     "cache_store",
-    "cache_contains",
     "cached_cost_class",
-    "record_observed_rows",
-    "plan_cache_entries",
     "publish_plan_cache_metrics",
     "cost_class_of",
     "build_key",
@@ -117,23 +119,13 @@ __all__ = [
 ]
 
 
-#: Cache capacity.  Eviction is LRU with planning-cost weights (see
-#: :func:`_evict_one`), not wholesale clearing — a serving workload churns
-#: ad-hoc shapes through the cache and must not lose its hot set.
+#: Plan-cache capacity (read when the cache is built: at import and by
+#: :func:`reset_plan_cache`).
 _PLAN_CACHE_LIMIT = 256
 
-#: Entries hit at least this often join the pinned hot set (exempt from
-#: LRU eviction, still evicted by invalidation).
+#: Entries hit at least this often join a cache's pinned hot set (exempt
+#: from LRU eviction, still removed by ``pop``).
 _HOT_PIN_HITS = 8
-
-#: At most this many entries may be pinned (half the capacity), so the
-#: unpinned remainder always leaves room for new shapes.
-_HOT_PIN_CAP = _PLAN_CACHE_LIMIT // 2
-
-#: Eviction scans this many least-recently-used unpinned entries and
-#: evicts the one that was cheapest to plan (recency picks the window,
-#: replan cost picks the victim inside it).
-_EVICT_WINDOW = 8
 
 #: The admission-relevant cost classes, cheapest first (``conf`` —
 #: confidence computation, potentially #P-hard — is ordered last).
@@ -149,150 +141,142 @@ _HEAVY_JOIN_COUNT = 2
 
 
 class LruHotCache:
-    """A bounded LRU cache with a pinned hot set — the reusable half of
-    this module's eviction policy.
+    """A bounded LRU cache with a pinned hot set: the eviction policy of
+    the plan cache and of the expression kernel cache.
 
     Recency picks the victim (least-recently-used first); entries hit at
-    least ``hot_hits`` times are *pinned* (up to ``pin_cap``, half the
-    capacity by default) and skipped by eviction, so a burst of one-off
-    shapes cannot wash out a serving workload's hot set.  When every
-    entry is pinned the LRU head goes regardless — progress beats
-    pinning.  Thread-safe; values must not be ``None`` (``get`` returns
-    ``None`` for a miss).
-
-    The plan cache itself layers dependency tracking, epoch validation,
-    and plan-cost weights on top of this shape; simpler compile caches
-    (the expression kernel cache) use this class directly instead of
-    wholesale clearing at capacity.
+    least :data:`_HOT_PIN_HITS` times are *pinned* (up to half the
+    capacity) and skipped by eviction, so a burst of one-off shapes cannot
+    wash out a serving workload's hot set.  When every entry is pinned the
+    LRU head goes regardless — progress beats pinning.  Thread-safe;
+    values must not be ``None`` (``get`` returns ``None`` for a miss).
+    ``put`` returns what left the cache, which is how an owner that
+    indexes its entries elsewhere (the plan cache's reverse dependency
+    map) keeps that index in step.
     """
 
     __slots__ = (
         "capacity",
-        "hot_hits",
         "pin_cap",
         "evictions",
         "_lock",
         "_entries",
-        "_pinned",
+        "pinned",
     )
 
-    def __init__(
-        self,
-        capacity: int,
-        hot_hits: Optional[int] = None,
-        pin_cap: Optional[int] = None,
-    ):
+    def __init__(self, capacity: int):
         self.capacity = max(1, int(capacity))
-        self.hot_hits = _HOT_PIN_HITS if hot_hits is None else hot_hits
-        self.pin_cap = self.capacity // 2 if pin_cap is None else pin_cap
+        self.pin_cap = self.capacity // 2
         self.evictions = 0
         self._lock = threading.Lock()
         #: key -> [value, hits, pinned] in least-recently-used-first order.
         self._entries: "OrderedDict[Any, list]" = OrderedDict()
-        self._pinned = 0
+        self.pinned = 0
 
     def get(self, key: Any) -> Optional[Any]:
+        """The value under ``key``: counts a hit, refreshes its recency and,
+        past :data:`_HOT_PIN_HITS` hits, pins it."""
         with self._lock:
             slot = self._entries.get(key)
             if slot is None:
                 return None
             slot[1] += 1
-            if not slot[2] and slot[1] >= self.hot_hits and self._pinned < self.pin_cap:
+            if not slot[2] and slot[1] >= _HOT_PIN_HITS and self.pinned < self.pin_cap:
                 slot[2] = True
-                self._pinned += 1
+                self.pinned += 1
             self._entries.move_to_end(key)
             return slot[0]
 
-    def put(self, key: Any, value: Any) -> None:
+    def peek(self, key: Any) -> Optional[Any]:
+        """The value under ``key`` with no hit counted and the order untouched."""
         with self._lock:
             slot = self._entries.get(key)
-            if slot is not None:
-                slot[0] = value
-                self._entries.move_to_end(key)
-                return
-            while len(self._entries) >= self.capacity:
-                self._evict_one()
-            self._entries[key] = [value, 0, False]
+            return None if slot is None else slot[0]
 
-    def _evict_one(self) -> None:
-        """Evict the LRU unpinned entry (caller holds the lock)."""
-        victim = None
-        for key, slot in self._entries.items():  # iterates LRU-first
-            if not slot[2]:
-                victim = key
-                break
-        if victim is None:  # everything pinned: evict the stalest anyway
-            victim = next(iter(self._entries))
-            self._pinned -= 1
-        self._entries.pop(victim)
-        self.evictions += 1
-
-    def clear(self) -> None:
+    def put(self, key: Any, value: Any) -> List[Tuple[Any, Any]]:
+        """Insert ``value`` under ``key``; the ``(key, value)`` pairs that
+        left are returned: the one it replaced, those evicted to make room."""
         with self._lock:
-            self._entries.clear()
-            self._pinned = 0
+            replaced = self._remove(key)
+            gone = [] if replaced is None else [(key, replaced)]
+            while len(self._entries) >= self.capacity:
+                gone.append(self._evict_one())
+            self._entries[key] = [value, 0, False]
+            return gone
+
+    def _evict_one(self) -> Tuple[Any, Any]:
+        """Evict the LRU unpinned entry, or the LRU head when every entry
+        is pinned (caller holds the lock)."""
+        victim = next(
+            (key for key, slot in self._entries.items() if not slot[2]),
+            next(iter(self._entries)),
+        )
+        self.evictions += 1
+        return victim, self._remove(victim)
+
+    def _remove(self, key: Any) -> Optional[Any]:
+        slot = self._entries.pop(key, None)
+        if slot is None:
+            return None
+        if slot[2]:
+            self.pinned -= 1
+        return slot[0]
+
+    def pop(self, key: Any) -> Optional[Any]:
+        """Remove ``key`` (pinned or not) and return its value, else ``None``."""
+        with self._lock:
+            return self._remove(key)
+
+    def values(self) -> List[Any]:
+        """The cached values, least recently used first."""
+        with self._lock:
+            return [slot[0] for slot in self._entries.values()]
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def pinned(self) -> int:
-        return self._pinned
+
+class PlanRecord(NamedTuple):
+    """What planning produced, and the only place a plan-only fact lives.
+
+    Built where the plan is built, stored by :func:`cache_store`, returned
+    by :func:`cache_lookup` to every caller; immutable and shared by every
+    execution of the plan.
+    """
+
+    #: The fully planned physical tree.
+    physical: Any
+    #: ``None`` when the plan's output is the answer relation (a
+    #: ``Database`` plan, a top-level ``Poss`` / ``Conf``); otherwise the
+    #: ``(d_width, tid_names, value_names, canonical)`` column structure
+    #: that wraps the result as a U-relation.
+    wrap: Optional[Tuple]
+    #: The plan-time workload shape (fingerprint, predicate columns, access
+    #: paths; see ``repro.core.translate._workload_profile``), or ``None``.
+    profile: Optional[dict]
+    #: Admission cost class (see :data:`COST_CLASSES`, :func:`cost_class_of`).
+    cost_class: str
 
 
-class _Entry:
-    __slots__ = (
-        "key", "payload", "deps", "pins", "cost_class", "plan_cost", "hits", "hot",
-        "estimated_rows", "observed_rows", "observed_runs", "fingerprint",
-    )
-
-    def __init__(
-        self,
-        key: Tuple,
-        payload: Any,
-        deps: Sequence[Tuple[Relation, int]],
-        pins: Tuple,
-        cost_class: str,
-        plan_cost: float,
-        fingerprint: Optional[str] = None,
-    ):
-        self.key = key
-        self.payload = payload
-        #: (relation, epoch-at-insert) per base relation the plan scans or
-        #: probes.  The strong reference is what keeps ``id()``-based keys
-        #: sound; the epoch is the lookup-time staleness backstop.
-        self.deps = list(deps)
-        #: Extra strong references: the owning catalog, which the key names
-        #: by ``id()``.
-        self.pins = pins
-        #: Admission cost class of the cached plan (see :data:`COST_CLASSES`).
-        self.cost_class = cost_class
-        #: Seconds the optimize+plan pipeline took — the eviction weight
-        #: (evicting a plan that took 10 ms to build costs ten 1 ms plans).
-        self.plan_cost = plan_cost
-        self.hits = 0
-        #: True once the entry joined the pinned hot set.
-        self.hot = False
-        #: Estimate-vs-actual feedback (see :func:`record_observed_rows`):
-        #: the optimizer's root-row estimate, the most recent actual row
-        #: count, and how many executions have reported one.  This is the
-        #: raw input for the ROADMAP plan-feedback loop (re-optimize plans
-        #: whose estimates diverge from actuals).
-        self.estimated_rows: Optional[float] = None
-        self.observed_rows: Optional[int] = None
-        self.observed_runs = 0
-        #: Workload fingerprint (literals/bindings normalized out) computed
-        #: once at entry creation; joins this entry against the obs
-        #: workload history and slowlog lines.
-        self.fingerprint = fingerprint
+class _Entry(NamedTuple):
+    record: PlanRecord
+    #: (relation, epoch-at-insert) per base relation the plan scans or
+    #: probes.  The strong reference is what keeps ``id()``-based keys
+    #: sound; the epoch is the lookup-time staleness backstop.
+    deps: List[Tuple[Relation, int]]
+    #: Extra strong references: the owning catalog, which the key names
+    #: by ``id()``.
+    pins: Tuple
 
 
 #: One lock for all cache state.  RLock: ``bump_relation`` can re-enter
 #: through watcher callbacks that consult the cache.
 _lock = threading.RLock()
 
-#: Key -> entry in least-recently-used-first order (lookups move-to-end).
-_entries: "OrderedDict[Tuple, _Entry]" = OrderedDict()
+#: Key -> entry.  Eviction at capacity is the LRU + hot-pin policy of
+#: :class:`LruHotCache`, not wholesale clearing — a serving workload churns
+#: ad-hoc shapes through the cache and must not lose its hot set.
+_entries = LruHotCache(_PLAN_CACHE_LIMIT)
 #: Reverse dependency map: id(relation) -> keys of entries scanning it.
 #: Sound and leak-free because every mapped id belongs to a relation some
 #: live entry pins; the mapping is removed with its last entry.
@@ -301,8 +285,6 @@ _by_relation: Dict[int, Set[Tuple]] = {}
 _hits = 0
 _misses = 0
 _invalidations = 0
-_evictions = 0
-_pinned = 0
 
 
 # ----------------------------------------------------------------------
@@ -350,10 +332,10 @@ def bump_relation(relation: Relation) -> int:
             if bump is not None:
                 bump()
         evicted = 0
-        for entry_key in tuple(_by_relation.get(id(relation), ())):
-            entry = _entries.get(entry_key)
+        for key in tuple(_by_relation.get(id(relation), ())):
+            entry = _entries.peek(key)
             if entry is not None and any(dep is relation for dep, _ in entry.deps):
-                _remove(entry)
+                _unhook(key, _entries.pop(key))
                 evicted += 1
         _invalidations += evicted
         return evicted
@@ -362,14 +344,12 @@ def bump_relation(relation: Relation) -> int:
 # ----------------------------------------------------------------------
 # the cache proper
 # ----------------------------------------------------------------------
-def _remove(entry: _Entry) -> None:
-    global _pinned
-    if _entries.pop(entry.key, None) is not None and entry.hot:
-        _pinned -= 1
+def _unhook(key: Tuple, entry: _Entry) -> None:
+    """Forget an entry that left ``_entries`` in the reverse dependency map."""
     for dep, _epoch in entry.deps:
         keys = _by_relation.get(id(dep))
         if keys is not None:
-            keys.discard(entry.key)
+            keys.discard(key)
             if not keys:
                 _by_relation.pop(id(dep), None)
 
@@ -378,29 +358,9 @@ def _valid(entry: _Entry) -> bool:
     return all(relation_epoch(dep) == epoch for dep, epoch in entry.deps)
 
 
-def _evict_one() -> None:
-    """Evict one entry: the cheapest-to-replan among the LRU few.
-
-    Pinned (hot) entries are skipped; if every candidate is pinned the LRU
-    head goes regardless (progress beats pinning).  Caller holds the lock.
-    """
-    global _evictions
-    window: List[_Entry] = []
-    for entry in _entries.values():  # iterates LRU-first
-        if not entry.hot:
-            window.append(entry)
-            if len(window) >= _EVICT_WINDOW:
-                break
-    if window:
-        victim = min(window, key=lambda e: e.plan_cost)
-    else:  # everything pinned: evict the stalest entry anyway
-        victim = next(iter(_entries.values()))
-    _remove(victim)
-    _evictions += 1
-
-
-def cache_lookup(key: Optional[Tuple]) -> Optional[Any]:
-    """The cached payload for ``key``, or ``None`` (counted as a miss).
+def cache_lookup(key: Optional[Tuple]) -> Optional[PlanRecord]:
+    """The cached :class:`PlanRecord` for ``key``, or ``None`` (counted as
+    a miss).
 
     A ``None`` key (an uncacheable query shape) always misses.  Entries
     whose dependency epochs drifted — which the eviction hooks should have
@@ -408,84 +368,75 @@ def cache_lookup(key: Optional[Tuple]) -> Optional[Any]:
     refreshes the entry's LRU position and, past :data:`_HOT_PIN_HITS`
     hits, pins it into the hot set.
     """
-    global _hits, _misses, _invalidations, _pinned
+    global _hits, _misses, _invalidations
     with _lock:
-        if key is None:
-            _misses += 1
-            return None
-        entry = _entries.get(key)
+        entry = None if key is None else _entries.get(key)
+        if entry is not None and not _valid(entry):  # pragma: no cover - backstop; hooks evict first
+            _unhook(key, _entries.pop(key))
+            _invalidations += 1
+            entry = None
         if entry is None:
             _misses += 1
             return None
-        if not _valid(entry):  # pragma: no cover - backstop; hooks evict first
-            _remove(entry)
-            _invalidations += 1
-            _misses += 1
-            return None
         _hits += 1
-        entry.hits += 1
-        if not entry.hot and entry.hits >= _HOT_PIN_HITS and _pinned < _HOT_PIN_CAP:
-            entry.hot = True
-            _pinned += 1
-        _entries.move_to_end(key)
-        return entry.payload
+        return entry.record
 
 
 def cache_store(
     key: Optional[Tuple],
-    payload: Any,
+    record: PlanRecord,
     deps: Sequence[Relation],
     pins: Tuple = (),
-    cost_class: str = "scan",
-    plan_cost: float = 0.0,
     guard: Optional[Callable[[], bool]] = None,
-    fingerprint: Optional[str] = None,
 ) -> None:
-    """Insert a planned payload under ``key`` (``None`` key: not cached).
+    """Insert a plan's record under ``key`` (``None`` key: not cached).
 
     ``deps`` are the base relations the plan reads; their *current* epochs
     are recorded, so a store that races a mutation during its own planning
-    (a lazy index build, say) self-describes correctly.  ``plan_cost``
-    (seconds spent planning) weights eviction; ``cost_class`` is the
-    admission classification served back by :func:`cached_cost_class`.
+    (a lazy index build, say) self-describes correctly.  ``pins`` are kept
+    alive with the entry (the catalog the key names by ``id()``).
 
     ``guard`` closes the catalog-resolution race: a planner that resolved
     its relations from a live catalog, then lost the CPU while a writer
     swapped that catalog, would otherwise store a plan over the *old*
     relation objects — recording their already-bumped epochs, so the
     entry self-describes as valid and serves stale answers forever.
-    The guard (e.g. ``catalog_version`` unchanged since before planning)
-    runs under the cache lock — the same lock :func:`bump_relation` holds
-    across its epoch bump, version bump, and eviction sweep — so either
-    the swap committed first and the guard refuses the insert, or the
-    insert lands first and the swap's sweep evicts it.
+    The guard (e.g. the catalog's identity map unchanged since before
+    planning) runs under the cache lock — the same lock
+    :func:`bump_relation` holds across its epoch bump, version bump, and
+    eviction sweep — so either the swap committed first and the guard
+    refuses the insert, or the insert lands first and the swap's sweep
+    evicts it.
     """
     if key is None:
         return
-    entry = _Entry(
-        key, payload, [(dep, relation_epoch(dep)) for dep in deps], pins,
-        cost_class, plan_cost, fingerprint,
-    )
+    entry = _Entry(record, [(dep, relation_epoch(dep)) for dep in deps], pins)
     with _lock:
         if guard is not None and not guard():
             return  # the catalog moved mid-planning: unsafe to cache
-        old = _entries.get(key)
-        if old is not None:
-            _remove(old)
-        while len(_entries) >= _PLAN_CACHE_LIMIT:
-            _evict_one()
-        _entries[key] = entry
+        for gone_key, gone in _entries.put(key, entry):
+            _unhook(gone_key, gone)
         for dep in deps:
             _by_relation.setdefault(id(dep), set()).add(key)
 
 
-def cache_contains(key: Optional[Tuple]) -> bool:
-    """Whether a valid entry exists for ``key`` (no stats counted)."""
-    with _lock:
-        if key is None:
-            return False
-        entry = _entries.get(key)
-        return entry is not None and _valid(entry)
+def cached_plan(key: Optional[Tuple], build: Callable[[], Tuple]) -> Tuple[PlanRecord, bool]:
+    """The record for ``key`` and whether the cache served it: the one
+    ``plan`` span -> lookup -> build -> store sequence.
+
+    ``build()`` runs only after a miss, outside the cache lock, and
+    returns ``(record, deps, pins, guard)`` as :func:`cache_store` takes
+    them.  Two callers that miss on one key at once both build; the
+    records are interchangeable and the last store wins.
+    """
+    with obs_span("plan") as sp:
+        record = cache_lookup(key)
+        sp.set(cached=record is not None)
+        if record is not None:
+            return record, True
+        record, deps, pins, guard = build()
+        cache_store(key, record, deps, pins, guard)
+    return record, False
 
 
 def cached_cost_class(key: Optional[Tuple]) -> Optional[str]:
@@ -495,56 +446,10 @@ def cached_cost_class(key: Optional[Tuple]) -> Optional[str]:
     untouched, so classifying a request never perturbs the cache.
     """
     with _lock:
-        if key is None:
-            return None
-        entry = _entries.get(key)
+        entry = None if key is None else _entries.peek(key)
         if entry is None or not _valid(entry):
             return None
-        return entry.cost_class
-
-
-def record_observed_rows(
-    key: Optional[Tuple], estimated: Optional[float], actual: Optional[int]
-) -> None:
-    """Record one execution's estimate-vs-actual root row counts on the
-    entry for ``key`` (no-op for uncached keys or evicted entries).
-
-    Called by ``execute_query`` after every cached execution, reusing the
-    ``actual_rows`` counts the physical operators already maintain — no
-    extra measurement run.  The accumulated deltas are readable through
-    :func:`plan_cache_entries` and surface as the
-    ``plan_estimate_error_rows`` gauge.
-    """
-    if key is None or actual is None:
-        return
-    with _lock:
-        entry = _entries.get(key)
-        if entry is None:
-            return
-        entry.estimated_rows = None if estimated is None else float(estimated)
-        entry.observed_rows = int(actual)
-        entry.observed_runs += 1
-
-
-def plan_cache_entries() -> List[dict]:
-    """Per-entry introspection: cost class, hits, plan cost, and the
-    estimate-vs-actual feedback recorded so far (MRU first)."""
-    with _lock:
-        out = []
-        for entry in reversed(_entries.values()):  # MRU first
-            out.append(
-                {
-                    "cost_class": entry.cost_class,
-                    "plan_cost": entry.plan_cost,
-                    "hits": entry.hits,
-                    "hot": entry.hot,
-                    "estimated_rows": entry.estimated_rows,
-                    "observed_rows": entry.observed_rows,
-                    "observed_runs": entry.observed_runs,
-                    "fingerprint": entry.fingerprint,
-                }
-            )
-        return out
+        return entry.record.cost_class
 
 
 def plan_cache_stats() -> dict:
@@ -554,8 +459,8 @@ def plan_cache_stats() -> dict:
             "hits": _hits,
             "misses": _misses,
             "invalidations": _invalidations,
-            "evictions": _evictions,
-            "pinned": _pinned,
+            "evictions": _entries.evictions,
+            "pinned": _entries.pinned,
             "size": len(_entries),
         }
 
@@ -563,27 +468,18 @@ def plan_cache_stats() -> dict:
 def publish_plan_cache_metrics() -> None:
     """Export the cache internals as registry gauges.
 
-    Mirrors ``segment_health(publish=True)``: counters that already exist
-    in :func:`plan_cache_stats` — hits, misses, invalidations, evictions,
-    pinned, size — plus per-cost-class entry counts become gauges, so the
-    ``metrics`` Prometheus/JSON exposition carries the cache state, not
-    only the ``stats`` wire op.  Called by the server's stats/metrics
-    paths; a no-op while ``REPRO_OBS=off``.
+    Mirrors ``segment_health(publish=True)``: the counters of
+    :func:`plan_cache_stats` plus per-cost-class entry counts become
+    gauges, so the ``metrics`` Prometheus/JSON exposition carries the
+    cache state, not only the ``stats`` wire op.  Called by the server's
+    stats/metrics paths; a no-op while ``REPRO_OBS=off``.
     """
-    from ..obs import gauge
-
     with _lock:
-        stats = {
-            "hits": _hits,
-            "misses": _misses,
-            "invalidations": _invalidations,
-            "evictions": _evictions,
-            "pinned": _pinned,
-            "size": len(_entries),
-        }
+        stats = plan_cache_stats()
         per_class: Dict[str, int] = {}
         for entry in _entries.values():
-            per_class[entry.cost_class] = per_class.get(entry.cost_class, 0) + 1
+            cost_class = entry.record.cost_class
+            per_class[cost_class] = per_class.get(cost_class, 0) + 1
     for name, value in stats.items():
         gauge(f"plan_cache_{name}", f"Plan cache {name}").set(value)
     entries_gauge = gauge("plan_cache_entries", "Plan-cache entries by cost class")
@@ -599,15 +495,13 @@ def reset_plan_cache() -> None:
     plans, and resetting them could resurrect the very staleness the
     epochs guard against.
     """
-    global _hits, _misses, _invalidations, _evictions, _pinned
+    global _entries, _hits, _misses, _invalidations
     with _lock:
-        _entries.clear()
+        _entries = LruHotCache(_PLAN_CACHE_LIMIT)  # fresh pin/eviction counters
         _by_relation.clear()
         _hits = 0
         _misses = 0
         _invalidations = 0
-        _evictions = 0
-        _pinned = 0
 
 
 def mark_cached(text: str) -> str:

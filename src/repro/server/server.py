@@ -69,8 +69,7 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 from ..core.dml import DMLResult
 from ..core.prepared import PreparedDML, PreparedQuery
 from ..core.probability import ConfidenceAnswer
-from ..core.query import Certain, Conf
-from ..core.translate import query_cache_key
+from ..core.query import Conf
 from ..core.txn import TransactionConflict, TxnResult
 from ..core.udatabase import CompactionPolicy, CompactionResult, UDatabase
 from ..core.urelation import URelation
@@ -176,7 +175,9 @@ class QueryServer:
         cached entry serves its recorded cost class, anything else is
         ``cold`` (it is about to pay planning).  Identical in-flight
         requests (same plan-cache key, bindings, and catalog version)
-        coalesce onto one execution.
+        coalesce onto one execution.  The key is the statement's
+        (:meth:`~repro.core.prepared.PreparedQuery.plan_key`); nothing on
+        this path walks the query tree.
         """
         trace = current_trace()
         if isinstance(prepared, PreparedDML):
@@ -195,32 +196,26 @@ class QueryServer:
             if self._compact_thread is not None:
                 self._compact_wake.set()
             return result
-        # classification peeks at the plan cache under the key the
-        # execution path actually stores: execute_query strips Certain
-        # wrappers and plans (and caches) their relational core
-        classify_query = prepared.query
-        while isinstance(classify_query, Certain):
-            classify_query = classify_query.child
-        class_key = query_cache_key(classify_query, self.udb)
+        # the statement owns the key its execution looks up and stores
+        # under (the plan of its relational core): derived once in its
+        # lifetime, read here for the admission peek and the coalescing
+        # key, and again by ``prepared.run`` on the worker
+        key = prepared.plan_key()
         # a conf query's class is known from its shape alone, so even the
         # first (uncached) execution admits under the conf limit — the
         # #P-hard tail must never slip in through the cold class
-        if isinstance(classify_query, Conf):
+        if isinstance(prepared.core, Conf):
             cost_class = "conf"
         else:
-            cost_class = cached_cost_class(class_key) or "cold"
-        # coalescing keys the *full* tree (a certain(q) answer is not the
-        # answer of its core — the two must never share one flight)
-        key = (
-            class_key
-            if classify_query is prepared.query
-            else query_cache_key(prepared.query, self.udb)
-        )
+            cost_class = cached_cost_class(key) or "cold"
         coalesce_key: Optional[Tuple[Any, ...]]
         if key is None:
             coalesce_key = None
         else:
-            coalesce_key = (key, params, self.udb.catalog_version)
+            # a certain(q) answer is not the answer of its core q — the
+            # two run one plan and must never share one flight
+            certain = prepared.query is not prepared.core
+            coalesce_key = (key, certain, params, self.udb.catalog_version)
             try:
                 hash(coalesce_key)
             except TypeError:  # unhashable binding: execute un-coalesced

@@ -55,11 +55,13 @@ import time
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..core.prepared import PreparedDML, PreparedQuery, text_statement
-from ..core.txn import Transaction, TxnResult
+from ..core.txn import Begin, Commit, Rollback, Transaction, TxnResult
 from ..core.udatabase import UDatabase
 from ..obs import counter as obs_counter
 from ..obs import current_trace, record_statement, register_session, request_trace
 from ..obs import span as obs_span
+from ..sql import execute_immediate
+from ..sql.parser import CreateIndex, DropIndex, parse
 
 __all__ = ["Session", "SnapshotChanged"]
 
@@ -120,7 +122,7 @@ class Session:
         #: The open per-connection :class:`Transaction`, if any: while set,
         #: the session's DML stages against the transaction's overlay and
         #: publishes in one swap at COMMIT (see :mod:`repro.core.txn`).
-        self._txn: Optional[Transaction] = None
+        self._active_txn: Optional[Transaction] = None
         self.statements_run = 0
         #: Key into the obs per-session resource accounting (see
         #: :mod:`repro.obs.accounting`; surfaced by ``server.stats()``).
@@ -210,15 +212,7 @@ class Session:
         snapshot's guarantee, exactly like plain DML) and when a
         transaction is already open (they do not nest).
         """
-        with self._lock:
-            self._refuse_in_snapshot("BEGIN")
-            if self._txn is not None and self._txn.status == "open":
-                raise ValueError(
-                    "a transaction is already open on this session; "
-                    "COMMIT or ROLLBACK it first"
-                )
-            self._txn = Transaction(self.udb)
-            return TxnResult("open")
+        return self._immediate(Begin())
 
     def commit(self) -> TxnResult:
         """Publish the open transaction atomically (``COMMIT``).
@@ -227,41 +221,33 @@ class Session:
         nothing published and the transaction rolled back — when a
         concurrent writer replaced a touched relation's partitions.
         """
-        with self._lock:
-            txn = self._require_txn("COMMIT")
-            self._txn = None
-            return txn.commit()
+        return self._immediate(Commit())
 
     def rollback(self) -> TxnResult:
         """Discard the open transaction's staged statements (``ROLLBACK``)."""
-        with self._lock:
-            txn = self._require_txn("ROLLBACK")
-            self._txn = None
-            return txn.rollback()
+        return self._immediate(Rollback())
 
-    def _require_txn(self, verb: str) -> Transaction:
-        txn = self._txn
-        if txn is None or txn.status != "open":
-            raise ValueError(f"{verb} without an open transaction")
-        return txn
-
-    def _apply_vacuum(self, table: Optional[str]):
-        """Run ``VACUUM [table]`` (caller holds the session lock).
-
-        Refused inside snapshots (compaction replaces relations)
-        and transactions (its swap would conflict with the transaction's
-        own publish).  Server-bound sessions route through the server so
-        compaction admits under the ``vacuum`` cost class.
-        """
-        self._refuse_in_snapshot("VACUUM")
-        if self._txn is not None and self._txn.status == "open":
-            raise ValueError(
-                "VACUUM cannot run inside a transaction (its swap would "
-                "conflict with the transaction's own publish)"
-            )
+    def compact(self, table: Optional[str] = None):
+        """``VACUUM [table]`` as this session runs it: a server-bound
+        session routes through the server, so compaction admits under the
+        ``vacuum`` cost class."""
         if self.server is not None:
             return self.server.vacuum(table)
         return self.udb.compact(table)
+
+    def _immediate(self, statement):
+        """Apply parsed DDL, ``VACUUM`` or transaction control.
+
+        The dispatch and the refusals inside a transaction are
+        :func:`repro.sql.execute_immediate`'s, the same ones
+        ``execute_sql`` runs on the database's own transaction; what a
+        session adds is that everything which writes or opens a write
+        (all but COMMIT / ROLLBACK) is refused inside a snapshot block.
+        """
+        with self._lock:
+            if not isinstance(statement, (Commit, Rollback)):
+                self._refuse_in_snapshot("DDL, VACUUM and BEGIN")
+            return execute_immediate(statement, self.udb, self)
 
     # ------------------------------------------------------------------
     # execution
@@ -286,35 +272,13 @@ class Session:
         multi-statement transaction — while one is open, DML stages
         privately and publishes atomically at COMMIT.
         """
-        from ..sql.parser import CreateIndex, DropIndex, parse
-
-        from ..core.txn import Begin, Commit, Rollback
-        from ..sql.parser import Vacuum
-
         with self._lock:
             self._check_snapshot()
             with request_trace(sql=sql):
                 head = sql.lstrip().lower()
                 word = head.split(None, 1)[0] if head else ""
                 if word in ("create", "drop", "vacuum", "begin", "commit", "rollback"):
-                    statement = parse(sql)
-                    trace = current_trace()
-                    if isinstance(statement, (CreateIndex, DropIndex)):
-                        if trace is not None:
-                            trace.root.set(cost_class="ddl")
-                        return self._apply_ddl(statement)
-                    if isinstance(statement, Vacuum):
-                        if trace is not None:
-                            trace.root.set(cost_class="vacuum")
-                        return self._apply_vacuum(statement.table)
-                    if isinstance(statement, (Begin, Commit, Rollback)):
-                        if trace is not None:
-                            trace.root.set(cost_class="txn")
-                        if isinstance(statement, Begin):
-                            return self.begin()
-                        if isinstance(statement, Commit):
-                            return self.commit()
-                        return self.rollback()
+                    return self._immediate(parse(sql))
                 # the literals lifted out of the text go after its own $n values
                 prepared, lifted = text_statement(sql, self.udb, True)
                 return self._run(prepared, tuple(params) + lifted)
@@ -338,38 +302,10 @@ class Session:
 
     def execute_ddl(self, sql: str):
         """Apply index DDL to the shared database (never inside a snapshot)."""
-        from ..sql.parser import CreateIndex, DropIndex, parse
-
         statement = parse(sql)
         if not isinstance(statement, (CreateIndex, DropIndex)):
             raise ValueError("execute_ddl takes CREATE INDEX / DROP INDEX only")
-        with self._lock:
-            return self._apply_ddl(statement)
-
-    def _apply_ddl(self, statement):
-        """Apply a parsed DDL statement (caller holds the session lock).
-
-        Mirrors :func:`repro.sql.execute_sql`'s DDL branch — no replace on
-        CREATE, so a name collision with a different definition errors
-        instead of destroying an existing access path.
-        """
-        from ..sql.parser import CreateIndex
-
-        self._refuse_in_snapshot("DDL")
-        if self._txn is not None and self._txn.status == "open":
-            raise ValueError(
-                "DDL cannot run inside a transaction; COMMIT or ROLLBACK first"
-            )
-        db = self.udb.to_database()
-        if isinstance(statement, CreateIndex):
-            return db.create_index(
-                statement.name,
-                statement.table,
-                list(statement.columns),
-                kind=statement.kind,
-            )
-        db.drop_index(statement.name)
-        return None
+        return self._immediate(statement)
 
     def _run(self, prepared: PreparedQuery, params: Tuple[Any, ...]):
         if isinstance(prepared, PreparedDML):
@@ -377,12 +313,12 @@ class Session:
             # reading under
             self._refuse_in_snapshot("DML")
         self.statements_run += 1
-        if isinstance(prepared, PreparedDML) and self._txn is not None:
-            if self._txn.status == "open":
+        if isinstance(prepared, PreparedDML) and self._active_txn is not None:
+            if self._active_txn.status == "open":
                 # stage against the transaction's private overlay, inline
                 # (nothing publishes until COMMIT, so there is no shared
                 # mutation for the server's executor to serialize)
-                return self._txn.run(prepared, params)
+                return self._active_txn.run(prepared, params)
         started = time.perf_counter()
         if self.server is not None:
             result = self.server.execute(prepared, params)

@@ -27,7 +27,7 @@ from ..core.prepared import PreparedDML, PreparedQuery, text_statement
 from ..core.query import UQuery
 from ..core.txn import Begin, Commit, Rollback, Transaction, TransactionConflict, TxnResult
 from ..core.udatabase import UDatabase
-from ..obs import request_trace
+from ..obs import current_trace, request_trace
 from .lexer import SqlSyntaxError, tokenize
 from .parser import CreateIndex, DropIndex, Vacuum, parse
 
@@ -35,6 +35,7 @@ __all__ = [
     "parse",
     "prepare",
     "execute_sql",
+    "execute_immediate",
     "fingerprint_sql",
     "tokenize",
     "SqlSyntaxError",
@@ -146,12 +147,14 @@ def execute_sql(
     :class:`~repro.core.txn.TxnResult`): while one is open, DML issued
     through ``execute_sql`` stages privately and publishes atomically at
     COMMIT — see :mod:`repro.core.txn`.  Like DDL, these are applied
-    immediately and never cached.
+    immediately and never cached; DDL and ``VACUUM`` are refused while
+    the transaction is open (:func:`execute_immediate`, which a
+    :class:`~repro.server.session.Session` runs on its own transaction).
     """
     with request_trace(sql=sql):
         prepared, lifted = text_statement(sql, udb, True)
         if not isinstance(prepared, (PreparedQuery, PreparedDML)):
-            return _execute_immediate(prepared, udb)  # DDL & friends, never cached
+            return execute_immediate(prepared, udb, udb)  # DDL & friends, never cached
         values = tuple(params or ()) + lifted
         if isinstance(prepared, PreparedDML):
             txn = udb._active_txn
@@ -162,55 +165,47 @@ def execute_sql(
         return prepared.run(*values, optimize=optimize)
 
 
-def _execute_immediate(statement, udb: UDatabase):
+def execute_immediate(statement, udb: UDatabase, holder):
     """Apply a DDL / VACUUM / transaction-control statement right now.
 
-    The transaction here is the *database-level* one (``udb._active_txn``)
-    serving direct ``execute_sql`` callers; server sessions carry their
-    own per-connection transaction instead (see
-    :meth:`repro.server.session.Session.execute`).
+    The one dispatch, and the one copy of the refusal rules, behind
+    :func:`execute_sql` and :class:`repro.server.session.Session`.
+    ``holder`` is whoever holds the open transaction in ``_active_txn``
+    and runs ``VACUUM`` through ``compact(table)``: the database itself
+    for direct ``execute_sql`` callers (one database-level transaction),
+    a session for a connection (its own transaction; a server-bound one
+    compacts through the server's ``vacuum`` admission class).
     """
-    from ..obs import current_trace
-
+    txn = holder._active_txn
+    in_txn = txn is not None and txn.status == "open"
+    control = isinstance(statement, (Begin, Commit, Rollback))
+    vacuum = isinstance(statement, Vacuum)
     trace = current_trace()
+    if trace is not None:
+        trace.root.set(cost_class="txn" if control else "vacuum" if vacuum else "ddl")
     if isinstance(statement, Begin):
-        if trace is not None:
-            trace.root.set(cost_class="txn")
-        active = udb._active_txn
-        if active is not None and active.status == "open":
-            raise ValueError("a transaction is already open; COMMIT or ROLLBACK it")
-        udb._active_txn = Transaction(udb)
+        if in_txn:
+            raise ValueError("a transaction is already open; COMMIT or ROLLBACK it first")
+        holder._active_txn = Transaction(udb)
         return TxnResult("open")
-    if isinstance(statement, Commit):
-        if trace is not None:
-            trace.root.set(cost_class="txn")
-        txn = udb._active_txn
-        if txn is None or txn.status != "open":
-            raise ValueError("COMMIT without an open transaction")
-        udb._active_txn = None
-        return txn.commit()
-    if isinstance(statement, Rollback):
-        if trace is not None:
-            trace.root.set(cost_class="txn")
-        txn = udb._active_txn
-        if txn is None or txn.status != "open":
-            raise ValueError("ROLLBACK without an open transaction")
-        udb._active_txn = None
-        return txn.rollback()
-    if isinstance(statement, Vacuum):
-        if trace is not None:
-            trace.root.set(cost_class="vacuum")
-        active = udb._active_txn
-        if active is not None and active.status == "open":
+    if control:
+        if not in_txn:
+            raise ValueError(
+                f"{type(statement).__name__.upper()} without an open transaction"
+            )
+        holder._active_txn = None
+        return txn.commit() if isinstance(statement, Commit) else txn.rollback()
+    if vacuum:
+        if in_txn:
             raise ValueError(
                 "VACUUM cannot run inside a transaction (its swap would "
                 "conflict with the transaction's own publish)"
             )
-        return udb.compact(statement.table)
-    if trace is not None:
-        trace.root.set(cost_class="ddl")
+        return holder.compact(statement.table)
+    if in_txn:
+        raise ValueError("DDL cannot run inside a transaction; COMMIT or ROLLBACK first")
+    db = udb.to_database()
     if isinstance(statement, CreateIndex):
-        db = udb.to_database()
         # no replace: re-issuing an identical definition is
         # idempotent, but a name collision with a *different*
         # definition (e.g. a typo hitting an auto-created tid
@@ -222,5 +217,5 @@ def _execute_immediate(statement, udb: UDatabase):
             list(statement.columns),
             kind=statement.kind,
         )
-    udb.to_database().drop_index(statement.name)
+    db.drop_index(statement.name)
     return None

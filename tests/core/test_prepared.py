@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import PreparedQuery, Poss, Rel, UProject, USelect, execute_query, translate
 from repro.core.prepared import _STATEMENT_CACHE_LIMIT, text_statement
-from repro.core.translate import _cached_physical, explain_query
+from repro.core.translate import _cached_physical, explain_query, query_cache_key
 from repro.core.txn import Transaction
 from repro.core.udatabase import UDatabase
 from repro.core.urelation import URelation, tid_column
@@ -47,6 +47,14 @@ from repro.sql import SqlSyntaxError, execute_sql, parse, prepare
 from repro.tpch import q1
 
 from tests.conftest import build_vehicles_udb
+
+
+def _planned(query, udb):
+    """``(physical plan, was_cached)`` of a query under the default knobs."""
+    record, was_cached = _cached_physical(
+        query, udb, query_cache_key(query, udb), True, "columns", True
+    )
+    return record.physical, was_cached
 
 
 class TestParamExpression:
@@ -475,7 +483,7 @@ def test_bind_then_execute_then_actuals_by_hand(vehicles_udb):
         assert plan.actuals()["actual_rows"] == plan.actual_rows == len(relation)
     with pytest.raises(ValueError):
         stmt.bind(())
-    confidence = _cached_physical(parse("conf (select id from r)"), vehicles_udb, True, "columns", True)[0][0]
+    confidence, _ = _planned(parse("conf (select id from r)"), vehicles_udb)
     assert confidence.last_summary is None
     answer = execute(confidence)
     assert confidence.last_summary["groups"] == len(answer)
@@ -490,9 +498,7 @@ def test_no_frame_outlives_its_execution_on_a_worker_thread():
     stmt = PreparedQuery(parse("possible (select v from t where g = $1)"), udb)
     with ThreadPoolExecutor(max_workers=1) as pool:  # the worker stays alive
         assert len(pool.submit(stmt.run, 2).result(timeout=30)) == 3
-        (plan, _wrap, _profile), was_cached, _key = _cached_physical(
-            stmt.query, udb, True, "columns", True
-        )
+        plan, was_cached = _planned(stmt.query, udb)
         assert was_cached
         ref = weakref.ref(plan)
         del plan
@@ -556,9 +562,7 @@ def _node_state(plan):
 )
 def test_executing_leaves_plan_nodes_unchanged(tpch, sql, bindings):
     stmt = PreparedQuery(q1() if sql is None else parse(sql), tpch)
-    (plan, _wrap, _profile), _cached, _key = _cached_physical(
-        stmt.query, tpch, True, "columns", True
-    )
+    plan, _cached = _planned(stmt.query, tpch)
     before = _node_state(plan)
     for params in bindings:
         stmt.run(*params)

@@ -192,6 +192,21 @@ def test_session_refuses_ddl_and_vacuum_inside_transaction():
     session.execute("rollback")
 
 
+def test_execute_sql_refuses_ddl_inside_transaction():
+    """The database-level transaction refuses what a session's does: both
+    surfaces run one dispatch (``repro.sql.execute_immediate``)."""
+    udb = _udb()
+    execute_sql("begin", udb)
+    with pytest.raises(ValueError, match="DDL cannot run inside a transaction"):
+        execute_sql("create index idx_t on u_r_id_type (type) using hash", udb)
+    assert "idx_t" not in udb.to_database().index_names()
+    with pytest.raises(ValueError, match="DDL cannot run inside a transaction"):
+        execute_sql("drop index idx_t", udb)
+    assert execute_sql("rollback", udb).status == "rolled_back"
+    execute_sql("create index idx_t on u_r_id_type (type) using hash", udb)
+    assert "idx_t" in udb.to_database().index_names()
+
+
 def test_session_snapshot_refuses_transaction_control():
     udb = _udb()
     session = Session(udb)

@@ -1,15 +1,15 @@
 """Observability hooks in the engine itself: explain traces, the
-plan-cache estimate-vs-actual loop, and segment-log health gauges."""
+estimate-vs-actual history, and segment-log health gauges."""
 
 from __future__ import annotations
 
 from repro.core import execute_query
 from repro.core.query import Poss, Rel, USelect
 from repro.core.translate import explain_query
-from repro.obs import gauge, metrics_snapshot
+from repro.obs import gauge, metrics_snapshot, workload_snapshot
+from repro.obs.workload import drift_ratio
 from repro.relational.expressions import col, lit
 from repro.relational.physical import HashJoin, SeqScan
-from repro.relational.plancache import plan_cache_entries
 from repro.relational.relation import Relation
 from repro.sql import execute_sql
 
@@ -72,38 +72,57 @@ def test_explain_query_without_trace_keeps_old_shape():
     assert isinstance(plain, str)
 
 
+def test_operator_tree_is_built_only_for_a_trace(monkeypatch):
+    """Counted, never timed: ``actuals()`` is a nested dict of the whole
+    operator tree, and without a trace the span it would be set on is the
+    shared no-op — so no entry point builds it then."""
+    from repro.obs import set_enabled, start_trace
+    from repro.relational import Database
+    from repro.relational.physical import PhysicalPlan
+
+    calls = []
+    real = PhysicalPlan.actuals
+    monkeypatch.setattr(
+        PhysicalPlan, "actuals", lambda self: calls.append(self) or real(self)
+    )
+    udb = build_vehicles_udb()
+    db = Database({"t": Relation(["t.a"], [(1,), (2,)])})
+    previous = set_enabled(False)
+    try:
+        for _ in range(2):  # a planning run and a cached one
+            execute_query(_tank_query(), udb)
+            execute_sql("possible (select id from r where type = 'Tank')", udb)
+            db.run(db.scan("t"))
+    finally:
+        set_enabled(previous)
+    db.run(db.scan("t"))  # obs on, but no entry surface opened a trace
+    assert calls == []
+    with start_trace() as trace:
+        db.run(db.scan("t"))
+    assert calls and trace.root.attrs["operators"]["actual_rows"] == 2
+
+
 # ----------------------------------------------------------------------
-# plan cache: estimate-vs-actual feedback
+# estimate-vs-actual feedback: the workload history is its one record
 # ----------------------------------------------------------------------
-def test_plan_cache_records_observed_rows():
+def test_workload_history_records_estimate_actual_and_drift():
+    """What the plan-cache entry used to repeat (``observed_rows`` /
+    ``observed_runs``) is read where it is recorded once: per fingerprint,
+    on every execution, cached or not."""
     udb = build_vehicles_udb()
     query = _tank_query()
-    execute_query(query, udb)
-    entries = plan_cache_entries()
-    assert len(entries) == 1
-    entry = entries[0]
-    assert entry["observed_runs"] == 1
-    assert entry["observed_rows"] is not None
+    answer = execute_query(query, udb)
+    (entry,) = workload_snapshot()
+    assert entry["calls"] == 1 and entry["cached_hits"] == 0
+    assert entry["actual_rows"] == len(answer)
     assert entry["estimated_rows"] is not None
+    assert entry["max_drift"] == drift_ratio(entry["estimated_rows"], len(answer))
     assert entry["cost_class"] in ("point", "scan", "join", "heavy")
 
     execute_query(query, udb)
-    entry = plan_cache_entries()[0]
-    assert entry["observed_runs"] == 2
-    assert entry["hits"] >= 1
-
-
-def test_plan_cache_entries_are_mru_first():
-    udb = build_vehicles_udb()
-    first = _tank_query()
-    second = Poss(USelect(Rel("r"), col("faction").eq(lit("Enemy"))))
-    execute_query(first, udb)
-    execute_query(second, udb)
-    execute_query(first, udb)  # touch: back to the front
-    entries = plan_cache_entries()
-    assert len(entries) == 2
-    assert entries[0]["hits"] == 1  # the re-run entry leads
-    assert entries[1]["hits"] == 0
+    (entry,) = workload_snapshot()
+    assert entry["calls"] == 2 and entry["cached_hits"] == 1
+    assert entry["actual_rows"] == len(answer)
 
 
 # ----------------------------------------------------------------------

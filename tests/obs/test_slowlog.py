@@ -24,6 +24,26 @@ def test_keeps_n_slowest_sorted():
     assert kept[0]["duration_ms"] >= kept[-1]["duration_ms"]
 
 
+def test_only_a_kept_trace_is_serialized(monkeypatch):
+    """Counted, never timed: a trace faster than the fastest kept one is
+    dropped on a comparison, without building its span-tree payload."""
+    calls = []
+    real = Trace.to_dict
+    monkeypatch.setattr(Trace, "to_dict", lambda self: calls.append(self) or real(self))
+    configure(threshold=10.0)
+    for i in range(DEFAULT_CAPACITY):
+        record(_finished_trace(0.050 + i / 1000, sql="slow"))
+    assert len(calls) == DEFAULT_CAPACITY
+    del calls[:]
+    for i in range(40):
+        record(_finished_trace(0.001 + i / 100_000, sql="fast"))
+    assert calls == []
+    assert {entry["attrs"]["sql"] for entry in slow_queries()} == {"slow"}
+    record(_finished_trace(0.2, sql="slower"))  # displaces the root: serialized
+    assert len(calls) == 1
+    assert slow_queries(limit=1)[0]["attrs"]["sql"] == "slower"
+
+
 def test_limit_truncates():
     configure(threshold=10.0)
     for ms in (2, 4, 6):

@@ -125,9 +125,11 @@ def test_operator_auto_matches_exact_on_small_worlds(udb, query):
 @given(prob_udatabases(), queries())
 @settings(max_examples=15, deadline=None)
 def test_small_batches_do_not_change_groups(udb, query):
-    (physical, _wrap, _profile), _cached, _key = _cached_physical(
-        Conf(query, method="exact"), udb, True, "columns", True
+    conf = Conf(query, method="exact")
+    record, _cached = _cached_physical(
+        conf, udb, query_cache_key(conf, udb), True, "columns", True
     )
+    physical = record.physical
     whole = execute(physical)
     chopped = execute(physical, batch_size=1)
     assert_rows_match(list(chopped.rows), list(whole.rows))

@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import PreparedQuery, UDatabase, execute_query
 from repro.core.query import Poss, Rel, UJoin, UProject, USelect
-from repro.core.translate import _cached_physical
+from repro.core.translate import _cached_physical, query_cache_key
 from repro.relational import Relation, expressions, physical
 from repro.relational.algebra import Join, Project, Rename, Scan, Select
 from repro.relational.expressions import (
@@ -166,10 +166,11 @@ class TestCompileCache:
         udb = indexed_tpch
         first = PreparedQuery(query, udb).run(*params)
         assert len(first) > 0 and calls["probe_kernel"] > 0
-        (plan, _wrap, _profile), was_cached, _key = _cached_physical(
-            query, udb, True, "columns", True
+        record, was_cached = _cached_physical(
+            query, udb, query_cache_key(query, udb), True, "columns", True
         )
         assert was_cached
+        plan = record.physical
         calls.update(_structural_key=0, probe_kernel=0)
         with executing(params):
             for _ in range(3):

@@ -38,7 +38,7 @@ from repro.relational.index import ensure_index
 from repro.relational.optimizer import optimize
 from repro.relational.plancache import (
     bump_relation,
-    cache_contains,
+    cached_cost_class,
     logical_plan_key,
     plan_relations,
     relation_epoch,
@@ -365,7 +365,7 @@ def test_cached_equals_fresh(plan, use_indexes, mode):
     assert bag(warm) == bag(fresh)
     assert bag(warm_again) == bag(fresh)
     assert warm.schema.names == fresh.schema.names
-    assert cache_contains(
+    assert cached_cost_class(
         ("db-run", id(db), logical_plan_key(plan), True, False, use_indexes, fuse)
     )
 

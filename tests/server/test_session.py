@@ -266,6 +266,24 @@ class TestServerFacade:
             )
             assert cached == 1
 
+    def test_certain_never_shares_a_flight_with_its_core(self, udb, monkeypatch):
+        """certain(q) runs q's plan under q's plan key, but its answer is
+        not q's: the coalescing keys of the two must differ."""
+        with QueryServer(udb, workers=2) as server:
+            flights = []
+            run = server.executor.run
+            monkeypatch.setattr(
+                server.executor, "run", lambda work, key: flights.append(key) or run(work, key)
+            )
+            session = server.session()
+            core = session.execute("select id from r where faction = 'Enemy'")
+            certain = session.execute("certain (select id from r where faction = 'Enemy')")
+            assert len(certain.rows) < len(core.relation.rows)
+            core_flight, certain_flight = flights
+            assert core_flight[0] == certain_flight[0]  # one plan, one key
+            assert core_flight != certain_flight
+            assert plan_cache_stats()["misses"] == 1
+
     def test_udatabase_serve_hook(self, udb):
         server = udb.serve(workers=1)
         try:
