@@ -30,6 +30,11 @@
 #                      per workload; exits non-zero on a wrong answer
 #                      (appends to benchmarks/layers/results/BENCH_layers.jsonl;
 #                      see benchmarks/layers/README.md for --trace 1)
+#   make plans       - explain() (estimates, nothing timed) of the four
+#                      statements the declared benchmark serves, on its own
+#                      tpch fixture, into benchmarks/results/fig12_plans.txt:
+#                      committed, so a PR that changes a served plan shows
+#                      the plan in its diff (CI fails on a stale file)
 #   make loc         - source size: `wc -l` over src/repro/**/*.py in total
 #                      and for the files ROADMAP.md tracks (the command every
 #                      CHANGES.md entry quotes its before/after from)
@@ -47,10 +52,13 @@ COVERAGE_FLOOR ?= 85
 #: The files whose size ROADMAP.md tracks beside the src/repro total.
 LOC_FILES ?= src/repro/relational/physical.py src/repro/relational/columnar.py src/repro/relational/plancache.py
 
-.PHONY: test loc coverage bench-smoke bench-serve bench-ingest bench-conf bench-obs bench-layers bench
+.PHONY: test plans loc coverage bench-smoke bench-serve bench-ingest bench-conf bench-obs bench-layers bench
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+plans:
+	$(PYTHON) benchmarks/fig12_plans.py
 
 loc:
 	@find src/repro -name '*.py' -exec cat {} + | wc -l | sed 's|$$| src/repro/**/*.py|'

@@ -18,10 +18,38 @@ A :class:`Translated` object carries the relational plan plus the U-relation
 column structure of its output, so results can be wrapped back into
 :class:`~repro.core.urelation.URelation` values and fed to further queries.
 
-Automatic merging: a :class:`~repro.core.query.Rel` leaf translates to the
-merge of the *minimal* set of vertical partitions covering the attributes
-the query actually uses (Example 3.1's rewriting, plus the reduced-database
+Automatic merging: a :class:`~repro.core.query.Rel` leaf contributes the
+*minimal* set of vertical partitions covering the attributes the query
+actually uses (Example 3.1's rewriting, plus the reduced-database
 optimization of Section 3 — single-partition answers need no merge at all).
+
+Join ordering happens here, not after: what Section 3 leaves to "standard
+techniques employed in off-the-shelf relational database management
+systems" needs a join graph, and the ``Project(Join(left, Rename(right)))``
+emitted per join and per merge is a nesting no relational optimizer can
+reorder without renaming the positional ``c_i``/``w_i`` columns.  So every
+maximal block of ``UJoin`` / ``USelect`` / ``Rel`` nodes is flattened into
+
+* *units* — one scan per partition of each leaf's cover; any other node
+  under the block (a ``UProject``, a ``UUnion``, a hand-placed ``UMerge``)
+  is translated on its own and is one opaque unit, so the merge placements
+  :mod:`repro.core.equivalences` builds stay where they were put; and
+* *predicates* — the block's WHERE / ON conjuncts (one over a single unit's
+  columns becomes that unit's selection; a literal ``TRUE`` is dropped)
+  and, implicitly, tuple-id equality between units of one alias,
+
+and re-assembled left-deep by :func:`repro.relational.optimizer.greedy_order`
+(seed, connectedness and cost rule there; here a candidate connects when it
+shares a tuple id or completes a conjunct — ψ never connects — and ties
+break by alias and partition name, so the plan is a function of the query
+and the statistics, not of the order the text lists its tables).  Each
+chosen step goes through ``_combine``, which generates α and ψ for
+whatever order was chosen, and the block's output is re-projected to the
+text's tuple-id and value column order: only the order of the descriptor
+pairs differs from a text-order translation.  A block of one unit skips
+the loop.  Under ``merge_all`` (plan P1 of Figure 3) a leaf is one unit —
+the whole relation, reconstructed from all its partitions in cover order —
+so P1's relations are ordered against each other but never taken apart.
 
 Precondition (the paper's "we assume that the input database is always
 reduced", made precise): the minimal-cover optimization is sound when every
@@ -36,7 +64,8 @@ partitions and needs no precondition.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+import functools
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..relational.algebra import (
     ConfCompute,
@@ -63,9 +92,13 @@ from ..relational.expressions import (
     columns_of,
     conjunction,
     exact_leaf,
+    frame,
+    is_true,
     map_columns,
+    split_conjuncts,
     structural_key,
 )
+from ..relational.optimizer import column_stats, estimate_rows, greedy_order, join_rows
 from ..relational.relation import Relation
 from .descriptor import descriptor_columns
 from .query import (
@@ -176,8 +209,10 @@ class _Translator:
     def __init__(self, udb: UDatabase, merge_all: bool = False):
         self.udb = udb
         #: When True, every Rel leaf reconstructs its relation from *all*
-        #: partitions (the naive plan P1 of Figure 3); when False, only the
-        #: minimal partition cover of the needed attributes is merged in.
+        #: partitions before anything else touches it (the naive plan P1 of
+        #: Figure 3): one unit to the join ordering.  When False, a leaf is
+        #: the minimal partition cover of the needed attributes, each
+        #: partition a unit of its own.
         self.merge_all = merge_all
 
     # -- attribute binding --------------------------------------------
@@ -203,14 +238,10 @@ class _Translator:
 
     # -- main recursion -------------------------------------------------
     def translate(self, query: UQuery, needed: Optional[Set[str]]) -> Translated:
-        if isinstance(query, Rel):
-            return self._translate_rel(query, needed)
-        if isinstance(query, USelect):
-            return self._translate_select(query, needed)
+        if isinstance(query, (Rel, USelect, UJoin)):
+            return self._translate_block(query, needed)
         if isinstance(query, UProject):
             return self._translate_project(query)
-        if isinstance(query, UJoin):
-            return self._translate_join(query, needed)
         if isinstance(query, UMerge):
             return self._translate_merge(query, needed)
         if isinstance(query, UUnion):
@@ -221,7 +252,160 @@ class _Translator:
             )
         raise TypeError(f"unknown query node {type(query).__name__}")
 
-    def _translate_rel(self, query: Rel, needed: Optional[Set[str]]) -> Translated:
+    # -- join blocks: flatten, push down, order -------------------------
+    def _translate_block(self, query: UQuery, needed: Optional[Set[str]]) -> Translated:
+        """A maximal block of ``UJoin`` / ``USelect`` / ``Rel`` nodes, its
+        joins and partition merges placed together by estimated cardinality
+        (see the module docstring)."""
+        units: List[Translated] = []
+        conjuncts: List[Expression] = []
+        self._flatten(query, needed, units, conjuncts)
+        # a conjunct over one unit's columns is that unit's selection
+        columns = [set(unit.value_names) for unit in units]
+        pending: List[Tuple[FrozenSet[str], Expression]] = []
+        pushed: Dict[int, List[Expression]] = {}
+        for conjunct in conjuncts:
+            refs = columns_of(conjunct)
+            holder = next((i for i, names in enumerate(columns) if refs <= names), None)
+            if holder is None:
+                pending.append((refs, conjunct))
+            else:
+                pushed.setdefault(holder, []).append(conjunct)
+        for i, parts in pushed.items():
+            unit = units[i]
+            units[i] = Translated(
+                Select(unit.plan, conjunction(parts)),
+                unit.d_width,
+                unit.tid_names,
+                unit.value_names,
+            )
+        if len(units) == 1:
+            return units[0]
+
+        estimate = {unit: estimate_rows(unit.plan) for unit in units}
+        owner = {v: unit for unit in reversed(units) for v in unit.value_names}
+        stats = functools.lru_cache(maxsize=None)(
+            lambda unit, name: column_stats(unit.plan, name)
+        )
+
+        def ready(current: Translated, unit: Translated) -> List[Tuple[FrozenSet[str], Expression]]:
+            """The pending conjuncts that joining ``unit`` completes."""
+            if not pending:
+                return []
+            available = set(current.value_names) | set(unit.value_names)
+            return [item for item in pending if item[0] <= available]
+
+        def rank(current: Translated, unit: Translated) -> Tuple:
+            # partitions of one relation hold the same tuple ids: the
+            # candidate's own distinct count stands for both sides of α
+            pairs = [
+                (stats(unit, t),) * 2 for t in unit.tid_names if t in current.tid_names
+            ]
+            residuals = 0
+            for _refs, conjunct in ready(current, unit):
+                if _is_column_equality(conjunct):
+                    a, b = conjunct.left.name, conjunct.right.name
+                    pairs.append((stats(owner[a], a), stats(owner[b], b)))
+                else:
+                    residuals += 1
+            rows = join_rows(
+                estimate[current],
+                estimate[unit],
+                pairs,
+                residuals,
+                bool(current.d_width and unit.d_width),  # ψ never connects
+            )
+            return not (pairs or residuals), rows, _tie_break(unit)
+
+        def join(current: Translated, unit: Translated) -> Translated:
+            rows = rank(current, unit)[1]
+            completed = ready(current, unit)
+            for item in completed:
+                pending.remove(item)
+            shared = [t for t in unit.tid_names if t in current.tid_names]
+            extra = [conjunct for _refs, conjunct in completed]
+            joined = self._combine(
+                current, unit, shared or None, conjunction(extra) if extra else None
+            )
+            estimate[joined] = rows
+            return joined
+
+        joined = greedy_order(
+            units, lambda unit: (estimate[unit], _tie_break(unit)), rank, join
+        )
+        # the block's output keeps the text's tuple-id and value column
+        # order (a union zips value columns by position); only the order
+        # of the descriptor pairs follows the joins
+        tids = tuple(dict.fromkeys(t for unit in units for t in unit.tid_names))
+        values = tuple(dict.fromkeys(v for unit in units for v in unit.value_names))
+        if tids == joined.tid_names and values == joined.value_names:
+            return joined
+        keep = descriptor_columns(joined.d_width) + list(tids) + list(values)
+        # the last _combine's own projection, re-ordered: no second one above
+        return Translated(Project(joined.plan.child, keep), joined.d_width, tids, values)
+
+    def _flatten(
+        self,
+        query: UQuery,
+        needed: Optional[Set[str]],
+        units: List[Translated],
+        conjuncts: List[Expression],
+    ) -> None:
+        """Append a block's units (text order) and qualified conjuncts."""
+        if isinstance(query, USelect):
+            child_needed = None
+            if needed is not None:
+                child_needed = set(needed) | set(columns_of(query.predicate))
+            start = len(units)
+            self._flatten(query.child, child_needed, units, conjuncts)
+            available = [v for unit in units[start:] for v in unit.value_names]
+        elif isinstance(query, UJoin):
+            left_needed, right_needed = None, None
+            if needed is not None:
+                wanted = needed | set(columns_of(query.predicate))
+                left_attrs = self.attributes_of(query.left)
+                right_attrs = self.attributes_of(query.right)
+                left_needed = {r for r in wanted if _matches_any(r, left_attrs)}
+                right_needed = {r for r in wanted if _matches_any(r, right_attrs)}
+            start = len(units)
+            self._flatten(query.left, left_needed, units, conjuncts)
+            middle = len(units)
+            self._flatten(query.right, right_needed, units, conjuncts)
+            left, right = units[start:middle], units[middle:]
+            shared_tids = {t for unit in left for t in unit.tid_names} & {
+                t for unit in right for t in unit.tid_names
+            }
+            if shared_tids:
+                raise ValueError(
+                    f"join operands share tuple-id columns {sorted(shared_tids)}; "
+                    "alias one side (self-joins require aliases)"
+                )
+            shared_values = {v for unit in left for v in unit.value_names} & {
+                v for unit in right for v in unit.value_names
+            }
+            if shared_values:
+                raise ValueError(
+                    f"join operands share value attributes {sorted(shared_values)}; "
+                    "alias the relations to disambiguate"
+                )
+            available = [v for unit in left + right for v in unit.value_names]
+        elif isinstance(query, Rel):
+            scans = [
+                self._scan_partition(part, query)
+                for part in self._partitions_of(query, needed)
+            ]
+            # merge_all (plan P1): the whole relation, reconstructed in
+            # cover order, is one unit
+            units.extend([functools.reduce(self._merge, scans)] if self.merge_all else scans)
+            return
+        else:  # a projection, a union, a hand-placed merge: opaque
+            units.append(self.translate(query, needed))
+            return
+        predicate = _qualify_predicate(query.predicate, available)
+        conjuncts.extend(c for c in split_conjuncts(predicate) if not is_true(c))
+
+    def _partitions_of(self, query: Rel, needed: Optional[Set[str]]) -> List[URelation]:
+        """The minimal partition cover of a leaf's needed attributes."""
         schema = self.udb.logical_schema(query.name)
         attrs = [query.qualified(a) for a in schema.attributes]
         if needed is None or self.merge_all:
@@ -232,14 +416,7 @@ class _Translator:
                 wanted = attrs[:1]  # keep the relation observable
         # choose the minimal partition cover (greedy set cover)
         base_wanted = {_base_name(a) for a in wanted}
-        partitions = self.udb.partitions(query.name)
-        chosen = _cover(partitions, base_wanted)
-        translated: Optional[Translated] = None
-        for part in chosen:
-            unit = self._scan_partition(part, query)
-            translated = unit if translated is None else self._merge(translated, unit)
-        assert translated is not None
-        return translated
+        return _cover(self.udb.partitions(query.name), base_wanted)
 
     def _scan_partition(self, part: URelation, query: Rel) -> Translated:
         label = f"u_{query.name}_" + "_".join(part.value_names)
@@ -257,16 +434,6 @@ class _Translator:
         values = tuple(query.qualified(a) for a in part.value_names)
         return Translated(plan, part.d_width, (tid_new,), values)
 
-    def _translate_select(self, query: USelect, needed: Optional[Set[str]]) -> Translated:
-        child_needed = None
-        if needed is not None:
-            child_needed = set(needed) | set(columns_of(query.predicate))
-        child = self.translate(query.child, child_needed)
-        predicate = _qualify_predicate(query.predicate, child.value_names)
-        return Translated(
-            Select(child.plan, predicate), child.d_width, child.tid_names, child.value_names
-        )
-
     def _translate_project(self, query: UProject) -> Translated:
         child_attrs = self.attributes_of(query.child)
         resolved = [_resolve_ref(r, child_attrs) for r in query.attributes]
@@ -282,37 +449,6 @@ class _Translator:
             child.tid_names,
             tuple(_resolve_ref(r, child.value_names) for r in query.attributes),
         )
-
-    def _translate_join(self, query: UJoin, needed: Optional[Set[str]]) -> Translated:
-        pred_refs = set(columns_of(query.predicate))
-        left_attrs = self.attributes_of(query.left)
-        right_attrs = self.attributes_of(query.right)
-        left_needed, right_needed = None, None
-        if needed is not None:
-            wanted = needed | pred_refs
-            left_needed = {r for r in wanted if _matches_any(r, left_attrs)}
-            right_needed = {r for r in wanted if _matches_any(r, right_attrs)}
-        else:
-            left_needed = None
-            right_needed = None
-        left = self.translate(query.left, left_needed)
-        right = self.translate(query.right, right_needed)
-        if set(left.tid_names) & set(right.tid_names):
-            raise ValueError(
-                "join operands share tuple-id columns "
-                f"{sorted(set(left.tid_names) & set(right.tid_names))}; "
-                "alias one side (self-joins require aliases)"
-            )
-        if set(left.value_names) & set(right.value_names):
-            raise ValueError(
-                "join operands share value attributes "
-                f"{sorted(set(left.value_names) & set(right.value_names))}; "
-                "alias the relations to disambiguate"
-            )
-        predicate = _qualify_predicate(
-            query.predicate, left.value_names + right.value_names
-        )
-        return self._combine(left, right, alpha=None, extra=predicate)
 
     def _translate_merge(self, query: UMerge, needed: Optional[Set[str]]) -> Translated:
         left_needed, right_needed = None, None
@@ -584,12 +720,7 @@ def _plan_predicates(plan) -> List[Tuple[str, str, str]]:
         elif isinstance(node, (Join, SemiJoin)):
             sides = (_scans_under(node.left), _scans_under(node.right))
             for conjunct in split_conjuncts(node.predicate):
-                if (
-                    isinstance(conjunct, Comparison)
-                    and conjunct.op == "="
-                    and isinstance(conjunct.left, Col)
-                    and isinstance(conjunct.right, Col)
-                ):
+                if _is_column_equality(conjunct):
                     for ref in (conjunct.left.name, conjunct.right.name):
                         for scans in sides:
                             owner = _attribute_column(scans, ref)
@@ -857,6 +988,10 @@ def execute_keyed(
         cached=was_cached,
         estimated=physical.estimated_rows,
         actual=physical.actual_rows,
+        operators=(
+            (operator.estimated_rows, produced)
+            for operator, (produced, _batches) in frame.counters.items()
+        ),
         sql=trace.root.attrs.get("sql") if trace is not None else None,
     )
     if wrap is None:
@@ -947,6 +1082,21 @@ def _qualify_predicate(predicate: Expression, available: Sequence[str]) -> Expre
     """Rewrite predicate column refs to the exact available value-column names."""
     return map_columns(
         predicate, lambda column: Col(_resolve_ref(column.name, available))
+    )
+
+
+def _tie_break(unit: Translated) -> Tuple:
+    """What orders two units of equal estimate: alias and partition (both
+    are in the column names), never the position in the query text."""
+    return unit.tid_names, unit.value_names
+
+
+def _is_column_equality(conjunct: Expression) -> bool:
+    return (
+        isinstance(conjunct, Comparison)
+        and conjunct.op == "="
+        and isinstance(conjunct.left, Col)
+        and isinstance(conjunct.right, Col)
     )
 
 

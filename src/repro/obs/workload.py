@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .metrics import Histogram, enabled
 
@@ -112,19 +112,33 @@ def record_execution(
     cached: bool,
     estimated: Optional[float] = None,
     actual: Optional[float] = None,
+    operators: Iterable[Tuple[float, float]] = (),
     sql: Optional[str] = None,
 ) -> None:
     """Fold one execution into the history (no-op when obs is off).
 
     ``profile`` is the plan-time shape built at plan-cache-entry creation
     (see ``translate._workload_profile``); ``None`` — an unfingerprintable
-    query — records nothing.
+    query — records nothing.  ``estimated`` / ``actual`` are the plan
+    root's rows and ``operators`` the same pair for every operator that
+    ran: the execution's drift is the largest ratio among them all, since
+    a root can be exact above a join that is off by orders of magnitude.
+    Iterated only here, past the ``enabled()`` check.
     """
     if not enabled() or not profile:
         return
     fingerprint = profile.get("fingerprint")
     if not fingerprint:
         return
+    drift = 1.0
+    if estimated is not None and actual is not None:
+        drift = drift_ratio(estimated, actual)
+        for e, a in operators:  # drift_ratio, inlined: this runs per request
+            high, low = (e, a) if e > a else (a, e)
+            if low < 1:
+                low = 1
+            if high > drift * low:
+                drift = high / low
     with _lock:
         entry = _entries.get(fingerprint)
         if entry is None:
@@ -149,7 +163,6 @@ def record_execution(
         if estimated is not None and actual is not None:
             entry.estimated_rows = estimated
             entry.actual_rows = actual
-            drift = drift_ratio(estimated, actual)
             if drift > entry.max_drift:
                 entry.max_drift = drift
             if drift > DRIFT_THRESHOLD:

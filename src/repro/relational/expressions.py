@@ -73,6 +73,7 @@ __all__ = [
     "disjunction",
     "TRUE",
     "FALSE",
+    "is_true",
     "split_conjuncts",
     "columns_of",
     "equijoin_pairs",
@@ -528,9 +529,24 @@ TRUE: Expression = Comparison("=", Lit(1), Lit(1))
 FALSE: Expression = Comparison("=", Lit(1), Lit(0))
 
 
+def is_true(expression: Expression) -> bool:
+    """Whether an expression is the literal ``TRUE`` (``1 = 1``) or a copy
+    of it: an equality of two equal non-NULL literals.  By shape, not by
+    identity — :func:`map_columns` clones every node it walks."""
+    return (
+        isinstance(expression, Comparison)
+        and expression.op == "="
+        and isinstance(expression.left, Lit)
+        and isinstance(expression.right, Lit)
+        and expression.left.value is not None
+        and expression.left.value == expression.right.value
+    )
+
+
 def conjunction(parts: Sequence[Expression]) -> Expression:
-    """AND together a sequence of expressions (empty -> TRUE)."""
-    parts = [p for p in parts if p is not None]
+    """AND together a sequence of expressions, leaving out ``None`` and
+    ``TRUE`` parts (nothing left -> TRUE)."""
+    parts = [p for p in parts if p is not None and not is_true(p)]
     if not parts:
         return TRUE
     if len(parts) == 1:

@@ -8,12 +8,18 @@ Implements the classical rewrites the paper relies on PostgreSQL for:
    matching side of joins/products).
 2. **Product-to-join conversion** — a selection over a cartesian product
    whose conjuncts span both sides becomes a join predicate.
-3. **Greedy selectivity-based join ordering** — cascades of joins/products
-   are flattened into a join graph and re-assembled left-deep, choosing at
-   each step the input that minimizes the estimated intermediate result,
-   avoiding cross products when any connected choice exists.  This is the
-   "standard selectivity-based cost measure" behaviour that Section 3 of the
-   paper reports works well for translated U-relation queries.
+3. **Greedy selectivity-based join ordering** — :func:`greedy_order`, one
+   loop with two callers.  :func:`order_joins` flattens cascades of
+   relational joins/products into a join graph and re-assembles them, for
+   plans written against a :class:`~repro.relational.database.Database`.
+   A *translated* U-relation query it cannot reorder — each join and merge
+   sits under its own ``Project``/``Rename`` of positional descriptor
+   columns, where flattening stops — so :mod:`repro.core.translate` runs
+   the same loop over partition scans before that nesting exists: the
+   "standard selectivity-based cost measure" behaviour Section 3 of the
+   paper reports works well for translated queries.  Both rank candidates
+   with :func:`join_rows`, arithmetic on row estimates and per-column
+   distinct counts; no trial plan is built.
 4. **Column pruning** — projections are inserted above join inputs so that
    only columns needed upstream flow through the pipeline (the paper's
    plan P3 of Figure 3 projects away value attributes early).
@@ -23,7 +29,7 @@ The entry point is :func:`optimize`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, TypeVar
 from weakref import WeakKeyDictionary
 
 from .algebra import (
@@ -43,9 +49,11 @@ from .algebra import (
 from .expressions import (
     Col,
     Expression,
+    Or,
     columns_of,
     conjunction,
     equijoin_pairs,
+    is_true,
     map_columns,
     split_conjuncts,
 )
@@ -63,10 +71,15 @@ __all__ = [
     "push_selections",
     "order_joins",
     "prune_columns",
+    "greedy_order",
     "estimate_rows",
+    "join_rows",
+    "column_stats",
     "scan_stats",
     "refresh_statistics",
 ]
+
+T = TypeVar("T")
 
 
 def optimize(plan: Plan) -> Plan:
@@ -229,7 +242,7 @@ def refresh_statistics(relation) -> None:
     bump_relation(relation)
 
 
-def _column_stats(plan: Plan, reference: str) -> Optional[ColumnStats]:
+def column_stats(plan: Plan, reference: str) -> Optional[ColumnStats]:
     """Find stats for a column by descending to the base scan that carries it."""
     if isinstance(plan, Scan):
         if plan.schema.has(reference):
@@ -239,10 +252,10 @@ def _column_stats(plan: Plan, reference: str) -> Optional[ColumnStats]:
     if isinstance(plan, Rename):
         inverse = {new: old for old, new in plan.mapping.items()}
         mapped = inverse.get(reference, reference)
-        return _column_stats(plan.child, mapped)
+        return column_stats(plan.child, mapped)
     for child in plan.children:
         if child.schema.has(reference):
-            return _column_stats(child, reference)
+            return column_stats(child, reference)
     return None
 
 
@@ -271,9 +284,17 @@ def _estimate_rows(plan: Plan) -> float:
     if isinstance(plan, (Project, ProjectAs, Rename, Extend)):
         return estimate_rows(plan.children[0])
     if isinstance(plan, Distinct):
-        return max(estimate_rows(plan.children[0]) * 0.9, 0.1)
+        (child,) = plan.children
+        rows = estimate_rows(child) * 0.9
+        # no more groups than combinations of the columns' distinct values
+        groups = 1.0
+        for name in child.schema.names:
+            if groups >= rows:
+                break
+            groups *= max(_distinct_bound(child, name), 1.0)
+        return max(min(rows, groups), 0.1)
     if isinstance(plan, Join):
-        return _estimate_join(plan)
+        return _estimate_join(plan.left, plan.right, plan.predicate)
     if isinstance(plan, Product):
         left, right = plan.children
         return estimate_rows(left) * estimate_rows(right)
@@ -293,28 +314,67 @@ def _estimate_rows(plan: Plan) -> float:
     return 1000.0
 
 
-def _estimate_join(plan: Join) -> float:
-    left, right = plan.children
-    left_rows = estimate_rows(left)
-    right_rows = estimate_rows(right)
-    pairs, residual = equijoin_pairs(plan.predicate, left.schema, right.schema)
-    if pairs:
-        best = left_rows * right_rows
-        for l, r in pairs:
-            cardinality = join_cardinality(
-                left_rows, right_rows, _column_stats(left, l), _column_stats(right, r)
-            )
-            best = min(best, cardinality)
-        for res in residual:
-            best *= DEFAULT_SELECTIVITY if not _is_psi_shaped(res) else 0.9
-        return max(best, 0.1)
-    return max(left_rows * right_rows * DEFAULT_SELECTIVITY, 0.1)
+def _distinct_bound(plan: Plan, reference: str) -> float:
+    """An upper estimate of a column's distinct values in a plan's output:
+    the smallest estimate among the nodes the column came up through (a
+    selection ``name = 'X'`` that leaves one row leaves one name, however
+    many rows later joins multiply it into)."""
+    rows = estimate_rows(plan)
+    if isinstance(plan, Rename):
+        inverse = {new: old for old, new in plan.mapping.items()}
+        reference = inverse.get(reference, reference)
+    for child in plan.children:
+        if child.schema.has(reference):
+            return min(rows, _distinct_bound(child, reference))
+    return rows
+
+
+#: What the ψ condition of a translated join keeps, all its conjuncts taken
+#: together: descriptors of different fields rarely share a variable, so ψ
+#: is one factor near 1 however many (c_i, w_i) pairs it compares.
+PSI_SELECTIVITY = 0.95
+
+
+def _estimate_join(left: Plan, right: Plan, predicate: Expression) -> float:
+    """Estimated rows of ``Join(left, right, predicate)``, without building it."""
+    pairs, residual = equijoin_pairs(predicate, left.schema, right.schema)
+    return join_rows(
+        estimate_rows(left),
+        estimate_rows(right),
+        [(column_stats(left, l), column_stats(right, r)) for l, r in pairs],
+        sum(1 for res in residual if not (_is_psi_shaped(res) or is_true(res))),
+        any(_is_psi_shaped(res) for res in residual),
+    )
+
+
+def join_rows(
+    left_rows: float,
+    right_rows: float,
+    pairs: Sequence[Tuple[Optional[ColumnStats], Optional[ColumnStats]]],
+    residuals: int,
+    psi: bool,
+) -> float:
+    """Estimated output rows of a join, from numbers alone.
+
+    ``pairs`` holds the column statistics of each equi-conjunct's two
+    sides (the most selective pair decides; none: a product),
+    ``residuals`` counts the other conjuncts, each charged
+    :data:`DEFAULT_SELECTIVITY`, and ``psi`` says whether a ψ condition
+    rides along: :data:`PSI_SELECTIVITY` once, however many conjuncts it
+    has.  A literal ``TRUE`` is not a conjunct.  Behind both
+    :func:`estimate_rows` of a ``Join`` and :func:`greedy_order`'s ranks.
+    """
+    rows = left_rows * right_rows
+    for left_stats, right_stats in pairs:
+        rows = min(rows, join_cardinality(left_rows, right_rows, left_stats, right_stats))
+    rows *= DEFAULT_SELECTIVITY**residuals
+    if psi:
+        rows *= PSI_SELECTIVITY
+    return max(rows, 0.1)
 
 
 def _is_psi_shaped(expression: Expression) -> bool:
     """Heuristic: ψ-conditions (Var mismatch OR Rng equal) are barely selective."""
-    from .expressions import Or
-
     return isinstance(expression, Or)
 
 
@@ -325,7 +385,7 @@ class _PlanStats:
     ("o.orderdate") introduced by renames above the base scan; the base
     relation's :class:`TableStats` only knows base names, so a direct
     lookup missed and selectivity fell back to defaults.  Resolving by
-    *position* through the rename chain (what :func:`_column_stats` does)
+    *position* through the rename chain (what :func:`column_stats` does)
     recovers the real column statistics, keeping Select estimates sharp
     under aliases — which is what orders joins well.
     """
@@ -336,7 +396,7 @@ class _PlanStats:
         self.plan = plan
 
     def column(self, reference: str) -> Optional[ColumnStats]:
-        return _column_stats(self.plan, reference)
+        return column_stats(self.plan, reference)
 
 
 # ======================================================================
@@ -348,10 +408,31 @@ def order_joins(plan: Plan) -> Plan:
     if not isinstance(plan, (Join, Product)):
         return plan
 
-    leaves, predicates = _flatten_joins(plan)
+    leaves, unused = _flatten_joins(plan)
     if len(leaves) <= 2:
         return plan
-    ordered = _greedy_order(leaves, predicates)
+
+    def applicable(current: Plan, candidate: Plan) -> List[Expression]:
+        combined = set(current.schema.names) | set(candidate.schema.names)
+        return [
+            p for p in unused if all(_resolvable(combined, r) for r in columns_of(p))
+        ]
+
+    def rank(current: Plan, candidate: Plan) -> Tuple[bool, float]:
+        preds = applicable(current, candidate)
+        return not preds, _estimate_join(current, candidate, conjunction(preds))
+
+    def join(current: Plan, candidate: Plan) -> Plan:
+        preds = applicable(current, candidate)
+        if not preds:
+            return Product(current, candidate)
+        for p in preds:
+            unused.remove(p)
+        return Join(current, candidate, conjunction(preds))
+
+    ordered = greedy_order(leaves, estimate_rows, rank, join)
+    if unused:
+        ordered = Select(ordered, conjunction(unused))
     return ordered
 
 
@@ -377,49 +458,26 @@ def _flatten_joins(plan: Plan) -> Tuple[List[Plan], List[Expression]]:
     return leaves, predicates
 
 
-def _greedy_order(leaves: List[Plan], predicates: List[Expression]) -> Plan:
-    """Left-deep greedy join ordering avoiding cross products when possible."""
-    unused = list(predicates)
-    remaining = list(leaves)
+def greedy_order(
+    inputs: Sequence[T],
+    size: Callable[[T], Any],
+    rank: Callable[[T, T], Any],
+    join: Callable[[T, T], T],
+) -> T:
+    """Left-deep greedy join ordering, for whatever the caller joins.
 
-    def applicable(schema_names: Set[str], extra: Plan) -> List[Expression]:
-        combined = schema_names | set(extra.schema.names)
-        picked = []
-        for p in unused:
-            if all(_resolvable(combined, r) for r in columns_of(p)):
-                picked.append(p)
-        return picked
-
-    # seed with the smallest leaf
-    remaining.sort(key=estimate_rows)
+    Seeds with the input of the smallest ``size``, then always joins in
+    the candidate whose ``rank(current, candidate)`` sorts first; callers
+    return ``(disconnected, estimated_rows, ...)``, so a connected
+    candidate goes before a cross product and the smallest estimated
+    result (:func:`join_rows`) first.  Ties keep the order of ``inputs``.
+    ``join`` builds the chosen step and returns the new ``current``.
+    """
+    remaining = sorted(inputs, key=size)
     current = remaining.pop(0)
-
     while remaining:
-        best_idx: Optional[int] = None
-        best_cost = float("inf")
-        best_connected = False
-        for i, candidate in enumerate(remaining):
-            preds = applicable(set(current.schema.names), candidate)
-            connected = bool(preds)
-            trial = (
-                Join(current, candidate, conjunction(preds))
-                if preds
-                else Product(current, candidate)
-            )
-            cost = estimate_rows(trial)
-            if (connected, -cost) > (best_connected, -best_cost):
-                best_idx, best_cost, best_connected = i, cost, connected
-        candidate = remaining.pop(best_idx)
-        preds = applicable(set(current.schema.names), candidate)
-        if preds:
-            for p in preds:
-                unused.remove(p)
-            current = Join(current, candidate, conjunction(preds))
-        else:
-            current = Product(current, candidate)
-
-    if unused:
-        current = Select(current, conjunction(unused))
+        best = min(range(len(remaining)), key=lambda i: rank(current, remaining[i]))
+        current = join(current, remaining.pop(best))
     return current
 
 

@@ -42,8 +42,10 @@ a slot carries its index only, its value arrives with each execution.
 
 The FROM list becomes a left-deep chain of :class:`UJoin` nodes with a
 trivially-true predicate; the WHERE clause sits above as one
-:class:`USelect` — the optimizer then pushes conjuncts into the joins and
-scans, exactly the division of labour the paper relies on PostgreSQL for.
+:class:`USelect` — the translation then drops the ``TRUE``s, pushes each
+conjunct to the partition scan or join it belongs to and orders the joins
+by estimated cardinality (:mod:`repro.core.translate`), exactly the
+division of labour the paper relies on PostgreSQL for.
 
 DML statements address *logical* relations; a braced INSERT cell like
 ``{'Tank', 'Transport'}`` lists mutually exclusive alternatives, which

@@ -12,7 +12,7 @@ world-sets only).
 
 from __future__ import annotations
 
-from typing import Set, Tuple
+from typing import Dict, Set, Tuple
 
 import pytest
 
@@ -32,7 +32,7 @@ from repro.obs import (
 )
 from repro.relational import reset_compile_cache, reset_plan_cache
 
-__all__ = ["vehicles_udb", "brute_force_poss", "brute_force_certain"]
+__all__ = ["vehicles_udb", "brute_force_poss", "brute_force_certain", "brute_force_conf"]
 
 
 @pytest.fixture(autouse=True)
@@ -116,3 +116,14 @@ def brute_force_certain(query: UQuery, udb: UDatabase) -> Set[Tuple]:
         rows = set(evaluate_in_world(query, instances).rows)
         out = rows if out is None else out & rows
     return out or set()
+
+
+def brute_force_conf(query: UQuery, udb: UDatabase) -> Dict[Tuple, float]:
+    """Per possible tuple, the summed probability of the worlds it occurs in
+    (the gold confidence semantics)."""
+    out: Dict[Tuple, float] = {}
+    for valuation, instances in udb.worlds():
+        probability = udb.world_table.valuation_probability(valuation)
+        for row in set(evaluate_in_world(query, instances).rows):
+            out[row] = out.get(row, 0.0) + probability
+    return out

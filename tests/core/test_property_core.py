@@ -3,20 +3,43 @@
 * Theorem 3.5 / Figure 4: for random U-relational databases and random
   positive queries, ``poss`` via translation == union of per-world answers.
 * Lemma 4.3: certain answers == intersection of per-world answers.
+* Section 7: exact ``conf`` == sum of the probabilities of the worlds a
+  tuple occurs in.
 * Theorem 4.2: normalization preserves the world-set.
 * Prop. 3.3: reduction preserves the world-set.
+
+The databases hold two or three relations of two or three vertical
+partitions each, a partition either certain (every descriptor ⊤) or
+uncertain.  The queries have at least three leaves and are written the
+way the join ordering has to undo — unselective tables first, the
+selection on the last one: chains of equi-joins (a self-join under
+aliases among them), a FROM list nothing connects, a union of two join
+blocks with no projection above them (its branches zip by position), a
+join block under a projection inside another block.  Wherever the grammar
+can say it the query is SQL text run through ``execute_sql``, so lex,
+parse, literal lifting and the by-shape statement map are inside the
+loop; every query runs three times with the literals k, k', k — on one
+plan when the literal is lifted — and once more with the ordering loop
+replaced by one that keeps the text's order, which must not change an
+answer.
 """
 
 from __future__ import annotations
 
-from typing import List
+import functools
+import sys
+from typing import Any, Callable, Dict, List, NamedTuple, Tuple, Union
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     Certain,
+    Conf,
     Descriptor,
     Poss,
+    PreparedQuery,
     Rel,
     UDatabase,
     UJoin,
@@ -24,23 +47,27 @@ from repro.core import (
     UQuery,
     URelation,
     USelect,
-    UUnion,
     WorldTable,
     execute_query,
     normalize_udatabase,
     reduce_udatabase,
 )
 from repro.core.urelation import tid_column
-from repro.relational import col, lit
-from tests.conftest import brute_force_certain, brute_force_poss
+from repro.relational import col, lit, reset_plan_cache
+from repro.relational.algebra import Scan
+from repro.relational.expressions import Expression, Param
+from repro.sql import execute_sql, parse
+from tests.conftest import brute_force_certain, brute_force_conf, brute_force_poss
 
-# -- strategies ---------------------------------------------------------
-variables = ["x", "y", "z"]
+translate_module = sys.modules["repro.core.translate"]  # the package exports the function
+
+# -- databases ----------------------------------------------------------
+VARIABLES = {"x": (0.3, 0.7), "y": (0.5, 0.5), "z": (0.2, 0.8)}
 small_values = st.integers(min_value=0, max_value=3)
 
 
 @st.composite
-def field_triples(draw, tid: int):
+def field_triples(draw, tid: int, certain: bool):
     """Triples defining ONE tuple field so it has a value in *every* world.
 
     The paper assumes reduced input databases whose tuples are complete in
@@ -49,17 +76,17 @@ def field_triples(draw, tid: int):
     certain or takes one value per domain value of its variable(s)).  The
     single-partition projection shortcut of Section 3 relies on this.
     """
-    kind = draw(st.sampled_from(["certain", "one_var", "two_var"]))
+    kind = "certain" if certain else draw(st.sampled_from(["certain", "one_var", "two_var"]))
     if kind == "certain":
         return [(Descriptor(), tid, (draw(small_values),))]
     if kind == "one_var":
-        var = draw(st.sampled_from(variables))
+        var = draw(st.sampled_from(sorted(VARIABLES)))
         return [
             (Descriptor({var: value}), tid, (draw(small_values),))
             for value in (1, 2)
         ]
     v1, v2 = draw(
-        st.lists(st.sampled_from(variables), min_size=2, max_size=2, unique=True)
+        st.lists(st.sampled_from(sorted(VARIABLES)), min_size=2, max_size=2, unique=True)
     )
     return [
         (Descriptor({v1: a, v2: b}), tid, (draw(small_values),))
@@ -70,87 +97,214 @@ def field_triples(draw, tid: int):
 
 @st.composite
 def udatabases(draw):
-    """A small two-attribute relation over a 3-variable world table."""
-    world = WorldTable({v: [1, 2] for v in variables})
-    n_tuples = draw(st.integers(min_value=1, max_value=4))
-    a_triples, b_triples = [], []
-    for tid in range(1, n_tuples + 1):
-        a_triples.extend(draw(field_triples(tid)))
-        b_triples.extend(draw(field_triples(tid)))
-    u_a = URelation.build(a_triples, tid_column("r"), ["a"])
-    u_b = URelation.build(b_triples, tid_column("r"), ["b"])
+    """Two or three relations (``r``, ``s``, ``t``) of two or three one-
+    attribute partitions (``a``, ``b``, ``c``) and one to three tuples,
+    over a 3-variable, 8-world table with uneven probabilities."""
+    world = WorldTable({v: [1, 2] for v in VARIABLES}, VARIABLES)
     udb = UDatabase(world)
-    udb.add_relation("r", ["a", "b"], [u_a, u_b])
+    for name in "rst"[: draw(st.integers(min_value=2, max_value=3))]:
+        attributes = list("abc"[: draw(st.integers(min_value=2, max_value=3))])
+        tids = range(1, draw(st.integers(min_value=1, max_value=3)) + 1)
+        partitions = []
+        for attribute in attributes:
+            certain = draw(st.booleans())  # an all-⊤ partition, or not
+            triples = [t for tid in tids for t in draw(field_triples(tid, certain))]
+            partitions.append(URelation.build(triples, tid_column(name), [attribute]))
+        udb.add_relation(name, attributes, partitions)
     return udb
 
 
+# -- queries ------------------------------------------------------------
+class Case(NamedTuple):
+    """A drawn query: ``build(k)`` is its SQL text (the bare ``select``) or,
+    where the grammar has no way to say it, ``build(operand)`` its tree."""
+
+    build: Callable[[Any], Union[str, UQuery]]
+    keys: Tuple[int, int, int]
+    as_tree: bool
+
+
+def _selection(kind: str, table: str, first: str, second: str) -> str:
+    """A selection on one table, ``{}`` where the rebinding literal goes."""
+    return {
+        "eq": f"{table}.{first} = {{}}",
+        "lt": f"{table}.{first} < {{}}",
+        "between": f"{table}.{first} between {{}} and 2",
+        "in": f"{table}.{first} in ({{}}, 0)",
+        "or": f"({table}.{first} = {{}} or {table}.{second} = 1)",
+    }[kind]
+
+
 @st.composite
-def queries(draw):
-    shape = draw(
-        st.sampled_from(["rel", "select", "project", "select_project", "union", "join"])
-    )
-    if shape == "rel":
-        return Rel("r")
-    if shape == "select":
-        column = draw(st.sampled_from(["a", "b"]))
-        return USelect(Rel("r"), col(column).eq(lit(draw(small_values))))
-    if shape == "project":
-        column = draw(st.sampled_from(["a", "b"]))
-        return UProject(Rel("r"), [column])
-    if shape == "select_project":
-        column = draw(st.sampled_from(["a", "b"]))
-        other = draw(st.sampled_from(["a", "b"]))
-        return UProject(
-            USelect(Rel("r"), col(column) > lit(draw(small_values))), [other]
+def cases(draw, udb: UDatabase) -> Case:
+    names = sorted(udb.relation_names())
+    attributes = {name: list(udb.logical_schema(name).attributes) for name in names}
+
+    def column(table: int) -> str:
+        return f"t{table}.{draw(st.sampled_from(attributes[tables[table - 1]]))}"
+
+    first, other = draw(st.sampled_from([(1, 2), (2, 3), (0, 3), (3, 1)]))
+    keys = (first, other, first)
+    shape = draw(st.sampled_from(["chain", "self_join", "cross", "union", "nested"]))
+    kind = draw(st.sampled_from(["eq", "lt", "between", "in", "or"]))
+    tables = [draw(st.sampled_from(names)) for _ in range(3)]
+    if shape == "self_join":
+        tables[1] = tables[0]
+    from_list = ", ".join(f"{name} t{i}" for i, name in enumerate(tables, start=1))
+    links = [(column(1), column(2)), (column(2), column(3))]
+    where = [f"{a} = {b}" for a, b in links]
+    selected = draw(st.permutations(attributes[tables[2]]))
+    selection = _selection(kind, "t3", selected[0], selected[1])
+    everything = [f"t{i}.{a}" for i, name in enumerate(tables, start=1) for a in attributes[name]]
+    targets = draw(
+        st.one_of(
+            st.just("*"),
+            st.lists(st.sampled_from(everything), min_size=1, max_size=3, unique=True).map(
+                ", ".join
+            ),
         )
-    if shape == "union":
-        left = UProject(USelect(Rel("r"), col("a").eq(lit(draw(small_values)))), ["a"])
-        right = UProject(USelect(Rel("r"), col("b").eq(lit(draw(small_values)))), ["b"])
-        return UUnion(left, right)
-    # self-join with aliases
-    left = UProject(Rel("r", "p"), ["p.a"])
-    right = UProject(Rel("r", "q"), ["q.b"])
-    return UJoin(left, right, col("p.a").eq(col("q.b")))
+    )
+    if shape in ("chain", "self_join"):
+        sql = f"select {targets} from {from_list} where {' and '.join(where + [selection])}"
+        return Case(sql.format, keys, False)
+    if shape == "cross":  # nothing connects the three
+        return Case(f"select {targets} from {from_list} where {selection}".format, keys, False)
+    if shape == "union":  # two join blocks, no projection above either
+        pair = f"{tables[0]} t1, {tables[1]} t2"
+        on_second = draw(st.permutations(attributes[tables[1]]))
+        sql = (
+            f"select * from {pair} where {where[0]} "
+            f"union select * from {pair} where {column(1)} = {column(2)} "
+            f"and {_selection(kind, 't2', on_second[0], on_second[1])}"
+        )
+        return Case(sql.format, keys, False)
+    # a join block under a projection, joined on: SQL has no subquery for it
+    (inner_left, inner_right), (kept, outer_right) = links
+    compare = Expression.__lt__ if kind in ("lt", "between") else Expression.eq
+
+    def tree(operand: Expression) -> UQuery:
+        inner = UProject(
+            UJoin(Rel(tables[0], "t1"), Rel(tables[1], "t2"), col(inner_left).eq(col(inner_right))),
+            list(dict.fromkeys([inner_left, kept])),
+        )
+        joined = UJoin(inner, Rel(tables[2], "t3"), col(kept).eq(col(outer_right)))
+        return USelect(joined, compare(col(f"t3.{selected[0]}"), operand))
+
+    return Case(tree, keys, True)
+
+
+@st.composite
+def databases_and_cases(draw):
+    udb = draw(udatabases())
+    return udb, draw(cases(udb))
+
+
+# -- running a case -----------------------------------------------------
+WRAPPERS: Dict[str, Tuple[str, Callable[[UQuery], UQuery], Callable]] = {
+    "possible": ("possible ({})", Poss, brute_force_poss),
+    "certain": ("certain ({})", Certain, brute_force_certain),
+    "conf": (
+        "conf ({}) method exact",
+        lambda query: Conf(query, method="exact"),
+        brute_force_conf,
+    ),
+}
+
+
+def answer_of(relation, wrapper: str):
+    """A comparable form of an answer: a set of rows, or ``{row: conf}``."""
+    if wrapper == "conf":
+        return {row[:-1]: pytest.approx(row[-1]) for row in relation.rows}
+    return set(relation.rows)
+
+
+def scans(plan) -> int:
+    return isinstance(plan, Scan) + sum(scans(child) for child in plan.children)
+
+
+def text_order(inputs, size, rank, join):
+    """``greedy_order`` with nothing to decide: the text's order, kept."""
+    return functools.reduce(join, inputs)
+
+
+def check(udb: UDatabase, case: Case, wrapper: str) -> None:
+    text, wrap, oracle = WRAPPERS[wrapper]
+    if case.as_tree:
+        statement = PreparedQuery(wrap(case.build(Param(0))), udb)
+        run = statement.run
+        logical = lambda key: case.build(lit(key))  # noqa: E731
+    else:
+        run = lambda key: execute_sql(text.format(case.build(key)), udb)  # noqa: E731
+        logical = lambda key: parse(case.build(key))  # noqa: E731
+
+    # the loop runs wherever a block has something to order
+    calls: List[int] = []
+    real = translate_module.greedy_order
+
+    def counting(inputs, size, rank, join):
+        calls.append(len(inputs))
+        return real(inputs, size, rank, join)
+
+    with mock.patch.object(translate_module, "greedy_order", counting):
+        leaves = scans(translate_module.translate(logical(case.keys[0]), udb).plan)
+    assert leaves >= 3 and calls and sum(calls) >= leaves
+
+    expected = {key: oracle(logical(key), udb) for key in set(case.keys)}
+    for key in case.keys:  # k, k', k: the third run re-reads the first's plan
+        assert answer_of(run(key), wrapper) == expected[key]
+
+    reset_plan_cache()
+    try:
+        with mock.patch.object(translate_module, "greedy_order", text_order):
+            in_text_order = execute_query(wrap(logical(case.keys[0])), udb)
+    finally:
+        reset_plan_cache()
+    assert answer_of(in_text_order, wrapper) == expected[case.keys[0]]
 
 
 # -- properties ---------------------------------------------------------
-@given(udatabases(), queries())
-@settings(max_examples=80, deadline=None)
-def test_poss_matches_brute_force(udb: UDatabase, query: UQuery):
-    translated = set(execute_query(Poss(query), udb).rows)
-    oracle = brute_force_poss(query, udb)
-    assert translated == oracle
+@given(databases_and_cases())
+@settings(max_examples=100, deadline=None)
+def test_poss_matches_brute_force(drawn):
+    check(*drawn, "possible")
 
 
-@given(udatabases(), queries())
+@given(databases_and_cases())
 @settings(max_examples=40, deadline=None)
-def test_certain_matches_brute_force(udb: UDatabase, query: UQuery):
-    translated = set(execute_query(Certain(query), udb).rows)
-    oracle = brute_force_certain(query, udb)
-    assert translated == oracle
+def test_certain_matches_brute_force(drawn):
+    check(*drawn, "certain")
+
+
+@given(databases_and_cases())
+@settings(max_examples=40, deadline=None)
+def test_exact_conf_matches_world_probabilities(drawn):
+    check(*drawn, "conf")
+
+
+def _world_set(udb: UDatabase):
+    return {
+        frozenset((name, frozenset(instance.rows)) for name, instance in instances.items())
+        for _valuation, instances in udb.worlds()
+    }
 
 
 @given(udatabases())
 @settings(max_examples=40, deadline=None)
 def test_normalization_preserves_world_set(udb: UDatabase):
-    normalized = normalize_udatabase(udb)
-    before = {frozenset(i["r"].rows) for _, i in udb.worlds()}
-    after = {frozenset(i["r"].rows) for _, i in normalized.worlds()}
-    assert before == after
+    assert _world_set(normalize_udatabase(udb)) == _world_set(udb)
 
 
 @given(udatabases())
 @settings(max_examples=40, deadline=None)
 def test_reduction_preserves_world_set(udb: UDatabase):
-    reduced = reduce_udatabase(udb)
-    before = {frozenset(i["r"].rows) for _, i in udb.worlds()}
-    after = {frozenset(i["r"].rows) for _, i in reduced.worlds()}
-    assert before == after
+    assert _world_set(reduce_udatabase(udb)) == _world_set(udb)
 
 
-@given(udatabases(), queries())
+@given(databases_and_cases())
 @settings(max_examples=30, deadline=None)
-def test_optimizer_does_not_change_answers(udb: UDatabase, query: UQuery):
+def test_optimizer_does_not_change_answers(drawn):
+    udb, case = drawn
+    query = case.build(lit(case.keys[0])) if case.as_tree else parse(case.build(case.keys[0]))
     optimized = set(execute_query(Poss(query), udb, optimize=True).rows)
     raw = set(execute_query(Poss(query), udb, optimize=False).rows)
     assert optimized == raw

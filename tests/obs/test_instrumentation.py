@@ -116,7 +116,16 @@ def test_workload_history_records_estimate_actual_and_drift():
     assert entry["calls"] == 1 and entry["cached_hits"] == 0
     assert entry["actual_rows"] == len(answer)
     assert entry["estimated_rows"] is not None
-    assert entry["max_drift"] == drift_ratio(entry["estimated_rows"], len(answer))
+    # drift is the worst operator's, read from the execution's own counters
+    _text, data = explain_query(query, udb, analyze=True, trace=True)
+    stack, ratios = [data["operators"]], []
+    while stack:
+        op = stack.pop()
+        stack.extend(op["children"])
+        if op["actual_rows"] is not None:
+            ratios.append(drift_ratio(op["estimated_rows"], op["actual_rows"]))
+    assert entry["max_drift"] == max(ratios)
+    assert entry["max_drift"] >= drift_ratio(entry["estimated_rows"], len(answer))
     assert entry["cost_class"] in ("point", "scan", "join", "heavy")
 
     execute_query(query, udb)

@@ -236,6 +236,25 @@ def test_advisory_report_flags_estimate_drift():
     assert flagged[0]["drift_runs"] == 3
 
 
+def test_drift_is_the_worst_operator_s_not_the_root_s():
+    """A root that is exact above a join that is off by 500x: the plan is
+    the worst-estimated in the history, not the best."""
+    record_execution(
+        _profile("fp_inner"),
+        seconds=0.05,
+        rows=1,
+        cached=True,
+        estimated=1,
+        actual=1,
+        operators=[(1, 1), (24, 12_000), (300, 300)],
+    )
+    (entry,) = workload_snapshot()
+    assert (entry["estimated_rows"], entry["actual_rows"]) == (1, 1)  # the root's
+    assert entry["max_drift"] == pytest.approx(500.0) and entry["drift_runs"] == 1
+    (flagged,) = advisory_report(min_calls=1)["drifting_plans"]
+    assert flagged["fingerprint"] == "fp_inner" and flagged["drift"] == pytest.approx(500.0)
+
+
 def test_advisory_report_merges_supporting_fingerprints():
     for fp in ("fp_one", "fp_two"):
         for _ in range(2):

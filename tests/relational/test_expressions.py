@@ -122,6 +122,17 @@ class TestConnectives:
         e = col("a") > lit(0)
         assert conjunction([e]) is e
 
+    def test_conjunction_leaves_true_out(self):
+        e = col("a") > lit(0)
+        copy = map_columns(TRUE, lambda column: column)  # a clone, as qualifying makes
+        assert copy is not TRUE
+        assert conjunction([TRUE, e, copy]) is e
+        assert conjunction([TRUE, copy]) is TRUE
+        assert repr(conjunction([e, TRUE, col("b").eq(lit(1))])) == "((a > 0) AND (b = 1))"
+        # a comparison that only looks constant is kept
+        null = Comparison("=", lit(None), lit(None))
+        assert conjunction([null, e]).operands == (null, e)
+
 
 class TestAnalysis:
     def test_columns(self):

@@ -12,7 +12,7 @@ from repro.relational.algebra import (
     Select,
     Union,
 )
-from repro.relational.expressions import col, lit
+from repro.relational.expressions import TRUE, And, col, lit
 from repro.relational.optimizer import (
     estimate_rows,
     optimize,
@@ -170,6 +170,28 @@ class TestEstimates:
         est = estimate_rows(join)
         actual = len(run_plan(join))
         assert actual / 5 <= est <= actual * 5
+
+    def test_true_conjunct_costs_nothing(self, db):
+        r, s, _ = db
+        key = col("r.k").eq(col("s.k"))
+        assert estimate_rows(Join(r, s, And(key, TRUE))) == estimate_rows(Join(r, s, key))
+        assert estimate_rows(Join(r, s, TRUE)) == estimate_rows(Product(r, s))
+
+    def test_psi_is_one_factor_however_many_conjuncts(self, db):
+        r, s, _ = db
+        key = col("r.k").eq(col("s.k"))
+        psi = col("r.v").ne(col("s.w")) | col("r.k").eq(col("s.w"))
+        one = estimate_rows(Join(r, s, And(key, psi)))
+        twenty = estimate_rows(Join(r, s, And(key, *[psi] * 20)))
+        assert one == twenty == pytest.approx(0.95 * estimate_rows(Join(r, s, key)))
+
+    def test_distinct_is_bounded_by_its_columns_distinct_values(self, db):
+        r, s, _ = db
+        one_key = Select(r, col("r.k").eq(lit(7)))  # one row, so one r.v
+        fanned_out = Join(one_key, s, col("r.v").eq(col("s.w")))
+        assert estimate_rows(fanned_out) > 5
+        assert estimate_rows(Distinct(Project(fanned_out, ["r.v"]))) == pytest.approx(1.0)
+        assert estimate_rows(Distinct(Project(r, ["r.v"]))) == pytest.approx(45)
 
 
 def _contains_select(node: Plan) -> bool:
