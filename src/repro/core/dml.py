@@ -328,9 +328,16 @@ def _matching_tids(udb, name: str, condition: Optional[Expression]) -> set:
             position = part.relation.schema.resolve(tid_name)
             tids.update(row[position] for row in part.relation.rows)
         return tids
-    from .translate import execute_query
+    from .translate import execute_keyed, query_cache_key
 
-    result = execute_query(USelect(Rel(name), condition), udb)
+    query = USelect(Rel(name), condition)
+    # keyed by the partition versions it reads: nothing evicts a plan over
+    # a version superseded inside a transaction (it is private), and the
+    # next staged statement of the same shape must not be served it
+    key = query_cache_key(query, udb)
+    if key is not None:
+        key += (tuple(id(part.relation) for part in udb.partitions(name)),)
+    result = execute_keyed(query, udb, key, True, "columns", True)
     position = result.relation.schema.resolve(result.tid_names[0])
     return {row[position] for row in result.relation.rows}
 

@@ -54,15 +54,14 @@ Write-path contract:
   lacks one of the columns above is input from outside the program and
   is refused with a ``ValueError``.
 
-``indexes.csv`` records every secondary index *definition* — built or
-still pending from lazy auto-indexing — keyed by partition directory,
-plus the definitions on the ``w`` world-table snapshot (recorded under
-``w.csv``).  Saving never forces a
-deferred index build, and loading defers every recorded definition
-again, so a save/load round trip costs no index construction at all.
-User-created world-table indexes are re-applied whenever
-``to_database`` (re)materializes the ``w`` snapshot, so they survive
-both world-table growth and the round trip.
+``indexes.csv`` records every secondary index *definition* of every
+partition — built or still pending — keyed by partition directory, and
+nothing else.  On load it is authoritative: the partitions get exactly
+the definitions the file lists, all deferred (a dropped auto-index stays
+dropped, a created one comes back), so a save/load round trip costs no
+index construction at all; only a directory without the file gets the
+auto-index policy.  Rows of a file other than a partition directory (the
+``w.csv`` rows older saves wrote) are ignored.
 """
 
 from __future__ import annotations
@@ -73,10 +72,10 @@ import pathlib
 from typing import Dict, List, Set, Tuple, Union
 
 from ..relational.csvio import read_csv, write_csv
-from ..relational.index import attached_index_defs, defer_index
+from ..relational.index import defer_index
 from ..relational.relation import Relation, Segment
 from ..relational.schema import Schema
-from .udatabase import UDatabase
+from .udatabase import UDatabase, partition_label
 from .urelation import URelation, tid_column
 from .worldtable import WorldTable
 
@@ -142,12 +141,11 @@ def save_udatabase(udb: UDatabase, directory: PathLike) -> None:
     directory.mkdir(parents=True, exist_ok=True)
 
     manifest_rows: List[Tuple[str, str, str, str, int, str, str]] = []
-    index_rows: List[Tuple[str, str, str, str]] = []
     referenced: Dict[pathlib.Path, Set[str]] = {}
     for name in udb.relation_names():
         schema = udb.logical_schema(name)
         for part in udb.partitions(name):
-            part_key = f"u_{name}_" + "_".join(part.value_names)
+            part_key = partition_label(name, part)
             part_dir = directory / part_key
             part_dir.mkdir(exist_ok=True)
             keep = referenced.setdefault(part_dir, set())
@@ -175,19 +173,6 @@ def save_udatabase(udb: UDatabase, directory: PathLike) -> None:
                     "|".join(str(o) for o in sorted(relation.deleted_ordinals())),
                 )
             )
-            for columns, kind, idx_name in attached_index_defs(relation):
-                index_rows.append((part_key, idx_name, "|".join(columns), kind))
-
-    # world-table index definitions (the snapshot lives in the cached
-    # database view; absent when no view was ever materialized)
-    database = udb._database
-    if database is not None and "w" in database:
-        for columns, kind, idx_name in attached_index_defs(database.get("w")):
-            index_rows.append(("w.csv", idx_name, "|".join(columns), kind))
-    for idx_name, columns, kind in udb.world_index_defs:
-        row = ("w.csv", idx_name, "|".join(columns), kind)
-        if row not in index_rows:
-            index_rows.append(row)
 
     # -- commit phase: each file lands whole via temp-write + atomic
     # rename; the manifest rename is THE commit point for segment state
@@ -199,7 +184,9 @@ def save_udatabase(udb: UDatabase, directory: PathLike) -> None:
 
     _commit_rows(directory / "manifest.csv", _MANIFEST_HEADER, manifest_rows)
     _commit_rows(
-        directory / "indexes.csv", ["file", "index", "columns", "kind"], index_rows
+        directory / "indexes.csv",
+        ["file", "index", "columns", "kind"],
+        [(part, name, "|".join(cols), kind) for part, name, cols, kind in udb.index_defs()],
     )
 
     # -- GC phase: only now drop what the committed manifest no longer
@@ -242,7 +229,9 @@ def load_udatabase(directory: PathLike) -> UDatabase:
     directory = pathlib.Path(directory)
     world_relation = read_csv(directory / "w.csv")
     world = WorldTable.from_relation(world_relation)
-    udb = UDatabase(world)
+    # an indexes.csv lists the definitions; without one, the auto policy
+    index_manifest = directory / "indexes.csv"
+    udb = UDatabase(world, auto_index=not index_manifest.exists())
 
     with open(directory / "manifest.csv", "r", newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -269,39 +258,20 @@ def load_udatabase(directory: PathLike) -> UDatabase:
 
     for name, (attributes, parts) in grouped.items():
         udb.add_relation(name, attributes, parts)
+    udb.auto_index = True  # relations added from here on get the policy
 
-    # re-defer recorded secondary indexes (absent in pre-index
-    # directories): definitions attach now, builds happen on first
-    # planner access; defer_index dedups against the definitions
-    # add_relation auto-deferred.  World-table entries (file ``w.csv``)
-    # are stashed on the UDatabase and applied when ``to_database``
-    # materializes the ``w`` snapshot.
-    index_manifest = directory / "indexes.csv"
+    # definitions attach now, builds happen on first planner access
     if index_manifest.exists():
         with open(index_manifest, "r", newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            for row in reader:
-                entry = dict(zip(header, row))
-                if entry["file"] == "w.csv":
-                    if entry["index"] != "idx_w_var":  # auto-restored anyway
-                        udb.world_index_defs.append(
-                            (
-                                entry["index"],
-                                tuple(entry["columns"].split("|")),
-                                entry["kind"],
-                            )
-                        )
-                    continue
+            for entry in csv.DictReader(handle):
                 relation = by_key.get(entry["file"])
-                if relation is None:
-                    continue
-                defer_index(
-                    relation,
-                    entry["columns"].split("|"),
-                    kind=entry["kind"],
-                    name=entry["index"],
-                )
+                if relation is not None:  # else a `w.csv` row of an older save
+                    defer_index(
+                        relation,
+                        entry["columns"].split("|"),
+                        kind=entry["kind"],
+                        name=entry["index"],
+                    )
     return udb
 
 

@@ -646,29 +646,6 @@ def query_fingerprint(query: UQuery) -> Optional[str]:
         return None
 
 
-def _indexable_shape(conjunct) -> Optional[Tuple[str, str]]:
-    """``(column, op)`` when a conjunct has an index-servable shape.
-
-    Mirrors the planner's ``_classify_conjuncts``: a column compared to a
-    literal or parameter with ``= < <= > >=``, ``BETWEEN``, or ``IN``.
-    """
-    from ..relational.expressions import Param
-
-    if isinstance(conjunct, Comparison) and conjunct.op in ("=", "<", "<=", ">", ">="):
-        left, right = conjunct.left, conjunct.right
-        if isinstance(left, Col) and isinstance(right, (Lit, Param)):
-            return (left.name, conjunct.op)
-        if isinstance(right, Col) and isinstance(left, (Lit, Param)):
-            flipped = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-            return (right.name, flipped[conjunct.op])
-    if isinstance(conjunct, Between):
-        if isinstance(conjunct.operand, Col):
-            return (conjunct.operand.name, "between")
-    if isinstance(conjunct, InList) and isinstance(conjunct.operand, Col):
-        return (conjunct.operand.name, "in")
-    return None
-
-
 def _scans_under(plan) -> List:
     out = []
     stack = [plan]
@@ -681,100 +658,22 @@ def _scans_under(plan) -> List:
     return out
 
 
-def _attribute_column(scans, reference: str) -> Optional[Tuple[str, str]]:
-    """``(relation_name, base_column)`` of the scan a reference resolves on."""
-    for scan in scans:
-        try:
-            position = scan.schema.resolve(reference)
-        except Exception:
-            continue
-        return (scan.name, scan.relation.schema.names[position])
-    return None
+def _workload_profile(query: UQuery, plan, key, cost_class: str):
+    """What the workload history keeps of a plan, riding its cache record.
 
-
-def _plan_predicates(plan) -> List[Tuple[str, str, str]]:
-    """The ``(relation, column, op)`` shapes the planner saw in a plan.
-
-    Walks the optimized logical plan: selection conjuncts in indexable
-    shapes attribute to the representation relation (the ``u_*``
-    partition) whose scan schema resolves the column — exactly the
-    relations ``CREATE INDEX`` addresses — and join equi-conjuncts
-    attribute each side to its input subtree.
-    """
-    from ..relational.algebra import SemiJoin
-    from ..relational.expressions import split_conjuncts
-
-    out: List[Tuple[str, str, str]] = []
-    stack = [plan]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Select):
-            scans = _scans_under(node.child)
-            for conjunct in split_conjuncts(node.predicate):
-                shape = _indexable_shape(conjunct)
-                if shape is None:
-                    continue
-                owner = _attribute_column(scans, shape[0])
-                if owner is not None:
-                    out.append((owner[0], owner[1], shape[1]))
-        elif isinstance(node, (Join, SemiJoin)):
-            sides = (_scans_under(node.left), _scans_under(node.right))
-            for conjunct in split_conjuncts(node.predicate):
-                if _is_column_equality(conjunct):
-                    for ref in (conjunct.left.name, conjunct.right.name):
-                        for scans in sides:
-                            owner = _attribute_column(scans, ref)
-                            if owner is not None:
-                                out.append((owner[0], owner[1], "="))
-                                break
-        stack.extend(node.children)
-    # dedupe, stable order
-    return sorted(set(out))
-
-
-#: Physical operator -> access-path label for the workload history.
-_ACCESS_PATH_LABELS = {
-    "SeqScan": "seq_scan",
-    "IndexScan": "index_scan",
-    "IndexNestedLoopJoin": "index_join",
-    "HashJoin": "hash_join",
-    "MergeJoin": "merge_join",
-    "NestedLoopJoin": "nested_loop",
-}
-
-
-def _physical_access_paths(physical) -> Dict[str, int]:
-    """Counts of index-vs-scan (and join) operators in a physical tree."""
-    counts: Dict[str, int] = {}
-    stack = [physical]
-    while stack:
-        node = stack.pop()
-        label = _ACCESS_PATH_LABELS.get(type(node).__name__)
-        if label is not None:
-            counts[label] = counts.get(label, 0) + 1
-        stack.extend(node.children)
-    return counts
-
-
-def _workload_profile(query: UQuery, plan, physical, key, cost_class: str):
-    """The plan-time workload shape that rides a plan-cache payload.
-
-    Computed once at plan-cache-entry creation; every later execution of
-    the cached plan folds this (plus its per-run numbers) into the
-    workload history with one dict merge.  ``None`` when the query has no
+    Computed once at plan-cache-entry creation and read when the history
+    first sees the fingerprint (which scans and joins an execution ran is
+    in its trace's ``operators``).  ``None`` when the query has no
     fingerprint.
     """
     fingerprint = query_fingerprint(query)
     if fingerprint is None:
         return None
-    scans = _scans_under(plan)
     return {
         "fingerprint": fingerprint,
         "plan_key": key_digest(key) if key is not None else None,
         "cost_class": cost_class,
-        "relations": tuple(sorted({scan.name for scan in scans})),
-        "predicates": tuple(_plan_predicates(plan)),
-        "access_paths": _physical_access_paths(physical),
+        "relations": tuple(sorted({scan.name for scan in _scans_under(plan)})),
     }
 
 
@@ -896,7 +795,7 @@ def _cached_physical(
             )
         physical = plan_physical(plan, use_indexes=use_indexes, fuse=mode == "columns")
         cost_class = cost_class_of(physical)
-        profile = _workload_profile(query, plan, physical, key, cost_class)
+        profile = _workload_profile(query, plan, key, cost_class)
         # pin the udb: an id-keyed owner must outlive its entries
         return (
             PlanRecord(physical, wrap, profile, cost_class),

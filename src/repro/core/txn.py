@@ -23,7 +23,10 @@ database's write lock it
    discipline as session snapshot reads;
 2. adds the buffered variables to the shared world table (one version
    bump per variable, exactly as the statements would have done);
-3. publishes each touched relation with ONE
+3. gives each staged partition the index definitions of the live partition
+   it replaces (another session's ``CREATE`` / ``DROP INDEX`` since staging
+   began is kept, never a conflict), then publishes each touched relation
+   with ONE
    :meth:`~repro.core.udatabase.UDatabase.replace_partitions` swap —
    so the plan cache sees exactly one ``bump_relation`` per replaced
    partition relation for the whole transaction, not one per statement.
@@ -46,6 +49,7 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..obs import counter
 from ..relational.expressions import executing
+from ..relational.index import attached_index_defs, defer_index, drop_index_def
 from .dml import DMLResult, execute_dml
 
 __all__ = [
@@ -144,8 +148,8 @@ class _StagedWorldTable:
         self._txn._minted_names.add(var)
 
     def __getattr__(self, attribute: str) -> Any:
-        # staged statements only mint; anything else (version reads by
-        # to_database, etc.) can safely see the base
+        # staged statements only mint; anything else (a version read, a
+        # domain lookup) can safely see the base
         return getattr(self._base, attribute)
 
 
@@ -158,9 +162,9 @@ class _TxnOverlay:
     ``world_table`` / ``_write_lock`` / ``catalog_identity``.  ``_write_lock`` IS the base lock,
     so each staged statement still serializes with concurrent writers
     (``allocate_tids`` mutates the base high-water mark); it is released
-    between statements.  ``auto_index`` is off — staged relations carry
-    index *definitions* from their base objects, and the publish path
-    re-carries from whatever is current at commit.
+    between statements.  Staged relations carry index *definitions* from
+    their base objects, and the publish path matches them to whatever is
+    current at commit.
     """
 
     def __init__(self, txn: "Transaction", base) -> None:
@@ -168,7 +172,6 @@ class _TxnOverlay:
         self.base = base
         self.world_table = _StagedWorldTable(txn, base.world_table)
         self._write_lock = base._write_lock
-        self.auto_index = False
 
     def catalog_identity(self) -> Dict[str, Any]:
         # the planner's cache-store guard compares this before/after
@@ -217,6 +220,17 @@ class _TxnOverlay:
             var = f"{base}_{suffix}"
             suffix += 1
         return var
+
+
+def _match_index_defs(live, successor) -> None:
+    """Bring ``successor``'s index definitions to ``live``'s: defer what it
+    lacks, drop (unbuilt or built) what ``live`` no longer has."""
+    wanted = attached_index_defs(live)
+    for columns, kind, name in attached_index_defs(successor):
+        if (columns, kind, name) not in wanted:
+            drop_index_def(successor, name)
+    for columns, kind, name in wanted:
+        defer_index(successor, columns, kind=kind, name=name)
 
 
 class Transaction:
@@ -290,6 +304,10 @@ class Transaction:
                 for var, values, probabilities in self._minted:
                     udb.world_table.add_variable(var, values, probabilities)
                 for name, staged in self._staged.items():
+                    # other sessions' index DDL since staging began is no
+                    # conflict: the successor takes the live definition set
+                    for live, successor in zip(udb.partitions(name), staged):
+                        _match_index_defs(live.relation, successor.relation)
                     udb.replace_partitions(name, staged)
             self.status = "committed"
             counter("txn_committed_total", "Transactions committed").inc()

@@ -9,6 +9,16 @@ world of a total valuation (Section 2), enumerating all worlds (the
 brute-force oracle the test suite checks query translation against), and
 the validity condition (no contradictory values for a tuple field in any
 world).
+
+**Where index facts live.**  A partition is an ordinary relation and an
+index on it an ordinary index: its definitions — built or still pending —
+are attached to the partition's relation object and nowhere else.  The
+planner reads them there (``indexes_on``), every write-path derivation
+carries them to the successor (``carry_indexes``), persistence saves them
+from there.  Index DDL (:meth:`UDatabase.create_index` /
+:meth:`UDatabase.drop_index`) and every derivation of a successor happen
+under ``_write_lock``, so a definition lands on the live partition or not
+at all.  :meth:`UDatabase.to_database` is a read-only export, no catalog.
 """
 
 from __future__ import annotations
@@ -30,7 +40,14 @@ from typing import (
 )
 
 from ..relational.database import Database
-from ..relational.index import defer_index, ensure_index, indexes_on
+from ..relational.index import (
+    Index,
+    attached_index_defs,
+    defer_index,
+    drop_index_def,
+    ensure_index,
+    indexes_on,
+)
 from ..relational.plancache import bump_relation, watch_relation
 from ..relational.relation import Relation
 from ..relational.schema import Schema
@@ -115,53 +132,27 @@ class LogicalSchema:
         return f"{self.name}({', '.join(self.attributes)})"
 
 
-def _tid_index_name(name: str, part: URelation) -> str:
-    """Deterministic name of a partition's auto-created tuple-id index."""
-    return f"idx_u_{name}_{'_'.join(part.value_names)}_tid"
+def partition_label(name: str, part: URelation) -> str:
+    """The paper's name for a vertical partition: ``u_<rel>_<attrs>`` — what
+    index DDL addresses, :meth:`UDatabase.to_database` exports under and
+    persistence names the partition's directory."""
+    return f"u_{name}_" + "_".join(part.value_names)
 
 
-def _value_index_name(name: str, part: URelation, column: str) -> str:
-    """Deterministic name of a partition's auto-created value-column index."""
-    return f"idx_u_{name}_{'_'.join(part.value_names)}_{column}"
-
-
-def _auto_index_partition(name: str, part: URelation) -> None:
-    """The (eager) auto-indexing policy for one vertical partition.
+def _defer_index_partition(name: str, part: URelation) -> None:
+    """The auto-indexing policy for one vertical partition, as definitions.
 
     Hash index on the tuple-id column (the partition-merge equijoins of
     the Figure 4 translation probe it), plus a sorted index per value
     column (selections of the experiment queries become point/range index
-    scans).  Value columns with unsortable content are skipped silently —
-    they simply stay sequential-scan-only.
+    scans).  Built on first planner access (``indexes_on``) — write-only
+    pipelines never pay; value columns with unsortable content are skipped
+    silently then and stay sequential-scan-only.
     """
-    ensure_index(
-        part.relation, [tid_column(name)], kind="hash", name=_tid_index_name(name, part)
-    )
+    label = partition_label(name, part)
+    defer_index(part.relation, [tid_column(name)], kind="hash", name=f"idx_{label}_tid")
     for column in part.value_names:
-        try:
-            ensure_index(
-                part.relation,
-                [column],
-                kind="sorted",
-                name=_value_index_name(name, part, column),
-            )
-        except TypeError:
-            pass
-
-
-def _defer_index_partition(name: str, part: URelation) -> None:
-    """The lazy variant: record the same definitions, build on first
-    planner access (``indexes_on``) — write-only pipelines never pay."""
-    defer_index(
-        part.relation, [tid_column(name)], kind="hash", name=_tid_index_name(name, part)
-    )
-    for column in part.value_names:
-        defer_index(
-            part.relation,
-            [column],
-            kind="sorted",
-            name=_value_index_name(name, part, column),
-        )
+        defer_index(part.relation, [column], kind="sorted", name=f"idx_{label}_{column}")
 
 
 class UDatabase:
@@ -176,16 +167,9 @@ class UDatabase:
         self._partitions: Dict[str, List[URelation]] = {}
         self._schemas: Dict[str, LogicalSchema] = {}
         #: Mirror the paper's experiment setup: every vertical partition
-        #: gets a hash index on its tuple-id column (and the world table
-        #: one on Var), so the tid-equijoins that reassemble partitions
-        #: run as index probes.
+        #: gets a hash index on its tuple-id column, so the tid-equijoins
+        #: that reassemble partitions run as index probes.
         self.auto_index = auto_index
-        self._database: Optional[Database] = None
-        self._database_world_version: Optional[int] = None
-        #: User-created world-table index definitions ``(name, columns,
-        #: kind)`` restored by persistence; applied whenever the ``w``
-        #: snapshot is (re)materialized in :meth:`to_database`.
-        self.world_index_defs: List[Tuple[str, Tuple[str, ...], str]] = []
         #: Mutation counter behind :attr:`catalog_version` — bumped by
         #: schema changes here and, via the plan cache's watcher hook, by
         #: any mutation of a partition relation (index DDL, deferred
@@ -241,18 +225,15 @@ class UDatabase:
         name: str,
         attributes: Sequence[str],
         partitions: Iterable[URelation],
-        build_now: bool = False,
     ) -> None:
         """Register a logical relation with its vertical partitions.
 
         The partitions' value columns must jointly cover ``attributes``.
-        Auto-indexing is *lazy* by default: the partition index
-        definitions are recorded but only built on first planner access,
-        so write-only pipelines (conversion, save) skip the cost
-        entirely.  ``build_now=True`` builds them eagerly, for callers
-        that need deterministic first-query latency (see also
-        :meth:`build_indexes`, which benchmark setup uses to force all
-        deferred builds after generation).
+        Auto-indexing is *lazy*: the partition index definitions are
+        recorded but only built on first planner access, so write-only
+        pipelines (conversion, save) skip the cost entirely; callers that
+        need deterministic first-query latency force the builds with
+        :meth:`build_indexes` (benchmark setup does, after generation).
         """
         partitions = list(partitions)
         covered = set()
@@ -272,7 +253,6 @@ class UDatabase:
         replaced = self._partitions.get(name)
         self._schemas[name] = LogicalSchema(name, attributes)
         self._partitions[name] = partitions
-        self._database = None  # the cached catalog view is stale now
         self._next_tid.pop(name, None)
         self._catalog_version += 1
         for part in partitions:
@@ -286,10 +266,7 @@ class UDatabase:
                 bump_relation(part.relation)
         if self.auto_index:
             for part in partitions:
-                if build_now:
-                    _auto_index_partition(name, part)
-                else:
-                    _defer_index_partition(name, part)
+                _defer_index_partition(name, part)
 
     # ------------------------------------------------------------------
     # the write path (see :mod:`repro.core.dml`)
@@ -314,7 +291,6 @@ class UDatabase:
                 f"replacement for {name!r} must keep its {len(old)} partitions"
             )
         self._partitions[name] = list(partitions)
-        self._database = None  # the cached catalog view is stale now
         kept = {id(part.relation) for part in partitions}
         for part in partitions:
             watch_relation(part.relation, self)
@@ -681,59 +657,76 @@ class UDatabase:
             total += sum(len(p) for p in parts)
         return total
 
+    # ------------------------------------------------------------------
+    # index DDL: the one path (see the module docstring)
+    # ------------------------------------------------------------------
+    def _labelled_partitions(self) -> Dict[str, Relation]:
+        """``u_<rel>_<attrs>`` label -> the live partition relation."""
+        return {
+            partition_label(name, part): part.relation
+            for name, parts in sorted(self._partitions.items())
+            for part in parts
+        }
+
+    def index_defs(self, table: Optional[str] = None) -> List[Tuple[str, str, tuple, str]]:
+        """``(table, name, columns, kind)`` of every index definition, built
+        or pending (of partition ``table`` only, if given); builds nothing."""
+        return sorted(
+            (label, name, columns, kind)
+            for label, relation in self._labelled_partitions().items()
+            if table is None or label == table
+            for columns, kind, name in attached_index_defs(relation)
+        )
+
+    def create_index(
+        self, name: str, table: str, columns: Sequence[str], kind: str = "hash"
+    ) -> Index:
+        """``CREATE INDEX name ON table (columns) USING kind``.
+
+        ``table`` is a partition's ``u_<rel>_<attrs>`` label; the index is
+        built over the live partition relation, under the write lock, and
+        nothing else is built (a still-pending definition of the same name
+        and shape is the one being built).  Index names are unique across
+        the database: re-issuing an identical definition returns the
+        existing index, a different definition under a taken name is a
+        ``KeyError``.
+        """
+        if table == "w":
+            raise ValueError("cannot index w: no plan scans a world-table snapshot")
+        with self._write_lock:
+            labelled = self._labelled_partitions()
+            if table not in labelled:
+                raise KeyError(f"relation {table!r} not found; have {sorted(labelled)}")
+            relation = labelled[table]
+            names = relation.schema.names
+            columns = tuple(names[relation.schema.resolve(c)] for c in columns)
+            for defined in self.index_defs():
+                if defined[1] == name and defined != (table, name, columns, kind):
+                    raise KeyError(f"index {name!r} already exists")
+            return ensure_index(relation, columns, kind=kind, name=name)
+
+    def drop_index(self, name: str) -> None:
+        """``DROP INDEX name``: detach the index from the live partition
+        that carries it; a still-pending definition is dropped unbuilt."""
+        with self._write_lock:
+            for relation in self._labelled_partitions().values():
+                if drop_index_def(relation, name):
+                    return
+            have = sorted(defined[1] for defined in self.index_defs())
+            raise KeyError(f"index {name!r} not found; have {have}")
+
     def to_database(self) -> Database:
-        """Expose the representation as plain named relations (plus ``w``).
+        """Export the representation as plain named relations (plus ``w``).
 
         Partition naming follows the paper's experiments: ``u_<rel>_<attrs>``.
-        The :class:`Database` (and its index registry) is cached across
-        calls — DDL applied to it, e.g. ``CREATE INDEX`` through the SQL
-        layer, persists — and invalidated when relations are added.  The
-        ``w`` snapshot is refreshed only when the world table's version
-        says it gained variables since the last call.
-
-        Registering the auto-index definitions with the catalog *builds*
-        any still-deferred ones (the registry stores live indexes): the
-        first call here pays the lazy builds.  Only index DDL goes
-        through this view — translated queries scan partitions directly
-        — so plain query/convert/save pipelines keep their laziness.
+        A fresh :class:`Database` over the current relation objects on
+        every call: it holds no state of this database, registers no index
+        and builds nothing deferred — a plan run through it finds its
+        access paths on the relation objects themselves.
         """
-        if self._database is None:
-            db = Database()
-            for name, parts in sorted(self._partitions.items()):
-                for part in parts:
-                    label = f"u_{name}_" + "_".join(part.value_names)
-                    db.create(label, part.relation, replace=True)
-                    # register the partition's attached (auto-created)
-                    # indexes with the catalog so SQL DDL can see/drop them
-                    for idx in indexes_on(part.relation):
-                        db.indexes.create(
-                            idx.name, label, part.relation, idx.columns,
-                            kind=idx.kind, replace=True,
-                        )
-            self._database = db
-        db = self._database
-        stale = self._database_world_version != self.world_table.version
-        if stale or "w" not in db:
-            world_relation = self.world_table.relation()
-            db.create("w", world_relation, replace="w" in db)
-            # index DDL and statistics refreshes on the world snapshot must
-            # move this database's catalog version too (the server's
-            # coalescing key carries it)
-            watch_relation(world_relation, self)
-            if self.auto_index:
-                db.create_index("idx_w_var", "w", ["var"], kind="hash", replace=True)
-            # restore persisted user-created world-table indexes; replacing
-            # an existing ``w`` already carried live definitions over via
-            # the registry rebuild, so this is idempotent
-            for index_name, columns, kind in self.world_index_defs:
-                try:
-                    db.create_index(
-                        index_name, "w", list(columns), kind=kind, replace=True
-                    )
-                except TypeError:
-                    pass  # unsortable column in this snapshot: skip
-            self._database_world_version = self.world_table.version
-        return db
+        relations = self._labelled_partitions()
+        relations["w"] = self.world_table.relation()
+        return Database(relations)
 
     def __repr__(self) -> str:
         rels = ", ".join(

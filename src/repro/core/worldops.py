@@ -18,6 +18,10 @@ eventually shipped are implemented here on top of U-relations:
 Both return tuple-level U-relations plus the world-table variables they
 introduce; they compose with everything else because the output is just
 another U-relation.
+
+A library extra: two Python functions, re-exported from ``repro.core``,
+with no SQL surface, no serving path and no benchmark; nothing in the
+package calls them (``tests/core/test_worldops.py`` does).
 """
 
 from __future__ import annotations

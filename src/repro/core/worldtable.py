@@ -38,9 +38,9 @@ class WorldTable:
     ):
         self._domains: Dict[str, Tuple[Any, ...]] = {TOP_VARIABLE: (TOP_VALUE,)}
         self._probabilities: Dict[str, Tuple[float, ...]] = {TOP_VARIABLE: (1.0,)}
-        #: Bumped on every mutation; lets snapshot caches (e.g. the ``w``
-        #: relation in :meth:`UDatabase.to_database`) detect staleness
-        #: without re-materializing the table.
+        #: Bumped on every mutation: a component of
+        #: :attr:`UDatabase.catalog_version`, so whoever keys on that sees
+        #: the table grow without re-materializing it.
         self.version = 0
         if domains:
             for var, values in domains.items():

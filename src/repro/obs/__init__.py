@@ -19,9 +19,9 @@ segment log):
   the N slowest traces plus a threshold-triggered structured log line on
   the ``repro.obs.slowlog`` logger.
 * :mod:`repro.obs.workload` — a **workload history**: bounded
-  per-fingerprint aggregates (calls, latency, rows, estimate drift,
-  predicate shapes, access paths) across requests, feeding the
-  :mod:`repro.obs.report` advisory index analyzer.
+  per-fingerprint aggregates (calls, latency, rows, estimate drift)
+  across requests, feeding :mod:`repro.obs.report`, the drift report
+  (which plans ran more than 10x off their estimates).
 * :mod:`repro.obs.accounting` — **resource accounting**: queries, rows,
   bytes rendered, and queue/execution time tallied per session and per
   admission cost class, surfaced through ``QueryServer.stats()``.

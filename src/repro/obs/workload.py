@@ -9,20 +9,20 @@ fingerprint** — the stable identity of a statement with literals and
 ``SELECT ... WHERE x = 5``, ``... WHERE x = 7``, and ``... WHERE x = $1``
 all land in one history entry.
 
-Each entry accumulates what the self-tuning story needs: call counts and
-plan-cache hit counts, a latency histogram, rows returned,
-estimate-vs-actual drift, cost class, index-vs-scan access-path choices,
-and the predicate (relation, column, operator) shapes the planner saw.
-:mod:`repro.obs.report` turns a snapshot of this history into ranked
-index recommendations.
+Each entry accumulates what was measured: call counts and plan-cache hit
+counts, a latency histogram, rows returned, estimate-vs-actual drift, and
+the plan's cost class and scanned relations.  :mod:`repro.obs.report`
+turns a snapshot of this history into the list of plans whose estimates
+drifted.
 
 The store follows the metrics registry's discipline exactly: module-level
 singleton, one lock, every recording call short-circuits when
 ``REPRO_OBS=off`` (see :func:`repro.obs.metrics.enabled`), and a
-``reset_workload()`` hook for tests.  The per-execution *profile* (the
-predicate/access-path shape) is computed once at plan-cache-entry
-creation and rides the cached payload, so the steady-state recording cost
-is one lock acquisition and a handful of integer bumps.
+``reset_workload()`` hook for tests.  The plan's *profile* (fingerprint,
+plan key, cost class, relations) is computed once at plan-cache-entry
+creation, rides the cached payload and is read only when a fingerprint's
+entry is created, so the steady-state recording cost is one lock
+acquisition and a handful of integer bumps.
 """
 
 from __future__ import annotations
@@ -57,8 +57,6 @@ class _FingerprintEntry:
         "sql",
         "cost_class",
         "relations",
-        "predicates",
-        "access_paths",
         "calls",
         "cached_hits",
         "rows_out",
@@ -76,10 +74,6 @@ class _FingerprintEntry:
         self.sql: Optional[str] = None
         self.cost_class: str = profile.get("cost_class", "unknown")
         self.relations: Tuple[str, ...] = tuple(profile.get("relations", ()))
-        #: (relation, column, op) -> times seen (per execution)
-        self.predicates: Dict[Tuple[str, str, str], int] = {}
-        #: access-path label (seq_scan/index_scan/...) -> operator count
-        self.access_paths: Dict[str, int] = {}
         self.calls = 0
         self.cached_hits = 0
         self.rows_out = 0
@@ -155,11 +149,6 @@ def record_execution(
             entry.sql = sql
         entry.rows_out += rows
         entry.total_seconds += seconds
-        for pred in profile.get("predicates", ()):
-            key = tuple(pred)
-            entry.predicates[key] = entry.predicates.get(key, 0) + 1
-        for label, n in (profile.get("access_paths") or {}).items():
-            entry.access_paths[label] = entry.access_paths.get(label, 0) + n
         if estimated is not None and actual is not None:
             entry.estimated_rows = estimated
             entry.actual_rows = actual
@@ -180,11 +169,6 @@ def _entry_snapshot(entry: _FingerprintEntry) -> Dict[str, Any]:
         "sql": entry.sql,
         "cost_class": entry.cost_class,
         "relations": list(entry.relations),
-        "predicates": [
-            {"relation": rel, "column": col, "op": op, "count": count}
-            for (rel, col, op), count in sorted(entry.predicates.items())
-        ],
-        "access_paths": dict(sorted(entry.access_paths.items())),
         "calls": entry.calls,
         "cached_hits": entry.cached_hits,
         "rows_out": entry.rows_out,

@@ -50,6 +50,7 @@ __all__ = [
     "indexes_on",
     "built_indexes_on",
     "attached_index_defs",
+    "drop_index_def",
     "default_index_name",
     "ensure_index",
     "carry_indexes",
@@ -437,6 +438,11 @@ def attach_index(relation: Relation, index: Index) -> None:
             existing.append(index)
         else:
             return  # already attached: no access-path change
+        pending = getattr(relation, "_pending_indexes", None)
+        if pending:  # the built index is its pending definition, if it had one
+            relation._pending_indexes = [
+                d for d in pending if _definition_name(d) != index.name
+            ]
         from .plancache import bump_relation
 
         bump_relation(relation)
@@ -460,6 +466,31 @@ def detach_index(relation: Relation, index: Index) -> None:
 def default_index_name(columns: Sequence[str]) -> str:
     """The name an index over ``columns`` gets when none is given."""
     return f"idx_{'_'.join(c.replace('.', '_') for c in columns)}"
+
+
+def _definition_name(definition: Tuple[Tuple[str, ...], str, Optional[str]]) -> str:
+    """The name a pending ``(columns, kind, name)`` definition will bear."""
+    return definition[2] or default_index_name(definition[0])
+
+
+def drop_index_def(relation: Relation, name: str) -> bool:
+    """Drop the definition called ``name``; False if there is none.
+
+    A built index is detached (evicting the plans that may probe it); a
+    still-pending definition is forgotten unbuilt — no plan that looked
+    for access paths exists while a definition is pending.
+    """
+    with _ATTACH_LOCK:
+        for index in getattr(relation, "_indexes", None) or ():
+            if index.name == name:
+                detach_index(relation, index)
+                return True
+        pending = getattr(relation, "_pending_indexes", None) or ()
+        kept = [d for d in pending if _definition_name(d) != name]
+        if len(kept) == len(pending):
+            return False
+        relation._pending_indexes = kept
+        return True
 
 
 def defer_index(
@@ -486,7 +517,7 @@ def defer_index(
         if pending is None:
             pending = []
             relation._pending_indexes = pending
-        if any((d[2] or default_index_name(d[0])) == effective for d in pending):
+        if any(_definition_name(d) == effective for d in pending):
             return
         pending.append((tuple(columns), kind, name))
 
@@ -503,9 +534,7 @@ def _materialize_pending(relation: Relation) -> None:
         pending = getattr(relation, "_pending_indexes", None)
         if not pending:
             return
-        # detach the list first: ensure_index consults indexes_on, which
-        # would otherwise re-enter this function once per remaining
-        # definition
+        # detach the list first: what is queued is what this call builds
         relation._pending_indexes = []
         while pending:
             columns, kind, name = pending.pop(0)
@@ -561,32 +590,36 @@ def attached_index_defs(relation: Relation) -> List[Tuple[Tuple[str, ...], str, 
     defs: List[Tuple[Tuple[str, ...], str, str]] = []
     for index in getattr(relation, "_indexes", None) or ():
         defs.append((index.columns, index.kind, index.name))
-    for columns, kind, name in getattr(relation, "_pending_indexes", None) or ():
-        defs.append((tuple(columns), kind, name or default_index_name(columns)))
+    for definition in getattr(relation, "_pending_indexes", None) or ():
+        defs.append((tuple(definition[0]), definition[1], _definition_name(definition)))
     return defs
 
 
 def ensure_index(
     relation: Relation, columns: Sequence[str], kind: str = "hash", name: Optional[str] = None
 ) -> Index:
-    """Reuse an equivalent attached index or build-and-attach a new one.
+    """Reuse an equivalent built index or build-and-attach this one.
 
     An equivalent index is only reused when the caller did not ask for a
     specific ``name`` (or asked for the one it already has) — EXPLAIN
     attributes scans by index name, so an explicitly-named creation must
-    yield an index that actually bears that name.
+    yield an index that actually bears that name.  Nothing else is built:
+    the relation's other pending definitions stay pending.  Lookup and
+    attach are one step under the attach lock, so a planner materializing
+    a pending definition of this name cannot attach a second index of it.
     """
     positions = tuple(relation.schema.resolve(c) for c in columns)
-    for index in indexes_on(relation):
-        if (
-            index.positions == positions
-            and index.kind == kind
-            and (name is None or index.name == name)
-        ):
-            return index
-    index = build_index(relation, columns, kind=kind, name=name)
-    attach_index(relation, index)
-    return index
+    with _ATTACH_LOCK:
+        for index in getattr(relation, "_indexes", None) or ():
+            if (
+                index.positions == positions
+                and index.kind == kind
+                and (name is None or index.name == name)
+            ):
+                return index
+        index = build_index(relation, columns, kind=kind, name=name)
+        attach_index(relation, index)
+        return index
 
 
 # ----------------------------------------------------------------------

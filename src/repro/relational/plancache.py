@@ -251,8 +251,8 @@ class PlanRecord(NamedTuple):
     #: ``(d_width, tid_names, value_names, canonical)`` column structure
     #: that wraps the result as a U-relation.
     wrap: Optional[Tuple]
-    #: The plan-time workload shape (fingerprint, predicate columns, access
-    #: paths; see ``repro.core.translate._workload_profile``), or ``None``.
+    #: What the workload history keeps of the plan (fingerprint, plan key,
+    #: relations; see ``repro.core.translate._workload_profile``), or ``None``.
     profile: Optional[dict]
     #: Admission cost class (see :data:`COST_CLASSES`, :func:`cost_class_of`).
     cost_class: str

@@ -61,7 +61,7 @@ from ..obs import counter as obs_counter
 from ..obs import current_trace, record_statement, register_session, request_trace
 from ..obs import span as obs_span
 from ..sql import execute_immediate
-from ..sql.parser import CreateIndex, DropIndex, parse
+from ..sql.parser import parse
 
 __all__ = ["Session", "SnapshotChanged"]
 
@@ -299,13 +299,6 @@ class Session:
             self._check_snapshot()
             with request_trace(sql=prepared.sql or ""):
                 return self._run(prepared, params)
-
-    def execute_ddl(self, sql: str):
-        """Apply index DDL to the shared database (never inside a snapshot)."""
-        statement = parse(sql)
-        if not isinstance(statement, (CreateIndex, DropIndex)):
-            raise ValueError("execute_ddl takes CREATE INDEX / DROP INDEX only")
-        return self._immediate(statement)
 
     def _run(self, prepared: PreparedQuery, params: Tuple[Any, ...]):
         if isinstance(prepared, PreparedDML):

@@ -132,13 +132,15 @@ def execute_sql(
     read their values: such texts plan once per literal, as before.
 
     Index DDL (``CREATE INDEX name ON rel (cols) [USING HASH|SORTED]``,
-    ``DROP INDEX name``) addresses the representation relations (the
-    ``u_*`` partitions and ``w``) and is applied through the registry of
-    the database view ``udb.to_database()`` — which is cached on the
-    UDatabase, so definitions persist across statements and the planner
-    sees the new access path on the next query.  ``CREATE INDEX`` returns
-    the built :class:`~repro.relational.index.Index`; ``DROP INDEX``
-    returns ``None``.
+    ``DROP INDEX name``) addresses a vertical partition by its
+    ``u_<rel>_<attrs>`` label and is
+    :meth:`UDatabase.create_index <repro.core.udatabase.UDatabase.create_index>`
+    / ``drop_index``: the definition lands on the live partition relation
+    under the write lock, follows it through every later write, is saved
+    with it, and the planner sees the access path on the next query.
+    ``CREATE INDEX`` returns the built
+    :class:`~repro.relational.index.Index`; ``DROP INDEX`` returns
+    ``None``; ``w`` is refused (no plan scans a world-table snapshot).
 
     ``VACUUM [table]`` compacts partition segment stacks (returns a
     :class:`~repro.core.udatabase.CompactionResult`), and
@@ -204,18 +206,8 @@ def execute_immediate(statement, udb: UDatabase, holder):
         return holder.compact(statement.table)
     if in_txn:
         raise ValueError("DDL cannot run inside a transaction; COMMIT or ROLLBACK first")
-    db = udb.to_database()
     if isinstance(statement, CreateIndex):
-        # no replace: re-issuing an identical definition is
-        # idempotent, but a name collision with a *different*
-        # definition (e.g. a typo hitting an auto-created tid
-        # index) errors instead of silently destroying the
-        # existing access path
-        return db.create_index(
-            statement.name,
-            statement.table,
-            list(statement.columns),
-            kind=statement.kind,
+        return udb.create_index(
+            statement.name, statement.table, statement.columns, statement.kind
         )
-    db.drop_index(statement.name)
-    return None
+    return udb.drop_index(statement.name)

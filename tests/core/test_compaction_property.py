@@ -9,84 +9,28 @@ indistinguishable under every execution mode, with and without access
 paths — while the *structure* collapses to ``segment_count == 1`` /
 ``deleted_ratio == 0`` and the world table is untouched (compaction moves
 tuples, never uncertainty).
+
+The scripts are ``test_dml_property``'s: ``CREATE INDEX`` / ``DROP INDEX``
+are drawn between the writes, and compaction has to hand every definition
+— built or pending — to the relation it writes, building nothing.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
-from repro.core import execute_query
-from repro.core.descriptor import Descriptor
-from repro.core.query import Poss, Rel, UProject
-from repro.core.udatabase import CompactionPolicy, UDatabase
-from repro.core.urelation import URelation, tid_column
-from repro.sql import execute_sql
-
-MODES = ["rows", "columns"]
-
-ids = st.integers(min_value=0, max_value=6)
-types = st.sampled_from(["a", "b", "c"])
-rows = st.lists(st.tuples(ids, types), min_size=0, max_size=4)
-
-inserts = st.tuples(st.just("insert"), rows.filter(len))
-updates = st.tuples(
-    st.just("update"), types, st.sampled_from(["=", ">", "<="]), ids
-)
-deletes = st.tuples(st.just("delete"), st.sampled_from(["=", ">", "<="]), ids)
-
-scripts = st.tuples(
-    rows,  # initial contents
-    st.lists(st.one_of(inserts, updates, deletes), min_size=1, max_size=6),
-)
-
-
-def _build(initial, auto_index=False):
-    udb = UDatabase(auto_index=auto_index)
-    tid = tid_column("r")
-    p_id = URelation.build(
-        [(Descriptor(), i, (r[0],)) for i, r in enumerate(initial)], tid, ["id"]
-    )
-    p_type = URelation.build(
-        [(Descriptor(), i, (r[1],)) for i, r in enumerate(initial)], tid, ["type"]
-    )
-    udb.add_relation("r", ["id", "type"], [p_id, p_type])
-    return udb
-
-
-def _matches(row, op, k):
-    return {"=": row[0] == k, ">": row[0] > k, "<=": row[0] <= k}[op]
-
-
-def _apply(udb, model, op):
-    if op[0] == "insert":
-        values = ", ".join(f"({i}, '{t}')" for i, t in op[1])
-        execute_sql(f"insert into r values {values}", udb)
-        model.extend(op[1])
-    elif op[0] == "update":
-        _, value, cmp, k = op
-        execute_sql(f"update r set type = '{value}' where id {cmp} {k}", udb)
-        for i, row in enumerate(model):
-            if _matches(row, cmp, k):
-                model[i] = (row[0], value)
-    else:
-        _, cmp, k = op
-        execute_sql(f"delete from r where id {cmp} {k}", udb)
-        model[:] = [row for row in model if not _matches(row, cmp, k)]
+from repro.core.udatabase import CompactionPolicy
+from repro.relational.index import built_indexes_on
+from tests.core.test_dml_property import MODES, _answers, _apply, _build, scripts
 
 
 def _replay(script, auto_index=False):
     initial, ops = script
     udb = _build(initial, auto_index=auto_index)
-    model = list(initial)
+    model, defs = list(initial), set(udb.index_defs())
     for op in ops:
-        _apply(udb, model, op)
+        _apply(udb, model, op, defs)
     return udb, model
-
-
-def _answers(db, query, mode, use_indexes):
-    return set(
-        map(tuple, execute_query(query, db, mode=mode, use_indexes=use_indexes).rows)
-    )
 
 
 @settings(max_examples=40, deadline=None)
@@ -95,10 +39,16 @@ def test_compacted_equals_uncompacted_equals_rebuilt(script):
     """The three-way equivalence across every mode × access-path choice."""
     churned, model = _replay(script)
     compacted, _ = _replay(script)
+    built = [built_indexes_on(p.relation) for p in compacted.partitions("r")]
     compacted.compact()
+    # the definitions follow the rewrite, and the rewrite builds none
+    assert compacted.index_defs() == churned.index_defs()
+    for part, before in zip(compacted.partitions("r"), built):
+        assert [i.name for i in built_indexes_on(part.relation)] == [
+            i.name for i in before
+        ]
     rebuilt = _build(model)
     expected = set(model)
-    query = Poss(UProject(Rel("r"), ["id", "type"]))
     for mode in MODES:
         for use_indexes in (True, False):
             for label, db in (
@@ -106,7 +56,7 @@ def test_compacted_equals_uncompacted_equals_rebuilt(script):
                 ("compacted", compacted),
                 ("rebuilt", rebuilt),
             ):
-                assert _answers(db, query, mode, use_indexes) == expected, (
+                assert _answers(db, mode, use_indexes) == expected, (
                     mode,
                     use_indexes,
                     label,
@@ -150,19 +100,13 @@ def test_compaction_rebuilds_access_paths_and_statistics(script):
     behaviourally: an indexed execution over the compacted database
     matches the model exactly.
     """
-    initial, ops = script
-    udb = _build(initial, auto_index=True)
-    model = list(initial)
-    for op in ops:
-        _apply(udb, model, op)
+    udb, model = _replay(script, auto_index=True)
+    defs = udb.index_defs()
     udb.compact()
-    query = Poss(UProject(Rel("r"), ["id", "type"]))
-    assert _answers(udb, query, "columns", True) == set(model)
-    from repro.relational.index import attached_index_defs
-
-    for part in udb.partitions("r"):
-        # the auto-index definitions followed the rewrite
-        assert attached_index_defs(part.relation)
+    assert _answers(udb, "columns", True) == set(model)
+    # the definitions (the auto policy's, less the dropped, plus the
+    # created) followed the rewrite
+    assert udb.index_defs() == defs
 
 
 @settings(max_examples=25, deadline=None)
@@ -173,8 +117,7 @@ def test_threshold_compaction_matches_on_demand(script):
     eager.maybe_compact(CompactionPolicy(segment_limit=1, deleted_ratio=0.0))
     for part in eager.partitions("r"):
         assert len(part.relation.segments()) == 1
-    query = Poss(UProject(Rel("r"), ["id", "type"]))
-    assert _answers(eager, query, "columns", False) == set(model)
+    assert _answers(eager, "columns", False) == set(model)
     # and a policy nothing crosses leaves the stack alone
     lazy, _ = _replay(script)
     stacks = [len(p.relation.segments()) for p in lazy.partitions("r")]

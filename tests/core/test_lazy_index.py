@@ -1,4 +1,4 @@
-"""Tests for lazy auto-indexing and world-table index persistence."""
+"""Tests for lazy auto-indexing and its persistence."""
 
 from __future__ import annotations
 
@@ -30,14 +30,6 @@ class TestLazyAutoIndexing:
         assert {i.kind for i in built} == {"hash", "sorted"}
         assert len(built) == 3
         assert not getattr(relation, "_pending_indexes")
-
-    def test_build_now_escape_hatch(self):
-        from repro.core.urelation import URelation, tid_column
-
-        udb = UDatabase()
-        part = URelation.from_certain_rows([(1, 2)], tid_column("r"), ["a", "b"])
-        udb.add_relation("r", ["a", "b"], [part], build_now=True)
-        assert len(getattr(part.relation, "_indexes")) == 3
 
     def test_queries_still_use_indexes(self):
         udb = certain_udb()
@@ -87,39 +79,14 @@ class TestPersistenceWithLazyIndexes:
 
     def test_user_index_survives_round_trip(self, tmp_path):
         udb = certain_udb()
-        db = udb.to_database()
-        db.create_index("idx_custom", "u_r_a_b", ["b"], kind="hash")
+        udb.create_index("idx_custom", "u_r_a_b", ["b"], kind="hash")
         save_udatabase(udb, tmp_path)
         loaded = load_udatabase(tmp_path)
         relation = loaded.partitions("r")[0].relation
         assert "idx_custom" in {i.name for i in indexes_on(relation)}
 
 
-class TestWorldIndexPersistence:
-    def test_world_index_round_trips(self, tmp_path):
-        udb = certain_udb()
-        udb.world_table.add_variable("x", [1, 2])
-        db = udb.to_database()
-        db.create_index("idx_w_rng", "w", ["rng"], kind="hash")
-        save_udatabase(udb, tmp_path)
-        text = (tmp_path / "indexes.csv").read_text()
-        assert "w.csv,idx_w_rng" in text
-        loaded = load_udatabase(tmp_path)
-        assert ("idx_w_rng", ("rng",), "hash") in loaded.world_index_defs
-        ldb = loaded.to_database()
-        assert "idx_w_rng" in ldb.index_names("w")
-
-    def test_world_index_survives_world_growth(self, tmp_path):
-        udb = certain_udb()
-        udb.world_table.add_variable("x", [1, 2])
-        save_udatabase(udb, tmp_path)
-        loaded = load_udatabase(tmp_path)
-        db = loaded.to_database()
-        db.create_index("idx_w_live", "w", ["var"], kind="hash")
-        loaded.world_table.add_variable("y", [1, 2, 3])  # forces a w refresh
-        db = loaded.to_database()
-        assert "idx_w_live" in db.index_names("w")
-
+class TestPreIndexDirectories:
     def test_pre_index_directories_still_load(self, tmp_path):
         udb = certain_udb()
         save_udatabase(udb, tmp_path)

@@ -1,8 +1,8 @@
 """The invalidation test matrix for the prepared-plan cache (UDatabase).
 
 Each catalog mutation — ``create(replace=True)``, ``CREATE INDEX``,
-``DROP INDEX``, ``DROP TABLE``, world-table growth via ``to_database()``,
-and the lazy partition-index first build — must bump the catalog version
+``DROP INDEX``, ``DROP TABLE``, world-table growth, and the lazy
+partition-index first build — must bump the catalog version
 and evict exactly the dependent entries: a stale-plan execution must be
 impossible to observe, and unrelated cached plans must keep hitting.
 """
@@ -132,27 +132,30 @@ class TestInvalidationMatrix:
         db.run(over_faction_plan)  # unrelated entry survived
         assert plan_cache_stats()["hits"] == hits + 1
 
-    def test_world_growth_evicts_w_dependents_only(self):
+    def test_world_growth_bumps_the_version_and_evicts_nothing(self):
         udb = build_vehicles_udb()
         db = udb.to_database()
         from repro.relational.algebra import Select
 
         w_plan = Select(db.scan("w"), col("var").eq(lit("x")))
         partition_plan = Select(db.scan("u_r_type"), col("type").eq(lit("Tank")))
-        db.run(w_plan)
+        old_w = db.run(w_plan)
         db.run(partition_plan)
         version = udb.catalog_version
+        invalidations = plan_cache_stats()["invalidations"]
         udb.world_table.add_variable("v_new", [1, 2])
         assert udb.catalog_version > version  # growth bumps immediately
-        db = udb.to_database()  # refreshes the w snapshot
-        assert plan_cache_stats()["invalidations"] >= 1
-        # the partition plan survived the w refresh
+        # an export is a snapshot: its `w` is the relation it was given, so
+        # no cached plan over it can be stale and none is evicted
         hits = plan_cache_stats()["hits"]
+        assert db.run(w_plan) == old_w
         db.run(partition_plan)
-        assert plan_cache_stats()["hits"] == hits + 1
-        # a fresh w plan over the new snapshot sees the new variable
-        fresh = Select(db.scan("w"), col("var").eq(lit("v_new")))
-        assert len(db.run(fresh)) == 2
+        assert plan_cache_stats()["hits"] == hits + 2
+        assert plan_cache_stats()["invalidations"] == invalidations
+        # a fresh export sees the new variable
+        fresh_db = udb.to_database()
+        fresh = Select(fresh_db.scan("w"), col("var").eq(lit("v_new")))
+        assert len(fresh_db.run(fresh)) == 2
 
     def test_lazy_partition_index_first_build_bumps_and_evicts(self):
         """The deferred auto-index build is a catalog mutation: it bumps

@@ -15,6 +15,7 @@ from repro.core.descriptor import Descriptor
 from repro.core.txn import TransactionConflict, TxnResult
 from repro.core.udatabase import CompactionResult, UDatabase
 from repro.core.urelation import URelation, tid_column
+from repro.relational.index import indexes_on
 from repro.server.session import Session, SnapshotChanged
 from repro.sql import execute_sql, prepare
 
@@ -199,12 +200,76 @@ def test_execute_sql_refuses_ddl_inside_transaction():
     execute_sql("begin", udb)
     with pytest.raises(ValueError, match="DDL cannot run inside a transaction"):
         execute_sql("create index idx_t on u_r_id_type (type) using hash", udb)
-    assert "idx_t" not in udb.to_database().index_names()
+    assert "idx_t" not in [d[1] for d in udb.index_defs()]
     with pytest.raises(ValueError, match="DDL cannot run inside a transaction"):
         execute_sql("drop index idx_t", udb)
     assert execute_sql("rollback", udb).status == "rolled_back"
     execute_sql("create index idx_t on u_r_id_type (type) using hash", udb)
-    assert "idx_t" in udb.to_database().index_names()
+    assert "idx_t" in [d[1] for d in udb.index_defs()]
+
+
+def test_staged_statements_of_one_shape_read_their_own_writes():
+    """The matching query of a staged UPDATE / DELETE is planned and cached
+    like any read; the next staged statement of the same shape must not be
+    served the plan over the relation version the first one superseded."""
+    udb = _udb()
+    session = Session(udb)
+    session.execute("begin")
+    assert session.execute("delete from r where id = 0").count == 1
+    assert session.execute("delete from r where id = 0").count == 0
+    session.execute("insert into r values (0, 'back')")
+    assert session.execute("update r set type = 'again' where id = 0").count == 1
+    assert session.execute("delete from r where id <= 1").count == 2
+    assert session.execute("delete from r where id <= 1").count == 0
+    session.execute("commit")
+    assert _rows(udb) == {(2, "t2")}
+
+
+def _auto_udb() -> UDatabase:
+    udb = UDatabase()
+    udb.add_relation(
+        "r",
+        ["a"],
+        [URelation.build([(Descriptor(), i, (i,)) for i in range(3)], tid_column("r"), ["a"])],
+    )
+    return udb
+
+
+def test_create_index_by_another_session_survives_a_commit():
+    """B's acknowledged CREATE INDEX lands between A's staging and A's
+    COMMIT: the staged successor was derived before the attach, and at
+    the parent its publish dropped the index."""
+    udb = _auto_udb()
+    a, b = Session(udb), Session(udb)
+    a.execute("begin")
+    a.execute("insert into r values (5)")
+    b.execute("create index mine on u_r_a (a)")
+    before = udb.index_defs()
+    assert ("u_r_a", "mine", ("a",), "hash") in before
+    assert a.execute("commit").status == "committed"  # DDL is no conflict
+    assert udb.index_defs() == before
+    assert (5,) in set(execute_sql("possible (select a from r where a = 5)", udb).rows)
+    live = udb.partitions("r")[0].relation
+    assert "mine" in [i.name for i in indexes_on(live)]
+
+
+def test_drop_index_by_another_session_survives_a_commit():
+    """The mirror image: the staged successor carried the definition B
+    dropped, and at the parent A's COMMIT resurrected it."""
+    udb = _auto_udb()
+    a, b = Session(udb), Session(udb)
+    execute_sql("possible (select a from r where a = 1)", udb)  # builds all three
+    a.execute("begin")
+    a.execute("update r set a = 7 where a = 1")
+    b.execute("drop index idx_u_r_a_a")  # built
+    a.execute("delete from r where a = 2")
+    before = udb.index_defs()
+    assert [d[1] for d in before] == ["idx_u_r_a_tid"]
+    assert a.execute("commit").status == "committed"
+    assert udb.index_defs() == before
+    live = udb.partitions("r")[0].relation
+    assert [i.name for i in indexes_on(live)] == ["idx_u_r_a_tid"]
+    assert set(execute_sql("possible (select a from r)", udb).rows) == {(0,), (7,)}
 
 
 def test_session_snapshot_refuses_transaction_control():

@@ -117,9 +117,9 @@ def test_threads_with_concurrent_ddl_match_serial_multisets():
             toggle = 0
             while not stop.is_set():
                 name = f"i_churn_{toggle % 2}"
-                db.create_index(name, "w", ["var"], kind="sorted", replace=True)
+                udb.create_index(name, "u_r_type", ["type"], kind="hash")
                 db.analyze("u_r_id")
-                db.drop_index(name)
+                udb.drop_index(name)
                 toggle += 1
         except Exception as error:  # pragma: no cover - the assertion
             errors.append(error)
@@ -152,7 +152,6 @@ def test_server_sessions_with_ddl_match_serial_multisets():
     """The same guarantee through the full serving stack: server-bound
     sessions (admission + pool + coalescing) with a DDL churner."""
     udb = build_vehicles_udb()
-    db = udb.to_database()
     statements = {
         "tank": ("possible (select id, type from r where type = $1)", ("Tank",)),
         "transport": (
@@ -177,8 +176,8 @@ def test_server_sessions_with_ddl_match_serial_multisets():
             toggle = 0
             while not stop.is_set():
                 name = f"i_serve_{toggle % 2}"
-                db.create_index(name, "w", ["var"], kind="sorted", replace=True)
-                db.drop_index(name)
+                udb.create_index(name, "u_r_type", ["type"], kind="hash")
+                udb.drop_index(name)
                 toggle += 1
         except Exception as error:  # pragma: no cover
             errors.append(error)

@@ -49,16 +49,16 @@ class TestNamespace:
 
     def test_ddl_cannot_be_prepared(self, udb):
         session = udb.session()
-        udb.to_database()  # materialize the catalog view
-        with pytest.raises(ValueError):
-            session.prepare("ddl", "create index i on w (var)")
+        with pytest.raises(ValueError, match="cannot prepare DDL"):
+            session.prepare("ddl", "create index i on u_r_type (type)")
 
     def test_execute_routes_ddl(self, udb):
         session = udb.session()
-        udb.to_database()
-        index = session.execute("create index i_w_var2 on w (var) using sorted")
+        index = session.execute("create index i_type2 on u_r_type (type) using sorted")
         assert index is not None
-        session.execute("drop index i_w_var2")
+        assert "i_type2" in [d[1] for d in udb.index_defs("u_r_type")]
+        session.execute("drop index i_type2")
+        assert "i_type2" not in [d[1] for d in udb.index_defs()]
 
     def test_by_text_cache_reuses_statements(self, udb):
         session = udb.session()
@@ -180,11 +180,10 @@ class TestSnapshots:
     def test_concurrent_index_ddl_leaves_the_snapshot_alone(self, udb):
         session = udb.session()
         other = udb.session()
-        udb.to_database()
         with session.snapshot():
             before = session.execute("possible (select id from r)")
             # an index replaces no relation: it cannot move an answer
-            other.execute("create index i_snap on w (var) using sorted")
+            other.execute("create index i_snap on u_r_id (id) using hash")
             assert bag(session.execute("possible (select id from r)")) == bag(before)
             other.execute("drop index i_snap")
             assert bag(session.execute("possible (select id from r)")) == bag(before)
@@ -214,10 +213,9 @@ class TestSnapshots:
 
     def test_ddl_inside_snapshot_is_rejected(self, udb):
         session = udb.session()
-        udb.to_database()
         with session.snapshot():
             with pytest.raises(SnapshotChanged):
-                session.execute_ddl("create index i_x on w (var)")
+                session.execute("create index i_x on u_r_id (id)")
 
     def test_snapshots_do_not_nest(self, udb):
         session = udb.session()

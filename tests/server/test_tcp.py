@@ -96,10 +96,11 @@ def test_ddl_over_tcp_returns_an_ack_not_a_table(served):
     """CREATE INDEX must answer with a DDL acknowledgment — not dump the
     indexed relation's rows (Index objects carry a .relation too)."""
     server, address = served
-    server.udb.to_database()
     client = Client(address)
     try:
-        created = client.rpc(op="query", sql="create index i_tcp on w (var) using sorted")
+        created = client.rpc(
+            op="query", sql="create index i_tcp on u_r_type (type) using hash"
+        )
         assert created["ok"] is True
         assert "rows" not in created and "urelation" not in created
         assert created["result"]  # the index description string

@@ -8,8 +8,9 @@ from repro.core.descriptor import Descriptor
 from repro.core.udatabase import UDatabase
 from repro.core.urelation import URelation, tid_column
 from repro.core.worldtable import WorldTable
-from repro.relational.index import indexes_on
+from repro.relational.index import built_indexes_on, indexes_on
 from repro.sql import CreateIndex, DropIndex, SqlSyntaxError, execute_sql, parse
+from tests.conftest import build_vehicles_udb
 
 
 class TestParsing:
@@ -71,12 +72,12 @@ class TestExecution:
         udb = small_udb()
         index = execute_sql("create index idx_r_id on u_r_id (id) using sorted", udb)
         assert index.kind == "sorted"
-        db = udb.to_database()
-        assert "idx_r_id" in db.indexes
-        assert index in indexes_on(db.get("u_r_id"))
+        relation = udb.partitions("r")[0].relation
+        assert udb.index_defs() == [("u_r_id", "idx_r_id", ("id",), "sorted")]
+        assert index in indexes_on(relation)
         execute_sql("drop index idx_r_id", udb)
-        assert "idx_r_id" not in udb.to_database().indexes
-        assert index not in indexes_on(db.get("u_r_id"))
+        assert udb.index_defs() == []
+        assert index not in indexes_on(relation)
 
     def test_recreate_identical_is_idempotent(self):
         udb = small_udb()
@@ -108,7 +109,60 @@ class TestExecution:
         part = udb.partitions("r")[0]
         assert any(i.columns == ("id",) for i in indexes_on(part.relation))
 
-    def test_world_table_indexable(self):
+    def test_world_table_refused_by_name(self):
+        # at the parent this attached an index to a snapshot no plan scans,
+        # and the next write to any relation silently dropped it
         udb = small_udb()
-        index = execute_sql("create index idx_w on w (var)", udb)
-        assert index.columns == ("var",)
+        with pytest.raises(ValueError, match="no plan scans"):
+            execute_sql("create index idx_w on w (var)", udb)
+        with pytest.raises(ValueError, match="no plan scans"):
+            udb.session().execute("create index idx_w on w (rng)")
+
+    def test_name_is_unique_across_partitions(self):
+        udb = build_vehicles_udb()
+        execute_sql("create index i on u_r_id (id)", udb)
+        with pytest.raises(KeyError, match="index 'i' already exists"):
+            execute_sql("create index i on u_r_type (type)", udb)
+        # a pending auto-index name is taken too
+        with pytest.raises(KeyError, match="already exists"):
+            execute_sql("create index idx_u_r_type_tid on u_r_id (id)", udb)
+
+    def test_create_builds_only_the_named_index(self):
+        udb = build_vehicles_udb()  # auto-index definitions still pending
+        before = udb.index_defs()
+        index = execute_sql("create index mine on u_r_type (type)", udb)
+        built = {
+            label: [i.name for i in built_indexes_on(part.relation)]
+            for label, part in zip(
+                ("u_r_id", "u_r_type", "u_r_faction"), udb.partitions("r")
+            )
+        }
+        assert built == {"u_r_id": [], "u_r_type": ["mine"], "u_r_faction": []}
+        assert udb.index_defs() == sorted(
+            before + [("u_r_type", "mine", ("type",), "hash")]
+        )
+        # naming a still-pending definition builds that one, and only it
+        again = execute_sql(
+            "create index idx_u_r_type_type on u_r_type (type) using sorted", udb
+        )
+        assert again.name == "idx_u_r_type_type"
+        relation = udb.partitions("r")[1].relation
+        assert [i.name for i in built_indexes_on(relation)] == [
+            "mine", "idx_u_r_type_type",
+        ]
+        assert udb.index_defs() == sorted(
+            before + [("u_r_type", "mine", ("type",), "hash")]
+        )
+        assert index in built_indexes_on(relation)
+
+    def test_drop_of_a_pending_definition_builds_nothing(self):
+        udb = build_vehicles_udb()
+        execute_sql("drop index idx_u_r_type_type", udb)
+        assert all(
+            built_indexes_on(part.relation) == () for part in udb.partitions("r")
+        )
+        assert "idx_u_r_type_type" not in [d[1] for d in udb.index_defs()]
+        # and the planner never builds it afterwards
+        execute_sql("possible (select id from r where type = 'Tank')", udb)
+        relation = udb.partitions("r")[1].relation
+        assert [i.name for i in built_indexes_on(relation)] == ["idx_u_r_type_tid"]
