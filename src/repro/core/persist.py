@@ -62,6 +62,13 @@ dropped, a created one comes back), so a save/load round trip costs no
 index construction at all; only a directory without the file gets the
 auto-index policy.  Rows of a file other than a partition directory (the
 ``w.csv`` rows older saves wrote) are ignored.
+
+The manifest's ``d_width`` is the stored encoding's width: a certain
+partition is saved with its ⊤ pairs, exactly as it is held in memory.  The
+width a query plans with is derived, never stored: the translation reads
+"this descriptor slot is all-⊤" from the loaded relation on first use
+(:meth:`~repro.relational.relation.Relation.column_all_equal`), so a save
+writes the same files whatever was planned before it.
 """
 
 from __future__ import annotations

@@ -18,6 +18,30 @@ A :class:`Translated` object carries the relational plan plus the U-relation
 column structure of its output, so results can be wrapped back into
 :class:`~repro.core.urelation.URelation` values and fed to further queries.
 
+Descriptor width is decided where a partition is scanned, not where it is
+stored.  A stored partition keeps its ``d_width`` and its ⊤ pairs; but a
+slot whose variable column holds :data:`~repro.core.descriptor.TOP_VARIABLE`
+in every row (:meth:`~repro.relational.relation.Relation.column_all_equal`,
+a fact cached on the relation version and carried along its writes) is
+renamed out of the ``c``/``w`` numbering and the kept slots close up, so a
+certain partition translates with width 0 and ψ compares only columns that
+can differ.  Dropping such a slot is exact: against any pair
+``(c_j, w_j)`` its ψ conjunct ``(⊤ <> c_j) OR (w_i = w_j)`` either holds
+by the first disjunct or has ``c_j = ⊤`` too, and then both ``w`` are
+:data:`~repro.core.descriptor.TOP_VALUE` (⊤'s domain is ``{0}``).  A
+cached plan read the fact from the relation versions it holds, and every
+write replaces those versions and evicts the plan.  Two sides that
+nothing links - no α, no ψ, no conjunct - become a ``Product``.
+
+Column names at block boundaries: the renamed-out slots are unique to
+their alias and partition and never leave the join block that scans them.
+``_combine``'s projection drops them, and a block of one unit projects them
+away itself, so a union's padding, ``UProject``, ``ConfCompute`` and the
+top-level wrap all see exactly :meth:`Translated.canonical_names`.  A
+width-0 union branch is padded with a literal ⊤ pair, and a width-0
+answer returned as a U-relation gets one, so a
+:class:`~repro.core.urelation.URelation` still has ``d_width >= 1``.
+
 Automatic merging: a :class:`~repro.core.query.Rel` leaf contributes the
 *minimal* set of vertical partitions covering the attributes the query
 actually uses (Example 3.1's rewriting, plus the reduced-database
@@ -73,6 +97,7 @@ from ..relational.algebra import (
     Extend,
     Join,
     Plan,
+    Product,
     Project,
     ProjectAs,
     Rename,
@@ -100,7 +125,7 @@ from ..relational.expressions import (
 )
 from ..relational.optimizer import column_stats, estimate_rows, greedy_order, join_rows
 from ..relational.relation import Relation
-from .descriptor import descriptor_columns
+from .descriptor import TOP_VALUE, TOP_VARIABLE, descriptor_columns
 from .query import (
     Certain,
     Conf,
@@ -280,7 +305,14 @@ class _Translator:
                 unit.value_names,
             )
         if len(units) == 1:
-            return units[0]
+            (unit,) = units
+            keep = unit.canonical_names()
+            if unit.plan.schema.names == keep:
+                return unit
+            # no _combine projects this scan's hidden ⊤ slots away
+            return Translated(
+                Project(unit.plan, keep), unit.d_width, unit.tid_names, unit.value_names
+            )
 
         estimate = {unit: estimate_rows(unit.plan) for unit in units}
         owner = {v: unit for unit in reversed(units) for v in unit.value_names}
@@ -424,6 +456,17 @@ class _Translator:
         tid_old = tid_column(query.name)
         tid_new = tid_column(query.name, query.alias)
         mapping: Dict[str, str] = {}
+        # an all-⊤ slot leaves the c/w numbering (the block drops it at
+        # its first projection); the kept slots close up behind it
+        width = 0
+        for k in range(1, part.d_width + 1):
+            if part.relation.column_all_equal(2 * k - 2, TOP_VARIABLE):
+                renamed = (f"{label}_{tid_new}_c{k}", f"{label}_{tid_new}_w{k}")
+            else:
+                width += 1
+                renamed = (f"c{width}", f"w{width}")
+            if renamed[0] != f"c{k}":
+                mapping[f"c{k}"], mapping[f"w{k}"] = renamed
         if query.alias:
             if tid_new != tid_old:
                 mapping[tid_old] = tid_new
@@ -432,7 +475,7 @@ class _Translator:
         if mapping:
             plan = Rename(plan, mapping)
         values = tuple(query.qualified(a) for a in part.value_names)
-        return Translated(plan, part.d_width, (tid_new,), values)
+        return Translated(plan, width, (tid_new,), values)
 
     def _translate_project(self, query: UProject) -> Translated:
         child_attrs = self.attributes_of(query.child)
@@ -492,7 +535,7 @@ class _Translator:
         shared_values = [v for v in right.value_names if v in set(left.value_names)]
         for v in shared_values:
             mapping[v] = v + suffix
-        right_plan: Plan = Rename(right.plan, mapping)
+        right_plan: Plan = Rename(right.plan, mapping) if mapping else right.plan
 
         conditions: List[Expression] = []
         psi = psi_condition(left.d_width, right.d_width, offset)
@@ -503,7 +546,11 @@ class _Translator:
             conditions.append(psi)
         if extra is not None:
             conditions.append(extra)
-        joined: Plan = Join(left.plan, right_plan, conjunction(conditions))
+        joined: Plan = (
+            Join(left.plan, right_plan, conjunction(conditions))
+            if conditions
+            else Product(left.plan, right_plan)  # two certain sides, nothing links them
+        )
 
         d_width = left.d_width + right.d_width
         tid_names = list(left.tid_names) + [
@@ -551,13 +598,16 @@ def _pad_branch(
 ) -> Plan:
     """Bring one union branch to the common (width, tids, values) shape.
 
-    Descriptors are pumped by duplicating the first pair; missing tuple-id
-    columns are added as NULL columns (the paper's "new empty columns").
+    Descriptors are pumped by duplicating the first pair - a literal ⊤
+    pair for a branch of width 0; missing tuple-id columns are added as
+    NULL columns (the paper's "new empty columns").
     """
     plan = branch.plan
-    missing_tids = [t for t in tids if t not in set(branch.tid_names)]
-    if missing_tids:
-        plan = Extend(plan, [(t, Lit(None)) for t in missing_tids])
+    added = [(t, Lit(None)) for t in tids if t not in set(branch.tid_names)]
+    if width and not branch.d_width:
+        added += [("c1", Lit(TOP_VARIABLE)), ("w1", Lit(TOP_VALUE))]
+    if added:
+        plan = Extend(plan, added)
     items: List[Tuple[str, str]] = []
     for i in range(1, width + 1):
         src = i if i <= branch.d_width else 1  # pump pair 1
@@ -766,6 +816,10 @@ def _cached_physical(
             wrap = None
         else:
             inner = translate(query, udb)
+            if not inner.d_width:
+                # a URelation keeps one descriptor pair: a certain answer's is ⊤
+                padded = _pad_branch(inner, 1, list(inner.tid_names), list(inner.value_names))
+                inner = Translated(padded, 1, inner.tid_names, inner.value_names)
             plan = inner.plan
             wrap = (
                 inner.d_width,

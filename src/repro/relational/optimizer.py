@@ -554,4 +554,15 @@ def _maybe_project(plan: Plan, required: Set[str]) -> Plan:
         return plan
     if isinstance(plan, Project):
         return Project(plan.child, [plan.columns[names.index(k)] for k in keep])
+    if _over_base_scan(plan):
+        # the join gathers only the columns its output names; a Project
+        # here would hide the scan from index selection
+        return plan
     return Project(plan, keep)
+
+
+def _over_base_scan(plan: Plan) -> bool:
+    """Whether ``plan`` is a chain of Renames and Selects over a Scan."""
+    while isinstance(plan, (Rename, Select)):
+        plan = plan.child
+    return isinstance(plan, Scan)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import chain
+from operator import countOf, itemgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .schema import Attribute, Schema, SchemaError
@@ -66,8 +67,9 @@ class Relation:
     # planner-visible state, not part of the relation's value (equality
     # and repr ignore them).
     # ``_labels`` (the sorted indexes' per-row sort labels once deletes
-    # part them from positions, managed by :mod:`repro.relational.index`)
-    # and ``_stats`` (the optimizer's
+    # part them from positions, managed by :mod:`repro.relational.index`),
+    # the per-column facts ``_has_null`` and ``_all_equal``, and
+    # ``_stats`` (the optimizer's
     # :class:`~repro.relational.statistics.TableStats`) complete the
     # derived state that :meth:`_derive` carries from version to version.
     # ``_segments``/``_deleted`` carry the write path's log-structured
@@ -81,6 +83,7 @@ class Relation:
         "_labels",
         "_columns",
         "_has_null",
+        "_all_equal",
         "_stats",
         "_plan_epoch",
         "_plan_watchers",
@@ -194,7 +197,7 @@ class Relation:
         delete (``removed``: ascending live positions), append
         (``appended``: rows at the end) and compact (neither: the live
         view is identical).  Whatever this version has already *built* -
-        column vectors, NULL facts, statistics, and through
+        column vectors, NULL and all-equal facts, statistics, and through
         :func:`~repro.relational.index.carry_indexes` the indexes - is
         carried by applying that delta; unchanged rows are only ever
         moved by C-level slice copies, and the receiver is never mutated
@@ -225,6 +228,16 @@ class Relation:
                 position: known or any(row[position] is None for row in appended)
                 for position, known in has_null.items()
                 if not (known and removed)
+            }
+        all_equal = getattr(self, "_all_equal", None)
+        if all_equal:
+            # an append keeps a true verdict only if every appended row
+            # agrees; a removal keeps the true verdicts and drops the rest
+            new._all_equal = {
+                (position, value): known
+                and all(row[position] == value for row in appended)
+                for (position, value), known in all_equal.items()
+                if known or not removed
             }
         stats = getattr(self, "_stats", None)
         if stats is not None:
@@ -381,6 +394,30 @@ class Relation:
         if known is None:
             known = None in self.column_store()[position]
             cache[position] = known
+        return known
+
+    def column_all_equal(self, position: int, value: Any) -> bool:
+        """Whether every value of a column equals ``value``, cached per
+        (column, value).
+
+        Computed on first use with a C-speed count over the rows (no
+        column vectors are built for it) and carried along the write path
+        by :meth:`_derive`: an append keeps a true verdict only if every
+        appended row agrees (checked over the delta alone), a removal
+        keeps a true verdict and drops a false one, a compaction keeps
+        both.  The U-relation translation asks it of descriptor columns:
+        a variable column that holds the trivial variable in every row is
+        a slot no ψ needs to compare.  An empty column is all-equal.
+        """
+        cache = getattr(self, "_all_equal", None)
+        if cache is None:
+            cache = {}
+            self._all_equal = cache
+        key = (position, value)
+        known = cache.get(key)
+        if known is None:
+            known = countOf(map(itemgetter(position), self.rows), value) == len(self.rows)
+            cache[key] = known
         return known
 
     def project(self, references: Sequence[str]) -> "Relation":

@@ -4,7 +4,8 @@
 the pass what it serves — translated U-relation queries — one class per
 step of the pipeline (break up conjuncts, push each to one unit, introduce
 the joins from the flat list), then the facts the benchmark's four
-statements must keep on the benchmark's own ``tpch`` fixture.
+statements must keep on the benchmark's own ``tpch`` fixture, then what
+the optimizer's column pruning does with a translated plan.
 """
 
 from __future__ import annotations
@@ -34,9 +35,12 @@ from repro.core.translate import _cached_physical, explain_query, query_cache_ke
 from repro.core.urelation import tid_column
 from repro.obs.report import advisory_report
 from repro.obs.workload import drift_ratio
-from repro.relational import col, lit
-from repro.relational.algebra import Join, Project, Scan, Select
+from repro.relational import Relation, col, lit
+from repro.relational.algebra import Join, Product, Project, Scan, Select, Union
 from repro.relational.expressions import TRUE, split_conjuncts
+from repro.relational.optimizer import prune_columns
+from repro.relational.physical import execute
+from repro.relational.planner import plan_physical
 from repro.sql import parse
 from repro.tpch import queries
 from tests.conftest import brute_force_poss
@@ -54,7 +58,7 @@ def join_order(plan, selected: str = "") -> List[str]:
     marks a leaf that carries a selection."""
     if isinstance(plan, Scan):
         return [selected + plan.name]
-    if isinstance(plan, Join):
+    if isinstance(plan, (Join, Product)):
         return join_order(plan.left) + join_order(plan.right)
     (child,) = plan.children
     return join_order(child, "σ " if isinstance(plan, Select) else selected)
@@ -64,6 +68,12 @@ def joins(plan) -> List[Join]:
     """The ``Join`` nodes of a plan, innermost (first executed) first."""
     found = [j for child in plan.children for j in joins(child)]
     return found + [plan] if isinstance(plan, Join) else found
+
+
+def products(plan) -> List[Product]:
+    """The ``Product`` nodes of a plan: joins that nothing links."""
+    found = [p for child in plan.children for p in products(child)]
+    return found + [plan] if isinstance(plan, Product) else found
 
 
 def selection_on(plan, leaf: str):
@@ -204,13 +214,13 @@ class TestIntroduceJoins:
         )
         plan = plan_of(UProject(query, ["f.z", "b.v", "m.w"]), udb)
         # few is the smallest and seeds, big and mid connect to each other
-        # only: one product, and everything else is a join on a key
-        keyless = [
-            j
+        # only: one product (every partition is certain, so no ψ rides on
+        # it), and everything else is a join on a key
+        assert all(
+            any(" = " in repr(c) and " OR " not in repr(c) for c in split_conjuncts(j.predicate))
             for j in joins(plan)
-            if not any(" = " in repr(c) and " OR " not in repr(c) for c in split_conjuncts(j.predicate))
-        ]
-        assert len(keyless) == 1
+        )
+        assert len(products(plan)) == 1
         answer = set(execute_query(Poss(UProject(query, ["f.z", "b.v", "m.w"])), udb).rows)
         assert answer == brute_force_poss(UProject(query, ["f.z", "b.v", "m.w"]), udb)
         assert len({z for z, _v, _w in answer}) == 4
@@ -325,6 +335,27 @@ class TestBenchmarkPlans:
         counts = [len(joins(translate(parse(sql).child, tpch).plan)) for sql in statements().values()]
         assert counts == [7, 3, 11, 3]
 
+    def test_psi_compares_only_columns_that_can_differ(self, tpch):
+        """A certain partition translates with width 0, so ψ pairs only the
+        uncertain ones: Q1 reads four (28 conjuncts when every partition
+        had a pair), Q3 two (66), the lookup three (6); Q2 reads four
+        uncertain partitions and keeps its 6."""
+        counts = {
+            name: explain_query(parse(sql), tpch).count(" OR (w")
+            for name, sql in statements().items()
+        }
+        assert counts["q1"] <= 6 and counts["q3"] <= 1 and counts["point"] <= 3
+        assert counts["q2"] == 6
+
+    def test_every_access_path_is_kept(self, tpch):
+        """The renamed-out ⊤ columns do not hide a scan from index selection."""
+        paths = {
+            name: (text.count("Index Scan"), text.count("Index Nested Loop Join"))
+            for name, sql in statements().items()
+            for text in [explain_query(parse(sql), tpch)]
+        }
+        assert paths == {"q1": (8, 7), "q2": (3, 3), "q3": (11, 9), "point": (4, 3)}
+
     def test_q3_plans_alike_however_it_is_written(self, tpch):
         text = FIG12["q3"]
         from_list = "supplier s, lineitem l, orders o, customer c, nation n1, nation n2"
@@ -374,3 +405,65 @@ class TestBenchmarkPlans:
         for name in ("q1", "q3"):
             execute_query(parse(FIG12[name]), tpch)
         assert advisory_report(min_calls=1)["drifting_plans"] == []
+
+
+# ----------------------------------------------------------------------
+# column pruning over what the translation emits
+# ----------------------------------------------------------------------
+def outline(plan) -> str:
+    """A plan's operators, each leaf by its scan's name."""
+    if isinstance(plan, Scan):
+        return plan.name
+    return f"{type(plan).__name__}({', '.join(outline(child) for child in plan.children)})"
+
+
+def scan(name: str, *columns: str) -> Scan:
+    return Scan(Relation(list(columns), [tuple(range(len(columns)))]), name)
+
+
+class TestPruneColumns:
+    def _check(self, plan, required, expected: str) -> None:
+        assert outline(prune_columns(plan, set(required))) == expected
+
+    def test_no_project_over_a_partition_scan(self, udb):
+        """Every partition here is certain: each scan carries a renamed-out
+        ⊤ pair that nothing above reads, and still no Project covers it."""
+        query = UProject(
+            UJoin(Rel("big", "b"), Rel("mid", "m"), col("b.k").eq(col("m.k"))), ["b.v", "m.w"]
+        )
+        plan = translate(query, udb).plan
+        self._check(
+            plan,
+            plan.schema.names,
+            "Project(Project(Join(Project(Join(Project(Join("
+            "Rename(u_mid_k), Rename(Rename(u_mid_w)))), Rename(u_big_k))), "
+            "Rename(Rename(u_big_v)))))",
+        )
+        text = explain_query(Poss(query), udb)
+        assert text.count("Index Nested Loop Join") == 3 and "Hash Join" not in text
+
+    def test_no_project_over_a_selected_scan(self):
+        a, b = scan("a", "a1", "a2", "a3"), scan("b", "b1", "b2")
+        plan = Project(Join(Select(a, col("a3").eq(lit(0))), b, col("a1").eq(col("b1"))), ["b2"])
+        self._check(plan, ["b2"], "Project(Join(Select(a), b))")
+
+    def test_a_project_still_narrows_a_join_input(self):
+        a, b, c = scan("a", "a1", "a2", "a3"), scan("b", "b1", "b2"), scan("c", "c1")
+        inner = Join(a, b, col("a1").eq(col("b1")))
+        plan = Project(Join(inner, c, col("b2").eq(col("c1"))), ["a2"])
+        self._check(plan, ["a2"], "Project(Join(Project(Join(a, b)), c))")
+        assert prune_columns(plan, {"a2"}).children[0].left.schema.names == ["a2", "b2"]
+
+    def test_a_project_still_narrows_a_union_input(self):
+        a, b, c = scan("a", "a1", "a2"), scan("b", "b1", "b2"), scan("c", "c1")
+        plan = Project(Join(Union(a, b), c, col("a1").eq(col("c1"))), ["c1"])
+        self._check(plan, ["c1"], "Project(Join(Project(Union(a, b)), c))")
+
+    @pytest.mark.parametrize("name", ["q1", "q2", "q3", "point"])
+    def test_pruning_alone_keeps_the_reference_answer(self, tpch, name):
+        plan = translate(parse(statements()[name]).child, tpch).plan
+        pruned = prune_columns(plan, set(plan.schema.names))
+        answers = [
+            execute(plan_physical(p, use_indexes=False), mode="rows") for p in (plan, pruned)
+        ]
+        assert answers[0] == answers[1] and len(answers[0]) > 0

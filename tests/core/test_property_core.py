@@ -22,6 +22,13 @@ loop; every query runs three times with the literals k, k', k — on one
 plan when the literal is lifted — and once more with the ordering loop
 replaced by one that keeps the text's order, which must not change an
 answer.
+
+A certain partition translates without a descriptor pair (the "slot is
+all-⊤" fact on its relation version), so one prepared statement is also
+run across writes that flip that fact - an uncertain INSERT, its DELETE,
+VACUUM, the INSERT again inside a transaction - checking the answer and
+the planned ψ after each; and the block boundaries where a width-0 side
+meets a wider one (a union, ``select *``, ``conf``) have explicit cases.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Tuple, Union
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core import (
     Certain,
@@ -47,16 +54,18 @@ from repro.core import (
     UQuery,
     URelation,
     USelect,
+    UUnion,
     WorldTable,
     execute_query,
     normalize_udatabase,
     reduce_udatabase,
 )
+from repro.core.descriptor import TOP_VARIABLE
 from repro.core.urelation import tid_column
 from repro.relational import col, lit, reset_plan_cache
 from repro.relational.algebra import Scan
 from repro.relational.expressions import Expression, Param
-from repro.sql import execute_sql, parse
+from repro.sql import execute_sql, parse, prepare
 from tests.conftest import brute_force_certain, brute_force_conf, brute_force_poss
 
 translate_module = sys.modules["repro.core.translate"]  # the package exports the function
@@ -218,8 +227,10 @@ def answer_of(relation, wrapper: str):
     return set(relation.rows)
 
 
-def scans(plan) -> int:
-    return isinstance(plan, Scan) + sum(scans(child) for child in plan.children)
+def scans_of(plan) -> List[Scan]:
+    return ([plan] if isinstance(plan, Scan) else []) + [
+        scan for child in plan.children for scan in scans_of(child)
+    ]
 
 
 def text_order(inputs, size, rank, join):
@@ -246,7 +257,7 @@ def check(udb: UDatabase, case: Case, wrapper: str) -> None:
         return real(inputs, size, rank, join)
 
     with mock.patch.object(translate_module, "greedy_order", counting):
-        leaves = scans(translate_module.translate(logical(case.keys[0]), udb).plan)
+        leaves = len(scans_of(translate_module.translate(logical(case.keys[0]), udb).plan))
     assert leaves >= 3 and calls and sum(calls) >= leaves
 
     expected = {key: oracle(logical(key), udb) for key in set(case.keys)}
@@ -314,3 +325,145 @@ def test_optimizer_does_not_change_answers(drawn):
 @settings(max_examples=30, deadline=None)
 def test_generated_databases_are_valid(udb: UDatabase):
     assert udb.is_valid()
+
+
+# -- the all-⊤ fact flipping under one prepared statement ---------------
+def all_top(part) -> bool:
+    """The fact the translation reads: descriptor slot 1 is ⊤ in every row
+    (in this strategy's encoding, every descriptor is then empty)."""
+    return part.relation.column_all_equal(0, TOP_VARIABLE)
+
+
+def has_union(query: UQuery) -> bool:
+    return isinstance(query, UUnion) or any(has_union(child) for child in query.children)
+
+
+def psi_conjuncts(statement) -> int:
+    return statement.explain().count(" OR (w")
+
+
+@given(databases_and_cases(), st.data())
+@settings(max_examples=30, deadline=None)
+def test_a_flip_under_one_prepared_statement(drawn, data):
+    """One statement, one cache key, a history of writes that turns a
+    certain partition the query scans uncertain and back: ``INSERT …
+    {7, v}``, ``DELETE`` of that row, ``VACUUM``, and the same ``INSERT``
+    staged in a transaction.  After every step the answer is the per-world
+    one, and the planned ψ follows the fact."""
+    udb, case = drawn
+    wrapper = data.draw(st.sampled_from(sorted(WRAPPERS)))
+    text, wrap, oracle = WRAPPERS[wrapper]
+    key = case.keys[0]
+    if case.as_tree:
+        statement, params = PreparedQuery(wrap(case.build(Param(0))), udb), (key,)
+        logical = case.build(lit(key))
+    else:
+        statement, params = prepare(text.format(case.build(key)), udb), ()
+        logical = parse(case.build(key))
+    plan = translate_module.translate(logical, udb).plan
+    scanned = {id(scan.relation) for scan in scans_of(plan)}
+    certain = [
+        (name, part.value_names[0])
+        for name in udb.relation_names()
+        for part in udb.partitions(name)
+        if id(part.relation) in scanned and all_top(part)
+    ]
+    assume(certain)
+    name, attribute = data.draw(st.sampled_from(certain))
+    cells = [
+        f"{{7, {data.draw(small_values)}}}" if a == attribute else str(data.draw(small_values))
+        for a in udb.logical_schema(name).attributes
+    ]
+    insert = f"insert into {name} values ({', '.join(cells)})"
+    # in a union ψ spans one branch, whose width may not be the larger one
+    grows = not has_union(logical)
+
+    def flipped() -> bool:
+        (part,) = [p for p in udb.partitions(name) if p.value_names == (attribute,)]
+        return not all_top(part)
+
+    def step(expect_flipped: bool) -> Tuple[int, int]:
+        assert answer_of(statement.run(*params), wrapper) == oracle(logical, udb)
+        assert flipped() == expect_flipped
+        return psi_conjuncts(statement), translate_module.translate(logical, udb).d_width
+
+    psi, width = step(False)
+    execute_sql(insert, udb)
+    psi_flipped, width_flipped = step(True)
+    assert psi_flipped >= psi and (width_flipped > width if grows else width_flipped >= width)
+    execute_sql(f"delete from {name} where {attribute} = 7", udb)
+    step(False)  # correct whichever width was planned; the fact is recomputed
+    execute_sql(f"vacuum {name}", udb)
+    assert step(False) == (psi, width)
+    execute_sql("begin", udb)
+    execute_sql(insert, udb)
+    assert step(False) == (psi, width)  # a read in the transaction sees the committed state
+    execute_sql("commit", udb)
+    assert step(True) == (psi_flipped, width_flipped)
+
+
+# -- certain partitions at the block boundaries --------------------------
+@pytest.fixture
+def boundary_udb() -> UDatabase:
+    """``r(a, b)`` certain, ``s(a)`` uncertain with descriptors of two
+    pairs, ``c(v)`` one certain partition."""
+    udb = UDatabase(WorldTable({"x": [1, 2], "y": [1, 2]}, {"x": (0.3, 0.7), "y": (0.5, 0.5)}))
+
+    def certain(tid_name: str, attribute: str, values) -> URelation:
+        triples = [(Descriptor(), tid, (v,)) for tid, v in enumerate(values, start=1)]
+        return URelation.build(triples, tid_name, [attribute])
+
+    udb.add_relation(
+        "r", ["a", "b"], [certain("tid_r", "a", [1, 2, 3]), certain("tid_r", "b", [10, 20, 30])]
+    )
+    uncertain = [
+        (Descriptor({"x": 1}), 1, (1,)),
+        (Descriptor({"x": 2}), 1, (2,)),
+    ] + [(Descriptor({"x": x, "y": y}), 2, (3 if x == 1 else 1,)) for x in (1, 2) for y in (1, 2)]
+    udb.add_relation("s", ["a"], [URelation.build(uncertain, "tid_s", ["a"])])
+    udb.add_relation("c", ["v"], [certain("tid_c", "v", [5, 6])])
+    return udb
+
+
+def check_wrappers(udb: UDatabase, sql: str) -> None:
+    for wrapper, (text, _wrap, oracle) in WRAPPERS.items():
+        answer = execute_sql(text.format(sql), udb)
+        assert answer_of(answer, wrapper) == oracle(parse(sql), udb), wrapper
+
+
+class TestCertainPartitionBoundaries:
+    def test_psi_comes_back_when_a_certain_partition_turns_uncertain(self, boundary_udb):
+        sql = "select t.a, u.a from r t, s u where t.a = u.a"
+        statement = prepare(f"possible ({sql})", boundary_udb)
+        assert psi_conjuncts(statement) == 0  # r.a is certain, s.a alone has pairs
+        check_wrappers(boundary_udb, sql)
+        execute_sql("insert into r values ({1, 2}, 40)", boundary_udb)
+        assert psi_conjuncts(statement) == 2  # r.a's one pair against s.a's two
+        check_wrappers(boundary_udb, sql)
+
+    def test_union_of_a_certain_block_and_an_uncertain_one(self, boundary_udb):
+        sql = "select a from r union select a from s"
+        check_wrappers(boundary_udb, sql)
+        answer = execute_sql(sql, boundary_udb)
+        assert answer.d_width == 2  # the certain branch pumped a literal ⊤ pair
+        tid_s = answer.relation.schema.resolve("tid_s")
+        from_r = [row for row in answer.relation.rows if row[tid_s] is None]
+        assert len(from_r) == 3 and {row[:4] for row in from_r} == {(TOP_VARIABLE, 0) * 2}
+        check_wrappers(boundary_udb, "select a from r union select v from c")
+
+    def test_select_star_of_one_certain_partition(self, boundary_udb):
+        for sql in ("select * from c", "select * from r"):
+            answer = execute_sql(sql, boundary_udb)
+            assert isinstance(answer, URelation) and answer.d_width == 1
+            assert {row[:2] for row in answer.relation.rows} == {(TOP_VARIABLE, 0)}
+            assert all(descriptor.empty for descriptor in answer.descriptors())
+        assert sorted(execute_sql("select * from c", boundary_udb).relation.rows) == [
+            (TOP_VARIABLE, 0, 1, 5),
+            (TOP_VARIABLE, 0, 2, 6),
+        ]
+
+    def test_conf_of_an_all_certain_query_is_one_per_group(self, boundary_udb):
+        sql = "select t.b, u.v from r t, c u where t.a < 3"
+        answer = execute_sql(f"conf ({sql}) method exact", boundary_udb)
+        assert sorted(answer.rows) == [(b, v, 1.0) for b in (10, 20) for v in (5, 6)]
+        check_wrappers(boundary_udb, sql)

@@ -8,6 +8,7 @@ counting, never by timing: the from-scratch constructors
 are wrapped, and a mixed write/read sequence over an indexed relation
 must not reach them - except that statistics are recomputed once the
 writes cross the analyze threshold, and on ``refresh_statistics``.  The
+per-column all-⊤ fact the translation reads is counted the same way.  The
 last test counts superseded relation versions still alive after writes
 through a server.
 """
@@ -18,6 +19,8 @@ import gc
 
 import pytest
 
+import repro.relational.relation as relation_module
+from repro.core.descriptor import TOP_VARIABLE
 from repro.core.udatabase import UDatabase
 from repro.core.urelation import URelation, tid_column
 from repro.relational import Relation, refresh_statistics
@@ -129,6 +132,29 @@ def test_statistics_recompute_once_past_the_analyze_threshold(built):
     workload()
     assert built["stats"] == 2 * recomputed
     assert built["hash"] == built["sorted"] == 0
+
+
+def test_a_certain_insert_carries_the_all_top_facts(monkeypatch):
+    """The translation reads each partition's "descriptor slot 1 is all-⊤"
+    fact; a certain INSERT carries it over the appended rows alone, so the
+    read after it counts no column in full."""
+    udb = _events(2000)
+    assert _lookup(udb, 7) == {("k2", 7)}  # computes the facts, once
+    counted = []
+    real = relation_module.countOf
+
+    def counting(iterable, value):
+        counted.append(value)
+        return real(iterable, value)
+
+    monkeypatch.setattr(relation_module, "countOf", counting)
+    execute_sql("insert into events values (5000, 'new', 1)", udb)
+    assert _lookup(udb, 5000) == {("new", 1)}
+    assert counted == []
+    for part in udb.partitions("events"):
+        assert part.relation._all_equal == {(0, TOP_VARIABLE): True}
+    assert Relation(["c1"], [(TOP_VARIABLE,)]).column_all_equal(0, TOP_VARIABLE)
+    assert counted == [TOP_VARIABLE]  # what a from-scratch fact costs
 
 
 @pytest.mark.parametrize("collector", [True, False], ids=["gc-on", "gc-off"])

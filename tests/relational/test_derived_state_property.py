@@ -1,8 +1,9 @@
 """Property: derived state carried along a write equals a fresh build.
 
 ``Relation._derive`` hands every piece of already-built derived state -
-column vectors, NULL facts, row labels, hash and sorted indexes with the
-``mixed_table`` probe dict, statistics - from a relation version to its
+column vectors, NULL and all-equal facts, row labels, hash and sorted
+indexes with the ``mixed_table`` probe dict, statistics - from a relation
+version to its
 successor by applying the write's delta (append, delete, compact; UPDATE
 is delete + append).  Two invariants, over random histories with the
 structures built at random points:
@@ -10,7 +11,7 @@ structures built at random points:
 * every structure on the successor answers exactly like one built from
   scratch over ``Relation(schema, successor.rows)`` - ``lookup``,
   ``range`` (result order included), ``ordered``, ``mixed_table``,
-  ``column_store``, ``column_has_null``, ``len``;
+  ``column_store``, ``column_has_null``, ``column_all_equal``, ``len``;
 * the parent version is never mutated: its structures pickle to the same
   bytes after the derivation as before.
 """
@@ -35,6 +36,9 @@ from repro.relational.statistics import table_stats
 SCHEMA = ["a", "b", "c"]
 A_VALUES = [None, 0, 1, 2, 3]
 B_VALUES = ["x", "y", "z"]
+#: The all-equal facts a history asks for (``b`` all ``"x"`` is the one an
+#: UPDATE flips both ways).
+EQUAL_FACTS = [(0, 1), (0, None), (1, "x"), (2, 0)]
 
 row = st.tuples(
     st.sampled_from(A_VALUES), st.sampled_from(B_VALUES), st.integers(0, 9)
@@ -56,7 +60,7 @@ ops = st.one_of(
     st.tuples(st.just("update"), positions, st.sampled_from(B_VALUES)),
     st.tuples(st.just("compact")),
     st.tuples(st.just("index"), index_defs),
-    st.tuples(st.just("touch"), st.sampled_from(["columns", "mixed", "stats"])),
+    st.tuples(st.just("touch"), st.sampled_from(["columns", "equal", "mixed", "stats"])),
 )
 histories = st.tuples(rows, st.lists(ops, min_size=1, max_size=10))
 
@@ -76,6 +80,7 @@ def _state(relation) -> bytes:
             "deleted": sorted(relation.deleted_ordinals()),
             "columns": getattr(relation, "_columns", None),
             "has_null": getattr(relation, "_has_null", None),
+            "all_equal": getattr(relation, "_all_equal", None),
             "labels": getattr(relation, "_labels", None),
             "indexes": {
                 i.name: _index_state(i) for i in built_indexes_on(relation)
@@ -103,6 +108,8 @@ def _assert_like_fresh(relation):
             assert relation.column_has_null(position) == fresh_relation.column_has_null(
                 position
             )
+    for (position, value), known in (getattr(relation, "_all_equal", None) or {}).items():
+        assert known == fresh_relation.column_all_equal(position, value), (position, value)
     stats = getattr(relation, "_stats", None)
     if stats is not None:
         assert stats.row_count == len(relation.rows)
@@ -162,6 +169,9 @@ def _apply(relation, op):
     elif op[1] == "columns":
         for position in range(len(SCHEMA)):
             relation.column_has_null(position)
+    elif op[1] == "equal":
+        for position, value in EQUAL_FACTS:
+            relation.column_all_equal(position, value)
     elif op[1] == "mixed":
         for index in built_indexes_on(relation):
             if index.kind == "hash":
@@ -230,3 +240,19 @@ def test_statistics_are_inherited_until_the_analyze_threshold():
     assert far._stats.row_count == 159
     assert far._stats.column("c") is not computed
     assert far._stats.column("c").maximum == 1059
+
+
+def test_all_equal_facts_follow_every_write():
+    relation = Relation(SCHEMA, [(1, "x", 0), (2, "x", 1)])
+    assert relation.column_all_equal(1, "x") and not relation.column_all_equal(0, 1)
+    grown = relation.with_appended([(3, "x", 2)])
+    assert grown._all_equal == {(1, "x"): True, (0, 1): False}  # the delta agreed
+    flipped = grown.with_appended([(4, "y", 3)])
+    assert flipped._all_equal == {(1, "x"): False, (0, 1): False}
+    shrunk = flipped.with_deleted([3])
+    assert shrunk._all_equal == {}  # a removal drops the false verdicts ...
+    assert shrunk.column_all_equal(1, "x")  # ... and the next use recomputes
+    assert shrunk.with_deleted([0])._all_equal == {(1, "x"): True}
+    assert shrunk.compacted()._all_equal == {(1, "x"): True}
+    assert relation._all_equal == {(1, "x"): True, (0, 1): False}  # parents untouched
+    assert Relation(SCHEMA, []).column_all_equal(1, "x")  # vacuously
