@@ -39,6 +39,7 @@ from .schema import Schema
 
 __all__ = [
     "ColumnBatch",
+    "gather",
     "row_projector",
     "selection_kernel",
     "map_kernel",
@@ -169,7 +170,7 @@ def _selection_uncached(predicate: Expression, schema: Schema, assume_non_null: 
         return f"_c{position}[_i]"
 
     generator = _CodeGen(schema, ref=ref, assume_non_null=assume_non_null)
-    body = generator.emit(predicate)
+    body = generator.condition(predicate)
     source = (
         "def _kernel(_cols, _n):\n"
         + _hoist(used, "_cols", "_c")
@@ -256,7 +257,7 @@ def _pipeline_uncached(
 ):
     emit = "row" if positions is None else _emit_tuple(positions)
     generator = _CodeGen(schema)
-    condition = "" if predicate is None else f" if {generator.emit(predicate)}"
+    condition = "" if predicate is None else f" if {generator.condition(predicate)}"
     source = (
         "def _kernel(_rows):\n"
         + _hoist_params(generator)
@@ -285,25 +286,27 @@ def probe_kernel(
     residual: Optional[Expression],
     filters: Sequence[Tuple[Expression, Schema]],
     output_positions: Sequence[int],
-    mixed: bool = False,
-) -> Callable[..., Tuple[Tuple[List[Any], ...], int]]:
+) -> Callable[..., Tuple[Tuple[Sequence[Any], ...], int]]:
     """The generated, fully fused probe loop of both equi-joins.
 
     ``f(lookup, columnar_side_columns, fast) -> (output column vectors,
     count)``.  One batch call runs the whole probe: the key vector (the
     ``zip`` of its columns for a composite key) is resolved through
-    ``map(lookup, keys)`` at C speed, per-match row-side filters and the
-    join residual are *inlined* into the loop body, and surviving matches
-    append straight into the output column vectors — no candidate index
-    lists, no second residual pass, no gather step.  NULL and mis-typed
-    keys need no test: no hash table or index stores one, so they miss.
+    ``map(lookup, keys)`` at C speed against a probe table of one shape,
+    key -> row, or [rows] when several share the key
+    (:func:`~repro.relational.index.probe_table`: a ``type(value) is
+    list`` test tells the two apart, as rows are tuples, so the common
+    one-match case runs no bucket iterator).  Per-match row-side filters
+    and the join residual are *inlined* into the loop body, which only
+    collects the matches; the output columns are gathered after the loop,
+    the columnar side's by one ``itemgetter`` per batch (:func:`gather`),
+    so an output column is a list or a tuple.  NULL and mis-typed keys
+    need no test: no probe table stores one, so they miss.
 
     ``combined`` is the join's ``left ++ right`` schema (``split`` columns
     from the left), which the residual and ``output_positions`` refer to.
     Filters run against the row-side tuple (each with the schema it was
-    written for — positions are rename-stable).  With ``mixed=True`` the
-    lookup values are a row *or* a list of rows (``HashIndex.mixed_table``)
-    and the generated loop skips the bucket iterator for bare rows.
+    written for — positions are rename-stable).
     """
     try:
         key_parts: Optional[Tuple] = (
@@ -317,7 +320,6 @@ def probe_kernel(
                 (structural_key(e), tuple(s.names)) for e, s in filters
             ),
             tuple(output_positions),
-            mixed,
         )
     except TypeError:
         key_parts = None
@@ -331,9 +333,17 @@ def probe_kernel(
             residual,
             filters,
             output_positions,
-            mixed,
         ),
     )
+
+
+def gather(columns: Sequence[Sequence[Any]], positions: Sequence[int]) -> List[Tuple[Any, ...]]:
+    """The values at ``positions`` (at least one) of each column vector:
+    one C-level ``itemgetter`` call per column instead of a comprehension,
+    and a 1-tuple per column for a single position."""
+    if len(positions) == 1:
+        return [(column[positions[0]],) for column in columns]
+    return list(map(itemgetter(*positions), columns))
 
 
 def _probe_uncached(
@@ -344,9 +354,8 @@ def _probe_uncached(
     residual: Optional[Expression],
     filters: Sequence[Tuple[Expression, Schema]],
     output_positions: Sequence[int],
-    mixed: bool = False,
 ):
-    context: dict = {"__builtins__": {}, "bool": bool, "range": range}
+    context: dict = {"__builtins__": {}, "_gather": gather}
     context["enumerate"] = enumerate
     context["map"] = map
     context["type"] = type
@@ -380,7 +389,7 @@ def _probe_uncached(
                 symbols=f"f{ordinal}{tag}_",
                 assume_non_null=assume_non_null,
             )
-            conditions.append(generator.emit(expr))
+            conditions.append(generator.condition(expr))
             context.update(generator.context)
             generators.append(generator)
         if residual is not None:
@@ -390,7 +399,7 @@ def _probe_uncached(
                 symbols=f"r{tag}_",
                 assume_non_null=assume_non_null,
             )
-            conditions.append(generator.emit(residual))
+            conditions.append(generator.condition(residual))
             context.update(generator.context)
             generators.append(generator)
         return conditions
@@ -404,7 +413,6 @@ def _probe_uncached(
     fast = emit_conditions(True, "n") if (checked and no_null_literal) else None
 
     emit_specs = [side_local(p) for p in output_positions]
-    want_outer = any(from_col for from_col, _ in emit_specs)
     want_inner = any(not from_col for from_col, _ in emit_specs)
     hoisted = sorted(set(used))
     keys = ", ".join(f"_cols[{p}]" for p in key_positions)
@@ -413,11 +421,11 @@ def _probe_uncached(
         f"    _kc = {keys}" if len(key_positions) == 1 else f"    _kc = zip({keys})",
     ]
     lines.extend(_hoist_params(*generators).splitlines())
-    for p in sorted(set(used) | {local for from_col, local in emit_specs if from_col}):
+    outer = sorted({local for from_col, local in emit_specs if from_col})
+    for p in sorted(set(used) | set(outer)):
         lines.append(f"    _cc{p} = _cols[{p}]")
     # the probe loop only collects matches (two appends per match); the
-    # output columns are gathered below by per-column comprehensions,
-    # which run on the LIST_APPEND fast path
+    # output columns are gathered below
     lines.append("    _oi = []")
     lines.append("    _ai = _oi.append")
     if want_inner:
@@ -434,25 +442,16 @@ def _probe_uncached(
 
     def emit_loop(conditions: List[str], indent: str) -> None:
         lines.append(f"{indent}for _i, _b in enumerate(map(_lookup, _kc)):")
-        if mixed:
-            lines.append(f"{indent}    if _b is None:")
-        else:
-            lines.append(f"{indent}    if not _b:")
+        lines.append(f"{indent}    if _b is None:")
         lines.append(f"{indent}        continue")
         for p in hoisted:
             lines.append(f"{indent}    _h{p} = _cc{p}[_i]")
-        if mixed:
-            # single rows are stored bare (tuples); only true buckets —
-            # lists — need the iterator
-            lines.append(f"{indent}    if type(_b) is list:")
-            lines.append(f"{indent}        for _ir in _b:")
-            emit_match(conditions, indent + "            ")
-            lines.append(f"{indent}        continue")
-            lines.append(f"{indent}    _ir = _b")
-            emit_match(conditions, indent + "    ")
-        else:
-            lines.append(f"{indent}    for _ir in _b:")
-            emit_match(conditions, indent + "        ")
+        lines.append(f"{indent}    if type(_b) is list:")
+        lines.append(f"{indent}        for _ir in _b:")
+        emit_match(conditions, indent + "            ")
+        lines.append(f"{indent}        continue")
+        lines.append(f"{indent}    _ir = _b")
+        emit_match(conditions, indent + "    ")
 
     if fast is not None:
         # ``_fast`` is decided statically by the caller: every column the
@@ -463,18 +462,15 @@ def _probe_uncached(
         emit_loop(checked, "        ")
     else:
         emit_loop(checked, "    ")
-    if want_outer:
-        lines.append("    if not _oi:")
-        lines.append("        return (), 0")
-    outs = []
-    for ordinal, (from_col, local) in enumerate(emit_specs):
-        if from_col:
-            lines.append(f"    _o{ordinal} = [_cc{local}[_j] for _j in _oi]")
-        else:
-            lines.append(f"    _o{ordinal} = [_r[{local}] for _r in _irs]")
-        outs.append(f"_o{ordinal}")
-    if emit_specs:
-        lines.append(f"    return ({', '.join(outs)},), len(_oi)")
-    else:
-        lines.append("    return (), len(_oi)")
+    lines.append("    if not _oi:")
+    lines.append("        return (), 0")
+    if outer:
+        gathered = "".join(f"_g{p}, " for p in outer)
+        vectors = "".join(f"_cc{p}, " for p in outer)
+        lines.append(f"    ({gathered}) = _gather(({vectors}), _oi)")
+    outs = [
+        f"_g{local}" if from_col else f"[_r[{local}] for _r in _irs]"
+        for from_col, local in emit_specs
+    ]
+    lines.append(f"    return ({''.join(o + ', ' for o in outs)}), len(_oi)")
     return _build_kernel("\n".join(lines) + "\n", context)

@@ -718,16 +718,13 @@ class _CodeGen:
             return self._null_checked(expr.left, expr.right, op, on_null="False")
         if isinstance(expr, Arithmetic):
             return self._null_checked(expr.left, expr.right, expr.op, on_null="None")
-        if isinstance(expr, And):
+        if isinstance(expr, (And, Or)):
             if not expr.operands:
-                return "True"
-            return "bool(" + " and ".join(self.emit(op) for op in expr.operands) + ")"
-        if isinstance(expr, Or):
-            if not expr.operands:
-                return "False"
-            return "bool(" + " or ".join(self.emit(op) for op in expr.operands) + ")"
+                return "True" if isinstance(expr, And) else "False"
+            # Python's and/or return an operand: a value must be a bool
+            return "bool" + self.condition(expr)
         if isinstance(expr, Not):
-            return f"(not {self.emit(expr.operand)})"
+            return f"(not {self.condition(expr.operand)})"
         if isinstance(expr, IsNull):
             return f"({self.emit(expr.operand)} is None)"
         if isinstance(expr, InList):
@@ -753,6 +750,15 @@ class _CodeGen:
         # a kernel has no row tuple in scope: build one from its own refs
         row = "".join(f"{self._emit_col(p)}, " for p in range(len(self.schema)))
         return f"{fallback}(({row}))"
+
+    def condition(self, expr: Expression) -> str:
+        """:meth:`emit` for a place that only tests the truth of the result
+        (a kernel's ``if``, an operand of ``and`` / ``or`` / ``not``): the
+        ``bool(...)`` a value needs around AND / OR is left out there."""
+        if isinstance(expr, (And, Or)) and expr.operands:
+            joiner = " and " if isinstance(expr, And) else " or "
+            return "(" + joiner.join(map(self.condition, expr.operands)) + ")"
+        return self.emit(expr)
 
     def _null_checked(
         self, left: Expression, right: Expression, op: str, on_null: str

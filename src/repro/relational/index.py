@@ -9,6 +9,9 @@ capability:
 * :class:`HashIndex`   — equality lookups (dict of key -> row bucket),
 * :class:`SortedIndex` — binary-search point and range lookups over a
   key-sorted row array (the btree stand-in),
+* :func:`probe_table`  — the one shape an equi-join probes, key -> row or
+  [rows]: an index's :meth:`Index.mixed_table`, built on the first join
+  probe, and a hash join's build side,
 * :class:`IndexRegistry` — the named-index catalog a
   :class:`~repro.relational.database.Database` owns (``CREATE INDEX`` /
   ``DROP INDEX``), with rebuild-on-replacement maintenance.
@@ -34,7 +37,7 @@ from __future__ import annotations
 import threading
 import weakref
 from bisect import bisect_left, bisect_right
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .relation import Relation, _without
 
@@ -44,6 +47,7 @@ __all__ = [
     "SortedIndex",
     "IndexRegistry",
     "build_index",
+    "probe_table",
     "attach_index",
     "detach_index",
     "defer_index",
@@ -79,6 +83,7 @@ class Index:
         )
         self.name = name or default_index_name(self.columns)
         self._single = len(positions) == 1
+        self._mixed: Optional[Dict[Any, Any]] = None
         self._build()
 
     @property
@@ -146,15 +151,22 @@ class Index:
         """All rows whose key equals ``key`` (in relation row order)."""
         raise NotImplementedError
 
-    def lookup_fn(self):
-        """The fastest point-lookup callable for hot loops.
+    def mixed_table(self) -> Dict[Any, Any]:
+        """The join probe table: key -> row, or [rows] in relation order
+        when several rows share the key (the :func:`probe_table` shape).
 
-        Returns a callable mapping a key to a bucket of rows; the result is
-        falsy (``None`` or empty) when nothing matches.  Executors hoist
-        this once per operator instead of paying a method dispatch per
-        probe.
+        Built from the index's own entries on the first join probe, held
+        on the index and carried along :meth:`derived` with the delta.
+        Threads racing on the first probe each build an equal table, and
+        one of them stays.
         """
-        return self.lookup
+        mixed = self._mixed
+        if mixed is None:
+            mixed = self._mixed = self._probe_table()
+        return mixed
+
+    def _probe_table(self) -> Dict[Any, Any]:
+        raise NotImplementedError
 
     def __len__(self) -> int:
         """Number of indexed rows (NULL-keyed rows are not indexed)."""
@@ -191,7 +203,7 @@ class HashIndex(Index):
         """
         clone = self._derived_shell(relation)
         clone._count = self._count
-        mixed = getattr(self, "_mixed", None)
+        mixed = self._mixed
         if not removed and not appended:
             clone._table = self._table
             clone._mixed = mixed
@@ -239,26 +251,11 @@ class HashIndex(Index):
             return ()
         return self._table.get(key, ())
 
-    def lookup_fn(self):
-        return self._table.get  # plain dict.get: None for missing keys
-
-    def mixed_table(self) -> Dict[Any, Any]:
-        """A probe table storing single rows bare: key -> row | [rows].
-
-        Most keys of a tuple-id index map to exactly one row; storing that
-        row directly (instead of a one-element bucket) lets the columnar
-        executor's generated probe kernels skip the bucket iterator for
-        the common case — a ``type(value) is list`` test tells the two
-        apart, since rows are tuples.  Built once and cached on the index.
-        """
-        mixed = getattr(self, "_mixed", None)
-        if mixed is None:
-            mixed = {
-                key: bucket[0] if len(bucket) == 1 else bucket
-                for key, bucket in self._table.items()
-            }
-            self._mixed = mixed
-        return mixed
+    def _probe_table(self) -> Dict[Any, Any]:
+        return {
+            key: bucket[0] if len(bucket) == 1 else bucket
+            for key, bucket in self._table.items()
+        }
 
     def __len__(self) -> int:
         return self._count
@@ -300,10 +297,12 @@ class SortedIndex(Index):
 
         A removed row's entry is found by bisecting its key, then its
         label within the run of equal keys; an appended row's place by
-        bisecting its key.  Raises ``TypeError`` when an appended key does
-        not compare against the existing keys (mixed types); the caller
-        falls back to a deferred rebuild in that case, like the eager
-        auto-index policy does.
+        bisecting its key.  The probe table of :meth:`mixed_table`, once
+        built, is copied shallowly and re-read from the new run of each
+        key the delta touches.  Raises ``TypeError`` when an appended key
+        does not compare against the existing keys (mixed types); the
+        caller falls back to a deferred rebuild in that case, like the
+        eager auto-index policy does.
         """
         clone = self._derived_shell(relation)
         key_of = clone.key_of
@@ -343,6 +342,17 @@ class SortedIndex(Index):
                 ]
         clone._keys, clone._ordinals, clone._rows = columns[:3]
         clone._first = columns[0] if self._single else columns[3]
+        mixed = clone._mixed = self._mixed
+        if mixed is not None and (removed or appended):
+            mixed = clone._mixed = dict(mixed)
+            keys, rows = clone._keys, clone._rows
+            for key in {key_of(row) for row in (*removed, *appended)} - {None}:
+                low = bisect_left(keys, key)
+                high = bisect_right(keys, key, low)
+                if high == low:
+                    mixed.pop(key, None)
+                else:
+                    mixed[key] = rows[low] if high - low == 1 else rows[low:high]
         return clone
 
     def lookup(self, key: Any) -> Sequence[Row]:
@@ -388,11 +398,35 @@ class SortedIndex(Index):
         """All indexed rows in ascending key order."""
         return self._rows
 
+    def _probe_table(self) -> Dict[Any, Any]:
+        # a run of equal keys is in relation order: so are its buckets
+        return probe_table(zip(self._keys, self._rows))
+
     def __len__(self) -> int:
         return len(self._rows)
 
 
 _KIND_CLASSES = {"hash": HashIndex, "sorted": SortedIndex}
+
+
+def probe_table(entries: Iterable[Tuple[Any, Row]]) -> Dict[Any, Any]:
+    """The equi-join probe table over ``(key, row)`` entries: key -> row,
+    or the list of its rows in entry order when several share the key.
+
+    Most keys of a tuple-id column hold one row, and a bare row spares the
+    probe loop a bucket iterator.  The caller leaves NULL keys out.
+    """
+    table: Dict[Any, Any] = {}
+    get = table.get
+    for key, row in entries:
+        held = get(key)
+        if held is None:
+            table[key] = row
+        elif type(held) is list:
+            held.append(row)
+        else:
+            table[key] = [held, row]
+    return table
 
 
 def build_index(

@@ -493,12 +493,17 @@ def _resolvable(names: Set[str], reference: str) -> bool:
 # column pruning
 # ======================================================================
 def prune_columns(plan: Plan, required: Set[str]) -> Plan:
-    """Insert projections so only upstream-needed columns flow through."""
+    """Insert projections so only upstream-needed columns flow through:
+    ``required`` names the output columns the parent reads, and a
+    ``Project`` narrows to them (to its first column if it reads none)."""
     if isinstance(plan, Project):
+        columns = [
+            c for c, name in zip(plan.columns, plan.schema.names) if name in required
+        ] or plan.columns[:1]
         child_required = set()
-        for c in plan.columns:
+        for c in columns:
             child_required.add(plan.child.schema.names[plan.child.schema.resolve(c)])
-        return Project(prune_columns(plan.child, child_required), plan.columns)
+        return Project(prune_columns(plan.child, child_required), columns)
 
     if isinstance(plan, ProjectAs):
         child_required = set()
@@ -550,10 +555,9 @@ def _maybe_project(plan: Plan, required: Set[str]) -> Plan:
     keep = [n for n in names if n in required]
     if not keep:
         keep = names[:1]  # must keep at least one column
+    # a Project arrives here already narrowed by prune_columns
     if len(keep) == len(names):
         return plan
-    if isinstance(plan, Project):
-        return Project(plan.child, [plan.columns[names.index(k)] for k in keep])
     if _over_base_scan(plan):
         # the join gathers only the columns its output names; a Project
         # here would hide the scan from index selection

@@ -27,20 +27,23 @@ Every operator speaks exactly two protocols:
 * ``column_batches(size)`` is the executor (``mode="columns"``, the
   default, and the only path a served request runs).  Operators exchange
   :class:`~repro.relational.columnar.ColumnBatch` values — per-column
-  ``list``/``tuple`` vectors of at most ``size`` (:data:`BATCH_SIZE`,
-  1024) rows.  Scans slice a cached column store of the base relation,
+  vectors of at most ``size`` (:data:`BATCH_SIZE`, 1024) rows, each a
+  ``list`` or a ``tuple`` (what an ``itemgetter`` gather of kept rows
+  returns).  Scans slice a cached column store of the base relation,
   filters run one generated loop per batch (the predicate inlined into a
   single comprehension), projections re-select column vectors without
   touching rows, and the two probing equi-joins (``HashJoin``,
   ``IndexNestedLoopJoin``) share one body, :func:`_probe_batches`: a
   generated kernel per join, for a key of any width, that resolves a
-  batch's keys against the hash table or index, checks the residual and
-  emits output columns directly by gathering from both inputs — a
-  downstream-folded projection means dropped columns are never
-  materialized at all.  Six operators work on row
-  tuples because their inputs or algorithms are row-shaped (index
-  buckets hold row tuples; merge, nested-loop, semi-join and set
-  difference compare whole rows): ``IndexScan``, ``FusedPipeline`` over
+  batch's keys against one probe-table shape, key -> row or [rows]
+  (:func:`~repro.relational.index.probe_table`: the hash join's build
+  side, or the inner index's ``mixed_table``), checks the residual and
+  gathers the output columns from both inputs — a downstream-folded
+  projection means dropped columns are never materialized at all.  Six
+  operators work on row tuples because their inputs or algorithms are
+  row-shaped (index buckets hold row tuples; merge, nested-loop,
+  semi-join and set difference compare whole rows): ``IndexScan``,
+  ``FusedPipeline`` over
   an ``IndexScan``, ``SemiJoinOp``, ``MergeJoin``, ``NestedLoopJoin`` and
   ``Except`` read their children through :func:`_row_batches` and emit
   :meth:`ColumnBatch.from_rows`, which transposes (one C-speed ``zip``)
@@ -88,6 +91,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 
 from .columnar import (
     ColumnBatch,
+    gather,
     map_kernel,
     pipeline_kernel,
     probe_kernel,
@@ -95,7 +99,7 @@ from .columnar import (
     selection_kernel,
 )
 from .expressions import Expression, Param, frame, has_null_literal
-from .index import HashIndex, Index, SortedIndex
+from .index import Index, SortedIndex, probe_table
 from .relation import Relation, _sort_key
 from .schema import Schema
 
@@ -530,10 +534,7 @@ class FusedPipeline(PhysicalPlan):
                 if positions is not None
                 else columns
             )
-            if keep is None:
-                yield ColumnBatch(wanted, kept)
-            else:
-                yield ColumnBatch([[c[i] for i in keep] for c in wanted], kept)
+            yield ColumnBatch(wanted if keep is None else gather(wanted, keep), kept)
 
     def explain_label(self) -> str:
         return "Fused Pipeline"
@@ -581,9 +582,7 @@ class Filter(PhysicalPlan):
             if len(keep) == batch.length:
                 yield batch
             else:
-                yield ColumnBatch(
-                    [[c[i] for i in keep] for c in batch.columns], len(keep)
-                )
+                yield ColumnBatch(gather(batch.columns, keep), len(keep))
 
     def explain_label(self) -> str:
         return "Filter"
@@ -789,11 +788,12 @@ class HashJoin(PhysicalPlan):
                 if residual is None or residual(out):
                     yield out if project is None else project(out)
 
-    def _build_table(self, size: int) -> Dict[Any, List[Row]]:
-        """Hash the build side (NULL keys excluded, as NULLs never join).
+    def _build_table(self, size: int) -> Dict[Any, Any]:
+        """Hash the build side into a :func:`~repro.relational.index.probe_table`
+        (NULL keys excluded, as NULLs never join).
 
         Keys come straight off the build side's column vectors and the
-        bucketed rows from one C-speed transpose per batch.
+        rows from one C-speed transpose per batch.
         """
         single = len(self.pairs) == 1
         build_plan, build_positions = (
@@ -801,18 +801,18 @@ class HashJoin(PhysicalPlan):
             if self.build == "left"
             else (self.right, self.right_positions)
         )
-        table: Dict[Any, List[Row]] = {}
-        setdefault = table.setdefault
-        for cb in build_plan.column_batches(size):
-            if single:
-                keys: Any = cb.columns[build_positions[0]]
-            else:
-                keys = zip(*(cb.columns[p] for p in build_positions))
-            for key, row in zip(keys, cb.to_rows()):
-                if _key_is_null(key, single):
-                    continue
-                setdefault(key, []).append(row)
-        return table
+
+        def entries() -> Iterator[Tuple[Any, Row]]:
+            for cb in build_plan.column_batches(size):
+                if single:
+                    keys: Any = cb.columns[build_positions[0]]
+                else:
+                    keys = zip(*(cb.columns[p] for p in build_positions))
+                for key, row in zip(keys, cb.to_rows()):
+                    if not _key_is_null(key, single):
+                        yield key, row
+
+        return probe_table(entries())
 
     def _probe_plan(self) -> Tuple:
         """-> (generated probe kernel, its NULL-freedom flag).
@@ -1005,7 +1005,6 @@ class IndexNestedLoopJoin(PhysicalPlan):
             if self.output_positions is not None
             else range(len(self._combined))
         )
-        mixed = isinstance(self.index, HashIndex)
         # lookup, inlined filters and residual, and direct column emit in
         # one loop
         kernel = probe_kernel(
@@ -1016,7 +1015,6 @@ class IndexNestedLoopJoin(PhysicalPlan):
             self.residual,
             self.inner_filters,
             positions,
-            mixed=mixed,
         )
         # every column the conditions reference must be provably NULL-free
         # for the kernel's guard-free body: inner refs consult the indexed
@@ -1039,8 +1037,7 @@ class IndexNestedLoopJoin(PhysicalPlan):
         fast = not any(
             relation.column_has_null(q) for q in inner_refs
         ) and not any(self.outer.column_nullable(q) for q in outer_refs)
-        lookup = self.index.mixed_table().get if mixed else self.index.lookup_fn()
-        self._planned = (kernel, lookup, fast)
+        self._planned = (kernel, self.index.mixed_table().get, fast)
         return self._planned
 
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pathlib
 import sys
-from typing import List
+from typing import List, Set
 
 import pytest
 
@@ -36,10 +36,19 @@ from repro.core.urelation import tid_column
 from repro.obs.report import advisory_report
 from repro.obs.workload import drift_ratio
 from repro.relational import Relation, col, lit
-from repro.relational.algebra import Join, Product, Project, Scan, Select, Union
+from repro.relational.algebra import (
+    Difference,
+    Distinct,
+    Join,
+    Product,
+    Project,
+    Scan,
+    Select,
+    Union,
+)
 from repro.relational.expressions import TRUE, split_conjuncts
 from repro.relational.optimizer import prune_columns
-from repro.relational.physical import execute
+from repro.relational.physical import HashJoin, IndexNestedLoopJoin, execute
 from repro.relational.planner import plan_physical
 from repro.sql import parse
 from repro.tpch import queries
@@ -401,10 +410,52 @@ class TestBenchmarkPlans:
             classes.append(record.cost_class)
         assert classes == ["heavy", "heavy", "heavy", "point"]
 
+    def test_every_join_output_is_read(self, tpch):
+        """Column pruning narrows each join's emitted columns to those its
+        ancestors read; Q3's top join used to carry 15 that nobody read."""
+        for name, sql in statements().items():
+            query = parse(sql)
+            key = query_cache_key(query, tpch)
+            record, _cached = _cached_physical(query, tpch, key, True, "columns", True)
+            everything = set(range(len(record.physical.schema)))
+            assert unread_join_outputs(record.physical, everything) == [], name
+
     def test_neither_q1_nor_q3_is_reported_as_drifting(self, tpch):
         for name in ("q1", "q3"):
             execute_query(parse(FIG12[name]), tpch)
         assert advisory_report(min_calls=1)["drifting_plans"] == []
+
+
+def unread_join_outputs(node, read: Set[int]) -> List[str]:
+    """``"<join>: <column>"`` for each output column of a join at or under
+    ``node`` that no ancestor reads as a key, in a condition or as the
+    final output; ``read`` holds the positions of ``node``'s own output
+    that its ancestors read."""
+    if isinstance(node, HashJoin):
+        left, right = node.left, node.right
+        keys = [node.left_positions, node.right_positions]
+    elif isinstance(node, IndexNestedLoopJoin):
+        left, right = node.outer, node.inner
+        keys = [node.outer_positions, list(node.index.positions)]
+        if node.flipped:
+            left, right = right, left
+            keys.reverse()
+    else:  # not a join: reads every column of its input
+        return [
+            unread
+            for child in node.children
+            for unread in unread_join_outputs(child, set(range(len(child.schema))))
+        ]
+    unread = [f"{node.explain_label()}: {n}" for p, n in enumerate(node.schema.names) if p not in read]
+    combined = left.schema.concat(right.schema)
+    emitted = node.output_positions if node.output_positions is not None else range(len(combined))
+    wanted = {emitted[p] for p in read}
+    if node.residual is not None:
+        wanted |= {combined.resolve(name) for name in node.residual.columns()}
+    split = len(left.schema)
+    on_left = {p for p in wanted if p < split} | set(keys[0])
+    on_right = {p - split for p in wanted if p >= split} | set(keys[1])
+    return unread + unread_join_outputs(left, on_left) + unread_join_outputs(right, on_right)
 
 
 # ----------------------------------------------------------------------
@@ -419,6 +470,15 @@ def outline(plan) -> str:
 
 def scan(name: str, *columns: str) -> Scan:
     return Scan(Relation(list(columns), [tuple(range(len(columns)))]), name)
+
+
+def narrowed(plan) -> str:
+    """:func:`outline` with each Project's columns."""
+    if isinstance(plan, Project):
+        return f"Project[{', '.join(plan.columns)}]({narrowed(plan.child)})"
+    if isinstance(plan, Scan):
+        return plan.name
+    return f"{type(plan).__name__}({', '.join(narrowed(child) for child in plan.children)})"
 
 
 class TestPruneColumns:
@@ -459,10 +519,44 @@ class TestPruneColumns:
         plan = Project(Join(Union(a, b), c, col("a1").eq(col("c1"))), ["c1"])
         self._check(plan, ["c1"], "Project(Join(Project(Union(a, b)), c))")
 
+    def _narrows(self, plan, required, expected: str) -> None:
+        assert narrowed(prune_columns(plan, set(required))) == expected
+
+    def test_stacked_projects_narrow_to_what_the_parent_reads(self):
+        a = scan("a", "a1", "a2", "a3")
+        plan = Project(Project(Project(a, ["a1", "a2", "a3"]), ["a1", "a2"]), ["a1"])
+        self._narrows(plan, ["a1"], "Project[a1](Project[a1](Project[a1](a)))")
+
+    def test_a_project_nothing_reads_keeps_its_first_column(self):
+        a, b = scan("a", "a1", "a2", "a3"), scan("b", "b1")
+        plan = Project(Product(Project(a, ["a2", "a3"]), b), ["b1"])
+        self._narrows(plan, ["b1"], "Project[b1](Product(Project[a2](a), b))")
+
+    def test_a_join_reads_its_keys_and_its_output(self):
+        a, b, c = scan("a", "a1", "a2", "a3"), scan("b", "b1", "b2"), scan("c", "c1")
+        inner = Project(Join(a, b, col("a1").eq(col("b1"))), ["a1", "a2", "a3", "b1", "b2"])
+        plan = Project(Join(inner, c, col("b2").eq(col("c1"))), ["a3"])
+        self._narrows(plan, ["a3"], "Project[a3](Join(Project[a3, b2](Join(a, b)), c))")
+
+    @pytest.mark.parametrize("node", [Distinct, Union, Difference])
+    def test_set_operation_inputs_keep_every_column(self, node):
+        a, b = scan("a", "a1", "a2"), scan("b", "b1", "b2")
+        inputs = [Project(a, ["a1", "a2"]), Project(b, ["b1", "b2"])]
+        children = inputs[:1] if node is Distinct else inputs
+        kept = ", ".join(narrowed(child) for child in children)
+        self._narrows(
+            Project(node(*children), ["a1"]),
+            ["a1"],
+            f"Project[a1]({node.__name__}({kept}))",
+        )
+
     @pytest.mark.parametrize("name", ["q1", "q2", "q3", "point"])
     def test_pruning_alone_keeps_the_reference_answer(self, tpch, name):
-        plan = translate(parse(statements()[name]).child, tpch).plan
+        """Over the value columns alone, as ``possible`` reads the block."""
+        translated = translate(parse(statements()[name]).child, tpch)
+        plan = Project(translated.plan, list(translated.value_names))
         pruned = prune_columns(plan, set(plan.schema.names))
+        assert narrowed(pruned) != narrowed(plan)
         answers = [
             execute(plan_physical(p, use_indexes=False), mode="rows") for p in (plan, pruned)
         ]

@@ -8,9 +8,9 @@ counting, never by timing: the from-scratch constructors
 are wrapped, and a mixed write/read sequence over an indexed relation
 must not reach them - except that statistics are recomputed once the
 writes cross the analyze threshold, and on ``refresh_statistics``.  The
-per-column all-⊤ fact the translation reads is counted the same way.  The
-last test counts superseded relation versions still alive after writes
-through a server.
+per-column all-⊤ fact the translation reads, and the join probe tables
+(``Index.mixed_table``), are counted the same way.  The last test counts
+superseded relation versions still alive after writes through a server.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import pytest
 
 import repro.relational.relation as relation_module
 from repro.core.descriptor import TOP_VARIABLE
+from repro.core.translate import explain_query
 from repro.core.udatabase import UDatabase
 from repro.core.urelation import URelation, tid_column
 from repro.relational import Relation, refresh_statistics
@@ -31,10 +32,16 @@ from repro.relational.statistics import (
     ColumnStats,
     table_stats,
 )
-from repro.sql import execute_sql
+from repro.sql import execute_sql, parse
 
 ATTRIBUTES = ["id", "kind", "score"]
 LOOKUP = "possible (select kind, score from events where id = {key})"
+#: Probes ``a``'s sorted ``id`` index with ``b.score``, and hash tid
+#: indexes at the merges.
+KEY_JOIN = (
+    "possible (select a.kind from events a, events b "
+    "where a.id = b.score and b.id = {key})"
+)
 
 
 def _events(count: int) -> UDatabase:
@@ -155,6 +162,38 @@ def test_a_certain_insert_carries_the_all_top_facts(monkeypatch):
         assert part.relation._all_equal == {(0, TOP_VARIABLE): True}
     assert Relation(["c1"], [(TOP_VARIABLE,)]).column_all_equal(0, TOP_VARIABLE)
     assert counted == [TOP_VARIABLE]  # what a from-scratch fact costs
+
+
+def test_an_insert_carries_the_join_probe_tables(monkeypatch):
+    """A key join probes the inner side's sorted value index through its
+    probe table, the merges the tid indexes' ones; an INSERT carries every
+    built table along its delta, so neither the write nor the join after
+    it builds one in full - and the join finds the inserted row."""
+    udb = _events(2000)
+
+    def tables():
+        return {
+            index.name
+            for part in udb.partitions("events")
+            for index in part.relation._indexes
+            if index._mixed is not None
+        }
+
+    assert "idx_u_events_id_id" in explain_query(parse(KEY_JOIN.format(key=7)), udb)
+    assert execute_sql(KEY_JOIN.format(key=7), udb).rows == [("k2",)]  # builds them
+    probed = tables()
+    assert {"idx_u_events_id_id", "idx_u_events_kind_tid"} <= probed
+    builds = []
+    for cls in (HashIndex, SortedIndex):
+        real = cls._probe_table
+        monkeypatch.setattr(
+            cls, "_probe_table", lambda self, real=real: builds.append(self) or real(self)
+        )
+
+    execute_sql("insert into events values (5000, 'new', 5000)", udb)
+    assert execute_sql(KEY_JOIN.format(key=5000), udb).rows == [("new",)]
+    assert builds == []
+    assert tables() == probed
 
 
 @pytest.mark.parametrize("collector", [True, False], ids=["gc-on", "gc-off"])

@@ -67,8 +67,8 @@ histories = st.tuples(rows, st.lists(ops, min_size=1, max_size=10))
 
 def _index_state(index):
     if index.kind == "hash":
-        return (index._table, getattr(index, "_mixed", None), len(index))
-    return (index._keys, index._ordinals, index._rows, index._first)
+        return (index._table, index._mixed, len(index))
+    return (index._keys, index._ordinals, index._rows, index._first, index._mixed)
 
 
 def _state(relation) -> bytes:
@@ -121,8 +121,8 @@ def _assert_like_fresh(relation):
         assert len(index) == len(fresh)
         for key in _keys_of(index):
             assert list(index.lookup(key)) == list(fresh.lookup(key)), (index, key)
+        assert index.mixed_table() == fresh.mixed_table()
         if index.kind == "hash":
-            assert index.mixed_table() == fresh.mixed_table()
             assert index._table == fresh._table
             continue
         assert list(index.ordered()) == list(fresh.ordered())
@@ -174,8 +174,7 @@ def _apply(relation, op):
             relation.column_all_equal(position, value)
     elif op[1] == "mixed":
         for index in built_indexes_on(relation):
-            if index.kind == "hash":
-                index.mixed_table()
+            index.mixed_table()
     else:
         for name in SCHEMA:
             table_stats(relation).column(name)

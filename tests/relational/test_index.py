@@ -117,6 +117,27 @@ class TestSortedIndex:
         idx = SortedIndex(people(), ["name"])
         assert list(idx.lookup(5)) == []
 
+    @pytest.mark.parametrize(
+        "columns, key",
+        [
+            (["k"], None),
+            (["k"], "1"),  # a string on an int column
+            (["k"], 1.0),  # equal to 1, of another type
+            (["k"], 1),
+            (["k"], 3),
+            (["k", "v"], (1.0, "c")),
+            (["k", "v"], (1, None)),
+        ],
+    )
+    def test_probe_table_answers_like_lookup(self, columns, key):
+        """A join probes the table, a point scan bisects: same rows, in
+        relation order, for every key the executor can hand either."""
+        rel = Relation(["k", "v"], [(1, "a"), (2, "b"), (1, "c"), (None, "d"), (1, "e")])
+        idx = SortedIndex(rel, columns)
+        held = idx.mixed_table().get(key)
+        probed = [] if held is None else held if type(held) is list else [held]
+        assert probed == list(idx.lookup(key))
+
 
 class TestAttachment:
     def test_build_and_attach(self):
