@@ -194,7 +194,7 @@ def aggregate_distribution(
     sampled world and returns the aggregate value; the result maps
     aggregate values to estimated probabilities.  Only the variables the
     result actually touches are sampled; each variable's whole sample
-    column is drawn in one call against domain/cumulative-weight vectors
+    column is drawn in one call against domain/probability vectors
     fetched once from the engine's caches.
     """
     touched = sorted(
@@ -204,7 +204,7 @@ def aggregate_distribution(
     engine = confidence_engine(world_table)
     rng = random.Random(seed)
     columns = [
-        rng.choices(engine._domain(var), cum_weights=engine._cum_vector(var), k=samples)
+        rng.choices(engine._domain(var), weights=engine._prob_vector(var), k=samples)
         for var in touched
     ]
     histogram: Dict[Any, int] = {}

@@ -27,7 +27,13 @@ module provides a memoized confidence engine plus bounded-error sampling:
   descriptor world-sets with an absolute ``(epsilon, delta)`` guarantee:
   with probability at least ``1 - delta`` the estimate is within
   ``epsilon`` of the true confidence (Hoeffding sample count over the
-  coverage estimator; components needing sampling split the budget),
+  coverage estimator; components needing sampling split the budget).
+  It runs bit-parallel: sample ``s`` is lane (bit) ``s`` of Python ints,
+  a variable has one lane mask per value a descriptor names (its other
+  values, which no descriptor tests, share one outcome), and lanes come
+  in blocks of at most :data:`_LANE_BLOCK`; the estimator, and so the
+  promise, is the per-sample one.  Seeds are client-supplied, so sampled
+  results are memoized in a bounded LRU,
 * ``method="auto"`` — exact per component while the component's assignment
   space fits :data:`EXACT_SPACE_LIMIT`, sampling beyond it, and
 * :func:`monte_carlo_confidence` — the direct (naive) sampler over touched
@@ -41,12 +47,12 @@ engine, so identical descriptor sets across groups are computed once.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import random
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from ..relational.plancache import LruHotCache
 from ..relational.relation import Relation
 from ..relational.schema import Schema
 from .descriptor import Descriptor
@@ -79,6 +85,12 @@ DEFAULT_EPSILON = 0.01
 #: Default failure probability of the approximate path.
 DEFAULT_DELTA = 0.05
 
+#: Most lanes (samples) one block of the bit-parallel sampler holds.
+_LANE_BLOCK = 1 << 16
+
+#: Sampled group results (per ``(method, epsilon, delta, seed)``) kept.
+_GROUP_OPTION_CAPACITY = 256
+
 #: Methods :func:`tuple_confidences` accepts (``monte-carlo`` is the
 #: legacy direct sampler, kept for measurement).
 _METHODS = ("exact", "approx", "auto", "monte-carlo")
@@ -106,6 +118,41 @@ def assignment_space_size(
     return space
 
 
+def _bernoulli_lanes(getrandbits: Callable[[int], int], q: float, lanes: int, width: int) -> int:
+    """The lanes of ``lanes`` whose uniform ``U`` is below ``q``: each plane
+    is the next binary digit of every lane's ``U``, compared with ``q``'s
+    (exact: doubling a float and taking 1 off are), until no lane is tied;
+    about ``log2(width)`` planes."""
+    if q >= 1.0:
+        return lanes
+    hit = 0
+    while lanes and q > 0.0:
+        q += q
+        plane = getrandbits(width)
+        if q >= 1.0:
+            q -= 1.0
+            hit |= lanes & ~plane
+            lanes &= plane
+        else:
+            lanes &= ~plane
+    return hit
+
+
+def _categorical_lanes(
+    getrandbits: Callable[[int], int], weights: Sequence[float], lanes: int, width: int
+) -> List[int]:
+    """Split ``lanes`` into one mask per weight, category ``k`` drawn with
+    probability ``weights[k] / sum(weights)``: a chain of Bernoulli draws
+    over the lanes still unassigned (the last positive weight takes the rest)."""
+    tails = list(itertools.accumulate(reversed(weights)))[::-1]
+    masks = []
+    for weight, tail in zip(weights, tails):
+        hit = _bernoulli_lanes(getrandbits, weight / tail, lanes, width) if lanes else 0
+        masks.append(hit)
+        lanes ^= hit
+    return masks
+
+
 class ConfidenceEngine:
     """Memoized confidence computation over one :class:`WorldTable`.
 
@@ -123,16 +170,17 @@ class ConfidenceEngine:
         self._domains: Dict[str, Tuple[Any, ...]] = {}
         self._probs: Dict[str, Tuple[float, ...]] = {}
         self._value_index: Dict[str, Dict[Any, int]] = {}
-        self._cum_weights: Dict[str, List[float]] = {}
         # descriptor-level caches (structural key -> result)
         self._descriptor_prob: Dict[_DescKey, float] = {}
         self._satisfying: Dict[Tuple[Tuple[str, ...], _DescKey], FrozenSet[int]] = {}
         # shared per-variable-set subexpressions
         self._space_probs: Dict[Tuple[str, ...], List[float]] = {}
-        # component / group result caches
+        # component / group result caches: a group the method samples no
+        # part of does not depend on (epsilon, delta, seed); a sampled one
+        # does, and seeds are client-supplied, so those go to a bounded LRU
         self._component_exact: Dict[Tuple[_DescKey, ...], float] = {}
-        self._group_exact: Dict[FrozenSet[_DescKey], float] = {}
-        self._group_option: Dict[Tuple, Tuple[float, str]] = {}
+        self._group_exact: Dict[Tuple[FrozenSet[_DescKey], str], float] = {}
+        self._group_option = LruHotCache(_GROUP_OPTION_CAPACITY)
         # introspection counters
         self.groups_total = 0
         self.exact_groups = 0
@@ -156,13 +204,6 @@ class ConfidenceEngine:
     def _prob_vector(self, var: str) -> Tuple[float, ...]:
         self._domain(var)
         return self._probs[var]
-
-    def _cum_vector(self, var: str) -> List[float]:
-        cum = self._cum_weights.get(var)
-        if cum is None:
-            cum = list(itertools.accumulate(self._prob_vector(var)))
-            self._cum_weights[var] = cum
-        return cum
 
     def _index_of(self, var: str, value: Any) -> int:
         self._domain(var)
@@ -221,26 +262,22 @@ class ConfidenceEngine:
             self.exact_groups += 1
             return 1.0, "exact"
         group = frozenset(keys)
-        if method == "exact":
-            cached = self._group_exact.get(group)
-            if cached is not None:
-                self.cache_hits += 1
-                self.exact_groups += 1
-                return cached, "exact"
-        else:
-            if epsilon <= 0.0 or delta <= 0.0 or delta >= 1.0:
-                raise ValueError(
-                    f"need epsilon > 0 and 0 < delta < 1; got ({epsilon}, {delta})"
-                )
-            option_key = (group, method, epsilon, delta, seed)
+        if method != "exact" and (epsilon <= 0.0 or delta <= 0.0 or delta >= 1.0):
+            raise ValueError(
+                f"need epsilon > 0 and 0 < delta < 1; got ({epsilon}, {delta})"
+            )
+        cached = self._group_exact.get((group, method))
+        if cached is not None:
+            self.cache_hits += 1
+            self.exact_groups += 1
+            return cached, "exact"
+        option_key = (group, method, epsilon, delta, seed)
+        if method != "exact":
             hit = self._group_option.get(option_key)
             if hit is not None:
                 self.cache_hits += 1
-                if hit[1] == "approx":
-                    self.approx_groups += 1
-                else:
-                    self.exact_groups += 1
-                return hit
+                self.approx_groups += 1
+                return hit, "approx"
         components = self._components(group)
         sampled = [comp for comp in components if self._should_sample(comp, method)]
         miss = 1.0
@@ -248,12 +285,7 @@ class ConfidenceEngine:
             for comp in components:
                 miss *= 1.0 - self._component_union_exact(comp)
             value = 1.0 - miss
-            self._group_exact[group] = value
-            if method != "exact":
-                self._group_option[(group, method, epsilon, delta, seed)] = (
-                    value,
-                    "exact",
-                )
+            self._group_exact[(group, method)] = value
             self.exact_groups += 1
             return value, "exact"
         # split the error budget over the sampled components: each |error|
@@ -270,7 +302,7 @@ class ConfidenceEngine:
                 p = self._component_union_exact(comp)
             miss *= 1.0 - p
         value = 1.0 - miss
-        self._group_option[(group, method, epsilon, delta, seed)] = (value, "approx")
+        self._group_option.put(option_key, value)
         self.approx_groups += 1
         return value, "approx"
 
@@ -455,6 +487,20 @@ class ConfidenceEngine:
         union probability with every sample in ``[T/n, T]``.  Hoeffding
         over that range yields the sample count for an absolute
         ``(epsilon, delta)`` guarantee.
+
+        A block's samples are drawn at once, sample ``s`` in lane (bit)
+        ``s`` of Python ints: a mask per descriptor for the picks and one
+        per ``(variable, value)`` a descriptor of ``comp`` names.  A
+        variable's other values, which no descriptor tests, are one
+        "other" outcome: coverage has the same distribution.  A pick fixes
+        the variables it names; the rest come from their marginals.  A
+        descriptor covers the AND of its masks, a bit-sliced counter
+        (``levels[k]``: lanes whose count has bit ``k``) sums coverages,
+        and ``sum_s 1/cover_s = sum_v popcount(lanes covered v times) / v``.
+        Estimator, sample count and clamp are the per-sample loop's, and
+        so is the promise.  A block holds at most :data:`_LANE_BLOCK`
+        lanes (memory bounded for any ``epsilon``); draws go in ``comp``
+        order, then sorted variables, then domain order: a seed fixes it.
         """
         probs = [self.descriptor_probability(key) for key in comp]
         total = sum(probs)
@@ -470,40 +516,54 @@ class ConfidenceEngine:
         samples = max(
             1, math.ceil(spread * spread * math.log(2.0 / delta) / (2.0 * epsilon * epsilon))
         )
-        rng = random.Random(f"{seed}|{comp!r}")
-        cum_desc = list(itertools.accumulate(probs))
-        vars_key = self._component_variables(comp)
-        var_domains = [self._domain(v) for v in vars_key]
-        var_cums = [self._cum_vector(v) for v in vars_key]
-        var_totals = [cum[-1] for cum in var_cums]
-        assignments = [dict(key) for key in comp]
-        random_ = rng.random
-        bisect_ = bisect.bisect
+        getrandbits = random.Random(f"{seed}|{comp!r}").getrandbits
+        named: Dict[str, set] = {var: set() for var in self._component_variables(comp)}
+        for key in comp:
+            for var, value in key:
+                named[var].add(self._index_of(var, value))
+        slots: Dict[Tuple[str, Any], int] = {}  # (variable, value) -> mask slot
+        draws = []  # per variable: its named slots, their weights + "other"'s
+        for var, indices in named.items():
+            domain, vector = self._domain(var), self._prob_vector(var)
+            order = sorted(indices)
+            weights = [vector[i] for i in order]
+            weights.append(sum(p for i, p in enumerate(vector) if i not in indices))
+            draws.append(([slots.setdefault((var, domain[i]), len(slots)) for i in order], weights))
+        key_slots = [[slots[item] for item in key] for key in comp]
         inverse_coverage = 0.0
-        world: Dict[str, Any] = {}
-        for _ in range(samples):
-            pick = bisect_(cum_desc, random_() * total)
-            if pick >= n:
-                pick = n - 1
-            base = assignments[pick]
-            world.clear()
-            world.update(base)
-            for var, domain, cum, var_total in zip(
-                vars_key, var_domains, var_cums, var_totals
-            ):
-                if var not in base:
-                    idx = bisect_(cum, random_() * var_total)
-                    if idx >= len(domain):
-                        idx = len(domain) - 1
-                    world[var] = domain[idx]
-            covered = 0
-            for candidate in assignments:
-                for var, value in candidate.items():
-                    if world[var] != value:
-                        break
-                else:
-                    covered += 1
-            inverse_coverage += 1.0 / covered
+        for start in range(0, samples, _LANE_BLOCK):
+            width = min(_LANE_BLOCK, samples - start)
+            full = (1 << width) - 1
+            masks = [0] * len(slots)  # the values picks fix, then the draws
+            picks = _categorical_lanes(getrandbits, probs, full, width)
+            for pick, pick_slots in zip(picks, key_slots):
+                for s in pick_slots:
+                    masks[s] |= pick
+            for var_slots, weights in draws:
+                pinned = 0
+                for s in var_slots:
+                    pinned |= masks[s]
+                free = _categorical_lanes(getrandbits, weights, full ^ pinned, width)
+                for s, drawn in zip(var_slots, free):
+                    masks[s] |= drawn
+            levels: List[int] = []
+            for desc_slots in key_slots:
+                carry = full
+                for s in desc_slots:
+                    carry &= masks[s]
+                for k, level in enumerate(levels):
+                    levels[k], carry = level ^ carry, level & carry
+                if carry:
+                    levels.append(carry)
+            parts = [(full, 0)]  # (lanes, coverage so far read off the levels)
+            for k, level in enumerate(levels):
+                parts = [
+                    part
+                    for lanes, count in parts
+                    for part in ((lanes & level, count | 1 << k), (lanes & ~level, count))
+                    if part[0]
+                ]
+            inverse_coverage += sum(lanes.bit_count() / count for lanes, count in parts)
         estimate = total * inverse_coverage / samples
         return min(upper, max(lower, estimate))
 
@@ -560,7 +620,7 @@ def monte_carlo_confidence(
 
     Samples assignments of the touched variables only; the estimator is
     unbiased with standard error ``sqrt(p(1-p)/samples)``.  Domains and
-    cumulative weights are fetched once per variable (not per sample), and
+    weights are fetched once per variable (not per sample), and
     each variable's whole sample column is drawn in one C-level
     ``choices`` call.
     """
@@ -573,7 +633,7 @@ def monte_carlo_confidence(
     engine = confidence_engine(world_table)
     rng = random.Random(seed)
     columns = [
-        rng.choices(engine._domain(var), cum_weights=engine._cum_vector(var), k=samples)
+        rng.choices(engine._domain(var), weights=engine._prob_vector(var), k=samples)
         for var in touched
     ]
     position = {var: i for i, var in enumerate(touched)}

@@ -9,9 +9,16 @@ layer must actually share work across groups.
 
 from __future__ import annotations
 
+import os
+import pathlib
+import statistics
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.core import (
     ConfidenceEngine,
     Descriptor,
@@ -22,6 +29,7 @@ from repro.core import (
     exact_confidence,
     monte_carlo_confidence,
 )
+from repro.core import probability
 from repro.core.probability import EXACT_SPACE_LIMIT
 
 
@@ -271,6 +279,153 @@ def test_auto_switches_to_sampling_beyond_the_space_limit():
         [Descriptor(x=1)], method="approx", epsilon=0.02, delta=0.05, seed=0
     )
     assert used_single == "exact"
+
+
+def sampled_estimates(world, descriptors, epsilon, delta, seeds):
+    """One fresh-engine estimate per seed, after checking the feasible
+    interval is wider than ``2 * epsilon`` (else nothing is sampled)."""
+    engine = ConfidenceEngine(world)
+    probs = [engine.descriptor_probability(d.items()) for d in descriptors]
+    assert min(1.0, sum(probs)) - max(probs) > 2 * epsilon
+    return [
+        engine.confidence(descriptors, method="approx", epsilon=epsilon, delta=delta, seed=s)
+        for s in seeds
+    ]
+
+
+def assert_within_promise(estimates, exact, epsilon):
+    """>= 95 % of the estimates within epsilon, and no visible bias."""
+    errors = [estimate - exact for estimate in estimates]
+    assert sum(abs(e) <= epsilon for e in errors) >= 0.95 * len(errors)
+    assert abs(statistics.mean(errors)) <= epsilon / 4
+
+
+def chain_confidence(named):
+    """Exact conf of the chain ``{v_i = a_i, v_{i+1} = a_{i+1}}``, where
+    ``named[i] = P(v_i = a_i)``: a two-state transfer-matrix recurrence over
+    "no pair hit yet, and v_i does / does not hold its named value"."""
+    clear, held = 1.0 - named[0], named[0]
+    for q in named[1:]:
+        clear, held = (clear + held) * (1.0 - q), clear * q
+    return 1.0 - clear - held
+
+
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "non_dyadic"])
+def test_heavy_chain_estimates_match_the_closed_form(uniform):
+    """The 41-variable chain (assignment space >= 3^41) over 200 seeds."""
+    names = [f"v{i}" for i in range(41)]
+    if uniform:
+        domains = {v: [1, 2, 3, 4] for v in names}
+        probabilities = {v: [0.25] * 4 for v in names}
+        held = {v: 1 for v in names}
+    else:  # P(named value) in 3/17 .. 7/17, the named value moving over 1..3
+        domains = {v: [1, 2, 3] for v in names}
+        probabilities = {}
+        held = {}
+        for i, v in enumerate(names):
+            q = (3 + (7 * i) % 5) / 17
+            rest = [(1 - q) / 3, 2 * (1 - q) / 3]
+            held[v] = 1 + i % 3
+            probabilities[v] = rest[: held[v] - 1] + [q] + rest[held[v] - 1 :]
+    world = WorldTable(domains, probabilities=probabilities)
+    chain = [Descriptor({a: held[a], b: held[b]}) for a, b in zip(names, names[1:])]
+    exact = chain_confidence([world.probability(v, held[v]) for v in names])
+    assert_within_promise(sampled_estimates(world, chain, 0.1, 0.05, range(200)), exact, 0.1)
+
+
+def small_world(x_probs=(0.2, 0.3, 0.5)):
+    return WorldTable(
+        {"x": [1, 2, 3], "y": [1, 2, 3], "z": [1, 2]},
+        probabilities={"x": list(x_probs), "y": [0.6, 0.3, 0.1], "z": [0.45, 0.55]},
+    )
+
+
+@pytest.mark.parametrize(
+    "x_probs, descriptors",
+    [
+        # x is named with 1 by one descriptor and with 2 by another
+        ((0.2, 0.3, 0.5), [dict(x=1, y=1), dict(x=2, z=1), dict(y=2, z=2)]),
+        # a single-variable descriptor beside wider ones on its variable
+        ((0.2, 0.3, 0.5), [dict(y=1), dict(x=1, y=2), dict(x=2, z=1)]),
+        # a descriptor of probability zero: never picked, never covering
+        ((0.0, 0.4, 0.6), [dict(x=1, y=1), dict(x=2, y=1), dict(y=2, z=1), dict(x=3, z=2)]),
+    ],
+    ids=["two_values_of_one_variable", "single_variable", "zero_probability_value"],
+)
+def test_small_cases_match_world_enumeration(x_probs, descriptors):
+    world = small_world(x_probs)
+    descriptors = [Descriptor(d) for d in descriptors]
+    exact = oracle_confidence(descriptors, world)
+    assert_within_promise(sampled_estimates(world, descriptors, 0.05, 0.05, range(40)), exact, 0.05)
+
+
+def test_sample_counts_beyond_one_lane_block(monkeypatch):
+    """Blocks split the lanes (a ragged last block included) and the
+    inverse coverage sums across them."""
+    world = small_world()
+    descriptors = [Descriptor(x=1, y=1), Descriptor(y=1, z=1), Descriptor(x=2, z=2)]
+    exact = oracle_confidence(descriptors, world)
+    widths = []
+    real = probability._categorical_lanes
+
+    def recording(getrandbits, weights, lanes, width):
+        widths.append(width)
+        return real(getrandbits, weights, lanes, width)
+
+    monkeypatch.setattr(probability, "_categorical_lanes", recording)
+    for estimate in sampled_estimates(world, descriptors, 0.0015, 0.05, range(2)):
+        assert abs(estimate - exact) <= 0.0015
+    assert max(widths) == probability._LANE_BLOCK > min(widths)
+    monkeypatch.setattr(probability, "_LANE_BLOCK", 100)
+    widths.clear()
+    estimates = sampled_estimates(world, descriptors, 0.05, 0.05, range(40))
+    assert max(widths) == 100 > min(widths)
+    assert_within_promise(estimates, exact, 0.05)
+
+
+_DETERMINISM_SCRIPT = """
+from repro.core import ConfidenceEngine, Descriptor, WorldTable
+names = ["var_" + c for c in "abcdefghij"]
+world = WorldTable({n: [1, 2, 3] for n in names}, probabilities={n: [0.2, 0.3, 0.5] for n in names})
+chain = [Descriptor({a: 1 + i % 3, b: 1 + (i + 1) % 3}) for i, (a, b) in enumerate(zip(names, names[1:]))]
+print(repr(ConfidenceEngine(world).confidence(chain, method="approx", epsilon=0.05, delta=0.05, seed=7)))
+"""
+
+
+def test_estimates_agree_across_processes_and_hash_seeds():
+    """A seed fixes the estimate, whatever order ``set``s of strings
+    iterate in (``PYTHONHASHSEED``)."""
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    outputs = set()
+    for hash_seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", _DETERMINISM_SCRIPT],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.add(done.stdout.strip())
+    assert len(outputs) == 1, outputs
+
+
+def test_option_memo_is_bounded_under_fresh_seeds():
+    """Fresh client seeds cannot grow the memo past its capacity, and an
+    ``auto`` group hit often survives the flood as a cache hit."""
+    world = WorldTable(
+        {"x": [1, 2], "y": [1, 2]}, probabilities={"x": [0.5, 0.5], "y": [0.5, 0.5]}
+    )
+    engine = ConfidenceEngine(world, exact_limit=2)  # auto samples x-y groups
+    hot = [Descriptor(x=1), Descriptor(x=2, y=1)]
+    for _ in range(10):
+        engine.confidence(hot, method="auto", epsilon=0.05, seed=0)
+    for seed in range(1, 5001):
+        engine.confidence(hot, method="approx", epsilon=0.1, seed=seed)
+        engine.confidence([Descriptor(x=1), Descriptor(y=1)], method="auto", seed=seed)
+    memo = engine._group_option
+    assert len(memo) <= 1024
+    assert len(memo) <= memo.capacity
+    hits = engine.stats()["cache_hits"]
+    engine.confidence(hot, method="auto", epsilon=0.05, seed=0)
+    assert engine.stats()["cache_hits"] == hits + 1
 
 
 # -- the direct sampler (hoisted-domain rewrite) ------------------------
