@@ -59,8 +59,7 @@ def test_fig13_q2_plan_indexed(benchmark):
     def build():
         translated = translate(q2_inner(), bundle.udb)
         logical = optimize(translated.plan)
-        # through Database.explain so the catalog's registry is exercised
-        return bundle.udb.to_database().explain(logical, optimize_first=False)
+        return explain(plan_physical(logical, fuse=True))
 
     text = benchmark.pedantic(build, rounds=3, iterations=1)
     write_result("fig13_q2_plan_indexed.txt", text)

@@ -53,7 +53,7 @@ from .core import (
     translate,
     tuple_confidences,
 )
-from .relational import Database, Relation, col, lit
+from .relational import Relation, col, lit
 from .sql import execute_sql, parse as parse_sql
 
 __version__ = "1.0.0"
@@ -88,7 +88,6 @@ __all__ = [
     "execute_sql",
     "parse_sql",
     # substrate re-exports
-    "Database",
     "Relation",
     "col",
     "lit",

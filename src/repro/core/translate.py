@@ -741,19 +741,11 @@ def query_cache_key(
     this to peek at a request's cached cost class *before* admitting it —
     building the key costs a tree walk, never a translation.
     """
-    from ..relational.plancache import build_key
-
-    fuse = mode == "columns"
-    return build_key(
-        lambda: (
-            "uquery",
-            id(udb),
-            query_structure_key(query),
-            optimize,
-            use_indexes,
-            fuse,
-        )
-    )
+    try:
+        structure = query_structure_key(query)
+    except TypeError:
+        return None
+    return ("uquery", id(udb), structure, optimize, use_indexes, mode == "columns")
 
 
 def relational_core(query: UQuery) -> UQuery:

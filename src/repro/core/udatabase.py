@@ -18,7 +18,7 @@ carries them to the successor (``carry_indexes``), persistence saves them
 from there.  Index DDL (:meth:`UDatabase.create_index` /
 :meth:`UDatabase.drop_index`) and every derivation of a successor happen
 under ``_write_lock``, so a definition lands on the live partition or not
-at all.  :meth:`UDatabase.to_database` is a read-only export, no catalog.
+at all.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from typing import (
     Tuple,
 )
 
-from ..relational.database import Database
 from ..relational.index import (
     Index,
     attached_index_defs,
@@ -134,8 +133,8 @@ class LogicalSchema:
 
 def partition_label(name: str, part: URelation) -> str:
     """The paper's name for a vertical partition: ``u_<rel>_<attrs>`` — what
-    index DDL addresses, :meth:`UDatabase.to_database` exports under and
-    persistence names the partition's directory."""
+    index DDL addresses, plans scan it under and persistence names the
+    partition's directory."""
     return f"u_{name}_" + "_".join(part.value_names)
 
 
@@ -714,19 +713,6 @@ class UDatabase:
                     return
             have = sorted(defined[1] for defined in self.index_defs())
             raise KeyError(f"index {name!r} not found; have {have}")
-
-    def to_database(self) -> Database:
-        """Export the representation as plain named relations (plus ``w``).
-
-        Partition naming follows the paper's experiments: ``u_<rel>_<attrs>``.
-        A fresh :class:`Database` over the current relation objects on
-        every call: it holds no state of this database, registers no index
-        and builds nothing deferred — a plan run through it finds its
-        access paths on the relation objects themselves.
-        """
-        relations = self._labelled_partitions()
-        relations["w"] = self.world_table.relation()
-        return Database(relations)
 
     def __repr__(self) -> str:
         rels = ", ".join(

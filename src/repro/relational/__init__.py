@@ -8,11 +8,13 @@ output.
 
 Quick tour::
 
-    from repro.relational import Database, Relation, Scan, Select, col, lit
+    from repro.relational import (Relation, Scan, Select, col, explain,
+                                  lit, optimize, plan_physical, run)
 
-    db = Database()
-    db.create("r", Relation(["a", "b"], [(1, "x"), (2, "y")]))
-    result = db.run(Select(db.scan("r"), col("a") > lit(1)))
+    r = Relation(["a", "b"], [(1, "x"), (2, "y")])
+    plan = Select(Scan(r, name="r"), col("a") > lit(1))
+    result = run(plan)
+    print(explain(plan_physical(optimize(plan), fuse=True)))
 """
 
 from .algebra import (
@@ -31,12 +33,10 @@ from .algebra import (
     Union,
 )
 from .csvio import read_csv, write_csv
-from .database import Database
 from .explain import explain, explain_analyze, explain_logical
 from .index import (
     HashIndex,
     Index,
-    IndexRegistry,
     SortedIndex,
     build_index,
     ensure_index,
@@ -80,7 +80,6 @@ __all__ = [
     "Attribute",
     "Schema",
     "Relation",
-    "Database",
     "DataType",
     "Date",
     "SchemaError",
@@ -120,7 +119,6 @@ __all__ = [
     "Index",
     "HashIndex",
     "SortedIndex",
-    "IndexRegistry",
     "build_index",
     "ensure_index",
     "indexes_on",

@@ -1,4 +1,4 @@
-"""Secondary indexes over relations, and the catalog that manages them.
+"""Secondary indexes over relations.
 
 The paper's performance argument (Figures 12-13) rests on U-relations being
 *plain relations* the host DBMS can index: the tid-equijoins that reassemble
@@ -11,21 +11,18 @@ capability:
   key-sorted row array (the btree stand-in),
 * :func:`probe_table`  — the one shape an equi-join probes, key -> row or
   [rows]: an index's :meth:`Index.mixed_table`, built on the first join
-  probe, and a hash join's build side,
-* :class:`IndexRegistry` — the named-index catalog a
-  :class:`~repro.relational.database.Database` owns (``CREATE INDEX`` /
-  ``DROP INDEX``), with rebuild-on-replacement maintenance.
+  probe, and a hash join's build side.
 
 Indexes *attach* to the :class:`~repro.relational.relation.Relation` they
-cover (a private slot on the relation object).  The planner discovers
-access paths through :func:`indexes_on`, so any code path that scans a
-relation — including the U-relations translation, which builds
-:class:`~repro.relational.algebra.Scan` nodes directly without going
-through a :class:`Database` — sees the indexes.  Because relations are
-immutable values, attachment is safe: an index can never go stale while its
-relation object is alive, and replacing a relation in a catalog replaces
-the object, at which point the registry rebuilds its definitions onto the
-new one.
+cover (a private slot on the relation object), and that slot is the only
+record of them: :func:`ensure_index` creates one, :func:`defer_index`
+records a definition built on first planner access, and the U-relational
+catalog's index DDL works on the live partition relation.  The planner
+discovers access paths through :func:`indexes_on`, so any plan that scans a
+relation sees them.  Because relations are immutable values, attachment is
+safe: an index can never go stale while its relation object is alive, and
+a write derives a new relation object that :func:`carry_indexes` hands the
+access paths on to.
 
 NULL semantics match the executor's comparisons: rows whose key contains
 ``None`` are excluded from every index (a NULL never compares equal, so an
@@ -45,7 +42,6 @@ __all__ = [
     "Index",
     "HashIndex",
     "SortedIndex",
-    "IndexRegistry",
     "build_index",
     "probe_table",
     "attach_index",
@@ -731,122 +727,3 @@ def carry_indexes(
         new._indexes = derived
     if pending:
         new._pending_indexes = pending
-
-
-# ----------------------------------------------------------------------
-# the named-index catalog owned by a Database
-# ----------------------------------------------------------------------
-class IndexRegistry:
-    """Named index definitions over a catalog of named relations.
-
-    The registry stores *definitions* (name, table, columns, kind) plus the
-    live :class:`Index` objects, and keeps them attached to the current
-    relation object of each table.  When a table's relation is replaced
-    (``Database.create(..., replace=True)``), :meth:`rebuild_table` carries
-    every definition over to the new relation.
-    """
-
-    def __init__(self) -> None:
-        self._indexes: Dict[str, Index] = {}
-        self._tables: Dict[str, str] = {}
-
-    # -- catalog ------------------------------------------------------
-    def create(
-        self,
-        name: str,
-        table: str,
-        relation: Relation,
-        columns: Sequence[str],
-        kind: str = "hash",
-        replace: bool = False,
-    ) -> Index:
-        """Create (or with ``replace=True`` re-create) a named index."""
-        if name in self._indexes:
-            existing = self._indexes[name]
-            if (
-                existing.relation is relation
-                and existing.kind == kind
-                and existing.columns == tuple(relation.schema.names[p] for p in existing.positions)
-                and self._tables[name] == table
-                and existing.positions == tuple(relation.schema.resolve(c) for c in columns)
-            ):
-                return existing  # identical definition: idempotent
-            if not replace:
-                raise KeyError(f"index {name!r} already exists")
-            self.drop(name)
-        index = ensure_index(relation, columns, kind=kind, name=name)
-        self._indexes[name] = index
-        self._tables[name] = table
-        return index
-
-    def drop(self, name: str) -> None:
-        """Drop a named index and detach it from its relation."""
-        try:
-            index = self._indexes.pop(name)
-        except KeyError:
-            raise KeyError(f"index {name!r} not found; have {sorted(self._indexes)}") from None
-        self._tables.pop(name, None)
-        # only detach when no other registry entry shares the object
-        if index not in self._indexes.values():
-            detach_index(index.relation, index)
-
-    def drop_table(self, table: str) -> None:
-        """Drop every index defined on a table (table itself was dropped)."""
-        for name in [n for n, t in self._tables.items() if t == table]:
-            self.drop(name)
-
-    def rebuild_table(self, table: str, relation: Relation) -> None:
-        """Re-create all of a table's indexes over its replacement relation.
-
-        All-or-nothing: every replacement index is built *before* anything
-        is swapped, so a definition the new relation cannot satisfy (a
-        dropped column, an unsortable type) raises without leaving the
-        registry half-rebuilt or the old indexes detached.
-        """
-        names = [n for n, t in self._tables.items() if t == table]
-        rebuilt = {
-            name: build_index(
-                relation,
-                self._indexes[name].columns,
-                kind=self._indexes[name].kind,
-                name=name,
-            )
-            for name in names
-        }
-        for name, index in rebuilt.items():
-            old = self._indexes[name]
-            detach_index(old.relation, old)
-            attach_index(relation, index)
-            self._indexes[name] = index
-
-    # -- inspection ---------------------------------------------------
-    def get(self, name: str) -> Index:
-        try:
-            return self._indexes[name]
-        except KeyError:
-            raise KeyError(f"index {name!r} not found; have {sorted(self._indexes)}") from None
-
-    def table_of(self, name: str) -> str:
-        self.get(name)
-        return self._tables[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._indexes
-
-    def __len__(self) -> int:
-        return len(self._indexes)
-
-    def names(self, table: Optional[str] = None) -> List[str]:
-        if table is None:
-            return sorted(self._indexes)
-        return sorted(n for n, t in self._tables.items() if t == table)
-
-    def on_table(self, table: str) -> List[Index]:
-        return [self._indexes[n] for n in self.names(table)]
-
-    def definitions(self) -> List[Tuple[str, str, Tuple[str, ...], str]]:
-        """(name, table, columns, kind) for every index, sorted by name."""
-        return [
-            (n, self._tables[n], self._indexes[n].columns, self._indexes[n].kind)
-            for n in sorted(self._indexes)
-        ]

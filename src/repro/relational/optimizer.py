@@ -11,7 +11,7 @@ Implements the classical rewrites the paper relies on PostgreSQL for:
 3. **Greedy selectivity-based join ordering** — :func:`greedy_order`, one
    loop with two callers.  :func:`order_joins` flattens cascades of
    relational joins/products into a join graph and re-assembles them, for
-   plans written against a :class:`~repro.relational.database.Database`.
+   plans written by hand over ``Scan`` leaves.
    A *translated* U-relation query it cannot reorder — each join and merge
    sits under its own ``Project``/``Rename`` of positional descriptor
    columns, where flattening stops — so :mod:`repro.core.translate` runs

@@ -4,12 +4,12 @@ Translation + optimization + physical planning cost a few milliseconds per
 query — real money once the per-execution work is microseconds.  The cache
 maps
 
-    (normalized query structure, owner catalog, planner knobs)
+    ("uquery", owning UDatabase, normalized query structure, planner knobs)
         -> PlanRecord
 
-so a repeated ``Database.run`` / ``execute_query`` skips the whole
-translate -> optimize -> plan pipeline and goes straight to the executor.
-There is one of each thing here:
+so a repeated ``execute_query`` (and every served statement) skips the
+whole translate -> optimize -> plan pipeline and goes straight to the
+executor.  There is one of each thing here:
 
 * **One record.**  :class:`PlanRecord` holds the physical tree and every
   other fact that is a function of the plan alone (the U-relation ``wrap``
@@ -23,8 +23,8 @@ There is one of each thing here:
   (up to half the capacity) so a burst of one-off ad-hoc shapes cannot
   wash out the serving hot set.
 * **One lookup protocol.**  :func:`cached_plan` is the ``plan`` span ->
-  lookup -> build -> store sequence; ``Database`` and the U-relation
-  translation both call it with a key and a builder that runs on a miss.
+  lookup -> build -> store sequence; its one caller, the U-relation
+  translation, hands it a key and a builder that runs on a miss.
 
 Soundness rests on two facts:
 
@@ -33,24 +33,23 @@ Soundness rests on two facts:
   ones (and their attached indexes and statistics are unchanged), the plan
   is exactly the plan a fresh compilation would produce.
 * **Every catalog mutation funnels through a bump hook.**  Replacing a
-  table (``create(replace=True)``), dropping one, creating or dropping an
-  index (including the deferred auto-index builds that materialize on
-  first planner access), refreshing statistics, and world-table growth all
+  partition (a write, a COMMIT, a VACUUM, re-registering a relation),
+  creating or dropping an index (including the deferred auto-index builds
+  that materialize on first planner access) and refreshing statistics all
   end up calling :func:`bump_relation` on the affected relation object —
   which evicts *exactly* the entries whose plans depend on it and bumps
-  the catalog version of every registered watcher
-  (:class:`~repro.relational.database.Database` /
-  :class:`~repro.core.udatabase.UDatabase` instances register themselves
-  via :func:`watch_relation`).
+  the catalog version of every registered watcher (a
+  :class:`~repro.core.udatabase.UDatabase` registers itself on its
+  partitions via :func:`watch_relation`).
 
 Entries additionally record the per-relation *epoch* of each dependency at
 insert time and re-validate on lookup, so even a hypothetical missed bump
 cannot surface a stale plan — the belt to the eviction hooks' braces.
 
-Keys identify base relations and the owning catalog by ``id()``.  That is
-sound precisely because every entry holds strong references to them (its
-``deps`` and ``pins``): an id can only be recycled after the object dies,
-and neither can die while the entry is alive.  Nothing else in a key is an
+Keys identify the owning catalog by ``id()``.  That is sound precisely
+because every entry holds a strong reference to it (its ``pins``): an id
+can only be recycled after the object dies, and it cannot die while the
+entry is alive.  Nothing else in a key is an
 identity: a ``$n`` slot keys by its index, so a plan is shared by every
 statement, session and thread whose query has the same structure, and
 what differs between their executions (``$n`` values, operator counters,
@@ -78,23 +77,7 @@ from weakref import WeakSet
 
 from ..obs import gauge
 from ..obs import span as obs_span
-from .algebra import (
-    ConfCompute,
-    Difference,
-    Distinct,
-    Extend,
-    Join,
-    Plan,
-    Product,
-    Project,
-    ProjectAs,
-    Rename,
-    Scan,
-    Select,
-    SemiJoin,
-    Union,
-)
-from .expressions import structural_key
+from .algebra import Plan, Scan
 from .relation import Relation
 
 __all__ = [
@@ -111,9 +94,7 @@ __all__ = [
     "cached_cost_class",
     "publish_plan_cache_metrics",
     "cost_class_of",
-    "build_key",
     "mark_cached",
-    "logical_plan_key",
     "plan_relations",
     "COST_CLASSES",
 ]
@@ -247,7 +228,7 @@ class PlanRecord(NamedTuple):
     #: The fully planned physical tree.
     physical: Any
     #: ``None`` when the plan's output is the answer relation (a
-    #: ``Database`` plan, a top-level ``Poss`` / ``Conf``); otherwise the
+    #: top-level ``Poss`` / ``Conf``); otherwise the
     #: ``(d_width, tid_names, value_names, canonical)`` column structure
     #: that wraps the result as a U-relation.
     wrap: Optional[Tuple]
@@ -261,8 +242,8 @@ class PlanRecord(NamedTuple):
 class _Entry(NamedTuple):
     record: PlanRecord
     #: (relation, epoch-at-insert) per base relation the plan scans or
-    #: probes.  The strong reference is what keeps ``id()``-based keys
-    #: sound; the epoch is the lookup-time staleness backstop.
+    #: probes.  The strong reference is what keeps the reverse map's
+    #: ``id()`` keys sound; the epoch is the lookup-time staleness backstop.
     deps: List[Tuple[Relation, int]]
     #: Extra strong references: the owning catalog, which the key names
     #: by ``id()``.
@@ -304,7 +285,7 @@ def relation_epoch(relation: Relation) -> int:
 def watch_relation(relation: Relation, owner: Any) -> None:
     """Register ``owner`` to have ``_bump_catalog_version()`` called when
     this relation object mutates (index built/dropped, stats refreshed,
-    replaced in a catalog).  Held weakly — watching never pins a catalog."""
+    replaced in its catalog).  Held weakly — watching never pins a catalog."""
     with _lock:
         watchers = getattr(relation, "_plan_watchers", None)
         if watchers is None:
@@ -314,13 +295,14 @@ def watch_relation(relation: Relation, owner: Any) -> None:
 
 
 def bump_relation(relation: Relation) -> int:
-    """Record a mutation of ``relation``: bump its epoch, notify watching
-    catalogs, and evict exactly the cache entries whose plans depend on it.
+    """Record a mutation of ``relation``: bump its epoch, notify the
+    ``UDatabase`` catalogs watching it, and evict exactly the cache
+    entries whose plans depend on it.
 
     Returns the number of entries evicted.  This is *the* invalidation
-    hook: every catalog mutation (table replacement/drop, index DDL, lazy
-    index materialization, statistics refresh, world-table refresh)
-    reaches the cache through here.  Thread-safe: concurrent executions of
+    hook: every catalog mutation (partition replacement, index DDL, lazy
+    index materialization, statistics refresh) reaches the cache through
+    here.  Thread-safe: concurrent executions of
     already-looked-up plans are unaffected (they hold their own physical
     trees), while the next lookup re-plans.
     """
@@ -422,11 +404,13 @@ def cache_store(
 
 def cached_plan(key: Optional[Tuple], build: Callable[[], Tuple]) -> Tuple[PlanRecord, bool]:
     """The record for ``key`` and whether the cache served it: the one
-    ``plan`` span -> lookup -> build -> store sequence.
+    ``plan`` span -> lookup -> build -> store sequence, called by the
+    U-relation translation (``repro.core.translate._cached_physical``).
 
     ``build()`` runs only after a miss, outside the cache lock, and
     returns ``(record, deps, pins, guard)`` as :func:`cache_store` takes
-    them.  Two callers that miss on one key at once both build; the
+    them: the partitions the plan scans, the owning ``UDatabase`` and its
+    catalog-identity check.  Two callers that miss on one key at once both build; the
     records are interchangeable and the last store wins.
     """
     with obs_span("plan") as sp:
@@ -510,21 +494,6 @@ def mark_cached(text: str) -> str:
     return first + "  (cached)" + ("\n" + rest if rest else "")
 
 
-def build_key(builder: Callable[[], Tuple]) -> Optional[Tuple]:
-    """Run a key builder, mapping ``TypeError`` (uncacheable shape) to None.
-
-    The shared front half of the cache protocol: callers build their key
-    with :func:`logical_plan_key` /
-    :func:`repro.core.translate.query_structure_key` inside ``builder``
-    and get ``None`` — "plan uncached" — for unknown node or expression
-    shapes instead of handling the exception at every call site.
-    """
-    try:
-        return builder()
-    except TypeError:
-        return None
-
-
 # ----------------------------------------------------------------------
 # cost classification
 # ----------------------------------------------------------------------
@@ -595,76 +564,8 @@ def cost_class_of(physical: Any) -> str:
 
 
 # ----------------------------------------------------------------------
-# normalized keys and dependency extraction for logical plans
+# dependency extraction for logical plans
 # ----------------------------------------------------------------------
-def logical_plan_key(plan: Plan) -> Tuple:
-    """A hashable key identifying a logical plan up to structure.
-
-    Base relations are identified by object id (sound because cache
-    entries pin them — see the module docstring); predicates use
-    :func:`~repro.relational.expressions.structural_key`, so a ``$n``
-    parameter slot keys by its index, never by a value.
-    Raises ``TypeError`` for unknown node or expression shapes — callers
-    treat that as "not cacheable" and plan uncached.
-    """
-    if isinstance(plan, Scan):
-        return ("scan", id(plan.relation), plan.name, plan.alias)
-    if isinstance(plan, Select):
-        return ("select", logical_plan_key(plan.child), structural_key(plan.predicate))
-    if isinstance(plan, Project):
-        return ("project", logical_plan_key(plan.child), tuple(plan.columns))
-    if isinstance(plan, ProjectAs):
-        return ("project-as", logical_plan_key(plan.child), tuple(plan.items))
-    if isinstance(plan, Extend):
-        return (
-            "extend",
-            logical_plan_key(plan.child),
-            tuple((name, structural_key(expr)) for name, expr in plan.items),
-        )
-    if isinstance(plan, Join):
-        return (
-            "join",
-            logical_plan_key(plan.left),
-            logical_plan_key(plan.right),
-            structural_key(plan.predicate),
-        )
-    if isinstance(plan, SemiJoin):
-        return (
-            "semijoin",
-            logical_plan_key(plan.left),
-            logical_plan_key(plan.right),
-            structural_key(plan.predicate),
-        )
-    if isinstance(plan, Product):
-        return ("product", logical_plan_key(plan.left), logical_plan_key(plan.right))
-    if isinstance(plan, Union):
-        return ("union", logical_plan_key(plan.left), logical_plan_key(plan.right))
-    if isinstance(plan, Difference):
-        return ("difference", logical_plan_key(plan.left), logical_plan_key(plan.right))
-    if isinstance(plan, Distinct):
-        return ("distinct", logical_plan_key(plan.child))
-    if isinstance(plan, Rename):
-        return (
-            "rename",
-            logical_plan_key(plan.child),
-            tuple(sorted(plan.mapping.items())),
-        )
-    if isinstance(plan, ConfCompute):
-        return (
-            "conf",
-            logical_plan_key(plan.child),
-            plan.d_width,
-            plan.tid_count,
-            tuple(plan.value_names),
-            id(plan.world_table),
-            plan.method,
-            plan.epsilon,
-            plan.delta,
-            plan.seed,
-        )
-    raise TypeError(f"no plan-cache key for {type(plan).__name__}")
-
-
 def plan_relations(plan: Plan) -> List[Relation]:
     """Every base relation a logical plan scans (the entry's dependencies)."""
     if isinstance(plan, Scan):

@@ -18,12 +18,12 @@ algorithms:
 * everything else maps one-to-one.
 
 Access paths are discovered through :func:`repro.relational.index.indexes_on`
-— indexes attach to the relation objects themselves, so plans built without
-a :class:`~repro.relational.database.Database` (the U-relations translation
-does this) still benefit.  Renames never reorder columns, so a column
-position in the renamed schema equals its position in the base relation,
-which is what lets the planner match predicate columns against index
-columns through arbitrary rename chains.
+— indexes attach to the relation objects themselves, so any ``Scan`` of a
+relation (the U-relations translation's partition scans, or a hand-built
+plan run through :func:`run`) sees them.  Renames never reorder columns, so
+a column position in the renamed schema equals its position in the base
+relation, which is what lets the planner match predicate columns against
+index columns through arbitrary rename chains.
 
 Cardinality estimates from the optimizer are attached to the physical nodes
 so EXPLAIN can print them (cosmetically matching the paper's plan figure).

@@ -24,6 +24,7 @@ from repro.core import (
     WorldTable,
     evaluate_in_world,
 )
+from repro.core.udatabase import partition_label
 from repro.obs import (
     reset_accounting,
     reset_metrics,
@@ -99,6 +100,17 @@ def build_vehicles_udb() -> UDatabase:
 @pytest.fixture
 def vehicles_udb() -> UDatabase:
     return build_vehicles_udb()
+
+
+def partition_relation(udb: UDatabase, label: str):
+    """The live relation of the partition labelled ``u_<rel>_<attrs>``."""
+    (relation,) = (
+        part.relation
+        for name in udb.relation_names()
+        for part in udb.partitions(name)
+        if partition_label(name, part) == label
+    )
+    return relation
 
 
 def brute_force_poss(query: UQuery, udb: UDatabase) -> Set[Tuple]:

@@ -1,8 +1,8 @@
 """Auto-indexing policy and index persistence.
 
 * ``UDatabase`` auto-creates a hash index on every partition's tuple-id
-  column plus sorted indexes on the value columns; ``to_database`` is a
-  stateless export.
+  column plus sorted indexes on the value columns, built on first planner
+  access only.
 * ``save_udatabase`` records the partitions' index definitions in
   ``indexes.csv``; ``load_udatabase`` defers exactly those (and gives a
   directory written before the index subsystem existed the auto policy).
@@ -20,6 +20,8 @@ from repro.core.urelation import URelation, tid_column
 from repro.core.worldtable import WorldTable
 from repro.relational.index import built_indexes_on, ensure_index, indexes_on
 from repro.sql import execute_sql
+
+from tests.conftest import partition_relation
 
 
 def small_udb() -> UDatabase:
@@ -63,22 +65,15 @@ class TestAutoIndexing:
         udb.add_relation("r", ["id"], [part])
         assert indexes_on(part.relation) == ()
 
-    def test_to_database_is_a_stateless_export(self):
+    def test_partition_lookup_builds_nothing(self):
         udb = small_udb()
         defs = udb.index_defs()
-        db1 = udb.to_database()
-        db2 = udb.to_database()
-        assert db1 is not db2
-        assert db1.names() == ["u_r_id", "u_r_kind", "w"]
-        assert db1.index_names() == []  # registers no index ...
-        for part in udb.partitions("r"):  # ... and builds nothing deferred
+        # a label names the live relation object ...
+        for label, part in zip(("u_r_id", "u_r_kind"), udb.partitions("r")):
+            assert partition_relation(udb, label) is part.relation
+            # ... and looking it up builds nothing deferred
             assert built_indexes_on(part.relation) == ()
         assert udb.index_defs() == defs
-        # it exports the relation objects that are live when it is called
-        assert db1.get("u_r_id") is udb.partitions("r")[0].relation
-        udb.world_table.add_variable("y", [1, 2, 3])
-        assert ("y", 2) not in db1.get("w").rows
-        assert ("y", 2) in udb.to_database().get("w").rows
 
 
 class TestPersistence:

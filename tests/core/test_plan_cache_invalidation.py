@@ -1,10 +1,11 @@
 """The invalidation test matrix for the prepared-plan cache (UDatabase).
 
-Each catalog mutation — ``create(replace=True)``, ``CREATE INDEX``,
-``DROP INDEX``, ``DROP TABLE``, world-table growth, and the lazy
-partition-index first build — must bump the catalog version
-and evict exactly the dependent entries: a stale-plan execution must be
+Each catalog mutation — ``replace_partitions``, ``CREATE INDEX``,
+``DROP INDEX``, a statistics refresh, re-registering a relation, and the
+lazy partition-index first build — must bump the catalog version and
+evict exactly the dependent entries: a stale-plan execution must be
 impossible to observe, and unrelated cached plans must keep hitting.
+World-table growth bumps the version and evicts nothing.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ from repro.core import (
 from repro.core.translate import execute_query
 from repro.relational import col, lit, plan_cache_stats
 from repro.relational.index import indexes_on
+from repro.relational.optimizer import refresh_statistics
 from repro.relational.relation import Relation
 from repro.sql import execute_sql
 
-from tests.conftest import build_vehicles_udb
+from tests.conftest import build_vehicles_udb, partition_relation
 
 
 def q_type():
@@ -55,30 +57,32 @@ def warm(udb, *queries):
 
 
 class TestInvalidationMatrix:
-    def test_create_replace_evicts_dependents_only(self):
+    def test_replace_partitions_evicts_dependents_only(self):
         udb = build_vehicles_udb()
-        db = udb.to_database()
         tank, friend = warm(udb, q_type(), q_faction())
         version = udb.catalog_version
-        db_version = db.catalog_version
 
-        # replace the type partition's relation through the catalog view
-        old = db.get("u_r_type")
-        rows = [r for r in old.rows if r[2] != "Tank"]  # drop the Tank rows
-        db.create("u_r_type", Relation(old.schema, rows), replace=True)
+        # swap in a type partition without the Tank rows
+        id_part, type_part, faction_part = udb.partitions("r")
+        old = type_part.relation
+        position = old.schema.resolve("type")
+        no_tanks = URelation(
+            Relation(old.schema, [row for row in old.rows if row[position] != "Tank"]),
+            type_part.d_width,
+            type_part.tid_names,
+            type_part.value_names,
+        )
+        udb.replace_partitions("r", [id_part, no_tanks, faction_part])
 
         assert udb.catalog_version > version
-        assert db.catalog_version > db_version
         assert plan_cache_stats()["invalidations"] >= 1
         # the faction query's plan survived: still hit
         hits = plan_cache_stats()["hits"]
         assert execute_query(q_faction(), udb) == friend
         assert plan_cache_stats()["hits"] == hits + 1
-        # note: udb partitions still hold the *old* relation object, so the
-        # logical query over `r` replans against them; the eviction is what
-        # guarantees no stale physical tree survives the catalog change
+        # the type query re-plans over the replacement and sees no tank
         misses = plan_cache_stats()["misses"]
-        execute_query(q_type(), udb)
+        assert len(execute_query(q_type(), udb)) == 0 < len(tank)
         assert plan_cache_stats()["misses"] == misses + 1
 
     def test_create_index_evicts_dependents_only(self):
@@ -110,52 +114,32 @@ class TestInvalidationMatrix:
         assert execute_query(q_type(), udb) == tank
         assert plan_cache_stats()["misses"] == misses + 1
 
-    def test_drop_table_evicts_dependents_only(self):
-        from repro.relational.algebra import Select
-
+    def test_refresh_statistics_evicts_dependents_only(self):
         udb = build_vehicles_udb()
-        db = udb.to_database()
-        # cache one Database-level plan per table
-        db.run(Select(db.scan("u_r_type"), col("type").eq(lit("Tank"))))
-        over_faction_plan = Select(
-            db.scan("u_r_faction"), col("faction").eq(lit("Friend"))
-        )
-        db.run(over_faction_plan)
-        size = plan_cache_stats()["size"]
-        version = db.catalog_version
-        db.drop("u_r_type")
-        assert db.catalog_version > version
-        stats = plan_cache_stats()
-        assert stats["invalidations"] >= 1
-        assert stats["size"] < size
-        hits = stats["hits"]
-        db.run(over_faction_plan)  # unrelated entry survived
+        tank, friend = warm(udb, q_type(), q_faction())
+        version = udb.catalog_version
+        refresh_statistics(partition_relation(udb, "u_r_type"))
+        assert udb.catalog_version > version
+        hits = plan_cache_stats()["hits"]
+        assert execute_query(q_faction(), udb) == friend
         assert plan_cache_stats()["hits"] == hits + 1
+        misses = plan_cache_stats()["misses"]
+        assert execute_query(q_type(), udb) == tank
+        assert plan_cache_stats()["misses"] == misses + 1
 
     def test_world_growth_bumps_the_version_and_evicts_nothing(self):
         udb = build_vehicles_udb()
-        db = udb.to_database()
-        from repro.relational.algebra import Select
-
-        w_plan = Select(db.scan("w"), col("var").eq(lit("x")))
-        partition_plan = Select(db.scan("u_r_type"), col("type").eq(lit("Tank")))
-        old_w = db.run(w_plan)
-        db.run(partition_plan)
+        (tank,) = warm(udb, q_type())
         version = udb.catalog_version
         invalidations = plan_cache_stats()["invalidations"]
         udb.world_table.add_variable("v_new", [1, 2])
         assert udb.catalog_version > version  # growth bumps immediately
-        # an export is a snapshot: its `w` is the relation it was given, so
-        # no cached plan over it can be stale and none is evicted
+        # no plan depends on `w` as a scanned relation, so none is stale:
+        # nothing is evicted and a partition query still hits
         hits = plan_cache_stats()["hits"]
-        assert db.run(w_plan) == old_w
-        db.run(partition_plan)
-        assert plan_cache_stats()["hits"] == hits + 2
+        assert execute_query(q_type(), udb) == tank
+        assert plan_cache_stats()["hits"] == hits + 1
         assert plan_cache_stats()["invalidations"] == invalidations
-        # a fresh export sees the new variable
-        fresh_db = udb.to_database()
-        fresh = Select(fresh_db.scan("w"), col("var").eq(lit("v_new")))
-        assert len(fresh_db.run(fresh)) == 2
 
     def test_lazy_partition_index_first_build_bumps_and_evicts(self):
         """The deferred auto-index build is a catalog mutation: it bumps

@@ -20,6 +20,8 @@ from repro.core.query import query_relations, referenced_attributes
 from repro.core.urelation import tid_column
 from repro.relational import Relation, col, lit
 
+from tests.conftest import partition_relation
+
 
 class TestQueryRelations:
     def test_leaves_in_order(self):
@@ -93,17 +95,16 @@ class TestOracleEdgeCases:
 
 
 class TestUDatabaseViews:
-    def test_to_database_runs_queries(self, vehicles_udb):
-        from repro.relational import Select
+    def test_partition_relation_runs_queries(self, vehicles_udb):
+        from repro.relational import Scan, Select, run
 
-        db = vehicles_udb.to_database()
-        plan = Select(db.scan("u_r_faction"), col("faction").eq(lit("Enemy")))
-        out = db.run(plan)
+        faction = partition_relation(vehicles_udb, "u_r_faction")
+        plan = Select(Scan(faction, name="u_r_faction"), col("faction").eq(lit("Enemy")))
+        out = run(plan)
         assert len(out) == 2  # c (certain) and d (z=2)
 
     def test_world_table_exposed(self, vehicles_udb):
-        db = vehicles_udb.to_database()
-        w = db.get("w")
+        w = vehicles_udb.world_table.relation()
         assert ("x", 1) in w.rows and ("x", 2) in w.rows
 
     def test_repr_mentions_partitions(self, vehicles_udb):

@@ -6,6 +6,8 @@ from repro.core import Descriptor, UDatabase, URelation, WorldTable
 from repro.core.urelation import tid_column
 from repro.relational.relation import Relation
 
+from tests.conftest import partition_relation
+
 
 class TestConstruction:
     def test_vehicles_fixture(self, vehicles_udb):
@@ -43,9 +45,10 @@ class TestConstruction:
         with pytest.raises(KeyError):
             vehicles_udb.partitions("nope")
 
-    def test_to_database_names(self, vehicles_udb):
-        db = vehicles_udb.to_database()
-        assert "u_r_id" in db and "u_r_type" in db and "w" in db
+    def test_partition_labels(self, vehicles_udb):
+        parts = vehicles_udb.partitions("r")
+        assert partition_relation(vehicles_udb, "u_r_id") is parts[0].relation
+        assert partition_relation(vehicles_udb, "u_r_type") is parts[1].relation
 
     def test_total_representation_rows(self, vehicles_udb):
         # 6 + 5 + 5 partition rows + 7 world-table rows (3 vars x 2 + trivial)

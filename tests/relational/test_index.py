@@ -1,8 +1,7 @@
 """Tests for the secondary-index subsystem.
 
 Covers the index data structures (hash + sorted), attachment to relations,
-the named-index registry with rebuild-on-replacement maintenance, the
-planner's access-path selection, and EXPLAIN output.
+the planner's access-path selection, and EXPLAIN output.
 """
 
 from __future__ import annotations
@@ -10,17 +9,20 @@ from __future__ import annotations
 import pytest
 
 from repro.relational import (
-    Database,
     HashIndex,
     Join,
     Relation,
+    Scan,
     Select,
     SortedIndex,
     build_index,
     col,
     ensure_index,
+    explain,
     indexes_on,
     lit,
+    optimize,
+    run,
 )
 from repro.relational.index import attach_index, detach_index
 from repro.relational.physical import IndexNestedLoopJoin, IndexScan, execute
@@ -180,162 +182,83 @@ class TestAttachment:
 
 
 # ----------------------------------------------------------------------
-# registry + Database integration
-# ----------------------------------------------------------------------
-class TestRegistry:
-    def db(self) -> Database:
-        db = Database()
-        db.create("p", people())
-        return db
-
-    def test_create_and_drop(self):
-        db = self.db()
-        idx = db.create_index("idx_p_dept", "p", ["dept"])
-        assert "idx_p_dept" in db.indexes
-        assert idx in indexes_on(db.get("p"))
-        db.drop_index("idx_p_dept")
-        assert "idx_p_dept" not in db.indexes
-        assert indexes_on(db.get("p")) == ()
-
-    def test_duplicate_name_requires_replace(self):
-        db = self.db()
-        db.create_index("i", "p", ["dept"])
-        with pytest.raises(KeyError):
-            db.create_index("i", "p", ["id"])
-        db.create_index("i", "p", ["id"], replace=True)
-        assert db.indexes.get("i").columns == ("id",)
-
-    def test_idempotent_create(self):
-        db = self.db()
-        a = db.create_index("i", "p", ["dept"])
-        b = db.create_index("i", "p", ["dept"])
-        assert a is b
-
-    def test_rebuilt_on_relation_replacement(self):
-        db = self.db()
-        db.create_index("i", "p", ["dept"])
-        old = db.indexes.get("i")
-        replacement = people(17)
-        db.create("p", replacement, replace=True)
-        new = db.indexes.get("i")
-        assert new is not old
-        assert new.relation is replacement
-        assert list(new.lookup(3)) == [r for r in replacement.rows if r[1] == 3]
-        assert indexes_on(replacement) == (new,)
-
-    def test_failed_replacement_leaves_catalog_untouched(self):
-        # the rebuild is all-or-nothing and precedes the catalog mutation
-        db = self.db()
-        db.create_index("i", "p", ["dept"])
-        old = db.get("p")
-        old_index = db.indexes.get("i")
-        with pytest.raises(Exception):
-            db.create("p", Relation(["other"], [(1,)]), replace=True)
-        assert db.get("p") is old
-        assert db.indexes.get("i") is old_index
-        assert old_index in indexes_on(old)
-
-    def test_dropped_with_table(self):
-        db = self.db()
-        db.create_index("i", "p", ["dept"])
-        db.drop("p")
-        assert "i" not in db.indexes
-
-    def test_definitions_and_names(self):
-        db = self.db()
-        db.create_index("a", "p", ["dept"])
-        db.create_index("b", "p", ["id"], kind="sorted")
-        assert db.index_names() == ["a", "b"]
-        assert db.index_names("p") == ["a", "b"]
-        assert db.indexes.definitions() == [
-            ("a", "p", ("dept",), "hash"),
-            ("b", "p", ("id",), "sorted"),
-        ]
-
-
-# ----------------------------------------------------------------------
 # planner access-path selection + explain
 # ----------------------------------------------------------------------
+def explained(plan, **knobs) -> str:
+    """EXPLAIN of the executor's plan: optimized, then planned fused."""
+    return explain(plan_physical(optimize(plan), fuse=True, **knobs))
+
+
 class TestAccessPathSelection:
-    def db(self) -> Database:
-        db = Database()
-        db.create("p", people(200))
-        db.create("q", Relation(["pid", "score"], [(i % 200, i) for i in range(500)]))
-        return db
+    def setup_method(self):
+        self.p = people(200)
+        self.q = Relation(["pid", "score"], [(i % 200, i) for i in range(500)])
+
+    def scan(self, name):
+        return Scan(getattr(self, name), name=name)
 
     def test_equality_uses_hash_index(self):
-        db = self.db()
-        db.create_index("idx_p_dept", "p", ["dept"])
-        plan = Select(db.scan("p"), col("dept").eq(lit(3)))
-        text = db.explain(plan)
+        ensure_index(self.p, ["dept"], name="idx_p_dept")
+        plan = Select(self.scan("p"), col("dept").eq(lit(3)))
+        text = explained(plan)
         assert "Index Scan using idx_p_dept on p" in text
         assert "Index Cond: (dept = 3)" in text
-        assert db.run(plan) == db.run(plan, use_indexes=False)
+        assert run(plan) == run(plan, use_indexes=False)
 
     def test_range_uses_sorted_index(self):
-        db = self.db()
-        db.create_index("idx_p_id", "p", ["id"], kind="sorted")
-        plan = Select(db.scan("p"), (col("id") >= lit(10)) & (col("id") < lit(40)))
-        text = db.explain(plan)
-        assert "Index Scan using idx_p_id on p" in text
-        assert db.run(plan) == db.run(plan, use_indexes=False)
+        ensure_index(self.p, ["id"], kind="sorted", name="idx_p_id")
+        plan = Select(self.scan("p"), (col("id") >= lit(10)) & (col("id") < lit(40)))
+        assert "Index Scan using idx_p_id on p" in explained(plan)
+        assert run(plan) == run(plan, use_indexes=False)
 
     def test_residual_filter_applied(self):
-        db = self.db()
-        db.create_index("idx_p_dept", "p", ["dept"])
-        plan = Select(db.scan("p"), col("dept").eq(lit(3)) & (col("id") > lit(50)))
-        text = db.explain(plan)
+        ensure_index(self.p, ["dept"], name="idx_p_dept")
+        plan = Select(self.scan("p"), col("dept").eq(lit(3)) & (col("id") > lit(50)))
+        text = explained(plan)
         assert "Index Scan" in text and "Filter:" in text
-        assert db.run(plan) == db.run(plan, use_indexes=False)
+        assert run(plan) == run(plan, use_indexes=False)
 
     def test_unselective_predicate_keeps_seq_scan(self):
-        db = self.db()
-        db.create_index("idx_p_name", "p", ["name"])  # ndistinct = 3
-        plan = Select(db.scan("p"), col("name").eq(lit("name0")))
-        assert "Seq Scan on p" in db.explain(plan)
+        ensure_index(self.p, ["name"], name="idx_p_name")  # ndistinct = 3
+        plan = Select(self.scan("p"), col("name").eq(lit("name0")))
+        assert "Seq Scan on p" in explained(plan)
 
     def test_no_index_keeps_seq_scan(self):
-        db = self.db()
-        plan = Select(db.scan("p"), col("dept").eq(lit(3)))
-        assert "Seq Scan on p" in db.explain(plan)
+        plan = Select(self.scan("p"), col("dept").eq(lit(3)))
+        assert "Seq Scan on p" in explained(plan)
 
     def test_merge_profile_disables_index_paths(self):
-        db = self.db()
-        db.create_index("idx_p_dept", "p", ["dept"])
-        plan = Select(db.scan("p"), col("dept").eq(lit(3)))
-        assert "Seq Scan on p" in db.explain(plan, prefer_merge_join=True)
+        ensure_index(self.p, ["dept"], name="idx_p_dept")
+        plan = Select(self.scan("p"), col("dept").eq(lit(3)))
+        assert "Seq Scan on p" in explained(plan, prefer_merge_join=True)
 
     def test_join_uses_index_nested_loop(self):
-        db = self.db()
-        db.create_index("idx_p_id", "p", ["id"])
+        ensure_index(self.p, ["id"], name="idx_p_id")
         plan = Join(
-            Select(db.scan("q"), col("score") < lit(40)),
-            db.scan("p"),
+            Select(self.scan("q"), col("score") < lit(40)),
+            self.scan("p"),
             col("pid").eq(col("id")),
         )
-        text = db.explain(plan)
+        text = explained(plan)
         assert "Index Nested Loop Join" in text
         assert "Index Scan using idx_p_id on p" in text
-        assert db.run(plan) == db.run(plan, use_indexes=False)
+        assert run(plan) == run(plan, use_indexes=False)
 
     def test_join_falls_back_to_hash_join(self):
-        db = self.db()
-        plan = Join(db.scan("q"), db.scan("p"), col("pid").eq(col("id")))
-        assert "Hash Join" in db.explain(plan)
+        plan = Join(self.scan("q"), self.scan("p"), col("pid").eq(col("id")))
+        assert "Hash Join" in explained(plan)
 
     def test_null_point_lookup_matches_nothing(self):
-        db = self.db()
-        db.create_index("idx_p_grade", "p", ["grade"])
-        plan = Select(db.scan("p"), col("grade").eq(lit(None)))
-        assert len(db.run(plan)) == 0
-        assert db.run(plan) == db.run(plan, use_indexes=False)
+        ensure_index(self.p, ["grade"], name="idx_p_grade")
+        plan = Select(self.scan("p"), col("grade").eq(lit(None)))
+        assert len(run(plan)) == 0
+        assert run(plan) == run(plan, use_indexes=False)
 
     def test_type_mismatched_equality_agrees_with_seq_scan(self):
-        db = self.db()
-        db.create_index("idx_p_dept", "p", ["dept"], kind="sorted")
-        plan = Select(db.scan("p"), col("dept").eq(lit("not-an-int")))
-        assert len(db.run(plan)) == 0
-        assert db.run(plan) == db.run(plan, use_indexes=False)
+        ensure_index(self.p, ["dept"], kind="sorted", name="idx_p_dept")
+        plan = Select(self.scan("p"), col("dept").eq(lit("not-an-int")))
+        assert len(run(plan)) == 0
+        assert run(plan) == run(plan, use_indexes=False)
 
 
 class TestIndexScanExecution:
@@ -381,10 +304,7 @@ class TestIndexNestedLoopJoinExecution:
         left = Relation(["l.k", "l.v"], [(i % 37 if i % 5 else None, i) for i in range(300)])
         right = Relation(["r.k", "r.w"], [(i % 37, i * 2) for i in range(400)])
         ensure_index(right, ["r.k"], kind="hash")
-        db = Database()
-        db.create("l", left)
-        db.create("r", right)
-        plan = Join(db.scan("l"), db.scan("r"), col("l.k").eq(col("r.k")))
+        plan = Join(Scan(left, name="l"), Scan(right, name="r"), col("l.k").eq(col("r.k")))
         physical = plan_physical(plan, use_indexes=use_indexes)
         if use_indexes:
             assert isinstance(physical, IndexNestedLoopJoin)

@@ -1,23 +1,26 @@
-"""Tests for the prepared-plan cache at the relational (Database) level.
+"""Tests for the prepared-plan cache.
 
 Three families:
 
-* mechanics — hit/miss/stats accounting, ``(cached)`` EXPLAIN marking,
-  catalog versioning on every Database mutation;
-* invalidation — each catalog mutation evicts exactly the dependent
-  entries (unrelated cached plans survive and keep hitting);
-* property tests (hypothesis) — cached-plan execution is tuple-identical
-  to fresh-plan execution for the executor and the ``rows`` reference,
-  ``use_indexes`` on/off, and fused/unfused plans.
+* mechanics — one entry per knob set, ``(cached)`` EXPLAIN marking,
+  dependency extraction and reset, through the U-level entry points (``execute_query`` /
+  ``explain_query``), the cache's one caller;
+* invalidation — a stale-plan execution is impossible, epochs are per
+  relation, and a lazy index build during planning does not evict the
+  entry being stored;
+* property tests (hypothesis) — a relational plan executed again is
+  tuple-identical to a fresh compilation for the executor and the
+  ``rows`` reference, ``use_indexes`` on/off, and fused/unfused plans.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import Descriptor, UDatabase, URelation, WorldTable
+from repro.core.query import Poss, Rel, UProject, USelect
+from repro.core.translate import execute_query, explain_query, translate
 from repro.relational import (
-    Database,
     Relation,
     col,
     lit,
@@ -34,100 +37,57 @@ from repro.relational.algebra import (
     Select,
     Union,
 )
-from repro.relational.index import ensure_index
+from repro.relational.index import built_indexes_on, ensure_index
 from repro.relational.optimizer import optimize
 from repro.relational.plancache import (
     bump_relation,
-    cached_cost_class,
-    logical_plan_key,
+    cost_class_of,
     plan_relations,
     relation_epoch,
 )
 from repro.relational.planner import plan_physical
 from repro.relational.physical import execute
+from repro.sql import execute_sql
+
+from tests.conftest import build_vehicles_udb, partition_relation
 
 
-def make_db():
-    db = Database()
-    db.create("r", Relation(["r.a", "r.b"], [(i % 5, i) for i in range(40)]))
-    db.create("s", Relation(["s.c", "s.d"], [(i % 7, -i) for i in range(30)]))
-    return db
-
-
-def query(db):
-    return Project(
-        Select(
-            Join(db.scan("r"), db.scan("s"), col("r.a").eq(col("s.c"))),
-            col("r.b") > lit(3),
-        ),
-        ["r.b", "s.d"],
-    )
+def tanks():
+    return Poss(UProject(USelect(Rel("r"), col("type").eq(lit("Tank"))), ["id"]))
 
 
 class TestMechanics:
-    def test_second_run_hits_and_matches(self):
-        db = make_db()
-        plan = query(db)
-        first = db.run(plan)
-        stats = plan_cache_stats()
-        assert stats["misses"] == 1 and stats["hits"] == 0 and stats["size"] == 1
-        second = db.run(plan)
-        stats = plan_cache_stats()
-        assert stats["hits"] == 1 and stats["misses"] == 1
-        assert first == second
-
-    def test_structurally_equal_plans_share_one_entry(self):
-        db = make_db()
-        db.run(query(db))
-        db.run(query(db))  # a *new* but structurally identical tree
-        stats = plan_cache_stats()
-        assert stats["misses"] == 1 and stats["hits"] == 1
-
-    def test_modes_share_or_split_entries_correctly(self):
-        db = make_db()
-        plan = query(db)
-        db.run(plan, mode="columns")
-        db.run(plan, mode="rows")  # unfused: a separate plan
-        db.run(plan, mode="rows")
-        stats = plan_cache_stats()
-        assert stats["misses"] == 2 and stats["hits"] == 1
-
     def test_knobs_key_separately(self):
-        db = make_db()
-        plan = query(db)
-        db.run(plan)
-        db.run(plan, use_indexes=False)
-        db.run(plan, prefer_merge_join=True)
-        db.run(plan, optimize_first=False)
+        udb = build_vehicles_udb()
+        knob_sets = ({}, {"mode": "rows"}, {"use_indexes": False}, {"optimize": False})
+        for knobs in knob_sets:
+            execute_query(tanks(), udb, **knobs)
         assert plan_cache_stats()["misses"] == 4
         # and each repeated combination hits
-        db.run(plan, use_indexes=False)
-        db.run(plan, prefer_merge_join=True)
-        assert plan_cache_stats()["hits"] == 2
+        for knobs in knob_sets:
+            execute_query(tanks(), udb, **knobs)
+        assert plan_cache_stats()["hits"] == 4
 
     def test_explain_marks_cached(self):
-        db = make_db()
-        plan = query(db)
-        cold = db.explain(plan)
+        udb = build_vehicles_udb()
+        cold = explain_query(tanks(), udb)
         assert "(cached)" not in cold
-        warm = db.explain(plan)
+        warm = explain_query(tanks(), udb)
         assert warm.splitlines()[0].endswith("(cached)")
         # explain inserted the plan: running now skips planning
         before = plan_cache_stats()["misses"]
-        db.run(plan)
+        execute_query(tanks(), udb)
         assert plan_cache_stats()["misses"] == before
 
     def test_explain_analyze_on_cached_plan(self):
-        db = make_db()
-        plan = query(db)
-        db.run(plan)
-        text = db.explain(plan, analyze=True)
+        udb = build_vehicles_udb()
+        execute_query(tanks(), udb)
+        text = explain_query(tanks(), udb, analyze=True)
         assert "(cached)" in text.splitlines()[0]
         assert "actual rows=" in text
 
     def test_reset_clears_entries_and_counters(self):
-        db = make_db()
-        db.run(query(db))
+        execute_query(tanks(), build_vehicles_udb())
         reset_plan_cache()
         stats = plan_cache_stats()
         assert stats == {
@@ -139,120 +99,27 @@ class TestMechanics:
             "size": 0,
         }
 
-    def test_logical_plan_key_distinguishes_structure(self):
-        db = make_db()
-        r = db.scan("r")
-        base = Select(r, col("r.a").eq(lit(1)))
-        other = Select(r, col("r.a").eq(lit(2)))
-        assert logical_plan_key(base) != logical_plan_key(other)
-        assert logical_plan_key(base) == logical_plan_key(
-            Select(db.scan("r"), col("r.a").eq(lit(1)))
-        )
-
     def test_plan_relations_collects_all_leaves(self):
-        db = make_db()
-        deps = plan_relations(query(db))
-        assert db.get("r") in deps and db.get("s") in deps
+        udb = build_vehicles_udb()
+        deps = plan_relations(translate(tanks().child, udb).plan)
+        assert partition_relation(udb, "u_r_id") in deps
+        assert partition_relation(udb, "u_r_type") in deps
+        assert partition_relation(udb, "u_r_faction") not in deps
 
 
 class TestInvalidation:
-    """Database-level mutations evict exactly the dependent entries."""
-
-    def setup_entries(self, db):
-        """Cache one plan over r and one over s; return their plans."""
-        over_r = Select(db.scan("r"), col("r.a").eq(lit(1)))
-        over_s = Select(db.scan("s"), col("s.c").eq(lit(1)))
-        db.run(over_r)
-        db.run(over_s)
-        assert plan_cache_stats()["size"] == 2
-        return over_r, over_s
-
-    def assert_exactly_r_evicted(self, db, over_r, over_s):
-        stats = plan_cache_stats()
-        assert stats["invalidations"] >= 1
-        assert stats["size"] == 1  # the s entry survived
-        hits = stats["hits"]
-        db.run(over_s)
-        assert plan_cache_stats()["hits"] == hits + 1  # s still cached
-        misses = plan_cache_stats()["misses"]
-        result = db.run(over_r)  # r re-plans against the new catalog
-        assert plan_cache_stats()["misses"] == misses + 1
-        return result
-
-    def test_create_replace_bumps_and_evicts(self):
-        db = make_db()
-        over_r, over_s = self.setup_entries(db)
-        old_rows = list(db.get("r").rows)
-        version = db.catalog_version
-        replacement = Relation(["r.a", "r.b"], [(1, 100), (2, 200)])
-        db.create("r", replacement, replace=True)
-        assert db.catalog_version > version
-        # the old plan object still scans the old (immutable) relation —
-        # re-planning it is sound, just no longer cached
-        result = self.assert_exactly_r_evicted(db, over_r, over_s)
-        assert sorted(result.rows) == sorted(r for r in old_rows if r[0] == 1)
-        # a plan built from the *current* catalog reads the replacement
-        fresh = Select(db.scan("r"), col("r.a").eq(lit(1)))
-        assert sorted(db.run(fresh).rows) == [(1, 100)]
-
-    def test_drop_table_bumps_and_evicts(self):
-        db = make_db()
-        over_r, over_s = self.setup_entries(db)
-        version = db.catalog_version
-        db.drop("r")
-        assert db.catalog_version > version
-        stats = plan_cache_stats()
-        assert stats["invalidations"] >= 1 and stats["size"] == 1
-        db.run(over_s)
-        assert plan_cache_stats()["hits"] >= 1
-
-    def test_create_index_bumps_and_evicts(self):
-        db = make_db()
-        over_r, over_s = self.setup_entries(db)
-        version = db.catalog_version
-        db.create_index("idx_r_a", "r", ["r.a"], kind="hash")
-        assert db.catalog_version > version
-        result = self.assert_exactly_r_evicted(db, over_r, over_s)
-        # the fresh plan may now use the index; answers are unchanged
-        assert sorted(result.rows) == sorted(
-            row for row in db.get("r").rows if row[0] == 1
-        )
-        assert "idx_r_a" in db.explain(over_r)
-
-    def test_drop_index_bumps_and_evicts(self):
-        db = make_db()
-        db.create_index("idx_r_a", "r", ["r.a"], kind="hash")
-        over_r, over_s = self.setup_entries(db)
-        assert "idx_r_a" in db.explain(over_r)
-        version = db.catalog_version
-        db.drop_index("idx_r_a")
-        assert db.catalog_version > version
-        result = self.assert_exactly_r_evicted(db, over_r, over_s)
-        assert sorted(result.rows) == sorted(
-            row for row in db.get("r").rows if row[0] == 1
-        )
-        assert "idx_r_a" not in db.explain(over_r)
-
-    def test_analyze_bumps_and_evicts(self):
-        db = make_db()
-        over_r, over_s = self.setup_entries(db)
-        version = db.catalog_version
-        db.analyze("r")
-        assert db.catalog_version > version
-        self.assert_exactly_r_evicted(db, over_r, over_s)
-
     def test_stale_plan_execution_is_impossible(self):
-        """The end-to-end guarantee: after any replacement, the next run
-        sees the new data — no interleaving can observe the old plan."""
-        db = make_db()
-        plan = Select(db.scan("r"), col("r.a").eq(lit(1)))
-        db.run(plan)
-        for fill in ([(1, -1)], [(1, -2), (1, -3)], []):
-            db.create("r", Relation(["r.a", "r.b"], fill), replace=True)
-            # plan embeds the *old* relation object: re-build the scan from
-            # the current catalog, as any caller holding the Database would
-            fresh = Select(db.scan("r"), col("r.a").eq(lit(1)))
-            assert sorted(db.run(fresh).rows) == sorted(fill)
+        """The end-to-end guarantee: after any write, the next run sees the
+        new data — no interleaving can observe the old plan."""
+        udb = build_vehicles_udb()
+        expected = {row[0] for row in execute_query(tanks(), udb).rows}
+        for new_id in (10, 11, 12):
+            execute_sql(f"insert into r values ({new_id}, 'Tank', 'Friend')", udb)
+            expected.add(new_id)
+            assert {row[0] for row in execute_query(tanks(), udb).rows} == expected
+        execute_sql("delete from r where id = 11", udb)
+        expected.discard(11)
+        assert {row[0] for row in execute_query(tanks(), udb).rows} == expected
 
     def test_epoch_bump_is_per_relation(self):
         r = Relation(["a"], [(1,)])
@@ -265,21 +132,23 @@ class TestInvalidation:
     def test_lazy_index_build_during_planning_is_self_consistent(self):
         """A deferred index that materializes *during* a miss's planning
         must not invalidate the entry being inserted."""
-        from repro.relational.index import defer_index
-
-        relation = Relation(["r.a", "r.b"], [(i % 3, i) for i in range(20)])
-        defer_index(relation, ["r.a"], kind="hash")
-        db = Database()
-        db.create("r", relation)
-        plan = Select(db.scan("r"), col("r.a").eq(lit(1)))
-        db.run(plan)  # planning builds the deferred index, then caches
+        part = URelation.build(
+            [(Descriptor(), i, (i % 3,)) for i in range(20)],
+            tid_name="tid_s",
+            value_names=["v"],
+        )
+        udb = UDatabase(WorldTable({"x": [1, 2]}))  # auto-index, deferred
+        udb.add_relation("s", ["v"], [part])
+        query = Poss(USelect(Rel("s"), col("v").eq(lit(1))))
+        execute_query(query, udb)  # planning builds the deferred index, then caches
+        assert built_indexes_on(part.relation)
         before = plan_cache_stats()["hits"]
-        db.run(plan)
+        execute_query(query, udb)
         assert plan_cache_stats()["hits"] == before + 1
 
 
 # ----------------------------------------------------------------------
-# property tests: cached == fresh, both modes x knobs
+# property tests: re-executed == fresh, both modes x knobs
 # ----------------------------------------------------------------------
 values = st.one_of(st.integers(min_value=0, max_value=9), st.none())
 rows_r = st.lists(st.tuples(values, values), min_size=0, max_size=30)
@@ -350,23 +219,19 @@ def bag(relation: Relation):
 @given(plans(), st.booleans(), st.sampled_from(["rows", "columns"]))
 @settings(max_examples=120, deadline=None)
 def test_cached_equals_fresh(plan, use_indexes, mode):
-    """A plan served from the cache produces the same tuples a fresh
-    compilation does — across modes and index knobs, and on repeated
-    executions of the same cached tree."""
+    """A cached plan is one physical tree executed again and again: it
+    produces the same tuples a fresh compilation does — across modes and
+    index knobs, and on repeated executions of the same tree."""
     fuse = mode == "columns"
-    fresh = execute(
-        plan_physical(optimize(plan), use_indexes=use_indexes, fuse=fuse), mode=mode
-    )
-    db = Database()
-    cold = db.run(plan, mode=mode, use_indexes=use_indexes)
-    warm = db.run(plan, mode=mode, use_indexes=use_indexes)
-    warm_again = db.run(plan, mode=mode, use_indexes=use_indexes)
+
+    def compiled():
+        return plan_physical(optimize(plan), use_indexes=use_indexes, fuse=fuse)
+
+    fresh = execute(compiled(), mode=mode)
+    physical = compiled()
+    cold, warm, warm_again = (execute(physical, mode=mode) for _ in range(3))
     assert bag(cold) == bag(fresh)
     assert bag(warm) == bag(fresh)
     assert bag(warm_again) == bag(fresh)
     assert warm.schema.names == fresh.schema.names
-    assert cached_cost_class(
-        ("db-run", id(db), logical_plan_key(plan), True, False, use_indexes, fuse)
-    )
-
-
+    assert cost_class_of(physical)

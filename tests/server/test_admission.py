@@ -110,22 +110,20 @@ class TestClassification:
         assert cls in ("point", "scan", "join", "heavy")
 
     def test_cost_class_of_shapes(self):
-        from repro.relational.algebra import Join, Select
-        from repro.relational.database import Database
+        from repro.relational.algebra import Join, Scan, Select
         from repro.relational.expressions import col, lit
         from repro.relational.planner import plan_physical
         from repro.relational.relation import Relation
 
         small = Relation(["a", "b"], [(i, i % 3) for i in range(40)])
-        db = Database({"t": small, "s": small})
-        scan_plan = plan_physical(db.scan("t"))
+        scan_plan = plan_physical(Scan(small, name="t"))
         assert cost_class_of(scan_plan) == "point"  # 40 rows <= point limit
-        filtered = plan_physical(Select(db.scan("t"), col("a") < lit(5)))
+        filtered = plan_physical(Select(Scan(small, name="t"), col("a") < lit(5)))
         assert cost_class_of(filtered) in ("point", "scan")
         join_plan = plan_physical(
             Join(
-                db.scan("t", alias="t"),
-                db.scan("s", alias="u"),
+                Scan(small, name="t", alias="t"),
+                Scan(small, name="s", alias="u"),
                 col("t.a").eq(col("u.a")),
             ),
             use_indexes=False,
@@ -133,18 +131,16 @@ class TestClassification:
         assert cost_class_of(join_plan) == "join"
 
     def test_heavy_class_for_deep_join_trees(self):
-        from repro.relational.algebra import Join
-        from repro.relational.database import Database
+        from repro.relational.algebra import Join, Scan
         from repro.relational.expressions import col
         from repro.relational.planner import plan_physical
         from repro.relational.relation import Relation
 
         rel = Relation(["a"], [(i,) for i in range(10)])
-        db = Database({"r0": rel, "r1": rel, "r2": rel, "r3": rel})
-        plan = db.scan("r0", alias="x0")
+        plan = Scan(rel, name="r0", alias="x0")
         for i in range(1, 4):
             plan = Join(
-                plan, db.scan(f"r{i}", alias=f"x{i}"), col("x0.a").eq(col(f"x{i}.a"))
+                plan, Scan(rel, name=f"r{i}", alias=f"x{i}"), col("x0.a").eq(col(f"x{i}.a"))
             )
         physical = plan_physical(plan, use_indexes=False)
         assert cost_class_of(physical) == "heavy"

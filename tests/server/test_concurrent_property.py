@@ -23,10 +23,11 @@ import pytest
 from repro.core import execute_query
 from repro.core.query import Poss, Rel, UJoin, UProject, USelect
 from repro.relational.expressions import col, lit
+from repro.relational.optimizer import refresh_statistics
 from repro.server import QueryServer
 from repro.sql import execute_sql
 
-from tests.conftest import build_vehicles_udb
+from tests.conftest import build_vehicles_udb, partition_relation
 
 MODES = ["rows", "columns"]
 
@@ -103,7 +104,6 @@ def test_threads_with_concurrent_ddl_match_serial_multisets():
     six query threads run the mixed workload across all modes; answers
     stay multiset-identical to serial."""
     udb = build_vehicles_udb()
-    db = udb.to_database()
     pool = _query_pool()
     expected = {
         name: Counter(_rows_of(execute_query(q, udb))) for name, q in pool
@@ -118,7 +118,7 @@ def test_threads_with_concurrent_ddl_match_serial_multisets():
             while not stop.is_set():
                 name = f"i_churn_{toggle % 2}"
                 udb.create_index(name, "u_r_type", ["type"], kind="hash")
-                db.analyze("u_r_id")
+                refresh_statistics(partition_relation(udb, "u_r_id"))
                 udb.drop_index(name)
                 toggle += 1
         except Exception as error:  # pragma: no cover - the assertion
