@@ -2,11 +2,14 @@
 
 Three families:
 
-* mechanics — one entry per knob set, ``(cached)`` EXPLAIN marking,
-  dependency extraction and reset, through the U-level entry points (``execute_query`` /
-  ``explain_query``), the cache's one caller;
-* invalidation — a stale-plan execution is impossible, epochs are per
-  relation, and a lazy index build during planning does not evict the
+* mechanics — hit/miss accounting, one entry per query structure, knob
+  set and database, the entry pinning its database, ``(cached)`` EXPLAIN
+  marking, dependency extraction and reset, through the U-level entry
+  points (``execute_query`` / ``explain_query``), the cache's one caller;
+* invalidation — each relation-level mutation (index build or drop,
+  statistics refresh) bumps the relation's epoch and its watchers and
+  evicts exactly the entries over it; a stale-plan execution is
+  impossible, and a lazy index build during planning does not evict the
   entry being stored;
 * property tests (hypothesis) — a relational plan executed again is
   tuple-identical to a fresh compilation for the executor and the
@@ -15,11 +18,14 @@ Three families:
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 from hypothesis import given, settings, strategies as st
 
 from repro.core import Descriptor, UDatabase, URelation, WorldTable
 from repro.core.query import Poss, Rel, UProject, USelect
-from repro.core.translate import execute_query, explain_query, translate
+from repro.core.translate import execute_query, explain_query, query_cache_key, translate
 from repro.relational import (
     Relation,
     col,
@@ -37,13 +43,17 @@ from repro.relational.algebra import (
     Select,
     Union,
 )
-from repro.relational.index import built_indexes_on, ensure_index
-from repro.relational.optimizer import optimize
+from repro.relational.index import attach_index, built_indexes_on, detach_index, ensure_index
+from repro.relational.optimizer import optimize, refresh_statistics
 from repro.relational.plancache import (
+    PlanRecord,
     bump_relation,
+    cache_lookup,
+    cache_store,
     cost_class_of,
     plan_relations,
     relation_epoch,
+    watch_relation,
 )
 from repro.relational.planner import plan_physical
 from repro.relational.physical import execute
@@ -52,11 +62,67 @@ from repro.sql import execute_sql
 from tests.conftest import build_vehicles_udb, partition_relation
 
 
-def tanks():
-    return Poss(UProject(USelect(Rel("r"), col("type").eq(lit("Tank"))), ["id"]))
+def tanks(kind="Tank"):
+    return Poss(UProject(USelect(Rel("r"), col("type").eq(lit(kind))), ["id"]))
 
 
 class TestMechanics:
+    def test_second_run_hits_and_matches(self):
+        udb = build_vehicles_udb()
+        first = execute_query(tanks(), udb)
+        stats = plan_cache_stats()
+        assert (stats["misses"], stats["hits"], stats["size"]) == (1, 0, 1)
+        second = execute_query(tanks(), udb)
+        stats = plan_cache_stats()
+        assert (stats["misses"], stats["hits"], stats["size"]) == (1, 1, 1)
+        assert first == second
+
+    def test_structurally_equal_plans_share_one_entry(self):
+        udb = build_vehicles_udb()
+        execute_query(tanks(), udb)
+        execute_query(tanks(), udb)  # a *new* but structurally identical tree
+        execute_query(tanks("Transport"), udb)  # literals key by value
+        stats = plan_cache_stats()
+        assert (stats["misses"], stats["hits"], stats["size"]) == (2, 1, 2)
+
+    def test_modes_share_or_split_entries_correctly(self):
+        udb = build_vehicles_udb()
+        columns = execute_query(tanks(), udb, mode="columns")
+        rows = execute_query(tanks(), udb, mode="rows")  # unfused: a separate plan
+        execute_query(tanks(), udb, mode="rows")
+        stats = plan_cache_stats()
+        assert stats["misses"] == 2 and stats["hits"] == 1
+        assert sorted(columns.rows) == sorted(rows.rows)
+
+    def test_query_cache_key_distinguishes_structure(self):
+        udb = build_vehicles_udb()
+        key = query_cache_key(tanks(), udb)
+        assert key[0] == "uquery"
+        assert key == query_cache_key(tanks(), udb)
+        assert key != query_cache_key(tanks("Transport"), udb)
+        assert key != query_cache_key(tanks(), udb, mode="rows")
+        assert key != query_cache_key(tanks(), udb, use_indexes=False)
+
+    def test_each_database_keys_its_own_entry(self):
+        a, b = build_vehicles_udb(), build_vehicles_udb()
+        assert query_cache_key(tanks(), a) != query_cache_key(tanks(), b)
+        assert execute_query(tanks(), a) == execute_query(tanks(), b)
+        stats = plan_cache_stats()
+        assert (stats["misses"], stats["hits"], stats["size"]) == (2, 0, 2)
+
+    def test_entry_pins_its_database(self):
+        """Keys name the catalog by ``id()``: an entry keeps it alive, so
+        the id cannot be recycled while the entry can be looked up."""
+        udb = build_vehicles_udb()
+        execute_query(tanks(), udb)
+        ref = weakref.ref(udb)
+        del udb
+        gc.collect()
+        assert ref() is not None
+        reset_plan_cache()
+        gc.collect()
+        assert ref() is None
+
     def test_knobs_key_separately(self):
         udb = build_vehicles_udb()
         knob_sets = ({}, {"mode": "rows"}, {"use_indexes": False}, {"optimize": False})
@@ -107,7 +173,88 @@ class TestMechanics:
         assert partition_relation(udb, "u_r_faction") not in deps
 
 
+class Watcher:
+    """A catalog stand-in: counts the bumps ``watch_relation`` delivers."""
+
+    def __init__(self):
+        self.bumps = 0
+
+    def _bump_catalog_version(self):
+        self.bumps += 1
+
+
+def cache_plan_over(relation: Relation, key) -> None:
+    """Plan a selection over ``relation`` and store it under ``key``."""
+    logical = Select(Scan(relation, "t"), col("a").eq(lit(1)))
+    physical = plan_physical(optimize(logical), fuse=True)
+    record = PlanRecord(physical, None, None, cost_class_of(physical))
+    cache_store(key, record, plan_relations(logical))
+
+
 class TestInvalidation:
+    """Every relation-level mutation — index build or drop, statistics
+    refresh — goes through ``bump_relation``: the relation's epoch and its
+    watchers' versions move, and exactly the entries over it are evicted."""
+
+    def setup_method(self):
+        self.r = Relation(["a", "b"], [(i % 5, i) for i in range(40)])
+        self.s = Relation(["a", "d"], [(i % 7, -i) for i in range(30)])
+
+    def cache_both(self):
+        cache_plan_over(self.r, ("r",))
+        cache_plan_over(self.s, ("s",))
+        assert plan_cache_stats()["size"] == 2
+        self.watcher = Watcher()
+        watch_relation(self.r, self.watcher)
+        self.epoch = relation_epoch(self.r)
+
+    def assert_exactly_r_evicted(self):
+        assert relation_epoch(self.r) == self.epoch + 1
+        assert self.watcher.bumps == 1
+        stats = plan_cache_stats()
+        assert stats["invalidations"] == 1 and stats["size"] == 1
+        assert cache_lookup(("s",)) is not None  # s still cached
+        assert cache_lookup(("r",)) is None  # r must re-plan
+
+    def test_create_index_bumps_and_evicts(self):
+        self.cache_both()
+        ensure_index(self.r, ["a"], kind="hash")
+        self.assert_exactly_r_evicted()
+
+    def test_drop_index_bumps_and_evicts(self):
+        index = ensure_index(self.r, ["a"], kind="hash")
+        self.cache_both()
+        detach_index(self.r, index)
+        self.assert_exactly_r_evicted()
+
+    def test_analyze_bumps_and_evicts(self):
+        self.cache_both()
+        refresh_statistics(self.r)
+        self.assert_exactly_r_evicted()
+
+    def test_reattaching_an_index_evicts_nothing(self):
+        index = ensure_index(self.r, ["a"], kind="hash")
+        self.cache_both()
+        assert ensure_index(self.r, ["a"], kind="hash") is index
+        attach_index(self.r, index)  # already attached: no access-path change
+        detach_index(self.s, index)  # not attached there: a no-op
+        assert relation_epoch(self.r) == self.epoch
+        assert self.watcher.bumps == 0
+        assert plan_cache_stats()["invalidations"] == 0
+        assert cache_lookup(("r",)) is not None
+
+    def test_watchers_are_notified_and_held_weakly(self):
+        self.cache_both()
+        cache_plan_over(self.r, ("r", "again"))
+        assert bump_relation(self.r) == 2  # both entries over r
+        assert self.watcher.bumps == 1
+        ref = weakref.ref(self.watcher)
+        del self.watcher
+        gc.collect()
+        assert ref() is None  # watching never pins a catalog
+        assert bump_relation(self.r) == 0
+        assert relation_epoch(self.r) == self.epoch + 2
+
     def test_stale_plan_execution_is_impossible(self):
         """The end-to-end guarantee: after any write, the next run sees the
         new data — no interleaving can observe the old plan."""

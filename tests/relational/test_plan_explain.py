@@ -39,6 +39,13 @@ class TestRun:
         b = run(plan, optimize_first=False)
         assert sorted(a.rows) == sorted(b.rows)
 
+    def test_run_modes_and_access_paths_match(self, r, s):
+        plan = Select(Join(r, s, col("k").eq(col("k2"))), col("w") > lit(10))
+        expected = [(2, "b", 2, 20)]
+        assert run(plan).rows == expected
+        assert run(plan, mode="rows").rows == expected
+        assert run(plan, use_indexes=False).rows == expected
+
     def test_scan_alias(self, r):
         scan = Scan(r.relation, name="r", alias="t")
         assert scan.schema.names == ["t.k", "t.v"]
