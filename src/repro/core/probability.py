@@ -20,6 +20,15 @@ module provides a memoized confidence engine plus bounded-error sampling:
   into independent components (descriptors sharing no variable multiply:
   ``P(A ∪ B) = 1 - (1-P(A))(1-P(B))``), so enumeration is exponential only
   in the largest *connected* variable set, not in all touched variables.
+  A group resolved without sampling is memoized under two keys, each with
+  the method: the ``frozenset`` of its descriptors' structural keys, and
+  the ``frozenset`` of the encoded ``(c1, w1, ..., ck, wk)`` prefixes a
+  ``Confidence`` operator groups (:meth:`ConfidenceEngine.encoded_confidences`),
+  so a warm group costs that operator one lookup, with no decode.  The
+  encoded key is sound because decoding is a pure function of the tuple
+  and the world table is append-only; two encodings of one descriptor set
+  (slots in another order, other pads) may miss each other, and then meet
+  in the structural memo.
 * the **exact** path — component-wise enumeration over the touched
   assignment space (indexed through the caches above, streaming beyond
   :data:`EXACT_SPACE_LIMIT`),
@@ -50,12 +59,23 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (
+    AbstractSet,
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..relational.plancache import LruHotCache
 from ..relational.relation import Relation
 from ..relational.schema import Schema
-from .descriptor import Descriptor
+from .descriptor import Descriptor, decode_descriptor
 from .urelation import URelation
 from .worldtable import WorldTable
 
@@ -116,6 +136,11 @@ def assignment_space_size(
         if limit is not None and space > limit:
             return None
     return space
+
+
+def _valid_budget(epsilon: float, delta: float) -> bool:
+    """Whether ``(epsilon, delta)`` is an error budget a sampler can meet."""
+    return epsilon > 0.0 and 0.0 < delta < 1.0
 
 
 def _bernoulli_lanes(getrandbits: Callable[[int], int], q: float, lanes: int, width: int) -> int:
@@ -180,6 +205,9 @@ class ConfidenceEngine:
         # does, and seeds are client-supplied, so those go to a bounded LRU
         self._component_exact: Dict[Tuple[_DescKey, ...], float] = {}
         self._group_exact: Dict[Tuple[FrozenSet[_DescKey], str], float] = {}
+        # the same exact-resolved results, keyed by the encoded descriptor
+        # prefixes a ``Confidence`` operator groups (encoded_confidences)
+        self._group_encoded: Dict[Tuple[FrozenSet[Tuple[Any, ...]], str], float] = {}
         self._group_option = LruHotCache(_GROUP_OPTION_CAPACITY)
         # introspection counters
         self.groups_total = 0
@@ -262,7 +290,7 @@ class ConfidenceEngine:
             self.exact_groups += 1
             return 1.0, "exact"
         group = frozenset(keys)
-        if method != "exact" and (epsilon <= 0.0 or delta <= 0.0 or delta >= 1.0):
+        if method != "exact" and not _valid_budget(epsilon, delta):
             raise ValueError(
                 f"need epsilon > 0 and 0 < delta < 1; got ({epsilon}, {delta})"
             )
@@ -306,8 +334,53 @@ class ConfidenceEngine:
         self.approx_groups += 1
         return value, "approx"
 
+    def encoded_confidences(
+        self,
+        groups: Iterable[AbstractSet[Tuple[Any, ...]]],
+        method: str = "exact",
+        epsilon: float = DEFAULT_EPSILON,
+        delta: float = DEFAULT_DELTA,
+        seed: int = 0,
+    ) -> Tuple[List[float], int]:
+        """The confidence of each group, and how many groups were sampled.
+
+        A group is a set of encoded descriptor prefixes, the ``(c1, w1,
+        ..., ck, wk)`` tuples a U-relation row starts with.  A group
+        resolved exactly before, under the same encodings and method, is
+        one lookup, with no decode and no structural key.  Only a miss
+        decodes (:func:`decode_descriptor`) and goes through
+        :meth:`confidence_detail`, and only an exact result is kept (a
+        sampled one depends on the seed).  A hit counts as a hit of
+        :meth:`confidence_detail` does.
+        """
+        # an invalid budget must still raise, as it does without the memo
+        valid = method == "exact" or _valid_budget(epsilon, delta)
+        memo = self._group_encoded if valid else {}
+        confidences: List[float] = []
+        hits = sampled = 0
+        for encodings in groups:
+            key = (frozenset(encodings), method)
+            value = memo.get(key)
+            if value is None:
+                value, used = self.confidence_detail(
+                    [decode_descriptor(enc) for enc in encodings],
+                    method, epsilon, delta, seed,
+                )
+                if used == "exact":
+                    memo[key] = value
+                else:
+                    sampled += 1
+            else:
+                hits += 1
+            confidences.append(value)
+        self.groups_total += hits
+        self.exact_groups += hits
+        self.cache_hits += hits
+        return confidences, sampled
+
     def stats(self) -> Dict[str, int]:
-        """Cumulative engine counters (for tests and observability)."""
+        """Cumulative engine counters and memo entry counts (for tests and
+        observability)."""
         return {
             "groups_total": self.groups_total,
             "exact_groups": self.exact_groups,
@@ -316,6 +389,9 @@ class ConfidenceEngine:
             "cached_descriptors": len(self._descriptor_prob),
             "cached_variable_sets": len(self._space_probs),
             "cached_components": len(self._component_exact),
+            "cached_groups": len(self._group_exact),
+            "cached_encoded_groups": len(self._group_encoded),
+            "cached_options": len(self._group_option),
         }
 
     # ------------------------------------------------------------------

@@ -34,6 +34,7 @@ from __future__ import annotations
 import threading
 import weakref
 from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .relation import Relation, _without
@@ -376,7 +377,8 @@ class SortedIndex(Index):
         applies to the first column.  Results are returned in *relation*
         order, not key order: emitting a large range in key order makes
         every downstream probe/touch jump randomly through memory, which
-        costs more than the ordinal re-sort here.
+        costs more than the re-sort here, which orders entry positions by
+        their labels and gathers the rows in one pass.
         """
         first = self._first
         lo = 0
@@ -387,8 +389,10 @@ class SortedIndex(Index):
             hi = bisect_right(first, upper) if upper_inclusive else bisect_left(first, upper)
         if hi <= lo:
             return ()
-        matched = sorted(zip(self._ordinals[lo:hi], self._rows[lo:hi]))
-        return [row for _, row in matched]
+        if hi - lo == 1:
+            return [self._rows[lo]]  # a one-index itemgetter returns the bare row
+        order = sorted(range(lo, hi), key=self._ordinals.__getitem__)
+        return list(itemgetter(*order)(self._rows))
 
     def ordered(self) -> Sequence[Row]:
         """All indexed rows in ascending key order."""

@@ -74,7 +74,7 @@ thread's frame (:func:`~repro.relational.expressions.executing`), and
 thread's current execution did not run.  Outside ``__init__`` /
 ``set_output`` a node is assigned only plan-only memos, whose values any
 execution derives equal: ``FusedPipeline._select`` and the joins'
-``_planned`` (kernels), and the entries of ``Confidence._decode_cache``.
+``_planned`` (kernels).
 
 The planner can additionally *fuse* maximal scan→filter→project chains
 into single :class:`FusedPipeline` operators and fold projections into
@@ -1596,7 +1596,8 @@ class Confidence(PhysicalPlan):
     prefixes per group, and computes each group's confidence — the
     probability of the union of its descriptors' world-sets — through the
     world table's shared memoized
-    :class:`~repro.core.probability.ConfidenceEngine`.
+    :class:`~repro.core.probability.ConfidenceEngine`, which looks a group
+    up by those encoded prefixes and decodes them only on a miss.
 
     ``method`` selects exact enumeration, the bounded-error ``(epsilon,
     delta)`` sampler, or per-component auto selection; the method actually
@@ -1634,9 +1635,6 @@ class Confidence(PhysicalPlan):
         self.schema = Schema(self.value_names + ["conf"])
         # distinct value tuples are a fraction of the input U-relation rows
         self.estimated_rows = max(child.estimated_rows * 0.5, 1.0)
-        #: encoded descriptor prefix -> Descriptor, shared across executions
-        #: of this (plan-cached) operator
-        self._decode_cache: Dict[Tuple[Any, ...], Any] = {}
 
     @property
     def children(self) -> Tuple[PhysicalPlan, ...]:
@@ -1685,31 +1683,15 @@ class Confidence(PhysicalPlan):
     def _compute(self, groups: Dict[Row, set]) -> List[Row]:
         import time
 
-        from ..core.descriptor import decode_descriptor
         from ..core.probability import confidence_engine
         from ..obs import counter, histogram
 
         started = time.perf_counter()
-        engine = confidence_engine(self.world_table)
-        decode = self._decode_cache
-        exact = approx = 0
-        out: List[Row] = []
-        for values, encs in groups.items():
-            descriptors = []
-            for enc in encs:
-                descriptor = decode.get(enc)
-                if descriptor is None:
-                    descriptor = decode_descriptor(enc)
-                    decode[enc] = descriptor
-                descriptors.append(descriptor)
-            conf, used = engine.confidence_detail(
-                descriptors, self.method, self.epsilon, self.delta, self.seed
-            )
-            if used == "approx":
-                approx += 1
-            else:
-                exact += 1
-            out.append(values + (conf,))
+        confidences, approx = confidence_engine(self.world_table).encoded_confidences(
+            groups.values(), self.method, self.epsilon, self.delta, self.seed
+        )
+        exact = len(groups) - approx
+        out = [values + (conf,) for values, conf in zip(groups, confidences)]
         out.sort(key=lambda row: (-row[-1], tuple(map(repr, row[:-1]))))
         elapsed = time.perf_counter() - started
         counter("conf_groups_total", "Value groups confidence-computed").inc(

@@ -30,7 +30,12 @@ from repro.core import (
     monte_carlo_confidence,
 )
 from repro.core import probability
+from repro.core.descriptor import TOP_VALUE, TOP_VARIABLE
 from repro.core.probability import EXACT_SPACE_LIMIT
+from repro.relational import plan_cache_stats
+from repro.sql import execute_sql, prepare
+
+from tests.conftest import build_vehicles_udb
 
 
 def oracle_confidence(descriptors, world):
@@ -426,6 +431,118 @@ def test_option_memo_is_bounded_under_fresh_seeds():
     hits = engine.stats()["cache_hits"]
     engine.confidence(hot, method="auto", epsilon=0.05, seed=0)
     assert engine.stats()["cache_hits"] == hits + 1
+
+
+# -- groups given as encoded descriptor prefixes ------------------------
+@st.composite
+def encoded(draw, descriptor, width):
+    """One encoding of ``descriptor`` in ``width`` slots: its pairs in any
+    slot order, the free slots ⊤ pairs or repeats of one of its pairs."""
+    items = list(descriptor.items())
+    pads = items + [(TOP_VARIABLE, TOP_VALUE)]
+    slots = items + [draw(st.sampled_from(pads)) for _ in range(width - len(items))]
+    return tuple(part for pair in draw(st.permutations(slots)) for part in pair)
+
+
+@st.composite
+def encoded_groups(draw):
+    """A world, a drawn descriptor group, and two encodings of the group."""
+    world, descriptors = draw(worlds_and_descriptors())
+    width = draw(st.integers(min_value=2, max_value=3))
+    first, second = (
+        {draw(encoded(d, width)) for d in descriptors} for _ in range(2)
+    )
+    return world, descriptors, first, second
+
+
+@given(encoded_groups(), st.sampled_from(["exact", "auto"]))
+@settings(max_examples=80, deadline=None)
+def test_encoded_groups_match_world_enumeration(case, method):
+    world, descriptors, first, second = case
+    engine = ConfidenceEngine(world)
+    expected = oracle_confidence(descriptors, world)
+    confidences, sampled = engine.encoded_confidences([first, second], method)
+    assert sampled == 0
+    assert confidences[0] == pytest.approx(expected)
+    assert confidences[1] == confidences[0]  # one descriptor set, two encodings
+    before = engine.stats()
+    assert engine.encoded_confidences([second, first], method) == (confidences[::-1], 0)
+    after = engine.stats()
+    for counter in ("groups_total", "exact_groups", "cache_hits"):
+        assert after[counter] == before[counter] + 2, counter
+
+
+def chain_encodings(length=41):
+    """The 41-variable chain ``{v_i = 1, v_{i+1} = 1}``, one encoded prefix
+    per link (width 2), over a uniform four-value world."""
+    names = [f"v{i}" for i in range(length)]
+    world = WorldTable(
+        {v: [1, 2, 3, 4] for v in names}, probabilities={v: [0.25] * 4 for v in names}
+    )
+    return world, {(a, 1, b, 1) for a, b in zip(names, names[1:])}
+
+
+def test_sampled_groups_are_never_kept_in_the_encoded_memo():
+    """A fresh seed on the chain samples every time: nothing an ``approx``
+    request returns is stored under its encodings."""
+    world, chain = chain_encodings()
+    engine = ConfidenceEngine(world)
+    for seed in range(1, 6):
+        before = engine.stats()
+        confidences, sampled = engine.encoded_confidences([chain], "approx", 0.1, 0.05, seed)
+        after = engine.stats()
+        assert sampled == 1 and 0.0 < confidences[0] < 1.0
+        assert after["approx_groups"] == before["approx_groups"] + 1
+        assert after["cache_hits"] == before["cache_hits"]
+        assert after["cached_encoded_groups"] == 0
+    assert engine.stats()["cached_options"] == 5
+
+
+def test_an_invalid_budget_still_raises_on_a_warm_group():
+    world = WorldTable({"x": [1, 2], "y": [1, 2]})
+    engine = ConfidenceEngine(world)
+    group = {("x", 1, "y", 1), ("x", 2, TOP_VARIABLE, TOP_VALUE)}
+    engine.encoded_confidences([group], "auto", 0.01, 0.05)
+    with pytest.raises(ValueError, match="epsilon"):
+        engine.encoded_confidences([group], "auto", 0.0, 0.05)
+
+
+def test_stats_count_the_entries_of_each_group_memo():
+    world = WorldTable(
+        {"x": [1, 2], "y": [1, 2]}, probabilities={"x": [0.3, 0.7], "y": [0.5, 0.5]}
+    )
+    engine = ConfidenceEngine(world, exact_limit=2)  # auto samples x-y groups
+    empty = {"cached_groups": 0, "cached_encoded_groups": 0, "cached_options": 0}
+    assert {key: engine.stats()[key] for key in empty} == empty
+    engine.confidence([Descriptor(x=1), Descriptor(x=2)], method="exact")
+    engine.encoded_confidences([{("x", 1, "x", 1)}, {("y", 2, TOP_VARIABLE, TOP_VALUE)}])
+    engine.confidence([Descriptor(x=1), Descriptor(x=2, y=1)], method="auto", seed=1)
+    engine.confidence([Descriptor(x=1), Descriptor(x=2, y=1)], method="auto", seed=2)
+    stats = engine.stats()
+    assert stats["cached_groups"] == 3  # an encoded miss resolves through it
+    assert stats["cached_encoded_groups"] == 2
+    assert stats["cached_options"] == 2
+
+
+def test_warm_groups_hit_after_an_insert_replans_the_statement(monkeypatch):
+    """The memo lives on the engine, not on a plan node: a write that
+    re-plans a prepared ``conf`` statement leaves its warm groups warm."""
+    udb = build_vehicles_udb()
+    stmt = prepare("conf (select id from r where faction = 'Enemy')", udb)
+    first = stmt.run()
+    engine = confidence_engine(udb.world_table)
+    decoded = []
+    real = probability.decode_descriptor
+    monkeypatch.setattr(
+        probability, "decode_descriptor", lambda enc: decoded.append(enc) or real(enc)
+    )
+    execute_sql("insert into r values (5, 'Tank', 'Friend')", udb)
+    misses, hits = plan_cache_stats()["misses"], engine.stats()["cache_hits"]
+    again = stmt.run()
+    assert plan_cache_stats()["misses"] == misses + 1  # re-planned
+    assert again.rows == first.rows and again.conf["groups"] == len(first.rows) == 3
+    assert engine.stats()["cache_hits"] == hits + 3
+    assert decoded == []
 
 
 # -- the direct sampler (hoisted-domain rewrite) ------------------------

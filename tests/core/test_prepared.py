@@ -541,9 +541,7 @@ def _node_state(plan):
         for name, value in vars(node).items():
             if name in ("_select", "_planned"):
                 continue  # kernels derived from the plan alone, on first execution
-            if name == "_decode_cache":
-                value = id(value)  # a pure encoding -> descriptor memo: contents grow
-            elif isinstance(value, (list, dict)):
+            if isinstance(value, (list, dict)):
                 value = (id(value), repr(value))
             attrs[name] = value
         state[id(node)] = (node, attrs)

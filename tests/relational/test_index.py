@@ -24,7 +24,7 @@ from repro.relational import (
     optimize,
     run,
 )
-from repro.relational.index import attach_index, detach_index
+from repro.relational.index import attach_index, built_indexes_on, detach_index, row_labels
 from repro.relational.physical import IndexNestedLoopJoin, IndexScan, execute
 from repro.relational.planner import plan_physical
 
@@ -103,6 +103,33 @@ class TestSortedIndex:
     def test_empty_range(self):
         idx = SortedIndex(people(), ["id"])
         assert list(idx.range(1000, 2000)) == []
+        for lower, upper, inclusive in [(20, 10, True), (5, 5, False), (5.2, 5.8, True)]:
+            assert list(idx.range(lower, upper, inclusive, inclusive)) == []
+
+    def test_one_row_range_is_a_list_of_that_row(self):
+        rel = Relation(["k"], [(3,), (1,), (2,)])
+        idx = SortedIndex(rel, ["k"])
+        assert idx.range(2, 2) == [(2,)]
+        assert idx.range(1, 3, lower_inclusive=False, upper_inclusive=False) == [(2,)]
+        assert idx.range(None, 1) == [(1,)]
+
+    def test_range_after_a_delete_and_an_insert_is_in_relation_order(self):
+        """A delete leaves gaps in the row labels and an insert appends past
+        them: every range is still the filtered relation, in its order."""
+        rel = Relation(["k", "v"], [((7 * i) % 11, i) for i in range(40)])
+        ensure_index(rel, ["k"], kind="sorted")
+        rel = rel.with_deleted([0, 5, 6, 7, 30])
+        rel = rel.with_appended([(3, 100), (10, 101), (3, 102), (0, 103)])
+        (idx,) = built_indexes_on(rel)
+        assert list(row_labels(rel)) != list(range(len(rel.rows)))
+        for lower, upper in [(3, 8), (None, 4), (9, None), (3, 3), (None, None)]:
+            for inclusive in (True, False):
+                expected = [
+                    row for row in rel.rows
+                    if (lower is None or row[0] > lower or inclusive and row[0] == lower)
+                    and (upper is None or row[0] < upper or inclusive and row[0] == upper)
+                ]
+                assert list(idx.range(lower, upper, inclusive, inclusive)) == expected
 
     def test_unsortable_column_raises(self):
         rel = Relation(["k"], [(1,), ("x",)])
