@@ -4,7 +4,7 @@
 Builds an uncertain TPC-H instance with the paper's generator parameters
 (scale s, uncertainty ratio x, correlation z), reports the Figure 9-style
 database characteristics, runs the paper's queries Q1-Q3, and prints the
-optimized physical plan of Q2 the way Figure 13 does.
+physical plan a request for Q2 runs (cf. Figure 13).
 
 Run:  python examples/uncertain_tpch.py [scale] [x] [z]
 e.g.  python examples/uncertain_tpch.py 0.002 0.05 0.25
@@ -56,9 +56,9 @@ def main() -> None:
     # ------------------------------------------------------------------
     # the Figure 13 plan
     # ------------------------------------------------------------------
-    print("\noptimized physical plan for Q2 (cf. Figure 13):")
+    print("\nphysical plan for Q2 (cf. Figure 13):")
     translated = translate(q2_inner(), bundle.udb)
-    physical = plan_physical(optimize(translated.plan), prefer_merge_join=True)
+    physical = plan_physical(optimize(translated.plan), fuse=True)
     print(explain(physical))
 
 

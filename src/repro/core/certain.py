@@ -66,9 +66,7 @@ def certain_answers_plan(u_relation: Relation, world: Relation, value_names: Lis
     return Distinct(Project(covered, value_names))
 
 
-def certain_answers(
-    result: URelation, world_table: WorldTable, optimize: bool = True
-) -> Relation:
+def certain_answers(result: URelation, world_table: WorldTable) -> Relation:
     """Certain tuples of a (tuple-level) query-result U-relation.
 
     The result is first normalized (Algorithm 1) so that Lemma 4.3 applies;
@@ -80,7 +78,7 @@ def certain_answers(
     (normalized,) = normalized_list
     flat = _flatten_tids(normalized)
     plan = certain_answers_plan(flat.relation, new_world.relation(), list(flat.value_names))
-    answer = run(plan, optimize_first=optimize)
+    answer = run(plan)
     return Relation(Schema(list(result.value_names)), answer.rows)
 
 

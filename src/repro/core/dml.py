@@ -337,7 +337,7 @@ def _matching_tids(udb, name: str, condition: Optional[Expression]) -> set:
     key = query_cache_key(query, udb)
     if key is not None:
         key += (tuple(id(part.relation) for part in udb.partitions(name)),)
-    result = execute_keyed(query, udb, key, True, "columns", True)
+    result = execute_keyed(query, udb, key, "columns", True)
     position = result.relation.schema.resolve(result.tid_names[0])
     return {row[position] for row in result.relation.rows}
 

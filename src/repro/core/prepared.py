@@ -145,13 +145,13 @@ class PreparedQuery(_Prepared):
         #: What is planned and cached: the query under its ``Certain``
         #: wrappers (a ``certain(q)`` statement runs ``q``'s plan).
         self.core = relational_core(query)
-        self._keys: Dict[Tuple[bool, str, bool], Any] = {}
+        self._keys: Dict[Tuple[str, bool], Any] = {}
 
-    def plan_key(self, optimize: bool = True, mode: str = "columns", use_indexes: bool = True):
+    def plan_key(self, mode: str = "columns", use_indexes: bool = True):
         """The plan-cache key :attr:`core` plans under with these knobs
         (``None``: uncacheable), derived once in the statement's lifetime.
         Racing first callers derive equal keys; either assignment stands."""
-        knobs = (optimize, mode, use_indexes)
+        knobs = (mode, use_indexes)
         if knobs not in self._keys:
             self._keys[knobs] = query_cache_key(self.core, self.udb, *knobs)
         return self._keys[knobs]
@@ -165,13 +165,7 @@ class PreparedQuery(_Prepared):
         """
         frame.params = self.checked(tuple(params))
 
-    def run(
-        self,
-        *params: Any,
-        optimize: bool = True,
-        mode: str = "columns",
-        use_indexes: bool = True,
-    ):
+    def run(self, *params: Any, mode: str = "columns", use_indexes: bool = True):
         """Execute with ``params`` as the ``$n`` values.
 
         The first call per (mode, knobs) combination plans and caches; all
@@ -181,13 +175,12 @@ class PreparedQuery(_Prepared):
         otherwise.
         """
         with request_trace(sql=self.sql or ""), executing(self.checked(params)):
-            key = self.plan_key(optimize, mode, use_indexes)
-            return execute_keyed(self.query, self.udb, key, optimize, mode, use_indexes)
+            key = self.plan_key(mode, use_indexes)
+            return execute_keyed(self.query, self.udb, key, mode, use_indexes)
 
     def explain(
         self,
         *params: Any,
-        optimize: bool = True,
         mode: str = "columns",
         use_indexes: bool = True,
         analyze: bool = False,
@@ -202,7 +195,6 @@ class PreparedQuery(_Prepared):
             return explain_query(
                 self.query,
                 self.udb,
-                optimize=optimize,
                 mode=mode,
                 use_indexes=use_indexes,
                 analyze=analyze,

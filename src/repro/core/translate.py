@@ -728,11 +728,7 @@ def _workload_profile(query: UQuery, plan, key, cost_class: str):
 
 
 def query_cache_key(
-    query: UQuery,
-    udb: UDatabase,
-    optimize: bool = True,
-    mode: str = "columns",
-    use_indexes: bool = True,
+    query: UQuery, udb: UDatabase, mode: str = "columns", use_indexes: bool = True
 ):
     """The prepared-plan cache key this query would plan under, or None.
 
@@ -745,7 +741,7 @@ def query_cache_key(
         structure = query_structure_key(query)
     except TypeError:
         return None
-    return ("uquery", id(udb), structure, optimize, use_indexes, mode == "columns")
+    return ("uquery", id(udb), structure, use_indexes, mode == "columns")
 
 
 def relational_core(query: UQuery) -> UQuery:
@@ -756,14 +752,7 @@ def relational_core(query: UQuery) -> UQuery:
     return query
 
 
-def _cached_physical(
-    query: UQuery,
-    udb: UDatabase,
-    key,
-    optimize: bool,
-    mode: str,
-    use_indexes: bool,
-):
+def _cached_physical(query: UQuery, udb: UDatabase, key, mode: str, use_indexes: bool):
     """The fully planned physical tree for a logical query, via the cache.
 
     Returns ``(record, was_cached)``: a
@@ -780,7 +769,7 @@ def _cached_physical(
     mutation of a relation the plan scans evicts the entry (see
     :mod:`repro.relational.plancache`).
     """
-    from ..relational.optimizer import optimize as optimize_plan
+    from ..relational.optimizer import optimize
     from ..relational.plancache import (
         PlanRecord,
         cached_plan,
@@ -820,8 +809,7 @@ def _cached_physical(
                 inner.canonical_names(),
             )
         deps = plan_relations(plan)
-        if optimize:
-            plan = optimize_plan(plan)
+        plan = optimize(plan)
         if conf is not None:
             # inserted above the *optimized* child: the rewrite rules never
             # see (and could not soundly move through) a confidence
@@ -857,11 +845,7 @@ def _cached_physical(
 # execution entry point
 # ----------------------------------------------------------------------
 def execute_query(
-    query: UQuery,
-    udb: UDatabase,
-    optimize: bool = True,
-    mode: str = "columns",
-    use_indexes: bool = True,
+    query: UQuery, udb: UDatabase, mode: str = "columns", use_indexes: bool = True
 ):
     """Translate and run a query against a U-relational database.
 
@@ -881,18 +865,11 @@ def execute_query(
     :class:`~repro.core.prepared.PreparedQuery` derives it once and calls
     :func:`execute_keyed`.
     """
-    key = query_cache_key(relational_core(query), udb, optimize, mode, use_indexes)
-    return execute_keyed(query, udb, key, optimize, mode, use_indexes)
+    key = query_cache_key(relational_core(query), udb, mode, use_indexes)
+    return execute_keyed(query, udb, key, mode, use_indexes)
 
 
-def execute_keyed(
-    query: UQuery,
-    udb: UDatabase,
-    key,
-    optimize: bool,
-    mode: str,
-    use_indexes: bool,
-):
+def execute_keyed(query: UQuery, udb: UDatabase, key, mode: str, use_indexes: bool):
     """:func:`execute_query` for a caller that holds ``key``, the
     :func:`query_cache_key` of the query's :func:`relational_core` under
     these knobs."""
@@ -905,9 +882,9 @@ def execute_keyed(
     if isinstance(query, Certain):
         from .certain import certain_answers
 
-        inner = execute_keyed(query.child, udb, key, optimize, mode, use_indexes)
+        inner = execute_keyed(query.child, udb, key, mode, use_indexes)
         return certain_answers(inner, udb.world_table)
-    record, was_cached = _cached_physical(query, udb, key, optimize, mode, use_indexes)
+    record, was_cached = _cached_physical(query, udb, key, mode, use_indexes)
     physical, wrap, profile, cost_class = record
     started = time.perf_counter()
     relation = execute(physical, mode=mode)
@@ -956,7 +933,6 @@ def execute_keyed(
 def explain_query(
     query: UQuery,
     udb: UDatabase,
-    optimize: bool = True,
     mode: str = "columns",
     use_indexes: bool = True,
     analyze: bool = False,
@@ -980,8 +956,8 @@ def explain_query(
     from ..relational.plancache import mark_cached
 
     query = relational_core(query)
-    key = query_cache_key(query, udb, optimize, mode, use_indexes)
-    record, was_cached = _cached_physical(query, udb, key, optimize, mode, use_indexes)
+    key = query_cache_key(query, udb, mode, use_indexes)
+    record, was_cached = _cached_physical(query, udb, key, mode, use_indexes)
     if analyze and trace:
         _result, text, data = explain_analyze(record.physical, mode=mode, trace=True)
         return (mark_cached(text) if was_cached else text), data

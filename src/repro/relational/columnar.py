@@ -69,8 +69,8 @@ class ColumnBatch:
 
     A batch built :meth:`from_rows` keeps the row list and transposes only
     when ``columns`` is first read, so between two operators that both
-    work on row tuples (a sort under a merge join, a nested loop under a
-    set difference) the exchange costs no transpose at all.
+    work on row tuples (an index scan under a nested loop, a nested loop
+    under a set difference) the exchange costs no transpose at all.
     """
 
     __slots__ = ("_columns", "_rows", "length")

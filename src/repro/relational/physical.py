@@ -11,13 +11,11 @@ Physical plans mirror the logical nodes but carry concrete algorithms:
 * ``ExtendOp``       — pass-through plus computed columns
 * ``HashJoin``       — build/probe equi-join with residual filter
 * ``IndexNestedLoopJoin`` — probe a prebuilt inner-side index per outer row
-* ``MergeJoin``      — sort-merge equi-join with residual filter
 * ``NestedLoopJoin`` — general-predicate join (also cross product)
 * ``SemiJoinOp``     — left semijoin (hashed on its equi-pairs, if any)
 * ``HashDistinct``   — duplicate elimination
 * ``Append``         — bag union
 * ``Except``         — set difference
-* ``Sort``           — explicit sort (used under MergeJoin)
 * ``Confidence``     — per-value-tuple confidence over a U-relation input
 
 Execution model
@@ -39,12 +37,11 @@ Every operator speaks exactly two protocols:
   (:func:`~repro.relational.index.probe_table`: the hash join's build
   side, or the inner index's ``mixed_table``), checks the residual and
   gathers the output columns from both inputs — a downstream-folded
-  projection means dropped columns are never materialized at all.  Six
+  projection means dropped columns are never materialized at all.  Five
   operators work on row tuples because their inputs or algorithms are
-  row-shaped (index buckets hold row tuples; merge, nested-loop,
-  semi-join and set difference compare whole rows): ``IndexScan``,
-  ``FusedPipeline`` over
-  an ``IndexScan``, ``SemiJoinOp``, ``MergeJoin``, ``NestedLoopJoin`` and
+  row-shaped (index buckets hold row tuples; nested-loop, semi-join and
+  set difference compare whole rows): ``IndexScan``, ``FusedPipeline``
+  over an ``IndexScan``, ``SemiJoinOp``, ``NestedLoopJoin`` and
   ``Except`` read their children through :func:`_row_batches` and emit
   :meth:`ColumnBatch.from_rows`, which transposes (one C-speed ``zip``)
   only when a consumer reads the columns: between two such operators the
@@ -59,10 +56,10 @@ Every operator speaks exactly two protocols:
 
 Every operator implements ``rows()`` and ``_column_batches(size)``, each
 with one body per algorithm — no operator chooses between a generated and
-a hand-written loop, or between a sorting and an index-reading merge.  The
-inherited wrapper :meth:`PhysicalPlan.column_batches` counts the rows and
-batches each operator produced — for a fused pipeline per pipeline, not
-per fused-away operator.  ``rows()`` keeps no counters.
+a hand-written loop.  The inherited wrapper
+:meth:`PhysicalPlan.column_batches` counts the rows and batches each
+operator produced — for a fused pipeline per pipeline, not per
+fused-away operator.  ``rows()`` keeps no counters.
 
 A plan is a value; an execution is an argument.  Plans are cached and run
 by any number of threads at once, so nothing an execution reads or
@@ -100,7 +97,7 @@ from .columnar import (
 )
 from .expressions import Expression, Param, frame, has_null_literal
 from .index import Index, SortedIndex, probe_table
-from .relation import Relation, _sort_key
+from .relation import Relation
 from .schema import Schema
 
 __all__ = [
@@ -117,13 +114,11 @@ __all__ = [
     "ExtendOp",
     "HashJoin",
     "IndexNestedLoopJoin",
-    "MergeJoin",
     "NestedLoopJoin",
     "SemiJoinOp",
     "HashDistinct",
     "Append",
     "Except",
-    "Sort",
     "Confidence",
     "execute",
 ]
@@ -1209,208 +1204,6 @@ class SemiJoinOp(PhysicalPlan):
             details.append(f"Hash Cond: {cond}")
         if self.residual is not None or not self.pairs:
             details.append(f"Join Filter: {(self.residual or self.predicate)!r}")
-        return details
-
-
-class Sort(PhysicalPlan):
-    """Full sort of the child output by the given key columns."""
-
-    def __init__(self, child: PhysicalPlan, keys: Sequence[str]):
-        self.child = child
-        self.keys = list(keys)
-        self.positions = child.schema.positions(self.keys)
-        self.schema = child.schema
-        self.estimated_rows = child.estimated_rows
-
-    @property
-    def children(self) -> Tuple[PhysicalPlan, ...]:
-        return (self.child,)
-
-    def _key(self) -> Callable[[Row], Any]:
-        positions = self.positions
-
-        def key(row: Row):
-            return _sort_key(tuple(row[i] for i in positions))
-
-        return key
-
-    def rows(self) -> Iterator[Row]:
-        return iter(sorted(self.child.rows(), key=self._key()))
-
-    def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
-        gathered = _all_rows(self.child, size)
-        gathered.sort(key=self._key())
-        return _column_chunks(gathered, size, len(self.schema))
-
-    def column_nullable(self, position: int) -> bool:
-        return self.child.column_nullable(position)
-
-    def explain_label(self) -> str:
-        return "Sort"
-
-    def explain_details(self) -> List[str]:
-        return [f"Sort Key: {', '.join(self.keys)}"]
-
-
-class MergeJoin(PhysicalPlan):
-    """Sort-merge equi-join (inputs are sorted internally).
-
-    Kept primarily for plan-shape parity with the PostgreSQL plans shown in
-    the paper (Figure 13 uses merge joins on tuple-id columns).  Both
-    inputs are always drained and sorted under the type-tagged total order
-    of ``_sort_key`` (which keeps ``1`` and ``1.0`` apart), whatever
-    indexes their relations carry: answers never depend on whether an
-    index exists, and executing the join never builds a deferred one.
-    """
-
-    def __init__(
-        self,
-        left: PhysicalPlan,
-        right: PhysicalPlan,
-        pairs: Sequence[Tuple[str, str]],
-        residual: Optional[Expression] = None,
-    ):
-        if not pairs:
-            raise ValueError("MergeJoin requires at least one equi-pair")
-        self.left = Sort(left, [l for l, _ in pairs])
-        self.right = Sort(right, [r for _, r in pairs])
-        self.pairs = list(pairs)
-        self.residual = residual
-        self._combined = left.schema.concat(right.schema)
-        self.schema = self._combined
-        #: Folded downstream projection, set via :meth:`set_output`.
-        self.output_positions: Optional[List[int]] = None
-        self.left_positions = [left.schema.resolve(l) for l, _ in pairs]
-        self.right_positions = [right.schema.resolve(r) for _, r in pairs]
-        self._bound_residual = residual.bind(self._combined) if residual is not None else None
-        self._compiled_residual = (
-            residual.compile(self._combined) if residual is not None else None
-        )
-        self.estimated_rows = max(left.estimated_rows, right.estimated_rows)
-
-    def set_output(self, positions: Sequence[int], schema: Schema) -> None:
-        """Fold a downstream projection into the join's emit (fusion)."""
-        self.output_positions = list(positions)
-        self.schema = schema
-
-    @property
-    def children(self) -> Tuple[PhysicalPlan, ...]:
-        return (self.left, self.right)
-
-    def rows(self) -> Iterator[Row]:
-        left_rows = list(self.left.rows())
-        right_rows = list(self.right.rows())
-        lpos, rpos = self.left_positions, self.right_positions
-        residual = self._bound_residual
-        project = (
-            row_projector(self.output_positions)
-            if self.output_positions is not None
-            else None
-        )
-
-        def lkey(row: Row):
-            return _sort_key(tuple(row[i] for i in lpos))
-
-        def rkey(row: Row):
-            return _sort_key(tuple(row[i] for i in rpos))
-
-        i = j = 0
-        n, m = len(left_rows), len(right_rows)
-        while i < n and j < m:
-            lk, rk = lkey(left_rows[i]), rkey(right_rows[j])
-            if lk < rk:
-                i += 1
-            elif lk > rk:
-                j += 1
-            else:
-                # gather the equal-key groups on both sides
-                i2 = i
-                while i2 < n and lkey(left_rows[i2]) == lk:
-                    i2 += 1
-                j2 = j
-                while j2 < m and rkey(right_rows[j2]) == rk:
-                    j2 += 1
-                if not any(
-                    v is None for v in (left_rows[i][p] for p in lpos)
-                ):  # NULL keys never join
-                    for lrow in left_rows[i:i2]:
-                        for rrow in right_rows[j:j2]:
-                            out = lrow + rrow
-                            if residual is None or residual(out):
-                                yield out if project is None else project(out)
-                i, j = i2, j2
-
-    def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
-        width = len(self.schema)
-        left_rows = _all_rows(self.left, size)
-        right_rows = _all_rows(self.right, size)
-        lpos, rpos = self.left_positions, self.right_positions
-        lproject = row_projector(lpos)
-        rproject = row_projector(rpos)
-        # precompute sort keys once per row (the rows() path recomputes them
-        # on every group-boundary probe)
-        lkeys = [_sort_key(lproject(row)) for row in left_rows]
-        rkeys = [_sort_key(rproject(row)) for row in right_rows]
-        residual = self._compiled_residual
-        project = (
-            row_projector(self.output_positions)
-            if self.output_positions is not None
-            else None
-        )
-
-        out: Batch = []
-        i = j = 0
-        n, m = len(left_rows), len(right_rows)
-        while i < n and j < m:
-            lk, rk = lkeys[i], rkeys[j]
-            if lk < rk:
-                i += 1
-            elif lk > rk:
-                j += 1
-            else:
-                i2 = i
-                while i2 < n and lkeys[i2] == lk:
-                    i2 += 1
-                j2 = j
-                while j2 < m and rkeys[j2] == rk:
-                    j2 += 1
-                if not any(v is None for v in lproject(left_rows[i])):
-                    right_group = right_rows[j:j2]
-                    for lrow in left_rows[i:i2]:
-                        if residual is None and project is None:
-                            out.extend(lrow + rrow for rrow in right_group)
-                        else:
-                            for rrow in right_group:
-                                joined = lrow + rrow
-                                if residual is None or residual(joined):
-                                    out.append(
-                                        joined if project is None else project(joined)
-                                    )
-                        if len(out) >= size:
-                            yield ColumnBatch.from_rows(out, width)
-                            out = []
-                i, j = i2, j2
-        if out:
-            yield ColumnBatch.from_rows(out, width)
-
-    def column_nullable(self, position: int) -> bool:
-        if self.output_positions is not None:
-            position = self.output_positions[position]
-        split = len(self.left.schema)
-        if position < split:
-            return self.left.column_nullable(position)
-        return self.right.column_nullable(position - split)
-
-    def explain_label(self) -> str:
-        return "Merge Join"
-
-    def explain_details(self) -> List[str]:
-        cond = " AND ".join(f"({l} = {r})" for l, r in self.pairs)
-        details = [f"Merge Cond: {cond}"]
-        if self.residual is not None:
-            details.append(f"Join Filter: {self.residual!r}")
-        if self.output_positions is not None:
-            details.append(f"Output: {', '.join(self.schema.names)}")
         return details
 
 

@@ -523,7 +523,6 @@ def cost_class_of(physical: Any) -> str:
         HashJoin,
         IndexNestedLoopJoin,
         IndexScan,
-        MergeJoin,
         NestedLoopJoin,
         SemiJoinOp,
         _NO_POINT,
@@ -538,9 +537,7 @@ def cost_class_of(physical: Any) -> str:
     stack = [physical]
     while stack:
         node = stack.pop()
-        if isinstance(
-            node, (HashJoin, IndexNestedLoopJoin, MergeJoin, NestedLoopJoin, SemiJoinOp)
-        ):
+        if isinstance(node, (HashJoin, IndexNestedLoopJoin, NestedLoopJoin, SemiJoinOp)):
             joins += 1
             probe_joins += isinstance(node, IndexNestedLoopJoin)
         if isinstance(node, IndexScan) and not node.probe:

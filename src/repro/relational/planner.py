@@ -9,11 +9,8 @@ algorithms:
   otherwise ``Filter`` over ``SeqScan``,
 * ``Join`` with equi-pairs -> an :class:`IndexNestedLoopJoin` when one
   side is a bare (possibly renamed) base scan with an index on its join
-  columns and the cost gate passes; else :class:`HashJoin` (or
-  :class:`MergeJoin` when the planner is configured with
-  ``prefer_merge_join=True``, mirroring the PostgreSQL plans of the
-  paper's Figure 13 — that profile disables index paths for visual
-  parity),
+  columns and the cost gate passes; else a :class:`HashJoin` that hashes
+  the smaller input,
 * ``Join`` without equi-pairs and ``Product`` -> :class:`NestedLoopJoin`,
 * everything else maps one-to-one.
 
@@ -74,7 +71,6 @@ from .physical import (
     HashJoin,
     IndexNestedLoopJoin,
     IndexScan,
-    MergeJoin,
     NestedLoopJoin,
     PhysicalPlan,
     Projection,
@@ -148,19 +144,13 @@ class Planner:
     standalone ``Project`` reorders that bracket the partition merges of
     translated U-relation plans disappear into the join loops.  The
     executor (``mode="columns"``) runs fused plans; the ``rows()``
-    reference runs the unfused tree.
+    reference runs the unfused tree.  ``use_indexes=False`` turns off
+    access-path selection: every scan is sequential and every equi-join
+    hashed.
     """
 
-    def __init__(
-        self,
-        prefer_merge_join: bool = False,
-        use_indexes: bool = True,
-        fuse: bool = False,
-    ):
-        self.prefer_merge_join = prefer_merge_join
-        # the merge-join profile reproduces the paper's PostgreSQL plans
-        # verbatim, so it keeps the classic scan/join operators only
-        self.use_indexes = use_indexes and not prefer_merge_join
+    def __init__(self, use_indexes: bool = True, fuse: bool = False):
+        self.use_indexes = use_indexes
         self.fuse = fuse
 
     def compile(self, plan: Plan) -> PhysicalPlan:
@@ -402,7 +392,7 @@ class Planner:
         )
 
     # ------------------------------------------------------------------
-    # joins: IndexNestedLoopJoin vs HashJoin/MergeJoin
+    # joins: IndexNestedLoopJoin vs HashJoin
     # ------------------------------------------------------------------
     def _compile_join(self, plan: Join) -> PhysicalPlan:
         left = self._compile(plan.left)
@@ -410,8 +400,6 @@ class Planner:
         pairs, residual_list = equijoin_pairs(plan.predicate, plan.left.schema, plan.right.schema)
         residual = conjunction(residual_list) if residual_list else None
         if pairs:
-            if self.prefer_merge_join:
-                return MergeJoin(left, right, pairs, residual)
             if self.use_indexes:
                 node = self._try_index_join(plan, left, right, pairs, residual_list)
                 if node is not None:
@@ -641,7 +629,7 @@ def _reanchor(
     return map_columns(expression, moved)
 
 
-_FOLDABLE_JOINS = (HashJoin, IndexNestedLoopJoin, MergeJoin)
+_FOLDABLE_JOINS = (HashJoin, IndexNestedLoopJoin)
 
 
 def _fuse_children(node: PhysicalPlan) -> None:
@@ -651,10 +639,6 @@ def _fuse_children(node: PhysicalPlan) -> None:
         (Filter, Projection, ProjectionAs, ExtendOp, HashDistinct, _RenameOp, Confidence),
     ):
         node.child = _fuse_tree(node.child)
-    elif isinstance(node, MergeJoin):
-        # fuse beneath the Sort wrappers the join inserted
-        node.left.child = _fuse_tree(node.left.child)
-        node.right.child = _fuse_tree(node.right.child)
     elif isinstance(node, (HashJoin, Append, Except, NestedLoopJoin, SemiJoinOp)):
         node.left = _fuse_tree(node.left)
         node.right = _fuse_tree(node.right)
@@ -718,23 +702,15 @@ def _fuse_tree(node: PhysicalPlan) -> PhysicalPlan:
     return node
 
 
-def plan_physical(
-    plan: Plan,
-    prefer_merge_join: bool = False,
-    use_indexes: bool = True,
-    fuse: bool = False,
-) -> PhysicalPlan:
+def plan_physical(plan: Plan, use_indexes: bool = True, fuse: bool = False) -> PhysicalPlan:
     """Compile a logical plan: ``fuse=True`` for the executor, the unfused
     tree for the ``rows()`` reference."""
-    return Planner(
-        prefer_merge_join=prefer_merge_join, use_indexes=use_indexes, fuse=fuse
-    ).compile(plan)
+    return Planner(use_indexes=use_indexes, fuse=fuse).compile(plan)
 
 
 def run(
     plan: Plan,
     optimize_first: bool = True,
-    prefer_merge_join: bool = False,
     mode: str = "columns",
     use_indexes: bool = True,
 ) -> Relation:
@@ -750,10 +726,5 @@ def run(
 
     if optimize_first:
         plan = optimize(plan)
-    physical = plan_physical(
-        plan,
-        prefer_merge_join=prefer_merge_join,
-        use_indexes=use_indexes,
-        fuse=mode == "columns",
-    )
+    physical = plan_physical(plan, use_indexes=use_indexes, fuse=mode == "columns")
     return execute(physical, mode=mode)

@@ -98,12 +98,7 @@ def prepare(sql: str, udb: UDatabase) -> Union[PreparedQuery, PreparedDML]:
     return prepared
 
 
-def execute_sql(
-    sql: str,
-    udb: UDatabase,
-    optimize: bool = True,
-    params: Optional[Sequence] = None,
-):
+def execute_sql(sql: str, udb: UDatabase, params: Optional[Sequence] = None):
     """Parse and run a SQL statement against a U-relational database.
 
     Returns a plain :class:`~repro.relational.relation.Relation` for
@@ -113,7 +108,7 @@ def execute_sql(
     :class:`~repro.core.urelation.URelation` for bare queries, and a
     :class:`~repro.core.dml.DMLResult` for INSERT/UPDATE/DELETE (which
     re-execute on every call — the statement cache skips only their
-    parsing).  ``optimize`` applies to queries; DML takes no options.
+    parsing).  ``params`` are the ``$n`` values, ``$1`` first.
 
     Queries are prepared transparently, once per *shape*: the non-NULL
     literals of ``column = literal`` comparisons are lifted into ``$n``
@@ -163,8 +158,7 @@ def execute_sql(
             if txn is not None and txn.status == "open":
                 # an open database-level transaction: stage, don't publish
                 return txn.run(prepared, values)
-            return prepared.run(*values)
-        return prepared.run(*values, optimize=optimize)
+        return prepared.run(*values)
 
 
 def execute_immediate(statement, udb: UDatabase, holder):

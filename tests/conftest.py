@@ -23,6 +23,7 @@ from repro.core import (
     URelation,
     WorldTable,
     evaluate_in_world,
+    translate,
 )
 from repro.core.udatabase import partition_label
 from repro.obs import (
@@ -31,7 +32,7 @@ from repro.obs import (
     reset_slow_queries,
     reset_workload,
 )
-from repro.relational import reset_compile_cache, reset_plan_cache
+from repro.relational import Distinct, Project, reset_compile_cache, reset_plan_cache, run
 
 __all__ = ["vehicles_udb", "brute_force_poss", "brute_force_certain", "brute_force_conf"]
 
@@ -111,6 +112,14 @@ def partition_relation(udb: UDatabase, label: str):
         if partition_label(name, part) == label
     )
     return relation
+
+
+def unoptimized_poss(query: UQuery, udb: UDatabase) -> Set[Tuple]:
+    """``poss(query)`` run on its translated plan with no optimizer rewrite
+    (uncached; the join order is still the translation's)."""
+    inner = translate(query, udb)
+    plan = Distinct(Project(inner.plan, list(inner.value_names)))
+    return set(run(plan, optimize_first=False).rows)
 
 
 def brute_force_poss(query: UQuery, udb: UDatabase) -> Set[Tuple]:

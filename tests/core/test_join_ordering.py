@@ -406,7 +406,7 @@ class TestBenchmarkPlans:
         for sql in statements().values():
             query = parse(sql)
             key = query_cache_key(query, tpch)
-            record, _cached = _cached_physical(query, tpch, key, True, "columns", True)
+            record, _cached = _cached_physical(query, tpch, key, "columns", True)
             classes.append(record.cost_class)
         assert classes == ["heavy", "heavy", "heavy", "point"]
 
@@ -416,7 +416,7 @@ class TestBenchmarkPlans:
         for name, sql in statements().items():
             query = parse(sql)
             key = query_cache_key(query, tpch)
-            record, _cached = _cached_physical(query, tpch, key, True, "columns", True)
+            record, _cached = _cached_physical(query, tpch, key, "columns", True)
             everything = set(range(len(record.physical.schema)))
             assert unread_join_outputs(record.physical, everything) == [], name
 

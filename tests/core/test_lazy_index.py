@@ -110,17 +110,18 @@ class TestLazyIndexRobustness:
         udb.build_indexes()
         assert len(getattr(relation, "_indexes")) == 3
 
-    def test_merge_join_peek_does_not_trigger_builds(self):
-        from repro.relational.physical import MergeJoin, SeqScan, execute
+    def test_hash_join_does_not_trigger_builds(self):
+        from repro.relational.physical import HashJoin, SeqScan, execute
 
         udb = certain_udb()
         relation = udb.partitions("r")[0].relation
-        join = MergeJoin(
+        join = HashJoin(
             SeqScan(relation, "u", alias="u"),
             SeqScan(relation, "v", alias="v"),
             [("u.tid_r", "v.tid_r")],
         )
         execute(join, mode="columns")
-        # the execution-time presorted peek must not force the deferred
-        # auto-index builds (write-only pipelines rely on that laziness)
+        # a join that hashes its own build side must not force the
+        # deferred auto-index builds (write-only pipelines rely on that
+        # laziness)
         assert not getattr(relation, "_indexes", None)

@@ -52,7 +52,7 @@ from tests.conftest import build_vehicles_udb
 def _planned(query, udb):
     """``(physical plan, was_cached)`` of a query under the default knobs."""
     record, was_cached = _cached_physical(
-        query, udb, query_cache_key(query, udb), True, "columns", True
+        query, udb, query_cache_key(query, udb), "columns", True
     )
     return record.physical, was_cached
 
@@ -322,9 +322,6 @@ class TestArity:
         with pytest.raises(TypeError):
             stmt.run(70, mode="colunms")
         assert stmt.run(70).count == 1
-        # execute_sql's ``optimize`` is a query option: DML still runs
-        sql = "insert into r values (71, 'Tank', 'Friend')"
-        assert execute_sql(sql, vehicles_udb, optimize=False).count == 1
 
     def test_every_entry_checks_the_count_the_same_way(self, vehicles_udb):
         query = prepare("possible (select id from r where type = $1)", vehicles_udb)

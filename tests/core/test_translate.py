@@ -20,8 +20,8 @@ from repro.core import (
 )
 from repro.core.translate import alpha_condition, psi_condition
 from repro.core.urelation import tid_column
-from repro.relational import col, execute, lit, optimize, plan_physical
-from tests.conftest import brute_force_poss
+from repro.relational import col, lit
+from tests.conftest import brute_force_poss, unoptimized_poss
 
 
 def poss_rows(query, udb):
@@ -216,14 +216,4 @@ class TestReducedPreservation:
             ),
             ["id"],
         )
-        a = execute_query(Poss(q), vehicles_udb, optimize=True)
-        b = execute_query(Poss(q), vehicles_udb, optimize=False)
-        assert set(a.rows) == set(b.rows)
-
-    def test_merge_join_planner_agrees(self, vehicles_udb):
-        q = UProject(USelect(Rel("r"), col("faction").eq(lit("Enemy"))), ["id"])
-        a = execute_query(Poss(q), vehicles_udb)
-        inner = translate(q, vehicles_udb)
-        merge = plan_physical(optimize(inner.plan), prefer_merge_join=True)
-        b = execute(merge).project(inner.value_names)
-        assert set(a.rows) == set(b.rows)
+        assert poss_rows(q, vehicles_udb) == unoptimized_poss(q, vehicles_udb) == {(2,), (3,), (4,)}

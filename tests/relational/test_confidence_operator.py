@@ -127,7 +127,7 @@ def test_operator_auto_matches_exact_on_small_worlds(udb, query):
 def test_small_batches_do_not_change_groups(udb, query):
     conf = Conf(query, method="exact")
     record, _cached = _cached_physical(
-        conf, udb, query_cache_key(conf, udb), True, "columns", True
+        conf, udb, query_cache_key(conf, udb), "columns", True
     )
     physical = record.physical
     whole = execute(physical)

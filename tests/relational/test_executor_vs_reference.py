@@ -4,15 +4,18 @@ Four families:
 
 * ColumnBatch mechanics — transposition round trips at the boundaries
   (empty, one row, zero-width schemas);
-* the per-operator sweep — every concrete physical operator, the six
+* the per-operator sweep — every concrete physical operator, the five
   row-bridged ones included, built over inputs of 0..8 rows (NULL keys,
   empty sides, folded outputs, ``$n`` keys and bounds) and executed at
   batch sizes {1, 2, 7, 1024} on *one* plan object, each answer equal to
   the tuple-at-a-time reference;
 * structure — every concrete operator defines exactly the two protocols
   and the sweep reaches every one of them;
-* property tests — randomized plans (with and without fusion, indexes
-  and the merge-join profile) evaluate identically through both.
+* join keys — NULL, ``1`` against ``1.0`` and int against str keys give
+  every equi-join (hashed, or probing a hash or a sorted index) and the
+  default planner the answer Python ``==`` gives;
+* property tests — randomized plans (with and without fusion and
+  indexes, int and float keys) evaluate identically through both.
 """
 
 from __future__ import annotations
@@ -50,17 +53,15 @@ from repro.relational.physical import (
     HashJoin,
     IndexNestedLoopJoin,
     IndexScan,
-    MergeJoin,
     NestedLoopJoin,
     PhysicalPlan,
     Projection,
     ProjectionAs,
     SemiJoinOp,
     SeqScan,
-    Sort,
     execute,
 )
-from repro.relational.planner import plan_physical
+from repro.relational.planner import plan_physical, run
 from repro.relational.relation import Relation
 
 #: Batch sizes every case runs at; the input sizes put empty, singleton,
@@ -75,8 +76,10 @@ def left_relation(n: int) -> Relation:
     return Relation(["l.k", "l.v"], rows)
 
 
-def right_relation(n: int) -> Relation:
-    rows = [(None if i % 4 == 3 else i % 5, i * 10) for i in range(n)]
+def right_relation(n: int, float_keys: bool = False) -> Relation:
+    # with ``float_keys`` a key k is stored as k.0, which joins l.k = k
+    number = float if float_keys else int
+    rows = [(None if i % 4 == 3 else number(i % 5), i * 10) for i in range(n)]
     return Relation(["r.k", "r.w"], rows)
 
 
@@ -84,8 +87,8 @@ def left(n: int) -> SeqScan:
     return SeqScan(left_relation(n), "l")
 
 
-def right(n: int) -> SeqScan:
-    return SeqScan(right_relation(n), "r")
+def right(n: int, float_keys: bool = False) -> SeqScan:
+    return SeqScan(right_relation(n, float_keys), "r")
 
 
 def bag(relation: Relation):
@@ -137,8 +140,8 @@ def _index_scan(n, kind="sorted", **access):
     return IndexScan(index, "r", relation.schema, **access)
 
 
-def _index_join(n, flipped=False, kind="hash", **extra):
-    inner = right_relation(n)
+def _index_join(n, flipped=False, kind="hash", float_keys=False, **extra):
+    inner = right_relation(n, float_keys)
     index = ensure_index(inner, ["r.k"], kind=kind)
     probe = IndexScan(index, "r", inner.schema, probe=True)
     return IndexNestedLoopJoin(
@@ -282,10 +285,18 @@ CASES = {
     "hash_join_two_keys_folded_output": lambda n: _folded(
         _two_key_hash_join(n, "right"), [5, 0, 2], ["r.v", "l.k", "l.v"]
     ),
+    "hash_join_float_keys": lambda n: HashJoin(
+        left(n), right(n, float_keys=True), [("l.k", "r.k")]
+    ),
+    "hash_join_float_keys_build_left": lambda n: HashJoin(
+        left(n), right(n, float_keys=True), [("l.k", "r.k")], build="left"
+    ),
     "hash_join_unknown_expression": lambda n: HashJoin(
         left(n), right(n), [("l.k", "r.k")], residual=Odd(col("l.k") + col("r.w"))
     ),
     "index_join": _index_join,
+    "index_join_float_keys": lambda n: _index_join(n, float_keys=True),
+    "index_join_float_keys_sorted": lambda n: _index_join(n, kind="sorted", float_keys=True),
     "index_join_folded_output": lambda n: _folded(
         _index_join(n), [2, 1], ["r.k", "l.v"]
     ),
@@ -306,16 +317,15 @@ CASES = {
         residual=Odd(col("l.k")),
         inner_filters=[(~Odd(col("r.w")), right_relation(n).schema)],
     ),
-    "merge_join": lambda n: MergeJoin(left(n), right(n), [("l.k", "r.k")]),
-    "merge_join_residual": lambda n: MergeJoin(
-        left(n), right(n), [("l.k", "r.k")], residual=col("r.w") > lit(10)
-    ),
     "nested_loop_cross": lambda n: NestedLoopJoin(left(n), right(min(n, 4)), None),
     "nested_loop_theta": lambda n: NestedLoopJoin(
         left(n), right(n), col("l.k") < col("r.k")
     ),
     "semi_join_hash": lambda n: SemiJoinOp(
         left(n), right(n), col("l.k").eq(col("r.k")) & (col("r.w") > lit(0))
+    ),
+    "semi_join_float_keys": lambda n: SemiJoinOp(
+        left(n), right(n, float_keys=True), col("l.k").eq(col("r.k"))
     ),
     "semi_join_loop": lambda n: SemiJoinOp(left(n), right(n), col("l.k") < col("r.k")),
     "hash_distinct": lambda n: HashDistinct(left(n)),
@@ -325,7 +335,6 @@ CASES = {
     "except": lambda n: Except(
         SeqScan(left_relation(n), "a"), SeqScan(left_relation(n // 2), "b")
     ),
-    "sort": lambda n: Sort(left(n), ["l.v", "l.k"]),
     "confidence": _confidence,
 }
 
@@ -379,7 +388,7 @@ def _operators_in(plan):
 
 def test_every_operator_defines_exactly_the_two_protocols():
     operators = _concrete_operators()
-    assert planner_module._RenameOp in operators and len(operators) == 18
+    assert planner_module._RenameOp in operators and len(operators) == 16
     for operator in operators:
         assert "rows" in vars(operator), operator
         assert "_column_batches" in vars(operator), operator
@@ -429,53 +438,74 @@ class TestBatchMechanics:
         assert f"actual rows={len(result)}" in text.splitlines()[0]
 
 
-class TestMergeJoinPresorted:
-    """Merge joins whose inputs carry a sorted index on the join column:
-    the join sorts its inputs all the same, and the answer is the one an
-    index-free merge join gives."""
+def _equi_joins(lhs: Relation, rhs: Relation):
+    """Every join ``l.k = r.k`` can run as: hashed with either build side,
+    and probing a hash or a sorted index on either side."""
+    pairs = [("l.k", "r.k")]
+    joins = [
+        HashJoin(SeqScan(lhs, "l"), SeqScan(rhs, "r"), pairs, build=b)
+        for b in ("left", "right")
+    ]
+    l, r = ("l", lhs), ("r", rhs)
+    for kind in ("hash", "sorted"):
+        for (outer_name, outer), (inner_name, inner), flipped in ((l, r, False), (r, l, True)):
+            index = ensure_index(inner, [f"{inner_name}.k"], kind=kind)
+            probe = IndexScan(index, inner_name, inner.schema, probe=True)
+            joins.append(
+                IndexNestedLoopJoin(
+                    SeqScan(outer, outer_name),
+                    probe,
+                    index,
+                    [0],  # every relation here keys on its first column
+                    [(f"{outer_name}.k", f"{inner_name}.k")],
+                    flipped=flipped,
+                )
+            )
+    return joins
 
-    def test_presorted_with_nulls_matches_sorting_path(self):
-        left = Relation(["l.k"], [(None,), (1,), (2,), (1,)])
-        right = Relation(["r.k"], [(1,), (None,), (3,)])
-        ensure_index(left, ["l.k"], kind="sorted")
-        ensure_index(right, ["r.k"], kind="sorted")
-        join = MergeJoin(SeqScan(left, "l"), SeqScan(right, "r"), [("l.k", "r.k")])
-        assert_executor_matches_reference(join)
-        assert sorted(execute(join).rows) == [(1, 1), (1, 1)]
 
-    def test_cross_type_keys_match_sorting_path(self):
-        # 1 == 1.0 under raw comparison but not under _sort_key, whose
-        # order the indexes do not share
-        left = Relation(["l.k", "l.v"], [(1, "l")])
-        right = Relation(["r.k", "r.w"], [(1.0, "r")])
-        ensure_index(left, ["l.k"], kind="sorted")
-        ensure_index(right, ["r.k"], kind="sorted")
-        join = MergeJoin(SeqScan(left, "l"), SeqScan(right, "r"), [("l.k", "r.k")])
-        assert_executor_matches_reference(join)
-        bare = MergeJoin(
-            SeqScan(Relation(["l.k", "l.v"], [(1, "l")]), "l"),
-            SeqScan(Relation(["r.k", "r.w"], [(1.0, "r")]), "r"),
-            [("l.k", "r.k")],
+class TestJoinKeys:
+    """Keys join when Python ``==`` says so (``1`` and ``1.0`` do, NULL
+    and an int against a str never do), whichever join runs them, with or
+    without indexes on either side."""
+
+    def assert_every_join_gives(self, lhs, rhs, expected):
+        for join in _equi_joins(lhs, rhs):
+            assert_executor_matches_reference(join)
+            assert sorted(execute(join).rows) == expected, join
+        logical = Join(Scan(lhs, "l"), Scan(rhs, "r"), col("l.k").eq(col("r.k")))
+        for knobs in ({}, {"mode": "rows"}, {"use_indexes": False}):
+            assert sorted(run(logical, **knobs).rows) == expected, knobs
+
+    def test_null_keys_never_join(self):
+        self.assert_every_join_gives(
+            Relation(["l.k"], [(None,), (1,), (2,), (1,)]),
+            Relation(["r.k"], [(1,), (None,), (3,)]),
+            [(1, 1), (1, 1)],
         )
-        assert sorted(execute(join, mode="columns").rows) == sorted(
-            execute(bare, mode="columns").rows
+
+    def test_int_key_joins_equal_float_key(self):
+        self.assert_every_join_gives(
+            Relation(["l.k", "l.v"], [(1, "l"), (2, "m")]),
+            Relation(["r.k", "r.w"], [(1.0, "r"), (2.5, "s")]),
+            [(1, "l", 1.0, "r")],
         )
 
-    def test_incomparable_sides_fall_back(self):
-        left = Relation(["l.k"], [(1,), (2,)])
-        right = Relation(["r.k"], [("a",), ("b",)])
-        ensure_index(left, ["l.k"], kind="sorted")
-        ensure_index(right, ["r.k"], kind="sorted")
-        join = MergeJoin(SeqScan(left, "l"), SeqScan(right, "r"), [("l.k", "r.k")])
-        assert_executor_matches_reference(join)
-        assert execute(join, mode="columns").rows == []
+    def test_int_and_str_keys_never_join(self):
+        self.assert_every_join_gives(
+            Relation(["l.k"], [(1,), (2,)]),
+            Relation(["r.k"], [("a",), ("b",)]),
+            [],
+        )
 
 
 # ----------------------------------------------------------------------
 # property tests: executor == reference, fused and unfused, indexed and
-# sequential, hash and merge profiles
+# sequential
 # ----------------------------------------------------------------------
-values = st.one_of(st.integers(min_value=0, max_value=9), st.none())
+values = st.one_of(
+    st.integers(min_value=0, max_value=9), st.sampled_from([1.0, 2.0]), st.none()
+)
 rows_r = st.lists(st.tuples(values, values), min_size=0, max_size=30)
 rows_s = st.lists(st.tuples(values, values), min_size=0, max_size=30)
 batch_sizes = st.sampled_from([0, 1, 2, 3, 7, 1023, 1024, 1025])
@@ -576,12 +606,3 @@ def test_executor_agrees_with_reference(plan, batch_size, use_indexes, optimize_
     assert bag(execute(fused, mode="rows")) == bag(via_rows)
     assert bag(execute(unfused, mode="columns", batch_size=batch_size)) == bag(via_rows)
 
-
-@given(plans(), batch_sizes, st.booleans())
-@settings(max_examples=90, deadline=None)
-def test_merge_join_profile_agrees_with_reference(plan, batch_size, fuse):
-    physical = plan_physical(optimize(plan), prefer_merge_join=True, fuse=fuse)
-    via_rows = execute(physical, mode="rows")
-    served = execute(physical, mode="columns", batch_size=batch_size)
-    assert bag(served) == bag(via_rows)
-    assert served.schema.names == via_rows.schema.names

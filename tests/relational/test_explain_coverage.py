@@ -59,11 +59,6 @@ class TestOperatorLabels:
         out = text_of(Join(r, s, col("a").eq(col("c"))))
         assert "Hash Join" in out and "Hash Cond" in out
 
-    def test_merge_join(self, scans):
-        r, s = scans
-        out = text_of(Join(r, s, col("a").eq(col("c"))), prefer_merge_join=True)
-        assert "Merge Join" in out and "Sort Key" in out
-
     def test_nested_loop(self, scans):
         r, s = scans
         out = text_of(Join(r, s, col("a") < col("c")))

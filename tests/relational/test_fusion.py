@@ -167,7 +167,7 @@ class TestCompileCache:
         first = PreparedQuery(query, udb).run(*params)
         assert len(first) > 0 and calls["probe_kernel"] > 0
         record, was_cached = _cached_physical(
-            query, udb, query_cache_key(query, udb), True, "columns", True
+            query, udb, query_cache_key(query, udb), "columns", True
         )
         assert was_cached
         plan = record.physical

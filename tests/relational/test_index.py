@@ -254,10 +254,10 @@ class TestAccessPathSelection:
         plan = Select(self.scan("p"), col("dept").eq(lit(3)))
         assert "Seq Scan on p" in explained(plan)
 
-    def test_merge_profile_disables_index_paths(self):
+    def test_use_indexes_false_disables_index_paths(self):
         ensure_index(self.p, ["dept"], name="idx_p_dept")
         plan = Select(self.scan("p"), col("dept").eq(lit(3)))
-        assert "Seq Scan on p" in explained(plan, prefer_merge_join=True)
+        assert "Seq Scan on p" in explained(plan, use_indexes=False)
 
     def test_join_uses_index_nested_loop(self):
         ensure_index(self.p, ["id"], name="idx_p_id")

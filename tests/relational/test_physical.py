@@ -10,13 +10,11 @@ from repro.relational.physical import (
     Filter,
     HashDistinct,
     HashJoin,
-    MergeJoin,
     NestedLoopJoin,
     Projection,
     ProjectionAs,
     SemiJoinOp,
     SeqScan,
-    Sort,
     execute,
 )
 from repro.relational.relation import Relation
@@ -75,17 +73,6 @@ class TestJoins:
         with pytest.raises(ValueError):
             HashJoin(left, right, [])
 
-    def test_merge_join_equals_hash_join(self, left, right):
-        h = execute(HashJoin(left, right, [("l.k", "r.k")]))
-        m = execute(MergeJoin(left, right, [("l.k", "r.k")]))
-        assert sorted(h.rows) == sorted(m.rows)
-
-    def test_merge_join_residual(self, left, right):
-        out = execute(
-            MergeJoin(left, right, [("l.k", "r.k")], residual=col("r.w") > lit(15))
-        )
-        assert sorted(out.rows) == [(2, "b", 2, 20), (2, "c", 2, 20)]
-
     def test_nested_loop_cross(self, left, right):
         out = execute(NestedLoopJoin(left, right, None))
         assert len(out) == 16
@@ -97,7 +84,6 @@ class TestJoins:
     def test_empty_inputs(self, right):
         empty = SeqScan(Relation(["l.k", "l.v"], []), "empty")
         assert len(execute(HashJoin(empty, right, [("l.k", "r.k")]))) == 0
-        assert len(execute(MergeJoin(empty, right, [("l.k", "r.k")]))) == 0
 
 
 class TestSetOpsAndMisc:
@@ -114,10 +100,6 @@ class TestSetOpsAndMisc:
         a = SeqScan(Relation(["a"], [(1,), (2,), (2,), (3,)]), "a")
         b = SeqScan(Relation(["a"], [(2,)]), "b")
         assert execute(Except(a, b)).rows == [(1,), (3,)]
-
-    def test_sort(self):
-        scan = SeqScan(Relation(["a", "b"], [(2, "x"), (1, "y")]), "t")
-        assert execute(Sort(scan, ["a"])).rows == [(1, "y"), (2, "x")]
 
     @pytest.mark.parametrize("predicate", [col("l.k").eq(col("r.k")), col("l.k") >= col("r.k")])
     def test_semi_join_right_side_follows_each_binding(self, left, right, predicate):

@@ -97,7 +97,7 @@ class TestMechanics:
     def test_query_cache_key_distinguishes_structure(self):
         udb = build_vehicles_udb()
         key = query_cache_key(tanks(), udb)
-        assert key[0] == "uquery"
+        assert key == ("uquery", id(udb), key[2], True, True)
         assert key == query_cache_key(tanks(), udb)
         assert key != query_cache_key(tanks("Transport"), udb)
         assert key != query_cache_key(tanks(), udb, mode="rows")
@@ -125,14 +125,19 @@ class TestMechanics:
 
     def test_knobs_key_separately(self):
         udb = build_vehicles_udb()
-        knob_sets = ({}, {"mode": "rows"}, {"use_indexes": False}, {"optimize": False})
+        knob_sets = ({}, {"mode": "rows"}, {"use_indexes": False})
         for knobs in knob_sets:
             execute_query(tanks(), udb, **knobs)
-        assert plan_cache_stats()["misses"] == 4
+        assert plan_cache_stats()["misses"] == 3
         # and each repeated combination hits
         for knobs in knob_sets:
             execute_query(tanks(), udb, **knobs)
-        assert plan_cache_stats()["hits"] == 4
+        assert plan_cache_stats()["hits"] == 3
+        assert {query_cache_key(tanks(), udb, **knobs)[3:] for knobs in knob_sets} == {
+            (True, True),
+            (True, False),
+            (False, True),
+        }
 
     def test_explain_marks_cached(self):
         udb = build_vehicles_udb()

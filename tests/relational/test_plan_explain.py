@@ -14,8 +14,8 @@ from repro.relational import (
     lit,
     run,
 )
-from repro.relational.planner import Planner, plan_physical
-from repro.relational.physical import HashJoin, MergeJoin
+from repro.relational.planner import plan_physical
+from repro.relational.physical import HashJoin
 
 
 @pytest.fixture
@@ -56,14 +56,6 @@ class TestPlannerConfig:
         physical = plan_physical(Join(r, s, col("k").eq(col("k2"))))
         assert isinstance(physical, HashJoin)
 
-    def test_merge_join_preferred(self, r, s):
-        physical = Planner(prefer_merge_join=True).compile(Join(r, s, col("k").eq(col("k2"))))
-        assert isinstance(physical, MergeJoin)
-
-    def test_merge_join_results_match(self, r, s):
-        plan = Join(r, s, col("k").eq(col("k2")))
-        assert sorted(run(plan).rows) == sorted(run(plan, prefer_merge_join=True).rows)
-
 
 class TestExplain:
     def test_explain_contains_operators(self, r, s):
@@ -72,13 +64,6 @@ class TestExplain:
         assert "Hash Join" in text
         assert "Seq Scan on r" in text
         assert "rows=" in text
-
-    def test_explain_merge_join_shows_merge_cond(self, r, s):
-        plan = Join(r, s, col("k").eq(col("k2")))
-        text = explain(plan_physical(plan, prefer_merge_join=True, fuse=True))
-        assert "Merge Join" in text
-        assert "Merge Cond" in text
-        assert "Sort" in text
 
     def test_explain_logical(self, r):
         text = explain_logical(Select(r, col("k") > lit(0)))
