@@ -30,8 +30,8 @@
 #                      per workload; exits non-zero on a wrong answer
 #                      (appends to benchmarks/layers/results/BENCH_layers.jsonl;
 #                      see benchmarks/layers/README.md for --trace 1)
-#   make plans       - explain() (estimates, nothing timed) of the four
-#                      statements the declared benchmark serves, on its own
+#   make plans       - explain() (estimates, nothing timed) of the six
+#                      prepared statements the declared benchmark serves, on its own
 #                      tpch fixture, into benchmarks/results/fig12_plans.txt:
 #                      committed, so a PR that changes a served plan shows
 #                      the plan in its diff (CI fails on a stale file)
@@ -51,7 +51,8 @@ COVERAGE_FLOOR ?= 85
 
 #: The files whose size ROADMAP.md tracks beside the src/repro total.
 LOC_FILES ?= src/repro/relational/physical.py src/repro/relational/columnar.py src/repro/relational/plancache.py \
-	src/repro/core/translate.py src/repro/relational/optimizer.py src/repro/core/udatabase.py src/repro/obs/report.py
+	src/repro/core/translate.py src/repro/relational/optimizer.py src/repro/core/udatabase.py src/repro/obs/report.py \
+	src/repro/relational/index.py src/repro/core/probability.py
 
 .PHONY: test plans loc coverage bench-smoke bench-serve bench-ingest bench-conf bench-obs bench-layers bench
 

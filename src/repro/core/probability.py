@@ -28,7 +28,10 @@ module provides a memoized confidence engine plus bounded-error sampling:
   encoded key is sound because decoding is a pure function of the tuple
   and the world table is append-only; two encodings of one descriptor set
   (slots in another order, other pads) may miss each other, and then meet
-  in the structural memo.
+  in the structural memo.  A group holding the empty descriptor ⊤ (every
+  variable of its encoding the trivial one) covers every world, so its
+  confidence is exactly 1 whatever else it holds: ``Confidence`` hands it
+  over as the one-element set ``{⊤}``, resolved ``1.0``, ``"exact"``.
 * the **exact** path — component-wise enumeration over the touched
   assignment space (indexed through the caches above, streaming beyond
   :data:`EXACT_SPACE_LIMIT`),
@@ -222,11 +225,12 @@ class ConfidenceEngine:
         domain = self._domains.get(var)
         if domain is None:
             domain = self.world_table.domain(var)
-            self._domains[var] = domain
             self._probs[var] = tuple(
                 self.world_table.probability(var, value) for value in domain
             )
             self._value_index[var] = {value: i for i, value in enumerate(domain)}
+            # last: a thread that finds the domain finds its vectors too
+            self._domains[var] = domain
         return domain
 
     def _prob_vector(self, var: str) -> Tuple[float, ...]:
@@ -460,6 +464,9 @@ class ConfidenceEngine:
             value = self._union_exact_streaming(comp, vars_key)
         else:
             value = self._union_exact_indexed(comp, vars_key)
+        # a float sum can round past 1 (nine values of 1/9 add up to
+        # 1.0000000000000002); the sampler clamps its estimate too
+        value = min(1.0, max(0.0, value))
         self._component_exact[comp] = value
         return value
 

@@ -43,7 +43,6 @@ __all__ = [
     "row_projector",
     "selection_kernel",
     "map_kernel",
-    "pipeline_kernel",
     "probe_kernel",
 ]
 
@@ -222,62 +221,6 @@ def _map_uncached(expression: Expression, schema: Schema):
         return fallback
 
 
-def _emit_tuple(positions: Sequence[int], var: str = "row") -> str:
-    if not positions:
-        return "()"
-    parts = ", ".join(f"{var}[{p}]" for p in positions)
-    return f"({parts},)"
-
-
-def pipeline_kernel(
-    predicate: Optional[Expression],
-    positions: Optional[Sequence[int]],
-    schema: Schema,
-) -> Callable[[Sequence[Row]], List[Row]]:
-    """``f(rows) -> rows`` fusing filter + projection into one comprehension.
-
-    ``predicate=None`` is a pure projection, ``positions=None`` passes rows
-    through unprojected; at least one must be set.  This is the row-mode
-    body of a fused scan→filter→project pipeline: a single generated list
-    comprehension with the predicate inlined and the output tuple built
-    in place — no per-row callable invocations at all.
-    """
-    pos_key = tuple(positions) if positions is not None else None
-    if predicate is None:
-        key: Optional[Tuple] = ("pipe-proj", tuple(schema.names), pos_key)
-    else:
-        key = expression_cache_key("pipe", predicate, schema, pos_key)
-    return cached_kernel(key, lambda: _pipeline_uncached(predicate, positions, schema))
-
-
-def _pipeline_uncached(
-    predicate: Optional[Expression],
-    positions: Optional[Sequence[int]],
-    schema: Schema,
-):
-    emit = "row" if positions is None else _emit_tuple(positions)
-    generator = _CodeGen(schema)
-    condition = "" if predicate is None else f" if {generator.condition(predicate)}"
-    source = (
-        "def _kernel(_rows):\n"
-        + _hoist_params(generator)
-        + f"    return [{emit} for row in _rows{condition}]\n"
-    )
-    try:
-        return _build_kernel(source, generator.context)
-    except SyntaxError:  # pragma: no cover
-        bound = predicate.bind(schema) if predicate is not None else None
-        pos = list(positions) if positions is not None else None
-
-        def fallback(rows):
-            kept = rows if bound is None else [r for r in rows if bound(r)]
-            if pos is None:
-                return list(kept)
-            return [tuple(r[p] for p in pos) for r in kept]
-
-        return fallback
-
-
 def probe_kernel(
     combined: Schema,
     split: int,
@@ -286,7 +229,8 @@ def probe_kernel(
     residual: Optional[Expression],
     filters: Sequence[Tuple[Expression, Schema]],
     output_positions: Sequence[int],
-) -> Callable[..., Tuple[Tuple[Sequence[Any], ...], int]]:
+    group: Optional[int],
+) -> Callable[..., Any]:
     """The generated, fully fused probe loop of both equi-joins.
 
     ``f(lookup, columnar_side_columns, fast) -> (output column vectors,
@@ -307,6 +251,15 @@ def probe_kernel(
     from the left), which the residual and ``output_positions`` refer to.
     Filters run against the row-side tuple (each with the schema it was
     written for — positions are rename-stable).
+
+    ``group=k`` generates the grouping emit of a ``Confidence`` over the
+    join instead: ``output_positions`` are a U-relation row's ``2k``
+    descriptor columns ``(c1, w1, ..., ck, wk)`` followed by its value
+    columns, and ``f(lookup, columns, fast, groups, top) -> count`` adds
+    each match's encoded descriptor to ``groups[value tuple]``, a set.  A
+    match whose every ``c`` column is the trivial variable is in every
+    world: its group becomes ``top`` (the one shared certain set), and
+    later matches of that group build nothing.
     """
     try:
         key_parts: Optional[Tuple] = (
@@ -320,6 +273,7 @@ def probe_kernel(
                 (structural_key(e), tuple(s.names)) for e, s in filters
             ),
             tuple(output_positions),
+            group,
         )
     except TypeError:
         key_parts = None
@@ -333,6 +287,7 @@ def probe_kernel(
             residual,
             filters,
             output_positions,
+            group,
         ),
     )
 
@@ -354,6 +309,7 @@ def _probe_uncached(
     residual: Optional[Expression],
     filters: Sequence[Tuple[Expression, Schema]],
     output_positions: Sequence[int],
+    group: Optional[int],
 ):
     context: dict = {"__builtins__": {}, "_gather": gather}
     context["enumerate"] = enumerate
@@ -417,25 +373,66 @@ def _probe_uncached(
     hoisted = sorted(set(used))
     keys = ", ".join(f"_cols[{p}]" for p in key_positions)
     lines = [
-        "def _kernel(_lookup, _cols, _fast):",
+        "def _kernel(_lookup, _cols, _fast):"
+        if group is None
+        else "def _kernel(_lookup, _cols, _fast, _groups, _top):",
         f"    _kc = {keys}" if len(key_positions) == 1 else f"    _kc = zip({keys})",
     ]
     lines.extend(_hoist_params(*generators).splitlines())
     outer = sorted({local for from_col, local in emit_specs if from_col})
     for p in sorted(set(used) | set(outer)):
         lines.append(f"    _cc{p} = _cols[{p}]")
-    # the probe loop only collects matches (two appends per match); the
-    # output columns are gathered below
-    lines.append("    _oi = []")
-    lines.append("    _ai = _oi.append")
-    if want_inner:
-        lines.append("    _irs = []")
-        lines.append("    _ar = _irs.append")
+    if group is None:
+        # the probe loop only collects matches (two appends per match);
+        # the output columns are gathered below
+        lines.append("    _oi = []")
+        lines.append("    _ai = _oi.append")
+        if want_inner:
+            lines.append("    _irs = []")
+            lines.append("    _ar = _irs.append")
+    else:
+        from ..core.descriptor import TOP_VARIABLE
+
+        context["_T"] = TOP_VARIABLE
+        lines.append("    _n = 0")
+        lines.append("    _get = _groups.get")
+
+    def value(spec: Tuple[bool, int]) -> str:
+        from_col, local = spec
+        if not from_col:
+            return f"_ir[{local}]"
+        return f"_h{local}" if local in hoisted else f"_cc{local}[_i]"
+
+    def emit_group(indent: str) -> None:
+        # the value tuple first: a certain group builds no encoding at all
+        encoding = [value(spec) for spec in emit_specs[: 2 * group]]
+        built = "(" + "".join(e + ", " for e in encoding) + ")"
+        certain = " and ".join(f"{c} == _T" for c in encoding[::2]) or "True"
+        values = "".join(value(spec) + ", " for spec in emit_specs[2 * group :])
+        lines.extend(
+            indent + line
+            for line in (
+                "_n += 1",
+                f"_v = ({values})",
+                "_g = _get(_v)",
+                "if _g is _top:",
+                "    continue",
+                f"if {certain}:",
+                "    _groups[_v] = _top",
+                "elif _g is None:",
+                f"    _groups[_v] = {{{built}}}",
+                "else:",
+                f"    _g.add({built})",
+            )
+        )
 
     def emit_match(conditions: List[str], indent: str) -> None:
         for condition in conditions:
             lines.append(f"{indent}if not {condition}:")
             lines.append(f"{indent}    continue")
+        if group is not None:
+            emit_group(indent)
+            return
         lines.append(f"{indent}_ai(_i)")
         if want_inner:
             lines.append(f"{indent}_ar(_ir)")
@@ -462,6 +459,9 @@ def _probe_uncached(
         emit_loop(checked, "        ")
     else:
         emit_loop(checked, "    ")
+    if group is not None:
+        lines.append("    return _n")
+        return _build_kernel("\n".join(lines) + "\n", context)
     lines.append("    if not _oi:")
     lines.append("        return (), 0")
     if outer:

@@ -34,6 +34,7 @@ from __future__ import annotations
 import threading
 import weakref
 from bisect import bisect_left, bisect_right
+from functools import partial
 from operator import itemgetter
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -364,22 +365,18 @@ class SortedIndex(Index):
             return ()
         return self._rows[lo:hi]
 
-    def range(
+    def range_positions(
         self,
         lower: Any = None,
         upper: Any = None,
         lower_inclusive: bool = True,
         upper_inclusive: bool = True,
-    ) -> Sequence[Row]:
-        """Rows whose first key column lies within the given bounds.
-
-        ``None`` bounds are open.  For multi-column indexes the bound
-        applies to the first column.  Results are returned in *relation*
-        order, not key order: emitting a large range in key order makes
-        every downstream probe/touch jump randomly through memory, which
-        costs more than the re-sort here, which orders entry positions by
-        their labels and gathers the rows in one pass.
-        """
+    ) -> List[int]:
+        """Ascending positions in ``rows`` of the rows whose first key
+        column lies within the bounds (``None``: open).  Relation order,
+        not key order, keeps downstream probes local.  The sorted labels
+        are the positions until a delete parts them (:func:`row_labels`),
+        and are found in the relation's labels by bisection after it."""
         first = self._first
         lo = 0
         hi = len(first)
@@ -388,11 +385,28 @@ class SortedIndex(Index):
         if upper is not None:
             hi = bisect_right(first, upper) if upper_inclusive else bisect_left(first, upper)
         if hi <= lo:
-            return ()
-        if hi - lo == 1:
-            return [self._rows[lo]]  # a one-index itemgetter returns the bare row
-        order = sorted(range(lo, hi), key=self._ordinals.__getitem__)
-        return list(itemgetter(*order)(self._rows))
+            return []
+        labels = sorted(self._ordinals[lo:hi])
+        relation_labels = row_labels(self.relation)
+        if isinstance(relation_labels, range):
+            return labels
+        return list(map(partial(bisect_left, relation_labels), labels))
+
+    def range(
+        self,
+        lower: Any = None,
+        upper: Any = None,
+        lower_inclusive: bool = True,
+        upper_inclusive: bool = True,
+    ) -> Sequence[Row]:
+        """The rows at :meth:`range_positions`, in relation order."""
+        positions = self.range_positions(lower, upper, lower_inclusive, upper_inclusive)
+        if not positions:
+            return []
+        rows = self.relation.rows
+        if len(positions) == 1:  # a one-index itemgetter returns the bare row
+            return [rows[positions[0]]]
+        return list(itemgetter(*positions)(rows))
 
     def ordered(self) -> Sequence[Row]:
         """All indexed rows in ascending key order."""

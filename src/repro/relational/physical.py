@@ -37,15 +37,19 @@ Every operator speaks exactly two protocols:
   (:func:`~repro.relational.index.probe_table`: the hash join's build
   side, or the inner index's ``mixed_table``), checks the residual and
   gathers the output columns from both inputs — a downstream-folded
-  projection means dropped columns are never materialized at all.  Five
-  operators work on row tuples because their inputs or algorithms are
-  row-shaped (index buckets hold row tuples; nested-loop, semi-join and
-  set difference compare whole rows): ``IndexScan``, ``FusedPipeline``
-  over an ``IndexScan``, ``SemiJoinOp``, ``NestedLoopJoin`` and
-  ``Except`` read their children through :func:`_row_batches` and emit
-  :meth:`ColumnBatch.from_rows`, which transposes (one C-speed ``zip``)
-  only when a consumer reads the columns: between two such operators the
-  rows pass through untouched.
+  projection means dropped columns are never materialized at all.  A
+  ``Confidence`` over a probing join runs that join's kernel with a
+  grouping emit instead, so the join's output is never gathered either.
+  A range ``IndexScan`` gathers its columns from the relation's column
+  store at the range's row positions, and ``FusedPipeline`` has one
+  columnar body over either scan.  Four operators work on row tuples
+  because their inputs or algorithms are row-shaped (index buckets hold
+  row tuples; nested-loop, semi-join and set difference compare whole
+  rows): a point or full ``IndexScan``, ``SemiJoinOp``,
+  ``NestedLoopJoin`` and ``Except`` read their children through
+  :func:`_row_batches` and emit :meth:`ColumnBatch.from_rows`, which
+  transposes (one C-speed ``zip``) only when a consumer reads the
+  columns: between two such operators the rows pass through untouched.
 * ``rows()`` (``mode="rows"``) is the *reference*: a tuple-at-a-time
   iterator in which every body calls only its children's ``rows()`` and
   *bound* (interpreted, never generated) expressions, so it shares no
@@ -70,8 +74,8 @@ thread's frame (:func:`~repro.relational.expressions.executing`), and
 ``Confidence.last_summary`` read that frame — ``None`` for an operator the
 thread's current execution did not run.  Outside ``__init__`` /
 ``set_output`` a node is assigned only plan-only memos, whose values any
-execution derives equal: ``FusedPipeline._select`` and the joins'
-``_planned`` (kernels).
+execution derives equal: ``FusedPipeline._select`` and the ``_planned``
+kernels of the joins and of ``Confidence``.
 
 The planner can additionally *fuse* maximal scan→filter→project chains
 into single :class:`FusedPipeline` operators and fold projections into
@@ -84,13 +88,12 @@ EXPLAIN output.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .columnar import (
     ColumnBatch,
     gather,
     map_kernel,
-    pipeline_kernel,
     probe_kernel,
     row_projector,
     selection_kernel,
@@ -255,14 +258,41 @@ def _column_chunks(rows: Sequence[Row], size: int, width: int) -> Iterator[Colum
         yield ColumnBatch.from_rows(rows[start : start + size], width)
 
 
-def _probe_batches(
-    streamed: PhysicalPlan, size: int, kernel: Callable, lookup: Callable, fast: bool
-) -> Iterator[ColumnBatch]:
+def _probe_plan(join: Any, group: Optional[Tuple[int, int]]) -> Tuple:
+    """-> (streamed side, generated probe kernel, its NULL-freedom flag)
+    of a probing join: its own emit, or with ``group=(dend, vstart)`` the
+    grouping emit of a ``Confidence`` reading the join's output ``[:dend]``
+    as the encoded descriptor and ``[vstart:]`` as the values.  A function
+    of the plan only: callers derive it on the first execution and hold
+    it, so a cached plan skips the kernel-cache lookup afterwards."""
+    streamed, split, streamed_is_left, keys, filters, fast = join._probe_parts()
+    positions = (
+        join.output_positions
+        if join.output_positions is not None
+        else range(len(join._combined))
+    )
+    width = None
+    if group is not None:
+        dend, vstart = group
+        positions = [*positions[:dend], *positions[vstart:]]
+        width = dend // 2
+    kernel = probe_kernel(
+        join._combined, split, streamed_is_left, keys, join.residual, filters, positions, width
+    )
+    return streamed, kernel, fast
+
+
+def _probe_batches(join: Any, size: int) -> Iterator[ColumnBatch]:
     """The executor body of both equi-joins: every batch of the streamed
-    side goes through the join's generated probe kernel
-    (:func:`~repro.relational.columnar.probe_kernel`) as column vectors,
-    and only the (possibly folded) output columns are ever materialized —
-    gathered from those vectors and the rows ``lookup`` matched."""
+    side goes through the join's generated probe kernel as column
+    vectors, and only the (possibly folded) output columns are ever
+    materialized — gathered from those vectors and the rows the join's
+    probe table matched."""
+    planned = join._planned
+    if planned is None:
+        planned = join._planned = _probe_plan(join, None)
+    streamed, kernel, fast = planned
+    lookup = join._lookup(size)
     for cb in streamed.column_batches(size):
         out_cols, count = kernel(lookup, cb.columns, fast)
         if count:
@@ -327,6 +357,9 @@ class IndexScan(PhysicalPlan):
       (sorted indexes only),
     * *full*  — no condition: an ordered scan of a sorted index.
 
+    The executor gathers a range's columns from the column store at its
+    row positions; point and full scans emit the index's row tuples.
+
     ``residual`` is the leftover predicate the index condition does not
     cover; it is evaluated against every fetched row.  The ``schema`` is
     the scan's *output* schema, which may be a renamed/qualified view of
@@ -381,6 +414,24 @@ class IndexScan(PhysicalPlan):
         self._compiled_residual = residual.compile(schema) if residual is not None else None
         self.estimated_rows = float(len(index))
 
+    def _bounds(self) -> Optional[Tuple[Any, Any, bool, bool]]:
+        """The range bounds of this execution, ``None`` if one is NULL.
+
+        ``$n`` bounds resolve per execution, so one cached plan serves
+        ``BETWEEN $1 AND $2`` under every binding; a bound resolving to
+        NULL matches nothing (SQL comparison semantics).
+        """
+        lower, upper = self.lower, self.upper
+        if isinstance(lower, Param):
+            lower = lower.value
+            if lower is None:
+                return None
+        if isinstance(upper, Param):
+            upper = upper.value
+            if upper is None:
+                return None
+        return lower, upper, self.lower_inclusive, self.upper_inclusive
+
     def _matched(self) -> Sequence[Row]:
         if self.probe:
             return ()
@@ -388,21 +439,10 @@ class IndexScan(PhysicalPlan):
             return self.index.lookup(_resolve_key(self.point))
         if self.lower is None and self.upper is None:
             return self.index.ordered()  # type: ignore[union-attr]  # SortedIndex per __init__
-        # ``$n`` bounds resolve per execution, so one cached plan serves
-        # ``BETWEEN $1 AND $2`` under every binding; a bound resolving to
-        # NULL matches nothing (SQL comparison semantics)
-        lower, upper = self.lower, self.upper
-        if isinstance(lower, Param):
-            lower = lower.value
-            if lower is None:
-                return ()
-        if isinstance(upper, Param):
-            upper = upper.value
-            if upper is None:
-                return ()
-        return self.index.range(  # type: ignore[union-attr]  # SortedIndex checked in __init__
-            lower, upper, self.lower_inclusive, self.upper_inclusive
-        )
+        bounds = self._bounds()
+        if bounds is None:
+            return ()
+        return self.index.range(*bounds)  # type: ignore[union-attr]  # SortedIndex per __init__
 
     def rows(self) -> Iterator[Row]:
         residual = self._bound_residual
@@ -411,11 +451,36 @@ class IndexScan(PhysicalPlan):
         return (row for row in self._matched() if residual(row))
 
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
+        if self.lower is not None or self.upper is not None:
+            return self._range_batches(size)
+        # a point or full scan returns index buckets: row tuples
         matched = self._matched()
         residual = self._compiled_residual
         if residual is not None:
             matched = [row for row in matched if residual(row)]
         return _column_chunks(matched, size, len(self.schema))
+
+    def _range_batches(self, size: int) -> Iterator[ColumnBatch]:
+        """A range's row positions, in relation order: each batch gathers
+        its columns from the column store, one itemgetter per column."""
+        bounds = self._bounds()
+        if bounds is None:
+            return
+        positions = self.index.range_positions(*bounds)  # type: ignore[union-attr]
+        store = self.relation.column_store()
+        residual = self.residual
+        select = selection_kernel(residual, self.schema) if residual is not None else None
+        for start in range(0, len(positions), size):
+            chunk = positions[start : start + size]
+            columns = gather(store, chunk)
+            count = len(chunk)
+            if select is not None:
+                keep = select(columns, count)
+                if not keep:
+                    continue
+                if len(keep) < count:
+                    columns, count = gather(columns, keep), len(keep)
+            yield ColumnBatch(columns, count)
 
     def explain_label(self) -> str:
         target = f"{self.name} {self.alias}" if self.alias else self.name
@@ -444,12 +509,9 @@ class FusedPipeline(PhysicalPlan):
     never move columns, so positions are stable) and ``positions`` are the
     output columns as source positions; either may be ``None``.
 
-    Over a ``SeqScan`` the predicate runs as a vector kernel over the
-    scan's column store and only the output columns are gathered, so
-    dropped columns are never materialized.  Over an ``IndexScan`` (whose
-    index buckets hold row tuples anyway) one generated list comprehension
-    per row batch does both — predicate inlined, output tuple built in
-    place — and the result is transposed once at the boundary.
+    Over either scan the predicate runs as a vector kernel over the
+    source's column batches and only the output columns are gathered, so
+    dropped columns are never materialized.
     """
 
     def __init__(
@@ -502,14 +564,6 @@ class FusedPipeline(PhysicalPlan):
         return select
 
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
-        if not isinstance(self.source, SeqScan):
-            kernel = pipeline_kernel(self.predicate, self.positions, self.source.schema)
-            width = len(self.schema)
-            for batch in _row_batches(self.source, size):
-                out = kernel(batch)
-                if out:
-                    yield ColumnBatch.from_rows(out, width)
-            return
         select = self._selection() if self.predicate is not None else None
         positions = self.positions
         for cb in self.source.column_batches(size):
@@ -809,38 +863,14 @@ class HashJoin(PhysicalPlan):
 
         return probe_table(entries())
 
-    def _probe_plan(self) -> Tuple:
-        """-> (generated probe kernel, its NULL-freedom flag).
-
-        Everything the probe loop needs besides the hash table is a
-        function of the plan only, never of ``$n`` bindings: it is derived
-        on the first execution (fusion has settled ``output_positions`` by
-        then) and held, so later executions of a cached plan skip the
-        kernel-cache lookup and its structural keys.
-        """
-        if self._planned is not None:
-            return self._planned
+    def _probe_parts(self) -> Tuple:
+        """-> (probe side, split, probe side is left, its key positions,
+        row-side filters, NULL-freedom flag) for :func:`_probe_plan`."""
         probe_is_left = self.build == "right"
         probe_plan, build_plan = (
             (self.left, self.right) if probe_is_left else (self.right, self.left)
         )
         split = len(self.left.schema)
-        positions = (
-            self.output_positions
-            if self.output_positions is not None
-            else range(len(self._combined))
-        )
-        # C-speed hash resolution, the residual inlined, and direct column
-        # emit in one loop
-        kernel = probe_kernel(
-            self._combined,
-            split,
-            probe_is_left,
-            self.left_positions if probe_is_left else self.right_positions,
-            self.residual,
-            (),
-            positions,
-        )
         fast = True
         if self.residual is not None:
             # columns the residual consults must be provably NULL-free
@@ -852,15 +882,14 @@ class HashJoin(PhysicalPlan):
                 if side.column_nullable(p if on_left else p - split):
                     fast = False
                     break
-        self._planned = (kernel, fast)
-        return self._planned
+        keys = self.left_positions if probe_is_left else self.right_positions
+        return probe_plan, split, probe_is_left, keys, (), fast
+
+    def _lookup(self, size: int) -> Callable:
+        return self._build_table(size).get
 
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
-        kernel, fast = self._probe_plan()
-        probe_plan = self.right if self.build == "left" else self.left
-        return _probe_batches(
-            probe_plan, size, kernel, self._build_table(size).get, fast
-        )
+        return _probe_batches(self, size)
 
     def column_nullable(self, position: int) -> bool:
         if self.output_positions is not None:
@@ -981,36 +1010,18 @@ class IndexNestedLoopJoin(PhysicalPlan):
                 if residual is None or residual(out):
                     yield out if project is None else project(out)
 
-    def _probe_plan(self) -> Tuple:
-        """-> (generated probe kernel, lookup, the kernel's NULL-freedom flag).
+    def _probe_parts(self) -> Tuple:
+        """-> (outer side, split, outer side is left, its key positions,
+        inner filters, NULL-freedom flag) for :func:`_probe_plan`.
 
         Everything the probe loop reads — schemas, residual,
         ``output_positions``, the index and its relation's NULL facts — is
-        fixed once planning ends and never depends on ``$n`` bindings, so
-        it is derived on the first execution and held: later executions of
-        a cached plan skip the kernel-cache lookup and its structural
-        keys (three joins per point lookup made that the dominant cost).
+        fixed once planning ends and never depends on ``$n`` bindings
+        (three joins per point lookup made re-deriving it the dominant
+        cost).
         """
-        if self._planned is not None:
-            return self._planned
         outer_is_left = not self.flipped
         split = len(self.inner.schema) if self.flipped else len(self.outer.schema)
-        positions = (
-            self.output_positions
-            if self.output_positions is not None
-            else range(len(self._combined))
-        )
-        # lookup, inlined filters and residual, and direct column emit in
-        # one loop
-        kernel = probe_kernel(
-            self._combined,
-            split,
-            outer_is_left,
-            self.outer_positions,
-            self.residual,
-            self.inner_filters,
-            positions,
-        )
         # every column the conditions reference must be provably NULL-free
         # for the kernel's guard-free body: inner refs consult the indexed
         # base relation's cached nullability, outer refs the plan tree
@@ -1032,12 +1043,13 @@ class IndexNestedLoopJoin(PhysicalPlan):
         fast = not any(
             relation.column_has_null(q) for q in inner_refs
         ) and not any(self.outer.column_nullable(q) for q in outer_refs)
-        self._planned = (kernel, self.index.mixed_table().get, fast)
-        return self._planned
+        return self.outer, split, outer_is_left, self.outer_positions, self.inner_filters, fast
+
+    def _lookup(self, size: int) -> Callable:
+        return self.index.mixed_table().get
 
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
-        kernel, lookup, fast = self._probe_plan()
-        return _probe_batches(self.outer, size, kernel, lookup, fast)
+        return _probe_batches(self, size)
 
     def column_nullable(self, position: int) -> bool:
         if self.output_positions is not None:
@@ -1390,7 +1402,13 @@ class Confidence(PhysicalPlan):
     probability of the union of its descriptors' world-sets — through the
     world table's shared memoized
     :class:`~repro.core.probability.ConfidenceEngine`, which looks a group
-    up by those encoded prefixes and decodes them only on a miss.
+    up by those encoded prefixes and decodes them only on a miss.  Over a
+    probing join the grouping runs in the join's kernel (``_planned``).
+    A row whose every ``c`` column is the trivial variable (⊤, the empty
+    descriptor) is in every world, so its group's confidence is exactly 1
+    whatever else the group holds: the group becomes the shared set
+    ``{⊤}``, which the engine answers 1.0 ``exact``, and stops growing.
+    ``rows()``, the reference, groups every row.
 
     ``method`` selects exact enumeration, the bounded-error ``(epsilon,
     delta)`` sampler, or per-component auto selection; the method actually
@@ -1428,6 +1446,11 @@ class Confidence(PhysicalPlan):
         self.schema = Schema(self.value_names + ["conf"])
         # distinct value tuples are a fraction of the input U-relation rows
         self.estimated_rows = max(child.estimated_rows * 0.5, 1.0)
+        from ..core.descriptor import TOP_VALUE, TOP_VARIABLE
+
+        #: The one descriptor set of every certain group.
+        self._top = frozenset({(TOP_VARIABLE, TOP_VALUE) * self.d_width})
+        self._planned: Optional[Tuple] = None  # the folded grouping kernel
 
     @property
     def children(self) -> Tuple[PhysicalPlan, ...]:
@@ -1449,11 +1472,14 @@ class Confidence(PhysicalPlan):
             groups.setdefault(row[vstart:], set()).add(row[:dend])
         return groups
 
-    def _grouped_columns(self, size: int) -> Dict[Row, set]:
-        """Native columnar grouping: zip only the needed column slices."""
+    def _grouped_columns(self, size: int) -> Dict[Row, AbstractSet]:
+        """Native columnar grouping: zip only the needed column slices; a
+        certain row's group becomes ``_top`` and stops growing."""
         dend = 2 * self.d_width
         vstart = dend + self.tid_count
-        groups: Dict[Row, set] = {}
+        top = self._top
+        tops = next(iter(top))[::2]  # the c columns of a ⊤ encoding
+        groups: Dict[Row, AbstractSet] = {}
         for batch in self.child.column_batches(size):
             columns = batch.columns
             if vstart < len(columns):
@@ -1466,14 +1492,40 @@ class Confidence(PhysicalPlan):
                 descs_iter = (() for _ in range(batch.length))
             for values, enc in zip(values_iter, descs_iter):
                 group = groups.get(values)
-                if group is None:
+                if group is top:
+                    continue
+                if enc[::2] == tops:
+                    groups[values] = top
+                elif group is None:
                     groups[values] = {enc}
                 else:
                     group.add(enc)
         return groups
 
+    def _grouped_in_join(self, size: int) -> Dict[Row, AbstractSet]:
+        """The same grouping, run inside the probing join below: its kernel
+        adds every match to the groups directly.  The join's rows and
+        batches are recorded as its own iterator records them."""
+        join = self.child
+        planned = self._planned
+        if planned is None:
+            dend = 2 * self.d_width
+            planned = self._planned = _probe_plan(join, (dend, dend + self.tid_count))
+        streamed, kernel, fast = planned
+        lookup = join._lookup(size)
+        top = self._top
+        groups: Dict[Row, AbstractSet] = {}
+        rows = batches = 0
+        for cb in streamed.column_batches(size):
+            count = kernel(lookup, cb.columns, fast, groups, top)
+            if count:
+                rows += count
+                batches += 1
+        frame.counters[join] = (rows, batches)
+        return groups
+
     # -- confidence computation ----------------------------------------
-    def _compute(self, groups: Dict[Row, set]) -> List[Row]:
+    def _compute(self, groups: Dict[Row, AbstractSet]) -> List[Row]:
         import time
 
         from ..core.probability import confidence_engine
@@ -1515,9 +1567,11 @@ class Confidence(PhysicalPlan):
         return iter(self._compute(self._grouped_reference()))
 
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
-        return _column_chunks(
-            self._compute(self._grouped_columns(size)), size, len(self.schema)
-        )
+        if isinstance(self.child, (HashJoin, IndexNestedLoopJoin)):
+            groups = self._grouped_in_join(size)
+        else:
+            groups = self._grouped_columns(size)
+        return _column_chunks(self._compute(groups), size, len(self.schema))
 
     def column_nullable(self, position: int) -> bool:
         if position == len(self.schema) - 1:

@@ -50,11 +50,11 @@ EQUALITY_DEFAULT = 0.05
 RANGE_DEFAULT = 0.3
 
 #: An IndexScan wins over a SeqScan when it is expected to fetch at most
-#: this fraction of the table.  Although the fetch itself is a cheap
-#: bucket/slice access, a sorted-index fetch emits rows in *key* order —
-#: downstream operators (tid-index probes especially) then touch memory
-#: randomly instead of in relation order, which measurably hurts above
-#: roughly a third of the table.
+#: this fraction of the table.  A range fetch now comes out in relation
+#: order, as a scan's does (the key order this gate was set against is
+#: gone): the gate trades sorting the range's row positions and one
+#: gather per column against slicing every row and running the selection
+#: kernel over it.  That crossover is unmeasured; the value is unchanged.
 INDEX_SCAN_MAX_SELECTIVITY = 0.3
 
 #: An IndexNestedLoopJoin over an *unfiltered* inner wins over a HashJoin

@@ -102,9 +102,19 @@ def worlds_and_descriptors(draw):
 @settings(max_examples=120, deadline=None)
 def test_exact_matches_world_enumeration(case):
     world, descriptors = case
-    assert exact_confidence(descriptors, world) == pytest.approx(
-        oracle_confidence(descriptors, world)
-    )
+    value = exact_confidence(descriptors, world)
+    assert 0.0 <= value <= 1.0
+    assert value == pytest.approx(oracle_confidence(descriptors, world))
+
+
+def test_a_union_of_every_value_is_exactly_one():
+    """Nine floats of 1/9 add up to 1.0000000000000002: a group naming every
+    value of a uniform nine-valued variable is certain, so exactly 1."""
+    values = list(range(1, 10))
+    world = WorldTable({"v": values}, probabilities={"v": [1 / 9] * 9})
+    descriptors = [Descriptor(v=value) for value in values]
+    assert ConfidenceEngine(world).confidence(descriptors, method="exact") == 1.0
+    assert ConfidenceEngine(world, exact_limit=1).confidence(descriptors) == 1.0
 
 
 @given(worlds_and_descriptors())

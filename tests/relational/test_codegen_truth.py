@@ -16,13 +16,8 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from repro.relational import columnar
-from repro.relational.columnar import (
-    map_kernel,
-    pipeline_kernel,
-    probe_kernel,
-    selection_kernel,
-)
+from repro.relational import Relation, columnar
+from repro.relational.columnar import map_kernel, probe_kernel, selection_kernel
 from repro.relational.expressions import (
     And,
     Col,
@@ -34,7 +29,8 @@ from repro.relational.expressions import (
     has_null_literal,
     reset_compile_cache,
 )
-from repro.relational.index import probe_table
+from repro.relational.index import SortedIndex, probe_table
+from repro.relational.physical import FusedPipeline, IndexScan, execute
 from repro.relational.schema import Schema
 
 VALUES = ["a", "b", "c", "d"]
@@ -78,6 +74,17 @@ def columns(rows):
     return [list(column) for column in zip(*rows)]
 
 
+def fused_over_a_range(predicate, positions, rows):
+    """A fused pipeline over a range ``Index Scan`` of ``(k, *row)`` rows,
+    ``k`` the row's ordinal: every row is in the range ``k >= 0``."""
+    relation = Relation(["k"] + VALUES, [(k, *row) for k, row in enumerate(rows)])
+    scan = IndexScan(SortedIndex(relation, ["k"]), "r", relation.schema, lower=0)
+    schema = relation.schema if positions is None else relation.schema.project(
+        [relation.schema.names[p] for p in positions]
+    )
+    return FusedPipeline(scan, predicate, positions, schema)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.booleans(), st.data())
 def test_selection_and_pipeline_keep_what_the_bound_predicate_keeps(clean, data):
@@ -86,7 +93,8 @@ def test_selection_and_pipeline_keep_what_the_bound_predicate_keeps(clean, data)
     bound = predicate.bind(SCHEMA)
     kept = [i for i, row in enumerate(rows) if bound(row)]
     assert selection_kernel(predicate, SCHEMA)(columns(rows), len(rows)) == kept
-    assert pipeline_kernel(predicate, None, SCHEMA)(rows) == [rows[i] for i in kept]
+    fused = fused_over_a_range(predicate, None, rows)
+    assert execute(fused, batch_size=5).rows == [(i, *rows[i]) for i in kept]
     if clean and not has_null_literal(predicate):  # as the executor picks it
         fast = selection_kernel(predicate, SCHEMA, assume_non_null=True)
         assert fast(columns(rows), len(rows)) == kept
@@ -102,7 +110,7 @@ def test_probe_keeps_what_the_bound_conditions_keep(clean, data):
     inner = data.draw(rows_of(3, clean))
     combined = OUTER.concat(INNER)
     kernel = probe_kernel(
-        combined, 3, True, [0], residual, [(inner_filter, INNER)], range(6)
+        combined, 3, True, [0], residual, [(inner_filter, INNER)], range(6), None
     )
     table = probe_table((row[0], row) for row in inner if row[0] is not None)
     out, count = kernel(table.get, columns(outer), clean)
@@ -155,11 +163,14 @@ def test_no_generated_condition_calls_bool(data):
 
     reset_compile_cache()  # a cached kernel would skip the generator
     with mock.patch.object(columnar, "_build_kernel", capture):
+        execute(fused_over_a_range(predicate, [1, 2], [(0, 1, None, 2)]))
         selection_kernel(predicate, SCHEMA)
         selection_kernel(predicate, SCHEMA, assume_non_null=True)
-        pipeline_kernel(predicate, [0, 1], SCHEMA)
         probe_kernel(
-            OUTER.concat(INNER), 3, True, [0], predicate, [(inner_filter, INNER)], [1, 4]
+            OUTER.concat(INNER), 3, True, [0], predicate, [(inner_filter, INNER)], [1, 4], None
         )
-    assert len(sources) == 4
+        probe_kernel(
+            OUTER.concat(INNER), 3, True, [0], predicate, [(inner_filter, INNER)], [1, 4], 1
+        )
+    assert len(sources) == 5  # the pipeline's selection binds its own schema
     assert not [source for source in sources if "bool(" in source]

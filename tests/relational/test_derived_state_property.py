@@ -11,7 +11,9 @@ structures built at random points:
 * every structure on the successor answers exactly like one built from
   scratch over ``Relation(schema, successor.rows)`` - ``lookup``,
   ``range`` (result order included), ``ordered``, ``mixed_table``,
-  ``column_store``, ``column_has_null``, ``column_all_equal``, ``len``;
+  ``column_store``, ``column_has_null``, ``column_all_equal``, ``len`` -
+  and a range ``Index Scan``'s columns (gathered by row position, which
+  a delete parts from the entries' labels) equal its ``rows()``;
 * the parent version is never mutated: its structures pickle to the same
   bytes after the derivation as before.
 """
@@ -31,6 +33,7 @@ from repro.relational.index import (
     indexes_on,
     row_labels,
 )
+from repro.relational.physical import IndexScan, execute
 from repro.relational.statistics import table_stats
 
 SCHEMA = ["a", "b", "c"]
@@ -134,6 +137,15 @@ def _assert_like_fresh(relation):
                     assert list(index.range(lower, upper, inclusive, inclusive)) == list(
                         fresh.range(lower, upper, inclusive, inclusive)
                     ), (index, lower, upper, inclusive)
+                    if lower is None and upper is None:
+                        continue  # a full scan, in key order
+                    # the executor gathers the range by row position: the
+                    # reference's rows in the reference's (relation) order
+                    scan = IndexScan(
+                        index, "r", relation.schema, lower=lower, upper=upper,
+                        lower_inclusive=inclusive, upper_inclusive=inclusive,
+                    )
+                    assert execute(scan, batch_size=2).rows == list(scan.rows())
 
 
 def _assert_segments_agree(relation):

@@ -24,6 +24,7 @@ from repro.relational import (
     optimize,
     run,
 )
+from repro.relational.expressions import Param, executing
 from repro.relational.index import attach_index, built_indexes_on, detach_index, row_labels
 from repro.relational.physical import IndexNestedLoopJoin, IndexScan, execute
 from repro.relational.planner import plan_physical
@@ -35,6 +36,25 @@ def people(n: int = 100) -> Relation:
         for i in range(n)
     ]
     return Relation(["id", "dept", "grade", "name"], rows)
+
+
+def assert_range(idx, expected, lower, upper, inclusive=True, residual=None, params=()):
+    """``idx.range`` and a range ``Index Scan`` over ``idx`` both give the
+    rows ``expected``, in order: the scan run as the executor (columns
+    gathered by row position, in batches of 1, 2 and 1024) and as the
+    reference.  ``residual`` applies to the scan; ``params`` are the
+    values of its ``$n`` bounds."""
+    relation = idx.relation
+    if residual is None and not params:
+        assert list(idx.range(lower, upper, inclusive, inclusive)) == expected
+    scan = IndexScan(
+        idx, "r", relation.schema, lower=lower, upper=upper,
+        lower_inclusive=inclusive, upper_inclusive=inclusive, residual=residual,
+    )
+    with executing(params):
+        assert execute(scan, mode="rows").rows == expected
+        for size in (1, 2, 1024):
+            assert execute(scan, batch_size=size).rows == expected
 
 
 # ----------------------------------------------------------------------
@@ -86,12 +106,21 @@ class TestSortedIndex:
         assert got == [r for r in rel.rows if 10 <= r[0] <= 20]
         got = idx.range(10, 20, lower_inclusive=False, upper_inclusive=False)
         assert got == [r for r in rel.rows if 10 < r[0] < 20]
+        assert_range(idx, [r for r in rel.rows if 10 <= r[0] <= 20], 10, 20)
+        assert_range(idx, [r for r in rel.rows if 10 < r[0] < 20], 10, 20, inclusive=False)
+        # a residual on the scan keeps the range's order
+        kept = [r for r in rel.rows if 10 <= r[0] <= 20 and r[1] != 4]
+        assert_range(idx, kept, 10, 20, residual=col("dept").ne(lit(4)))
 
     def test_range_results_in_relation_order(self):
         # shuffled key column: results must follow relation order anyway
         rel = Relation(["k"], [(v,) for v in (5, 1, 9, 3, 7, 2, 8)])
         idx = SortedIndex(rel, ["k"])
         assert idx.range(2, 8) == [(5,), (3,), (7,), (2,), (8,)]
+        assert_range(idx, [(5,), (3,), (7,), (2,), (8,)], 2, 8)
+        assert_range(idx, [(5,), (3,), (7,)], 2, 8, inclusive=False)
+        outside = (col("k") < lit(5)) | (col("k") > lit(6))
+        assert_range(idx, [(3,), (7,), (2,), (8,)], 2, 8, residual=outside)
 
     def test_open_bounds_and_ordered(self):
         rel = Relation(["k"], [(3,), (1,), (2,)])
@@ -99,12 +128,27 @@ class TestSortedIndex:
         assert idx.range(None, 2) == [(1,), (2,)]
         assert idx.range(2, None) == [(3,), (2,)]
         assert list(idx.ordered()) == [(1,), (2,), (3,)]
+        assert_range(idx, [(1,), (2,)], None, 2)
+        assert_range(idx, [(3,)], 2, None, inclusive=False)
 
     def test_empty_range(self):
-        idx = SortedIndex(people(), ["id"])
+        rel = people()
+        idx = SortedIndex(rel, ["id"])
         assert list(idx.range(1000, 2000)) == []
         for lower, upper, inclusive in [(20, 10, True), (5, 5, False), (5.2, 5.8, True)]:
             assert list(idx.range(lower, upper, inclusive, inclusive)) == []
+            assert_range(idx, [], lower, upper, inclusive)
+        # a residual nothing passes empties a non-empty range
+        assert_range(idx, [], 10, 20, residual=col("id") > lit(50))
+
+    def test_null_param_bounds_match_nothing(self):
+        rel = people()
+        idx = SortedIndex(rel, ["id"])
+        everything = [r for r in rel.rows if 10 <= r[0] <= 20]
+        assert_range(idx, everything, Param(0), Param(1), params=(10, 20))
+        for params in [(None, 20), (10, None), (None, None)]:
+            assert_range(idx, [], Param(0), Param(1), params=params)
+        assert_range(idx, [], None, Param(0), params=(None,))
 
     def test_one_row_range_is_a_list_of_that_row(self):
         rel = Relation(["k"], [(3,), (1,), (2,)])
@@ -112,6 +156,10 @@ class TestSortedIndex:
         assert idx.range(2, 2) == [(2,)]
         assert idx.range(1, 3, lower_inclusive=False, upper_inclusive=False) == [(2,)]
         assert idx.range(None, 1) == [(1,)]
+        assert_range(idx, [(2,)], 2, 2)
+        assert_range(idx, [(2,)], 1, 3, inclusive=False)
+        assert_range(idx, [(1,)], None, 1)
+        assert_range(idx, [(2,)], Param(0), Param(0), params=(2,))
 
     def test_range_after_a_delete_and_an_insert_is_in_relation_order(self):
         """A delete leaves gaps in the row labels and an insert appends past
@@ -130,6 +178,12 @@ class TestSortedIndex:
                     and (upper is None or row[0] < upper or inclusive and row[0] == upper)
                 ]
                 assert list(idx.range(lower, upper, inclusive, inclusive)) == expected
+                if lower is None and upper is None:
+                    continue  # a full scan is in key order
+                assert_range(idx, expected, lower, upper, inclusive)
+                # the appended rows, by a residual
+                late = [row for row in expected if row[1] > 50]
+                assert_range(idx, late, lower, upper, inclusive, col("v") > lit(50))
 
     def test_unsortable_column_raises(self):
         rel = Relation(["k"], [(1,), ("x",)])
