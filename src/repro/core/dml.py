@@ -2,7 +2,7 @@
 
 The write path is log-structured, mirroring the paper's representation
 invariants: U-relations are *plain relations*, and relations here are
-immutable values that plans embed by object identity.  A DML statement
+immutable values.  A DML statement
 therefore never mutates a partition in place — it derives a **new**
 :class:`~repro.relational.relation.Relation` composed of the old one's
 immutable segments plus, per statement,
@@ -10,18 +10,19 @@ immutable segments plus, per statement,
 * an appended segment (INSERT, and the rewritten tuples of UPDATE), and/or
 * a widened delete vector (DELETE, and the superseded tuples of UPDATE),
 
-then swaps the partition set in the catalog
+then publishes the partition set in one catalog swap
 (:meth:`UDatabase.replace_partitions`).  The derivation itself
 (:meth:`Relation.with_appended` / :meth:`Relation.with_deleted`) carries
-whatever the old relation had built — indexes, column vectors,
-statistics — onto the new one along the statement's delta, so a write
-costs Python work in proportion to the rows it writes, not to the
-partition, and the first read after it rebuilds nothing.  In-flight
-plans keep reading the old relation objects untouched; a session
-snapshot, which holds those objects, sees that the catalog no longer does
-and raises ``SnapshotChanged``; and every swap goes through the same
-``bump_relation`` epochs index DDL uses, which evicts exactly the cached
-plans that scanned the replaced partitions.
+whatever the old relation had built — indexes, column vectors, NULL and
+all-equal facts, statistics — onto the new one along the statement's
+delta, so a write costs Python work in proportion to the rows it writes,
+not to the partition, and the first read after it rebuilds nothing.
+In-flight executions keep reading the versions of the catalog they
+started on; a session snapshot, which holds those objects, sees that the
+catalog no longer does and raises ``SnapshotChanged``; and a cached plan
+over the written partitions stays cached: it names partitions, not
+versions, and re-plans only if the new versions' planning facts differ
+(see :mod:`repro.relational.plancache`).
 
 Uncertain inserts follow Section 2's "new variable with a fresh domain"
 construction: a value cell listing k alternatives mints one fresh
@@ -188,7 +189,8 @@ def execute_dml(statement, udb) -> DMLResult:
     Holds the database's write lock across the whole statement: the write
     path is read-derive-swap over the partition lists, and two concurrent
     writers interleaving would lose one's appends.  Readers never wait —
-    they execute against the immutable relation objects a plan embedded.
+    they execute against the immutable relation versions of the catalog
+    they read once.
     """
     with udb._write_lock:
         if isinstance(statement, Insert):
@@ -229,8 +231,7 @@ def insert_rows(udb, name: str, value_rows: Sequence[Sequence[Any]]) -> DMLResul
 
     A multi-row ``VALUES`` list is one batch: per partition the whole
     statement appends ONE segment and the publish is one
-    ``replace_partitions`` swap — exactly one ``bump_relation`` per
-    touched partition relation, however many rows the statement carries.
+    ``replace_partitions`` swap, however many rows the statement carries.
     """
     return _stage_insert(udb, name, value_rows, "insert")
 
@@ -331,13 +332,10 @@ def _matching_tids(udb, name: str, condition: Optional[Expression]) -> set:
     from .translate import execute_keyed, query_cache_key
 
     query = USelect(Rel(name), condition)
-    # keyed by the partition versions it reads: nothing evicts a plan over
-    # a version superseded inside a transaction (it is private), and the
-    # next staged statement of the same shape must not be served it
-    key = query_cache_key(query, udb)
-    if key is not None:
-        key += (tuple(id(part.relation) for part in udb.partitions(name)),)
-    result = execute_keyed(query, udb, key, "columns", True)
+    # one plan per condition shape, across writes: it reads the versions
+    # of the catalog it runs against (a transaction's staged ones inside
+    # its overlay, which keys its own entries)
+    result = execute_keyed(query, udb, query_cache_key(query, udb), "columns", True)
     position = result.relation.schema.resolve(result.tid_names[0])
     return {row[position] for row in result.relation.rows}
 

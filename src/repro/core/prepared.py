@@ -38,6 +38,7 @@ from ..relational.expressions import (
     executing,
     frame,
     slot_count,
+    structural_key,
 )
 from .dml import Delete, DMLResult, Insert, Update, dml_slot_count, execute_dml
 from .query import UJoin, UQuery, USelect
@@ -105,6 +106,11 @@ def lift_literals(query: UQuery) -> Tuple[Tuple, List[Tuple[Comparison, str, Any
     name.
     """
     sites: List[Tuple[Comparison, str, Any]] = []
+    return query_key(query, _lifting_leaf(sites)), sites
+
+
+def _lifting_leaf(sites: List[Tuple[Comparison, str, Any]]):
+    """The leaf policy of :func:`lift_literals`, collecting into ``sites``."""
 
     def leaf(node: Any, parent: Optional[Expression]) -> Any:
         if (
@@ -121,7 +127,15 @@ def lift_literals(query: UQuery) -> Tuple[Tuple, List[Tuple[Comparison, str, Any
                 return ("lit", type(node.value).__name__)
         return exact_leaf(node, parent)
 
-    return query_key(query, leaf), sites
+    return leaf
+
+
+def _lift_into_slots(sites: List[Tuple[Comparison, str, Any]], own: int) -> Tuple[Any, ...]:
+    """Turn the literal ``sites`` into ``$n`` slots after the ``own`` ones;
+    returns their values, in slot order."""
+    for offset, (comparison, side, _) in enumerate(sites):
+        setattr(comparison, side, Param(own + offset))
+    return tuple(value for _, _, value in sites)
 
 
 class PreparedQuery(_Prepared):
@@ -266,7 +280,10 @@ def text_statement(sql: str, udb, lift: bool) -> Tuple[Any, Tuple[Any, ...]]:
     ``lift`` makes this the ad-hoc path: a query with equality literals
     (:func:`lift_literals`) is looked up by its shape, so texts that
     differ only in those literals share one statement and the caller runs
-    it with ``params + lifted_values``.  Without ``lift`` the statement
+    it with ``params + lifted_values``.  An ``UPDATE`` / ``DELETE`` gives
+    up the equality literals of its ``WHERE`` the same way, so its
+    matching query runs one cached plan per condition shape whatever the
+    key.  Without ``lift`` the statement
     keeps its literals (the client chose its parameters).  Either way the
     database remembers the statement per exact text (``udb._statements``
     for ad-hoc texts, ``udb._prepared_statements`` for prepared ones),
@@ -293,16 +310,23 @@ def text_statement(sql: str, udb, lift: bool) -> Tuple[Any, Tuple[Any, ...]]:
             prepared = shapes.get(key) if lifted else None
             shape_cached = prepared is not None
             if prepared is None:
-                if sites:  # the literals become slots after the text's own $n
-                    own = _query_slot_count(statement)
-                    for offset, (comparison, side, _) in enumerate(sites):
-                        setattr(comparison, side, Param(own + offset))
+                # the literals become slots after the text's own $n
+                _lift_into_slots(sites, _query_slot_count(statement))
                 prepared = PreparedQuery(statement, udb, sql=sql)
                 prepared.lifted = len(lifted)
                 if lifted:
                     prepared = _remember(shapes, key, prepared)
         elif isinstance(statement, (Insert, Update, Delete)):
+            sites = []
+            condition = getattr(statement, "condition", None)  # UPDATE / DELETE
+            if lift and condition is not None:
+                try:
+                    structural_key(condition, _lifting_leaf(sites))
+                except TypeError:  # an unkeyable condition keeps its literals
+                    sites = []
+            lifted = _lift_into_slots(sites, dml_slot_count(statement))
             prepared = PreparedDML(statement, udb, sql=sql)
+            prepared.lifted = len(lifted)
         sp.set(cached=False, lifted=len(lifted), shape_cached=shape_cached)
         if prepared is None:
             return statement, ()

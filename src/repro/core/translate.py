@@ -29,8 +29,9 @@ can differ.  Dropping such a slot is exact: against any pair
 ``(c_j, w_j)`` its ψ conjunct ``(⊤ <> c_j) OR (w_i = w_j)`` either holds
 by the first disjunct or has ``c_j = ⊤`` too, and then both ``w`` are
 :data:`~repro.core.descriptor.TOP_VALUE` (⊤'s domain is ``{0}``).  A
-cached plan read the fact from the relation versions it holds, and every
-write replaces those versions and evicts the plan.  Two sides that
+cached plan outlives writes, so the fact is one of those its cache entry
+checks on every new version it runs over (a write carries it, and a
+changed verdict re-plans).  Two sides that
 nothing links - no α, no ψ, no conjunct - become a ``Product``.
 
 Column names at block boundaries: the renamed-out slots are unique to
@@ -221,7 +222,9 @@ def translate(query: UQuery, udb: UDatabase) -> Translated:
 
     Uses the default late-materialization strategy: the needed-attribute set
     is seeded from the query's own output attributes, so relation leaves
-    merge in only the partitions the query actually touches.
+    merge in only the partitions the query actually touches.  ``udb`` is a
+    database or one published :class:`~repro.core.udatabase.Catalog` of
+    it; the plan cache translates over the catalog it executes against.
     """
     translator = _Translator(udb)
     needed = set(translator.attributes_of(query))
@@ -459,8 +462,8 @@ class _Translator:
         # an all-⊤ slot leaves the c/w numbering (the block drops it at
         # its first projection); the kept slots close up behind it
         width = 0
-        for k in range(1, part.d_width + 1):
-            if part.relation.column_all_equal(2 * k - 2, TOP_VARIABLE):
+        for k, probe in enumerate(_top_probes(part), 1):
+            if part.relation.column_all_equal(*probe):
                 renamed = (f"{label}_{tid_new}_c{k}", f"{label}_{tid_new}_w{k}")
             else:
                 width += 1
@@ -696,6 +699,12 @@ def query_fingerprint(query: UQuery) -> Optional[str]:
         return None
 
 
+def _top_probes(part: URelation) -> Tuple[Tuple[int, str], ...]:
+    """The all-equal questions translation asks of a partition: is each
+    ``c`` column the trivial variable ⊤ in every row (a slot no ψ compares)?"""
+    return tuple((2 * k, TOP_VARIABLE) for k in range(part.d_width))
+
+
 def _scans_under(plan) -> List:
     out = []
     stack = [plan]
@@ -765,8 +774,13 @@ def _cached_physical(query: UQuery, udb: UDatabase, key, mode: str, use_indexes:
     repeated-query path is executor-only.  The cache key is the normalized
     query structure, the owning database, and every knob that shapes the
     plan (the executor's fused plan and the reference's unfused one are
-    cached separately).  Invalidation is exact: any catalog
-    mutation of a relation the plan scans evicts the entry (see
+    cached separately).  The catalog is read once, into the calling
+    thread's frame (``frame.versions``): the lookup checks the entry's
+    planning facts against those partition versions, a miss translates
+    over that same catalog, and the execution that follows resolves the
+    plan's slots there — so a query never joins one COMMIT's new
+    partitions with another relation's old ones.  Callers put back what
+    the frame held once they have executed (see
     :mod:`repro.relational.plancache`).
     """
     from ..relational.optimizer import optimize
@@ -774,29 +788,27 @@ def _cached_physical(query: UQuery, udb: UDatabase, key, mode: str, use_indexes:
         PlanRecord,
         cached_plan,
         cost_class_of,
-        plan_relations,
+        name_slots,
+        planned_over,
     )
     from ..relational.planner import plan_physical
 
+    catalog = udb.catalog()
+    frame.versions = catalog.versions
+
     def build():
-        # captured before translation resolves any relation: the store
-        # only commits if no catalog *swap* landed in between (see
-        # cache_store).  Identity, not version: this planning's own lazy
-        # index builds bump the version in place without making the plan
-        # stale, and must still store
-        catalog_before = udb.catalog_identity()
         conf: Optional[Conf] = None
         if isinstance(query, Poss):
-            inner = translate(query.child, udb)
+            inner = translate(query.child, catalog)
             plan: Plan = Distinct(Project(inner.plan, list(inner.value_names)))
             wrap = None
         elif isinstance(query, Conf):
             conf = query
-            inner = translate(query.child, udb)
+            inner = translate(query.child, catalog)
             plan = inner.plan
             wrap = None
         else:
-            inner = translate(query, udb)
+            inner = translate(query, catalog)
             if not inner.d_width:
                 # a URelation keeps one descriptor pair: a certain answer's is ⊤
                 padded = _pad_branch(inner, 1, list(inner.tid_names), list(inner.value_names))
@@ -808,7 +820,13 @@ def _cached_physical(query: UQuery, udb: UDatabase, key, mode: str, use_indexes:
                 inner.value_names,
                 inner.canonical_names(),
             )
-        deps = plan_relations(plan)
+        slots = planned_over(
+            catalog.versions,
+            {
+                scan.name: _top_probes(catalog.labels[scan.name])
+                for scan in _scans_under(plan)
+            },
+        )
         plan = optimize(plan)
         if conf is not None:
             # inserted above the *optimized* child: the rewrite rules never
@@ -827,18 +845,15 @@ def _cached_physical(query: UQuery, udb: UDatabase, key, mode: str, use_indexes:
                 conf.delta,
                 conf.seed,
             )
-        physical = plan_physical(plan, use_indexes=use_indexes, fuse=mode == "columns")
+        physical = name_slots(
+            plan_physical(plan, use_indexes=use_indexes, fuse=mode == "columns")
+        )
         cost_class = cost_class_of(physical)
         profile = _workload_profile(query, plan, key, cost_class)
-        # pin the udb: an id-keyed owner must outlive its entries
-        return (
-            PlanRecord(physical, wrap, profile, cost_class),
-            deps,
-            (udb,),
-            lambda: udb.catalog_identity() == catalog_before,
-        )
+        # the entry holds the udb: an id-keyed owner must outlive its entries
+        return PlanRecord(physical, wrap, profile, cost_class), slots, udb
 
-    return cached_plan(key, build)
+    return cached_plan(key, catalog.versions, build)
 
 
 # ----------------------------------------------------------------------
@@ -859,8 +874,9 @@ def execute_query(
     benchmarks compare served answers against.
 
     The physical plan is served from the prepared-plan cache when the same
-    query structure ran before against an unchanged catalog, so repeated
-    executions skip translate → optimize → plan entirely.  The cache key
+    query structure ran before over partitions with the same planning
+    facts (a write keeps them), so repeated executions skip translate →
+    optimize → plan entirely.  The cache key
     is derived from the tree here, on every call; a
     :class:`~repro.core.prepared.PreparedQuery` derives it once and calls
     :func:`execute_keyed`.
@@ -884,11 +900,15 @@ def execute_keyed(query: UQuery, udb: UDatabase, key, mode: str, use_indexes: bo
 
         inner = execute_keyed(query.child, udb, key, mode, use_indexes)
         return certain_answers(inner, udb.world_table)
-    record, was_cached = _cached_physical(query, udb, key, mode, use_indexes)
-    physical, wrap, profile, cost_class = record
-    started = time.perf_counter()
-    relation = execute(physical, mode=mode)
-    elapsed = time.perf_counter() - started
+    versions = frame.versions
+    try:
+        record, was_cached = _cached_physical(query, udb, key, mode, use_indexes)
+        physical, wrap, profile, cost_class = record
+        started = time.perf_counter()
+        relation = execute(physical, mode=mode)
+        elapsed = time.perf_counter() - started
+    finally:
+        frame.versions = versions
     counter("queries_total", "Queries executed by class and plan-cache outcome").inc(
         cls=cost_class, cached=str(was_cached).lower()
     )
@@ -957,14 +977,18 @@ def explain_query(
 
     query = relational_core(query)
     key = query_cache_key(query, udb, mode, use_indexes)
-    record, was_cached = _cached_physical(query, udb, key, mode, use_indexes)
-    if analyze and trace:
-        _result, text, data = explain_analyze(record.physical, mode=mode, trace=True)
-        return (mark_cached(text) if was_cached else text), data
-    if analyze:
-        _result, text = explain_analyze(record.physical, mode=mode)
-    else:
-        text = explain_physical(record.physical)
+    versions = frame.versions
+    try:
+        record, was_cached = _cached_physical(query, udb, key, mode, use_indexes)
+        if analyze and trace:
+            _result, text, data = explain_analyze(record.physical, mode=mode, trace=True)
+            return (mark_cached(text) if was_cached else text), data
+        if analyze:
+            _result, text = explain_analyze(record.physical, mode=mode)
+        else:
+            text = explain_physical(record.physical)
+    finally:
+        frame.versions = versions
     return mark_cached(text) if was_cached else text
 
 

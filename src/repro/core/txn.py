@@ -25,11 +25,11 @@ database's write lock it
    bump per variable, exactly as the statements would have done);
 3. gives each staged partition the index definitions of the live partition
    it replaces (another session's ``CREATE`` / ``DROP INDEX`` since staging
-   began is kept, never a conflict), then publishes each touched relation
-   with ONE
-   :meth:`~repro.core.udatabase.UDatabase.replace_partitions` swap —
-   so the plan cache sees exactly one ``bump_relation`` per replaced
-   partition relation for the whole transaction, not one per statement.
+   began is kept, never a conflict), then publishes every touched
+   relation with ONE :meth:`~repro.core.udatabase.UDatabase.publish`:
+   one catalog swap for the whole transaction, so a reader sees all of
+   it or none of it, and cached plans over the touched relations stay
+   cached.
 
 ``ROLLBACK`` just drops the staging (tuple ids burnt by
 ``allocate_tids`` stay burnt — ids are never reused, matching every
@@ -159,7 +159,7 @@ class _TxnOverlay:
     Implements exactly the surface :func:`execute_dml` and the matching
     query path touch: ``logical_schema`` / ``partitions`` /
     ``replace_partitions`` / ``allocate_tids`` / ``fresh_variable`` /
-    ``world_table`` / ``_write_lock`` / ``catalog_identity``.  ``_write_lock`` IS the base lock,
+    ``world_table`` / ``_write_lock`` / ``catalog``.  ``_write_lock`` IS the base lock,
     so each staged statement still serializes with concurrent writers
     (``allocate_tids`` mutates the base high-water mark); it is released
     between statements.  Staged relations carry index *definitions* from
@@ -173,20 +173,13 @@ class _TxnOverlay:
         self.world_table = _StagedWorldTable(txn, base.world_table)
         self._write_lock = base._write_lock
 
-    def catalog_identity(self) -> Dict[str, Any]:
-        # the planner's cache-store guard compares this before/after
-        # translation (see translate._cached_physical): staged names answer
-        # from the overlay's own objects (a base swap cannot stale them),
-        # unstaged names from the base — so a concurrent commit replacing
-        # an unstaged relation mid-planning skips the store here too.
-        # Reads self._txn._staged directly: partitions() would record a
-        # conflict witness, and planning a read must not do that.
-        out = {}
-        for name in self.base.relation_names():
-            staged = self._txn._staged.get(name)
-            parts = staged if staged is not None else self.base.partitions(name)
-            out[name] = tuple(id(part.relation) for part in parts)
-        return out
+    def catalog(self):
+        # what a matching query reads: the staged relations over the base
+        # catalog.  Reads self._txn._staged directly: partitions() would
+        # record a conflict witness, and planning a read must not do that.
+        base = self.base.catalog()
+        staged = self._txn._staged
+        return base.replaced(staged, {}) if staged else base
 
     def logical_schema(self, name: str):
         return self.base.logical_schema(name)
@@ -283,7 +276,7 @@ class Transaction:
     # ending
     # ------------------------------------------------------------------
     def commit(self) -> TxnResult:
-        """Publish every staged statement as one atomic catalog swap.
+        """Publish every staged statement in one catalog swap.
 
         Raises :class:`TransactionConflict` (after rolling back, nothing
         published) if any touched relation was concurrently modified.
@@ -299,7 +292,7 @@ class Transaction:
                         c.relation is not w.relation
                         for c, w in zip(current, witness)
                     ):
-                        self.status = "rolled_back"
+                        self._end("rolled_back")
                         raise TransactionConflict(name)
                 for var, values, probabilities in self._minted:
                     udb.world_table.add_variable(var, values, probabilities)
@@ -308,23 +301,33 @@ class Transaction:
                     # conflict: the successor takes the live definition set
                     for live, successor in zip(udb.partitions(name), staged):
                         _match_index_defs(live.relation, successor.relation)
-                    udb.replace_partitions(name, staged)
-            self.status = "committed"
-            counter("txn_committed_total", "Transactions committed").inc()
-            return TxnResult(
+                if self._staged:
+                    udb.publish(self._staged)
+            result = TxnResult(
                 "committed",
                 self.statements,
                 tuple(sorted(self._staged)),
                 tuple(var for var, _, _ in self._minted),
             )
+            self._end("committed")
+            counter("txn_committed_total", "Transactions committed").inc()
+            return result
 
     def rollback(self) -> TxnResult:
         """Discard everything staged; the base database never knew."""
         with self._lock:
             self._require_open()
-            self.status = "rolled_back"
+            self._end("rolled_back")
             counter("txn_rolled_back_total", "Transactions rolled back").inc()
             return TxnResult("rolled_back", self.statements)
+
+    def _end(self, status: str) -> None:
+        """Close the transaction and let go of the relation versions it
+        staged and read: the plan cache keeps the overlay that keys its
+        matching queries' plans until they are evicted, and must not keep
+        those versions with it."""
+        self.status = status
+        self._staged, self._snapshot = {}, {}
 
     def _require_open(self) -> None:
         if self.status != "open":

@@ -23,7 +23,6 @@ at all.
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 from typing import (
@@ -54,7 +53,7 @@ from .descriptor import Descriptor
 from .urelation import URelation, tid_column
 from .worldtable import WorldTable
 
-__all__ = ["UDatabase", "LogicalSchema", "CompactionPolicy", "CompactionResult"]
+__all__ = ["UDatabase", "Catalog", "LogicalSchema", "CompactionPolicy", "CompactionResult"]
 
 
 class CompactionPolicy:
@@ -154,6 +153,58 @@ def _defer_index_partition(name: str, part: URelation) -> None:
         defer_index(part.relation, [column], kind="sorted", name=f"idx_{label}_{column}")
 
 
+class Catalog(NamedTuple):
+    """One published state of a database's relations: the value a query reads.
+
+    Immutable and replaced by reference: every write publishes a new one
+    with a single assignment, so whoever reads ``udb.catalog()`` once
+    sees either all of a COMMIT or none of it.  ``versions`` is the
+    label -> relation map a U-query plan's leaves resolve their
+    partitions through (see :mod:`repro.relational.plancache`);
+    ``labels`` holds the partitions themselves under the same labels.
+    """
+
+    schemas: Mapping[str, LogicalSchema]
+    #: logical relation name -> its vertical partitions
+    relations: Mapping[str, Tuple[URelation, ...]]
+    #: ``u_<rel>_<attrs>`` label -> partition
+    labels: Mapping[str, URelation]
+    #: ``u_<rel>_<attrs>`` label -> the partition's current relation version
+    versions: Mapping[str, Relation]
+
+    def logical_schema(self, name: str) -> LogicalSchema:
+        try:
+            return self.schemas[name]
+        except KeyError:
+            raise KeyError(
+                f"unknown logical relation {name!r}; have {sorted(self.schemas)}"
+            ) from None
+
+    def partitions(self, name: str) -> List[URelation]:
+        self.logical_schema(name)
+        return list(self.relations[name])
+
+    def replaced(
+        self,
+        relations: Mapping[str, Sequence[URelation]],
+        schemas: Mapping[str, LogicalSchema],
+    ) -> "Catalog":
+        """This catalog with ``relations`` and ``schemas`` swapped in."""
+        merged = {**self.relations, **{n: tuple(p) for n, p in relations.items()}}
+        labels: Dict[str, URelation] = {}
+        for name, parts in sorted(merged.items()):
+            for part in parts:
+                # of partitions over the same attributes, the first: the one
+                # translation's cover picks, so a plan's slot resolves to it
+                labels.setdefault(partition_label(name, part), part)
+        return Catalog(
+            {**self.schemas, **schemas},
+            merged,
+            labels,
+            {label: part.relation for label, part in labels.items()},
+        )
+
+
 class UDatabase:
     """A U-relational database (Definition 2.2)."""
 
@@ -163,8 +214,8 @@ class UDatabase:
         auto_index: bool = True,
     ):
         self.world_table = world_table or WorldTable()
-        self._partitions: Dict[str, List[URelation]] = {}
-        self._schemas: Dict[str, LogicalSchema] = {}
+        #: The published :class:`Catalog`: replaced, never mutated.
+        self._catalog = Catalog({}, {}, {}, {})
         #: Mirror the paper's experiment setup: every vertical partition
         #: gets a hash index on its tuple-id column, so the tid-equijoins
         #: that reassemble partitions run as index probes.
@@ -203,17 +254,46 @@ class UDatabase:
     def catalog_version(self) -> int:
         """Monotone catalog version covering schema, index, and world state.
 
-        Bumps on :meth:`add_relation`, on every index mutation of a
-        partition (including lazy auto-index first builds), on statistics
-        refreshes, and on world-table growth (its own version counter is a
-        component).  The prepared-plan cache invalidates *dependent*
-        entries exactly on each of these; the version is the observable
-        that provably moves whenever any of them happens.
+        Bumps on every publish (:meth:`add_relation`, a write, a COMMIT, a
+        VACUUM), on every index mutation of a partition (including lazy
+        auto-index first builds), on statistics refreshes, and on
+        world-table growth (its own version counter is a component): the
+        observable that provably moves whenever an answer or a plan may.
+        Request coalescing and session snapshots key on it; the plan
+        cache does not (it checks the facts a plan was built on).
         """
         return self._catalog_version + self.world_table.version
 
     def _bump_catalog_version(self) -> None:
         """Plan-cache watcher hook: a partition relation mutated."""
+        self._catalog_version += 1
+
+    def catalog(self) -> Catalog:
+        """The published :class:`Catalog`: read it once, use it throughout."""
+        return self._catalog
+
+    def publish(self, relations: Mapping[str, Sequence[URelation]]) -> None:
+        """Swap several relations' partition sets in with ONE catalog swap.
+
+        The write path's only publish (:meth:`replace_partitions`, a
+        VACUUM and a transaction's COMMIT come through here): a reader
+        that reads the catalog before the swap sees none of
+        ``relations``' new partitions, one that reads it after sees all
+        of them.  Nothing is evicted: a cached plan names the partitions
+        it reads and checks the facts it was built on when it runs next.
+        """
+        catalog = self._catalog
+        for name, partitions in relations.items():
+            old = catalog.partitions(name)
+            if len(old) != len(partitions):
+                raise ValueError(
+                    f"replacement for {name!r} must keep its {len(old)} partitions"
+                )
+            for part in partitions:
+                # future index builds / stats refreshes on this version
+                # must bump this database's catalog version
+                watch_relation(part.relation, self)
+        self._catalog = catalog.replaced(relations, {})
         self._catalog_version += 1
 
     # ------------------------------------------------------------------
@@ -249,18 +329,19 @@ class UDatabase:
         extra = covered - set(attributes)
         if extra:
             raise ValueError(f"partitions of {name!r} carry unknown attributes {sorted(extra)}")
-        replaced = self._partitions.get(name)
-        self._schemas[name] = LogicalSchema(name, attributes)
-        self._partitions[name] = partitions
-        self._next_tid.pop(name, None)
-        self._catalog_version += 1
+        replaced = self._catalog.relations.get(name)
         for part in partitions:
             # future index builds / stats refreshes on this partition must
             # bump this database's catalog version
             watch_relation(part.relation, self)
+        self._catalog = self._catalog.replaced(
+            {name: partitions}, {name: LogicalSchema(name, attributes)}
+        )
+        self._next_tid.pop(name, None)
+        self._catalog_version += 1
         if replaced is not None:
-            # re-registering a name swaps its partition set: evict every
-            # cached plan that scanned the old partitions
+            # re-registering a name may change its layout: evict every
+            # cached plan that last ran over the old partitions
             for part in replaced:
                 bump_relation(part.relation)
         if self.auto_index:
@@ -276,26 +357,13 @@ class UDatabase:
         The lightweight sibling of :meth:`add_relation` for the write
         path: the logical schema is unchanged and the replacements were
         *derived* from the current partitions (appended segments and/or
-        delete vectors), carrying their index structures or deferred
-        definitions with them — so no re-validation and no auto-index
-        re-deferral happens here.  Partitions whose relation object is
-        reused (untouched by the statement) are not bumped; each actually
-        replaced relation goes through :func:`bump_relation`, which evicts
-        exactly the cached plans that scanned it and moves this database's
-        :attr:`catalog_version` through the watcher hook.
+        delete vectors), carrying their index structures, deferred
+        definitions, NULL and all-equal facts and statistics with them —
+        so no re-validation and no auto-index re-deferral happens here.
+        One :meth:`publish`; cached plans over ``name`` stay cached and
+        read the new versions when they run next.
         """
-        old = self.partitions(name)
-        if len(old) != len(partitions):
-            raise ValueError(
-                f"replacement for {name!r} must keep its {len(old)} partitions"
-            )
-        self._partitions[name] = list(partitions)
-        kept = {id(part.relation) for part in partitions}
-        for part in partitions:
-            watch_relation(part.relation, self)
-        for part in old:
-            if id(part.relation) not in kept:
-                bump_relation(part.relation)
+        self.publish({name: partitions})
 
     def allocate_tids(self, name: str, count: int) -> int:
         """Reserve ``count`` fresh tuple ids; returns the first.
@@ -309,7 +377,7 @@ class UDatabase:
         if next_tid is None:
             highest = 0
             tid_name = tid_column(name)
-            for part in self._partitions[name]:
+            for part in self._catalog.relations[name]:
                 position = part.relation.schema.resolve(tid_name)
                 for row in part.relation.rows:
                     tid = row[position]
@@ -342,9 +410,8 @@ class UDatabase:
         The streaming-ingest funnel: semantically identical to inserting
         every row of ``rows`` one statement at a time, but the whole batch
         builds a single segment per partition and publishes with a single
-        :meth:`replace_partitions` swap — exactly one ``bump_relation``
-        per touched partition relation, so the plan cache invalidates
-        once per batch instead of once per row.  Metered under the
+        :meth:`replace_partitions` swap: one new version per touched
+        partition for the whole batch, not one per row.  Metered under the
         ``copy`` DML op.  See :func:`repro.core.dml.copy_rows`.
         """
         from .dml import copy_rows
@@ -359,10 +426,10 @@ class UDatabase:
         ``None``) that holds more than one segment or any deleted rows,
         build a replacement relation whose live rows sit in one fresh base
         segment (:meth:`~repro.relational.relation.Relation.compacted`)
-        and swap it in through :meth:`replace_partitions` under the write
+        and swap them all in with one :meth:`publish` under the write
         lock.  Readers and pinned snapshots keep the old immutable
-        relation objects; the swap is one catalog bump per rewritten
-        partition, indistinguishable from any other write.  Compaction
+        relation objects; the swap is indistinguishable from any other
+        write.  Compaction
         leaves the live rows identical, so built indexes, column vectors
         and statistics are re-pointed at the new relation objects as they
         are (still-deferred index definitions stay deferred).  The world
@@ -383,6 +450,7 @@ class UDatabase:
         rows_dropped = 0
         bytes_reclaimed = 0
         with self._write_lock:
+            rewrites: Dict[str, List[URelation]] = {}
             for name in names:
                 parts = self.partitions(name)
                 replacements: List[URelation] = []
@@ -410,8 +478,10 @@ class UDatabase:
                     partitions_rewritten += 1
                     changed = True
                 if changed:
-                    self.replace_partitions(name, replacements)
+                    rewrites[name] = replacements
                     compacted.append(name)
+            if rewrites:
+                self.publish(rewrites)
         seconds = time.perf_counter() - started
         if compacted:
             total = counter(
@@ -480,19 +550,13 @@ class UDatabase:
     # inspection
     # ------------------------------------------------------------------
     def relation_names(self) -> List[str]:
-        return sorted(self._schemas)
+        return sorted(self._catalog.schemas)
 
     def logical_schema(self, name: str) -> LogicalSchema:
-        try:
-            return self._schemas[name]
-        except KeyError:
-            raise KeyError(
-                f"unknown logical relation {name!r}; have {sorted(self._schemas)}"
-            ) from None
+        return self._catalog.logical_schema(name)
 
     def partitions(self, name: str) -> List[URelation]:
-        self.logical_schema(name)
-        return list(self._partitions[name])
+        return self._catalog.partitions(name)
 
     def catalog_identity(self) -> Dict[str, Tuple[int, ...]]:
         """The identity map of every partition relation object.
@@ -502,12 +566,11 @@ class UDatabase:
         (lazy index builds, statistics refreshes) mutate the same objects
         in place.  The identity map therefore moves exactly when answers
         may move — the discriminator :attr:`catalog_version` (bumped by
-        both kinds) cannot be.  Consumed by the planner's cache-store
-        guard and by session snapshot validation.
+        both kinds) cannot be.  Consumed by session snapshot validation.
         """
         return {
             name: tuple(id(part.relation) for part in parts)
-            for name, parts in self._partitions.items()
+            for name, parts in self._catalog.relations.items()
         }
 
     def segment_health(self, publish: bool = True) -> Dict[str, Dict[str, Any]]:
@@ -529,7 +592,7 @@ class UDatabase:
         from ..obs import gauge
 
         out: Dict[str, Dict[str, Any]] = {}
-        for name, parts in sorted(self._partitions.items()):
+        for name, parts in sorted(self._catalog.relations.items()):
             for i, part in enumerate(parts):
                 relation = part.relation
                 segments = getattr(relation, "_segments", None)
@@ -575,9 +638,8 @@ class UDatabase:
         deterministic query latency — benchmark setup calls this after
         generation so measured times never include one-off index builds.
         """
-        for parts in self._partitions.values():
-            for part in parts:
-                indexes_on(part.relation)
+        for part in self._catalog.labels.values():
+            indexes_on(part.relation)
 
     def prepare(self, sql: str):
         """Prepare a SQL statement (with optional ``$n`` parameter slots).
@@ -652,27 +714,18 @@ class UDatabase:
     def total_representation_rows(self) -> int:
         """Rows across all U-relations plus the world table."""
         total = len(self.world_table.relation())
-        for parts in self._partitions.values():
-            total += sum(len(p) for p in parts)
+        total += sum(len(p) for p in self._catalog.labels.values())
         return total
 
     # ------------------------------------------------------------------
     # index DDL: the one path (see the module docstring)
     # ------------------------------------------------------------------
-    def _labelled_partitions(self) -> Dict[str, Relation]:
-        """``u_<rel>_<attrs>`` label -> the live partition relation."""
-        return {
-            partition_label(name, part): part.relation
-            for name, parts in sorted(self._partitions.items())
-            for part in parts
-        }
-
     def index_defs(self, table: Optional[str] = None) -> List[Tuple[str, str, tuple, str]]:
         """``(table, name, columns, kind)`` of every index definition, built
         or pending (of partition ``table`` only, if given); builds nothing."""
         return sorted(
             (label, name, columns, kind)
-            for label, relation in self._labelled_partitions().items()
+            for label, relation in self._catalog.versions.items()
             if table is None or label == table
             for columns, kind, name in attached_index_defs(relation)
         )
@@ -693,7 +746,7 @@ class UDatabase:
         if table == "w":
             raise ValueError("cannot index w: no plan scans a world-table snapshot")
         with self._write_lock:
-            labelled = self._labelled_partitions()
+            labelled = self._catalog.versions
             if table not in labelled:
                 raise KeyError(f"relation {table!r} not found; have {sorted(labelled)}")
             relation = labelled[table]
@@ -708,7 +761,7 @@ class UDatabase:
         """``DROP INDEX name``: detach the index from the live partition
         that carries it; a still-pending definition is dropped unbuilt."""
         with self._write_lock:
-            for relation in self._labelled_partitions().values():
+            for relation in self._catalog.versions.values():
                 if drop_index_def(relation, name):
                     return
             have = sorted(defined[1] for defined in self.index_defs())
@@ -716,7 +769,8 @@ class UDatabase:
 
     def __repr__(self) -> str:
         rels = ", ".join(
-            f"{name}[{len(parts)} parts]" for name, parts in sorted(self._partitions.items())
+            f"{name}[{len(parts)} parts]"
+            for name, parts in sorted(self._catalog.relations.items())
         )
         return f"UDatabase({rels}; {self.world_table!r})"
 
@@ -734,7 +788,7 @@ class UDatabase:
         attr_pos = {a: i for i, a in enumerate(schema.attributes)}
         fields: Dict[Any, List[Any]] = {}
         assigned: Dict[Any, set] = {}
-        for part in self._partitions[name]:
+        for part in self._catalog.relations[name]:
             for descriptor, tids, values in part:
                 if not descriptor.extended_by(valuation):
                     continue
@@ -765,13 +819,13 @@ class UDatabase:
         """
         for valuation in self.world_table.valuations():
             instances = {
-                name: self.instantiate(valuation, name) for name in self._schemas
+                name: self.instantiate(valuation, name) for name in self.relation_names()
             }
             yield valuation, instances
 
     def world_relations(self, valuation: Mapping[str, Any]) -> Dict[str, Relation]:
         """All relation instances of one world."""
-        return {name: self.instantiate(valuation, name) for name in self._schemas}
+        return {name: self.instantiate(valuation, name) for name in self.relation_names()}
 
     # ------------------------------------------------------------------
     # validity (Definition 2.2 / Example 2.3)
@@ -783,7 +837,7 @@ class UDatabase:
         the same tuple id and consistent descriptors must agree on shared
         attributes.
         """
-        for name, parts in self._partitions.items():
+        for name, parts in self._catalog.relations.items():
             for i, left in enumerate(parts):
                 for right in parts[i:]:
                     shared = set(left.value_names) & set(right.value_names)

@@ -47,7 +47,7 @@ import math
 import operator
 import threading
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .schema import Schema
 from .types import format_value
@@ -200,16 +200,22 @@ class _Frame(threading.local):
     """What the calling thread's current execution owns, so that query
     trees, plans and kernels hold none of it: the ``$n`` values (``params``,
     ``$1`` first), the ``(rows, batches)`` each physical operator produced
-    (``counters``) and each ``Confidence`` operator's computation summary
-    (``summaries``).  No other thread can see it (thread-local state does
-    not cross a worker pool by itself).  Outside :func:`executing` a thread
-    has a standing empty frame, for callers that drive the layers by hand.
+    (``counters``), each ``Confidence`` operator's computation summary
+    (``summaries``) and the catalog's label -> relation map (``versions``)
+    through which a U-query plan's leaves resolve the partition versions
+    they read.  ``versions`` is read once per execution, by the plan-cache
+    lookup that precedes it (``repro.core.translate._cached_physical``),
+    and the executing entry point puts back what it found.  No other
+    thread can see it (thread-local state does not cross a worker pool by
+    itself).  Outside :func:`executing` a thread has a standing empty
+    frame, for callers that drive the layers by hand.
     """
 
     def __init__(self) -> None:
         self.params: Tuple[Any, ...] = ()
         self.counters: Dict[Any, Tuple[int, int]] = {}
         self.summaries: Dict[Any, Dict[str, Any]] = {}
+        self.versions: Mapping[str, Any] = {}
 
 
 frame = _Frame()

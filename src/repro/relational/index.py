@@ -36,7 +36,7 @@ import weakref
 from bisect import bisect_left, bisect_right
 from functools import partial
 from operator import itemgetter
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .relation import Relation, _without
 
@@ -56,6 +56,8 @@ __all__ = [
     "default_index_name",
     "ensure_index",
     "carry_indexes",
+    "IndexDef",
+    "index_named",
 ]
 
 Row = Tuple[Any, ...]
@@ -93,7 +95,7 @@ class Index:
         superseded relation version of the write path — rows, column
         vectors, index tables — alive until the cycle collector's next
         full pass.  Whoever needs the relation while holding an index (a
-        plan's ``IndexScan``) holds it too.
+        relational plan's ``IndexScan``, an execution's frame) holds it too.
         """
         return self._relation()
 
@@ -643,6 +645,41 @@ def attached_index_defs(relation: Relation) -> List[Tuple[Tuple[str, ...], str, 
     return defs
 
 
+class IndexDef(NamedTuple):
+    """An index as a cached plan names it: found again on any version of
+    its relation by :func:`index_named`, holding none of its rows."""
+
+    name: str
+    columns: Tuple[str, ...]
+    kind: str
+    positions: Tuple[int, ...]
+
+    @classmethod
+    def of(cls, index: Index) -> "IndexDef":
+        return cls(index.name, index.columns, index.kind, index.positions)
+
+
+def _defines(definition: IndexDef, index: Index) -> bool:
+    return (
+        index.name == definition.name
+        and index.kind == definition.kind
+        and index.positions == definition.positions
+    )
+
+
+def index_named(relation: Relation, definition: IndexDef) -> Index:
+    """The index ``definition`` names on ``relation``: the attached one,
+    built now if still pending, or — dropped since the plan naming it was
+    last validated — a private, unattached build of the same definition."""
+    for index in getattr(relation, "_indexes", None) or ():
+        if _defines(definition, index):
+            return index
+    for index in indexes_on(relation):  # a pending definition builds here
+        if _defines(definition, index):
+            return index
+    return build_index(relation, definition.columns, kind=definition.kind, name=definition.name)
+
+
 def ensure_index(
     relation: Relation, columns: Sequence[str], kind: str = "hash", name: Optional[str] = None
 ) -> Index:
@@ -712,9 +749,9 @@ def carry_indexes(
     over as pending.  An index whose new keys do not merge (``TypeError``)
     degrades to a deferred rebuild of just that index.
 
-    No plan-cache bump happens here: ``new`` is a fresh, unpublished
-    relation object, so no cached plan can depend on it yet.  The caller
-    bumps ``old`` when it swaps the catalog entry.
+    No plan-cache bump happens here, nor when the caller publishes
+    ``new``: the definitions it carries are the ones a cached plan over
+    ``old`` was built on, which is what lets that plan run over ``new``.
     """
     with _ATTACH_LOCK:
         built = list(getattr(old, "_indexes", None) or ())

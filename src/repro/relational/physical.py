@@ -68,14 +68,19 @@ fused-away operator.  ``rows()`` keeps no counters.
 A plan is a value; an execution is an argument.  Plans are cached and run
 by any number of threads at once, so nothing an execution reads or
 produces lives on a node: the ``$n`` values, the per-operator ``(rows,
-batches)`` counters and the ``conf`` summary belong to the calling
-thread's frame (:func:`~repro.relational.expressions.executing`), and
-``actual_rows``, ``actual_batches``, :meth:`PhysicalPlan.actuals` and
+batches)`` counters, the ``conf`` summary and the partition versions a
+U-query plan reads belong to the calling thread's frame
+(:func:`~repro.relational.expressions.executing`), and ``actual_rows``,
+``actual_batches``, :meth:`PhysicalPlan.actuals` and
 ``Confidence.last_summary`` read that frame — ``None`` for an operator the
-thread's current execution did not run.  Outside ``__init__`` /
+thread's current execution did not run.  A cached U-query plan's leaves
+hold no relation: each execution resolves their labels in the frame's
+``versions`` and their indexes by name on those versions
+(``plancache.name_slots``).  Outside ``__init__`` /
 ``set_output`` a node is assigned only plan-only memos, whose values any
 execution derives equal: ``FusedPipeline._select`` and the ``_planned``
-kernels of the joins and of ``Confidence``.
+kernels of the joins and of ``Confidence`` (the plan cache re-plans when
+a version's NULL facts differ from those the plan was built on).
 
 The planner can additionally *fuse* maximal scan→filter→project chains
 into single :class:`FusedPipeline` operators and fold projections into
@@ -87,6 +92,7 @@ EXPLAIN output.
 
 from __future__ import annotations
 
+from functools import partial
 from operator import itemgetter
 from typing import AbstractSet, Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -99,7 +105,7 @@ from .columnar import (
     selection_kernel,
 )
 from .expressions import Expression, Param, frame, has_null_literal
-from .index import Index, SortedIndex, probe_table
+from .index import Index, SortedIndex, index_named, probe_table
 from .relation import Relation
 from .schema import Schema
 
@@ -145,6 +151,22 @@ def _key_is_null(key: Any, single: bool) -> bool:
     if single:
         return key is None
     return None in key
+
+
+def _version(leaf: Any) -> Relation:
+    """The relation a leaf reads: its own, or — a slot leaf of a cached
+    U-query plan holds none — the version under its label in the frame."""
+    relation = leaf.relation
+    return frame.versions[leaf.name] if relation is None else relation
+
+
+def _resolve(leaf: Any) -> Tuple[Relation, Index]:
+    """The relation and index an index leaf reads in this execution."""
+    relation = leaf.relation
+    if relation is not None:
+        return relation, leaf.index
+    relation = frame.versions[leaf.name]
+    return relation, index_named(relation, leaf.index)
 
 
 class PhysicalPlan:
@@ -310,17 +332,18 @@ class SeqScan(PhysicalPlan):
         self.estimated_rows = float(len(relation.rows))
 
     def rows(self) -> Iterator[Row]:
-        return iter(self.relation.rows)
+        return iter(_version(self).rows)
 
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
-        store = self.relation.column_store()
-        total = len(self.relation.rows)
+        relation = _version(self)
+        store = relation.column_store()
+        total = len(relation.rows)
         for s in range(0, total, size):
             e = min(s + size, total)
             yield ColumnBatch([c[s:e] for c in store], e - s)
 
     def column_nullable(self, position: int) -> bool:
-        return self.relation.column_has_null(position)
+        return _version(self).column_has_null(position)
 
     def explain_label(self) -> str:
         if self.alias:
@@ -387,7 +410,8 @@ class IndexScan(PhysicalPlan):
         probe: bool = False,
     ):
         #: The indexed relation, held here because the index holds it only
-        #: weakly: a plan keeps the relation version it was planned over.
+        #: weakly: a relational plan keeps the version it was planned over
+        #: (a slot leaf keeps none, and an :class:`IndexDef` as ``index``).
         self.relation = index.relation
         if len(schema) != len(self.relation.schema):
             raise ValueError("IndexScan schema must mirror the indexed relation")
@@ -435,14 +459,15 @@ class IndexScan(PhysicalPlan):
     def _matched(self) -> Sequence[Row]:
         if self.probe:
             return ()
+        index = _resolve(self)[1]
         if self.point is not _NO_POINT:
-            return self.index.lookup(_resolve_key(self.point))
+            return index.lookup(_resolve_key(self.point))
         if self.lower is None and self.upper is None:
-            return self.index.ordered()  # type: ignore[union-attr]  # SortedIndex per __init__
+            return index.ordered()  # type: ignore[attr-defined]  # SortedIndex per __init__
         bounds = self._bounds()
         if bounds is None:
             return ()
-        return self.index.range(*bounds)  # type: ignore[union-attr]  # SortedIndex per __init__
+        return index.range(*bounds)  # type: ignore[attr-defined]  # SortedIndex per __init__
 
     def rows(self) -> Iterator[Row]:
         residual = self._bound_residual
@@ -466,8 +491,9 @@ class IndexScan(PhysicalPlan):
         bounds = self._bounds()
         if bounds is None:
             return
-        positions = self.index.range_positions(*bounds)  # type: ignore[union-attr]
-        store = self.relation.column_store()
+        relation, index = _resolve(self)
+        positions = index.range_positions(*bounds)  # type: ignore[attr-defined]
+        store = relation.column_store()
         residual = self.residual
         select = selection_kernel(residual, self.schema) if residual is not None else None
         for start in range(0, len(positions), size):
@@ -496,7 +522,7 @@ class IndexScan(PhysicalPlan):
 
     def column_nullable(self, position: int) -> bool:
         # positions mirror the indexed base relation's schema
-        return self.relation.column_has_null(position)
+        return _version(self).column_has_null(position)
 
 
 class FusedPipeline(PhysicalPlan):
@@ -553,9 +579,9 @@ class FusedPipeline(PhysicalPlan):
         if select is None:
             # the scan's base relation has cached per-column nullability:
             # provably NULL-free predicates run without NULL guards
-            relation = self.source.relation
+            source = self.source
             assume = not has_null_literal(self.predicate) and not any(
-                relation.column_has_null(self.source.schema.resolve(name))
+                source.column_nullable(source.schema.resolve(name))
                 for name in self.predicate.columns()
             )
             select = self._select = selection_kernel(
@@ -953,6 +979,8 @@ class IndexNestedLoopJoin(PhysicalPlan):
         self.inner = inner
         self.index = index
         self.relation = index.relation  # the index holds it only weakly
+        #: The probed partition's label (the inner probe scan's name).
+        self.name = getattr(inner, "name", None)
         self.outer_positions = list(outer_positions)
         self.pairs = list(pairs)
         self.residual = residual
@@ -982,9 +1010,9 @@ class IndexNestedLoopJoin(PhysicalPlan):
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.outer, self.inner)
 
-    def _probe(self, key: Any) -> Sequence[Row]:
+    def _probe(self, index: Index, key: Any) -> Sequence[Row]:
         """Matched inner rows for a key, after the inner-side filters."""
-        bucket = self.index.lookup(key)
+        bucket = index.lookup(key)
         filters = self._bound_filters
         if not bucket or not filters:
             return bucket
@@ -993,7 +1021,7 @@ class IndexNestedLoopJoin(PhysicalPlan):
     def rows(self) -> Iterator[Row]:
         single = len(self.outer_positions) == 1
         key = _keyer(self.outer_positions)
-        probe = self._probe
+        probe = partial(self._probe, _resolve(self)[1])
         residual = self._bound_residual
         flipped = self.flipped
         project = (
@@ -1039,14 +1067,14 @@ class IndexNestedLoopJoin(PhysicalPlan):
                     outer_refs.add(local)
                 else:
                     inner_refs.add(local)
-        relation = self.relation
+        relation = _version(self)
         fast = not any(
             relation.column_has_null(q) for q in inner_refs
         ) and not any(self.outer.column_nullable(q) for q in outer_refs)
         return self.outer, split, outer_is_left, self.outer_positions, self.inner_filters, fast
 
     def _lookup(self, size: int) -> Callable:
-        return self.index.mixed_table().get
+        return _resolve(self)[1].mixed_table().get
 
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
         return _probe_batches(self, size)
@@ -1059,7 +1087,7 @@ class IndexNestedLoopJoin(PhysicalPlan):
         local = position if on_left else position - split
         if on_left == (not self.flipped):
             return self.outer.column_nullable(local)
-        return self.relation.column_has_null(local)
+        return _version(self).column_has_null(local)
 
     def explain_label(self) -> str:
         return "Index Nested Loop Join"

@@ -26,28 +26,37 @@ executor.  There is one of each thing here:
   lookup -> build -> store sequence; its one caller, the U-relation
   translation, hands it a key and a builder that runs on a miss.
 
-Soundness rests on two facts:
+A cached U-query plan names the partitions it reads; it does not hold
+them.  Its leaves are *slots* (:func:`name_slots`):
+a ``u_<rel>_<attrs>`` label and an index name, resolved per execution in
+the calling thread's frame, whose ``versions`` map is read once from the
+catalog before the lookup.  A write publishes new partition versions and
+changes no plan, so it evicts nothing.  Soundness rests on *planning
+facts*:
 
-* **Relations are immutable values.**  A physical plan embeds the relation
-  objects it scans; as long as those objects are the catalog's current
-  ones (and their attached indexes and statistics are unchanged), the plan
-  is exactly the plan a fresh compilation would produce.
-* **Every catalog mutation funnels through a bump hook.**  Replacing a
-  partition (a write, a COMMIT, a VACUUM, re-registering a relation),
-  creating or dropping an index (including the deferred auto-index builds
-  that materialize on first planner access) and refreshing statistics all
-  end up calling :func:`bump_relation` on the affected relation object —
-  which evicts *exactly* the entries whose plans depend on it and bumps
+* **A plan is valid over any version carrying the facts it was built
+  on.**  The entry records, per slot, the schema, the index definitions,
+  the all-equal verdicts translation read (which set the ψ widths), the
+  NULL verdict of every column (which chose the guard-free kernels the
+  plan memoizes on first execution) and the statistics generation
+  (:func:`planning_facts`), read before physical planning.  A lookup whose
+  resolved versions carry the same facts is a hit — with a fast path when
+  a slot's version is the one last validated and its epoch is unchanged —
+  and any difference drops the entry (an *invalidation*) and re-plans.
+  The write path's derivations carry every one of these facts along the
+  delta, so checking them costs no rebuild.
+* **Every in-place mutation funnels through a bump hook.**  Creating or
+  dropping an index (including the deferred auto-index builds that
+  materialize on first planner access), refreshing statistics and
+  re-registering a relation call :func:`bump_relation` on the relation
+  object: it bumps the relation's epoch (which ends the fast path), bumps
   the catalog version of every registered watcher (a
   :class:`~repro.core.udatabase.UDatabase` registers itself on its
-  partitions via :func:`watch_relation`).
-
-Entries additionally record the per-relation *epoch* of each dependency at
-insert time and re-validate on lookup, so even a hypothetical missed bump
-cannot surface a stale plan — the belt to the eviction hooks' braces.
+  partitions via :func:`watch_relation`) and evicts the entries that last
+  validated that version.
 
 Keys identify the owning catalog by ``id()``.  That is sound precisely
-because every entry holds a strong reference to it (its ``pins``): an id
+because every entry holds a strong reference to it (its ``owner``): an id
 can only be recycled after the object dies, and it cannot die while the
 entry is alive.  Nothing else in a key is an
 identity: a ``$n`` slot keys by its index, so a plan is shared by every
@@ -60,7 +69,10 @@ tree.
 Every cache operation — lookup, store, invalidation, stats — runs under
 one module lock, so N sessions executing cached plans concurrently (and a
 DDL thread bumping relations under them) never see a torn cache.  The lock
-is held for dict bookkeeping only, never during planning or execution.
+is held for dict bookkeeping and the facts check of the one entry looked
+up (a few dict reads per slot; a column scan at most, the first time a
+version is asked a verdict no write carried), never during planning or
+execution.
 The admission layer peeks at a request's class through
 :func:`cached_cost_class`, which counts nothing and leaves the LRU order
 alone; :func:`plan_cache_stats` / :func:`reset_plan_cache` mirror the
@@ -72,13 +84,14 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
-from weakref import WeakSet
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from weakref import WeakSet, ref
 
 from ..obs import gauge
 from ..obs import span as obs_span
-from .algebra import Plan, Scan
+from .index import IndexDef, attached_index_defs
 from .relation import Relation
+from .statistics import table_stats
 
 __all__ = [
     "LruHotCache",
@@ -95,7 +108,9 @@ __all__ = [
     "publish_plan_cache_metrics",
     "cost_class_of",
     "mark_cached",
-    "plan_relations",
+    "name_slots",
+    "planning_facts",
+    "planned_over",
     "COST_CLASSES",
 ]
 
@@ -131,9 +146,7 @@ class LruHotCache:
     wash out a serving workload's hot set.  When every entry is pinned the
     LRU head goes regardless — progress beats pinning.  Thread-safe;
     values must not be ``None`` (``get`` returns ``None`` for a miss).
-    ``put`` returns what left the cache, which is how an owner that
-    indexes its entries elsewhere (the plan cache's reverse dependency
-    map) keeps that index in step.
+    ``put`` returns what left the cache.
     """
 
     __slots__ = (
@@ -213,6 +226,11 @@ class LruHotCache:
         with self._lock:
             return [slot[0] for slot in self._entries.values()]
 
+    def items(self) -> List[Tuple[Any, Any]]:
+        """The cached ``(key, value)`` pairs, least recently used first."""
+        with self._lock:
+            return [(key, slot[0]) for key, slot in self._entries.items()]
+
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -239,15 +257,27 @@ class PlanRecord(NamedTuple):
     cost_class: str
 
 
+class _Slot(NamedTuple):
+    """What an entry knows of one partition its plan reads."""
+
+    #: The ``(position, value)`` all-equal questions translation asked.
+    probes: Tuple[Tuple[int, Any], ...]
+    #: :func:`planning_facts` of the version the plan was built over.
+    facts: Tuple
+    #: The version last found to carry ``facts`` (held weakly) and its
+    #: epoch then: the lookup's fast path.
+    seen: Callable[[], Optional[Relation]]
+    epoch: int
+
+
 class _Entry(NamedTuple):
     record: PlanRecord
-    #: (relation, epoch-at-insert) per base relation the plan scans or
-    #: probes.  The strong reference is what keeps the reverse map's
-    #: ``id()`` keys sound; the epoch is the lookup-time staleness backstop.
-    deps: List[Tuple[Relation, int]]
-    #: Extra strong references: the owning catalog, which the key names
-    #: by ``id()``.
-    pins: Tuple
+    #: label -> slot, for every partition the plan reads (its values are
+    #: replaced as later versions are validated).
+    slots: Dict[str, _Slot]
+    #: The catalog the key names by ``id()``, held: its ``catalog()`` is
+    #: what a lookup outside an execution validates against.
+    owner: Any
 
 
 #: One lock for all cache state.  RLock: ``bump_relation`` can re-enter
@@ -258,10 +288,6 @@ _lock = threading.RLock()
 #: :class:`LruHotCache`, not wholesale clearing — a serving workload churns
 #: ad-hoc shapes through the cache and must not lose its hot set.
 _entries = LruHotCache(_PLAN_CACHE_LIMIT)
-#: Reverse dependency map: id(relation) -> keys of entries scanning it.
-#: Sound and leak-free because every mapped id belongs to a relation some
-#: live entry pins; the mapping is removed with its last entry.
-_by_relation: Dict[int, Set[Tuple]] = {}
 
 _hits = 0
 _misses = 0
@@ -295,66 +321,130 @@ def watch_relation(relation: Relation, owner: Any) -> None:
 
 
 def bump_relation(relation: Relation) -> int:
-    """Record a mutation of ``relation``: bump its epoch, notify the
-    ``UDatabase`` catalogs watching it, and evict exactly the cache
-    entries whose plans depend on it.
+    """Record an in-place mutation of ``relation``: bump its epoch, notify
+    the ``UDatabase`` catalogs watching it, and evict the cache entries
+    that last validated this version.
 
-    Returns the number of entries evicted.  This is *the* invalidation
-    hook: every catalog mutation (partition replacement, index DDL, lazy
-    index materialization, statistics refresh) reaches the cache through
-    here.  Thread-safe: concurrent executions of
-    already-looked-up plans are unaffected (they hold their own physical
-    trees), while the next lookup re-plans.
+    Returns the number of entries evicted.  Index DDL, lazy index
+    materialization, a statistics refresh and re-registering a relation
+    reach the cache through here (a write publishes new versions and
+    bumps nothing).  Thread-safe: executions of already-looked-up plans
+    are unaffected, while the next lookup re-plans or, for an entry that
+    validated an older version, re-checks the facts.
     """
     global _invalidations
     with _lock:
-        relation._plan_epoch = getattr(relation, "_plan_epoch", 0) + 1
+        relation._plan_epoch = relation_epoch(relation) + 1
         for owner in tuple(getattr(relation, "_plan_watchers", None) or ()):
             bump = getattr(owner, "_bump_catalog_version", None)
             if bump is not None:
                 bump()
-        evicted = 0
-        for key in tuple(_by_relation.get(id(relation), ())):
-            entry = _entries.peek(key)
-            if entry is not None and any(dep is relation for dep, _ in entry.deps):
-                _unhook(key, _entries.pop(key))
-                evicted += 1
-        _invalidations += evicted
-        return evicted
+        stale = [
+            key
+            for key, entry in _entries.items()
+            if any(slot.seen() is relation for slot in entry.slots.values())
+        ]
+        for key in stale:
+            _entries.pop(key)
+        _invalidations += len(stale)
+        return len(stale)
 
 
 # ----------------------------------------------------------------------
 # the cache proper
 # ----------------------------------------------------------------------
-def _unhook(key: Tuple, entry: _Entry) -> None:
-    """Forget an entry that left ``_entries`` in the reverse dependency map."""
-    for dep, _epoch in entry.deps:
-        keys = _by_relation.get(id(dep))
-        if keys is not None:
-            keys.discard(key)
-            if not keys:
-                _by_relation.pop(id(dep), None)
+def name_slots(plan: Any) -> Any:
+    """Turn a physical plan's leaves into slots: each drops the relation
+    version (and the index over it) it was planned over and keeps its
+    label and an :class:`~repro.relational.index.IndexDef`, resolved per
+    execution from the frame's ``versions``.  What the cache stores of a
+    U-query plan: it pins no superseded version and serves every later one."""
+    from .physical import IndexNestedLoopJoin, IndexScan, SeqScan
+
+    stack = [plan]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (SeqScan, IndexScan, IndexNestedLoopJoin)):
+            node.relation = None
+            if not isinstance(node, SeqScan):
+                node.index = IndexDef.of(node.index)
+        stack.extend(node.children)
+    return plan
 
 
-def _valid(entry: _Entry) -> bool:
-    return all(relation_epoch(dep) == epoch for dep, epoch in entry.deps)
+def planning_facts(relation: Relation, probes: Sequence[Tuple[int, Any]]) -> Tuple:
+    """What a plan over one partition version was built on: its schema,
+    its index definitions (built or pending), the all-equal verdicts of
+    ``probes`` (``(position, value)`` pairs), the NULL verdict of every
+    column and its statistics generation.  Each is cached on the version
+    and carried along writes, so asking costs no scan in the steady state."""
+    return (
+        relation.schema,
+        frozenset(attached_index_defs(relation)),
+        tuple(relation.column_all_equal(position, value) for position, value in probes),
+        tuple(map(relation.column_has_null, range(len(relation.schema)))),
+        table_stats(relation).generation,
+    )
+
+
+def planned_over(
+    versions: Mapping[str, Relation], probes: Mapping[str, Sequence[Tuple[int, Any]]]
+) -> Dict[str, _Slot]:
+    """The slots of a plan about to be physically planned over
+    ``versions``: per label its ``probes`` and the version's facts and
+    epoch, read now (a mutation during planning is then one that the next
+    lookup sees)."""
+    slots = {}
+    for label, asked in probes.items():
+        relation = versions[label]
+        epoch = relation_epoch(relation)
+        asked = tuple(asked)
+        slots[label] = _Slot(asked, planning_facts(relation, asked), ref(relation), epoch)
+    return slots
+
+
+def _holds(entry: _Entry, versions: Optional[Mapping[str, Relation]]) -> bool:
+    """Whether every slot's version in ``versions`` (``None``: the owner's
+    current catalog) carries the facts the entry's plan was built on,
+    remembering the versions that do."""
+    slots = entry.slots
+    if slots and versions is None:
+        versions = entry.owner.catalog().versions
+    for label, slot in slots.items():
+        relation = versions.get(label)
+        if relation is None:
+            return False
+        epoch = relation_epoch(relation)
+        if slot.seen() is relation and slot.epoch == epoch:
+            continue
+        if planning_facts(relation, slot.probes) != slot.facts:
+            return False
+        slots[label] = slot._replace(seen=ref(relation), epoch=epoch)
+    return True
 
 
 def cache_lookup(key: Optional[Tuple]) -> Optional[PlanRecord]:
     """The cached :class:`PlanRecord` for ``key``, or ``None`` (counted as
     a miss).
 
-    A ``None`` key (an uncacheable query shape) always misses.  Entries
-    whose dependency epochs drifted — which the eviction hooks should have
-    removed already — are dropped here rather than returned stale.  A hit
-    refreshes the entry's LRU position and, past :data:`_HOT_PIN_HITS`
-    hits, pins it into the hot set.
+    A ``None`` key (an uncacheable query shape) always misses.  The entry
+    is checked against the owner's current catalog: one whose facts no
+    longer hold is dropped, counted as an invalidation, and misses.  A
+    hit refreshes the entry's LRU position and, past
+    :data:`_HOT_PIN_HITS` hits, pins it into the hot set.
     """
+    return _lookup(key, None)
+
+
+def _lookup(
+    key: Optional[Tuple], versions: Optional[Mapping[str, Relation]]
+) -> Optional[PlanRecord]:
+    """:func:`cache_lookup` checking the entry against ``versions``."""
     global _hits, _misses, _invalidations
     with _lock:
         entry = None if key is None else _entries.get(key)
-        if entry is not None and not _valid(entry):  # pragma: no cover - backstop; hooks evict first
-            _unhook(key, _entries.pop(key))
+        if entry is not None and not _holds(entry, versions):
+            _entries.pop(key)
             _invalidations += 1
             entry = None
         if entry is None:
@@ -365,75 +455,53 @@ def cache_lookup(key: Optional[Tuple]) -> Optional[PlanRecord]:
 
 
 def cache_store(
-    key: Optional[Tuple],
-    record: PlanRecord,
-    deps: Sequence[Relation],
-    pins: Tuple = (),
-    guard: Optional[Callable[[], bool]] = None,
+    key: Optional[Tuple], record: PlanRecord, slots: Dict[str, _Slot], owner: Any
 ) -> None:
     """Insert a plan's record under ``key`` (``None`` key: not cached).
 
-    ``deps`` are the base relations the plan reads; their *current* epochs
-    are recorded, so a store that races a mutation during its own planning
-    (a lazy index build, say) self-describes correctly.  ``pins`` are kept
-    alive with the entry (the catalog the key names by ``id()``).
-
-    ``guard`` closes the catalog-resolution race: a planner that resolved
-    its relations from a live catalog, then lost the CPU while a writer
-    swapped that catalog, would otherwise store a plan over the *old*
-    relation objects — recording their already-bumped epochs, so the
-    entry self-describes as valid and serves stale answers forever.
-    The guard (e.g. the catalog's identity map unchanged since before
-    planning) runs under the cache lock — the same lock
-    :func:`bump_relation` holds across its epoch bump, version bump, and
-    eviction sweep — so either the swap committed first and the guard
-    refuses the insert, or the insert lands first and the swap's sweep
-    evicts it.
+    ``slots`` are the partitions the plan reads (:func:`planned_over`);
+    ``owner`` is the catalog the key names by ``id()``, kept alive with
+    the entry.
     """
     if key is None:
         return
-    entry = _Entry(record, [(dep, relation_epoch(dep)) for dep in deps], pins)
     with _lock:
-        if guard is not None and not guard():
-            return  # the catalog moved mid-planning: unsafe to cache
-        for gone_key, gone in _entries.put(key, entry):
-            _unhook(gone_key, gone)
-        for dep in deps:
-            _by_relation.setdefault(id(dep), set()).add(key)
+        _entries.put(key, _Entry(record, slots, owner))
 
 
-def cached_plan(key: Optional[Tuple], build: Callable[[], Tuple]) -> Tuple[PlanRecord, bool]:
+def cached_plan(
+    key: Optional[Tuple], versions: Mapping[str, Relation], build: Callable[[], Tuple]
+) -> Tuple[PlanRecord, bool]:
     """The record for ``key`` and whether the cache served it: the one
     ``plan`` span -> lookup -> build -> store sequence, called by the
     U-relation translation (``repro.core.translate._cached_physical``).
 
-    ``build()`` runs only after a miss, outside the cache lock, and
-    returns ``(record, deps, pins, guard)`` as :func:`cache_store` takes
-    them: the partitions the plan scans, the owning ``UDatabase`` and its
-    catalog-identity check.  Two callers that miss on one key at once both build; the
+    The entry is checked against ``versions``, the catalog the execution
+    will read.  ``build()`` runs only after a miss, outside the cache
+    lock, and returns ``(record, slots, owner)`` as :func:`cache_store`
+    takes them.  Two callers that miss on one key at once both build; the
     records are interchangeable and the last store wins.
     """
     with obs_span("plan") as sp:
-        record = cache_lookup(key)
+        record = _lookup(key, versions)
         sp.set(cached=record is not None)
         if record is not None:
             return record, True
-        record, deps, pins, guard = build()
-        cache_store(key, record, deps, pins, guard)
+        record, slots, owner = build()
+        cache_store(key, record, slots, owner)
     return record, False
 
 
 def cached_cost_class(key: Optional[Tuple]) -> Optional[str]:
-    """The cost class of a *valid* cached entry, or ``None`` when cold.
+    """The cost class of a cached entry whose facts hold, or ``None`` when
+    the request will plan.
 
     The admission layer's peek: no stats are counted and the LRU order is
     untouched, so classifying a request never perturbs the cache.
     """
     with _lock:
         entry = None if key is None else _entries.peek(key)
-        if entry is None or not _valid(entry):
-            return None
-        return entry.record.cost_class
+        return None if entry is None or not _holds(entry, None) else entry.record.cost_class
 
 
 def plan_cache_stats() -> dict:
@@ -476,13 +544,11 @@ def reset_plan_cache() -> None:
 
     Epochs and watcher registrations live on the relation objects
     themselves and survive: they describe live catalog state, not cached
-    plans, and resetting them could resurrect the very staleness the
-    epochs guard against.
+    plans.
     """
     global _entries, _hits, _misses, _invalidations
     with _lock:
         _entries = LruHotCache(_PLAN_CACHE_LIMIT)  # fresh pin/eviction counters
-        _by_relation.clear()
         _hits = 0
         _misses = 0
         _invalidations = 0
@@ -558,16 +624,3 @@ def cost_class_of(physical: Any) -> str:
     if joins <= _HEAVY_JOIN_COUNT and estimate <= _HEAVY_ROWS_LIMIT:
         return "join"
     return "heavy"
-
-
-# ----------------------------------------------------------------------
-# dependency extraction for logical plans
-# ----------------------------------------------------------------------
-def plan_relations(plan: Plan) -> List[Relation]:
-    """Every base relation a logical plan scans (the entry's dependencies)."""
-    if isinstance(plan, Scan):
-        return [plan.relation]
-    out: List[Relation] = []
-    for child in plan.children:
-        out.extend(plan_relations(child))
-    return out

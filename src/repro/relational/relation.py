@@ -382,9 +382,11 @@ class Relation:
     def column_has_null(self, position: int) -> bool:
         """Whether a column contains any NULL, cached per column.
 
-        Computed with a C-speed ``in`` scan over the column vector; the
-        columnar executor uses this to prove columns NULL-free and select
-        generated kernels without per-value NULL guards.
+        Computed with a C-speed ``in`` scan over the column vector, or over
+        the rows when no vectors are built (a partition only ever probed
+        through its indexes gets none for this); the columnar executor
+        uses this to prove columns NULL-free and select generated kernels
+        without per-value NULL guards.
         """
         cache = getattr(self, "_has_null", None)
         if cache is None:
@@ -392,7 +394,9 @@ class Relation:
             self._has_null = cache
         known = cache.get(position)
         if known is None:
-            known = None in self.column_store()[position]
+            store = getattr(self, "_columns", None)
+            column = map(itemgetter(position), self.rows) if store is None else store[position]
+            known = None in column
             cache[position] = known
         return known
 

@@ -17,6 +17,7 @@ makes translated U-relation queries run well.
 from __future__ import annotations
 
 import datetime
+import itertools
 from bisect import bisect_left, bisect_right
 from typing import Any, Dict, Optional, Tuple
 
@@ -98,6 +99,9 @@ HISTOGRAM_BINS = 128
 #: (PostgreSQL's autovacuum analyze trigger, with its defaults).
 ANALYZE_THRESHOLD = 50
 ANALYZE_SCALE_FACTOR = 0.1
+
+#: Numbers each computation of column statistics (see ``TableStats.generation``).
+_generations = itertools.count(1)
 
 
 class ColumnStats:
@@ -204,6 +208,11 @@ class TableStats:
         #: Rows that may still be written before the column statistics
         #: count as stale (spent through :meth:`inherited`).
         self._slack = ANALYZE_THRESHOLD + ANALYZE_SCALE_FACTOR * self.row_count
+        #: Which computation of column statistics these are: kept by an
+        #: inheriting successor, new past the analyze threshold.  A cached
+        #: plan is valid over a version whose statistics are of the
+        #: generation it was costed with (``repro.relational.plancache``).
+        self.generation = next(_generations)
 
     def column(self, reference: str) -> Optional[ColumnStats]:
         """Stats for one column, or ``None`` if the reference is unknown."""
@@ -227,6 +236,7 @@ class TableStats:
         if changed <= self._slack:
             stats._columns = dict(self._columns)
             stats._slack = self._slack - changed
+            stats.generation = self.generation
         return stats
 
 

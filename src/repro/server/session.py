@@ -17,9 +17,9 @@ A :class:`Session` is the unit of client state on a shared
   query *shape*, so the same lookup with another key inlined runs the
   plan the first one built; named statements keep their literals.
 * **read consistency via relation-identity snapshots** — within one
-  statement, consistency is automatic (a plan embeds the immutable
-  relation objects it was planned over, so a concurrent table
-  replacement cannot tear a running query).  *Across* statements,
+  statement, consistency is automatic (an execution reads the catalog
+  once and resolves every partition its plan names there, so a
+  concurrent table replacement or COMMIT cannot tear a running query).  *Across* statements,
   :meth:`Session.snapshot` gives optimistic repeatable reads: it holds
   the relation objects the catalog held when the block began, and every
   statement in the block verifies, before and after it runs, that the

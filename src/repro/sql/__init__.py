@@ -121,8 +121,9 @@ def execute_sql(sql: str, udb: UDatabase, params: Optional[Sequence] = None):
     (concurrent callers share the statement and the plan as they are:
     each execution's values live in its own frame); a re-issued text
     skips the parse as well.  Translation,
-    optimization and planning are paid once per shape (and again after a
-    write to a scanned relation evicts the plan).  Range, ``BETWEEN`` and
+    optimization and planning are paid once per shape (and again only when
+    a write changes a fact the plan was built on, see
+    :mod:`repro.relational.plancache`).  Range, ``BETWEEN`` and
     ``IN`` literals are part of the shape, because the planner's estimates
     read their values: such texts plan once per literal, as before.
 

@@ -1,14 +1,16 @@
-"""Exact catalog-bump accounting for the batched write path.
+"""Exact publish accounting for the batched write path.
 
-The regression these tests pin down: a 100-row batched ``INSERT`` (or a
-committed multi-statement transaction, or a ``copy_rows`` bulk load) must
-reach the plan cache as *exactly one* :func:`bump_relation` per touched
-partition relation — not one per row, not one per statement.  Anything
-more evicts cached plans a hundred times over; anything fewer leaves a
-stale plan alive.  The bump count is observed directly (by wrapping the
-``bump_relation`` the publish path imports), and cross-checked against
-the two externally visible ledgers it drives: ``catalog_version`` deltas
-and ``plan_cache_stats()["invalidations"]``.
+A 40-row batched ``INSERT`` (or a committed multi-statement
+transaction, or a ``copy_rows`` bulk load) publishes *exactly one*
+catalog swap — not one per row, not one per statement — and reaches the
+plan cache not at all: no :func:`bump_relation` (the hook is for
+in-place mutations), no invalidation, and the cached plan over the
+written relation stays cached, hits, and answers the new version.  The
+bumps are observed directly (by wrapping the ``bump_relation`` the
+catalog imports) and cross-checked against the two externally visible
+ledgers: ``catalog_version`` deltas and ``plan_cache_stats()``.  The
+batches stay under the analyze threshold of a 3-row relation (50 rows
+written): past it the statistics are new and the plan re-plans.
 """
 
 from __future__ import annotations
@@ -29,11 +31,11 @@ import repro.core.udatabase as udatabase_module
 
 @contextmanager
 def counting_bumps(monkeypatch):
-    """Wrap the ``bump_relation`` the publish path calls; yield the log.
+    """Wrap the ``bump_relation`` the catalog calls; yield the log.
 
     Every publish (``replace_partitions`` from DML, transaction commit,
-    or compaction) goes through :mod:`repro.core.udatabase`'s module-level
-    import, so wrapping that one name sees every catalog bump.
+    or compaction) goes through :mod:`repro.core.udatabase`, so wrapping
+    its one import of the name would see any bump a publish made.
     """
     calls = []
     real = udatabase_module.bump_relation
@@ -95,33 +97,44 @@ def _rows(udb):
     return set(map(tuple, execute_sql("possible (select id, type from r)", udb).rows))
 
 
-def test_batched_insert_bumps_once_per_partition(monkeypatch):
+def _still_hits(udb, query, rows):
+    """The cached plan serves the new version: a hit with ``rows`` rows."""
+    before = plan_cache_stats()
+    assert len(execute_query(query, udb)) == rows
+    after = plan_cache_stats()
+    assert after["hits"] == before["hits"] + 1
+    assert (after["misses"], after["invalidations"]) == (
+        before["misses"],
+        before["invalidations"],
+    )
+
+
+def test_batched_insert_publishes_once_and_keeps_the_plans(monkeypatch):
     udb = _two_partition_udb()
     _warm(udb, q_r())
     survivor = _warm(udb, q_s())
     before = udb.catalog_version
     invalidations = plan_cache_stats()["invalidations"]
 
-    values = ", ".join(f"({100 + i}, 'bulk')" for i in range(100))
+    values = ", ".join(f"({100 + i}, 'bulk')" for i in range(40))
     with counting_bumps(monkeypatch) as calls:
         result = execute_sql(f"insert into r values {values}", udb)
 
-    assert result.count == 100
-    # one bump per touched partition relation — NOT one per row
-    assert len(calls) == 2
-    assert len({id(rel) for rel in calls}) == 2
-    # each bump moves the catalog version once (certain rows: no
-    # world-table bumps), and the one dependent entry is evicted once
-    assert udb.catalog_version - before == 2
-    assert plan_cache_stats()["invalidations"] - invalidations == 1
-    # the unrelated relation's plan is untouched: still a hit
+    assert result.count == 40
+    # one publish (certain rows: no world-table bumps), no bump, no eviction
+    assert calls == []
+    assert udb.catalog_version - before == 1
+    assert plan_cache_stats()["invalidations"] == invalidations
+    # the written relation's plan answers the new version from the cache,
+    # and the unrelated relation's plan is untouched
+    _still_hits(udb, q_r(), 43)
     hits = plan_cache_stats()["hits"]
     assert execute_query(q_s(), udb) == survivor
     assert plan_cache_stats()["hits"] == hits + 1
-    assert len(_rows(udb)) == 103
+    assert len(_rows(udb)) == 43
 
 
-def test_copy_rows_bumps_once_per_partition(monkeypatch):
+def test_copy_rows_publishes_once(monkeypatch):
     udb = _two_partition_udb()
     _warm(udb, q_r())
     before = udb.catalog_version
@@ -130,18 +143,18 @@ def test_copy_rows_bumps_once_per_partition(monkeypatch):
     }
 
     with counting_bumps(monkeypatch) as calls:
-        result = udb.copy_rows("r", [(200 + i, "copy") for i in range(100)])
+        result = udb.copy_rows("r", [(200 + i, "copy") for i in range(40)])
 
-    assert result.count == 100
-    assert len(calls) == 2
-    assert udb.catalog_version - before == 2
+    assert result.count == 40
+    assert calls == []
+    assert udb.catalog_version - before == 1
     # the whole batch lands as ONE appended segment per partition
     for i, part in enumerate(udb.partitions("r")):
         assert len(part.relation.segments()) == segments[i] + 1
-    assert len(_rows(udb)) == 103
+    _still_hits(udb, q_r(), 43)
 
 
-def test_committed_txn_bumps_once_per_partition_at_commit(monkeypatch):
+def test_committed_txn_publishes_once_at_commit(monkeypatch):
     udb = _two_partition_udb()
     _warm(udb, q_r())
     session = Session(udb)
@@ -150,20 +163,20 @@ def test_committed_txn_bumps_once_per_partition_at_commit(monkeypatch):
 
     with counting_bumps(monkeypatch) as calls:
         session.execute("begin")
-        for i in range(50):
+        for i in range(40):
             session.execute(f"insert into r values ({300 + i}, 'txn')")
         session.execute("update r set type = 'staged' where id = 300")
-        # nothing published yet: zero bumps, zero catalog movement
-        assert calls == []
+        # nothing published yet: zero catalog movement
         assert udb.catalog_version == before
         session.execute("commit")
 
-    # 51 statements, one publish: exactly one bump per touched partition
-    assert len(calls) == 2
-    assert udb.catalog_version - before == 2
-    assert plan_cache_stats()["invalidations"] - invalidations == 1
+    # 41 statements, one publish of both partitions, nothing evicted
+    assert calls == []
+    assert udb.catalog_version - before == 1
+    assert plan_cache_stats()["invalidations"] == invalidations
+    _still_hits(udb, q_r(), 43)
     rows = _rows(udb)
-    assert len(rows) == 53
+    assert len(rows) == 43
     assert (300, "staged") in rows
 
 

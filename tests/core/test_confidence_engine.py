@@ -536,7 +536,9 @@ def test_stats_count_the_entries_of_each_group_memo():
 
 def test_warm_groups_hit_after_an_insert_replans_the_statement(monkeypatch):
     """The memo lives on the engine, not on a plan node: a write that
-    re-plans a prepared ``conf`` statement leaves its warm groups warm."""
+    re-plans a prepared ``conf`` statement leaves its warm groups warm.
+    (A NULL in the scanned ``faction`` column changes a planning fact; a
+    plain insert would leave the plan cached.)"""
     udb = build_vehicles_udb()
     stmt = prepare("conf (select id from r where faction = 'Enemy')", udb)
     first = stmt.run()
@@ -546,7 +548,7 @@ def test_warm_groups_hit_after_an_insert_replans_the_statement(monkeypatch):
     monkeypatch.setattr(
         probability, "decode_descriptor", lambda enc: decoded.append(enc) or real(enc)
     )
-    execute_sql("insert into r values (5, 'Tank', 'Friend')", udb)
+    execute_sql("insert into r values (5, 'Tank', NULL)", udb)
     misses, hits = plan_cache_stats()["misses"], engine.stats()["cache_hits"]
     again = stmt.run()
     assert plan_cache_stats()["misses"] == misses + 1  # re-planned

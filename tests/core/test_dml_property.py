@@ -10,6 +10,11 @@ scratch holding only the surviving logical tuples.
 The relation is vertically partitioned (``id`` | ``type``) so every
 statement exercises the multi-partition write path, and a Python-list
 model supplies the ground truth independently of either engine path.
+``type`` cells may be NULL or an uncertain ``{'a', 'b'}``, and one
+prepared ``conf`` statement per mode is held across the whole history:
+its cached plan outlives every write, so it meets a partition turning
+NULL-bearing and NULL-free, certain and uncertain, and must answer like
+a freshly planned statement over the rebuilt database after each step.
 
 Index DDL is drawn between the writes: ``CREATE INDEX`` (hash and sorted,
 fresh names and names already taken) and ``DROP INDEX`` (of user-created
@@ -22,26 +27,36 @@ write-path derivation, ``VACUUM`` and ``COMMIT`` has to carry them.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.core import execute_query
+from repro.core import WorldTable, execute_query
 from repro.core.descriptor import Descriptor
 from repro.core.query import Poss, Rel, UProject
 from repro.core.udatabase import UDatabase
 from repro.core.urelation import URelation, tid_column
 from repro.relational.index import built_indexes_on
 from repro.server.session import Session
-from repro.sql import execute_sql
+from repro.sql import execute_sql, prepare
 
 MODES = ["rows", "columns"]
 
 ids = st.integers(min_value=0, max_value=6)
 types = st.sampled_from(["a", "b", "c"])
 rows = st.lists(st.tuples(ids, types), min_size=0, max_size=4)
+#: a ``type`` cell: a value, NULL, or the uncertain ``{'a', 'b'}``
+cells = st.one_of(types, types, st.none(), st.just(("a", "b")))
+cell_rows = st.lists(st.tuples(ids, cells), min_size=0, max_size=4)
 
 inserts = st.tuples(st.just("insert"), rows.filter(len))
 updates = st.tuples(
     st.just("update"), types, st.sampled_from(["=", ">", "<="]), ids
+)
+cell_writes = st.one_of(
+    st.tuples(st.just("insert"), cell_rows.filter(len)),
+    st.tuples(
+        st.just("update"), st.one_of(types, st.none()), st.sampled_from(["=", ">", "<="]), ids
+    ),
+    st.tuples(st.just("delete"), st.sampled_from(["=", ">", "<="]), ids),
 )
 deletes = st.tuples(st.just("delete"), st.sampled_from(["=", ">", "<="]), ids)
 
@@ -66,16 +81,32 @@ scripts = st.tuples(
 
 
 def _build(initial, auto_index=False):
-    udb = UDatabase(auto_index=auto_index)
+    """``r`` holding ``initial``; an uncertain cell's alternatives each
+    take one value of a fresh variable."""
+    world = WorldTable()
+    type_rows = []
+    for i, (_, kind) in enumerate(initial):
+        if isinstance(kind, tuple):
+            world.add_variable(f"v{i}", list(range(len(kind))))
+            type_rows += [(Descriptor({f"v{i}": j}), i, (alt,)) for j, alt in enumerate(kind)]
+        else:
+            type_rows.append((Descriptor(), i, (kind,)))
+    udb = UDatabase(world, auto_index=auto_index)
     tid = tid_column("r")
     p_id = URelation.build(
         [(Descriptor(), i, (r[0],)) for i, r in enumerate(initial)], tid, ["id"]
     )
-    p_type = URelation.build(
-        [(Descriptor(), i, (r[1],)) for i, r in enumerate(initial)], tid, ["type"]
-    )
+    p_type = URelation.build(type_rows, tid, ["type"], d_width=1)
     udb.add_relation("r", ["id", "type"], [p_id, p_type])
     return udb
+
+
+def _sql(cell):
+    if cell is None:
+        return "NULL"
+    if isinstance(cell, tuple):
+        return "{" + ", ".join(map(_sql, cell)) + "}"
+    return f"'{cell}'" if isinstance(cell, str) else str(cell)
 
 
 def _matches(row, op, k):
@@ -114,13 +145,13 @@ def _apply(udb, model, op, defs, run=None):
     if op[0] in ("create", "drop"):
         _apply_ddl(udb, defs, op)
     elif op[0] == "insert":
-        values = ", ".join(f"({i}, '{t}')" for i, t in op[1])
+        values = ", ".join(f"({i}, {_sql(t)})" for i, t in op[1])
         result = run(f"insert into r values {values}")
         model.extend(op[1])
         assert result.count == len(op[1])
     elif op[0] == "update":
         _, value, cmp, k = op
-        result = run(f"update r set type = '{value}' where id {cmp} {k}")
+        result = run(f"update r set type = {_sql(value)} where id {cmp} {k}")
         hits = [i for i, row in enumerate(model) if _matches(row, cmp, k)]
         for i in hits:
             model[i] = (model[i][0], value)
@@ -140,17 +171,42 @@ def _answers(db, mode, use_indexes):
     )
 
 
+#: Held across a history: ``<>`` drops NULLs (a guard-free kernel, which
+#: a literal allows, over a column that turned NULL-bearing would keep
+#: them), and the confidences read every descriptor (a plan that took an
+#: uncertain ``type`` for certain would answer 1 where the rebuilt
+#: database answers 0.5).
+HELD = "conf (select id, type from r where type <> 'c')"
+
+
+def _confidences(result):
+    return sorted((row[:-1], round(row[-1], 9)) for row in result.rows)
+
+
 @settings(max_examples=40, deadline=None)
-@given(scripts)
-def test_dml_equals_rebuilt_across_modes_and_access_paths(script):
-    initial, ops = script
+@given(cell_rows, st.lists(st.one_of(cell_writes, creates, drops), min_size=1, max_size=6))
+# the two flips a surviving plan must notice, every run: ``type`` turns
+# uncertain, and ``type`` turns NULL-bearing
+@example([(1, "a")], [("insert", [(2, ("a", "b"))])])
+@example([(1, "a")], [("insert", [(2, None)])])
+def test_dml_equals_rebuilt_across_modes_and_access_paths(initial, ops):
     udb = _build(initial)
+    held = prepare(HELD, udb)
     model, defs = list(initial), set()
-    for op in ops:
-        _apply(udb, model, op, defs)
+    for op in [("read",)] + ops:
+        if op[0] != "read":
+            _apply(udb, model, op, defs)
+        fresh = prepare(HELD, _build(model))
+        for mode in MODES:
+            assert _confidences(held.run(mode=mode)) == _confidences(
+                fresh.run(mode=mode)
+            ), (op, mode)
     assert udb.index_defs() == sorted(defs)
     rebuilt = _build(model)
-    expected = set(model)  # Poss answers are distinct row sets
+    # Poss answers are distinct row sets, one row per alternative
+    expected = {
+        (i, alt) for i, kind in model for alt in (kind if isinstance(kind, tuple) else (kind,))
+    }
     for mode in MODES:
         for use_indexes in (True, False):
             for db in (udb, rebuilt):

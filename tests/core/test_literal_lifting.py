@@ -230,16 +230,27 @@ def planned(monkeypatch):
     return calls
 
 
-def test_distinct_keys_of_one_shape_plan_once(planned):
+@pytest.mark.parametrize(
+    "text, keys, answered",
+    [
+        (LOOKUP, 300, lambda result, key: set(result.rows) == _event_rows(key)),
+        # the matching query of a write: one plan across the writes, which
+        # stay under the analyze threshold (past it the plan re-plans)
+        ("update events set score = 7 where id = {key}", 40, lambda result, key: result.count == 1),
+        ("delete from events where id = {key}", 40, lambda result, key: result.count == 1),
+    ],
+    ids=["query", "update", "delete"],
+)
+def test_distinct_keys_of_one_shape_plan_once(planned, text, keys, answered):
     udb = _events(400)
     session = udb.session()
-    for key in range(300):
-        assert set(session.execute(LOOKUP.format(key=key)).rows) == _event_rows(key)
+    for key in range(keys):
+        assert answered(session.execute(text.format(key=key)), key)
     assert planned == {"translate": 1, "optimize": 1, "plan_physical": 1}
     stats = plan_cache_stats()
     assert (stats["misses"], stats["evictions"]) == (1, 0)
-    assert stats["hits"] == 299
-    assert len(udb._statement_shapes) == 1
+    assert stats["hits"] == keys - 1
+    assert len(udb._statement_shapes) == (text == LOOKUP)
 
 
 def test_range_literals_still_plan_per_literal(planned):

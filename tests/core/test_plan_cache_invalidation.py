@@ -1,11 +1,14 @@
 """The invalidation test matrix for the prepared-plan cache (UDatabase).
 
-Each catalog mutation — ``replace_partitions``, ``CREATE INDEX``,
-``DROP INDEX``, a statistics refresh, re-registering a relation, and the
-lazy partition-index first build — must bump the catalog version and
-evict exactly the dependent entries: a stale-plan execution must be
-impossible to observe, and unrelated cached plans must keep hitting.
-World-table growth bumps the version and evicts nothing.
+Each catalog mutation in place — ``CREATE INDEX``, ``DROP INDEX``, a
+statistics refresh, re-registering a relation, and the lazy
+partition-index first build — must bump the catalog version and evict
+exactly the dependent entries: a stale-plan execution must be impossible
+to observe, and unrelated cached plans must keep hitting.  A write
+(``replace_partitions``) moves the version and evicts nothing: the plans
+over the written relation answer the new version from the cache, and
+re-plan only when its planning facts differ.  World-table growth bumps
+the version and evicts nothing.
 """
 
 from __future__ import annotations
@@ -57,17 +60,19 @@ def warm(udb, *queries):
 
 
 class TestInvalidationMatrix:
-    def test_replace_partitions_evicts_dependents_only(self):
+    def test_replace_partitions_keeps_plans_whose_facts_hold(self):
         udb = build_vehicles_udb()
         tank, friend = warm(udb, q_type(), q_faction())
         version = udb.catalog_version
+        invalidations = plan_cache_stats()["invalidations"]
 
-        # swap in a type partition without the Tank rows
+        # a write: the type partition's next version, without the Tank rows
         id_part, type_part, faction_part = udb.partitions("r")
         old = type_part.relation
         position = old.schema.resolve("type")
+        tanks = [i for i, row in enumerate(old.rows) if row[position] == "Tank"]
         no_tanks = URelation(
-            Relation(old.schema, [row for row in old.rows if row[position] != "Tank"]),
+            old.with_deleted(tanks),
             type_part.d_width,
             type_part.tid_names,
             type_part.value_names,
@@ -75,15 +80,31 @@ class TestInvalidationMatrix:
         udb.replace_partitions("r", [id_part, no_tanks, faction_part])
 
         assert udb.catalog_version > version
-        assert plan_cache_stats()["invalidations"] >= 1
-        # the faction query's plan survived: still hit
+        assert plan_cache_stats()["invalidations"] == invalidations
+        # both plans survived: the faction query's answer is unchanged, the
+        # type query's plan answers the new version and sees no tank
+        hits = plan_cache_stats()["hits"]
+        assert execute_query(q_faction(), udb) == friend
+        assert len(execute_query(q_type(), udb)) == 0 < len(tank)
+        assert plan_cache_stats()["hits"] == hits + 2
+
+        # a replacement built from scratch carries no index definition and
+        # new statistics: the type query re-plans, the faction one still hits
+        fresh = URelation(
+            Relation(old.schema, old.rows),
+            type_part.d_width,
+            type_part.tid_names,
+            type_part.value_names,
+        )
+        udb.replace_partitions("r", [id_part, fresh, faction_part])
         hits = plan_cache_stats()["hits"]
         assert execute_query(q_faction(), udb) == friend
         assert plan_cache_stats()["hits"] == hits + 1
-        # the type query re-plans over the replacement and sees no tank
         misses = plan_cache_stats()["misses"]
-        assert len(execute_query(q_type(), udb)) == 0 < len(tank)
-        assert plan_cache_stats()["misses"] == misses + 1
+        assert execute_query(q_type(), udb) == tank
+        stats = plan_cache_stats()
+        assert stats["misses"] == misses + 1
+        assert stats["invalidations"] == invalidations + 1
 
     def test_create_index_evicts_dependents_only(self):
         udb = build_vehicles_udb()

@@ -3,9 +3,9 @@
 A plan-cache key is a function of the statement (tree, database, knobs)
 and a cost class is a function of the plan, so a served request for a
 cached plan walks neither: the ``PreparedQuery`` derived its key once,
-the ``PlanRecord`` carries the class, and the catalog identity map is
-taken only to guard a store after a miss.  One counted lookup per
-request is all the cache sees.
+the ``PlanRecord`` carries the class, and the planning facts of a
+partition version are read only when the entry meets a version it has
+not validated yet.  One counted lookup per request is all the cache sees.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import sys
 import pytest
 
 import repro.core.translate  # noqa: F401 - the module; repro.core.translate is a function
-from repro.core.udatabase import UDatabase
 from repro.relational import plancache
 from repro.relational.plancache import plan_cache_stats
 from repro.sql import prepare
@@ -59,13 +58,13 @@ def derived(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     counting(sys.modules["repro.core.translate"], "query_key")
-    counting(UDatabase, "catalog_identity")
+    counting(plancache, "planning_facts")
     counting(plancache, "cost_class_of")
     return calls
 
 
 def _three_cached_requests(request, derived):
-    first = request()  # plans: derives the key, the identity map, the class
+    first = request()  # plans: derives the key, the facts, the class
     assert len(first) > 0
     assert derived["query_key"] > 0 and derived["cost_class_of"] == 1
     for name in derived:
@@ -76,7 +75,7 @@ def _three_cached_requests(request, derived):
         stats = plan_cache_stats()
         assert stats["hits"] == before["hits"] + done
         assert stats["misses"] == before["misses"]
-    assert derived == {"query_key": 0, "catalog_identity": 0, "cost_class_of": 0}
+    assert derived == {"query_key": 0, "planning_facts": 0, "cost_class_of": 0}
 
 
 @STATEMENTS
@@ -100,7 +99,7 @@ def test_served_prepared_request_derives_nothing_on_a_cached_plan(
         assert sum(gate["admitted"] for gate in admitted.values()) == 4
 
 
-def test_a_write_makes_the_next_request_miss_replan_and_admit_cold(derived):
+def test_a_write_keeps_the_plan_and_a_changed_fact_replans_it(derived):
     udb = build_vehicles_udb()
     with udb.serve(workers=2) as server:
         session = server.session()
@@ -115,11 +114,22 @@ def test_a_write_makes_the_next_request_miss_replan_and_admit_cold(derived):
         answer = session.execute_prepared("s", "Tank")
         assert (9,) in answer.rows
         stats = plan_cache_stats()
-        assert stats["invalidations"] > before["invalidations"]
-        assert stats["misses"] > before["misses"]
+        # the plan survived the write: a hit, admitted under its class ...
+        assert stats["invalidations"] == before["invalidations"]
+        assert (stats["misses"], stats["hits"]) == (before["misses"], before["hits"] + 1)
+        assert server.stats()["admission"]["cold"]["admitted"] == cold
+        # ... that read the new versions' facts once, and planned nothing
+        assert derived["planning_facts"] >= 1 and derived["cost_class_of"] == 0
+        # a NULL in the scanned ``type`` column changes a fact: the next
+        # request misses, re-plans and admits cold
+        session.execute("insert into r values (10, NULL, 'Enemy')")
+        answer = session.execute_prepared("s", "Tank")
+        assert (9,) in answer.rows and (10,) not in answer.rows
+        stats = plan_cache_stats()
+        assert stats["invalidations"] == before["invalidations"] + 1
+        assert stats["misses"] == before["misses"] + 1
         assert server.stats()["admission"]["cold"]["admitted"] > cold
-        # re-planned: the class and the store guard are derived again ...
-        assert derived["cost_class_of"] >= 1 and derived["catalog_identity"] >= 1
+        assert derived["cost_class_of"] == 1
         # ... and the request after it is a plain hit once more
         hits = plan_cache_stats()["hits"]
         session.execute_prepared("s", "Tank")

@@ -281,3 +281,38 @@ def test_session_snapshot_refuses_transaction_control():
     # outside the block the session works again
     assert session.execute("begin").status == "open"
     assert session.execute("rollback").status == "rolled_back"
+
+
+def test_a_reader_sees_all_of_a_commit_or_none_of_it(monkeypatch):
+    """A query planned while a COMMIT publishes reads one catalog: both
+    relations' old rows or both relations' new ones, never one of each.
+    The COMMIT fires deterministically between the two leaves' reads of
+    their partitions (a COMMIT that published ``a`` then ``b`` let the
+    second leaf read ``b``'s new version beside ``a``'s old one)."""
+    import sys
+
+    translate_module = sys.modules["repro.core.translate"]
+    udb = UDatabase(auto_index=False)
+    for name in ("a", "b"):
+        part = URelation.build([(Descriptor(), 1, (1, "old"))], tid_column(name), ["k", "v"])
+        udb.add_relation(name, ["k", "v"], [part])
+    writer = Session(udb)
+    writer.execute("begin")
+    writer.execute("update a set v = 'new' where k = 1")
+    writer.execute("update b set v = 'new' where k = 1")
+    real = translate_module._Translator._partitions_of
+    committed = []
+
+    def partitions_of(self, query, needed):
+        parts = real(self, query, needed)
+        if not committed:  # after the first leaf's read
+            committed.append(writer.execute("commit").status)
+        return parts
+
+    monkeypatch.setattr(translate_module._Translator, "_partitions_of", partitions_of)
+    sql = "possible (select x.v, y.v from a x, b y where x.k = y.k)"
+    answer = set(map(tuple, execute_sql(sql, udb).rows))
+    assert committed == ["committed"]
+    assert answer in ({("old", "old")}, {("new", "new")})
+    monkeypatch.undo()
+    assert set(map(tuple, execute_sql(sql, udb).rows)) == {("new", "new")}

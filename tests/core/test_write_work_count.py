@@ -9,8 +9,9 @@ are wrapped, and a mixed write/read sequence over an indexed relation
 must not reach them - except that statistics are recomputed once the
 writes cross the analyze threshold, and on ``refresh_statistics``.  The
 per-column all-⊤ fact the translation reads, and the join probe tables
-(``Index.mixed_table``), are counted the same way.  The last test counts
-superseded relation versions still alive after writes through a server.
+(``Index.mixed_table``), are counted the same way, and so are the plans
+built after a warm-up.  The last test counts superseded relation
+versions still alive after writes through a server.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.core.descriptor import TOP_VARIABLE
 from repro.core.translate import explain_query
 from repro.core.udatabase import UDatabase
 from repro.core.urelation import URelation, tid_column
-from repro.relational import Relation, refresh_statistics
+from repro.relational import Relation, plan_cache_stats, refresh_statistics
 from repro.relational.index import HashIndex, SortedIndex
 from repro.relational.statistics import (
     ANALYZE_SCALE_FACTOR,
@@ -88,6 +89,11 @@ def test_writes_and_the_reads_after_them_build_nothing(built):
     udb = _events(2000)
     assert built == {"hash": 3, "sorted": 3, "stats": 3 * 4}  # set-up only
     built.update(hash=0, sorted=0, stats=0)
+    # warm-up: the lookup's plan and the UPDATE / DELETE matching plans
+    assert _lookup(udb, 1) == {("k1", 1)}
+    execute_sql("update events set kind = 'k1' where id = 1", udb)
+    execute_sql("delete from events where id = 99999", udb)
+    misses = plan_cache_stats()["misses"]
 
     execute_sql("insert into events values (5000, 'new', 1)", udb)
     assert _lookup(udb, 5000) == {("new", 1)}
@@ -109,6 +115,9 @@ def test_writes_and_the_reads_after_them_build_nothing(built):
     assert _lookup(udb, 5002) == {("late", 3)}
     assert _lookup(udb, 7) == {("upd", 7)}
 
+    # no plan is built again: the writes kept every plan's facts, except
+    # that the transaction's overlay plans its UPDATE's matching query
+    assert plan_cache_stats()["misses"] - misses <= 1
     assert built == {"hash": 0, "sorted": 0, "stats": 0}
     # every partition still answers through its carried indexes
     for part in udb.partitions("events"):

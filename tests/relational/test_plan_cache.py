@@ -4,8 +4,9 @@ Three families:
 
 * mechanics — hit/miss accounting, one entry per query structure, knob
   set and database, the entry pinning its database, ``(cached)`` EXPLAIN
-  marking, dependency extraction and reset, through the U-level entry
-  points (``execute_query`` / ``explain_query``), the cache's one caller;
+  marking, the partitions an entry names and reset, through the U-level
+  entry points (``execute_query`` / ``explain_query``), the cache's one
+  caller;
 * invalidation — each relation-level mutation (index build or drop,
   statistics refresh) bumps the relation's epoch and its watchers and
   evicts exactly the entries over it; a stale-plan execution is
@@ -25,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import Descriptor, UDatabase, URelation, WorldTable
 from repro.core.query import Poss, Rel, UProject, USelect
-from repro.core.translate import execute_query, explain_query, query_cache_key, translate
+from repro.core.translate import execute_query, explain_query, query_cache_key
 from repro.relational import (
     Relation,
     col,
@@ -45,13 +46,14 @@ from repro.relational.algebra import (
 )
 from repro.relational.index import attach_index, built_indexes_on, detach_index, ensure_index
 from repro.relational.optimizer import optimize, refresh_statistics
+from repro.relational import plancache
 from repro.relational.plancache import (
     PlanRecord,
     bump_relation,
     cache_lookup,
     cache_store,
     cost_class_of,
-    plan_relations,
+    planned_over,
     relation_epoch,
     watch_relation,
 )
@@ -170,12 +172,18 @@ class TestMechanics:
             "size": 0,
         }
 
-    def test_plan_relations_collects_all_leaves(self):
+    def test_the_entry_names_the_partitions_it_reads(self):
         udb = build_vehicles_udb()
-        deps = plan_relations(translate(tanks().child, udb).plan)
-        assert partition_relation(udb, "u_r_id") in deps
-        assert partition_relation(udb, "u_r_type") in deps
-        assert partition_relation(udb, "u_r_faction") not in deps
+        execute_query(tanks(), udb)
+        (entry,) = plancache._entries.values()
+        assert set(entry.slots) == {"u_r_id", "u_r_type"}
+        # by label only: the plan's leaves hold no partition version
+        scans = [entry.record.physical]
+        while scans:
+            node = scans.pop()
+            assert getattr(node, "relation", None) is None
+            scans.extend(node.children)
+        assert partition_relation(udb, "u_r_id") is udb.catalog().versions["u_r_id"]
 
 
 class Watcher:
@@ -188,12 +196,22 @@ class Watcher:
         self.bumps += 1
 
 
+class Owner:
+    """A catalog stand-in: ``relation`` under the one label ``t``."""
+
+    def __init__(self, relation):
+        self.versions = {"t": relation}
+
+    def catalog(self):
+        return self
+
+
 def cache_plan_over(relation: Relation, key) -> None:
     """Plan a selection over ``relation`` and store it under ``key``."""
     logical = Select(Scan(relation, "t"), col("a").eq(lit(1)))
     physical = plan_physical(optimize(logical), fuse=True)
     record = PlanRecord(physical, None, None, cost_class_of(physical))
-    cache_store(key, record, plan_relations(logical))
+    cache_store(key, record, planned_over({"t": relation}, {"t": ()}), Owner(relation))
 
 
 class TestInvalidation:

@@ -4,8 +4,9 @@
 the plan cache and the expression kernel cache.  The policy tests below
 have one body, parametrised by which user drives the cache through its
 module API; what only the plan cache has (invalidation, the module lock)
-is tested on it alone.  Plan-cache entries here are synthetic: empty
-dependency lists keep them epoch-valid forever.
+is tested on it alone.  Plan-cache entries here are synthetic: an entry
+without slots reads no partition and stays valid forever; one over a
+relation reads it under the label ``t`` of a catalog stand-in.
 """
 
 from __future__ import annotations
@@ -20,6 +21,22 @@ def record(name, cls="scan"):
     return PlanRecord(f"payload-{name}", None, None, cls)
 
 
+class Owner:
+    """A catalog stand-in: ``relation`` under the one label ``t``."""
+
+    def __init__(self, relation):
+        self.versions = {"t": relation}
+
+    def catalog(self):
+        return self
+
+
+def store_over(key, payload, relation):
+    """Store ``payload`` as a plan reading ``relation`` through slot ``t``."""
+    slots = plancache.planned_over({"t": relation}, {"t": ()})
+    plancache.cache_store(key, payload, slots, Owner(relation))
+
+
 class PlanCacheUser:
     limit = (plancache, "_PLAN_CACHE_LIMIT")
     reset = staticmethod(plancache.reset_plan_cache)
@@ -31,7 +48,7 @@ class PlanCacheUser:
 
     @staticmethod
     def store(name):
-        plancache.cache_store((name,), record(name), deps=[])
+        plancache.cache_store((name,), record(name), {}, None)
 
     @staticmethod
     def hit(name):
@@ -140,25 +157,23 @@ def test_invalidation_still_evicts_pinned_entries(tiny_cache):
     from repro.relational.relation import Relation
 
     relation = Relation(["a"], [(1,)])
-    plancache.cache_store(("dep",), record("dep"), deps=[relation])
+    store_over(("dep",), record("dep"), relation)
     for _ in range(3):
         plancache.cache_lookup(("dep",))
     assert plancache.plan_cache_stats()["pinned"] == 1
     plancache.bump_relation(relation)
     assert not PlanCacheUser.present("dep")
     assert plancache.plan_cache_stats()["pinned"] == 0
-    assert not plancache._by_relation
 
 
-def test_eviction_unhooks_the_reverse_dependency_map(tiny_cache):
-    """An entry the policy evicts must leave ``_by_relation`` with it, or
-    the map would pin its relation's id past the relation's life."""
+def test_a_policy_eviction_leaves_nothing_to_invalidate(tiny_cache):
+    """An entry the policy evicted is gone for the bump hook too: bumping
+    its relation evicts nothing, bumping a cached one's evicts it."""
     from repro.relational.relation import Relation
 
     relations = [Relation(["a"], [(i,)]) for i in range(6)]
     for i, relation in enumerate(relations):
-        plancache.cache_store((f"q{i}",), record(f"q{i}"), deps=[relation])
-    assert set(plancache._by_relation) == {id(r) for r in relations[2:]}
+        store_over((f"q{i}",), record(f"q{i}"), relation)
     assert plancache.bump_relation(relations[0]) == 0  # evicted, not invalidated
     assert plancache.bump_relation(relations[5]) == 1
 
@@ -167,12 +182,12 @@ def test_restore_replaces_in_place(tiny_cache):
     from repro.relational.relation import Relation
 
     old, new = Relation(["a"], [(1,)]), Relation(["a"], [(2,)])
-    plancache.cache_store(("q",), record("q", "scan"), deps=[old])
-    plancache.cache_store(("q",), record("q", "join"), deps=[new])
+    store_over(("q",), record("q", "scan"), old)
+    store_over(("q",), record("q", "join"), new)
     stats = plancache.plan_cache_stats()
     assert stats["size"] == 1 and stats["evictions"] == 0
     assert plancache.cache_lookup(("q",)).cost_class == "join"
-    assert set(plancache._by_relation) == {id(new)}  # the replaced entry unhooked
+    assert plancache.bump_relation(old) == 0  # the replaced entry is gone
 
 
 def test_concurrent_store_lookup_invalidate_is_safe(tiny_cache, monkeypatch):
@@ -192,7 +207,7 @@ def test_concurrent_store_lookup_invalidate_is_safe(tiny_cache, monkeypatch):
         try:
             for i in range(200):
                 relation = relations[(thread_id + i) % 4]
-                plancache.cache_store((thread_id, i % 8), record(i), deps=[relation])
+                store_over((thread_id, i % 8), record(i), relation)
                 plancache.cache_lookup((thread_id, (i + 1) % 8))
                 if i % 17 == 0:
                     plancache.bump_relation(relation)
@@ -207,6 +222,4 @@ def test_concurrent_store_lookup_invalidate_is_safe(tiny_cache, monkeypatch):
     assert not errors
     assert not any(t.is_alive() for t in threads)
     assert plancache.plan_cache_stats()["size"] <= 16
-    # the reverse dependency map names no entry the cache no longer holds
-    hooked = {key for keys in plancache._by_relation.values() for key in keys}
-    assert all(plancache._entries.peek(key) is not None for key in hooked)
+    assert len(plancache._entries.items()) == plancache.plan_cache_stats()["size"]
