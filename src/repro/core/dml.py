@@ -249,6 +249,18 @@ def copy_rows(udb, name: str, rows) -> DMLResult:
         return _stage_insert(udb, name, list(rows), "copy")
 
 
+def _fresh_variable(world, base: str) -> str:
+    """``base``, or ``base_<n>`` for the first ``n >= 2`` that names no
+    variable of ``world``: the database's world table, or a transaction's
+    staged one (which answers ``in`` for the names it staged too)."""
+    var = base
+    suffix = 2
+    while var in world:
+        var = f"{base}_{suffix}"
+        suffix += 1
+    return var
+
+
 def _stage_insert(
     udb, name: str, value_rows: Sequence[Sequence[Any]], op: str
 ) -> DMLResult:
@@ -273,7 +285,7 @@ def _stage_insert(
         for attr, value in zip(schema.attributes, row):
             value = _resolve(value)
             if isinstance(value, UncertainValue):
-                var = udb.fresh_variable(name, tid, attr)
+                var = _fresh_variable(udb.world_table, f"{name}_{tid}_{attr}")
                 minted.append((var, value))
                 variables[attr] = var
             cells[attr] = value

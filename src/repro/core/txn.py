@@ -123,8 +123,9 @@ class _StagedWorldTable:
 
     ``add_variable`` buffers instead of publishing, so an uncertain
     insert inside a transaction mints nothing visible until COMMIT;
-    ``__contains__`` covers both sides so ``fresh_variable`` never hands
-    out a name the transaction itself already staged.
+    ``__contains__`` covers both sides so a fresh variable name
+    (``repro.core.dml``) is never one the transaction itself already
+    staged.
     """
 
     __slots__ = ("_txn", "_base")
@@ -158,9 +159,9 @@ class _TxnOverlay:
 
     Implements exactly the surface :func:`execute_dml` and the matching
     query path touch: ``logical_schema`` / ``partitions`` /
-    ``replace_partitions`` / ``allocate_tids`` / ``fresh_variable`` /
-    ``world_table`` / ``_write_lock`` / ``catalog``.  ``_write_lock`` IS the base lock,
-    so each staged statement still serializes with concurrent writers
+    ``replace_partitions`` / ``allocate_tids`` / ``world_table`` /
+    ``_write_lock`` / ``catalog``.  ``_write_lock`` IS the base lock, so
+    each staged statement still serializes with concurrent writers
     (``allocate_tids`` mutates the base high-water mark); it is released
     between statements.  Staged relations carry index *definitions* from
     their base objects, and the publish path matches them to whatever is
@@ -204,15 +205,6 @@ class _TxnOverlay:
 
     def allocate_tids(self, name: str, count: int) -> int:
         return self.base.allocate_tids(name, count)
-
-    def fresh_variable(self, name: str, tid: Any, attribute: str) -> str:
-        base = f"{name}_{tid}_{attribute}"
-        var = base
-        suffix = 2
-        while var in self.world_table:
-            var = f"{base}_{suffix}"
-            suffix += 1
-        return var
 
 
 def _match_index_defs(live, successor) -> None:

@@ -46,7 +46,6 @@ from ..relational.index import (
     ensure_index,
     indexes_on,
 )
-from ..relational.plancache import bump_relation, watch_relation
 from ..relational.relation import Relation
 from ..relational.schema import Schema
 from .descriptor import Descriptor
@@ -220,10 +219,8 @@ class UDatabase:
         #: gets a hash index on its tuple-id column, so the tid-equijoins
         #: that reassemble partitions run as index probes.
         self.auto_index = auto_index
-        #: Mutation counter behind :attr:`catalog_version` — bumped by
-        #: schema changes here and, via the plan cache's watcher hook, by
-        #: any mutation of a partition relation (index DDL, deferred
-        #: auto-index builds, statistics refreshes).
+        #: Publish counter behind :attr:`catalog_version`: bumped by every
+        #: catalog swap (:meth:`publish`, :meth:`add_relation`).
         self._catalog_version = 0
         #: Statement maps (:func:`repro.core.prepared.text_statement`).
         #: ``execute_sql`` remembers its statements by exact SQL text, so a
@@ -252,21 +249,18 @@ class UDatabase:
 
     @property
     def catalog_version(self) -> int:
-        """Monotone catalog version covering schema, index, and world state.
+        """Monotone catalog version covering the published relations and
+        the world table.
 
         Bumps on every publish (:meth:`add_relation`, a write, a COMMIT, a
-        VACUUM), on every index mutation of a partition (including lazy
-        auto-index first builds), on statistics refreshes, and on
-        world-table growth (its own version counter is a component): the
-        observable that provably moves whenever an answer or a plan may.
-        Request coalescing and session snapshots key on it; the plan
-        cache does not (it checks the facts a plan was built on).
+        VACUUM) and on world-table growth (its own version counter is a
+        component): the observable that moves whenever an answer may.
+        Request coalescing keys on it.  Index DDL, lazy index builds and
+        statistics refreshes move no answer and leave it alone; a cached
+        plan they affect re-plans at its next lookup, because it checks
+        the planning facts it was built on.
         """
         return self._catalog_version + self.world_table.version
-
-    def _bump_catalog_version(self) -> None:
-        """Plan-cache watcher hook: a partition relation mutated."""
-        self._catalog_version += 1
 
     def catalog(self) -> Catalog:
         """The published :class:`Catalog`: read it once, use it throughout."""
@@ -289,10 +283,6 @@ class UDatabase:
                 raise ValueError(
                     f"replacement for {name!r} must keep its {len(old)} partitions"
                 )
-            for part in partitions:
-                # future index builds / stats refreshes on this version
-                # must bump this database's catalog version
-                watch_relation(part.relation, self)
         self._catalog = catalog.replaced(relations, {})
         self._catalog_version += 1
 
@@ -329,21 +319,11 @@ class UDatabase:
         extra = covered - set(attributes)
         if extra:
             raise ValueError(f"partitions of {name!r} carry unknown attributes {sorted(extra)}")
-        replaced = self._catalog.relations.get(name)
-        for part in partitions:
-            # future index builds / stats refreshes on this partition must
-            # bump this database's catalog version
-            watch_relation(part.relation, self)
         self._catalog = self._catalog.replaced(
             {name: partitions}, {name: LogicalSchema(name, attributes)}
         )
         self._next_tid.pop(name, None)
         self._catalog_version += 1
-        if replaced is not None:
-            # re-registering a name may change its layout: evict every
-            # cached plan that last ran over the old partitions
-            for part in replaced:
-                bump_relation(part.relation)
         if self.auto_index:
             for part in partitions:
                 _defer_index_partition(name, part)
@@ -386,16 +366,6 @@ class UDatabase:
             next_tid = highest + 1
         self._next_tid[name] = next_tid + count
         return next_tid
-
-    def fresh_variable(self, name: str, tid: Any, attribute: str) -> str:
-        """A world-table variable name no existing variable collides with."""
-        base = f"{name}_{tid}_{attribute}"
-        var = base
-        suffix = 2
-        while var in self.world_table:
-            var = f"{base}_{suffix}"
-            suffix += 1
-        return var
 
     def insert(self, name: str, *rows: Sequence[Any]):
         """Insert logical tuples; see :func:`repro.core.dml.insert_rows`."""
@@ -557,21 +527,6 @@ class UDatabase:
 
     def partitions(self, name: str) -> List[URelation]:
         return self._catalog.partitions(name)
-
-    def catalog_identity(self) -> Dict[str, Tuple[int, ...]]:
-        """The identity map of every partition relation object.
-
-        Answer-changing catalog mutations (DML publishes, compaction,
-        table replacement) swap relation *objects*; access-path mutations
-        (lazy index builds, statistics refreshes) mutate the same objects
-        in place.  The identity map therefore moves exactly when answers
-        may move — the discriminator :attr:`catalog_version` (bumped by
-        both kinds) cannot be.  Consumed by session snapshot validation.
-        """
-        return {
-            name: tuple(id(part.relation) for part in parts)
-            for name, parts in self._catalog.relations.items()
-        }
 
     def segment_health(self, publish: bool = True) -> Dict[str, Dict[str, Any]]:
         """Per-partition write-path health, optionally published as gauges.

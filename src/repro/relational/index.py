@@ -56,6 +56,7 @@ __all__ = [
     "default_index_name",
     "ensure_index",
     "carry_indexes",
+    "forget_facts",
     "IndexDef",
     "index_named",
 ]
@@ -468,15 +469,24 @@ def build_index(
 _ATTACH_LOCK = threading.RLock()
 
 
+def forget_facts(relation: Relation) -> None:
+    """Drop the planning facts memoized on ``relation``
+    (:func:`repro.relational.plancache.planning_facts`): called *after*
+    every change to its index definitions (under :data:`_ATTACH_LOCK`) or
+    its statistics, so a fill that read the old state wrote it into a
+    dict no lookup reads any more."""
+    relation._facts = None
+
+
 def attach_index(relation: Relation, index: Index) -> None:
     """Attach an index to its relation so planners can discover it.
 
     Attaching changes the access paths a fresh plan over the relation
-    would choose, so the prepared-plan cache is told (every index build —
-    ``CREATE INDEX``, registry rebuilds, and the deferred auto-index
-    builds that materialize on first planner access — funnels through
-    here): dependent cached plans are evicted and watching catalogs bump
-    their version.
+    would choose (every index build — ``CREATE INDEX``, registry rebuilds,
+    and the deferred auto-index builds that materialize on first planner
+    access — funnels through here), so the relation's planning facts are
+    dropped: the next lookup of a cached plan over it re-checks them, and
+    re-plans if its definition set differs.
     """
     if index.relation is not relation:
         raise ValueError("index was built over a different relation object")
@@ -493,24 +503,21 @@ def attach_index(relation: Relation, index: Index) -> None:
             relation._pending_indexes = [
                 d for d in pending if _definition_name(d) != index.name
             ]
-        from .plancache import bump_relation
-
-        bump_relation(relation)
+        forget_facts(relation)
 
 
 def detach_index(relation: Relation, index: Index) -> None:
     """Remove an attached index (no-op if it is not attached).
 
-    Like :func:`attach_index`, a successful detach is a catalog mutation:
-    cached plans probing the index are evicted through the plan cache.
+    Like :func:`attach_index`, a successful detach drops the relation's
+    planning facts, so a cached plan probing the index re-plans at its
+    next lookup.
     """
     with _ATTACH_LOCK:
         existing = getattr(relation, "_indexes", None)
         if existing and index in existing:
             existing.remove(index)
-            from .plancache import bump_relation
-
-            bump_relation(relation)
+            forget_facts(relation)
 
 
 def default_index_name(columns: Sequence[str]) -> str:
@@ -526,9 +533,9 @@ def _definition_name(definition: Tuple[Tuple[str, ...], str, Optional[str]]) -> 
 def drop_index_def(relation: Relation, name: str) -> bool:
     """Drop the definition called ``name``; False if there is none.
 
-    A built index is detached (evicting the plans that may probe it); a
-    still-pending definition is forgotten unbuilt — no plan that looked
-    for access paths exists while a definition is pending.
+    A built index is detached; a still-pending definition is forgotten
+    unbuilt.  Either way the relation's planning facts are dropped, so a
+    cached plan over it re-plans at its next lookup.
     """
     with _ATTACH_LOCK:
         for index in getattr(relation, "_indexes", None) or ():
@@ -540,6 +547,7 @@ def drop_index_def(relation: Relation, name: str) -> bool:
         if len(kept) == len(pending):
             return False
         relation._pending_indexes = kept
+        forget_facts(relation)
         return True
 
 
@@ -570,6 +578,7 @@ def defer_index(
         if any(_definition_name(d) == effective for d in pending):
             return
         pending.append((tuple(columns), kind, name))
+        forget_facts(relation)
 
 
 def _materialize_pending(relation: Relation) -> None:
@@ -599,7 +608,10 @@ def _materialize_pending(relation: Relation) -> None:
                 # an unexpected error loses only the definition that raised
                 # — re-attach the ones still queued behind it
                 relation._pending_indexes = pending
+                forget_facts(relation)
                 raise
+        # attaching dropped the facts; a definition that built nothing did not
+        forget_facts(relation)
 
 
 def indexes_on(relation: Relation) -> Tuple[Index, ...]:
@@ -749,9 +761,10 @@ def carry_indexes(
     over as pending.  An index whose new keys do not merge (``TypeError``)
     degrades to a deferred rebuild of just that index.
 
-    No plan-cache bump happens here, nor when the caller publishes
-    ``new``: the definitions it carries are the ones a cached plan over
-    ``old`` was built on, which is what lets that plan run over ``new``.
+    ``new`` is a fresh version with no planning facts memoized yet: the
+    definitions it carries are the ones a cached plan over ``old`` was
+    built on, so the first lookup over ``new`` finds them unchanged and
+    that plan runs over it.
     """
     with _ATTACH_LOCK:
         built = list(getattr(old, "_indexes", None) or ())

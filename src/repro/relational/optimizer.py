@@ -57,6 +57,7 @@ from .expressions import (
     map_columns,
     split_conjuncts,
 )
+from .index import forget_facts
 from .statistics import (
     DEFAULT_SELECTIVITY,
     ColumnStats,
@@ -230,16 +231,13 @@ def scan_stats(scan: Scan) -> TableStats:
 def refresh_statistics(relation) -> None:
     """Drop a relation's statistics (the ``ANALYZE`` analogue).
 
-    A statistics refresh is a catalog mutation for plan-caching purposes:
-    cached plans were costed against the old estimates, so the relation's
-    plan-cache epoch is bumped — dependent prepared plans are evicted and
-    watching catalogs bump their version — and the next planning pass
-    recomputes :class:`TableStats` lazily.
+    The next planning pass recomputes :class:`TableStats` lazily, under a
+    new generation.  Cached plans were costed against the old estimates:
+    the relation's planning facts are dropped too, so the next lookup of
+    each such plan sees the new generation and re-plans.
     """
-    from .plancache import bump_relation
-
     relation._stats = None
-    bump_relation(relation)
+    forget_facts(relation)
 
 
 def column_stats(plan: Plan, reference: str) -> Optional[ColumnStats]:

@@ -40,20 +40,15 @@ facts*:
   NULL verdict of every column (which chose the guard-free kernels the
   plan memoizes on first execution) and the statistics generation
   (:func:`planning_facts`), read before physical planning.  A lookup whose
-  resolved versions carry the same facts is a hit — with a fast path when
-  a slot's version is the one last validated and its epoch is unchanged —
-  and any difference drops the entry (an *invalidation*) and re-plans.
-  The write path's derivations carry every one of these facts along the
-  delta, so checking them costs no rebuild.
-* **Every in-place mutation funnels through a bump hook.**  Creating or
-  dropping an index (including the deferred auto-index builds that
-  materialize on first planner access), refreshing statistics and
-  re-registering a relation call :func:`bump_relation` on the relation
-  object: it bumps the relation's epoch (which ends the fast path), bumps
-  the catalog version of every registered watcher (a
-  :class:`~repro.core.udatabase.UDatabase` registers itself on its
-  partitions via :func:`watch_relation`) and evicts the entries that last
-  validated that version.
+  resolved versions carry the same facts is a hit, and any difference
+  drops the entry (an *invalidation*) and re-plans.  The write path's
+  derivations carry every one of these facts along the delta, so checking
+  them costs no rebuild.
+* **The facts live on the version**, memoized in its ``_facts`` slot:
+  a lookup compares one tuple, by identity first.  The in-place changes
+  that can move a fact (index DDL and builds, a statistics refresh) drop
+  the memo (:func:`~repro.relational.index.forget_facts`), so the next
+  lookup of each plan over the version re-checks; nothing scans the cache.
 
 Keys identify the owning catalog by ``id()``.  That is sound precisely
 because every entry holds a strong reference to it (its ``owner``): an id
@@ -67,12 +62,11 @@ what differs between their executions (``$n`` values, operator counters,
 tree.
 
 Every cache operation — lookup, store, invalidation, stats — runs under
-one module lock, so N sessions executing cached plans concurrently (and a
-DDL thread bumping relations under them) never see a torn cache.  The lock
+one module lock, so N sessions executing cached plans concurrently never
+see a torn cache; index DDL and statistics refreshes never take it.  The lock
 is held for dict bookkeeping and the facts check of the one entry looked
-up (a few dict reads per slot; a column scan at most, the first time a
-version is asked a verdict no write carried), never during planning or
-execution.
+up (one memo read per slot; the facts computation, a column scan at most,
+the first time a version is asked), never during planning or execution.
 The admission layer peeks at a request's class through
 :func:`cached_cost_class`, which counts nothing and leaves the LRU order
 alone; :func:`plan_cache_stats` / :func:`reset_plan_cache` mirror the
@@ -85,7 +79,6 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
-from weakref import WeakSet, ref
 
 from ..obs import gauge
 from ..obs import span as obs_span
@@ -98,9 +91,6 @@ __all__ = [
     "PlanRecord",
     "plan_cache_stats",
     "reset_plan_cache",
-    "bump_relation",
-    "relation_epoch",
-    "watch_relation",
     "cached_plan",
     "cache_lookup",
     "cache_store",
@@ -264,25 +254,19 @@ class _Slot(NamedTuple):
     probes: Tuple[Tuple[int, Any], ...]
     #: :func:`planning_facts` of the version the plan was built over.
     facts: Tuple
-    #: The version last found to carry ``facts`` (held weakly) and its
-    #: epoch then: the lookup's fast path.
-    seen: Callable[[], Optional[Relation]]
-    epoch: int
 
 
 class _Entry(NamedTuple):
     record: PlanRecord
-    #: label -> slot, for every partition the plan reads (its values are
-    #: replaced as later versions are validated).
+    #: label -> slot, for every partition the plan reads.
     slots: Dict[str, _Slot]
     #: The catalog the key names by ``id()``, held: its ``catalog()`` is
     #: what a lookup outside an execution validates against.
     owner: Any
 
 
-#: One lock for all cache state.  RLock: ``bump_relation`` can re-enter
-#: through watcher callbacks that consult the cache.
-_lock = threading.RLock()
+#: One lock for all cache state.
+_lock = threading.Lock()
 
 #: Key -> entry.  Eviction at capacity is the LRU + hot-pin policy of
 #: :class:`LruHotCache`, not wholesale clearing — a serving workload churns
@@ -292,62 +276,6 @@ _entries = LruHotCache(_PLAN_CACHE_LIMIT)
 _hits = 0
 _misses = 0
 _invalidations = 0
-
-
-# ----------------------------------------------------------------------
-# versioning hooks
-# ----------------------------------------------------------------------
-# The per-relation mutation epoch and watcher set live *on the relation
-# object* (``_plan_epoch`` / ``_plan_watchers`` slots), so their lifetime
-# is exactly the relation's — no global registry to prune, no id-recycling
-# corner cases.
-
-
-def relation_epoch(relation: Relation) -> int:
-    """The relation's current mutation epoch (0 until first bump)."""
-    return getattr(relation, "_plan_epoch", 0)
-
-
-def watch_relation(relation: Relation, owner: Any) -> None:
-    """Register ``owner`` to have ``_bump_catalog_version()`` called when
-    this relation object mutates (index built/dropped, stats refreshed,
-    replaced in its catalog).  Held weakly — watching never pins a catalog."""
-    with _lock:
-        watchers = getattr(relation, "_plan_watchers", None)
-        if watchers is None:
-            watchers = WeakSet()
-            relation._plan_watchers = watchers
-        watchers.add(owner)
-
-
-def bump_relation(relation: Relation) -> int:
-    """Record an in-place mutation of ``relation``: bump its epoch, notify
-    the ``UDatabase`` catalogs watching it, and evict the cache entries
-    that last validated this version.
-
-    Returns the number of entries evicted.  Index DDL, lazy index
-    materialization, a statistics refresh and re-registering a relation
-    reach the cache through here (a write publishes new versions and
-    bumps nothing).  Thread-safe: executions of already-looked-up plans
-    are unaffected, while the next lookup re-plans or, for an entry that
-    validated an older version, re-checks the facts.
-    """
-    global _invalidations
-    with _lock:
-        relation._plan_epoch = relation_epoch(relation) + 1
-        for owner in tuple(getattr(relation, "_plan_watchers", None) or ()):
-            bump = getattr(owner, "_bump_catalog_version", None)
-            if bump is not None:
-                bump()
-        stale = [
-            key
-            for key, entry in _entries.items()
-            if any(slot.seen() is relation for slot in entry.slots.values())
-        ]
-        for key in stale:
-            _entries.pop(key)
-        _invalidations += len(stale)
-        return len(stale)
 
 
 # ----------------------------------------------------------------------
@@ -372,12 +300,26 @@ def name_slots(plan: Any) -> Any:
     return plan
 
 
-def planning_facts(relation: Relation, probes: Sequence[Tuple[int, Any]]) -> Tuple:
+def planning_facts(relation: Relation, probes: Tuple[Tuple[int, Any], ...]) -> Tuple:
     """What a plan over one partition version was built on: its schema,
     its index definitions (built or pending), the all-equal verdicts of
     ``probes`` (``(position, value)`` pairs), the NULL verdict of every
-    column and its statistics generation.  Each is cached on the version
-    and carried along writes, so asking costs no scan in the steady state."""
+    column and its statistics generation.  Memoized on the version per
+    ``probes``: the fill writes into the memo dict it read before the
+    facts, so one racing a change that drops the memo writes into a dict
+    no one reads any more."""
+    memo = getattr(relation, "_facts", None)
+    if memo is None:
+        memo = relation._facts = {}
+    facts = memo.get(probes)
+    if facts is None:
+        facts = memo[probes] = _compute_facts(relation, probes)
+    return facts
+
+
+def _compute_facts(relation: Relation, probes: Sequence[Tuple[int, Any]]) -> Tuple:
+    """:func:`planning_facts` read from the version: each is cached on it
+    and carried along writes, so this costs no scan in the steady state."""
     return (
         relation.schema,
         frozenset(attached_index_defs(relation)),
@@ -391,22 +333,18 @@ def planned_over(
     versions: Mapping[str, Relation], probes: Mapping[str, Sequence[Tuple[int, Any]]]
 ) -> Dict[str, _Slot]:
     """The slots of a plan about to be physically planned over
-    ``versions``: per label its ``probes`` and the version's facts and
-    epoch, read now (a mutation during planning is then one that the next
-    lookup sees)."""
+    ``versions``: per label its ``probes`` and the version's facts, read
+    now (a change during planning is then one that the next lookup sees)."""
     slots = {}
     for label, asked in probes.items():
-        relation = versions[label]
-        epoch = relation_epoch(relation)
         asked = tuple(asked)
-        slots[label] = _Slot(asked, planning_facts(relation, asked), ref(relation), epoch)
+        slots[label] = _Slot(asked, planning_facts(versions[label], asked))
     return slots
 
 
 def _holds(entry: _Entry, versions: Optional[Mapping[str, Relation]]) -> bool:
     """Whether every slot's version in ``versions`` (``None``: the owner's
-    current catalog) carries the facts the entry's plan was built on,
-    remembering the versions that do."""
+    current catalog) carries the facts the entry's plan was built on."""
     slots = entry.slots
     if slots and versions is None:
         versions = entry.owner.catalog().versions
@@ -414,12 +352,9 @@ def _holds(entry: _Entry, versions: Optional[Mapping[str, Relation]]) -> bool:
         relation = versions.get(label)
         if relation is None:
             return False
-        epoch = relation_epoch(relation)
-        if slot.seen() is relation and slot.epoch == epoch:
-            continue
-        if planning_facts(relation, slot.probes) != slot.facts:
+        facts = planning_facts(relation, slot.probes)
+        if facts is not slot.facts and facts != slot.facts:
             return False
-        slots[label] = slot._replace(seen=ref(relation), epoch=epoch)
     return True
 
 
@@ -526,8 +461,8 @@ def publish_plan_cache_metrics() -> None:
     cache state, not only the ``stats`` wire op.  Called by the server's
     stats/metrics paths; a no-op while ``REPRO_OBS=off``.
     """
+    stats = plan_cache_stats()
     with _lock:
-        stats = plan_cache_stats()
         per_class: Dict[str, int] = {}
         for entry in _entries.values():
             cost_class = entry.record.cost_class
@@ -542,9 +477,8 @@ def publish_plan_cache_metrics() -> None:
 def reset_plan_cache() -> None:
     """Empty the plan cache and zero its counters (test/bench hook).
 
-    Epochs and watcher registrations live on the relation objects
-    themselves and survive: they describe live catalog state, not cached
-    plans.
+    The planning facts memoized on relation versions survive: they
+    describe the versions, not cached plans.
     """
     global _entries, _hits, _misses, _invalidations
     with _lock:

@@ -60,10 +60,10 @@ class Relation:
     # ``_indexes`` holds secondary indexes attached by
     # :mod:`repro.relational.index` and ``_pending_indexes`` their deferred
     # (not yet built) definitions; ``_columns`` caches the columnar form
-    # used by the column executor; ``_plan_epoch``/``_plan_watchers`` are
-    # the prepared-plan cache's per-relation mutation counter and weakly
-    # held watcher catalogs (:mod:`repro.relational.plancache`) — kept on
-    # the relation object so their lifetime is automatic.  All are
+    # used by the column executor; ``_facts`` memoizes the prepared-plan
+    # cache's planning facts of this version, per probe set
+    # (:func:`repro.relational.plancache.planning_facts`), dropped by the
+    # index and statistics changes that can move one.  All are
     # planner-visible state, not part of the relation's value (equality
     # and repr ignore them).
     # ``_labels`` (the sorted indexes' per-row sort labels once deletes
@@ -85,8 +85,7 @@ class Relation:
         "_has_null",
         "_all_equal",
         "_stats",
-        "_plan_epoch",
-        "_plan_watchers",
+        "_facts",
         "_segments",
         "_deleted",
         "__weakref__",

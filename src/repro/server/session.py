@@ -16,22 +16,20 @@ A :class:`Session` is the unit of client state on a shared
   equality literals are lifted into ``$n`` slots of one statement per
   query *shape*, so the same lookup with another key inlined runs the
   plan the first one built; named statements keep their literals.
-* **read consistency via relation-identity snapshots** — within one
-  statement, consistency is automatic (an execution reads the catalog
-  once and resolves every partition its plan names there, so a
-  concurrent table replacement or COMMIT cannot tear a running query).  *Across* statements,
-  :meth:`Session.snapshot` gives optimistic repeatable reads: it holds
-  the relation objects the catalog held when the block began, and every
-  statement in the block verifies, before and after it runs, that the
-  catalog still holds those very objects
-  (:meth:`~repro.core.udatabase.UDatabase.catalog_identity`), raising
-  :class:`SnapshotChanged` when a concurrent write (DML, a transaction's
-  COMMIT, VACUUM) replaced one.
-  Access-path work replaces no relation and cannot move an answer, so it
+* **read consistency via catalog snapshots** — within one statement,
+  consistency is automatic (an execution reads the catalog once and
+  resolves every partition its plan names there, so a concurrent table
+  replacement or COMMIT cannot tear a running query).  *Across*
+  statements, :meth:`Session.snapshot` gives optimistic repeatable reads:
+  it holds the one immutable :class:`~repro.core.udatabase.Catalog` value
+  published when the block began, and every statement in the block
+  verifies, before and after it runs, that ``udb.catalog()`` is still
+  that value, raising :class:`SnapshotChanged` when a concurrent write
+  (DML, a transaction's COMMIT, VACUUM) published another.
+  Access-path work publishes nothing and cannot move an answer, so it
   never conflicts a snapshot — neither the deferred index builds the
   block's own first query triggers, nor ``CREATE`` / ``DROP INDEX`` by
-  another session (both move ``catalog_version``, which is why that is
-  not what a snapshot compares).
+  another session.
 * **multi-statement write atomicity** — ``BEGIN``/``COMMIT``/``ROLLBACK``
   (or :meth:`Session.begin` / :meth:`Session.commit` /
   :meth:`Session.rollback`) group this connection's DML into one
@@ -56,7 +54,7 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..core.prepared import PreparedDML, PreparedQuery, text_statement
 from ..core.txn import Begin, Commit, Rollback, Transaction, TxnResult
-from ..core.udatabase import UDatabase
+from ..core.udatabase import Catalog, UDatabase
 from ..obs import counter as obs_counter
 from ..obs import current_trace, record_statement, register_session, request_trace
 from ..obs import span as obs_span
@@ -115,10 +113,9 @@ class Session:
         #: Serializes this session's statements (a session models one
         #: connection; its requests are a sequence, not a pool).
         self._lock = threading.RLock()
-        #: Inside ``with self.snapshot():``, the relation objects of every
-        #: partition as the block found them, by relation name (see
-        #: :meth:`_check_snapshot`); else ``None``.
-        self._snapshot_relations: Optional[Dict[str, Tuple[Any, ...]]] = None
+        #: Inside ``with self.snapshot():``, the catalog the block began
+        #: under (see :meth:`_check_snapshot`); else ``None``.
+        self._snapshot_catalog: Optional[Catalog] = None
         #: The open per-connection :class:`Transaction`, if any: while set,
         #: the session's DML stages against the transaction's overlay and
         #: publishes in one swap at COMMIT (see :mod:`repro.core.txn`).
@@ -179,27 +176,23 @@ class Session:
         return _Snapshot(self)
 
     def _check_snapshot(self) -> None:
-        """Raise when a relation was replaced since the snapshot began.
+        """Raise when a catalog was published since the snapshot began.
 
         The one discriminator for "could an answer have moved", checked
-        before and after every statement of a block: swaps (DML publishes,
-        compaction) replace relation objects; in-place access-path work
-        (index builds, lazy or by DDL, and statistics) does not.  The
-        snapshot holds the objects and not just their ids, because an id
-        means something only while its object lives: a successor version
-        is routinely allocated at a superseded one's address (six inserts
-        into ``r`` bring the whole id map of the vehicles database back).
+        before and after every statement of a block: a publish (DML,
+        COMMIT, compaction) replaces the catalog value; access-path work
+        (index builds, lazy or by DDL, and statistics) changes relations
+        in place and publishes nothing.  The snapshot holds the catalog,
+        and with it every relation version it names.
         """
-        held = self._snapshot_relations
-        if held is not None and self.udb.catalog_identity() != {
-            name: tuple(map(id, relations)) for name, relations in held.items()
-        }:
+        held = self._snapshot_catalog
+        if held is not None and self.udb.catalog() is not held:
             raise SnapshotChanged(
                 "a concurrent write replaced a relation during a snapshot read"
             )
 
     def _refuse_in_snapshot(self, what: str) -> None:
-        if self._snapshot_relations is not None:
+        if self._snapshot_catalog is not None:
             raise SnapshotChanged(f"{what} cannot run inside a snapshot, which only reads")
 
     # ------------------------------------------------------------------
@@ -340,7 +333,7 @@ class Session:
 
 
 class _Snapshot:
-    """Context manager recording/clearing a session's snapshot relations."""
+    """Context manager recording/clearing a session's snapshot catalog."""
 
     def __init__(self, session: Session):
         self._session = session
@@ -348,15 +341,11 @@ class _Snapshot:
     def __enter__(self) -> Session:
         session = self._session
         with session._lock:
-            if session._snapshot_relations is not None:
+            if session._snapshot_catalog is not None:
                 raise RuntimeError("session snapshots do not nest")
-            udb = session.udb
-            session._snapshot_relations = {
-                name: tuple(part.relation for part in udb.partitions(name))
-                for name in udb.relation_names()
-            }
+            session._snapshot_catalog = session.udb.catalog()
         return session
 
     def __exit__(self, *exc: Any) -> None:
         with self._session._lock:
-            self._session._snapshot_relations = None
+            self._session._snapshot_catalog = None

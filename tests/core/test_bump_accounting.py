@@ -3,14 +3,15 @@
 A 40-row batched ``INSERT`` (or a committed multi-statement
 transaction, or a ``copy_rows`` bulk load) publishes *exactly one*
 catalog swap — not one per row, not one per statement — and reaches the
-plan cache not at all: no :func:`bump_relation` (the hook is for
-in-place mutations), no invalidation, and the cached plan over the
-written relation stays cached, hits, and answers the new version.  The
-bumps are observed directly (by wrapping the ``bump_relation`` the
-catalog imports) and cross-checked against the two externally visible
-ledgers: ``catalog_version`` deltas and ``plan_cache_stats()``.  The
-batches stay under the analyze threshold of a 3-row relation (50 rows
-written): past it the statistics are new and the plan re-plans.
+plan cache not at all: the publish drops no entry and computes no
+planning facts, and the cached plan over the written relation stays
+cached, hits, and answers the new version.  Its next lookup computes the
+facts of the new versions it reads, once each, and of nothing else.  The
+computations are observed directly (by wrapping the plan cache's
+``_compute_facts``) and cross-checked against the two externally
+visible ledgers: ``catalog_version`` deltas and ``plan_cache_stats()``.
+The batches stay under the analyze threshold of a 3-row relation (50
+rows written): past it the statistics are new and the plan re-plans.
 """
 
 from __future__ import annotations
@@ -22,33 +23,34 @@ from repro.core.descriptor import Descriptor
 from repro.core.query import Poss, Rel, UProject
 from repro.core.udatabase import UDatabase
 from repro.core.urelation import URelation, tid_column
-from repro.relational import plan_cache_stats
+from repro.relational import plan_cache_stats, plancache
 from repro.server.session import Session
 from repro.sql import execute_sql
 
-import repro.core.udatabase as udatabase_module
-
 
 @contextmanager
-def counting_bumps(monkeypatch):
-    """Wrap the ``bump_relation`` the catalog calls; yield the log.
-
-    Every publish (``replace_partitions`` from DML, transaction commit,
-    or compaction) goes through :mod:`repro.core.udatabase`, so wrapping
-    its one import of the name would see any bump a publish made.
-    """
+def counting_fills(monkeypatch):
+    """Wrap the plan cache's facts computation; yield the log of the
+    relation versions it computed facts for."""
     calls = []
-    real = udatabase_module.bump_relation
+    real = plancache._compute_facts
 
-    def counted(relation):
+    def counted(relation, probes):
         calls.append(relation)
-        return real(relation)
+        return real(relation, probes)
 
-    monkeypatch.setattr(udatabase_module, "bump_relation", counted)
+    monkeypatch.setattr(plancache, "_compute_facts", counted)
     try:
         yield calls
     finally:
-        monkeypatch.setattr(udatabase_module, "bump_relation", real)
+        monkeypatch.setattr(plancache, "_compute_facts", real)
+
+
+def _only_new_versions(udb, fills):
+    """Each fill was of a live ``r`` version, and none was filled twice."""
+    live = {id(part.relation) for part in udb.partitions("r")}
+    assert {id(relation) for relation in fills} <= live
+    assert len(fills) == len({id(relation) for relation in fills})
 
 
 def _two_partition_udb() -> UDatabase:
@@ -114,23 +116,31 @@ def test_batched_insert_publishes_once_and_keeps_the_plans(monkeypatch):
     _warm(udb, q_r())
     survivor = _warm(udb, q_s())
     before = udb.catalog_version
-    invalidations = plan_cache_stats()["invalidations"]
+    cached = plan_cache_stats()
 
     values = ", ".join(f"({100 + i}, 'bulk')" for i in range(40))
-    with counting_bumps(monkeypatch) as calls:
+    with counting_fills(monkeypatch) as fills:
         result = execute_sql(f"insert into r values {values}", udb)
 
     assert result.count == 40
-    # one publish (certain rows: no world-table bumps), no bump, no eviction
-    assert calls == []
+    # one publish (certain rows: no world-table bumps), no facts, no eviction
+    assert fills == []
     assert udb.catalog_version - before == 1
-    assert plan_cache_stats()["invalidations"] == invalidations
-    # the written relation's plan answers the new version from the cache,
-    # and the unrelated relation's plan is untouched
-    _still_hits(udb, q_r(), 43)
-    hits = plan_cache_stats()["hits"]
-    assert execute_query(q_s(), udb) == survivor
-    assert plan_cache_stats()["hits"] == hits + 1
+    after = plan_cache_stats()
+    assert (after["invalidations"], after["size"]) == (
+        cached["invalidations"],
+        cached["size"],
+    )
+    # the written relation's plan answers the new version from the cache
+    # after reading both new versions' facts, and the unrelated relation's
+    # plan is untouched and reads none
+    with counting_fills(monkeypatch) as fills:
+        _still_hits(udb, q_r(), 43)
+        hits = plan_cache_stats()["hits"]
+        assert execute_query(q_s(), udb) == survivor
+        assert plan_cache_stats()["hits"] == hits + 1
+    assert len(fills) == 2
+    _only_new_versions(udb, fills)
     assert len(_rows(udb)) == 43
 
 
@@ -142,16 +152,19 @@ def test_copy_rows_publishes_once(monkeypatch):
         i: len(part.relation.segments()) for i, part in enumerate(udb.partitions("r"))
     }
 
-    with counting_bumps(monkeypatch) as calls:
+    with counting_fills(monkeypatch) as fills:
         result = udb.copy_rows("r", [(200 + i, "copy") for i in range(40)])
 
     assert result.count == 40
-    assert calls == []
+    assert fills == []
     assert udb.catalog_version - before == 1
     # the whole batch lands as ONE appended segment per partition
     for i, part in enumerate(udb.partitions("r")):
         assert len(part.relation.segments()) == segments[i] + 1
-    _still_hits(udb, q_r(), 43)
+    with counting_fills(monkeypatch) as fills:
+        _still_hits(udb, q_r(), 43)
+    assert len(fills) == 2
+    _only_new_versions(udb, fills)
 
 
 def test_committed_txn_publishes_once_at_commit(monkeypatch):
@@ -161,20 +174,23 @@ def test_committed_txn_publishes_once_at_commit(monkeypatch):
     before = udb.catalog_version
     invalidations = plan_cache_stats()["invalidations"]
 
-    with counting_bumps(monkeypatch) as calls:
-        session.execute("begin")
-        for i in range(40):
-            session.execute(f"insert into r values ({300 + i}, 'txn')")
-        session.execute("update r set type = 'staged' where id = 300")
-        # nothing published yet: zero catalog movement
-        assert udb.catalog_version == before
+    session.execute("begin")
+    for i in range(40):
+        session.execute(f"insert into r values ({300 + i}, 'txn')")
+    session.execute("update r set type = 'staged' where id = 300")
+    # nothing published yet: zero catalog movement
+    assert udb.catalog_version == before
+    with counting_fills(monkeypatch) as fills:
         session.execute("commit")
+        assert fills == []
 
-    # 41 statements, one publish of both partitions, nothing evicted
-    assert calls == []
-    assert udb.catalog_version - before == 1
-    assert plan_cache_stats()["invalidations"] == invalidations
-    _still_hits(udb, q_r(), 43)
+        # 41 statements, one publish of both partitions, nothing evicted
+        assert udb.catalog_version - before == 1
+        assert plan_cache_stats()["invalidations"] == invalidations
+        _still_hits(udb, q_r(), 43)
+    # the update's matching query may have read a staged version's facts
+    # already; the lookup read the rest, and only the published versions
+    _only_new_versions(udb, fills)
     rows = _rows(udb)
     assert len(rows) == 43
     assert (300, "staged") in rows
@@ -186,15 +202,16 @@ def test_rolled_back_txn_bumps_nothing(monkeypatch):
     session = Session(udb)
     before = udb.catalog_version
 
-    with counting_bumps(monkeypatch) as calls:
+    with counting_fills(monkeypatch) as fills:
         session.execute("begin")
         for i in range(20):
             session.execute(f"insert into r values ({400 + i}, 'doomed')")
         session.execute("rollback")
 
-    assert calls == []
-    assert udb.catalog_version == before
-    # the cached plan is still warm and still right
-    hits = plan_cache_stats()["hits"]
-    assert execute_query(q_r(), udb) == baseline
-    assert plan_cache_stats()["hits"] == hits + 1
+        assert udb.catalog_version == before
+        # the cached plan is still warm and still right, over the versions
+        # whose facts it already knows
+        hits = plan_cache_stats()["hits"]
+        assert execute_query(q_r(), udb) == baseline
+        assert plan_cache_stats()["hits"] == hits + 1
+    assert fills == []

@@ -1,14 +1,18 @@
 """The invalidation test matrix for the prepared-plan cache (UDatabase).
 
-Each catalog mutation in place — ``CREATE INDEX``, ``DROP INDEX``, a
-statistics refresh, re-registering a relation, and the lazy
-partition-index first build — must bump the catalog version and evict
-exactly the dependent entries: a stale-plan execution must be impossible
-to observe, and unrelated cached plans must keep hitting.  A write
-(``replace_partitions``) moves the version and evicts nothing: the plans
-over the written relation answer the new version from the cache, and
-re-plan only when its planning facts differ.  World-table growth bumps
-the version and evicts nothing.
+A cached plan goes stale in one way: a planning fact of a version it
+reads differs from the one it was built on.  ``CREATE INDEX``, ``DROP
+INDEX`` (of a built index or a still-pending definition) and a
+statistics refresh change a fact of a partition in place: they drop the
+facts memoized on it, and exactly the dependent entries re-plan at their
+next lookup — a stale-plan execution must be impossible to observe, and
+unrelated cached plans must keep hitting.  A lazy index build turns
+pending definitions into built ones, changes no fact and re-plans
+nothing; re-registering the same partitions re-plans nothing either.  A
+write (``replace_partitions``) moves the catalog version and evicts
+nothing: the plans over the written relation answer the new version from
+the cache, and re-plan only when its planning facts differ.  World-table
+growth moves the version and evicts nothing.
 """
 
 from __future__ import annotations
@@ -25,8 +29,10 @@ from repro.core import (
     UDatabase,
     WorldTable,
 )
+from repro.core.descriptor import TOP_VARIABLE
 from repro.core.translate import execute_query
 from repro.relational import col, lit, plan_cache_stats
+from repro.relational import plancache
 from repro.relational.index import indexes_on
 from repro.relational.optimizer import refresh_statistics
 from repro.relational.relation import Relation
@@ -106,13 +112,11 @@ class TestInvalidationMatrix:
         assert stats["misses"] == misses + 1
         assert stats["invalidations"] == invalidations + 1
 
-    def test_create_index_evicts_dependents_only(self):
+    def test_create_index_replans_dependents_only(self):
         udb = build_vehicles_udb()
         tank, friend = warm(udb, q_type(), q_faction())
-        version = udb.catalog_version
+        invalidations = plan_cache_stats()["invalidations"]
         execute_sql("create index idx_extra on u_r_type (type) using hash", udb)
-        assert udb.catalog_version > version
-        assert plan_cache_stats()["invalidations"] >= 1
         # faction survived, type re-plans (it may now use the index)
         hits = plan_cache_stats()["hits"]
         assert execute_query(q_faction(), udb) == friend
@@ -120,14 +124,13 @@ class TestInvalidationMatrix:
         misses = plan_cache_stats()["misses"]
         assert execute_query(q_type(), udb) == tank
         assert plan_cache_stats()["misses"] == misses + 1
+        assert plan_cache_stats()["invalidations"] == invalidations + 1
 
-    def test_drop_index_evicts_dependents_only(self):
+    def test_drop_index_replans_dependents_only(self):
         udb = build_vehicles_udb()
         execute_sql("create index idx_extra on u_r_type (type) using hash", udb)
         tank, friend = warm(udb, q_type(), q_faction())
-        version = udb.catalog_version
         execute_sql("drop index idx_extra", udb)
-        assert udb.catalog_version > version
         hits = plan_cache_stats()["hits"]
         assert execute_query(q_faction(), udb) == friend
         assert plan_cache_stats()["hits"] == hits + 1
@@ -135,12 +138,10 @@ class TestInvalidationMatrix:
         assert execute_query(q_type(), udb) == tank
         assert plan_cache_stats()["misses"] == misses + 1
 
-    def test_refresh_statistics_evicts_dependents_only(self):
+    def test_refresh_statistics_replans_dependents_only(self):
         udb = build_vehicles_udb()
         tank, friend = warm(udb, q_type(), q_faction())
-        version = udb.catalog_version
         refresh_statistics(partition_relation(udb, "u_r_type"))
-        assert udb.catalog_version > version
         hits = plan_cache_stats()["hits"]
         assert execute_query(q_faction(), udb) == friend
         assert plan_cache_stats()["hits"] == hits + 1
@@ -162,9 +163,11 @@ class TestInvalidationMatrix:
         assert plan_cache_stats()["hits"] == hits + 1
         assert plan_cache_stats()["invalidations"] == invalidations
 
-    def test_lazy_partition_index_first_build_bumps_and_evicts(self):
-        """The deferred auto-index build is a catalog mutation: it bumps
-        the version, and a plan cached *without* access paths re-plans."""
+    def test_lazy_partition_index_first_build_replans_nothing(self):
+        """The deferred auto-index build turns pending definitions into
+        built ones: the definition set — the planning fact — is the same,
+        so the version stays and a plan cached *without* access paths
+        still hits."""
         w = WorldTable({"x": [1, 2]})
         part = URelation.build(
             [(Descriptor(), f"t{i}", (i % 4,)) for i in range(16)],
@@ -184,23 +187,41 @@ class TestInvalidationMatrix:
         # first *indexed* planning materializes the deferred definitions
         indexed = execute_query(query, udb)
         assert indexes_on(part.relation)  # now built
-        assert udb.catalog_version > version
+        assert udb.catalog_version == version
         assert indexed == no_index
-        # the build evicted the dependent no-index entry: it re-plans
-        misses = plan_cache_stats()["misses"]
+        # the dependent no-index entry still hits
+        stats = plan_cache_stats()
         assert execute_query(query, udb, use_indexes=False) == no_index
-        assert plan_cache_stats()["misses"] == misses + 1
+        after = plan_cache_stats()
+        assert (after["hits"], after["misses"]) == (stats["hits"] + 1, stats["misses"])
+        assert after["invalidations"] == stats["invalidations"]
+        assert after["size"] == size + 1
 
-    def test_add_relation_replacement_evicts(self):
+    def test_add_relation_replacement_replans_a_new_layout_only(self):
         udb = build_vehicles_udb()
         (tank,) = warm(udb, q_type())
         version = udb.catalog_version
-        # re-register r with the same partitions (a partition swap in place)
+        # re-register r with the same partitions: the same facts, a hit
         udb.add_relation("r", ["id", "type", "faction"], udb.partitions("r"))
         assert udb.catalog_version > version
-        misses = plan_cache_stats()["misses"]
+        stats = plan_cache_stats()
         assert execute_query(q_type(), udb) == tank
-        assert plan_cache_stats()["misses"] == misses + 1
+        assert plan_cache_stats()["hits"] == stats["hits"] + 1
+        assert plan_cache_stats()["misses"] == stats["misses"]
+        # a different layout: ``type`` moves into a partition with
+        # ``faction``, the label the plan reads is gone, and it re-plans
+        type_faction = URelation.build(
+            [(Descriptor(), tid, ("Tank", "Friend")) for tid in "abcd"],
+            tid_name="tid_r",
+            value_names=["type", "faction"],
+        )
+        udb.add_relation("r", ["id", "type", "faction"], [udb.partitions("r")[0], type_faction])
+        assert "u_r_type" not in udb.catalog().versions
+        stats = plan_cache_stats()
+        assert execute_query(q_type(), udb) == tank
+        after = plan_cache_stats()
+        assert after["misses"] == stats["misses"] + 1
+        assert after["invalidations"] == stats["invalidations"] + 1
 
     def test_stale_execution_impossible_through_sql(self):
         """End to end: warm plan, mutate through every SQL-visible channel,
@@ -213,3 +234,42 @@ class TestInvalidationMatrix:
         assert first == second
         execute_sql("drop index idx_probe", udb)
         assert execute_sql(sql, udb) == first
+
+
+def _create_index(udb, relation):
+    execute_sql("create index idx_extra on u_r_type (type) using hash", udb)
+
+
+def _drop_built_index(udb, relation):
+    udb.drop_index("idx_extra")
+
+
+def _drop_pending_definition(udb, relation):
+    assert "idx_u_r_type_type" in [pending[2] for pending in relation._pending_indexes]
+    udb.drop_index("idx_u_r_type_type")
+
+
+def _refresh_statistics(udb, relation):
+    refresh_statistics(relation)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [_create_index, _drop_built_index, _drop_pending_definition, _refresh_statistics],
+    ids=["create index", "drop built index", "drop pending definition", "analyze"],
+)
+def test_every_definition_set_change_refreshes_the_facts(change):
+    """After each in-place change the facts memoized on the live version
+    are the ones a fresh computation reads, and differ from before it."""
+    udb = build_vehicles_udb()  # auto-index definitions still pending
+    if change is _drop_built_index:
+        _create_index(udb, None)
+    relation = partition_relation(udb, "u_r_type")
+    probes = ((0, TOP_VARIABLE),)  # translation's question: is c1 all ⊤?
+    before = plancache.planning_facts(relation, probes)
+    assert plancache.planning_facts(relation, probes) is before  # memoized
+    change(udb, relation)
+    assert partition_relation(udb, "u_r_type") is relation  # changed in place
+    after = plancache.planning_facts(relation, probes)
+    assert after == plancache._compute_facts(relation, probes)
+    assert after != before

@@ -4,8 +4,9 @@ A plan-cache key is a function of the statement (tree, database, knobs)
 and a cost class is a function of the plan, so a served request for a
 cached plan walks neither: the ``PreparedQuery`` derived its key once,
 the ``PlanRecord`` carries the class, and the planning facts of a
-partition version are read only when the entry meets a version it has
-not validated yet.  One counted lookup per request is all the cache sees.
+partition version are computed once per version and memoized on it (a
+lookup reads the memo).  One counted lookup per request is all the cache
+sees.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def derived(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     counting(sys.modules["repro.core.translate"], "query_key")
-    counting(plancache, "planning_facts")
+    counting(plancache, "_compute_facts")
     counting(plancache, "cost_class_of")
     return calls
 
@@ -75,7 +76,7 @@ def _three_cached_requests(request, derived):
         stats = plan_cache_stats()
         assert stats["hits"] == before["hits"] + done
         assert stats["misses"] == before["misses"]
-    assert derived == {"query_key": 0, "planning_facts": 0, "cost_class_of": 0}
+    assert derived == {"query_key": 0, "_compute_facts": 0, "cost_class_of": 0}
 
 
 @STATEMENTS
@@ -118,8 +119,8 @@ def test_a_write_keeps_the_plan_and_a_changed_fact_replans_it(derived):
         assert stats["invalidations"] == before["invalidations"]
         assert (stats["misses"], stats["hits"]) == (before["misses"], before["hits"] + 1)
         assert server.stats()["admission"]["cold"]["admitted"] == cold
-        # ... that read the new versions' facts once, and planned nothing
-        assert derived["planning_facts"] >= 1 and derived["cost_class_of"] == 0
+        # ... that computed the new versions' facts once, and planned nothing
+        assert derived["_compute_facts"] >= 1 and derived["cost_class_of"] == 0
         # a NULL in the scanned ``type`` column changes a fact: the next
         # request misses, re-plans and admits cold
         session.execute("insert into r values (10, NULL, 'Enemy')")

@@ -7,11 +7,11 @@ Three families:
   marking, the partitions an entry names and reset, through the U-level
   entry points (``execute_query`` / ``explain_query``), the cache's one
   caller;
-* invalidation — each relation-level mutation (index build or drop,
-  statistics refresh) bumps the relation's epoch and its watchers and
-  evicts exactly the entries over it; a stale-plan execution is
-  impossible, and a lazy index build during planning does not evict the
-  entry being stored;
+* invalidation — each relation-level change (index build or drop,
+  statistics refresh) drops the planning facts memoized on the relation,
+  so the next lookup of exactly the entries over it re-plans; a
+  stale-plan execution is impossible, and a lazy index build during
+  planning does not invalidate the entry being stored;
 * property tests (hypothesis) — a relational plan executed again is
   tuple-identical to a fresh compilation for the executor and the
   ``rows`` reference, ``use_indexes`` on/off, and fused/unfused plans.
@@ -49,13 +49,11 @@ from repro.relational.optimizer import optimize, refresh_statistics
 from repro.relational import plancache
 from repro.relational.plancache import (
     PlanRecord,
-    bump_relation,
     cache_lookup,
     cache_store,
     cost_class_of,
     planned_over,
-    relation_epoch,
-    watch_relation,
+    planning_facts,
 )
 from repro.relational.planner import plan_physical
 from repro.relational.physical import execute
@@ -186,16 +184,6 @@ class TestMechanics:
         assert partition_relation(udb, "u_r_id") is udb.catalog().versions["u_r_id"]
 
 
-class Watcher:
-    """A catalog stand-in: counts the bumps ``watch_relation`` delivers."""
-
-    def __init__(self):
-        self.bumps = 0
-
-    def _bump_catalog_version(self):
-        self.bumps += 1
-
-
 class Owner:
     """A catalog stand-in: ``relation`` under the one label ``t``."""
 
@@ -215,9 +203,10 @@ def cache_plan_over(relation: Relation, key) -> None:
 
 
 class TestInvalidation:
-    """Every relation-level mutation — index build or drop, statistics
-    refresh — goes through ``bump_relation``: the relation's epoch and its
-    watchers' versions move, and exactly the entries over it are evicted."""
+    """Every relation-level change — index build or drop, statistics
+    refresh — drops the planning facts memoized on the relation: the next
+    lookup of an entry over it sees a changed fact and re-plans, and an
+    entry over another relation still hits."""
 
     def setup_method(self):
         self.r = Relation(["a", "b"], [(i % 5, i) for i in range(40)])
@@ -227,56 +216,54 @@ class TestInvalidation:
         cache_plan_over(self.r, ("r",))
         cache_plan_over(self.s, ("s",))
         assert plan_cache_stats()["size"] == 2
-        self.watcher = Watcher()
-        watch_relation(self.r, self.watcher)
-        self.epoch = relation_epoch(self.r)
+        self.facts = planning_facts(self.r, ())
 
-    def assert_exactly_r_evicted(self):
-        assert relation_epoch(self.r) == self.epoch + 1
-        assert self.watcher.bumps == 1
+    def assert_next_r_lookup_replans(self):
+        assert plan_cache_stats()["invalidations"] == 0  # nothing scanned the cache
+        assert planning_facts(self.r, ()) != self.facts
+        assert cache_lookup(("r",)) is None  # r must re-plan
+        assert cache_lookup(("s",)) is not None  # s still cached
         stats = plan_cache_stats()
         assert stats["invalidations"] == 1 and stats["size"] == 1
-        assert cache_lookup(("s",)) is not None  # s still cached
-        assert cache_lookup(("r",)) is None  # r must re-plan
 
-    def test_create_index_bumps_and_evicts(self):
+    def test_create_index_replans_the_next_lookup(self):
         self.cache_both()
         ensure_index(self.r, ["a"], kind="hash")
-        self.assert_exactly_r_evicted()
+        self.assert_next_r_lookup_replans()
 
-    def test_drop_index_bumps_and_evicts(self):
+    def test_drop_index_replans_the_next_lookup(self):
         index = ensure_index(self.r, ["a"], kind="hash")
         self.cache_both()
         detach_index(self.r, index)
-        self.assert_exactly_r_evicted()
+        self.assert_next_r_lookup_replans()
 
-    def test_analyze_bumps_and_evicts(self):
+    def test_analyze_replans_the_next_lookup(self):
         self.cache_both()
         refresh_statistics(self.r)
-        self.assert_exactly_r_evicted()
+        self.assert_next_r_lookup_replans()
 
-    def test_reattaching_an_index_evicts_nothing(self):
+    def test_reattaching_an_index_replans_nothing(self):
         index = ensure_index(self.r, ["a"], kind="hash")
         self.cache_both()
         assert ensure_index(self.r, ["a"], kind="hash") is index
         attach_index(self.r, index)  # already attached: no access-path change
         detach_index(self.s, index)  # not attached there: a no-op
-        assert relation_epoch(self.r) == self.epoch
-        assert self.watcher.bumps == 0
-        assert plan_cache_stats()["invalidations"] == 0
+        assert planning_facts(self.r, ()) is self.facts  # the memo survived
         assert cache_lookup(("r",)) is not None
+        assert plan_cache_stats()["invalidations"] == 0
 
-    def test_watchers_are_notified_and_held_weakly(self):
+    def test_the_facts_memo_lives_on_the_version(self):
+        """One computation per version and probe set; a change drops only
+        that version's memo, and the entries over it re-check the facts."""
         self.cache_both()
         cache_plan_over(self.r, ("r", "again"))
-        assert bump_relation(self.r) == 2  # both entries over r
-        assert self.watcher.bumps == 1
-        ref = weakref.ref(self.watcher)
-        del self.watcher
-        gc.collect()
-        assert ref() is None  # watching never pins a catalog
-        assert bump_relation(self.r) == 0
-        assert relation_epoch(self.r) == self.epoch + 2
+        assert planning_facts(self.r, ()) is self.facts  # memoized
+        s_facts = planning_facts(self.s, ())
+        refresh_statistics(self.r)
+        assert planning_facts(self.s, ()) is s_facts
+        assert cache_lookup(("r",)) is None and cache_lookup(("r", "again")) is None
+        assert cache_lookup(("s",)) is not None
+        assert plan_cache_stats()["invalidations"] == 2
 
     def test_stale_plan_execution_is_impossible(self):
         """The end-to-end guarantee: after any write, the next run sees the
@@ -290,14 +277,6 @@ class TestInvalidation:
         execute_sql("delete from r where id = 11", udb)
         expected.discard(11)
         assert {row[0] for row in execute_query(tanks(), udb).rows} == expected
-
-    def test_epoch_bump_is_per_relation(self):
-        r = Relation(["a"], [(1,)])
-        s = Relation(["b"], [(2,)])
-        before_r, before_s = relation_epoch(r), relation_epoch(s)
-        bump_relation(r)
-        assert relation_epoch(r) == before_r + 1
-        assert relation_epoch(s) == before_s
 
     def test_lazy_index_build_during_planning_is_self_consistent(self):
         """A deferred index that materializes *during* a miss's planning

@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.relational import expressions, plancache
+from repro.relational.optimizer import refresh_statistics
 from repro.relational.plancache import PlanRecord
 
 
@@ -161,21 +162,28 @@ def test_invalidation_still_evicts_pinned_entries(tiny_cache):
     for _ in range(3):
         plancache.cache_lookup(("dep",))
     assert plancache.plan_cache_stats()["pinned"] == 1
-    plancache.bump_relation(relation)
+    refresh_statistics(relation)  # a new statistics generation: a changed fact
+    assert plancache.cache_lookup(("dep",)) is None
     assert not PlanCacheUser.present("dep")
-    assert plancache.plan_cache_stats()["pinned"] == 0
+    stats = plancache.plan_cache_stats()
+    assert stats["pinned"] == 0 and stats["invalidations"] == 1
 
 
 def test_a_policy_eviction_leaves_nothing_to_invalidate(tiny_cache):
-    """An entry the policy evicted is gone for the bump hook too: bumping
-    its relation evicts nothing, bumping a cached one's evicts it."""
+    """An entry the policy evicted is gone: a changed fact of its relation
+    invalidates nothing (the lookup is a plain miss), a changed fact of a
+    cached one's relation invalidates it at its next lookup."""
     from repro.relational.relation import Relation
 
     relations = [Relation(["a"], [(i,)]) for i in range(6)]
     for i, relation in enumerate(relations):
         store_over((f"q{i}",), record(f"q{i}"), relation)
-    assert plancache.bump_relation(relations[0]) == 0  # evicted, not invalidated
-    assert plancache.bump_relation(relations[5]) == 1
+    for relation in (relations[0], relations[5]):
+        refresh_statistics(relation)
+    assert plancache.cache_lookup(("q0",)) is None  # evicted, not invalidated
+    assert plancache.plan_cache_stats()["invalidations"] == 0
+    assert plancache.cache_lookup(("q5",)) is None
+    assert plancache.plan_cache_stats()["invalidations"] == 1
 
 
 def test_restore_replaces_in_place(tiny_cache):
@@ -187,12 +195,14 @@ def test_restore_replaces_in_place(tiny_cache):
     stats = plancache.plan_cache_stats()
     assert stats["size"] == 1 and stats["evictions"] == 0
     assert plancache.cache_lookup(("q",)).cost_class == "join"
-    assert plancache.bump_relation(old) == 0  # the replaced entry is gone
+    refresh_statistics(old)  # the replaced entry is gone: nothing reads old
+    assert plancache.cache_lookup(("q",)).cost_class == "join"
+    assert plancache.plan_cache_stats()["invalidations"] == 0
 
 
 def test_concurrent_store_lookup_invalidate_is_safe(tiny_cache, monkeypatch):
-    """A stress belt for the lock: stores, lookups, and bumps from many
-    threads never corrupt the cache maps (sizes stay bounded, no
+    """A stress belt for the lock: stores, lookups, and fact changes from
+    many threads never corrupt the cache maps (sizes stay bounded, no
     exceptions escape)."""
     import threading
 
@@ -210,7 +220,7 @@ def test_concurrent_store_lookup_invalidate_is_safe(tiny_cache, monkeypatch):
                 store_over((thread_id, i % 8), record(i), relation)
                 plancache.cache_lookup((thread_id, (i + 1) % 8))
                 if i % 17 == 0:
-                    plancache.bump_relation(relation)
+                    refresh_statistics(relation)
         except Exception as error:  # pragma: no cover - the assertion
             errors.append(error)
 

@@ -3,8 +3,9 @@
 The serving subsystem's core promise: N threads running a mix of cached,
 prepared, and cold queries — through raw ``execute_query`` and through
 server-bound sessions, across all three execution modes — always receive
-answers identical to serial execution, even while a DDL thread bumps the
-catalog (index create/drop, statistics refresh) under them.
+answers identical to serial execution, even while a DDL thread changes
+the partitions' access paths (index create/drop, statistics refresh)
+under them.
 
 Index DDL never changes *what* a query answers, only how it executes, so
 the serial baseline is well-defined throughout.  Without DDL the

@@ -54,7 +54,7 @@ def test_different_catalog_versions_do_not_coalesce():
 
     first = executor.submit(slow, key=("k", (), 0))
     assert entered.wait(timeout=5)
-    second = executor.submit(slow, key=("k", (), 1))  # DDL bumped the version
+    second = executor.submit(slow, key=("k", (), 1))  # a write moved the version
     release.set()
     first.result(timeout=5)
     second.result(timeout=5)
