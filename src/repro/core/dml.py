@@ -3,15 +3,20 @@
 The write path is log-structured, mirroring the paper's representation
 invariants: U-relations are *plain relations*, and relations here are
 immutable values.  A DML statement
-therefore never mutates a partition in place — it derives a **new**
+therefore never mutates a partition in place — over the
+:class:`~repro.core.udatabase.Catalog` it is given, it derives a **new**
 :class:`~repro.relational.relation.Relation` composed of the old one's
 immutable segments plus, per statement,
 
 * an appended segment (INSERT, and the rewritten tuples of UPDATE), and/or
 * a widened delete vector (DELETE, and the superseded tuples of UPDATE),
 
-then publishes the partition set in one catalog swap
-(:meth:`UDatabase.replace_partitions`).  The derivation itself
+and returns the new partition sets in a :class:`Write`, publishing
+nothing.  :func:`publish` is the one way a write becomes visible: its
+variables join the world table, then ONE catalog swap.  Autocommit DML
+derives over ``udb.catalog()`` and publishes at once; a transaction
+derives over its staged catalog and publishes at COMMIT
+(:mod:`repro.core.txn`).  The derivation itself
 (:meth:`Relation.with_appended` / :meth:`Relation.with_deleted`) carries
 whatever the old relation had built — indexes, column vectors, NULL and
 all-equal facts, statistics — onto the new one along the statement's
@@ -33,11 +38,12 @@ worlds multiplying the world count, at ``k`` representation tuples.
 
 UPDATE/DELETE match tuples under *possible-worlds* semantics: a tuple id
 is affected when its WHERE condition holds in at least one world (the
-matching runs as an ordinary translated query, so it is planned, cached,
-and indexed like any read).  UPDATE rewrites every alternative of an
-affected tuple in the partitions covering the SET columns, keeping
-descriptors and tuple ids; DELETE removes the tuple from every partition
-(all its alternatives, in all worlds).
+matching runs as an ordinary translated query over the derivation's
+catalog, so it is planned, cached, and indexed like any read).  UPDATE
+rewrites every alternative of an affected tuple in the partitions
+covering the SET columns, keeping descriptors and tuple ids; DELETE
+removes the tuple from every partition (all its alternatives, in all
+worlds).
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from __future__ import annotations
 import functools
 from itertools import compress
 from operator import itemgetter
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Collection, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..obs import counter as _counter
 from ..relational.expressions import Expression, Param, slot_count
@@ -59,10 +65,12 @@ __all__ = [
     "Insert",
     "Update",
     "Delete",
-    "insert_rows",
+    "Write",
     "copy_rows",
     "update_where",
     "delete_where",
+    "derive",
+    "publish",
     "execute_dml",
     "dml_slot_count",
 ]
@@ -154,18 +162,34 @@ def _resolve(value: Any) -> Any:
     return value
 
 
-def _counted(fn):
-    """Meter a DML funnel function from its :class:`DMLResult`.
+class Write(NamedTuple):
+    """One derived write, not yet visible to anyone.
 
-    Every write — SQL DML, prepared DML, and the programmatic
-    ``udb.insert`` — exits through one of the three decorated funnels, so
-    ``dml_statements_total{op}`` / ``dml_rows_total{op}`` count all of
-    them exactly once.
+    ``relations`` maps each logical relation the write changes to its
+    replacement partition set, and ``minted`` lists the
+    ``(variable, domain)`` pairs its uncertain cells need in the world
+    table.  ``result`` is what :func:`publish` hands back: a statement's
+    :class:`DMLResult` (a COMMIT's :class:`~repro.core.txn.TxnResult`).
+    """
+
+    result: Any
+    relations: Dict[str, List[URelation]]
+    minted: Sequence[Tuple[str, Tuple[int, ...]]] = ()
+
+
+def _counted(fn):
+    """Meter a DML derivation from its :class:`Write`'s :class:`DMLResult`.
+
+    Every write — SQL DML, prepared DML, COPY, the programmatic
+    ``udb.insert``, and a transaction's staged statements — is derived by
+    one of the three decorated functions, so ``dml_statements_total{op}``
+    / ``dml_rows_total{op}`` count all of them exactly once.
     """
 
     @functools.wraps(fn)
-    def wrapper(*args: Any, **kwargs: Any) -> DMLResult:
-        result = fn(*args, **kwargs)
+    def wrapper(*args: Any, **kwargs: Any) -> Write:
+        write = fn(*args, **kwargs)
+        result = write.result
         _counter("dml_statements_total", "DML statements executed by op").inc(
             op=result.statement
         )
@@ -178,30 +202,55 @@ def _counted(fn):
                 "dml_variables_minted_total",
                 "World-table variables minted by uncertain inserts",
             ).inc(len(result.variables))
-        return result
+        return write
 
     return wrapper
 
 
-def execute_dml(statement, udb) -> DMLResult:
-    """Dispatch a parsed DML statement record to its executor.
+def derive(statement, udb, catalog, taken: Collection[str] = ()) -> Write:
+    """Derive a parsed DML statement over ``catalog``; publish nothing.
 
-    Holds the database's write lock across the whole statement: the write
-    path is read-derive-swap over the partition lists, and two concurrent
-    writers interleaving would lose one's appends.  Readers never wait —
-    they execute against the immutable relation versions of the catalog
-    they read once.
+    ``udb`` owns ``catalog``: it hands out tuple ids and keys the
+    UPDATE/DELETE matching plan, and a fresh variable name avoids its
+    world table and ``taken`` (what an open transaction already minted).
+    The caller holds ``udb._write_lock``.
+    """
+    if isinstance(statement, Insert):
+        return _insert(udb, catalog, statement.table, statement.rows, "insert", taken)
+    if isinstance(statement, Update):
+        return update_where(
+            udb, catalog, statement.table, statement.assignments, statement.condition
+        )
+    if isinstance(statement, Delete):
+        return delete_where(udb, catalog, statement.table, statement.condition)
+    raise TypeError(f"not a DML statement: {type(statement).__name__}")
+
+
+def publish(udb, write: Write) -> Any:
+    """Make ``write`` visible and return its result: the only way one is.
+
+    The minted variables join the world table (one version bump each),
+    then ONE :meth:`~repro.core.udatabase.UDatabase.publish` swaps every
+    replaced relation in.  The caller holds ``udb._write_lock``.
+    """
+    for var, domain in write.minted:
+        udb.world_table.add_variable(var, domain)
+    if write.relations:
+        udb.publish(write.relations)
+    return write.result
+
+
+def execute_dml(statement, udb) -> DMLResult:
+    """Derive a parsed DML statement over ``udb.catalog()`` and publish it.
+
+    Holds the database's write lock across both: the write path is
+    read-derive-swap over the partition lists, and two concurrent writers
+    interleaving would lose one's appends.  Readers never wait — they
+    execute against the immutable relation versions of the catalog they
+    read once.
     """
     with udb._write_lock:
-        if isinstance(statement, Insert):
-            return insert_rows(udb, statement.table, statement.rows)
-        if isinstance(statement, Update):
-            return update_where(
-                udb, statement.table, statement.assignments, statement.condition
-            )
-        if isinstance(statement, Delete):
-            return delete_where(udb, statement.table, statement.condition)
-    raise TypeError(f"not a DML statement: {type(statement).__name__}")
+        return publish(udb, derive(statement, udb, udb.catalog()))
 
 
 def dml_slot_count(statement) -> int:
@@ -219,24 +268,6 @@ def dml_slot_count(statement) -> int:
     )
 
 
-@_counted
-def insert_rows(udb, name: str, value_rows: Sequence[Sequence[Any]]) -> DMLResult:
-    """Insert logical tuples (possibly with uncertain cells) into ``name``.
-
-    Each row must match the logical schema's arity.  Cells may be plain
-    values, bound ``$n`` :class:`Param` slots, or :class:`UncertainValue`
-    alternative lists.  Every vertical partition receives the sub-row for
-    its value columns under one fresh shared tuple id, so inserted tuples
-    are complete in every world that picks an alternative.
-
-    A multi-row ``VALUES`` list is one batch: per partition the whole
-    statement appends ONE segment and the publish is one
-    ``replace_partitions`` swap, however many rows the statement carries.
-    """
-    return _stage_insert(udb, name, value_rows, "insert")
-
-
-@_counted
 def copy_rows(udb, name: str, rows) -> DMLResult:
     """Bulk-ingest an iterable of logical tuples as one batch (``COPY``).
 
@@ -246,32 +277,42 @@ def copy_rows(udb, name: str, rows) -> DMLResult:
     cell rules, uncertain alternative lists included.
     """
     with udb._write_lock:
-        return _stage_insert(udb, name, list(rows), "copy")
+        return publish(udb, _insert(udb, udb.catalog(), name, list(rows), "copy"))
 
 
-def _fresh_variable(world, base: str) -> str:
+def _fresh_variable(world, taken: Collection[str], base: str) -> str:
     """``base``, or ``base_<n>`` for the first ``n >= 2`` that names no
-    variable of ``world``: the database's world table, or a transaction's
-    staged one (which answers ``in`` for the names it staged too)."""
+    variable of ``world`` and is not in ``taken``."""
     var = base
     suffix = 2
-    while var in world:
+    while var in world or var in taken:
         var = f"{base}_{suffix}"
         suffix += 1
     return var
 
 
-def _stage_insert(
-    udb, name: str, value_rows: Sequence[Sequence[Any]], op: str
-) -> DMLResult:
-    """The shared INSERT/COPY body: stage one segment per partition, swap once."""
-    schema = udb.logical_schema(name)
-    parts = udb.partitions(name)
+@_counted
+def _insert(
+    udb, catalog, name: str, value_rows: Sequence[Sequence[Any]], op: str, taken=()
+) -> Write:
+    """Derive the insert of logical tuples (possibly uncertain) into ``name``.
+
+    Each row must match the logical schema's arity.  Cells may be plain
+    values, bound ``$n`` :class:`Param` slots, or :class:`UncertainValue`
+    alternative lists.  Every vertical partition receives the sub-row for
+    its value columns under one fresh shared tuple id, so inserted tuples
+    are complete in every world that picks an alternative.
+
+    A multi-row ``VALUES`` list (or a COPY) is one batch: per partition
+    the whole statement appends ONE segment, however many rows it carries.
+    """
+    schema = catalog.logical_schema(name)
+    parts = catalog.partitions(name)
     if not value_rows:
-        return DMLResult(op, 0)
+        return Write(DMLResult(op, 0), {})
     width = len(schema.attributes)
     tid = udb.allocate_tids(name, len(value_rows))
-    minted: List[Tuple[str, UncertainValue]] = []
+    minted: List[Tuple[str, Tuple[int, ...]]] = []
     appends: List[List[Tuple[Any, ...]]] = [[] for _ in parts]
     for row in value_rows:
         row = tuple(row)
@@ -285,8 +326,8 @@ def _stage_insert(
         for attr, value in zip(schema.attributes, row):
             value = _resolve(value)
             if isinstance(value, UncertainValue):
-                var = _fresh_variable(udb.world_table, f"{name}_{tid}_{attr}")
-                minted.append((var, value))
+                var = _fresh_variable(udb.world_table, taken, f"{name}_{tid}_{attr}")
+                minted.append((var, tuple(range(len(value.alternatives)))))
                 variables[attr] = var
             cells[attr] = value
         for slot, part in enumerate(parts):
@@ -319,37 +360,43 @@ def _stage_insert(
                     encode_descriptor(descriptor, part.d_width) + (tid,) + values
                 )
         tid += 1
-    new_parts = []
-    for part, rows in zip(parts, appends):
-        relation = part.relation.with_appended(rows)
-        new_parts.append(
-            URelation(relation, part.d_width, part.tid_names, part.value_names)
-        )
-    # minting bumps the world table's version by exactly one per variable
-    for var, value in minted:
-        udb.world_table.add_variable(var, tuple(range(len(value.alternatives))))
-    udb.replace_partitions(name, new_parts)
-    return DMLResult(op, len(value_rows), tuple(var for var, _ in minted))
+    new_parts = [
+        _successor(part, part.relation.with_appended(rows))
+        for part, rows in zip(parts, appends)
+    ]
+    return Write(
+        DMLResult(op, len(value_rows), tuple(var for var, _ in minted)),
+        {name: new_parts},
+        minted,
+    )
 
 
-def _matching_tids(udb, name: str, condition: Optional[Expression]) -> set:
+def _matching_tids(udb, catalog, name: str, condition: Optional[Expression]) -> set:
     """Tuple ids whose condition possibly holds (None matches everything)."""
     if condition is None:
         tids = set()
         tid_name = tid_column(name)
-        for part in udb.partitions(name):
+        for part in catalog.partitions(name):
             position = part.relation.schema.resolve(tid_name)
             tids.update(row[position] for row in part.relation.rows)
         return tids
     from .translate import execute_keyed, query_cache_key
 
     query = USelect(Rel(name), condition)
-    # one plan per condition shape, across writes: it reads the versions
-    # of the catalog it runs against (a transaction's staged ones inside
-    # its overlay, which keys its own entries)
-    result = execute_keyed(query, udb, query_cache_key(query, udb), "columns", True)
+    # one plan per condition shape, keyed on the database: it reads the
+    # versions of the catalog it is handed (a transaction's staged ones
+    # too) and re-plans only when their planning facts differ
+    key = query_cache_key(query, udb)
+    result = execute_keyed(query, udb, key, "columns", True, catalog)
     position = result.relation.schema.resolve(result.tid_names[0])
     return {row[position] for row in result.relation.rows}
+
+
+def _successor(part: URelation, relation) -> URelation:
+    """``part`` over ``relation``, a version derived from its own."""
+    if relation is part.relation:
+        return part
+    return URelation(relation, part.d_width, part.tid_names, part.value_names)
 
 
 def _positions_of(relation, name: str, tids: set) -> List[int]:
@@ -363,11 +410,12 @@ def _positions_of(relation, name: str, tids: set) -> List[int]:
 @_counted
 def update_where(
     udb,
+    catalog,
     name: str,
     assignments: Sequence[Tuple[str, Any]],
     condition: Optional[Expression] = None,
-) -> DMLResult:
-    """``UPDATE name SET attr = value, ... [WHERE condition]``.
+) -> Write:
+    """Derive ``UPDATE name SET attr = value, ... [WHERE condition]``.
 
     Affected tuples (possible-worlds match) are rewritten in every
     partition covering a SET column: the old alternatives are marked in
@@ -376,7 +424,7 @@ def update_where(
     appended segment.  Partitions not covering any SET column are
     untouched (their relation objects, segments, and indexes survive).
     """
-    schema = udb.logical_schema(name)
+    schema = catalog.logical_schema(name)
     updates: Dict[str, Any] = {}
     for attr, value in assignments:
         if attr not in schema.attributes:
@@ -390,18 +438,15 @@ def update_where(
                 "uncertain alternative lists are only supported in INSERT"
             )
         updates[attr] = value
-    tids = _matching_tids(udb, name, condition)
+    tids = _matching_tids(udb, catalog, name, condition)
     if not tids:
-        return DMLResult("update", 0)
+        return Write(DMLResult("update", 0), {})
     new_parts = []
     changed = False
-    for part in udb.partitions(name):
-        touched = [a for a in part.value_names if a in updates]
-        if not touched:
-            new_parts.append(part)
-            continue
+    for part in catalog.partitions(name):
         relation = part.relation
-        positions = _positions_of(relation, name, tids)
+        touched = any(attr in updates for attr in part.value_names)
+        positions = _positions_of(relation, name, tids) if touched else None
         if not positions:
             new_parts.append(part)
             continue
@@ -414,37 +459,26 @@ def update_where(
                     row[value_base + offset] = updates[attr]
             rewritten.append(tuple(row))
         derived = relation.with_deleted(positions).with_appended(rewritten)
-        new_parts.append(
-            URelation(derived, part.d_width, part.tid_names, part.value_names)
-        )
+        new_parts.append(_successor(part, derived))
         changed = True
-    if changed:
-        udb.replace_partitions(name, new_parts)
-    return DMLResult("update", len(tids))
+    return Write(DMLResult("update", len(tids)), {name: new_parts} if changed else {})
 
 
 @_counted
 def delete_where(
-    udb, name: str, condition: Optional[Expression] = None
-) -> DMLResult:
-    """``DELETE FROM name [WHERE condition]``.
+    udb, catalog, name: str, condition: Optional[Expression] = None
+) -> Write:
+    """Derive ``DELETE FROM name [WHERE condition]``.
 
     Affected tuples (possible-worlds match) are removed from every
     partition by widening the delete vectors — segments are shared
     untouched, so persistence rewrites no segment file, only the vectors.
     """
-    tids = _matching_tids(udb, name, condition)
+    tids = _matching_tids(udb, catalog, name, condition)
     if not tids:
-        return DMLResult("delete", 0)
-    new_parts = []
-    for part in udb.partitions(name):
-        relation = part.relation
-        derived = relation.with_deleted(_positions_of(relation, name, tids))
-        if derived is relation:
-            new_parts.append(part)
-            continue
-        new_parts.append(
-            URelation(derived, part.d_width, part.tid_names, part.value_names)
-        )
-    udb.replace_partitions(name, new_parts)
-    return DMLResult("delete", len(tids))
+        return Write(DMLResult("delete", 0), {})
+    new_parts = [
+        _successor(part, part.relation.with_deleted(_positions_of(part.relation, name, tids)))
+        for part in catalog.partitions(name)
+    ]
+    return Write(DMLResult("delete", len(tids)), {name: new_parts})

@@ -761,7 +761,9 @@ def relational_core(query: UQuery) -> UQuery:
     return query
 
 
-def _cached_physical(query: UQuery, udb: UDatabase, key, mode: str, use_indexes: bool):
+def _cached_physical(
+    query: UQuery, udb: UDatabase, key, mode: str, use_indexes: bool, catalog=None
+):
     """The fully planned physical tree for a logical query, via the cache.
 
     Returns ``(record, was_cached)``: a
@@ -774,12 +776,14 @@ def _cached_physical(query: UQuery, udb: UDatabase, key, mode: str, use_indexes:
     repeated-query path is executor-only.  The cache key is the normalized
     query structure, the owning database, and every knob that shapes the
     plan (the executor's fused plan and the reference's unfused one are
-    cached separately).  The catalog is read once, into the calling
-    thread's frame (``frame.versions``): the lookup checks the entry's
-    planning facts against those partition versions, a miss translates
-    over that same catalog, and the execution that follows resolves the
-    plan's slots there — so a query never joins one COMMIT's new
-    partitions with another relation's old ones.  Callers put back what
+    cached separately).  The catalog — ``catalog`` if handed one (a
+    transaction's staged catalog), else ``udb.catalog()`` — is read
+    once, into the calling thread's frame (``frame.versions``): the
+    lookup checks the entry's planning facts against those partition
+    versions, a miss translates over that same catalog, and the
+    execution that follows resolves the plan's slots there — so a query
+    never joins one COMMIT's new partitions with another relation's old
+    ones.  Callers put back what
     the frame held once they have executed (see
     :mod:`repro.relational.plancache`).
     """
@@ -793,7 +797,8 @@ def _cached_physical(query: UQuery, udb: UDatabase, key, mode: str, use_indexes:
     )
     from ..relational.planner import plan_physical
 
-    catalog = udb.catalog()
+    if catalog is None:
+        catalog = udb.catalog()
     frame.versions = catalog.versions
 
     def build():
@@ -885,10 +890,12 @@ def execute_query(
     return execute_keyed(query, udb, key, mode, use_indexes)
 
 
-def execute_keyed(query: UQuery, udb: UDatabase, key, mode: str, use_indexes: bool):
+def execute_keyed(
+    query: UQuery, udb: UDatabase, key, mode: str, use_indexes: bool, catalog=None
+):
     """:func:`execute_query` for a caller that holds ``key``, the
     :func:`query_cache_key` of the query's :func:`relational_core` under
-    these knobs."""
+    these knobs, reading ``catalog`` (default: ``udb.catalog()``)."""
     import time
 
     from ..obs import counter, current_span, current_trace
@@ -898,11 +905,11 @@ def execute_keyed(query: UQuery, udb: UDatabase, key, mode: str, use_indexes: bo
     if isinstance(query, Certain):
         from .certain import certain_answers
 
-        inner = execute_keyed(query.child, udb, key, mode, use_indexes)
+        inner = execute_keyed(query.child, udb, key, mode, use_indexes, catalog)
         return certain_answers(inner, udb.world_table)
     versions = frame.versions
     try:
-        record, was_cached = _cached_physical(query, udb, key, mode, use_indexes)
+        record, was_cached = _cached_physical(query, udb, key, mode, use_indexes, catalog)
         physical, wrap, profile, cost_class = record
         started = time.perf_counter()
         relation = execute(physical, mode=mode)

@@ -236,12 +236,10 @@ class UDatabase:
         #: the partitions' tid columns on first INSERT and invalidated on
         #: :meth:`add_relation` (external replacement may renumber).
         self._next_tid: Dict[str, int] = {}
-        #: Serializes DML statements: the write path is read-derive-swap
-        #: over the partition lists, so concurrent writers must not
-        #: interleave (readers never take this — they work off immutable
-        #: relation objects).  RLock because UPDATE/DELETE matching runs a
-        #: translated query while the statement holds the lock.
-        self._write_lock = threading.RLock()
+        #: Serializes writes: the write path is read-derive-publish over
+        #: the catalog, so concurrent writers must not interleave (readers
+        #: never take this — they work off immutable relation objects).
+        self._write_lock = threading.Lock()
         #: The database-level open :class:`~repro.core.txn.Transaction`
         #: serving direct ``execute_sql`` BEGIN/COMMIT/ROLLBACK callers;
         #: server sessions carry their own per-connection transaction.
@@ -269,11 +267,11 @@ class UDatabase:
     def publish(self, relations: Mapping[str, Sequence[URelation]]) -> None:
         """Swap several relations' partition sets in with ONE catalog swap.
 
-        The write path's only publish (:meth:`replace_partitions`, a
-        VACUUM and a transaction's COMMIT come through here): a reader
-        that reads the catalog before the swap sees none of
-        ``relations``' new partitions, one that reads it after sees all
-        of them.  Nothing is evicted: a cached plan names the partitions
+        The write path's only publish (:func:`repro.core.dml.publish`,
+        which a statement and a transaction's COMMIT go through, and a
+        VACUUM): a reader that reads the catalog before the swap sees
+        none of ``relations``' new partitions, one that reads it after
+        sees all of them.  Nothing is evicted: a cached plan names the partitions
         it reads and checks the facts it was built on when it runs next.
         """
         catalog = self._catalog
@@ -331,20 +329,6 @@ class UDatabase:
     # ------------------------------------------------------------------
     # the write path (see :mod:`repro.core.dml`)
     # ------------------------------------------------------------------
-    def replace_partitions(self, name: str, partitions: Sequence[URelation]) -> None:
-        """Swap a relation's partition set for DML-derived replacements.
-
-        The lightweight sibling of :meth:`add_relation` for the write
-        path: the logical schema is unchanged and the replacements were
-        *derived* from the current partitions (appended segments and/or
-        delete vectors), carrying their index structures, deferred
-        definitions, NULL and all-equal facts and statistics with them —
-        so no re-validation and no auto-index re-deferral happens here.
-        One :meth:`publish`; cached plans over ``name`` stay cached and
-        read the new versions when they run next.
-        """
-        self.publish({name: partitions})
-
     def allocate_tids(self, name: str, count: int) -> int:
         """Reserve ``count`` fresh tuple ids; returns the first.
 
@@ -368,11 +352,10 @@ class UDatabase:
         return next_tid
 
     def insert(self, name: str, *rows: Sequence[Any]):
-        """Insert logical tuples; see :func:`repro.core.dml.insert_rows`."""
-        from .dml import insert_rows
+        """``INSERT INTO name VALUES rows...``; see :mod:`repro.core.dml`."""
+        from .dml import Insert, execute_dml
 
-        with self._write_lock:
-            return insert_rows(self, name, rows)
+        return execute_dml(Insert(name, rows), self)
 
     def copy_rows(self, name: str, rows: Iterable[Sequence[Any]]):
         """Bulk-ingest many logical tuples as ONE appended segment.
@@ -380,14 +363,13 @@ class UDatabase:
         The streaming-ingest funnel: semantically identical to inserting
         every row of ``rows`` one statement at a time, but the whole batch
         builds a single segment per partition and publishes with a single
-        :meth:`replace_partitions` swap: one new version per touched
-        partition for the whole batch, not one per row.  Metered under the
-        ``copy`` DML op.  See :func:`repro.core.dml.copy_rows`.
+        :meth:`publish` swap: one new version per touched partition for
+        the whole batch, not one per row.  Metered under the ``copy`` DML
+        op.  See :func:`repro.core.dml.copy_rows`.
         """
         from .dml import copy_rows
 
-        with self._write_lock:
-            return copy_rows(self, name, rows)
+        return copy_rows(self, name, rows)
 
     def compact(self, table: Optional[str] = None) -> CompactionResult:
         """Rewrite segment stacks into single base segments (``VACUUM``).

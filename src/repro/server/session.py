@@ -33,8 +33,8 @@ A :class:`Session` is the unit of client state on a shared
 * **multi-statement write atomicity** — ``BEGIN``/``COMMIT``/``ROLLBACK``
   (or :meth:`Session.begin` / :meth:`Session.commit` /
   :meth:`Session.rollback`) group this connection's DML into one
-  :class:`~repro.core.txn.Transaction`: statements stage against a
-  private overlay (invisible to every other session) and COMMIT
+  :class:`~repro.core.txn.Transaction`: statements are derived over a
+  staged catalog (invisible to every other session) and COMMIT
   publishes them as one atomic partition swap, refusing with
   :class:`~repro.core.txn.TransactionConflict` if a concurrent writer
   touched the same relations.  Queries inside a transaction read the
@@ -117,7 +117,7 @@ class Session:
         #: under (see :meth:`_check_snapshot`); else ``None``.
         self._snapshot_catalog: Optional[Catalog] = None
         #: The open per-connection :class:`Transaction`, if any: while set,
-        #: the session's DML stages against the transaction's overlay and
+        #: the session's DML stages over the transaction's catalog and
         #: publishes in one swap at COMMIT (see :mod:`repro.core.txn`).
         self._active_txn: Optional[Transaction] = None
         self.statements_run = 0
@@ -301,7 +301,7 @@ class Session:
         self.statements_run += 1
         if isinstance(prepared, PreparedDML) and self._active_txn is not None:
             if self._active_txn.status == "open":
-                # stage against the transaction's private overlay, inline
+                # derive over the transaction's staged catalog, inline
                 # (nothing publishes until COMMIT, so there is no shared
                 # mutation for the server's executor to serialize)
                 return self._active_txn.run(prepared, params)

@@ -163,7 +163,7 @@ def test_update_unknown_column_and_uncertain_set_rejected():
         execute_sql("update r set type = {'a', 'b'}", udb)
     # ... and the executor refuses them defensively too
     with pytest.raises(ValueError, match="only supported in INSERT"):
-        update_where(udb, "r", [("type", UncertainValue(["a", "b"]))])
+        update_where(udb, udb.catalog(), "r", [("type", UncertainValue(["a", "b"]))])
 
 
 # ----------------------------------------------------------------------

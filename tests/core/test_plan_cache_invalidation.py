@@ -9,10 +9,11 @@ next lookup — a stale-plan execution must be impossible to observe, and
 unrelated cached plans must keep hitting.  A lazy index build turns
 pending definitions into built ones, changes no fact and re-plans
 nothing; re-registering the same partitions re-plans nothing either.  A
-write (``replace_partitions``) moves the catalog version and evicts
-nothing: the plans over the written relation answer the new version from
-the cache, and re-plan only when its planning facts differ.  World-table
-growth moves the version and evicts nothing.
+write — a statement's or a COMMIT's staged catalog, published with one
+``UDatabase.publish`` — moves the catalog version and evicts nothing: the
+plans over the written relation answer the new version from the cache,
+and re-plan only when its planning facts differ.  World-table growth
+moves the version and evicts nothing.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def warm(udb, *queries):
 
 
 class TestInvalidationMatrix:
-    def test_replace_partitions_keeps_plans_whose_facts_hold(self):
+    def test_a_publish_keeps_plans_whose_facts_hold(self):
         udb = build_vehicles_udb()
         tank, friend = warm(udb, q_type(), q_faction())
         version = udb.catalog_version
@@ -83,7 +84,7 @@ class TestInvalidationMatrix:
             type_part.tid_names,
             type_part.value_names,
         )
-        udb.replace_partitions("r", [id_part, no_tanks, faction_part])
+        udb.publish({"r": [id_part, no_tanks, faction_part]})
 
         assert udb.catalog_version > version
         assert plan_cache_stats()["invalidations"] == invalidations
@@ -102,7 +103,7 @@ class TestInvalidationMatrix:
             type_part.tid_names,
             type_part.value_names,
         )
-        udb.replace_partitions("r", [id_part, fresh, faction_part])
+        udb.publish({"r": [id_part, fresh, faction_part]})
         hits = plan_cache_stats()["hits"]
         assert execute_query(q_faction(), udb) == friend
         assert plan_cache_stats()["hits"] == hits + 1

@@ -15,6 +15,7 @@ from repro.core.descriptor import Descriptor
 from repro.core.txn import TransactionConflict, TxnResult
 from repro.core.udatabase import CompactionResult, UDatabase
 from repro.core.urelation import URelation, tid_column
+from repro.relational import plan_cache_stats
 from repro.relational.index import indexes_on
 from repro.server.session import Session, SnapshotChanged
 from repro.sql import execute_sql, prepare
@@ -316,3 +317,64 @@ def test_a_reader_sees_all_of_a_commit_or_none_of_it(monkeypatch):
     assert answer in ({("old", "old")}, {("new", "new")})
     monkeypatch.undo()
     assert set(map(tuple, execute_sql(sql, udb).rows)) == {("new", "new")}
+
+
+# ----------------------------------------------------------------------
+# staged matching queries share the database's plans
+# ----------------------------------------------------------------------
+
+
+def test_a_finished_transaction_leaves_nothing_in_the_plan_cache():
+    """A staged UPDATE plans its matching query under the database's own
+    key: once an autocommit UPDATE of the shape warmed it, transactions of
+    that shape reuse the entry and leave none behind."""
+    udb = _udb()
+    session = Session(udb)
+    assert session.execute("update r set type = 'warm' where id = 0").count == 1
+    before = plan_cache_stats()
+    for k in range(10, 60):
+        session.execute("begin")
+        session.execute(f"insert into r values ({k}, 'new')")
+        assert session.execute(f"update r set type = 'moved' where id = {k}").count == 1
+        assert session.execute("commit").status == "committed"
+    after = plan_cache_stats()
+    assert after["size"] == before["size"]
+    assert after["evictions"] == 0
+    assert after["misses"] - before["misses"] <= 2  # statistics generations
+    assert (59, "moved") in _rows(udb) and (0, "warm") in _rows(udb)
+
+
+def test_a_shared_matching_plan_replans_across_a_staged_facts_flip():
+    """The uncertain INSERT makes the staged version of ``r``'s certain
+    partition lose its all-⊤ fact: the staged UPDATE re-plans and matches
+    the staged row; an autocommit UPDATE of the same shape from another
+    session re-plans back and matches only published rows."""
+    udb = _udb()
+    a, b = Session(udb), Session(udb)
+    for session in (a, b):
+        session.prepare("upd", "update r set type = $1 where id = $2")
+    assert b.execute_prepared("upd", "x", 0).count == 1  # plans over all-⊤
+    a.execute("begin")
+    inserted = a.execute("insert into r values (10, {'p', 'q'})")
+    (var,) = inserted.variables
+
+    stats = plan_cache_stats()
+    assert a.execute_prepared("upd", "y", 10).count == 1
+    staged = plan_cache_stats()
+    assert staged["invalidations"] == stats["invalidations"] + 1
+    assert staged["misses"] == stats["misses"] + 1
+
+    assert b.execute_prepared("upd", "z", 10).count == 0
+    published = plan_cache_stats()
+    assert published["invalidations"] == staged["invalidations"] + 1
+    assert published["misses"] == staged["misses"] + 1
+    assert published["size"] == stats["size"]
+
+    assert a.execute("commit").variables == (var,)
+    assert _rows(udb) == {(0, "x"), (1, "t1"), (2, "t2"), (10, "y")}
+    assert udb.world_table.domain(var) == (0, 1)
+    (part,) = udb.partitions("r")
+    # c1, w1, tid, id, type: one alternative per world of the new variable
+    assert sorted(
+        (row[:2], row[3:]) for row in part.relation.rows if row[3] == 10
+    ) == [((var, 0), (10, "y")), ((var, 1), (10, "y"))]
