@@ -52,7 +52,8 @@ COVERAGE_FLOOR ?= 85
 #: The files whose size ROADMAP.md tracks beside the src/repro total.
 LOC_FILES ?= src/repro/relational/physical.py src/repro/relational/columnar.py src/repro/relational/plancache.py \
 	src/repro/core/translate.py src/repro/relational/optimizer.py src/repro/core/udatabase.py src/repro/obs/report.py \
-	src/repro/relational/index.py src/repro/core/probability.py src/repro/core/txn.py src/repro/core/dml.py
+	src/repro/relational/index.py src/repro/core/probability.py src/repro/core/txn.py src/repro/core/dml.py \
+	src/repro/server/server.py src/repro/server/session.py src/repro/sql/__init__.py
 
 .PHONY: test plans loc coverage bench-smoke bench-serve bench-ingest bench-conf bench-obs bench-layers bench
 

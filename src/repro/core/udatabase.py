@@ -52,49 +52,7 @@ from .descriptor import Descriptor
 from .urelation import URelation, tid_column
 from .worldtable import WorldTable
 
-__all__ = ["UDatabase", "Catalog", "LogicalSchema", "CompactionPolicy", "CompactionResult"]
-
-
-class CompactionPolicy:
-    """The configurable bar a partition must cross to be worth compacting.
-
-    A partition is *due* when its segment stack has grown past
-    ``segment_limit`` appended segments, or when at least ``min_deleted``
-    rows are dead and they make up ``deleted_ratio`` or more of everything
-    ever appended.  The inputs are exactly what
-    :meth:`UDatabase.segment_health` publishes, so a trigger (the server's
-    background hook, a cron, an operator reading the gauges) needs no
-    other state.
-    """
-
-    __slots__ = ("segment_limit", "deleted_ratio", "min_deleted")
-
-    def __init__(
-        self,
-        segment_limit: int = 8,
-        deleted_ratio: float = 0.3,
-        min_deleted: int = 1,
-    ):
-        if segment_limit < 1:
-            raise ValueError("segment_limit must be at least 1")
-        self.segment_limit = int(segment_limit)
-        self.deleted_ratio = float(deleted_ratio)
-        self.min_deleted = int(min_deleted)
-
-    def due(self, health: Mapping[str, Any]) -> bool:
-        """Whether one partition's health record crosses the bar."""
-        if health["segment_count"] > self.segment_limit:
-            return True
-        return (
-            health["deleted_rows"] >= self.min_deleted
-            and health["deleted_ratio"] >= self.deleted_ratio
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"CompactionPolicy(segment_limit={self.segment_limit}, "
-            f"deleted_ratio={self.deleted_ratio}, min_deleted={self.min_deleted})"
-        )
+__all__ = ["UDatabase", "Catalog", "LogicalSchema", "CompactionResult"]
 
 
 class CompactionResult(NamedTuple):
@@ -240,10 +198,6 @@ class UDatabase:
         #: the catalog, so concurrent writers must not interleave (readers
         #: never take this — they work off immutable relation objects).
         self._write_lock = threading.Lock()
-        #: The database-level open :class:`~repro.core.txn.Transaction`
-        #: serving direct ``execute_sql`` BEGIN/COMMIT/ROLLBACK callers;
-        #: server sessions carry their own per-connection transaction.
-        self._active_txn = None
 
     @property
     def catalog_version(self) -> int:
@@ -457,35 +411,6 @@ class UDatabase:
             seconds,
         )
 
-    def maybe_compact(
-        self, policy: Optional[CompactionPolicy] = None
-    ) -> CompactionResult:
-        """Compact exactly the relations whose health crosses ``policy``.
-
-        The threshold half of the compaction story: reads
-        :meth:`segment_health` (without republishing gauges), asks the
-        :class:`CompactionPolicy` which partitions are due, and compacts
-        the owning relations.  Cheap when nothing is due — no lock taken,
-        the zero :class:`CompactionResult` returned.
-        """
-        policy = policy or CompactionPolicy()
-        due: List[str] = []
-        for key, health in self.segment_health(publish=False).items():
-            name = key.rsplit("/part", 1)[0]
-            if name not in due and policy.due(health):
-                due.append(name)
-        if not due:
-            return CompactionResult((), 0, 0, 0, 0.0)
-        started = time.perf_counter()
-        results = [self.compact(name) for name in due]
-        return CompactionResult(
-            tuple(n for r in results for n in r.relations),
-            sum(r.partitions for r in results),
-            sum(r.segments_before for r in results),
-            sum(r.rows_dropped for r in results),
-            time.perf_counter() - started,
-        )
-
     @classmethod
     def from_certain(
         cls, relations: Mapping[str, Relation], world_table: Optional[WorldTable] = None
@@ -516,11 +441,11 @@ class UDatabase:
         For every vertical partition (keyed ``relation/part<i>``):
         ``segment_count`` (appended segments accumulated since the last
         base rewrite), ``live_rows``, ``deleted_rows``, and
-        ``deleted_ratio`` (dead fraction of all appended rows) — exactly
-        the inputs a compaction trigger needs (ROADMAP's write-path
-        follow-on).  With ``publish=True`` (default) each value is also
-        set on the ``segment_*`` gauges, labeled by partition, so the
-        metrics snapshot carries the write path's state.
+        ``deleted_ratio`` (dead fraction of all appended rows): what an
+        operator reads to decide when to ``VACUUM``.  With
+        ``publish=True`` (default) each value is also set on the
+        ``segment_*`` gauges, labeled by partition, so the metrics
+        snapshot carries the write path's state.
 
         Reading is cheap and never forces segment materialization: a
         relation the write path has not touched reports one base segment
@@ -625,11 +550,13 @@ class UDatabase:
 
         The session owns its prepared-statement names (the statements
         and their plans are this database's, shared by all its sessions;
-        ``$n`` values belong to each execution) and offers optimistic
-        snapshot reads.  Statements execute
-        inline on the calling thread; for pooled execution with admission
-        control, open sessions through a
-        :class:`~repro.server.server.QueryServer` instead.
+        ``$n`` values belong to each execution), offers optimistic
+        snapshot reads, and is the only holder of a transaction:
+        ``s = udb.session(); s.execute("begin")`` (``execute_sql``
+        autocommits every statement).  Statements execute inline on the
+        calling thread; for pooled execution with admission control, open
+        sessions through a :class:`~repro.server.server.QueryServer`
+        instead.
         """
         from ..server.session import Session
 
@@ -639,7 +566,8 @@ class UDatabase:
         """A :class:`~repro.server.server.QueryServer` over this database.
 
         Keyword arguments are the server's (``workers``, ``policy``,
-        ``coalesce``, ``auto_compact``).
+        ``coalesce``).  Its statements run through its sessions
+        (``server.session()``).
         """
         from ..server import QueryServer
 

@@ -35,8 +35,7 @@ Two export formats: :meth:`MetricsRegistry.snapshot` (JSON-shaped, what
 
 Write-path maturation added its own vocabulary on top of the serving
 metrics: ``compactions_total{relation}`` / ``compaction_seconds`` (the
-VACUUM path), ``compaction_errors_total`` (background passes that
-raised), and the transaction ledger ``txn_total`` /
+VACUUM path, the only compactor) and the transaction ledger ``txn_total`` /
 ``txn_committed_total`` / ``txn_rolled_back_total`` /
 ``txn_conflicts_total`` — conflicts count every first-updater-wins loss,
 whether surfaced through the API or the TCP ``conflict`` response.

@@ -44,17 +44,16 @@ Transaction control and maintenance ride the ``query`` op too::
     -> {"op": "query", "sql": "vacuum r"}
     <- {"ok": true, "vacuum": {"relations": ["r"], "partitions": 1, ...}}
 
-A commit that loses the first-updater race answers ``{"ok": false,
-"kind": "conflict", ...}`` (the transaction is rolled back).  A shed
-request answers ``{"ok": false, "kind": "overloaded", ...}``
-immediately — load shedding is a *response*, not a dropped connection.
-Values without a JSON representation (dates, decimals) are serialized
-through ``str``.
+A transaction belongs to the connection's session: nothing outside it
+sees or joins its staged writes, and a connection that closes without
+COMMIT leaves nothing behind.  A commit that loses the first-updater race
+answers ``{"ok": false, "kind": "conflict", ...}`` (the transaction is
+rolled back).  A shed request answers ``{"ok": false, "kind":
+"overloaded", ...}`` immediately — load shedding is a *response*, not a
+dropped connection.  Values without a JSON representation (dates,
+decimals) are serialized through ``str``.
 
-Constructing the server with ``auto_compact=True`` (or a
-:class:`~repro.core.udatabase.CompactionPolicy`) starts a background
-thread that wakes after each completed write and compacts any partition
-whose segment health crosses the policy thresholds.
+Compaction happens only when a client asks for it with ``VACUUM``.
 """
 
 from __future__ import annotations
@@ -64,14 +63,14 @@ import socket
 import socketserver
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..core.dml import DMLResult
 from ..core.prepared import PreparedDML, PreparedQuery
 from ..core.probability import ConfidenceAnswer
 from ..core.query import Conf
 from ..core.txn import TransactionConflict, TxnResult
-from ..core.udatabase import CompactionPolicy, CompactionResult, UDatabase
+from ..core.udatabase import CompactionResult, UDatabase
 from ..core.urelation import URelation
 from ..obs import (
     accounting_snapshot,
@@ -111,32 +110,12 @@ class QueryServer:
         workers: int = 4,
         policy: Optional[AdmissionPolicy] = None,
         coalesce: bool = True,
-        auto_compact: Any = None,
     ):
         self.udb = udb
         self.admission = AdmissionController(policy)
         self.executor = ConcurrentExecutor(workers=workers, coalesce=coalesce)
         self._sessions_opened = 0
-        # RLock: ``query`` opens its default session while holding the lock
-        self._lock = threading.RLock()
-        self._default_session: Optional[Session] = None
-        #: Background compaction: ``auto_compact=True`` uses the default
-        #: :class:`~repro.core.udatabase.CompactionPolicy`; a policy
-        #: instance tunes the thresholds; None/False disables the thread.
-        self._compact_policy: Optional[CompactionPolicy] = None
-        self._compact_wake = threading.Event()
-        self._compact_stop = threading.Event()
-        self._compact_thread: Optional[threading.Thread] = None
-        if auto_compact:
-            self._compact_policy = (
-                auto_compact
-                if isinstance(auto_compact, CompactionPolicy)
-                else CompactionPolicy()
-            )
-            self._compact_thread = threading.Thread(
-                target=self._compact_loop, name="repro-auto-compact", daemon=True
-            )
-            self._compact_thread.start()
+        self._lock = threading.Lock()
         #: Rendered-response cache for the TCP frontend: result object ->
         #: serialized JSON line.  Coalesced requests share one immutable
         #: result; serializing it once per *result* instead of once per
@@ -156,14 +135,6 @@ class QueryServer:
             self._sessions_opened += 1
         obs_counter("sessions_opened_total", "Sessions opened on this process").inc()
         return Session(self.udb, server=self)
-
-    def query(self, sql: str, params: Sequence[Any] = ()):
-        """Convenience one-shot query through a server-owned session."""
-        with self._lock:
-            if self._default_session is None:
-                self._default_session = self.session()
-            session = self._default_session
-        return session.execute(sql, params)
 
     # ------------------------------------------------------------------
     # the request path: classify -> admit -> (coalesced) execute
@@ -187,15 +158,10 @@ class QueryServer:
                 trace.root.set(cost_class="dml")
             with self.admission.admit("dml"):
                 with obs_span("execute") as exec_span:
-                    result = self.executor.run(
+                    return self.executor.run(
                         self._bridged(lambda: prepared.run(*params), trace, exec_span),
                         key=None,
                     )
-            # each completed write nudges the background compactor — the
-            # trigger is a cheap event set; the thread re-checks thresholds
-            if self._compact_thread is not None:
-                self._compact_wake.set()
-            return result
         # the statement owns the key its execution looks up and stores
         # under (the plan of its relational core): derived once in its
         # lifetime, read here for the admission peek and the coalescing
@@ -259,34 +225,6 @@ class QueryServer:
         with self.admission.admit("vacuum"):
             with obs_span("execute"):
                 return self.udb.compact(table)
-
-    def maybe_compact(
-        self, policy: Optional[CompactionPolicy] = None
-    ) -> CompactionResult:
-        """Threshold-gated compaction: only partitions whose health is due."""
-        with self.admission.admit("vacuum"):
-            return self.udb.maybe_compact(policy or self._compact_policy)
-
-    def _compact_loop(self) -> None:
-        """Background trigger: wake after writes, compact what is due.
-
-        Waits on ``_compact_wake`` (set by every completed DML) with a
-        periodic timeout so externally applied churn (direct ``udb`` DML)
-        is also eventually reclaimed.  Failures are swallowed — a broken
-        compaction pass must never take the serving loop down with it.
-        """
-        while not self._compact_stop.is_set():
-            self._compact_wake.wait(timeout=1.0)
-            if self._compact_stop.is_set():
-                return
-            self._compact_wake.clear()
-            try:
-                self.maybe_compact()
-            except Exception:
-                obs_counter(
-                    "compaction_errors_total",
-                    "Background compaction passes that raised",
-                ).inc()
 
     @staticmethod
     def _bridged(work, trace, exec_span):
@@ -357,11 +295,6 @@ class QueryServer:
         }
 
     def close(self) -> None:
-        if self._compact_thread is not None:
-            self._compact_stop.set()
-            self._compact_wake.set()
-            self._compact_thread.join(timeout=5)
-            self._compact_thread = None
         self.executor.shutdown()
 
     def __enter__(self) -> "QueryServer":

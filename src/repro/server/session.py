@@ -39,7 +39,10 @@ A :class:`Session` is the unit of client state on a shared
   :class:`~repro.core.txn.TransactionConflict` if a concurrent writer
   touched the same relations.  Queries inside a transaction read the
   committed base state; staged DML is applied inline on the calling
-  thread (publication, at COMMIT, is the only catalog mutation).
+  thread (publication, at COMMIT, is the only catalog mutation).  A
+  session is the only holder of a transaction: ``execute_sql``
+  autocommits every statement and refuses transaction control, so code
+  without a server opens a standalone one (``udb.session()``).
 
 Sessions serialize their own statements (one client speaks one protocol
 connection); different sessions run fully in parallel through the
@@ -58,8 +61,7 @@ from ..core.udatabase import Catalog, UDatabase
 from ..obs import counter as obs_counter
 from ..obs import current_trace, record_statement, register_session, request_trace
 from ..obs import span as obs_span
-from ..sql import execute_immediate
-from ..sql.parser import parse
+from ..sql import Vacuum, execute_immediate
 
 __all__ = ["Session", "SnapshotChanged"]
 
@@ -116,9 +118,10 @@ class Session:
         #: Inside ``with self.snapshot():``, the catalog the block began
         #: under (see :meth:`_check_snapshot`); else ``None``.
         self._snapshot_catalog: Optional[Catalog] = None
-        #: The open per-connection :class:`Transaction`, if any: while set,
-        #: the session's DML stages over the transaction's catalog and
-        #: publishes in one swap at COMMIT (see :mod:`repro.core.txn`).
+        #: The open per-connection :class:`Transaction`, if any (set by
+        #: BEGIN, cleared by COMMIT / ROLLBACK): while set, the session's
+        #: DML stages over the transaction's catalog and publishes in one
+        #: swap at COMMIT (see :mod:`repro.core.txn`).
         self._active_txn: Optional[Transaction] = None
         self.statements_run = 0
         #: Key into the obs per-session resource accounting (see
@@ -231,16 +234,41 @@ class Session:
     def _immediate(self, statement):
         """Apply parsed DDL, ``VACUUM`` or transaction control.
 
-        The dispatch and the refusals inside a transaction are
-        :func:`repro.sql.execute_immediate`'s, the same ones
-        ``execute_sql`` runs on the database's own transaction; what a
-        session adds is that everything which writes or opens a write
+        Transaction control is dispatched here and nowhere else.  DDL and
+        ``VACUUM`` are refused inside a transaction and otherwise run
+        through :func:`repro.sql.execute_immediate`, the dispatch
+        ``execute_sql`` runs; everything which writes or opens a write
         (all but COMMIT / ROLLBACK) is refused inside a snapshot block.
         """
         with self._lock:
+            txn = self._active_txn
             if not isinstance(statement, (Commit, Rollback)):
                 self._refuse_in_snapshot("DDL, VACUUM and BEGIN")
-            return execute_immediate(statement, self.udb, self)
+            if not isinstance(statement, (Begin, Commit, Rollback)):
+                if txn is not None:
+                    raise ValueError(
+                        "VACUUM cannot run inside a transaction (its swap would "
+                        "conflict with the transaction's own publish)"
+                        if isinstance(statement, Vacuum)
+                        else "DDL cannot run inside a transaction; COMMIT or ROLLBACK first"
+                    )
+                return execute_immediate(statement, self.udb, self.compact)
+            trace = current_trace()
+            if trace is not None:
+                trace.root.set(cost_class="txn")
+            if isinstance(statement, Begin):
+                if txn is not None:
+                    raise ValueError(
+                        "a transaction is already open; COMMIT or ROLLBACK it first"
+                    )
+                self._active_txn = Transaction(self.udb)
+                return TxnResult("open")
+            if txn is None:
+                raise ValueError(
+                    f"{type(statement).__name__.upper()} without an open transaction"
+                )
+            self._active_txn = None
+            return txn.commit() if isinstance(statement, Commit) else txn.rollback()
 
     # ------------------------------------------------------------------
     # execution
@@ -254,10 +282,12 @@ class Session:
         its equality literals lifted into ``$n`` slots: a text that differs
         from an earlier one (of any session) only in those literals pays
         lex + parse and runs the earlier text's cached plan; translate +
-        optimize + plan are paid once per shape.  Other texts are cached
-        in this session by text.  DDL executes inline;
-        DDL and DML are rejected inside a snapshot block (the session's
-        own write would break the snapshot's guarantee).
+        optimize + plan are paid once per shape.  DDL, ``VACUUM`` and
+        transaction control come back from the same parse
+        (:func:`~repro.core.prepared.text_statement`) as the parsed
+        record and run inline, never cached; DDL and DML are rejected
+        inside a snapshot block (the session's own write would break the
+        snapshot's guarantee).
 
         ``VACUUM [table]`` compacts segment stacks (through the server's
         ``vacuum`` admission class when server-bound), and
@@ -268,12 +298,10 @@ class Session:
         with self._lock:
             self._check_snapshot()
             with request_trace(sql=sql):
-                head = sql.lstrip().lower()
-                word = head.split(None, 1)[0] if head else ""
-                if word in ("create", "drop", "vacuum", "begin", "commit", "rollback"):
-                    return self._immediate(parse(sql))
-                # the literals lifted out of the text go after its own $n values
                 prepared, lifted = text_statement(sql, self.udb, True)
+                if not isinstance(prepared, (PreparedQuery, PreparedDML)):
+                    return self._immediate(prepared)  # never cached
+                # the literals lifted out of the text go after its own $n values
                 return self._run(prepared, tuple(params) + lifted)
 
     def execute_prepared(self, name: str, *params: Any):
@@ -300,11 +328,10 @@ class Session:
             self._refuse_in_snapshot("DML")
         self.statements_run += 1
         if isinstance(prepared, PreparedDML) and self._active_txn is not None:
-            if self._active_txn.status == "open":
-                # derive over the transaction's staged catalog, inline
-                # (nothing publishes until COMMIT, so there is no shared
-                # mutation for the server's executor to serialize)
-                return self._active_txn.run(prepared, params)
+            # derive over the transaction's staged catalog, inline
+            # (nothing publishes until COMMIT, so there is no shared
+            # mutation for the server's executor to serialize)
+            return self._active_txn.run(prepared, params)
         started = time.perf_counter()
         if self.server is not None:
             result = self.server.execute(prepared, params)

@@ -18,6 +18,10 @@ select-project-join queries wrapped in ``possible (...)`` (or
 This is the paper's "ease of use" claim made concrete: the SQL surface,
 the Figure 4 translation, and the relational optimizer compose without any
 uncertainty-specific operators in the engine.
+
+``execute_sql`` autocommits every statement.  A multi-statement
+transaction belongs to a session, as it belongs to a connection in an
+RDBMS: ``s = udb.session(); s.execute("begin")``.
 """
 
 from typing import Optional, Sequence, Union
@@ -139,68 +143,42 @@ def execute_sql(sql: str, udb: UDatabase, params: Optional[Sequence] = None):
     ``None``; ``w`` is refused (no plan scans a world-table snapshot).
 
     ``VACUUM [table]`` compacts partition segment stacks (returns a
-    :class:`~repro.core.udatabase.CompactionResult`), and
-    ``BEGIN``/``COMMIT``/``ROLLBACK`` open/end a database-level
-    multi-statement transaction (returning a
-    :class:`~repro.core.txn.TxnResult`): while one is open, DML issued
-    through ``execute_sql`` stages privately and publishes atomically at
-    COMMIT — see :mod:`repro.core.txn`.  Like DDL, these are applied
-    immediately and never cached; DDL and ``VACUUM`` are refused while
-    the transaction is open (:func:`execute_immediate`, which a
-    :class:`~repro.server.session.Session` runs on its own transaction).
+    :class:`~repro.core.udatabase.CompactionResult`).  Like DDL, it is
+    applied immediately and never cached (:func:`execute_immediate`).
+
+    Every statement autocommits: ``BEGIN`` / ``COMMIT`` / ``ROLLBACK``
+    raise :class:`ValueError`, because a transaction belongs to a
+    :class:`~repro.server.session.Session` (``udb.session()``), never to
+    the database every caller shares.
     """
     with request_trace(sql=sql):
         prepared, lifted = text_statement(sql, udb, True)
-        if not isinstance(prepared, (PreparedQuery, PreparedDML)):
-            return execute_immediate(prepared, udb, udb)  # DDL & friends, never cached
-        values = tuple(params or ()) + lifted
-        if isinstance(prepared, PreparedDML):
-            txn = udb._active_txn
-            if txn is not None and txn.status == "open":
-                # an open database-level transaction: stage, don't publish
-                return txn.run(prepared, values)
-        return prepared.run(*values)
+        if isinstance(prepared, (PreparedQuery, PreparedDML)):
+            return prepared.run(*(tuple(params or ()) + lifted))
+        if isinstance(prepared, (Begin, Commit, Rollback)):
+            raise ValueError(
+                f"execute_sql autocommits every statement; run "
+                f"{type(prepared).__name__.upper()} on a session: "
+                f"s = udb.session(); s.execute('begin')"
+            )
+        return execute_immediate(prepared, udb, udb.compact)  # never cached
 
 
-def execute_immediate(statement, udb: UDatabase, holder):
-    """Apply a DDL / VACUUM / transaction-control statement right now.
+def execute_immediate(statement, udb: UDatabase, compact):
+    """Apply a DDL or ``VACUUM`` statement right now.
 
-    The one dispatch, and the one copy of the refusal rules, behind
-    :func:`execute_sql` and :class:`repro.server.session.Session`.
-    ``holder`` is whoever holds the open transaction in ``_active_txn``
-    and runs ``VACUUM`` through ``compact(table)``: the database itself
-    for direct ``execute_sql`` callers (one database-level transaction),
-    a session for a connection (its own transaction; a server-bound one
-    compacts through the server's ``vacuum`` admission class).
+    The one dispatch behind :func:`execute_sql` and
+    :class:`repro.server.session.Session`.  ``compact(table)`` is how the
+    caller runs ``VACUUM [table]``: ``udb.compact`` for ``execute_sql``,
+    the session's own for a session (a server-bound one admits it under
+    the server's ``vacuum`` cost class).
     """
-    txn = holder._active_txn
-    in_txn = txn is not None and txn.status == "open"
-    control = isinstance(statement, (Begin, Commit, Rollback))
     vacuum = isinstance(statement, Vacuum)
     trace = current_trace()
     if trace is not None:
-        trace.root.set(cost_class="txn" if control else "vacuum" if vacuum else "ddl")
-    if isinstance(statement, Begin):
-        if in_txn:
-            raise ValueError("a transaction is already open; COMMIT or ROLLBACK it first")
-        holder._active_txn = Transaction(udb)
-        return TxnResult("open")
-    if control:
-        if not in_txn:
-            raise ValueError(
-                f"{type(statement).__name__.upper()} without an open transaction"
-            )
-        holder._active_txn = None
-        return txn.commit() if isinstance(statement, Commit) else txn.rollback()
+        trace.root.set(cost_class="vacuum" if vacuum else "ddl")
     if vacuum:
-        if in_txn:
-            raise ValueError(
-                "VACUUM cannot run inside a transaction (its swap would "
-                "conflict with the transaction's own publish)"
-            )
-        return holder.compact(statement.table)
-    if in_txn:
-        raise ValueError("DDL cannot run inside a transaction; COMMIT or ROLLBACK first")
+        return compact(statement.table)
     if isinstance(statement, CreateIndex):
         return udb.create_index(
             statement.name, statement.table, statement.columns, statement.kind

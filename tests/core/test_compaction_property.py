@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from hypothesis import given, settings
 
-from repro.core.udatabase import CompactionPolicy
 from repro.relational.index import built_indexes_on
 from tests.core.test_dml_property import MODES, _answers, _apply, _build, scripts
 
@@ -107,22 +106,3 @@ def test_compaction_rebuilds_access_paths_and_statistics(script):
     # the definitions (the auto policy's, less the dropped, plus the
     # created) followed the rewrite
     assert udb.index_defs() == defs
-
-
-@settings(max_examples=25, deadline=None)
-@given(scripts)
-def test_threshold_compaction_matches_on_demand(script):
-    """``maybe_compact`` under an always-due policy == ``compact``."""
-    eager, model = _replay(script)
-    eager.maybe_compact(CompactionPolicy(segment_limit=1, deleted_ratio=0.0))
-    for part in eager.partitions("r"):
-        assert len(part.relation.segments()) == 1
-    assert _answers(eager, "columns", False) == set(model)
-    # and a policy nothing crosses leaves the stack alone
-    lazy, _ = _replay(script)
-    stacks = [len(p.relation.segments()) for p in lazy.partitions("r")]
-    result = lazy.maybe_compact(
-        CompactionPolicy(segment_limit=10_000, deleted_ratio=1.1, min_deleted=10_000)
-    )
-    assert not result.changed
-    assert [len(p.relation.segments()) for p in lazy.partitions("r")] == stacks

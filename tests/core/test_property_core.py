@@ -421,10 +421,11 @@ def test_a_flip_under_one_prepared_statement(drawn, data):
     step(False)  # correct whichever width was planned; the fact is recomputed
     execute_sql(f"vacuum {name}", udb)
     assert step(False) == (psi, width)
-    execute_sql("begin", udb)
-    execute_sql(insert, udb)
+    session = udb.session()
+    session.execute("begin")
+    session.execute(insert)
     assert step(False) == (psi, width)  # a read in the transaction sees the committed state
-    execute_sql("commit", udb)
+    session.execute("commit")
     assert step(True) == (psi_flipped, width_flipped)
 
 

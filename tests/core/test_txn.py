@@ -1,13 +1,17 @@
 """The multi-statement transaction and VACUUM SQL surface.
 
-Lifecycle and refusal semantics for ``BEGIN``/``COMMIT``/``ROLLBACK`` and
-``VACUUM [table]`` through both entry points — direct ``execute_sql``
-(the database-level transaction) and :class:`Session` (per-connection) —
-plus the staging guarantees: nothing visible before COMMIT, world
-variables buffered, first-updater-wins conflicts with nothing published.
+Lifecycle and refusal semantics for ``BEGIN``/``COMMIT``/``ROLLBACK`` on
+a :class:`Session`, the only holder of a transaction, and for ``VACUUM
+[table]`` through both entry points; ``execute_sql`` autocommits every
+statement and refuses transaction control, so no caller's write can land
+in a transaction another caller opened.  Plus the staging guarantees:
+nothing visible before COMMIT, world variables buffered,
+first-updater-wins conflicts with nothing published.
 """
 
 from __future__ import annotations
+
+import threading
 
 import pytest
 
@@ -37,22 +41,23 @@ def _rows(udb):
 
 
 # ----------------------------------------------------------------------
-# lifecycle through execute_sql (the database-level transaction)
+# lifecycle on a session
 # ----------------------------------------------------------------------
 
 
 def test_begin_stage_commit_lifecycle():
     udb = _udb()
-    opened = execute_sql("begin", udb)
+    session = Session(udb)
+    opened = session.execute("begin")
     assert isinstance(opened, TxnResult) and opened.status == "open"
 
-    execute_sql("insert into r values (10, 'staged')", udb)
-    execute_sql("update r set type = 'moved' where id = 0", udb)
+    session.execute("insert into r values (10, 'staged')")
+    session.execute("update r set type = 'moved' where id = 0")
     # nothing published yet: reads answer from the base catalog
     assert (10, "staged") not in _rows(udb)
     assert (0, "t0") in _rows(udb)
 
-    done = execute_sql("commit", udb)
+    done = session.execute("commit")
     assert done.status == "committed"
     assert done.statements == 2
     assert done.relations == ("r",)
@@ -62,27 +67,71 @@ def test_begin_stage_commit_lifecycle():
 
 def test_rollback_discards_everything():
     udb = _udb()
+    session = Session(udb)
     before = _rows(udb)
     version = udb.catalog_version
-    execute_sql("begin", udb)
-    execute_sql("insert into r values (10, 'doomed')", udb)
-    execute_sql("delete from r where id = 0", udb)
-    done = execute_sql("rollback", udb)
+    session.execute("begin")
+    session.execute("insert into r values (10, 'doomed')")
+    session.execute("delete from r where id = 0")
+    done = session.execute("rollback")
     assert done.status == "rolled_back" and done.statements == 2
     assert _rows(udb) == before
     assert udb.catalog_version == version
 
 
 def test_noise_words_and_control_errors():
-    udb = _udb()
-    assert execute_sql("begin transaction", udb).status == "open"
+    session = Session(_udb())
+    assert session.execute("begin transaction").status == "open"
     with pytest.raises(ValueError, match="already open"):
-        execute_sql("begin work", udb)
-    assert execute_sql("commit work", udb).status == "committed"
+        session.execute("begin work")
+    assert session.execute("commit work").status == "committed"
     with pytest.raises(ValueError, match="COMMIT without"):
-        execute_sql("commit", udb)
+        session.execute("commit")
     with pytest.raises(ValueError, match="ROLLBACK without"):
-        execute_sql("rollback transaction", udb)
+        session.execute("rollback transaction")
+
+
+def test_execute_sql_refuses_transaction_control():
+    """``execute_sql`` autocommits: BEGIN / COMMIT / ROLLBACK name the
+    session API instead of opening a transaction every caller shares."""
+    udb = _udb()
+    for sql in ("begin", "begin transaction", "commit", "rollback work"):
+        with pytest.raises(ValueError, match=r"udb\.session\(\)"):
+            execute_sql(sql, udb)
+    assert execute_sql("insert into r values (10, 'now')", udb).count == 1
+    assert (10, "now") in _rows(udb)
+
+
+def _in_thread(statement):
+    """Run ``statement()`` on a thread of its own: its result or error."""
+    out = {}
+
+    def run():
+        try:
+            out["result"] = statement()
+        except Exception as error:
+            out["error"] = error
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    return out
+
+
+def test_an_autocommit_write_never_lands_in_another_threads_transaction():
+    """Thread B's acknowledged INSERT stays, whatever thread A sends
+    through ``execute_sql`` around it.  With a transaction on the
+    database, A's BEGIN opened it, B's INSERT answered ``INSERT 1`` but
+    staged into it, and A's ROLLBACK discarded B's row."""
+    udb = _udb()
+    begin = _in_thread(lambda: execute_sql("begin", udb))
+    insert = _in_thread(lambda: execute_sql("insert into r values (99, 'b')", udb))
+    rollback = _in_thread(lambda: execute_sql("rollback", udb))
+    assert insert["result"].count == 1
+    assert (99, "b") in _rows(udb)
+    assert isinstance(begin.get("error"), ValueError)
+    assert isinstance(rollback.get("error"), ValueError)
 
 
 def test_immediates_cannot_be_prepared():
@@ -94,14 +143,15 @@ def test_immediates_cannot_be_prepared():
 
 def test_uncertain_insert_buffers_world_variables_until_commit():
     udb = _udb()
-    execute_sql("begin", udb)
-    staged = execute_sql("insert into r values (11, {'a', 'b'})", udb)
+    session = Session(udb)
+    session.execute("begin")
+    staged = session.execute("insert into r values (11, {'a', 'b'})")
     assert len(staged.variables) == 1
     variable = staged.variables[0]
     assert variable not in udb.world_table
     world_version = udb.world_table.version
 
-    done = execute_sql("commit", udb)
+    done = session.execute("commit")
     assert done.variables == (variable,)
     assert variable in udb.world_table
     assert udb.world_table.version > world_version
@@ -110,18 +160,19 @@ def test_uncertain_insert_buffers_world_variables_until_commit():
 
 def test_conflicting_commit_publishes_nothing_and_retry_wins():
     udb = _udb()
-    execute_sql("begin", udb)
-    execute_sql("insert into r values (20, 'loser')", udb)
+    session = Session(udb)
+    session.execute("begin")
+    session.execute("insert into r values (20, 'loser')")
     # a direct write publishes under the transaction: first updater wins
     udb.insert("r", (21, "winner"))
     with pytest.raises(TransactionConflict, match="'r'"):
-        execute_sql("commit", udb)
+        session.execute("commit")
     rows = _rows(udb)
     assert (21, "winner") in rows and (20, "loser") not in rows
     # the failed transaction is gone: a fresh one can run and commit
-    execute_sql("begin", udb)
-    execute_sql("insert into r values (20, 'retry')", udb)
-    assert execute_sql("commit", udb).status == "committed"
+    session.execute("begin")
+    session.execute("insert into r values (20, 'retry')")
+    assert session.execute("commit").status == "committed"
     assert (20, "retry") in _rows(udb)
 
 
@@ -149,11 +200,11 @@ def test_vacuum_collapses_segment_stacks():
 
 
 def test_vacuum_refused_inside_transaction():
-    udb = _udb()
-    execute_sql("begin", udb)
+    session = Session(_udb())
+    session.execute("begin")
     with pytest.raises(ValueError, match="inside a transaction"):
-        execute_sql("vacuum", udb)
-    execute_sql("rollback", udb)
+        session.execute("vacuum")
+    session.execute("rollback")
 
 
 def test_vacuum_unknown_table_errors():
@@ -187,25 +238,14 @@ def test_session_refuses_ddl_and_vacuum_inside_transaction():
     udb = _udb()
     session = Session(udb)
     session.execute("begin")
-    with pytest.raises(ValueError, match="DDL cannot run inside a transaction"):
-        session.execute("create index idx_t on u_r (type) using hash")
+    for sql in ("create index idx_t on u_r_id_type (type) using hash", "drop index idx_t"):
+        with pytest.raises(ValueError, match="DDL cannot run inside a transaction"):
+            session.execute(sql)
+    assert "idx_t" not in [d[1] for d in udb.index_defs()]
     with pytest.raises(ValueError, match="inside a transaction"):
         session.execute("vacuum")
-    session.execute("rollback")
-
-
-def test_execute_sql_refuses_ddl_inside_transaction():
-    """The database-level transaction refuses what a session's does: both
-    surfaces run one dispatch (``repro.sql.execute_immediate``)."""
-    udb = _udb()
-    execute_sql("begin", udb)
-    with pytest.raises(ValueError, match="DDL cannot run inside a transaction"):
-        execute_sql("create index idx_t on u_r_id_type (type) using hash", udb)
-    assert "idx_t" not in [d[1] for d in udb.index_defs()]
-    with pytest.raises(ValueError, match="DDL cannot run inside a transaction"):
-        execute_sql("drop index idx_t", udb)
-    assert execute_sql("rollback", udb).status == "rolled_back"
-    execute_sql("create index idx_t on u_r_id_type (type) using hash", udb)
+    assert session.execute("rollback").status == "rolled_back"
+    session.execute("create index idx_t on u_r_id_type (type) using hash")
     assert "idx_t" in [d[1] for d in udb.index_defs()]
 
 

@@ -104,10 +104,11 @@ def test_writes_and_the_reads_after_them_build_nothing(built):
     assert _lookup(udb, 7) == {("upd", 7)}
     execute_sql("delete from events where id = 8", udb)
     assert _lookup(udb, 8) == set()
-    execute_sql("begin", udb)
-    execute_sql("insert into events values (5001, 'txn', 2)", udb)
-    execute_sql("update events set score = 99 where id = 9", udb)
-    execute_sql("commit", udb)
+    session = udb.session()
+    session.execute("begin")
+    session.execute("insert into events values (5001, 'txn', 2)")
+    session.execute("update events set score = 99 where id = 9")
+    session.execute("commit")
     assert _lookup(udb, 5001) == {("txn", 2)}
     assert _lookup(udb, 9) == {("k4", 99)}
     execute_sql("vacuum events", udb)

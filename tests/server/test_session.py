@@ -229,8 +229,9 @@ class TestSnapshots:
 class TestServerFacade:
     def test_server_query_and_stats(self, udb):
         with QueryServer(udb, workers=2) as server:
-            first = server.query("possible (select id from r where faction = 'Enemy')")
-            second = server.query("possible (select id from r where faction = 'Enemy')")
+            session = server.session()
+            first = session.execute("possible (select id from r where faction = 'Enemy')")
+            second = session.execute("possible (select id from r where faction = 'Enemy')")
             assert bag(first) == bag(second)
             stats = server.stats()
             assert stats["sessions_opened"] >= 1
@@ -286,7 +287,7 @@ class TestServerFacade:
     def test_udatabase_serve_hook(self, udb):
         server = udb.serve(workers=1)
         try:
-            result = server.query("possible (select id from r)")
+            result = server.session().execute("possible (select id from r)")
             assert len(result.rows) == 4
         finally:
             server.close()

@@ -235,3 +235,31 @@ def test_dml_over_tcp(served):
         assert stats["admission"]["dml"]["admitted"] == 4
     finally:
         client.close()
+
+
+def test_a_transaction_dies_with_its_connection(served):
+    """A client that disconnects mid-transaction leaves nothing behind:
+    its staged row is never seen, the next writer of the relation commits
+    without a conflict, and no admission class is left waiting."""
+    _server, address = served
+    quitter = Client(address)
+    assert quitter.rpc(op="query", sql="begin")["txn"]["status"] == "open"
+    assert quitter.rpc(op="query", sql="insert into r values (50, 'Tank', 'Friend')")["ok"]
+    quitter.file.close()
+    quitter.sock.close()  # gone without COMMIT or a close op
+
+    other = Client(address)
+    try:
+        answer = other.rpc(op="query", sql="possible (select id from r where id = 50)")
+        assert answer["ok"] and answer["rows"] == []
+        assert other.rpc(op="query", sql="begin")["txn"]["status"] == "open"
+        ack = other.rpc(op="query", sql="insert into r values (51, 'Jeep', 'Friend')")
+        assert ack["ok"] and ack["count"] == 1
+        done = other.rpc(op="query", sql="commit")
+        assert done["ok"] and done["txn"]["status"] == "committed"
+        answer = other.rpc(op="query", sql="possible (select id from r where id >= 50)")
+        assert sorted(row[0] for row in answer["rows"]) == [51]
+        admission = other.rpc(op="stats")["stats"]["admission"]
+        assert admission and all(gate["waiting"] == 0 for gate in admission.values())
+    finally:
+        other.close()
