@@ -15,16 +15,16 @@ and returns the new partition sets in a :class:`Write`, publishing
 nothing.  :func:`publish` is the one way a write becomes visible: its
 variables join the world table, then ONE catalog swap.  Autocommit DML
 derives over ``udb.catalog()`` and publishes at once; a transaction
-derives over its staged catalog and publishes at COMMIT
+derives over its own catalog (its ``BEGIN`` one, its writes swapped in)
+and publishes at COMMIT
 (:mod:`repro.core.txn`).  The derivation itself
 (:meth:`Relation.with_appended` / :meth:`Relation.with_deleted`) carries
 whatever the old relation had built — indexes, column vectors, NULL and
 all-equal facts, statistics — onto the new one along the statement's
 delta, so a write costs Python work in proportion to the rows it writes,
 not to the partition, and the first read after it rebuilds nothing.
-In-flight executions keep reading the versions of the catalog they
-started on; a session snapshot, which holds those objects, sees that the
-catalog no longer does and raises ``SnapshotChanged``; and a cached plan
+In-flight executions, snapshot blocks and open transactions keep reading
+the versions of the catalog they started on; and a cached plan
 over the written partitions stays cached: it names partitions, not
 versions, and re-plans only if the new versions' planning facts differ
 (see :mod:`repro.relational.plancache`).

@@ -179,8 +179,12 @@ class PreparedQuery(_Prepared):
         """
         frame.params = self.checked(tuple(params))
 
-    def run(self, *params: Any, mode: str = "columns", use_indexes: bool = True):
-        """Execute with ``params`` as the ``$n`` values.
+    def run(
+        self, *params: Any, mode: str = "columns", use_indexes: bool = True, catalog=None
+    ):
+        """Execute with ``params`` as the ``$n`` values, over ``catalog``
+        (default: the one published when the execution starts; a
+        transaction hands in its own).
 
         The first call per (mode, knobs) combination plans and caches; all
         later calls are executor-only.  Returns what
@@ -190,7 +194,7 @@ class PreparedQuery(_Prepared):
         """
         with request_trace(sql=self.sql or ""), executing(self.checked(params)):
             key = self.plan_key(mode, use_indexes)
-            return execute_keyed(self.query, self.udb, key, mode, use_indexes)
+            return execute_keyed(self.query, self.udb, key, mode, use_indexes, catalog)
 
     def explain(
         self,

@@ -776,16 +776,13 @@ def _cached_physical(
     repeated-query path is executor-only.  The cache key is the normalized
     query structure, the owning database, and every knob that shapes the
     plan (the executor's fused plan and the reference's unfused one are
-    cached separately).  The catalog — ``catalog`` if handed one (a
-    transaction's staged catalog), else ``udb.catalog()`` — is read
-    once, into the calling thread's frame (``frame.versions``): the
-    lookup checks the entry's planning facts against those partition
-    versions, a miss translates over that same catalog, and the
-    execution that follows resolves the plan's slots there — so a query
+    cached separately).  ``catalog`` (default ``udb.catalog()``) goes in
+    the calling thread's frame: the lookup checks the entry's planning
+    facts against its partition versions, a miss translates over it, and
+    the execution resolves the plan's slots and world table there — so a query
     never joins one COMMIT's new partitions with another relation's old
-    ones.  Callers put back what
-    the frame held once they have executed (see
-    :mod:`repro.relational.plancache`).
+    ones.  Callers put back what the frame held once they have executed
+    (see :mod:`repro.relational.plancache`).
     """
     from ..relational.optimizer import optimize
     from ..relational.plancache import (
@@ -799,7 +796,7 @@ def _cached_physical(
 
     if catalog is None:
         catalog = udb.catalog()
-    frame.versions = catalog.versions
+    frame.catalog = catalog
 
     def build():
         conf: Optional[Conf] = None
@@ -844,7 +841,7 @@ def _cached_physical(
                 inner.d_width,
                 len(inner.tid_names),
                 list(inner.value_names),
-                udb.world_table,
+                None,  # the executing catalog's: staged variables included
                 conf.method,
                 conf.epsilon,
                 conf.delta,
@@ -895,19 +892,22 @@ def execute_keyed(
 ):
     """:func:`execute_query` for a caller that holds ``key``, the
     :func:`query_cache_key` of the query's :func:`relational_core` under
-    these knobs, reading ``catalog`` (default: ``udb.catalog()``)."""
+    these knobs, reading ``catalog`` (default: ``udb.catalog()``, read
+    once): its partitions, and for ``conf`` / ``certain`` its world table."""
     import time
 
     from ..obs import counter, current_span, current_trace
     from ..obs import workload as obs_workload
     from ..relational.physical import Confidence, execute
 
+    if catalog is None:
+        catalog = udb.catalog()
     if isinstance(query, Certain):
         from .certain import certain_answers
 
         inner = execute_keyed(query.child, udb, key, mode, use_indexes, catalog)
-        return certain_answers(inner, udb.world_table)
-    versions = frame.versions
+        return certain_answers(inner, catalog.world_table)
+    held = frame.catalog
     try:
         record, was_cached = _cached_physical(query, udb, key, mode, use_indexes, catalog)
         physical, wrap, profile, cost_class = record
@@ -915,7 +915,7 @@ def execute_keyed(
         relation = execute(physical, mode=mode)
         elapsed = time.perf_counter() - started
     finally:
-        frame.versions = versions
+        frame.catalog = held
     counter("queries_total", "Queries executed by class and plan-cache outcome").inc(
         cls=cost_class, cached=str(was_cached).lower()
     )
@@ -984,7 +984,7 @@ def explain_query(
 
     query = relational_core(query)
     key = query_cache_key(query, udb, mode, use_indexes)
-    versions = frame.versions
+    held = frame.catalog
     try:
         record, was_cached = _cached_physical(query, udb, key, mode, use_indexes)
         if analyze and trace:
@@ -995,7 +995,7 @@ def explain_query(
         else:
             text = explain_physical(record.physical)
     finally:
-        frame.versions = versions
+        frame.catalog = held
     return mark_cached(text) if was_cached else text
 
 

@@ -1,29 +1,31 @@
-"""Multi-statement transactions: stage a catalog, publish it atomically.
+"""Multi-statement transactions: snapshot isolation over one catalog.
 
-A :class:`Transaction` groups several DML statements into ONE publish.
-Each staged statement is an ordinary DML derivation
-(:func:`~repro.core.dml.derive`) over the transaction's *staged catalog*:
-the published :class:`~repro.core.udatabase.Catalog` with the relations
-the transaction already wrote swapped in.  The transaction keeps what
-each derivation returns — the replaced partition sets and the minted
-world-table variables — and publishes none of it, so nothing a staged
-statement does is visible to any reader, session, or concurrent writer.
-The first time a relation is staged, the base partitions it was derived
-from are kept as its conflict witness.
+A :class:`Transaction` reads the published
+:class:`~repro.core.udatabase.Catalog` once, at ``BEGIN``; every
+statement in it reads that catalog with the relations it already wrote
+swapped in, so it sees its own writes and nothing published after
+``BEGIN``.  Each staged DML statement is an ordinary derivation
+(:func:`~repro.core.dml.derive`) over that catalog; the transaction
+keeps the replaced partition sets and the minted world-table variables
+and publishes nothing.  A ``conf`` or ``certain`` read after an
+uncertain insert reads a copy of the world table holding the minted
+variables, built on that read.
 
 ``COMMIT`` is the swap point the write path already has: under the base
 database's write lock it
 
-1. **checks for conflicts** — every staged relation's current base
-   partition objects must still be *the exact objects* staging derived
-   from (first-updater-wins; relations are immutable values, so object
-   identity is the precise "nothing moved" test).  A concurrent writer or
-   compaction that replaced them raises :class:`TransactionConflict` and
-   the transaction rolls back, publishing nothing — the same refusal
-   discipline as session snapshot reads;
+1. **checks for conflicts** — every relation the transaction wrote must
+   still hold, in the published catalog, the partitions of the ``BEGIN``
+   catalog: staging derived from them, so a write published since — a
+   statement, another COMMIT, a VACUUM — would be lost, and the commit
+   raises :class:`TransactionConflict`, publishing nothing.
+   First-committer-wins at relation granularity: transactions writing
+   disjoint relations both commit whatever they read, so write skew is
+   allowed — snapshot isolation as in Berenson et al., "A Critique of
+   ANSI SQL Isolation Levels" (SIGMOD 1995);
 2. gives each staged partition the index definitions of the live partition
-   it replaces (another session's ``CREATE`` / ``DROP INDEX`` since staging
-   began is kept, never a conflict);
+   it replaces (another session's ``CREATE`` / ``DROP INDEX`` since
+   ``BEGIN`` is kept, never a conflict);
 3. publishes like any statement (:func:`~repro.core.dml.publish`): the
    buffered variables join the world table, then ONE catalog swap
    publishes every touched relation, so a reader sees all of it or none
@@ -31,14 +33,8 @@ database's write lock it
 
 ``ROLLBACK`` just drops the staging (tuple ids burnt by
 ``allocate_tids`` stay burnt — ids are never reused, matching every
-sequence-based engine).
-
-Reads inside a transaction: ``SELECT`` continues to run against the
-committed base state (sessions and the server route queries unchanged);
-only UPDATE/DELETE *matching* reads the staged catalog, which is what
-gives consecutive staged statements read-your-writes semantics (an
-UPDATE sees the rows an earlier staged INSERT added).  It is planned
-under the database's own cache key, so a staged statement and an
+sequence-based engine).  Statements read the transaction's catalog under
+the database's own plan keys, so a statement in a transaction and an
 autocommit one of the same shape share one plan, re-planned when the
 staged versions' planning facts differ.
 """
@@ -52,6 +48,8 @@ from ..obs import counter
 from ..relational.expressions import executing
 from ..relational.index import attached_index_defs, defer_index, drop_index_def
 from .dml import DMLResult, Write, derive, publish
+from .query import Certain, Conf, UQuery
+from .udatabase import Catalog
 from .urelation import URelation
 
 __all__ = [
@@ -80,9 +78,9 @@ class TransactionConflict(RuntimeError):
     """Commit refused: a touched relation moved under the transaction.
 
     Raised (after rolling the transaction back) when, at commit time, a
-    relation the transaction wrote no longer holds the partition objects
-    staging derived from — a concurrent statement, transaction, or
-    compaction replaced them.  First updater wins; the loser retries.
+    relation the transaction wrote was published since its ``BEGIN`` —
+    by a statement, another transaction, or compaction.  First committer
+    wins; the loser retries.
     """
 
     def __init__(self, relation: str):
@@ -132,60 +130,74 @@ def _match_index_defs(live, successor) -> None:
 
 
 class Transaction:
-    """One open multi-statement transaction over a base UDatabase.
+    """One open transaction over a base UDatabase: the catalog of its
+    ``BEGIN`` and what it staged over it.
 
-    Created by ``BEGIN`` (through :func:`repro.sql.execute_sql` or a
-    session); :meth:`execute` stages parsed DML statements, then exactly
-    one of :meth:`commit` / :meth:`rollback` ends it.  A transaction is
-    owned by one session/connection and is not itself thread-safe (the
-    owning session serializes access); the commit publish is safe against
-    every concurrent reader and writer via the base write lock.
+    Opened by a session's ``BEGIN`` (or its ``snapshot()`` block, which
+    stages nothing); :meth:`run` stages DML statements, :meth:`catalog`
+    is what every statement reads, then exactly one of :meth:`commit` /
+    :meth:`rollback` ends it.  A transaction is owned by
+    one session and is not itself thread-safe (the owning session
+    serializes access); the commit publish is safe against every
+    concurrent reader and writer via the base write lock.
     """
 
     def __init__(self, udb) -> None:
         self.udb = udb
         self.status = "open"
         self.statements = 0
+        #: The catalog published at BEGIN: the conflict witness COMMIT
+        #: checks the published one against.
+        self._begun = udb.catalog()
+        #: ``_begun`` with the staged relations swapped in (and, after a
+        #: ``conf`` / ``certain`` read, a world table with ``_minted``).
+        self._catalog = self._begun
         #: name -> staged partition list (the transaction's latest state)
         self._staged: Dict[str, List[URelation]] = {}
-        #: name -> the base partitions it was first staged over (conflict witness)
-        self._witness: Dict[str, List[URelation]] = {}
         #: (variable, domain) pairs minted by uncertain inserts
         self._minted: List[Tuple[str, Tuple[int, ...]]] = []
         self._lock = threading.RLock()
         counter("txn_total", "Transactions begun").inc()
 
+    def catalog(self, query: UQuery) -> Catalog:
+        """What ``query``, a statement in this transaction, reads.
+
+        A ``conf`` or ``certain`` query reads the world table: once the
+        transaction has minted variables, its catalog then carries a copy
+        of the base world table holding them, built on the first such
+        read after a staging.
+        """
+        with self._lock:
+            catalog = self._catalog
+            if (
+                isinstance(query, (Conf, Certain))
+                and self._minted
+                and catalog.world_table is self._begun.world_table
+            ):
+                table = catalog.world_table.copy()
+                for var, domain in self._minted:
+                    table.add_variable(var, domain)
+                catalog = self._catalog = catalog._replace(world_table=table)
+            return catalog
+
     # ------------------------------------------------------------------
     # staging
     # ------------------------------------------------------------------
-    def execute(self, statement) -> DMLResult:
-        """Stage one parsed DML statement: derive it over the staged catalog."""
-        with self._lock:
-            self._require_open()
-            udb = self.udb
-            with udb._write_lock:
-                base = udb.catalog()
-                write = derive(
-                    statement,
-                    udb,
-                    base.replaced(self._staged, {}),
-                    {var for var, _ in self._minted},
-                )
-            for name in write.relations.keys() - self._witness.keys():
-                self._witness[name] = base.partitions(name)
-            self._staged.update(write.relations)
-            self._minted.extend(write.minted)
-            self.statements += 1
-            return write.result
-
     def run(self, prepared, params: Tuple[Any, ...] = ()) -> DMLResult:
         """Stage a prepared DML statement with ``params`` as its ``$n``
-        values: :meth:`~repro.core.prepared.PreparedDML.run`, staged
-        instead of published."""
+        values: :meth:`~repro.core.prepared.PreparedDML.run`, derived
+        over :meth:`catalog` and staged instead of published."""
         with self._lock:
             self._require_open()
-            with executing(prepared.checked(params)):
-                return self.execute(prepared.statement)
+            udb, taken = self.udb, {var for var, _ in self._minted}
+            with executing(prepared.checked(params)), udb._write_lock:
+                write = derive(prepared.statement, udb, self._catalog, taken)
+            if write.relations:
+                self._staged.update(write.relations)
+                self._minted.extend(write.minted)
+                self._catalog = self._begun.replaced(self._staged, {})
+            self.statements += 1
+            return write.result
 
     # ------------------------------------------------------------------
     # ending
@@ -194,23 +206,22 @@ class Transaction:
         """Publish every staged statement in one catalog swap.
 
         Raises :class:`TransactionConflict` (after rolling back, nothing
-        published) if any touched relation was concurrently modified.
+        published) if a relation the transaction wrote was published
+        since ``BEGIN``.
         """
         with self._lock:
             self._require_open()
             udb = self.udb
             with udb._write_lock:
-                for name, witness in self._witness.items():
-                    current = udb.partitions(name)
-                    if len(current) != len(witness) or any(
-                        c.relation is not w.relation
-                        for c, w in zip(current, witness)
-                    ):
+                published = udb.catalog().relations
+                for name, staged in self._staged.items():
+                    # a publish of a relation replaces its partition tuple
+                    if published[name] is not self._begun.relations[name]:
                         self._end("rolled_back")
                         raise TransactionConflict(name)
-                    # other sessions' index DDL since staging began is no
+                    # other sessions' index DDL since BEGIN is no
                     # conflict: the successor takes the live definition set
-                    for live, successor in zip(current, self._staged[name]):
+                    for live, successor in zip(published[name], staged):
                         _match_index_defs(live.relation, successor.relation)
                 result = TxnResult(
                     "committed",
@@ -234,7 +245,8 @@ class Transaction:
     def _end(self, status: str) -> None:
         """Close the transaction; a finished one holds no relation versions."""
         self.status = status
-        self._staged, self._witness, self._minted = {}, {}, []
+        self._begun = self._catalog = None
+        self._staged, self._minted = {}, []
 
     def _require_open(self) -> None:
         if self.status != "open":

@@ -119,6 +119,10 @@ class Catalog(NamedTuple):
     label -> relation map a U-query plan's leaves resolve their
     partitions through (see :mod:`repro.relational.plancache`);
     ``labels`` holds the partitions themselves under the same labels.
+    ``world_table`` is the database's (append-only: an older catalog
+    answers the same over it) or a transaction's copy holding the
+    variables it minted (:mod:`repro.core.txn`).  A catalog equals only
+    itself: request coalescing keys on its identity.
     """
 
     schemas: Mapping[str, LogicalSchema]
@@ -128,6 +132,10 @@ class Catalog(NamedTuple):
     labels: Mapping[str, URelation]
     #: ``u_<rel>_<attrs>`` label -> the partition's current relation version
     versions: Mapping[str, Relation]
+    world_table: WorldTable
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def logical_schema(self, name: str) -> LogicalSchema:
         try:
@@ -159,6 +167,7 @@ class Catalog(NamedTuple):
             merged,
             labels,
             {label: part.relation for label, part in labels.items()},
+            self.world_table,
         )
 
 
@@ -172,7 +181,7 @@ class UDatabase:
     ):
         self.world_table = world_table or WorldTable()
         #: The published :class:`Catalog`: replaced, never mutated.
-        self._catalog = Catalog({}, {}, {}, {})
+        self._catalog = Catalog({}, {}, {}, {}, self.world_table)
         #: Mirror the paper's experiment setup: every vertical partition
         #: gets a hash index on its tuple-id column, so the tid-equijoins
         #: that reassemble partitions run as index probes.
@@ -207,7 +216,7 @@ class UDatabase:
         Bumps on every publish (:meth:`add_relation`, a write, a COMMIT, a
         VACUUM) and on world-table growth (its own version counter is a
         component): the observable that moves whenever an answer may.
-        Request coalescing keys on it.  Index DDL, lazy index builds and
+        Index DDL, lazy index builds and
         statistics refreshes move no answer and leave it alone; a cached
         plan they affect re-plans at its next lookup, because it checks
         the planning facts it was built on.

@@ -359,7 +359,8 @@ class ConfCompute(Plan):
     then the value columns (positions matter; names may be alias-qualified).
     The operator groups rows by value tuple and emits one row per distinct
     value tuple with a trailing ``conf`` column: the probability of the
-    union of the group's descriptor world-sets against ``world_table``.
+    union of the group's descriptor world-sets against ``world_table``
+    (``None``: the world table of the catalog the execution reads).
 
     Inserted *above* the optimized child plan by the query translator
     (never seen by the rewrite rules — pushing selections or projections

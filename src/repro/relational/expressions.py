@@ -47,7 +47,7 @@ import math
 import operator
 import threading
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .schema import Schema
 from .types import format_value
@@ -201,11 +201,13 @@ class _Frame(threading.local):
     trees, plans and kernels hold none of it: the ``$n`` values (``params``,
     ``$1`` first), the ``(rows, batches)`` each physical operator produced
     (``counters``), each ``Confidence`` operator's computation summary
-    (``summaries``) and the catalog's label -> relation map (``versions``)
-    through which a U-query plan's leaves resolve the partition versions
-    they read.  ``versions`` is read once per execution, by the plan-cache
-    lookup that precedes it (``repro.core.translate._cached_physical``),
-    and the executing entry point puts back what it found.  No other
+    (``summaries``) and the catalog the execution reads (``catalog``): a
+    U-query plan's leaves resolve the partition versions they read in its
+    label -> relation map (``catalog.versions``), and a ``Confidence``
+    that holds no world table reads ``catalog.world_table``.  ``catalog``
+    is set once per execution, by the plan-cache lookup that precedes it
+    (``repro.core.translate._cached_physical``), and the executing entry
+    point puts back what it found.  No other
     thread can see it (thread-local state does not cross a worker pool by
     itself).  Outside :func:`executing` a thread has a standing empty
     frame, for callers that drive the layers by hand.
@@ -215,7 +217,7 @@ class _Frame(threading.local):
         self.params: Tuple[Any, ...] = ()
         self.counters: Dict[Any, Tuple[int, int]] = {}
         self.summaries: Dict[Any, Dict[str, Any]] = {}
-        self.versions: Mapping[str, Any] = {}
+        self.catalog: Any = None
 
 
 frame = _Frame()

@@ -75,7 +75,7 @@ U-query plan reads belong to the calling thread's frame
 ``Confidence.last_summary`` read that frame — ``None`` for an operator the
 thread's current execution did not run.  A cached U-query plan's leaves
 hold no relation: each execution resolves their labels in the frame's
-``versions`` and their indexes by name on those versions
+catalog (``catalog.versions``) and their indexes by name on those versions
 (``plancache.name_slots``).  Outside ``__init__`` /
 ``set_output`` a node is assigned only plan-only memos, whose values any
 execution derives equal: ``FusedPipeline._select`` and the ``_planned``
@@ -157,7 +157,7 @@ def _version(leaf: Any) -> Relation:
     """The relation a leaf reads: its own, or — a slot leaf of a cached
     U-query plan holds none — the version under its label in the frame."""
     relation = leaf.relation
-    return frame.versions[leaf.name] if relation is None else relation
+    return frame.catalog.versions[leaf.name] if relation is None else relation
 
 
 def _resolve(leaf: Any) -> Tuple[Relation, Index]:
@@ -165,7 +165,7 @@ def _resolve(leaf: Any) -> Tuple[Relation, Index]:
     relation = leaf.relation
     if relation is not None:
         return relation, leaf.index
-    relation = frame.versions[leaf.name]
+    relation = frame.catalog.versions[leaf.name]
     return relation, index_named(relation, leaf.index)
 
 
@@ -1430,8 +1430,11 @@ class Confidence(PhysicalPlan):
     probability of the union of its descriptors' world-sets — through the
     world table's shared memoized
     :class:`~repro.core.probability.ConfidenceEngine`, which looks a group
-    up by those encoded prefixes and decodes them only on a miss.  Over a
-    probing join the grouping runs in the join's kernel (``_planned``).
+    up by those encoded prefixes and decodes them only on a miss.  A
+    cached U-query plan's ``world_table`` is ``None``: the execution's
+    catalog holds it (``frame.catalog``), as it holds the leaves'
+    versions.  Over a probing join the grouping runs in the join's kernel
+    (``_planned``).
     A row whose every ``c`` column is the trivial variable (⊤, the empty
     descriptor) is in every world, so its group's confidence is exactly 1
     whatever else the group holds: the group becomes the shared set
@@ -1560,7 +1563,10 @@ class Confidence(PhysicalPlan):
         from ..obs import counter, histogram
 
         started = time.perf_counter()
-        confidences, approx = confidence_engine(self.world_table).encoded_confidences(
+        world = self.world_table
+        if world is None:
+            world = frame.catalog.world_table
+        confidences, approx = confidence_engine(world).encoded_confidences(
             groups.values(), self.method, self.epsilon, self.delta, self.seed
         )
         exact = len(groups) - approx

@@ -29,8 +29,8 @@ executor.  There is one of each thing here:
 A cached U-query plan names the partitions it reads; it does not hold
 them.  Its leaves are *slots* (:func:`name_slots`):
 a ``u_<rel>_<attrs>`` label and an index name, resolved per execution in
-the calling thread's frame, whose ``versions`` map is read once from the
-catalog before the lookup.  A write publishes new partition versions and
+the versions of the catalog the calling thread's frame holds, read once
+before the lookup.  A write publishes new partition versions and
 changes no plan, so it evicts nothing.  Soundness rests on *planning
 facts*:
 
@@ -285,7 +285,7 @@ def name_slots(plan: Any) -> Any:
     """Turn a physical plan's leaves into slots: each drops the relation
     version (and the index over it) it was planned over and keeps its
     label and an :class:`~repro.relational.index.IndexDef`, resolved per
-    execution from the frame's ``versions``.  What the cache stores of a
+    execution from the frame's catalog.  What the cache stores of a
     U-query plan: it pins no superseded version and serves every later one."""
     from .physical import IndexNestedLoopJoin, IndexScan, SeqScan
 

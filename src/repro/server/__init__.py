@@ -5,8 +5,8 @@ prepared-plan cache (re-entrant cached physical plans, ``$n`` prepared
 statements, catalog-version invalidation):
 
 * :class:`~repro.server.session.Session` — per-connection prepared
-  statements and bindings on one shared UDatabase, with optimistic
-  snapshot reads (no ``BEGIN`` needed),
+  statements and bindings on one shared UDatabase, with snapshot reads
+  (a read-only transaction) and transactions under snapshot isolation,
 * :class:`~repro.server.executor.ConcurrentExecutor` — cached plans on a
   worker pool, identical in-flight requests coalesced single-flight,
 * :class:`~repro.server.admission.AdmissionController` — per-cost-class
@@ -32,13 +32,12 @@ Quick start::
 from .admission import AdmissionController, AdmissionPolicy, Overloaded
 from .executor import ConcurrentExecutor
 from .server import QueryServer, TCPHandle
-from .session import Session, SnapshotChanged
+from .session import Session
 
 __all__ = [
     "QueryServer",
     "TCPHandle",
     "Session",
-    "SnapshotChanged",
     "AdmissionController",
     "AdmissionPolicy",
     "Overloaded",

@@ -17,15 +17,17 @@ Two mechanisms:
 * **Single-flight coalescing.**  Hot serving traffic is dominated by
   *identical* requests: the same cached query, the same bindings.  When a
   request arrives while an identical one (same plan-cache key, same
-  parameters, same catalog version) is already executing, the newcomer
+  parameters, same catalog) is already executing, the newcomer
   does not execute at all — it waits on the in-flight execution's future
   and receives the same immutable result relation.  This is the classic
   thundering-herd guard (memcache lease / Go ``singleflight``): under a
   GIL, where K threads re-computing one answer cannot finish faster than
   one thread computing it once, coalescing is *the* mechanism that makes
   K clients cost ~1 execution.  Soundness: results are immutable, and a
-  request only joins an execution whose catalog version matches the
-  current one — any DDL in between forces a fresh execution.
+  request only joins an execution over the very catalog it reads — the
+  one published when it arrived, or its transaction's (the catalog of
+  its ``BEGIN`` with its own writes in) — so a transaction's read never
+  joins a published reader's, and no read joins one from before a write.
 
 The executor never parses, classifies, or admits; it runs callables.  The
 :class:`~repro.server.server.QueryServer` composes it with the admission
@@ -85,7 +87,7 @@ class ConcurrentExecutor:
         """Schedule ``fn`` on the pool, returning its future.
 
         ``key`` identifies the request for coalescing — callers pass
-        ``(plan-cache key, params, catalog version)`` or ``None`` to
+        ``(plan-cache key, params, catalog)`` or ``None`` to
         disable coalescing for this request (uncacheable shapes,
         unhashable parameters, non-read statements).  When an identical
         key is in flight, the existing future is returned and nothing new

@@ -96,7 +96,7 @@ from ..relational.plancache import (
 from ..relational.relation import Relation
 from .admission import AdmissionController, AdmissionPolicy, Overloaded
 from .executor import ConcurrentExecutor
-from .session import Session, SnapshotChanged
+from .session import Session
 
 __all__ = ["QueryServer", "TCPHandle"]
 
@@ -139,14 +139,18 @@ class QueryServer:
     # ------------------------------------------------------------------
     # the request path: classify -> admit -> (coalesced) execute
     # ------------------------------------------------------------------
-    def execute(self, prepared: PreparedQuery, params: Tuple[Any, ...] = ()):
+    def execute(
+        self, prepared: PreparedQuery, params: Tuple[Any, ...] = (), catalog=None
+    ):
         """Run a prepared statement through admission + the worker pool.
 
+        A query reads ``catalog``: the one its session's transaction
+        holds, or (``None``) the one published when the request arrives.
         The admission class comes from the prepared-plan cache: a valid
         cached entry serves its recorded cost class, anything else is
         ``cold`` (it is about to pay planning).  Identical in-flight
-        requests (same plan-cache key, bindings, and catalog version)
-        coalesce onto one execution.  The key is the statement's
+        requests (same plan-cache key, bindings, and catalog) coalesce
+        onto one execution.  The key is the statement's
         (:meth:`~repro.core.prepared.PreparedQuery.plan_key`); nothing on
         this path walks the query tree.
         """
@@ -174,14 +178,17 @@ class QueryServer:
             cost_class = "conf"
         else:
             cost_class = cached_cost_class(key) or "cold"
+        if catalog is None:
+            catalog = self.udb.catalog()
         coalesce_key: Optional[Tuple[Any, ...]]
         if key is None:
             coalesce_key = None
         else:
-            # a certain(q) answer is not the answer of its core q — the
-            # two run one plan and must never share one flight
+            # a certain(q) answer is not the answer of its core q, and a
+            # transaction's read not a published one: neither pair shares
+            # a flight.  The in-flight entry pins the catalog it keys on
             certain = prepared.query is not prepared.core
-            coalesce_key = (key, certain, params, self.udb.catalog_version)
+            coalesce_key = (key, certain, params, catalog)
             try:
                 hash(coalesce_key)
             except TypeError:  # unhashable binding: execute un-coalesced
@@ -191,7 +198,7 @@ class QueryServer:
             trace.root.set(cost_class=cost_class)
 
         def work():
-            return prepared.run(*params)
+            return prepared.run(*params, catalog=catalog)
 
         # join an identical in-flight execution without consuming an
         # admission slot — a waiter costs nothing, and hot-query bursts
@@ -424,8 +431,6 @@ class _ConnectionHandler(socketserver.StreamRequestHandler):
                     "class": error.cost_class,
                     "error": str(error),
                 }
-            except SnapshotChanged as error:
-                response = {"ok": False, "kind": "snapshot", "error": str(error)}
             except TransactionConflict as error:
                 response = {"ok": False, "kind": "conflict", "error": str(error)}
             except Exception as error:  # protocol survives bad statements

@@ -1,4 +1,4 @@
-"""Per-connection sessions: statement namespaces, snapshots, transactions.
+"""Per-connection sessions: statement namespaces and transactions.
 
 A :class:`Session` is the unit of client state on a shared
 :class:`~repro.core.udatabase.UDatabase`.  It owns:
@@ -16,33 +16,27 @@ A :class:`Session` is the unit of client state on a shared
   equality literals are lifted into ``$n`` slots of one statement per
   query *shape*, so the same lookup with another key inlined runs the
   plan the first one built; named statements keep their literals.
-* **read consistency via catalog snapshots** — within one statement,
-  consistency is automatic (an execution reads the catalog once and
-  resolves every partition its plan names there, so a concurrent table
-  replacement or COMMIT cannot tear a running query).  *Across*
-  statements, :meth:`Session.snapshot` gives optimistic repeatable reads:
-  it holds the one immutable :class:`~repro.core.udatabase.Catalog` value
-  published when the block began, and every statement in the block
-  verifies, before and after it runs, that ``udb.catalog()`` is still
-  that value, raising :class:`SnapshotChanged` when a concurrent write
-  (DML, a transaction's COMMIT, VACUUM) published another.
-  Access-path work publishes nothing and cannot move an answer, so it
-  never conflicts a snapshot — neither the deferred index builds the
-  block's own first query triggers, nor ``CREATE`` / ``DROP INDEX`` by
-  another session.
-* **multi-statement write atomicity** — ``BEGIN``/``COMMIT``/``ROLLBACK``
-  (or :meth:`Session.begin` / :meth:`Session.commit` /
-  :meth:`Session.rollback`) group this connection's DML into one
-  :class:`~repro.core.txn.Transaction`: statements are derived over a
-  staged catalog (invisible to every other session) and COMMIT
-  publishes them as one atomic partition swap, refusing with
-  :class:`~repro.core.txn.TransactionConflict` if a concurrent writer
-  touched the same relations.  Queries inside a transaction read the
-  committed base state; staged DML is applied inline on the calling
-  thread (publication, at COMMIT, is the only catalog mutation).  A
-  session is the only holder of a transaction: ``execute_sql``
-  autocommits every statement and refuses transaction control, so code
-  without a server opens a standalone one (``udb.session()``).
+* **its transaction, under snapshot isolation** — ``BEGIN`` /
+  ``COMMIT`` / ``ROLLBACK`` (or :meth:`Session.begin` /
+  :meth:`Session.commit` / :meth:`Session.rollback`) open and end one
+  :class:`~repro.core.txn.Transaction`.  It reads the immutable
+  :class:`~repro.core.udatabase.Catalog` published at ``BEGIN``, and
+  every statement in it, ``SELECT`` included, reads that catalog with
+  the transaction's own staged writes swapped in: a transaction sees its
+  writes and nothing published after it began.  DML stages inline on the
+  calling thread, invisible to every other session, and COMMIT publishes
+  it as one atomic swap — or raises
+  :class:`~repro.core.txn.TransactionConflict` when a relation it wrote
+  was published since ``BEGIN`` (first-committer-wins at relation
+  granularity; write skew is allowed).  :meth:`Session.snapshot` is a
+  read-only transaction: ``with session.snapshot(): ...`` reads one
+  catalog throughout, so concurrent writes never move its answers and
+  never refuse a read.  Outside a transaction every statement reads the
+  catalog published when it starts (an execution reads the catalog
+  once, so a concurrent COMMIT cannot tear a running query).  A session
+  is the only holder of a transaction: ``execute_sql`` autocommits every
+  statement and refuses transaction control, so code without a server
+  opens a standalone one (``udb.session()``).
 
 Sessions serialize their own statements (one client speaks one protocol
 connection); different sessions run fully in parallel through the
@@ -53,17 +47,17 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Dict, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
 
 from ..core.prepared import PreparedDML, PreparedQuery, text_statement
 from ..core.txn import Begin, Commit, Rollback, Transaction, TxnResult
-from ..core.udatabase import Catalog, UDatabase
-from ..obs import counter as obs_counter
+from ..core.udatabase import UDatabase
 from ..obs import current_trace, record_statement, register_session, request_trace
 from ..obs import span as obs_span
 from ..sql import Vacuum, execute_immediate
 
-__all__ = ["Session", "SnapshotChanged"]
+__all__ = ["Session"]
 
 def _result_rows(result: Any) -> int:
     """Row count of a statement result, for resource accounting.
@@ -84,26 +78,28 @@ def _result_rows(result: Any) -> int:
     return 0
 
 
-class SnapshotChanged(RuntimeError):
-    """A snapshot block cannot go on: a concurrent write replaced a
-    relation under it, or the session asked to write inside it."""
-
-    def __init__(self, what: str):
-        super().__init__(
-            f"{what}; re-issue the statement outside the snapshot or take "
-            f"a new one"
+def _refusal(statement: Any, read_only: bool) -> str:
+    """Why ``statement`` cannot run while a transaction is open
+    (``read_only``: a snapshot block's)."""
+    if read_only:
+        what = (
+            type(statement).__name__.upper()
+            if isinstance(statement, (Begin, Commit, Rollback, Vacuum))
+            else "DDL"
         )
-        # every optimistic-read conflict is constructed here, whichever
-        # session method detects it — one counter covers them all
-        obs_counter(
-            "snapshot_conflicts_total",
-            "Optimistic snapshot reads aborted by concurrent catalog movement",
-        ).inc()
+        return f"{what} cannot run inside a snapshot, which only reads"
+    if isinstance(statement, Begin):
+        return "a transaction is already open; COMMIT or ROLLBACK it first"
+    if isinstance(statement, Vacuum):
+        return (
+            "VACUUM cannot run inside a transaction (its swap would "
+            "conflict with the transaction's own publish)"
+        )
+    return "DDL cannot run inside a transaction; COMMIT or ROLLBACK first"
 
 
 class Session:
-    """One client's statement names, snapshot, and transaction on a shared
-    UDatabase."""
+    """One client's statement names and transaction on a shared UDatabase."""
 
     def __init__(self, udb: UDatabase, server: Optional[Any] = None):
         self.udb = udb
@@ -115,14 +111,14 @@ class Session:
         #: Serializes this session's statements (a session models one
         #: connection; its requests are a sequence, not a pool).
         self._lock = threading.RLock()
-        #: Inside ``with self.snapshot():``, the catalog the block began
-        #: under (see :meth:`_check_snapshot`); else ``None``.
-        self._snapshot_catalog: Optional[Catalog] = None
-        #: The open per-connection :class:`Transaction`, if any (set by
-        #: BEGIN, cleared by COMMIT / ROLLBACK): while set, the session's
-        #: DML stages over the transaction's catalog and publishes in one
-        #: swap at COMMIT (see :mod:`repro.core.txn`).
+        #: The open :class:`Transaction`, if any (set by BEGIN or a
+        #: snapshot block, cleared by COMMIT / ROLLBACK or the block's
+        #: end): while set, every statement reads its catalog and DML
+        #: stages over it (see :mod:`repro.core.txn`).
         self._active_txn: Optional[Transaction] = None
+        #: Whether the open transaction is a snapshot block's, which only
+        #: reads.
+        self._read_only = False
         self.statements_run = 0
         #: Key into the obs per-session resource accounting (see
         #: :mod:`repro.obs.accounting`; surfaced by ``server.stats()``).
@@ -166,48 +162,30 @@ class Session:
                 ) from None
 
     # ------------------------------------------------------------------
-    # snapshots
-    # ------------------------------------------------------------------
-    def snapshot(self) -> "_Snapshot":
-        """Optimistic repeatable reads: ``with session.snapshot(): ...``.
-
-        Statements inside the block verify the catalog still holds the
-        relation objects the block started under; a concurrent write
-        raises :class:`SnapshotChanged` instead of silently mixing pre-
-        and post-write answers across the block's statements.
-        """
-        return _Snapshot(self)
-
-    def _check_snapshot(self) -> None:
-        """Raise when a catalog was published since the snapshot began.
-
-        The one discriminator for "could an answer have moved", checked
-        before and after every statement of a block: a publish (DML,
-        COMMIT, compaction) replaces the catalog value; access-path work
-        (index builds, lazy or by DDL, and statistics) changes relations
-        in place and publishes nothing.  The snapshot holds the catalog,
-        and with it every relation version it names.
-        """
-        held = self._snapshot_catalog
-        if held is not None and self.udb.catalog() is not held:
-            raise SnapshotChanged(
-                "a concurrent write replaced a relation during a snapshot read"
-            )
-
-    def _refuse_in_snapshot(self, what: str) -> None:
-        if self._snapshot_catalog is not None:
-            raise SnapshotChanged(f"{what} cannot run inside a snapshot, which only reads")
-
-    # ------------------------------------------------------------------
     # transactions
     # ------------------------------------------------------------------
-    def begin(self) -> TxnResult:
-        """Open a multi-statement transaction on this session (``BEGIN``).
+    @contextmanager
+    def snapshot(self) -> Iterator["Session"]:
+        """Repeatable reads: ``with session.snapshot(): ...``.
 
-        Refused inside a snapshot block (a write would break the
-        snapshot's guarantee, exactly like plain DML) and when a
-        transaction is already open (they do not nest).
+        The block is a read-only transaction: every statement in it reads
+        the catalog published when it began, so a concurrent write never
+        moves its answers and never refuses a read.  DML, DDL, ``VACUUM``
+        and transaction control inside it raise ``ValueError``, and so
+        does opening it inside a transaction (they do not nest).
         """
+        with self._lock:
+            self._open(read_only=True)
+        try:
+            yield self
+        finally:
+            with self._lock:
+                txn, self._active_txn, self._read_only = self._active_txn, None, False
+            txn.rollback()
+
+    def begin(self) -> TxnResult:
+        """Open a transaction on this session (``BEGIN``); refused when one
+        is already open or inside a snapshot block (they do not nest)."""
         return self._immediate(Begin())
 
     def commit(self) -> TxnResult:
@@ -215,7 +193,7 @@ class Session:
 
         Raises :class:`~repro.core.txn.TransactionConflict` — with
         nothing published and the transaction rolled back — when a
-        concurrent writer replaced a touched relation's partitions.
+        relation it wrote was published since ``BEGIN``.
         """
         return self._immediate(Commit())
 
@@ -231,37 +209,34 @@ class Session:
             return self.server.vacuum(table)
         return self.udb.compact(table)
 
+    def _open(self, read_only: bool) -> None:
+        if self._active_txn is not None:
+            raise ValueError(_refusal(Begin(), self._read_only))
+        self._active_txn, self._read_only = Transaction(self.udb), read_only
+
     def _immediate(self, statement):
         """Apply parsed DDL, ``VACUUM`` or transaction control.
 
-        Transaction control is dispatched here and nowhere else.  DDL and
-        ``VACUUM`` are refused inside a transaction and otherwise run
-        through :func:`repro.sql.execute_immediate`, the dispatch
-        ``execute_sql`` runs; everything which writes or opens a write
-        (all but COMMIT / ROLLBACK) is refused inside a snapshot block.
+        Transaction control is dispatched here and nowhere else, and so
+        are the refusals: with a transaction open, only COMMIT / ROLLBACK
+        run, and inside a snapshot block not even those.  DDL and
+        ``VACUUM`` otherwise run through
+        :func:`repro.sql.execute_immediate`, the dispatch ``execute_sql``
+        runs.
         """
         with self._lock:
             txn = self._active_txn
-            if not isinstance(statement, (Commit, Rollback)):
-                self._refuse_in_snapshot("DDL, VACUUM and BEGIN")
+            if txn is not None and (
+                self._read_only or not isinstance(statement, (Commit, Rollback))
+            ):
+                raise ValueError(_refusal(statement, self._read_only))
             if not isinstance(statement, (Begin, Commit, Rollback)):
-                if txn is not None:
-                    raise ValueError(
-                        "VACUUM cannot run inside a transaction (its swap would "
-                        "conflict with the transaction's own publish)"
-                        if isinstance(statement, Vacuum)
-                        else "DDL cannot run inside a transaction; COMMIT or ROLLBACK first"
-                    )
                 return execute_immediate(statement, self.udb, self.compact)
             trace = current_trace()
             if trace is not None:
                 trace.root.set(cost_class="txn")
             if isinstance(statement, Begin):
-                if txn is not None:
-                    raise ValueError(
-                        "a transaction is already open; COMMIT or ROLLBACK it first"
-                    )
-                self._active_txn = Transaction(self.udb)
+                self._open(read_only=False)
                 return TxnResult("open")
             if txn is None:
                 raise ValueError(
@@ -285,18 +260,15 @@ class Session:
         optimize + plan are paid once per shape.  DDL, ``VACUUM`` and
         transaction control come back from the same parse
         (:func:`~repro.core.prepared.text_statement`) as the parsed
-        record and run inline, never cached; DDL and DML are rejected
-        inside a snapshot block (the session's own write would break the
-        snapshot's guarantee).
+        record and run inline, never cached.
 
         ``VACUUM [table]`` compacts segment stacks (through the server's
         ``vacuum`` admission class when server-bound), and
         ``BEGIN``/``COMMIT``/``ROLLBACK`` manage this session's
-        multi-statement transaction — while one is open, DML stages
-        privately and publishes atomically at COMMIT.
+        transaction — while one is open, statements read its catalog and
+        DML stages privately until COMMIT publishes it atomically.
         """
         with self._lock:
-            self._check_snapshot()
             with request_trace(sql=sql):
                 prepared, lifted = text_statement(sql, self.udb, True)
                 if not isinstance(prepared, (PreparedQuery, PreparedDML)):
@@ -307,7 +279,6 @@ class Session:
     def execute_prepared(self, name: str, *params: Any):
         """Run a named prepared statement with the given ``$n`` values."""
         with self._lock:
-            self._check_snapshot()
             prepared = self.statement(name)
             with request_trace(sql=prepared.sql or ""):
                 with obs_span("parse", cached=True):
@@ -317,38 +288,38 @@ class Session:
     def run(self, prepared: PreparedQuery, *params: Any):
         """Run a :class:`PreparedQuery` (from :meth:`prepare`) in this session."""
         with self._lock:
-            self._check_snapshot()
             with request_trace(sql=prepared.sql or ""):
                 return self._run(prepared, params)
 
     def _run(self, prepared: PreparedQuery, params: Tuple[Any, ...]):
-        if isinstance(prepared, PreparedDML):
-            # a session's own write would invalidate the snapshot it is
-            # reading under
-            self._refuse_in_snapshot("DML")
+        txn = self._active_txn
+        staged = txn is not None and isinstance(prepared, PreparedDML)
+        if staged and self._read_only:
+            raise ValueError("DML cannot run inside a snapshot, which only reads")
         self.statements_run += 1
-        if isinstance(prepared, PreparedDML) and self._active_txn is not None:
-            # derive over the transaction's staged catalog, inline
-            # (nothing publishes until COMMIT, so there is no shared
-            # mutation for the server's executor to serialize)
-            return self._active_txn.run(prepared, params)
-        started = time.perf_counter()
-        if self.server is not None:
-            result = self.server.execute(prepared, params)
-        else:
-            result = prepared.run(*params)
         trace = current_trace()
+        started = time.perf_counter()
+        if staged:
+            # derived over the transaction's catalog, inline (nothing
+            # publishes until COMMIT, so there is no shared mutation for
+            # the server's executor to serialize)
+            if trace is not None:
+                trace.root.set(cost_class="dml")
+            result = txn.run(prepared, params)
+        else:
+            catalog = None if txn is None else txn.catalog(prepared.query)
+            if self.server is not None:
+                result = self.server.execute(prepared, params, catalog)
+            elif catalog is None:  # autocommit DML, or a published read
+                result = prepared.run(*params)
+            else:
+                result = prepared.run(*params, catalog=catalog)
         record_statement(
             self.accounting_id,
             trace.root.attrs.get("cost_class") if trace is not None else None,
             rows=_result_rows(result),
             seconds=time.perf_counter() - started,
         )
-        # optimistic validation closes on both sides: the pre-check alone
-        # leaves a window where a swap lands after it but before the plan
-        # resolves its relations, silently answering from the new catalog
-        # inside a "repeatable" block
-        self._check_snapshot()
         return result
 
     def __repr__(self) -> str:
@@ -357,22 +328,3 @@ class Session:
             f"Session({bound}, named={sorted(self._named)}, "
             f"statements_run={self.statements_run})"
         )
-
-
-class _Snapshot:
-    """Context manager recording/clearing a session's snapshot catalog."""
-
-    def __init__(self, session: Session):
-        self._session = session
-
-    def __enter__(self) -> Session:
-        session = self._session
-        with session._lock:
-            if session._snapshot_catalog is not None:
-                raise RuntimeError("session snapshots do not nest")
-            session._snapshot_catalog = session.udb.catalog()
-        return session
-
-    def __exit__(self, *exc: Any) -> None:
-        with self._session._lock:
-            self._session._snapshot_catalog = None

@@ -6,7 +6,10 @@ a :class:`Session`, the only holder of a transaction, and for ``VACUUM
 statement and refuses transaction control, so no caller's write can land
 in a transaction another caller opened.  Plus the staging guarantees:
 nothing visible before COMMIT, world variables buffered,
-first-updater-wins conflicts with nothing published.
+first-committer-wins conflicts with nothing published, and the reads of
+snapshot isolation: a transaction reads its BEGIN catalog with its own
+writes in, ``conf`` / ``certain`` included.  The interleavings are
+checked against a model in ``test_isolation_property.py``.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ from repro.core.udatabase import CompactionResult, UDatabase
 from repro.core.urelation import URelation, tid_column
 from repro.relational import plan_cache_stats
 from repro.relational.index import indexes_on
-from repro.server.session import Session, SnapshotChanged
+from repro.server.session import Session
 from repro.sql import execute_sql, prepare
+from tests.conftest import build_vehicles_udb
 
 
 def _udb() -> UDatabase:
@@ -314,14 +318,76 @@ def test_drop_index_by_another_session_survives_a_commit():
 
 
 def test_session_snapshot_refuses_transaction_control():
+    """A snapshot block is a read-only transaction: BEGIN, COMMIT and
+    ROLLBACK inside it are refused like DDL inside a transaction, and a
+    block cannot open inside a transaction."""
     udb = _udb()
     session = Session(udb)
     with session.snapshot() as snap:
-        with pytest.raises(SnapshotChanged):
-            snap.execute("begin")
+        for sql in ("begin", "commit", "rollback"):
+            with pytest.raises(ValueError, match="cannot run inside a snapshot"):
+                snap.execute(sql)
     # outside the block the session works again
     assert session.execute("begin").status == "open"
+    with pytest.raises(ValueError, match="already open"):
+        with session.snapshot():
+            pass  # pragma: no cover
     assert session.execute("rollback").status == "rolled_back"
+
+
+# ----------------------------------------------------------------------
+# reads inside a transaction: the BEGIN catalog with its own writes in
+# ----------------------------------------------------------------------
+
+
+def _answer(result):
+    return set(map(tuple, result.rows))
+
+
+def test_a_transaction_reads_its_own_insert():
+    udb = build_vehicles_udb()
+    a, b = Session(udb), Session(udb)
+    a.execute("begin")
+    a.execute("insert into r values (99, 'Tank', 'Friend')")
+    sql = "possible (select id, type from r where id = 99)"
+    assert _answer(a.execute(sql)) == {(99, "Tank")}
+    assert _answer(b.execute(sql)) == set()
+    a.execute("commit")
+    assert _answer(b.execute(sql)) == {(99, "Tank")}
+
+
+def test_a_repeated_read_is_stable_across_another_sessions_autocommit():
+    udb = build_vehicles_udb()
+    a, b = Session(udb), Session(udb)
+    sql = "possible (select type from r where id = 4)"
+    a.execute("begin")
+    first = _answer(a.execute(sql))
+    assert first == {("Tank",), ("Transport",)}
+    assert b.execute("update r set type = 'Boat' where id = 4").count == 1
+    assert _answer(a.execute(sql)) == first
+    assert _answer(b.execute(sql)) == {("Boat",)}
+    a.execute("rollback")
+    assert _answer(a.execute(sql)) == {("Boat",)}
+
+
+def test_conf_and_certain_read_the_transactions_own_variables():
+    """The staged uncertain insert mints ``r_<tid>_type``: a ``conf`` or
+    ``certain`` read inside the transaction resolves it in a world table
+    of the transaction's own, which publishes nothing before COMMIT."""
+    udb = build_vehicles_udb()
+    a = Session(udb)
+    queries = (
+        "conf (select type from r where id = 98)",
+        "certain (select type from r where id = 98)",
+        "certain (select id from r where id = 98)",
+    )
+    a.execute("begin")
+    (var,) = a.execute("insert into r values (98, {'Tank', 'Jeep'}, 'Friend')").variables
+    staged = [_answer(a.execute(sql)) for sql in queries]
+    assert var not in udb.world_table
+    a.execute("commit")
+    assert staged == [_answer(a.execute(sql)) for sql in queries]
+    assert staged == [{("Tank", 0.5), ("Jeep", 0.5)}, set(), {(98,)}]
 
 
 def test_a_reader_sees_all_of_a_commit_or_none_of_it(monkeypatch):

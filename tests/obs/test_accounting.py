@@ -106,3 +106,26 @@ def test_server_stats_surfaces_accounting():
         assert per_session["execute_ms"] > 0
     finally:
         server.close()
+
+
+def test_staged_dml_is_accounted_to_its_session():
+    """A transaction's INSERTs stage inline, off the server's executor,
+    and still count as the session's statements, like autocommit ones."""
+    from repro.server import QueryServer
+
+    from tests.conftest import build_vehicles_udb
+
+    server = QueryServer(build_vehicles_udb(), workers=2)
+    try:
+        session = server.session()
+        session.execute("begin")
+        session.execute("insert into r values (90, 'Tank', 'Friend')")
+        session.execute("insert into r values (91, 'Jeep', 'Enemy'), (92, 'Tank', 'Enemy')")
+        session.execute("commit")
+        accounting = server.stats()["accounting"]
+        per_session = accounting["sessions"][session.accounting_id]
+        assert per_session["queries"] == 2
+        assert per_session["rows"] == 3
+        assert accounting["by_class"]["dml"]["queries"] == 2
+    finally:
+        server.close()

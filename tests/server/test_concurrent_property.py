@@ -303,12 +303,10 @@ def test_concurrent_dml_readers_see_only_statement_boundaries():
 
 
 def test_snapshot_reads_stable_under_concurrent_dml():
-    """Inside ``session.snapshot()`` a reader either sees answers
-    identical to one serial state on every statement, or gets
-    ``SnapshotChanged`` — concurrent DML can never mix pre- and
-    post-write answers within one snapshot block."""
-    from repro.server.session import SnapshotChanged
-
+    """Inside ``session.snapshot()`` a reader sees answers identical to
+    one serial state on every statement — the block reads the catalog it
+    began with, so concurrent DML can never mix pre- and post-write
+    answers within it, and never refuses one of its reads."""
     inserts = [(200 + i, "Tank", "Friend") for i in range(10)]
     sql = "possible (select id, type, faction from r)"
 
@@ -321,7 +319,6 @@ def test_snapshot_reads_stable_under_concurrent_dml():
     udb = build_vehicles_udb()
     mismatches = []
     errors = []
-    retries = [0]
     done = threading.Event()
 
     def writer():
@@ -338,15 +335,11 @@ def test_snapshot_reads_stable_under_concurrent_dml():
         try:
             session = udb.session()
             while not done.is_set():
-                try:
-                    with session.snapshot():
-                        seen = [
-                            frozenset(_rows_of(session.execute(sql, ())))
-                            for _ in range(3)
-                        ]
-                except SnapshotChanged:
-                    retries[0] += 1
-                    continue
+                with session.snapshot():
+                    seen = [
+                        frozenset(_rows_of(session.execute(sql, ())))
+                        for _ in range(3)
+                    ]
                 if len(set(seen)) != 1 or seen[0] not in states:
                     mismatches.append(sorted(seen[0]))
         except Exception as error:  # pragma: no cover
@@ -515,11 +508,9 @@ def test_compaction_races_readers_writers_and_snapshots():
     six threads total.  Compaction must be answer-invisible: every read
     sees the base rows plus a per-writer *prefix* of that writer's
     inserts (statements are atomic, no torn vertical state, no lost
-    updates), snapshots either stay internally consistent or raise
-    ``SnapshotChanged``, and the quiesced database matches the serial
-    twin byte-for-byte in every mode."""
-    from repro.server.session import SnapshotChanged
-
+    updates), every snapshot block completes internally consistent, and
+    the quiesced database matches the serial twin byte-for-byte in every
+    mode."""
     PER_WRITER = 12
     writer_ids = {t: [2000 + t * 100 + i for i in range(PER_WRITER)] for t in (0, 1)}
     query = Poss(UProject(Rel("r"), ["id", "type", "faction"]))
@@ -580,14 +571,11 @@ def test_compaction_races_readers_writers_and_snapshots():
         try:
             session = udb.session()
             while not done.is_set():
-                try:
-                    with session.snapshot():
-                        seen = [
-                            frozenset(_rows_of(session.execute(sql, ())))
-                            for _ in range(3)
-                        ]
-                except SnapshotChanged:
-                    continue  # compaction/DML legitimately moved the catalog
+                with session.snapshot():
+                    seen = [
+                        frozenset(_rows_of(session.execute(sql, ())))
+                        for _ in range(3)
+                    ]
                 if len(set(seen)) != 1:
                     violations.append(("snapshot", "answers moved inside block"))
                 else:

@@ -1,4 +1,5 @@
-"""Sessions: statement namespaces, shared statements, snapshot reads."""
+"""Sessions: statement namespaces, shared statements, snapshot reads and
+transaction reads."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from collections import Counter
 import pytest
 
 from repro.relational import physical, plan_cache_stats, reset_plan_cache
-from repro.server import QueryServer, SnapshotChanged
+from repro.server import QueryServer
 from repro.sql import execute_sql
 
 from tests.conftest import build_vehicles_udb
@@ -189,41 +190,90 @@ class TestSnapshots:
             other.execute("drop index i_snap")
             assert bag(session.execute("possible (select id from r)")) == bag(before)
 
-    def test_concurrent_write_breaks_the_snapshot(self, udb):
+    def test_concurrent_write_leaves_the_snapshot_alone(self, udb):
         session = udb.session()
         other = udb.session()
         with session.snapshot():
-            session.execute("possible (select id from r)")
+            before = bag(session.execute("possible (select id from r)"))
             other.execute("insert into r values (300, 'Tank', 'Friend')")
-            with pytest.raises(SnapshotChanged, match="replaced a relation"):
-                session.execute("possible (select id from r)")
-        # outside the snapshot the session reads fine again
+            other.execute("vacuum")
+            # the block reads the catalog it began with: never refused
+            assert bag(session.execute("possible (select id from r)")) == before
+        # outside the snapshot the session reads the write
         assert len(session.execute("possible (select id from r)")) == 5
 
-    def test_a_snapshot_keeps_the_relations_it_compares_alive(self, udb):
-        # relations are told apart by id(), which is only unique among
-        # live objects: were the superseded versions freed, a later
-        # version could be allocated at their address and pass for them
+    def test_a_snapshot_keeps_the_relations_it_reads_alive(self, udb):
         session = udb.session()
         other = udb.session()
         with session.snapshot():
             began = [weakref.ref(part.relation) for part in udb.partitions("r")]
             other.execute("insert into r values (300, 'Tank', 'Friend')")
             assert all(ref() is not None for ref in began)
+            session.execute("possible (select id from r)")
         assert all(ref() is None for ref in began)  # ... and no longer
 
-    def test_ddl_inside_snapshot_is_rejected(self, udb):
+    def test_writes_inside_snapshot_are_rejected(self, udb):
         session = udb.session()
         with session.snapshot():
-            with pytest.raises(SnapshotChanged):
+            with pytest.raises(ValueError, match="DDL cannot run inside a snapshot"):
                 session.execute("create index i_x on u_r_id (id)")
+            with pytest.raises(ValueError, match="VACUUM cannot run inside a snapshot"):
+                session.execute("vacuum")
+            with pytest.raises(ValueError, match="DML cannot run inside a snapshot"):
+                session.execute("insert into r values (300, 'Tank', 'Friend')")
+        assert "i_x" not in [d[1] for d in udb.index_defs()]
+        assert len(session.execute("possible (select id from r)")) == 4
 
     def test_snapshots_do_not_nest(self, udb):
         session = udb.session()
         with session.snapshot():
-            with pytest.raises(RuntimeError):
+            with pytest.raises(ValueError, match="BEGIN cannot run inside a snapshot"):
                 with session.snapshot():
                     pass  # pragma: no cover
+
+
+class TestTransactionReads:
+    def test_a_transaction_read_never_joins_a_published_readers_flight(
+        self, udb, monkeypatch
+    ):
+        """Same text, same parameters, one server: the published reader's
+        execution is held in flight while the transaction's arrives.  The
+        transaction must run its own, over its staged insert."""
+        import repro.core.prepared as prepared_module
+
+        sql = "possible (select id from r where type = 'Tank')"
+        real = prepared_module.execute_keyed
+        entered, release = threading.Event(), threading.Event()
+        calls = []
+
+        def held(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                entered.set()
+                release.wait(10)
+            else:
+                release.set()
+            return real(*args, **kwargs)
+
+        with QueryServer(udb, workers=2) as server:
+            reader, writer = server.session(), server.session()
+            reader.execute(sql)  # planned: both requests admit as cached
+            writer.execute("begin")
+            writer.execute("insert into r values (99, 'Tank', 'Friend')")
+            monkeypatch.setattr(prepared_module, "execute_keyed", held)
+            published = {}
+            thread = threading.Thread(
+                target=lambda: published.setdefault("rows", reader.execute(sql).rows)
+            )
+            thread.start()
+            assert entered.wait(10)
+            staged = writer.execute(sql)
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            assert len(calls) == 2
+            assert server.executor.stats()["coalesced"] == 0
+            assert (99,) in staged.rows and (99,) not in published["rows"]
+            writer.execute("rollback")
 
 
 class TestServerFacade:
