@@ -99,7 +99,7 @@ def _flatten_tids(urel: URelation) -> URelation:
         + list(urel.value_names)
     )
     rows = []
-    for row in urel.relation.rows:
+    for row in urel.relation:
         tid = tuple(row[d_cols : d_cols + n_tids])
         rows.append(row[:d_cols] + (tid,) + row[d_cols + n_tids :])
     return URelation(Relation(schema, rows), urel.d_width, ["tid"], urel.value_names)

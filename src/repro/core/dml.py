@@ -18,11 +18,14 @@ derives over ``udb.catalog()`` and publishes at once; a transaction
 derives over its own catalog (its ``BEGIN`` one, its writes swapped in)
 and publishes at COMMIT
 (:mod:`repro.core.txn`).  The derivation itself
-(:meth:`Relation.with_appended` / :meth:`Relation.with_deleted`) carries
-whatever the old relation had built — indexes, column vectors, NULL and
-all-equal facts, statistics — onto the new one along the statement's
-delta, so a write costs Python work in proportion to the rows it writes,
-not to the partition, and the first read after it rebuilds nothing.
+(:meth:`Relation.with_appended` / :meth:`Relation.with_deleted`) copies
+nothing: the new version shares the old one's segments, and with them
+everything built over their rows — column vectors, NULL and all-equal
+counts, index structures, probe tables — and keeps its index definitions
+and statistics.  An append builds only its own segment's structures and a
+delete builds none, and UPDATE / DELETE find their rows through the
+partition's tid index, so a write costs Python work in proportion to the
+rows it writes, not to the partition.
 In-flight executions, snapshot blocks and open transactions keep reading
 the versions of the catalog they started on; and a cached plan
 over the written partitions stays cached: it names partitions, not
@@ -49,14 +52,14 @@ worlds).
 from __future__ import annotations
 
 import functools
-from itertools import compress
-from operator import itemgetter
 from typing import Any, Collection, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..obs import counter as _counter
 from ..relational.expressions import Expression, Param, slot_count
+from ..relational.index import IndexDef, index_named
 from .descriptor import Descriptor, encode_descriptor
 from .query import Rel, USelect
+from .udatabase import partition_label
 from .urelation import URelation, tid_column
 
 __all__ = [
@@ -378,7 +381,7 @@ def _matching_tids(udb, catalog, name: str, condition: Optional[Expression]) -> 
         tid_name = tid_column(name)
         for part in catalog.partitions(name):
             position = part.relation.schema.resolve(tid_name)
-            tids.update(row[position] for row in part.relation.rows)
+            tids.update(row[position] for row in part.relation)
         return tids
     from .translate import execute_keyed, query_cache_key
 
@@ -399,12 +402,20 @@ def _successor(part: URelation, relation) -> URelation:
     return URelation(relation, part.d_width, part.tid_names, part.value_names)
 
 
-def _positions_of(relation, name: str, tids: set) -> List[int]:
-    """Live positions of the rows of ``relation`` carrying one of ``tids``
-    (one C-level pass: the statement's Python work follows its matches)."""
-    tid_of = itemgetter(relation.schema.resolve(tid_column(name)))
-    held = map(tids.__contains__, map(tid_of, relation.rows))
-    return list(compress(range(len(relation.rows)), held))
+def _matches(part: URelation, name: str, tids: set) -> List[Tuple[int, Tuple]]:
+    """``(ordinal, row)`` of the live rows of ``part`` carrying one of
+    ``tids``, found through the partition's tid index (its
+    ``idx_<label>_tid`` definition, built privately if it has none): the
+    statement's Python work follows its matches, not the partition."""
+    relation = part.relation
+    position = relation.schema.resolve(tid_column(name))
+    definition = IndexDef(
+        f"idx_{partition_label(name, part)}_tid",
+        (relation.schema.names[position],),
+        "hash",
+        (position,),
+    )
+    return index_named(relation, definition).matches(tids)
 
 
 @_counted
@@ -446,19 +457,19 @@ def update_where(
     for part in catalog.partitions(name):
         relation = part.relation
         touched = any(attr in updates for attr in part.value_names)
-        positions = _positions_of(relation, name, tids) if touched else None
-        if not positions:
+        matched = _matches(part, name, tids) if touched else None
+        if not matched:
             new_parts.append(part)
             continue
         value_base = 2 * part.d_width + len(part.tid_names)
         rewritten = []
-        for i in positions:
-            row = list(relation.rows[i])
+        for _, old in matched:
+            row = list(old)
             for offset, attr in enumerate(part.value_names):
                 if attr in updates:
                     row[value_base + offset] = updates[attr]
             rewritten.append(tuple(row))
-        derived = relation.with_deleted(positions).with_appended(rewritten)
+        derived = relation.with_deleted(o for o, _ in matched).with_appended(rewritten)
         new_parts.append(_successor(part, derived))
         changed = True
     return Write(DMLResult("update", len(tids)), {name: new_parts} if changed else {})
@@ -478,7 +489,7 @@ def delete_where(
     if not tids:
         return Write(DMLResult("delete", 0), {})
     new_parts = [
-        _successor(part, part.relation.with_deleted(_positions_of(part.relation, name, tids)))
+        _successor(part, part.relation.with_deleted(o for o, _ in _matches(part, name, tids)))
         for part in catalog.partitions(name)
     ]
     return Write(DMLResult("delete", len(tids)), {name: new_parts})

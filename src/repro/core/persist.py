@@ -219,7 +219,7 @@ def _load_partition(directory: pathlib.Path, entry: Dict[str, str]) -> Relation:
                 f"{part_dir}: segment {segment_id} holds {len(loaded.rows)} "
                 f"rows, manifest expects {expected}"
             )
-        segments.append(Segment(int(segment_id), tuple(loaded.rows)))
+        segments.append(Segment(int(segment_id), loaded.rows))
     if schema is None:
         raise ValueError(f"{part_dir}: manifest lists no segments")
     spec = entry["deleted"]

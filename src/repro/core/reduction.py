@@ -54,7 +54,7 @@ def _semijoin(left: URelation, right: URelation) -> URelation:
     survivors = []
     d_cols = 2 * left.d_width
     triples = list(left)
-    for row, (descriptor, tids, _values) in zip(left.relation.rows, triples):
+    for row, (descriptor, tids, _values) in zip(left.relation, triples):
         partners = by_tid.get(tids[0], ())
         if any(descriptor.consistent_with(p) for p in partners):
             survivors.append(row)

@@ -22,7 +22,7 @@ Descriptor width is decided where a partition is scanned, not where it is
 stored.  A stored partition keeps its ``d_width`` and its ⊤ pairs; but a
 slot whose variable column holds :data:`~repro.core.descriptor.TOP_VARIABLE`
 in every row (:meth:`~repro.relational.relation.Relation.column_all_equal`,
-a fact cached on the relation version and carried along its writes) is
+a fact counted once per segment and shared by every version holding it) is
 renamed out of the ``c``/``w`` numbering and the kept slots close up, so a
 certain partition translates with width 0 and ψ compares only columns that
 can differ.  Dropping such a slot is exact: against any pair
@@ -30,8 +30,7 @@ can differ.  Dropping such a slot is exact: against any pair
 by the first disjunct or has ``c_j = ⊤`` too, and then both ``w`` are
 :data:`~repro.core.descriptor.TOP_VALUE` (⊤'s domain is ``{0}``).  A
 cached plan outlives writes, so the fact is one of those its cache entry
-checks on every new version it runs over (a write carries it, and a
-changed verdict re-plans).  Two sides that
+checks on every new version it runs over (a changed verdict re-plans).  Two sides that
 nothing links - no α, no ψ, no conjunct - become a ``Product``.
 
 Column names at block boundaries: the renamed-out slots are unique to

@@ -14,11 +14,12 @@ world).
 index on it an ordinary index: its definitions — built or still pending —
 are attached to the partition's relation object and nowhere else.  The
 planner reads them there (``indexes_on``), every write-path derivation
-carries them to the successor (``carry_indexes``), persistence saves them
-from there.  Index DDL (:meth:`UDatabase.create_index` /
-:meth:`UDatabase.drop_index`) and every derivation of a successor happen
-under ``_write_lock``, so a definition lands on the live partition or not
-at all.
+hands them to the successor (``reattach_indexes``: the index structures
+themselves live on the partition's immutable segments, which the
+successor shares), persistence saves them from there.  Index DDL
+(:meth:`UDatabase.create_index` / :meth:`UDatabase.drop_index`) and every
+derivation of a successor happen under ``_write_lock``, so a definition
+lands on the live partition or not at all.
 """
 
 from __future__ import annotations
@@ -306,7 +307,7 @@ class UDatabase:
             tid_name = tid_column(name)
             for part in self._catalog.relations[name]:
                 position = part.relation.schema.resolve(tid_name)
-                for row in part.relation.rows:
+                for row in part.relation:
                     tid = row[position]
                     if isinstance(tid, int) and tid > highest:
                         highest = tid
@@ -344,10 +345,11 @@ class UDatabase:
         and swap them all in with one :meth:`publish` under the write
         lock.  Readers and pinned snapshots keep the old immutable
         relation objects; the swap is indistinguishable from any other
-        write.  Compaction
-        leaves the live rows identical, so built indexes, column vectors
-        and statistics are re-pointed at the new relation objects as they
-        are (still-deferred index definitions stay deferred).  The world
+        write.  It is the only operation that rebuilds derived state: the
+        new base segment builds whatever the segments it replaces had built
+        (column vectors, index structures, probe tables), so the reads
+        after it build nothing; index definitions and statistics carry over
+        as they are (still-deferred definitions stay deferred).  The world
         table is never touched.
 
         Emits ``compactions_total`` (per rewritten relation) and observes
@@ -377,7 +379,7 @@ class UDatabase:
                         replacements.append(part)
                         continue
                     segments_before += len(relation.segments())
-                    dropped_here = len(relation.deleted_ordinals())
+                    dropped_here = relation.deleted_count()
                     rows_dropped += dropped_here
                     # pointer-slot estimate of the reclaimed tuples (CPython
                     # tuple header + one slot per column); values are shared
@@ -456,9 +458,8 @@ class UDatabase:
         ``segment_*`` gauges, labeled by partition, so the metrics
         snapshot carries the write path's state.
 
-        Reading is cheap and never forces segment materialization: a
-        relation the write path has not touched reports one base segment
-        with nothing deleted, without copying its rows.
+        Reading is cheap: it counts segments and dead positions, and
+        copies no row.
         """
         from ..obs import gauge
 
@@ -466,19 +467,12 @@ class UDatabase:
         for name, parts in sorted(self._catalog.relations.items()):
             for i, part in enumerate(parts):
                 relation = part.relation
-                segments = getattr(relation, "_segments", None)
-                if segments is None:  # untouched: one implicit base segment
-                    segment_count = 1
-                    live = len(relation.rows)
-                    deleted = 0
-                else:
-                    segment_count = len(segments)
-                    live = len(relation.rows)
-                    deleted = len(relation.deleted_ordinals())
+                live = len(relation)
+                deleted = relation.deleted_count()
                 total = live + deleted
                 key = f"{name}/part{i}"
                 out[key] = {
-                    "segment_count": segment_count,
+                    "segment_count": len(relation.segments()),
                     "live_rows": live,
                     "deleted_rows": deleted,
                     "deleted_ratio": (deleted / total) if total else 0.0,

@@ -122,7 +122,7 @@ class URelation:
         """Iterate logical triples (descriptor, tids, values)."""
         d_cols = 2 * self.d_width
         n_tids = len(self.tid_names)
-        for row in self.relation.rows:
+        for row in self.relation:
             descriptor = decode_descriptor(row[:d_cols])
             tids = row[d_cols : d_cols + n_tids]
             values = row[d_cols + n_tids :]

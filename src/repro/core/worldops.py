@@ -62,7 +62,7 @@ def repair_key(
     value_positions = relation.schema.positions(value_names)
 
     groups: Dict[Tuple[Any, ...], List[Tuple[Any, ...]]] = {}
-    for row in relation.rows:
+    for row in relation:
         group_key = tuple(row[i] for i in key_positions)
         groups.setdefault(group_key, []).append(row)
 
@@ -123,7 +123,7 @@ def pick_tuples(
 
     world = udb.world_table
     triples = []
-    for tid, row in enumerate(relation.rows, start=1):
+    for tid, row in enumerate(relation, start=1):
         p = float(row[weight_position]) if weight_position is not None else probability
         if not 0.0 < p <= 1.0:
             raise ValueError(

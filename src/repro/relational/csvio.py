@@ -34,7 +34,7 @@ def write_csv(relation: Relation, path: PathLike) -> None:
     for attr, dtype in zip(relation.schema.attributes, types):
         if dtype is DataType.ANY and any(
             row[relation.schema.resolve(attr.name)] is not None
-            for row in relation.rows
+            for row in relation
         ):
             raise ValueError(
                 f"column {attr.name!r} mixes incompatible types; "
@@ -47,7 +47,7 @@ def write_csv(relation: Relation, path: PathLike) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for row in relation.rows:
+        for row in relation:
             writer.writerow(
                 [_NULL if value is None else format_value(value) for value in row]
             )

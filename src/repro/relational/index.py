@@ -6,12 +6,22 @@ vertical partitions, and the selective scans of the experiment queries, run
 as index accesses in PostgreSQL.  This module gives the substrate the same
 capability:
 
-* :class:`HashIndex`   — equality lookups (dict of key -> row bucket),
-* :class:`SortedIndex` — binary-search point and range lookups over a
-  key-sorted row array (the btree stand-in),
+* :class:`HashIndex`   — equality lookups (dict of key -> row positions),
+* :class:`SortedIndex` — binary-search point and range lookups over the
+  rows' positions sorted by key (the btree stand-in),
 * :func:`probe_table`  — the one shape an equi-join probes, key -> row or
-  [rows]: an index's :meth:`Index.mixed_table`, built on the first join
+  [rows]: an index's per-segment probe table, built on the first join
   probe, and a hash join's build side.
+
+An index's structure lives on the segments of the relation it covers: each
+:class:`~repro.relational.relation.Segment` builds, once, the hash table or
+sorted key array of every index definition over its own rows
+(:meth:`~repro.relational.relation.Segment.memo`), and every relation
+version holding the segment shares it.  An :class:`Index` is a handle over
+one version: its definition plus that version's segments and dead
+positions.  A lookup reads each segment's structure and drops the dead
+rows, so an append indexes the new segment alone, a delete indexes
+nothing, and only a compaction's new base segment is indexed again.
 
 Indexes *attach* to the :class:`~repro.relational.relation.Relation` they
 cover (a private slot on the relation object), and that slot is the only
@@ -21,8 +31,8 @@ catalog's index DDL works on the live partition relation.  The planner
 discovers access paths through :func:`indexes_on`, so any plan that scans a
 relation sees them.  Because relations are immutable values, attachment is
 safe: an index can never go stale while its relation object is alive, and
-a write derives a new relation object that :func:`carry_indexes` hands the
-access paths on to.
+a write's new version takes over the definitions of the one it replaces
+(:func:`reattach_indexes`).
 
 NULL semantics match the executor's comparisons: rows whose key contains
 ``None`` are excluded from every index (a NULL never compares equal, so an
@@ -31,14 +41,16 @@ equality or range lookup can never return it).
 
 from __future__ import annotations
 
+import copy
+import heapq
 import threading
 import weakref
 from bisect import bisect_left, bisect_right
 from functools import partial
 from operator import itemgetter
-from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .relation import Relation, _without
+from .relation import Relation, Segment
 
 __all__ = [
     "Index",
@@ -55,7 +67,7 @@ __all__ = [
     "drop_index_def",
     "default_index_name",
     "ensure_index",
-    "carry_indexes",
+    "reattach_indexes",
     "forget_facts",
     "IndexDef",
     "index_named",
@@ -67,8 +79,47 @@ Row = Tuple[Any, ...]
 INDEX_KINDS = ("hash", "sorted")
 
 
+def _key_getter(positions: Tuple[int, ...]) -> Callable[[Row], Any]:
+    """A row's index key: a scalar for one column, else a tuple; a key
+    containing ``None`` is reported as ``None``."""
+    if len(positions) == 1:
+        return itemgetter(positions[0])
+    getter = itemgetter(*positions)
+
+    def key_of(row: Row) -> Any:
+        key = getter(row)
+        return None if None in key else key
+
+    return key_of
+
+
+def _structure(segment: Segment, kind: str, positions: Tuple[int, ...]) -> Any:
+    """The ``kind`` index structure over one segment's rows (memoized on it)."""
+    return _KIND_CLASSES[kind]._build(segment.rows, positions)
+
+
+def _segment_probe_table(segment: Segment, kind: str, positions: Tuple[int, ...]) -> Dict[Any, Any]:
+    """The :func:`probe_table` over one segment's rows (memoized on it)."""
+    structure = segment.memo(_structure, kind, positions)
+    return _KIND_CLASSES[kind]._probe_table(segment.rows, structure)
+
+
+def _live_probe(
+    hits_of: Callable, rows: Sequence[Row], structure: Any, dead: frozenset, key: Any
+) -> Any:
+    """One segment's join probe when it has dead rows (the :func:`probe_table`
+    shape, dead rows dropped).  A function of the segment alone: a probe
+    holding its index handle would close a cycle through the handle's
+    cached probe."""
+    hits = [p for p in hits_of(structure, key) if p not in dead]
+    if not hits:
+        return None
+    return rows[hits[0]] if len(hits) == 1 else list(map(rows.__getitem__, hits))
+
+
 class Index:
-    """Base class: an access structure over one relation's column list."""
+    """Base class: an index definition over one relation version's column
+    list, reading the structures its segments keep."""
 
     kind = "index"
 
@@ -83,9 +134,39 @@ class Index:
             relation.schema.names[p] for p in positions
         )
         self.name = name or default_index_name(self.columns)
-        self._single = len(positions) == 1
-        self._mixed: Optional[Dict[Any, Any]] = None
-        self._build()
+        self.key_of = _key_getter(positions)
+        self._runs: Optional[Tuple[Tuple[Segment, Any, frozenset], ...]] = None
+        self._probe: Optional[Callable[[Any], Any]] = None
+        for _, structure, _ in self.runs():  # every segment's, built now
+            self._admit(structure)
+
+    def runs(self) -> Tuple[Tuple[Segment, Any, frozenset], ...]:
+        """Per segment of the version: the segment, its structure and its
+        dead positions; gathered on first use (threads racing on it
+        gather equal tuples)."""
+        runs = self._runs
+        if runs is None:
+            key = (_structure, self.kind, self.positions)
+            runs = self._runs = tuple(
+                (segment, segment._memo.get(key) or segment.memo(*key), dead)  # memo inline
+                for segment, dead in self.relation._runs
+            )
+        return runs
+
+    def successor(self, relation: Relation, added: Sequence[Segment]) -> "Index":
+        """This index over ``relation``, a write's successor of its own
+        relation that adds the segments ``added``: only those are indexed
+        now, and the shared ones are read on first use.  Raises
+        ``TypeError`` when an added segment's keys cannot join the index."""
+        handle = copy.copy(self)
+        handle._relation = weakref.ref(relation)
+        handle._runs = handle._probe = None
+        for segment in added:
+            handle._admit(segment.memo(_structure, self.kind, self.positions))
+        return handle
+
+    def _admit(self, structure: Any) -> None:
+        """Check that a segment's structure can join this index."""
 
     @property
     def relation(self) -> Optional[Relation]:
@@ -93,307 +174,239 @@ class Index:
 
         Held weakly: a relation owns its indexes (``_indexes``), and a
         strong reference back would close a cycle that keeps every
-        superseded relation version of the write path — rows, column
-        vectors, index tables — alive until the cycle collector's next
-        full pass.  Whoever needs the relation while holding an index (a
-        relational plan's ``IndexScan``, an execution's frame) holds it too.
+        superseded relation version of the write path alive until the
+        cycle collector's next full pass.  Whoever needs the relation
+        while holding an index (a relational plan's ``IndexScan``, an
+        execution's frame) holds it too.
         """
         return self._relation()
 
     # ------------------------------------------------------------------
-    def key_of(self, row: Row) -> Any:
-        """The index key of a row: a scalar for single-column indexes, else
-        a tuple; ``None``-containing keys are reported as ``None``."""
-        if self._single:
-            return row[self.positions[0]]
-        key = tuple(row[p] for p in self.positions)
-        if None in key:
-            return None
-        return key
-
-    def _build(self) -> None:
+    # per-segment structure (class-level: the structure is the segment's)
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _build(rows: Sequence[Row], positions: Tuple[int, ...]) -> Any:
+        """The structure over one segment's ``rows``."""
         raise NotImplementedError
 
-    def _derived_shell(self, relation: Relation) -> "Index":
-        """A structure-less clone of this index over a replacement relation.
-
-        :meth:`derived` fills the access structure in without re-running
-        :meth:`_build`; the target relation must share the source
-        relation's schema.
-        """
-        clone = type(self).__new__(type(self))
-        clone._relation = weakref.ref(relation)
-        clone.positions = self.positions
-        clone.columns = self.columns
-        clone.name = self.name
-        clone._single = self._single
-        return clone
-
-    def derived(
-        self,
-        relation: Relation,
-        removed: Sequence[Row],
-        removed_labels: Sequence[int],
-        appended: Sequence[Row],
-        first_label: int,
-    ) -> "Index":
-        """This index over ``relation``, a write-path successor of its own.
-
-        ``relation`` holds this index's rows minus the ``removed`` row
-        objects plus the ``appended`` rows at the end (neither: a
-        compaction, and the structure is shared as it is); the labels are
-        the rows' :func:`row_labels`.  Only the delta is indexed, entries
-        of unchanged rows move by C-level copies, and this index is never
-        mutated.
-        """
+    @staticmethod
+    def _probe_table(rows: Sequence[Row], structure: Any) -> Dict[Any, Any]:
+        """The :func:`probe_table` of one segment, from its structure."""
         raise NotImplementedError
 
+    @staticmethod
+    def _hits(structure: Any, key: Any) -> Sequence[int]:
+        """Ascending positions, in the segment, of the rows keyed ``key``."""
+        raise NotImplementedError
+
+    @staticmethod
+    def _size(structure: Any) -> int:
+        """How many of the segment's rows the structure indexes."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
     def lookup(self, key: Any) -> Sequence[Row]:
-        """All rows whose key equals ``key`` (in relation row order)."""
-        raise NotImplementedError
+        """All live rows whose key equals ``key`` (in relation order)."""
+        if key is None:
+            return ()
+        out: List[Row] = []
+        for segment, structure, dead in self.runs():
+            hits = self._hits(structure, key)
+            if hits:
+                if dead:
+                    hits = [p for p in hits if p not in dead]
+                out.extend(map(segment.rows.__getitem__, hits))
+        return out
 
-    def mixed_table(self) -> Dict[Any, Any]:
-        """The join probe table: key -> row, or [rows] in relation order
-        when several rows share the key (the :func:`probe_table` shape).
+    def matches(self, keys: Iterable[Any]) -> List[Tuple[int, Row]]:
+        """``(global ordinal, row)`` of every live row whose key is one of
+        ``keys``, ascending: what a write needs to delete or rewrite them."""
+        keys = [key for key in keys if key is not None]
+        out: List[Tuple[int, Row]] = []
+        start = 0
+        for segment, structure, dead in self.runs():
+            rows = segment.rows
+            for key in keys:
+                for p in self._hits(structure, key):
+                    if p not in dead:
+                        out.append((start + p, rows[p]))
+            start += len(rows)
+        out.sort(key=itemgetter(0))
+        return out
 
-        Built from the index's own entries on the first join probe, held
-        on the index and carried along :meth:`derived` with the delta.
-        Threads racing on the first probe each build an equal table, and
-        one of them stays.
+    def probe_lookup(self) -> Callable[[Any], Any]:
+        """The join probe over this version: key -> row, [rows] in
+        relation order, or ``None`` (the :func:`probe_table` shape).
+
+        A one-segment version with nothing deleted probes its segment's
+        probe table directly; otherwise each clean segment's table and
+        each other segment's structure are probed in turn and the dead
+        rows dropped - nothing is copied per probe.  A segment's table is
+        built on its first join probe and kept on the segment: threads
+        racing on it each build an equal table, and one of them stays.
+        The probe is made once per version (threads racing on it make
+        equal ones).
         """
-        mixed = self._mixed
-        if mixed is None:
-            mixed = self._mixed = self._probe_table()
-        return mixed
+        probe = self._probe
+        if probe is None:
+            probe = self._probe = self._prober()
+        return probe
 
-    def _probe_table(self) -> Dict[Any, Any]:
-        raise NotImplementedError
+    def _prober(self) -> Callable[[Any], Any]:
+        runs = self.runs()
+        key = (_segment_probe_table, self.kind, self.positions)
+        if len(runs) == 1 and not runs[0][2]:
+            return runs[0][0].memo(*key).get
+        gets = [
+            partial(_live_probe, self._hits, segment.rows, structure, dead)
+            if dead
+            else (segment._memo.get(key) or segment.memo(*key)).get  # Segment.memo inline
+            for segment, structure, dead in runs
+        ]
+
+        def lookup(key: Any) -> Any:
+            found: List[Row] = []
+            for get in gets:
+                held = get(key)
+                if held is None:
+                    continue
+                if type(held) is list:
+                    found.extend(held)
+                else:
+                    found.append(held)
+            if not found:
+                return None
+            return found[0] if len(found) == 1 else found
+
+        return lookup
 
     def __len__(self) -> int:
-        """Number of indexed rows (NULL-keyed rows are not indexed)."""
-        raise NotImplementedError
+        """Number of indexed live rows (NULL-keyed rows are not indexed)."""
+        key_of = self.key_of
+        return sum(
+            self._size(structure)
+            - sum(key_of(segment.rows[p]) is not None for p in dead)
+            for segment, structure, dead in self.runs()
+        )
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r}, columns={list(self.columns)}, {len(self)} entries)"
 
 
 class HashIndex(Index):
-    """Equality-lookup index: a dict from key to its bucket of rows."""
+    """Equality-lookup index: per segment, a dict from key to the position
+    of its row, or the list of its rows' positions."""
 
     kind = "hash"
 
-    def _build(self) -> None:
-        table: Dict[Any, List[Row]] = {}
-        setdefault = table.setdefault
-        key_of = self.key_of
-        count = 0
-        for row in self.relation.rows:
-            key = key_of(row)
-            if key is None:
-                continue
-            setdefault(key, []).append(row)
-            count += 1
-        self._table = table
-        self._count = count
+    @staticmethod
+    def _build(rows: Sequence[Row], positions: Tuple[int, ...]) -> Tuple[Dict[Any, Any], int]:
+        keys = list(map(_key_getter(positions), rows))
+        table = probe_table(
+            (key, position) for position, key in enumerate(keys) if key is not None
+        )
+        return table, len(keys) - keys.count(None)
 
-    def derived(self, relation, removed, removed_labels, appended, first_label) -> "HashIndex":
-        """O(existing keys + delta): the bucket dict (and the probe dict of
-        :meth:`mixed_table`, once built) is copied shallowly, without
-        re-hashing old rows, and a bucket is copied only when the delta
-        lands in it, so the old index's buckets are never mutated.
-        """
-        clone = self._derived_shell(relation)
-        clone._count = self._count
-        mixed = self._mixed
-        if not removed and not appended:
-            clone._table = self._table
-            clone._mixed = mixed
-            return clone
-        table = clone._table = dict(self._table)
-        key_of = clone.key_of
-        owned: Dict[Any, List[Row]] = {}
-
-        def own(row: Row) -> Optional[List[Row]]:
-            key = key_of(row)
-            if key is None:
-                return None
-            bucket = owned.get(key)
-            if bucket is None:
-                bucket = owned[key] = list(table.get(key, ()))
-            return bucket
-
-        for row in removed:
-            bucket = own(row)
-            if bucket is not None:
-                # by identity: an equal row elsewhere in the bucket stays
-                del bucket[list(map(id, bucket)).index(id(row))]
-                clone._count -= 1
-        for row in appended:
-            bucket = own(row)
-            if bucket is not None:
-                bucket.append(row)
-                clone._count += 1
-        if mixed is not None:
-            mixed = dict(mixed)
-        for key, bucket in owned.items():
-            if bucket:
-                table[key] = bucket
-                if mixed is not None:
-                    mixed[key] = bucket[0] if len(bucket) == 1 else bucket
-            else:
-                table.pop(key, None)
-                if mixed is not None:
-                    mixed.pop(key, None)
-        clone._mixed = mixed
-        return clone
-
-    def lookup(self, key: Any) -> Sequence[Row]:
-        if key is None:
-            return ()
-        return self._table.get(key, ())
-
-    def _probe_table(self) -> Dict[Any, Any]:
+    @staticmethod
+    def _probe_table(rows: Sequence[Row], structure: Any) -> Dict[Any, Any]:
         return {
-            key: bucket[0] if len(bucket) == 1 else bucket
-            for key, bucket in self._table.items()
+            key: rows[held] if type(held) is int else list(map(rows.__getitem__, held))
+            for key, held in structure[0].items()
         }
 
-    def __len__(self) -> int:
-        return self._count
+    @staticmethod
+    def _hits(structure: Any, key: Any) -> Sequence[int]:
+        held = structure[0].get(key)
+        if held is None:
+            return ()
+        return held if type(held) is list else (held,)
+
+    @staticmethod
+    def _size(structure: Any) -> int:
+        return structure[1]
 
 
 class SortedIndex(Index):
-    """Binary-search index: rows sorted by key, point + range lookups.
+    """Binary-search index: row positions sorted by key, point + range lookups.
 
     Keys must be mutually comparable (homogeneous column types); building
-    over an unsortable column raises ``TypeError`` — use a
-    :class:`HashIndex` there instead.  Range lookups bound the *first*
-    index column; multi-column sorted indexes still support point lookups
-    and ordered scans.
+    over an unsortable column - within a segment, or across the segments
+    of a version - raises ``TypeError``: use a :class:`HashIndex` there
+    instead.  Range lookups bound the *first* index column; multi-column
+    sorted indexes still support point lookups and ordered scans.
     """
 
     kind = "sorted"
 
-    def _build(self) -> None:
-        key_of = self.key_of
-        entries = [
-            (key, label, row)
-            for label, row in zip(row_labels(self.relation), self.relation.rows)
-            if (key := key_of(row)) is not None
-        ]
-        entries.sort(key=lambda e: e[0])
-        self._keys: List[Any] = [k for k, _, _ in entries]
-        #: The row's :func:`row_labels` label per entry — range results
-        #: are restored to relation order so downstream operators keep
-        #: their locality.  Ascending within a run of equal keys.
-        self._ordinals: List[int] = [o for _, o, _ in entries]
-        self._rows: List[Row] = [r for _, _, r in entries]
-        #: First key column only, for range bisection on multi-column keys.
-        self._first: List[Any] = (
-            self._keys if self._single else [k[0] for k in self._keys]
+    #: The least and greatest key over the segments, ``None`` while none.
+    _span: Optional[Tuple[Any, Any]] = None
+
+    def _admit(self, structure: Any) -> None:
+        # each segment's keys sort; across segments their extremes must too
+        keys = structure[0]
+        if keys:
+            span = self._span
+            low, high = keys[0], keys[-1]
+            self._span = (low, high) if span is None else (min(span[0], low), max(span[1], high))
+
+    @staticmethod
+    def _build(rows: Sequence[Row], positions: Tuple[int, ...]) -> Tuple[List[Any], List[int], List[Any]]:
+        """``(keys, order, first)``: the non-NULL keys ascending, the row
+        position of each (ascending within a run of equal keys: relation
+        order), and the first key column alone for range bisection."""
+        keys = list(map(_key_getter(positions), rows))
+        order = sorted(
+            (p for p, key in enumerate(keys) if key is not None), key=keys.__getitem__
         )
+        keys = list(map(keys.__getitem__, order))
+        first = keys if len(positions) == 1 else [key[0] for key in keys]
+        return keys, order, first
 
-    def derived(self, relation, removed, removed_labels, appended, first_label) -> "SortedIndex":
-        """O(log n) per row of the delta plus slice copies of the rest.
+    @staticmethod
+    def _probe_table(rows: Sequence[Row], structure: Any) -> Dict[Any, Any]:
+        keys, order, _ = structure
+        return probe_table(zip(keys, map(rows.__getitem__, order)))
 
-        A removed row's entry is found by bisecting its key, then its
-        label within the run of equal keys; an appended row's place by
-        bisecting its key.  The probe table of :meth:`mixed_table`, once
-        built, is copied shallowly and re-read from the new run of each
-        key the delta touches.  Raises ``TypeError`` when an appended key
-        does not compare against the existing keys (mixed types); the
-        caller falls back to a deferred rebuild in that case, like the
-        eager auto-index policy does.
-        """
-        clone = self._derived_shell(relation)
-        key_of = clone.key_of
-        keys = self._keys
-        columns = [keys, self._ordinals, self._rows]
-        if not self._single:
-            columns.append(self._first)
-        if removed:
-            gone = []
-            for row, label in zip(removed, removed_labels):
-                key = key_of(row)
-                if key is not None:
-                    low = bisect_left(keys, key)
-                    gone.append(
-                        bisect_left(self._ordinals, label, low, bisect_right(keys, key, low))
-                    )
-            gone.sort()
-            columns = [_without(column, gone) for column in columns]
-            keys = columns[0]
-        if appended:
-            fresh = sorted(
-                (
-                    (key, first_label + offset, row)
-                    for offset, row in enumerate(appended)
-                    if (key := key_of(row)) is not None
-                ),
-                key=lambda e: e[0],
-            )
-            if fresh:
-                # after every equal key: labels stay ascending within the run
-                places = [bisect_right(keys, key) for key, _, _ in fresh]
-                values = list(zip(*fresh))
-                if not self._single:
-                    values.append(tuple(key[0] for key in values[0]))
-                columns = [
-                    _with(column, places, new) for column, new in zip(columns, values)
-                ]
-        clone._keys, clone._ordinals, clone._rows = columns[:3]
-        clone._first = columns[0] if self._single else columns[3]
-        mixed = clone._mixed = self._mixed
-        if mixed is not None and (removed or appended):
-            mixed = clone._mixed = dict(mixed)
-            keys, rows = clone._keys, clone._rows
-            for key in {key_of(row) for row in (*removed, *appended)} - {None}:
-                low = bisect_left(keys, key)
-                high = bisect_right(keys, key, low)
-                if high == low:
-                    mixed.pop(key, None)
-                else:
-                    mixed[key] = rows[low] if high - low == 1 else rows[low:high]
-        return clone
-
-    def lookup(self, key: Any) -> Sequence[Row]:
-        if key is None:
-            return ()
+    @staticmethod
+    def _hits(structure: Any, key: Any) -> Sequence[int]:
+        keys, order, _ = structure
         try:
-            lo = bisect_left(self._keys, key)
-            hi = bisect_right(self._keys, key)
+            lo = bisect_left(keys, key)
+            hi = bisect_right(keys, key, lo)
         except TypeError:
             # a type-mismatched key can never compare equal to any stored
             # key: equality never raises in the executor, so neither do we
             return ()
-        return self._rows[lo:hi]
+        return order[lo:hi]
 
-    def range_positions(
+    @staticmethod
+    def _size(structure: Any) -> int:
+        return len(structure[0])
+
+    def range_runs(
         self,
         lower: Any = None,
         upper: Any = None,
         lower_inclusive: bool = True,
         upper_inclusive: bool = True,
-    ) -> List[int]:
-        """Ascending positions in ``rows`` of the rows whose first key
-        column lies within the bounds (``None``: open).  Relation order,
-        not key order, keeps downstream probes local.  The sorted labels
-        are the positions until a delete parts them (:func:`row_labels`),
-        and are found in the relation's labels by bisection after it."""
-        first = self._first
-        lo = 0
-        hi = len(first)
-        if lower is not None:
-            lo = bisect_left(first, lower) if lower_inclusive else bisect_right(first, lower)
-        if upper is not None:
-            hi = bisect_right(first, upper) if upper_inclusive else bisect_left(first, upper)
-        if hi <= lo:
-            return []
-        labels = sorted(self._ordinals[lo:hi])
-        relation_labels = row_labels(self.relation)
-        if isinstance(relation_labels, range):
-            return labels
-        return list(map(partial(bisect_left, relation_labels), labels))
+    ) -> Iterator[Tuple[Segment, List[int]]]:
+        """Per segment, the ascending positions of the live rows whose
+        first key column lies within the bounds (``None``: open).  Relation
+        order, not key order, keeps downstream probes local."""
+        for segment, (_, order, first), dead in self.runs():
+            lo = 0
+            hi = len(first)
+            if lower is not None:
+                lo = bisect_left(first, lower) if lower_inclusive else bisect_right(first, lower)
+            if upper is not None:
+                hi = bisect_right(first, upper) if upper_inclusive else bisect_left(first, upper)
+            if hi <= lo:
+                continue
+            positions = sorted(order[lo:hi])
+            if dead:
+                positions = [p for p in positions if p not in dead]
+            if positions:
+                yield segment, positions
 
     def range(
         self,
@@ -401,26 +414,25 @@ class SortedIndex(Index):
         upper: Any = None,
         lower_inclusive: bool = True,
         upper_inclusive: bool = True,
-    ) -> Sequence[Row]:
-        """The rows at :meth:`range_positions`, in relation order."""
-        positions = self.range_positions(lower, upper, lower_inclusive, upper_inclusive)
-        if not positions:
-            return []
-        rows = self.relation.rows
-        if len(positions) == 1:  # a one-index itemgetter returns the bare row
-            return [rows[positions[0]]]
-        return list(itemgetter(*positions)(rows))
+    ) -> List[Row]:
+        """The rows of :meth:`range_runs`, in relation order."""
+        out: List[Row] = []
+        for segment, positions in self.range_runs(
+            lower, upper, lower_inclusive, upper_inclusive
+        ):
+            out.extend(map(segment.rows.__getitem__, positions))
+        return out
 
-    def ordered(self) -> Sequence[Row]:
-        """All indexed rows in ascending key order."""
-        return self._rows
-
-    def _probe_table(self) -> Dict[Any, Any]:
-        # a run of equal keys is in relation order: so are its buckets
-        return probe_table(zip(self._keys, self._rows))
-
-    def __len__(self) -> int:
-        return len(self._rows)
+    def ordered(self) -> List[Row]:
+        """All indexed live rows in ascending key order (relation order
+        within equal keys)."""
+        runs = [
+            [(keys[i], segment.rows[p]) for i, p in enumerate(order) if p not in dead]
+            for segment, (keys, order, _), dead in self.runs()
+        ]
+        if len(runs) == 1:
+            return [row for _, row in runs[0]]
+        return [row for _, row in heapq.merge(*runs, key=itemgetter(0))]
 
 
 _KIND_CLASSES = {"hash": HashIndex, "sorted": SortedIndex}
@@ -719,79 +731,34 @@ def ensure_index(
         return index
 
 
-# ----------------------------------------------------------------------
-# write-path maintenance: carry access paths onto a derived relation
-# ----------------------------------------------------------------------
-def row_labels(relation: Relation) -> Sequence[int]:
-    """One label per live row, ascending in ``rows`` order, never renumbered.
-
-    Sorted indexes sort range results back into relation order by these.
-    A row keeps its label through every write-path derivation (deleting
-    other rows leaves gaps, compaction keeps them, an append continues
-    past the last live label), which is what lets a delete drop index
-    entries without touching the rest.  Until a delete makes the two
-    differ, a row's label is its position and no list is kept.
-    """
-    labels = getattr(relation, "_labels", None)
-    return range(len(relation.rows)) if labels is None else labels
-
-
-def _with(sequence: Sequence[Any], places: Sequence[int], values: Sequence[Any]) -> List[Any]:
-    """``sequence`` with ``values[i]`` put in before its position
-    ``places[i]`` (ascending), by slice copies alone."""
-    out: List[Any] = []
-    start = 0
-    for place, value in zip(places, values):
-        out.extend(sequence[start:place])
-        out.append(value)
-        start = place
-    out.extend(sequence[start:])
-    return out
-
-
-def carry_indexes(
-    old: Relation, new: Relation, removed: Sequence[int], appended: Sequence[Row]
-) -> None:
-    """Carry ``old``'s access paths onto ``new``, derived from it by a write.
-
-    ``new`` is ``old`` minus the rows at its live positions ``removed``
-    plus ``appended`` at the end (:meth:`Relation._derive`).  Built
-    indexes follow the delta (:meth:`Index.derived`), never a rebuild
-    over unchanged rows; still-pending (deferred) definitions are copied
-    over as pending.  An index whose new keys do not merge (``TypeError``)
-    degrades to a deferred rebuild of just that index.
+def reattach_indexes(old: Relation, new: Relation) -> None:
+    """Give ``new``, a write's successor of ``old``, ``old``'s index
+    definitions: a handle over ``new`` for every built index (its
+    segments' structures are shared, so only a new segment is indexed)
+    and every pending definition still pending.  A sorted index whose keys
+    no longer compare across the segments (``TypeError``) becomes pending,
+    and materializing it then leaves it unavailable, like any unsortable
+    definition.
 
     ``new`` is a fresh version with no planning facts memoized yet: the
-    definitions it carries are the ones a cached plan over ``old`` was
-    built on, so the first lookup over ``new`` finds them unchanged and
-    that plan runs over it.
+    definitions it gets are the ones a cached plan over ``old`` was built
+    on, so the first lookup over ``new`` finds them unchanged and that
+    plan runs over it.
     """
     with _ATTACH_LOCK:
         built = list(getattr(old, "_indexes", None) or ())
         pending = list(getattr(old, "_pending_indexes", None) or ())
-    labels = row_labels(old)
-    removed_labels = [labels[p] for p in removed]
-    first_label = len(old.rows)
-    # positions stop being labels at the first delete under a sorted index
-    if removed and (
-        isinstance(labels, list) or any(index.kind == "sorted" for index in built)
-    ):
-        labels = _without(labels, removed)
-    if isinstance(labels, list):
-        first_label = labels[-1] + 1 if labels else 0
-        if appended:
-            labels = labels + list(range(first_label, first_label + len(appended)))
-        new._labels = labels
-    removed_rows = [old.rows[p] for p in removed]
-    derived: List[Index] = []
+    # an append adds its segment at the end, a delete adds none, and a
+    # compaction replaces them all with a new base
+    kept = len(old._runs) if new._runs[0][0] is old._runs[0][0] else 0
+    added = [segment for segment, _ in new._runs[kept:]]
+    handles: List[Index] = []
     for index in built:
         try:
-            derived.append(
-                index.derived(new, removed_rows, removed_labels, appended, first_label)
-            )
-        except (TypeError, NotImplementedError):
+            handles.append(index.successor(new, added))
+        except TypeError:
             pending.append((index.columns, index.kind, index.name))
-    if derived:
-        new._indexes = derived
+    if handles:
+        new._indexes = handles
     if pending:
         new._pending_indexes = pending

@@ -27,7 +27,7 @@ Every operator speaks exactly two protocols:
   :class:`~repro.relational.columnar.ColumnBatch` values — per-column
   vectors of at most ``size`` (:data:`BATCH_SIZE`, 1024) rows, each a
   ``list`` or a ``tuple`` (what an ``itemgetter`` gather of kept rows
-  returns).  Scans slice a cached column store of the base relation,
+  returns).  Scans slice each segment's cached column vectors,
   filters run one generated loop per batch (the predicate inlined into a
   single comprehension), projections re-select column vectors without
   touching rows, and the two probing equi-joins (``HashJoin``,
@@ -35,13 +35,13 @@ Every operator speaks exactly two protocols:
   generated kernel per join, for a key of any width, that resolves a
   batch's keys against one probe-table shape, key -> row or [rows]
   (:func:`~repro.relational.index.probe_table`: the hash join's build
-  side, or the inner index's ``mixed_table``), checks the residual and
+  side, or the inner index's ``probe_lookup``), checks the residual and
   gathers the output columns from both inputs — a downstream-folded
   projection means dropped columns are never materialized at all.  A
   ``Confidence`` over a probing join runs that join's kernel with a
   grouping emit instead, so the join's output is never gathered either.
-  A range ``IndexScan`` gathers its columns from the relation's column
-  store at the range's row positions, and ``FusedPipeline`` has one
+  A range ``IndexScan`` gathers its columns from each segment's column
+  vectors at the range's row positions, and ``FusedPipeline`` has one
   columnar body over either scan.  Four operators work on row tuples
   because their inputs or algorithms are row-shaped (index buckets hold
   row tuples; nested-loop, semi-join and set difference compare whole
@@ -92,6 +92,7 @@ EXPLAIN output.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import partial
 from operator import itemgetter
 from typing import AbstractSet, Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -329,18 +330,28 @@ class SeqScan(PhysicalPlan):
         self.name = name
         self.alias = alias
         self.schema = relation.schema.qualify(alias) if alias else relation.schema
-        self.estimated_rows = float(len(relation.rows))
+        self.estimated_rows = float(len(relation))
 
     def rows(self) -> Iterator[Row]:
-        return iter(_version(self).rows)
+        return iter(_version(self))
 
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
+        """Per segment, slices of its column vectors; a batch that holds
+        a deleted row gathers the live ones instead."""
         relation = _version(self)
-        store = relation.column_store()
-        total = len(relation.rows)
-        for s in range(0, total, size):
-            e = min(s + size, total)
-            yield ColumnBatch([c[s:e] for c in store], e - s)
+        width = len(relation.schema)
+        for segment, dead in relation._runs:
+            store = segment.columns(width)
+            total = len(segment.rows)
+            cut = sorted(dead)
+            for s in range(0, total, size):
+                e = min(s + size, total)
+                if bisect_left(cut, s) == bisect_left(cut, e):
+                    yield ColumnBatch([c[s:e] for c in store], e - s)
+                    continue
+                keep = [p for p in range(s, e) if p not in dead]
+                if keep:
+                    yield ColumnBatch(gather(store, keep), len(keep))
 
     def column_nullable(self, position: int) -> bool:
         return _version(self).column_has_null(position)
@@ -380,8 +391,8 @@ class IndexScan(PhysicalPlan):
       (sorted indexes only),
     * *full*  — no condition: an ordered scan of a sorted index.
 
-    The executor gathers a range's columns from the column store at its
-    row positions; point and full scans emit the index's row tuples.
+    The executor gathers a range's columns from the segments' column
+    vectors at its row positions; point and full scans emit row tuples.
 
     ``residual`` is the leftover predicate the index condition does not
     cover; it is evaluated against every fetched row.  The ``schema`` is
@@ -486,27 +497,29 @@ class IndexScan(PhysicalPlan):
         return _column_chunks(matched, size, len(self.schema))
 
     def _range_batches(self, size: int) -> Iterator[ColumnBatch]:
-        """A range's row positions, in relation order: each batch gathers
-        its columns from the column store, one itemgetter per column."""
+        """A range's row positions, in relation order: per segment, each
+        batch gathers its columns from the segment's column vectors, one
+        itemgetter per column."""
         bounds = self._bounds()
         if bounds is None:
             return
-        relation, index = _resolve(self)
-        positions = index.range_positions(*bounds)  # type: ignore[attr-defined]
-        store = relation.column_store()
+        index = _resolve(self)[1]
+        width = len(self.schema)
         residual = self.residual
         select = selection_kernel(residual, self.schema) if residual is not None else None
-        for start in range(0, len(positions), size):
-            chunk = positions[start : start + size]
-            columns = gather(store, chunk)
-            count = len(chunk)
-            if select is not None:
-                keep = select(columns, count)
-                if not keep:
-                    continue
-                if len(keep) < count:
-                    columns, count = gather(columns, keep), len(keep)
-            yield ColumnBatch(columns, count)
+        for segment, positions in index.range_runs(*bounds):  # type: ignore[attr-defined]
+            store = segment.columns(width)
+            for start in range(0, len(positions), size):
+                chunk = positions[start : start + size]
+                columns = gather(store, chunk)
+                count = len(chunk)
+                if select is not None:
+                    keep = select(columns, count)
+                    if not keep:
+                        continue
+                    if len(keep) < count:
+                        columns, count = gather(columns, keep), len(keep)
+                yield ColumnBatch(columns, count)
 
     def explain_label(self) -> str:
         target = f"{self.name} {self.alias}" if self.alias else self.name
@@ -1074,7 +1087,7 @@ class IndexNestedLoopJoin(PhysicalPlan):
         return self.outer, split, outer_is_left, self.outer_positions, self.inner_filters, fast
 
     def _lookup(self, size: int) -> Callable:
-        return _resolve(self)[1].mixed_table().get
+        return _resolve(self)[1].probe_lookup()
 
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
         return _probe_batches(self, size)

@@ -41,9 +41,9 @@ facts*:
   plan memoizes on first execution) and the statistics generation
   (:func:`planning_facts`), read before physical planning.  A lookup whose
   resolved versions carry the same facts is a hit, and any difference
-  drops the entry (an *invalidation*) and re-plans.  The write path's
-  derivations carry every one of these facts along the delta, so checking
-  them costs no rebuild.
+  drops the entry (an *invalidation*) and re-plans.  A write's new version
+  shares its segments, which keep the counts the NULL and all-equal
+  verdicts come from, so checking them costs no scan of an old row.
 * **The facts live on the version**, memoized in its ``_facts`` slot:
   a lookup compares one tuple, by identity first.  The in-place changes
   that can move a fact (index DDL and builds, a statistics refresh) drop
@@ -318,13 +318,13 @@ def planning_facts(relation: Relation, probes: Tuple[Tuple[int, Any], ...]) -> T
 
 
 def _compute_facts(relation: Relation, probes: Sequence[Tuple[int, Any]]) -> Tuple:
-    """:func:`planning_facts` read from the version: each is cached on it
-    and carried along writes, so this costs no scan in the steady state."""
+    """:func:`planning_facts` read from the version: the verdicts come from
+    counts its segments keep, so this costs no scan in the steady state."""
     return (
         relation.schema,
         frozenset(attached_index_defs(relation)),
         tuple(relation.column_all_equal(position, value) for position, value in probes),
-        tuple(map(relation.column_has_null, range(len(relation.schema)))),
+        relation.null_columns(),
         table_stats(relation).generation,
     )
 

@@ -1,9 +1,22 @@
-"""Relations: a schema plus a list of row tuples.
+"""Relations: a schema plus immutable segments of row tuples and a delete vector.
 
-Rows are plain Python tuples; a :class:`Relation` is cheap to construct and
-behaves like a value (equality is set-of-rows equality under the same
-schema).  Physical operators produce row iterators; :func:`Relation.from_rows`
-materializes them.
+A :class:`Relation` version is ``(schema, segments, delete vector)``: one
+or more immutable :class:`Segment` runs of row tuples, and per segment the
+positions of its rows that are deleted.  Rows are plain Python tuples, a
+relation is cheap to construct and behaves like a value (equality is
+set-of-rows equality under the same schema).  Physical operators produce
+row iterators; :func:`Relation.from_rows` materializes them as one
+segment.
+
+The write path never copies a version: an append adds one segment, a
+delete adds positions to the vector, and only a compaction (``VACUUM``)
+writes the live rows into one new base segment.  Everything derived from
+a segment's own rows - its column vectors, NULL and all-equal counts,
+index structures and join probe tables - is built on the segment, once,
+and shared by identity by every version that holds it; a version keeps
+only what depends on all of its rows (index definitions, statistics,
+planning facts).  :attr:`Relation.rows` is the live rows as one sequence,
+built on demand when the version is more than one clean segment.
 
 The engine implements *bag* semantics internally (duplicates are kept unless
 a ``Distinct`` is applied), matching what the paper's translation produces on
@@ -13,81 +26,144 @@ a SQL engine; convenience set-style helpers are provided for tests.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import chain
-from operator import countOf, itemgetter
+from itertools import chain, compress, islice
+from operator import countOf, itemgetter, not_
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .schema import Attribute, Schema, SchemaError
+from .schema import Schema, SchemaError
 from .types import DataType, format_value, infer_type
 
-__all__ = ["Relation", "Segment"]
+__all__ = ["Relation", "Segment", "live_rows"]
+
+Row = Tuple[Any, ...]
+
+#: A segment with nothing deleted.
+_NOTHING: frozenset = frozenset()
 
 
 class Segment:
-    """One immutable run of appended rows inside a segmented relation.
+    """One immutable run of rows, and everything derived from them alone.
 
-    Segments are shared *by identity* between relation versions: appending
-    to a relation produces a new :class:`Relation` whose segment tuple is
-    the old tuple plus one new segment.  The per-segment columnar
-    transposition is cached on the segment itself, so every relation
-    version built from the same segment reuses the same vectors.
+    Segments are shared *by identity* between relation versions: an append
+    produces a version whose segments are the old ones plus one new one.
+    :meth:`memo` keeps each value derived from the rows (column vectors,
+    value counts, index structures, probe tables) on the segment, so every
+    version holding it reuses the same value.  ``rows`` must not be
+    mutated once the segment exists.
     """
 
-    __slots__ = ("segment_id", "rows", "_columns")
+    __slots__ = ("segment_id", "rows", "_memo")
 
-    def __init__(self, segment_id: int, rows: Iterable[Tuple[Any, ...]]):
+    def __init__(self, segment_id: int, rows: Iterable[Row]):
         self.segment_id = int(segment_id)
-        self.rows: Tuple[Tuple[Any, ...], ...] = tuple(rows)
-        self._columns: Optional[List[tuple]] = None
+        self.rows: List[Row] = rows if type(rows) is list else list(rows)
+        self._memo: Dict[tuple, Any] = {}
 
-    def column_store(self, width: int) -> List[tuple]:
-        cols = self._columns
-        if cols is None:
-            if self.rows:
-                cols = list(zip(*self.rows))
-            else:
-                cols = [() for _ in range(width)]
-            self._columns = cols
-        return cols
+    def memo(self, build: Callable[..., Any], *args: Any) -> Any:
+        """``build(self, *args)``, computed on first use and kept.
+
+        ``build`` is a module-level function and, with ``args``, the key.
+        Threads racing on a first use each build an equal value and the
+        first one stored stays (``dict.setdefault``): a filled entry never
+        changes.  :meth:`replay` re-derives the keys on another segment.
+        """
+        key = (build, *args)
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo.setdefault(key, build(self, *args))
+        return value
+
+    def replay(self, other: "Segment") -> None:
+        """Build here everything ``other`` has built (a compaction's base
+        segment takes over what the segments it replaces had)."""
+        for build, *args in list(other._memo):
+            try:
+                self.memo(build, *args)
+            except TypeError:
+                pass  # sorted keys that compared per segment but not merged
+
+    def columns(self, width: int) -> List[tuple]:
+        """The rows transposed to ``width`` per-column vectors."""
+        return self.memo(_transpose, width)
 
     def __repr__(self) -> str:
         return f"Segment({self.segment_id}, {len(self.rows)} rows)"
 
 
-class Relation:
-    """An in-memory relation: immutable schema + list of row tuples."""
+def _transpose(segment: Segment, width: int) -> List[tuple]:
+    rows = segment.rows
+    return list(zip(*rows)) if rows else [() for _ in range(width)]
 
-    # ``_indexes`` holds secondary indexes attached by
+
+def _count(segment: Segment, position: int, value: Any) -> int:
+    return countOf(map(itemgetter(position), segment.rows), value)
+
+
+def _nulls(segment: Segment, width: int) -> Dict[int, int]:
+    """Per column holding NULL in some row: how many rows hold it."""
+    counts = (_count(segment, position, None) for position in range(width))
+    return {position: held for position, held in enumerate(counts) if held}
+
+
+def _live(segment: Segment, dead: frozenset) -> Iterable[Row]:
+    """The rows of ``segment`` not in ``dead``, in order (no copy when
+    nothing is dead)."""
+    rows = segment.rows
+    if not dead:
+        return rows
+    return compress(rows, map(not_, map(dead.__contains__, range(len(rows)))))
+
+
+def live_rows(runs: Iterable[Tuple[Segment, frozenset]]) -> Iterator[Row]:
+    """Every live row of ``(segment, dead positions)`` runs, in order."""
+    return chain.from_iterable(_live(segment, dead) for segment, dead in runs)
+
+
+def _marked(runs: tuple, ordinals: Iterable[int]) -> tuple:
+    """``runs`` with the global ``ordinals`` added to their dead sets; the
+    very same tuple when every one of them is dead already."""
+    starts = []
+    total = 0
+    for segment, _ in runs:
+        starts.append(total)
+        total += len(segment.rows)
+    local: Dict[int, List[int]] = {}
+    for ordinal in set(ordinals):
+        if not 0 <= ordinal < total:
+            raise IndexError(f"ordinal {ordinal} out of range for {total} rows")
+        at = bisect_right(starts, ordinal) - 1
+        local.setdefault(at, []).append(ordinal - starts[at])
+    marked = list(runs)
+    changed = False
+    for at, positions in local.items():
+        segment, dead = marked[at]
+        if not dead.issuperset(positions):
+            marked[at] = (segment, dead.union(positions))
+            changed = True
+    return tuple(marked) if changed else runs
+
+
+class Relation:
+    """An in-memory relation: immutable schema + segments + delete vector."""
+
+    # ``_runs`` is the version's storage: one ``(segment, dead)`` pair per
+    # segment, ``dead`` the frozenset of the segment's deleted row
+    # positions.  ``_indexes`` holds secondary indexes attached by
     # :mod:`repro.relational.index` and ``_pending_indexes`` their deferred
-    # (not yet built) definitions; ``_columns`` caches the columnar form
-    # used by the column executor; ``_facts`` memoizes the prepared-plan
-    # cache's planning facts of this version, per probe set
-    # (:func:`repro.relational.plancache.planning_facts`), dropped by the
-    # index and statistics changes that can move one.  All are
-    # planner-visible state, not part of the relation's value (equality
-    # and repr ignore them).
-    # ``_labels`` (the sorted indexes' per-row sort labels once deletes
-    # part them from positions, managed by :mod:`repro.relational.index`),
-    # the per-column facts ``_has_null`` and ``_all_equal``, and
-    # ``_stats`` (the optimizer's
-    # :class:`~repro.relational.statistics.TableStats`) complete the
-    # derived state that :meth:`_derive` carries from version to version.
-    # ``_segments``/``_deleted`` carry the write path's log-structured
-    # form (immutable appended segments plus a delete vector of global
-    # ordinals); when unset the relation is its own single base segment.
+    # (not yet built) definitions; ``_stats`` is the optimizer's
+    # :class:`~repro.relational.statistics.TableStats`; ``_facts`` memoizes
+    # the prepared-plan cache's planning facts of this version, per probe
+    # set (:func:`repro.relational.plancache.planning_facts`), dropped by
+    # the index and statistics changes that can move one.  All but
+    # ``_runs`` are planner-visible state, not part of the relation's
+    # value (equality and repr ignore them).
     __slots__ = (
         "schema",
-        "rows",
+        "_runs",
         "_indexes",
         "_pending_indexes",
-        "_labels",
-        "_columns",
-        "_has_null",
-        "_all_equal",
         "_stats",
         "_facts",
-        "_segments",
-        "_deleted",
         "__weakref__",
     )
 
@@ -95,7 +171,7 @@ class Relation:
         if not isinstance(schema, Schema):
             schema = Schema(schema)
         self.schema: Schema = schema
-        self.rows: List[Tuple[Any, ...]] = []
+        checked: List[Row] = []
         if rows is not None:
             width = len(schema)
             for row in rows:
@@ -104,7 +180,8 @@ class Relation:
                     raise SchemaError(
                         f"row arity {len(row_t)} does not match schema arity {width}: {row_t!r}"
                     )
-                self.rows.append(row_t)
+                checked.append(row_t)
+        self._runs = ((Segment(0, checked), _NOTHING),)
 
     # ------------------------------------------------------------------
     # constructors
@@ -115,7 +192,7 @@ class Relation:
         return cls(schema, rows)
 
     @classmethod
-    def from_trusted(cls, schema: Schema, rows: List[Tuple[Any, ...]]) -> "Relation":
+    def from_trusted(cls, schema: Schema, rows: List[Row]) -> "Relation":
         """Adopt an already-validated list of row tuples without copying.
 
         Fast path for the executor, whose operators only ever emit
@@ -124,7 +201,7 @@ class Relation:
         """
         relation = cls.__new__(cls)
         relation.schema = schema if isinstance(schema, Schema) else Schema(schema)
-        relation.rows = rows
+        relation._runs = ((Segment(0, rows), _NOTHING),)
         return relation
 
     @classmethod
@@ -147,114 +224,60 @@ class Relation:
         segments: Sequence[Segment],
         deleted: Iterable[int] = (),
     ) -> "Relation":
-        """Build a relation as immutable segments plus a delete vector.
+        """A relation of immutable segments plus a delete vector.
 
         ``deleted`` holds *global ordinals* over the concatenation of all
-        segment rows (in segment order, before deletion).  ``rows`` is the
-        materialized live view, so the executor and the ``rows()``
-        reference work on segmented relations unchanged.
+        segment rows (in segment order, before deletion).
         """
-        if not isinstance(schema, Schema):
-            schema = Schema(schema)
-        deleted = frozenset(deleted)
-        live: List[Tuple[Any, ...]] = []
-        for segment in segments:
-            live.extend(segment.rows)
-        if deleted:
-            live = _without(live, sorted(deleted))
-        relation = cls.from_trusted(schema, live)
-        relation._segments = tuple(segments)
-        relation._deleted = deleted
+        relation = cls.__new__(cls)
+        relation.schema = schema if isinstance(schema, Schema) else Schema(schema)
+        relation._runs = _marked(tuple((segment, _NOTHING) for segment in segments), deleted)
         return relation
 
     # ------------------------------------------------------------------
     # segmented (write-path) view
     # ------------------------------------------------------------------
     def segments(self) -> Tuple[Segment, ...]:
-        """The relation's segments; a plain relation is one base segment."""
-        segments = getattr(self, "_segments", None)
-        if segments is None:
-            segments = (Segment(0, tuple(self.rows)),)
-            self._segments = segments
-            self._deleted = frozenset()
-        return segments
+        """The relation's segments, oldest first."""
+        return tuple(segment for segment, _ in self._runs)
 
     def deleted_ordinals(self) -> frozenset:
         """Global ordinals (over concatenated segment rows) marked deleted."""
-        return getattr(self, "_deleted", None) or frozenset()
+        out: List[int] = []
+        start = 0
+        for segment, dead in self._runs:
+            out.extend(start + position for position in dead)
+            start += len(segment.rows)
+        return frozenset(out)
 
-    def _derive(
-        self,
-        segments: Tuple[Segment, ...],
-        deleted: frozenset,
-        removed: Sequence[int] = (),
-        appended: Sequence[Tuple[Any, ...]] = (),
-    ) -> "Relation":
-        """The next version of this relation, its derived state carried.
+    def deleted_count(self) -> int:
+        """How many rows the delete vector holds."""
+        return sum(len(dead) for _, dead in self._runs)
 
-        The write path's only three derivations come through here:
-        delete (``removed``: ascending live positions), append
-        (``appended``: rows at the end) and compact (neither: the live
-        view is identical).  Whatever this version has already *built* -
-        column vectors, NULL and all-equal facts, statistics, and through
-        :func:`~repro.relational.index.carry_indexes` the indexes - is
-        carried by applying that delta; unchanged rows are only ever
-        moved by C-level slice copies, and the receiver is never mutated
-        (pinned snapshots and in-flight plans keep reading it).  State
-        not built yet stays unbuilt, so write-only pipelines pay nothing.
-        """
-        rows = self.rows
-        if removed:
-            rows = _without(rows, removed)
-        if appended:
-            rows = rows + appended
-        new = Relation.from_trusted(self.schema, rows)
-        new._segments = segments
-        new._deleted = deleted
-        columns = getattr(self, "_columns", None)
-        if columns is not None:
-            if removed:
-                columns = [tuple(_without(column, removed)) for column in columns]
-            if appended:
-                fresh = segments[-1].column_store(len(columns))
-                columns = [column + tail for column, tail in zip(columns, fresh)]
-            new._columns = columns
-        has_null = getattr(self, "_has_null", None)
-        if has_null:
-            # a removal may have taken a column's last NULL: only the
-            # NULL-free verdicts survive it; an append can only add one
-            new._has_null = {
-                position: known or any(row[position] is None for row in appended)
-                for position, known in has_null.items()
-                if not (known and removed)
-            }
-        all_equal = getattr(self, "_all_equal", None)
-        if all_equal:
-            # an append keeps a true verdict only if every appended row
-            # agrees; a removal keeps the true verdicts and drops the rest
-            new._all_equal = {
-                (position, value): known
-                and all(row[position] == value for row in appended)
-                for (position, value), known in all_equal.items()
-                if known or not removed
-            }
+    def _next(self, runs: tuple, changed: int) -> "Relation":
+        """The version of this relation stored as ``runs``, ``changed``
+        rows away: it keeps this version's index definitions and, until
+        the analyze threshold, its statistics.  The receiver is never
+        mutated (pinned snapshots and in-flight plans keep reading it)."""
+        new = Relation.__new__(Relation)
+        new.schema = self.schema
+        new._runs = runs
         stats = getattr(self, "_stats", None)
         if stats is not None:
-            new._stats = stats.inherited(new, len(removed) + len(appended))
-        from .index import carry_indexes
+            new._stats = stats.inherited(new, changed)
+        from .index import reattach_indexes
 
-        carry_indexes(self, new, removed, appended)
+        reattach_indexes(self, new)
         return new
 
     def with_appended(self, rows: Iterable[Sequence[Any]]) -> "Relation":
-        """A new relation value with one fresh segment appended.
+        """A new relation value with one fresh segment of ``rows`` appended.
 
-        The receiver is untouched (in-flight plans and pinned snapshots
-        keep reading the old value); existing segments are shared by
-        identity, and built derived state follows (:meth:`_derive`).
+        The receiver is untouched; existing segments are shared by
+        identity, so only the new segment is ever transposed or indexed.
         """
         width = len(self.schema)
-        appended: List[Tuple[Any, ...]] = []
+        appended: List[Row] = []
         for row in rows:
             row_t = tuple(row)
             if len(row_t) != width:
@@ -262,23 +285,31 @@ class Relation:
                     f"row arity {len(row_t)} does not match schema arity {width}: {row_t!r}"
                 )
             appended.append(row_t)
-        segments = self.segments()
-        next_id = max(s.segment_id for s in segments) + 1 if segments else 0
-        return self._derive(
-            segments + (Segment(next_id, appended),),
-            self.deleted_ordinals(),
-            appended=appended,
-        )
+        next_id = max(segment.segment_id for segment, _ in self._runs) + 1
+        return self._next(self._runs + ((Segment(next_id, appended), _NOTHING),), len(appended))
+
+    def with_deleted(self, ordinals: Iterable[int]) -> "Relation":
+        """A new relation value with the rows at the global ``ordinals``
+        (:meth:`deleted_ordinals`' numbering) marked deleted.
+
+        Segments are shared untouched; ``self`` comes back when every
+        ordinal is deleted already.
+        """
+        runs = _marked(self._runs, ordinals)
+        if runs is self._runs:
+            return self
+        changed = sum(len(dead) for _, dead in runs) - self.deleted_count()
+        return self._next(runs, changed)
 
     def compacted(self) -> "Relation":
         """A new relation value with every live row in one fresh base segment.
 
-        The write path's merge step: the segment stack and delete vector
-        collapse into a single segment holding exactly ``rows``.  Returns
+        The write path's merge step, and the only one that rebuilds
+        derived state: the base segment builds whatever the replaced
+        segments had built (column vectors, counts, index structures,
+        probe tables), so the reads after it build nothing.  Returns
         ``self`` when already compact (one segment, nothing deleted), so
-        callers can detect no-ops by identity.  The live view does not
-        change, so the row list and all built derived state are shared
-        with the receiver as they are.
+        callers can detect no-ops by identity.
 
         The base segment takes a *fresh* id (one past the highest existing
         id) rather than restarting at 0: persistence names segment files by
@@ -286,46 +317,37 @@ class Relation:
         on disk — the save writes it alongside the old files and commits by
         swapping the manifest atomically (see :mod:`repro.core.persist`).
         """
-        segments = self.segments()
-        if len(segments) == 1 and not self.deleted_ordinals():
+        runs = self._runs
+        if len(runs) == 1 and not runs[0][1]:
             return self
-        base = Segment(max(s.segment_id for s in segments) + 1, self.rows)
-        # the live-row column vectors ARE the new base's columns
-        base._columns = getattr(self, "_columns", None)
-        return self._derive((base,), frozenset())
-
-    def with_deleted(self, live_positions: Iterable[int]) -> "Relation":
-        """A new relation value with the given live rows marked deleted.
-
-        ``live_positions`` index into ``rows``; they are translated to
-        global ordinals and merged into the delete vector.  Segments are
-        shared untouched.
-        """
-        removed = sorted(set(live_positions))
-        if not removed:
-            return self
-        if removed[0] < 0 or removed[-1] >= len(self.rows):
-            raise IndexError(f"live position out of range: {removed}")
-        # live rows ahead of each deleted ordinal, ascending: a live
-        # position lies past every deleted ordinal with at most that many
-        vector = sorted(self.deleted_ordinals())
-        ahead = [ordinal - i for i, ordinal in enumerate(vector)]
-        extra = {p + bisect_right(ahead, p) for p in removed}
-        return self._derive(
-            self.segments(), self.deleted_ordinals() | extra, removed=removed
-        )
+        base = Segment(max(segment.segment_id for segment, _ in runs) + 1, list(self))
+        for segment, _ in runs:
+            base.replay(segment)
+        return self._next(((base, _NOTHING),), 0)
 
     # ------------------------------------------------------------------
     # container protocol
     # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self.rows)
+    @property
+    def rows(self) -> Sequence[Row]:
+        """The live rows in order: a one-segment version's own row list,
+        else a list built on demand (and not kept)."""
+        runs = self._runs
+        if len(runs) == 1 and not runs[0][1]:
+            return runs[0][0].rows
+        return list(live_rows(runs))
 
-    def __iter__(self) -> Iterator[Tuple[Any, ...]]:
-        return iter(self.rows)
+    def __len__(self) -> int:
+        runs = self._runs
+        if len(runs) == 1:
+            return len(runs[0][0].rows) - len(runs[0][1])
+        return sum(len(segment.rows) - len(dead) for segment, dead in runs)
+
+    def __iter__(self) -> Iterator[Row]:
+        return live_rows(self._runs)
 
     def __bool__(self) -> bool:
-        return bool(self.rows)
+        return len(self) > 0
 
     def __eq__(self, other: object) -> bool:
         """Bag equality under identical schemas (order-insensitive)."""
@@ -333,10 +355,10 @@ class Relation:
             return NotImplemented
         if self.schema.names != other.schema.names:
             return False
-        return sorted(self.rows, key=_sort_key) == sorted(other.rows, key=_sort_key)
+        return sorted(self, key=_sort_key) == sorted(other, key=_sort_key)
 
     def __repr__(self) -> str:
-        return f"Relation({self.schema.names}, {len(self.rows)} rows)"
+        return f"Relation({self.schema.names}, {len(self)} rows)"
 
     # ------------------------------------------------------------------
     # basic derived relations (convenience layer used by tests/examples;
@@ -345,99 +367,70 @@ class Relation:
     def column(self, reference: str) -> List[Any]:
         """All values of one column, in row order."""
         i = self.schema.resolve(reference)
-        return [row[i] for row in self.rows]
+        return [row[i] for row in self]
 
-    def column_store(self) -> List[tuple]:
-        """The rows transposed to per-column vectors, cached.
+    def null_columns(self) -> frozenset:
+        """The positions of the columns in which a live row holds NULL.
 
-        The column executor's sequential scans slice these vectors instead
-        of chunking row tuples.  Rows are immutable once a relation is
-        built, so the transposition is computed once per relation object.
-        Segmented relations concatenate the *live* run of each segment's
-        cached per-segment vectors, so appending a segment transposes only
-        the new rows.
+        From each segment's NULL counts (counted once per segment) and its
+        dead rows alone, in one pass over the segments; the columnar
+        executor uses this to prove columns NULL-free and select generated
+        kernels without per-value NULL guards.
         """
-        store = getattr(self, "_columns", None)
-        if store is None:
-            segments = getattr(self, "_segments", None)
-            width = len(self.schema)
-            if segments is None:
-                if self.rows:
-                    store = list(zip(*self.rows))
-                else:
-                    store = [() for _ in range(width)]
-            else:
-                runs = list(zip(*(s.column_store(width) for s in segments)))
-                store = [
-                    run[0] if len(run) == 1 else tuple(chain.from_iterable(run))
-                    for run in runs
-                ] or [() for _ in range(width)]
-                vector = sorted(self.deleted_ordinals())
-                if vector:
-                    store = [tuple(_without(column, vector)) for column in store]
-            self._columns = store
-        return store
+        key = (_nulls, len(self.schema))  # Segment.memo's key, read inline
+        out = set()
+        for segment, dead in self._runs:
+            nulls = segment._memo.get(key)
+            if nulls is None:
+                nulls = segment.memo(*key)
+            for position, held in nulls.items():
+                if dead:
+                    rows = segment.rows
+                    held -= sum(rows[p][position] is None for p in dead)
+                if held:
+                    out.add(position)
+        return frozenset(out)
 
     def column_has_null(self, position: int) -> bool:
-        """Whether a column contains any NULL, cached per column.
-
-        Computed with a C-speed ``in`` scan over the column vector, or over
-        the rows when no vectors are built (a partition only ever probed
-        through its indexes gets none for this); the columnar executor
-        uses this to prove columns NULL-free and select generated kernels
-        without per-value NULL guards.
-        """
-        cache = getattr(self, "_has_null", None)
-        if cache is None:
-            cache = {}
-            self._has_null = cache
-        known = cache.get(position)
-        if known is None:
-            store = getattr(self, "_columns", None)
-            column = map(itemgetter(position), self.rows) if store is None else store[position]
-            known = None in column
-            cache[position] = known
-        return known
+        """Whether a live row holds NULL at ``position``."""
+        return position in self.null_columns()
 
     def column_all_equal(self, position: int, value: Any) -> bool:
-        """Whether every value of a column equals ``value``, cached per
-        (column, value).
+        """Whether every live value of a column equals ``value``.
 
-        Computed on first use with a C-speed count over the rows (no
-        column vectors are built for it) and carried along the write path
-        by :meth:`_derive`: an append keeps a true verdict only if every
-        appended row agrees (checked over the delta alone), a removal
-        keeps a true verdict and drops a false one, a compaction keeps
-        both.  The U-relation translation asks it of descriptor columns:
-        a variable column that holds the trivial variable in every row is
-        a slot no ψ needs to compare.  An empty column is all-equal.
+        From each segment's count of ``value`` (counted once per segment,
+        no column vectors built) and its dead rows alone.  The U-relation
+        translation asks it of descriptor columns: a variable column that
+        holds the trivial variable in every row is a slot no ψ needs to
+        compare.  An empty column is all-equal.
         """
-        cache = getattr(self, "_all_equal", None)
-        if cache is None:
-            cache = {}
-            self._all_equal = cache
-        key = (position, value)
-        known = cache.get(key)
-        if known is None:
-            known = countOf(map(itemgetter(position), self.rows), value) == len(self.rows)
-            cache[key] = known
-        return known
+        key = (_count, position, value)  # Segment.memo's key, read inline
+        for segment, dead in self._runs:
+            held = segment._memo.get(key)
+            if held is None:
+                held = segment.memo(*key)
+            if dead:
+                rows = segment.rows
+                held -= countOf([rows[p][position] for p in dead], value)
+            if held != len(segment.rows) - len(dead):
+                return False
+        return True
 
     def project(self, references: Sequence[str]) -> "Relation":
         """Projection (bag semantics, preserves duplicates)."""
         positions = self.schema.positions(references)
         new_schema = self.schema.project(references)
-        return Relation(new_schema, (tuple(row[i] for i in positions) for row in self.rows))
+        return Relation(new_schema, (tuple(row[i] for i in positions) for row in self))
 
     def select(self, predicate: Callable[[Tuple[Any, ...]], bool]) -> "Relation":
         """Selection by an arbitrary row predicate."""
-        return Relation(self.schema, (row for row in self.rows if predicate(row)))
+        return Relation(self.schema, (row for row in self if predicate(row)))
 
     def distinct(self) -> "Relation":
         """Duplicate elimination, preserving first-occurrence order."""
         seen = set()
         out = []
-        for row in self.rows:
+        for row in self:
             if row not in seen:
                 seen.add(row)
                 out.append(row)
@@ -449,7 +442,7 @@ class Relation:
             raise SchemaError(
                 f"union arity mismatch: {len(self.schema)} vs {len(other.schema)}"
             )
-        return Relation(self.schema, self.rows + other.rows)
+        return Relation(self.schema, chain(self, other))
 
     def difference(self, other: "Relation") -> "Relation":
         """Set difference (duplicates in ``self`` collapse to membership test)."""
@@ -457,23 +450,22 @@ class Relation:
             raise SchemaError(
                 f"difference arity mismatch: {len(self.schema)} vs {len(other.schema)}"
             )
-        gone = set(other.rows)
-        return Relation(self.schema, (row for row in self.rows if row not in gone))
+        gone = set(other)
+        return Relation(self.schema, (row for row in self if row not in gone))
 
     def product(self, other: "Relation") -> "Relation":
         """Cartesian product (schemas concatenated)."""
         new_schema = self.schema.concat(other.schema)
-        return Relation(
-            new_schema, (left + right for left in self.rows for right in other.rows)
-        )
+        inner = other.rows
+        return Relation(new_schema, (left + right for left in self for right in inner))
 
     def rename(self, mapping: Dict[str, str]) -> "Relation":
         """Rename attributes (rows unchanged)."""
-        return Relation(self.schema.rename(mapping), self.rows)
+        return Relation(self.schema.rename(mapping), self)
 
     def qualify(self, alias: str) -> "Relation":
         """Re-qualify all attributes under an alias (for self-joins)."""
-        return Relation(self.schema.qualify(alias), self.rows)
+        return Relation(self.schema.qualify(alias), self)
 
     def sorted(self, references: Optional[Sequence[str]] = None) -> "Relation":
         """Rows sorted by the given columns (or all columns)."""
@@ -485,11 +477,11 @@ class Relation:
             def key(row: Tuple[Any, ...]):
                 return _sort_key(tuple(row[i] for i in positions))
 
-        return Relation(self.schema, sorted(self.rows, key=key))
+        return Relation(self.schema, sorted(self, key=key))
 
     def as_set(self) -> frozenset:
         """The rows as a frozenset (for set-semantics assertions in tests)."""
-        return frozenset(self.rows)
+        return frozenset(self)
 
     # ------------------------------------------------------------------
     # inspection / output
@@ -503,7 +495,7 @@ class Relation:
         """
         out: List[DataType] = []
         for i in range(len(self.schema)):
-            seen = {infer_type(row[i]) for row in self.rows if row[i] is not None}
+            seen = {infer_type(row[i]) for row in self if row[i] is not None}
             if not seen:
                 out.append(DataType.ANY)
             elif len(seen) == 1:
@@ -517,7 +509,7 @@ class Relation:
     def pretty(self, limit: int = 20) -> str:
         """Render an ASCII table of up to ``limit`` rows."""
         names = self.schema.names
-        shown = self.rows[:limit]
+        shown = list(islice(self, limit))
         cells = [[format_value(v) for v in row] for row in shown]
         widths = [
             max(len(names[i]), *(len(c[i]) for c in cells)) if cells else len(names[i])
@@ -528,20 +520,9 @@ class Relation:
         lines = [header, sep]
         for row_cells in cells:
             lines.append(" | ".join(c.ljust(w) for c, w in zip(row_cells, widths)))
-        if len(self.rows) > limit:
-            lines.append(f"... ({len(self.rows)} rows total)")
+        if len(self) > limit:
+            lines.append(f"... ({len(self)} rows total)")
         return "\n".join(lines)
-
-
-def _without(sequence: Sequence[Any], positions: Sequence[int]) -> List[Any]:
-    """``sequence`` minus its ascending ``positions``, by slice copies alone."""
-    out: List[Any] = []
-    start = 0
-    for position in positions:
-        out.extend(sequence[start:position])
-        start = position + 1
-    out.extend(sequence[start:])
-    return out
 
 
 def _sort_key(row: Tuple[Any, ...]) -> Tuple:

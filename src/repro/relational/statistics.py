@@ -34,7 +34,7 @@ from .expressions import (
     Or,
     Param,
 )
-from .relation import Relation
+from .relation import Relation, live_rows
 
 __all__ = [
     "ColumnStats",
@@ -195,14 +195,15 @@ class ColumnStats:
 class TableStats:
     """Lazily computed per-column statistics for a relation.
 
-    Holds the relation's schema and row list, not the relation: the
-    relation holds its statistics (:func:`table_stats`), and a reference
-    back would keep superseded versions alive until a cycle collection.
+    Holds the relation's schema and storage (its segments and dead
+    positions), not the relation: the relation holds its statistics
+    (:func:`table_stats`), and a reference back would keep superseded
+    versions alive until a cycle collection.
     """
 
     def __init__(self, relation: Relation):
         self._schema = relation.schema
-        self._rows = relation.rows
+        self._runs = relation._runs
         self.row_count = len(relation)
         self._columns: Dict[str, ColumnStats] = {}
         #: Rows that may still be written before the column statistics
@@ -221,7 +222,7 @@ class TableStats:
         if not self._schema.has(reference):
             return None
         i = self._schema.resolve(reference)
-        stats = ColumnStats([row[i] for row in self._rows])
+        stats = ColumnStats([row[i] for row in live_rows(self._runs)])
         self._columns[reference] = stats
         return stats
 

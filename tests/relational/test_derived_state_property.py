@@ -1,26 +1,22 @@
-"""Property: derived state carried along a write equals a fresh build.
+"""Property: every access path on every version equals a fresh build.
 
-``Relation._derive`` hands every piece of already-built derived state -
-column vectors, NULL and all-equal facts, row labels, hash and sorted
-indexes with the ``mixed_table`` probe dict, statistics - from a relation
-version to its
-successor by applying the write's delta (append, delete, compact; UPDATE
-is delete + append).  Two invariants, over random histories with the
-structures built at random points:
+A relation version is its immutable segments plus a delete vector; each
+segment builds what is derived from its own rows (column vectors, value
+counts, index structures, probe tables) once, and every version holding
+it shares them.  Over random histories of appends, deletes, updates and
+compactions, with the structures built at random points:
 
-* every structure on the successor answers exactly like one built from
-  scratch over ``Relation(schema, successor.rows)`` - ``lookup``,
-  ``range`` (result order included), ``ordered``, ``mixed_table``,
-  ``column_store``, ``column_has_null``, ``column_all_equal``, ``len`` -
-  and a range ``Index Scan``'s columns (gathered by row position, which
-  a delete parts from the entries' labels) equal its ``rows()``;
-* the parent version is never mutated: its structures pickle to the same
-  bytes after the derivation as before.
+* every access path on every version answers exactly like one built from
+  scratch over ``Relation(schema, version.rows)`` - ``lookup``,
+  ``range`` (result order included), ``ordered``, ``probe_lookup``, a
+  sequential scan's batches, ``column_has_null``, ``column_all_equal``,
+  ``len`` - and a range ``Index Scan``'s columns (gathered per segment by
+  row position) equal its ``rows()``;
+* the parent version is never changed: it answers every one of those
+  the same after the derivation as before.
 """
 
 from __future__ import annotations
-
-import pickle
 
 from hypothesis import given, settings, strategies as st
 
@@ -31,9 +27,8 @@ from repro.relational.index import (
     built_indexes_on,
     ensure_index,
     indexes_on,
-    row_labels,
 )
-from repro.relational.physical import IndexScan, execute
+from repro.relational.physical import IndexScan, SeqScan, execute
 from repro.relational.statistics import table_stats
 
 SCHEMA = ["a", "b", "c"]
@@ -63,34 +58,9 @@ ops = st.one_of(
     st.tuples(st.just("update"), positions, st.sampled_from(B_VALUES)),
     st.tuples(st.just("compact")),
     st.tuples(st.just("index"), index_defs),
-    st.tuples(st.just("touch"), st.sampled_from(["columns", "equal", "mixed", "stats"])),
+    st.tuples(st.just("touch"), st.sampled_from(["columns", "equal", "probe", "stats"])),
 )
 histories = st.tuples(rows, st.lists(ops, min_size=1, max_size=10))
-
-
-def _index_state(index):
-    if index.kind == "hash":
-        return (index._table, index._mixed, len(index))
-    return (index._keys, index._ordinals, index._rows, index._first, index._mixed)
-
-
-def _state(relation) -> bytes:
-    """Everything planner/executor-visible on a relation version, as bytes."""
-    return pickle.dumps(
-        {
-            "rows": relation.rows,
-            "segments": [s.rows for s in relation.segments()],
-            "deleted": sorted(relation.deleted_ordinals()),
-            "columns": getattr(relation, "_columns", None),
-            "has_null": getattr(relation, "_has_null", None),
-            "all_equal": getattr(relation, "_all_equal", None),
-            "labels": getattr(relation, "_labels", None),
-            "indexes": {
-                i.name: _index_state(i) for i in built_indexes_on(relation)
-            },
-            "defs": attached_index_defs(relation),
-        }
-    )
 
 
 def _keys_of(index):
@@ -103,40 +73,68 @@ def _keys_of(index):
     return [(x, y) for x in first for y in second if x is not None and y is not None]
 
 
+def _bounds(index):
+    # range bounds apply to the first key column; None is an open bound
+    return [None] + (B_VALUES if index.columns[0] == "b" else A_VALUES[1:])
+
+
+def _probed(index, key):
+    held = index.probe_lookup()(key)
+    return [] if held is None else held if type(held) is list else [held]
+
+
+def _index_answers(index):
+    """Every answer an index gives, as plain values."""
+    out = {"len": len(index)}
+    for key in _keys_of(index):
+        out["lookup", key] = list(index.lookup(key))
+        out["probe", key] = _probed(index, key)
+    if index.kind == "sorted":
+        out["ordered"] = list(index.ordered())
+        for lower in _bounds(index):
+            for upper in _bounds(index):
+                for inclusive in (True, False):
+                    out["range", lower, upper, inclusive] = list(
+                        index.range(lower, upper, inclusive, inclusive)
+                    )
+    return out
+
+
+def _answers(relation):
+    """Everything planner/executor-visible a version answers."""
+    return {
+        "rows": list(relation.rows),
+        "len": len(relation),
+        "scan": execute(SeqScan(relation, "r"), batch_size=2).rows,
+        "has_null": [relation.column_has_null(p) for p in range(len(SCHEMA))],
+        "all_equal": [relation.column_all_equal(p, v) for p, v in EQUAL_FACTS],
+        "indexes": {i.name: _index_answers(i) for i in built_indexes_on(relation)},
+        "defs": attached_index_defs(relation),
+    }
+
+
 def _assert_like_fresh(relation):
     fresh_relation = Relation(SCHEMA, relation.rows)
-    if getattr(relation, "_columns", None) is not None:
-        assert relation.column_store() == fresh_relation.column_store()
-        for position in range(len(SCHEMA)):
-            assert relation.column_has_null(position) == fresh_relation.column_has_null(
-                position
-            )
-    for (position, value), known in (getattr(relation, "_all_equal", None) or {}).items():
-        assert known == fresh_relation.column_all_equal(position, value), (position, value)
+    assert len(relation) == len(fresh_relation)
+    assert execute(SeqScan(relation, "r"), batch_size=2).rows == fresh_relation.rows
+    for position in range(len(SCHEMA)):
+        assert relation.column_has_null(position) == fresh_relation.column_has_null(position)
+    for position, value in EQUAL_FACTS:
+        assert relation.column_all_equal(position, value) == fresh_relation.column_all_equal(
+            position, value
+        ), (position, value)
     stats = getattr(relation, "_stats", None)
     if stats is not None:
         assert stats.row_count == len(relation.rows)
-    labels = list(row_labels(relation))
-    assert len(labels) == len(relation.rows) and labels == sorted(set(labels))
     for index in built_indexes_on(relation):
         assert index.relation is relation
         fresh = build_index(fresh_relation, index.columns, kind=index.kind)
-        assert len(index) == len(fresh)
-        for key in _keys_of(index):
-            assert list(index.lookup(key)) == list(fresh.lookup(key)), (index, key)
-        assert index.mixed_table() == fresh.mixed_table()
+        assert _index_answers(index) == _index_answers(fresh), index
         if index.kind == "hash":
-            assert index._table == fresh._table
             continue
-        assert list(index.ordered()) == list(fresh.ordered())
-        # range bounds apply to the first key column; None is an open bound
-        bounds = [None] + (B_VALUES if index.columns[0] == "b" else A_VALUES[1:])
-        for lower in bounds:
-            for upper in bounds:
+        for lower in _bounds(index):
+            for upper in _bounds(index):
                 for inclusive in (True, False):
-                    assert list(index.range(lower, upper, inclusive, inclusive)) == list(
-                        fresh.range(lower, upper, inclusive, inclusive)
-                    ), (index, lower, upper, inclusive)
                     if lower is None and upper is None:
                         continue  # a full scan, in key order
                     # the executor gathers the range by row position: the
@@ -154,13 +152,16 @@ def _assert_segments_agree(relation):
         SCHEMA, relation.segments(), relation.deleted_ordinals()
     )
     assert rebuilt.rows == relation.rows
-    assert Relation.from_segments(
-        SCHEMA, relation.segments(), relation.deleted_ordinals()
-    ).column_store() == Relation(SCHEMA, relation.rows).column_store()
+    assert rebuilt.deleted_count() == relation.deleted_count()
 
 
-def _live(picks, relation):
-    return sorted({p % len(relation.rows) for p in picks}) if relation.rows else []
+def _ordinals(picks, relation):
+    """Ordinals of live rows, one per pick (wrapped around the live rows)."""
+    live = sorted(
+        set(range(sum(len(s.rows) for s in relation.segments())))
+        - relation.deleted_ordinals()
+    )
+    return sorted({live[p % len(live)] for p in picks}) if live else []
 
 
 def _apply(relation, op):
@@ -168,10 +169,11 @@ def _apply(relation, op):
     if op[0] == "append":
         return relation.with_appended(op[1])
     if op[0] == "delete":
-        return relation.with_deleted(_live(op[1], relation))
+        return relation.with_deleted(_ordinals(op[1], relation))
     if op[0] == "update":
-        chosen = _live(op[1], relation)
-        rewritten = [(relation.rows[p][0], op[2], relation.rows[p][2]) for p in chosen]
+        chosen = _ordinals(op[1], relation)
+        flat = [row for segment in relation.segments() for row in segment.rows]
+        rewritten = [(flat[o][0], op[2], flat[o][2]) for o in chosen]
         return relation.with_deleted(chosen).with_appended(rewritten)
     if op[0] == "compact":
         return relation.compacted()
@@ -179,14 +181,13 @@ def _apply(relation, op):
         kind, columns = op[1]
         ensure_index(relation, list(columns), kind=kind)
     elif op[1] == "columns":
-        for position in range(len(SCHEMA)):
-            relation.column_has_null(position)
+        execute(SeqScan(relation, "r"))
     elif op[1] == "equal":
         for position, value in EQUAL_FACTS:
             relation.column_all_equal(position, value)
-    elif op[1] == "mixed":
+    elif op[1] == "probe":
         for index in built_indexes_on(relation):
-            index.mixed_table()
+            _probed(index, _keys_of(index)[1])
     else:
         for name in SCHEMA:
             table_stats(relation).column(name)
@@ -195,14 +196,14 @@ def _apply(relation, op):
 
 @settings(max_examples=150, deadline=None)
 @given(histories)
-def test_carried_state_equals_a_fresh_build_and_parents_are_untouched(history):
+def test_every_version_answers_like_a_fresh_build_and_parents_are_untouched(history):
     initial, steps = history
     relation = Relation(SCHEMA, initial)
     for op in steps:
-        before = _state(relation)
+        before = _answers(relation)
         successor = _apply(relation, op)
         if successor is not relation:
-            assert _state(relation) == before, f"{op[0]} mutated its parent"
+            assert _answers(relation) == before, f"{op[0]} changed its parent"
             # what the parent had built, the successor has built too
             assert {i.name for i in built_indexes_on(successor)} == {
                 i.name for i in built_indexes_on(relation)
@@ -220,25 +221,14 @@ def test_unmergeable_key_defers_that_index_only():
     successor = relation.with_appended([("one", "z", 2)])
     assert {i.name for i in built_indexes_on(successor)} == {"by_b", "hash_a"}
     assert ("a",) in [d[0] for d in successor._pending_indexes]
-    repaired = successor.with_deleted([2])
+    repaired = successor.with_deleted([2]).compacted()
     # the deferred rebuild cannot sort the column either: skipped, as ever
     assert {i.name for i in indexes_on(successor)} == {"by_b", "hash_a"}
     _assert_like_fresh(successor)
-    # with the offending row gone the carried definition builds again
+    # with the offending row gone and compacted away, the carried
+    # definition builds again (a dead key still sits in its segment)
     assert {i.name for i in indexes_on(repaired)} == {"by_a", "by_b", "hash_a"}
     _assert_like_fresh(repaired)
-
-
-def test_labels_follow_deletes_while_the_sorted_index_is_deferred():
-    relation = Relation(SCHEMA, [(1, "x", 0), (2, "y", 1), (3, "z", 2)])
-    ensure_index(relation, ["a"], kind="sorted", name="by_a")
-    shrunk = relation.with_deleted([0])  # labels part from positions here
-    degraded = shrunk.with_appended([("one", "x", 3)])
-    assert not built_indexes_on(degraded)
-    repaired = degraded.with_deleted([0, 2])  # no sorted index is built now
-    assert [i.name for i in indexes_on(repaired)] == ["by_a"]
-    _assert_like_fresh(repaired)
-    _assert_like_fresh(repaired.with_appended([(0, "y", 4)]).with_deleted([0]))
 
 
 def test_statistics_are_inherited_until_the_analyze_threshold():
@@ -256,14 +246,19 @@ def test_statistics_are_inherited_until_the_analyze_threshold():
 def test_all_equal_facts_follow_every_write():
     relation = Relation(SCHEMA, [(1, "x", 0), (2, "x", 1)])
     assert relation.column_all_equal(1, "x") and not relation.column_all_equal(0, 1)
+    (base,) = relation.segments()
     grown = relation.with_appended([(3, "x", 2)])
-    assert grown._all_equal == {(1, "x"): True, (0, 1): False}  # the delta agreed
+    assert grown.column_all_equal(1, "x")  # the new segment agrees
     flipped = grown.with_appended([(4, "y", 3)])
-    assert flipped._all_equal == {(1, "x"): False, (0, 1): False}
-    shrunk = flipped.with_deleted([3])
-    assert shrunk._all_equal == {}  # a removal drops the false verdicts ...
-    assert shrunk.column_all_equal(1, "x")  # ... and the next use recomputes
-    assert shrunk.with_deleted([0])._all_equal == {(1, "x"): True}
-    assert shrunk.compacted()._all_equal == {(1, "x"): True}
-    assert relation._all_equal == {(1, "x"): True, (0, 1): False}  # parents untouched
+    assert not flipped.column_all_equal(1, "x")
+    shrunk = flipped.with_deleted([3])  # the dissenting row dies
+    assert shrunk.column_all_equal(1, "x")
+    assert shrunk.with_deleted([0]).column_all_equal(1, "x")
+    assert shrunk.compacted().column_all_equal(1, "x")
+    assert not relation.with_deleted([1]).column_all_equal(0, 2)
+    assert relation.with_deleted([1]).column_all_equal(0, 1)
+    # every version read the base segment's own count of "x", made once
+    assert shrunk.segments()[0] is base
+    assert [v for k, v in base._memo.items() if k[1:] == (1, "x")] == [2]
+    assert not relation.column_all_equal(0, 1)  # parents untouched
     assert Relation(SCHEMA, []).column_all_equal(1, "x")  # vacuously

@@ -6,6 +6,8 @@ the planner's access-path selection, and EXPLAIN output.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.relational import (
@@ -25,7 +27,7 @@ from repro.relational import (
     run,
 )
 from repro.relational.expressions import Param, executing
-from repro.relational.index import attach_index, built_indexes_on, detach_index, row_labels
+from repro.relational.index import attach_index, built_indexes_on, detach_index
 from repro.relational.physical import IndexNestedLoopJoin, IndexScan, execute
 from repro.relational.planner import plan_physical
 
@@ -162,14 +164,15 @@ class TestSortedIndex:
         assert_range(idx, [(2,)], Param(0), Param(0), params=(2,))
 
     def test_range_after_a_delete_and_an_insert_is_in_relation_order(self):
-        """A delete leaves gaps in the row labels and an insert appends past
-        them: every range is still the filtered relation, in its order."""
+        """A delete leaves dead positions in the base segment and an insert
+        appends a segment: every range is still the filtered relation, in
+        its order."""
         rel = Relation(["k", "v"], [((7 * i) % 11, i) for i in range(40)])
         ensure_index(rel, ["k"], kind="sorted")
         rel = rel.with_deleted([0, 5, 6, 7, 30])
         rel = rel.with_appended([(3, 100), (10, 101), (3, 102), (0, 103)])
         (idx,) = built_indexes_on(rel)
-        assert list(row_labels(rel)) != list(range(len(rel.rows)))
+        assert len(rel.segments()) == 2 and rel.deleted_count() == 5
         for lower, upper in [(3, 8), (None, 4), (9, None), (3, 3), (None, None)]:
             for inclusive in (True, False):
                 expected = [
@@ -214,12 +217,17 @@ class TestSortedIndex:
     )
     def test_probe_table_answers_like_lookup(self, columns, key):
         """A join probes the table, a point scan bisects: same rows, in
-        relation order, for every key the executor can hand either."""
+        relation order, for every key the executor can hand either - over
+        one clean segment, and over segments with dead rows."""
         rel = Relation(["k", "v"], [(1, "a"), (2, "b"), (1, "c"), (None, "d"), (1, "e")])
-        idx = SortedIndex(rel, columns)
-        held = idx.mixed_table().get(key)
-        probed = [] if held is None else held if type(held) is list else [held]
-        assert probed == list(idx.lookup(key))
+        written = rel.with_appended([(1, "f"), (3, "g")]).with_deleted([2, 6])
+        for relation, kind in itertools.product((rel, written), ("hash", "sorted")):
+            idx = build_index(relation, columns, kind=kind)
+            held = idx.probe_lookup()(key)
+            probed = [] if held is None else held if type(held) is list else [held]
+            assert probed == list(idx.lookup(key))
+            fresh = build_index(Relation(["k", "v"], relation.rows), columns, kind=kind)
+            assert probed == list(fresh.lookup(key))
 
 
 class TestAttachment:
