@@ -18,7 +18,9 @@ import statistics
 import pytest
 
 from repro.bench import Table, format_seconds, median_time, timed
-from repro.core import execute_query
+from repro.core import execute_query, reference_query
+from repro.core.translate import _logical_plan
+from repro.relational import execute, plan_physical
 from repro.relational.expressions import compile_cache_stats, reset_compile_cache
 from repro.relational.plancache import plan_cache_stats, reset_plan_cache
 from repro.tpch import ALL_QUERIES, q1, q2, q3
@@ -34,6 +36,13 @@ from benchmarks.conftest import (
 )
 
 QUERIES = {"Q1": q1, "Q2": q2, "Q3": q3}
+
+
+def optimized_plan(query, udb):
+    """The translated, optimized logical plan of ``query`` over ``udb``'s
+    catalog: what the executor and the reference both plan from."""
+    plan, _wrap = _logical_plan(query, udb.catalog(), udb.world_table)
+    return plan
 
 #: Config for the access-path (index) head-to-head.  The scale is fixed —
 #: not multiplied by ``REPRO_BENCH_SCALE`` — because the comparison only
@@ -143,11 +152,12 @@ def test_fig12_query(benchmark, label, x):
 def test_fig12_index_speedup(benchmark):
     """Access paths vs scan-and-hash plans, machine-readable.
 
-    Times each Figure 12 query with cost-based access-path selection
-    (``use_indexes=True``: tid-index nested-loop joins for the partition
-    merges, index scans for selective predicates) against the same
-    executor restricted to sequential scans and hash joins
-    (``use_indexes=False``), asserting identical answers.  Runs are interleaved in
+    Plans each Figure 12 query's one translated, optimized plan twice,
+    fused, with cost-based access-path selection (``use_indexes=True``:
+    tid-index nested-loop joins for the partition merges, index scans for
+    selective predicates) and restricted to sequential scans and hash
+    joins (``use_indexes=False``), and times the executor over each,
+    asserting identical answers.  Runs are interleaved in
     baseline/indexed pairs and the reported median speedup is the median
     of the per-pair ratios — back-to-back runs see the same machine
     state, so drift cancels where a ratio of two independent medians
@@ -163,19 +173,17 @@ def test_fig12_index_speedup(benchmark):
         )
         queries = {}
         for label, builder in QUERIES.items():
-            query = builder()
-            answer_base = execute_query(query, bundle.udb, use_indexes=False)
-            answer_idx = execute_query(query, bundle.udb, use_indexes=True)
+            plan = optimized_plan(builder(), bundle.udb)
+            scans = plan_physical(plan, use_indexes=False, fuse=True)
+            paths = plan_physical(plan, use_indexes=True, fuse=True)
+            answer_base = execute(scans)
+            answer_idx = execute(paths)
             assert answer_base == answer_idx  # identical bags, NULL-safe
             base, indexed = [], []
             for _ in range(INDEX_BENCH_PAIRS):
-                elapsed, _ = timed(
-                    lambda: execute_query(query, bundle.udb, use_indexes=False)
-                )
+                elapsed, _ = timed(lambda: execute(scans))
                 base.append(elapsed)
-                elapsed, _ = timed(
-                    lambda: execute_query(query, bundle.udb, use_indexes=True)
-                )
+                elapsed, _ = timed(lambda: execute(paths))
                 indexed.append(elapsed)
             entry = {
                 "baseline_median_s": statistics.median(base),
@@ -225,10 +233,12 @@ def test_fig12_served_vs_reference(benchmark):
 
     The served arm is the default (columnar batches, fused
     scan→filter→project pipelines, folded join projections, generated
-    probe kernels, cost-based access paths); the reference arm is what the
-    tests and the declared benchmark compare answers with (``mode="rows"``,
-    ``use_indexes=False``: interpreted expressions, sequential scans, hash
-    joins).  Answers must be identical bags.  Runs are interleaved in
+    probe kernels, cost-based access paths), from the plan cache; the
+    reference arm is what the tests and the declared benchmark compare
+    answers with (``reference_query``: interpreted expressions, sequential
+    scans, hash joins), timed as ``rows()`` alone over a plan built once,
+    so it pays no planning.  Answers must be identical bags.  Runs are
+    interleaved in
     reference/served pairs and the reported median speedup is the median
     of per-pair ratios.  The compile cache is measured explicitly: after
     one warm-up execution the second run must generate no code at all
@@ -240,9 +250,6 @@ def test_fig12_served_vs_reference(benchmark):
     """
     bundle = uncertain_db(INDEX_BENCH_SCALE, INDEX_BENCH_X, INDEX_BENCH_Z)
 
-    def reference(query):
-        return execute_query(query, bundle.udb, mode="rows", use_indexes=False)
-
     def compare():
         table = Table(
             ["query", "reference (median)", "served (median)", "speedup", "answers"],
@@ -251,7 +258,11 @@ def test_fig12_served_vs_reference(benchmark):
         queries = {}
         for label, builder in QUERIES.items():
             query = builder()
-            answer_reference = reference(query)
+            answer_reference = reference_query(query, bundle.udb)
+            unfused = plan_physical(
+                optimized_plan(query, bundle.udb), use_indexes=False, fuse=False
+            )
+            assert execute(unfused, mode="rows") == answer_reference
             # codegen proof: a cold cache misses on the first served run
             # and must not miss again on the second
             reset_compile_cache()
@@ -266,7 +277,7 @@ def test_fig12_served_vs_reference(benchmark):
             )
             slow, served = [], []
             for _ in range(REFERENCE_BENCH_PAIRS):
-                elapsed, _ = timed(lambda: reference(query))
+                elapsed, _ = timed(lambda: execute(unfused, mode="rows"))
                 slow.append(elapsed)
                 elapsed, _ = timed(lambda: execute_query(query, bundle.udb))
                 served.append(elapsed)
@@ -294,7 +305,7 @@ def test_fig12_served_vs_reference(benchmark):
         append_bench_run(
             "served-vs-reference",
             {
-                "baseline": "rows() reference (mode='rows', use_indexes=False)",
+                "baseline": "rows() reference (reference_query's plan, built once)",
                 "config": {
                     "scale": INDEX_BENCH_SCALE,
                     "x": INDEX_BENCH_X,
@@ -322,8 +333,8 @@ def test_fig12_plan_cache_speedup(benchmark):
     plan — zero translation/optimization/planning work, proven by the plan
     cache's miss counter staying flat on the second run — while the cold
     arm resets the plan cache before every execution, re-paying the full
-    fixed cost.  Answers must be identical to the cold run for the
-    executor and the ``rows`` reference.  Runs are interleaved in cold/warm pairs and the
+    fixed cost.  The cold and the warm answer must each equal the ``rows()``
+    reference.  Runs are interleaved in cold/warm pairs and the
     reported median speedup is the median of per-pair ratios.
 
     CI gates (``make bench-smoke`` fails on either): warm-run planning
@@ -340,16 +351,12 @@ def test_fig12_plan_cache_speedup(benchmark):
         queries = {}
         for label, builder in QUERIES.items():
             query = builder()
-            # answer proof: the cached plan answers exactly what a fresh
-            # plan answers, for the executor and the reference
-            answers = {}
-            for mode in ("rows", "columns"):
-                reset_plan_cache()
-                cold_answer = execute_query(query, bundle.udb, mode=mode)
-                warm_answer = execute_query(query, bundle.udb, mode=mode)
-                assert warm_answer == cold_answer  # identical bags, NULL-safe
-                answers[mode] = warm_answer
-            assert answers["rows"] == answers["columns"]
+            # answer proof: the fresh plan and the cached one both answer
+            # what the reference does
+            answer = reference_query(query, bundle.udb)
+            reset_plan_cache()
+            assert execute_query(query, bundle.udb) == answer  # cold
+            assert execute_query(query, bundle.udb) == answer  # warm
             # planning proof: the second run performs zero planning work
             reset_plan_cache()
             execute_query(query, bundle.udb)
@@ -374,7 +381,7 @@ def test_fig12_plan_cache_speedup(benchmark):
                     c / w for c, w in zip(cold, warm)
                 ),
                 "speedup_best": min(cold) / min(warm),
-                "answer_rows": len(answers["columns"]),
+                "answer_rows": len(answer),
                 "identical_answers_all_modes": True,
                 "planning_misses_second_run": planning_misses_second_run,
             }

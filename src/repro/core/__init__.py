@@ -10,7 +10,8 @@ The package implements:
   :class:`UProject`, :class:`UJoin`, :class:`UUnion`, :class:`UMerge`,
   :class:`Poss`, :class:`Certain`, :class:`Conf`) and the Figure 4
   translation to plain relational algebra (:func:`translate`,
-  :func:`execute_query`),
+  :func:`execute_query`, and :func:`reference_query`, the answer it must
+  give),
 * reduction (Prop. 3.3), normalization (Algorithm 1), certain answers
   (Lemma 4.3), and probabilistic confidence computation (Section 7).
 
@@ -99,6 +100,7 @@ from .translate import (
     explain_query,
     psi_condition,
     query_structure_key,
+    reference_query,
     translate,
 )
 from .udatabase import LogicalSchema, UDatabase
@@ -137,6 +139,7 @@ __all__ = [
     "translate_early",
     "execute_query",
     "explain_query",
+    "reference_query",
     "query_structure_key",
     "PreparedQuery",
     "psi_condition",

@@ -389,8 +389,7 @@ def _matching_tids(udb, catalog, name: str, condition: Optional[Expression]) -> 
     # one plan per condition shape, keyed on the database: it reads the
     # versions of the catalog it is handed (a transaction's staged ones
     # too) and re-plans only when their planning facts differ
-    key = query_cache_key(query, udb)
-    result = execute_keyed(query, udb, key, "columns", True, catalog)
+    result = execute_keyed(query, udb, query_cache_key(query, udb), catalog)
     position = result.relation.schema.resolve(result.tid_names[0])
     return {row[position] for row in result.relation.rows}
 

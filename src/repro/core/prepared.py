@@ -47,6 +47,7 @@ from .translate import (
     explain_query,
     query_cache_key,
     query_key,
+    reference_query,
     relational_core,
 )
 
@@ -144,9 +145,9 @@ class PreparedQuery(_Prepared):
     Immutable once built, and safe to run from any number of threads at
     once: each ``run`` is one execution with its own frame.  The statement
     owns its plan-cache key (:meth:`plan_key`): a key is a function of the
-    tree, the database and the knobs, none of which change, so it is
-    derived on first use and every later ``run`` — and the server's
-    admission peek and coalescing key — read it back.
+    tree and the database, neither of which changes, so it is derived once,
+    here, and every ``run`` — and the server's admission peek and
+    coalescing key — read it back.
     """
 
     _kind = "prepared query"
@@ -159,16 +160,12 @@ class PreparedQuery(_Prepared):
         #: What is planned and cached: the query under its ``Certain``
         #: wrappers (a ``certain(q)`` statement runs ``q``'s plan).
         self.core = relational_core(query)
-        self._keys: Dict[Tuple[str, bool], Any] = {}
+        self._key = query_cache_key(self.core, udb)
 
-    def plan_key(self, mode: str = "columns", use_indexes: bool = True):
-        """The plan-cache key :attr:`core` plans under with these knobs
-        (``None``: uncacheable), derived once in the statement's lifetime.
-        Racing first callers derive equal keys; either assignment stands."""
-        knobs = (mode, use_indexes)
-        if knobs not in self._keys:
-            self._keys[knobs] = query_cache_key(self.core, self.udb, *knobs)
-        return self._keys[knobs]
+    def plan_key(self):
+        """The plan-cache key :attr:`core` plans under (``None``:
+        uncacheable)."""
+        return self._key
 
     def bind(self, params: Tuple[Any, ...]) -> None:
         """Make ``params`` the calling thread's ``$n`` values (``$1`` first).
@@ -186,23 +183,22 @@ class PreparedQuery(_Prepared):
         (default: the one published when the execution starts; a
         transaction hands in its own).
 
-        The first call per (mode, knobs) combination plans and caches; all
-        later calls are executor-only.  Returns what
-        :func:`~repro.core.translate.execute_query` returns — a plain
-        relation for ``possible``/``certain`` statements, a U-relation
-        otherwise.
+        The first call plans and caches; all later calls are executor-only.
+        Returns what :func:`~repro.core.translate.execute_query` returns —
+        a plain relation for ``possible``/``certain`` statements, a
+        U-relation otherwise.
         """
+        # ``mode="rows", use_indexes=False`` runs reference_query instead;
+        # the pair stays only because the declared benchmark's
+        # ``layer_child.reference_rows`` passes it (ROADMAP 4(c) drops it)
+        if (mode, use_indexes) not in (("columns", True), ("rows", False)):
+            raise ValueError(f"no plan for mode={mode!r}, use_indexes={use_indexes}")
         with request_trace(sql=self.sql or ""), executing(self.checked(params)):
-            key = self.plan_key(mode, use_indexes)
-            return execute_keyed(self.query, self.udb, key, mode, use_indexes, catalog)
+            if mode == "rows":
+                return reference_query(self.query, self.udb, catalog)
+            return execute_keyed(self.query, self.udb, self._key, catalog)
 
-    def explain(
-        self,
-        *params: Any,
-        mode: str = "columns",
-        use_indexes: bool = True,
-        analyze: bool = False,
-    ) -> str:
+    def explain(self, *params: Any, analyze: bool = False) -> str:
         """EXPLAIN the prepared plan (``(cached)``-marked after first use).
 
         Parameters are optional for a plain EXPLAIN — planning never
@@ -210,13 +206,7 @@ class PreparedQuery(_Prepared):
         the plan.
         """
         with executing(self.checked(params) if params or analyze else ()):
-            return explain_query(
-                self.query,
-                self.udb,
-                mode=mode,
-                use_indexes=use_indexes,
-                analyze=analyze,
-            )
+            return explain_query(self.query, self.udb, analyze=analyze)
 
     def __repr__(self) -> str:
         label = self.sql if self.sql is not None else type(self.query).__name__

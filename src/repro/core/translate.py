@@ -124,7 +124,9 @@ from ..relational.expressions import (
     structural_key,
 )
 from ..relational.optimizer import column_stats, estimate_rows, greedy_order, join_rows
+from ..relational.physical import Confidence
 from ..relational.relation import Relation
+from .certain import certain_answers
 from .descriptor import TOP_VALUE, TOP_VARIABLE, descriptor_columns
 from .query import (
     Certain,
@@ -151,6 +153,7 @@ __all__ = [
     "query_cache_key",
     "relational_core",
     "execute_keyed",
+    "reference_query",
     "query_fingerprint",
     "psi_condition",
     "alpha_condition",
@@ -735,21 +738,17 @@ def _workload_profile(query: UQuery, plan, key, cost_class: str):
     }
 
 
-def query_cache_key(
-    query: UQuery, udb: UDatabase, mode: str = "columns", use_indexes: bool = True
-):
-    """The prepared-plan cache key this query would plan under, or None.
-
-    ``None`` means the query shape is uncacheable (an unknown node or
-    expression subclass).  The serving layer's admission controller uses
-    this to peek at a request's cached cost class *before* admitting it —
-    building the key costs a tree walk, never a translation.
+def query_cache_key(query: UQuery, udb: UDatabase):
+    """The plan-cache key of this query: ``("uquery", id(udb), structure)``,
+    one plan per shape and database; ``None`` for an uncacheable shape (an
+    unknown node or expression subclass).  Admission peeks at a request's
+    cost class with it: a tree walk, never a translation.
     """
     try:
         structure = query_structure_key(query)
     except TypeError:
         return None
-    return ("uquery", id(udb), structure, use_indexes, mode == "columns")
+    return ("uquery", id(udb), structure)
 
 
 def relational_core(query: UQuery) -> UQuery:
@@ -760,30 +759,86 @@ def relational_core(query: UQuery) -> UQuery:
     return query
 
 
-def _cached_physical(
-    query: UQuery, udb: UDatabase, key, mode: str, use_indexes: bool, catalog=None
-):
+def _logical_plan(query: UQuery, catalog, world_table):
+    """``(plan, wrap)``: the optimized plan of ``query`` (no ``Certain``)
+    over ``catalog``, a ``conf`` one reading ``world_table`` (``None``: the
+    executing catalog's), and a U-relation answer's structure (``None`` for
+    ``poss`` / ``conf``).  Built alike for the executor and the reference.
+    """
+    from ..relational.optimizer import optimize
+
+    wrap = None
+    if isinstance(query, Poss):
+        inner = translate(query.child, catalog)
+        plan: Plan = Distinct(Project(inner.plan, list(inner.value_names)))
+    elif isinstance(query, Conf):
+        inner = translate(query.child, catalog)
+        plan = inner.plan
+    else:
+        inner = translate(query, catalog)
+        if not inner.d_width:
+            # a URelation keeps one descriptor pair: a certain answer's is ⊤
+            padded = _pad_branch(inner, 1, list(inner.tid_names), list(inner.value_names))
+            inner = Translated(padded, 1, inner.tid_names, inner.value_names)
+        plan = inner.plan
+        wrap = (inner.d_width, inner.tid_names, inner.value_names, inner.canonical_names())
+    plan = optimize(plan)
+    if isinstance(query, Conf):
+        # inserted above the *optimized* child: the rewrite rules never
+        # see (and could not soundly move through) a confidence
+        # computation, while the child still gets the full optimizer.
+        # Positions stay canonical — optimize() re-projects to the
+        # original column order.
+        plan = ConfCompute(
+            plan,
+            inner.d_width,
+            len(inner.tid_names),
+            list(inner.value_names),
+            world_table,
+            query.method,
+            query.epsilon,
+            query.delta,
+            query.seed,
+        )
+    return plan, wrap
+
+
+def _answer(relation: Relation, physical, wrap):
+    """What executing ``physical`` answers: a relation (with its summary
+    for ``conf``), or under a ``wrap`` a :class:`URelation`."""
+    if wrap is None:
+        summary = physical.last_summary if isinstance(physical, Confidence) else None
+        if summary is not None:
+            from .probability import ConfidenceAnswer
+
+            return ConfidenceAnswer.adopt(relation, summary)
+        return relation
+    d_width, tid_names, value_names, canonical = wrap
+    # normalize output column names to the canonical U-relation layout
+    if relation.schema.names != canonical:
+        relation = Relation(canonical, relation.rows)
+    return URelation(relation, d_width, tid_names, value_names)
+
+
+def _cached_physical(query: UQuery, udb: UDatabase, key, catalog=None):
     """The fully planned physical tree for a logical query, via the cache.
 
     Returns ``(record, was_cached)``: a
     :class:`~repro.relational.plancache.PlanRecord` and whether the cache
-    served it.  ``key`` is the query's :func:`query_cache_key` under the
-    same knobs, derived by the caller (once per statement, if it is a
+    served it.  ``key`` is the query's :func:`query_cache_key`, derived
+    by the caller (once per statement, if it is a
     :class:`~repro.core.prepared.PreparedQuery`).
 
     A hit skips translation, optimization, and physical planning — the
-    repeated-query path is executor-only.  The cache key is the normalized
-    query structure, the owning database, and every knob that shapes the
-    plan (the executor's fused plan and the reference's unfused one are
-    cached separately).  ``catalog`` (default ``udb.catalog()``) goes in
-    the calling thread's frame: the lookup checks the entry's planning
-    facts against its partition versions, a miss translates over it, and
-    the execution resolves the plan's slots and world table there — so a query
-    never joins one COMMIT's new partitions with another relation's old
-    ones.  Callers put back what the frame held once they have executed
-    (see :mod:`repro.relational.plancache`).
+    repeated-query path is executor-only.  ``catalog`` (default
+    ``udb.catalog()``) goes in the calling thread's frame: the lookup
+    checks the entry's planning facts against its partition versions, a
+    miss translates over it, and the execution resolves the plan's slots
+    and world table there — so a query never joins one COMMIT's new
+    partitions with another relation's old ones.  Callers put back what
+    the frame held once they have executed (see
+    :mod:`repro.relational.plancache`).
     """
-    from ..relational.optimizer import optimize
     from ..relational.plancache import (
         PlanRecord,
         cached_plan,
@@ -798,29 +853,8 @@ def _cached_physical(
     frame.catalog = catalog
 
     def build():
-        conf: Optional[Conf] = None
-        if isinstance(query, Poss):
-            inner = translate(query.child, catalog)
-            plan: Plan = Distinct(Project(inner.plan, list(inner.value_names)))
-            wrap = None
-        elif isinstance(query, Conf):
-            conf = query
-            inner = translate(query.child, catalog)
-            plan = inner.plan
-            wrap = None
-        else:
-            inner = translate(query, catalog)
-            if not inner.d_width:
-                # a URelation keeps one descriptor pair: a certain answer's is ⊤
-                padded = _pad_branch(inner, 1, list(inner.tid_names), list(inner.value_names))
-                inner = Translated(padded, 1, inner.tid_names, inner.value_names)
-            plan = inner.plan
-            wrap = (
-                inner.d_width,
-                inner.tid_names,
-                inner.value_names,
-                inner.canonical_names(),
-            )
+        # no world table: the executing catalog's, staged variables included
+        plan, wrap = _logical_plan(query, catalog, None)
         slots = planned_over(
             catalog.versions,
             {
@@ -828,27 +862,7 @@ def _cached_physical(
                 for scan in _scans_under(plan)
             },
         )
-        plan = optimize(plan)
-        if conf is not None:
-            # inserted above the *optimized* child: the rewrite rules never
-            # see (and could not soundly move through) a confidence
-            # computation, while the child still gets the full optimizer.
-            # Positions stay canonical — optimize() re-projects to the
-            # original column order.
-            plan = ConfCompute(
-                plan,
-                inner.d_width,
-                len(inner.tid_names),
-                list(inner.value_names),
-                None,  # the executing catalog's: staged variables included
-                conf.method,
-                conf.epsilon,
-                conf.delta,
-                conf.seed,
-            )
-        physical = name_slots(
-            plan_physical(plan, use_indexes=use_indexes, fuse=mode == "columns")
-        )
+        physical = name_slots(plan_physical(plan, fuse=True))
         cost_class = cost_class_of(physical)
         profile = _workload_profile(query, plan, key, cost_class)
         # the entry holds the udb: an id-keyed owner must outlive its entries
@@ -858,21 +872,17 @@ def _cached_physical(
 
 
 # ----------------------------------------------------------------------
-# execution entry point
+# execution entry points
 # ----------------------------------------------------------------------
-def execute_query(
-    query: UQuery, udb: UDatabase, mode: str = "columns", use_indexes: bool = True
-):
+def execute_query(query: UQuery, udb: UDatabase):
     """Translate and run a query against a U-relational database.
 
     Returns a plain :class:`Relation` for top-level ``Poss``/``Certain``
     queries, a :class:`~repro.core.probability.ConfidenceAnswer` (a
     relation plus the computation summary) for ``Conf``, and a
-    :class:`URelation` otherwise.  ``mode="columns"`` (the default) runs
-    the executor — columnar batches over a fused plan; ``mode="rows"``
-    runs the tuple-at-a-time reference over the unfused plan, which with
-    ``use_indexes=False`` (no access-path selection) is what tests and
-    benchmarks compare served answers against.
+    :class:`URelation` otherwise.  It runs the executor: columnar batches
+    over the fused plan with access paths; :func:`reference_query` is the
+    answer to compare it with.
 
     The physical plan is served from the prepared-plan cache when the same
     query structure ran before over partitions with the same planning
@@ -882,36 +892,31 @@ def execute_query(
     :class:`~repro.core.prepared.PreparedQuery` derives it once and calls
     :func:`execute_keyed`.
     """
-    key = query_cache_key(relational_core(query), udb, mode, use_indexes)
-    return execute_keyed(query, udb, key, mode, use_indexes)
+    return execute_keyed(query, udb, query_cache_key(relational_core(query), udb))
 
 
-def execute_keyed(
-    query: UQuery, udb: UDatabase, key, mode: str, use_indexes: bool, catalog=None
-):
+def execute_keyed(query: UQuery, udb: UDatabase, key, catalog=None):
     """:func:`execute_query` for a caller that holds ``key``, the
-    :func:`query_cache_key` of the query's :func:`relational_core` under
-    these knobs, reading ``catalog`` (default: ``udb.catalog()``, read
-    once): its partitions, and for ``conf`` / ``certain`` its world table."""
+    :func:`query_cache_key` of the query's :func:`relational_core`,
+    reading ``catalog`` (default: ``udb.catalog()``, read once): its
+    partitions, and for ``conf`` / ``certain`` its world table."""
     import time
 
     from ..obs import counter, current_span, current_trace
     from ..obs import workload as obs_workload
-    from ..relational.physical import Confidence, execute
+    from ..relational.physical import execute
 
     if catalog is None:
         catalog = udb.catalog()
     if isinstance(query, Certain):
-        from .certain import certain_answers
-
-        inner = execute_keyed(query.child, udb, key, mode, use_indexes, catalog)
+        inner = execute_keyed(query.child, udb, key, catalog)
         return certain_answers(inner, catalog.world_table)
     held = frame.catalog
     try:
-        record, was_cached = _cached_physical(query, udb, key, mode, use_indexes, catalog)
+        record, was_cached = _cached_physical(query, udb, key, catalog)
         physical, wrap, profile, cost_class = record
         started = time.perf_counter()
-        relation = execute(physical, mode=mode)
+        relation = execute(physical)
         elapsed = time.perf_counter() - started
     finally:
         frame.catalog = held
@@ -942,28 +947,30 @@ def execute_keyed(
         ),
         sql=trace.root.attrs.get("sql") if trace is not None else None,
     )
-    if wrap is None:
-        summary = physical.last_summary if isinstance(physical, Confidence) else None
-        if summary is not None:
-            from .probability import ConfidenceAnswer
-
-            return ConfidenceAnswer.adopt(relation, summary)
-        return relation
-    d_width, tid_names, value_names, canonical = wrap
-    # normalize output column names to the canonical U-relation layout
-    if relation.schema.names != canonical:
-        relation = Relation(canonical, relation.rows)
-    return URelation(relation, d_width, tid_names, value_names)
+    return _answer(relation, physical, wrap)
 
 
-def explain_query(
-    query: UQuery,
-    udb: UDatabase,
-    mode: str = "columns",
-    use_indexes: bool = True,
-    analyze: bool = False,
-    trace: bool = False,
-):
+def reference_query(query: UQuery, udb: UDatabase, catalog=None):
+    """What :func:`execute_query` must answer over ``catalog`` (default:
+    ``udb.catalog()``), from the ``rows()`` reference: planned afresh,
+    unfused and without access paths, its leaves and ``conf`` holding the
+    catalog's partitions and world table.  It reads neither the plan cache
+    nor the frame's catalog and records no query counter or history.
+    """
+    from ..relational.physical import execute
+    from ..relational.planner import plan_physical
+
+    if catalog is None:
+        catalog = udb.catalog()
+    if isinstance(query, Certain):
+        inner = reference_query(query.child, udb, catalog)
+        return certain_answers(inner, catalog.world_table)
+    plan, wrap = _logical_plan(query, catalog, catalog.world_table)
+    physical = plan_physical(plan, False)  # no access path, nothing fused
+    return _answer(execute(physical, "rows"), physical, wrap)
+
+
+def explain_query(query: UQuery, udb: UDatabase, analyze: bool = False, trace: bool = False):
     """EXPLAIN output for a logical query against a U-relational database.
 
     A plan served from the prepared-plan cache is marked ``(cached)`` on
@@ -982,15 +989,15 @@ def explain_query(
     from ..relational.plancache import mark_cached
 
     query = relational_core(query)
-    key = query_cache_key(query, udb, mode, use_indexes)
+    key = query_cache_key(query, udb)
     held = frame.catalog
     try:
-        record, was_cached = _cached_physical(query, udb, key, mode, use_indexes)
+        record, was_cached = _cached_physical(query, udb, key)
         if analyze and trace:
-            _result, text, data = explain_analyze(record.physical, mode=mode, trace=True)
+            _result, text, data = explain_analyze(record.physical, trace=True)
             return (mark_cached(text) if was_cached else text), data
         if analyze:
-            _result, text = explain_analyze(record.physical, mode=mode)
+            _result, text = explain_analyze(record.physical)
         else:
             text = explain_physical(record.physical)
     finally:

@@ -518,36 +518,6 @@ class UDatabase:
 
         return prepare_sql(sql, self)
 
-    def confidence(
-        self,
-        query,
-        method: str = "auto",
-        epsilon: float = 0.01,
-        delta: float = 0.05,
-        seed: int = 0,
-        **knobs,
-    ):
-        """Tuple confidences of a query's possible answers (Section 7).
-
-        Wraps ``query`` in :class:`~repro.core.query.Conf` and executes it
-        through the vectorized confidence operator; the result is a
-        :class:`~repro.core.probability.ConfidenceAnswer` — the possible
-        value tuples plus a ``conf`` column, sorted by descending
-        confidence, carrying the computation summary.  ``method`` is
-        ``"auto"`` (default), ``"exact"``, or ``"approx"``; the sampler
-        guarantees ``|answer - conf| <= epsilon`` with probability at
-        least ``1 - delta``.  Extra ``knobs`` pass through to
-        :func:`~repro.core.translate.execute_query`.
-        """
-        from .query import Conf
-        from .translate import execute_query
-
-        return execute_query(
-            Conf(query, method=method, epsilon=epsilon, delta=delta, seed=seed),
-            self,
-            **knobs,
-        )
-
     def session(self):
         """Open a standalone :class:`~repro.server.session.Session` here.
 

@@ -40,18 +40,13 @@ def explain(plan: Union[PhysicalPlan, Plan]) -> str:
     return "\n".join(lines)
 
 
-def explain_analyze(
-    plan: PhysicalPlan,
-    batch_size: int = BATCH_SIZE,
-    mode: str = "columns",
-    trace: bool = False,
-):
+def explain_analyze(plan: PhysicalPlan, batch_size: int = BATCH_SIZE, trace: bool = False):
     """Execute a physical plan and render it with actual row counts.
 
     Returns ``(result, text)`` where every operator line carries the rows
     and batch count it produced during this execution.  The counters
-    belong to the executor, so ``mode="rows"`` (whose reference iterators
-    keep none) runs the executor over the given tree as well; for a fused
+    belong to the executor (the ``rows()`` reference keeps none), so it
+    is the executor that runs, over the given tree; for a fused
     plan the counts are *per pipeline* — a ``Fused Pipeline`` line reports
     the rows surviving its entire scan→filter→project chain, and a join
     with a folded ``Output:`` projection reports post-projection rows —
@@ -67,19 +62,17 @@ def explain_analyze(
     from ..obs import span as obs_span
     from ..obs import start_trace
 
-    if mode == "rows":
-        mode = "columns"  # rows() keeps no counters; the executor does
     if trace:
         with start_trace("explain_analyze", force=True) as trace_obj:
             with obs_span("execute") as exec_span:
-                result = execute(plan, mode=mode, batch_size=batch_size)
+                result = execute(plan, batch_size=batch_size)
                 exec_span.set(operators=plan.actuals())
         lines: List[str] = []
         _render_physical(plan, lines, depth=0, arrow=False, analyze=True)
         data = trace_obj.to_dict()
         data["operators"] = plan.actuals()
         return result, "\n".join(lines), data
-    result = execute(plan, mode=mode, batch_size=batch_size)
+    result = execute(plan, batch_size=batch_size)
     lines: List[str] = []
     _render_physical(plan, lines, depth=0, arrow=False, analyze=True)
     return result, "\n".join(lines)

@@ -54,9 +54,10 @@ Every operator speaks exactly two protocols:
   iterator in which every body calls only its children's ``rows()`` and
   *bound* (interpreted, never generated) expressions, so it shares no
   kernel, no batch boundary and — planned with ``use_indexes=False``,
-  ``fuse=False`` — no access path with the executor.  It exists to be
-  compared against: the tests and the declared benchmark check every
-  served answer against it.  It is not meant to be fast.
+  ``fuse=False``, as ``repro.core.translate.reference_query`` plans it,
+  never from the plan cache — no access path with the executor.  It
+  exists to be compared against: the tests and the declared benchmark
+  check every served answer against it.  It is not meant to be fast.
 
 Every operator implements ``rows()`` and ``_column_batches(size)``, each
 with one body per algorithm — no operator chooses between a generated and

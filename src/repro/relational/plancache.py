@@ -4,12 +4,13 @@ Translation + optimization + physical planning cost a few milliseconds per
 query — real money once the per-execution work is microseconds.  The cache
 maps
 
-    ("uquery", owning UDatabase, normalized query structure, planner knobs)
-        -> PlanRecord
+    ("uquery", owning UDatabase, normalized query structure) -> PlanRecord
 
-so a repeated ``execute_query`` (and every served statement) skips the
-whole translate -> optimize -> plan pipeline and goes straight to the
-executor.  There is one of each thing here:
+one plan per query shape, so a repeated ``execute_query`` (and every
+served statement) skips the whole translate -> optimize -> plan pipeline
+and goes straight to the executor.  The ``rows()`` reference
+(``repro.core.translate.reference_query``) plans afresh and never comes
+here.  There is one of each thing here:
 
 * **One record.**  :class:`PlanRecord` holds the physical tree and every
   other fact that is a function of the plan alone (the U-relation ``wrap``

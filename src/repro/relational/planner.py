@@ -703,8 +703,10 @@ def _fuse_tree(node: PhysicalPlan) -> PhysicalPlan:
 
 
 def plan_physical(plan: Plan, use_indexes: bool = True, fuse: bool = False) -> PhysicalPlan:
-    """Compile a logical plan: ``fuse=True`` for the executor, the unfused
-    tree for the ``rows()`` reference."""
+    """Compile a logical plan: ``fuse=True`` (with access paths) for the
+    executor, as a cached U-query plan is; unfused and
+    ``use_indexes=False`` for the ``rows()`` reference, as
+    ``repro.core.translate.reference_query`` plans it."""
     return Planner(use_indexes=use_indexes, fuse=fuse).compile(plan)
 
 

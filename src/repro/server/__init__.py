@@ -16,8 +16,8 @@ statements, catalog-version invalidation):
   newline-JSON TCP frontend (``python -m repro.server``).
 
 Every statement a session or server runs goes through the one executor
-(:func:`repro.relational.physical.execute`, ``mode="columns"``, indexes
-on); the server has no execution options of its own.
+over its shape's one cached plan (fused, with access paths); the server
+has no execution options of its own.
 
 Quick start::
 

@@ -5,8 +5,8 @@ relation as a stack of immutable segments plus delete vectors; ``VACUUM``
 rewrites that stack into one fresh base segment.  The invariant the whole
 maintenance path rests on: the compacted database, the uncompacted one,
 and a from-scratch rebuild of the surviving logical tuples are
-indistinguishable under every execution mode, with and without access
-paths — while the *structure* collapses to ``segment_count == 1`` /
+indistinguishable, executed (with access paths) and by the ``rows()``
+reference (without) — while the *structure* collapses to ``segment_count == 1`` /
 ``deleted_ratio == 0`` and the world table is untouched (compaction moves
 tuples, never uncertainty).
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 
 from repro.relational.index import built_indexes_on
-from tests.core.test_dml_property import MODES, _answers, _apply, _build, scripts
+from tests.core.test_dml_property import ANSWERERS, _answers, _apply, _build, scripts
 
 
 def _replay(script, auto_index=False):
@@ -35,7 +35,7 @@ def _replay(script, auto_index=False):
 @settings(max_examples=40, deadline=None)
 @given(scripts)
 def test_compacted_equals_uncompacted_equals_rebuilt(script):
-    """The three-way equivalence across every mode × access-path choice."""
+    """The three-way equivalence, executed and by the reference."""
     churned, model = _replay(script)
     compacted, _ = _replay(script)
     built = [built_indexes_on(p.relation) for p in compacted.partitions("r")]
@@ -48,18 +48,13 @@ def test_compacted_equals_uncompacted_equals_rebuilt(script):
         ]
     rebuilt = _build(model)
     expected = set(model)
-    for mode in MODES:
-        for use_indexes in (True, False):
-            for label, db in (
-                ("churned", churned),
-                ("compacted", compacted),
-                ("rebuilt", rebuilt),
-            ):
-                assert _answers(db, mode, use_indexes) == expected, (
-                    mode,
-                    use_indexes,
-                    label,
-                )
+    for run in ANSWERERS:
+        for label, db in (
+            ("churned", churned),
+            ("compacted", compacted),
+            ("rebuilt", rebuilt),
+        ):
+            assert _answers(db, run) == expected, (run.__name__, label)
 
 
 @settings(max_examples=40, deadline=None)
@@ -102,7 +97,7 @@ def test_compaction_rebuilds_access_paths_and_statistics(script):
     udb, model = _replay(script, auto_index=True)
     defs = udb.index_defs()
     udb.compact()
-    assert _answers(udb, "columns", True) == set(model)
+    assert _answers(udb) == set(model)
     # the definitions (the auto policy's, less the dropped, plus the
     # created) followed the rewrite
     assert udb.index_defs() == defs

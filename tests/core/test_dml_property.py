@@ -3,15 +3,15 @@
 A random sequence of INSERT / UPDATE / DELETE statements leaves the
 relation as a stack of immutable segments plus delete vectors.  The
 invariant the whole write path rests on: querying that segmented,
-delete-marked representation is indistinguishable — in every execution
-mode, with and without access paths — from a database rebuilt from
-scratch holding only the surviving logical tuples.
+delete-marked representation is indistinguishable — executed (with
+access paths) and by the ``rows()`` reference (without) — from a
+database rebuilt from scratch holding only the surviving logical tuples.
 
 The relation is vertically partitioned (``id`` | ``type``) so every
 statement exercises the multi-partition write path, and a Python-list
 model supplies the ground truth independently of either engine path.
 ``type`` cells may be NULL or an uncertain ``{'a', 'b'}``, and one
-prepared ``conf`` statement per mode is held across the whole history:
+prepared ``conf`` statement is held across the whole history:
 its cached plan outlives every write, so it meets a partition turning
 NULL-bearing and NULL-free, certain and uncertain, and must answer like
 a freshly planned statement over the rebuilt database after each step.
@@ -29,7 +29,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core import WorldTable, execute_query
+from repro.core import WorldTable, execute_query, reference_query
 from repro.core.descriptor import Descriptor
 from repro.core.query import Poss, Rel, UProject
 from repro.core.udatabase import UDatabase
@@ -38,7 +38,8 @@ from repro.relational.index import built_indexes_on
 from repro.server.session import Session
 from repro.sql import execute_sql, prepare
 
-MODES = ["rows", "columns"]
+#: the two ways to answer a query: the ``rows()`` reference and the executor
+ANSWERERS = (reference_query, execute_query)
 
 ids = st.integers(min_value=0, max_value=6)
 types = st.sampled_from(["a", "b", "c"])
@@ -164,11 +165,9 @@ def _apply(udb, model, op, defs, run=None):
         model[:] = survivors
 
 
-def _answers(db, mode, use_indexes):
+def _answers(db, run=execute_query):
     query = Poss(UProject(Rel("r"), ["id", "type"]))
-    return set(
-        map(tuple, execute_query(query, db, mode=mode, use_indexes=use_indexes).rows)
-    )
+    return set(map(tuple, run(query, db).rows))
 
 
 #: Held across a history: ``<>`` drops NULLs (a guard-free kernel, which
@@ -196,22 +195,18 @@ def test_dml_equals_rebuilt_across_modes_and_access_paths(initial, ops):
     for op in [("read",)] + ops:
         if op[0] != "read":
             _apply(udb, model, op, defs)
-        fresh = prepare(HELD, _build(model))
-        for mode in MODES:
-            assert _confidences(held.run(mode=mode)) == _confidences(
-                fresh.run(mode=mode)
-            ), (op, mode)
+        expected = _confidences(prepare(HELD, _build(model)).run())
+        assert _confidences(held.run()) == expected, op
+        assert _confidences(reference_query(held.query, udb)) == expected, op
     assert udb.index_defs() == sorted(defs)
     rebuilt = _build(model)
     # Poss answers are distinct row sets, one row per alternative
     expected = {
         (i, alt) for i, kind in model for alt in (kind if isinstance(kind, tuple) else (kind,))
     }
-    for mode in MODES:
-        for use_indexes in (True, False):
-            for db in (udb, rebuilt):
-                answer = _answers(db, mode, use_indexes)
-                assert answer == expected, (mode, use_indexes, db is udb)
+    for run in ANSWERERS:
+        for db in (udb, rebuilt):
+            assert _answers(db, run) == expected, (run.__name__, db is udb)
 
 
 writes = st.one_of(inserts, updates, deletes)
@@ -276,7 +271,7 @@ def test_index_ddl_inside_a_write_history(initial, history):
             _apply(udb, model, op, defs, run=writer.execute)
         assert udb.index_defs() == sorted(defs)
         # the reference protocol looks for no access path: pending stays pending
-        assert _answers(udb, "rows", False) == set(committed)
+        assert _answers(udb, reference_query) == set(committed)
 
     for op in history:
         if op[0] != "txn":
@@ -291,12 +286,11 @@ def test_index_ddl_inside_a_write_history(initial, history):
         if end == "commit":
             committed = staged
         assert udb.index_defs() == sorted(defs)
-        assert _answers(udb, "rows", False) == set(committed)
+        assert _answers(udb, reference_query) == set(committed)
     rebuilt = _build(committed)
-    for mode in MODES:
-        for use_indexes in (True, False):
-            assert _answers(udb, mode, use_indexes) == set(committed)
-            assert _answers(rebuilt, mode, use_indexes) == set(committed)
+    for run in ANSWERERS:
+        assert _answers(udb, run) == set(committed)
+        assert _answers(rebuilt, run) == set(committed)
 
 
 @settings(max_examples=40, deadline=None)

@@ -169,25 +169,23 @@ class TestPersistence:
 
 
 class TestIndexedExecutionAgrees:
-    @pytest.mark.parametrize("mode", ["rows", "columns"])
-    def test_translated_query_same_answers(self, mode):
-        from repro.core import execute_query
+    """The executor, with its access paths, answers what the reference
+    (no index) does."""
+
+    def test_translated_query_same_answers(self):
+        from repro.core import execute_query, reference_query
         from repro.sql import parse
 
         udb = small_udb()
         query = parse("possible (select id from r where kind = 'a')")
-        with_idx = execute_query(udb=udb, query=query, mode=mode, use_indexes=True)
-        without = execute_query(udb=udb, query=query, mode=mode, use_indexes=False)
-        assert with_idx == without
+        assert execute_query(query, udb) == reference_query(query, udb)
 
     def test_tpch_smoke_same_answers(self):
-        from repro.core import execute_query
+        from repro.core import execute_query, reference_query
         from repro.tpch import q1, q2, q3
         from repro.ugen import generate_uncertain
 
         bundle = generate_uncertain(scale=0.0005, x=0.01, z=0.25, seed=7)
         for builder in (q1, q2, q3):
             query = builder()
-            assert execute_query(query, bundle.udb, use_indexes=True) == execute_query(
-                query, bundle.udb, use_indexes=False
-            )
+            assert execute_query(query, bundle.udb) == reference_query(query, bundle.udb)

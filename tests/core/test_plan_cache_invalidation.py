@@ -31,7 +31,7 @@ from repro.core import (
     WorldTable,
 )
 from repro.core.descriptor import TOP_VARIABLE
-from repro.core.translate import execute_query
+from repro.core.translate import execute_query, reference_query
 from repro.relational import col, lit, plan_cache_stats
 from repro.relational import plancache
 from repro.relational.index import indexes_on
@@ -167,8 +167,8 @@ class TestInvalidationMatrix:
     def test_lazy_partition_index_first_build_replans_nothing(self):
         """The deferred auto-index build turns pending definitions into
         built ones: the definition set — the planning fact — is the same,
-        so the version stays and a plan cached *without* access paths
-        still hits."""
+        so the version stays and the plan stored by the planning that
+        built them still hits."""
         w = WorldTable({"x": [1, 2]})
         part = URelation.build(
             [(Descriptor(), f"t{i}", (i % 4,)) for i in range(16)],
@@ -177,22 +177,21 @@ class TestInvalidationMatrix:
         )
         udb = UDatabase(w)  # auto_index=True, lazy by default
         udb.add_relation("s", ["v"], [part])
-        assert not getattr(part.relation, "_indexes", None)  # still deferred
-
-        # cache a plan that bypasses access-path discovery entirely
         query = Poss(USelect(Rel("s"), col("v").eq(lit(1))))
-        no_index = execute_query(query, udb, use_indexes=False)
+        # the reference chooses no access path: it builds nothing
+        reference = reference_query(query, udb)
+        assert not getattr(part.relation, "_indexes", None)  # still deferred
         version = udb.catalog_version
         size = plan_cache_stats()["size"]
 
-        # first *indexed* planning materializes the deferred definitions
+        # the first planning materializes the deferred definitions
         indexed = execute_query(query, udb)
         assert indexes_on(part.relation)  # now built
         assert udb.catalog_version == version
-        assert indexed == no_index
-        # the dependent no-index entry still hits
+        assert indexed == reference
+        # the entry it stored, over the facts read before the build, still hits
         stats = plan_cache_stats()
-        assert execute_query(query, udb, use_indexes=False) == no_index
+        assert execute_query(query, udb) == reference
         after = plan_cache_stats()
         assert (after["hits"], after["misses"]) == (stats["hits"] + 1, stats["misses"])
         assert after["invalidations"] == stats["invalidations"]

@@ -1,10 +1,9 @@
-"""Property tests: cached execute_query == fresh execution, all knobs.
+"""Property tests: cached execute_query == fresh execution == reference.
 
-For randomized logical queries over the vehicles database,
-executing through the (warm) prepared-plan cache must be tuple-identical
-to a fresh, cache-free translation for the executor and the ``rows``
-reference, ``use_indexes`` on/off, and fused (columns mode) vs unfused
-(rows) plans.
+For randomized logical queries over the vehicles database, executing
+through the (warm) prepared-plan cache must be tuple-identical to the
+execution that planned afresh, and both to the ``rows()`` reference
+(:func:`~repro.core.translate.reference_query`).
 """
 
 from __future__ import annotations
@@ -12,13 +11,10 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.core import Poss, Rel, UJoin, UProject, UQuery, USelect
-from repro.core.translate import execute_query
+from repro.core.translate import execute_query, reference_query
 from repro.relational import col, lit, plan_cache_stats, reset_plan_cache
 
 from tests.conftest import build_vehicles_udb
-
-modes = st.sampled_from(["rows", "columns"])
-
 
 @st.composite
 def predicates(draw):
@@ -61,34 +57,20 @@ def queries(draw) -> UQuery:
     )
 
 
-@given(queries(), modes, st.booleans())
+@given(queries())
 @settings(max_examples=100, deadline=None)
-def test_cached_query_identical_to_fresh(query, mode, use_indexes):
+def test_cached_query_identical_to_fresh(query):
     udb = build_vehicles_udb()
     reset_plan_cache()
-    cold = execute_query(query, udb, mode=mode, use_indexes=use_indexes)
+    cold = execute_query(query, udb)  # plans afresh
     misses = plan_cache_stats()["misses"]
-    warm = execute_query(query, udb, mode=mode, use_indexes=use_indexes)
-    warm_again = execute_query(query, udb, mode=mode, use_indexes=use_indexes)
+    warm = execute_query(query, udb)
+    warm_again = execute_query(query, udb)
     # the repeated runs were executor-only...
     assert plan_cache_stats()["misses"] == misses
     assert plan_cache_stats()["hits"] >= 2
-    # ...and tuple-identical to the cold run
+    # ...and tuple-identical to the cold run and to the rows() reference
     assert warm == cold
     assert warm_again == cold
     assert sorted(map(repr, warm.rows)) == sorted(map(repr, cold.rows))
-
-
-@given(queries())
-@settings(max_examples=40, deadline=None)
-def test_warm_modes_agree_with_each_other(query):
-    """Fused (columns) and unfused (rows) cached plans agree."""
-    udb = build_vehicles_udb()
-    results = {
-        mode: execute_query(query, udb, mode=mode) for mode in ("rows", "columns")
-    }
-    # warm pass: every mode now runs from its cached plan
-    for mode, cold in results.items():
-        warm = execute_query(query, udb, mode=mode)
-        assert warm == cold
-    assert results["rows"] == results["columns"]
+    assert reference_query(query, udb) == cold

@@ -1,6 +1,6 @@
 """Counted, never timed: what re-executing a cached plan derives.
 
-A plan-cache key is a function of the statement (tree, database, knobs)
+A plan-cache key is a function of the statement (tree and database)
 and a cost class is a function of the plan, so a served request for a
 cached plan walks neither: the ``PreparedQuery`` derived its key once,
 the ``PlanRecord`` carries the class, and the planning facts of a

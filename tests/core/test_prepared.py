@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import PreparedQuery, Poss, Rel, UProject, USelect, execute_query, translate
 from repro.core.prepared import _STATEMENT_CACHE_LIMIT, text_statement
-from repro.core.translate import _cached_physical, explain_query, query_cache_key
+from repro.core.translate import _cached_physical, explain_query, query_cache_key, reference_query
 from repro.core.txn import Transaction
 from repro.core.udatabase import UDatabase
 from repro.core.urelation import URelation, tid_column
@@ -50,10 +50,8 @@ from tests.conftest import build_vehicles_udb
 
 
 def _planned(query, udb):
-    """``(physical plan, was_cached)`` of a query under the default knobs."""
-    record, was_cached = _cached_physical(
-        query, udb, query_cache_key(query, udb), "columns", True
-    )
+    """``(physical plan, was_cached)`` of a query, through the plan cache."""
+    record, was_cached = _cached_physical(query, udb, query_cache_key(query, udb))
     return record.physical, was_cached
 
 
@@ -253,21 +251,20 @@ class TestParamPointLookup:
         min_size=1,
         max_size=8,
     ),
-    st.sampled_from(["rows", "columns"]),
 )
 @settings(max_examples=40, deadline=None)
-def test_prepared_matches_literal_queries(bindings, mode):
-    """Property: for any binding sequence and executor mode, the prepared
-    query answers exactly what the literal query answers."""
+def test_prepared_matches_literal_queries(bindings):
+    """Property: for any binding sequence, the prepared query answers
+    exactly what the literal query answers, executed and by the reference."""
     udb = build_vehicles_udb()
     stmt = prepare("possible (select id from r where type = $1)", udb)
     for value in bindings:
-        got = stmt.run(value, mode=mode)
+        got = stmt.run(value)
         if value is None:
             assert len(got) == 0
             continue
         literal = Poss(UProject(USelect(Rel("r"), col("type").eq(lit(value))), ["id"]))
-        assert got == execute_query(literal, udb, mode=mode)
+        assert got == execute_query(literal, udb) == reference_query(literal, udb)
 
 
 REBOUND_INNER_SIDES = [
@@ -287,17 +284,19 @@ REBOUND_INNER_SIDES = [
 def test_nested_loop_inner_side_follows_each_binding(template, keys, mode):
     """A nested loop drains its inner side once per *execution*: the cached
     (and, for inlined keys, shape-shared) plan must never answer a binding
-    with the inner rows an earlier binding produced."""
+    with the inner rows an earlier binding produced.  ``rows`` runs the
+    statements through the reference, ``columns`` through the executor."""
+    knobs = {"rows": {"mode": "rows", "use_indexes": False}, "columns": {}}[mode]
     udb = build_vehicles_udb()
     statement = prepare(template.format("$1"), udb)
     for key in keys:
         inlined = template.format(repr(key))
-        fresh = PreparedQuery(parse(inlined), build_vehicles_udb()).run(mode=mode)
+        fresh = reference_query(parse(inlined), build_vehicles_udb())
         assert len(fresh) > 0
-        assert statement.run(key, mode=mode) == fresh
+        assert statement.run(key, **knobs) == fresh
         shared, lifted = text_statement(inlined, udb, True)
         assert lifted == (key,)
-        assert shared.run(*lifted, mode=mode) == fresh
+        assert shared.run(*lifted, **knobs) == fresh
         if mode == "columns":
             assert execute_sql(inlined, udb) == fresh
 

@@ -16,6 +16,7 @@ from repro.core import (
     USelect,
     evaluate_in_world,
     execute_query,
+    reference_query,
 )
 from repro.core.equivalences import translate_early, translate_late
 from repro.relational import col, lit
@@ -107,7 +108,7 @@ class TestPaperQueries:
 
     def test_served_plan_and_reference_agree_on_q2(self, full):
         served = execute_query(q2(), full.udb)
-        reference = execute_query(q2(), full.udb, mode="rows", use_indexes=False)
+        reference = reference_query(q2(), full.udb)
         assert sorted(served.rows) == sorted(reference.rows)
 
 

@@ -27,7 +27,12 @@ from repro.core import (
     execute_query,
 )
 from repro.core.probability import ConfidenceAnswer, confidence_relation
-from repro.core.translate import _cached_physical, explain_query, query_cache_key
+from repro.core.translate import (
+    _cached_physical,
+    explain_query,
+    query_cache_key,
+    reference_query,
+)
 from repro.core.urelation import tid_column
 from repro.relational import col, execute, lit
 from repro.relational.plancache import cached_cost_class
@@ -102,16 +107,17 @@ def assert_rows_match(actual, expected):
 
 
 # -- the central equivalence --------------------------------------------
-@given(prob_udatabases(), queries(), st.sampled_from(["rows", "columns"]))
+@given(prob_udatabases(), queries())
 @settings(max_examples=60, deadline=None)
-def test_operator_matches_tuple_at_a_time(udb, query, mode):
-    answer = execute_query(Conf(query, method="exact"), udb, mode=mode)
+def test_operator_matches_tuple_at_a_time(udb, query):
     reference = confidence_relation(
         execute_query(query, udb), udb.world_table, method="exact"
     )
-    assert isinstance(answer, ConfidenceAnswer)
-    assert answer.schema.names == reference.schema.names
-    assert_rows_match(list(answer.rows), list(reference.rows))
+    for run in (execute_query, reference_query):
+        answer = run(Conf(query, method="exact"), udb)
+        assert isinstance(answer, ConfidenceAnswer)
+        assert answer.schema.names == reference.schema.names
+        assert_rows_match(list(answer.rows), list(reference.rows))
 
 
 @given(prob_udatabases(), queries())
@@ -126,9 +132,7 @@ def test_operator_auto_matches_exact_on_small_worlds(udb, query):
 @settings(max_examples=15, deadline=None)
 def test_small_batches_do_not_change_groups(udb, query):
     conf = Conf(query, method="exact")
-    record, _cached = _cached_physical(
-        conf, udb, query_cache_key(conf, udb), "columns", True
-    )
+    record, _cached = _cached_physical(conf, udb, query_cache_key(conf, udb))
     physical = record.physical
     whole = execute(physical)
     chopped = execute(physical, batch_size=1)

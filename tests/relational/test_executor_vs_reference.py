@@ -430,10 +430,9 @@ class TestBatchMechanics:
         with pytest.raises(ValueError, match="'rows' or 'columns'"):
             execute(left(1), mode=mode)
 
-    @pytest.mark.parametrize("mode", ["columns", "rows"])
-    def test_explain_analyze_reports_actuals(self, mode):
+    def test_explain_analyze_reports_actuals(self):
         plan = HashJoin(left(5), right(4), [("l.k", "r.k")])
-        result, text = explain_analyze(plan, batch_size=4, mode=mode)
+        result, text = explain_analyze(plan, batch_size=4)
         assert "actual rows=" in text and "batches=" in text
         assert f"actual rows={len(result)}" in text.splitlines()[0]
 

@@ -114,7 +114,7 @@ class TestFusion:
         rel = Relation(["a", "b"], [(i, i) for i in range(10)])
         plan = Project(Select(Scan(rel, "t"), col("a") > lit(4)), ["b"])
         fused = plan_physical(plan, use_indexes=False, fuse=True)
-        result, text = explain_analyze(fused, mode="columns")
+        result, text = explain_analyze(fused)
         assert len(result) == 5
         first = text.splitlines()[0]
         assert "Fused Pipeline" in first and "actual rows=5" in first
@@ -166,9 +166,7 @@ class TestCompileCache:
         udb = indexed_tpch
         first = PreparedQuery(query, udb).run(*params)
         assert len(first) > 0 and calls["probe_kernel"] > 0
-        record, was_cached = _cached_physical(
-            query, udb, query_cache_key(query, udb), "columns", True
-        )
+        record, was_cached = _cached_physical(query, udb, query_cache_key(query, udb))
         assert was_cached
         plan = record.physical
         calls.update(_structural_key=0, probe_kernel=0)

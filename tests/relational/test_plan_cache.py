@@ -2,8 +2,8 @@
 
 Three families:
 
-* mechanics — hit/miss accounting, one entry per query structure, knob
-  set and database, the entry pinning its database, ``(cached)`` EXPLAIN
+* mechanics — hit/miss accounting, one entry per query structure and
+  database (the ``rows()`` reference adds none), the entry pinning its database, ``(cached)`` EXPLAIN
   marking, the partitions an entry names and reset, through the U-level
   entry points (``execute_query`` / ``explain_query``), the cache's one
   caller;
@@ -26,7 +26,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import Descriptor, UDatabase, URelation, WorldTable
 from repro.core.query import Poss, Rel, UProject, USelect
-from repro.core.translate import execute_query, explain_query, query_cache_key
+from repro.core.translate import (
+    execute_query,
+    explain_query,
+    query_cache_key,
+    reference_query,
+)
 from repro.relational import (
     Relation,
     col,
@@ -85,23 +90,12 @@ class TestMechanics:
         stats = plan_cache_stats()
         assert (stats["misses"], stats["hits"], stats["size"]) == (2, 1, 2)
 
-    def test_modes_share_or_split_entries_correctly(self):
-        udb = build_vehicles_udb()
-        columns = execute_query(tanks(), udb, mode="columns")
-        rows = execute_query(tanks(), udb, mode="rows")  # unfused: a separate plan
-        execute_query(tanks(), udb, mode="rows")
-        stats = plan_cache_stats()
-        assert stats["misses"] == 2 and stats["hits"] == 1
-        assert sorted(columns.rows) == sorted(rows.rows)
-
     def test_query_cache_key_distinguishes_structure(self):
         udb = build_vehicles_udb()
         key = query_cache_key(tanks(), udb)
-        assert key == ("uquery", id(udb), key[2], True, True)
+        assert key == ("uquery", id(udb), key[2])
         assert key == query_cache_key(tanks(), udb)
         assert key != query_cache_key(tanks("Transport"), udb)
-        assert key != query_cache_key(tanks(), udb, mode="rows")
-        assert key != query_cache_key(tanks(), udb, use_indexes=False)
 
     def test_each_database_keys_its_own_entry(self):
         a, b = build_vehicles_udb(), build_vehicles_udb()
@@ -123,21 +117,14 @@ class TestMechanics:
         gc.collect()
         assert ref() is None
 
-    def test_knobs_key_separately(self):
+    def test_one_entry_per_shape_and_none_for_the_reference(self):
         udb = build_vehicles_udb()
-        knob_sets = ({}, {"mode": "rows"}, {"use_indexes": False})
-        for knobs in knob_sets:
-            execute_query(tanks(), udb, **knobs)
-        assert plan_cache_stats()["misses"] == 3
-        # and each repeated combination hits
-        for knobs in knob_sets:
-            execute_query(tanks(), udb, **knobs)
-        assert plan_cache_stats()["hits"] == 3
-        assert {query_cache_key(tanks(), udb, **knobs)[3:] for knobs in knob_sets} == {
-            (True, True),
-            (True, False),
-            (False, True),
-        }
+        reference = reference_query(tanks(), udb)
+        assert plan_cache_stats()["misses"] == 0
+        for _ in range(3):
+            assert execute_query(tanks(), udb) == reference
+        stats = plan_cache_stats()
+        assert (stats["misses"], stats["hits"], stats["size"]) == (1, 2, 1)
 
     def test_explain_marks_cached(self):
         udb = build_vehicles_udb()

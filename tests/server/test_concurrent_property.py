@@ -2,14 +2,14 @@
 
 The serving subsystem's core promise: N threads running a mix of cached,
 prepared, and cold queries — through raw ``execute_query`` and through
-server-bound sessions, across all three execution modes — always receive
+server-bound sessions, and the ``rows()`` reference — always receive
 answers identical to serial execution, even while a DDL thread changes
 the partitions' access paths (index create/drop, statistics refresh)
 under them.
 
 Index DDL never changes *what* a query answers, only how it executes, so
 the serial baseline is well-defined throughout.  Without DDL the
-comparison is byte-identical (same rows, same order, per mode); under
+comparison is byte-identical (same rows, same order, per side); under
 concurrent DDL a plan may legitimately switch access paths mid-run, which
 can permute row order, so that comparison is on row multisets.
 """
@@ -21,7 +21,7 @@ from collections import Counter
 
 import pytest
 
-from repro.core import execute_query
+from repro.core import execute_query, reference_query
 from repro.core.query import Poss, Rel, UJoin, UProject, USelect
 from repro.relational.expressions import col, lit
 from repro.relational.optimizer import refresh_statistics
@@ -30,7 +30,8 @@ from repro.sql import execute_sql
 
 from tests.conftest import build_vehicles_udb, partition_relation
 
-MODES = ["rows", "columns"]
+#: the two ways to answer a query: the ``rows()`` reference and the executor
+MODES = {"rows": reference_query, "columns": execute_query}
 
 
 def _query_pool():
@@ -82,13 +83,13 @@ def test_threads_running_mixed_queries_match_serial_exactly(mode):
     serial answer in the same mode."""
     udb = build_vehicles_udb()
     pool = _query_pool()
-    expected = {name: _rows_of(execute_query(q, udb, mode=mode)) for name, q in pool}
+    expected = {name: _rows_of(MODES[mode](q, udb)) for name, q in pool}
     mismatches = []
 
     def worker(offset):
         for i in range(12):
             name, query = pool[(offset + i) % len(pool)]
-            got = _rows_of(execute_query(query, udb, mode=mode))
+            got = _rows_of(MODES[mode](query, udb))
             if got != expected[name]:
                 mismatches.append((name, mode))
 
@@ -129,8 +130,8 @@ def test_threads_with_concurrent_ddl_match_serial_multisets():
         try:
             for i in range(15):
                 name, query = pool[(offset + i) % len(pool)]
-                mode = MODES[(offset + i) % len(MODES)]
-                got = Counter(_rows_of(execute_query(query, udb, mode=mode)))
+                mode = list(MODES)[(offset + i) % len(MODES)]
+                got = Counter(_rows_of(MODES[mode](query, udb)))
                 if got != expected[name]:
                     mismatches.append((name, mode))
         except Exception as error:  # pragma: no cover - the assertion
@@ -247,7 +248,7 @@ def test_lazy_index_builds_race_free():
 
 def test_concurrent_dml_readers_see_only_statement_boundaries():
     """A writer thread appends rows one statement at a time while reader
-    threads query in all three modes; every answer equals the serial
+    threads query both ways; every answer equals the serial
     answer *after some prefix of the statements* — never a torn state
     where one vertical partition has a row the others lack."""
     inserts = [(100 + i, "Tank" if i % 2 else "Jeep", "Friend") for i in range(12)]
@@ -279,8 +280,8 @@ def test_concurrent_dml_readers_see_only_statement_boundaries():
         try:
             i = 0
             while not done.is_set() or i < 6:
-                mode = MODES[(offset + i) % len(MODES)]
-                answer = frozenset(_rows_of(execute_query(query, udb, mode=mode)))
+                mode = list(MODES)[(offset + i) % len(MODES)]
+                answer = frozenset(_rows_of(MODES[mode](query, udb)))
                 if answer not in states:
                     torn.append((mode, sorted(answer)))
                 i += 1
@@ -299,7 +300,7 @@ def test_concurrent_dml_readers_see_only_statement_boundaries():
     assert not torn
     # the final state is the full serial application, in every mode
     for mode in MODES:
-        assert frozenset(_rows_of(execute_query(query, udb, mode=mode))) == valid[-1]
+        assert frozenset(_rows_of(MODES[mode](query, udb))) == valid[-1]
 
 
 def test_snapshot_reads_stable_under_concurrent_dml():
@@ -558,9 +559,9 @@ def test_compaction_races_readers_writers_and_snapshots():
         try:
             i = 0
             while not done.is_set() or i < 6:
-                mode = MODES[(offset + i) % len(MODES)]
+                mode = list(MODES)[(offset + i) % len(MODES)]
                 check(
-                    frozenset(_rows_of(execute_query(query, udb, mode=mode))),
+                    frozenset(_rows_of(MODES[mode](query, udb))),
                     f"reader-{mode}",
                 )
                 i += 1
@@ -610,11 +611,11 @@ def test_compaction_races_readers_writers_and_snapshots():
         assert len(part.relation.segments()) == 1
         assert part.relation.deleted_ordinals() == frozenset()
     answers = {
-        mode: _rows_of(execute_query(query, udb, mode=mode)) for mode in MODES
+        mode: _rows_of(MODES[mode](query, udb)) for mode in MODES
     }
     for mode in MODES:
         assert sorted(answers[mode]) == sorted(
-            _rows_of(execute_query(query, twin, mode=mode))
+            _rows_of(MODES[mode](query, twin))
         ), mode
     assert answers["rows"] == answers["columns"]
 
