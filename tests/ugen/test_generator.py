@@ -1,10 +1,14 @@
 """Tests for the uncertain TPC-H generator (Section 6 parameters)."""
 
+import gc
+import hashlib
+
 import pytest
 
-from repro.core import Poss, execute_query
+from repro.core import Poss, URelation, execute_query
 from repro.core.reduction import is_reduced
 from repro.tpch import q2
+from repro.tpch.dbgen import generate
 from repro.ugen import KEY_ATTRIBUTES, generate_uncertain
 
 
@@ -124,3 +128,92 @@ class TestWorldSemantics:
         lo_ans = len(execute_query(q2(), lo.udb))
         hi_ans = len(execute_query(q2(), hi.udb))
         assert hi_ans > lo_ans
+
+
+def fixture_digest(bundle):
+    """SHA-256 of every partition's (schema names, d_width, rows), in catalog order."""
+    digest = hashlib.sha256()
+    for name in bundle.udb.relation_names():
+        for part in bundle.udb.partitions(name):
+            digest.update(
+                repr((part.schema.names, part.d_width, list(part.relation.rows))).encode()
+            )
+    return digest.hexdigest()
+
+
+class TestPinnedFixture:
+    """The generator's output, row for row: any change to an RNG draw, its
+    order, a value's type or a row's encoding moves these digests."""
+
+    @pytest.fixture(scope="class")
+    def pinned(self):
+        return generate_uncertain(scale=0.0005, x=0.1, z=0.25, seed=1)
+
+    def test_uncertain_fixture_digest(self, pinned):
+        assert fixture_digest(pinned) == (
+            "83b5a4d47308ab1d8be0fb0cdbd80ea1274cccdca7a1cd50c3640f6d67d35703"
+        )
+
+    def test_one_world_fixture_digest(self):
+        bundle = generate_uncertain(scale=0.0005, x=0.0, z=0.25, seed=1)
+        assert fixture_digest(bundle) == (
+            "996efe81d10d23fed52cfb1f559329df2dceae31071f8ae0ea47389ee59c1bc9"
+        )
+
+    def test_rows_are_the_descriptor_encoding(self, pinned):
+        """Decoding each partition and re-encoding it through
+        ``URelation.build`` gives back the generated rows, type for type
+        (``repr`` tells ``1`` from ``True`` and ``1.0``)."""
+        for name in pinned.udb.relation_names():
+            for part in pinned.udb.partitions(name):
+                rebuilt = URelation.build(
+                    ((d, tids[0], values) for d, tids, values in part),
+                    part.tid_names[0],
+                    part.value_names,
+                    d_width=1,
+                )
+                assert rebuilt.schema.names == part.schema.names
+                assert repr(list(rebuilt.relation.rows)) == repr(list(part.relation.rows))
+
+
+class TestCollectorPause:
+    """Generation pauses the cyclic collector and hands back the caller's
+    setting, whatever it was and however generation ends."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_is_restored(self, enabled):
+        (gc.enable if enabled else gc.disable)()
+        generate_uncertain(scale=0.0005, x=0.1, seed=2, tables=["nation"])
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_is_restored_when_generation_raises(self, enabled):
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(KeyError):
+            generate_uncertain(scale=0.0005, x=0.1, seed=2, tables=["nope"])
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValueError):
+            generate_uncertain(x=1.5)
+        assert gc.isenabled() is enabled
+
+    def test_collector_is_paused_while_generating(self, monkeypatch):
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr("repro.ugen.generator.generate", spy)
+        gc.enable()
+        generate_uncertain(scale=0.0005, x=0.1, seed=2, tables=["nation"])
+        assert seen == [False]
+        assert gc.isenabled()
