@@ -24,6 +24,7 @@ lands on the live partition or not at all.
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
 from typing import (
@@ -345,11 +346,14 @@ class UDatabase:
         and swap them all in with one :meth:`publish` under the write
         lock.  Readers and pinned snapshots keep the old immutable
         relation objects; the swap is indistinguishable from any other
-        write.  It is the only operation that rebuilds derived state: the
-        new base segment builds whatever the segments it replaces had built
-        (column vectors, index structures, probe tables), so the reads
-        after it build nothing; index definitions and statistics carry over
-        as they are (still-deferred definitions stay deferred).  The world
+        write.  The new base reuses the old base's slots, dead ones refilled
+        by the rows written since, and holds whatever the old base had
+        built (column vectors, counts, index structures, probe tables),
+        edited at the slots it touched, so its cost follows the rows
+        written and deleted since the last compaction and the reads after
+        it build nothing; a compacted partition's rows come in slot order.
+        Index definitions and statistics carry over as they are
+        (still-deferred definitions stay deferred).  The world
         table is never touched.
 
         Emits ``compactions_total`` (per rewritten relation) and observes
@@ -399,6 +403,13 @@ class UDatabase:
                     compacted.append(name)
             if rewrites:
                 self.publish(rewrites)
+        if rewrites:
+            # the new bases are a few very large containers (row lists,
+            # tables, sorted arrays), too few to set off a young collection
+            # themselves: the next one, in whichever request allocates
+            # next, would walk every slot of them.  Walk them here, in the
+            # VACUUM that made them.
+            gc.collect(0)
         seconds = time.perf_counter() - started
         if compacted:
             total = counter(

@@ -21,7 +21,9 @@ version holding the segment shares it.  An :class:`Index` is a handle over
 one version: its definition plus that version's segments and dead
 positions.  A lookup reads each segment's structure and drops the dead
 rows, so an append indexes the new segment alone, a delete indexes
-nothing, and only a compaction's new base segment is indexed again.
+nothing, and a compaction's new base segment takes the old base's
+structures and probe tables with edits for the slots it refilled or
+vacated (``_edit``; the rows it places are indexed again, no others).
 
 Indexes *attach* to the :class:`~repro.relational.relation.Relation` they
 cover (a private slot on the relation object), and that slot is the only
@@ -47,10 +49,11 @@ import threading
 import weakref
 from bisect import bisect_left, bisect_right
 from functools import partial
+from itertools import chain
 from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .relation import Relation, Segment
+from .relation import EDIT_RULES, Refill, Relation, Segment
 
 __all__ = [
     "Index",
@@ -102,6 +105,47 @@ def _segment_probe_table(segment: Segment, kind: str, positions: Tuple[int, ...]
     """The :func:`probe_table` over one segment's rows (memoized on it)."""
     structure = segment.memo(_structure, kind, positions)
     return _KIND_CLASSES[kind]._probe_table(segment.rows, structure)
+
+
+def _edited_structure(structure: Any, refill: Refill, kind: str, positions: Tuple[int, ...]) -> Any:
+    return _KIND_CLASSES[kind]._edit(structure, refill.removed, refill.placed, positions)
+
+
+def _edited_probe_table(
+    table: Dict[Any, Any], refill: Refill, kind: str, positions: Tuple[int, ...]
+) -> Dict[Any, Any]:
+    """The old base's probe table, copied, with every key a touched slot
+    held or holds looked up again in the new base's structure."""
+    structure = refill.carry(_structure, kind, positions)
+    hits_of = _KIND_CLASSES[kind]._hits
+    rows = refill.new.rows
+    table = table.copy()
+    touched = set(map(_key_getter(positions), chain(refill.removed.values(), refill.placed.values())))
+    touched.discard(None)
+    for key in touched:
+        hits = hits_of(structure, key)
+        if not hits:
+            table.pop(key, None)
+        else:
+            table[key] = rows[hits[0]] if len(hits) == 1 else list(map(rows.__getitem__, hits))
+    return table
+
+
+def _spliced(old: List[Any], cuts: List[tuple], value: Callable[[Any, int], Any]) -> List[Any]:
+    """``old`` with each ``(at, 1)`` cut's entry dropped and each ``(at, 0,
+    key, slot)`` cut's ``value(key, slot)`` inserted before ``old[at]``
+    (``cuts`` ascending); the runs between cuts are copied as slices."""
+    out: List[Any] = []
+    start = 0
+    for at, drop, *entry in cuts:
+        out += old[start:at]
+        if drop:
+            start = at + 1
+        else:
+            start = at
+            out.append(value(*entry))
+    out += old[start:]
+    return out
 
 
 def _live_probe(
@@ -187,6 +231,15 @@ class Index:
     @staticmethod
     def _build(rows: Sequence[Row], positions: Tuple[int, ...]) -> Any:
         """The structure over one segment's ``rows``."""
+        raise NotImplementedError
+
+    @staticmethod
+    def _edit(
+        structure: Any, removed: Dict[int, Row], placed: Dict[int, Row], positions: Tuple[int, ...]
+    ) -> Any:
+        """The structure over a compaction's new base, from the old base's
+        ``structure`` and the :class:`~repro.relational.relation.Refill`'s
+        ``removed`` / ``placed`` slots: a copy, never a change."""
         raise NotImplementedError
 
     @staticmethod
@@ -308,6 +361,38 @@ class HashIndex(Index):
         return table, len(keys) - keys.count(None)
 
     @staticmethod
+    def _edit(
+        structure: Any, removed: Dict[int, Row], placed: Dict[int, Row], positions: Tuple[int, ...]
+    ) -> Tuple[Dict[Any, Any], int]:
+        key_of = _key_getter(positions)
+        gone: Dict[Any, set] = {}
+        for slot, row in removed.items():
+            key = key_of(row)
+            if key is not None:
+                gone.setdefault(key, set()).add(slot)
+        came: Dict[Any, List[int]] = {}
+        for slot, row in placed.items():
+            key = key_of(row)
+            if key is not None:
+                came.setdefault(key, []).append(slot)
+        table, size = structure
+        table = table.copy()
+        for key in gone.keys() | came.keys():
+            held = table.get(key)
+            slots = () if held is None else held if type(held) is list else (held,)
+            drop = gone.get(key)
+            if drop:
+                slots = [slot for slot in slots if slot not in drop]
+            if key in came:
+                slots = sorted([*slots, *came[key]])
+            if not slots:
+                del table[key]
+            else:  # a new list: the old one may be shared
+                table[key] = slots[0] if len(slots) == 1 else slots
+        size += sum(map(len, came.values())) - sum(map(len, gone.values()))
+        return table, size
+
+    @staticmethod
     def _probe_table(rows: Sequence[Row], structure: Any) -> Dict[Any, Any]:
         return {
             key: rows[held] if type(held) is int else list(map(rows.__getitem__, held))
@@ -361,6 +446,30 @@ class SortedIndex(Index):
         keys = list(map(keys.__getitem__, order))
         first = keys if len(positions) == 1 else [key[0] for key in keys]
         return keys, order, first
+
+    @staticmethod
+    def _edit(
+        structure: Any, removed: Dict[int, Row], placed: Dict[int, Row], positions: Tuple[int, ...]
+    ) -> Tuple[List[Any], List[int], List[Any]]:
+        """Spliced at bisected points: a removed slot's entry is dropped
+        and a placed slot's goes before the first entry above it (key,
+        then slot).  Raises ``TypeError`` when a key does not compare."""
+        keys, order, first = structure
+        key_of = _key_getter(positions)
+        cuts: List[tuple] = []  # (at, 1): drop entry at; (at, 0, key, slot): insert before it
+        for drop, rows in ((1, removed), (0, placed)):
+            for slot, row in rows.items():
+                key = key_of(row)
+                if key is not None:
+                    lo = bisect_left(keys, key)
+                    at = bisect_left(order, slot, lo, bisect_right(keys, key, lo))
+                    cuts.append((at, 1) if drop else (at, 0, key, slot))
+        cuts.sort()
+        keys = _spliced(keys, cuts, lambda key, slot: key)
+        order = _spliced(order, cuts, lambda key, slot: slot)
+        if len(positions) == 1:
+            return keys, order, keys
+        return keys, order, _spliced(first, cuts, lambda key, slot: key[0])
 
     @staticmethod
     def _probe_table(rows: Sequence[Row], structure: Any) -> Dict[Any, Any]:
@@ -436,6 +545,8 @@ class SortedIndex(Index):
 
 
 _KIND_CLASSES = {"hash": HashIndex, "sorted": SortedIndex}
+EDIT_RULES[_structure] = _edited_structure
+EDIT_RULES[_segment_probe_table] = _edited_probe_table
 
 
 def probe_table(entries: Iterable[Tuple[Any, Row]]) -> Dict[Any, Any]:

@@ -10,10 +10,12 @@ segment.
 
 The write path never copies a version: an append adds one segment, a
 delete adds positions to the vector, and only a compaction (``VACUUM``)
-writes the live rows into one new base segment.  Everything derived from
-a segment's own rows - its column vectors, NULL and all-equal counts,
-index structures and join probe tables - is built on the segment, once,
-and shared by identity by every version that holds it; a version keeps
+writes the live rows into one new base segment, reusing the old base's
+slots (:meth:`Relation.compacted`).  Everything derived from a segment's
+own rows - its column vectors, NULL and all-equal counts, index
+structures and join probe tables - is built on the segment, once, and
+shared by identity by every version that holds it; a compaction's new
+base gets the old base's by edits (:data:`EDIT_RULES`).  A version keeps
 only what depends on all of its rows (index definitions, statistics,
 planning facts).  :attr:`Relation.rows` is the live rows as one sequence,
 built on demand when the version is more than one clean segment.
@@ -26,14 +28,14 @@ a SQL engine; convenience set-style helpers are provided for tests.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import chain, compress, islice
+from itertools import chain, compress, islice, repeat
 from operator import countOf, itemgetter, not_
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .schema import Schema, SchemaError
 from .types import DataType, format_value, infer_type
 
-__all__ = ["Relation", "Segment", "live_rows"]
+__all__ = ["Relation", "Refill", "Segment", "live_rows"]
 
 Row = Tuple[Any, ...]
 
@@ -65,22 +67,14 @@ class Segment:
         ``build`` is a module-level function and, with ``args``, the key.
         Threads racing on a first use each build an equal value and the
         first one stored stays (``dict.setdefault``): a filled entry never
-        changes.  :meth:`replay` re-derives the keys on another segment.
+        changes.  A compaction carries the entries over to its new base
+        segment by :meth:`Refill.carry`.
         """
         key = (build, *args)
         value = self._memo.get(key)
         if value is None:
             value = self._memo.setdefault(key, build(self, *args))
         return value
-
-    def replay(self, other: "Segment") -> None:
-        """Build here everything ``other`` has built (a compaction's base
-        segment takes over what the segments it replaces had)."""
-        for build, *args in list(other._memo):
-            try:
-                self.memo(build, *args)
-            except TypeError:
-                pass  # sorted keys that compared per segment but not merged
 
     def columns(self, width: int) -> List[tuple]:
         """The rows transposed to ``width`` per-column vectors."""
@@ -103,6 +97,84 @@ def _nulls(segment: Segment, width: int) -> Dict[int, int]:
     """Per column holding NULL in some row: how many rows hold it."""
     counts = (_count(segment, position, None) for position in range(width))
     return {position: held for position, held in enumerate(counts) if held}
+
+
+def _edited_columns(columns: List[tuple], refill: "Refill", width: int) -> List[tuple]:
+    size = len(refill.new.rows)
+    slots = list(refill.placed)
+    rows = list(refill.placed.values())
+    edited = []
+    for position, column in enumerate(columns):
+        column = list(column)
+        del column[size:]
+        column.extend(repeat(None, size - len(column)))
+        for slot, value in zip(slots, map(itemgetter(position), rows)):
+            column[slot] = value
+        edited.append(tuple(column))
+    return edited
+
+
+def _edited_count(held: int, refill: "Refill", position: int, value: Any) -> int:
+    out = countOf(map(itemgetter(position), refill.removed.values()), value)
+    return held - out + countOf(map(itemgetter(position), refill.placed.values()), value)
+
+
+def _edited_nulls(nulls: Dict[int, int], refill: "Refill", width: int) -> Dict[int, int]:
+    counts = (
+        _edited_count(nulls.get(position, 0), refill, position, None)
+        for position in range(width)
+    )
+    return {position: held for position, held in enumerate(counts) if held}
+
+
+#: Per memoized build function, its edit rule: ``rule(value, refill,
+#: *args)`` is ``build(refill.new, *args)``, computed from ``value``, the
+#: old base's ``build(refill.old, *args)``, in work proportional to the
+#: slots the refill touches (:mod:`repro.relational.index` adds the index
+#: structures' and probe tables' rules).
+EDIT_RULES: Dict[Callable[..., Any], Callable[..., Any]] = {
+    _transpose: _edited_columns,
+    _count: _edited_count,
+    _nulls: _edited_nulls,
+}
+
+#: A compaction edits the old base's derived state while the slots it
+#: may touch are at most this share of the new base's rows, and builds it
+#: afresh above (see :meth:`Relation.compacted`).
+EDIT_SHARE = 0.25
+
+
+class Refill(NamedTuple):
+    """How a compaction's new base segment differs from the old base.
+
+    ``removed`` maps each slot of the old base whose row leaves it (a dead
+    row, or a live row moved into a hole) to that row, ``placed`` each
+    slot of the new base that takes a row to that row; every other slot
+    holds the same row in both.  :meth:`carry` moves the old base's
+    derived state over by :data:`EDIT_RULES`.
+    """
+
+    old: Segment
+    new: Segment
+    removed: Dict[int, Row]
+    placed: Dict[int, Row]
+
+    def carry(self, build: Callable[..., Any], *args: Any) -> Any:
+        """``new.memo(build, *args)``, edited from the old base's value when
+        it has one and ``build`` has a rule.  Never shared yet: the new
+        segment is the compaction's own until it is published."""
+        key = (build, *args)
+        memo = self.new._memo
+        value = memo.get(key)
+        if value is None:
+            held = self.old._memo.get(key)
+            rule = EDIT_RULES.get(build)
+            if held is None or rule is None:
+                value = build(self.new, *args)
+            else:
+                value = rule(held, self, *args)
+            memo[key] = value
+        return value
 
 
 def _live(segment: Segment, dead: frozenset) -> Iterable[Row]:
@@ -302,12 +374,30 @@ class Relation:
         return self._next(runs, changed)
 
     def compacted(self) -> "Relation":
-        """A new relation value with every live row in one fresh base segment.
+        """A new relation value whose live rows are one fresh base segment,
+        laid out like PostgreSQL's plain ``VACUUM`` reuses tuple slots.
 
-        The write path's merge step, and the only one that rebuilds
-        derived state: the base segment builds whatever the replaced
-        segments had built (column vectors, counts, index structures,
-        probe tables), so the reads after it build nothing.  Returns
+        The new base starts as a copy of the old base's row list: each dead
+        slot takes a live row of the later segments, the rows left over go
+        at the end, and while dead slots outnumber them the last live rows
+        move into the holes.  Every other row keeps its slot, so a
+        compacted relation's row order is slot order, not insertion order.
+
+        Whatever the old base had built (column vectors, counts, index
+        structures, probe tables) the new base holds too, and the reads
+        after it build nothing: each is the old value plus edits for the
+        slots the refill touches (:class:`Refill`, :data:`EDIT_RULES`);
+        what only the later segments had built is built on first use.
+        The old values are copied where edited, never changed, so a version
+        pinned before the compaction answers as before.  Once the slots it
+        may touch (each new row, and each dead slot twice) exceed
+        :data:`EDIT_SHARE` of the new base's rows (a bulk load into a small
+        base), building afresh is the cheaper way and is what runs: on a
+        7 310-row partition with a hash and a sorted index, probe tables,
+        column vectors and counts, editing costs as much as building at
+        about a quarter.  A sorted index whose keys no longer compare
+        builds nothing here and becomes pending
+        (:func:`~repro.relational.index.reattach_indexes`).  Returns
         ``self`` when already compact (one segment, nothing deleted), so
         callers can detect no-ops by identity.
 
@@ -320,9 +410,44 @@ class Relation:
         runs = self._runs
         if len(runs) == 1 and not runs[0][1]:
             return self
-        base = Segment(max(segment.segment_id for segment, _ in runs) + 1, list(self))
-        for segment, _ in runs:
-            base.replay(segment)
+        old, dead = runs[0]
+        rows = old.rows[:]
+        size = len(rows)
+        fresh = list(live_rows(runs[1:]))
+        holes = sorted(dead)
+        # a hole is vacated and filled, a new row placed: at most this many
+        # slots change, and only an edit needs them written down
+        edit = len(fresh) + 2 * len(holes) <= EDIT_SHARE * (size + len(fresh) - len(holes))
+        removed: Dict[int, Row] = {}
+        placed: Dict[int, Row] = {}
+        for slot, row in zip(holes, fresh):
+            removed[slot] = rows[slot]
+            rows[slot] = placed[slot] = row
+        filled = min(len(holes), len(fresh))
+        extra = fresh[filled:]
+        if edit:
+            placed.update(zip(range(size, size + len(extra)), extra))
+        rows.extend(extra)
+        left = holes[filled:]
+        if left:
+            # the last live rows move into the lowest holes; the slots from
+            # ``end`` on, holes and movers alike, are vacated
+            end = size - len(left)
+            vacant = set(left)
+            movers = (slot for slot in range(end, size) if slot not in vacant)
+            for hole, slot in zip((hole for hole in left if hole < end), movers):
+                removed[hole] = rows[hole]
+                rows[hole] = placed[hole] = rows[slot]
+            if edit:
+                removed.update(zip(range(end, size), rows[end:]))
+            del rows[end:]
+        base = Segment(max(segment.segment_id for segment, _ in runs) + 1, rows)
+        carry = Refill(old, base, removed, placed).carry if edit else base.memo
+        for build, *args in list(old._memo):
+            try:
+                carry(build, *args)
+            except TypeError:
+                pass  # sorted keys that no longer compare: the index goes pending
         return self._next(((base, _NOTHING),), 0)
 
     # ------------------------------------------------------------------

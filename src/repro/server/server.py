@@ -362,21 +362,21 @@ def _result_payload(result: Any) -> Dict[str, Any]:
         return {
             "ok": True,
             "columns": list(relation.schema.names),
-            "rows": [list(row) for row in relation.rows],
+            "rows": relation.rows,
             "urelation": True,
         }
     if isinstance(result, ConfidenceAnswer):
         return {
             "ok": True,
             "columns": list(result.schema.names),
-            "rows": [list(row) for row in result.rows],
+            "rows": result.rows,
             "conf": dict(result.conf),
         }
     if isinstance(result, Relation):
         return {
             "ok": True,
             "columns": list(result.schema.names),
-            "rows": [list(row) for row in result.rows],
+            "rows": result.rows,
         }
     if isinstance(result, DMLResult):
         return {

@@ -253,11 +253,25 @@ def _combinations(
 def _alternatives(
     rng: random.Random, coord: FieldCoord, original: Any, m: int
 ) -> List[Any]:
-    """``m_i`` alternative values for one field (original first)."""
+    """``m_i`` alternative values for one field (original first).
+
+    Up to ``20 * m_i`` draws until ``m_i`` distinct values are seen.  A
+    field over a short value list (:data:`_CHOICES`) can run out of new
+    values first: its remaining draws are then made bare, as the same
+    ``rng.choice`` calls, so the random stream - and every later row - is
+    the one the full loop would draw.
+    """
     m_i = rng.randint(2, max(m, 2))
     seen = {repr(original): original}  # insertion-ordered: the first of equal reprs
+    values = _CHOICES.get(coord[2])
+    # how many distinct values the field can reach: the list and the original
+    reachable = len(_CHOICE_REPRS[coord[2]] | {repr(original)}) if values else None
     attempts = 0
     while len(seen) < m_i and attempts < 20 * m_i:
+        if len(seen) == reachable:
+            for _ in range(20 * m_i - attempts):
+                rng.choice(values)
+            break
         candidate = _random_value(rng, coord, original)
         attempts += 1
         seen.setdefault(repr(candidate), candidate)
@@ -272,6 +286,7 @@ _CHOICES = {
     "returnflag": ["R", "A", "N"],
     "linestatus": ["F", "O", "P"], "orderstatus": ["F", "O", "P"],
 }
+_CHOICE_REPRS = {attr: frozenset(map(repr, values)) for attr, values in _CHOICES.items()}
 _INT_BOUNDS = {"quantity": 50, "size": 50, "availqty": 9999}
 _RATE_BOUNDS = {"discount": 0.10, "tax": 0.08}
 

@@ -9,6 +9,12 @@ deterministic: over a partition with its tid hash index and a sorted value
 index built, a one-row INSERT and a one-row DELETE, each followed by a
 point lookup through the tid index, allocate within 2x of each other at
 the two sizes.
+
+VACUUM after the same few writes is counted, not timed either: the rows
+the index builders (``_build``), a compaction's edits (``_edit``: the
+slots it vacates and the rows it places) and the probe-table builders
+touch in interpreted code are the same at both sizes.  Only C-level
+copies of the base's tables and vectors grow with it.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import tracemalloc
 
 from repro.core.descriptor import Descriptor
 from repro.core.urelation import URelation, tid_column
-from repro.relational.index import ensure_index
+from repro.relational.index import HashIndex, SortedIndex, ensure_index
 
 SIZES = (10_000, 200_000)
 TID = tid_column("events")
@@ -77,3 +83,37 @@ def test_a_one_row_write_allocates_alike_at_10k_and_200k_rows():
         deleted.append(bytes_out)
     assert max(inserted) <= 2 * min(inserted), inserted
     assert max(deleted) <= 2 * min(deleted), deleted
+
+
+def _vacuum_work(monkeypatch, rows: int):
+    """Rows touched by index builds, compaction edits and probe-table
+    builds while a VACUUM after a few writes runs, over ``rows`` rows."""
+    relation = _partition(rows)
+    for index in relation._indexes:
+        index.probe_lookup()  # the base's probe tables, built before
+    written = relation.with_appended([relation.rows[3]] * 4).with_deleted([5, 9])
+    touched = []
+
+    def wrap(cls, name, size):
+        real = getattr(cls, name)
+
+        def counted(*args):
+            touched.append(size(*args))
+            return real(*args)
+
+        monkeypatch.setattr(cls, name, staticmethod(counted))
+
+    for cls in (HashIndex, SortedIndex):
+        wrap(cls, "_build", lambda rows, positions: len(rows))
+        wrap(cls, "_edit", lambda structure, removed, placed, positions: len(removed) + len(placed))
+        wrap(cls, "_probe_table", lambda rows, structure: len(rows))
+    vacuumed = written.compacted()
+    monkeypatch.undo()
+    assert len(vacuumed) == rows + 2 and len(vacuumed.segments()) == 1
+    assert len(_tid_index(vacuumed).lookup(3)) == 5
+    return sum(touched)
+
+
+def test_a_vacuum_after_a_few_writes_touches_alike_at_10k_and_200k_rows(monkeypatch):
+    work = [_vacuum_work(monkeypatch, rows) for rows in SIZES]
+    assert work[0] == work[1] and 0 < work[0] <= 2 * (4 + 2), work

@@ -7,9 +7,11 @@ tests pin that down by counting, never by timing: the per-segment index
 builders (``HashIndex._build``, ``SortedIndex._build``) are wrapped to
 record every row they index, and ``ColumnStats.__init__`` to count
 statistics, and a mixed write/read sequence over an indexed relation must
-index no row twice - except that VACUUM's new base segment indexes the
-live rows once more - and recompute statistics only once the writes cross
-the analyze threshold, and on ``refresh_statistics``.  The per-column
+index no row twice - except that VACUUM indexes the rows it places in its
+new base once more, by editing the old base's structures
+(``HashIndex._edit``, ``SortedIndex._edit``, wrapped the same way) - and
+recompute statistics only once the writes cross the analyze threshold,
+and on ``refresh_statistics``.  The per-column
 all-⊤ fact the translation reads, and the join probe tables, are counted
 the same way, and so are the plans built after a warm-up.  The last test
 counts superseded relation versions still alive after writes through a
@@ -29,7 +31,7 @@ from repro.core.translate import explain_query
 from repro.core.udatabase import UDatabase
 from repro.core.urelation import URelation, tid_column
 from repro.relational import Relation, plan_cache_stats, refresh_statistics
-from repro.relational.relation import Segment
+from repro.relational.relation import Segment, live_rows
 from repro.relational.index import HashIndex, SortedIndex
 from repro.relational.statistics import (
     ANALYZE_SCALE_FACTOR,
@@ -86,8 +88,9 @@ class Built:
 
 @pytest.fixture
 def built(monkeypatch):
-    """Record the rows the per-segment index builders index, and count
-    column statistics computed from scratch."""
+    """Record the rows the per-segment index builders index, and the rows
+    a compaction's edits place, and count column statistics computed from
+    scratch."""
     seen = Built()
     for cls in (HashIndex, SortedIndex):
         real = cls._build
@@ -97,6 +100,13 @@ def built(monkeypatch):
             return real(rows, positions)
 
         monkeypatch.setattr(cls, "_build", staticmethod(counted))
+        real_edit = cls._edit
+
+        def edited(structure, removed, placed, positions, real=real_edit, kind=cls.kind):
+            seen.indexed.update((kind, positions, id(row)) for row in placed.values())
+            return real(structure, removed, placed, positions)
+
+        monkeypatch.setattr(cls, "_edit", staticmethod(edited))
     real_stats = ColumnStats.__init__
 
     def counting_stats(self, *args, **kwargs):
@@ -146,10 +156,20 @@ def test_writes_and_the_reads_after_them_index_no_row_twice(built):
     assert built.rows() == 2 * written
     assert built.stats == 0
 
-    # VACUUM's base segment is the one re-indexing: each live row once more
+    # VACUUM indexes only the rows it places: the live rows written since
+    # the last one fill the base's dead slots and go at its end, and each
+    # index takes them by edits; no row of the base is indexed again
+    placed = [
+        id(row)
+        for part in udb.partitions("events")
+        for row in live_rows(part.relation._runs[1:])
+    ]
     execute_sql("vacuum events", udb)
-    live = sum(len(part.relation) for part in udb.partitions("events"))
-    assert built.rows() == 2 * written + 2 * live
+    assert built.rows() == 2 * written + 2 * len(placed)
+    vacuumed = Counter()
+    for (_, _, row), count in built.indexed.items():
+        vacuumed[row] += count
+    assert all(vacuumed[row] == 4 for row in placed)  # appended, then placed
     built.reset()
     execute_sql("insert into events values (5002, 'late', 3)", udb)
     assert _lookup(udb, 5002) == {("late", 3)}

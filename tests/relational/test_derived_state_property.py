@@ -13,14 +13,27 @@ compactions, with the structures built at random points:
   ``len`` - and a range ``Index Scan``'s columns (gathered per segment by
   row position) equal its ``rows()``;
 * the parent version is never changed: it answers every one of those
-  the same after the derivation as before.
+  the same after the derivation as before;
+* everything a segment has memoized equals a fresh build over its rows -
+  which, on a compaction's new base, checks the edits that carried the
+  old base's structures over (``Refill``).
+
+Explicit examples pin the three shapes a compaction takes: more rows
+placed than slots vacated, more vacated than placed (the last live rows
+move into the holes), and deletes only.
 """
 
 from __future__ import annotations
 
+from unittest import mock
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.relational.relation as relation_module
 from repro.relational import Relation
+from repro.relational.index import HashIndex, SortedIndex
+from repro.relational.relation import Segment
 from repro.relational.index import (
     attached_index_defs,
     build_index,
@@ -146,6 +159,13 @@ def _assert_like_fresh(relation):
                     assert execute(scan, batch_size=2).rows == list(scan.rows())
 
 
+def _assert_memos_like_fresh(relation):
+    """Every value memoized on a segment equals a fresh build over its rows."""
+    for segment in relation.segments():
+        for (build, *args), value in list(segment._memo.items()):
+            assert value == build(Segment(0, segment.rows), *args), (build.__name__, args)
+
+
 def _assert_segments_agree(relation):
     """The delete vector describes exactly the live rows."""
     rebuilt = Relation.from_segments(
@@ -194,9 +214,15 @@ def _apply(relation, op):
     return relation
 
 
+@pytest.mark.parametrize("share", [0.0, float("inf")], ids=["vacuum-builds", "vacuum-edits"])
 @settings(max_examples=150, deadline=None)
-@given(histories)
-def test_every_version_answers_like_a_fresh_build_and_parents_are_untouched(history):
+@given(history=histories)
+def test_every_version_answers_like_a_fresh_build_and_parents_are_untouched(share, history):
+    with mock.patch.object(relation_module, "EDIT_SHARE", share):
+        _check_history(history)
+
+
+def _check_history(history):
     initial, steps = history
     relation = Relation(SCHEMA, initial)
     for op in steps:
@@ -209,6 +235,7 @@ def test_every_version_answers_like_a_fresh_build_and_parents_are_untouched(hist
                 i.name for i in built_indexes_on(relation)
             }
         _assert_like_fresh(successor)
+        _assert_memos_like_fresh(successor)
         _assert_segments_agree(successor)
         relation = successor
 
@@ -262,3 +289,103 @@ def test_all_equal_facts_follow_every_write():
     assert [v for k, v in base._memo.items() if k[1:] == (1, "x")] == [2]
     assert not relation.column_all_equal(0, 1)  # parents untouched
     assert Relation(SCHEMA, []).column_all_equal(1, "x")  # vacuously
+
+
+def _fully_built(rows):
+    """A relation with every index kind, column vectors, counts and probe
+    tables built on its segment."""
+    relation = Relation(SCHEMA, rows)
+    for kind, columns in [("hash", "a"), ("hash", "ab"), ("sorted", "a"), ("sorted", "ba")]:
+        ensure_index(relation, list(columns), kind=kind)
+    _apply(relation, ("touch", "columns"))
+    _apply(relation, ("touch", "equal"))
+    _apply(relation, ("touch", "probe"))
+    relation.null_columns()
+    return relation
+
+
+#: Large enough that each shape below touches under ``EDIT_SHARE`` of it:
+#: the compaction edits.
+@pytest.fixture
+def ways(monkeypatch):
+    """The names (``_build`` / ``_edit``) of the index structure builders
+    and editors called, in order."""
+    calls = []
+    for cls in (HashIndex, SortedIndex):
+        for name in ("_build", "_edit"):
+            real = getattr(cls, name)
+
+            def counted(*args, real=real, name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(cls, name, staticmethod(counted))
+    return calls
+
+
+BASE_ROWS = [((i % 4) or None, B_VALUES[i % 3], i) for i in range(60)]
+
+
+@pytest.mark.parametrize(
+    "appended, deleted",
+    [
+        # more rows placed than slots vacated: holes refilled, the rest at the end
+        ([(1, "z", 20), (2, "x", 21), (None, "y", 22), (3, "z", 23)], [2, 5]),
+        # more vacated than placed: the last live rows move into the holes
+        ([(1, "x", 30)], [0, 3, 6, 10, 11]),
+        # deletes only
+        ([], [1, 4, 7, 8]),
+    ],
+    ids=["placed-more", "vacated-more", "deletes-only"],
+)
+def test_vacuum_shapes_edit_like_fresh_builds(ways, appended, deleted):
+    base = _fully_built(BASE_ROWS)
+    pinned = base.with_appended(appended).with_deleted(deleted)
+    for index in built_indexes_on(pinned):
+        _probed(index, _keys_of(index)[0])  # the appended segment's tables too
+    before = _answers(pinned)
+    ways.clear()
+    vacuumed = pinned.compacted()
+    assert ways == ["_edit"] * 4  # every index's structure, by edits
+    (segment,) = vacuumed.segments()
+    assert segment._memo.keys() == base.segments()[0]._memo.keys()
+    _assert_like_fresh(vacuumed)
+    _assert_memos_like_fresh(vacuumed)
+    assert vacuumed == pinned  # the same bag of rows
+    # the rows that stay below the new end keep their slots
+    end = len(vacuumed.rows)
+    kept = [p for p in range(min(end, len(BASE_ROWS))) if p not in deleted]
+    for p in kept:
+        assert vacuumed.rows[p] is BASE_ROWS[p]
+    # the version pinned before the VACUUM answers exactly as before
+    assert _answers(pinned) == before
+    _assert_memos_like_fresh(pinned)
+    _assert_memos_like_fresh(base)
+
+
+def test_vacuum_shapes_place_rows_in_slot_order():
+    rows = [(i, "x", i) for i in range(6)]
+    relation = Relation(SCHEMA, rows)
+    refilled = relation.with_appended([(10, "y", 10), (11, "y", 11), (12, "y", 12)])
+    refilled = refilled.with_deleted([1, 4]).compacted()
+    assert [r[0] for r in refilled.rows] == [0, 10, 2, 3, 11, 5, 12]
+    moved = relation.with_appended([(10, "y", 10)]).with_deleted([0, 2, 3]).compacted()
+    assert [r[0] for r in moved.rows] == [10, 1, 4, 5]
+    shrunk = relation.with_deleted([4, 5]).compacted()
+    assert [r[0] for r in shrunk.rows] == [0, 1, 2, 3]
+
+
+def test_a_bulk_placement_builds_afresh(ways):
+    """Past ``EDIT_SHARE`` of the new base's rows, a compaction builds its
+    base's structures instead of editing them; both ways equal fresh."""
+    base = _fully_built(BASE_ROWS)
+    few = base.with_appended([(1, "x", 40)]).with_deleted([0])
+    many = base.with_appended([(i % 4, "y", 100 + i) for i in range(60)])
+    # one row into one hole: at most 3 slots of 60; 60 rows at the end, 60 of 120
+    assert 3 / 60 <= relation_module.EDIT_SHARE < 60 / 120
+    for version, way in ((few, "_edit"), (many, "_build")):
+        ways.clear()
+        vacuumed = version.compacted()
+        assert set(ways) == {way}
+        _assert_like_fresh(vacuumed)
+        _assert_memos_like_fresh(vacuumed)

@@ -263,3 +263,18 @@ def test_a_transaction_dies_with_its_connection(served):
         assert admission and all(gate["waiting"] == 0 for gate in admission.values())
     finally:
         other.close()
+
+
+def test_a_rendered_answer_line_is_pinned_byte_for_byte():
+    """An answer's rows are encoded as they are (tuples are JSON arrays):
+    the line a client reads for a bare U-relation answer, exactly."""
+    server = QueryServer(build_vehicles_udb(), workers=1)
+    try:
+        result = server.session().execute("select id from r where faction = 'Enemy'")
+        assert server.render_result(result) == (
+            b'{"ok": true, "columns": ["c1", "w1", "c2", "w2", "tid_r", "id"], '
+            b'"rows": [["_t", 0, "x", 1, "c", 3], ["_t", 0, "x", 2, "c", 2], '
+            b'["z", 2, "_t", 0, "d", 4]], "urelation": true}\n'
+        )
+    finally:
+        server.close()
