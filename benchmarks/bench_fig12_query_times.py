@@ -6,8 +6,16 @@ with the scale factor and the uncertainty ratio, moderately with the
 correlation ratio.
 
 The pytest-benchmark cases time each query at the grid midpoint per
-uncertainty ratio; the report regenerates the full 3x3x3 series with
-median-of-3 wall-clock timings (the paper uses the median of 4 runs).
+uncertainty ratio; the report regenerates the full 3x3x3 series with two
+wall-clock timings per point.  ``first run`` is the first execution of a
+fresh plan, once the indexes and kernels are built: translation,
+planning and every predicate evaluated, like each of the paper's
+PostgreSQL runs - it is the column to compare with the paper's
+Figure 12.  ``median time`` is the median of 3 repeats of
+the cached plan after a warm-up (the paper uses the median of 4 runs),
+whose literal scan and probe filters are answered from the plan's
+per-segment predicate cache: what a served repeat costs here, not what
+the paper measured.
 """
 
 import datetime
@@ -102,12 +110,22 @@ def append_bench_run(kind: str, payload: dict) -> None:
     path.write_text(json.dumps(data, indent=2) + "\n")
 
 
+#: The header of ``fig12_query_times.txt``: which column is the paper's.
+FIG12_NOTE = (
+    "'first run' is the first execution of a fresh plan over built indexes\n"
+    "(translation, planning and every predicate evaluated): compare it with\n"
+    "the paper's Figure 12.\n"
+    "'median time' is the median of 3 repeats of the cached plan, whose literal\n"
+    "predicates are answered from its per-segment cache."
+)
+
+
 def test_fig12_time_series_table(benchmark):
     """Regenerate the Figure 12 series: time(s, x, z) for Q1-Q3."""
 
     def build():
         table = Table(
-            ["query", "z", "x", "scale", "median time", "answer tuples"],
+            ["query", "z", "x", "scale", "first run", "median time", "answer tuples"],
             title="Figure 12 analogue: query evaluation time",
         )
         times = {}
@@ -116,15 +134,25 @@ def test_fig12_time_series_table(benchmark):
                 for x in UNCERTAINTIES:
                     for scale in SCALES:
                         bundle = uncertain_db(scale, x, z)
+                        # indexes and kernels built, then a fresh plan
+                        execute_query(builder(), bundle.udb)
+                        reset_plan_cache()
+                        first, _ = timed(lambda: execute_query(builder(), bundle.udb))
                         elapsed, answer = median_time(
                             lambda: execute_query(builder(), bundle.udb),
                             repeats=3,
                         )
                         times[(label, z, x, scale)] = elapsed
                         table.add(
-                            label, z, x, scale, format_seconds(elapsed), len(answer)
+                            label,
+                            z,
+                            x,
+                            scale,
+                            format_seconds(first),
+                            format_seconds(elapsed),
+                            len(answer),
                         )
-        write_result("fig12_query_times.txt", table.render())
+        write_result("fig12_query_times.txt", FIG12_NOTE + "\n\n" + table.render())
         return times
 
     times = benchmark.pedantic(build, rounds=1, iterations=1)

@@ -51,6 +51,9 @@ def explain_analyze(plan: PhysicalPlan, batch_size: int = BATCH_SIZE, trace: boo
     the rows surviving its entire scan→filter→project chain, and a join
     with a folded ``Output:`` projection reports post-projection rows —
     because the fused-away operators no longer exist to count separately.
+    A ``Seq Scan`` under a pipeline whose literal predicate is cached per
+    segment is not run: it reports the live rows the cache answered for,
+    in 0 batches.
 
     With ``trace=True`` returns ``(result, text, data)`` where ``data`` is
     the structured span/operator form the observability layer uses: the

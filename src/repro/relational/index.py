@@ -61,6 +61,7 @@ __all__ = [
     "SortedIndex",
     "build_index",
     "probe_table",
+    "restricted_probe_table",
     "attach_index",
     "detach_index",
     "defer_index",
@@ -149,13 +150,20 @@ def _spliced(old: List[Any], cuts: List[tuple], value: Callable[[Any, int], Any]
 
 
 def _live_probe(
-    hits_of: Callable, rows: Sequence[Row], structure: Any, dead: frozenset, key: Any
+    hits_of: Callable,
+    rows: Sequence[Row],
+    structure: Any,
+    dead: frozenset,
+    kept: Optional[bytearray],
+    key: Any,
 ) -> Any:
     """One segment's join probe when it has dead rows (the :func:`probe_table`
-    shape, dead rows dropped).  A function of the segment alone: a probe
-    holding its index handle would close a cycle through the handle's
-    cached probe."""
+    shape, dead rows dropped, and with a ``kept`` mask the rows it leaves
+    out too).  A function of the segment alone: a probe holding its index
+    handle would close a cycle through the handle's cached probe."""
     hits = [p for p in hits_of(structure, key) if p not in dead]
+    if kept is not None:
+        hits = [p for p in hits if kept[p]]
     if not hits:
         return None
     return rows[hits[0]] if len(hits) == 1 else list(map(rows.__getitem__, hits))
@@ -287,7 +295,9 @@ class Index:
         out.sort(key=itemgetter(0))
         return out
 
-    def probe_lookup(self) -> Callable[[Any], Any]:
+    def probe_lookup(
+        self, restricted: Optional[Callable[[Segment], Tuple[Dict[Any, Any], bytearray]]] = None
+    ) -> Callable[[Any], Any]:
         """The join probe over this version: key -> row, [rows] in
         relation order, or ``None`` (the :func:`probe_table` shape).
 
@@ -299,23 +309,36 @@ class Index:
         racing on it each build an equal table, and one of them stays.
         The probe is made once per version (threads racing on it make
         equal ones).
+
+        With ``restricted``, the probe over the rows a caller keeps of each
+        segment, made per call: ``restricted(segment)`` is the segment's
+        :func:`restricted_probe_table`, which the caller keeps, and it
+        stands in for the segment's own table and structure.
         """
+        if restricted is not None:
+            return self._prober(restricted)
         probe = self._probe
         if probe is None:
             probe = self._probe = self._prober()
         return probe
 
-    def _prober(self) -> Callable[[Any], Any]:
+    def _prober(self, restricted: Optional[Callable] = None) -> Callable[[Any], Any]:
         runs = self.runs()
         key = (_segment_probe_table, self.kind, self.positions)
-        if len(runs) == 1 and not runs[0][2]:
-            return runs[0][0].memo(*key).get
-        gets = [
-            partial(_live_probe, self._hits, segment.rows, structure, dead)
-            if dead
-            else (segment._memo.get(key) or segment.memo(*key)).get  # Segment.memo inline
-            for segment, structure, dead in runs
-        ]
+        gets = []
+        for segment, structure, dead in runs:
+            if restricted is not None:
+                table, kept = restricted(segment)
+            else:
+                kept = None
+                table = None if dead else segment._memo.get(key) or segment.memo(*key)  # memo inline
+            gets.append(
+                partial(_live_probe, self._hits, segment.rows, structure, dead, kept)
+                if dead
+                else table.get
+            )
+        if len(gets) == 1 and not runs[0][2]:
+            return gets[0]
 
         def lookup(key: Any) -> Any:
             found: List[Row] = []
@@ -567,6 +590,22 @@ def probe_table(entries: Iterable[Tuple[Any, Row]]) -> Dict[Any, Any]:
         else:
             table[key] = [held, row]
     return table
+
+
+def restricted_probe_table(
+    segment: Segment, positions: Tuple[int, ...], kept: Sequence[int]
+) -> Tuple[Dict[Any, Any], bytearray]:
+    """The :func:`probe_table` of ``segment``'s rows at the ascending
+    positions ``kept``, keyed on the columns at ``positions``, and the
+    mask of ``kept`` (1 at a kept position): what a join probes when only
+    those rows can match (:meth:`Index.probe_lookup`)."""
+    rows = segment.rows
+    mask = bytearray(len(rows))
+    for position in kept:
+        mask[position] = 1
+    picked = list(map(rows.__getitem__, kept))
+    keys = map(_key_getter(positions), picked)
+    return probe_table(entry for entry in zip(keys, picked) if entry[0] is not None), mask
 
 
 def build_index(

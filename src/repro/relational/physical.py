@@ -42,7 +42,8 @@ Every operator speaks exactly two protocols:
   grouping emit instead, so the join's output is never gathered either.
   A range ``IndexScan`` gathers its columns from each segment's column
   vectors at the range's row positions, and ``FusedPipeline`` has one
-  columnar body over either scan.  Four operators work on row tuples
+  columnar body over either scan, or slices a literal predicate's cached
+  output (predicate caching, below).  Four operators work on row tuples
   because their inputs or algorithms are row-shaped (index buckets hold
   row tuples; nested-loop, semi-join and set difference compare whole
   rows): a point or full ``IndexScan``, ``SemiJoinOp``,
@@ -83,6 +84,19 @@ execution derives equal: ``FusedPipeline._select`` and the ``_planned``
 kernels of the joins and of ``Confidence`` (the plan cache re-plans when
 a version's NULL facts differ from those the plan was built on).
 
+Predicate caching: segments are immutable, so whether a row passes a
+predicate that reads no ``$n`` never changes while its segment exists.
+Such a scan filter (``FusedPipeline`` over a ``SeqScan``) and such probe
+filters (``IndexNestedLoopJoin.inner_filters``) are evaluated once per
+segment and what they keep is held on the node, keyed weakly by the
+segment (``FusedPipeline._kept``, ``IndexNestedLoopJoin._tables``): an
+entry lives as long as the shorter of the plan's cache entry and the
+segment, a write builds one only for the segment it adds, and an
+execution drops its version's dead rows from what the entries hold.
+Threads racing on a first use each build an equal entry and the first
+one stored stays (``Segment.memo``'s rule).  Everything with ``$n`` runs
+per execution.
+
 The planner can additionally *fuse* maximal scan→filter→project chains
 into single :class:`FusedPipeline` operators and fold projections into
 join emits (``set_output``); see :mod:`repro.relational.planner`.
@@ -93,6 +107,7 @@ EXPLAIN output.
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left
 from functools import partial
 from operator import itemgetter
@@ -106,9 +121,9 @@ from .columnar import (
     row_projector,
     selection_kernel,
 )
-from .expressions import Expression, Param, frame, has_null_literal
-from .index import Index, SortedIndex, index_named, probe_table
-from .relation import Relation
+from .expressions import Expression, Param, frame, has_null_literal, slot_count
+from .index import Index, SortedIndex, index_named, probe_table, restricted_probe_table
+from .relation import Relation, Segment
 from .schema import Schema
 
 __all__ = [
@@ -280,6 +295,26 @@ def _column_chunks(rows: Sequence[Row], size: int, width: int) -> Iterator[Colum
     """Emit a materialized row list as column batches of at most ``size``."""
     for start in range(0, len(rows), size):
         yield ColumnBatch.from_rows(rows[start : start + size], width)
+
+
+def _kept(segment: Segment, width: int, predicates: Sequence[Tuple[Expression, Schema]]) -> List[int]:
+    """The ascending positions of ``segment``'s rows, dead ones included,
+    that pass every ``$n``-free ``(predicate, schema it binds against)``
+    pair: one NULL-guarded kernel call over its column vectors each."""
+    columns = segment.columns(width)
+    keep: Optional[List[int]] = None
+    for predicate, schema in predicates:
+        passed = selection_kernel(predicate, schema)(columns, len(segment.rows))
+        keep = passed if keep is None else sorted(set(keep).intersection(passed))
+    return keep
+
+
+def _memoized(memo: weakref.WeakKeyDictionary, segment: Segment, build: Callable, *args: Any) -> Any:
+    """``memo[segment]``, set to ``build(segment, *args)`` on first use."""
+    value = memo.get(segment)
+    if value is None:
+        value = memo.setdefault(segment, build(segment, *args))
+    return value
 
 
 def _probe_plan(join: Any, group: Optional[Tuple[int, int]]) -> Tuple:
@@ -552,6 +587,11 @@ class FusedPipeline(PhysicalPlan):
     Over either scan the predicate runs as a vector kernel over the
     source's column batches and only the output columns are gathered, so
     dropped columns are never materialized.
+    Over a ``SeqScan`` with a predicate that reads no ``$n``, an
+    execution slices the output columns the node keeps per segment
+    (predicate caching, in the module docstring) and does not run the
+    scan, which counts the live rows the cache answered for, in no
+    batches.
     """
 
     def __init__(
@@ -572,6 +612,13 @@ class FusedPipeline(PhysicalPlan):
         #: a function of the plan only (never of ``$n`` bindings), so
         #: later executions of a cached plan skip the kernel-cache key.
         self._select: Optional[Callable] = None
+        #: Over a ``SeqScan`` with a ``$n``-free predicate: segment ->
+        #: (the positions it keeps, the output columns gathered at them).
+        self._kept: Optional[weakref.WeakKeyDictionary] = (
+            weakref.WeakKeyDictionary()
+            if predicate is not None and isinstance(source, SeqScan) and not slot_count(predicate)
+            else None
+        )
 
     @property
     def children(self) -> Tuple[PhysicalPlan, ...]:
@@ -604,6 +651,37 @@ class FusedPipeline(PhysicalPlan):
         return select
 
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
+        if self._kept is not None:
+            return self._cached_batches(size)
+        return self._filtered_batches(size)
+
+    def _cached_batches(self, size: int) -> Iterator[ColumnBatch]:
+        scan = self.source
+        relation = _version(scan)
+        width = len(relation.schema)
+        served = 0
+        for segment, dead in relation._runs:
+            keep, columns = _memoized(self._kept, segment, self._kept_columns, width)
+            served += len(segment.rows) - len(dead)
+            count = len(keep)
+            if dead:
+                live = [i for i, p in enumerate(keep) if p not in dead]
+                if live and len(live) < count:
+                    columns = gather(columns, live)
+                count = len(live)
+            for s in range(0, count, size):
+                yield ColumnBatch([c[s : s + size] for c in columns], min(size, count - s))
+        frame.counters[scan] = (served, 0)
+
+    def _kept_columns(self, segment: Segment, width: int) -> Tuple[List[int], List[Sequence[Any]]]:
+        store = segment.columns(width)
+        keep = _kept(segment, width, [(self.predicate, self.source.schema)])
+        wanted = store if self.positions is None else [store[p] for p in self.positions]
+        if len(keep) == len(segment.rows) or not keep:
+            return keep, wanted  # everything passed (or nothing): no copy
+        return keep, gather(wanted, keep)
+
+    def _filtered_batches(self, size: int) -> Iterator[ColumnBatch]:
         select = self._selection() if self.predicate is not None else None
         positions = self.positions
         for cb in self.source.column_batches(size):
@@ -973,7 +1051,10 @@ class IndexNestedLoopJoin(PhysicalPlan):
     applied to every probed inner row before concatenation — the planner
     moves the inner side's pushed-down selections here, so a *filtered*
     partition scan can still be replaced by index probes (the filter runs
-    on the few matched rows instead of the whole table).
+    on the few matched rows instead of the whole table).  Filters without
+    ``$n`` are not run per match: the join (and a ``Confidence`` grouped
+    in it) probes the inner segments' tables restricted to the rows that
+    pass them (predicate caching, in the module docstring).
     """
 
     def __init__(
@@ -1012,6 +1093,13 @@ class IndexNestedLoopJoin(PhysicalPlan):
         self.output_positions: Optional[List[int]] = None
         self._bound_residual = residual.bind(self._combined) if residual is not None else None
         self._planned: Optional[Tuple] = None  # see _probe_plan
+        #: With ``$n``-free inner filters: inner segment -> its
+        #: :func:`~repro.relational.index.restricted_probe_table`.
+        self._tables: Optional[weakref.WeakKeyDictionary] = (
+            weakref.WeakKeyDictionary()
+            if self.inner_filters and not any(slot_count(e) for e, _ in self.inner_filters)
+            else None
+        )
         self.estimated_rows = max(outer.estimated_rows, inner.estimated_rows)
 
     def set_output(self, positions: Sequence[int], schema: Schema) -> None:
@@ -1069,7 +1157,8 @@ class IndexNestedLoopJoin(PhysicalPlan):
         # base relation's cached nullability, outer refs the plan tree
         inner_refs: set = set()
         outer_refs: set = set()
-        for expr, schema in self.inner_filters:
+        filters = self.inner_filters if self._tables is None else ()
+        for expr, schema in filters:
             for name in expr.columns():
                 inner_refs.add(schema.resolve(name))
         if self.residual is not None:
@@ -1085,10 +1174,20 @@ class IndexNestedLoopJoin(PhysicalPlan):
         fast = not any(
             relation.column_has_null(q) for q in inner_refs
         ) and not any(self.outer.column_nullable(q) for q in outer_refs)
-        return self.outer, split, outer_is_left, self.outer_positions, self.inner_filters, fast
+        return self.outer, split, outer_is_left, self.outer_positions, filters, fast
 
     def _lookup(self, size: int) -> Callable:
-        return _resolve(self)[1].probe_lookup()
+        relation, index = _resolve(self)
+        tables = self._tables
+        if tables is None:
+            return index.probe_lookup()
+        width, positions = len(relation.schema), index.positions
+        return index.probe_lookup(
+            lambda segment: _memoized(tables, segment, self._restricted, width, positions)
+        )
+
+    def _restricted(self, segment: Segment, width: int, positions: Tuple[int, ...]) -> Tuple:
+        return restricted_probe_table(segment, positions, _kept(segment, width, self.inner_filters))
 
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
         return _probe_batches(self, size)

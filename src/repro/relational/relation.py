@@ -15,9 +15,13 @@ slots (:meth:`Relation.compacted`).  Everything derived from a segment's
 own rows - its column vectors, NULL and all-equal counts, index
 structures and join probe tables - is built on the segment, once, and
 shared by identity by every version that holds it; a compaction's new
-base gets the old base's by edits (:data:`EDIT_RULES`).  A version keeps
-only what depends on all of its rows (index definitions, statistics,
-planning facts).  :attr:`Relation.rows` is the live rows as one sequence,
+base gets the old base's by edits (:data:`EDIT_RULES`).  What a cached
+plan derives from a segment's rows and its own literal predicates (the
+rows a scan filter keeps, a probe filter's restricted probe table) lives
+on the plan node, keyed weakly by the segment: it dies with the shorter
+lived of the two, and a segment never changes, so it never goes stale
+(:mod:`repro.relational.physical`).  A version keeps only what depends
+on all of its rows (index definitions, statistics, planning facts).  :attr:`Relation.rows` is the live rows as one sequence,
 built on demand when the version is more than one clean segment.
 
 The engine implements *bag* semantics internally (duplicates are kept unless
@@ -51,10 +55,11 @@ class Segment:
     :meth:`memo` keeps each value derived from the rows (column vectors,
     value counts, index structures, probe tables) on the segment, so every
     version holding it reuses the same value.  ``rows`` must not be
-    mutated once the segment exists.
+    mutated once the segment exists.  A plan node may key what it derives
+    from the rows by a weak reference to the segment.
     """
 
-    __slots__ = ("segment_id", "rows", "_memo")
+    __slots__ = ("segment_id", "rows", "_memo", "__weakref__")
 
     def __init__(self, segment_id: int, rows: Iterable[Row]):
         self.segment_id = int(segment_id)
