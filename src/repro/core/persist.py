@@ -55,13 +55,14 @@ Write-path contract:
   is refused with a ``ValueError``.
 
 ``indexes.csv`` records every secondary index *definition* of every
-partition — built or still pending — keyed by partition directory, and
-nothing else.  On load it is authoritative: the partitions get exactly
-the definitions the file lists, all deferred (a dropped auto-index stays
-dropped, a created one comes back), so a save/load round trip costs no
-index construction at all; only a directory without the file gets the
-auto-index policy.  Rows of a file other than a partition directory (the
-``w.csv`` rows older saves wrote) are ignored.
+partition — built or not — keyed by partition directory, and nothing
+else.  On load it is authoritative: each partition lists exactly the
+definitions the file lists for it, in place of the auto-index policy's (a
+dropped auto-index stays dropped, a created one comes back), and none is
+built, so a save/load round trip costs no index construction at all; only
+a directory without the file keeps the policy.  Rows of a file other than
+a partition directory (the ``w.csv`` rows older saves wrote), and a
+definition naming a column its partition lacks, are ignored.
 
 The manifest's ``d_width`` is the stored encoding's width: a certain
 partition is saved with its ⊤ pairs, exactly as it is held in memory.  The
@@ -79,9 +80,9 @@ import pathlib
 from typing import Dict, List, Set, Tuple, Union
 
 from ..relational.csvio import read_csv, write_csv
-from ..relational.index import defer_index
+from ..relational.index import index_def, set_index_defs
 from ..relational.relation import Relation, Segment
-from ..relational.schema import Schema
+from ..relational.schema import SchemaError
 from .udatabase import UDatabase, partition_label
 from .urelation import URelation, tid_column
 from .worldtable import WorldTable
@@ -236,9 +237,7 @@ def load_udatabase(directory: PathLike) -> UDatabase:
     directory = pathlib.Path(directory)
     world_relation = read_csv(directory / "w.csv")
     world = WorldTable.from_relation(world_relation)
-    # an indexes.csv lists the definitions; without one, the auto policy
-    index_manifest = directory / "indexes.csv"
-    udb = UDatabase(world, auto_index=not index_manifest.exists())
+    udb = UDatabase(world)
 
     with open(directory / "manifest.csv", "r", newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -265,20 +264,24 @@ def load_udatabase(directory: PathLike) -> UDatabase:
 
     for name, (attributes, parts) in grouped.items():
         udb.add_relation(name, attributes, parts)
-    udb.auto_index = True  # relations added from here on get the policy
 
-    # definitions attach now, builds happen on first planner access
+    # an indexes.csv lists the definitions in place of the auto policy's
+    index_manifest = directory / "indexes.csv"
     if index_manifest.exists():
+        listed: Dict[str, list] = {key: [] for key in by_key}
         with open(index_manifest, "r", newline="", encoding="utf-8") as handle:
             for entry in csv.DictReader(handle):
                 relation = by_key.get(entry["file"])
-                if relation is not None:  # else a `w.csv` row of an older save
-                    defer_index(
-                        relation,
-                        entry["columns"].split("|"),
-                        kind=entry["kind"],
-                        name=entry["index"],
-                    )
+                if relation is None:  # a `w.csv` row of an older save
+                    continue
+                columns = entry["columns"].split("|")
+                try:
+                    definition = index_def(relation, columns, entry["kind"], entry["index"])
+                except SchemaError:  # a column the partition lacks: it never builds
+                    continue
+                listed[entry["file"]].append(definition)
+        for key, definitions in listed.items():
+            set_index_defs(by_key[key], definitions)
     return udb
 
 

@@ -46,7 +46,7 @@ from typing import Any, Dict, List, NamedTuple, Tuple
 
 from ..obs import counter
 from ..relational.expressions import executing
-from ..relational.index import attached_index_defs, defer_index, drop_index_def
+from ..relational.index import index_defs_on, set_index_defs
 from .dml import DMLResult, Write, derive, publish
 from .query import Certain, Conf, UQuery
 from .udatabase import Catalog
@@ -116,17 +116,6 @@ class TxnResult(NamedTuple):
                 text += f", {len(self.relations)} relations"
             text += ")"
         return text
-
-
-def _match_index_defs(live, successor) -> None:
-    """Bring ``successor``'s index definitions to ``live``'s: defer what it
-    lacks, drop (unbuilt or built) what ``live`` no longer has."""
-    wanted = attached_index_defs(live)
-    for columns, kind, name in attached_index_defs(successor):
-        if (columns, kind, name) not in wanted:
-            drop_index_def(successor, name)
-    for columns, kind, name in wanted:
-        defer_index(successor, columns, kind=kind, name=name)
 
 
 class Transaction:
@@ -222,7 +211,7 @@ class Transaction:
                     # other sessions' index DDL since BEGIN is no
                     # conflict: the successor takes the live definition set
                     for live, successor in zip(published[name], staged):
-                        _match_index_defs(live.relation, successor.relation)
+                        set_index_defs(successor.relation, index_defs_on(live.relation))
                 result = TxnResult(
                     "committed",
                     self.statements,

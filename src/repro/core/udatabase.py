@@ -11,12 +11,12 @@ the validity condition (no contradictory values for a tuple field in any
 world).
 
 **Where index facts live.**  A partition is an ordinary relation and an
-index on it an ordinary index: its definitions — built or still pending —
-are attached to the partition's relation object and nowhere else.  The
-planner reads them there (``indexes_on``), every write-path derivation
-hands them to the successor (``reattach_indexes``: the index structures
-themselves live on the partition's immutable segments, which the
-successor shares), persistence saves them from there.  Index DDL
+index on it an ordinary index: the tuple of its definitions is listed on
+the partition's relation version and nowhere else.  The planner builds
+handles from it (``indexes_on``), every write-path derivation hands the
+same tuple to the successor with its parent's handles (the index
+structures themselves live on the partition's immutable segments, which
+the successor shares), persistence saves it from there.  Index DDL
 (:meth:`UDatabase.create_index` / :meth:`UDatabase.drop_index`) and every
 derivation of a successor happen under ``_write_lock``, so a definition
 lands on the live partition or not at all.
@@ -42,11 +42,13 @@ from typing import (
 
 from ..relational.index import (
     Index,
-    attached_index_defs,
-    defer_index,
+    IndexDef,
     drop_index_def,
     ensure_index,
+    index_def,
+    index_defs_on,
     indexes_on,
+    set_index_defs,
 )
 from ..relational.relation import Relation
 from ..relational.schema import Schema
@@ -96,20 +98,23 @@ def partition_label(name: str, part: URelation) -> str:
     return f"u_{name}_" + "_".join(part.value_names)
 
 
-def _defer_index_partition(name: str, part: URelation) -> None:
+def _index_policy(name: str, part: URelation) -> Tuple[IndexDef, ...]:
     """The auto-indexing policy for one vertical partition, as definitions.
 
-    Hash index on the tuple-id column (the partition-merge equijoins of
-    the Figure 4 translation probe it), plus a sorted index per value
-    column (selections of the experiment queries become point/range index
-    scans).  Built on first planner access (``indexes_on``) — write-only
-    pipelines never pay; value columns with unsortable content are skipped
-    silently then and stay sequential-scan-only.
+    Mirrors the paper's experiment setup: a hash index on the tuple-id
+    column (the partition-merge equijoins of the Figure 4 translation
+    probe it), plus a sorted index per value column (selections of the
+    experiment queries become point/range index scans).  Built on first
+    planner access (``indexes_on``) — write-only pipelines never pay; a
+    value column whose keys do not sort stays sequential-scan-only while
+    they do not.
     """
     label = partition_label(name, part)
-    defer_index(part.relation, [tid_column(name)], kind="hash", name=f"idx_{label}_tid")
-    for column in part.value_names:
-        defer_index(part.relation, [column], kind="sorted", name=f"idx_{label}_{column}")
+    relation = part.relation
+    return (
+        index_def(relation, [tid_column(name)], "hash", f"idx_{label}_tid"),
+        *(index_def(relation, [c], "sorted", f"idx_{label}_{c}") for c in part.value_names),
+    )
 
 
 class Catalog(NamedTuple):
@@ -176,18 +181,10 @@ class Catalog(NamedTuple):
 class UDatabase:
     """A U-relational database (Definition 2.2)."""
 
-    def __init__(
-        self,
-        world_table: Optional[WorldTable] = None,
-        auto_index: bool = True,
-    ):
+    def __init__(self, world_table: Optional[WorldTable] = None):
         self.world_table = world_table or WorldTable()
         #: The published :class:`Catalog`: replaced, never mutated.
         self._catalog = Catalog({}, {}, {}, {}, self.world_table)
-        #: Mirror the paper's experiment setup: every vertical partition
-        #: gets a hash index on its tuple-id column, so the tid-equijoins
-        #: that reassemble partitions run as index probes.
-        self.auto_index = auto_index
         #: Publish counter behind :attr:`catalog_version`: bumped by every
         #: catalog swap (:meth:`publish`, :meth:`add_relation`).
         self._catalog_version = 0
@@ -261,8 +258,9 @@ class UDatabase:
         """Register a logical relation with its vertical partitions.
 
         The partitions' value columns must jointly cover ``attributes``.
-        Auto-indexing is *lazy*: the partition index definitions are
-        recorded but only built on first planner access, so write-only
+        Each partition lists the auto-indexing policy's definitions
+        (:func:`_index_policy`) beside those it lists already, and builds
+        nothing: the first planner access builds them, so write-only
         pipelines (conversion, save) skip the cost entirely; callers that
         need deterministic first-query latency force the builds with
         :meth:`build_indexes` (benchmark setup does, after generation).
@@ -287,9 +285,11 @@ class UDatabase:
         )
         self._next_tid.pop(name, None)
         self._catalog_version += 1
-        if self.auto_index:
-            for part in partitions:
-                _defer_index_partition(name, part)
+        for part in partitions:
+            listed = index_defs_on(part.relation)
+            names = {definition.name for definition in listed}
+            added = [d for d in _index_policy(name, part) if d.name not in names]
+            set_index_defs(part.relation, listed + tuple(added))
 
     # ------------------------------------------------------------------
     # the write path (see :mod:`repro.core.dml`)
@@ -352,8 +352,8 @@ class UDatabase:
         edited at the slots it touched, so its cost follows the rows
         written and deleted since the last compaction and the reads after
         it build nothing; a compacted partition's rows come in slot order.
-        Index definitions and statistics carry over as they are
-        (still-deferred definitions stay deferred).  The world
+        Index definitions and statistics carry over as they are, and
+        so does a handle for each definition that had one.  The world
         table is never touched.
 
         Emits ``compactions_total`` (per rewritten relation) and observes
@@ -508,11 +508,12 @@ class UDatabase:
         return out
 
     def build_indexes(self) -> None:
-        """Force-build every deferred partition index now.
+        """Build the handle of every definition of every partition now,
+        as a first planner access would.
 
-        The lazy auto-indexing escape hatch for callers that need
-        deterministic query latency — benchmark setup calls this after
-        generation so measured times never include one-off index builds.
+        For callers that need deterministic query latency — benchmark
+        setup calls this after generation so measured times never include
+        one-off index builds.
         """
         for part in self._catalog.labels.values():
             indexes_on(part.relation)
@@ -571,12 +572,12 @@ class UDatabase:
     # ------------------------------------------------------------------
     def index_defs(self, table: Optional[str] = None) -> List[Tuple[str, str, tuple, str]]:
         """``(table, name, columns, kind)`` of every index definition, built
-        or pending (of partition ``table`` only, if given); builds nothing."""
+        or not (of partition ``table`` only, if given); builds nothing."""
         return sorted(
-            (label, name, columns, kind)
+            (label, definition.name, definition.columns, definition.kind)
             for label, relation in self._catalog.versions.items()
             if table is None or label == table
-            for columns, kind, name in attached_index_defs(relation)
+            for definition in index_defs_on(relation)
         )
 
     def create_index(
@@ -586,8 +587,8 @@ class UDatabase:
 
         ``table`` is a partition's ``u_<rel>_<attrs>`` label; the index is
         built over the live partition relation, under the write lock, and
-        nothing else is built (a still-pending definition of the same name
-        and shape is the one being built).  Index names are unique across
+        nothing else is built (a listed definition of the same name and
+        shape is the one being built).  Index names are unique across
         the database: re-issuing an identical definition returns the
         existing index, a different definition under a taken name is a
         ``KeyError``.
@@ -607,8 +608,8 @@ class UDatabase:
             return ensure_index(relation, columns, kind=kind, name=name)
 
     def drop_index(self, name: str) -> None:
-        """``DROP INDEX name``: detach the index from the live partition
-        that carries it; a still-pending definition is dropped unbuilt."""
+        """``DROP INDEX name``: drop the definition from the live partition
+        that lists it, built or not."""
         with self._write_lock:
             for relation in self._catalog.versions.values():
                 if drop_index_def(relation, name):

@@ -25,16 +25,17 @@ nothing, and a compaction's new base segment takes the old base's
 structures and probe tables with edits for the slots it refilled or
 vacated (``_edit``; the rows it places are indexed again, no others).
 
-Indexes *attach* to the :class:`~repro.relational.relation.Relation` they
-cover (a private slot on the relation object), and that slot is the only
-record of them: :func:`ensure_index` creates one, :func:`defer_index`
-records a definition built on first planner access, and the U-relational
-catalog's index DDL works on the live partition relation.  The planner
-discovers access paths through :func:`indexes_on`, so any plan that scans a
-relation sees them.  Because relations are immutable values, attachment is
-safe: an index can never go stale while its relation object is alive, and
-a write's new version takes over the definitions of the one it replaces
-(:func:`reattach_indexes`).
+An index is one :class:`IndexDef` (name, columns, kind, positions), and
+the tuple of them a :class:`~repro.relational.relation.Relation` version
+lists (:func:`index_defs_on`) is its only record: every write's successor
+takes the same tuple, and the U-relational catalog's policy, index DDL,
+persistence and a transaction's ``COMMIT`` read and replace it.  The
+planner discovers access paths through :func:`indexes_on`, whose first call
+on a version builds a handle for every definition and memoizes it there;
+a definition that cannot build over that version (sorted keys that do not
+compare) gets ``None`` and stays listed, to build again on a later version.
+A write's successor takes a handle for each one its parent had
+(:func:`carry_handles`), so only its added segments are indexed.
 
 NULL semantics match the executor's comparisons: rows whose key contains
 ``None`` are excluded from every index (a NULL never compares equal, so an
@@ -54,27 +55,27 @@ from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .relation import EDIT_RULES, Refill, Relation, Segment
+from .schema import SchemaError
 
 __all__ = [
     "Index",
     "HashIndex",
     "SortedIndex",
+    "IndexDef",
     "build_index",
+    "index_def",
     "probe_table",
     "restricted_probe_table",
-    "attach_index",
-    "detach_index",
-    "defer_index",
+    "index_defs_on",
+    "set_index_defs",
+    "drop_index_def",
+    "ensure_index",
     "indexes_on",
     "built_indexes_on",
-    "attached_index_defs",
-    "drop_index_def",
-    "default_index_name",
-    "ensure_index",
-    "reattach_indexes",
-    "forget_facts",
-    "IndexDef",
     "index_named",
+    "carry_handles",
+    "default_index_name",
+    "forget_facts",
 ]
 
 Row = Tuple[Any, ...]
@@ -170,23 +171,17 @@ def _live_probe(
 
 
 class Index:
-    """Base class: an index definition over one relation version's column
-    list, reading the structures its segments keep."""
+    """Base class: an :class:`IndexDef`'s handle over one relation
+    version, reading the structures its segments keep."""
 
     kind = "index"
 
     def __init__(self, relation: Relation, columns: Sequence[str], name: Optional[str] = None):
         self._relation = weakref.ref(relation)
-        positions = tuple(relation.schema.resolve(c) for c in columns)
-        if len(set(positions)) != len(positions):
-            raise ValueError(f"duplicate columns in index definition: {list(columns)}")
-        self.positions: Tuple[int, ...] = positions
-        #: Canonical column names (as they appear in the relation schema).
-        self.columns: Tuple[str, ...] = tuple(
-            relation.schema.names[p] for p in positions
-        )
-        self.name = name or default_index_name(self.columns)
-        self.key_of = _key_getter(positions)
+        self.definition = index_def(relation, columns, self.kind, name)
+        #: ``columns`` are the canonical names, as in the relation schema.
+        self.name, self.columns, _, self.positions = self.definition
+        self.key_of = _key_getter(self.positions)
         self._runs: Optional[Tuple[Tuple[Segment, Any, frozenset], ...]] = None
         self._probe: Optional[Callable[[Any], Any]] = None
         for _, structure, _ in self.runs():  # every segment's, built now
@@ -611,75 +606,41 @@ def restricted_probe_table(
 def build_index(
     relation: Relation, columns: Sequence[str], kind: str = "hash", name: Optional[str] = None
 ) -> Index:
-    """Construct (but do not attach) an index of the given kind."""
+    """Construct (but do not list on ``relation``) an index of the given kind."""
+    return _kind_class(kind)(relation, columns, name=name)
+
+
+def _kind_class(kind: str) -> type:
     try:
-        cls = _KIND_CLASSES[kind]
+        return _KIND_CLASSES[kind]
     except KeyError:
         raise ValueError(f"unknown index kind {kind!r} (use one of {list(INDEX_KINDS)})") from None
-    return cls(relation, columns, name=name)
 
 
-# ----------------------------------------------------------------------
-# attachment: indexes live on the relation object they cover
-# ----------------------------------------------------------------------
-#: Serializes attach/detach and deferred-build materialization.  One
-#: process-wide RLock (builds can re-enter through ``ensure_index`` →
-#: ``indexes_on``): concurrent planners discovering access paths while a
-#: DDL thread creates/drops indexes must never observe a half-attached
-#: list, and a deferred auto-index must be built exactly once even when N
-#: sessions hit the first planner access simultaneously.
-_ATTACH_LOCK = threading.RLock()
+class IndexDef(NamedTuple):
+    """An index definition: the only record of an index.  A relation
+    version lists its definitions (:func:`index_defs_on`), a cached plan
+    names the index it reads by one, and an :class:`Index` handle is built
+    from one per version; it holds none of the rows."""
+
+    name: str
+    columns: Tuple[str, ...]
+    kind: str
+    positions: Tuple[int, ...]
 
 
-def forget_facts(relation: Relation) -> None:
-    """Drop the planning facts memoized on ``relation``
-    (:func:`repro.relational.plancache.planning_facts`): called *after*
-    every change to its index definitions (under :data:`_ATTACH_LOCK`) or
-    its statistics, so a fill that read the old state wrote it into a
-    dict no lookup reads any more."""
-    relation._facts = None
-
-
-def attach_index(relation: Relation, index: Index) -> None:
-    """Attach an index to its relation so planners can discover it.
-
-    Attaching changes the access paths a fresh plan over the relation
-    would choose (every index build — ``CREATE INDEX``, registry rebuilds,
-    and the deferred auto-index builds that materialize on first planner
-    access — funnels through here), so the relation's planning facts are
-    dropped: the next lookup of a cached plan over it re-checks them, and
-    re-plans if its definition set differs.
-    """
-    if index.relation is not relation:
-        raise ValueError("index was built over a different relation object")
-    with _ATTACH_LOCK:
-        existing = getattr(relation, "_indexes", None)
-        if existing is None:
-            relation._indexes = [index]
-        elif index not in existing:
-            existing.append(index)
-        else:
-            return  # already attached: no access-path change
-        pending = getattr(relation, "_pending_indexes", None)
-        if pending:  # the built index is its pending definition, if it had one
-            relation._pending_indexes = [
-                d for d in pending if _definition_name(d) != index.name
-            ]
-        forget_facts(relation)
-
-
-def detach_index(relation: Relation, index: Index) -> None:
-    """Remove an attached index (no-op if it is not attached).
-
-    Like :func:`attach_index`, a successful detach drops the relation's
-    planning facts, so a cached plan probing the index re-plans at its
-    next lookup.
-    """
-    with _ATTACH_LOCK:
-        existing = getattr(relation, "_indexes", None)
-        if existing and index in existing:
-            existing.remove(index)
-            forget_facts(relation)
+def index_def(
+    relation: Relation, columns: Sequence[str], kind: str = "hash", name: Optional[str] = None
+) -> IndexDef:
+    """The definition of a ``kind`` index over ``relation``'s ``columns``,
+    named ``name`` or after its columns; builds nothing."""
+    _kind_class(kind)
+    schema = relation.schema
+    positions = tuple(schema.resolve(c) for c in columns)
+    if len(set(positions)) != len(positions):
+        raise ValueError(f"duplicate columns in index definition: {list(columns)}")
+    canonical = tuple(schema.names[p] for p in positions)
+    return IndexDef(name or default_index_name(canonical), canonical, kind, positions)
 
 
 def default_index_name(columns: Sequence[str]) -> str:
@@ -687,228 +648,181 @@ def default_index_name(columns: Sequence[str]) -> str:
     return f"idx_{'_'.join(c.replace('.', '_') for c in columns)}"
 
 
-def _definition_name(definition: Tuple[Tuple[str, ...], str, Optional[str]]) -> str:
-    """The name a pending ``(columns, kind, name)`` definition will bear."""
-    return definition[2] or default_index_name(definition[0])
+# ----------------------------------------------------------------------
+# a version's definitions, and its handle memo
+# ----------------------------------------------------------------------
+#: Serializes the first build of a version's handles and every change to
+#: a version's definitions (DDL on a U-database also holds its write
+#: lock): a handle, and so each segment structure under it, is built
+#: once, however many planners make the first access together, and a
+#: change never loses a concurrent one.
+_LOCK = threading.Lock()
+
+
+def forget_facts(relation: Relation) -> None:
+    """Drop the planning facts memoized on ``relation``
+    (:func:`repro.relational.plancache.planning_facts`): called *after*
+    every change to its index definitions or its statistics, so a fill
+    that read the old state wrote it into a dict no lookup reads any
+    more."""
+    relation._facts = None
+
+
+def index_defs_on(relation: Relation) -> Tuple[IndexDef, ...]:
+    """The definitions ``relation`` lists, built or not; builds nothing."""
+    return getattr(relation, "_index_defs", ())
+
+
+def _handle(relation: Relation, definition: IndexDef) -> Optional[Index]:
+    """The memoized handle of ``definition`` over ``relation``, built now
+    if it has none yet; ``None`` when it cannot build over this version
+    (sorted keys that do not compare, a missing column).  ``_LOCK`` held."""
+    handles = getattr(relation, "_indexes", None)
+    if handles is None:
+        handles = relation._indexes = {}
+    if definition not in handles:
+        try:
+            handles[definition] = build_index(
+                relation, definition.columns, kind=definition.kind, name=definition.name
+            )
+        except (TypeError, SchemaError):
+            handles[definition] = None
+    return handles[definition]
+
+
+def _list(relation: Relation, definitions: Tuple[IndexDef, ...]) -> Dict[IndexDef, Optional[Index]]:
+    """List ``definitions`` on ``relation`` in place of its own and return
+    its handle memo, pruned to them (a dropped definition's handle goes,
+    so no write carries it on).  ``_LOCK`` held."""
+    handles = getattr(relation, "_indexes", None) or {}
+    handles = relation._indexes = {d: h for d, h in handles.items() if d in definitions}
+    relation._index_defs = definitions
+    forget_facts(relation)
+    return handles
+
+
+def set_index_defs(relation: Relation, definitions: Sequence[IndexDef]) -> None:
+    """List ``definitions`` on ``relation`` in place of its own; a new one
+    builds on first planner access.  A change drops the relation's
+    planning facts, so a cached plan over it re-plans if its definition
+    set differs."""
+    definitions = tuple(definitions)
+    with _LOCK:
+        if definitions != index_defs_on(relation):
+            _list(relation, definitions)
 
 
 def drop_index_def(relation: Relation, name: str) -> bool:
-    """Drop the definition called ``name``; False if there is none.
-
-    A built index is detached; a still-pending definition is forgotten
-    unbuilt.  Either way the relation's planning facts are dropped, so a
-    cached plan over it re-plans at its next lookup.
-    """
-    with _ATTACH_LOCK:
-        for index in getattr(relation, "_indexes", None) or ():
-            if index.name == name:
-                detach_index(relation, index)
-                return True
-        pending = getattr(relation, "_pending_indexes", None) or ()
-        kept = [d for d in pending if _definition_name(d) != name]
-        if len(kept) == len(pending):
+    """Drop the definition called ``name``; False if ``relation`` lists
+    none (see :func:`set_index_defs`)."""
+    with _LOCK:
+        listed = index_defs_on(relation)
+        kept = tuple(d for d in listed if d.name != name)
+        if len(kept) == len(listed):
             return False
-        relation._pending_indexes = kept
-        forget_facts(relation)
+        _list(relation, kept)
         return True
-
-
-def defer_index(
-    relation: Relation,
-    columns: Sequence[str],
-    kind: str = "hash",
-    name: Optional[str] = None,
-) -> None:
-    """Record an index *definition* to be built on first planner access.
-
-    Write-only pipelines (data conversion, save) never trigger the build;
-    the first :func:`indexes_on` call — which is how planners discover
-    access paths — materializes every pending definition.  A definition
-    whose name is already attached or pending is skipped (idempotent).
-    Sorted definitions over unsortable columns are skipped silently at
-    materialization time, matching the eager auto-indexing policy.
-    """
-    effective = name or default_index_name(columns)
-    with _ATTACH_LOCK:
-        for index in getattr(relation, "_indexes", None) or ():
-            if index.name == effective:
-                return
-        pending = getattr(relation, "_pending_indexes", None)
-        if pending is None:
-            pending = []
-            relation._pending_indexes = pending
-        if any(_definition_name(d) == effective for d in pending):
-            return
-        pending.append((tuple(columns), kind, name))
-        forget_facts(relation)
-
-
-def _materialize_pending(relation: Relation) -> None:
-    from .schema import SchemaError
-
-    pending = getattr(relation, "_pending_indexes", None)
-    if not pending:
-        return
-    with _ATTACH_LOCK:
-        # re-read under the lock: another planner thread may have built
-        # (and detached) the pending list while we waited
-        pending = getattr(relation, "_pending_indexes", None)
-        if not pending:
-            return
-        # detach the list first: what is queued is what this call builds
-        relation._pending_indexes = []
-        while pending:
-            columns, kind, name = pending.pop(0)
-            try:
-                ensure_index(relation, list(columns), kind=kind, name=name)
-            except (TypeError, SchemaError):
-                # unsortable column / stale definition (e.g. schema drift
-                # in a persisted directory): this index stays unavailable,
-                # the relation stays queryable via sequential scans
-                pass
-            except BaseException:
-                # an unexpected error loses only the definition that raised
-                # — re-attach the ones still queued behind it
-                relation._pending_indexes = pending
-                forget_facts(relation)
-                raise
-        # attaching dropped the facts; a definition that built nothing did not
-        forget_facts(relation)
-
-
-def indexes_on(relation: Relation) -> Tuple[Index, ...]:
-    """All indexes attached to a relation (hash indexes first).
-
-    This is the planner's discovery hook: any index definitions deferred
-    by :func:`defer_index` are built here, on first access (exactly once,
-    even under concurrent planning — see :data:`_ATTACH_LOCK`).
-    """
-    _materialize_pending(relation)
-    with _ATTACH_LOCK:
-        existing = getattr(relation, "_indexes", None)
-        if not existing:
-            return ()
-        return tuple(sorted(existing, key=lambda i: i.kind != "hash"))
-
-
-def built_indexes_on(relation: Relation) -> Tuple[Index, ...]:
-    """Already-built attached indexes only — never triggers deferred builds.
-
-    For callers that inspect what a relation carries (the derived-state
-    tests read built indexes through it) without forcing the lazy
-    auto-index builds that :func:`defer_index` postponed.
-    """
-    with _ATTACH_LOCK:
-        existing = getattr(relation, "_indexes", None)
-        if not existing:
-            return ()
-        return tuple(existing)
-
-
-def attached_index_defs(relation: Relation) -> List[Tuple[Tuple[str, ...], str, str]]:
-    """(columns, kind, name) of built *and* pending indexes, without building.
-
-    Persistence uses this so saving a database with deferred auto-indexes
-    records their definitions without paying the builds.
-    """
-    defs: List[Tuple[Tuple[str, ...], str, str]] = []
-    for index in getattr(relation, "_indexes", None) or ():
-        defs.append((index.columns, index.kind, index.name))
-    for definition in getattr(relation, "_pending_indexes", None) or ():
-        defs.append((tuple(definition[0]), definition[1], _definition_name(definition)))
-    return defs
-
-
-class IndexDef(NamedTuple):
-    """An index as a cached plan names it: found again on any version of
-    its relation by :func:`index_named`, holding none of its rows."""
-
-    name: str
-    columns: Tuple[str, ...]
-    kind: str
-    positions: Tuple[int, ...]
-
-    @classmethod
-    def of(cls, index: Index) -> "IndexDef":
-        return cls(index.name, index.columns, index.kind, index.positions)
-
-
-def _defines(definition: IndexDef, index: Index) -> bool:
-    return (
-        index.name == definition.name
-        and index.kind == definition.kind
-        and index.positions == definition.positions
-    )
-
-
-def index_named(relation: Relation, definition: IndexDef) -> Index:
-    """The index ``definition`` names on ``relation``: the attached one,
-    built now if still pending, or — dropped since the plan naming it was
-    last validated — a private, unattached build of the same definition."""
-    for index in getattr(relation, "_indexes", None) or ():
-        if _defines(definition, index):
-            return index
-    for index in indexes_on(relation):  # a pending definition builds here
-        if _defines(definition, index):
-            return index
-    return build_index(relation, definition.columns, kind=definition.kind, name=definition.name)
 
 
 def ensure_index(
     relation: Relation, columns: Sequence[str], kind: str = "hash", name: Optional[str] = None
 ) -> Index:
-    """Reuse an equivalent built index or build-and-attach this one.
+    """The index over ``columns`` of ``kind`` that ``relation`` lists,
+    built now if need be, or a new one, built and listed.
 
-    An equivalent index is only reused when the caller did not ask for a
+    A listed definition is only reused when the caller did not ask for a
     specific ``name`` (or asked for the one it already has) — EXPLAIN
     attributes scans by index name, so an explicitly-named creation must
-    yield an index that actually bears that name.  Nothing else is built:
-    the relation's other pending definitions stay pending.  Lookup and
-    attach are one step under the attach lock, so a planner materializing
-    a pending definition of this name cannot attach a second index of it.
+    yield an index that actually bears that name.  Nothing else is built.
+    Raises ``TypeError`` when a sorted index's keys do not compare.
     """
     positions = tuple(relation.schema.resolve(c) for c in columns)
-    with _ATTACH_LOCK:
-        for index in getattr(relation, "_indexes", None) or ():
+    with _LOCK:
+        for definition in index_defs_on(relation):
             if (
-                index.positions == positions
-                and index.kind == kind
-                and (name is None or index.name == name)
+                definition.positions == positions
+                and definition.kind == kind
+                and name in (None, definition.name)
             ):
+                index = _handle(relation, definition)
+                if index is None:  # cannot build here: raise why
+                    index = build_index(relation, columns, kind=kind, name=definition.name)
                 return index
         index = build_index(relation, columns, kind=kind, name=name)
-        attach_index(relation, index)
+        _list(relation, index_defs_on(relation) + (index.definition,))[index.definition] = index
         return index
 
 
-def reattach_indexes(old: Relation, new: Relation) -> None:
-    """Give ``new``, a write's successor of ``old``, ``old``'s index
-    definitions: a handle over ``new`` for every built index (its
-    segments' structures are shared, so only a new segment is indexed)
-    and every pending definition still pending.  A sorted index whose keys
-    no longer compare across the segments (``TypeError``) becomes pending,
-    and materializing it then leaves it unavailable, like any unsortable
-    definition.
+def indexes_on(relation: Relation) -> Tuple[Index, ...]:
+    """The index of every definition ``relation`` lists that builds over
+    it (hash indexes first).
+
+    This is the planner's discovery hook: its first call on a version
+    builds a handle for every definition (exactly once, even under
+    concurrent planning — see :data:`_LOCK`); a write's successor holds
+    its parent's handles already (:func:`carry_handles`).
+    """
+    definitions = index_defs_on(relation)
+    if not definitions:
+        return ()
+    handles = getattr(relation, "_indexes", None)
+    if handles is None or not all(map(handles.__contains__, definitions)):
+        with _LOCK:
+            for definition in index_defs_on(relation):
+                _handle(relation, definition)
+        handles = relation._indexes
+    found = [index for index in map(handles.get, definitions) if index is not None]
+    return tuple(sorted(found, key=lambda i: i.kind != "hash"))
+
+
+def built_indexes_on(relation: Relation) -> Tuple[Index, ...]:
+    """The handles already built for ``relation``'s definitions, in
+    definition order: a view of the handle memo that builds nothing."""
+    handles = getattr(relation, "_indexes", None) or {}
+    return tuple(
+        index for index in map(handles.get, index_defs_on(relation)) if index is not None
+    )
+
+
+def index_named(relation: Relation, definition: IndexDef) -> Index:
+    """The index ``definition`` names on ``relation``: its handle if the
+    relation lists it, or — dropped since the plan naming it was last
+    validated — a private build of the same definition, not memoized."""
+    handles = getattr(relation, "_indexes", None)
+    index = handles.get(definition) if handles else None
+    if index is None and definition in index_defs_on(relation):
+        with _LOCK:
+            if definition in index_defs_on(relation):
+                index = _handle(relation, definition)
+    if index is None:
+        index = build_index(relation, definition.columns, kind=definition.kind, name=definition.name)
+    return index
+
+
+def carry_handles(old: Relation, new: Relation) -> None:
+    """Give ``new``, a write's successor of ``old`` listing the same
+    definitions, a handle for each one ``old`` has a handle for: its
+    segments' structures are shared, so only an added segment is
+    indexed.  A sorted index whose keys no longer compare across the
+    segments has ``None`` there, and builds again on a later version.
 
     ``new`` is a fresh version with no planning facts memoized yet: the
     definitions it gets are the ones a cached plan over ``old`` was built
     on, so the first lookup over ``new`` finds them unchanged and that
     plan runs over it.
     """
-    with _ATTACH_LOCK:
-        built = list(getattr(old, "_indexes", None) or ())
-        pending = list(getattr(old, "_pending_indexes", None) or ())
+    handles = getattr(old, "_indexes", None)
+    if not handles:
+        return
     # an append adds its segment at the end, a delete adds none, and a
     # compaction replaces them all with a new base
     kept = len(old._runs) if new._runs[0][0] is old._runs[0][0] else 0
     added = [segment for segment, _ in new._runs[kept:]]
-    handles: List[Index] = []
-    for index in built:
-        try:
-            handles.append(index.successor(new, added))
-        except TypeError:
-            pending.append((index.columns, index.kind, index.name))
-    if handles:
-        new._indexes = handles
-    if pending:
-        new._pending_indexes = pending
+    carried: Dict[IndexDef, Optional[Index]] = {}
+    for definition, index in list(handles.items()):
+        if index is not None:
+            try:
+                carried[definition] = index.successor(new, added)
+            except TypeError:
+                carried[definition] = None
+    new._indexes = carried

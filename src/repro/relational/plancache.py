@@ -47,7 +47,7 @@ facts*:
   verdicts come from, so checking them costs no scan of an old row.
 * **The facts live on the version**, memoized in its ``_facts`` slot:
   a lookup compares one tuple, by identity first.  The in-place changes
-  that can move a fact (index DDL and builds, a statistics refresh) drop
+  that can move a fact (index DDL, a statistics refresh) drop
   the memo (:func:`~repro.relational.index.forget_facts`), so the next
   lookup of each plan over the version re-checks; nothing scans the cache.
 
@@ -83,7 +83,7 @@ from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Seq
 
 from ..obs import gauge
 from ..obs import span as obs_span
-from .index import IndexDef, attached_index_defs
+from .index import indexes_on
 from .relation import Relation
 from .statistics import table_stats
 
@@ -285,7 +285,7 @@ _invalidations = 0
 def name_slots(plan: Any) -> Any:
     """Turn a physical plan's leaves into slots: each drops the relation
     version (and the index over it) it was planned over and keeps its
-    label and an :class:`~repro.relational.index.IndexDef`, resolved per
+    label and the index's :class:`~repro.relational.index.IndexDef`, resolved per
     execution from the frame's catalog.  What the cache stores of a
     U-query plan: it pins no superseded version and serves every later one."""
     from .physical import IndexNestedLoopJoin, IndexScan, SeqScan
@@ -296,14 +296,14 @@ def name_slots(plan: Any) -> Any:
         if isinstance(node, (SeqScan, IndexScan, IndexNestedLoopJoin)):
             node.relation = None
             if not isinstance(node, SeqScan):
-                node.index = IndexDef.of(node.index)
+                node.index = node.index.definition
         stack.extend(node.children)
     return plan
 
 
 def planning_facts(relation: Relation, probes: Tuple[Tuple[int, Any], ...]) -> Tuple:
     """What a plan over one partition version was built on: its schema,
-    its index definitions (built or pending), the all-equal verdicts of
+    the index definitions that build over it, the all-equal verdicts of
     ``probes`` (``(position, value)`` pairs), the NULL verdict of every
     column and its statistics generation.  Memoized on the version per
     ``probes``: the fill writes into the memo dict it read before the
@@ -320,10 +320,15 @@ def planning_facts(relation: Relation, probes: Tuple[Tuple[int, Any], ...]) -> T
 
 def _compute_facts(relation: Relation, probes: Sequence[Tuple[int, Any]]) -> Tuple:
     """:func:`planning_facts` read from the version: the verdicts come from
-    counts its segments keep, so this costs no scan in the steady state."""
+    counts its segments keep, so this costs no scan in the steady state.
+    The definitions are the ones :func:`indexes_on` finds built: a listed
+    one that cannot build over this version (sorted keys that do not
+    compare) is left out, so a plan probing it is not served here.  A
+    write's version holds its parent's handles already, so this builds
+    nothing in the steady state either."""
     return (
         relation.schema,
-        frozenset(attached_index_defs(relation)),
+        frozenset(index.definition for index in indexes_on(relation)),
         tuple(relation.column_all_equal(position, value) for position, value in probes),
         relation.null_columns(),
         table_stats(relation).generation,

@@ -4,7 +4,7 @@ The planner walks an (ideally optimized) logical plan and selects physical
 algorithms:
 
 * ``Select`` directly over a base scan (through any renames) -> an
-  :class:`IndexScan` when an attached index covers the predicate's
+  :class:`IndexScan` when an index of the relation covers the predicate's
   equality/range conjuncts *and* the cost model expects few matches;
   otherwise ``Filter`` over ``SeqScan``,
 * ``Join`` with equi-pairs -> an :class:`IndexNestedLoopJoin` when one
@@ -15,8 +15,8 @@ algorithms:
 * everything else maps one-to-one.
 
 Access paths are discovered through :func:`repro.relational.index.indexes_on`
-— indexes attach to the relation objects themselves, so any ``Scan`` of a
-relation (the U-relations translation's partition scans, or a hand-built
+— index definitions are listed on the relation versions themselves, so
+any ``Scan`` of a relation (the U-relations translation's partition scans, or a hand-built
 plan run through :func:`run`) sees them.  Renames never reorder columns, so
 a column position in the renamed schema equals its position in the base
 relation, which is what lets the planner match predicate columns against

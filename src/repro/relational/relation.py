@@ -20,9 +20,12 @@ plan derives from a segment's rows and its own literal predicates (the
 rows a scan filter keeps, a probe filter's restricted probe table) lives
 on the plan node, keyed weakly by the segment: it dies with the shorter
 lived of the two, and a segment never changes, so it never goes stale
-(:mod:`repro.relational.physical`).  A version keeps only what depends
-on all of its rows (index definitions, statistics, planning facts).  :attr:`Relation.rows` is the live rows as one sequence,
-built on demand when the version is more than one clean segment.
+(:mod:`repro.relational.physical`).  A version keeps only what is not
+derived from one segment alone: the tuple of index definitions it lists
+(each write's successor takes the same tuple), the index handles built
+from them, statistics and planning facts.  :attr:`Relation.rows` is the
+live rows as one sequence, built on demand when the version is more than
+one clean segment.
 
 The engine implements *bag* semantics internally (duplicates are kept unless
 a ``Distinct`` is applied), matching what the paper's translation produces on
@@ -225,20 +228,20 @@ class Relation:
 
     # ``_runs`` is the version's storage: one ``(segment, dead)`` pair per
     # segment, ``dead`` the frozenset of the segment's deleted row
-    # positions.  ``_indexes`` holds secondary indexes attached by
-    # :mod:`repro.relational.index` and ``_pending_indexes`` their deferred
-    # (not yet built) definitions; ``_stats`` is the optimizer's
-    # :class:`~repro.relational.statistics.TableStats`; ``_facts`` memoizes
-    # the prepared-plan cache's planning facts of this version, per probe
-    # set (:func:`repro.relational.plancache.planning_facts`), dropped by
-    # the index and statistics changes that can move one.  All but
+    # positions.  ``_index_defs`` is the tuple of index definitions the
+    # version lists and ``_indexes`` its memo of their handles, built on
+    # first planner access (:mod:`repro.relational.index`); ``_stats`` is
+    # the optimizer's :class:`~repro.relational.statistics.TableStats`;
+    # ``_facts`` memoizes the prepared-plan cache's planning facts of this
+    # version, per probe set (:func:`repro.relational.plancache.planning_facts`),
+    # dropped by the index and statistics changes that can move one.  All but
     # ``_runs`` are planner-visible state, not part of the relation's
     # value (equality and repr ignore them).
     __slots__ = (
         "schema",
         "_runs",
+        "_index_defs",
         "_indexes",
-        "_pending_indexes",
         "_stats",
         "_facts",
         "__weakref__",
@@ -333,8 +336,9 @@ class Relation:
 
     def _next(self, runs: tuple, changed: int) -> "Relation":
         """The version of this relation stored as ``runs``, ``changed``
-        rows away: it keeps this version's index definitions and, until
-        the analyze threshold, its statistics.  The receiver is never
+        rows away: it takes this version's index definitions (the same
+        tuple), a handle for each one this version has a handle for and,
+        until the analyze threshold, its statistics.  The receiver is never
         mutated (pinned snapshots and in-flight plans keep reading it)."""
         new = Relation.__new__(Relation)
         new.schema = self.schema
@@ -342,9 +346,12 @@ class Relation:
         stats = getattr(self, "_stats", None)
         if stats is not None:
             new._stats = stats.inherited(new, changed)
-        from .index import reattach_indexes
+        definitions = getattr(self, "_index_defs", None)
+        if definitions:
+            from .index import carry_handles
 
-        reattach_indexes(self, new)
+            new._index_defs = definitions
+            carry_handles(self, new)
         return new
 
     def with_appended(self, rows: Iterable[Sequence[Any]]) -> "Relation":
@@ -401,10 +408,10 @@ class Relation:
         7 310-row partition with a hash and a sorted index, probe tables,
         column vectors and counts, editing costs as much as building at
         about a quarter.  A sorted index whose keys no longer compare
-        builds nothing here and becomes pending
-        (:func:`~repro.relational.index.reattach_indexes`).  Returns
-        ``self`` when already compact (one segment, nothing deleted), so
-        callers can detect no-ops by identity.
+        builds nothing here: its definition stays listed, with no handle
+        over the new version (:func:`~repro.relational.index.carry_handles`).
+        Returns ``self`` when already compact (one segment, nothing
+        deleted), so callers can detect no-ops by identity.
 
         The base segment takes a *fresh* id (one past the highest existing
         id) rather than restarting at 0: persistence names segment files by
@@ -452,7 +459,7 @@ class Relation:
             try:
                 carry(build, *args)
             except TypeError:
-                pass  # sorted keys that no longer compare: the index goes pending
+                pass  # sorted keys that no longer compare: no handle here
         return self._next(((base, _NOTHING),), 0)
 
     # ------------------------------------------------------------------

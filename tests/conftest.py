@@ -103,6 +103,13 @@ def vehicles_udb() -> UDatabase:
     return build_vehicles_udb()
 
 
+def without_indexes(udb: UDatabase) -> UDatabase:
+    """``udb`` with every index definition dropped: an index-free database."""
+    for _, name, _, _ in udb.index_defs():
+        udb.drop_index(name)
+    return udb
+
+
 def partition_relation(udb: UDatabase, label: str):
     """The live relation of the partition labelled ``u_<rel>_<attrs>``."""
     (relation,) = (

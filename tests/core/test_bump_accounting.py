@@ -27,6 +27,8 @@ from repro.relational import plan_cache_stats, plancache
 from repro.server.session import Session
 from repro.sql import execute_sql
 
+from tests.conftest import without_indexes
+
 
 @contextmanager
 def counting_fills(monkeypatch):
@@ -56,7 +58,7 @@ def _only_new_versions(udb, fills):
 def _two_partition_udb() -> UDatabase:
     """``r`` split vertically into an ``id`` and a ``type`` partition,
     plus an unrelated single-partition ``s`` whose plans must survive."""
-    udb = UDatabase(auto_index=False)
+    udb = UDatabase()
     initial = [(Descriptor(), i, (i,)) for i in range(3)]
     udb.add_relation(
         "r",
@@ -75,7 +77,7 @@ def _two_partition_udb() -> UDatabase:
         ["k"],
         [URelation.build([(Descriptor(), 0, (0,))], tid_column("s"), ["k"])],
     )
-    return udb
+    return without_indexes(udb)
 
 
 def q_r():

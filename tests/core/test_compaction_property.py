@@ -12,7 +12,7 @@ tuples, never uncertainty).
 
 The scripts are ``test_dml_property``'s: ``CREATE INDEX`` / ``DROP INDEX``
 are drawn between the writes, and compaction has to hand every definition
-— built or pending — to the relation it writes, building nothing.
+— built or not — to the relation it writes, building nothing.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from repro.relational.index import built_indexes_on
 from tests.core.test_dml_property import ANSWERERS, _answers, _apply, _build, scripts
 
 
-def _replay(script, auto_index=False):
+def _replay(script, indexed=False):
     initial, ops = script
-    udb = _build(initial, auto_index=auto_index)
+    udb = _build(initial, indexed=indexed)
     model, defs = list(initial), set(udb.index_defs())
     for op in ops:
         _apply(udb, model, op, defs)
@@ -94,7 +94,7 @@ def test_compaction_rebuilds_access_paths_and_statistics(script):
     behaviourally: an indexed execution over the compacted database
     matches the model exactly.
     """
-    udb, model = _replay(script, auto_index=True)
+    udb, model = _replay(script, indexed=True)
     defs = udb.index_defs()
     udb.compact()
     assert _answers(udb) == set(model)

@@ -18,20 +18,20 @@ from repro.core.urelation import URelation, tid_column
 from repro.relational.expressions import col, lit
 from repro.sql import DMLResult, execute_sql, prepare
 
-from tests.conftest import build_vehicles_udb
+from tests.conftest import build_vehicles_udb, without_indexes
 
 
-def _single_partition_udb(auto_index=False) -> UDatabase:
+def _single_partition_udb() -> UDatabase:
     """One relation, one partition covering both columns — the layout
     under which catalog-version deltas are exact."""
-    udb = UDatabase(auto_index=auto_index)
+    udb = UDatabase()
     part = URelation.build(
         [(Descriptor(), i, (i, f"t{i}")) for i in range(3)],
         tid_column("r"),
         ["id", "type"],
     )
     udb.add_relation("r", ["id", "type"], [part])
-    return udb
+    return without_indexes(udb)
 
 
 def _possible_rows(udb, sql="possible (select id, type from r)"):

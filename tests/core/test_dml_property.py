@@ -38,6 +38,8 @@ from repro.relational.index import built_indexes_on
 from repro.server.session import Session
 from repro.sql import execute_sql, prepare
 
+from tests.conftest import without_indexes
+
 #: the two ways to answer a query: the ``rows()`` reference and the executor
 ANSWERERS = (reference_query, execute_query)
 
@@ -81,7 +83,7 @@ scripts = st.tuples(
 )
 
 
-def _build(initial, auto_index=False):
+def _build(initial, indexed=False):
     """``r`` holding ``initial``; an uncertain cell's alternatives each
     take one value of a fresh variable."""
     world = WorldTable()
@@ -92,14 +94,14 @@ def _build(initial, auto_index=False):
             type_rows += [(Descriptor({f"v{i}": j}), i, (alt,)) for j, alt in enumerate(kind)]
         else:
             type_rows.append((Descriptor(), i, (kind,)))
-    udb = UDatabase(world, auto_index=auto_index)
+    udb = UDatabase(world)
     tid = tid_column("r")
     p_id = URelation.build(
         [(Descriptor(), i, (r[0],)) for i, r in enumerate(initial)], tid, ["id"]
     )
     p_type = URelation.build(type_rows, tid, ["type"], d_width=1)
     udb.add_relation("r", ["id", "type"], [p_id, p_type])
-    return udb
+    return udb if indexed else without_indexes(udb)
 
 
 def _sql(cell):
@@ -247,7 +249,7 @@ def test_index_ddl_inside_a_write_history(initial, history):
     the database's definitions are the model's, committed answers are the
     model's, and a DDL statement built or dropped nothing but what it
     named."""
-    udb = _build(initial, auto_index=True)
+    udb = _build(initial, indexed=True)
     writer = Session(udb)
     committed = list(initial)
     defs = set(udb.index_defs())

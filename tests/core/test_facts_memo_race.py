@@ -69,17 +69,17 @@ def test_a_paused_fill_cannot_keep_a_dropped_index(monkeypatch):
     udb, statement, fresh = _cached_over_a_fresh_version()
     read = threading.Event()
     release = threading.Event()
-    real = plancache.attached_index_defs
+    real = plancache.indexes_on
 
     def pausing(relation):
-        defs = real(relation)
+        found = real(relation)
         if relation is fresh and not read.is_set():
-            assert DROPPED in [name for _, _, name in defs]
+            assert DROPPED in [index.name for index in found]
             read.set()
             assert release.wait(timeout=10)
-        return defs
+        return found
 
-    monkeypatch.setattr(plancache, "attached_index_defs", pausing)
+    monkeypatch.setattr(plancache, "indexes_on", pausing)
     answers = []
     racing = threading.Thread(target=lambda: answers.append(statement.run("Tank").rows))
     racing.start()
@@ -95,7 +95,7 @@ def test_a_paused_fill_cannot_keep_a_dropped_index(monkeypatch):
     assert not racing.is_alive()
     # the racing execution looked its plan up before the drop landed
     assert sorted(answers[0]) == TANKS
-    assert DROPPED not in [name for _, _, name in index_module.attached_index_defs(fresh)]
+    assert DROPPED not in [d.name for d in index_module.index_defs_on(fresh)]
     _three_executions_replan_and_build_nothing(statement, monkeypatch)
 
 

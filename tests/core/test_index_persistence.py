@@ -4,8 +4,9 @@
   column plus sorted indexes on the value columns, built on first planner
   access only.
 * ``save_udatabase`` records the partitions' index definitions in
-  ``indexes.csv``; ``load_udatabase`` defers exactly those (and gives a
-  directory written before the index subsystem existed the auto policy).
+  ``indexes.csv``; ``load_udatabase`` lists exactly those, unbuilt (and
+  gives a directory written before the index subsystem existed the auto
+  policy).
 * Indexed and index-free execution agree on translated queries.
 """
 
@@ -21,7 +22,7 @@ from repro.core.worldtable import WorldTable
 from repro.relational.index import built_indexes_on, ensure_index, indexes_on
 from repro.sql import execute_sql
 
-from tests.conftest import partition_relation
+from tests.conftest import partition_relation, without_indexes
 
 
 def small_udb() -> UDatabase:
@@ -56,14 +57,17 @@ class TestAutoIndexing:
             value_kinds = {c for k, cols in kinds if k == "sorted" for c in cols}
             assert set(part.value_names) <= value_kinds
 
-    def test_auto_index_disabled(self):
+    def test_an_index_free_database(self):
         world = WorldTable()
-        udb = UDatabase(world, auto_index=False)
+        udb = UDatabase(world)
         part = URelation.build(
             [(Descriptor(), 1, (1,))], tid_column("r"), ["id"]
         )
         udb.add_relation("r", ["id"], [part])
+        without_indexes(udb)
+        assert udb.index_defs() == []
         assert indexes_on(part.relation) == ()
+        assert execute_sql("possible (select id from r where id = 1)", udb).rows == [(1,)]
 
     def test_partition_lookup_builds_nothing(self):
         udb = small_udb()
@@ -116,7 +120,7 @@ class TestPersistence:
         assert loaded.index_defs() == defs
         for part in loaded.partitions("r"):  # load built nothing
             assert built_indexes_on(part.relation) == ()
-        # a second round trip of the all-pending database: still the same
+        # a second round trip of the database with nothing built: the same
         save_udatabase(loaded, tmp_path)
         assert load_udatabase(tmp_path).index_defs() == defs
         # relations added after the load get the auto policy again
@@ -166,6 +170,38 @@ class TestPersistence:
         loaded = load_udatabase(tmp_path)
         query = "possible (select id, kind from r where kind = 'a')"
         assert execute_sql(query, loaded) == execute_sql(query, udb)
+
+
+class TestUnbuildableDefinitions:
+    def test_a_sorted_definition_outlives_keys_that_do_not_compare(self, tmp_path):
+        """A sorted index cannot build over a version whose keys do not
+        compare: its definition stays listed and saved, the plans over
+        that version leave it out, and it builds again once the column
+        sorts again."""
+        from repro.core import reference_query
+        from repro.relational import Relation
+        from repro.sql import parse
+
+        udb = UDatabase.from_certain({"r": Relation(["id", "v"], [(i, 2 * i) for i in range(5)])})
+        udb.create_index("by_v", "u_r_id_v", ["v"], kind="sorted")
+        named = {"by_v", "idx_u_r_id_v_v"}
+        query = "possible (select id from r where v = 4)"
+
+        def check():
+            assert named <= {d[1] for d in udb.index_defs("u_r_id_v")}
+            assert execute_sql(query, udb) == reference_query(parse(query), udb)
+
+        check()  # plans an index scan of a sorted index over v
+        execute_sql("insert into r values (9, 'nine')", udb)
+        check()
+        assert not named & {i.name for i in indexes_on(partition_relation(udb, "u_r_id_v"))}
+        execute_sql("delete from r where id = 9", udb)
+        check()
+        save_udatabase(udb, tmp_path)
+        assert named <= {d[1] for d in load_udatabase(tmp_path).index_defs("u_r_id_v")}
+        execute_sql("vacuum r", udb)
+        check()
+        assert named <= {i.name for i in indexes_on(partition_relation(udb, "u_r_id_v"))}
 
 
 class TestIndexedExecutionAgrees:

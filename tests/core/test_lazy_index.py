@@ -7,7 +7,13 @@ from repro.core.persist import load_udatabase, save_udatabase
 from repro.core.query import Poss, Rel, UProject, USelect
 from repro.relational import Relation
 from repro.relational.expressions import col, lit
-from repro.relational.index import attached_index_defs, defer_index, indexes_on
+from repro.relational.index import (
+    built_indexes_on,
+    index_def,
+    index_defs_on,
+    indexes_on,
+    set_index_defs,
+)
 
 
 def certain_udb() -> UDatabase:
@@ -17,19 +23,20 @@ def certain_udb() -> UDatabase:
 
 
 class TestLazyAutoIndexing:
-    def test_add_relation_defers_builds(self):
+    def test_add_relation_lists_and_builds_nothing(self):
         udb = certain_udb()
         relation = udb.partitions("r")[0].relation
-        assert not getattr(relation, "_indexes", None)
-        assert len(attached_index_defs(relation)) == 3  # tid hash + 2 sorted
+        assert built_indexes_on(relation) == ()
+        assert len(index_defs_on(relation)) == 3  # tid hash + 2 sorted
 
-    def test_planner_access_materializes(self):
+    def test_planner_access_builds_every_definition(self):
         udb = certain_udb()
         relation = udb.partitions("r")[0].relation
         built = indexes_on(relation)
         assert {i.kind for i in built} == {"hash", "sorted"}
         assert len(built) == 3
-        assert not getattr(relation, "_pending_indexes")
+        assert set(built_indexes_on(relation)) == set(built)
+        assert indexes_on(relation) == built  # the memoized handles
 
     def test_queries_still_use_indexes(self):
         udb = certain_udb()
@@ -38,21 +45,24 @@ class TestLazyAutoIndexing:
         )
         assert answer.rows == [(6,)]
         relation = udb.partitions("r")[0].relation
-        assert len(getattr(relation, "_indexes")) == 3  # built by the planner
+        assert len(built_indexes_on(relation)) == 3  # built by the planner
 
-    def test_unsortable_deferred_definition_is_skipped(self):
+    def test_unsortable_definition_stays_listed_unbuilt(self):
         relation = Relation(["a"], [(1,), ({"un": "hashable-sort"},)])
-        defer_index(relation, ["a"], kind="sorted")
-        assert indexes_on(relation) == ()  # skipped silently, like eager
+        set_index_defs(relation, [index_def(relation, ["a"], "sorted")])
+        assert indexes_on(relation) == ()  # cannot build over this version
+        assert [d.name for d in index_defs_on(relation)] == ["idx_a"]
+        # a later version whose keys sort builds it
+        sorted_again = relation.with_deleted([1]).compacted()
+        assert [i.name for i in indexes_on(sorted_again)] == ["idx_a"]
 
-    def test_defer_is_idempotent(self):
-        relation = Relation(["a"], [(1,)])
-        defer_index(relation, ["a"], kind="hash", name="idx_x")
-        defer_index(relation, ["a"], kind="hash", name="idx_x")
-        assert len(getattr(relation, "_pending_indexes")) == 1
-        assert len(indexes_on(relation)) == 1
-        defer_index(relation, ["a"], kind="hash", name="idx_x")  # already built
-        assert indexes_on(relation)[0].name == "idx_x"
+    def test_policy_is_idempotent(self):
+        udb = certain_udb()
+        (part,) = udb.partitions("r")
+        defs = udb.index_defs()
+        udb.add_relation("r", ["a", "b"], [part])  # the same partition again
+        assert udb.index_defs() == defs
+        assert len(indexes_on(part.relation)) == 3
 
 
 class TestPersistenceWithLazyIndexes:
@@ -60,16 +70,16 @@ class TestPersistenceWithLazyIndexes:
         udb = certain_udb()
         save_udatabase(udb, tmp_path)
         relation = udb.partitions("r")[0].relation
-        assert not getattr(relation, "_indexes", None)
+        assert built_indexes_on(relation) == ()
         text = (tmp_path / "indexes.csv").read_text()
-        assert "idx_u_r_a_b_tid" in text  # pending definitions recorded
+        assert "idx_u_r_a_b_tid" in text  # unbuilt definitions recorded
 
-    def test_load_defers_and_round_trips_definitions(self, tmp_path):
+    def test_load_lists_and_round_trips_definitions(self, tmp_path):
         udb = certain_udb()
         save_udatabase(udb, tmp_path)
         loaded = load_udatabase(tmp_path)
         relation = loaded.partitions("r")[0].relation
-        assert not getattr(relation, "_indexes", None)
+        assert built_indexes_on(relation) == ()
         built = indexes_on(relation)
         assert sorted(i.name for i in built) == [
             "idx_u_r_a_b_a",
@@ -96,19 +106,21 @@ class TestPreIndexDirectories:
 
 
 class TestLazyIndexRobustness:
-    def test_stale_definition_does_not_lose_the_rest(self):
-        relation = Relation(["a"], [(1,), (2,)])
-        defer_index(relation, ["missing_column"], kind="hash", name="idx_bad")
-        defer_index(relation, ["a"], kind="hash", name="idx_good")
-        built = indexes_on(relation)  # bad definition skipped, good built
-        assert [i.name for i in built] == ["idx_good"]
+    def test_stale_definition_does_not_lose_the_rest(self, tmp_path):
+        udb = certain_udb()
+        save_udatabase(udb, tmp_path)
+        with open(tmp_path / "indexes.csv", "a", encoding="utf-8") as handle:
+            handle.write("u_r_a_b,idx_bad,missing_column,hash\r\n")
+        loaded = load_udatabase(tmp_path)  # bad definition skipped, good built
+        assert loaded.index_defs() == udb.index_defs()
+        assert len(indexes_on(loaded.partitions("r")[0].relation)) == 3
 
-    def test_build_indexes_forces_all_deferred_builds(self):
+    def test_build_indexes_forces_every_build(self):
         udb = certain_udb()
         relation = udb.partitions("r")[0].relation
-        assert not getattr(relation, "_indexes", None)
+        assert built_indexes_on(relation) == ()
         udb.build_indexes()
-        assert len(getattr(relation, "_indexes")) == 3
+        assert len(built_indexes_on(relation)) == 3
 
     def test_hash_join_does_not_trigger_builds(self):
         from repro.relational.physical import HashJoin, SeqScan, execute
@@ -122,6 +134,5 @@ class TestLazyIndexRobustness:
         )
         execute(join, mode="columns")
         # a join that hashes its own build side must not force the
-        # deferred auto-index builds (write-only pipelines rely on that
-        # laziness)
-        assert not getattr(relation, "_indexes", None)
+        # auto-index builds (write-only pipelines rely on that laziness)
+        assert built_indexes_on(relation) == ()

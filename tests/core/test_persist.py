@@ -9,6 +9,8 @@ from repro.core import Descriptor, UDatabase, URelation, WorldTable
 from repro.core.persist import load_udatabase, save_udatabase
 from repro.core.urelation import tid_column
 
+from tests.conftest import without_indexes
+
 
 def worldset(udb, name):
     return frozenset(frozenset(i[name].rows) for _, i in udb.worlds())
@@ -22,7 +24,7 @@ def _sql_udb():
     merges segments into one CSV column — which, like any relation
     column, must stay type-homogeneous to round-trip.
     """
-    udb = UDatabase(auto_index=False)
+    udb = UDatabase()
     tid = tid_column("r")
     p_id = URelation.build(
         [(Descriptor(), i, (i,)) for i in range(3)], tid, ["id"]
@@ -31,7 +33,7 @@ def _sql_udb():
         [(Descriptor(), i, ("Tank",)) for i in range(3)], tid, ["type"]
     )
     udb.add_relation("r", ["id", "type"], [p_id, p_type])
-    return udb
+    return without_indexes(udb)
 
 
 class TestRoundTrip:

@@ -2,12 +2,12 @@
 
 A cached plan goes stale in one way: a planning fact of a version it
 reads differs from the one it was built on.  ``CREATE INDEX``, ``DROP
-INDEX`` (of a built index or a still-pending definition) and a
+INDEX`` (of a built index or an unbuilt definition) and a
 statistics refresh change a fact of a partition in place: they drop the
 facts memoized on it, and exactly the dependent entries re-plan at their
 next lookup — a stale-plan execution must be impossible to observe, and
-unrelated cached plans must keep hitting.  A lazy index build turns
-pending definitions into built ones, changes no fact and re-plans
+unrelated cached plans must keep hitting.  A lazy index build gives
+listed definitions their handles, changes no fact and re-plans
 nothing; re-registering the same partitions re-plans nothing either.  A
 write — a statement's or a COMMIT's staged catalog, published with one
 ``UDatabase.publish`` — moves the catalog version and evicts nothing: the
@@ -34,10 +34,10 @@ from repro.core.descriptor import TOP_VARIABLE
 from repro.core.translate import execute_query, reference_query
 from repro.relational import col, lit, plan_cache_stats
 from repro.relational import plancache
-from repro.relational.index import indexes_on
+from repro.relational.index import built_indexes_on, indexes_on
 from repro.relational.optimizer import refresh_statistics
 from repro.relational.relation import Relation
-from repro.sql import execute_sql
+from repro.sql import execute_sql, parse
 
 from tests.conftest import build_vehicles_udb, partition_relation
 
@@ -165,8 +165,8 @@ class TestInvalidationMatrix:
         assert plan_cache_stats()["invalidations"] == invalidations
 
     def test_lazy_partition_index_first_build_replans_nothing(self):
-        """The deferred auto-index build turns pending definitions into
-        built ones: the definition set — the planning fact — is the same,
+        """The lazy auto-index build gives listed definitions their
+        handles: the definition set — the planning fact — is the same,
         so the version stays and the plan stored by the planning that
         built them still hits."""
         w = WorldTable({"x": [1, 2]})
@@ -175,16 +175,16 @@ class TestInvalidationMatrix:
             tid_name="tid_s",
             value_names=["v"],
         )
-        udb = UDatabase(w)  # auto_index=True, lazy by default
+        udb = UDatabase(w)  # the auto-index policy, nothing built
         udb.add_relation("s", ["v"], [part])
         query = Poss(USelect(Rel("s"), col("v").eq(lit(1))))
         # the reference chooses no access path: it builds nothing
         reference = reference_query(query, udb)
-        assert not getattr(part.relation, "_indexes", None)  # still deferred
+        assert built_indexes_on(part.relation) == ()
         version = udb.catalog_version
         size = plan_cache_stats()["size"]
 
-        # the first planning materializes the deferred definitions
+        # the first planning builds every definition
         indexed = execute_query(query, udb)
         assert indexes_on(part.relation)  # now built
         assert udb.catalog_version == version
@@ -244,8 +244,7 @@ def _drop_built_index(udb, relation):
     udb.drop_index("idx_extra")
 
 
-def _drop_pending_definition(udb, relation):
-    assert "idx_u_r_type_type" in [pending[2] for pending in relation._pending_indexes]
+def _drop_auto_index_definition(udb, relation):
     udb.drop_index("idx_u_r_type_type")
 
 
@@ -255,13 +254,13 @@ def _refresh_statistics(udb, relation):
 
 @pytest.mark.parametrize(
     "change",
-    [_create_index, _drop_built_index, _drop_pending_definition, _refresh_statistics],
-    ids=["create index", "drop built index", "drop pending definition", "analyze"],
+    [_create_index, _drop_built_index, _drop_auto_index_definition, _refresh_statistics],
+    ids=["create index", "drop built index", "drop auto-index definition", "analyze"],
 )
 def test_every_definition_set_change_refreshes_the_facts(change):
     """After each in-place change the facts memoized on the live version
     are the ones a fresh computation reads, and differ from before it."""
-    udb = build_vehicles_udb()  # auto-index definitions still pending
+    udb = build_vehicles_udb()  # auto-index definitions listed, none built
     if change is _drop_built_index:
         _create_index(udb, None)
     relation = partition_relation(udb, "u_r_type")
@@ -273,3 +272,22 @@ def test_every_definition_set_change_refreshes_the_facts(change):
     after = plancache.planning_facts(relation, probes)
     assert after == plancache._compute_facts(relation, probes)
     assert after != before
+
+
+def test_a_definition_dropped_before_any_handle_exists():
+    """``DROP INDEX`` of a definition no handle was built for: it leaves
+    the definitions, the facts and every plan after it, and nothing ever
+    builds it."""
+    udb = build_vehicles_udb()
+    relation = partition_relation(udb, "u_r_type")
+    assert built_indexes_on(relation) == ()
+    udb.drop_index("idx_u_r_type_type")
+    assert built_indexes_on(relation) == ()
+    probes = ((0, TOP_VARIABLE),)
+    facts = plancache.planning_facts(relation, probes)
+    assert facts == plancache._compute_facts(relation, probes)
+    assert [d.name for d in facts[1]] == ["idx_u_r_type_tid"]
+    sql = "possible (select id from r where type = 'Tank')"
+    assert execute_sql(sql, udb) == reference_query(parse(sql), udb)
+    assert [i.name for i in built_indexes_on(relation)] == ["idx_u_r_type_tid"]
+    assert "idx_u_r_type_type" not in [d[1] for d in udb.index_defs()]

@@ -105,7 +105,7 @@ def _check(udb, queries):
     ],
 )
 def test_cached_predicates_answer_like_the_reference(initial, ops):
-    udb = _build(initial, auto_index=True)
+    udb = _build(initial, indexed=True)
     queries = [parse(sql) for sql in QUERIES]
     _check(udb, queries)  # the plans are cached now
     session = udb.session()
@@ -120,7 +120,7 @@ def test_cached_predicates_answer_like_the_reference(initial, ops):
 def test_the_statements_take_both_cached_filters():
     """The plans the property runs hold a cached scan filter and a cached
     probe filter (else it would check nothing of them)."""
-    udb = _build([(i % 7, "abc"[i % 3]) for i in range(40)], auto_index=True)
+    udb = _build([(i % 7, "abc"[i % 3]) for i in range(40)], indexed=True)
     for sql in QUERIES:
         plan = explain_query(parse(sql), udb)
         assert "Fused Pipeline" in plan and "Filter: (id > 2)" in plan, plan

@@ -26,18 +26,18 @@ from repro.relational import plan_cache_stats
 from repro.relational.index import indexes_on
 from repro.server.session import Session
 from repro.sql import execute_sql, prepare
-from tests.conftest import build_vehicles_udb
+from tests.conftest import build_vehicles_udb, without_indexes
 
 
 def _udb() -> UDatabase:
-    udb = UDatabase(auto_index=False)
+    udb = UDatabase()
     part = URelation.build(
         [(Descriptor(), i, (i, f"t{i}")) for i in range(3)],
         tid_column("r"),
         ["id", "type"],
     )
     udb.add_relation("r", ["id", "type"], [part])
-    return udb
+    return without_indexes(udb)
 
 
 def _rows(udb):
@@ -399,10 +399,11 @@ def test_a_reader_sees_all_of_a_commit_or_none_of_it(monkeypatch):
     import sys
 
     translate_module = sys.modules["repro.core.translate"]
-    udb = UDatabase(auto_index=False)
+    udb = UDatabase()
     for name in ("a", "b"):
         part = URelation.build([(Descriptor(), 1, (1, "old"))], tid_column(name), ["k", "v"])
         udb.add_relation(name, ["k", "v"], [part])
+    without_indexes(udb)
     writer = Session(udb)
     writer.execute("begin")
     writer.execute("update a set v = 'new' where k = 1")

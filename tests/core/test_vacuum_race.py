@@ -15,7 +15,7 @@ import sys
 import threading
 
 from repro.relational import Relation
-from repro.relational.index import HashIndex, SortedIndex, ensure_index
+from repro.relational.index import HashIndex, SortedIndex, built_indexes_on, ensure_index
 
 THREADS = 2
 SCHEMA = ["tid", "kind", "score"]
@@ -30,7 +30,7 @@ def _pinned():
     ensure_index(base, ["tid"], kind="hash", name="by_tid")
     ensure_index(base, ["score"], kind="sorted", name="by_score")
     ensure_index(base, ["kind"], kind="hash", name="by_kind")
-    for index in base._indexes:
+    for index in built_indexes_on(base):
         index.probe_lookup()(1)
     grown = base.with_appended([(7, "k1", 7), (1000, "new", 55)])
     grown = grown.with_appended([(i, f"k{i % 3}", i % 50) for i in range(500, 520)])
@@ -42,7 +42,7 @@ def _answers(relation):
     """Point probes of the tid index, point and range lookups of the score
     index and point lookups of the kind index, each as a sorted list of
     rows."""
-    by_name = {index.name: index for index in relation._indexes}
+    by_name = {index.name: index for index in built_indexes_on(relation)}
     probe = by_name["by_tid"].probe_lookup()
     probed = [probe(key) for key in KEYS]
     by_score = by_name["by_score"]

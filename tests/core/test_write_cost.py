@@ -23,7 +23,7 @@ import tracemalloc
 
 from repro.core.descriptor import Descriptor
 from repro.core.urelation import URelation, tid_column
-from repro.relational.index import HashIndex, SortedIndex, ensure_index
+from repro.relational.index import HashIndex, SortedIndex, built_indexes_on, ensure_index
 
 SIZES = (10_000, 200_000)
 TID = tid_column("events")
@@ -41,7 +41,7 @@ def _partition(rows: int):
 
 
 def _tid_index(relation):
-    (index,) = [i for i in relation._indexes if i.kind == "hash"]
+    (index,) = [i for i in built_indexes_on(relation) if i.kind == "hash"]
     return index
 
 
@@ -89,7 +89,7 @@ def _vacuum_work(monkeypatch, rows: int):
     """Rows touched by index builds, compaction edits and probe-table
     builds while a VACUUM after a few writes runs, over ``rows`` rows."""
     relation = _partition(rows)
-    for index in relation._indexes:
+    for index in built_indexes_on(relation):
         index.probe_lookup()  # the base's probe tables, built before
     written = relation.with_appended([relation.rows[3]] * 4).with_deleted([5, 9])
     touched = []

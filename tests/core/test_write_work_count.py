@@ -32,7 +32,7 @@ from repro.core.udatabase import UDatabase
 from repro.core.urelation import URelation, tid_column
 from repro.relational import Relation, plan_cache_stats, refresh_statistics
 from repro.relational.relation import Segment, live_rows
-from repro.relational.index import HashIndex, SortedIndex
+from repro.relational.index import HashIndex, SortedIndex, built_indexes_on, index_defs_on
 from repro.relational.statistics import (
     ANALYZE_SCALE_FACTOR,
     ANALYZE_THRESHOLD,
@@ -181,8 +181,7 @@ def test_writes_and_the_reads_after_them_index_no_row_twice(built):
     assert built.stats == 0
     # every partition still answers through its indexes, all built
     for part in udb.partitions("events"):
-        assert len(part.relation._indexes) == 2
-        assert not getattr(part.relation, "_pending_indexes", None)
+        assert len(built_indexes_on(part.relation)) == len(index_defs_on(part.relation)) == 2
 
 
 def test_statistics_recompute_once_past_the_analyze_threshold(built):

@@ -31,9 +31,11 @@ from repro.obs.report import advisory_report, render_text
 from repro.relational.relation import Relation
 from repro.sql import execute_sql, fingerprint_sql
 
+from tests.conftest import without_indexes
 
-def _certain_udb(rows, auto_index=True) -> UDatabase:
-    udb = UDatabase(auto_index=auto_index)
+
+def _certain_udb(rows) -> UDatabase:
+    udb = UDatabase()
     part = URelation.from_certain_rows(rows, tid_column("r"), ["a", "b"])
     udb.add_relation("r", ["a", "b"], [part])
     return udb
@@ -239,7 +241,7 @@ def test_workload_and_report_wire_ops():
 
     from repro.server import QueryServer
 
-    udb = _certain_udb([(i, i % 11) for i in range(300)], auto_index=False)
+    udb = without_indexes(_certain_udb([(i, i % 11) for i in range(300)]))
     server = QueryServer(udb, workers=2)
     handle = server.serve_tcp()
     try:

@@ -27,7 +27,7 @@ from repro.relational import (
     run,
 )
 from repro.relational.expressions import Param, executing
-from repro.relational.index import attach_index, built_indexes_on, detach_index
+from repro.relational.index import built_indexes_on, drop_index_def, index_defs_on
 from repro.relational.physical import IndexNestedLoopJoin, IndexScan, execute
 from repro.relational.planner import plan_physical
 
@@ -231,14 +231,16 @@ class TestSortedIndex:
 
 
 class TestAttachment:
-    def test_build_and_attach(self):
+    def test_build_list_and_drop(self):
         rel = people()
         assert indexes_on(rel) == ()
-        idx = build_index(rel, ["dept"], kind="hash")
-        attach_index(rel, idx)
-        assert idx in indexes_on(rel)
-        detach_index(rel, idx)
-        assert indexes_on(rel) == ()
+        assert build_index(rel, ["dept"], kind="hash") not in indexes_on(rel)  # unlisted
+        idx = ensure_index(rel, ["dept"], kind="hash")
+        assert indexes_on(rel) == (idx,)
+        assert index_defs_on(rel) == (idx.definition,)
+        assert drop_index_def(rel, idx.name)
+        assert not drop_index_def(rel, idx.name)  # listed no more
+        assert indexes_on(rel) == () and built_indexes_on(rel) == ()
 
     def test_ensure_reuses_equivalent(self):
         rel = people()

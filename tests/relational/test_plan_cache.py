@@ -49,7 +49,7 @@ from repro.relational.algebra import (
     Select,
     Union,
 )
-from repro.relational.index import attach_index, built_indexes_on, detach_index, ensure_index
+from repro.relational.index import built_indexes_on, drop_index_def, ensure_index
 from repro.relational.optimizer import optimize, refresh_statistics
 from repro.relational import plancache
 from repro.relational.plancache import (
@@ -221,7 +221,7 @@ class TestInvalidation:
     def test_drop_index_replans_the_next_lookup(self):
         index = ensure_index(self.r, ["a"], kind="hash")
         self.cache_both()
-        detach_index(self.r, index)
+        drop_index_def(self.r, index.name)
         self.assert_next_r_lookup_replans()
 
     def test_analyze_replans_the_next_lookup(self):
@@ -229,12 +229,11 @@ class TestInvalidation:
         refresh_statistics(self.r)
         self.assert_next_r_lookup_replans()
 
-    def test_reattaching_an_index_replans_nothing(self):
+    def test_ensuring_a_listed_index_replans_nothing(self):
         index = ensure_index(self.r, ["a"], kind="hash")
         self.cache_both()
-        assert ensure_index(self.r, ["a"], kind="hash") is index
-        attach_index(self.r, index)  # already attached: no access-path change
-        detach_index(self.s, index)  # not attached there: a no-op
+        assert ensure_index(self.r, ["a"], kind="hash") is index  # no access-path change
+        assert not drop_index_def(self.s, index.name)  # not listed there: a no-op
         assert planning_facts(self.r, ()) is self.facts  # the memo survived
         assert cache_lookup(("r",)) is not None
         assert plan_cache_stats()["invalidations"] == 0

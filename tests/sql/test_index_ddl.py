@@ -10,7 +10,7 @@ from repro.core.urelation import URelation, tid_column
 from repro.core.worldtable import WorldTable
 from repro.relational.index import built_indexes_on, indexes_on
 from repro.sql import CreateIndex, DropIndex, SqlSyntaxError, execute_sql, parse
-from tests.conftest import build_vehicles_udb
+from tests.conftest import build_vehicles_udb, without_indexes
 
 
 class TestParsing:
@@ -53,7 +53,7 @@ class TestParsing:
 def small_udb() -> UDatabase:
     world = WorldTable()
     world.add_variable("x", [1, 2])
-    udb = UDatabase(world, auto_index=False)
+    udb = UDatabase(world)
     part = URelation.build(
         [
             (Descriptor({"x": 1}), 1, (10,)),
@@ -64,7 +64,7 @@ def small_udb() -> UDatabase:
         ["id"],
     )
     udb.add_relation("r", ["id"], [part])
-    return udb
+    return without_indexes(udb)
 
 
 class TestExecution:
@@ -123,12 +123,12 @@ class TestExecution:
         execute_sql("create index i on u_r_id (id)", udb)
         with pytest.raises(KeyError, match="index 'i' already exists"):
             execute_sql("create index i on u_r_type (type)", udb)
-        # a pending auto-index name is taken too
+        # an unbuilt auto-index name is taken too
         with pytest.raises(KeyError, match="already exists"):
             execute_sql("create index idx_u_r_type_tid on u_r_id (id)", udb)
 
     def test_create_builds_only_the_named_index(self):
-        udb = build_vehicles_udb()  # auto-index definitions still pending
+        udb = build_vehicles_udb()  # auto-index definitions listed, none built
         before = udb.index_defs()
         index = execute_sql("create index mine on u_r_type (type)", udb)
         built = {
@@ -141,21 +141,21 @@ class TestExecution:
         assert udb.index_defs() == sorted(
             before + [("u_r_type", "mine", ("type",), "hash")]
         )
-        # naming a still-pending definition builds that one, and only it
+        # naming a listed, unbuilt definition builds that one, and only it
         again = execute_sql(
             "create index idx_u_r_type_type on u_r_type (type) using sorted", udb
         )
         assert again.name == "idx_u_r_type_type"
         relation = udb.partitions("r")[1].relation
         assert [i.name for i in built_indexes_on(relation)] == [
-            "mine", "idx_u_r_type_type",
+            "idx_u_r_type_type", "mine",  # in definition order
         ]
         assert udb.index_defs() == sorted(
             before + [("u_r_type", "mine", ("type",), "hash")]
         )
         assert index in built_indexes_on(relation)
 
-    def test_drop_of_a_pending_definition_builds_nothing(self):
+    def test_drop_of_an_unbuilt_definition_builds_nothing(self):
         udb = build_vehicles_udb()
         execute_sql("drop index idx_u_r_type_type", udb)
         assert all(
