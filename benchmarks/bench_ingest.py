@@ -35,10 +35,12 @@ import pytest
 from repro.core.descriptor import Descriptor
 from repro.core.udatabase import UDatabase
 from repro.core.urelation import URelation, tid_column
+from repro.relational.relation import DEAD_SHARE
 from repro.server import QueryServer
 
 from benchmarks.bench_serve import meets_serving_bar
 from benchmarks.conftest import RESULTS_DIR
+from tests.conftest import segment_bound
 
 #: Seed rows in the served relation (point lookups draw from these ids).
 SEED_ROWS = 2000
@@ -222,8 +224,10 @@ def test_ingest_mixed_throughput():
 
 """Compaction phase: 5k statements of churn, then VACUUM, then the gate —
 post-compaction point lookups must be within 1.2x of a fresh load of the
-same logical content.  A compacted stack that stays slower than a rebuilt
-one would mean compaction is not actually reclaiming the read path."""
+same logical content.  Every write applies the segment policy, so the
+VACUUMed store is size tiers with dead rows under the dead share; tiers
+that read slower than a rebuilt store would mean the policy is not
+keeping the read path."""
 
 CHURN_STATEMENTS = 5_000
 LOOKUP_TRIALS = 5
@@ -250,9 +254,9 @@ def _median_lookup_seconds(udb, keys) -> float:
 
 
 def test_compaction_restores_point_lookup_latency():
-    """Churn -> VACUUM returns every partition to one clean segment, and
-    point lookups on the compacted store run within 1.2x of a fresh load
-    of identical content."""
+    """Churn -> VACUUM leaves every partition within the segment policy,
+    and point lookups on the compacted store run within 1.2x of a fresh
+    load of identical content."""
     from repro.sql import execute_sql, prepare
 
     udb = _items_udb()
@@ -280,8 +284,8 @@ def test_compaction_restores_point_lookup_latency():
     result = udb.compact()
     vacuum_seconds = time.perf_counter() - started
     for name, h in udb.segment_health(publish=False).items():
-        assert h["segment_count"] == 1, f"{name} still stacked: {h}"
-        assert h["deleted_ratio"] == 0.0, f"{name} still carries dead rows: {h}"
+        assert h["segment_count"] <= segment_bound(h["live_rows"]), f"{name} over the bound: {h}"
+        assert h["deleted_ratio"] < DEAD_SHARE, f"{name} at the dead share: {h}"
 
     # the fresh-load twin: identical logical content, built in one shot
     rows = execute_sql("possible (select id, grp from items)", udb).rows

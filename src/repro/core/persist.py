@@ -3,8 +3,9 @@
 A :class:`~repro.core.udatabase.UDatabase` persists to a directory whose
 layout mirrors the in-memory write path: every vertical partition is a
 list of **immutable segments** plus a **delete vector**, so saving after
-DML appends new segment files and rewrites the manifest — it never
-rewrites a base segment.
+DML writes the segments the writes made (appended, or merged and
+rewritten by the segment policy) and rewrites the manifest — it never
+rewrites a segment the policy kept.
 
 Segment-log layout::
 
@@ -16,16 +17,16 @@ Segment-log layout::
       indexes.csv                   secondary-index definitions
       w.csv                         the world table (Var, Rng[, P])
       u_<relation>_<attributes>/    one directory per partition
-        seg_000000.csv              the base segment (typed CSV)
-        seg_000001.csv              one file per appended segment
+        seg_000000.csv              one file per segment (typed CSV)
+        seg_000001.csv
 
 Write-path contract:
 
 * **Segments are immutable**: a ``seg_<id>.csv`` whose row count matches
   the manifest entry is never rewritten — save after N inserts leaves
-  every base segment file byte-identical and writes only the new
-  appended-segment files.  Segment ids are never reused within a lineage
-  (compaction's fresh base takes an id past every existing one), so a
+  every kept segment file byte-identical and writes only the new
+  segments' files.  Segment ids are never reused within a lineage (a
+  new segment takes an id past every one its lineage used), so a
   new save never overwrites a file an older manifest still references.
   A save directory therefore belongs to one database *lineage* (load →
   DML → save back); to save an unrelated database under the same path,
@@ -38,10 +39,10 @@ Write-path contract:
   place — POSIX-atomic, so :func:`load_udatabase` only ever sees the
   complete old manifest or the complete new one, never a torn file;
   (3) **garbage-collect**: delete segment files the *new* manifest no
-  longer references (compacted-away stacks) — only after the rename, so
-  a crash any time before phase 3 leaves every file the committed
-  manifest needs, and a crash during phase 3 merely leaves unreferenced
-  files for the next save to sweep.
+  longer references (segments merged or rewritten away) — only after
+  the rename, so a crash any time before phase 3 leaves every file the
+  committed manifest needs, and a crash during phase 3 merely leaves
+  unreferenced files for the next save to sweep.
 * **Delete vectors live inside the manifest**: the ``deleted`` column
   holds the global ordinals (over the concatenation of all
   segment rows in segment order) marked dead.  Inline storage is what
@@ -141,9 +142,9 @@ def save_udatabase(udb: UDatabase, directory: PathLike) -> None:
     Idempotent, incremental, and crash-safe: new segment files land
     first, the manifest rename commits them (with the delete vectors
     inline), and only then are segment files the new manifest dropped —
-    compacted-away stacks — garbage-collected.  Re-saving skips every
-    segment file already present with the expected row count, so base
-    segments stay byte-identical across saves.
+    segments merged or rewritten away — garbage-collected.  Re-saving
+    skips every segment file already present with the expected row
+    count, so kept segments stay byte-identical across saves.
     """
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -198,7 +199,7 @@ def save_udatabase(udb: UDatabase, directory: PathLike) -> None:
     )
 
     # -- GC phase: only now drop what the committed manifest no longer
-    # references (old segment stacks replaced by a compacted base)
+    # references (segments a merge or a rewrite replaced)
     for part_dir, keep in referenced.items():
         for child in part_dir.glob("seg_*.csv"):
             if child.name not in keep:

@@ -24,7 +24,6 @@ lands on the live partition or not at all.
 
 from __future__ import annotations
 
-import gc
 import threading
 import time
 from typing import (
@@ -63,10 +62,11 @@ class CompactionResult(NamedTuple):
     """What one :meth:`UDatabase.compact` run (a ``VACUUM``) accomplished.
 
     ``relations`` names the logical relations that had at least one
-    partition rewritten; ``partitions`` counts rewritten partitions,
-    ``segments_before`` how many segments they held going in (each comes
-    out holding one), and ``rows_dropped`` how many dead rows the rewrite
-    reclaimed.  An all-compact database yields the zero result.
+    partition rewritten; ``partitions`` counts rewritten partitions (those
+    the segment policy changed), ``segments_before`` how many segments
+    they held going in, and ``rows_dropped`` how many dead rows the
+    rewrite reclaimed.  A database every partition of which meets the
+    policy - every write leaves one so - yields the zero result.
     """
 
     relations: Tuple[str, ...]
@@ -258,10 +258,12 @@ class UDatabase:
         """Register a logical relation with its vertical partitions.
 
         The partitions' value columns must jointly cover ``attributes``.
-        Each partition lists the auto-indexing policy's definitions
-        (:func:`_index_policy`) beside those it lists already, and builds
-        nothing: the first planner access builds them, so write-only
-        pipelines (conversion, save) skip the cost entirely; callers that
+        A partition that never listed index definitions lists the
+        auto-indexing policy's (:func:`_index_policy`); one that did -
+        re-registered, or indexed by its caller - keeps its tuple as it
+        is, so a ``DROP INDEX`` stays dropped.  Nothing is built: the
+        first planner access builds them, so write-only pipelines
+        (conversion, save) skip the cost entirely; callers that
         need deterministic first-query latency force the builds with
         :meth:`build_indexes` (benchmark setup does, after generation).
         """
@@ -286,10 +288,8 @@ class UDatabase:
         self._next_tid.pop(name, None)
         self._catalog_version += 1
         for part in partitions:
-            listed = index_defs_on(part.relation)
-            names = {definition.name for definition in listed}
-            added = [d for d in _index_policy(name, part) if d.name not in names]
-            set_index_defs(part.relation, listed + tuple(added))
+            if index_defs_on(part.relation, None) is None:
+                set_index_defs(part.relation, _index_policy(name, part))
 
     # ------------------------------------------------------------------
     # the write path (see :mod:`repro.core.dml`)
@@ -337,23 +337,24 @@ class UDatabase:
         return copy_rows(self, name, rows)
 
     def compact(self, table: Optional[str] = None) -> CompactionResult:
-        """Rewrite segment stacks into single base segments (``VACUUM``).
+        """Apply the segment policy now (``VACUUM``).
 
-        For every partition of ``table`` (or of every relation when
-        ``None``) that holds more than one segment or any deleted rows,
-        build a replacement relation whose live rows sit in one fresh base
-        segment (:meth:`~repro.relational.relation.Relation.compacted`)
-        and swap them all in with one :meth:`publish` under the write
-        lock.  Readers and pinned snapshots keep the old immutable
+        Every partition of ``table`` (or of every relation when ``None``)
+        is replaced by its version under the segment policy
+        (:meth:`~repro.relational.relation.Relation.compacted`: emptied
+        segments dropped, segments with :data:`~repro.relational.relation.DEAD_SHARE`
+        of their rows dead rewritten, neighbours merged into size tiers),
+        all in one :meth:`publish` under the write lock; afterwards every
+        partition meets the policy.  Every write applies the policy to its
+        own successor already, so only a partition built or loaded in
+        another layout has work here.  This is PostgreSQL's plain
+        ``VACUUM``, not ``VACUUM FULL``: a partition may keep several
+        segments and dead rows below the dead share, and a segment the
+        policy keeps is shared with the old version, with all it had
+        built.  Readers and pinned snapshots keep the old immutable
         relation objects; the swap is indistinguishable from any other
-        write.  The new base reuses the old base's slots, dead ones refilled
-        by the rows written since, and holds whatever the old base had
-        built (column vectors, counts, index structures, probe tables),
-        edited at the slots it touched, so its cost follows the rows
-        written and deleted since the last compaction and the reads after
-        it build nothing; a compacted partition's rows come in slot order.
-        Index definitions and statistics carry over as they are, and
-        so does a handle for each definition that had one.  The world
+        write.  Index definitions and statistics carry over as they are,
+        and so does a handle for each definition that had one.  The world
         table is never touched.
 
         Emits ``compactions_total`` (per rewritten relation) and observes
@@ -383,7 +384,7 @@ class UDatabase:
                         replacements.append(part)
                         continue
                     segments_before += len(relation.segments())
-                    dropped_here = relation.deleted_count()
+                    dropped_here = relation.deleted_count() - rewritten.deleted_count()
                     rows_dropped += dropped_here
                     # pointer-slot estimate of the reclaimed tuples (CPython
                     # tuple header + one slot per column); values are shared
@@ -403,17 +404,10 @@ class UDatabase:
                     compacted.append(name)
             if rewrites:
                 self.publish(rewrites)
-        if rewrites:
-            # the new bases are a few very large containers (row lists,
-            # tables, sorted arrays), too few to set off a young collection
-            # themselves: the next one, in whichever request allocates
-            # next, would walk every slot of them.  Walk them here, in the
-            # VACUUM that made them.
-            gc.collect(0)
         seconds = time.perf_counter() - started
         if compacted:
             total = counter(
-                "compactions_total", "Partition-stack rewrites, by relation"
+                "compactions_total", "VACUUM partition rewrites, by relation"
             )
             for name in compacted:
                 total.inc(relation=name)
@@ -461,10 +455,10 @@ class UDatabase:
         """Per-partition write-path health, optionally published as gauges.
 
         For every vertical partition (keyed ``relation/part<i>``):
-        ``segment_count`` (appended segments accumulated since the last
-        base rewrite), ``live_rows``, ``deleted_rows``, and
-        ``deleted_ratio`` (dead fraction of all appended rows): what an
-        operator reads to decide when to ``VACUUM``.  With
+        ``segment_count`` (its size tiers, O(log n) under the segment
+        policy), ``live_rows``, ``deleted_rows``, and
+        ``deleted_ratio`` (dead fraction of all stored rows, kept below
+        the policy's dead share per segment by the writes themselves).  With
         ``publish=True`` (default) each value is also set on the
         ``segment_*`` gauges, labeled by partition, so the metrics
         snapshot carries the write path's state.
@@ -490,7 +484,7 @@ class UDatabase:
                 }
         if publish:
             count_gauge = gauge(
-                "segment_count", "Segments per partition (1 = compacted base)"
+                "segment_count", "Segments per partition"
             )
             live_gauge = gauge("segment_live_rows", "Live rows per partition")
             ratio_gauge = gauge(

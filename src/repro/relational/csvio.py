@@ -3,7 +3,9 @@
 Relations round-trip through CSV with a typed header: each column is
 written as ``name:type`` (``int``, ``float``, ``str``, ``bool``, ``date``,
 ``any``), so :func:`read_csv` restores the exact Python values
-:func:`write_csv` saw.  Plain headers (no ``:type``) are also accepted, in
+:func:`write_csv` saw.  An ``any`` column mixes types (a partition's tuple
+ids: strings loaded, integers minted by ``INSERT``), so each of its cells
+is written as ``type:text``.  Plain headers (no ``:type``) are also accepted, in
 which case types are inferred per column from the data.
 """
 
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import pathlib
-from typing import List, Optional, Sequence, Union
+from typing import Any, List, Optional, Sequence, Union
 
 from .relation import Relation
 from .schema import Attribute, Schema
@@ -27,19 +29,16 @@ _NULL = "\\N"  # PostgreSQL-style NULL marker, distinguishable from ""
 def write_csv(relation: Relation, path: PathLike) -> None:
     """Write a relation to ``path`` with a typed header row.
 
-    Columns mixing incompatible Python types (e.g. ints and strings) cannot
-    round-trip through text and are rejected with :class:`ValueError`.
+    A value of a type none of the column types names (a tuple, say) cannot
+    round-trip through text and is rejected with :class:`ValueError`.
     """
     types = relation.infer_types()
-    for attr, dtype in zip(relation.schema.attributes, types):
+    for position, (attr, dtype) in enumerate(zip(relation.schema.attributes, types)):
         if dtype is DataType.ANY and any(
-            row[relation.schema.resolve(attr.name)] is not None
+            infer_type(row[position]) is DataType.ANY and row[position] is not None
             for row in relation
         ):
-            raise ValueError(
-                f"column {attr.name!r} mixes incompatible types; "
-                "CSV serialization needs homogeneous columns"
-            )
+            raise ValueError(f"column {attr.name!r} holds a value CSV cannot type")
     header = [
         f"{attr.name}:{dtype.value}"
         for attr, dtype in zip(relation.schema.attributes, types)
@@ -48,9 +47,7 @@ def write_csv(relation: Relation, path: PathLike) -> None:
         writer = csv.writer(handle)
         writer.writerow(header)
         for row in relation:
-            writer.writerow(
-                [_NULL if value is None else format_value(value) for value in row]
-            )
+            writer.writerow(list(map(_cell, row, types)))
 
 
 def read_csv(path: PathLike, schema: Optional[Schema] = None) -> Relation:
@@ -65,7 +62,7 @@ def read_csv(path: PathLike, schema: Optional[Schema] = None) -> Relation:
 
     if schema is not None:
         names = schema.names
-        types = [a.dtype for a in schema.attributes]
+        types = [None if a.dtype is DataType.ANY else a.dtype for a in schema.attributes]
         if len(header) != len(names):
             raise ValueError(
                 f"{path}: header has {len(header)} columns, schema {len(names)}"
@@ -73,9 +70,9 @@ def read_csv(path: PathLike, schema: Optional[Schema] = None) -> Relation:
     else:
         names, types = _parse_header(header)
         schema = Schema(
-            [Attribute(n, t) for n, t in zip(names, types)]
+            [Attribute(n, t or DataType.ANY) for n, t in zip(names, types)]
         )
-        if all(t is DataType.ANY for t in types):
+        if all(t is None for t in types):
             types = _infer_column_types(raw_rows, len(names))
 
     rows = []
@@ -84,13 +81,25 @@ def read_csv(path: PathLike, schema: Optional[Schema] = None) -> Relation:
             raise ValueError(
                 f"{path}: row arity {len(raw)} does not match header {len(names)}"
             )
-        rows.append(
-            tuple(
-                None if field == _NULL else parse_value(field, dtype)
-                for field, dtype in zip(raw, types)
-            )
-        )
+        rows.append(tuple(map(_parsed, raw, types)))
     return Relation(schema, rows)
+
+
+def _cell(value: Any, dtype: DataType) -> str:
+    if value is None:
+        return _NULL
+    if dtype is DataType.ANY:  # a mixed column: each cell says its type
+        return f"{infer_type(value).value}:{format_value(value)}"
+    return format_value(value)
+
+
+def _parsed(field: str, dtype: Optional[DataType]) -> Any:
+    if field == _NULL:
+        return None
+    if dtype is DataType.ANY:  # a cell of a mixed column: ``type:text``
+        tag, _, field = field.partition(":")
+        dtype = DataType(tag)
+    return parse_value(field, dtype)
 
 
 def _parse_header(header: Sequence[str]):
@@ -106,7 +115,7 @@ def _parse_header(header: Sequence[str]):
             except ValueError:
                 pass  # not a type suffix after all: treat the cell as a name
         names.append(cell)
-        types.append(DataType.ANY)
+        types.append(None)  # untyped: text, or inferred when all are
     return names, types
 
 

@@ -20,10 +20,10 @@ sorted key array of every index definition over its own rows
 version holding the segment shares it.  An :class:`Index` is a handle over
 one version: its definition plus that version's segments and dead
 positions.  A lookup reads each segment's structure and drops the dead
-rows, so an append indexes the new segment alone, a delete indexes
-nothing, and a compaction's new base segment takes the old base's
-structures and probe tables with edits for the slots it refilled or
-vacated (``_edit``; the rows it places are indexed again, no others).
+rows, so a write indexes its new segments alone (an append's, and those
+the segment policy merged or rewrote), a delete indexes nothing, and a
+segment both versions hold keeps its structures and probe tables by
+identity.
 
 An index is one :class:`IndexDef` (name, columns, kind, positions), and
 the tuple of them a :class:`~repro.relational.relation.Relation` version
@@ -35,7 +35,7 @@ on a version builds a handle for every definition and memoizes it there;
 a definition that cannot build over that version (sorted keys that do not
 compare) gets ``None`` and stays listed, to build again on a later version.
 A write's successor takes a handle for each one its parent had
-(:func:`carry_handles`), so only its added segments are indexed.
+(:func:`carry_handles`), so only its new segments are indexed.
 
 NULL semantics match the executor's comparisons: rows whose key contains
 ``None`` are excluded from every index (a NULL never compares equal, so an
@@ -44,17 +44,15 @@ equality or range lookup can never return it).
 
 from __future__ import annotations
 
-import copy
 import heapq
 import threading
 import weakref
 from bisect import bisect_left, bisect_right
 from functools import partial
-from itertools import chain
 from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .relation import EDIT_RULES, Refill, Relation, Segment
+from .relation import Relation, Segment
 from .schema import SchemaError
 
 __all__ = [
@@ -109,62 +107,27 @@ def _segment_probe_table(segment: Segment, kind: str, positions: Tuple[int, ...]
     return _KIND_CLASSES[kind]._probe_table(segment.rows, structure)
 
 
-def _edited_structure(structure: Any, refill: Refill, kind: str, positions: Tuple[int, ...]) -> Any:
-    return _KIND_CLASSES[kind]._edit(structure, refill.removed, refill.placed, positions)
-
-
-def _edited_probe_table(
-    table: Dict[Any, Any], refill: Refill, kind: str, positions: Tuple[int, ...]
-) -> Dict[Any, Any]:
-    """The old base's probe table, copied, with every key a touched slot
-    held or holds looked up again in the new base's structure."""
-    structure = refill.carry(_structure, kind, positions)
-    hits_of = _KIND_CLASSES[kind]._hits
-    rows = refill.new.rows
-    table = table.copy()
-    touched = set(map(_key_getter(positions), chain(refill.removed.values(), refill.placed.values())))
-    touched.discard(None)
-    for key in touched:
-        hits = hits_of(structure, key)
-        if not hits:
-            table.pop(key, None)
-        else:
-            table[key] = rows[hits[0]] if len(hits) == 1 else list(map(rows.__getitem__, hits))
-    return table
-
-
-def _spliced(old: List[Any], cuts: List[tuple], value: Callable[[Any, int], Any]) -> List[Any]:
-    """``old`` with each ``(at, 1)`` cut's entry dropped and each ``(at, 0,
-    key, slot)`` cut's ``value(key, slot)`` inserted before ``old[at]``
-    (``cuts`` ascending); the runs between cuts are copied as slices."""
-    out: List[Any] = []
-    start = 0
-    for at, drop, *entry in cuts:
-        out += old[start:at]
-        if drop:
-            start = at + 1
-        else:
-            start = at
-            out.append(value(*entry))
-    out += old[start:]
-    return out
-
-
 def _live_probe(
-    hits_of: Callable,
+    positions_of: Callable[[Any], Any],
     rows: Sequence[Row],
-    structure: Any,
     dead: frozenset,
     kept: Optional[bytearray],
     key: Any,
 ) -> Any:
     """One segment's join probe when it has dead rows (the :func:`probe_table`
     shape, dead rows dropped, and with a ``kept`` mask the rows it leaves
-    out too).  A function of the segment alone: a probe holding its index
-    handle would close a cycle through the handle's cached probe."""
-    hits = [p for p in hits_of(structure, key) if p not in dead]
-    if kept is not None:
-        hits = [p for p in hits if kept[p]]
+    out too); ``positions_of(key)`` is the position, or the ascending list
+    of positions, of the rows keyed ``key``, or ``None``.  A function of
+    the segment alone: a probe holding its index handle would close a
+    cycle through the handle's cached probe."""
+    held = positions_of(key)
+    if held is None:
+        return None
+    if type(held) is int:  # most keys of a tid index: one row
+        if held in dead or kept is not None and not kept[held]:
+            return None
+        return rows[held]
+    hits = [p for p in held if p not in dead and (kept is None or kept[p])]
     if not hits:
         return None
     return rows[hits[0]] if len(hits) == 1 else list(map(rows.__getitem__, hits))
@@ -184,8 +147,7 @@ class Index:
         self.key_of = _key_getter(self.positions)
         self._runs: Optional[Tuple[Tuple[Segment, Any, frozenset], ...]] = None
         self._probe: Optional[Callable[[Any], Any]] = None
-        for _, structure, _ in self.runs():  # every segment's, built now
-            self._admit(structure)
+        self._check(self.runs())  # every segment's structure, built now
 
     def runs(self) -> Tuple[Tuple[Segment, Any, frozenset], ...]:
         """Per segment of the version: the segment, its structure and its
@@ -200,20 +162,21 @@ class Index:
             )
         return runs
 
-    def successor(self, relation: Relation, added: Sequence[Segment]) -> "Index":
+    def successor(self, relation: Relation) -> "Index":
         """This index over ``relation``, a write's successor of its own
-        relation that adds the segments ``added``: only those are indexed
-        now, and the shared ones are read on first use.  Raises
-        ``TypeError`` when an added segment's keys cannot join the index."""
-        handle = copy.copy(self)
+        relation: a segment both hold keeps its structure, so only the
+        successor's new segments are indexed.  Raises ``TypeError`` when
+        a new segment's keys cannot join the index."""
+        handle = object.__new__(type(self))
+        handle.__dict__.update(self.__dict__)
         handle._relation = weakref.ref(relation)
         handle._runs = handle._probe = None
-        for segment in added:
-            handle._admit(segment.memo(_structure, self.kind, self.positions))
+        handle._check(handle.runs())
         return handle
 
-    def _admit(self, structure: Any) -> None:
-        """Check that a segment's structure can join this index."""
+    def _check(self, runs: Tuple[Tuple[Segment, Any, frozenset], ...]) -> None:
+        """Raise ``TypeError`` when the segments' structures cannot form
+        one index."""
 
     @property
     def relation(self) -> Optional[Relation]:
@@ -237,15 +200,6 @@ class Index:
         raise NotImplementedError
 
     @staticmethod
-    def _edit(
-        structure: Any, removed: Dict[int, Row], placed: Dict[int, Row], positions: Tuple[int, ...]
-    ) -> Any:
-        """The structure over a compaction's new base, from the old base's
-        ``structure`` and the :class:`~repro.relational.relation.Refill`'s
-        ``removed`` / ``placed`` slots: a copy, never a change."""
-        raise NotImplementedError
-
-    @staticmethod
     def _probe_table(rows: Sequence[Row], structure: Any) -> Dict[Any, Any]:
         """The :func:`probe_table` of one segment, from its structure."""
         raise NotImplementedError
@@ -258,6 +212,12 @@ class Index:
     @staticmethod
     def _size(structure: Any) -> int:
         """How many of the segment's rows the structure indexes."""
+        raise NotImplementedError
+
+    @staticmethod
+    def _positions(structure: Any) -> Callable[[Any], Any]:
+        """Key -> the position of its one row, the ascending list of its
+        rows' positions, or ``None`` (what :func:`_live_probe` reads)."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -328,26 +288,26 @@ class Index:
                 kept = None
                 table = None if dead else segment._memo.get(key) or segment.memo(*key)  # memo inline
             gets.append(
-                partial(_live_probe, self._hits, segment.rows, structure, dead, kept)
+                partial(_live_probe, self._positions(structure), segment.rows, dead, kept)
                 if dead
                 else table.get
             )
-        if len(gets) == 1 and not runs[0][2]:
+        if len(gets) == 1:
             return gets[0]
 
         def lookup(key: Any) -> Any:
-            found: List[Row] = []
+            found = None
             for get in gets:
                 held = get(key)
                 if held is None:
                     continue
-                if type(held) is list:
-                    found.extend(held)
+                if found is None:  # a table's own list is never changed
+                    found = held
                 else:
-                    found.append(held)
-            if not found:
-                return None
-            return found[0] if len(found) == 1 else found
+                    found = (found if type(found) is list else [found]) + (
+                        held if type(held) is list else [held]
+                    )
+            return found
 
         return lookup
 
@@ -379,38 +339,6 @@ class HashIndex(Index):
         return table, len(keys) - keys.count(None)
 
     @staticmethod
-    def _edit(
-        structure: Any, removed: Dict[int, Row], placed: Dict[int, Row], positions: Tuple[int, ...]
-    ) -> Tuple[Dict[Any, Any], int]:
-        key_of = _key_getter(positions)
-        gone: Dict[Any, set] = {}
-        for slot, row in removed.items():
-            key = key_of(row)
-            if key is not None:
-                gone.setdefault(key, set()).add(slot)
-        came: Dict[Any, List[int]] = {}
-        for slot, row in placed.items():
-            key = key_of(row)
-            if key is not None:
-                came.setdefault(key, []).append(slot)
-        table, size = structure
-        table = table.copy()
-        for key in gone.keys() | came.keys():
-            held = table.get(key)
-            slots = () if held is None else held if type(held) is list else (held,)
-            drop = gone.get(key)
-            if drop:
-                slots = [slot for slot in slots if slot not in drop]
-            if key in came:
-                slots = sorted([*slots, *came[key]])
-            if not slots:
-                del table[key]
-            else:  # a new list: the old one may be shared
-                table[key] = slots[0] if len(slots) == 1 else slots
-        size += sum(map(len, came.values())) - sum(map(len, gone.values()))
-        return table, size
-
-    @staticmethod
     def _probe_table(rows: Sequence[Row], structure: Any) -> Dict[Any, Any]:
         return {
             key: rows[held] if type(held) is int else list(map(rows.__getitem__, held))
@@ -428,6 +356,10 @@ class HashIndex(Index):
     def _size(structure: Any) -> int:
         return structure[1]
 
+    @staticmethod
+    def _positions(structure: Any) -> Callable[[Any], Any]:
+        return structure[0].get
+
 
 class SortedIndex(Index):
     """Binary-search index: row positions sorted by key, point + range lookups.
@@ -441,16 +373,12 @@ class SortedIndex(Index):
 
     kind = "sorted"
 
-    #: The least and greatest key over the segments, ``None`` while none.
-    _span: Optional[Tuple[Any, Any]] = None
-
-    def _admit(self, structure: Any) -> None:
+    def _check(self, runs: Tuple[Tuple[Segment, Any, frozenset], ...]) -> None:
         # each segment's keys sort; across segments their extremes must too
-        keys = structure[0]
-        if keys:
-            span = self._span
-            low, high = keys[0], keys[-1]
-            self._span = (low, high) if span is None else (min(span[0], low), max(span[1], high))
+        ends = [(keys[0], keys[-1]) for _, (keys, _, _), _ in runs if keys]
+        if len(ends) > 1:
+            min(low for low, _ in ends)
+            max(high for _, high in ends)
 
     @staticmethod
     def _build(rows: Sequence[Row], positions: Tuple[int, ...]) -> Tuple[List[Any], List[int], List[Any]]:
@@ -464,30 +392,6 @@ class SortedIndex(Index):
         keys = list(map(keys.__getitem__, order))
         first = keys if len(positions) == 1 else [key[0] for key in keys]
         return keys, order, first
-
-    @staticmethod
-    def _edit(
-        structure: Any, removed: Dict[int, Row], placed: Dict[int, Row], positions: Tuple[int, ...]
-    ) -> Tuple[List[Any], List[int], List[Any]]:
-        """Spliced at bisected points: a removed slot's entry is dropped
-        and a placed slot's goes before the first entry above it (key,
-        then slot).  Raises ``TypeError`` when a key does not compare."""
-        keys, order, first = structure
-        key_of = _key_getter(positions)
-        cuts: List[tuple] = []  # (at, 1): drop entry at; (at, 0, key, slot): insert before it
-        for drop, rows in ((1, removed), (0, placed)):
-            for slot, row in rows.items():
-                key = key_of(row)
-                if key is not None:
-                    lo = bisect_left(keys, key)
-                    at = bisect_left(order, slot, lo, bisect_right(keys, key, lo))
-                    cuts.append((at, 1) if drop else (at, 0, key, slot))
-        cuts.sort()
-        keys = _spliced(keys, cuts, lambda key, slot: key)
-        order = _spliced(order, cuts, lambda key, slot: slot)
-        if len(positions) == 1:
-            return keys, order, keys
-        return keys, order, _spliced(first, cuts, lambda key, slot: key[0])
 
     @staticmethod
     def _probe_table(rows: Sequence[Row], structure: Any) -> Dict[Any, Any]:
@@ -509,6 +413,10 @@ class SortedIndex(Index):
     @staticmethod
     def _size(structure: Any) -> int:
         return len(structure[0])
+
+    @staticmethod
+    def _positions(structure: Any) -> Callable[[Any], Any]:
+        return lambda key: SortedIndex._hits(structure, key) or None
 
     def range_runs(
         self,
@@ -563,8 +471,6 @@ class SortedIndex(Index):
 
 
 _KIND_CLASSES = {"hash": HashIndex, "sorted": SortedIndex}
-EDIT_RULES[_structure] = _edited_structure
-EDIT_RULES[_segment_probe_table] = _edited_probe_table
 
 
 def probe_table(entries: Iterable[Tuple[Any, Row]]) -> Dict[Any, Any]:
@@ -668,9 +574,10 @@ def forget_facts(relation: Relation) -> None:
     relation._facts = None
 
 
-def index_defs_on(relation: Relation) -> Tuple[IndexDef, ...]:
-    """The definitions ``relation`` lists, built or not; builds nothing."""
-    return getattr(relation, "_index_defs", ())
+def index_defs_on(relation: Relation, unset: Any = ()) -> Tuple[IndexDef, ...]:
+    """The definitions ``relation`` lists, built or not, or ``unset`` when
+    none were ever listed on it or its parents; builds nothing."""
+    return getattr(relation, "_index_defs", unset)
 
 
 def _handle(relation: Relation, definition: IndexDef) -> Optional[Index]:
@@ -708,7 +615,7 @@ def set_index_defs(relation: Relation, definitions: Sequence[IndexDef]) -> None:
     set differs."""
     definitions = tuple(definitions)
     with _LOCK:
-        if definitions != index_defs_on(relation):
+        if definitions != index_defs_on(relation, None):
             _list(relation, definitions)
 
 
@@ -801,9 +708,9 @@ def index_named(relation: Relation, definition: IndexDef) -> Index:
 
 def carry_handles(old: Relation, new: Relation) -> None:
     """Give ``new``, a write's successor of ``old`` listing the same
-    definitions, a handle for each one ``old`` has a handle for: its
-    segments' structures are shared, so only an added segment is
-    indexed.  A sorted index whose keys no longer compare across the
+    definitions, a handle for each one ``old`` has a handle for: the
+    segments both hold keep their structures, so only the segments
+    ``new`` has and ``old`` did not are indexed.  A sorted index whose keys no longer compare across the
     segments has ``None`` there, and builds again on a later version.
 
     ``new`` is a fresh version with no planning facts memoized yet: the
@@ -814,15 +721,11 @@ def carry_handles(old: Relation, new: Relation) -> None:
     handles = getattr(old, "_indexes", None)
     if not handles:
         return
-    # an append adds its segment at the end, a delete adds none, and a
-    # compaction replaces them all with a new base
-    kept = len(old._runs) if new._runs[0][0] is old._runs[0][0] else 0
-    added = [segment for segment, _ in new._runs[kept:]]
     carried: Dict[IndexDef, Optional[Index]] = {}
     for definition, index in list(handles.items()):
         if index is not None:
             try:
-                carried[definition] = index.successor(new, added)
+                carried[definition] = index.successor(new)
             except TypeError:
                 carried[definition] = None
     new._indexes = carried

@@ -8,15 +8,18 @@ set-of-rows equality under the same schema).  Physical operators produce
 row iterators; :func:`Relation.from_rows` materializes them as one
 segment.
 
-The write path never copies a version: an append adds one segment, a
-delete adds positions to the vector, and only a compaction (``VACUUM``)
-writes the live rows into one new base segment, reusing the old base's
-slots (:meth:`Relation.compacted`).  Everything derived from a segment's
-own rows - its column vectors, NULL and all-equal counts, index
-structures and join probe tables - is built on the segment, once, and
-shared by identity by every version that holds it; a compaction's new
-base gets the old base's by edits (:data:`EDIT_RULES`).  What a cached
-plan derives from a segment's rows and its own literal predicates (the
+The write path never copies a version it does not have to: an append
+adds one segment, a delete adds positions to the vector, and every
+write's successor - and a compaction (``VACUUM``) - applies one segment
+policy (:func:`_tiered`): an emptied segment is dropped, one with
+:data:`DEAD_SHARE` of its rows dead is rewritten alone, and adjacent
+segments merge into size tiers (:data:`T`), so a version holds O(log n)
+segments, its rows in insertion order, and a row is rewritten O(log n)
+times.  Everything derived from a segment's own rows - its column
+vectors, NULL and all-equal counts, index structures and join probe
+tables - is built on the segment, once, and shared by identity by every
+version that holds it; a merged or rewritten segment builds its own on
+first use.  What a cached plan derives from a segment's rows and its own literal predicates (the
 rows a scan filter keeps, a probe filter's restricted probe table) lives
 on the plan node, keyed weakly by the segment: it dies with the shorter
 lived of the two, and a segment never changes, so it never goes stale
@@ -35,14 +38,14 @@ a SQL engine; convenience set-style helpers are provided for tests.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, islice
 from operator import countOf, itemgetter, not_
-from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .schema import Schema, SchemaError
 from .types import DataType, format_value, infer_type
 
-__all__ = ["Relation", "Refill", "Segment", "live_rows"]
+__all__ = ["Relation", "Segment", "live_rows"]
 
 Row = Tuple[Any, ...]
 
@@ -53,8 +56,9 @@ _NOTHING: frozenset = frozenset()
 class Segment:
     """One immutable run of rows, and everything derived from them alone.
 
-    Segments are shared *by identity* between relation versions: an append
-    produces a version whose segments are the old ones plus one new one.
+    Segments are shared *by identity* between relation versions: a write
+    produces a version whose segments are the old ones the segment policy
+    kept, plus new ones.
     :meth:`memo` keeps each value derived from the rows (column vectors,
     value counts, index structures, probe tables) on the segment, so every
     version holding it reuses the same value.  ``rows`` must not be
@@ -75,8 +79,7 @@ class Segment:
         ``build`` is a module-level function and, with ``args``, the key.
         Threads racing on a first use each build an equal value and the
         first one stored stays (``dict.setdefault``): a filled entry never
-        changes.  A compaction carries the entries over to its new base
-        segment by :meth:`Refill.carry`.
+        changes.
         """
         key = (build, *args)
         value = self._memo.get(key)
@@ -107,82 +110,14 @@ def _nulls(segment: Segment, width: int) -> Dict[int, int]:
     return {position: held for position, held in enumerate(counts) if held}
 
 
-def _edited_columns(columns: List[tuple], refill: "Refill", width: int) -> List[tuple]:
-    size = len(refill.new.rows)
-    slots = list(refill.placed)
-    rows = list(refill.placed.values())
-    edited = []
-    for position, column in enumerate(columns):
-        column = list(column)
-        del column[size:]
-        column.extend(repeat(None, size - len(column)))
-        for slot, value in zip(slots, map(itemgetter(position), rows)):
-            column[slot] = value
-        edited.append(tuple(column))
-    return edited
+#: A segment is rewritten on its own once this share of its rows is dead
+#: (PostgreSQL's autovacuum scale factor), so a delete costs amortized O(1).
+DEAD_SHARE = 0.2
 
-
-def _edited_count(held: int, refill: "Refill", position: int, value: Any) -> int:
-    out = countOf(map(itemgetter(position), refill.removed.values()), value)
-    return held - out + countOf(map(itemgetter(position), refill.placed.values()), value)
-
-
-def _edited_nulls(nulls: Dict[int, int], refill: "Refill", width: int) -> Dict[int, int]:
-    counts = (
-        _edited_count(nulls.get(position, 0), refill, position, None)
-        for position in range(width)
-    )
-    return {position: held for position, held in enumerate(counts) if held}
-
-
-#: Per memoized build function, its edit rule: ``rule(value, refill,
-#: *args)`` is ``build(refill.new, *args)``, computed from ``value``, the
-#: old base's ``build(refill.old, *args)``, in work proportional to the
-#: slots the refill touches (:mod:`repro.relational.index` adds the index
-#: structures' and probe tables' rules).
-EDIT_RULES: Dict[Callable[..., Any], Callable[..., Any]] = {
-    _transpose: _edited_columns,
-    _count: _edited_count,
-    _nulls: _edited_nulls,
-}
-
-#: A compaction edits the old base's derived state while the slots it
-#: may touch are at most this share of the new base's rows, and builds it
-#: afresh above (see :meth:`Relation.compacted`).
-EDIT_SHARE = 0.25
-
-
-class Refill(NamedTuple):
-    """How a compaction's new base segment differs from the old base.
-
-    ``removed`` maps each slot of the old base whose row leaves it (a dead
-    row, or a live row moved into a hole) to that row, ``placed`` each
-    slot of the new base that takes a row to that row; every other slot
-    holds the same row in both.  :meth:`carry` moves the old base's
-    derived state over by :data:`EDIT_RULES`.
-    """
-
-    old: Segment
-    new: Segment
-    removed: Dict[int, Row]
-    placed: Dict[int, Row]
-
-    def carry(self, build: Callable[..., Any], *args: Any) -> Any:
-        """``new.memo(build, *args)``, edited from the old base's value when
-        it has one and ``build`` has a rule.  Never shared yet: the new
-        segment is the compaction's own until it is published."""
-        key = (build, *args)
-        memo = self.new._memo
-        value = memo.get(key)
-        if value is None:
-            held = self.old._memo.get(key)
-            rule = EDIT_RULES.get(build)
-            if held is None or rule is None:
-                value = build(self.new, *args)
-            else:
-                value = rule(held, self, *args)
-            memo[key] = value
-        return value
+#: Adjacent segments merge while the older one's live rows are at most
+#: ``T`` times the newer one's: sizes fall off geometrically from the
+#: oldest segment, so a version holds O(log n) segments.
+T = 4
 
 
 def _live(segment: Segment, dead: frozenset) -> Iterable[Row]:
@@ -223,23 +158,66 @@ def _marked(runs: tuple, ordinals: Iterable[int]) -> tuple:
     return tuple(marked) if changed else runs
 
 
+def _tiered(runs: tuple, fresh: int) -> Tuple[tuple, int]:
+    """``runs`` under the segment policy, and the id the next new segment
+    takes (new ones here take ids from ``fresh`` on).
+
+    A segment with no live rows is dropped; one whose dead rows reach
+    :data:`DEAD_SHARE` of it is rewritten alone; adjacent segments merge
+    while the older one's live rows are at most :data:`T` times the newer
+    one's (the LSM-tree's merge, with Bigtable's size tiers).  Only
+    neighbours merge, so the live rows keep their insertion order, and a
+    row is rewritten O(log n) times over its life.  A segment the policy
+    neither rewrites nor merges is kept by identity, with everything built
+    over it; a rewritten or merged one is a new segment.
+    """
+    sizes: List[int] = []  # per segment to be: its live rows ...
+    groups: List[list] = []  # ... and the runs it is made of
+    for run in runs:
+        live = len(run[0].rows) - len(run[1])
+        if live:
+            group = [run]
+            while sizes and sizes[-1] <= T * live:
+                live += sizes.pop()
+                group = groups.pop() + group
+            sizes.append(live)
+            groups.append(group)
+    out = []
+    for group in groups:
+        if len(group) == 1 and len(group[0][1]) < DEAD_SHARE * len(group[0][0].rows):
+            out.append(group[0])
+        else:
+            out.append((Segment(fresh, list(live_rows(group))), _NOTHING))
+            fresh += 1
+    if not out:  # nothing live: one empty segment
+        if len(runs) == 1 and not runs[0][0].rows:
+            return runs, fresh
+        out.append((Segment(fresh, []), _NOTHING))
+        fresh += 1
+    return tuple(out), fresh
+
+
 class Relation:
     """An in-memory relation: immutable schema + segments + delete vector."""
 
     # ``_runs`` is the version's storage: one ``(segment, dead)`` pair per
     # segment, ``dead`` the frozenset of the segment's deleted row
-    # positions.  ``_index_defs`` is the tuple of index definitions the
-    # version lists and ``_indexes`` its memo of their handles, built on
-    # first planner access (:mod:`repro.relational.index`); ``_stats`` is
-    # the optimizer's :class:`~repro.relational.statistics.TableStats`;
-    # ``_facts`` memoizes the prepared-plan cache's planning facts of this
-    # version, per probe set (:func:`repro.relational.plancache.planning_facts`),
-    # dropped by the index and statistics changes that can move one.  All but
+    # positions; ``_next_id`` is the id its next new segment takes, one
+    # past every id its lineage used (persistence names segment files by
+    # id, so a dropped segment's id is never taken again).  ``_index_defs``
+    # is the tuple of index definitions the version lists and ``_indexes``
+    # its memo of their handles, built on first planner access
+    # (:mod:`repro.relational.index`); ``_stats`` is the optimizer's
+    # :class:`~repro.relational.statistics.TableStats`; ``_facts`` memoizes
+    # the prepared-plan cache's planning facts of this version, per probe
+    # set (:func:`repro.relational.plancache.planning_facts`), dropped by
+    # the index and statistics changes that can move one.  All but
     # ``_runs`` are planner-visible state, not part of the relation's
     # value (equality and repr ignore them).
     __slots__ = (
         "schema",
         "_runs",
+        "_next_id",
         "_index_defs",
         "_indexes",
         "_stats",
@@ -262,6 +240,7 @@ class Relation:
                     )
                 checked.append(row_t)
         self._runs = ((Segment(0, checked), _NOTHING),)
+        self._next_id = 1
 
     # ------------------------------------------------------------------
     # constructors
@@ -282,6 +261,7 @@ class Relation:
         relation = cls.__new__(cls)
         relation.schema = schema if isinstance(schema, Schema) else Schema(schema)
         relation._runs = ((Segment(0, rows), _NOTHING),)
+        relation._next_id = 1
         return relation
 
     @classmethod
@@ -312,6 +292,7 @@ class Relation:
         relation = cls.__new__(cls)
         relation.schema = schema if isinstance(schema, Schema) else Schema(schema)
         relation._runs = _marked(tuple((segment, _NOTHING) for segment in segments), deleted)
+        relation._next_id = 1 + max((segment.segment_id for segment in segments), default=-1)
         return relation
 
     # ------------------------------------------------------------------
@@ -334,20 +315,26 @@ class Relation:
         """How many rows the delete vector holds."""
         return sum(len(dead) for _, dead in self._runs)
 
-    def _next(self, runs: tuple, changed: int) -> "Relation":
-        """The version of this relation stored as ``runs``, ``changed``
-        rows away: it takes this version's index definitions (the same
+    def _next(self, runs: tuple, changed: int, fresh: Optional[int] = None) -> "Relation":
+        """The version of this relation stored as ``runs`` under the segment
+        policy (:func:`_tiered`; its new segments take ids from ``fresh``
+        on), ``changed`` rows away, or ``self`` when that is this version's
+        own storage.  It takes this version's index definitions (the same
         tuple), a handle for each one this version has a handle for and,
         until the analyze threshold, its statistics.  The receiver is never
         mutated (pinned snapshots and in-flight plans keep reading it)."""
+        runs, fresh = _tiered(runs, self._next_id if fresh is None else fresh)
+        if runs == self._runs:
+            return self
         new = Relation.__new__(Relation)
         new.schema = self.schema
         new._runs = runs
+        new._next_id = fresh
         stats = getattr(self, "_stats", None)
         if stats is not None:
             new._stats = stats.inherited(new, changed)
         definitions = getattr(self, "_index_defs", None)
-        if definitions:
+        if definitions is not None:
             from .index import carry_handles
 
             new._index_defs = definitions
@@ -357,8 +344,9 @@ class Relation:
     def with_appended(self, rows: Iterable[Sequence[Any]]) -> "Relation":
         """A new relation value with one fresh segment of ``rows`` appended.
 
-        The receiver is untouched; existing segments are shared by
-        identity, so only the new segment is ever transposed or indexed.
+        The receiver is untouched; the segments the policy keeps are
+        shared by identity, so only the new segment, or the one the policy
+        merged it into, is ever transposed or indexed.
         """
         width = len(self.schema)
         appended: List[Row] = []
@@ -369,15 +357,16 @@ class Relation:
                     f"row arity {len(row_t)} does not match schema arity {width}: {row_t!r}"
                 )
             appended.append(row_t)
-        next_id = max(segment.segment_id for segment, _ in self._runs) + 1
-        return self._next(self._runs + ((Segment(next_id, appended), _NOTHING),), len(appended))
+        fresh = self._next_id
+        runs = self._runs + ((Segment(fresh, appended), _NOTHING),)
+        return self._next(runs, len(appended), fresh + 1)
 
     def with_deleted(self, ordinals: Iterable[int]) -> "Relation":
         """A new relation value with the rows at the global ``ordinals``
         (:meth:`deleted_ordinals`' numbering) marked deleted.
 
-        Segments are shared untouched; ``self`` comes back when every
-        ordinal is deleted already.
+        The segments the policy keeps are shared untouched; ``self`` comes
+        back when every ordinal is deleted already.
         """
         runs = _marked(self._runs, ordinals)
         if runs is self._runs:
@@ -386,81 +375,15 @@ class Relation:
         return self._next(runs, changed)
 
     def compacted(self) -> "Relation":
-        """A new relation value whose live rows are one fresh base segment,
-        laid out like PostgreSQL's plain ``VACUUM`` reuses tuple slots.
+        """This version under the segment policy (:func:`_tiered`), as
+        PostgreSQL's plain ``VACUUM``: ``self`` when it meets the policy
+        already, which every version a write made does.
 
-        The new base starts as a copy of the old base's row list: each dead
-        slot takes a live row of the later segments, the rows left over go
-        at the end, and while dead slots outnumber them the last live rows
-        move into the holes.  Every other row keeps its slot, so a
-        compacted relation's row order is slot order, not insertion order.
-
-        Whatever the old base had built (column vectors, counts, index
-        structures, probe tables) the new base holds too, and the reads
-        after it build nothing: each is the old value plus edits for the
-        slots the refill touches (:class:`Refill`, :data:`EDIT_RULES`);
-        what only the later segments had built is built on first use.
-        The old values are copied where edited, never changed, so a version
-        pinned before the compaction answers as before.  Once the slots it
-        may touch (each new row, and each dead slot twice) exceed
-        :data:`EDIT_SHARE` of the new base's rows (a bulk load into a small
-        base), building afresh is the cheaper way and is what runs: on a
-        7 310-row partition with a hash and a sorted index, probe tables,
-        column vectors and counts, editing costs as much as building at
-        about a quarter.  A sorted index whose keys no longer compare
-        builds nothing here: its definition stays listed, with no handle
-        over the new version (:func:`~repro.relational.index.carry_handles`).
-        Returns ``self`` when already compact (one segment, nothing
-        deleted), so callers can detect no-ops by identity.
-
-        The base segment takes a *fresh* id (one past the highest existing
-        id) rather than restarting at 0: persistence names segment files by
-        id, so the compacted base never collides with an old segment file
-        on disk — the save writes it alongside the old files and commits by
-        swapping the manifest atomically (see :mod:`repro.core.persist`).
+        Not a rewrite into one segment: the segments the policy keeps are
+        shared with ``self`` by identity, with everything built over them,
+        and a merged or rewritten segment builds its own on first use.
         """
-        runs = self._runs
-        if len(runs) == 1 and not runs[0][1]:
-            return self
-        old, dead = runs[0]
-        rows = old.rows[:]
-        size = len(rows)
-        fresh = list(live_rows(runs[1:]))
-        holes = sorted(dead)
-        # a hole is vacated and filled, a new row placed: at most this many
-        # slots change, and only an edit needs them written down
-        edit = len(fresh) + 2 * len(holes) <= EDIT_SHARE * (size + len(fresh) - len(holes))
-        removed: Dict[int, Row] = {}
-        placed: Dict[int, Row] = {}
-        for slot, row in zip(holes, fresh):
-            removed[slot] = rows[slot]
-            rows[slot] = placed[slot] = row
-        filled = min(len(holes), len(fresh))
-        extra = fresh[filled:]
-        if edit:
-            placed.update(zip(range(size, size + len(extra)), extra))
-        rows.extend(extra)
-        left = holes[filled:]
-        if left:
-            # the last live rows move into the lowest holes; the slots from
-            # ``end`` on, holes and movers alike, are vacated
-            end = size - len(left)
-            vacant = set(left)
-            movers = (slot for slot in range(end, size) if slot not in vacant)
-            for hole, slot in zip((hole for hole in left if hole < end), movers):
-                removed[hole] = rows[hole]
-                rows[hole] = placed[hole] = rows[slot]
-            if edit:
-                removed.update(zip(range(end, size), rows[end:]))
-            del rows[end:]
-        base = Segment(max(segment.segment_id for segment, _ in runs) + 1, rows)
-        carry = Refill(old, base, removed, placed).carry if edit else base.memo
-        for build, *args in list(old._memo):
-            try:
-                carry(build, *args)
-            except TypeError:
-                pass  # sorted keys that no longer compare: no handle here
-        return self._next(((base, _NOTHING),), 0)
+        return self._next(self._runs, 0)
 
     # ------------------------------------------------------------------
     # container protocol

@@ -56,8 +56,8 @@ DEFAULT_LIMITS: Mapping[str, int] = {
     "conf": 2,
     "cold": 4,
     "dml": 4,
-    # one compaction at a time: VACUUM rewrites whole segment stacks under
-    # the write lock — a second one could only queue behind the first
+    # one compaction at a time: VACUUM rewrites partitions under the
+    # write lock — a second one could only queue behind the first
     "vacuum": 1,
 }
 

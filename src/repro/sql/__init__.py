@@ -142,7 +142,7 @@ def execute_sql(sql: str, udb: UDatabase, params: Optional[Sequence] = None):
     :class:`~repro.relational.index.Index`; ``DROP INDEX`` returns
     ``None``; ``w`` is refused (no plan scans a world-table snapshot).
 
-    ``VACUUM [table]`` compacts partition segment stacks (returns a
+    ``VACUUM [table]`` applies the segment policy to every partition (returns a
     :class:`~repro.core.udatabase.CompactionResult`).  Like DDL, it is
     applied immediately and never cached (:func:`execute_immediate`).
 

@@ -129,8 +129,8 @@ class Vacuum(NamedTuple):
     """Parsed ``VACUUM [table]``.
 
     ``table`` names a *logical* relation (``None`` compacts everything):
-    vacuuming rewrites every partition's segment stack into one base
-    segment — see :meth:`repro.core.udatabase.UDatabase.compact`.
+    vacuuming applies the segment policy to every partition — see
+    :meth:`repro.core.udatabase.UDatabase.compact`.
     """
 
     table: Optional[str] = None

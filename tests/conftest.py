@@ -32,7 +32,8 @@ from repro.obs import (
     reset_slow_queries,
     reset_workload,
 )
-from repro.relational import Distinct, Project, reset_compile_cache, reset_plan_cache, run
+from repro.relational import Distinct, Project, Relation, reset_compile_cache, reset_plan_cache, run
+from repro.relational.relation import DEAD_SHARE, T, Segment
 
 __all__ = ["vehicles_udb", "brute_force_poss", "brute_force_certain", "brute_force_conf"]
 
@@ -119,6 +120,38 @@ def partition_relation(udb: UDatabase, label: str):
         if partition_label(name, part) == label
     )
     return relation
+
+
+def scattered(part: URelation, deleted=()) -> URelation:
+    """``part`` stored one row per segment, with the rows at the
+    ``deleted`` ordinals dead: a layout outside the segment policy (one no
+    write leaves), so a VACUUM over it has work to do."""
+    relation = part.relation
+    segments = [Segment(i, [row]) for i, row in enumerate(relation.rows)]
+    stored = Relation.from_segments(relation.schema, segments, deleted)
+    return URelation(stored, part.d_width, part.tid_names, part.value_names)
+
+
+def segment_bound(rows: int) -> int:
+    """The most segments the segment policy lets a version of ``rows``
+    live rows hold: ``(T - 1) * ceil(log_T rows) + 1``."""
+    tiers = 0
+    while T**tiers < rows:
+        tiers += 1
+    return (T - 1) * tiers + 1
+
+
+def assert_tiered(relation) -> None:
+    """``relation`` meets the segment policy: at most
+    :func:`segment_bound` segments, none at or above ``DEAD_SHARE`` dead,
+    none emptied (but a lone empty one), and ``VACUUM`` finds nothing to
+    do."""
+    runs = relation._runs
+    assert len(runs) <= segment_bound(len(relation)), [len(s.rows) for s, _ in runs]
+    for segment, dead in runs:
+        assert len(dead) < DEAD_SHARE * len(segment.rows) or not segment.rows
+        assert len(segment.rows) > len(dead) or len(runs) == 1
+    assert relation.compacted() is relation
 
 
 def unoptimized_poss(query: UQuery, udb: UDatabase) -> Set[Tuple]:

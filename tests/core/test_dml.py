@@ -18,7 +18,7 @@ from repro.core.urelation import URelation, tid_column
 from repro.relational.expressions import col, lit
 from repro.sql import DMLResult, execute_sql, prepare
 
-from tests.conftest import build_vehicles_udb, without_indexes
+from tests.conftest import assert_tiered, build_vehicles_udb, without_indexes
 
 
 def _single_partition_udb() -> UDatabase:
@@ -143,11 +143,28 @@ def test_delete_removes_every_alternative_and_shares_segments():
     rows = _possible_rows(udb, "possible (select id from r)")
     # a, c, d are possibly Tanks and vanish entirely; only b (id 2 or 3) stays
     assert rows == {(2,), (3,)}
-    # delete only widens delete vectors: the immutable segments are shared
+    # a delete widens delete vectors, and a segment it leaves at or above
+    # the dead share is rewritten to its live rows: each partition's one
+    # segment lost most of its rows here
+    after = {tuple(p.value_names): p.relation for p in udb.partitions("r")}
     for key, old in before.items():
-        new = {tuple(p.value_names): p.relation for p in udb.partitions("r")}[key]
-        if new is not old:
-            assert new.segments() == old.segments()
+        new = after[key]
+        assert new is not old
+        assert_tiered(new)
+        assert new.deleted_count() == 0 and new.segments() != old.segments()
+
+
+def test_a_delete_below_the_dead_share_shares_segments():
+    udb = build_vehicles_udb()
+
+    def ids():
+        (relation,) = [p.relation for p in udb.partitions("r") if p.value_names == ("id",)]
+        return relation
+
+    old = ids()
+    execute_sql("delete from r where id = 4", udb)
+    # one dead row of six: the immutable segment is shared, the row marked
+    assert ids().segments() == old.segments() and ids().deleted_count() == 1
 
 
 def test_update_unknown_column_and_uncertain_set_rejected():

@@ -83,9 +83,10 @@ scripts = st.tuples(
 )
 
 
-def _build(initial, indexed=False):
-    """``r`` holding ``initial``; an uncertain cell's alternatives each
-    take one value of a fresh variable."""
+def _build(initial, indexed=False, layout=lambda part: part):
+    """``r`` holding ``initial``, each partition stored as ``layout``
+    makes it; an uncertain cell's alternatives each take one value of a
+    fresh variable."""
     world = WorldTable()
     type_rows = []
     for i, (_, kind) in enumerate(initial):
@@ -100,7 +101,7 @@ def _build(initial, indexed=False):
         [(Descriptor(), i, (r[0],)) for i, r in enumerate(initial)], tid, ["id"]
     )
     p_type = URelation.build(type_rows, tid, ["type"], d_width=1)
-    udb.add_relation("r", ["id", "type"], [p_id, p_type])
+    udb.add_relation("r", ["id", "type"], [layout(p_id), layout(p_type)])
     return udb if indexed else without_indexes(udb)
 
 

@@ -2,37 +2,34 @@
 
 import csv
 import os
+import pathlib
 
 import pytest
 
 from repro.core import Descriptor, UDatabase, URelation, WorldTable
 from repro.core.persist import load_udatabase, save_udatabase
+from repro.core.udatabase import partition_label
 from repro.core.urelation import tid_column
 
-from tests.conftest import without_indexes
+from tests.conftest import assert_tiered, scattered, without_indexes
 
 
 def worldset(udb, name):
     return frozenset(frozenset(i[name].rows) for _, i in udb.worlds())
 
 
-def _sql_udb():
-    """A certain two-partition relation whose tids are ints, like SQL's.
-
-    The vehicles fixture uses string tids; SQL DML allocates integer
-    tids.  Both coexist as separate segment *files*, but compaction
-    merges segments into one CSV column — which, like any relation
-    column, must stay type-homogeneous to round-trip.
-    """
+def _sql_udb(count=3, layout=lambda part: part):
+    """A certain two-partition relation of ``count`` rows whose tids are
+    ints, like SQL's, each partition stored as ``layout`` makes it."""
     udb = UDatabase()
     tid = tid_column("r")
     p_id = URelation.build(
-        [(Descriptor(), i, (i,)) for i in range(3)], tid, ["id"]
+        [(Descriptor(), i, (i,)) for i in range(count)], tid, ["id"]
     )
     p_type = URelation.build(
-        [(Descriptor(), i, ("Tank",)) for i in range(3)], tid, ["type"]
+        [(Descriptor(), i, ("Tank",)) for i in range(count)], tid, ["type"]
     )
-    udb.add_relation("r", ["id", "type"], [p_id, p_type])
+    udb.add_relation("r", ["id", "type"], [layout(p_id), layout(p_type)])
     return without_indexes(udb)
 
 
@@ -108,8 +105,9 @@ class TestRoundTrip:
 
 
 class TestSegmentLog:
-    """The log-structured contract: re-saving after DML appends, never
-    rewrites."""
+    """The log-structured contract: a save writes the segments the writes
+    made since the last one and collects those they replaced; a segment
+    the segment policy kept is never written again."""
 
     def _snapshot(self, directory):
         return {
@@ -118,70 +116,84 @@ class TestSegmentLog:
             if path.is_file()
         }
 
-    def test_save_after_inserts_rewrites_no_base_segment(
-        self, vehicles_udb, tmp_path
-    ):
+    def _segment_files(self, udb):
+        return {
+            pathlib.Path(partition_label(name, part), f"seg_{segment.segment_id:06d}.csv")
+            for name in udb.relation_names()
+            for part in udb.partitions(name)
+            for segment in part.relation.segments()
+        }
+
+    def _check_resave(self, udb, target):
+        """Save again: every file of a segment the last save wrote and
+        the version still holds survives byte- and mtime-identical, the
+        new segments get a file each, and no other segment file is left."""
+        before = self._snapshot(target)
+        save_udatabase(udb, target)
+        after = self._snapshot(target)
+        held = self._segment_files(udb)
+        assert {p for p in after if p.name.startswith("seg_")} == held
+        for path in held & before.keys():
+            assert after[path] == before[path], path
+        return held - before.keys()
+
+    def test_save_after_inserts_writes_only_new_segments(self, vehicles_udb, tmp_path):
         from repro.sql import execute_sql
 
         target = tmp_path / "db"
         save_udatabase(vehicles_udb, target)
-        before = self._snapshot(target)
-        for i in range(3):
+        bases = self._segment_files(vehicles_udb)
+        execute_sql("insert into r values (100, 'Tank', 'Friend')", vehicles_udb)
+        # one new segment per partition, beside its base
+        new = self._check_resave(vehicles_udb, target)
+        assert len(new) == 3 and bases <= self._segment_files(vehicles_udb)
+        for i in (1, 2):
+            # these merge into tiers: the merged segments are written, and
+            # the ones they replaced collected
             execute_sql(
                 f"insert into r values ({100 + i}, 'Tank', 'Friend')", vehicles_udb
             )
-        save_udatabase(vehicles_udb, target)
-        after = self._snapshot(target)
-        # every base segment file survives byte- and mtime-identical
-        for path, (mtime, data) in before.items():
-            if path.name.startswith("seg_"):
-                assert after[path] == (mtime, data), path
-        # each partition gained one appended segment file per statement
-        for part in ("u_r_id", "u_r_type", "u_r_faction"):
-            new = [
-                p
-                for p in after
-                if p.parts[0] == part and p.name.startswith("seg_") and p not in before
-            ]
-            assert len(new) == 3, part
+            self._check_resave(vehicles_udb, target)
+        back = load_udatabase(target)
+        assert _poss_rows(back) == _poss_rows(vehicles_udb)
 
-    def test_save_after_delete_touches_only_the_manifest(
-        self, vehicles_udb, tmp_path
-    ):
+    def test_save_after_delete_touches_only_the_manifest(self, tmp_path):
         from repro.sql import execute_sql
 
+        udb = _sql_udb(count=10)
         target = tmp_path / "db"
-        save_udatabase(vehicles_udb, target)
-        before = self._snapshot(target)
-        execute_sql("delete from r where id = 1", vehicles_udb)
-        save_udatabase(vehicles_udb, target)
-        after = self._snapshot(target)
-        for path, payload in before.items():
-            if path.name.startswith("seg_"):
-                assert after[path] == payload, path
+        save_udatabase(udb, target)
+        # one dead row in ten: below the dead share, no segment is rewritten
+        execute_sql("delete from r where id = 1", udb)
+        assert self._check_resave(udb, target) == set()
         # v3 carries the delete vector inline: no sidecar, non-empty column
-        assert not any(path.name == "deleted.csv" for path in after)
+        assert not any(path.name == "deleted.csv" for path in target.rglob("*"))
         manifest = (target / "manifest.csv").read_text()
         rows = manifest.strip().splitlines()
         assert rows[0].split(",")[-1] == "deleted"
         assert any(line.rsplit(",", 1)[1] for line in rows[1:])
-
-    def test_compaction_save_collapses_and_collects(self, tmp_path):
-        from repro.sql import execute_sql
-
-        udb = _sql_udb()
-        target = tmp_path / "db"
-        for i in range(6):
-            execute_sql(f"insert into r values ({50 + i}, 'Tank')", udb)
+        # a second one reaches it: each partition's segment is rewritten
         execute_sql("delete from r where id = 2", udb)
+        assert len(self._check_resave(udb, target)) == 2
+        assert _poss_rows(load_udatabase(target), ("id", "type")) == _poss_rows(udb, ("id", "type"))
+
+    def test_compaction_save_writes_the_policy_layout_and_collects(self, tmp_path):
+        # stored one row per segment, two rows dead: outside the policy
+        udb = _sql_udb(count=8, layout=lambda part: scattered(part, deleted=(2, 5)))
+        target = tmp_path / "db"
         save_udatabase(udb, target)
-        stacked = sum(1 for p in target.rglob("seg_*.csv"))
-        assert stacked > 3  # one per partition per statement plus bases
-        udb.compact()
-        save_udatabase(udb, target)
-        # GC swept every superseded segment file: one base per partition
-        for part_dir in (d for d in target.iterdir() if d.is_dir()):
-            assert len(list(part_dir.glob("seg_*.csv"))) == 1, part_dir
+        scattered_files = self._segment_files(udb)
+        assert len(scattered_files) == 2 * 8
+        result = udb.compact()
+        assert result.partitions == 2 and result.rows_dropped == 2 * 2
+        assert self._check_resave(udb, target)
+        for part in udb.partitions("r"):
+            assert_tiered(part.relation)
+        # GC swept every superseded segment file; the last row's segment,
+        # kept by the policy, kept its file
+        kept = scattered_files & self._segment_files(udb)
+        assert {path.name for path in kept} == {"seg_000007.csv"}
+        assert len(self._segment_files(udb)) == 2 * 2
         back = load_udatabase(target)
         assert _poss_rows(back, ("id", "type")) == _poss_rows(udb, ("id", "type"))
 
@@ -279,18 +291,15 @@ class TestCrashRecovery:
 
     def test_crash_during_compaction_save(self, tmp_path, monkeypatch):
         from repro.core import persist
-        from repro.sql import execute_sql
 
-        udb = _sql_udb()
+        # one row per segment, the first dead: the VACUUM has tiers to merge
+        udb = _sql_udb(count=10, layout=lambda part: scattered(part, deleted=(0,)))
         target = tmp_path / "db"
-        for i in range(4):
-            execute_sql(f"insert into r values ({70 + i}, 'Tank')", udb)
-        execute_sql("delete from r where id = 0", udb)
         save_udatabase(udb, target)
         committed = _poss_rows(load_udatabase(target), ("id", "type"))
         segment_files = sorted(p.name for p in target.rglob("seg_*.csv"))
 
-        udb.compact()
+        assert udb.compact().changed
 
         def flaky(src, dst):
             if str(dst).endswith("manifest.csv"):
@@ -310,7 +319,7 @@ class TestCrashRecovery:
         back = load_udatabase(target)
         assert _poss_rows(back, ("id", "type")) == committed
         for part in back.partitions("r"):
-            assert len(part.relation.segments()) == 1
+            assert_tiered(part.relation)
 
 
 class TestForeignManifest:

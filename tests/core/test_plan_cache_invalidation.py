@@ -223,6 +223,24 @@ class TestInvalidationMatrix:
         assert after["misses"] == stats["misses"] + 1
         assert after["invalidations"] == stats["invalidations"] + 1
 
+    def test_add_relation_reregistration_keeps_a_dropped_index_dropped(self):
+        udb = build_vehicles_udb()
+        udb.drop_index("idx_u_r_type_type")
+        listed = udb.index_defs()
+        relation = partition_relation(udb, "u_r_type")
+        (tank,) = warm(udb, q_type())
+        stats = plan_cache_stats()
+        # re-register r with the same partitions: each keeps its tuple as
+        # it is, so the drop holds and the plan over u_r_type still hits
+        udb.add_relation("r", ["id", "type", "faction"], udb.partitions("r"))
+        assert udb.index_defs() == listed
+        assert "idx_u_r_type_type" not in {name for _, name, _, _ in udb.index_defs()}
+        assert partition_relation(udb, "u_r_type") is relation
+        assert execute_query(q_type(), udb) == tank
+        after = plan_cache_stats()
+        assert (after["hits"], after["misses"]) == (stats["hits"] + 1, stats["misses"])
+        assert after["invalidations"] == stats["invalidations"]
+
     def test_stale_execution_impossible_through_sql(self):
         """End to end: warm plan, mutate through every SQL-visible channel,
         and verify the answers always reflect the current catalog."""

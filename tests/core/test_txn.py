@@ -26,7 +26,7 @@ from repro.relational import plan_cache_stats
 from repro.relational.index import indexes_on
 from repro.server.session import Session
 from repro.sql import execute_sql, prepare
-from tests.conftest import build_vehicles_udb, without_indexes
+from tests.conftest import assert_tiered, build_vehicles_udb, scattered, without_indexes
 
 
 def _udb() -> UDatabase:
@@ -185,20 +185,27 @@ def test_conflicting_commit_publishes_nothing_and_retry_wins():
 # ----------------------------------------------------------------------
 
 
-def test_vacuum_collapses_segment_stacks():
+def test_vacuum_applies_the_segment_policy():
     udb = _udb()
     for i in range(5):
         execute_sql(f"insert into r values ({30 + i}, 'churn')", udb)
     execute_sql("delete from r where id = 31", udb)
-    assert any(h["segment_count"] > 1 for h in udb.segment_health().values())
+    # every write applied the policy already: VACUUM finds nothing to do
+    assert not execute_sql("vacuum r", udb).changed
+    (part,) = udb.partitions("r")
+    # a layout no write leaves - one row per segment, one dead - it merges
+    udb.add_relation("r", ["id", "type"], [scattered(part, deleted=(0,))])
+    assert udb.segment_health()["r/part0"]["segment_count"] == 7
     before = _rows(udb)
 
     result = execute_sql("vacuum r", udb)
     assert isinstance(result, CompactionResult)
     assert result.relations == ("r",)
-    assert result.rows_dropped >= 1
+    assert (result.partitions, result.segments_before, result.rows_dropped) == (1, 7, 1)
+    (part,) = udb.partitions("r")
+    assert_tiered(part.relation)
     for health in udb.segment_health().values():
-        assert health["segment_count"] == 1
+        assert health["segment_count"] < 7
         assert health["deleted_rows"] == 0
     assert _rows(udb) == before
 

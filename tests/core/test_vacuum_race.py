@@ -1,12 +1,13 @@
-"""A VACUUM edits its new base's structures while another thread reads the old.
+"""A tier merge builds its segment's structures while another thread reads the old version.
 
-A compaction builds its new base segment's hash tables, sorted arrays and
-probe tables by copying the old base's and editing the copies; bucket
-lists it changes are new lists, never the shared ones.  Here one thread
-probes and range-scans a version pinned before the VACUUM while another
-runs the VACUUM - held inside its edits until the reader is between two
-passes - and then probes the new version: every answer on both sides
-must equal a fresh build over that version's rows.
+A write that merges size tiers builds the merged segment's hash tables,
+sorted arrays and probe tables afresh; the segments it replaced, and
+everything built over them, are never changed, so a version pinned before
+the merge keeps answering from them.  Here one thread probes and
+range-scans a version pinned before the merge while another runs the
+merging write - held inside its first index build until the reader is
+between two passes - and then probes the new version: every answer on
+both sides must equal a fresh build over that version's rows.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import threading
 
 from repro.relational import Relation
 from repro.relational.index import HashIndex, SortedIndex, built_indexes_on, ensure_index
+from tests.conftest import assert_tiered
 
 THREADS = 2
 SCHEMA = ["tid", "kind", "score"]
@@ -24,18 +26,23 @@ BOUNDS = [(None, 10), (5, 25), (40, None), (None, None)]
 
 
 def _pinned():
-    """A version with its base's tables built, two appended segments and
-    dead rows in the base: what a VACUUM finds."""
+    """A version with its segments' tables built, three tiers and dead
+    rows in the base: the next write of a hundred rows merges them all."""
     base = Relation(SCHEMA, [(i, f"k{i % 3}", i % 50) for i in range(400)])
     ensure_index(base, ["tid"], kind="hash", name="by_tid")
     ensure_index(base, ["score"], kind="sorted", name="by_score")
     ensure_index(base, ["kind"], kind="hash", name="by_kind")
-    for index in built_indexes_on(base):
+    grown = base.with_appended([(i, f"k{i % 3}", i % 50) for i in range(500, 580)])
+    grown = grown.with_appended([(7, "k1", 7), (1000, "new", 55)])
+    # dead rows of kind k0 only, under the dead share
+    pinned = grown.with_deleted([3, 9, 12, 399])
+    assert [len(segment.rows) for segment in pinned.segments()] == [400, 80, 2]
+    for index in built_indexes_on(pinned):
         index.probe_lookup()(1)
-    grown = base.with_appended([(7, "k1", 7), (1000, "new", 55)])
-    grown = grown.with_appended([(i, f"k{i % 3}", i % 50) for i in range(500, 520)])
-    # dead rows of kind k0 only: k1's and k2's shared buckets only grow
-    return grown.with_deleted([3, 9, 12, 399])
+    return pinned
+
+
+MERGING = [(i, f"k{i % 3}", i % 50) for i in range(600, 700)]
 
 
 def _answers(relation):
@@ -63,29 +70,29 @@ def _fresh(relation):
     return _answers(fresh)
 
 
-def test_vacuum_edits_while_a_pinned_version_is_read(monkeypatch):
+def test_a_tier_merge_builds_while_a_pinned_version_is_read(monkeypatch):
     pinned = _pinned()
     expected_pinned = _fresh(pinned)
     assert _answers(pinned) == expected_pinned
     between = threading.Barrier(THREADS, timeout=5)
     for cls in (HashIndex, SortedIndex):
-        real = cls._edit
+        real = cls._build
 
-        def held(structure, removed, placed, positions, real=real):
+        def held(rows, positions, real=real):
             try:
                 between.wait()  # the reader is between two passes
             except threading.BrokenBarrierError:
                 pass
-            return real(structure, removed, placed, positions)
+            return real(rows, positions)
 
-        monkeypatch.setattr(cls, "_edit", staticmethod(held))
+        monkeypatch.setattr(cls, "_build", staticmethod(held))
     seen = {}
     failures = []
 
     def read():
         try:
             passes = [_answers(pinned)]
-            for _ in range(3):  # the VACUUM's three edits, one per index
+            for _ in range(3):  # the merge's three builds, one per index
                 try:
                     between.wait()
                 except threading.BrokenBarrierError:
@@ -95,27 +102,32 @@ def test_vacuum_edits_while_a_pinned_version_is_read(monkeypatch):
         except Exception as error:  # reported below, on the main thread
             failures.append(error)
 
-    def vacuum():
+    def write():
         try:
-            vacuumed = pinned.compacted()
-            seen["vacuumed"] = (vacuumed, _answers(vacuumed))
+            merged = pinned.with_appended(MERGING)
+            seen["merged"] = (merged, _answers(merged))
         except Exception as error:
             failures.append(error)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=read), threading.Thread(target=vacuum)]
+        threads = [threading.Thread(target=read), threading.Thread(target=write)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join(timeout=30)
     finally:
         sys.setswitchinterval(interval)
+    monkeypatch.undo()
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
     assert seen["pinned"] == [expected_pinned] * 4
-    vacuumed, answers = seen["vacuumed"]
-    assert len(vacuumed.segments()) == 1 and vacuumed == pinned
-    assert answers == _fresh(vacuumed)
+    merged, answers = seen["merged"]
+    # the three tiers and the new rows merged into one segment, dead rows gone
+    assert len(merged.segments()) == 1 and merged.deleted_count() == 0
+    assert merged.compacted() is merged
+    assert_tiered(merged)
+    assert sorted(merged.rows) == sorted([*pinned.rows, *MERGING])
+    assert answers == _fresh(merged)
     assert _answers(pinned) == expected_pinned

@@ -10,11 +10,12 @@ index built, a one-row INSERT and a one-row DELETE, each followed by a
 point lookup through the tid index, allocate within 2x of each other at
 the two sizes.
 
-VACUUM after the same few writes is counted, not timed either: the rows
-the index builders (``_build``), a compaction's edits (``_edit``: the
-slots it vacates and the rows it places) and the probe-table builders
-touch in interpreted code are the same at both sizes.  Only C-level
-copies of the base's tables and vectors grow with it.
+The segment policy is counted, not timed, either: a thousand one-row
+appends without a VACUUM leave a version within the segment bound (a
+read walks O(log n) segments), and a few writes plus the VACUUM after
+them index and build probe tables over the same rows at both sizes
+(``_build``, ``_probe_table``): a merge builds the segments it makes,
+never the base it leaves alone.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import tracemalloc
 from repro.core.descriptor import Descriptor
 from repro.core.urelation import URelation, tid_column
 from repro.relational.index import HashIndex, SortedIndex, built_indexes_on, ensure_index
+from tests.conftest import assert_tiered, segment_bound
 
 SIZES = (10_000, 200_000)
 TID = tid_column("events")
@@ -85,13 +87,12 @@ def test_a_one_row_write_allocates_alike_at_10k_and_200k_rows():
     assert max(deleted) <= 2 * min(deleted), deleted
 
 
-def _vacuum_work(monkeypatch, rows: int):
-    """Rows touched by index builds, compaction edits and probe-table
-    builds while a VACUUM after a few writes runs, over ``rows`` rows."""
+def _work(monkeypatch, rows: int):
+    """Rows indexed and probe-tabled by a few writes (10 one-row appends,
+    3 deletes), a VACUUM and a lookup after them, over ``rows`` rows."""
     relation = _partition(rows)
     for index in built_indexes_on(relation):
         index.probe_lookup()  # the base's probe tables, built before
-    written = relation.with_appended([relation.rows[3]] * 4).with_deleted([5, 9])
     touched = []
 
     def wrap(cls, name, size):
@@ -105,15 +106,33 @@ def _vacuum_work(monkeypatch, rows: int):
 
     for cls in (HashIndex, SortedIndex):
         wrap(cls, "_build", lambda rows, positions: len(rows))
-        wrap(cls, "_edit", lambda structure, removed, placed, positions: len(removed) + len(placed))
         wrap(cls, "_probe_table", lambda rows, structure: len(rows))
+    written = relation
+    for _ in range(10):
+        written = written.with_appended([relation.rows[3]])
+    written = written.with_deleted([5, 9, 11])
     vacuumed = written.compacted()
+    assert len(_tid_index(vacuumed).lookup(3)) == 11
+    _tid_index(vacuumed).probe_lookup()(3)
     monkeypatch.undo()
-    assert len(vacuumed) == rows + 2 and len(vacuumed.segments()) == 1
-    assert len(_tid_index(vacuumed).lookup(3)) == 5
+    assert vacuumed is written  # the writes left nothing for it to do
+    assert len(vacuumed) == rows + 7
+    assert_tiered(vacuumed)
     return sum(touched)
 
 
-def test_a_vacuum_after_a_few_writes_touches_alike_at_10k_and_200k_rows(monkeypatch):
-    work = [_vacuum_work(monkeypatch, rows) for rows in SIZES]
-    assert work[0] == work[1] and 0 < work[0] <= 2 * (4 + 2), work
+def test_a_few_writes_and_a_vacuum_touch_alike_at_10k_and_200k_rows(monkeypatch):
+    work = [_work(monkeypatch, rows) for rows in SIZES]
+    assert work[0] == work[1] and 0 < work[0] <= 100, work
+
+
+def test_a_thousand_one_row_appends_stay_within_the_segment_bound():
+    relation = _partition(10_000)
+    for key in range(1000):
+        row = list(relation.rows[0])
+        row[relation.schema.resolve(TID)] = -1 - key
+        relation = relation.with_appended([tuple(row)])
+    assert len(relation) == 11_000
+    assert_tiered(relation)
+    assert len(relation.segments()) <= segment_bound(len(relation))
+    assert [len(_tid_index(relation).lookup(-1 - key)) for key in (0, 500, 999)] == [1, 1, 1]

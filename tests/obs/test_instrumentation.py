@@ -13,7 +13,7 @@ from repro.relational.physical import HashJoin, SeqScan
 from repro.relational.relation import Relation
 from repro.sql import execute_sql
 
-from tests.conftest import build_vehicles_udb
+from tests.conftest import build_vehicles_udb, segment_bound
 
 
 def _tank_query():
@@ -155,7 +155,8 @@ def test_segment_health_tracks_dml():
 
     health = udb.segment_health()
     for entry in health.values():
-        assert entry["segment_count"] >= 2  # base + appended delta(s)
+        # base and appended segments, merged into tiers by the policy
+        assert 1 <= entry["segment_count"] <= segment_bound(entry["live_rows"])
         assert entry["deleted_rows"] >= 1
         assert 0.0 < entry["deleted_ratio"] < 1.0
 

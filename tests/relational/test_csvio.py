@@ -84,10 +84,17 @@ class TestPlainHeaders:
 
 
 class TestErrors:
-    def test_mixed_type_column_rejected(self, tmp_path):
-        r = Relation(["a"], [(1,), ("text",)])
-        with pytest.raises(ValueError, match="mixes"):
-            write_csv(r, tmp_path / "mixed.csv")
+    def test_mixed_type_column_roundtrips_cell_by_cell(self, tmp_path):
+        r = Relation(["a", "b"], [(1, 1), ("text", 2), (None, 3), ("x:y", 4), (True, 5)])
+        path = tmp_path / "mixed.csv"
+        write_csv(r, path)
+        assert path.read_text().splitlines()[:3] == ["a:any,b:int", "int:1,1", "str:text,2"]
+        assert read_csv(path).rows == r.rows
+
+    def test_untyped_value_rejected(self, tmp_path):
+        r = Relation(["a"], [((1, 2),), ("text",)])
+        with pytest.raises(ValueError, match="cannot type"):
+            write_csv(r, tmp_path / "tuple.csv")
 
     def test_int_float_mix_promotes(self, tmp_path):
         r = Relation(["a"], [(1,), (2.5,)])

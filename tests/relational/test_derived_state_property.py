@@ -14,23 +14,20 @@ compactions, with the structures built at random points:
   row position) equal its ``rows()``;
 * the parent version is never changed: it answers every one of those
   the same after the derivation as before;
-* everything a segment has memoized equals a fresh build over its rows -
-  which, on a compaction's new base, checks the edits that carried the
-  old base's structures over (``Refill``).
+* everything a segment has memoized equals a fresh build over its rows;
+* every version meets the segment policy.
 
-Explicit examples pin the three shapes a compaction takes: more rows
-placed than slots vacated, more vacated than placed (the last live rows
-move into the holes), and deletes only.
+Explicit examples pin the shapes the segment policy takes - a segment
+kept, a tier merge, a segment rewritten at the dead share, an emptied
+segment dropped: each builds over its new segments alone, shares the
+rest by identity, and keeps the rows in insertion order.
 """
 
 from __future__ import annotations
 
-from unittest import mock
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.relational.relation as relation_module
 from repro.relational import Relation
 from repro.relational.index import HashIndex, SortedIndex
 from repro.relational.relation import Segment
@@ -43,6 +40,7 @@ from repro.relational.index import (
 )
 from repro.relational.physical import IndexScan, SeqScan, execute
 from repro.relational.statistics import table_stats
+from tests.conftest import assert_tiered
 
 SCHEMA = ["a", "b", "c"]
 A_VALUES = [None, 0, 1, 2, 3]
@@ -214,15 +212,9 @@ def _apply(relation, op):
     return relation
 
 
-@pytest.mark.parametrize("share", [0.0, float("inf")], ids=["vacuum-builds", "vacuum-edits"])
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(history=histories)
-def test_every_version_answers_like_a_fresh_build_and_parents_are_untouched(share, history):
-    with mock.patch.object(relation_module, "EDIT_SHARE", share):
-        _check_history(history)
-
-
-def _check_history(history):
+def test_every_version_answers_like_a_fresh_build_and_parents_are_untouched(history):
     initial, steps = history
     relation = Relation(SCHEMA, initial)
     for op in steps:
@@ -237,6 +229,8 @@ def _check_history(history):
         _assert_like_fresh(successor)
         _assert_memos_like_fresh(successor)
         _assert_segments_agree(successor)
+        if op[0] in ("append", "delete", "update", "compact"):
+            assert_tiered(successor)
         relation = successor
 
 
@@ -245,24 +239,30 @@ def test_unmergeable_key_leaves_that_index_unbuilt_and_listed(planned_first):
     """Whether a planner reads the version before or after its successors
     are derived, the definition stays listed and builds again once the
     column sorts."""
-    relation = Relation(SCHEMA, [(1, "x", 0), (2, "y", 1)])
+    relation = Relation(SCHEMA, [(i, "x", 0) for i in range(10)])
     ensure_index(relation, ["a"], kind="sorted", name="by_a")
     ensure_index(relation, ["b"], kind="sorted", name="by_b")
     ensure_index(relation, ["a"], kind="hash", name="hash_a")
-    successor = relation.with_appended([("one", "z", 2)])
+    # five rows merge with the ten: one segment, a string among its ints
+    successor = relation.with_appended([("one", "z", 2)] + [(i, "y", 1) for i in range(10, 14)])
+    assert len(successor.segments()) == 1
     assert {i.name for i in built_indexes_on(successor)} == {"by_b", "hash_a"}
     if planned_first:  # a planner cannot sort the column either
         assert {i.name for i in indexes_on(successor)} == {"by_b", "hash_a"}
-    deleted = successor.with_deleted([2])
-    repaired = deleted.compacted()
+    deleted = successor.with_deleted([10])
+    repaired = deleted.with_deleted([11, 12])
     for version in (successor, deleted, repaired):
         assert index_defs_on(version) is index_defs_on(relation)  # still listed
-    # a dead key still sits in its segment: nothing to sort across yet
+    # one dead row in fifteen, under the dead share: the dead key still
+    # sits in its segment, nothing sorts yet, and a VACUUM leaves it there
+    assert deleted.segments() == successor.segments()
+    assert deleted.compacted() is deleted
     assert {i.name for i in indexes_on(deleted)} == {"by_b", "hash_a"}
     assert {i.name for i in indexes_on(successor)} == {"by_b", "hash_a"}
     _assert_like_fresh(successor)
-    # with the offending row gone and compacted away, the definition
-    # builds again
+    # at the dead share the segment is rewritten without the offending
+    # row, and the definition builds again
+    assert repaired.segments() != deleted.segments()
     assert {i.name for i in indexes_on(repaired)} == {"by_a", "by_b", "hash_a"}
     _assert_like_fresh(repaired)
 
@@ -280,22 +280,23 @@ def test_statistics_are_inherited_until_the_analyze_threshold():
 
 
 def test_all_equal_facts_follow_every_write():
-    relation = Relation(SCHEMA, [(1, "x", 0), (2, "x", 1)])
+    relation = Relation(SCHEMA, [(2 if i == 0 else 1, "x", i) for i in range(10)])
     assert relation.column_all_equal(1, "x") and not relation.column_all_equal(0, 1)
     (base,) = relation.segments()
-    grown = relation.with_appended([(3, "x", 2)])
+    grown = relation.with_appended([(3, "x", 10)])
     assert grown.column_all_equal(1, "x")  # the new segment agrees
-    flipped = grown.with_appended([(4, "y", 3)])
+    flipped = grown.with_appended([(4, "y", 11)])
     assert not flipped.column_all_equal(1, "x")
-    shrunk = flipped.with_deleted([3])  # the dissenting row dies
+    shrunk = flipped.with_deleted([11])  # the dissenting row dies
     assert shrunk.column_all_equal(1, "x")
     assert shrunk.with_deleted([0]).column_all_equal(1, "x")
     assert shrunk.compacted().column_all_equal(1, "x")
-    assert not relation.with_deleted([1]).column_all_equal(0, 2)
-    assert relation.with_deleted([1]).column_all_equal(0, 1)
+    # one dead row of ten stays in the base: its count less the dead row
+    assert not relation.with_deleted([0]).column_all_equal(0, 2)
+    assert relation.with_deleted([0]).column_all_equal(0, 1)
     # every version read the base segment's own count of "x", made once
     assert shrunk.segments()[0] is base
-    assert [v for k, v in base._memo.items() if k[1:] == (1, "x")] == [2]
+    assert [v for k, v in base._memo.items() if k[1:] == (1, "x")] == [10]
     assert not relation.column_all_equal(0, 1)  # parents untouched
     assert Relation(SCHEMA, []).column_all_equal(1, "x")  # vacuously
 
@@ -313,88 +314,71 @@ def _fully_built(rows):
     return relation
 
 
-#: Large enough that each shape below touches under ``EDIT_SHARE`` of it:
-#: the compaction edits.
 @pytest.fixture
-def ways(monkeypatch):
-    """The names (``_build`` / ``_edit``) of the index structure builders
-    and editors called, in order."""
+def builds(monkeypatch):
+    """The row count of every index structure build, in order."""
     calls = []
     for cls in (HashIndex, SortedIndex):
-        for name in ("_build", "_edit"):
-            real = getattr(cls, name)
+        real = cls._build
 
-            def counted(*args, real=real, name=name):
-                calls.append(name)
-                return real(*args)
+        def counted(rows, positions, real=real):
+            calls.append(len(rows))
+            return real(rows, positions)
 
-            monkeypatch.setattr(cls, name, staticmethod(counted))
+        monkeypatch.setattr(cls, "_build", staticmethod(counted))
     return calls
 
 
 BASE_ROWS = [((i % 4) or None, B_VALUES[i % 3], i) for i in range(60)]
+APPENDED = [((i % 3) or None, "z", 100 + i) for i in range(15)]
 
 
 @pytest.mark.parametrize(
-    "appended, deleted",
+    "write, shape, built",
     [
-        # more rows placed than slots vacated: holes refilled, the rest at the end
-        ([(1, "z", 20), (2, "x", 21), (None, "y", 22), (3, "z", 23)], [2, 5]),
-        # more vacated than placed: the last live rows move into the holes
-        ([(1, "x", 30)], [0, 3, 6, 10, 11]),
-        # deletes only
-        ([], [1, 4, 7, 8]),
+        # four rows beside sixty: a segment of their own, the base kept
+        (lambda base: base.with_appended(APPENDED[:4]), [60, 4], [4] * 4),
+        # fifteen: sixty is at most T times fifteen, so the tiers merge
+        (lambda base: base.with_appended(APPENDED), [75], [75] * 4),
+        # a fifth of the base dead: it is rewritten alone, the newer
+        # segment kept
+        (
+            lambda base: base.with_appended(APPENDED[:4]).with_deleted(range(0, 60, 5)),
+            [48, 4],
+            [4] * 4 + [48] * 4,
+        ),
+        # every row of the newer segment dead: it is dropped
+        (lambda base: base.with_appended(APPENDED[:4]).with_deleted(range(60, 64)), [60], [4] * 4),
     ],
-    ids=["placed-more", "vacated-more", "deletes-only"],
+    ids=["kept", "tier-merge", "dead-share", "emptied"],
 )
-def test_vacuum_shapes_edit_like_fresh_builds(ways, appended, deleted):
+def test_policy_shapes_build_their_new_segments_alone(builds, write, shape, built):
     base = _fully_built(BASE_ROWS)
-    pinned = base.with_appended(appended).with_deleted(deleted)
-    for index in built_indexes_on(pinned):
-        _probed(index, _keys_of(index)[0])  # the appended segment's tables too
-    before = _answers(pinned)
-    ways.clear()
-    vacuumed = pinned.compacted()
-    assert ways == ["_edit"] * 4  # every index's structure, by edits
-    (segment,) = vacuumed.segments()
-    assert segment._memo.keys() == base.segments()[0]._memo.keys()
-    _assert_like_fresh(vacuumed)
-    _assert_memos_like_fresh(vacuumed)
-    assert vacuumed == pinned  # the same bag of rows
-    # the rows that stay below the new end keep their slots
-    end = len(vacuumed.rows)
-    kept = [p for p in range(min(end, len(BASE_ROWS))) if p not in deleted]
-    for p in kept:
-        assert vacuumed.rows[p] is BASE_ROWS[p]
-    # the version pinned before the VACUUM answers exactly as before
-    assert _answers(pinned) == before
-    _assert_memos_like_fresh(pinned)
+    before = _answers(base)
+    builds.clear()
+    written = write(base)
+    assert [len(segment.rows) for segment in written.segments()] == shape
+    assert builds == built  # each index over each new segment, once
+    for segment, _ in written._runs:
+        if segment in base.segments():  # kept: all it built, by identity
+            assert segment._memo.keys() == base.segments()[0]._memo.keys()
+    assert_tiered(written)
+    _assert_like_fresh(written)
+    _assert_memos_like_fresh(written)
+    # the base answers exactly as before
+    assert _answers(base) == before
     _assert_memos_like_fresh(base)
 
 
-def test_vacuum_shapes_place_rows_in_slot_order():
-    rows = [(i, "x", i) for i in range(6)]
-    relation = Relation(SCHEMA, rows)
-    refilled = relation.with_appended([(10, "y", 10), (11, "y", 11), (12, "y", 12)])
-    refilled = refilled.with_deleted([1, 4]).compacted()
-    assert [r[0] for r in refilled.rows] == [0, 10, 2, 3, 11, 5, 12]
-    moved = relation.with_appended([(10, "y", 10)]).with_deleted([0, 2, 3]).compacted()
-    assert [r[0] for r in moved.rows] == [10, 1, 4, 5]
-    shrunk = relation.with_deleted([4, 5]).compacted()
-    assert [r[0] for r in shrunk.rows] == [0, 1, 2, 3]
-
-
-def test_a_bulk_placement_builds_afresh(ways):
-    """Past ``EDIT_SHARE`` of the new base's rows, a compaction builds its
-    base's structures instead of editing them; both ways equal fresh."""
-    base = _fully_built(BASE_ROWS)
-    few = base.with_appended([(1, "x", 40)]).with_deleted([0])
-    many = base.with_appended([(i % 4, "y", 100 + i) for i in range(60)])
-    # one row into one hole: at most 3 slots of 60; 60 rows at the end, 60 of 120
-    assert 3 / 60 <= relation_module.EDIT_SHARE < 60 / 120
-    for version, way in ((few, "_edit"), (many, "_build")):
-        ways.clear()
-        vacuumed = version.compacted()
-        assert set(ways) == {way}
-        _assert_like_fresh(vacuumed)
-        _assert_memos_like_fresh(vacuumed)
+def test_rows_keep_insertion_order_through_merges_and_rewrites():
+    relation = Relation(SCHEMA, [(i, "x", i) for i in range(6)])
+    model = list(range(6))
+    for step in range(40):
+        relation = relation.with_appended([(100 + step, "y", step)] * (1 + step % 5))
+        model += [100 + step] * (1 + step % 5)
+        if step % 3 == 0:  # the oldest live row, and one in the middle
+            dead = {0, len(model) // 2}
+            relation = relation.with_deleted(_ordinals(sorted(dead), relation))
+            model = [key for at, key in enumerate(model) if at not in dead]
+        assert [row[0] for row in relation.rows] == model
+        assert_tiered(relation)

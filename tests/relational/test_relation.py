@@ -114,3 +114,19 @@ class TestPretty:
         r = Relation(["a"], [(i,) for i in range(50)])
         out = r.pretty(limit=5)
         assert "50 rows total" in out
+
+
+class TestSegmentIds:
+    def test_a_dropped_segment_id_is_never_taken_again(self):
+        """Persistence names segment files by id, so a segment the policy
+        dropped must not lend its id to a later one (a save would find
+        the old file, with the same row count, and keep it)."""
+        base = Relation(["a"], [(i,) for i in range(10)])
+        grown = base.with_appended([(10,)])
+        (_, appended) = grown.segments()
+        emptied = grown.with_deleted([10])
+        assert emptied.segments() == base.segments()  # the emptied segment dropped
+        again = emptied.with_appended([(11,)])
+        (_, fresh) = again.segments()
+        assert fresh.segment_id > appended.segment_id
+        assert [row for row in again] == [(i,) for i in range(10)] + [(11,)]

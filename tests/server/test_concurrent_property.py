@@ -28,7 +28,7 @@ from repro.relational.optimizer import refresh_statistics
 from repro.server import QueryServer
 from repro.sql import execute_sql
 
-from tests.conftest import build_vehicles_udb, partition_relation
+from tests.conftest import assert_tiered, build_vehicles_udb, partition_relation, scattered
 
 #: the two ways to answer a query: the ``rows()`` reference and the executor
 MODES = {"rows": reference_query, "columns": execute_query}
@@ -504,9 +504,11 @@ def test_metrics_are_exact_under_concurrency():
 
 
 def test_compaction_races_readers_writers_and_snapshots():
-    """A VACUUM churner rewrites segment stacks while two writers append,
-    two readers query, and a snapshot reader demands repeatable reads —
-    six threads total.  Compaction must be answer-invisible: every read
+    """A VACUUM churner applies the segment policy while two writers
+    append (each write merging size tiers), two readers query, and a
+    snapshot reader demands repeatable reads — six threads total.  The
+    database starts one row per segment, so the first VACUUM or write
+    merges it.  Compaction must be answer-invisible: every read
     sees the base rows plus a per-writer *prefix* of that writer's
     inserts (statements are atomic, no torn vertical state, no lost
     updates), every snapshot block completes internally consistent, and
@@ -525,6 +527,9 @@ def test_compaction_races_readers_writers_and_snapshots():
     twin.compact()
 
     udb = build_vehicles_udb()
+    udb.add_relation(
+        "r", udb.logical_schema("r").attributes, map(scattered, udb.partitions("r"))
+    )
     violations = []
     errors = []
     compacted = [0]
@@ -608,8 +613,7 @@ def test_compaction_races_readers_writers_and_snapshots():
     # on one answer (a stale columnar plan would diverge here).
     udb.compact()
     for part in udb.partitions("r"):
-        assert len(part.relation.segments()) == 1
-        assert part.relation.deleted_ordinals() == frozenset()
+        assert_tiered(part.relation)
     answers = {
         mode: _rows_of(MODES[mode](query, udb)) for mode in MODES
     }
