@@ -51,7 +51,8 @@ def write_csv(relation: Relation, path: PathLike) -> None:
 
 
 def read_csv(path: PathLike, schema: Optional[Schema] = None) -> Relation:
-    """Read a relation from CSV (typed header, plain header, or ``schema``)."""
+    """Read a relation from CSV (typed header, plain header, or ``schema``,
+    which overrides the header's names and every type but ``ANY``)."""
     with open(path, "r", newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
@@ -60,15 +61,21 @@ def read_csv(path: PathLike, schema: Optional[Schema] = None) -> Relation:
             raise ValueError(f"{path}: empty CSV file") from None
         raw_rows = [row for row in reader]
 
+    names, types = _parse_header(header)
     if schema is not None:
-        names = schema.names
-        types = [None if a.dtype is DataType.ANY else a.dtype for a in schema.attributes]
-        if len(header) != len(names):
+        if len(header) != len(schema):
             raise ValueError(
-                f"{path}: header has {len(header)} columns, schema {len(names)}"
+                f"{path}: header has {len(header)} columns, schema {len(schema)}"
             )
+        # the schema names the columns and types those it does not leave
+        # ANY; the header types the rest (an ``any`` column's cells say
+        # their own types)
+        names = schema.names
+        types = [
+            typed if attr.dtype is DataType.ANY else attr.dtype
+            for attr, typed in zip(schema.attributes, types)
+        ]
     else:
-        names, types = _parse_header(header)
         schema = Schema(
             [Attribute(n, t or DataType.ANY) for n, t in zip(names, types)]
         )

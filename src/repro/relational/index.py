@@ -214,11 +214,13 @@ class Index:
         """How many of the segment's rows the structure indexes."""
         raise NotImplementedError
 
-    @staticmethod
-    def _positions(structure: Any) -> Callable[[Any], Any]:
+    @classmethod
+    def _positions(cls, structure: Any) -> Callable[[Any], Any]:
         """Key -> the position of its one row, the ascending list of its
-        rows' positions, or ``None`` (what :func:`_live_probe` reads)."""
-        raise NotImplementedError
+        rows' positions, or ``None`` (what :func:`_live_probe` reads): by
+        default from :meth:`_hits`."""
+        hits = cls._hits
+        return lambda key: hits(structure, key) or None
 
     # ------------------------------------------------------------------
     def lookup(self, key: Any) -> Sequence[Row]:
@@ -358,7 +360,7 @@ class HashIndex(Index):
 
     @staticmethod
     def _positions(structure: Any) -> Callable[[Any], Any]:
-        return structure[0].get
+        return structure[0].get  # the table holds that shape: one dict get
 
 
 class SortedIndex(Index):
@@ -413,10 +415,6 @@ class SortedIndex(Index):
     @staticmethod
     def _size(structure: Any) -> int:
         return len(structure[0])
-
-    @staticmethod
-    def _positions(structure: Any) -> Callable[[Any], Any]:
-        return lambda key: SortedIndex._hits(structure, key) or None
 
     def range_runs(
         self,

@@ -154,6 +154,7 @@ def test_writes_and_the_reads_after_them_index_no_base_row_again(built):
     assert len(built.indexed) == 2 * written
     assert max(built.indexed.values()) <= 3
     assert built.rows() - len(built.indexed) <= 2 * 10
+    assert built.stats == 0
 
     # every write left its partitions within the segment policy, so a
     # VACUUM finds nothing to do and indexes nothing
@@ -163,6 +164,18 @@ def test_writes_and_the_reads_after_them_index_no_base_row_again(built):
     execute_sql("insert into events values (5002, 'late', 3)", udb)
     assert _lookup(udb, 5002) == {("late", 3)}
     assert _lookup(udb, 7) == {("upd", 7)}
+    # its 3 written rows, one per partition, were each indexed by both of
+    # their partition's indexes; a merge they joined re-indexed a few
+    # written rows besides, none twice, and no row of the bases
+    parts = [part.relation for part in udb.partitions("events")]
+    tid = parts[0].schema.resolve(tid_column("events"))
+    (late_tid,) = {row[tid] for row in parts[0] if row[-1] == 5002}
+    late = {id(row) for relation in parts for row in relation if row[tid] == late_tid}
+    assert len(late) == 3
+    assert {(kind, row) for kind, _, row in built.indexed if row in late} == {
+        (kind, row) for kind in ("hash", "sorted") for row in late
+    }
+    assert built.twice() == 0 and built.rows() - 2 * 3 <= 2 * 20
     assert not base & {row for _, _, row in built.indexed}
 
     # no plan is built again: the writes kept every plan's facts

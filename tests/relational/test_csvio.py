@@ -90,6 +90,10 @@ class TestErrors:
         write_csv(r, path)
         assert path.read_text().splitlines()[:3] == ["a:any,b:int", "int:1,1", "str:text,2"]
         assert read_csv(path).rows == r.rows
+        # a schema that leaves the column ANY still reads each cell's tag
+        assert read_csv(path, schema=r.schema).rows == r.rows
+        schema = Schema([Attribute("a", DataType.ANY), Attribute("b", DataType.STR)])
+        assert read_csv(path, schema=schema).rows[:2] == [(1, "1"), ("text", "2")]
 
     def test_untyped_value_rejected(self, tmp_path):
         r = Relation(["a"], [((1, 2),), ("text",)])
