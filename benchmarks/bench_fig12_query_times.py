@@ -455,8 +455,11 @@ def test_fig12_obs_overhead(benchmark):
     owning the run (spans, per-operator actuals, histogram observe,
     counter bumps) — against the same run with observability disabled
     (``set_enabled(False)``, the ``REPRO_OBS=off`` switch).  Both arms use
-    a warm plan cache, so the measured work is executor-only: the regime
-    where the fixed per-query obs cost weighs the most.  Runs interleave
+    a warm plan cache, so the measured work is executor-only.  A warm
+    Q1/Q2 still takes milliseconds, which is where the fixed per-request
+    obs cost weighs the *least*; what one served request costs is
+    counted by ``tests/obs/test_request_cost.py``, and measured on the
+    served point lookup in ``src/repro/obs/README.md``.  Runs interleave
     in off/on pairs; the gate takes ``min(median per-pair ratio, ratio of
     medians)`` so one scheduler hiccup in either estimator cannot flake
     the suite, and answers must be identical in both arms.

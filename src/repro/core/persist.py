@@ -126,6 +126,23 @@ def _csv_data_rows(path: pathlib.Path) -> int:
     return max(0, count - 1)
 
 
+def _committed_files(directory: pathlib.Path) -> Set[Tuple[str, str]]:
+    """``(partition, segment file)`` of every segment the manifest on disk
+    lists: the only files a save may skip writing.  A save that died at
+    the manifest rename leaves files the next load may reuse the ids of."""
+    try:
+        with open(directory / "manifest.csv", "r", newline="", encoding="utf-8") as handle:
+            entries = list(csv.DictReader(handle))
+    except FileNotFoundError:
+        return set()
+    return {
+        (entry["part"], _segment_filename(int(item.partition(":")[0])))
+        for entry in entries
+        for item in (entry.get("segments") or "").split("|")
+        if item
+    }
+
+
 def _commit_rows(path: pathlib.Path, header: List[str], rows: List[Tuple]) -> None:
     """Write a CSV to a temporary sibling and atomically rename into place."""
     tmp = path.with_name(path.name + ".tmp")
@@ -143,11 +160,12 @@ def save_udatabase(udb: UDatabase, directory: PathLike) -> None:
     first, the manifest rename commits them (with the delete vectors
     inline), and only then are segment files the new manifest dropped —
     segments merged or rewritten away — garbage-collected.  Re-saving
-    skips every segment file already present with the expected row
-    count, so kept segments stay byte-identical across saves.
+    skips every segment file the committed manifest lists with the
+    expected row count, so kept segments stay byte-identical across saves.
     """
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    committed = _committed_files(directory)
 
     manifest_rows: List[Tuple[str, str, str, str, int, str, str]] = []
     referenced: Dict[pathlib.Path, Set[str]] = {}
@@ -165,7 +183,8 @@ def save_udatabase(udb: UDatabase, directory: PathLike) -> None:
                 filename = _segment_filename(segment.segment_id)
                 keep.add(filename)
                 target = part_dir / filename
-                if target.exists() and _csv_data_rows(target) == len(segment.rows):
+                listed = (part_key, filename) in committed and target.exists()
+                if listed and _csv_data_rows(target) == len(segment.rows):
                     continue  # immutable segment already persisted
                 write_csv(
                     Relation.from_trusted(relation.schema, list(segment.rows)),

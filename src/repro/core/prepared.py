@@ -177,11 +177,13 @@ class PreparedQuery(_Prepared):
         frame.params = self.checked(tuple(params))
 
     def run(
-        self, *params: Any, mode: str = "columns", use_indexes: bool = True, catalog=None
+        self, *params: Any, mode: str = "columns", use_indexes: bool = True, catalog=None, found=None
     ):
         """Execute with ``params`` as the ``$n`` values, over ``catalog``
         (default: the one published when the execution starts; a
-        transaction hands in its own).
+        transaction hands in its own).  ``found`` is the plan-cache lookup
+        the caller already made over ``catalog``, as
+        :func:`~repro.core.translate.execute_keyed` takes it.
 
         The first call plans and caches; all later calls are executor-only.
         Returns what :func:`~repro.core.translate.execute_query` returns —
@@ -196,7 +198,7 @@ class PreparedQuery(_Prepared):
         with request_trace(sql=self.sql or ""), executing(self.checked(params)):
             if mode == "rows":
                 return reference_query(self.query, self.udb, catalog)
-            return execute_keyed(self.query, self.udb, self._key, catalog)
+            return execute_keyed(self.query, self.udb, self._key, catalog, found)
 
     def explain(self, *params: Any, analyze: bool = False) -> str:
         """EXPLAIN the prepared plan (``(cached)``-marked after first use).
@@ -285,14 +287,14 @@ def text_statement(sql: str, udb, lift: bool) -> Tuple[Any, Tuple[Any, ...]]:
     database: which connection sends a text decides neither whether it is
     parsed nor whether its plan is cached.
     """
+    texts = udb._statements if lift else udb._prepared_statements
+    hit = texts.get(sql)
+    if hit is not None:
+        obs_span("parse", cached=True, lifted=len(hit[1]), shape_cached=True).finish()
+        return hit
     from ..sql.parser import parse  # the SQL package imports this module
 
-    texts = udb._statements if lift else udb._prepared_statements
     with obs_span("parse") as sp:
-        hit = texts.get(sql)
-        if hit is not None:
-            sp.set(cached=True, lifted=len(hit[1]), shape_cached=True)
-            return hit
         statement = parse(sql)
         lifted: Tuple[Any, ...] = ()
         prepared: Any = None

@@ -89,7 +89,12 @@ partitions and needs no precondition.
 from __future__ import annotations
 
 import functools
+import time
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+
+from ..obs import Operators, counter, current_span, current_trace
+from ..obs import enabled as obs_enabled
+from ..obs import workload as obs_workload
 
 from ..relational.algebra import (
     ConfCompute,
@@ -117,6 +122,7 @@ from ..relational.expressions import (
     columns_of,
     conjunction,
     exact_leaf,
+    executing,
     frame,
     is_true,
     map_columns,
@@ -124,6 +130,8 @@ from ..relational.expressions import (
     structural_key,
 )
 from ..relational.optimizer import column_stats, estimate_rows, greedy_order, join_rows
+from ..relational import physical as physical_ops
+from ..relational import plancache
 from ..relational.physical import Confidence
 from ..relational.relation import Relation
 from .certain import certain_answers
@@ -820,14 +828,15 @@ def _answer(relation: Relation, physical, wrap):
     return URelation(relation, d_width, tid_names, value_names)
 
 
-def _cached_physical(query: UQuery, udb: UDatabase, key, catalog=None):
+def _cached_physical(query: UQuery, udb: UDatabase, key, catalog=None, found=None):
     """The fully planned physical tree for a logical query, via the cache.
 
     Returns ``(record, was_cached)``: a
     :class:`~repro.relational.plancache.PlanRecord` and whether the cache
     served it.  ``key`` is the query's :func:`query_cache_key`, derived
     by the caller (once per statement, if it is a
-    :class:`~repro.core.prepared.PreparedQuery`).
+    :class:`~repro.core.prepared.PreparedQuery`); ``found``, a lookup
+    already made (:func:`~repro.relational.plancache.cached_plan`).
 
     A hit skips translation, optimization, and physical planning — the
     repeated-query path is executor-only.  ``catalog`` (default
@@ -839,20 +848,14 @@ def _cached_physical(query: UQuery, udb: UDatabase, key, catalog=None):
     the frame held once they have executed (see
     :mod:`repro.relational.plancache`).
     """
-    from ..relational.plancache import (
-        PlanRecord,
-        cached_plan,
-        cost_class_of,
-        name_slots,
-        planned_over,
-    )
-    from ..relational.planner import plan_physical
-
     if catalog is None:
         catalog = udb.catalog()
     frame.catalog = catalog
 
     def build():
+        from ..relational.plancache import PlanRecord, cost_class_of, name_slots, planned_over
+        from ..relational.planner import plan_physical
+
         # no world table: the executing catalog's, staged variables included
         plan, wrap = _logical_plan(query, catalog, None)
         slots = planned_over(
@@ -868,7 +871,7 @@ def _cached_physical(query: UQuery, udb: UDatabase, key, catalog=None):
         # the entry holds the udb: an id-keyed owner must outlive its entries
         return PlanRecord(physical, wrap, profile, cost_class), slots, udb
 
-    return cached_plan(key, catalog.versions, build)
+    return plancache.cached_plan(key, catalog.versions, build, found)
 
 
 # ----------------------------------------------------------------------
@@ -895,58 +898,72 @@ def execute_query(query: UQuery, udb: UDatabase):
     return execute_keyed(query, udb, query_cache_key(relational_core(query), udb))
 
 
-def execute_keyed(query: UQuery, udb: UDatabase, key, catalog=None):
+_QUERIES = counter("queries_total", "Queries executed by class and plan-cache outcome")
+#: (cost class, served from the cache) -> its ``queries_total`` series' inc
+_queries: Dict[Tuple[str, bool], Any] = {}
+
+
+def _actuals(physical, counters: Dict[Any, Tuple[int, int]]) -> dict:
+    """``physical.actuals()`` of the execution that counted ``counters``."""
+    with executing():
+        frame.counters.update(counters)
+        return physical.actuals()
+
+
+def execute_keyed(query: UQuery, udb: UDatabase, key, catalog=None, found=None):
     """:func:`execute_query` for a caller that holds ``key``, the
     :func:`query_cache_key` of the query's :func:`relational_core`,
     reading ``catalog`` (default: ``udb.catalog()``, read once): its
-    partitions, and for ``conf`` / ``certain`` its world table."""
-    import time
-
-    from ..obs import counter, current_span, current_trace
-    from ..obs import workload as obs_workload
-    from ..relational.physical import execute
-
+    partitions, and for ``conf`` / ``certain`` its world table; ``found``
+    is a lookup already made (:func:`~repro.relational.plancache.cached_plan`).
+    Under a trace, the history record waits for the trace's finish step."""
     if catalog is None:
         catalog = udb.catalog()
     if isinstance(query, Certain):
-        inner = execute_keyed(query.child, udb, key, catalog)
+        inner = execute_keyed(query.child, udb, key, catalog, found)
         return certain_answers(inner, catalog.world_table)
     held = frame.catalog
     try:
-        record, was_cached = _cached_physical(query, udb, key, catalog)
+        record, was_cached = _cached_physical(query, udb, key, catalog, found)
         physical, wrap, profile, cost_class = record
         started = time.perf_counter()
-        relation = execute(physical)
+        relation = physical_ops.execute(physical)
         elapsed = time.perf_counter() - started
     finally:
         frame.catalog = held
-    counter("queries_total", "Queries executed by class and plan-cache outcome").inc(
-        cls=cost_class, cached=str(was_cached).lower()
+    count = _queries.get((cost_class, was_cached)) or _queries.setdefault(
+        (cost_class, was_cached), _QUERIES.labels(cls=cost_class, cached=str(was_cached).lower())
     )
+    count()
     trace = current_trace()
-    if trace is not None:
-        trace.root.attrs.setdefault("cost_class", cost_class)
+    if trace is None and not obs_enabled():
+        return _answer(relation, physical, wrap)
+    counters = frame.counters
+    # the estimate-vs-actual history reads the accounting the batch
+    # iterators already did for this execution's frame — no re-run
+    execution = (
+        profile,
+        elapsed,
+        len(relation),
+        was_cached,
+        physical.estimated_rows,
+        physical.actual_rows,
+        [(op.estimated_rows, produced) for op, (produced, _batches) in counters.items()],
+    )
+    if trace is None:
+        obs_workload.record_execution(*execution)
+    else:
+        attrs = trace.root.attrs
+        attrs.setdefault("cost_class", cost_class)
         if profile is not None:
             # threads the fingerprint through the session, the worker
             # pool (the trace is shared across it), and slowlog payloads
-            trace.root.attrs.setdefault("fingerprint", profile["fingerprint"])
-            trace.root.attrs.setdefault("plan_key", profile["plan_key"])
-        current_span().set(operators=physical.actuals())
-    # the estimate-vs-actual history reads the accounting the batch
-    # iterators already did for this execution's frame — no re-run
-    obs_workload.record_execution(
-        profile,
-        seconds=elapsed,
-        rows=len(relation),
-        cached=was_cached,
-        estimated=physical.estimated_rows,
-        actual=physical.actual_rows,
-        operators=(
-            (operator.estimated_rows, produced)
-            for operator, (produced, _batches) in frame.counters.items()
-        ),
-        sql=trace.root.attrs.get("sql") if trace is not None else None,
-    )
+            attrs.setdefault("fingerprint", profile["fingerprint"])
+            attrs.setdefault("plan_key", profile["plan_key"])
+        current_span().attrs["operators"] = Operators(
+            functools.partial(_actuals, physical, dict(counters))
+        )
+        trace.executions.append(execution)
     return _answer(relation, physical, wrap)
 
 

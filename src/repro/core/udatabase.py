@@ -14,9 +14,10 @@ world).
 index on it an ordinary index: the tuple of its definitions is listed on
 the partition's relation version and nowhere else.  The planner builds
 handles from it (``indexes_on``), every write-path derivation hands the
-same tuple to the successor with its parent's handles (the index
-structures themselves live on the partition's immutable segments, which
-the successor shares), persistence saves it from there.  Index DDL
+same tuple to the successor (the index structures themselves live on
+the partition's immutable segments, which the successor shares, and a
+new segment's are built on first use, outside the write), persistence
+saves it from there.  Index DDL
 (:meth:`UDatabase.create_index` / :meth:`UDatabase.drop_index`) and every
 derivation of a successor happen under ``_write_lock``, so a definition
 lands on the live partition or not at all.
@@ -502,15 +503,17 @@ class UDatabase:
         return out
 
     def build_indexes(self) -> None:
-        """Build the handle of every definition of every partition now,
-        as a first planner access would.
+        """Build every index of every partition now: each definition's
+        handle, as a first planner access would, and every structure under
+        it, as its first use would.
 
         For callers that need deterministic query latency — benchmark
         setup calls this after generation so measured times never include
         one-off index builds.
         """
         for part in self._catalog.labels.values():
-            indexes_on(part.relation)
+            for index in indexes_on(part.relation):
+                index.runs()
 
     def prepare(self, sql: str):
         """Prepare a SQL statement (with optional ``$n`` parameter slots).

@@ -13,11 +13,13 @@ tallies, both following the registry's discipline (singleton, one lock,
   out at session creation (:func:`register_session`), bounded LRU so a
   server that churns connections never grows without bound.
 
-Recording sites: :meth:`repro.server.session.Session._run` (statements,
-rows, execution time), :meth:`repro.server.admission.AdmissionController.admit`
-(queue wait, class-level — a request waits before it has run anything),
-and the server's render path (bytes written to the wire).  Surfaced as
-the ``accounting`` key of ``QueryServer.stats()``.
+Recording sites: a request's trace collects its statements (rows,
+execution time; :meth:`repro.server.session.Session._run`) and the bytes
+the server's render path wrote, and its finish step records them with
+:func:`record_request`, one lock for the whole request;
+:meth:`repro.server.admission.AdmissionController.admit` records queue
+waits (class-level — a request waits before it has run anything).
+Surfaced as the ``accounting`` key of ``QueryServer.stats()``.
 """
 
 from __future__ import annotations
@@ -27,13 +29,12 @@ import threading
 from collections import OrderedDict
 from typing import Any, Dict, Optional
 
-from .metrics import enabled
+from . import metrics as _metrics
 
 __all__ = [
     "register_session",
-    "record_statement",
+    "record_request",
     "record_wait",
-    "record_render",
     "accounting_snapshot",
     "reset_accounting",
     "SESSION_LIMIT",
@@ -98,44 +99,34 @@ def _class_tally(cost_class: Optional[str]) -> _Tally:
     return tally
 
 
-def record_statement(
+def record_request(
     session_id: Optional[int],
     cost_class: Optional[str],
-    *,
-    rows: int,
-    seconds: float,
+    statements: int = 0,
+    rows: int = 0,
+    seconds: float = 0.0,
+    nbytes: int = 0,
 ) -> None:
-    """One finished statement: bump queries/rows/execution time."""
-    if not enabled():
+    """One request's finished statements (queries, rows, execution time)
+    and the bytes serialized onto the wire for it."""
+    if not _metrics._enabled:
         return
     with _lock:
         for tally in (_class_tally(cost_class), _session_tally(session_id)):
             if tally is None:
                 continue
-            tally.queries += 1
+            tally.queries += statements
             tally.rows += rows
             tally.execute_seconds += seconds
+            tally.bytes_rendered += nbytes
 
 
 def record_wait(cost_class: Optional[str], seconds: float) -> None:
     """Admission-queue wait (class-level; waits precede session work)."""
-    if not enabled():
+    if not _metrics._enabled:
         return
     with _lock:
         _class_tally(cost_class).queue_seconds += seconds
-
-
-def record_render(
-    session_id: Optional[int], nbytes: int, cost_class: Optional[str] = None
-) -> None:
-    """Bytes serialized onto the wire for one response."""
-    if not enabled():
-        return
-    with _lock:
-        _class_tally(cost_class).bytes_rendered += nbytes
-        tally = _session_tally(session_id)
-        if tally is not None:
-            tally.bytes_rendered += nbytes
 
 
 def accounting_snapshot() -> Dict[str, Any]:

@@ -22,7 +22,10 @@ Design points:
 * **Labels** are passed as keyword arguments and normalized to a sorted
   tuple, so ``inc(a="1", b="2")`` and ``inc(b="2", a="1")`` hit one
   series.  ``cls`` is accepted as a spelling of the reserved word
-  ``class`` and rendered as ``class``.
+  ``class`` and rendered as ``class``.  A call site on the request path
+  resolves its metric once (a module-level handle) and its labels once
+  (``labels(...)`` returns the series' update function), so a request
+  pays neither the registry lookup nor the label sort.
 * **The kill switch.**  ``REPRO_OBS=off`` in the environment (or
   :func:`set_enabled`) short-circuits every update at the first
   instruction; reads still work (they report whatever was recorded while
@@ -45,7 +48,9 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from bisect import bisect_left
+from functools import partial
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "MetricsRegistry",
@@ -122,22 +127,31 @@ def _prometheus_labels(key: Tuple[Tuple[str, str], ...], extra: str = "") -> str
     return "{" + ",".join(parts) + "}" if parts else ""
 
 
-class Counter:
-    """A monotonically increasing per-series counter."""
+class _Metric:
+    """What the three kinds share: a name, a lock and series by label key."""
 
-    kind = "counter"
     __slots__ = ("name", "help", "_lock", "_series")
 
     def __init__(self, name: str, help: str = ""):
         self.name = name
         self.help = help
         self._lock = threading.Lock()
-        self._series: Dict[Tuple[Tuple[str, str], ...], float] = {}
+        self._series: Dict[Tuple[Tuple[str, str], ...], Any] = {}
 
-    def inc(self, amount: float = 1, **labels: Any) -> None:
+    def labels(self, **labels: Any) -> Callable[..., None]:
+        """The update function of the series ``labels`` name, resolved once:
+        ``inc(amount=1)`` of a counter, ``observe(value)`` of a histogram.
+        A call site whose labels repeat (per cost class, say) holds it."""
+        return partial(self._add, _label_key(labels))
+
+    def clear(self) -> None:
+        """Drop every series (the metric, and handles to it, stay valid)."""
+        with self._lock:
+            self._series.clear()
+
+    def _add(self, key: Tuple[Tuple[str, str], ...], amount: float = 1) -> None:
         if not _enabled:
             return
-        key = _label_key(labels)
         with self._lock:
             self._series[key] = self._series.get(key, 0) + amount
 
@@ -145,27 +159,31 @@ class Counter:
         with self._lock:
             return self._series.get(_label_key(labels), 0)
 
-    def total(self) -> float:
-        """The sum across all label combinations."""
-        with self._lock:
-            return sum(self._series.values())
-
     def snapshot(self) -> Dict[str, float]:
         with self._lock:
             return {_label_text(key): value for key, value in sorted(self._series.items())}
 
 
-class Gauge:
+class Counter(_Metric):
+    """A monotonically increasing per-series counter."""
+
+    kind = "counter"
+    __slots__ = ()
+
+    def inc(self, amount: float = 1, **labels: Any) -> None:
+        self._add(_label_key(labels), amount)
+
+    def total(self) -> float:
+        """The sum across all label combinations."""
+        with self._lock:
+            return sum(self._series.values())
+
+
+class Gauge(_Metric):
     """A per-series value that can go up and down (set/add)."""
 
     kind = "gauge"
-    __slots__ = ("name", "help", "_lock", "_series")
-
-    def __init__(self, name: str, help: str = ""):
-        self.name = name
-        self.help = help
-        self._lock = threading.Lock()
-        self._series: Dict[Tuple[Tuple[str, str], ...], float] = {}
+    __slots__ = ()
 
     def set(self, value: float, **labels: Any) -> None:
         if not _enabled:
@@ -174,19 +192,7 @@ class Gauge:
             self._series[_label_key(labels)] = value
 
     def add(self, amount: float = 1, **labels: Any) -> None:
-        if not _enabled:
-            return
-        key = _label_key(labels)
-        with self._lock:
-            self._series[key] = self._series.get(key, 0) + amount
-
-    def value(self, **labels: Any) -> float:
-        with self._lock:
-            return self._series.get(_label_key(labels), 0)
-
-    def snapshot(self) -> Dict[str, float]:
-        with self._lock:
-            return {_label_text(key): value for key, value in sorted(self._series.items())}
+        self._add(_label_key(labels), amount)
 
 
 class _HistogramSeries:
@@ -200,7 +206,7 @@ class _HistogramSeries:
         self.maximum: Optional[float] = None
 
 
-class Histogram:
+class Histogram(_Metric):
     """A bucketed latency histogram with derived percentiles.
 
     Observations land in fixed log-spaced buckets (:data:`DEFAULT_BUCKETS`
@@ -210,29 +216,27 @@ class Histogram:
     """
 
     kind = "histogram"
-    __slots__ = ("name", "help", "buckets", "_lock", "_series")
+    __slots__ = ("buckets",)
 
     def __init__(self, name: str, help: str = "", buckets: Sequence[float] = DEFAULT_BUCKETS):
-        self.name = name
-        self.help = help
+        super().__init__(name, help)
         self.buckets: Tuple[float, ...] = tuple(buckets)
-        self._lock = threading.Lock()
-        self._series: Dict[Tuple[Tuple[str, str], ...], _HistogramSeries] = {}
 
     def observe(self, value: float, **labels: Any) -> None:
+        self._observe(_label_key(labels), value)
+
+    def labels(self, **labels: Any) -> Callable[[float], None]:
+        return partial(self._observe, _label_key(labels))
+
+    def _observe(self, key: Tuple[Tuple[str, str], ...], value: float) -> None:
         if not _enabled:
             return
-        key = _label_key(labels)
         with self._lock:
             series = self._series.get(key)
             if series is None:
                 series = self._series[key] = _HistogramSeries(len(self.buckets) + 1)
-            slot = len(self.buckets)
-            for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    slot = i
-                    break
-            series.counts[slot] += 1
+            # the first bucket whose bound is >= value; past the last, +Inf
+            series.counts[bisect_left(self.buckets, value)] += 1
             series.count += 1
             series.sum += value
             if series.minimum is None or value < series.minimum:
@@ -385,9 +389,13 @@ class MetricsRegistry:
         return "\n".join(lines) + ("\n" if lines else "")
 
     def reset(self) -> None:
-        """Drop every metric (test/bench hook, mirrors the cache resets)."""
+        """Drop every recorded series (test/bench hook, mirrors the cache
+        resets).  The metrics themselves stay registered, so the handles
+        instrumentation sites hold keep recording into this registry."""
         with self._lock:
-            self._metrics.clear()
+            metrics = list(self._metrics.values())
+        for metric in metrics:
+            metric.clear()
 
 
 #: The process-wide registry every instrumentation site records into.

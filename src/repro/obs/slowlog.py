@@ -23,9 +23,10 @@ import heapq
 import itertools
 import logging
 import threading
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from .trace import Trace
+if TYPE_CHECKING:  # the trace module feeds this one
+    from .trace import Trace
 
 __all__ = ["record", "slow_queries", "reset_slow_queries", "configure"]
 
@@ -55,7 +56,7 @@ def configure(capacity: Optional[int] = None, threshold: Optional[float] = None)
             _threshold = float(threshold)
 
 
-def record(trace: Trace) -> None:
+def record(trace: "Trace") -> None:
     """Offer a finished trace to the slow log (keep if among N slowest)."""
     seconds = trace.duration
     with _lock:

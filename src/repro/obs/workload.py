@@ -31,7 +31,8 @@ import threading
 from collections import OrderedDict
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from .metrics import Histogram, enabled
+from . import metrics as _metrics
+from .metrics import Histogram
 
 __all__ = [
     "record_execution",
@@ -66,6 +67,7 @@ class _FingerprintEntry:
         "max_drift",
         "total_seconds",
         "latency",
+        "observe",
     )
 
     def __init__(self, profile: Mapping[str, Any]):
@@ -83,6 +85,7 @@ class _FingerprintEntry:
         self.max_drift = 1.0
         self.total_seconds = 0.0
         self.latency = Histogram(f"workload:{self.fingerprint}")
+        self.observe = self.latency.labels()
 
 
 _lock = threading.Lock()
@@ -100,7 +103,6 @@ def drift_ratio(estimated: float, actual: float) -> float:
 
 def record_execution(
     profile: Optional[Mapping[str, Any]],
-    *,
     seconds: float,
     rows: int,
     cached: bool,
@@ -119,7 +121,7 @@ def record_execution(
     a root can be exact above a join that is off by orders of magnitude.
     Iterated only here, past the ``enabled()`` check.
     """
-    if not enabled() or not profile:
+    if not _metrics._enabled or not profile:
         return
     fingerprint = profile.get("fingerprint")
     if not fingerprint:
@@ -157,7 +159,7 @@ def record_execution(
             if drift > DRIFT_THRESHOLD:
                 entry.drift_runs += 1
     # the per-entry histogram has its own lock; observe outside ours
-    entry.latency.observe(seconds)
+    entry.observe(seconds)
 
 
 def _entry_snapshot(entry: _FingerprintEntry) -> Dict[str, Any]:

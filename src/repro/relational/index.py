@@ -20,10 +20,10 @@ sorted key array of every index definition over its own rows
 version holding the segment shares it.  An :class:`Index` is a handle over
 one version: its definition plus that version's segments and dead
 positions.  A lookup reads each segment's structure and drops the dead
-rows, so a write indexes its new segments alone (an append's, and those
-the segment policy merged or rewrote), a delete indexes nothing, and a
-segment both versions hold keeps its structures and probe tables by
-identity.
+rows, so only a version's new segments (an append's, and those the
+segment policy merged or rewrote) are ever indexed, a delete indexes
+nothing, and a segment both versions hold keeps its structures and probe
+tables by identity.
 
 An index is one :class:`IndexDef` (name, columns, kind, positions), and
 the tuple of them a :class:`~repro.relational.relation.Relation` version
@@ -31,11 +31,15 @@ lists (:func:`index_defs_on`) is its only record: every write's successor
 takes the same tuple, and the U-relational catalog's policy, index DDL,
 persistence and a transaction's ``COMMIT`` read and replace it.  The
 planner discovers access paths through :func:`indexes_on`, whose first call
-on a version builds a handle for every definition and memoizes it there;
+on a version makes a handle for every definition and memoizes it there;
 a definition that cannot build over that version (sorted keys that do not
 compare) gets ``None`` and stays listed, to build again on a later version.
 A write's successor takes a handle for each one its parent had
-(:func:`carry_handles`), so only its new segments are indexed.
+(:func:`carry_handles`).  Such handles build nothing: each structure is
+built, once, on the first use of a handle over its segment, so a write
+indexes nothing (whether a sorted index's keys compare is read from each
+segment's value types, :func:`_families`).  :func:`build_index` and
+:func:`ensure_index` build every structure at once.
 
 NULL semantics match the executor's comparisons: rows whose key contains
 ``None`` are excluded from every index (a NULL never compares equal, so an
@@ -44,10 +48,12 @@ equality or range lookup can never return it).
 
 from __future__ import annotations
 
+import datetime
 import heapq
 import threading
 import weakref
 from bisect import bisect_left, bisect_right
+from decimal import Decimal
 from functools import partial
 from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -101,6 +107,20 @@ def _structure(segment: Segment, kind: str, positions: Tuple[int, ...]) -> Any:
     return _KIND_CLASSES[kind]._build(segment.rows, positions)
 
 
+#: The value types whose sorted index keys compare: numbers with each
+#: other (as ``float``), any other of these with its own type only.
+_NUMBERS = frozenset((int, float, bool, Decimal))
+_ORDERED = frozenset((float, str, bytes, datetime.date, datetime.datetime, datetime.time))
+
+
+def _families(segment: Segment, position: int) -> frozenset:
+    """The comparison families of one column's non-NULL values in
+    ``segment``: ``float`` for a number, else its type (memoized on it)."""
+    types = set(map(type, map(itemgetter(position), segment.rows)))
+    types.discard(type(None))
+    return frozenset(float if t in _NUMBERS else t for t in types)
+
+
 def _segment_probe_table(segment: Segment, kind: str, positions: Tuple[int, ...]) -> Dict[Any, Any]:
     """The :func:`probe_table` over one segment's rows (memoized on it)."""
     structure = segment.memo(_structure, kind, positions)
@@ -139,7 +159,10 @@ class Index:
 
     kind = "index"
 
-    def __init__(self, relation: Relation, columns: Sequence[str], name: Optional[str] = None):
+    def __init__(
+        self, relation: Relation, columns: Sequence[str], name: Optional[str] = None, build=True
+    ):
+        """The handle; ``build=False`` leaves each structure to its first use."""
         self._relation = weakref.ref(relation)
         self.definition = index_def(relation, columns, self.kind, name)
         #: ``columns`` are the canonical names, as in the relation schema.
@@ -147,36 +170,42 @@ class Index:
         self.key_of = _key_getter(self.positions)
         self._runs: Optional[Tuple[Tuple[Segment, Any, frozenset], ...]] = None
         self._probe: Optional[Callable[[Any], Any]] = None
-        self._check(self.runs())  # every segment's structure, built now
+        if build:
+            self.runs()
+        self._check(relation)
 
     def runs(self) -> Tuple[Tuple[Segment, Any, frozenset], ...]:
         """Per segment of the version: the segment, its structure and its
-        dead positions; gathered on first use (threads racing on it
-        gather equal tuples)."""
+        dead positions; gathered on first use, which builds the structures
+        no other version's handle built (under :data:`_LOCK`, so each is
+        built once)."""
         runs = self._runs
         if runs is None:
             key = (_structure, self.kind, self.positions)
-            runs = self._runs = tuple(
-                (segment, segment._memo.get(key) or segment.memo(*key), dead)  # memo inline
-                for segment, dead in self.relation._runs
-            )
+            with _LOCK:
+                runs = self._runs
+                if runs is None:
+                    runs = self._runs = tuple(
+                        (segment, segment._memo.get(key) or segment.memo(*key), dead)
+                        for segment, dead in self.relation._runs
+                    )
         return runs
 
     def successor(self, relation: Relation) -> "Index":
         """This index over ``relation``, a write's successor of its own
-        relation: a segment both hold keeps its structure, so only the
-        successor's new segments are indexed.  Raises ``TypeError`` when
-        a new segment's keys cannot join the index."""
+        relation, building nothing: a segment both hold keeps its
+        structure.  Raises ``TypeError`` when a new segment's keys cannot
+        join the index."""
         handle = object.__new__(type(self))
         handle.__dict__.update(self.__dict__)
         handle._relation = weakref.ref(relation)
         handle._runs = handle._probe = None
-        handle._check(handle.runs())
+        handle._check(relation)
         return handle
 
-    def _check(self, runs: Tuple[Tuple[Segment, Any, frozenset], ...]) -> None:
-        """Raise ``TypeError`` when the segments' structures cannot form
-        one index."""
+    def _check(self, relation: Relation) -> None:
+        """Raise ``TypeError`` when ``relation``'s keys cannot form one
+        index."""
 
     @property
     def relation(self) -> Optional[Relation]:
@@ -375,9 +404,20 @@ class SortedIndex(Index):
 
     kind = "sorted"
 
-    def _check(self, runs: Tuple[Tuple[Segment, Any, frozenset], ...]) -> None:
-        # each segment's keys sort; across segments their extremes must too
-        ends = [(keys[0], keys[-1]) for _, (keys, _, _), _ in runs if keys]
+    def _check(self, relation: Relation) -> None:
+        # keys of one family of ordered types compare, whatever the values,
+        # so an unbuilt handle reads its verdict from the segments' value
+        # types; anything else is decided by building: each segment's keys
+        # sort, and across segments their extremes must too
+        if self._runs is None and all(
+            len(families) <= 1 and families <= _ORDERED
+            for families in (
+                frozenset().union(*(segment.memo(_families, p) for segment, _ in relation._runs))
+                for p in self.positions
+            )
+        ):
+            return
+        ends = [(keys[0], keys[-1]) for _, (keys, _, _), _ in self.runs() if keys]
         if len(ends) > 1:
             min(low for low, _ in ends)
             max(high for _, high in ends)
@@ -510,7 +550,8 @@ def restricted_probe_table(
 def build_index(
     relation: Relation, columns: Sequence[str], kind: str = "hash", name: Optional[str] = None
 ) -> Index:
-    """Construct (but do not list on ``relation``) an index of the given kind."""
+    """Construct (but do not list on ``relation``) an index of the given
+    kind, every segment's structure built now."""
     return _kind_class(kind)(relation, columns, name=name)
 
 
@@ -555,12 +596,13 @@ def default_index_name(columns: Sequence[str]) -> str:
 # ----------------------------------------------------------------------
 # a version's definitions, and its handle memo
 # ----------------------------------------------------------------------
-#: Serializes the first build of a version's handles and every change to
-#: a version's definitions (DDL on a U-database also holds its write
-#: lock): a handle, and so each segment structure under it, is built
-#: once, however many planners make the first access together, and a
-#: change never loses a concurrent one.
-_LOCK = threading.Lock()
+#: Serializes the making of a version's handles, their first builds and
+#: every change to a version's definitions (DDL on a U-database also holds
+#: its write lock): a handle, and each segment structure, is built once,
+#: however many planners and executions make the first access together,
+#: and a change never loses a concurrent one.  Re-entrant: an explicit
+#: build makes a handle and builds under it.
+_LOCK = threading.RLock()
 
 
 def forget_facts(relation: Relation) -> None:
@@ -579,16 +621,17 @@ def index_defs_on(relation: Relation, unset: Any = ()) -> Tuple[IndexDef, ...]:
 
 
 def _handle(relation: Relation, definition: IndexDef) -> Optional[Index]:
-    """The memoized handle of ``definition`` over ``relation``, built now
-    if it has none yet; ``None`` when it cannot build over this version
-    (sorted keys that do not compare, a missing column).  ``_LOCK`` held."""
+    """The memoized handle of ``definition`` over ``relation``, made now
+    if it has none yet (its structures build on first use); ``None`` when
+    it cannot build over this version (sorted keys that do not compare, a
+    missing column).  ``_LOCK`` held."""
     handles = getattr(relation, "_indexes", None)
     if handles is None:
         handles = relation._indexes = {}
     if definition not in handles:
         try:
-            handles[definition] = build_index(
-                relation, definition.columns, kind=definition.kind, name=definition.name
+            handles[definition] = _kind_class(definition.kind)(
+                relation, definition.columns, definition.name, build=False
             )
         except (TypeError, SchemaError):
             handles[definition] = None
@@ -633,7 +676,7 @@ def ensure_index(
     relation: Relation, columns: Sequence[str], kind: str = "hash", name: Optional[str] = None
 ) -> Index:
     """The index over ``columns`` of ``kind`` that ``relation`` lists,
-    built now if need be, or a new one, built and listed.
+    its structures built now if need be, or a new one, built and listed.
 
     A listed definition is only reused when the caller did not ask for a
     specific ``name`` (or asked for the one it already has) — EXPLAIN
@@ -652,6 +695,7 @@ def ensure_index(
                 index = _handle(relation, definition)
                 if index is None:  # cannot build here: raise why
                     index = build_index(relation, columns, kind=kind, name=definition.name)
+                index.runs()
                 return index
         index = build_index(relation, columns, kind=kind, name=name)
         _list(relation, index_defs_on(relation) + (index.definition,))[index.definition] = index
@@ -663,9 +707,10 @@ def indexes_on(relation: Relation) -> Tuple[Index, ...]:
     it (hash indexes first).
 
     This is the planner's discovery hook: its first call on a version
-    builds a handle for every definition (exactly once, even under
-    concurrent planning — see :data:`_LOCK`); a write's successor holds
-    its parent's handles already (:func:`carry_handles`).
+    makes a handle for every definition (exactly once, even under
+    concurrent planning — see :data:`_LOCK`), which builds no structure;
+    a write's successor holds its parent's handles already
+    (:func:`carry_handles`).
     """
     definitions = index_defs_on(relation)
     if not definitions:
@@ -681,7 +726,7 @@ def indexes_on(relation: Relation) -> Tuple[Index, ...]:
 
 
 def built_indexes_on(relation: Relation) -> Tuple[Index, ...]:
-    """The handles already built for ``relation``'s definitions, in
+    """The handles already made for ``relation``'s definitions, in
     definition order: a view of the handle memo that builds nothing."""
     handles = getattr(relation, "_indexes", None) or {}
     return tuple(
@@ -706,9 +751,8 @@ def index_named(relation: Relation, definition: IndexDef) -> Index:
 
 def carry_handles(old: Relation, new: Relation) -> None:
     """Give ``new``, a write's successor of ``old`` listing the same
-    definitions, a handle for each one ``old`` has a handle for: the
-    segments both hold keep their structures, so only the segments
-    ``new`` has and ``old`` did not are indexed.  A sorted index whose keys no longer compare across the
+    definitions, a handle for each one ``old`` has a handle for, building
+    no structure.  A sorted index whose keys no longer compare across the
     segments has ``None`` there, and builds again on a later version.
 
     ``new`` is a fresh version with no planning facts memoized yet: the

@@ -68,9 +68,12 @@ see a torn cache; index DDL and statistics refreshes never take it.  The lock
 is held for dict bookkeeping and the facts check of the one entry looked
 up (one memo read per slot; the facts computation, a column scan at most,
 the first time a version is asked), never during planning or execution.
-The admission layer peeks at a request's class through
-:func:`cached_cost_class`, which counts nothing and leaves the LRU order
-alone; :func:`plan_cache_stats` / :func:`reset_plan_cache` mirror the
+A served request looks its plan up once, before admission: the record
+it finds gives both the admission class and the plan the worker runs
+(:func:`cached_plan`'s ``found``).  :func:`cached_cost_class` peeks at a
+class without counting or touching the LRU order (a request that joins
+an in-flight execution runs no plan);
+:func:`plan_cache_stats` / :func:`reset_plan_cache` mirror the
 expression compile cache's introspection hooks (tests and benchmarks use
 them to prove second-run queries are planning-free).
 """
@@ -364,23 +367,19 @@ def _holds(entry: _Entry, versions: Optional[Mapping[str, Relation]]) -> bool:
     return True
 
 
-def cache_lookup(key: Optional[Tuple]) -> Optional[PlanRecord]:
+def cache_lookup(
+    key: Optional[Tuple], versions: Optional[Mapping[str, Relation]] = None
+) -> Optional[PlanRecord]:
     """The cached :class:`PlanRecord` for ``key``, or ``None`` (counted as
     a miss).
 
     A ``None`` key (an uncacheable query shape) always misses.  The entry
-    is checked against the owner's current catalog: one whose facts no
-    longer hold is dropped, counted as an invalidation, and misses.  A
-    hit refreshes the entry's LRU position and, past
-    :data:`_HOT_PIN_HITS` hits, pins it into the hot set.
+    is checked against ``versions``, the catalog the execution will read
+    (default: the owner's current catalog): one whose facts no longer
+    hold is dropped, counted as an invalidation, and misses.  A hit
+    refreshes the entry's LRU position and, past :data:`_HOT_PIN_HITS`
+    hits, pins it into the hot set.
     """
-    return _lookup(key, None)
-
-
-def _lookup(
-    key: Optional[Tuple], versions: Optional[Mapping[str, Relation]]
-) -> Optional[PlanRecord]:
-    """:func:`cache_lookup` checking the entry against ``versions``."""
     global _hits, _misses, _invalidations
     with _lock:
         entry = None if key is None else _entries.get(key)
@@ -411,23 +410,31 @@ def cache_store(
 
 
 def cached_plan(
-    key: Optional[Tuple], versions: Mapping[str, Relation], build: Callable[[], Tuple]
+    key: Optional[Tuple],
+    versions: Mapping[str, Relation],
+    build: Callable[[], Tuple],
+    found: Optional[Tuple[Optional[PlanRecord]]] = None,
 ) -> Tuple[PlanRecord, bool]:
     """The record for ``key`` and whether the cache served it: the one
     ``plan`` span -> lookup -> build -> store sequence, called by the
     U-relation translation (``repro.core.translate._cached_physical``).
 
     The entry is checked against ``versions``, the catalog the execution
-    will read.  ``build()`` runs only after a miss, outside the cache
-    lock, and returns ``(record, slots, owner)`` as :func:`cache_store`
-    takes them.  Two callers that miss on one key at once both build; the
-    records are interchangeable and the last store wins.
+    will read.  ``found`` is ``(record,)`` when the request already made
+    that lookup (the server does, to admit it by the record's class):
+    then ``record``, ``None`` for a miss, stands for it.  ``build()`` runs
+    only after a miss, outside the cache lock, and returns ``(record,
+    slots, owner)`` as :func:`cache_store` takes them.  Two callers that
+    miss on one key at once both build; the records are interchangeable
+    and the last store wins.
     """
-    with obs_span("plan") as sp:
-        record = _lookup(key, versions)
-        sp.set(cached=record is not None)
-        if record is not None:
-            return record, True
+    span = obs_span("plan")
+    record = cache_lookup(key, versions) if found is None else found[0]
+    span.set(cached=record is not None)
+    if record is not None:
+        span.finish()
+        return record, True
+    with span:  # planning runs under it
         record, slots, owner = build()
         cache_store(key, record, slots, owner)
     return record, False

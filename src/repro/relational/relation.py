@@ -320,9 +320,10 @@ class Relation:
         policy (:func:`_tiered`; its new segments take ids from ``fresh``
         on), ``changed`` rows away, or ``self`` when that is this version's
         own storage.  It takes this version's index definitions (the same
-        tuple), a handle for each one this version has a handle for and,
-        until the analyze threshold, its statistics.  The receiver is never
-        mutated (pinned snapshots and in-flight plans keep reading it)."""
+        tuple), a handle for each one this version has a handle for (which
+        builds no structure: their first use does) and, until the analyze
+        threshold, its statistics.  The receiver is never mutated (pinned
+        snapshots and in-flight plans keep reading it)."""
         runs, fresh = _tiered(runs, self._next_id if fresh is None else fresh)
         if runs == self._runs:
             return self

@@ -13,7 +13,7 @@ real workload.  The admission layer therefore:
   :func:`repro.relational.plancache.cost_class_of`).  A query with no
   valid cache entry is ``cold``: it is about to pay full planning, which
   is exactly the work a loaded server should bound hardest.
-* applies a **per-class concurrency limit** (a semaphore per class),
+* applies a **per-class concurrency limit** (a slot count per class),
 * parks excess requests in a **bounded per-class queue** (waiting for a
   slot up to a timeout), and
 * **sheds load** — raises :class:`Overloaded` — when the queue is full or
@@ -21,16 +21,16 @@ real workload.  The admission layer therefore:
   instead of collapsing into unbounded queueing.
 
 The controller is engine-agnostic: it hands out admission slots as
-context managers and never touches plans or relations.
+context managers (each class's gate is its own) and never touches plans
+or relations.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional
 
 from ..obs import counter as obs_counter
 from ..obs import histogram as obs_histogram
@@ -90,16 +90,81 @@ class AdmissionPolicy:
             return max(1, int(self.limits.get("cold", 4)))
 
 
-class _ClassGate:
-    __slots__ = ("semaphore", "waiting", "lock", "admitted", "queued", "shed")
+_ADMITTED = obs_counter("admission_admitted_total", "Requests admitted by class")
+_SHED = obs_counter("admission_shed_total", "Requests shed by class")
+_WAITED = obs_histogram(
+    "admission_wait_seconds", "Seconds queued requests waited for a slot"
+)
 
-    def __init__(self, limit: int):
-        self.semaphore = threading.Semaphore(limit)
-        self.waiting = 0
+
+class _ClassGate:
+    """One cost class's slots, and the context manager admitting into them:
+    ``active`` of ``limit`` slots taken, counted under ``lock``, which the
+    queue's condition (``freed``) shares, so an uncontended admission is
+    one lock round."""
+
+    __slots__ = (
+        "cost_class", "policy", "limit", "active", "waiting", "lock", "freed", "admitted",
+        "queued", "shed", "_admitted_total", "_shed_total",
+    )
+
+    def __init__(self, cost_class: str, policy: AdmissionPolicy):
+        self.cost_class = cost_class
+        self.policy = policy
+        self.limit = policy.limit_for(cost_class)
+        self.active = self.waiting = self.admitted = self.queued = self.shed = 0
         self.lock = threading.Lock()
-        self.admitted = 0
-        self.queued = 0
-        self.shed = 0
+        self.freed = threading.Condition(self.lock)
+        self._admitted_total = _ADMITTED.labels(cls=cost_class)
+        self._shed_total = _SHED.labels(cls=cost_class)
+
+    def __enter__(self) -> None:
+        # the span covers slot *acquisition* only (the wait a client can
+        # see), so it closes before execution and sits as a sibling of the
+        # execute span in the trace
+        span = obs_span("admission", cost_class=self.cost_class)
+        try:
+            with self.lock:
+                queued = self.active >= self.limit
+                span.set(queued=queued)
+                if queued:
+                    self._wait_for_slot()
+                self.active += 1
+                self.admitted += 1
+            self._admitted_total()
+        finally:
+            span.finish()
+
+    def __exit__(self, *exc: Any) -> None:
+        with self.lock:
+            self.active -= 1
+            if self.waiting:
+                self.freed.notify()
+
+    def _wait_for_slot(self) -> None:
+        """Queue (bounded) until a slot frees or the timeout passes; both
+        overflow and timeout shed the request with :class:`Overloaded`.
+        ``lock`` held."""
+        if self.waiting >= self.policy.queue_limit:
+            self.shed += 1
+            self._shed_total()
+            raise Overloaded(self.cost_class, "admission queue full")
+        self.waiting += 1
+        self.queued += 1
+        started = time.perf_counter()
+        try:
+            acquired = self.freed.wait_for(
+                lambda: self.active < self.limit, self.policy.queue_timeout
+            )
+        finally:
+            waited = time.perf_counter() - started
+            self.waiting -= 1
+            _WAITED.observe(waited, cls=self.cost_class)
+            record_wait(self.cost_class, waited)
+        if not acquired:
+            self.shed += 1
+            self._shed_total()
+            raise Overloaded(self.cost_class, "timed out waiting for a slot")
 
 
 class AdmissionController:
@@ -110,75 +175,21 @@ class AdmissionController:
         self._gates: Dict[str, _ClassGate] = {}
         self._gates_lock = threading.Lock()
 
-    def _gate(self, cost_class: str) -> _ClassGate:
+    def admit(self, cost_class: str) -> _ClassGate:
+        """An execution slot for ``cost_class``, as a context manager.
+
+        Fast path: an uncontended class admits with one lock round.
+        Contended: the request queues (bounded) until
+        a slot frees or the timeout passes; both overflow and timeout shed
+        the request with :class:`Overloaded`.
+        """
         gate = self._gates.get(cost_class)
         if gate is None:
             with self._gates_lock:
                 gate = self._gates.get(cost_class)
                 if gate is None:
-                    gate = _ClassGate(self.policy.limit_for(cost_class))
-                    self._gates[cost_class] = gate
+                    gate = self._gates[cost_class] = _ClassGate(cost_class, self.policy)
         return gate
-
-    @contextmanager
-    def admit(self, cost_class: str):
-        """Acquire an execution slot for ``cost_class`` (a context manager).
-
-        Fast path: an uncontended class admits with one non-blocking
-        semaphore acquire.  Contended: the request queues (bounded) until
-        a slot frees or the timeout passes; both overflow and timeout shed
-        the request with :class:`Overloaded`.
-        """
-        gate = self._gate(cost_class)
-        # the span covers slot *acquisition* only (the wait a client can
-        # see), so it closes before execution and sits as a sibling of the
-        # execute span in the trace
-        with obs_span("admission", cost_class=cost_class) as sp:
-            if gate.semaphore.acquire(blocking=False):
-                with gate.lock:
-                    gate.admitted += 1
-                sp.set(queued=False)
-            else:
-                sp.set(queued=True)
-                with gate.lock:
-                    if gate.waiting >= self.policy.queue_limit:
-                        gate.shed += 1
-                        obs_counter(
-                            "admission_shed_total", "Requests shed by class"
-                        ).inc(cls=cost_class)
-                        raise Overloaded(cost_class, "admission queue full")
-                    gate.waiting += 1
-                    gate.queued += 1
-                started = time.perf_counter()
-                try:
-                    acquired = gate.semaphore.acquire(
-                        timeout=self.policy.queue_timeout
-                    )
-                finally:
-                    waited = time.perf_counter() - started
-                    with gate.lock:
-                        gate.waiting -= 1
-                    obs_histogram(
-                        "admission_wait_seconds",
-                        "Seconds queued requests waited for a slot",
-                    ).observe(waited, cls=cost_class)
-                    record_wait(cost_class, waited)
-                if not acquired:
-                    with gate.lock:
-                        gate.shed += 1
-                    obs_counter(
-                        "admission_shed_total", "Requests shed by class"
-                    ).inc(cls=cost_class)
-                    raise Overloaded(cost_class, "timed out waiting for a slot")
-                with gate.lock:
-                    gate.admitted += 1
-            obs_counter(
-                "admission_admitted_total", "Requests admitted by class"
-            ).inc(cls=cost_class)
-        try:
-            yield
-        finally:
-            gate.semaphore.release()
 
     def stats(self) -> Dict[str, Dict[str, int]]:
         """Per-class admitted/queued/shed/waiting counters."""

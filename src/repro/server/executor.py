@@ -44,6 +44,11 @@ from ..obs import counter as obs_counter
 
 __all__ = ["ConcurrentExecutor"]
 
+_executed = obs_counter("executor_executed_total", "Executions scheduled on the pool").labels()
+_coalesced = obs_counter(
+    "executor_coalesced_total", "Requests that joined an identical in-flight execution"
+).labels()
+
 
 class ConcurrentExecutor:
     """Runs query callables on a pool, coalescing identical in-flight work."""
@@ -75,10 +80,7 @@ class ConcurrentExecutor:
             if future is not None:
                 self._coalesced += 1
         if future is not None:
-            obs_counter(
-                "executor_coalesced_total",
-                "Requests that joined an identical in-flight execution",
-            ).inc()
+            _coalesced()
         return future
 
     def submit(
@@ -98,9 +100,7 @@ class ConcurrentExecutor:
         if not self.coalesce or key is None:
             with self._lock:
                 self._executed += 1
-            obs_counter(
-                "executor_executed_total", "Executions scheduled on the pool"
-            ).inc()
+            _executed()
             return self._pool.submit(fn)
         with self._lock:
             existing = self._inflight.get(key)
@@ -111,14 +111,9 @@ class ConcurrentExecutor:
                 self._inflight[key] = future
                 self._executed += 1
         if existing is not None:
-            obs_counter(
-                "executor_coalesced_total",
-                "Requests that joined an identical in-flight execution",
-            ).inc()
+            _coalesced()
             return existing
-        obs_counter(
-            "executor_executed_total", "Executions scheduled on the pool"
-        ).inc()
+        _executed()
 
         def leader() -> None:
             try:

@@ -79,7 +79,6 @@ from ..obs import (
     current_trace,
     metrics_snapshot,
     record_finished,
-    record_render,
     render_prometheus,
     request_trace,
     slow_queries,
@@ -89,6 +88,7 @@ from ..obs import (
 )
 from ..obs.report import advisory_report
 from ..relational.plancache import (
+    cache_lookup,
     cached_cost_class,
     plan_cache_stats,
     publish_plan_cache_metrics,
@@ -99,6 +99,8 @@ from .executor import ConcurrentExecutor
 from .session import Session
 
 __all__ = ["QueryServer", "TCPHandle"]
+
+_count_session = obs_counter("sessions_opened_total", "Sessions opened on this process").labels()
 
 
 class QueryServer:
@@ -133,7 +135,7 @@ class QueryServer:
         """Open a new session bound to this server's executor and limits."""
         with self._lock:
             self._sessions_opened += 1
-        obs_counter("sessions_opened_total", "Sessions opened on this process").inc()
+        _count_session()
         return Session(self.udb, server=self)
 
     # ------------------------------------------------------------------
@@ -146,38 +148,26 @@ class QueryServer:
 
         A query reads ``catalog``: the one its session's transaction
         holds, or (``None``) the one published when the request arrives.
-        The admission class comes from the prepared-plan cache: a valid
-        cached entry serves its recorded cost class, anything else is
-        ``cold`` (it is about to pay planning).  Identical in-flight
-        requests (same plan-cache key, bindings, and catalog) coalesce
-        onto one execution.  The key is the statement's
-        (:meth:`~repro.core.prepared.PreparedQuery.plan_key`); nothing on
-        this path walks the query tree.
+        Identical in-flight requests (same plan-cache key, bindings, and
+        catalog) coalesce onto one execution.  Any other request looks its
+        plan up once, here: a valid cached entry admits under its recorded
+        cost class, anything else is ``cold`` (it is about to pay
+        planning), and the worker runs what the lookup found.  The key is
+        the statement's (:meth:`~repro.core.prepared.PreparedQuery.plan_key`);
+        nothing on this path walks the query tree.
         """
         trace = current_trace()
         if isinstance(prepared, PreparedDML):
             # writes admit under their own class and never coalesce:
             # two identical INSERTs are two writes, not one shared flight
             if trace is not None:
-                trace.root.set(cost_class="dml")
+                trace.root.attrs["cost_class"] = "dml"
             with self.admission.admit("dml"):
-                with obs_span("execute") as exec_span:
-                    return self.executor.run(
-                        self._bridged(lambda: prepared.run(*params), trace, exec_span),
-                        key=None,
-                    )
+                return self._on_pool(lambda: prepared.run(*params), trace, None)
         # the statement owns the key its execution looks up and stores
         # under (the plan of its relational core): derived once in its
-        # lifetime, read here for the admission peek and the coalescing
-        # key, and again by ``prepared.run`` on the worker
+        # lifetime, read here for the lookup and the coalescing key
         key = prepared.plan_key()
-        # a conf query's class is known from its shape alone, so even the
-        # first (uncached) execution admits under the conf limit — the
-        # #P-hard tail must never slip in through the cold class
-        if isinstance(prepared.core, Conf):
-            cost_class = "conf"
-        else:
-            cost_class = cached_cost_class(key) or "cold"
         if catalog is None:
             catalog = self.udb.catalog()
         coalesce_key: Optional[Tuple[Any, ...]]
@@ -193,27 +183,36 @@ class QueryServer:
                 hash(coalesce_key)
             except TypeError:  # unhashable binding: execute un-coalesced
                 coalesce_key = None
-
-        if trace is not None:
-            trace.root.set(cost_class=cost_class)
-
-        def work():
-            return prepared.run(*params, catalog=catalog)
+        # a conf query's class is known from its shape alone, so even the
+        # first (uncached) execution admits under the conf limit — the
+        # #P-hard tail must never slip in through the cold class
+        conf = isinstance(prepared.core, Conf)
 
         # join an identical in-flight execution without consuming an
         # admission slot — a waiter costs nothing, and hot-query bursts
         # must coalesce even when their class admits only two executions
         inflight = self.executor.peek(coalesce_key)
         if inflight is not None:
+            if trace is not None:
+                # a peek: a waiter runs no plan, so it counts no lookup
+                trace.root.set(cost_class="conf" if conf else cached_cost_class(key) or "cold")
             # a waiter has no execution internals of its own — the leader
             # owns the plan/operator spans
-            with obs_span("execute", coalesced=True):
+            span = obs_span("execute", coalesced=True)
+            try:
                 return inflight.result()
+            finally:
+                span.finish()
+        found = (cache_lookup(key, catalog.versions),)
+        cost_class = "conf" if conf else found[0].cost_class if found[0] else "cold"
+        if trace is not None:
+            trace.root.attrs["cost_class"] = cost_class
+
+        def work():
+            return prepared.run(*params, catalog=catalog, found=found)
+
         with self.admission.admit(cost_class):
-            with obs_span("execute") as exec_span:
-                return self.executor.run(
-                    self._bridged(work, trace, exec_span), key=coalesce_key
-                )
+            return self._on_pool(work, trace, coalesce_key)
 
     # ------------------------------------------------------------------
     # compaction
@@ -233,25 +232,30 @@ class QueryServer:
             with obs_span("execute"):
                 return self.udb.compact(table)
 
-    @staticmethod
-    def _bridged(work, trace, exec_span):
-        """Carry the request's trace context onto the worker pool.
+    def _on_pool(self, work, trace, key):
+        """Run ``work`` on the worker pool under the request's ``execute``
+        span, carrying the trace context across.
 
         ``ThreadPoolExecutor`` does not propagate context variables, so
         the request thread captures ``(trace, execute-span)`` here and the
         pool thread re-installs them — plan and operator spans then nest
-        under the request's execute span.  A coalesced follower may run
-        under the *leader's* bridge; only the leader's trace sees the
-        execution internals, which is exactly what happened.
+        under the request's execute span, which the request thread only
+        times.  A coalesced follower may run under the *leader's* bridge;
+        only the leader's trace sees the execution internals, which is
+        exactly what happened.
         """
-        if trace is None:
-            return work
+        span = obs_span("execute")
+        bridged = work
+        if trace is not None:
 
-        def bridged():
-            with activate(trace, exec_span):
-                return work()
+            def bridged():
+                with activate(trace, span):
+                    return work()
 
-        return bridged
+        try:
+            return self.executor.run(bridged, key=key)
+        finally:
+            span.finish()
 
     def render_result(self, result: Any) -> bytes:
         """The serialized JSON response line for a statement result.
@@ -507,14 +511,15 @@ class _ConnectionHandler(socketserver.StreamRequestHandler):
 
     @staticmethod
     def _render(server: QueryServer, session: Session, result: Any) -> bytes:
-        """Serialize a result under a ``render`` span on the active trace."""
-        with obs_span("render") as sp:
+        """Serialize a result under a ``render`` span on the active trace,
+        whose finish step accounts the bytes to the session."""
+        span = obs_span("render")
+        try:
             line = server.render_result(result)
-            sp.set(bytes=len(line))
+            span.set(bytes=len(line))
+        finally:
+            span.finish()
         trace = current_trace()
-        record_render(
-            session.accounting_id,
-            len(line),
-            trace.root.attrs.get("cost_class") if trace is not None else None,
-        )
+        if trace is not None:
+            trace.account(session.accounting_id, nbytes=len(line))
         return line

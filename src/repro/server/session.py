@@ -53,7 +53,7 @@ from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
 from ..core.prepared import PreparedDML, PreparedQuery, text_statement
 from ..core.txn import Begin, Commit, Rollback, Transaction, TxnResult
 from ..core.udatabase import UDatabase
-from ..obs import current_trace, record_statement, register_session, request_trace
+from ..obs import current_trace, register_session, request_trace
 from ..obs import span as obs_span
 from ..sql import Vacuum, execute_immediate
 
@@ -281,8 +281,8 @@ class Session:
         with self._lock:
             prepared = self.statement(name)
             with request_trace(sql=prepared.sql or ""):
-                with obs_span("parse", cached=True):
-                    pass  # parsed at PREPARE time; keep the span present
+                # parsed at PREPARE time; the span keeps the tree's shape
+                obs_span("parse", cached=True).finish()
                 return self._run(prepared, params)
 
     def run(self, prepared: PreparedQuery, *params: Any):
@@ -314,12 +314,10 @@ class Session:
                 result = prepared.run(*params)
             else:
                 result = prepared.run(*params, catalog=catalog)
-        record_statement(
-            self.accounting_id,
-            trace.root.attrs.get("cost_class") if trace is not None else None,
-            rows=_result_rows(result),
-            seconds=time.perf_counter() - started,
-        )
+        if trace is not None:  # accounted when the request finishes
+            trace.account(
+                self.accounting_id, 1, _result_rows(result), time.perf_counter() - started
+            )
         return result
 
     def __repr__(self) -> str:

@@ -289,6 +289,36 @@ class TestCrashRecovery:
         save_udatabase(vehicles_udb, target)
         assert _poss_rows(load_udatabase(target)) == _poss_rows(vehicles_udb)
 
+    def test_a_save_after_a_crashed_one_rewrites_the_orphan_file(self, tmp_path, monkeypatch):
+        """A save that dies at the manifest rename leaves its new segment
+        file behind; a database loaded from the old manifest numbers its
+        next segment with that file's name, and the next save must write
+        it, not take the orphan's rows for it."""
+        from repro.core import persist
+        from repro.relational import Relation
+        from repro.sql import execute_sql
+
+        udb = UDatabase.from_certain({"r": Relation(["a"], [(i,) for i in range(10)])})
+        target = tmp_path / "db"
+        save_udatabase(udb, target)
+        execute_sql("insert into r values (100)", udb)
+
+        def flaky(src, dst):
+            if str(dst).endswith("manifest.csv"):
+                raise OSError("power lost at the commit point")
+            return os.replace(src, dst)
+
+        monkeypatch.setattr(persist, "_rename", flaky)
+        with pytest.raises(OSError):
+            save_udatabase(udb, target)
+        monkeypatch.setattr(persist, "_rename", os.replace)
+        reloaded = load_udatabase(target)
+        execute_sql("insert into r values (200)", reloaded)
+        save_udatabase(reloaded, target)
+        back = load_udatabase(target)
+        high = "possible (select a from r where a >= 100)"
+        assert execute_sql(high, back).rows == execute_sql(high, reloaded).rows == [(200,)]
+
     def test_crash_during_compaction_save(self, tmp_path, monkeypatch):
         from repro.core import persist
 

@@ -7,8 +7,9 @@ over them.  These tests pin that down by counting, never by timing: the
 per-segment index builders (``HashIndex._build``, ``SortedIndex._build``)
 are wrapped to record every row they index, and ``ColumnStats.__init__``
 to count statistics, and a mixed write/read sequence over an indexed
-relation must index every written row, index again only the few rows a
-tier merge rewrites - never a row of the base segments - and recompute
+relation must index nothing while it writes, index every written row on
+the first use of each index, index again only the few rows a tier merge
+rewrites - never a row of the base segments - and recompute
 statistics only once the writes cross the analyze threshold, and on
 ``refresh_statistics``.  The per-column all-⊤ fact the translation reads,
 and the join probe tables, are counted the same way, and so are the plans
@@ -111,6 +112,21 @@ def _lookup(udb, key):
     return set(map(tuple, execute_sql(LOOKUP.format(key=key), udb).rows))
 
 
+def _written(built, udb, sql):
+    """Run a write that matches no row by a query: it builds no index."""
+    before = built.rows()
+    execute_sql(sql, udb)
+    assert built.rows() == before
+
+
+def _first_use(udb):
+    """Use every index of every partition: the structures no read built
+    yet are built now."""
+    for part in udb.partitions("events"):
+        for index in built_indexes_on(part.relation):
+            index.runs()
+
+
 def test_writes_and_the_reads_after_them_index_no_base_row_again(built):
     udb = _events(2000)
     # set-up: a tid hash index and a sorted value index per partition
@@ -129,10 +145,10 @@ def test_writes_and_the_reads_after_them_index_no_base_row_again(built):
     execute_sql("delete from events where id = 99999", udb)
     misses = plan_cache_stats()["misses"]
 
-    execute_sql("insert into events values (5000, 'new', 1)", udb)
+    _written(built, udb, "insert into events values (5000, 'new', 1)")
     assert _lookup(udb, 5000) == {("new", 1)}
     batch = ", ".join(f"({6000 + i}, 'batch', {i})" for i in range(64))
-    execute_sql(f"insert into events values {batch}", udb)
+    _written(built, udb, f"insert into events values {batch}")
     assert _lookup(udb, 6063) == {("batch", 63)}
     execute_sql("update events set kind = 'upd' where id = 7", udb)
     assert _lookup(udb, 7) == {("upd", 7)}
@@ -142,9 +158,12 @@ def test_writes_and_the_reads_after_them_index_no_base_row_again(built):
     session.execute("begin")
     session.execute("insert into events values (5001, 'txn', 2)")
     session.execute("update events set score = 99 where id = 9")
+    before = built.rows()
     session.execute("commit")
+    assert built.rows() == before  # publishing builds nothing either
     assert _lookup(udb, 5001) == {("txn", 2)}
     assert _lookup(udb, 9) == {("k4", 99)}
+    _first_use(udb)
     # each written row was indexed by its partition's two indexes, and
     # again by each tier merge it joined: the tiers beside the 2 000-row
     # bases stay under 70 rows, so that is a few rows, at most twice more;
@@ -161,9 +180,10 @@ def test_writes_and_the_reads_after_them_index_no_base_row_again(built):
     built.reset()
     assert not execute_sql("vacuum events", udb).changed
     assert built.rows() == 0
-    execute_sql("insert into events values (5002, 'late', 3)", udb)
+    _written(built, udb, "insert into events values (5002, 'late', 3)")
     assert _lookup(udb, 5002) == {("late", 3)}
     assert _lookup(udb, 7) == {("upd", 7)}
+    _first_use(udb)
     # its 3 written rows, one per partition, were each indexed by both of
     # their partition's indexes; a merge they joined re-indexed a few
     # written rows besides, none twice, and no row of the bases
@@ -181,9 +201,12 @@ def test_writes_and_the_reads_after_them_index_no_base_row_again(built):
     # no plan is built again: the writes kept every plan's facts
     assert plan_cache_stats()["misses"] - misses == 0
     assert built.stats == 0
-    # every partition still answers through its indexes, all built
+    # every partition still answers through its indexes, all built, once
     for part in udb.partitions("events"):
         assert len(built_indexes_on(part.relation)) == len(index_defs_on(part.relation)) == 2
+    before = built.rows()
+    _first_use(udb)
+    assert built.rows() == before
 
 
 def test_statistics_recompute_once_past_the_analyze_threshold(built):

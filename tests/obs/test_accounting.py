@@ -6,8 +6,7 @@ import pytest
 
 from repro.obs import (
     accounting_snapshot,
-    record_render,
-    record_statement,
+    record_request,
     record_wait,
     register_session,
     reset_accounting,
@@ -18,10 +17,10 @@ from repro.obs.accounting import SESSION_LIMIT
 
 def test_per_session_and_per_class_tallies():
     sid = register_session()
-    record_statement(sid, "point", rows=10, seconds=0.002)
-    record_statement(sid, "point", rows=5, seconds=0.001)
-    record_statement(sid, "join", rows=100, seconds=0.050)
-    record_render(sid, 2048, "point")
+    record_request(sid, "point", statements=1, rows=10, seconds=0.002)
+    record_request(sid, "point", statements=1, rows=5, seconds=0.001)
+    record_request(sid, "join", statements=1, rows=100, seconds=0.050)
+    record_request(sid, "point", nbytes=2048)
 
     snapshot = accounting_snapshot()
     point = snapshot["by_class"]["point"]
@@ -41,7 +40,7 @@ def test_per_session_and_per_class_tallies():
 
 def test_unknown_cost_class_tallies_as_cold():
     sid = register_session()
-    record_statement(sid, None, rows=1, seconds=0.001)
+    record_request(sid, None, statements=1, rows=1, seconds=0.001)
     snapshot = accounting_snapshot()
     assert snapshot["by_class"]["cold"]["queries"] == 1
 
@@ -57,7 +56,7 @@ def test_record_wait_is_class_level_only():
 def test_sessions_are_lru_bounded():
     ids = [register_session() for _ in range(SESSION_LIMIT + 20)]
     for sid in ids:
-        record_statement(sid, "point", rows=1, seconds=0.0)
+        record_request(sid, "point", statements=1, rows=1, seconds=0.0)
     sessions = accounting_snapshot()["sessions"]
     assert len(sessions) == SESSION_LIMIT
     # the oldest twenty fell off; the newest survive
@@ -71,8 +70,8 @@ def test_disabled_accounting_records_nothing():
     try:
         sid = register_session()  # ids still issue (sessions must construct)
         assert isinstance(sid, int)
-        record_statement(sid, "point", rows=10, seconds=0.01)
-        record_render(sid, 512, "point")
+        record_request(sid, "point", statements=1, rows=10, seconds=0.01)
+        record_request(sid, "point", nbytes=512)
         record_wait("point", 0.1)
         snapshot = accounting_snapshot()
         assert snapshot["by_class"] == {} and snapshot["sessions"] == {}
@@ -82,7 +81,7 @@ def test_disabled_accounting_records_nothing():
 
 def test_reset_accounting_clears_everything():
     sid = register_session()
-    record_statement(sid, "scan", rows=3, seconds=0.001)
+    record_request(sid, "scan", statements=1, rows=3, seconds=0.001)
     reset_accounting()
     assert accounting_snapshot() == {"by_class": {}, "sessions": {}}
 

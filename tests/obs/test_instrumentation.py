@@ -75,7 +75,8 @@ def test_explain_query_without_trace_keeps_old_shape():
 def test_operator_tree_is_built_only_for_a_trace(monkeypatch):
     """Counted, never timed: ``actuals()`` is a nested dict of the whole
     operator tree, and without a trace the span it would be set on is the
-    shared no-op — so no entry point builds it then."""
+    shared no-op — so no entry point builds it then.  Under a trace it is
+    built when the ``operators`` attribute is first read."""
     from repro.obs import set_enabled, start_trace
     from repro.relational.physical import PhysicalPlan
 
@@ -96,7 +97,9 @@ def test_operator_tree_is_built_only_for_a_trace(monkeypatch):
     assert calls == []
     with start_trace() as trace:
         answer = execute_query(_tank_query(), udb)
-    assert calls and trace.root.attrs["operators"]["actual_rows"] == len(answer)
+    assert calls == []
+    assert trace.root.attrs["operators"]["actual_rows"] == len(answer)
+    assert calls
 
 
 # ----------------------------------------------------------------------
