@@ -3,7 +3,7 @@
 #   make test        - the tier-1 test suite (what CI must keep green)
 #   make bench-smoke - the Figure 12 query-time benchmark at a tiny scale,
 #                      including the plan-cache warm-vs-cold and
-#                      executor-vs-rows()-reference head-to-heads plus the
+#                      executor-vs-reference head-to-heads plus the
 #                      observability-overhead gate (obs on vs REPRO_OBS=off
 #                      must stay within 5% on Q1/Q2); one command to spot
 #                      a perf regression

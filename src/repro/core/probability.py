@@ -62,6 +62,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import time
 from typing import (
     AbstractSet,
     Any,
@@ -91,6 +92,7 @@ __all__ = [
     "monte_carlo_confidence",
     "tuple_confidences",
     "confidence_relation",
+    "grouped_confidences",
     "assignment_space_size",
     "EXACT_SPACE_LIMIT",
     "DEFAULT_EPSILON",
@@ -809,3 +811,40 @@ class ConfidenceAnswer(Relation):
         answer = cls.from_trusted(relation.schema, relation.rows)
         answer.conf = dict(summary)
         return answer
+
+
+def grouped_confidences(
+    groups: Dict[Tuple[Any, ...], AbstractSet[Tuple[Any, ...]]],
+    world_table: WorldTable,
+    schema: Schema,
+    method: str,
+    epsilon: float,
+    delta: float,
+    seed: int,
+) -> ConfidenceAnswer:
+    """The ``conf`` answer of value groups: one row ``values + (conf,)``
+    per group (``values`` -> its set of encoded descriptor prefixes),
+    sorted by descending confidence (ties by value repr), with its
+    summary.  The executor's ``Confidence`` and the reference
+    (``repro.relational.algebra.evaluate``) both end here, so their rows,
+    order and group counts come from one place; ``seconds`` is the
+    engine's lookups, decodes and sampling plus the sort.
+    """
+    started = time.perf_counter()
+    confidences, approx = confidence_engine(world_table).encoded_confidences(
+        groups.values(), method, epsilon, delta, seed
+    )
+    rows = [values + (conf,) for values, conf in zip(groups, confidences)]
+    rows.sort(key=lambda row: (-row[-1], tuple(map(repr, row[:-1]))))
+    answer = ConfidenceAnswer.from_trusted(schema, rows)
+    answer.conf = {
+        "method": method,
+        "epsilon": epsilon,
+        "delta": delta,
+        "seed": seed,
+        "groups": len(groups),
+        "exact_groups": len(groups) - approx,
+        "approx_groups": approx,
+        "seconds": time.perf_counter() - started,
+    }
+    return answer

@@ -109,6 +109,7 @@ from ..relational.algebra import (
     Scan,
     Select,
     Union,
+    evaluate,
 )
 from ..relational.expressions import (
     Between,
@@ -813,7 +814,9 @@ def _logical_plan(query: UQuery, catalog, world_table):
 
 def _answer(relation: Relation, physical, wrap):
     """What executing ``physical`` answers: a relation (with its summary
-    for ``conf``), or under a ``wrap`` a :class:`URelation`."""
+    for ``conf``), or under a ``wrap`` a :class:`URelation`.  The
+    reference passes no ``physical``: its ``conf`` answer carries its own
+    summary."""
     if wrap is None:
         summary = physical.last_summary if isinstance(physical, Confidence) else None
         if summary is not None:
@@ -969,22 +972,19 @@ def execute_keyed(query: UQuery, udb: UDatabase, key, catalog=None, found=None):
 
 def reference_query(query: UQuery, udb: UDatabase, catalog=None):
     """What :func:`execute_query` must answer over ``catalog`` (default:
-    ``udb.catalog()``), from the ``rows()`` reference: planned afresh,
-    unfused and without access paths, its leaves and ``conf`` holding the
-    catalog's partitions and world table.  It reads neither the plan cache
-    nor the frame's catalog and records no query counter or history.
+    ``udb.catalog()``): the same optimized logical plan, its leaves and
+    ``conf`` holding the catalog's partitions and world table, evaluated
+    node by node by :func:`~repro.relational.algebra.evaluate`.  It plans
+    nothing physical, reads neither the plan cache nor the frame's
+    catalog, and records no query counter or history.
     """
-    from ..relational.physical import execute
-    from ..relational.planner import plan_physical
-
     if catalog is None:
         catalog = udb.catalog()
     if isinstance(query, Certain):
         inner = reference_query(query.child, udb, catalog)
         return certain_answers(inner, catalog.world_table)
     plan, wrap = _logical_plan(query, catalog, catalog.world_table)
-    physical = plan_physical(plan, False)  # no access path, nothing fused
-    return _answer(execute(physical, "rows"), physical, wrap)
+    return _answer(evaluate(plan), None, wrap)
 
 
 def explain_query(query: UQuery, udb: UDatabase, analyze: bool = False, trace: bool = False):

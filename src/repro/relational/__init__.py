@@ -3,18 +3,20 @@
 This package is a stand-in for the off-the-shelf RDBMS (PostgreSQL 8.2) the
 paper runs on: typed schemas, relational algebra (logical plans), a rewrite
 optimizer with selection pushdown / join ordering / column pruning, physical
-operators (hash, merge, and nested-loop joins), and PostgreSQL-style EXPLAIN
-output.
+operators (hash, index nested-loop and nested-loop joins) run by one
+columnar executor, the reference that evaluates a logical plan directly
+(``evaluate``), and PostgreSQL-style EXPLAIN output.
 
 Quick tour::
 
-    from repro.relational import (Relation, Scan, Select, col, explain,
-                                  lit, optimize, plan_physical, run)
+    from repro.relational import (Relation, Scan, Select, col, evaluate,
+                                  explain, lit, optimize, plan_physical, run)
 
     r = Relation(["a", "b"], [(1, "x"), (2, "y")])
     plan = Select(Scan(r, name="r"), col("a") > lit(1))
     result = run(plan)
-    print(explain(plan_physical(optimize(plan), fuse=True)))
+    assert result == evaluate(plan)  # the reference answer
+    print(explain(plan_physical(optimize(plan))))
 """
 
 from .algebra import (
@@ -31,6 +33,7 @@ from .algebra import (
     Select,
     SemiJoin,
     Union,
+    evaluate,
 )
 from .csvio import read_csv, write_csv
 from .explain import explain, explain_analyze, explain_logical
@@ -115,6 +118,7 @@ __all__ = [
     "Difference",
     "Distinct",
     "Rename",
+    "evaluate",
     # indexes
     "Index",
     "HashIndex",

@@ -21,13 +21,18 @@ The U-relations translation of the paper (Figure 4) produces exactly these
 operators; the ``possible`` operation maps to ``Distinct(Project(...))``,
 and the probabilistic ``conf`` operation (Section 7) maps to
 ``ConfCompute`` over the translated child.
+
+:func:`evaluate` is the reference every executed answer is checked
+against: one branch per node, over :class:`Relation`'s own operations and
+bound (interpreted) expressions, sharing nothing with the physical
+planner or executor.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .expressions import Expression, conjunction
+from .expressions import Expression, conjunction, equijoin_pairs
 from .relation import Relation
 from .schema import Schema, SchemaError
 
@@ -46,6 +51,7 @@ __all__ = [
     "Distinct",
     "Rename",
     "ConfCompute",
+    "evaluate",
 ]
 
 
@@ -425,3 +431,85 @@ def select_all(child: Plan, predicates: Sequence[Expression]) -> Plan:
     if not predicates:
         return child
     return Select(child, conjunction(predicates))
+
+
+def evaluate(plan: Plan) -> Relation:
+    """The answer of a logical plan, evaluated node by node.
+
+    The reference :func:`repro.core.translate.reference_query` answers
+    with: it plans nothing physical, so it shares no planner, access
+    path, fusion or kernel with the executor.  The leaves must hold their
+    relations and a ``ConfCompute`` its world table.  Equi-joins and
+    semi-joins hash on their equi-pairs (an optimized translated plan
+    does not finish as cross products); every other predicate is bound
+    and tested row by row.
+    """
+    if isinstance(plan, Scan):
+        return plan.relation.qualify(plan.alias) if plan.alias else plan.relation
+    inputs = [evaluate(child) for child in plan.children]
+    if isinstance(plan, Select):
+        return inputs[0].select(plan.predicate.bind(plan.child.schema))
+    if isinstance(plan, Project):
+        return inputs[0].project(plan.columns)
+    if isinstance(plan, ProjectAs):
+        positions = [plan.child.schema.resolve(ref) for ref, _ in plan.items]
+        return Relation(plan.schema, (tuple(row[p] for p in positions) for row in inputs[0]))
+    if isinstance(plan, Extend):
+        bound = [expr.bind(plan.child.schema) for _, expr in plan.items]
+        return Relation(plan.schema, (row + tuple(f(row) for f in bound) for row in inputs[0]))
+    if isinstance(plan, Join):
+        return Relation(plan.schema, _joined(plan, *inputs, semi=False))
+    if isinstance(plan, SemiJoin):
+        return Relation(plan.schema, _joined(plan, *inputs, semi=True))
+    if isinstance(plan, Product):
+        return inputs[0].product(inputs[1])
+    if isinstance(plan, Union):
+        return inputs[0].union(inputs[1])
+    if isinstance(plan, Difference):
+        return inputs[0].difference(inputs[1]).distinct()
+    if isinstance(plan, Distinct):
+        return inputs[0].distinct()
+    if isinstance(plan, Rename):
+        return inputs[0].rename(plan.mapping)
+    if isinstance(plan, ConfCompute):
+        return _confidences(plan, inputs[0])
+    raise TypeError(f"cannot evaluate logical node {type(plan).__name__}")
+
+
+def _joined(plan: Any, left: Relation, right: Relation, semi: bool) -> Iterator[Tuple]:
+    """The rows of a join (``left ++ right``), or with ``semi`` the left
+    rows that have a partner: hashed on the equi-pairs (NULL keys never
+    join), the rest of the predicate bound over the concatenated row."""
+    pairs, rest = equijoin_pairs(plan.predicate, left.schema, right.schema)
+    residual = conjunction(rest).bind(left.schema.concat(right.schema)) if rest else None
+    left_key = left.schema.positions([l for l, _ in pairs])
+    right_key = right.schema.positions([r for _, r in pairs])
+    table: Dict[Tuple, List[Tuple]] = {}
+    for row in right:
+        key = tuple(row[p] for p in right_key)
+        if None not in key:
+            table.setdefault(key, []).append(row)
+    for lrow in left:
+        key = tuple(lrow[p] for p in left_key)
+        if None in key:
+            continue
+        for rrow in table.get(key, ()):
+            if residual is None or residual(lrow + rrow):
+                yield lrow if semi else lrow + rrow
+                if semi:
+                    break
+
+
+def _confidences(plan: ConfCompute, child: Relation) -> Relation:
+    """Group every row of a U-relation by its value tuple, then compute
+    each group's confidence as the executor's ``Confidence`` does."""
+    from ..core.probability import grouped_confidences
+
+    dend = 2 * plan.d_width
+    vstart = dend + plan.tid_count
+    groups: Dict[Tuple, set] = {}
+    for row in child:
+        groups.setdefault(row[vstart:], set()).add(row[:dend])
+    return grouped_confidences(
+        groups, plan.world_table, plan.schema, plan.method, plan.epsilon, plan.delta, plan.seed
+    )

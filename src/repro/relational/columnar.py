@@ -1,8 +1,8 @@
 """Columnar batches and generated vector kernels for the column executor.
 
-The columnar execution mode (``execute(plan, mode="columns")``) exchanges
-:class:`ColumnBatch` values — one Python ``list``/``tuple`` vector per
-column — instead of lists of row tuples.  The payoff in pure Python:
+The executor (:func:`~repro.relational.physical.execute`, the one way a
+physical plan runs) exchanges :class:`ColumnBatch` values — one Python
+``list``/``tuple`` vector per column — instead of lists of row tuples.  The payoff in pure Python:
 
 * projections become column re-selection (picking list references), no
   per-row ``itemgetter`` calls and no per-row tuple allocation,

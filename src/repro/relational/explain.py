@@ -45,8 +45,8 @@ def explain_analyze(plan: PhysicalPlan, batch_size: int = BATCH_SIZE, trace: boo
 
     Returns ``(result, text)`` where every operator line carries the rows
     and batch count it produced during this execution.  The counters
-    belong to the executor (the ``rows()`` reference keeps none), so it
-    is the executor that runs, over the given tree; for a fused
+    belong to the executor, the one way a physical plan runs, over the
+    given tree; for a fused
     plan the counts are *per pipeline* — a ``Fused Pipeline`` line reports
     the rows surviving its entire scan→filter→project chain, and a join
     with a folded ``Output:`` projection reports post-projection rows —

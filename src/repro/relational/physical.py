@@ -20,52 +20,48 @@ Physical plans mirror the logical nodes but carry concrete algorithms:
 
 Execution model
 ---------------
-Every operator speaks exactly two protocols:
+Every operator speaks one protocol, ``column_batches(size)``: the only
+way a physical plan runs, for a served request and for every test alike.
+Operators exchange :class:`~repro.relational.columnar.ColumnBatch`
+values — per-column
+vectors of at most ``size`` (:data:`BATCH_SIZE`, 1024) rows, each a
+``list`` or a ``tuple`` (what an ``itemgetter`` gather of kept rows
+returns).  Scans slice each segment's cached column vectors,
+filters run one generated loop per batch (the predicate inlined into a
+single comprehension), projections re-select column vectors without
+touching rows, and the two probing equi-joins (``HashJoin``,
+``IndexNestedLoopJoin``) share one body, :func:`_probe_batches`: a
+generated kernel per join, for a key of any width, that resolves a
+batch's keys against one probe-table shape, key -> row or [rows]
+(:func:`~repro.relational.index.probe_table`: the hash join's build
+side, or the inner index's ``probe_lookup``), checks the residual and
+gathers the output columns from both inputs — a downstream-folded
+projection means dropped columns are never materialized at all.  A
+``Confidence`` over a probing join runs that join's kernel with a
+grouping emit instead, so the join's output is never gathered either.
+A range ``IndexScan`` gathers its columns from each segment's column
+vectors at the range's row positions, and ``FusedPipeline`` has one
+columnar body over either scan, or slices a literal predicate's cached
+output (predicate caching, below).  Four operators work on row tuples
+because their inputs or algorithms are row-shaped (index buckets hold
+row tuples; nested-loop, semi-join and set difference compare whole
+rows): a point or full ``IndexScan``, ``SemiJoinOp``,
+``NestedLoopJoin`` and ``Except`` read their children through
+:func:`_row_batches` and emit :meth:`ColumnBatch.from_rows`, which
+transposes (one C-speed ``zip``) only when a consumer reads the
+columns: between two such operators the rows pass through untouched.
 
-* ``column_batches(size)`` is the executor (``mode="columns"``, the
-  default, and the only path a served request runs).  Operators exchange
-  :class:`~repro.relational.columnar.ColumnBatch` values — per-column
-  vectors of at most ``size`` (:data:`BATCH_SIZE`, 1024) rows, each a
-  ``list`` or a ``tuple`` (what an ``itemgetter`` gather of kept rows
-  returns).  Scans slice each segment's cached column vectors,
-  filters run one generated loop per batch (the predicate inlined into a
-  single comprehension), projections re-select column vectors without
-  touching rows, and the two probing equi-joins (``HashJoin``,
-  ``IndexNestedLoopJoin``) share one body, :func:`_probe_batches`: a
-  generated kernel per join, for a key of any width, that resolves a
-  batch's keys against one probe-table shape, key -> row or [rows]
-  (:func:`~repro.relational.index.probe_table`: the hash join's build
-  side, or the inner index's ``probe_lookup``), checks the residual and
-  gathers the output columns from both inputs — a downstream-folded
-  projection means dropped columns are never materialized at all.  A
-  ``Confidence`` over a probing join runs that join's kernel with a
-  grouping emit instead, so the join's output is never gathered either.
-  A range ``IndexScan`` gathers its columns from each segment's column
-  vectors at the range's row positions, and ``FusedPipeline`` has one
-  columnar body over either scan, or slices a literal predicate's cached
-  output (predicate caching, below).  Four operators work on row tuples
-  because their inputs or algorithms are row-shaped (index buckets hold
-  row tuples; nested-loop, semi-join and set difference compare whole
-  rows): a point or full ``IndexScan``, ``SemiJoinOp``,
-  ``NestedLoopJoin`` and ``Except`` read their children through
-  :func:`_row_batches` and emit :meth:`ColumnBatch.from_rows`, which
-  transposes (one C-speed ``zip``) only when a consumer reads the
-  columns: between two such operators the rows pass through untouched.
-* ``rows()`` (``mode="rows"``) is the *reference*: a tuple-at-a-time
-  iterator in which every body calls only its children's ``rows()`` and
-  *bound* (interpreted, never generated) expressions, so it shares no
-  kernel, no batch boundary and — planned with ``use_indexes=False``,
-  ``fuse=False``, as ``repro.core.translate.reference_query`` plans it,
-  never from the plan cache — no access path with the executor.  It
-  exists to be compared against: the tests and the declared benchmark
-  check every served answer against it.  It is not meant to be fast.
+Each operator implements ``_column_batches(size)`` with one body per
+algorithm — no operator chooses between a generated and a hand-written
+loop.  The inherited wrapper :meth:`PhysicalPlan.column_batches` counts
+the rows and batches each operator produced — for a fused pipeline per
+pipeline, not per fused-away operator.
 
-Every operator implements ``rows()`` and ``_column_batches(size)``, each
-with one body per algorithm — no operator chooses between a generated and
-a hand-written loop.  The inherited wrapper
-:meth:`PhysicalPlan.column_batches` counts the rows and batches each
-operator produced — for a fused pipeline per pipeline, not per
-fused-away operator.  ``rows()`` keeps no counters.
+The answer every execution is checked against is not a physical plan:
+:func:`repro.relational.algebra.evaluate` evaluates the logical plan
+node by node with :class:`~repro.relational.relation.Relation`'s own
+operations and bound (interpreted) expressions, so it shares no planner,
+access path, fusion, batch boundary or kernel with this module.
 
 A plan is a value; an execution is an argument.  Plans are cached and run
 by any number of threads at once, so nothing an execution reads or
@@ -97,9 +93,9 @@ Threads racing on a first use each build an equal entry and the first
 one stored stays (``Segment.memo``'s rule).  Everything with ``$n`` runs
 per execution.
 
-The planner can additionally *fuse* maximal scan→filter→project chains
-into single :class:`FusedPipeline` operators and fold projections into
-join emits (``set_output``); see :mod:`repro.relational.planner`.
+The planner fuses maximal scan→filter→project chains into single
+:class:`FusedPipeline` operators and folds projections into join emits
+(``set_output``); see :mod:`repro.relational.planner`.
 
 Operators also expose ``explain_label`` and estimated cardinality for
 EXPLAIN output.
@@ -109,7 +105,6 @@ from __future__ import annotations
 
 import weakref
 from bisect import bisect_left
-from functools import partial
 from operator import itemgetter
 from typing import AbstractSet, Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -118,7 +113,6 @@ from .columnar import (
     gather,
     map_kernel,
     probe_kernel,
-    row_projector,
     selection_kernel,
 )
 from .expressions import Expression, Param, frame, has_null_literal, slot_count
@@ -199,10 +193,6 @@ class PhysicalPlan:
     @property
     def children(self) -> Tuple["PhysicalPlan", ...]:
         return ()
-
-    def rows(self) -> Iterator[Row]:
-        """The reference tuple-at-a-time iterator (``mode="rows"``)."""
-        raise NotImplementedError
 
     def column_batches(self, size: int = BATCH_SIZE) -> Iterator[ColumnBatch]:
         """The executor's iterator, with runtime row/batch accounting.
@@ -368,9 +358,6 @@ class SeqScan(PhysicalPlan):
         self.schema = relation.schema.qualify(alias) if alias else relation.schema
         self.estimated_rows = float(len(relation))
 
-    def rows(self) -> Iterator[Row]:
-        return iter(_version(self))
-
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
         """Per segment, slices of its column vectors; a batch that holds
         a deleted row gathers the live ones instead."""
@@ -481,7 +468,6 @@ class IndexScan(PhysicalPlan):
         self.index_cond = index_cond
         self.probe = probe
         self.residual = residual
-        self._bound_residual = residual.bind(schema) if residual is not None else None
         self._compiled_residual = residual.compile(schema) if residual is not None else None
         self.estimated_rows = float(len(index))
 
@@ -515,12 +501,6 @@ class IndexScan(PhysicalPlan):
         if bounds is None:
             return ()
         return index.range(*bounds)  # type: ignore[attr-defined]  # SortedIndex per __init__
-
-    def rows(self) -> Iterator[Row]:
-        residual = self._bound_residual
-        if residual is None:
-            return iter(self._matched())
-        return (row for row in self._matched() if residual(row))
 
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
         if self.lower is not None or self.upper is not None:
@@ -624,17 +604,6 @@ class FusedPipeline(PhysicalPlan):
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.source,)
 
-    def rows(self) -> Iterator[Row]:
-        bound = (
-            self.predicate.bind(self.source.schema)
-            if self.predicate is not None
-            else None
-        )
-        positions = self.positions
-        for row in self.source.rows():
-            if bound is None or bound(row):
-                yield row if positions is None else tuple(row[p] for p in positions)
-
     def _selection(self) -> Callable:
         select = self._select
         if select is None:
@@ -726,19 +695,12 @@ class Filter(PhysicalPlan):
     def __init__(self, child: PhysicalPlan, predicate: Expression):
         self.child = child
         self.predicate = predicate
-        self._bound = predicate.bind(child.schema)
         self.schema = child.schema
         self.estimated_rows = child.estimated_rows
 
     @property
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.child,)
-
-    def rows(self) -> Iterator[Row]:
-        bound = self._bound
-        for row in self.child.rows():
-            if bound(row):
-                yield row
 
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
         kernel = selection_kernel(self.predicate, self.child.schema)
@@ -775,11 +737,6 @@ class Projection(PhysicalPlan):
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.child,)
 
-    def rows(self) -> Iterator[Row]:
-        positions = self.positions
-        for row in self.child.rows():
-            yield tuple(row[i] for i in positions)
-
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
         # columnar projection is column re-selection: no per-row work at all
         positions = self.positions
@@ -813,11 +770,6 @@ class ProjectionAs(PhysicalPlan):
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.child,)
 
-    def rows(self) -> Iterator[Row]:
-        positions = self.positions
-        for row in self.child.rows():
-            yield tuple(row[i] for i in positions)
-
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
         positions = self.positions
         for batch in self.child.column_batches(size):
@@ -839,7 +791,6 @@ class ExtendOp(PhysicalPlan):
     def __init__(self, child: PhysicalPlan, items: Sequence[Tuple[str, Expression]]):
         self.child = child
         self.items = list(items)
-        self._bound = [expr.bind(child.schema) for _, expr in self.items]
         attrs = list(child.schema.attributes)
         for name, _expr in self.items:
             attrs.append(child.schema.attributes[0].renamed(name))
@@ -849,11 +800,6 @@ class ExtendOp(PhysicalPlan):
     @property
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.child,)
-
-    def rows(self) -> Iterator[Row]:
-        bound = self._bound
-        for row in self.child.rows():
-            yield row + tuple(fn(row) for fn in bound)
 
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
         kernels = [map_kernel(expr, self.child.schema) for _, expr in self.items]
@@ -908,7 +854,6 @@ class HashJoin(PhysicalPlan):
         self.output_positions: Optional[List[int]] = None
         self.left_positions = [left.schema.resolve(l) for l, _ in self.pairs]
         self.right_positions = [right.schema.resolve(r) for _, r in self.pairs]
-        self._bound_residual = residual.bind(self._combined) if residual is not None else None
         self._planned: Optional[Tuple] = None  # see _probe_plan
         self.estimated_rows = max(left.estimated_rows, right.estimated_rows)
 
@@ -921,39 +866,6 @@ class HashJoin(PhysicalPlan):
     @property
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.left, self.right)
-
-    def rows(self) -> Iterator[Row]:
-        build_left = self.build == "left"
-        build_plan, build_positions = (
-            (self.left, self.left_positions)
-            if build_left
-            else (self.right, self.right_positions)
-        )
-        probe_plan, probe_positions = (
-            (self.right, self.right_positions)
-            if build_left
-            else (self.left, self.left_positions)
-        )
-        table: Dict[Tuple[Any, ...], List[Row]] = {}
-        for row in build_plan.rows():
-            key = tuple(row[i] for i in build_positions)
-            if any(v is None for v in key):
-                continue  # NULLs never join
-            table.setdefault(key, []).append(row)
-        residual = self._bound_residual
-        project = (
-            row_projector(self.output_positions)
-            if self.output_positions is not None
-            else None
-        )
-        for prow in probe_plan.rows():
-            key = tuple(prow[i] for i in probe_positions)
-            if any(v is None for v in key):
-                continue
-            for brow in table.get(key, ()):
-                out = brow + prow if build_left else prow + brow
-                if residual is None or residual(out):
-                    yield out if project is None else project(out)
 
     def _build_table(self, size: int) -> Dict[Any, Any]:
         """Hash the build side into a :func:`~repro.relational.index.probe_table`
@@ -1081,7 +993,6 @@ class IndexNestedLoopJoin(PhysicalPlan):
         self.residual = residual
         self.flipped = flipped
         self.inner_filters = list(inner_filters)
-        self._bound_filters = [p.bind(s) for p, s in self.inner_filters]
         self._combined = (
             inner.schema.concat(outer.schema)
             if flipped
@@ -1091,7 +1002,6 @@ class IndexNestedLoopJoin(PhysicalPlan):
         #: Folded downstream projection (positions into the concatenated
         #: schema), set by the planner's fusion pass via :meth:`set_output`.
         self.output_positions: Optional[List[int]] = None
-        self._bound_residual = residual.bind(self._combined) if residual is not None else None
         self._planned: Optional[Tuple] = None  # see _probe_plan
         #: With ``$n``-free inner filters: inner segment -> its
         #: :func:`~repro.relational.index.restricted_probe_table`.
@@ -1111,34 +1021,6 @@ class IndexNestedLoopJoin(PhysicalPlan):
     @property
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.outer, self.inner)
-
-    def _probe(self, index: Index, key: Any) -> Sequence[Row]:
-        """Matched inner rows for a key, after the inner-side filters."""
-        bucket = index.lookup(key)
-        filters = self._bound_filters
-        if not bucket or not filters:
-            return bucket
-        return [row for row in bucket if all(f(row) for f in filters)]
-
-    def rows(self) -> Iterator[Row]:
-        single = len(self.outer_positions) == 1
-        key = _keyer(self.outer_positions)
-        probe = partial(self._probe, _resolve(self)[1])
-        residual = self._bound_residual
-        flipped = self.flipped
-        project = (
-            row_projector(self.output_positions)
-            if self.output_positions is not None
-            else None
-        )
-        for orow in self.outer.rows():
-            k = key(orow)
-            if _key_is_null(k, single):
-                continue
-            for irow in probe(k):
-                out = irow + orow if flipped else orow + irow
-                if residual is None or residual(out):
-                    yield out if project is None else project(out)
 
     def _probe_parts(self) -> Tuple:
         """-> (outer side, split, outer side is left, its key positions,
@@ -1239,13 +1121,9 @@ class SemiJoinOp(PhysicalPlan):
         )
         self.residual = conjunction(residual_list) if residual_list else None
         combined = left.schema.concat(right.schema)
-        self._bound_residual = (
-            self.residual.bind(combined) if self.residual is not None else None
-        )
         self._compiled_residual = (
             self.residual.compile(combined) if self.residual is not None else None
         )
-        self._bound_full = predicate.bind(combined)
         self._compiled_full = predicate.compile(combined)
         self.left_positions = [left.schema.resolve(l) for l, _ in self.pairs]
         self.right_positions = [right.schema.resolve(r) for _, r in self.pairs]
@@ -1254,46 +1132,6 @@ class SemiJoinOp(PhysicalPlan):
     @property
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.left, self.right)
-
-    def rows(self) -> Iterator[Row]:
-        if self.pairs:
-            yield from self._hash_rows()
-        else:
-            yield from self._loop_rows()
-
-    def _hash_rows(self) -> Iterator[Row]:
-        table: Dict[Tuple[Any, ...], List[Row]] = {}
-        right_positions = self.right_positions
-        for rrow in self.right.rows():
-            key = tuple(rrow[i] for i in right_positions)
-            if any(v is None for v in key):
-                continue
-            table.setdefault(key, []).append(rrow)
-        left_positions = self.left_positions
-        residual = self._bound_residual
-        for lrow in self.left.rows():
-            key = tuple(lrow[i] for i in left_positions)
-            if any(v is None for v in key):
-                continue
-            bucket = table.get(key)
-            if not bucket:
-                continue
-            if residual is None:
-                yield lrow
-                continue
-            for rrow in bucket:
-                if residual(lrow + rrow):
-                    yield lrow
-                    break
-
-    def _loop_rows(self) -> Iterator[Row]:
-        bound = self._bound_full
-        right_rows = list(self.right.rows())
-        for lrow in self.left.rows():
-            for rrow in right_rows:
-                if bound(lrow + rrow):
-                    yield lrow
-                    break
 
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
         width = len(self.schema)
@@ -1373,22 +1211,12 @@ class NestedLoopJoin(PhysicalPlan):
         self.right = right
         self.predicate = predicate
         self.schema = left.schema.concat(right.schema)
-        self._bound = predicate.bind(self.schema) if predicate is not None else None
         self._compiled = predicate.compile(self.schema) if predicate is not None else None
         self.estimated_rows = left.estimated_rows * max(right.estimated_rows, 1.0)
 
     @property
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.left, self.right)
-
-    def rows(self) -> Iterator[Row]:
-        bound = self._bound
-        right_rows = list(self.right.rows())
-        for lrow in self.left.rows():
-            for rrow in right_rows:
-                out = lrow + rrow
-                if bound is None or bound(out):
-                    yield out
 
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
         predicate = self._compiled
@@ -1431,13 +1259,6 @@ class HashDistinct(PhysicalPlan):
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.child,)
 
-    def rows(self) -> Iterator[Row]:
-        seen = set()
-        for row in self.child.rows():
-            if row not in seen:
-                seen.add(row)
-                yield row
-
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
         # dedup needs row identity: transpose at the boundary (C-speed zip),
         # keeping the child pipeline columnar
@@ -1474,12 +1295,6 @@ class Append(PhysicalPlan):
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.left, self.right)
 
-    def rows(self) -> Iterator[Row]:
-        for row in self.left.rows():
-            yield row
-        for row in self.right.rows():
-            yield row
-
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
         yield from self.left.column_batches(size)
         yield from self.right.column_batches(size)
@@ -1503,14 +1318,6 @@ class Except(PhysicalPlan):
     @property
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.left, self.right)
-
-    def rows(self) -> Iterator[Row]:
-        gone = set(self.right.rows())
-        seen = set()
-        for row in self.left.rows():
-            if row not in gone and row not in seen:
-                seen.add(row)
-                yield row
 
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
         width = len(self.schema)
@@ -1552,7 +1359,9 @@ class Confidence(PhysicalPlan):
     descriptor) is in every world, so its group's confidence is exactly 1
     whatever else the group holds: the group becomes the shared set
     ``{⊤}``, which the engine answers 1.0 ``exact``, and stops growing.
-    ``rows()``, the reference, groups every row.
+    The reference (:func:`~repro.relational.algebra.evaluate`) groups
+    every row; both end in
+    :func:`~repro.core.probability.grouped_confidences`.
 
     ``method`` selects exact enumeration, the bounded-error ``(epsilon,
     delta)`` sampler, or per-component auto selection; the method actually
@@ -1607,15 +1416,6 @@ class Confidence(PhysicalPlan):
         return frame.summaries.get(self)
 
     # -- grouping ------------------------------------------------------
-    def _grouped_reference(self) -> Dict[Row, set]:
-        """values tuple -> set of encoded descriptor prefixes, row by row."""
-        dend = 2 * self.d_width
-        vstart = dend + self.tid_count
-        groups: Dict[Row, set] = {}
-        for row in self.child.rows():
-            groups.setdefault(row[vstart:], set()).add(row[:dend])
-        return groups
-
     def _grouped_columns(self, size: int) -> Dict[Row, AbstractSet]:
         """Native columnar grouping: zip only the needed column slices; a
         certain row's group becomes ``_top`` and stops growing."""
@@ -1669,56 +1469,33 @@ class Confidence(PhysicalPlan):
         return groups
 
     # -- confidence computation ----------------------------------------
-    def _compute(self, groups: Dict[Row, AbstractSet]) -> List[Row]:
-        import time
-
-        from ..core.probability import confidence_engine
+    def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
+        from ..core.probability import grouped_confidences
         from ..obs import counter, histogram
 
-        started = time.perf_counter()
-        world = self.world_table
-        if world is None:
-            world = frame.catalog.world_table
-        confidences, approx = confidence_engine(world).encoded_confidences(
-            groups.values(), self.method, self.epsilon, self.delta, self.seed
-        )
-        exact = len(groups) - approx
-        out = [values + (conf,) for values, conf in zip(groups, confidences)]
-        out.sort(key=lambda row: (-row[-1], tuple(map(repr, row[:-1]))))
-        elapsed = time.perf_counter() - started
-        counter("conf_groups_total", "Value groups confidence-computed").inc(
-            len(groups)
-        )
-        method_counter = counter(
-            "conf_method", "Confidence computations by method actually used"
-        )
-        if exact:
-            method_counter.inc(exact, method="exact")
-        if approx:
-            method_counter.inc(approx, method="approx")
-        histogram("conf_seconds", "Confidence kernel wall time").observe(elapsed)
-        frame.summaries[self] = {
-            "method": self.method,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "seed": self.seed,
-            "groups": len(groups),
-            "exact_groups": exact,
-            "approx_groups": approx,
-            "seconds": elapsed,
-        }
-        return out
-
-    # -- the two protocols ---------------------------------------------
-    def rows(self) -> Iterator[Row]:
-        return iter(self._compute(self._grouped_reference()))
-
-    def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
         if isinstance(self.child, (HashJoin, IndexNestedLoopJoin)):
             groups = self._grouped_in_join(size)
         else:
             groups = self._grouped_columns(size)
-        return _column_chunks(self._compute(groups), size, len(self.schema))
+        world = self.world_table
+        if world is None:
+            world = frame.catalog.world_table
+        answer = grouped_confidences(
+            groups, world, self.schema, self.method, self.epsilon, self.delta, self.seed
+        )
+        summary = frame.summaries[self] = answer.conf
+        counter("conf_groups_total", "Value groups confidence-computed").inc(
+            summary["groups"]
+        )
+        method_counter = counter(
+            "conf_method", "Confidence computations by method actually used"
+        )
+        if summary["exact_groups"]:
+            method_counter.inc(summary["exact_groups"], method="exact")
+        if summary["approx_groups"]:
+            method_counter.inc(summary["approx_groups"], method="approx")
+        histogram("conf_seconds", "Confidence kernel wall time").observe(summary["seconds"])
+        return _column_chunks(answer.rows, size, len(self.schema))
 
     def column_nullable(self, position: int) -> bool:
         if position == len(self.schema) - 1:
@@ -1744,19 +1521,17 @@ class Confidence(PhysicalPlan):
 def execute(
     plan: PhysicalPlan, mode: str = "columns", batch_size: int = BATCH_SIZE
 ) -> Relation:
-    """Run a physical plan to completion and materialize the result.
+    """Run a physical plan to completion and materialize the result, in
+    batches of at most ``batch_size`` rows.  What the run counted replaces
+    what the calling thread's frame held before.
 
-    ``mode="columns"`` (the default) runs the executor in batches of at
-    most ``batch_size`` rows; ``mode="rows"`` runs the tuple-at-a-time
-    reference iterators.  Both produce identical relations.  What the run
-    counted replaces what the calling thread's frame held before.
+    ``mode`` takes ``"columns"`` only: the declared benchmark still spells
+    it out (ROADMAP 4(c) deletes it); any other value is a ``ValueError``.
     """
+    if mode != "columns":
+        raise ValueError(f"unknown execution mode {mode!r} (the executor is 'columns')")
     frame.counters.clear()
     frame.summaries.clear()
-    if mode == "rows":
-        return Relation(plan.schema, plan.rows())
-    if mode != "columns":
-        raise ValueError(f"unknown execution mode {mode!r} (use 'rows' or 'columns')")
     rows: List[Row] = []
     extend = rows.extend
     for batch in plan.column_batches(batch_size):

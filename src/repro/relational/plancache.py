@@ -8,9 +8,9 @@ maps
 
 one plan per query shape, so a repeated ``execute_query`` (and every
 served statement) skips the whole translate -> optimize -> plan pipeline
-and goes straight to the executor.  The ``rows()`` reference
-(``repro.core.translate.reference_query``) plans afresh and never comes
-here.  There is one of each thing here:
+and goes straight to the executor.  The reference
+(``repro.core.translate.reference_query``) evaluates the logical plan
+and never comes here.  There is one of each thing here:
 
 * **One record.**  :class:`PlanRecord` holds the physical tree and every
   other fact that is a function of the plan alone (the U-relation ``wrap``

@@ -136,29 +136,21 @@ def _resolve(schema, reference: str) -> Optional[int]:
 class Planner:
     """Compiles logical plans to physical plans.
 
-    With ``fuse=True`` a post-pass collapses each maximal
-    scan→filter→project chain (through renames) into a single
-    :class:`~repro.relational.physical.FusedPipeline` and folds projections
-    that sit directly above joins into the joins' emit
+    Access paths are always considered (an index scan or an index join
+    where the cost model picks one), and a post-pass always collapses each
+    maximal scan→filter→project chain (through renames) into a single
+    :class:`~repro.relational.physical.FusedPipeline` and folds
+    projections that sit directly above joins into the joins' emit
     (:meth:`~repro.relational.physical.HashJoin.set_output`) — the
     standalone ``Project`` reorders that bracket the partition merges of
-    translated U-relation plans disappear into the join loops.  The
-    executor (``mode="columns"``) runs fused plans; the ``rows()``
-    reference runs the unfused tree.  ``use_indexes=False`` turns off
-    access-path selection: every scan is sequential and every equi-join
-    hashed.
+    translated U-relation plans disappear into the join loops.  A plan
+    over relations that list no index definitions is all sequential scans
+    and hash joins.
     """
 
-    def __init__(self, use_indexes: bool = True, fuse: bool = False):
-        self.use_indexes = use_indexes
-        self.fuse = fuse
-
     def compile(self, plan: Plan) -> PhysicalPlan:
-        """Compile a logical plan tree into a physical operator tree."""
-        physical = self._compile(plan)
-        if self.fuse:
-            physical = _fuse_tree(physical)
-        return physical
+        """Compile a logical plan tree into a fused physical operator tree."""
+        return _fuse_tree(self._compile(plan))
 
     # ------------------------------------------------------------------
     def _compile(self, plan: Plan) -> PhysicalPlan:
@@ -209,10 +201,9 @@ class Planner:
     # selections: IndexScan vs Filter(SeqScan)
     # ------------------------------------------------------------------
     def _compile_select(self, plan: Select) -> PhysicalPlan:
-        if self.use_indexes:
-            node = self._try_index_scan(plan)
-            if node is not None:
-                return node
+        node = self._try_index_scan(plan)
+        if node is not None:
+            return node
         return Filter(self._compile(plan.child), plan.predicate)
 
     def _try_index_scan(self, plan: Select) -> Optional[IndexScan]:
@@ -400,10 +391,9 @@ class Planner:
         pairs, residual_list = equijoin_pairs(plan.predicate, plan.left.schema, plan.right.schema)
         residual = conjunction(residual_list) if residual_list else None
         if pairs:
-            if self.use_indexes:
-                node = self._try_index_join(plan, left, right, pairs, residual_list)
-                if node is not None:
-                    return node
+            node = self._try_index_join(plan, left, right, pairs, residual_list)
+            if node is not None:
+                return node
             # hash the smaller input; ties keep the classic build-right
             build = "left" if left.estimated_rows < right.estimated_rows else "right"
             return HashJoin(left, right, pairs, residual, build=build)
@@ -583,9 +573,6 @@ class _RenameOp(PhysicalPlan):
     def children(self):
         return (self.child,)
 
-    def rows(self):
-        return self.child.rows()
-
     def _column_batches(self, size):
         return self.child.column_batches(size)
 
@@ -702,31 +689,28 @@ def _fuse_tree(node: PhysicalPlan) -> PhysicalPlan:
     return node
 
 
-def plan_physical(plan: Plan, use_indexes: bool = True, fuse: bool = False) -> PhysicalPlan:
-    """Compile a logical plan: ``fuse=True`` (with access paths) for the
-    executor, as a cached U-query plan is; unfused and
-    ``use_indexes=False`` for the ``rows()`` reference, as
-    ``repro.core.translate.reference_query`` plans it."""
-    return Planner(use_indexes=use_indexes, fuse=fuse).compile(plan)
+def plan_physical(plan: Plan, use_indexes: bool = True, fuse: bool = True) -> PhysicalPlan:
+    """Compile a logical plan into the fused, access-path-aware physical
+    plan the executor runs, as a cached U-query plan is.
 
-
-def run(
-    plan: Plan,
-    optimize_first: bool = True,
-    mode: str = "columns",
-    use_indexes: bool = True,
-) -> Relation:
-    """Optimize, compile, and execute a logical plan.
-
-    ``mode="columns"`` (the default) runs the executor over a fused plan;
-    ``mode="rows"`` runs the tuple-at-a-time reference over the unfused
-    one.  ``use_indexes=False`` additionally disables access-path
-    selection (every scan sequential, every equi-join hashed).
+    ``use_indexes`` and ``fuse`` take ``True`` only: the declared benchmark
+    still spells them out (ROADMAP 4(c) deletes them); any other value is
+    a ``ValueError``.
     """
+    if use_indexes is not True or fuse is not True:
+        raise ValueError(
+            f"no plan for use_indexes={use_indexes!r}, fuse={fuse!r}: a plan always "
+            "fuses and considers access paths"
+        )
+    return Planner().compile(plan)
+
+
+def run(plan: Plan, optimize_first: bool = True) -> Relation:
+    """Optimize (unless ``optimize_first=False``), compile and execute a
+    logical plan."""
     from .optimizer import optimize
     from .physical import execute
 
     if optimize_first:
         plan = optimize(plan)
-    physical = plan_physical(plan, use_indexes=use_indexes, fuse=mode == "columns")
-    return execute(physical, mode=mode)
+    return execute(plan_physical(plan))

@@ -8,7 +8,7 @@ layout no write leaves - so a partition no write touched gives the
 VACUUM work.  The invariant the whole maintenance path rests on: the
 compacted database, the uncompacted one, and a from-scratch rebuild of
 the surviving logical tuples are indistinguishable, executed (with
-access paths) and by the ``rows()`` reference (without) — while every
+access paths) and by the reference (``reference_query``) — while every
 partition comes out meeting the policy and the world table is untouched
 (compaction moves tuples, never uncertainty).
 

@@ -45,11 +45,11 @@ from repro.relational.algebra import (
     Scan,
     Select,
     Union,
+    evaluate,
 )
 from repro.relational.expressions import TRUE, split_conjuncts
 from repro.relational.optimizer import prune_columns
-from repro.relational.physical import HashJoin, IndexNestedLoopJoin, execute
-from repro.relational.planner import plan_physical
+from repro.relational.physical import HashJoin, IndexNestedLoopJoin
 from repro.sql import parse
 from repro.tpch import queries
 from tests.conftest import brute_force_poss
@@ -557,7 +557,5 @@ class TestPruneColumns:
         plan = Project(translated.plan, list(translated.value_names))
         pruned = prune_columns(plan, set(plan.schema.names))
         assert narrowed(pruned) != narrowed(plan)
-        answers = [
-            execute(plan_physical(p, use_indexes=False), mode="rows") for p in (plan, pruned)
-        ]
+        answers = [evaluate(p) for p in (plan, pruned)]
         assert answers[0] == answers[1] and len(answers[0]) > 0

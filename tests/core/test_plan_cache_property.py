@@ -2,7 +2,7 @@
 
 For randomized logical queries over the vehicles database, executing
 through the (warm) prepared-plan cache must be tuple-identical to the
-execution that planned afresh, and both to the ``rows()`` reference
+execution that planned afresh, and both to the reference
 (:func:`~repro.core.translate.reference_query`).
 """
 
@@ -69,7 +69,7 @@ def test_cached_query_identical_to_fresh(query):
     # the repeated runs were executor-only...
     assert plan_cache_stats()["misses"] == misses
     assert plan_cache_stats()["hits"] >= 2
-    # ...and tuple-identical to the cold run and to the rows() reference
+    # ...and tuple-identical to the cold run and to the reference
     assert warm == cold
     assert warm_again == cold
     assert sorted(map(repr, warm.rows)) == sorted(map(repr, cold.rows))

@@ -8,8 +8,8 @@ table of the join.  A version reuses what its segments already answered
 and drops its own dead rows.  Over random histories of INSERT (certain
 and ``{a, b}`` cells), UPDATE, DELETE and VACUUM, the two statements
 below run from the plan cache after every step and must answer exactly
-like ``reference_query``, which plans afresh and runs the ``rows()``
-reference; the history passes through every version shape (one clean
+like ``reference_query``, which evaluates the logical plan and plans
+nothing physical; the history passes through every version shape (one clean
 segment, several segments, segments with dead rows).  A snapshot pinned
 before a write keeps its answer after it: the pinned version's segments
 are still in the caches, shared with the new version's.

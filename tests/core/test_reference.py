@@ -1,12 +1,15 @@
-"""The ``rows()`` reference, as an answer of its own.
+"""The reference, as an answer of its own.
 
 :func:`~repro.core.translate.reference_query` is what every executed
 answer is compared with, so it shares as little with the executor as it
-can: it plans afresh on every call (unfused, no access path), its plan
-holds its partitions and world table instead of naming slots, and it
-reads and writes neither the plan cache nor the calling thread's
+can: it evaluates the optimized logical plan node by node
+(:func:`~repro.relational.algebra.evaluate`) and plans nothing physical,
+its plan holds its partitions and world table instead of naming slots,
+and it reads and writes neither the plan cache nor the calling thread's
 catalog.  It records nothing either: no ``queries_total`` count, no
-workload-history entry.
+workload-history entry.  With the physical planner and executor made to
+raise, it still answers; sampled ``conf`` answers agree with the
+executor's, rows and group counts.
 
 A query shape has one plan: its cache key is ``("uquery", id(udb),
 structure)``, and ``PreparedQuery.run`` keeps one other pair of options,
@@ -17,12 +20,22 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import PreparedQuery, reference_query
+from repro.core import (
+    Descriptor,
+    PreparedQuery,
+    UDatabase,
+    URelation,
+    WorldTable,
+    reference_query,
+)
 from repro.core.translate import execute_query, query_cache_key
+from repro.core.urelation import tid_column
 from repro.obs import metrics_snapshot, workload_size
-from repro.relational import plan_cache_stats, reset_plan_cache
+from repro.relational import physical, plan_cache_stats, planner, reset_plan_cache
 from repro.relational.expressions import executing, frame
 from repro.sql import execute_sql, parse
+from repro.tpch import q1, q2, q3
+from repro.ugen import generate_uncertain
 
 from tests.conftest import build_vehicles_udb
 
@@ -130,3 +143,67 @@ def test_a_shape_has_one_three_part_key():
     key = query_cache_key(query, udb)
     assert len(key) == 3 and key[:2] == ("uquery", id(udb))
     assert PreparedQuery(query, udb).plan_key() == key
+
+
+@pytest.fixture(scope="module")
+def tiny_tpch():
+    return generate_uncertain(scale=0.001, x=0.01, z=0.25, seed=13).udb
+
+
+def test_the_reference_answers_with_the_planner_and_executor_broken(tiny_tpch, monkeypatch):
+    """Figure 12's Q1-Q3 and a ``conf`` query, with ``plan_physical`` and
+    every physical operator made to raise: the reference shares neither."""
+    queries = [q1(), q2(), q3(), parse("conf (select o.orderpriority from orders o)")]
+
+    def broken(*args, **kwargs):
+        raise AssertionError("the reference ran physical code")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(planner, "plan_physical", broken)
+        patched.setattr(physical.PhysicalPlan, "column_batches", broken)
+        references = [reference_query(query, tiny_tpch) for query in queries]
+    for query, reference in zip(queries, references):
+        assert reference == execute_query(query, tiny_tpch)
+    assert len(references[-1]) > 0
+    assert references[-1].conf["groups"] == len(references[-1])
+
+
+def chain_udb() -> UDatabase:
+    """Four value groups: ``hit``, a 12-variable chain (4^12 assignments,
+    sampled by ``auto``); ``pair``, two descriptors sharing a variable
+    (sampled by ``approx`` only); ``one``, a single descriptor; ``sure``,
+    with a certain row."""
+    world = WorldTable(
+        {**{f"v{i}": [1, 2, 3, 4] for i in range(12)}, "a": [1, 2], "b": [1, 2], "c": [1, 2]},
+    )
+    triples = [
+        (Descriptor({f"v{i}": 1, f"v{i + 1}": 1}), i, ("hit",)) for i in range(11)
+    ] + [
+        (Descriptor(a=1, b=1), 20, ("pair",)),
+        (Descriptor(b=2, c=1), 21, ("pair",)),
+        (Descriptor(a=2), 22, ("one",)),
+        (Descriptor(c=2), 23, ("sure",)),
+        (Descriptor(), 24, ("sure",)),
+    ]
+    udb = UDatabase(world)
+    udb.add_relation("t", ["outcome"], [URelation.build(triples, tid_column("t"), ["outcome"])])
+    return udb
+
+
+GROUP_COUNTS = ("groups", "exact_groups", "approx_groups")
+
+
+@pytest.mark.parametrize(
+    "method, sampled", [("approx", {"hit", "pair"}), ("auto", {"hit"})]
+)
+def test_sampled_conf_agrees_with_the_reference(method, sampled):
+    """Each side on its own database (so neither reads the other's memo),
+    one seed: the same rows, confidences included, and group counts."""
+    query = parse(f"conf (select outcome from t) method {method} epsilon 0.1 seed 7")
+    served = execute_query(query, chain_udb())
+    reference = reference_query(query, chain_udb())
+    assert served.rows == reference.rows
+    assert {k: served.conf[k] for k in GROUP_COUNTS} == {
+        k: reference.conf[k] for k in GROUP_COUNTS
+    } == {"groups": 4, "exact_groups": 4 - len(sampled), "approx_groups": len(sampled)}
+    assert dict(reference.rows)["sure"] == 1.0

@@ -1,20 +1,21 @@
-"""Property tests: indexed plans ≡ sequential plans.
+"""Property tests: indexed plans ≡ sequential plans ≡ the reference.
 
-The access-path layer must be purely a physical choice: for any query,
-any batch size, and either protocol (executor or ``rows`` reference), a plan compiled with indexes
-available returns exactly the same bag of rows as the same plan compiled
-with ``use_indexes=False`` (all-sequential scans + hash joins).
+The access-path layer must be purely a physical choice: for any query and
+any batch size, a plan compiled over relations that list index
+definitions returns exactly the same bag of rows as the same plan over
+copies that list none (all-sequential scans + hash joins), and as
+``algebra.evaluate`` of the logical plan.
 
 Randomized over predicates (equality / range / BETWEEN / IN / NULL
-tests), join shapes, both protocols, and batch sizes around the
-batch boundary including 0 and 1.
+tests), join shapes, and batch sizes around the batch boundary including
+0 and 1.
 """
 
 from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.relational.algebra import Join, Project, Scan, Select
+from repro.relational.algebra import Join, Project, Scan, Select, evaluate
 from repro.relational.expressions import col, lit
 from repro.relational.index import ensure_index
 from repro.relational.optimizer import optimize
@@ -26,7 +27,6 @@ values = st.one_of(st.integers(min_value=0, max_value=9), st.none())
 rows_r = st.lists(st.tuples(values, values), min_size=0, max_size=30)
 rows_s = st.lists(st.tuples(values, values), min_size=0, max_size=30)
 batch_sizes = st.sampled_from([0, 1, 2, 7, 1023, 1024, 1025])
-modes = st.sampled_from(["rows", "columns"])
 
 
 @st.composite
@@ -81,24 +81,26 @@ def bag(relation: Relation):
     return sorted(map(repr, relation.rows))
 
 
-@given(plans(), batch_sizes, modes, st.booleans())
+def unindexed(plan):
+    """``plan`` over copies of its relations that list no index definitions."""
+    if isinstance(plan, Scan):
+        relation = plan.relation
+        return Scan(Relation(relation.schema, relation.rows), plan.name, plan.alias)
+    return plan.with_children([unindexed(child) for child in plan.children])
+
+
+@given(plans(), batch_sizes, st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_indexed_plans_equal_sequential_plans(plan, batch_size, mode, optimize_first):
+def test_indexed_plans_equal_sequential_plans(plan, batch_size, optimize_first):
     logical = optimize(plan) if optimize_first else plan
-    with_indexes = execute(
-        plan_physical(logical, use_indexes=True), mode=mode, batch_size=batch_size
-    )
-    without_indexes = execute(
-        plan_physical(logical, use_indexes=False), mode=mode, batch_size=batch_size
-    )
+    with_indexes = execute(plan_physical(logical), batch_size=batch_size)
+    without_indexes = execute(plan_physical(unindexed(logical)), batch_size=batch_size)
     assert bag(with_indexes) == bag(without_indexes)
     assert with_indexes.schema.names == without_indexes.schema.names
 
 
 @given(plans(), batch_sizes)
 @settings(max_examples=60, deadline=None)
-def test_indexed_executor_equals_indexed_rows(plan, batch_size):
-    physical = plan_physical(optimize(plan), use_indexes=True)
-    served = execute(physical, mode="columns", batch_size=batch_size)
-    via_rows = execute(physical, mode="rows")
-    assert bag(served) == bag(via_rows)
+def test_indexed_executor_equals_the_reference(plan, batch_size):
+    served = execute(plan_physical(optimize(plan)), batch_size=batch_size)
+    assert bag(served) == bag(evaluate(plan))

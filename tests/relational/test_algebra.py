@@ -1,4 +1,5 @@
-"""Tests for logical plan nodes: schema computation and validation."""
+"""Tests for logical plan nodes: schema computation and validation, and
+``evaluate``, the reference, against answers written out by hand."""
 
 import pytest
 
@@ -13,7 +14,9 @@ from repro.relational.algebra import (
     Rename,
     Scan,
     Select,
+    SemiJoin,
     Union,
+    evaluate,
 )
 from repro.relational.expressions import col, lit
 from repro.relational.relation import Relation
@@ -105,3 +108,47 @@ class TestTreeStructure:
         assert "Seq Scan" in r_scan.node_label()
         assert "Filter" in Select(r_scan, col("a") > lit(0)).node_label()
         assert "Project" in Project(r_scan, ["a"]).node_label()
+
+
+class TestEvaluate:
+    """Each node's answer, written out: NULL keys never join, ``1`` joins
+    ``1.0``, a difference is a set, a semi-join keeps each left row once."""
+
+    L = Relation(["l.k", "l.v"], [(1, "a"), (None, "b"), (2, "c"), (1, "a")])
+    R = Relation(["r.k", "r.w"], [(1.0, 10), (None, 20), (1, 30), (3, 40)])
+
+    def test_equi_join_with_residual(self):
+        plan = Join(
+            Scan(self.L, "l"), Scan(self.R, "r"), col("l.k").eq(col("r.k")) & (col("r.w") > lit(10))
+        )
+        assert evaluate(plan).rows == [(1, "a", 1, 30), (1, "a", 1, 30)]
+
+    def test_theta_join_and_product(self):
+        theta = Join(Scan(self.L, "l"), Scan(self.R, "r"), col("l.k") > col("r.k"))
+        assert evaluate(theta).rows == [(2, "c", 1.0, 10), (2, "c", 1, 30)]
+        assert len(evaluate(Product(Scan(self.L, "l"), Scan(self.R, "r")))) == 16
+
+    @pytest.mark.parametrize(
+        "predicate",
+        [col("l.k").eq(col("r.k")), col("l.k").eq(col("r.k")) & (col("r.w") >= lit(10))],
+        ids=["equi", "equi_residual"],
+    )
+    def test_semi_join_keeps_each_left_row_once(self, predicate):
+        plan = SemiJoin(Scan(self.L, "l"), Scan(self.R, "r"), predicate)
+        assert evaluate(plan).rows == [(1, "a"), (1, "a")]
+
+    def test_set_operations(self):
+        left, right = Scan(self.L, "l"), Scan(Relation(["k", "v"], [(2, "c")]), "x")
+        assert evaluate(Difference(left, right)).rows == [(1, "a"), (None, "b")]
+        assert evaluate(Union(left, right)).rows == [*self.L.rows, (2, "c")]
+        assert evaluate(Distinct(left)).rows == [(1, "a"), (None, "b"), (2, "c")]
+
+    def test_projections_and_rename(self):
+        scan = Scan(self.L, "l")
+        assert evaluate(Project(scan, ["l.v"])).rows == [("a",), ("b",), ("c",), ("a",)]
+        both = evaluate(ProjectAs(scan, [("l.k", "x"), ("l.k", "y")]))
+        assert both.schema.names == ["x", "y"] and both.rows[2] == (2, 2)
+        extended = evaluate(Extend(Select(scan, col("l.k").is_null()), [("z", lit(7))]))
+        assert extended.rows == [(None, "b", 7)]
+        renamed = evaluate(Rename(scan, {"l.v": "w"}))
+        assert renamed.schema.names == ["l.k", "w"] and renamed.rows == self.L.rows

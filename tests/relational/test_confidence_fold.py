@@ -3,9 +3,9 @@
 Over a ``HashJoin`` or an ``IndexNestedLoopJoin`` the executor groups in
 the join's generated probe kernel, and a value group that meets a certain
 row (every ``c`` column the trivial variable) stops growing.  The
-reference, ``rows()``, does neither.  Both must give the same rows and the
-same ``conf`` summary, and the join must report the rows and batches its
-own iterator produces.
+reference, ``algebra.evaluate`` of the equivalent logical plan, does
+neither.  Both must give the same rows and the same ``conf`` summary, and
+the join must report the rows and batches its own iterator produces.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import WorldTable
 from repro.core.descriptor import TOP_VALUE, TOP_VARIABLE
-from repro.relational import Relation, col, lit
+from repro.relational import Relation, col, evaluate, lit
 from repro.relational.index import HashIndex
 from repro.relational.physical import (
     Confidence,
@@ -25,6 +25,8 @@ from repro.relational.physical import (
     SeqScan,
     execute,
 )
+
+from tests.relational.logical import logical_of
 
 TOP = (TOP_VARIABLE, TOP_VALUE)
 PAIRS = [TOP, ("x", 1), ("x", 2), ("y", 1), ("y", 2)]
@@ -83,8 +85,8 @@ def assert_folded_matches_reference(conf, size):
     summary = dict(conf.last_summary)
     join = conf.child
     counted = (join.actual_rows, join.actual_batches)
-    reference = execute(conf, mode="rows")
-    expected = dict(conf.last_summary)
+    reference = evaluate(logical_of(conf))
+    expected = dict(reference.conf)
     assert got.rows == reference.rows
     del summary["seconds"], expected["seconds"]
     assert summary == expected

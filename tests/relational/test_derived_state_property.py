@@ -11,7 +11,7 @@ compactions, with the structures built at random points:
   ``range`` (result order included), ``ordered``, ``probe_lookup``, a
   sequential scan's batches, ``column_has_null``, ``column_all_equal``,
   ``len`` - and a range ``Index Scan``'s columns (gathered per segment by
-  row position) equal its ``rows()``;
+  row position) equal ``evaluate`` of the selection it makes;
 * the parent version is never changed: it answers every one of those
   the same after the derivation as before;
 * everything a segment has memoized equals a fresh build over its rows;
@@ -28,7 +28,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.relational import Relation
+from repro.relational import Relation, evaluate
 from repro.relational.index import HashIndex, SortedIndex
 from repro.relational.relation import Segment
 from repro.relational.index import (
@@ -41,6 +41,7 @@ from repro.relational.index import (
 from repro.relational.physical import IndexScan, SeqScan, execute
 from repro.relational.statistics import table_stats
 from tests.conftest import assert_tiered
+from tests.relational.logical import logical_of
 
 SCHEMA = ["a", "b", "c"]
 A_VALUES = [None, 0, 1, 2, 3]
@@ -149,12 +150,12 @@ def _assert_like_fresh(relation):
                     if lower is None and upper is None:
                         continue  # a full scan, in key order
                     # the executor gathers the range by row position: the
-                    # reference's rows in the reference's (relation) order
+                    # selection's rows in relation order
                     scan = IndexScan(
                         index, "r", relation.schema, lower=lower, upper=upper,
                         lower_inclusive=inclusive, upper_inclusive=inclusive,
                     )
-                    assert execute(scan, batch_size=2).rows == list(scan.rows())
+                    assert execute(scan, batch_size=2).rows == evaluate(logical_of(scan)).rows
 
 
 def _assert_memos_like_fresh(relation):

@@ -1,6 +1,7 @@
-"""The executor (``column_batches``) against the reference (``rows()``).
+"""The executor (``column_batches``) against the reference
+(:func:`~repro.relational.algebra.evaluate` of a logical plan).
 
-Four families:
+Five families:
 
 * ColumnBatch mechanics — transposition round trips at the boundaries
   (empty, one row, zero-width schemas);
@@ -8,14 +9,17 @@ Four families:
   row-bridged ones included, built over inputs of 0..8 rows (NULL keys,
   empty sides, folded outputs, ``$n`` keys and bounds) and executed at
   batch sizes {1, 2, 7, 1024} on *one* plan object, each answer equal to
-  the tuple-at-a-time reference;
-* structure — every concrete operator defines exactly the two protocols
-  and the sweep reaches every one of them;
+  ``evaluate`` of the logical plan the operator computes
+  (:func:`logical_of`, one branch per operator);
+* structure — every concrete operator defines ``_column_batches`` and no
+  ``rows``, and the sweep reaches every one of them;
 * join keys — NULL, ``1`` against ``1.0`` and int against str keys give
-  every equi-join (hashed, or probing a hash or a sorted index) and the
-  default planner the answer Python ``==`` gives;
-* property tests — randomized plans (with and without fusion and
-  indexes, int and float keys) evaluate identically through both.
+  every equi-join (hashed, or probing a hash or a sorted index), the
+  default planner with and without index definitions, and the reference
+  the answer Python ``==`` gives;
+* property tests — randomized plans (optimized or not, over relations
+  with and without index definitions, int and float keys) answer what
+  ``evaluate`` does.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from repro.relational.algebra import (
     Scan,
     Select,
     Union,
+    evaluate,
 )
 from repro.relational.columnar import ColumnBatch
 from repro.relational.explain import explain_analyze
@@ -64,6 +69,8 @@ from repro.relational.physical import (
 from repro.relational.planner import plan_physical, run
 from repro.relational.relation import Relation
 
+from tests.relational.logical import logical_of
+
 #: Batch sizes every case runs at; the input sizes put empty, singleton,
 #: exactly-one-batch and one-batch-plus/minus-one inputs beside each.
 SWEEP = [1, 2, 7, 1024]
@@ -71,8 +78,9 @@ SIZES = list(range(9))
 
 
 def left_relation(n: int) -> Relation:
-    # every third key is NULL, values repeat so distinct/except have work
-    rows = [(None if i % 3 == 2 else i % 5, f"v{i % 4}") for i in range(n)]
+    # every third key is NULL, and rows repeat from the seventh on, so
+    # distinct and except have duplicates to drop
+    rows = [(None if i % 3 == 2 else i % 3, f"v{i % 2}") for i in range(n)]
     return Relation(["l.k", "l.v"], rows)
 
 
@@ -96,11 +104,11 @@ def bag(relation: Relation):
 
 
 def assert_executor_matches_reference(plan, sizes=SWEEP) -> None:
-    via_rows = execute(plan, mode="rows")
+    expected = evaluate(logical_of(plan))
     for size in sizes:  # the same plan object: operators hold no run state
-        served = execute(plan, mode="columns", batch_size=size)
-        assert served.schema.names == via_rows.schema.names
-        assert bag(served) == bag(via_rows), size
+        served = execute(plan, batch_size=size)
+        assert served.schema.names == expected.schema.names
+        assert bag(served) == bag(expected), size
 
 
 class TestColumnBatch:
@@ -333,7 +341,7 @@ CASES = {
         SeqScan(left_relation(n), "a"), SeqScan(left_relation(max(n - 1, 0)), "b")
     ),
     "except": lambda n: Except(
-        SeqScan(left_relation(n), "a"), SeqScan(left_relation(n // 2), "b")
+        SeqScan(left_relation(n), "a"), SeqScan(left_relation(min(n, 1)), "b")
     ),
     "confidence": _confidence,
 }
@@ -368,7 +376,7 @@ def test_param_bounds_follow_their_binding():
 
 
 # ----------------------------------------------------------------------
-# structure: two protocols, nothing else
+# structure: one protocol, nothing else
 # ----------------------------------------------------------------------
 def _concrete_operators():
     found, stack = set(), [PhysicalPlan]
@@ -386,14 +394,14 @@ def _operators_in(plan):
         yield from _operators_in(child)
 
 
-def test_every_operator_defines_exactly_the_two_protocols():
+def test_every_operator_defines_the_one_protocol():
     operators = _concrete_operators()
     assert planner_module._RenameOp in operators and len(operators) == 16
     for operator in operators:
-        assert "rows" in vars(operator), operator
         assert "_column_batches" in vars(operator), operator
     for klass in operators | {PhysicalPlan}:
-        assert not hasattr(klass, "batches") and not hasattr(klass, "_batches"), klass
+        for legacy in ("rows", "batches", "_batches"):
+            assert not hasattr(klass, legacy), (klass, legacy)
 
 
 def test_the_sweep_reaches_every_operator():
@@ -425,9 +433,9 @@ class TestBatchMechanics:
         assert len(out) == BATCH_SIZE + 1
         assert scan.actual_batches == 2
 
-    @pytest.mark.parametrize("mode", ["blocks", "vectors"])
+    @pytest.mark.parametrize("mode", ["rows", "blocks", "vectors"])
     def test_unknown_mode_rejected(self, mode):
-        with pytest.raises(ValueError, match="'rows' or 'columns'"):
+        with pytest.raises(ValueError, match="unknown execution mode"):
             execute(left(1), mode=mode)
 
     def test_explain_analyze_reports_actuals(self):
@@ -463,6 +471,11 @@ def _equi_joins(lhs: Relation, rhs: Relation):
     return joins
 
 
+def _unindexed(relation: Relation) -> Relation:
+    """The same rows in a relation that lists no index definitions."""
+    return Relation(relation.schema, relation.rows)
+
+
 class TestJoinKeys:
     """Keys join when Python ``==`` says so (``1`` and ``1.0`` do, NULL
     and an int against a str never do), whichever join runs them, with or
@@ -472,9 +485,12 @@ class TestJoinKeys:
         for join in _equi_joins(lhs, rhs):
             assert_executor_matches_reference(join)
             assert sorted(execute(join).rows) == expected, join
-        logical = Join(Scan(lhs, "l"), Scan(rhs, "r"), col("l.k").eq(col("r.k")))
-        for knobs in ({}, {"mode": "rows"}, {"use_indexes": False}):
-            assert sorted(run(logical, **knobs).rows) == expected, knobs
+        predicate = col("l.k").eq(col("r.k"))
+        indexed = Join(Scan(lhs, "l"), Scan(rhs, "r"), predicate)
+        bare = Join(Scan(_unindexed(lhs), "l"), Scan(_unindexed(rhs), "r"), predicate)
+        for logical in (indexed, bare):
+            assert sorted(run(logical).rows) == expected
+            assert sorted(evaluate(logical).rows) == expected
 
     def test_null_keys_never_join(self):
         self.assert_every_join_gives(
@@ -499,7 +515,7 @@ class TestJoinKeys:
 
 
 # ----------------------------------------------------------------------
-# property tests: executor == reference, fused and unfused, indexed and
+# property tests: executor == reference, optimized or not, indexed and
 # sequential
 # ----------------------------------------------------------------------
 values = st.one_of(
@@ -540,10 +556,11 @@ def predicates(draw, columns):
 def plans(draw):
     r = Relation(["r.a", "r.b"], draw(rows_r))
     s = Relation(["s.c", "s.d"], draw(rows_s))
-    for rel, names in ((r, ["r.a", "r.b"]), (s, ["s.c", "s.d"])):
-        for name in names:
-            ensure_index(rel, [name], kind="hash")
-            ensure_index(rel, [name], kind="sorted")
+    if draw(st.booleans()):  # else every scan sequential, every equi-join hashed
+        for rel, names in ((r, ["r.a", "r.b"]), (s, ["s.c", "s.d"])):
+            for name in names:
+                ensure_index(rel, [name], kind="hash")
+                ensure_index(rel, [name], kind="sorted")
     r_scan, s_scan = Scan(r, "r"), Scan(s, "s")
     shape = draw(
         st.sampled_from(
@@ -591,17 +608,13 @@ def plans(draw):
     return Union(Project(r_scan, ["r.a"]), Project(s_scan, ["s.c"]))
 
 
-@given(plans(), batch_sizes, st.booleans(), st.booleans())
+@given(plans(), batch_sizes, st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_executor_agrees_with_reference(plan, batch_size, use_indexes, optimize_first):
+def test_executor_agrees_with_reference(plan, batch_size, optimize_first):
     logical = optimize(plan) if optimize_first else plan
-    unfused = plan_physical(logical, use_indexes=use_indexes, fuse=False)
-    fused = plan_physical(logical, use_indexes=use_indexes, fuse=True)
-    via_rows = execute(unfused, mode="rows")
-    served = execute(fused, mode="columns", batch_size=batch_size)
-    assert bag(served) == bag(via_rows)
-    assert served.schema.names == via_rows.schema.names
-    # either tree is protocol-agnostic: identical answers both ways
-    assert bag(execute(fused, mode="rows")) == bag(via_rows)
-    assert bag(execute(unfused, mode="columns", batch_size=batch_size)) == bag(via_rows)
-
+    expected = evaluate(plan)
+    served = execute(plan_physical(logical), batch_size=batch_size)
+    assert bag(served) == bag(expected)
+    assert served.schema.names == expected.schema.names
+    # the rewrites preserve the reference's answer too
+    assert bag(evaluate(logical)) == bag(expected)

@@ -30,8 +30,8 @@ def scans():
     return r, s
 
 
-def text_of(plan, **kwargs):
-    return explain(plan_physical(plan, **kwargs))
+def text_of(plan):
+    return explain(plan_physical(plan))
 
 
 class TestOperatorLabels:
@@ -39,15 +39,17 @@ class TestOperatorLabels:
         r, _ = scans
         assert "Filter" in text_of(Select(r, col("a") > lit(0)))
 
+    # over a scan a projection fuses into a ``Fused Pipeline``: these
+    # project a ``Distinct``, which nothing fuses
     def test_projection(self, scans):
         r, _ = scans
-        out = text_of(Project(r, ["b"]))
+        out = text_of(Project(Distinct(r), ["b"]))
         assert "Project" in out and "Output: b" in out
 
     def test_project_as(self, scans):
         r, _ = scans
-        out = text_of(ProjectAs(r, [("a", "x"), ("a", "y")]))
-        assert "a AS x" in out
+        out = text_of(ProjectAs(Distinct(r), [("a", "x"), ("a", "y")]))
+        assert "Project" in out and "a AS x" in out
 
     def test_extend(self, scans):
         r, _ = scans

@@ -23,6 +23,7 @@ from repro.relational import (
     explain,
     indexes_on,
     lit,
+    evaluate,
     optimize,
     run,
 )
@@ -42,10 +43,9 @@ def people(n: int = 100) -> Relation:
 
 def assert_range(idx, expected, lower, upper, inclusive=True, residual=None, params=()):
     """``idx.range`` and a range ``Index Scan`` over ``idx`` both give the
-    rows ``expected``, in order: the scan run as the executor (columns
-    gathered by row position, in batches of 1, 2 and 1024) and as the
-    reference.  ``residual`` applies to the scan; ``params`` are the
-    values of its ``$n`` bounds."""
+    rows ``expected``, in order: the scan's columns gathered by row
+    position, in batches of 1, 2 and 1024.  ``residual`` applies to the
+    scan; ``params`` are the values of its ``$n`` bounds."""
     relation = idx.relation
     if residual is None and not params:
         assert list(idx.range(lower, upper, inclusive, inclusive)) == expected
@@ -54,7 +54,6 @@ def assert_range(idx, expected, lower, upper, inclusive=True, residual=None, par
         lower_inclusive=inclusive, upper_inclusive=inclusive, residual=residual,
     )
     with executing(params):
-        assert execute(scan, mode="rows").rows == expected
         for size in (1, 2, 1024):
             assert execute(scan, batch_size=size).rows == expected
 
@@ -275,9 +274,9 @@ class TestAttachment:
 # ----------------------------------------------------------------------
 # planner access-path selection + explain
 # ----------------------------------------------------------------------
-def explained(plan, **knobs) -> str:
-    """EXPLAIN of the executor's plan: optimized, then planned fused."""
-    return explain(plan_physical(optimize(plan), fuse=True, **knobs))
+def explained(plan) -> str:
+    """EXPLAIN of the executor's plan: optimized, then planned."""
+    return explain(plan_physical(optimize(plan)))
 
 
 class TestAccessPathSelection:
@@ -294,20 +293,20 @@ class TestAccessPathSelection:
         text = explained(plan)
         assert "Index Scan using idx_p_dept on p" in text
         assert "Index Cond: (dept = 3)" in text
-        assert run(plan) == run(plan, use_indexes=False)
+        assert run(plan) == evaluate(plan)
 
     def test_range_uses_sorted_index(self):
         ensure_index(self.p, ["id"], kind="sorted", name="idx_p_id")
         plan = Select(self.scan("p"), (col("id") >= lit(10)) & (col("id") < lit(40)))
         assert "Index Scan using idx_p_id on p" in explained(plan)
-        assert run(plan) == run(plan, use_indexes=False)
+        assert run(plan) == evaluate(plan)
 
     def test_residual_filter_applied(self):
         ensure_index(self.p, ["dept"], name="idx_p_dept")
         plan = Select(self.scan("p"), col("dept").eq(lit(3)) & (col("id") > lit(50)))
         text = explained(plan)
         assert "Index Scan" in text and "Filter:" in text
-        assert run(plan) == run(plan, use_indexes=False)
+        assert run(plan) == evaluate(plan)
 
     def test_unselective_predicate_keeps_seq_scan(self):
         ensure_index(self.p, ["name"], name="idx_p_name")  # ndistinct = 3
@@ -318,10 +317,12 @@ class TestAccessPathSelection:
         plan = Select(self.scan("p"), col("dept").eq(lit(3)))
         assert "Seq Scan on p" in explained(plan)
 
-    def test_use_indexes_false_disables_index_paths(self):
+    def test_a_dropped_definition_takes_the_index_path_away(self):
         ensure_index(self.p, ["dept"], name="idx_p_dept")
         plan = Select(self.scan("p"), col("dept").eq(lit(3)))
-        assert "Seq Scan on p" in explained(plan, use_indexes=False)
+        assert "Index Scan using idx_p_dept on p" in explained(plan)
+        drop_index_def(self.p, "idx_p_dept")
+        assert "Seq Scan on p" in explained(plan)
 
     def test_join_uses_index_nested_loop(self):
         ensure_index(self.p, ["id"], name="idx_p_id")
@@ -333,7 +334,7 @@ class TestAccessPathSelection:
         text = explained(plan)
         assert "Index Nested Loop Join" in text
         assert "Index Scan using idx_p_id on p" in text
-        assert run(plan) == run(plan, use_indexes=False)
+        assert run(plan) == evaluate(plan)
 
     def test_join_falls_back_to_hash_join(self):
         plan = Join(self.scan("q"), self.scan("p"), col("pid").eq(col("id")))
@@ -343,23 +344,23 @@ class TestAccessPathSelection:
         ensure_index(self.p, ["grade"], name="idx_p_grade")
         plan = Select(self.scan("p"), col("grade").eq(lit(None)))
         assert len(run(plan)) == 0
-        assert run(plan) == run(plan, use_indexes=False)
+        assert run(plan) == evaluate(plan)
 
     def test_type_mismatched_equality_agrees_with_seq_scan(self):
         ensure_index(self.p, ["dept"], kind="sorted", name="idx_p_dept")
         plan = Select(self.scan("p"), col("dept").eq(lit("not-an-int")))
         assert len(run(plan)) == 0
-        assert run(plan) == run(plan, use_indexes=False)
+        assert run(plan) == evaluate(plan)
 
 
 class TestIndexScanExecution:
     @pytest.mark.parametrize("batch_size", [0, 1, 1023, 1024, 1025])
-    @pytest.mark.parametrize("mode", ["rows", "columns"])
-    def test_modes_and_batch_sizes(self, batch_size, mode):
+    @pytest.mark.parametrize("kind", ["hash", "sorted"])
+    def test_kinds_and_batch_sizes(self, batch_size, kind):
         rel = people(1030)
-        idx = ensure_index(rel, ["dept"], kind="hash")
+        idx = ensure_index(rel, ["dept"], kind=kind)
         scan = IndexScan(idx, "p", rel.schema, point=3)
-        out = execute(scan, mode=mode, batch_size=batch_size)
+        out = execute(scan, batch_size=batch_size)
         assert sorted(out.rows) == sorted(r for r in rel.rows if r[1] == 3)
 
     def test_probe_mode_produces_nothing(self):
@@ -389,17 +390,16 @@ class TestIndexScanExecution:
 
 class TestIndexNestedLoopJoinExecution:
     @pytest.mark.parametrize("batch_size", [0, 1, 1023, 1024, 1025])
-    @pytest.mark.parametrize("mode", ["rows", "columns"])
-    @pytest.mark.parametrize("use_indexes", [False, True])
-    def test_join_modes_and_batch_sizes(self, batch_size, mode, use_indexes):
+    @pytest.mark.parametrize("kind", [None, "hash", "sorted"])
+    def test_join_index_kinds_and_batch_sizes(self, batch_size, kind):
         left = Relation(["l.k", "l.v"], [(i % 37 if i % 5 else None, i) for i in range(300)])
         right = Relation(["r.k", "r.w"], [(i % 37, i * 2) for i in range(400)])
-        ensure_index(right, ["r.k"], kind="hash")
+        if kind is not None:
+            ensure_index(right, ["r.k"], kind=kind)
         plan = Join(Scan(left, name="l"), Scan(right, name="r"), col("l.k").eq(col("r.k")))
-        physical = plan_physical(plan, use_indexes=use_indexes)
-        if use_indexes:
-            assert isinstance(physical, IndexNestedLoopJoin)
-        out = execute(physical, mode=mode, batch_size=batch_size)
+        physical = plan_physical(plan)
+        assert isinstance(physical, IndexNestedLoopJoin) == (kind is not None)
+        out = execute(physical, batch_size=batch_size)
         expected = [
             l + r for l in left.rows for r in right.rows
             if l[0] is not None and l[0] == r[0]

@@ -3,7 +3,7 @@
 Three families:
 
 * mechanics — hit/miss accounting, one entry per query structure and
-  database (the ``rows()`` reference adds none), the entry pinning its database, ``(cached)`` EXPLAIN
+  database (the reference adds none), the entry pinning its database, ``(cached)`` EXPLAIN
   marking, the partitions an entry names and reset, through the U-level
   entry points (``execute_query`` / ``explain_query``), the cache's one
   caller;
@@ -13,8 +13,9 @@ Three families:
   stale-plan execution is impossible, and a lazy index build during
   planning does not invalidate the entry being stored;
 * property tests (hypothesis) — a relational plan executed again is
-  tuple-identical to a fresh compilation for the executor and the
-  ``rows`` reference, ``use_indexes`` on/off, and fused/unfused plans.
+  tuple-identical to a fresh compilation and to the reference
+  (``algebra.evaluate``), over relations with and without index
+  definitions.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from repro.relational.algebra import (
     Scan,
     Select,
     Union,
+    evaluate,
 )
 from repro.relational.index import built_indexes_on, drop_index_def, ensure_index
 from repro.relational.optimizer import optimize, refresh_statistics
@@ -184,7 +186,7 @@ class Owner:
 def cache_plan_over(relation: Relation, key) -> None:
     """Plan a selection over ``relation`` and store it under ``key``."""
     logical = Select(Scan(relation, "t"), col("a").eq(lit(1)))
-    physical = plan_physical(optimize(logical), fuse=True)
+    physical = plan_physical(optimize(logical))
     record = PlanRecord(physical, None, None, cost_class_of(physical))
     cache_store(key, record, planned_over({"t": relation}, {"t": ()}), Owner(relation))
 
@@ -313,10 +315,11 @@ def predicates(draw, columns):
 def plans(draw):
     r = Relation(["r.a", "r.b"], draw(rows_r))
     s = Relation(["s.c", "s.d"], draw(rows_s))
-    for rel, names in ((r, ["r.a", "r.b"]), (s, ["s.c", "s.d"])):
-        for name in names:
-            ensure_index(rel, [name], kind="hash")
-            ensure_index(rel, [name], kind="sorted")
+    if draw(st.booleans()):  # else every scan sequential, every equi-join hashed
+        for rel, names in ((r, ["r.a", "r.b"]), (s, ["s.c", "s.d"])):
+            for name in names:
+                ensure_index(rel, [name], kind="hash")
+                ensure_index(rel, [name], kind="sorted")
     r_scan, s_scan = Scan(r, "r"), Scan(s, "s")
     shape = draw(
         st.sampled_from(
@@ -351,20 +354,20 @@ def bag(relation: Relation):
     return sorted(map(repr, relation.rows))
 
 
-@given(plans(), st.booleans(), st.sampled_from(["rows", "columns"]))
+@given(plans())
 @settings(max_examples=120, deadline=None)
-def test_cached_equals_fresh(plan, use_indexes, mode):
+def test_cached_equals_fresh(plan):
     """A cached plan is one physical tree executed again and again: it
-    produces the same tuples a fresh compilation does — across modes and
-    index knobs, and on repeated executions of the same tree."""
-    fuse = mode == "columns"
+    produces the same tuples a fresh compilation does, and the reference,
+    on repeated executions of the same tree."""
 
     def compiled():
-        return plan_physical(optimize(plan), use_indexes=use_indexes, fuse=fuse)
+        return plan_physical(optimize(plan))
 
-    fresh = execute(compiled(), mode=mode)
+    fresh = execute(compiled())
+    assert bag(fresh) == bag(evaluate(plan))
     physical = compiled()
-    cold, warm, warm_again = (execute(physical, mode=mode) for _ in range(3))
+    cold, warm, warm_again = (execute(physical) for _ in range(3))
     assert bag(cold) == bag(fresh)
     assert bag(warm) == bag(fresh)
     assert bag(warm_again) == bag(fresh)

@@ -9,6 +9,7 @@ from repro.relational import (
     Scan,
     Select,
     col,
+    evaluate,
     explain,
     explain_logical,
     lit,
@@ -39,12 +40,12 @@ class TestRun:
         b = run(plan, optimize_first=False)
         assert sorted(a.rows) == sorted(b.rows)
 
-    def test_run_modes_and_access_paths_match(self, r, s):
+    def test_run_and_the_reference_match(self, r, s):
         plan = Select(Join(r, s, col("k").eq(col("k2"))), col("w") > lit(10))
         expected = [(2, "b", 2, 20)]
         assert run(plan).rows == expected
-        assert run(plan, mode="rows").rows == expected
-        assert run(plan, use_indexes=False).rows == expected
+        assert run(plan, optimize_first=False).rows == expected
+        assert evaluate(plan).rows == expected
 
     def test_scan_alias(self, r):
         scan = Scan(r.relation, name="r", alias="t")

@@ -25,7 +25,7 @@ from repro.relational import (
     optimize,
     plan_physical,
 )
-from repro.relational.algebra import Join
+from repro.relational.algebra import Join, evaluate
 from repro.relational.expressions import Comparison, Param, executing
 from repro.relational.index import ensure_index
 from repro.relational.physical import FusedPipeline, IndexNestedLoopJoin, execute
@@ -48,7 +48,7 @@ def _nodes(physical, kind):
 
 
 def _scan_plan(relation, predicate):
-    return plan_physical(optimize(Select(Scan(relation, name="t"), predicate)), fuse=True)
+    return plan_physical(optimize(Select(Scan(relation, name="t"), predicate)))
 
 
 def _versions():
@@ -67,7 +67,7 @@ def test_a_cached_scan_filter_answers_like_the_reference_on_every_version_shape(
         physical = _scan_plan(relation, predicate)
         (pipeline,) = _nodes(physical, FusedPipeline)
         assert pipeline._kept is not None
-        expected = execute(physical, mode="rows").rows
+        expected = evaluate(Select(Scan(relation, name="t"), predicate)).rows
         for size in (1, 7, 1024):
             for _ in range(2):  # building the entries, then reading them
                 assert execute(physical, batch_size=size).rows == expected
@@ -79,13 +79,12 @@ def test_a_cached_probe_filter_answers_like_the_reference_on_every_version_shape
         ensure_index(relation, ["id"], kind="hash")
         outer = Scan(Relation(["ref"], [(i,) for i in range(0, 360, 2)]), name="o")
         inner = Select(Scan(relation, name="t"), Comparison("<>", col("kind"), lit("k1")))
-        physical = plan_physical(
-            optimize(Join(outer, inner, Comparison("=", col("ref"), col("id")))), fuse=True
-        )
+        logical = Join(outer, inner, Comparison("=", col("ref"), col("id")))
+        physical = plan_physical(optimize(logical))
         (join,) = _nodes(physical, IndexNestedLoopJoin)
         assert join._tables is not None
         assert "Probe Filter: (kind <> 'k1')" in explain(physical)
-        expected = sorted(execute(physical, mode="rows").rows)
+        expected = sorted(evaluate(logical).rows)
         for size in (1, 1024):
             for _ in range(2):
                 assert sorted(execute(physical, batch_size=size).rows) == expected

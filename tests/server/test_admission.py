@@ -126,7 +126,6 @@ class TestClassification:
                 Scan(small, name="s", alias="u"),
                 col("t.a").eq(col("u.a")),
             ),
-            use_indexes=False,
         )
         assert cost_class_of(join_plan) == "join"
 
@@ -142,5 +141,5 @@ class TestClassification:
             plan = Join(
                 plan, Scan(rel, name=f"r{i}", alias=f"x{i}"), col("x0.a").eq(col(f"x{i}.a"))
             )
-        physical = plan_physical(plan, use_indexes=False)
+        physical = plan_physical(plan)
         assert cost_class_of(physical) == "heavy"

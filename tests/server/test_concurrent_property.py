@@ -2,7 +2,7 @@
 
 The serving subsystem's core promise: N threads running a mix of cached,
 prepared, and cold queries — through raw ``execute_query`` and through
-server-bound sessions, and the ``rows()`` reference — always receive
+server-bound sessions, and the reference — always receive
 answers identical to serial execution, even while a DDL thread changes
 the partitions' access paths (index create/drop, statistics refresh)
 under them.
@@ -30,7 +30,7 @@ from repro.sql import execute_sql
 
 from tests.conftest import assert_tiered, build_vehicles_udb, partition_relation, scattered
 
-#: the two ways to answer a query: the ``rows()`` reference and the executor
+#: the two ways to answer a query: the reference and the executor
 MODES = {"rows": reference_query, "columns": execute_query}
 
 
