@@ -1,10 +1,13 @@
 """The logical plan a physical operator tree computes, for comparing an
-execution with :func:`~repro.relational.algebra.evaluate`.
+execution with :func:`~repro.relational.algebra.evaluate`, and a logical
+plan over relations that list no index definitions.
 
-One branch per concrete operator: an index scan is the selection its
-access mode and residual make, a join the ``Join`` of its equi-pairs and
-residual (an index join's inner side the scan of its indexed relation
-under its probe filters), a folded output a ``ProjectAs``.
+:func:`logical_of` has one branch per concrete operator: an index scan is
+the selection its access mode and residual make, a join the ``Join`` of
+its equi-pairs and residual (an index join's inner side the scan of its
+indexed relation under its probe filters), a folded output a
+``ProjectAs``.  :func:`unindexed` gives the planner no access path to
+choose, so every scan is sequential and every equi-join hashed.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from repro.relational.physical import (
     SemiJoinOp,
     SeqScan,
 )
+from repro.relational.relation import Relation
 
 
 def _as_expression(value):
@@ -142,3 +146,15 @@ def logical_of(plan):
             plan.seed,
         )
     raise TypeError(f"no logical plan for {type(plan).__name__}")
+
+
+def unindexed(plan):
+    """``plan`` over copies of its relations (the same segments and
+    deletions) that list no index definitions."""
+    if isinstance(plan, Scan):
+        relation = plan.relation
+        copy = Relation.from_segments(
+            relation.schema, relation.segments(), relation.deleted_ordinals()
+        )
+        return Scan(copy, plan.name, plan.alias)
+    return plan.with_children([unindexed(child) for child in plan.children])

@@ -23,6 +23,8 @@ from repro.relational.physical import execute
 from repro.relational.planner import plan_physical
 from repro.relational.relation import Relation
 
+from tests.relational.logical import unindexed
+
 values = st.one_of(st.integers(min_value=0, max_value=9), st.none())
 rows_r = st.lists(st.tuples(values, values), min_size=0, max_size=30)
 rows_s = st.lists(st.tuples(values, values), min_size=0, max_size=30)
@@ -79,14 +81,6 @@ def plans(draw):
 
 def bag(relation: Relation):
     return sorted(map(repr, relation.rows))
-
-
-def unindexed(plan):
-    """``plan`` over copies of its relations that list no index definitions."""
-    if isinstance(plan, Scan):
-        relation = plan.relation
-        return Scan(Relation(relation.schema, relation.rows), plan.name, plan.alias)
-    return plan.with_children([unindexed(child) for child in plan.children])
 
 
 @given(plans(), batch_sizes, st.booleans())

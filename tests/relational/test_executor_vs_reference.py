@@ -69,7 +69,7 @@ from repro.relational.physical import (
 from repro.relational.planner import plan_physical, run
 from repro.relational.relation import Relation
 
-from tests.relational.logical import logical_of
+from tests.relational.logical import logical_of, unindexed
 
 #: Batch sizes every case runs at; the input sizes put empty, singleton,
 #: exactly-one-batch and one-batch-plus/minus-one inputs beside each.
@@ -78,10 +78,17 @@ SIZES = list(range(9))
 
 
 def left_relation(n: int) -> Relation:
-    # every third key is NULL, and rows repeat from the seventh on, so
-    # distinct and except have duplicates to drop
-    rows = [(None if i % 3 == 2 else i % 3, f"v{i % 2}") for i in range(n)]
+    # every third key is NULL, values repeat so distinct/except have work
+    rows = [(None if i % 3 == 2 else i % 5, f"v{i % 4}") for i in range(n)]
     return Relation(["l.k", "l.v"], rows)
+
+
+def repeated_left(n: int) -> SeqScan:
+    # left_relation(n) with its rows from n // 2 on again: whole duplicate
+    # rows for distinct to drop, and for except to drop among the rows
+    # that left_relation(n // 2) does not subtract
+    rows = left_relation(n).rows
+    return SeqScan(Relation(["l.k", "l.v"], rows + rows[n // 2 :]), "a")
 
 
 def right_relation(n: int, float_keys: bool = False) -> Relation:
@@ -336,13 +343,11 @@ CASES = {
         left(n), right(n, float_keys=True), col("l.k").eq(col("r.k"))
     ),
     "semi_join_loop": lambda n: SemiJoinOp(left(n), right(n), col("l.k") < col("r.k")),
-    "hash_distinct": lambda n: HashDistinct(left(n)),
+    "hash_distinct": lambda n: HashDistinct(repeated_left(n)),
     "append": lambda n: Append(
         SeqScan(left_relation(n), "a"), SeqScan(left_relation(max(n - 1, 0)), "b")
     ),
-    "except": lambda n: Except(
-        SeqScan(left_relation(n), "a"), SeqScan(left_relation(min(n, 1)), "b")
-    ),
+    "except": lambda n: Except(repeated_left(n), SeqScan(left_relation(n // 2), "b")),
     "confidence": _confidence,
 }
 
@@ -471,11 +476,6 @@ def _equi_joins(lhs: Relation, rhs: Relation):
     return joins
 
 
-def _unindexed(relation: Relation) -> Relation:
-    """The same rows in a relation that lists no index definitions."""
-    return Relation(relation.schema, relation.rows)
-
-
 class TestJoinKeys:
     """Keys join when Python ``==`` says so (``1`` and ``1.0`` do, NULL
     and an int against a str never do), whichever join runs them, with or
@@ -487,7 +487,7 @@ class TestJoinKeys:
             assert sorted(execute(join).rows) == expected, join
         predicate = col("l.k").eq(col("r.k"))
         indexed = Join(Scan(lhs, "l"), Scan(rhs, "r"), predicate)
-        bare = Join(Scan(_unindexed(lhs), "l"), Scan(_unindexed(rhs), "r"), predicate)
+        bare = unindexed(indexed)
         for logical in (indexed, bare):
             assert sorted(run(logical).rows) == expected
             assert sorted(evaluate(logical).rows) == expected
